@@ -30,18 +30,16 @@ import (
 
 func main() {
 	var (
-		kind        = pmjoin.KindVector
-		m           = pmjoin.SC
-		policy      = pmjoin.LRU
-		prefetch    = pmjoin.PrefetchDefault
-		kernelBatch = pmjoin.KernelBatchDefault
-		storage     = pmjoin.StorageDefault
+		kind     = pmjoin.KindVector
+		m        = pmjoin.SC
+		policy   = pmjoin.LRU
+		prefetch = pmjoin.PrefetchDefault
+		storage  = pmjoin.StorageDefault
 	)
 	flag.TextVar(&kind, "kind", kind, "data kind: vector, series, string")
 	flag.TextVar(&m, "method", m, "join method: NLJ, pm-NLJ, random-SC, SC, CC, EGO, BFRJ, PBSM")
 	flag.TextVar(&policy, "policy", policy, "buffer replacement policy: LRU, FIFO")
 	flag.TextVar(&prefetch, "prefetch", prefetch, "pipelined cluster prefetch: on, off, default (on; identical results either way)")
-	flag.TextVar(&kernelBatch, "kernel-batch", kernelBatch, "whole-cluster block kernel dispatch: on, off, default (on; identical results either way)")
 	flag.TextVar(&storage, "storage", storage, "physical page source: sim, file (identical results; file serves real encoded files and measures read latencies)")
 	var (
 		data      = flag.String("data", "", "vector generator: roads (default for dim 2) or landsat (default otherwise)")
@@ -161,7 +159,6 @@ func main() {
 		Metrics:       *metrics,
 		Trace:         *trace > 0,
 		TraceCapacity: *trace,
-		KernelBatch:   kernelBatch,
 		Storage:       storage,
 		Pipeline:      pmjoin.PipelineOptions{Prefetch: prefetch, PrefetchDepth: *depth},
 		Sharding:      pmjoin.ShardingOptions{Shards: *shards, Workers: *shardWork},

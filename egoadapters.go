@@ -22,14 +22,11 @@ const (
 // vectorEGO adapts vector pages to the EGO join: grid cells of width eps,
 // exact verification under the norm.
 type vectorEGO struct {
-	norm geom.Norm
-	eps  float64
 	cell float64
 	self bool
-	// kernels switches Compare to the precompiled threshold test, which is
-	// bit-identical to norm.Dist(a, b) <= eps (see internal/kernel).
-	kernels bool
-	th      kernel.Threshold
+	// th is the precompiled threshold test, bit-identical to
+	// norm.Dist(a, b) <= eps (see internal/kernel).
+	th kernel.Threshold
 }
 
 func (v *vectorEGO) NumObjects(p any) int { return len(p.(*join.VectorPage).IDs) }
@@ -49,10 +46,7 @@ func (v *vectorEGO) Compare(pa any, i int, pb any, k int) (bool, float64) {
 	a := pa.(*join.VectorPage)
 	b := pb.(*join.VectorPage)
 	cost := egoBaseCost + egoPerDimCost*float64(len(a.Vecs[i]))
-	if v.kernels {
-		return v.th.Within(a.Vecs[i], b.Vecs[k]), cost
-	}
-	return v.norm.Dist(a.Vecs[i], b.Vecs[k]) <= v.eps, cost
+	return v.th.Within(a.Vecs[i], b.Vecs[k]), cost
 }
 
 func (v *vectorEGO) SelfSkip(pa any, i int, pb any, k int) bool {
@@ -83,15 +77,11 @@ func (v *vectorEGO) Reorderable() bool { return true }
 // cannot be reordered on disk, so Reorderable is false and the sweep pays
 // random seeks to the windows' home pages (§2.1, §9.2).
 type seriesEGO struct {
-	eps      float64
 	cell     float64
 	self     bool
 	window   int
 	features int
-	// kernels switches Compare to the precompiled squared-L2 test, matching
-	// the inline epsSq loop bit for bit.
-	kernels bool
-	th      kernel.Threshold
+	th       kernel.Threshold // precompiled squared-L2 test against eps²
 }
 
 func (s *seriesEGO) NumObjects(p any) int { return len(p.(*join.SeriesPage).IDs) }
@@ -112,19 +102,7 @@ func (s *seriesEGO) Compare(pa any, i int, pb any, k int) (bool, float64) {
 	b := pb.(*join.SeriesPage)
 	wa, wb := a.Windows[i], b.Windows[k]
 	cost := egoBaseCost + egoPerDimCost*float64(len(wa))
-	if s.kernels {
-		return s.th.Within(wa, wb), cost
-	}
-	epsSq := s.eps * s.eps
-	var sum float64
-	for x := range wa {
-		d := wa[x] - wb[x]
-		sum += d * d
-		if sum > epsSq {
-			return false, cost
-		}
-	}
-	return true, cost
+	return s.th.Within(wa, wb), cost
 }
 
 func (s *seriesEGO) SelfSkip(pa any, i int, pb any, k int) bool {

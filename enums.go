@@ -7,7 +7,7 @@ import (
 
 // enumSpec is the single table behind every exported enum's String /
 // MarshalText / UnmarshalText / Parse quartet. Each enum used to hand-roll
-// the four methods (five enums x ~60 lines of switches); the table keeps the
+// the four methods (~60 lines of switches apiece); the table keeps the
 // canonical spellings in one slice per enum and derives everything — the
 // round-trip forms, the normalized parse index, and the "(want ...)" hint in
 // parse errors — from it, so a new value is one string in one list.
@@ -171,71 +171,6 @@ func (p *ReplacementPolicy) UnmarshalText(text []byte) error { return policySpec
 
 // ParseReplacementPolicy parses a policy name (case-insensitive).
 func ParseReplacementPolicy(s string) (ReplacementPolicy, error) { return policySpec.parse(s) }
-
-// KernelMode selects whether joins use the threshold-aware distance kernels
-// of internal/kernel for their CPU hot path. The kernels are exact: Report,
-// Pairs and Plan are bit-identical in either mode, so the knob only exists
-// as an escape hatch and for differential testing.
-type KernelMode int
-
-const (
-	// KernelsDefault resolves to KernelsOn in Validate.
-	KernelsDefault KernelMode = iota
-	// KernelsOn uses the allocation-free early-exiting kernels (default).
-	KernelsOn
-	// KernelsOff keeps the reference comparison loops.
-	KernelsOff
-)
-
-var kernelSpec = newEnum[KernelMode]("KernelMode", "kernel mode",
-	[]string{"default", "on", "off"}, true)
-
-func (k KernelMode) String() string { return kernelSpec.string(k) }
-
-// MarshalText implements encoding.TextMarshaler.
-func (k KernelMode) MarshalText() ([]byte, error) { return kernelSpec.marshal(k) }
-
-// UnmarshalText implements encoding.TextUnmarshaler; see ParseKernelMode.
-func (k *KernelMode) UnmarshalText(text []byte) error { return kernelSpec.unmarshal(k, text) }
-
-// ParseKernelMode parses a kernel mode name (case-insensitive; "" parses to
-// KernelsDefault).
-func ParseKernelMode(s string) (KernelMode, error) { return kernelSpec.parse(s) }
-
-// KernelBatchMode selects whether clustered joins dispatch each batchable
-// cluster's marked page pairs as one whole-cluster block evaluation (one flat
-// row-major block per cluster side, SIMD streamed across page boundaries)
-// instead of a kernel call per page pair. Batching never changes Report,
-// Pairs or Plan — the block path replays the per-pair fetch sequence and
-// folds counters per cell in the per-pair order — so the knob only exists as
-// an escape hatch and for differential testing. Only non-self vector/series
-// joins with kernels on are batchable; everything else keeps the per-pair
-// path silently.
-type KernelBatchMode int
-
-const (
-	// KernelBatchDefault resolves to KernelBatchOn in Validate.
-	KernelBatchDefault KernelBatchMode = iota
-	// KernelBatchOn evaluates batchable clusters as block tasks (default).
-	KernelBatchOn
-	// KernelBatchOff keeps the per-page-pair kernel dispatch.
-	KernelBatchOff
-)
-
-var kernelBatchSpec = newEnum[KernelBatchMode]("KernelBatchMode", "kernel batch mode",
-	[]string{"default", "on", "off"}, true)
-
-func (k KernelBatchMode) String() string { return kernelBatchSpec.string(k) }
-
-// MarshalText implements encoding.TextMarshaler.
-func (k KernelBatchMode) MarshalText() ([]byte, error) { return kernelBatchSpec.marshal(k) }
-
-// UnmarshalText implements encoding.TextUnmarshaler; see ParseKernelBatchMode.
-func (k *KernelBatchMode) UnmarshalText(text []byte) error { return kernelBatchSpec.unmarshal(k, text) }
-
-// ParseKernelBatchMode parses a kernel batch mode name (case-insensitive; ""
-// parses to KernelBatchDefault).
-func ParseKernelBatchMode(s string) (KernelBatchMode, error) { return kernelBatchSpec.parse(s) }
 
 // PrefetchMode selects whether clustered joins pipeline the next cluster's
 // page reads behind the current cluster's CPU phase (double buffering through

@@ -54,10 +54,6 @@ type Options struct {
 	// PairsPerPage is the capacity of one spill page of the intermediate
 	// pair list (default 256, ~16 bytes per pair in a 4 KB page).
 	PairsPerPage int
-	// Kernels routes node-pair predictor tests through internal/kernel's
-	// exact MBR bound when Pred offers one; the candidate set — and hence
-	// the Report — is bit-identical either way.
-	Kernels bool
 }
 
 // kernelBounder mirrors predmat's optional Predictor refinement.
@@ -70,12 +66,12 @@ func Run(e *join.Engine, r, s *join.Dataset, j join.ObjectJoiner, opts Options) 
 	if opts.PairsPerPage == 0 {
 		opts.PairsPerPage = 256
 	}
+	// Node-pair predictor tests run through internal/kernel's exact MBR
+	// bound when Pred offers one.
 	within := func(a, b geom.MBR) bool { return opts.Pred.LowerBound(a, b) <= opts.Eps }
-	if opts.Kernels {
-		if kb, ok := opts.Pred.(kernelBounder); ok {
-			if f := kb.KernelBound(opts.Eps); f != nil {
-				within = f
-			}
+	if kb, ok := opts.Pred.(kernelBounder); ok {
+		if f := kb.KernelBound(opts.Eps); f != nil {
+			within = f
 		}
 	}
 	return e.Run("BFRJ", func(x *join.Exec) error {

@@ -9,7 +9,6 @@ import (
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
-	"pmjoin/internal/kernel"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
@@ -37,19 +36,6 @@ type Engine struct {
 	// hook is a nil-receiver no-op. Metrics never influence the Report —
 	// they are outside the determinism contract.
 	Metrics *metrics.Collector
-	// Kernels warms each page's flat kernel block as the buffer pool loads
-	// it, so kernel-enabled joiners find it prebuilt on the coordinator
-	// instead of building it lazily inside worker tasks. Purely a CPU-side
-	// wall-clock concern: the Report is bit-identical either way.
-	Kernels bool
-	// KernelBatch routes each batchable cluster's marked page pairs through
-	// one whole-cluster block evaluation (Exec.JoinCluster) instead of a
-	// JoinPair per entry. Only BatchJoiner configurations that report a
-	// batch kernel participate (non-self vector/series kernel joins);
-	// everything else silently keeps the per-pair path. The Report — every
-	// counter bit, pair order included — is identical either way at any
-	// parallelism (see TestBatchKernelsDeterminism).
-	KernelBatch bool
 	// Prefetch enables the double-buffered cluster pipeline: while workers
 	// compare cluster k's page pairs, the coordinator stages cluster k+1's
 	// prefetch-plan pages (Pool.Prefetch), promoting them to pinned at the
@@ -127,9 +113,10 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	if e.Backend != nil && e.Readers != nil {
 		pool.SetPrefetchRunner(e.Readers.Run)
 	}
-	if e.Kernels {
-		pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
-	}
+	// Warm each page's flat kernel block as the pool loads it, so joiners
+	// find it prebuilt on the coordinator instead of building it lazily
+	// inside worker tasks.
+	pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
 	if e.Shared != nil {
 		pool.AttachShared(e.Shared)
 		// Detach on every exit path (cancellation included) so this run's
@@ -385,19 +372,6 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			order = sched.IdentityOrder(len(clusters))
 		}
 
-		// Resolve batched dispatch once per run: the joiner must opt in with
-		// a batch kernel, and the engine flag must be on. Everything else
-		// (self joins, string joins, kernels off) falls back per pair.
-		var bj BatchJoiner
-		var bth kernel.Threshold
-		if e.KernelBatch {
-			if cand, ok := j.(BatchJoiner); ok {
-				if th, batchable := cand.BatchKernel(); batchable {
-					bj, bth = cand, th
-				}
-			}
-		}
-
 		// The prefetch pipeline needs the per-step plan (the pages each
 		// cluster needs that its predecessor does not pin). Only LRU
 		// preserves the off-mode victim order under staged frames — staged
@@ -431,25 +405,16 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 				}
 			}
 			e.Metrics.ClusterPinned(len(addrs))
-			if bj != nil {
-				if err := x.JoinCluster(r, s, c, bj, bth); err != nil {
-					return err
-				}
-			} else {
-				for _, en := range c.Entries {
-					if err := x.JoinPair(r, s, en.R, en.C, j); err != nil {
-						return err
-					}
-				}
+			if err := x.JoinCluster(r, s, c, j); err != nil {
+				return err
 			}
-			// Double buffering: the comparison tasks are queued (workers are
+			// Double buffering: the cluster's runs are all shipped (workers are
 			// chewing on them now), so the coordinator overlaps the
 			// successor's new-page reads with this cluster's CPU phase. The
 			// reads occupy exactly the session-head sequence the successor's
 			// pin loop would have issued, so Seeks/Sequential/GapPages are
 			// untouched; only the timeline buckets them as overlapped.
 			if prefetching && oi+1 < len(order) {
-				x.Kick() // ship the sub-batch remainder so workers chew while we stage
 				if err := e.prefetchStep(x, plan[oi+1], order[oi+1]); err != nil {
 					return err
 				}

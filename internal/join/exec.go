@@ -22,13 +22,14 @@ import (
 //     touch the disk; they only compute over payloads the coordinator has
 //     already fetched (payloads stay valid after eviction — the simulated
 //     disk keeps pages resident).
-//   - Comparison work is enqueued as tasks in schedule order via
-//     JoinPayloads (per page pair) or JoinCluster (per cell range of a
-//     batched cluster). Workers fill in each task's outputs.
-//   - Flush waits for the in-flight tasks and merges their results into Rep
-//     in submission order — and, for block tasks, per cell within the task —
-//     so float64 accumulation order, result counts, and pair emission order
-//     are identical to the serial per-pair run.
+//   - Comparison work is appended in schedule order, one page-pair cell at a
+//     time (JoinPayloads / JoinPair) or one pinned cluster at a time
+//     (JoinCluster), to runs of up to taskCells cells. A run ships to the
+//     workers as soon as it is full, its cluster ends, or Flush is called.
+//   - Flush waits for the shipped runs and merges their results into Rep in
+//     submission order, cell by cell, so float64 accumulation order, result
+//     counts, and pair emission order are those of a serial loop over the
+//     cells — at any parallelism.
 type Exec struct {
 	// IO is the run's disk session: its charges are independent of any
 	// concurrent run and also folded into the global disk counters.
@@ -38,121 +39,101 @@ type Exec struct {
 	// Rep is the report under construction.
 	Rep *Report
 
-	eng   *Engine
-	tasks []execTask
-	// sent is the index into tasks of the first task not yet submitted to
-	// the pool: pair tasks are shipped in batches (see execBatchTasks)
-	// because one page pair is microseconds of work — far too fine to pay a
-	// pool round trip for. Block tasks ship immediately.
-	sent int
-	// free and freeBlocks recycle task allocations across Flush boundaries.
-	free       []*pairTask
-	freeBlocks []*blockTask
-	wg         sync.WaitGroup
+	eng *Engine
+	// tasks holds every run since the last Flush in submission order; open,
+	// when non-nil, is the last of them and still accepts cells.
+	tasks []*task
+	open  *task
+	free  []*task // recycled across Flush boundaries
+	wg    sync.WaitGroup
 
-	// Batched-cluster scratch, reused across clusters within the run. The
-	// blocks and slices are referenced by in-flight block tasks, which Flush
-	// retires before the next cluster rebuilds them.
+	// Cluster scratch, reused across clusters within the run. The blocks and
+	// slices are referenced by in-flight block runs, which Flush retires
+	// before the next cluster rebuilds them.
 	blockR, blockS       kernel.ClusterBlock
 	idsR, idsS           [][]int
 	payloadsR, payloadsS []any
 	cells                []kernel.Cell
 }
 
-// execTask is one unit of comparison work: a worker (or the coordinator,
-// when serial) calls run; Flush calls merge on the coordinator in submission
-// order.
-type execTask interface {
-	run()
-	merge(x *Exec)
+// taskCells is the run granularity: one page pair is ~1-10us of comparison
+// work — far too fine to pay a pool round trip for — so cells ship in
+// contiguous runs of this many, which keeps the worker pool balanced
+// (clusters hold hundreds of cells) without a task per page pair.
+const taskCells = 64
+
+// pagePair is one cell of a fallback run: two fetched payloads and the
+// joiner that compares them.
+type pagePair struct {
+	j    ObjectJoiner
+	a, b any
 }
 
-// execBatchTasks is the number of page-pair tasks shipped to a worker per
-// submission. One pair is ~1-10us of comparison work; batching amortizes
-// the queue round trip and WaitGroup traffic without costing parallelism
-// (clusters hold hundreds of pairs).
-const execBatchTasks = 64
-
-// blockTaskCells is the cell-range granularity of batched cluster dispatch:
-// large clusters split into contiguous runs of this many marked cells, so
-// the worker pool stays balanced without paying a task per page pair.
-const blockTaskCells = 64
-
-// pairTask is one page-pair comparison unit. The coordinator allocates it
-// with the input payloads; a worker (or the coordinator itself, when
-// serial) fills in the outputs; Flush merges them in submission order.
-type pairTask struct {
-	a, b    any
-	joiner  ObjectJoiner
+// task is one unit of comparison work: a contiguous run of up to taskCells
+// page-pair cells. A run cut from a batchable cluster (cells set) is
+// evaluated by one kernel.BlockPairsWithin call over the cluster's two flat
+// blocks; any other run (pages set: unclustered executors, self joins,
+// strings) falls back to a JoinPages call per cell. Either way run records
+// each cell's comparison count and modeled CPU cost separately, so merge can
+// fold them in cell order. Workers only read the shared blocks and id
+// slices; each task owns its output buffers.
+type task struct {
 	capture bool
 
-	comps   int64
-	cpu     float64
+	pages []pagePair
+
+	th         kernel.Threshold
+	br, bs     *kernel.ClusterBlock
+	cells      []kernel.Cell
+	idsR, idsS [][]int // per block page, the payload's object IDs
+
+	comps   []int64
+	cpu     []float64
 	results int64
+	hits    []kernel.BlockHit
 	pairs   [][2]int
 }
 
-func (t *pairTask) run() {
+func (t *task) run() {
+	if t.cells != nil {
+		t.hits = kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells, t.hits[:0])
+		t.results = int64(len(t.hits))
+		if t.capture {
+			for _, h := range t.hits {
+				c := t.cells[h.Cell]
+				t.pairs = append(t.pairs, [2]int{t.idsR[c.R][h.I], t.idsS[c.S][h.J]})
+			}
+		}
+		// The expressions JoinPages evaluates for the same page pair, so the
+		// fold in merge is bit-identical to the per-cell fallback's. Empty
+		// pages contribute exactly +0.0 either way.
+		perPair := compareBaseCost + comparePerDimCost*float64(t.br.Dim())
+		for _, c := range t.cells {
+			comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
+			t.comps = append(t.comps, comps)
+			t.cpu = append(t.cpu, float64(comps)*perPair)
+		}
+		return
+	}
 	emit := func(i, j int) {
 		t.results++
 		if t.capture {
 			t.pairs = append(t.pairs, [2]int{i, j})
 		}
 	}
-	t.comps, t.cpu = t.joiner.JoinPages(t.a, t.b, emit)
-}
-
-func (t *pairTask) merge(x *Exec) {
-	x.Rep.Comparisons += t.comps
-	x.Rep.CPUJoinSeconds += t.cpu
-	x.Rep.Results += t.results
-	if x.eng.OnPair != nil {
-		for _, p := range t.pairs {
-			x.eng.OnPair(p[0], p[1])
-		}
-	}
-	t.a, t.b, t.joiner = nil, nil, nil // drop payload refs while pooled
-	x.free = append(x.free, t)
-}
-
-// blockTask evaluates one contiguous range of a batched cluster's marked
-// cells against the cluster's two flat blocks. Workers only read the shared
-// blocks and id slices; each task owns its hit and pair buffers.
-type blockTask struct {
-	th      kernel.Threshold
-	br, bs  *kernel.ClusterBlock
-	cells   []kernel.Cell
-	idsR    [][]int // per R-block page, the payload's object IDs
-	idsS    [][]int
-	capture bool
-
-	results int64
-	hits    []kernel.BlockHit
-	pairs   [][2]int
-}
-
-func (t *blockTask) run() {
-	t.hits = kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells, t.hits[:0])
-	t.results = int64(len(t.hits))
-	if t.capture {
-		for _, h := range t.hits {
-			c := t.cells[h.Cell]
-			t.pairs = append(t.pairs, [2]int{t.idsR[c.R][h.I], t.idsS[c.S][h.J]})
-		}
+	for _, p := range t.pages {
+		comps, cpu := p.j.JoinPages(p.a, p.b, emit)
+		t.comps = append(t.comps, comps)
+		t.cpu = append(t.cpu, cpu)
 	}
 }
 
-func (t *blockTask) merge(x *Exec) {
-	// Fold counters per cell in submission order: the same expressions a
-	// pairTask per cell would produce (VectorJoiner/SeriesJoiner kernels
-	// path: comps = nR*nS, cpu = comps*perPair), added to the report in the
-	// same sequence, so the float accumulation is bit-identical to the
-	// per-pair path. Empty pages contribute exactly +0.0 either way.
-	perPair := compareBaseCost + comparePerDimCost*float64(t.br.Dim())
-	for _, c := range t.cells {
-		comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
+// merge folds the run into the report, cell by cell in submission order,
+// and resets the task for reuse (dropping payload refs while pooled).
+func (t *task) merge(x *Exec) {
+	for i, comps := range t.comps {
 		x.Rep.Comparisons += comps
-		x.Rep.CPUJoinSeconds += float64(comps) * perPair
+		x.Rep.CPUJoinSeconds += t.cpu[i]
 	}
 	x.Rep.Results += t.results
 	if x.eng.OnPair != nil {
@@ -160,10 +141,8 @@ func (t *blockTask) merge(x *Exec) {
 			x.eng.OnPair(p[0], p[1])
 		}
 	}
-	t.br, t.bs, t.cells, t.idsR, t.idsS = nil, nil, nil, nil, nil
-	t.results = 0
-	t.pairs = t.pairs[:0]
-	x.freeBlocks = append(x.freeBlocks, t)
+	clear(t.pages)
+	*t = task{pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], hits: t.hits[:0], pairs: t.pairs[:0]}
 }
 
 // Err returns the engine context's error, if any. Executors call it at
@@ -185,47 +164,54 @@ func (x *Exec) Emit(a, b int) {
 	}
 }
 
-// JoinPayloads schedules the comparison of two already-fetched page
-// payloads (a from the first dataset, b from the second). With a worker
-// pool the task runs concurrently (batched; see execBatchTasks); without
-// one it runs immediately. Either way its counters merge into Rep only at
-// the next Flush, in submission order.
-func (x *Exec) JoinPayloads(j ObjectJoiner, a, b any) {
-	var t *pairTask
+// newRun ships the open run, if any, and opens a fresh one.
+func (x *Exec) newRun() *task {
+	x.ship()
+	var t *task
 	if n := len(x.free); n > 0 {
 		t = x.free[n-1]
 		x.free = x.free[:n-1]
-		*t = pairTask{pairs: t.pairs[:0]}
 	} else {
-		t = &pairTask{}
+		t = &task{}
 	}
-	t.a, t.b, t.joiner, t.capture = a, b, j, x.eng.OnPair != nil
+	t.capture = x.eng.OnPair != nil
 	x.tasks = append(x.tasks, t)
+	x.open = t
+	return t
+}
+
+// ship closes the open run and hands it to the worker pool (or evaluates it
+// inline without one). Its outputs reach Rep only at the next Flush.
+func (x *Exec) ship() {
+	t := x.open
+	if t == nil {
+		return
+	}
+	x.open = nil
 	if x.eng.Workers == nil {
 		t.run()
 		return
 	}
-	if len(x.tasks)-x.sent >= execBatchTasks {
-		x.submit()
-	}
-}
-
-// submit ships the pending task range to the pool as one batch. The batch
-// captures a snapshot slice of execTask — stable under later appends to
-// x.tasks, since only the backing array is ever reallocated.
-func (x *Exec) submit() {
-	batch := x.tasks[x.sent:len(x.tasks):len(x.tasks)]
-	if len(batch) == 0 {
-		return
-	}
-	x.sent = len(x.tasks)
 	x.wg.Add(1)
 	x.eng.Workers.Run(func() {
 		defer x.wg.Done()
-		for _, t := range batch {
-			t.run()
-		}
+		t.run()
 	})
+}
+
+// JoinPayloads schedules the comparison of two already-fetched page
+// payloads (a from the first dataset, b from the second) as the next cell
+// of the open run. Its counters merge into Rep only at the next Flush, in
+// submission order.
+func (x *Exec) JoinPayloads(j ObjectJoiner, a, b any) {
+	t := x.open
+	if t == nil {
+		t = x.newRun()
+	}
+	t.pages = append(t.pages, pagePair{j: j, a: a, b: b})
+	if len(t.pages) == taskCells {
+		x.ship()
+	}
 }
 
 // JoinPair fetches the page pair (pr of r, ps of s) through the pool — in
@@ -244,15 +230,30 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 	return nil
 }
 
-// JoinCluster evaluates every marked entry of one pinned cluster as batched
-// block tasks — the clustered executor's only sanctioned batch dispatch
-// site. The per-entry fetch sequence of a JoinPair loop is replayed exactly
-// (R then S per entry, charging pool hits/misses and touching LRU recency
-// identically), then one flat block per side is built from the distinct
-// pinned pages and the cluster's cells ship as contiguous ranges of
-// blockTaskCells. Flush's per-cell fold keeps Report, pair order, and every
-// counter bit-identical to the per-pair path at any parallelism.
-func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j BatchJoiner, th kernel.Threshold) error {
+// JoinCluster schedules every marked entry of one pinned cluster — the
+// clustered executor's only comparison dispatch. Pages are fetched per
+// entry, R then S, exactly as a JoinPair loop would (charging pool
+// hits/misses and touching LRU recency identically). When the joiner
+// reports a batch kernel, one flat block per side is built from the distinct
+// pinned pages and the cells are cut into block runs; otherwise each entry
+// becomes a fallback cell. The cluster's last run ships before returning, so
+// the workers chew on it while the caller stages the next cluster.
+func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) error {
+	var th kernel.Threshold
+	bj, batch := j.(BatchJoiner)
+	if batch {
+		th, batch = bj.BatchKernel()
+	}
+	if !batch {
+		for _, en := range c.Entries {
+			if err := x.JoinPair(r, s, en.R, en.C, j); err != nil {
+				return err
+			}
+		}
+		x.ship()
+		return nil
+	}
+
 	rows, cols := c.Rows(), c.Cols()
 	if cap(x.payloadsR) < len(rows) {
 		x.payloadsR = make([]any, len(rows))
@@ -287,72 +288,40 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j BatchJoiner, th 
 		x.blockR.Reset()
 		x.idsR = x.idsR[:0]
 		for _, p := range x.payloadsR {
-			f, ids := j.BatchPage(p)
+			f, ids := bj.BatchPage(p)
 			x.blockR.AddPage(f)
 			x.idsR = append(x.idsR, ids)
 		}
 		x.blockS.Reset()
 		x.idsS = x.idsS[:0]
 		for _, p := range x.payloadsS {
-			f, ids := j.BatchPage(p)
+			f, ids := bj.BatchPage(p)
 			x.blockS.AddPage(f)
 			x.idsS = append(x.idsS, ids)
 		}
 		return len(x.cells), x.blockR.Rows() + x.blockS.Rows()
 	})
-	for lo := 0; lo < len(x.cells); lo += blockTaskCells {
-		hi := lo + blockTaskCells
-		if hi > len(x.cells) {
-			hi = len(x.cells)
-		}
-		var t *blockTask
-		if n := len(x.freeBlocks); n > 0 {
-			t = x.freeBlocks[n-1]
-			x.freeBlocks = x.freeBlocks[:n-1]
-		} else {
-			t = &blockTask{}
-		}
+	for lo := 0; lo < len(x.cells); lo += taskCells {
+		hi := min(lo+taskCells, len(x.cells))
+		t := x.newRun()
 		t.th, t.br, t.bs = th, &x.blockR, &x.blockS
 		t.cells = x.cells[lo:hi:hi]
 		t.idsR, t.idsS = x.idsR, x.idsS
-		t.capture = x.eng.OnPair != nil
-		x.tasks = append(x.tasks, t)
-		if x.eng.Workers == nil {
-			t.run()
-		} else {
-			// A block task is a coarse unit (up to blockTaskCells page
-			// pairs): ship it — and any pending pair tasks — immediately.
-			x.submit()
-		}
 	}
+	x.ship()
 	return nil
 }
 
-// Kick ships any pending comparison tasks to the workers without waiting.
-// The engine calls it before coordinator-side work it wants overlapped with
-// the comparisons (the prefetch step): tasks below the batching threshold
-// would otherwise sit unsubmitted until Flush, serializing the two phases
-// the pipeline exists to overlap. A no-op without workers, and harmless for
-// determinism — Flush merges in submission order regardless of when the
-// batch shipped.
-func (x *Exec) Kick() {
-	if x.eng.Workers != nil {
-		x.submit()
-	}
-}
-
-// Flush waits for every scheduled task and merges their outputs into Rep in
-// submission order. Executors call it at the same boundaries where the
-// buffer's pinned set turns over (cluster end, outer block end), bounding
-// the number of outstanding tasks.
+// Flush ships the open run, waits for every shipped run and merges their
+// outputs into Rep in submission order. Executors call it at the same
+// boundaries where the buffer's pinned set turns over (cluster end, outer
+// block end), bounding the number of outstanding runs.
 func (x *Exec) Flush() {
-	if x.eng.Workers != nil {
-		x.submit()
-	}
+	x.ship()
 	x.wg.Wait()
 	for _, t := range x.tasks {
 		t.merge(x)
 	}
+	x.free = append(x.free, x.tasks...)
 	x.tasks = x.tasks[:0]
-	x.sent = 0
 }

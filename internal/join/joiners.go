@@ -20,11 +20,11 @@ type ObjectJoiner interface {
 	JoinPages(a, b any, emit func(idA, idB int)) (comparisons int64, cpuSeconds float64)
 }
 
-// BatchJoiner is an ObjectJoiner whose per-pair kernel path can be hoisted
-// to whole-cluster block evaluation (Exec.JoinCluster). The contract mirrors
-// the Kernels flag: batch evaluation of a cluster's marked page pairs yields
-// results, comparison counts and modeled CPU cost bit-identical to a
-// JoinPages loop over the same pairs in the same order.
+// BatchJoiner is an ObjectJoiner whose JoinPages can be hoisted to
+// whole-cluster block evaluation (Exec.JoinCluster). The contract: batch
+// evaluation of a cluster's marked page pairs yields results, comparison
+// counts and modeled CPU cost bit-identical to a JoinPages loop over the same
+// pairs in the same order.
 type BatchJoiner interface {
 	ObjectJoiner
 	// BatchKernel reports whether this joiner configuration is batchable
@@ -55,7 +55,7 @@ type VectorPage struct {
 }
 
 // Flat returns the page's points as one contiguous row-major block for the
-// batched kernels, building it on first use. Safe for concurrent callers: a
+// kernels, building it on first use. Safe for concurrent callers: a
 // lost CAS race just discards a duplicate build.
 func (p *VectorPage) Flat() *kernel.FlatPage {
 	if f := p.flat.Load(); f != nil {
@@ -90,17 +90,38 @@ func PrepareFlat(payload any) {
 // append hits into, keeping the hot path allocation-free across page pairs.
 var hitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
 
-// VectorJoiner joins vector pages under an Lp norm with threshold Eps.
+// probePage tests every row of page a against the flat block of page b,
+// emitting the hits in (row of a, row of b) order — the non-self body of
+// VectorJoiner.JoinPages and SeriesJoiner.JoinPages.
+func probePage[V ~[]float64](th *kernel.Threshold, rows []V, ids []int, fb *kernel.FlatPage, idsB []int, emit func(int, int)) {
+	hits := hitsPool.Get().(*[]int)
+	for i, row := range rows {
+		*hits = kernel.PagePairWithin(th, row, fb, (*hits)[:0])
+		idI := ids[i]
+		for _, k := range *hits {
+			emit(idI, idsB[k])
+		}
+	}
+	hitsPool.Put(hits)
+}
+
+// VectorJoiner joins vector pages under an Lp norm with threshold Eps,
+// through internal/kernel's exact threshold tests.
 type VectorJoiner struct {
 	Norm geom.Norm
 	Eps  float64
 	// Self skips pairs with idA >= idB (self joins count each pair once).
 	Self bool
-	// Kernels routes comparisons through internal/kernel's threshold-aware
-	// batch path. Results, comparison counts and modeled CPU cost are
-	// bit-identical either way; off keeps the reference loops for
-	// differential testing.
-	Kernels bool
+}
+
+// threshold is the exact kernel form of the join predicate: L2 compares the
+// squared distance against fl(eps²), the other norms compare Dist against
+// eps.
+func (j VectorJoiner) threshold() kernel.Threshold {
+	if j.Norm == geom.L2 {
+		return kernel.NewThresholdSq(j.Eps)
+	}
+	return kernel.NewThreshold(j.Norm, j.Eps)
 }
 
 // JoinPages implements ObjectJoiner.
@@ -115,98 +136,40 @@ func (j VectorJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 	if len(pa.Vecs) > 0 {
 		dim = len(pa.Vecs[0])
 	}
-	if j.Kernels {
-		// The historical L2 loop compares against fl(eps²); the other norms
-		// compare Dist against eps. Each gets the matching exact threshold.
-		var th kernel.Threshold
-		if j.Norm == geom.L2 {
-			th = kernel.NewThresholdSq(j.Eps)
-		} else {
-			th = kernel.NewThreshold(j.Norm, j.Eps)
-		}
-		if j.Self {
-			// The id-based skip depends on both pages' IDs, so self joins
-			// stay per-point; Within is op-for-op the reference loop.
-			for i, va := range pa.Vecs {
-				idI := pa.IDs[i]
-				for k, vb := range pb.Vecs {
-					if idI >= pb.IDs[k] {
-						continue
-					}
-					comps++
-					if th.Within(va, vb) {
-						emit(idI, pb.IDs[k])
-					}
-				}
-			}
-		} else {
-			comps = int64(len(pa.Vecs)) * int64(len(pb.Vecs))
-			fb := pb.Flat()
-			hits := hitsPool.Get().(*[]int)
-			for i, va := range pa.Vecs {
-				*hits = kernel.PagePairWithin(&th, va, fb, (*hits)[:0])
-				idI := pa.IDs[i]
-				for _, k := range *hits {
-					emit(idI, pb.IDs[k])
-				}
-			}
-			hitsPool.Put(hits)
-		}
-		perPair := compareBaseCost + comparePerDimCost*float64(dim)
-		return comps, float64(comps) * perPair
-	}
-	if j.Norm == geom.L2 {
-		// Early-exit squared L2 (wall-clock only; the modeled cost below
-		// charges the full comparison either way).
-		epsSq := j.Eps * j.Eps
+	th := j.threshold()
+	if j.Self {
+		// The id-based skip depends on both pages' IDs, so self joins stay
+		// per-point.
 		for i, va := range pa.Vecs {
 			idI := pa.IDs[i]
 			for k, vb := range pb.Vecs {
-				if j.Self && idI >= pb.IDs[k] {
+				if idI >= pb.IDs[k] {
 					continue
 				}
 				comps++
-				var s float64
-				for d := range va {
-					x := va[d] - vb[d]
-					s += x * x
-					if s > epsSq {
-						break
-					}
-				}
-				if s <= epsSq {
+				if th.Within(va, vb) {
 					emit(idI, pb.IDs[k])
 				}
 			}
 		}
 	} else {
-		for i, va := range pa.Vecs {
-			for k, vb := range pb.Vecs {
-				if j.Self && pa.IDs[i] >= pb.IDs[k] {
-					continue
-				}
-				comps++
-				if j.Norm.Dist(va, vb) <= j.Eps {
-					emit(pa.IDs[i], pb.IDs[k])
-				}
-			}
-		}
+		comps = int64(len(pa.Vecs)) * int64(len(pb.Vecs))
+		probePage(&th, pa.Vecs, pa.IDs, pb.Flat(), pb.IDs, emit)
 	}
+	// The modeled cost charges the full comparison whether or not the kernel
+	// abandoned early.
 	perPair := compareBaseCost + comparePerDimCost*float64(dim)
 	return comps, float64(comps) * perPair
 }
 
-// BatchKernel implements BatchJoiner: non-self kernel joins are batchable,
-// with the same threshold selection as the JoinPages kernels path. Self
-// joins keep the per-point loop (the id-based skip needs both pages' IDs).
+// BatchKernel implements BatchJoiner: non-self joins are batchable under the
+// JoinPages threshold. Self joins keep the per-point loop (the id-based skip
+// needs both pages' IDs).
 func (j VectorJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if !j.Kernels || j.Self {
+	if j.Self {
 		return kernel.Threshold{}, false
 	}
-	if j.Norm == geom.L2 {
-		return kernel.NewThresholdSq(j.Eps), true
-	}
-	return kernel.NewThreshold(j.Norm, j.Eps), true
+	return j.threshold(), true
 }
 
 // BatchPage implements BatchJoiner.
@@ -246,7 +209,8 @@ func (p *SeriesPage) Flat() *kernel.FlatPage {
 	return p.flat.Load()
 }
 
-// SeriesJoiner joins time-series windows under L2 with threshold Eps.
+// SeriesJoiner joins time-series windows under L2 with threshold Eps, through
+// internal/kernel's exact squared-L2 test.
 type SeriesJoiner struct {
 	Eps float64
 	// Self skips pairs with idA >= idB.
@@ -254,9 +218,6 @@ type SeriesJoiner struct {
 	// ExcludeOverlap skips self-join pairs whose window starts are closer
 	// than this (trivially similar overlapping windows); 0 disables.
 	ExcludeOverlap int
-	// Kernels routes comparisons through the batched threshold kernel (see
-	// VectorJoiner.Kernels). Bit-identical results either way.
-	Kernels bool
 }
 
 // JoinPages implements ObjectJoiner.
@@ -271,56 +232,17 @@ func (j SeriesJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 	if len(pa.Windows) > 0 {
 		w = len(pa.Windows[0])
 	}
-	if j.Kernels {
-		th := kernel.NewThresholdSq(j.Eps)
-		if j.Self {
-			for i, wa := range pa.Windows {
-				idI := pa.IDs[i]
-				startI := pa.Starts[i]
-				for k, wb := range pb.Windows {
-					if idI >= pb.IDs[k] {
-						continue
-					}
-					if j.ExcludeOverlap > 0 {
-						d := startI - pb.Starts[k]
-						if d < 0 {
-							d = -d
-						}
-						if d < j.ExcludeOverlap {
-							continue
-						}
-					}
-					comps++
-					if th.Within(wa, wb) {
-						emit(idI, pb.IDs[k])
-					}
-				}
-			}
-		} else {
-			comps = int64(len(pa.Windows)) * int64(len(pb.Windows))
-			fb := pb.Flat()
-			hits := hitsPool.Get().(*[]int)
-			for i, wa := range pa.Windows {
-				*hits = kernel.PagePairWithin(&th, wa, fb, (*hits)[:0])
-				idI := pa.IDs[i]
-				for _, k := range *hits {
-					emit(idI, pb.IDs[k])
-				}
-			}
-			hitsPool.Put(hits)
-		}
-		perPair := compareBaseCost + comparePerDimCost*float64(w)
-		return comps, float64(comps) * perPair
-	}
-	epsSq := j.Eps * j.Eps
-	for i, wa := range pa.Windows {
-		for k, wb := range pb.Windows {
-			if j.Self {
-				if pa.IDs[i] >= pb.IDs[k] {
+	th := kernel.NewThresholdSq(j.Eps)
+	if j.Self {
+		for i, wa := range pa.Windows {
+			idI := pa.IDs[i]
+			startI := pa.Starts[i]
+			for k, wb := range pb.Windows {
+				if idI >= pb.IDs[k] {
 					continue
 				}
 				if j.ExcludeOverlap > 0 {
-					d := pa.Starts[i] - pb.Starts[k]
+					d := startI - pb.Starts[k]
 					if d < 0 {
 						d = -d
 					}
@@ -328,32 +250,25 @@ func (j SeriesJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 						continue
 					}
 				}
-			}
-			comps++
-			// Early-exit squared L2: affects wall time only, not the
-			// modeled cost.
-			var s float64
-			for x := range wa {
-				d := wa[x] - wb[x]
-				s += d * d
-				if s > epsSq {
-					break
+				comps++
+				if th.Within(wa, wb) {
+					emit(idI, pb.IDs[k])
 				}
 			}
-			if s <= epsSq {
-				emit(pa.IDs[i], pb.IDs[k])
-			}
 		}
+	} else {
+		comps = int64(len(pa.Windows)) * int64(len(pb.Windows))
+		probePage(&th, pa.Windows, pa.IDs, pb.Flat(), pb.IDs, emit)
 	}
 	perPair := compareBaseCost + comparePerDimCost*float64(w)
 	return comps, float64(comps) * perPair
 }
 
-// BatchKernel implements BatchJoiner: non-self kernel joins are batchable
-// under the squared-L2 threshold. Self joins (id and overlap skips) keep the
-// per-point loop.
+// BatchKernel implements BatchJoiner: non-self joins are batchable under the
+// squared-L2 threshold. Self joins (id and overlap skips) keep the per-point
+// loop.
 func (j SeriesJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if !j.Kernels || j.Self {
+	if j.Self {
 		return kernel.Threshold{}, false
 	}
 	return kernel.NewThresholdSq(j.Eps), true

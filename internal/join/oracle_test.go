@@ -1,0 +1,367 @@
+package join
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"pmjoin/internal/cluster"
+	"pmjoin/internal/disk"
+	"pmjoin/internal/geom"
+	"pmjoin/internal/index"
+	"pmjoin/internal/predmat"
+	"pmjoin/internal/sched"
+)
+
+// The reference comparison loops: the plain per-pair distance tests that
+// VectorJoiner and SeriesJoiner ran before every comparison moved to
+// internal/kernel. They are the oracle the kernel path must reproduce bit
+// for bit — same emit order, same comparison count, same modeled CPU
+// seconds — and live only here.
+
+func refVectorJoinPages(j VectorJoiner, pa, pb *VectorPage, emit func(int, int)) (int64, float64) {
+	var comps int64
+	dim := 0
+	if len(pa.Vecs) > 0 {
+		dim = len(pa.Vecs[0])
+	}
+	epsSq := j.Eps * j.Eps
+	for i, va := range pa.Vecs {
+		for k, vb := range pb.Vecs {
+			if j.Self && pa.IDs[i] >= pb.IDs[k] {
+				continue
+			}
+			comps++
+			if j.Norm == geom.L2 {
+				// Squared L2 against fl(eps²), the historical L2 loop.
+				if geom.DistSq(va, vb) <= epsSq {
+					emit(pa.IDs[i], pb.IDs[k])
+				}
+			} else if j.Norm.Dist(va, vb) <= j.Eps {
+				emit(pa.IDs[i], pb.IDs[k])
+			}
+		}
+	}
+	perPair := compareBaseCost + comparePerDimCost*float64(dim)
+	return comps, float64(comps) * perPair
+}
+
+func refSeriesJoinPages(j SeriesJoiner, pa, pb *SeriesPage, emit func(int, int)) (int64, float64) {
+	var comps int64
+	w := 0
+	if len(pa.Windows) > 0 {
+		w = len(pa.Windows[0])
+	}
+	epsSq := j.Eps * j.Eps
+	for i, wa := range pa.Windows {
+		for k, wb := range pb.Windows {
+			if j.Self {
+				if pa.IDs[i] >= pb.IDs[k] {
+					continue
+				}
+				if d := pa.Starts[i] - pb.Starts[k]; max(d, -d) < j.ExcludeOverlap {
+					continue
+				}
+			}
+			comps++
+			if geom.DistSq(wa, wb) <= epsSq {
+				emit(pa.IDs[i], pb.IDs[k])
+			}
+		}
+	}
+	perPair := compareBaseCost + comparePerDimCost*float64(w)
+	return comps, float64(comps) * perPair
+}
+
+// refJoinPages dispatches to the reference loop for j. String joins have no
+// float kernel: their one integer path is its own reference.
+func refJoinPages(j ObjectJoiner, a, b any, emit func(int, int)) (int64, float64) {
+	switch j := j.(type) {
+	case VectorJoiner:
+		return refVectorJoinPages(j, a.(*VectorPage), b.(*VectorPage), emit)
+	case SeriesJoiner:
+		return refSeriesJoinPages(j, a.(*SeriesPage), b.(*SeriesPage), emit)
+	default:
+		return j.JoinPages(a, b, emit)
+	}
+}
+
+// joinTrace is everything the determinism contract fixes about a sequence
+// of page-pair comparisons.
+type joinTrace struct {
+	pairs [][2]int
+	comps int64
+	cpu   float64
+}
+
+func (tr *joinTrace) add(join func(emit func(int, int)) (int64, float64)) {
+	comps, cpu := join(func(i, k int) { tr.pairs = append(tr.pairs, [2]int{i, k}) })
+	tr.comps += comps
+	tr.cpu += cpu
+}
+
+func (tr joinTrace) check(t *testing.T, want joinTrace) {
+	t.Helper()
+	if tr.comps != want.comps {
+		t.Errorf("comparisons = %d, oracle %d", tr.comps, want.comps)
+	}
+	if math.Float64bits(tr.cpu) != math.Float64bits(want.cpu) {
+		t.Errorf("CPU seconds = %x, oracle %x", tr.cpu, want.cpu)
+	}
+	if !reflect.DeepEqual(tr.pairs, want.pairs) {
+		t.Errorf("pair stream differs: %d pairs, oracle %d", len(tr.pairs), len(want.pairs))
+	}
+}
+
+func randRows(rng *rand.Rand, n, dim int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for d := range rows[i] {
+			rows[i][d] = rng.Float64()
+		}
+	}
+	return rows
+}
+
+func randVectorPage(rng *rand.Rand, firstID, n, dim int) *VectorPage {
+	p := &VectorPage{}
+	for i, r := range randRows(rng, n, dim) {
+		p.IDs = append(p.IDs, firstID+i)
+		p.Vecs = append(p.Vecs, r)
+	}
+	return p
+}
+
+// randSeriesPage draws n windows of length w whose starts advance by stride.
+func randSeriesPage(rng *rand.Rand, firstID, n, w, stride int) *SeriesPage {
+	p := &SeriesPage{}
+	for i, r := range randRows(rng, n, w) {
+		p.IDs = append(p.IDs, firstID+i)
+		p.Starts = append(p.Starts, (firstID+i)*stride)
+		p.Windows = append(p.Windows, r)
+	}
+	return p
+}
+
+// epsLadder returns the thresholds every differential case runs at: zero,
+// an exact pairwise distance (the boundary), a selective quantile, and one
+// beyond the diameter.
+func epsLadder(dists []float64) []float64 {
+	sorted := append([]float64(nil), dists...)
+	sort.Float64s(sorted)
+	return []float64{0, dists[len(dists)/2], sorted[len(sorted)/20], 2 * sorted[len(sorted)-1]}
+}
+
+// TestJoinPagesMatchesReference is the page-pair half of the oracle: for
+// every norm, self and non-self, across the ε ladder, JoinPages must emit
+// the reference loop's pairs in the reference order with equal comparison
+// counts and bit-equal modeled CPU seconds. Page b carries exact duplicates
+// of page a's points so ε = 0 has matches to get right.
+func TestJoinPagesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	norms := []geom.Norm{geom.L1, geom.L2, geom.LInf, {P: 3}}
+	for _, norm := range norms {
+		for _, dim := range []int{3, 8} {
+			pa := randVectorPage(rng, 0, 40, dim)
+			pb := randVectorPage(rng, 20, 50, dim) // IDs overlap a's, so Self skips some
+			copy(pb.Vecs[:5], pa.Vecs[:5])
+			var dists []float64
+			for _, va := range pa.Vecs {
+				for _, vb := range pb.Vecs[5:] {
+					dists = append(dists, norm.Dist(va, vb))
+				}
+			}
+			for _, self := range []bool{false, true} {
+				for _, eps := range epsLadder(dists) {
+					j := VectorJoiner{Norm: norm, Eps: eps, Self: self}
+					t.Run(fmt.Sprintf("vector/%v/dim%d/self=%v/eps=%g", norm, dim, self, eps), func(t *testing.T) {
+						var got, want joinTrace
+						got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
+						want.add(func(emit func(int, int)) (int64, float64) { return refVectorJoinPages(j, pa, pb, emit) })
+						got.check(t, want)
+						if eps == 0 && len(want.pairs) == 0 {
+							t.Error("ε = 0 matched nothing; the duplicate rows are not being compared")
+						}
+					})
+				}
+			}
+		}
+	}
+
+	const w, stride = 16, 4
+	sa := randSeriesPage(rng, 0, 40, w, stride)
+	sb := randSeriesPage(rng, 20, 50, w, stride)
+	copy(sb.Windows[10:15], sa.Windows[:5]) // duplicates outside the overlap exclusion
+	var dists []float64
+	for _, wa := range sa.Windows {
+		for _, wb := range sb.Windows[15:] {
+			dists = append(dists, geom.L2.Dist(wa, wb))
+		}
+	}
+	for _, self := range []bool{false, true} {
+		for _, eps := range epsLadder(dists) {
+			j := SeriesJoiner{Eps: eps, Self: self}
+			if self {
+				j.ExcludeOverlap = w
+			}
+			t.Run(fmt.Sprintf("series/self=%v/eps=%g", self, eps), func(t *testing.T) {
+				var got, want joinTrace
+				got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(sa, sb, emit) })
+				want.add(func(emit func(int, int)) (int64, float64) { return refSeriesJoinPages(j, sa, sb, emit) })
+				got.check(t, want)
+				if eps == 0 && len(want.pairs) == 0 {
+					t.Error("ε = 0 matched nothing; the duplicate windows are not being compared")
+				}
+				if full := int64(len(sa.Windows) * len(sb.Windows)); self && want.comps == full {
+					t.Error("self join compared every pair; the id and overlap skips are not in play")
+				}
+			})
+		}
+	}
+}
+
+// oracleDataset writes pages to a fresh file of d behind a flat one-level
+// index (the clustered executor only needs the leaves to cover the pages).
+func oracleDataset(t *testing.T, d *disk.Disk, name string, pages []any) *Dataset {
+	t.Helper()
+	f := d.CreateFile()
+	box := geom.NewMBR(geom.Vector{0})
+	root := &index.Node{MBR: box, Page: -1}
+	for p, payload := range pages {
+		if _, err := d.AppendPage(f, payload); err != nil {
+			t.Fatal(err)
+		}
+		root.Children = append(root.Children, &index.Node{MBR: box, Page: p})
+	}
+	return &Dataset{Name: name, File: f, Root: root, Pages: len(pages)}
+}
+
+// TestClusteredMatchesOracle is the executor half of the oracle: a clustered
+// run — inline and on four workers — must report exactly what a serial fold
+// of the reference loops over every cluster's entries, in schedule order,
+// produces: equal Comparisons and Results, bit-equal CPUJoinSeconds, and the
+// identical OnPair stream. The four workloads cover both evaluations inside
+// a run: the block kernel (non-self vectors at dim 8, where the SIMD row sums
+// engage, and non-self series) and the per-cell fallback (self joins,
+// strings).
+func TestClusteredMatchesOracle(t *testing.T) {
+	const nPages, buffer, seed = 24, 20, 11
+	rng := rand.New(rand.NewSource(seed))
+	vectorPages := func(dim int) []any {
+		pages := make([]any, nPages)
+		for p := range pages {
+			pages[p] = randVectorPage(rng, 100*p, 5+rng.Intn(12), dim)
+		}
+		return pages
+	}
+	seriesPages := func() []any {
+		pages := make([]any, nPages)
+		for p := range pages {
+			pages[p] = randSeriesPage(rng, 20*p, 20, 16, 4)
+		}
+		return pages
+	}
+	stringPages := func() []any {
+		pages := make([]any, nPages)
+		id := 0
+		for p := range pages {
+			sp := &StringPage{}
+			for i := 0; i < 12; i++ {
+				win := make([]byte, 24)
+				freq := make([]int, 4)
+				for c := range win {
+					// Mostly-A windows, so a fair share of pairs survives the
+					// frequency filter and reaches the edit-distance step.
+					s := rng.Intn(4) * rng.Intn(2)
+					win[c] = "ACGT"[s]
+					freq[s]++
+				}
+				sp.IDs = append(sp.IDs, id)
+				sp.Starts = append(sp.Starts, 8*id)
+				sp.Windows = append(sp.Windows, win)
+				sp.Freqs = append(sp.Freqs, freq)
+				id++
+			}
+			pages[p] = sp
+		}
+		return pages
+	}
+
+	cases := []struct {
+		name   string
+		r, s   []any // s nil: self join
+		joiner ObjectJoiner
+	}{
+		{"vector-dim8", vectorPages(8), vectorPages(8), VectorJoiner{Norm: geom.L2, Eps: 0.75}},
+		{"vector-self", vectorPages(2), nil, VectorJoiner{Norm: geom.L1, Eps: 0.2, Self: true}},
+		{"series", seriesPages(), seriesPages(), SeriesJoiner{Eps: 1.35}},
+		{"string", stringPages(), stringPages(), StringJoiner{MaxEdit: 9}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := disk.New(disk.DefaultModel())
+			dr := oracleDataset(t, d, "r", tc.r)
+			ds, sPages := dr, tc.r
+			if tc.s != nil {
+				ds, sPages = oracleDataset(t, d, "s", tc.s), tc.s
+			}
+			m := predmat.NewMatrix(nPages, nPages)
+			mrng := rand.New(rand.NewSource(seed + 1))
+			for r := 0; r < nPages; r++ {
+				for c := 0; c < nPages; c++ {
+					if mrng.Intn(4) != 0 {
+						m.Mark(r, c)
+					}
+				}
+			}
+			clusters, err := cluster.Square(m, buffer)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			split := false
+			for _, c := range clusters {
+				split = split || len(c.Entries) > taskCells
+			}
+			if !split {
+				t.Fatalf("no cluster exceeds %d entries; run splitting is not exercised", taskCells)
+			}
+
+			var want joinTrace
+			for _, ci := range sched.RandomOrder(len(clusters), seed) {
+				for _, en := range clusters[ci].Entries {
+					want.add(func(emit func(int, int)) (int64, float64) {
+						return refJoinPages(tc.joiner, tc.r[en.R], sPages[en.C], emit)
+					})
+				}
+			}
+			if n := int64(len(want.pairs)); n == 0 || n == want.comps {
+				t.Fatalf("oracle found %d results in %d comparisons; the workload is vacuous", n, want.comps)
+			}
+
+			for _, workers := range []int{0, 4} {
+				var got joinTrace
+				e := &Engine{Disk: d, BufferSize: buffer, OnPair: func(i, k int) { got.pairs = append(got.pairs, [2]int{i, k}) }}
+				if workers > 0 {
+					e.Workers = NewWorkerPool(workers)
+				}
+				rep, err := e.Clustered(dr, ds, m, clusters, tc.joiner, ClusteredOptions{Order: OrderRandom, Seed: seed})
+				if e.Workers != nil {
+					e.Workers.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.comps, got.cpu = rep.Comparisons, rep.CPUJoinSeconds
+				got.check(t, want)
+				if rep.Results != int64(len(want.pairs)) {
+					t.Errorf("workers %d: Results = %d, oracle %d", workers, rep.Results, len(want.pairs))
+				}
+			}
+		})
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 // TestPrefetchPrewarmsFlat pins the prefetch admission path's kernel
 // prewarming: a page staged by Pool.Prefetch must run the pool's onLoad hook
-// (PrepareFlat under Engine.Kernels), so batched kernels — per page pair or
+// (PrepareFlat, which Engine.Run installs), so the kernels — per page pair or
 // whole cluster — find the flat block prebuilt on the coordinator instead of
 // building it lazily inside worker tasks. Regression test for the audit of
 // the staged-admission path: Prefetch and Get must prewarm identically.

@@ -201,10 +201,7 @@ type JoinOptions struct {
 	ShardWorkers int           `json:"shardWorkers,omitempty"`
 	// PrefetchOff disables the pipelined executor (on by default).
 	PrefetchOff bool `json:"prefetchOff,omitempty"`
-	// KernelBatchOff disables whole-cluster block kernel dispatch (on by
-	// default; results are identical either way).
-	KernelBatchOff bool `json:"kernelBatchOff,omitempty"`
-	Trace          bool `json:"trace,omitempty"`
+	Trace       bool `json:"trace,omitempty"`
 }
 
 func (o JoinOptions) options() pmjoin.Options {
@@ -222,9 +219,6 @@ func (o JoinOptions) options() pmjoin.Options {
 	}
 	if o.PrefetchOff {
 		opt.Pipeline.Prefetch = pmjoin.PrefetchOff
-	}
-	if o.KernelBatchOff {
-		opt.KernelBatch = pmjoin.KernelBatchOff
 	}
 	return opt
 }

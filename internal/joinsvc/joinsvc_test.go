@@ -128,48 +128,58 @@ func TestErrorStatuses(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		do   func() *httptest.ResponseRecorder
-		want int
+		name  string
+		do    func() *httptest.ResponseRecorder
+		want  int
+		names string // substring the error message must carry, if any
 	}{
 		{"duplicate name", func() *httptest.ResponseRecorder {
 			return post(t, h, "/open", OpenRequest{Name: "a", Kind: pmjoin.KindVector, N: 50, Seed: 1})
-		}, http.StatusConflict},
+		}, http.StatusConflict, ""},
 		{"missing n", func() *httptest.ResponseRecorder {
 			return post(t, h, "/open", OpenRequest{Name: "x", Kind: pmjoin.KindVector})
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown dataset", func() *httptest.ResponseRecorder {
 			return post(t, h, "/join", JoinRequest{Left: "a", Right: "nope",
 				Options: JoinOptions{Method: pmjoin.SC, Epsilon: 0.1}})
-		}, http.StatusNotFound},
+		}, http.StatusNotFound, ""},
 		{"invalid options", func() *httptest.ResponseRecorder {
 			return post(t, h, "/join", JoinRequest{Left: "a", Right: "a",
 				Options: JoinOptions{Method: pmjoin.SC, Epsilon: -1}})
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"GET on POST route", func() *httptest.ResponseRecorder {
 			return get(t, h, "/join")
-		}, http.StatusMethodNotAllowed},
+		}, http.StatusMethodNotAllowed, ""},
 		{"malformed body", func() *httptest.ResponseRecorder {
 			req := httptest.NewRequest(http.MethodPost, "/join", strings.NewReader("{"))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			return w
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown field", func() *httptest.ResponseRecorder {
 			req := httptest.NewRequest(http.MethodPost, "/join",
 				strings.NewReader(`{"left":"a","right":"a","bogus":1}`))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			return w
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
+		// The option was removed with the knob it set; a client still sending
+		// it must be told which field to drop.
+		{"removed kernelBatchOff option", func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/join",
+				strings.NewReader(`{"left":"a","right":"a","options":{"method":"SC","epsilon":0.1,"kernelBatchOff":true}}`))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusBadRequest, "kernelBatchOff"},
 	}
 	for _, tc := range cases {
 		w := tc.do()
 		if w.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.want, w.Body.String())
 		}
-		if e := decode[map[string]string](t, w); e["error"] == "" {
-			t.Errorf("%s: no error message in %q", tc.name, w.Body.String())
+		if e := decode[map[string]string](t, w); e["error"] == "" || !strings.Contains(e["error"], tc.names) {
+			t.Errorf("%s: error message %q does not name %q", tc.name, w.Body.String(), tc.names)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // Every kernel is an exact drop-in for a reference comparison: Threshold
 // decides norm.Dist(a,b) <= eps (or the historical squared-L2 form) without
 // computing the distance, and Bound decides scale*norm.MinDist(a,b) <= eps
-// without allocating gap vectors. Exactness is what lets the engine keep its
-// determinism contract with kernels on or off — Report, Pairs and Plan stay
-// bit-identical — and it is enforced by FuzzKernelVsReference.
+// without allocating gap vectors. Exactness is what lets the kernels be the
+// engine's only comparison path — Report, Pairs and Plan are those of the
+// reference loops, bit for bit — and it is enforced by FuzzKernelVsReference.
 //
 // The trick for L2 is comparing the running sum of squares against a
 // precomputed limit instead of taking a square root per pair. The limit is

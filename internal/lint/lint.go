@@ -53,7 +53,6 @@ func Analyzers() []*Analyzer {
 		rawGoAnalyzer(),
 		walltimeAnalyzer(),
 		slowdistAnalyzer(),
-		pairdispatchAnalyzer(),
 		maporderAnalyzer(),
 		lockbalanceAnalyzer(),
 		atomicmixAnalyzer(),

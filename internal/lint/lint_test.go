@@ -96,30 +96,6 @@ type Collector struct{}
 func (c *Collector) Event(name string) {}
 `
 
-const stubKernel = `package kernel
-
-type Threshold struct{ p int }
-
-func (t *Threshold) Within(a, b []float64) bool { return false }
-
-type FlatPage struct {
-	Dim, N int
-	Data   []float64
-}
-
-func PagePairWithin(t *Threshold, probe []float64, page *FlatPage, hits []int) []int { return nil }
-
-type Cell struct{ R, S int }
-
-type ClusterBlock struct{}
-
-type BlockHit struct{ Cell, I, J int32 }
-
-func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []BlockHit) []BlockHit {
-	return nil
-}
-`
-
 // checkFixture type-checks the stub packages plus one fixture source under
 // the given import path and returns the fixture as a *Package ready for
 // analysis.
@@ -168,7 +144,6 @@ func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	check(predmatPkgPath, "predmat.go", stubPredmat)
 	check(joinPkgPath, "join.go", stubJoin)
 	check(metricsPkgPath, "metrics.go", stubMetrics)
-	check(kernelPkgPath, "kernel.go", stubKernel)
 	return check(path, filename, src)
 }
 
@@ -1170,93 +1145,10 @@ func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
 import "pmjoin/internal/geom"
 
 func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
-	//lint:ignore slowdist kernels-off reference path for differential testing
+	//lint:ignore slowdist one-off diagnostic dump, not on the join path
 	return n.Dist(a, b) <= eps
 }
 `
 		expectDiags(t, runOne(t, "slowdist", egoPath, src), "slowdist", nil)
-	})
-}
-
-func TestPairdispatch(t *testing.T) {
-	t.Run("JoinPages method is sanctioned", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/kernel"
-
-type fixtureJoiner struct{}
-
-func (j fixtureJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
-	var th kernel.Threshold
-	page := &kernel.FlatPage{}
-	_ = kernel.PagePairWithin(&th, nil, page, nil)
-	return 0, 0
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", joinPkgPath, src), "pairdispatch", nil)
-	})
-	t.Run("function literal inside JoinPages inherits the sanction", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/kernel"
-
-type litJoiner struct{}
-
-func (j litJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
-	var th kernel.Threshold
-	page := &kernel.FlatPage{}
-	f := func() { _ = kernel.PagePairWithin(&th, nil, page, nil) }
-	f()
-	return 0, 0
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", joinPkgPath, src), "pairdispatch", nil)
-	})
-	t.Run("per-pair call in executor code is flagged", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/kernel"
-
-func clusterLoop(th *kernel.Threshold, pages []*kernel.FlatPage) {
-	for _, pg := range pages {
-		_ = kernel.PagePairWithin(th, nil, pg, nil)
-	}
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", joinPkgPath, src), "pairdispatch", []int{7})
-	})
-	t.Run("batch entry is clean anywhere", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/kernel"
-
-func clusterBatch(th *kernel.Threshold, br, bs *kernel.ClusterBlock, cells []kernel.Cell) []kernel.BlockHit {
-	return kernel.BlockPairsWithin(th, br, bs, cells, nil)
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", joinPkgPath, src), "pairdispatch", nil)
-	})
-	t.Run("packages outside internal/join are exempt", func(t *testing.T) {
-		src := `package ego
-
-import "pmjoin/internal/kernel"
-
-func probe(th *kernel.Threshold, pg *kernel.FlatPage) []int {
-	return kernel.PagePairWithin(th, nil, pg, nil)
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", "pmjoin/internal/ego", src), "pairdispatch", nil)
-	})
-	t.Run("suppressed site is clean", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/kernel"
-
-func refLoop(th *kernel.Threshold, pg *kernel.FlatPage) []int {
-	//lint:ignore pairdispatch reference path for a differential test harness
-	return kernel.PagePairWithin(th, nil, pg, nil)
-}
-`
-		expectDiags(t, runOne(t, "pairdispatch", joinPkgPath, src), "pairdispatch", nil)
 	})
 }

@@ -34,8 +34,7 @@ var slowdistMethods = map[string]bool{
 // root-elision wins of internal/kernel — Threshold for point pairs, Bound for
 // MBR lower bounds — which decide the identical predicate. Distance values
 // that are stored, returned or otherwise used as numbers are fine and not
-// flagged. A site that genuinely needs the reference comparison (the
-// kernels-off differential path) carries //lint:ignore slowdist <reason>.
+// flagged.
 func slowdistAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "slowdist",

@@ -39,9 +39,9 @@ func (p NormPredictor) LowerBound(a, b geom.MBR) float64 {
 
 // KernelBound returns an allocation-free, early-abandoning test equivalent
 // to LowerBound(a, b) <= eps — bit-identical for every input, which is what
-// keeps matrices (and therefore Plan) independent of BuildOptions.Kernels.
+// keeps matrices (and therefore Plan) independent of which test Build ran.
 // It returns nil when no exact kernel exists (non-positive or NaN Scale);
-// callers then keep the reference comparison.
+// callers then keep the LowerBound comparison.
 func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
 	s := p.Scale
 	if s == 0 {
@@ -54,10 +54,10 @@ func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
 	return b.Within
 }
 
-// kernelBounder is the optional Predictor refinement Build probes for when
-// BuildOptions.Kernels is set. mrsindex's integer frequency predictor does
-// not implement it — its bound is already allocation-light — so only the
-// norm-based predictors take the kernel path.
+// kernelBounder is the optional Predictor refinement Build probes for.
+// mrsindex's integer frequency predictor does not implement it — its bound
+// is already allocation-light — so only the norm-based predictors take the
+// kernel path.
 type kernelBounder interface {
 	KernelBound(eps float64) func(a, b geom.MBR) bool
 }
@@ -85,11 +85,6 @@ type BuildOptions struct {
 	// are idempotent set insertions and every counter is an
 	// order-independent integer sum.
 	Runner Runner
-	// Kernels routes leaf-pair predictor tests through internal/kernel's
-	// exact MBR bound when the predictor offers one. The resulting matrix is
-	// bit-identical either way; off keeps the reference path for
-	// differential testing.
-	Kernels bool
 }
 
 // BuildStats counts work done during construction.
@@ -121,12 +116,12 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 	}
 	m := NewMatrix(rPages, sPages)
 	b := &builder{eps: eps, pred: pred, opts: opts, m: m}
+	// Leaf-pair predictor tests run through internal/kernel's exact MBR
+	// bound when the predictor offers one.
 	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	if opts.Kernels {
-		if kb, ok := pred.(kernelBounder); ok {
-			if f := kb.KernelBound(eps); f != nil {
-				b.within = f
-			}
+	if kb, ok := pred.(kernelBounder); ok {
+		if f := kb.KernelBound(eps); f != nil {
+			b.within = f
 		}
 	}
 	b.sweep([]*index.Node{r}, []*index.Node{s})

@@ -2,6 +2,7 @@ package predmat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pmjoin/internal/geom"
@@ -315,6 +316,38 @@ func TestSelfJoinMatrixSymmetric(t *testing.T) {
 	for _, e := range m.Entries() {
 		if !m.IsMarked(e.C, e.R) {
 			t.Fatalf("asymmetric entry %v", e)
+		}
+	}
+}
+
+// boundOnly hides a predictor's KernelBound, forcing Build onto the plain
+// LowerBound(a, b) <= eps comparison.
+type boundOnly struct{ Predictor }
+
+// TestKernelBoundPreservesMatrix: the kernel's MBR test is a pure
+// optimization — for every norm, the matrix must equal the one the
+// LowerBound comparison builds (which is also the only path a predictor
+// without a kernel bound ever takes).
+func TestKernelBoundPreservesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, pred := range []NormPredictor{
+		{Norm: geom.L1}, {Norm: geom.L2}, {Norm: geom.LInf}, {Norm: geom.Norm{P: 3}}, {Norm: geom.L2, Scale: 0.5},
+	} {
+		ta, tb, _, _ := buildTrees(t, rng, 200, 200, 3, 6)
+		eps := 0.05 + rng.Float64()*0.1
+		build := func(p Predictor) *Matrix {
+			m, err := Build(ta.Root(), tb.Root(), ta.NumPages(), tb.NumPages(), eps, p, BuildOptions{FilterDepth: DefaultFilterDepth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		kern, ref := build(pred), build(boundOnly{pred})
+		if kern.Marked() == 0 || kern.Marked() == ta.NumPages()*tb.NumPages() {
+			t.Fatalf("%+v: %d marks; the comparison is vacuous", pred, kern.Marked())
+		}
+		if !reflect.DeepEqual(kern.Entries(), ref.Entries()) {
+			t.Errorf("%+v: kernel bound marked %d entries, LowerBound %d", pred, kern.Marked(), ref.Marked())
 		}
 	}
 }

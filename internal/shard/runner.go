@@ -63,10 +63,6 @@ type LocalRunner struct {
 	// comparison tasks, exactly as the unsharded executor does — so sharing
 	// one pool across concurrent shards cannot deadlock.
 	Workers *join.WorkerPool
-	Kernels bool
-	// KernelBatch enables whole-cluster block dispatch in every shard's
-	// engine (see join.Engine.KernelBatch); bit-identical either way.
-	KernelBatch bool
 	// Shared, when non-nil, is the service-wide concurrent frame cache every
 	// shard's engine participates in (see join.Engine.Shared); per-shard
 	// Reports stay solo-run pure either way.
@@ -123,8 +119,6 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 		Workers:       r.Workers,
 		Ctx:           ctx,
 		Metrics:       mc,
-		Kernels:       r.Kernels,
-		KernelBatch:   r.KernelBatch,
 		Shared:        r.Shared,
 		Prefetch:      r.Prefetch,
 		PrefetchDepth: r.PrefetchDepth,

@@ -56,10 +56,10 @@ type ExecStats struct {
 	ModeledSerialSeconds float64
 	// OverlapIOSeconds is the modeled I/O time charged as overlapped.
 	OverlapIOSeconds float64
-	// Batch dispatch profile of the clustered executor (all zero with
-	// KernelBatchOff, for non-batchable joiners, for unclustered methods, or
+	// Block-kernel profile of the clustered executor (all zero for joiners
+	// with no batch kernel — self joins, strings — for unclustered methods, or
 	// when Options.Metrics is off — the counters ride the metrics snapshot):
-	// the number of clusters evaluated as block tasks, their marked cells and
+	// the number of clusters evaluated as block runs, their marked cells and
 	// concatenated block rows, and the wall time spent building the blocks.
 	BatchClusters  int
 	BatchCells     int
@@ -178,7 +178,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	if opt.Metrics {
 		mc = metrics.New(metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity})
 	}
-	kernels := opt.Kernels == KernelsOn
 
 	// Resolve the physical page source. StorageFile requires a store attached
 	// via UseFileStore; with prefetch on it also gets a small dedicated reader
@@ -200,17 +199,15 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	}
 
 	eng := &join.Engine{
-		Disk:        s.d,
-		BufferSize:  opt.BufferPages,
-		Policy:      buffer.Policy(opt.Policy),
-		Workers:     wp,
-		Ctx:         ctx,
-		Metrics:     mc,
-		Kernels:     kernels,
-		KernelBatch: opt.KernelBatch == KernelBatchOn,
-		Shared:      shared,
-		Backend:     backend,
-		Readers:     readers,
+		Disk:       s.d,
+		BufferSize: opt.BufferPages,
+		Policy:     buffer.Policy(opt.Policy),
+		Workers:    wp,
+		Ctx:        ctx,
+		Metrics:    mc,
+		Shared:     shared,
+		Backend:    backend,
+		Readers:    readers,
 	}
 	if opt.CollectPairs {
 		eng.OnPair = func(i, j int) {
@@ -223,7 +220,7 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	}
 
 	self := a == b || a.ds.File == b.ds.File
-	joiner := s.joiner(a, opt.Epsilon, self, kernels)
+	joiner := s.joiner(a, opt.Epsilon, self)
 
 	timedJoin := func(f func() (*join.Report, error)) (*join.Report, error) {
 		start := time.Now()
@@ -312,7 +309,7 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 		}
 	case EGO:
 		rep, err = timedJoin(func() (*join.Report, error) {
-			return ego.Run(eng, &a.ds, &b.ds, s.egoAdapter(a, opt.Epsilon, self, kernels), ego.Options{SelfJoin: self})
+			return ego.Run(eng, &a.ds, &b.ds, s.egoAdapter(a, opt.Epsilon, self), ego.Options{SelfJoin: self})
 		})
 	case BFRJ:
 		rep, err = timedJoin(func() (*join.Report, error) {
@@ -320,7 +317,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 				Eps:      s.matrixEpsilon(a, opt.Epsilon),
 				Pred:     s.predictor(a),
 				SelfJoin: self,
-				Kernels:  kernels,
 			})
 		})
 	case PBSM:
@@ -397,8 +393,6 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, m *predmat.Matr
 		BufferSize:        opt.BufferPages,
 		Policy:            buffer.Policy(opt.Policy),
 		Workers:           wp,
-		Kernels:           opt.Kernels == KernelsOn,
-		KernelBatch:       opt.KernelBatch == KernelBatchOn,
 		Shared:            shared,
 		Prefetch:          opt.Pipeline.Prefetch == PrefetchOn,
 		PrefetchDepth:     opt.Pipeline.PrefetchDepth,
@@ -507,12 +501,12 @@ func (s *System) checkCompatible(a, b *Dataset) error {
 }
 
 // joiner builds the object joiner for the data kind.
-func (s *System) joiner(a *Dataset, eps float64, self, kernels bool) join.ObjectJoiner {
+func (s *System) joiner(a *Dataset, eps float64, self bool) join.ObjectJoiner {
 	switch a.kind {
 	case KindVector:
-		return join.VectorJoiner{Norm: a.norm, Eps: eps, Self: self, Kernels: kernels}
+		return join.VectorJoiner{Norm: a.norm, Eps: eps, Self: self}
 	case KindSeries:
-		return join.SeriesJoiner{Eps: eps, Self: self, ExcludeOverlap: a.window, Kernels: kernels}
+		return join.SeriesJoiner{Eps: eps, Self: self, ExcludeOverlap: a.window}
 	default:
 		// String joins filter on integer frequency distance; there is no
 		// float kernel to route through.
@@ -567,9 +561,7 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 			}
 			start := time.Now()
 			var stats predmat.BuildStats
-			// Kernels only changes how the build computes each bound, never
-			// its outcome, so the cache key does not include it.
-			bopts := predmat.BuildOptions{FilterDepth: depth, Stats: &stats, Kernels: opt.Kernels == KernelsOn}
+			bopts := predmat.BuildOptions{FilterDepth: depth, Stats: &stats}
 			if wp != nil {
 				bopts.Runner = wp
 			}
@@ -601,22 +593,21 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 }
 
 // egoAdapter builds the EGO grid adapter for the data kind.
-func (s *System) egoAdapter(a *Dataset, eps float64, self, kernels bool) ego.Adapter {
+func (s *System) egoAdapter(a *Dataset, eps float64, self bool) ego.Adapter {
 	switch a.kind {
 	case KindVector:
 		cell := eps
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &vectorEGO{norm: a.norm, eps: eps, cell: cell, self: self,
-			kernels: kernels, th: kernel.NewThreshold(a.norm, eps)}
+		return &vectorEGO{cell: cell, self: self, th: kernel.NewThreshold(a.norm, eps)}
 	case KindSeries:
 		cell := eps / a.scale
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &seriesEGO{eps: eps, cell: cell, self: self, window: a.window, features: a.features,
-			kernels: kernels, th: kernel.NewThresholdSq(eps)}
+		return &seriesEGO{cell: cell, self: self, window: a.window, features: a.features,
+			th: kernel.NewThresholdSq(eps)}
 	default:
 		cell := eps
 		if cell < 1 {

@@ -25,9 +25,7 @@ type ShardingOptions struct {
 	Workers int
 }
 
-// PipelineOptions groups the prefetch pipeline knobs. The flat
-// Options.Prefetch / Options.PrefetchDepth fields are deprecated aliases;
-// Validate reconciles the two spellings and rejects conflicting settings.
+// PipelineOptions groups the prefetch pipeline knobs.
 type PipelineOptions struct {
 	// Prefetch selects the pipelined cluster executor (default on): while
 	// workers compare one cluster's page pairs, the coordinator stages the
@@ -90,16 +88,6 @@ type Options struct {
 	// keeps the newest events and counts the overwritten ones). Negative
 	// values are rejected by Validate.
 	TraceCapacity int
-	// Kernels selects the CPU comparison path (default on). The kernels
-	// are bit-exact against the reference loops, so Report, Pairs and Plan
-	// never depend on this knob; KernelsOff exists as an escape hatch and
-	// for differential tests.
-	Kernels KernelMode
-	// KernelBatch selects whole-cluster block dispatch for batchable
-	// clustered joins (default on). Like Kernels, the batch path is
-	// bit-exact: Report, Pairs and Plan never depend on this knob;
-	// KernelBatchOff exists as an escape hatch and for differential tests.
-	KernelBatch KernelBatchMode
 	// Storage selects the physical page source (default: the in-memory
 	// simulator). StorageFile requires a store attached to the System via
 	// UseFileStore and serves page payloads from its real files, measuring
@@ -110,30 +98,16 @@ type Options struct {
 	Sharding ShardingOptions
 	// Pipeline groups the prefetch pipeline knobs; see PipelineOptions.
 	Pipeline PipelineOptions
-	// Prefetch is the deprecated flat alias of Pipeline.Prefetch. Validate
-	// keeps the two in sync and rejects runs that set both to different
-	// modes.
-	//
-	// Deprecated: set Pipeline.Prefetch.
-	Prefetch PrefetchMode
-	// PrefetchDepth is the deprecated flat alias of Pipeline.PrefetchDepth.
-	//
-	// Deprecated: set Pipeline.PrefetchDepth.
-	PrefetchDepth int
 }
 
 // Validate checks the options and normalizes defaulted fields in place:
 // MaxPairs 0 becomes 100000, Parallelism 0 becomes GOMAXPROCS,
-// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100, Kernels
-// KernelsDefault becomes KernelsOn, KernelBatch KernelBatchDefault becomes
-// KernelBatchOn, Pipeline.Prefetch PrefetchDefault
-// becomes PrefetchOn, and Sharding.Workers 0 becomes min(Shards, GOMAXPROCS)
-// when sharding. The deprecated flat Prefetch/PrefetchDepth aliases are
-// reconciled with the Pipeline group: either spelling may set a knob, both
-// may only agree, and after Validate the flat fields mirror the group.
-// Validate is idempotent; Join, JoinContext, Explain and ExplainContext
-// call it on their own copy, so mutation is only observable when calling
-// it directly.
+// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100,
+// Pipeline.Prefetch PrefetchDefault becomes PrefetchOn, Storage
+// StorageDefault becomes StorageSim, and Sharding.Workers 0 becomes
+// min(Shards, GOMAXPROCS) when sharding. Validate is idempotent; Join,
+// JoinContext, Explain and ExplainContext call it on their own copy, so
+// mutation is only observable when calling it directly.
 func (o *Options) Validate() error {
 	if !methodSpec.valid(o.Method) {
 		return fmt.Errorf("pmjoin: unknown method %v", o.Method)
@@ -177,55 +151,16 @@ func (o *Options) Validate() error {
 	if o.Trace {
 		o.Metrics = true
 	}
-	if !kernelSpec.valid(o.Kernels) {
-		return fmt.Errorf("pmjoin: unknown kernel mode %v", o.Kernels)
-	}
-	if o.Kernels == KernelsDefault {
-		o.Kernels = KernelsOn
-	}
-	if !kernelBatchSpec.valid(o.KernelBatch) {
-		return fmt.Errorf("pmjoin: unknown kernel batch mode %v", o.KernelBatch)
-	}
-	if o.KernelBatch == KernelBatchDefault {
-		o.KernelBatch = KernelBatchOn
-	}
 
-	// Pipeline group vs. the deprecated flat aliases: a knob may be set
-	// through either spelling; setting both to different values is a
-	// conflict, not a precedence question.
-	if !prefetchSpec.valid(o.Prefetch) {
-		return fmt.Errorf("pmjoin: unknown prefetch mode %v", o.Prefetch)
-	}
 	if !prefetchSpec.valid(o.Pipeline.Prefetch) {
 		return fmt.Errorf("pmjoin: unknown prefetch mode %v", o.Pipeline.Prefetch)
-	}
-	if o.Prefetch != PrefetchDefault && o.Pipeline.Prefetch != PrefetchDefault &&
-		o.Prefetch != o.Pipeline.Prefetch {
-		return fmt.Errorf("pmjoin: conflicting prefetch modes: deprecated Prefetch=%v but Pipeline.Prefetch=%v",
-			o.Prefetch, o.Pipeline.Prefetch)
-	}
-	if o.Pipeline.Prefetch == PrefetchDefault {
-		o.Pipeline.Prefetch = o.Prefetch
 	}
 	if o.Pipeline.Prefetch == PrefetchDefault {
 		o.Pipeline.Prefetch = PrefetchOn
 	}
-	o.Prefetch = o.Pipeline.Prefetch
-	if o.PrefetchDepth < 0 {
-		return fmt.Errorf("pmjoin: negative prefetch depth %d", o.PrefetchDepth)
-	}
 	if o.Pipeline.PrefetchDepth < 0 {
 		return fmt.Errorf("pmjoin: negative prefetch depth %d", o.Pipeline.PrefetchDepth)
 	}
-	if o.PrefetchDepth != 0 && o.Pipeline.PrefetchDepth != 0 &&
-		o.PrefetchDepth != o.Pipeline.PrefetchDepth {
-		return fmt.Errorf("pmjoin: conflicting prefetch depths: deprecated PrefetchDepth=%d but Pipeline.PrefetchDepth=%d",
-			o.PrefetchDepth, o.Pipeline.PrefetchDepth)
-	}
-	if o.Pipeline.PrefetchDepth == 0 {
-		o.Pipeline.PrefetchDepth = o.PrefetchDepth
-	}
-	o.PrefetchDepth = o.Pipeline.PrefetchDepth
 
 	if !storageSpec.valid(o.Storage) {
 		return fmt.Errorf("pmjoin: unknown storage mode %v", o.Storage)

@@ -216,14 +216,14 @@ func TestEnumSpecTable(t *testing.T) {
 			func(i int) string { return ReplacementPolicy(i).String() },
 			func(i int) (string, error) { b, err := ReplacementPolicy(i).MarshalText(); return string(b), err },
 			func(s string) (int, error) { v, err := ParseReplacementPolicy(s); return int(v), err }},
-		{"KernelMode", []string{"default", "on", "off"}, true,
-			func(i int) string { return KernelMode(i).String() },
-			func(i int) (string, error) { b, err := KernelMode(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParseKernelMode(s); return int(v), err }},
 		{"PrefetchMode", []string{"default", "on", "off"}, true,
 			func(i int) string { return PrefetchMode(i).String() },
 			func(i int) (string, error) { b, err := PrefetchMode(i).MarshalText(); return string(b), err },
 			func(s string) (int, error) { v, err := ParsePrefetchMode(s); return int(v), err }},
+		{"StorageMode", []string{"default", "sim", "file"}, true,
+			func(i int) string { return StorageMode(i).String() },
+			func(i int) (string, error) { b, err := StorageMode(i).MarshalText(); return string(b), err },
+			func(s string) (int, error) { v, err := ParseStorageMode(s); return int(v), err }},
 	}
 	for _, e := range enums {
 		t.Run(e.typeName, func(t *testing.T) {
@@ -271,41 +271,11 @@ func TestEnumSpecTable(t *testing.T) {
 	}
 }
 
-// TestOptionsValidateGrouped covers the grouped sub-structs and their flat
-// deprecated aliases: adoption in both directions, mirrored fields after
-// Validate, conflict rejection, and the sharding field checks.
+// TestOptionsValidateGrouped covers the grouped sub-structs: the pipeline
+// and sharding field checks and the sharding worker default.
 func TestOptionsValidateGrouped(t *testing.T) {
 	base := Options{Method: SC, Epsilon: 0.1, BufferPages: 8}
 
-	t.Run("flat prefetch adopted into Pipeline", func(t *testing.T) {
-		o := base
-		o.Prefetch = PrefetchOff
-		o.PrefetchDepth = 7
-		if err := o.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if o.Pipeline.Prefetch != PrefetchOff || o.Pipeline.PrefetchDepth != 7 {
-			t.Errorf("Pipeline = %+v, want deprecated fields adopted", o.Pipeline)
-		}
-	})
-	t.Run("Pipeline mirrored back to flat aliases", func(t *testing.T) {
-		o := base
-		o.Pipeline = PipelineOptions{Prefetch: PrefetchOff, PrefetchDepth: 3}
-		if err := o.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if o.Prefetch != PrefetchOff || o.PrefetchDepth != 3 {
-			t.Errorf("flat aliases %v/%d not mirrored from Pipeline", o.Prefetch, o.PrefetchDepth)
-		}
-	})
-	t.Run("agreeing flat and grouped accepted", func(t *testing.T) {
-		o := base
-		o.Prefetch = PrefetchOn
-		o.Pipeline.Prefetch = PrefetchOn
-		if err := o.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	})
 	t.Run("sharding workers default", func(t *testing.T) {
 		o := base
 		o.Sharding.Shards = 3
@@ -333,9 +303,7 @@ func TestOptionsValidateGrouped(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"conflicting prefetch modes", func(o *Options) { o.Prefetch = PrefetchOn; o.Pipeline.Prefetch = PrefetchOff }},
-		{"conflicting prefetch depths", func(o *Options) { o.PrefetchDepth = 2; o.Pipeline.PrefetchDepth = 3 }},
-		{"negative flat prefetch depth", func(o *Options) { o.PrefetchDepth = -1 }},
+		{"unknown prefetch mode", func(o *Options) { o.Pipeline.Prefetch = PrefetchMode(99) }},
 		{"negative grouped prefetch depth", func(o *Options) { o.Pipeline.PrefetchDepth = -1 }},
 		{"negative shards", func(o *Options) { o.Sharding.Shards = -1 }},
 		{"negative shard workers", func(o *Options) { o.Sharding.Shards = 2; o.Sharding.Workers = -3 }},

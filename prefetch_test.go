@@ -90,7 +90,7 @@ func TestPrefetchDeterminism(t *testing.T) {
 						sys, a, b := w.build(t)
 						opt := w.opt
 						opt.Method = m
-						opt.Prefetch = mode
+						opt.Pipeline.Prefetch = mode
 						opt.Parallelism = par
 						opt.Metrics = true // outside the contract, used for counter checks
 						res, err := sys.Join(a, b, opt)
@@ -161,7 +161,7 @@ func TestPrefetchDepthDeterminism(t *testing.T) {
 		sys, a, b := build()
 		res, err := sys.Join(a, b, Options{
 			Method: SC, Epsilon: 0.05, BufferPages: 12, CollectPairs: true,
-			Prefetch: PrefetchOn, PrefetchDepth: depth, Metrics: true,
+			Pipeline: PipelineOptions{Prefetch: PrefetchOn, PrefetchDepth: depth}, Metrics: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestPrefetchFIFOGates(t *testing.T) {
 		sys, a, b := build()
 		res, err := sys.Join(a, b, Options{
 			Method: SC, Epsilon: 0.05, BufferPages: 12, CollectPairs: true,
-			Policy: FIFO, Prefetch: mode,
+			Policy: FIFO, Pipeline: PipelineOptions{Prefetch: mode},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -228,21 +228,21 @@ func TestPrefetchModeDefault(t *testing.T) {
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Prefetch != PrefetchOn {
-		t.Errorf("default prefetch = %v, want on", opt.Prefetch)
+	if opt.Pipeline.Prefetch != PrefetchOn {
+		t.Errorf("default prefetch = %v, want on", opt.Pipeline.Prefetch)
 	}
-	opt = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Prefetch: PrefetchOff}
+	opt = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Pipeline: PipelineOptions{Prefetch: PrefetchOff}}
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Prefetch != PrefetchOff {
-		t.Errorf("explicit off became %v", opt.Prefetch)
+	if opt.Pipeline.Prefetch != PrefetchOff {
+		t.Errorf("explicit off became %v", opt.Pipeline.Prefetch)
 	}
-	bad := Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Prefetch: PrefetchMode(99)}
+	bad := Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Pipeline: PipelineOptions{Prefetch: PrefetchMode(99)}}
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted prefetch mode 99")
 	}
-	bad = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, PrefetchDepth: -1}
+	bad = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Pipeline: PipelineOptions{PrefetchDepth: -1}}
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted negative PrefetchDepth")
 	}

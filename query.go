@@ -38,16 +38,6 @@ func (o *QueryOptions) validate() error {
 	return nil
 }
 
-// legacyQueryOptions maps the deprecated positional bufferPages argument to
-// QueryOptions, preserving the old contract that bufferPages < 1 is an error
-// (QueryOptions itself treats 0 as "use the default").
-func legacyQueryOptions(bufferPages int) (QueryOptions, error) {
-	if bufferPages < 1 {
-		return QueryOptions{}, fmt.Errorf("pmjoin: buffer of %d pages", bufferPages)
-	}
-	return QueryOptions{BufferPages: bufferPages}, nil
-}
-
 // queryScope validates the preconditions shared by every query and opens the
 // private disk session and buffer pool the query reads candidate data pages
 // through. The session starts with cold heads, so concurrent queries do not
@@ -81,21 +71,6 @@ type QueryResult struct {
 	// (index nodes are memory resident, as in the paper's setting).
 	IOSeconds float64
 	PageReads int64
-}
-
-// RangeQuery returns all objects of the vector dataset d within eps of
-// center under the dataset's norm, reading candidate data pages through a
-// buffer of bufferPages frames.
-//
-// Deprecated: use RangeQueryOpts, which takes QueryOptions and supports
-// result capping. RangeQuery(d, c, eps, b) is RangeQueryOpts(d, c, eps,
-// QueryOptions{BufferPages: b}).
-func (s *System) RangeQuery(d *Dataset, center []float64, eps float64, bufferPages int) (*QueryResult, error) {
-	opts, err := legacyQueryOptions(bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	return s.RangeQueryOpts(d, center, eps, opts)
 }
 
 // RangeQueryOpts returns the objects of the vector dataset d within eps of
@@ -164,20 +139,6 @@ func (q nnPQ) Less(i, j int) bool { return q[i].dist < q[j].dist }
 func (q nnPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *nnPQ) Push(x any)        { *q = append(*q, x.(nnItem)) }
 func (q *nnPQ) Pop() any          { o := *q; n := len(o); e := o[n-1]; *q = o[:n-1]; return e }
-
-// NearestNeighbors returns the k objects of the vector dataset d closest to
-// center.
-//
-// Deprecated: use NearestNeighborsOpts, which takes QueryOptions and
-// supports result capping. NearestNeighbors(d, c, k, b) is
-// NearestNeighborsOpts(d, c, k, QueryOptions{BufferPages: b}).
-func (s *System) NearestNeighbors(d *Dataset, center []float64, k, bufferPages int) (*QueryResult, error) {
-	opts, err := legacyQueryOptions(bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	return s.NearestNeighborsOpts(d, center, k, opts)
-}
 
 // NearestNeighborsOpts returns the k objects of the vector dataset d closest
 // to center, best-first over the index hierarchy (Hjaltason & Samet, cited

@@ -24,7 +24,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		center := []float64{rng.Float64(), rng.Float64()}
 		eps := 0.02 + rng.Float64()*0.1
-		res, err := sys.RangeQuery(ds, center, eps, 8)
+		res, err := sys.RangeQueryOpts(ds, center, eps, QueryOptions{BufferPages: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestNearestNeighborsMatchBruteForce(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		center := []float64{rng.Float64(), rng.Float64()}
 		k := 1 + rng.Intn(12)
-		res, err := sys.NearestNeighbors(ds, center, k, 8)
+		res, err := sys.NearestNeighborsOpts(ds, center, k, QueryOptions{BufferPages: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestNearestNeighborsMatchBruteForce(t *testing.T) {
 
 func TestNearestNeighborsPrunesPages(t *testing.T) {
 	sys, ds, _ := queryFixture(t)
-	res, err := sys.NearestNeighbors(ds, []float64{0.5, 0.5}, 3, 8)
+	res, err := sys.NearestNeighborsOpts(ds, []float64{0.5, 0.5}, 3, QueryOptions{BufferPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,53 +141,15 @@ func TestQueryOptionsMaxResults(t *testing.T) {
 	}
 }
 
-// TestDeprecatedQueryWrappersAgree pins the compatibility contract: the old
-// positional signatures and the QueryOptions variants return identical
-// results for the same parameters.
-func TestDeprecatedQueryWrappersAgree(t *testing.T) {
-	sys, ds, _ := queryFixture(t)
-	center := []float64{0.4, 0.6}
-	oldR, err := sys.RangeQuery(ds, center, 0.2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newR, err := sys.RangeQueryOpts(ds, center, 0.2, QueryOptions{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldR.IDs) != len(newR.IDs) || oldR.PageReads != newR.PageReads || oldR.IOSeconds != newR.IOSeconds {
-		t.Fatalf("range wrappers disagree: %+v vs %+v", oldR, newR)
-	}
-	oldN, err := sys.NearestNeighbors(ds, center, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newN, err := sys.NearestNeighborsOpts(ds, center, 5, QueryOptions{BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldN.IDs) != len(newN.IDs) || oldN.PageReads != newN.PageReads {
-		t.Fatalf("kNN wrappers disagree: %+v vs %+v", oldN, newN)
-	}
-	for i := range oldN.IDs {
-		if oldN.IDs[i] != newN.IDs[i] {
-			t.Fatal("kNN wrapper ID mismatch")
-		}
-	}
-}
-
 func TestQueryValidation(t *testing.T) {
 	sys, ds, _ := queryFixture(t)
-	if _, err := sys.RangeQuery(ds, []float64{0.5}, 0.1, 8); err == nil {
+	if _, err := sys.RangeQueryOpts(ds, []float64{0.5}, 0.1, QueryOptions{BufferPages: 8}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if _, err := sys.RangeQuery(ds, []float64{0.5, 0.5}, -1, 8); err == nil {
+	if _, err := sys.RangeQueryOpts(ds, []float64{0.5, 0.5}, -1, QueryOptions{BufferPages: 8}); err == nil {
 		t.Fatal("negative eps accepted")
 	}
-	if _, err := sys.RangeQuery(ds, []float64{0.5, 0.5}, 0.1, 0); err == nil {
-		t.Fatal("zero buffer accepted")
-	}
-	if _, err := sys.NearestNeighbors(ds, []float64{0.5, 0.5}, 0, 8); err == nil {
+	if _, err := sys.NearestNeighborsOpts(ds, []float64{0.5, 0.5}, 0, QueryOptions{BufferPages: 8}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	if _, err := sys.RangeQueryOpts(ds, []float64{0.5, 0.5}, 0.1, QueryOptions{BufferPages: -1}); err == nil {
@@ -201,14 +163,14 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RangeQuery(dc, []float64{0.5, 0.5}, 0.1, 8); err == nil {
+	if _, err := sys.RangeQueryOpts(dc, []float64{0.5, 0.5}, 0.1, QueryOptions{BufferPages: 8}); err == nil {
 		t.Fatal("cross-system query accepted")
 	}
 	seq, err := sys.AddString("s", []byte("ACGTACGTACGTACGTACGT"), StringOptions{Window: 8, Stride: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.NearestNeighbors(seq, []float64{0, 0, 0, 0}, 1, 8); err == nil {
+	if _, err := sys.NearestNeighborsOpts(seq, []float64{0, 0, 0, 0}, 1, QueryOptions{BufferPages: 8}); err == nil {
 		t.Fatal("sequence kNN accepted")
 	}
 }

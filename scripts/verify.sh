@@ -32,16 +32,18 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + sharded execution + batch kernels + storage backends)"
+echo "==> determinism contracts (metrics observer + sharded execution + storage backends + comparison oracle)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, the same triple
 # must be identical across shard worker counts and vs the unsharded executor
-# at shards=1, cluster-batched kernel dispatch must reproduce the per-pair
-# triple at any parallelism/sharding/prefetch combination, and the
-# file-backed store (real encoded files, background prefetch readers) must
-# reproduce the simulator's triple bit for bit.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestBatchKernelsDeterminism|TestBackendParity' .
+# at shards=1, the file-backed store (real encoded files, background
+# prefetch readers) must reproduce the simulator's triple bit for bit, and
+# the one comparison path — block kernel and per-cell fallback, inline and
+# on workers — must reproduce the reference distance loops' pair stream,
+# comparison counts and CPU-second bits.
+go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestBackendParity' .
+go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle' ./internal/join
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;

@@ -177,7 +177,6 @@ type planKey struct {
 	fileA, fileB   disk.FileID
 	eps            float64
 	method         Method
-	kernels        KernelMode
 	bufferPages    int
 	filterDepth    int
 	rowFraction    float64
@@ -307,7 +306,7 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 	key := planKey{
 		epochA: a.Epoch(), epochB: b.Epoch(),
 		fileA: a.ds.File, fileB: b.ds.File,
-		eps: opt.Epsilon, method: opt.Method, kernels: opt.Kernels,
+		eps: opt.Epsilon, method: opt.Method,
 		bufferPages: opt.BufferPages, filterDepth: opt.FilterDepth,
 		rowFraction: opt.ClusterRowFraction, shards: opt.Sharding.Shards,
 	}
