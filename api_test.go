@@ -1,6 +1,7 @@
 package pmjoin
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -44,6 +45,57 @@ func TestAddVectorsValidation(t *testing.T) {
 	}
 	if _, err := sys.AddVectors("m", [][]float64{{1, 2}, {1}}, VectorOptions{}); err == nil {
 		t.Fatal("ragged accepted")
+	}
+}
+
+// TestIngestRejectsNonFinite pins the ingest check: a NaN or an infinity in a
+// vector coordinate or a series sample is an error that names the dataset
+// and the offending index, whichever index build was asked for.
+func TestIngestRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	series := func(i int, x float64) []float64 {
+		s := make([]float64, 64)
+		s[i] = x
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		add  func(*System, string) error
+		want string // the index the error must name
+	}{
+		{"NaN coordinate", func(s *System, n string) error {
+			_, err := s.AddVectors(n, [][]float64{{0, 1}, {2, 3}, {4, nan}}, VectorOptions{})
+			return err
+		}, "vector 2"},
+		{"+Inf coordinate", func(s *System, n string) error {
+			_, err := s.AddVectors(n, [][]float64{{inf, 1}, {2, 3}}, VectorOptions{})
+			return err
+		}, "vector 0"},
+		{"-Inf coordinate, insert build", func(s *System, n string) error {
+			_, err := s.AddVectors(n, [][]float64{{0, 1}, {-inf, 3}}, VectorOptions{UseInsert: true})
+			return err
+		}, "vector 1"},
+		{"NaN sample", func(s *System, n string) error {
+			_, err := s.AddSeries(n, series(17, nan), SeriesOptions{Window: 8})
+			return err
+		}, "sample 17"},
+		{"-Inf sample", func(s *System, n string) error {
+			_, err := s.AddSeries(n, series(63, -inf), SeriesOptions{Window: 8})
+			return err
+		}, "sample 63"},
+	} {
+		err := tc.add(New(), "hostile")
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"hostile"`) || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q names neither the dataset nor %s", tc.name, msg, tc.want)
+		}
+	}
+	// The finite extremes stay legal.
+	if _, err := New().AddVectors("big", [][]float64{{math.MaxFloat64, -math.MaxFloat64}, {0, math.SmallestNonzeroFloat64}}, VectorOptions{}); err != nil {
+		t.Errorf("finite extremes rejected: %v", err)
 	}
 }
 

@@ -2,7 +2,8 @@ package predmat
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -185,24 +186,166 @@ func (b *builder) spawn(rNodes, sNodes []*index.Node) {
 	})
 }
 
-// box is a sweep participant: an index node with its extended MBR.
+// span is a box as two rows of corner coordinates, one value a dimension.
+// Every box the sweep and the filter compute on is a window of flat scratch.
+type span struct {
+	lo, hi []float64
+}
+
+// isEmpty reports whether the box contains no point: it has no dimensions,
+// or is inverted in one.
+func (a span) isEmpty() bool {
+	for d, lo := range a.lo {
+		if lo > a.hi[d] {
+			return true
+		}
+	}
+	return len(a.lo) == 0
+}
+
+// setEmpty makes a the canonical empty box: inverted in every dimension, so
+// that any extension fixes it.
+func (a span) setEmpty() {
+	for d := range a.lo {
+		a.lo[d] = math.Inf(1)
+		a.hi[d] = math.Inf(-1)
+	}
+}
+
+// disjoint reports whether two non-empty boxes share no point (as closed
+// rectangles).
+func (a span) disjoint(o span) bool {
+	n := len(a.lo)
+	aLo, aHi, oLo, oHi := a.lo, a.hi[:n], o.lo[:n], o.hi[:n]
+	for d := range aLo {
+		if aHi[d] < oLo[d] || oHi[d] < aLo[d] {
+			return true
+		}
+	}
+	return false
+}
+
+// setIntersection makes a the intersection of x and y and reports whether it
+// is non-empty; an empty operand makes it empty (and leaves a unspecified).
+// The builtin min and max agree with math.Min and math.Max bit for bit.
+func (a span) setIntersection(x, y span) bool {
+	if x.isEmpty() || y.isEmpty() {
+		return false
+	}
+	for d := range a.lo {
+		a.lo[d] = max(x.lo[d], y.lo[d])
+		a.hi[d] = min(x.hi[d], y.hi[d])
+	}
+	return !a.isEmpty()
+}
+
+// box is a sweep participant: an index node with its extended MBR. Whether
+// that is empty — which every intersection test asks — is decided once, when
+// the box is loaded.
 type box struct {
 	node *index.Node
-	ext  geom.MBR
-	from int // 0 = R side, 1 = S side
+	span
+	empty bool
+}
+
+// overlaps reports whether two extended boxes intersect as closed
+// rectangles; an empty box intersects nothing.
+func (a *box) overlaps(o *box) bool {
+	return !a.empty && !o.empty && !a.disjoint(o.span)
 }
 
 // endpoint is one sweep event on the first coordinate.
 type endpoint struct {
 	x    float64
+	box  int32 // index into the sweep's boxes: R side first, then S
 	left bool
-	b    *box
+}
+
+// filterSide is one dataset's boxes inside filter: alive lists the surviving
+// boxes in order and row k of lo/hi (dim values a row) is the region box
+// alive[k] has been shrunk to.
+type filterSide struct {
+	alive  []int32
+	lo, hi []float64
+}
+
+// region returns row k.
+func (fs *filterSide) region(k, dim int) span {
+	return span{lo: fs.lo[k*dim : (k+1)*dim], hi: fs.hi[k*dim : (k+1)*dim]}
+}
+
+// sweepScratch is the working memory of one sweep. Everything a sweep needs
+// is carved out of these slices, which keep their capacity from sweep to
+// sweep, so the per-box and per-round cost of a build is arithmetic, not
+// allocation. A recursive sub-sweep takes its own scratch from the pool.
+type sweepScratch struct {
+	boxes   []box
+	corners []float64 // the boxes' extended corners, 2·dim values a box
+	sides   [2]filterSide
+	covers  []float64 // filter's six covers: B_R, B_S and their intersections
+	events  []endpoint
+	active  [2][]int32 // boxes the sweep line crosses, by side
+	slot    []int32    // each box's position in its active list, -1 when absent
+	marks   []Entry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// grow returns s with length n, reallocating only when capacity falls short.
+// The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// load fills the scratch with the sweep's participants — rNodes then sNodes,
+// empty internal nodes left out — each extended by half in every direction,
+// and returns how many are R boxes and the dimensionality. A box of fewer
+// dimensions than the rest (the zero-dimensional MBR of an empty leaf) is
+// loaded as the canonical empty box.
+func (sc *sweepScratch) load(rNodes, sNodes []*index.Node, half float64) (nR, dim int) {
+	for _, nodes := range [2][]*index.Node{rNodes, sNodes} {
+		for _, n := range nodes {
+			dim = max(dim, n.MBR.Dim())
+		}
+	}
+	sc.boxes = sc.boxes[:0]
+	sc.corners = grow(sc.corners, 2*dim*(len(rNodes)+len(sNodes)))
+	corners := sc.corners
+	for side, nodes := range [2][]*index.Node{rNodes, sNodes} {
+		for _, n := range nodes {
+			if !n.IsLeaf() && n.MBR.IsEmpty() {
+				continue
+			}
+			bx := box{node: n, span: span{lo: corners[:dim:dim], hi: corners[dim : 2*dim : 2*dim]}}
+			corners = corners[2*dim:]
+			if dim > 0 && n.MBR.Dim() == dim {
+				nHi := n.MBR.Max[:dim]
+				for d, v := range n.MBR.Min {
+					l, h := v-half, nHi[d]+half
+					bx.lo[d], bx.hi[d] = l, h
+					bx.empty = bx.empty || l > h
+				}
+			} else {
+				bx.setEmpty()
+				bx.empty = true
+			}
+			sc.boxes = append(sc.boxes, bx)
+		}
+		if side == 0 {
+			nR = len(sc.boxes)
+		}
+	}
+	return nR, dim
 }
 
 // sweep runs one level of the hierarchical plane sweep over the given node
 // sets (Figure 1 steps 1-5). It only reads the (immutable) index nodes and
-// writes through the mark mutex, so concurrent sweeps need no coordination
-// beyond their local stats, flushed once on return.
+// writes through the mark mutex — once, with every mark it found — so
+// concurrent sweeps need no coordination beyond that and their local stats,
+// flushed once on return.
 func (b *builder) sweep(rNodes, sNodes []*index.Node) {
 	var st BuildStats
 	defer b.flush(&st)
@@ -210,92 +353,112 @@ func (b *builder) sweep(rNodes, sNodes []*index.Node) {
 	if len(rNodes) == 0 || len(sNodes) == 0 {
 		return
 	}
-	half := b.eps / 2
-	rBoxes := make([]*box, 0, len(rNodes))
-	for _, n := range rNodes {
-		if n.MBR.IsEmpty() && !n.IsLeaf() {
-			continue
-		}
-		rBoxes = append(rBoxes, &box{node: n, ext: n.MBR.Extended(half), from: 0})
-	}
-	sBoxes := make([]*box, 0, len(sNodes))
-	for _, n := range sNodes {
-		if n.MBR.IsEmpty() && !n.IsLeaf() {
-			continue
-		}
-		sBoxes = append(sBoxes, &box{node: n, ext: n.MBR.Extended(half), from: 1})
-	}
+	sc := scratchPool.Get().(*sweepScratch)
+	defer scratchPool.Put(sc)
+	nR, dim := sc.load(rNodes, sNodes, b.eps/2)
+	boxes := sc.boxes
 
-	rBoxes, sBoxes = b.filter(rBoxes, sBoxes, &st)
-	if len(rBoxes) == 0 || len(sBoxes) == 0 {
+	rAlive, sAlive := b.filter(sc, nR, dim, &st)
+	if len(rAlive) == 0 || len(sAlive) == 0 {
 		return
 	}
+	if dim == 0 {
+		return // nothing but empty leaves: no first coordinate to sweep on
+	}
 
-	events := make([]endpoint, 0, 2*(len(rBoxes)+len(sBoxes)))
-	for _, bx := range rBoxes {
-		events = append(events,
-			endpoint{x: bx.ext.Min[0], left: true, b: bx},
-			endpoint{x: bx.ext.Max[0], left: false, b: bx})
-	}
-	for _, bx := range sBoxes {
-		events = append(events,
-			endpoint{x: bx.ext.Min[0], left: true, b: bx},
-			endpoint{x: bx.ext.Max[0], left: false, b: bx})
-	}
-	// Process left endpoints before right endpoints at equal x so touching
-	// boxes are seen as intersecting (closed rectangles).
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].x != events[j].x {
-			return events[i].x < events[j].x
+	events := sc.events[:0]
+	for _, alive := range [2][]int32{rAlive, sAlive} {
+		for _, i := range alive {
+			events = append(events,
+				endpoint{x: boxes[i].lo[0], box: i, left: true},
+				endpoint{x: boxes[i].hi[0], box: i, left: false})
 		}
-		return events[i].left && !events[j].left
+	}
+	sc.events = events
+	// Process left endpoints before right endpoints at equal x so touching
+	// boxes are seen as intersecting (closed rectangles). Remaining ties go
+	// by box, which makes the order total: the one a stable sort of the
+	// events as appended would give.
+	slices.SortFunc(events, func(a, c endpoint) int {
+		switch {
+		case a.x < c.x:
+			return -1
+		case c.x < a.x:
+			return 1
+		case a.left != c.left:
+			if a.left {
+				return -1
+			}
+			return 1
+		}
+		return int(a.box - c.box)
 	})
 
-	activeR := make(map[*box]struct{})
-	activeS := make(map[*box]struct{})
+	sc.slot = grow(sc.slot, len(boxes))
+	for i := range sc.slot {
+		sc.slot[i] = -1
+	}
+	sc.active[0], sc.active[1] = sc.active[0][:0], sc.active[1][:0]
+	sc.marks = sc.marks[:0]
 	for _, ev := range events {
 		st.SweepEvents++
+		side := 0
+		if int(ev.box) >= nR {
+			side = 1
+		}
 		if !ev.left {
-			if ev.b.from == 0 {
-				delete(activeR, ev.b)
-			} else {
-				delete(activeS, ev.b)
-			}
+			sc.deactivate(side, ev.box)
 			continue
 		}
-		var opposite map[*box]struct{}
-		if ev.b.from == 0 {
-			activeR[ev.b] = struct{}{}
-			opposite = activeS
-		} else {
-			activeS[ev.b] = struct{}{}
-			opposite = activeR
-		}
-		for other := range opposite {
+		sc.slot[ev.box] = int32(len(sc.active[side]))
+		sc.active[side] = append(sc.active[side], ev.box)
+		bx := &boxes[ev.box]
+		for _, o := range sc.active[1-side] {
 			st.PairTests++
-			if !ev.b.ext.Intersects(other.ext) {
+			other := &boxes[o]
+			if !bx.overlaps(other) {
 				continue
 			}
-			rb, sb := ev.b, other
-			if rb.from != 0 {
-				rb, sb = sb, rb
+			if side == 0 {
+				b.handlePair(bx.node, other.node, &sc.marks)
+			} else {
+				b.handlePair(other.node, bx.node, &sc.marks)
 			}
-			b.handlePair(rb.node, sb.node)
 		}
+	}
+	if len(sc.marks) > 0 {
+		b.markMu.Lock()
+		for _, e := range sc.marks {
+			b.m.Mark(e.R, e.C)
+		}
+		b.markMu.Unlock()
 	}
 }
 
-// handlePair processes one intersecting extended pair: mark leaf pairs that
-// pass the predictor, descend internal pairs (one side at a time when
-// heights differ). Descents go through spawn, so with a Runner the
-// recursive sub-sweeps fan out across the worker pool.
-func (b *builder) handlePair(rn, sn *index.Node) {
+// deactivate takes box i off its side's active list (swap-remove). A box
+// that is not on it — inverted on the first coordinate, so its right
+// endpoint came first — is left alone.
+func (sc *sweepScratch) deactivate(side int, i int32) {
+	p := sc.slot[i]
+	if p < 0 {
+		return
+	}
+	act := sc.active[side]
+	last := act[len(act)-1]
+	act[p], sc.slot[last] = last, p
+	sc.active[side] = act[:len(act)-1]
+	sc.slot[i] = -1
+}
+
+// handlePair processes one intersecting extended pair: leaf pairs that pass
+// the predictor are added to the sweep's marks, internal pairs descend (one
+// side at a time when heights differ). Descents go through spawn, so with a
+// Runner the recursive sub-sweeps fan out across the worker pool.
+func (b *builder) handlePair(rn, sn *index.Node, marks *[]Entry) {
 	switch {
 	case rn.IsLeaf() && sn.IsLeaf():
 		if b.within(rn.MBR, sn.MBR) {
-			b.markMu.Lock()
-			b.m.Mark(rn.Page, sn.Page)
-			b.markMu.Unlock()
+			*marks = append(*marks, Entry{R: rn.Page, C: sn.Page})
 		}
 	case rn.IsLeaf():
 		b.spawn([]*index.Node{rn}, sn.Children)
@@ -309,95 +472,142 @@ func (b *builder) handlePair(rn, sn *index.Node) {
 // filter implements the iterative refinement of Figure 2 on the extended
 // boxes: shrink both sides to the region B_RS = B_R ∩ B_S that can contain
 // intersecting pairs, and drop boxes that do not intersect it. It iterates
-// until a fixpoint or FilterDepth rounds.
-func (b *builder) filter(rBoxes, sBoxes []*box, st *BuildStats) ([]*box, []*box) {
+// until a fixpoint or FilterDepth rounds and returns the surviving boxes of
+// each side, in order.
+//
+// The shrunken regions are working copies used only for filtering decisions
+// (sweeping and marking still use the extended and the original MBRs); they
+// live in flat rows that each round rewrites and compacts in place.
+func (b *builder) filter(sc *sweepScratch, nR, dim int, st *BuildStats) (rAlive, sAlive []int32) {
+	boxes := sc.boxes
+	r, s := &sc.sides[0], &sc.sides[1]
+	for i, fs := range [2]*filterSide{r, s} {
+		first, n := 0, nR
+		if i == 1 {
+			first, n = nR, len(boxes)-nR
+		}
+		fs.alive = grow(fs.alive, n)
+		for k := range fs.alive {
+			fs.alive[k] = int32(first + k)
+		}
+	}
 	depth := b.opts.FilterDepth
-	if depth <= 0 {
-		return rBoxes, sBoxes
+	if depth <= 0 || len(r.alive) == 0 || len(s.alive) == 0 {
+		return r.alive, s.alive
 	}
-	if len(rBoxes) == 0 || len(sBoxes) == 0 {
-		return rBoxes, sBoxes
+	for _, fs := range [2]*filterSide{r, s} {
+		fs.lo = grow(fs.lo, dim*len(fs.alive))
+		fs.hi = grow(fs.hi, dim*len(fs.alive))
+		for k, i := range fs.alive {
+			copy(fs.lo[k*dim:], boxes[i].lo)
+			copy(fs.hi[k*dim:], boxes[i].hi)
+		}
 	}
-	dim := rBoxes[0].ext.Dim()
-	// Working copies of the (possibly shrunken) box regions used only for
-	// filtering decisions; marking still uses the original MBRs.
-	rCur := make([]geom.MBR, len(rBoxes))
-	for i, bx := range rBoxes {
-		rCur[i] = bx.ext
+	sc.covers = grow(sc.covers, 12*dim)
+	var covers [6]span
+	for k := range covers {
+		covers[k] = span{lo: sc.covers[2*k*dim : (2*k+1)*dim], hi: sc.covers[(2*k+1)*dim : (2*k+2)*dim]}
 	}
-	sCur := make([]geom.MBR, len(sBoxes))
-	for i, bx := range sBoxes {
-		sCur[i] = bx.ext
+	bigR, bigS, bb, bR, bS, bRS := covers[0], covers[1], covers[2], covers[3], covers[4], covers[5]
+	dropAll := func() ([]int32, []int32) {
+		st.FilterDropped += int64(len(r.alive) + len(s.alive))
+		return nil, nil
 	}
-	rAlive := rBoxes
-	sAlive := sBoxes
 	for iter := 0; iter < depth; iter++ {
-		bigR := coverAll(rCur, dim)
-		bigS := coverAll(sCur, dim)
-		bb := geom.Intersect(bigR, bigS)
-		if bb.IsEmpty() {
-			st.FilterDropped += int64(len(rAlive) + len(sAlive))
-			return nil, nil
+		r.cover(boxes, dim, bigR)
+		s.cover(boxes, dim, bigS)
+		if !bb.setIntersection(bigR, bigS) {
+			return dropAll()
 		}
 		// B_R covers B ∩ R_i for all i; B_S similarly.
-		bR := geom.EmptyMBR(dim)
-		for i := range rCur {
-			bR.ExtendMBR(geom.Intersect(bb, rCur[i]))
+		r.coverClipped(boxes, dim, bb, bR)
+		s.coverClipped(boxes, dim, bb, bS)
+		if !bRS.setIntersection(bR, bS) {
+			return dropAll()
 		}
-		bS := geom.EmptyMBR(dim)
-		for i := range sCur {
-			bS.ExtendMBR(geom.Intersect(bb, sCur[i]))
-		}
-		bRS := geom.Intersect(bR, bS)
-		if bRS.IsEmpty() {
-			st.FilterDropped += int64(len(rAlive) + len(sAlive))
-			return nil, nil
-		}
-		changed := false
-		rAlive, rCur, changed = shrinkFilter(rAlive, rCur, bRS, changed, st)
-		sAlive, sCur, changed = shrinkFilter(sAlive, sCur, bRS, changed, st)
-		if len(rAlive) == 0 || len(sAlive) == 0 {
-			return rAlive, sAlive
-		}
-		if !changed {
+		changedR := r.shrink(boxes, dim, bRS, st)
+		changedS := s.shrink(boxes, dim, bRS, st)
+		if len(r.alive) == 0 || len(s.alive) == 0 || !(changedR || changedS) {
 			break
 		}
 	}
-	return rAlive, sAlive
+	return r.alive, s.alive
 }
 
-func shrinkFilter(alive []*box, cur []geom.MBR, bRS geom.MBR, changed bool, st *BuildStats) ([]*box, []geom.MBR, bool) {
-	outBoxes := alive[:0]
-	outCur := cur[:0]
-	for i, bx := range alive {
-		if !cur[i].Intersects(bRS) {
+// cover sets out to the smallest box covering every non-empty region of the
+// side. With nothing to cover the result is the canonical empty box.
+func (fs *filterSide) cover(boxes []box, dim int, out span) {
+	out.setEmpty()
+	lo, hi := out.lo, out.hi
+	for k, i := range fs.alive {
+		if boxes[i].empty {
+			continue
+		}
+		row := fs.region(k, dim)
+		rowLo, rowHi := row.lo[:len(lo)], row.hi[:len(lo)]
+		for d := range lo {
+			if rowLo[d] < lo[d] {
+				lo[d] = rowLo[d]
+			}
+			if rowHi[d] > hi[d] {
+				hi[d] = rowHi[d]
+			}
+		}
+	}
+}
+
+// coverClipped is cover over the regions clipped to the non-empty box clip
+// first; a region the clip empties is skipped.
+func (fs *filterSide) coverClipped(boxes []box, dim int, clip, out span) {
+	out.setEmpty()
+	lo, hi := out.lo, out.hi
+	clipLo, clipHi := clip.lo[:len(lo)], clip.hi[:len(lo)]
+	for k, i := range fs.alive {
+		if boxes[i].empty {
+			continue
+		}
+		row := fs.region(k, dim)
+		if row.disjoint(clip) {
+			continue
+		}
+		rowLo, rowHi := row.lo[:len(lo)], row.hi[:len(lo)]
+		for d := range lo {
+			if l := max(clipLo[d], rowLo[d]); l < lo[d] {
+				lo[d] = l
+			}
+			if h := min(clipHi[d], rowHi[d]); h > hi[d] {
+				hi[d] = h
+			}
+		}
+	}
+}
+
+// shrink clips every region of the side to the non-empty box to, dropping
+// the boxes whose region misses it, compacts the survivors in place, and
+// reports whether anything was dropped or became smaller.
+func (fs *filterSide) shrink(boxes []box, dim int, to span, st *BuildStats) (changed bool) {
+	w := 0
+	toLo, toHi := to.lo[:dim], to.hi[:dim]
+	for k, i := range fs.alive {
+		row := fs.region(k, dim)
+		if boxes[i].empty || row.disjoint(to) {
 			changed = true
 			st.FilterDropped++
 			continue
 		}
-		next := geom.Intersect(cur[i], bRS)
-		if !mbrEqual(next, cur[i]) {
-			changed = true
+		out := fs.region(w, dim)
+		rowLo, rowHi, outLo, outHi := row.lo, row.hi[:dim], out.lo[:dim], out.hi[:dim]
+		for d, lo := range rowLo {
+			hi := rowHi[d]
+			l, h := max(lo, toLo[d]), min(hi, toHi[d])
+			if l != lo || h != hi {
+				changed = true
+			}
+			outLo[d], outHi[d] = l, h
 		}
-		outBoxes = append(outBoxes, bx)
-		outCur = append(outCur, next)
+		fs.alive[w] = i
+		w++
 	}
-	return outBoxes, outCur, changed
-}
-
-func coverAll(boxes []geom.MBR, dim int) geom.MBR {
-	out := geom.EmptyMBR(dim)
-	for _, m := range boxes {
-		out.ExtendMBR(m)
-	}
-	return out
-}
-
-func mbrEqual(a, b geom.MBR) bool {
-	for i := range a.Min {
-		if a.Min[i] != b.Min[i] || a.Max[i] != b.Max[i] {
-			return false
-		}
-	}
-	return true
+	fs.alive = fs.alive[:w]
+	return changed
 }

@@ -35,8 +35,23 @@ func BenchmarkInsert2D(b *testing.B) {
 func BenchmarkBulkLoadSTR10k(b *testing.B) {
 	items := benchItems(10000, 2)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BulkLoadSTR(2, DefaultConfig(32), items); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBulkLoadSTR60D is the landsat shape of the end-to-end benchmark:
+// one side's 34 433 60-d points at 8 per 4 KB page, where after ~13 axes
+// every STR slab is a single leaf.
+func BenchmarkBulkLoadSTR60D(b *testing.B) {
+	items := benchItems(34433, 60)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BulkLoadSTR(60, DefaultConfig(8), items); err != nil {
 			b.Fatal(err)
 		}
 	}

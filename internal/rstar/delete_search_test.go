@@ -222,3 +222,61 @@ func TestDistanceRangeMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestMutateAfterBulkLoad inserts into and deletes from a bulk-loaded tree.
+// The bulk loader's nodes are windows of one shared entry array, so a node
+// that grows must move out of it and a node that shrinks must stay inside
+// its own window; either mistake corrupts a sibling, which range search
+// against brute force would show.
+func TestMutateAfterBulkLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	items := randItems(rng, 600, 2)
+	tr, err := BulkLoadSTR(2, DefaultConfig(8), items[:400])
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[int]Item)
+	for _, it := range items[:400] {
+		live[it.ID] = it
+	}
+	for step, it := range items[400:] {
+		if err := tr.Insert(it); err != nil {
+			t.Fatal(err)
+		}
+		live[it.ID] = it
+		victim := items[rng.Intn(400+step)]
+		if _, ok := live[victim.ID]; ok {
+			if found, err := tr.Delete(victim.ID, victim.MBR); err != nil || !found {
+				t.Fatalf("step %d: delete %d: found=%v err=%v", step, victim.ID, found, err)
+			}
+			delete(live, victim.ID)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Size() != len(live) {
+		t.Fatalf("size %d, want %d", tr.Size(), len(live))
+	}
+	for iter := 0; iter < 30; iter++ {
+		q := geom.MBR{Min: geom.Vector{rng.Float64() * 0.8, rng.Float64() * 0.8}}
+		q.Max = geom.Vector{q.Min[0] + 0.2, q.Min[1] + 0.2}
+		got := tr.RangeSearch(q)
+		sort.Ints(got)
+		var want []int
+		for id, it := range live {
+			if it.MBR.Intersects(q) {
+				want = append(want, id)
+			}
+		}
+		sort.Ints(want)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, want %d", iter, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query %d: result %d is item %d, want %d", iter, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ package rstar
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pmjoin/internal/geom"
@@ -389,11 +390,28 @@ func BulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
 			return nil, fmt.Errorf("rstar: item dimension %d, tree dimension %d", it.MBR.Dim(), dim)
 		}
 	}
+	if len(items) > math.MaxInt32 {
+		return nil, fmt.Errorf("rstar: %d items exceed the bulk loader's 32-bit sort keys", len(items))
+	}
 	leafEntries := make([]entry, len(items))
 	for i, it := range items {
-		leafEntries[i] = entry{mbr: it.MBR.Clone(), item: it}
+		leafEntries[i] = entry{mbr: it.MBR, item: it}
 	}
 	leaves := strPack(leafEntries, dim, t.cfg.MaxLeafEntries, true, 0)
+	// Like Insert, the tree keeps private copies of the items' MBRs, not the
+	// caller's. They are made here, after packing, out of one backing array
+	// in page order, so every later walk over the leaves (the parents' MBRs
+	// below, Root) reads memory front to back.
+	corners := make(geom.Vector, 2*dim*len(items))
+	for _, n := range leaves {
+		for k := range n.entries {
+			lo, hi := corners[:dim:dim], corners[dim:2*dim:2*dim]
+			corners = corners[2*dim:]
+			copy(lo, n.entries[k].mbr.Min)
+			copy(hi, n.entries[k].mbr.Max)
+			n.entries[k].mbr = geom.MBR{Min: lo, Max: hi}
+		}
+	}
 	level := 0
 	nodes := leaves
 	for len(nodes) > 1 {
@@ -409,56 +427,129 @@ func BulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
 	return t, nil
 }
 
+// strKey is one element of the permutation strPack sorts: the entry's
+// index, its centre on the axis being sorted, and its position in the group
+// before that sort. Breaking centre ties by position makes the order total,
+// so an unstable sort yields exactly the stable sort's result.
+type strKey struct {
+	c    float64
+	i, p int32
+}
+
+// strGroup is a run order[lo:hi] of the permutation. A done group has
+// reached its final order and becomes exactly one node.
+type strGroup struct {
+	lo, hi int
+	done   bool
+}
+
 // strPack tiles entries into nodes of capacity cap using STR: sort by the
 // first dimension, cut into slabs, sort each slab by the next dimension, and
-// so on, finally chunking into nodes.
+// so on, finally chunking into nodes. Every sort is a stable sort by MBR
+// centre.
+//
+// The entries themselves never move until the end: the passes sort a
+// permutation of (centre, index) keys and one gather applies it. A slab of
+// at most capacity entries is never cut again — it stays one slab on every
+// later axis — so the stable passes it still owes, axis a, a+1, …, dim−1,
+// are replaced by the one stable sort they add up to: lexicographic by the
+// centres on axis dim−1, then dim−2, …, down to a, ties keeping the current
+// order. In high dimensions that is almost every pass (at 60-d every slab
+// is final after ~13 axes).
 func strPack(entries []entry, dim, capacity int, leaf bool, level int) []*node {
+	centre := func(i int32, axis int) float64 {
+		m := &entries[i].mbr
+		return (m.Min[axis] + m.Max[axis]) / 2
+	}
+	byCentre := func(a, b strKey) int {
+		switch {
+		case a.c < b.c:
+			return -1
+		case b.c < a.c:
+			return 1
+		}
+		return int(a.p - b.p)
+	}
+	sortAxis := func(g []strKey, axis int) {
+		for k := range g {
+			g[k].c, g[k].p = centre(g[k].i, axis), int32(k)
+		}
+		slices.SortFunc(g, byCentre)
+	}
+	owed := 0 // first axis the slab byOwedAxes is sorting has not been sorted by
+	byOwedAxes := func(a, b strKey) int {
+		for axis := dim - 1; axis >= owed; axis-- {
+			ca, cb := centre(a.i, axis), centre(b.i, axis)
+			switch {
+			case ca < cb:
+				return -1
+			case cb < ca:
+				return 1
+			}
+		}
+		return 0
+	}
+
+	order := make([]strKey, len(entries))
+	for i := range order {
+		order[i].i = int32(i)
+	}
 	numNodes := (len(entries) + capacity - 1) / capacity
-	groups := [][]entry{entries}
-	for axis := 0; axis < dim-1 && numNodes > 1; axis++ {
+	groups := []strGroup{{lo: 0, hi: len(entries)}}
+	var next []strGroup
+	splitting := 1 // groups not yet done
+	for axis := 0; axis < dim-1 && numNodes > 1 && splitting > 0; axis++ {
 		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
-		var next [][]entry
+		next = next[:0]
+		splitting = 0
 		for _, g := range groups {
-			sortByCenter(g, axis)
-			slabSize := (len(g) + slabsPerGroup - 1) / slabsPerGroup
+			if g.done {
+				next = append(next, g)
+				continue
+			}
+			sortAxis(order[g.lo:g.hi], axis)
+			slabSize := (g.hi - g.lo + slabsPerGroup - 1) / slabsPerGroup
 			if slabSize < capacity {
 				slabSize = capacity
 			}
-			for i := 0; i < len(g); i += slabSize {
-				end := i + slabSize
-				if end > len(g) {
-					end = len(g)
+			for lo := g.lo; lo < g.hi; lo += slabSize {
+				slab := strGroup{lo: lo, hi: min(lo+slabSize, g.hi)}
+				if slab.hi-slab.lo <= capacity {
+					owed = axis + 1
+					slices.SortStableFunc(order[slab.lo:slab.hi], byOwedAxes)
+					slab.done = true
+				} else {
+					splitting++
 				}
-				next = append(next, g[i:end])
+				next = append(next, slab)
 			}
 		}
-		groups = next
+		groups, next = next, groups
 	}
-	var out []*node
+
+	// One gather applies the permutation; each node's entries are a
+	// full-capacity-limited window of it, so an append reallocates instead of
+	// running into the neighbour.
+	packed := make([]entry, len(entries))
+	out := make([]*node, 0, numNodes)
 	for _, g := range groups {
-		sortByCenter(g, dim-1)
-		for i := 0; i < len(g); i += capacity {
-			end := i + capacity
-			if end > len(g) {
-				end = len(g)
-			}
+		if !g.done {
+			sortAxis(order[g.lo:g.hi], dim-1)
+		}
+		for k := g.lo; k < g.hi; k++ {
+			packed[k] = entries[order[k].i]
+		}
+		for lo := g.lo; lo < g.hi; lo += capacity {
+			hi := min(lo+capacity, g.hi)
 			out = append(out, &node{
 				leaf:    leaf,
 				level:   level,
 				page:    -1,
-				entries: append([]entry(nil), g[i:end]...),
+				entries: packed[lo:hi:hi],
 			})
 		}
 	}
 	return out
-}
-
-func sortByCenter(es []entry, axis int) {
-	sort.SliceStable(es, func(i, j int) bool {
-		ci := (es[i].mbr.Min[axis] + es[i].mbr.Max[axis]) / 2
-		cj := (es[j].mbr.Min[axis] + es[j].mbr.Max[axis]) / 2
-		return ci < cj
-	})
 }
 
 // Pack finalizes the tree for joining: leaves are numbered left to right and

@@ -1,11 +1,14 @@
 package rstar
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"pmjoin/internal/geom"
+	"pmjoin/internal/index"
 )
 
 func randItems(rng *rand.Rand, n, dim int) []Item {
@@ -332,5 +335,187 @@ func TestHighDimensionalBulkLoad(t *testing.T) {
 	}
 	if got := len(tr.Root().Leaves(nil)); got != tr.NumPages() {
 		t.Fatalf("leaves %d != pages %d", got, tr.NumPages())
+	}
+}
+
+// refBulkLoadSTR, refStrPack and refSortByCenter are the bulk loader as it
+// was first written — one sort.SliceStable over the entries per axis and per
+// group — kept as the oracle BulkLoadSTR must reproduce bit for bit.
+func refBulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
+	t, err := New(dim, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(items) == 0 {
+		return t, nil
+	}
+	leafEntries := make([]entry, len(items))
+	for i, it := range items {
+		leafEntries[i] = entry{mbr: it.MBR.Clone(), item: it}
+	}
+	nodes := refStrPack(leafEntries, dim, t.cfg.MaxLeafEntries, true, 0)
+	for level := 1; len(nodes) > 1; level++ {
+		parentEntries := make([]entry, len(nodes))
+		for i, c := range nodes {
+			parentEntries[i] = entry{mbr: nodeMBR(c), child: c}
+		}
+		nodes = refStrPack(parentEntries, dim, t.cfg.MaxBranchEntries, false, level)
+	}
+	t.root = nodes[0]
+	t.size = len(items)
+	return t, nil
+}
+
+func refStrPack(entries []entry, dim, capacity int, leaf bool, level int) []*node {
+	numNodes := (len(entries) + capacity - 1) / capacity
+	groups := [][]entry{entries}
+	for axis := 0; axis < dim-1 && numNodes > 1; axis++ {
+		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
+		var next [][]entry
+		for _, g := range groups {
+			refSortByCenter(g, axis)
+			slabSize := (len(g) + slabsPerGroup - 1) / slabsPerGroup
+			if slabSize < capacity {
+				slabSize = capacity
+			}
+			for i := 0; i < len(g); i += slabSize {
+				next = append(next, g[i:min(i+slabSize, len(g))])
+			}
+		}
+		groups = next
+	}
+	var out []*node
+	for _, g := range groups {
+		refSortByCenter(g, dim-1)
+		for i := 0; i < len(g); i += capacity {
+			out = append(out, &node{
+				leaf:    leaf,
+				level:   level,
+				page:    -1,
+				entries: append([]entry(nil), g[i:min(i+capacity, len(g))]...),
+			})
+		}
+	}
+	return out
+}
+
+func refSortByCenter(es []entry, axis int) {
+	sort.SliceStable(es, func(i, j int) bool {
+		ci := (es[i].mbr.Min[axis] + es[i].mbr.Max[axis]) / 2
+		cj := (es[j].mbr.Min[axis] + es[j].mbr.Max[axis]) / 2
+		return ci < cj
+	})
+}
+
+// strOracleItems draws the tree-identity inputs. Ties are where sorting a
+// finished slab once by its owed axes could part from sorting it axis by
+// axis, so three of the four shapes are made of them.
+func strOracleItems(rng *rand.Rand, shape string, n, dim int) []Item {
+	items := make([]Item, n)
+	dup := make(geom.Vector, dim)
+	for d := range dup {
+		dup[d] = rng.Float64()
+	}
+	for i := range items {
+		lo, hi := make(geom.Vector, dim), make(geom.Vector, dim)
+		t := rng.Float64()
+		for d := range lo {
+			switch shape {
+			case "uniform": // small boxes, so centres are not corners
+				lo[d] = rng.Float64()
+				hi[d] = lo[d] + rng.Float64()/16
+			case "duplicates":
+				lo[d], hi[d] = dup[d], dup[d]
+			case "quantised": // 4 values per axis: trailing axes are all ties
+				lo[d] = float64(rng.Intn(4)) / 4
+				hi[d] = lo[d]
+			case "collinear":
+				lo[d] = dup[d] + t*float64(d+1)
+				hi[d] = lo[d]
+			}
+		}
+		items[i] = Item{ID: i, MBR: geom.MBR{Min: lo, Max: hi}}
+	}
+	return items
+}
+
+func sameBits(a, b geom.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameHierarchy reports the first difference between two exported
+// hierarchies: shape, page numbers, or any MBR corner bit.
+func sameHierarchy(got, want *index.Node, path string) error {
+	if got.Page != want.Page || len(got.Children) != len(want.Children) {
+		return fmt.Errorf("node %s: page %d with %d children, want page %d with %d",
+			path, got.Page, len(got.Children), want.Page, len(want.Children))
+	}
+	if !sameBits(got.MBR.Min, want.MBR.Min) || !sameBits(got.MBR.Max, want.MBR.Max) {
+		return fmt.Errorf("node %s: MBR %v, want %v", path, got.MBR, want.MBR)
+	}
+	for i := range got.Children {
+		if err := sameHierarchy(got.Children[i], want.Children[i], fmt.Sprintf("%s.%d", path, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestBulkLoadSTRMatchesPerAxisSorts is the tree-identity oracle: the key
+// permutation and the single sort of finished slabs must pack the same pages
+// in the same order under the same MBR hierarchy as the per-axis passes.
+func TestBulkLoadSTRMatchesPerAxisSorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, dim := range []int{1, 2, 3, 16, 60} {
+		for _, capacity := range []int{2, 8, 32} {
+			for _, n := range []int{1, capacity, capacity + 1, 1000, 5000} {
+				if testing.Short() && n > 1000 {
+					continue // the reference costs 59 stable passes over 5 000 entries
+				}
+				for _, shape := range []string{"uniform", "duplicates", "quantised", "collinear"} {
+					name := fmt.Sprintf("dim=%d/cap=%d/n=%d/%s", dim, capacity, n, shape)
+					items := strOracleItems(rng, shape, n, dim)
+					cfg := DefaultConfig(capacity)
+					cfg.MaxBranchEntries = capacity
+					got, err := BulkLoadSTR(dim, cfg, items)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := refBulkLoadSTR(dim, cfg, items)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					gotPages, wantPages := got.Pack(), want.Pack()
+					if len(gotPages) != len(wantPages) {
+						t.Fatalf("%s: %d pages, want %d", name, len(gotPages), len(wantPages))
+					}
+					for p := range wantPages {
+						if len(gotPages[p]) != len(wantPages[p]) {
+							t.Fatalf("%s: page %d holds %d items, want %d", name, p, len(gotPages[p]), len(wantPages[p]))
+						}
+						for k := range wantPages[p] {
+							if gotPages[p][k].ID != wantPages[p][k].ID {
+								t.Fatalf("%s: page %d slot %d holds item %d, want %d",
+									name, p, k, gotPages[p][k].ID, wantPages[p][k].ID)
+							}
+						}
+					}
+					if err := sameHierarchy(got.Root(), want.Root(), "root"); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+		}
 	}
 }

@@ -282,10 +282,23 @@ type VectorOptions struct {
 	BranchFanout int
 }
 
+// firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+// No index order, MBR or distance bound is defined over such a value (a NaN
+// compares false with everything, so sorting by it has no answer and a
+// MinDist through it never passes "≤ ε"), so ingest refuses it.
+func firstNonFinite(v []float64) int {
+	for i, x := range v {
+		if x-x != 0 { // only NaN and ±Inf are not 0 away from themselves
+			return i
+		}
+	}
+	return -1
+}
+
 // AddVectors indexes dim-dimensional vectors with an R*-tree whose leaves
 // are one page each, lays the vectors out page-contiguously on the
 // simulated disk (§5.1), and returns the joinable dataset. Object IDs are
-// the indices into vecs.
+// the indices into vecs. Every coordinate must be finite.
 func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (*Dataset, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("pmjoin: dataset %q is empty", name)
@@ -297,6 +310,9 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	for i, v := range vecs {
 		if len(v) != dim {
 			return nil, fmt.Errorf("pmjoin: dataset %q vector %d has dim %d, want %d", name, i, len(v), dim)
+		}
+		if d := firstNonFinite(v); d >= 0 {
+			return nil, fmt.Errorf("pmjoin: dataset %q vector %d has non-finite coordinate %d (%g)", name, i, d, v[d])
 		}
 	}
 	pageBytes := opts.PageBytes
@@ -382,8 +398,11 @@ type SeriesOptions struct {
 
 // AddSeries indexes the sliding windows of a time series with an MR-index
 // and lays the samples out page-contiguously. Window IDs number the windows
-// in position order.
+// in position order. Every sample must be finite.
 func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*Dataset, error) {
+	if i := firstNonFinite(series); i >= 0 {
+		return nil, fmt.Errorf("pmjoin: dataset %q has non-finite sample %d (%g)", name, i, series[i])
+	}
 	pageBytes := opts.PageBytes
 	if pageBytes == 0 {
 		pageBytes = s.model.PageBytes

@@ -50,6 +50,13 @@ echo "==> go test -race ${SHORT_FLAG} ./..."
 # give the heaviest package headroom beyond the 10m default.
 go test -race -timeout=20m ${SHORT_FLAG} ./...
 
+echo "==> go test ./bench (the end-to-end benchmark's own tests)"
+# Already part of ./... above, under -race; run once more without it because
+# that is how the benchmark runs: the -scale tiny smoke checks that every
+# metric in BENCHMARK.json is produced, that exact counters repeat, and
+# Lemma 2, on the binary the benchmark actually builds.
+go test ./bench
+
 echo "==> pmjoind load smoke (benchrunner -exp load)"
 # Drives the real joinsvc handler stack with 8 concurrent clients in an
 # open/query/cancel/explain mix. LoadBench exits nonzero if any request is
