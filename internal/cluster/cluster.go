@@ -9,7 +9,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmjoin/internal/predmat"
 )
@@ -30,25 +30,50 @@ func (c *Cluster) Cols() []int { return c.cols }
 // Pages returns rows+cols, the number of pages the cluster needs resident.
 func (c *Cluster) Pages() int { return len(c.rows) + len(c.cols) }
 
-// finalize derives rows/cols from entries.
-func (c *Cluster) finalize() {
-	rset := make(map[int]struct{})
-	cset := make(map[int]struct{})
-	for _, e := range c.Entries {
-		rset[e.R] = struct{}{}
-		cset[e.C] = struct{}{}
-	}
-	c.rows = sortedKeys(rset)
-	c.cols = sortedKeys(cset)
+// newCluster wraps entries with the distinct rows and cols they touch (in
+// any order; copied into one allocation and sorted here).
+func newCluster(entries []predmat.Entry, rows, cols []int) *Cluster {
+	pages := make([]int, len(rows)+len(cols))
+	copy(pages, rows)
+	copy(pages[len(rows):], cols)
+	c := &Cluster{Entries: entries, rows: pages[:len(rows):len(rows)], cols: pages[len(rows):]}
+	slices.Sort(c.rows)
+	slices.Sort(c.cols)
+	return c
 }
 
-func sortedKeys(s map[int]struct{}) []int {
-	out := make([]int, 0, len(s))
-	for k := range s {
-		out = append(out, k)
+// windows copies list(k) for every k in keys into one backing array and
+// returns, indexed 0..n-1, each key's window of it (nil for other indices).
+// Windows are capped, so shrinking one in place never touches its neighbour.
+func windows(n, total int, keys []int, list func(int) []int) [][]int {
+	out := make([][]int, n)
+	buf := make([]int, 0, total)
+	for _, k := range keys {
+		lo := len(buf)
+		buf = append(buf, list(k)...)
+		out[k] = buf[lo:len(buf):len(buf)]
 	}
-	sort.Ints(out)
 	return out
+}
+
+// stamps is a set over 0..n-1 that empties in O(1): members carry the
+// current epoch.
+type stamps struct {
+	at    []int
+	epoch int
+}
+
+func newStamps(n int) stamps     { return stamps{at: make([]int, n), epoch: 1} }
+func (s *stamps) reset()         { s.epoch++ }
+func (s *stamps) has(i int) bool { return s.at[i] == s.epoch }
+
+// add inserts i and reports whether it was new.
+func (s *stamps) add(i int) bool {
+	if s.at[i] == s.epoch {
+		return false
+	}
+	s.at[i] = s.epoch
+	return true
 }
 
 // Validate checks that every cluster fits into a buffer of size b, that
@@ -87,14 +112,12 @@ type SquareOptions struct {
 	RowFraction float64
 }
 
-// Square runs the SC algorithm: iteratively form clusters that take marked
-// columns in ascending order (minimal width) and at most rowCap marked rows,
-// with rowCap+colCap = b (Figure 6, observations 1-2 of Theorem 2).
-func Square(m *predmat.Matrix, b int) ([]*Cluster, error) {
-	return SquareOpts(m, b, SquareOptions{})
-}
-
-// SquareOpts is Square with explicit options.
+// SquareOpts runs the SC algorithm: iteratively form clusters that take
+// marked columns in ascending order (minimal width) and at most rowCap
+// marked rows, with rowCap+colCap = b (Figure 6, observations 1-2 of
+// Theorem 2). A cluster costs the pending entries of the columns it visits:
+// they are windows of one copy of the CSC lists, compacted in place, and
+// exhausted columns leave the walk.
 func SquareOpts(m *predmat.Matrix, b int, opts SquareOptions) ([]*Cluster, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("cluster: buffer %d < 2", b)
@@ -116,52 +139,53 @@ func SquareOpts(m *predmat.Matrix, b int, opts SquareOptions) ([]*Cluster, error
 		rowCap = b - 1
 	}
 
-	// unassigned[c] holds the not-yet-clustered marked rows of column c.
-	unassigned := make(map[int][]int, len(m.MarkedCols()))
-	colOrder := m.MarkedCols()
-	remaining := 0
-	for _, c := range colOrder {
-		rows := append([]int(nil), m.ColRows(c)...)
-		unassigned[c] = rows
-		remaining += len(rows)
-	}
+	// pending[c] holds the unassigned rows of column c, ascending; live lists
+	// the columns that still have some, ascending.
+	remaining := m.Marked()
+	pending := windows(m.Cols(), remaining, m.MarkedCols(), m.ColRows)
+	live := slices.Clone(m.MarkedCols())
 
+	entries := make([]predmat.Entry, 0, remaining)
+	inRows := newStamps(m.Rows())
+	rows := make([]int, 0, rowCap)
+	cols := make([]int, 0, colCap)
 	var clusters []*Cluster
 	for remaining > 0 {
-		cl := &Cluster{}
-		rows := make(map[int]struct{}, rowCap)
-		cols := make(map[int]struct{}, colCap)
-		for _, c := range colOrder {
-			pending := unassigned[c]
-			if len(pending) == 0 {
-				continue
-			}
-			if len(cols) >= colCap {
-				break
-			}
-			var leftover []int
-			took := false
-			for _, r := range pending {
-				_, have := rows[r]
-				if !have && len(rows) >= rowCap {
-					leftover = append(leftover, r)
+		start := len(entries)
+		inRows.reset()
+		rows, cols = rows[:0], cols[:0]
+		keep, k := 0, 0
+		for ; k < len(live) && len(cols) < colCap; k++ {
+			c := live[k]
+			p := pending[c]
+			left := 0 // p[:left] is what stays pending
+			for _, r := range p {
+				if !inRows.has(r) && len(rows) >= rowCap {
+					p[left] = r
+					left++
 					continue
 				}
-				rows[r] = struct{}{}
-				cl.Entries = append(cl.Entries, predmat.Entry{R: r, C: c})
-				took = true
-				remaining--
+				if inRows.add(r) {
+					rows = append(rows, r)
+				}
+				entries = append(entries, predmat.Entry{R: r, C: c})
 			}
-			unassigned[c] = leftover
-			if took {
-				cols[c] = struct{}{}
+			if left < len(p) {
+				cols = append(cols, c)
+			}
+			remaining -= len(p) - left
+			pending[c] = p[:left]
+			if left > 0 {
+				live[keep] = c
+				keep++
 			}
 		}
-		if len(cl.Entries) == 0 {
+		live = append(live[:keep], live[k:]...)
+		if len(entries) == start {
 			return nil, fmt.Errorf("cluster: SC made no progress with %d entries remaining", remaining)
 		}
-		cl.finalize()
-		clusters = append(clusters, cl)
+		n := len(entries)
+		clusters = append(clusters, newCluster(entries[start:n:n], rows, cols))
 	}
 	return clusters, nil
 }

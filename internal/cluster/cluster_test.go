@@ -37,7 +37,7 @@ func bandedMatrix(rng *rand.Rand, n, band int, density float64) *predmat.Matrix 
 
 func TestSquareRejectsTinyBuffer(t *testing.T) {
 	m := randomMatrix(rand.New(rand.NewSource(1)), 4, 4, 0.5)
-	if _, err := Square(m, 1); err == nil {
+	if _, err := SquareOpts(m, 1, SquareOptions{}); err == nil {
 		t.Fatal("buffer 1 accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestSquareValidOverRandomMatrices(t *testing.T) {
 		if m.Marked() == 0 {
 			continue
 		}
-		clusters, err := Square(m, b)
+		clusters, err := SquareOpts(m, b, SquareOptions{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -78,7 +78,7 @@ func TestSquareShapeBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(rng, 50, 50, 0.3)
 	const b = 10
-	clusters, err := Square(m, b)
+	clusters, err := SquareOpts(m, b, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSquareRowFractionShapes(t *testing.T) {
 
 func TestSquareEmptyMatrix(t *testing.T) {
 	m := predmat.NewMatrix(10, 10)
-	clusters, err := Square(m, 8)
+	clusters, err := SquareOpts(m, 8, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSquareEmptyMatrix(t *testing.T) {
 func TestSquareSingleEntry(t *testing.T) {
 	m := predmat.NewMatrix(10, 10)
 	m.Mark(7, 3)
-	clusters, err := Square(m, 4)
+	clusters, err := SquareOpts(m, 4, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSquareDenseColumn(t *testing.T) {
 	for r := 0; r < 40; r++ {
 		m.Mark(r, 1)
 	}
-	clusters, err := Square(m, 8)
+	clusters, err := SquareOpts(m, 8, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSquareMinimalWidthPreference(t *testing.T) {
 	m.Mark(0, 0)
 	m.Mark(1, 1)
 	m.Mark(2, 50)
-	clusters, err := Square(m, 6)
+	clusters, err := SquareOpts(m, 6, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,27 +183,27 @@ func TestValidateCatchesBadClusters(t *testing.T) {
 	// Missing coverage.
 	c1 := &Cluster{Entries: []predmat.Entry{{R: 0, C: 0}}}
 	c1Fix := *c1
-	c1Fix.finalize()
+	refFinalize(&c1Fix)
 	if err := Validate([]*Cluster{&c1Fix}, m, 8); err == nil {
 		t.Fatal("missing coverage not detected")
 	}
 	// Duplicate assignment.
 	c2 := &Cluster{Entries: []predmat.Entry{{R: 0, C: 0}, {R: 1, C: 1}}}
-	c2.finalize()
+	refFinalize(c2)
 	c3 := &Cluster{Entries: []predmat.Entry{{R: 0, C: 0}}}
-	c3.finalize()
+	refFinalize(c3)
 	if err := Validate([]*Cluster{c2, c3}, m, 8); err == nil {
 		t.Fatal("duplicate not detected")
 	}
 	// Unmarked entry.
 	c4 := &Cluster{Entries: []predmat.Entry{{R: 4, C: 4}}}
-	c4.finalize()
+	refFinalize(c4)
 	if err := Validate([]*Cluster{c4}, m, 8); err == nil {
 		t.Fatal("unmarked entry not detected")
 	}
 	// Oversized cluster.
 	big := &Cluster{Entries: []predmat.Entry{{R: 0, C: 0}, {R: 1, C: 1}}}
-	big.finalize()
+	refFinalize(big)
 	if err := Validate([]*Cluster{big}, m, 3); err == nil {
 		t.Fatal("oversized cluster not detected")
 	}
@@ -307,7 +307,7 @@ func TestCostClusterEfficiency(t *testing.T) {
 
 func TestClusterAccessors(t *testing.T) {
 	c := &Cluster{Entries: []predmat.Entry{{R: 3, C: 1}, {R: 3, C: 2}, {R: 5, C: 1}}}
-	c.finalize()
+	refFinalize(c)
 	if got := c.Rows(); len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("rows = %v", got)
 	}

@@ -49,9 +49,7 @@ func Cost(m *predmat.Matrix, b int, opts CostOptions) ([]*Cluster, error) {
 	}
 	opts.defaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
-
-	cc := &ccState{m: m, b: b, opts: opts}
-	cc.init()
+	cc := newCCState(m, b, opts)
 
 	var clusters []*Cluster
 	for cc.remaining > 0 {
@@ -59,9 +57,7 @@ func Cost(m *predmat.Matrix, b int, opts CostOptions) ([]*Cluster, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: CC histogram exhausted with %d entries remaining", cc.remaining)
 		}
-		cl := cc.grow(seed)
-		cl.finalize()
-		clusters = append(clusters, cl)
+		clusters = append(clusters, cc.grow(seed))
 	}
 	return clusters, nil
 }
@@ -71,15 +67,25 @@ type ccState struct {
 	b    int
 	opts CostOptions
 
-	// liveByRow / liveByCol track unassigned entries for fast rectangle
-	// absorption and directional scans.
-	liveByRow map[int][]int
-	liveByCol map[int][]int
+	// liveByRow[r] / liveByCol[c] are the unassigned entries of row r /
+	// column c, ascending: windows of one copy each of the matrix's CSR /
+	// CSC lists, shrunk in place as entries are absorbed.
+	liveByRow [][]int
+	liveByCol [][]int
 	// rowIndex / colIndex are the ascending marked rows / columns of the
 	// matrix (static), used by the outward cost walks.
 	rowIndex  []int
 	colIndex  []int
 	remaining int
+
+	// The growing cluster: entries[start:] (one backing array for every
+	// cluster), its distinct rows and cols as stamps plus lists.
+	entries        []predmat.Entry
+	inRows, inCols stamps
+	rows, cols     []int
+	// Scratch: pagesAfter's newly covered columns, pickSeed's candidates.
+	seenCols   stamps
+	candidates []predmat.Entry
 
 	hist     []int // histogram bucket counts
 	bins     int
@@ -87,18 +93,21 @@ type ccState struct {
 	colScale float64
 }
 
-func (cc *ccState) init() {
-	cc.liveByRow = make(map[int][]int)
-	cc.liveByCol = make(map[int][]int)
-	for _, r := range cc.m.MarkedRows() {
-		cc.liveByRow[r] = append([]int(nil), cc.m.RowCols(r)...)
+func newCCState(m *predmat.Matrix, b int, opts CostOptions) *ccState {
+	cc := &ccState{
+		m:         m,
+		b:         b,
+		opts:      opts,
+		liveByRow: windows(m.Rows(), m.Marked(), m.MarkedRows(), m.RowCols),
+		liveByCol: windows(m.Cols(), m.Marked(), m.MarkedCols(), m.ColRows),
+		rowIndex:  m.MarkedRows(),
+		colIndex:  m.MarkedCols(),
+		remaining: m.Marked(),
+		entries:   make([]predmat.Entry, 0, m.Marked()),
+		inRows:    newStamps(m.Rows()),
+		inCols:    newStamps(m.Cols()),
+		seenCols:  newStamps(m.Cols()),
 	}
-	for _, c := range cc.m.MarkedCols() {
-		cc.liveByCol[c] = append([]int(nil), cc.m.ColRows(c)...)
-	}
-	cc.rowIndex = cc.m.MarkedRows()
-	cc.colIndex = cc.m.MarkedCols()
-	cc.remaining = cc.m.Marked()
 
 	cc.bins = cc.opts.HistogramBins
 	if cc.bins > cc.m.Rows() {
@@ -115,6 +124,7 @@ func (cc *ccState) init() {
 			cc.hist[cc.bucket(r, c)]++
 		}
 	}
+	return cc
 }
 
 func (cc *ccState) bucket(r, c int) int {
@@ -145,26 +155,26 @@ func (cc *ccState) pickSeed(rng *rand.Rand) (predmat.Entry, bool) {
 	bc := best % cc.bins
 	rLo := int(float64(br) / cc.rowScale)
 	rHi := int(float64(br+1) / cc.rowScale)
-	var candidates []predmat.Entry
+	cc.candidates = cc.candidates[:0]
 	for r := rLo; r <= rHi && r < cc.m.Rows(); r++ {
 		for _, c := range cc.liveByRow[r] {
 			bcGot := cc.bucket(r, c) % cc.bins
 			if bcGot == bc {
-				candidates = append(candidates, predmat.Entry{R: r, C: c})
+				cc.candidates = append(cc.candidates, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	if len(candidates) == 0 {
-		// Histogram count drifted (should not happen); fall back to any
-		// live entry.
-		for r, cols := range cc.liveByRow {
-			if len(cols) > 0 {
+	if len(cc.candidates) == 0 {
+		// Histogram count drifted (should not happen); fall back to the
+		// first live entry in row order.
+		for _, r := range cc.rowIndex {
+			if cols := cc.liveByRow[r]; len(cols) > 0 {
 				return predmat.Entry{R: r, C: cols[0]}, true
 			}
 		}
 		return predmat.Entry{}, false
 	}
-	return candidates[rng.Intn(len(candidates))], true
+	return cc.candidates[rng.Intn(len(cc.candidates))], true
 }
 
 // rect is the growing cluster rectangle.
@@ -174,11 +184,12 @@ type rect struct {
 
 // grow builds one cluster starting from seed (Figure 8 steps 3.b-3.e).
 func (cc *ccState) grow(seed predmat.Entry) *Cluster {
-	cl := &Cluster{}
+	start := len(cc.entries)
+	cc.inRows.reset()
+	cc.inCols.reset()
+	cc.rows, cc.cols = cc.rows[:0], cc.cols[:0]
 	rc := rect{rLo: seed.R, rHi: seed.R, cLo: seed.C, cHi: seed.C}
-	rows := map[int]struct{}{}
-	cols := map[int]struct{}{}
-	cc.absorb(cl, rc, rows, cols)
+	cc.absorb(rc)
 
 	for cc.remaining > 0 {
 		next, ok := cc.cheapestExpansion(rc)
@@ -199,72 +210,64 @@ func (cc *ccState) grow(seed predmat.Entry) *Cluster {
 			newRect.cHi = next.C
 		}
 		// Check buffer fit after absorbing everything the expansion covers.
-		newRows, newCols := cc.pagesAfter(newRect, rows, cols)
-		if newRows+newCols > cc.b {
+		if cc.pagesAfter(newRect) > cc.b {
 			break
 		}
 		rc = newRect
-		cc.absorb(cl, rc, rows, cols)
+		cc.absorb(rc)
 	}
-	return cl
+	n := len(cc.entries)
+	return newCluster(cc.entries[start:n:n], cc.rows, cc.cols)
 }
 
-// pagesAfter counts distinct marked rows/cols the cluster would have after
-// expanding to nr, without mutating state.
-func (cc *ccState) pagesAfter(nr rect, rows, cols map[int]struct{}) (int, int) {
-	nRows := len(rows)
-	nCols := len(cols)
+// pagesAfter counts the distinct marked rows+cols the cluster would have
+// after expanding to nr, without mutating the live lists.
+func (cc *ccState) pagesAfter(nr rect) int {
+	pages := len(cc.rows) + len(cc.cols)
+	cc.seenCols.reset()
 	for r := nr.rLo; r <= nr.rHi; r++ {
-		if _, have := rows[r]; have {
-			continue
-		}
-		for _, c := range cc.liveByRow[r] {
-			if c >= nr.cLo && c <= nr.cHi {
-				nRows++
+		live := cc.liveByRow[r]
+		covered := false
+		for _, c := range live[sort.SearchInts(live, nr.cLo):] {
+			if c > nr.cHi {
 				break
 			}
+			covered = true
+			if !cc.inCols.has(c) && cc.seenCols.add(c) {
+				pages++
+			}
+		}
+		if covered && !cc.inRows.has(r) {
+			pages++
 		}
 	}
-	seenCols := make(map[int]struct{})
-	for r := nr.rLo; r <= nr.rHi; r++ {
-		for _, c := range cc.liveByRow[r] {
-			if c < nr.cLo || c > nr.cHi {
-				continue
-			}
-			if _, have := cols[c]; have {
-				continue
-			}
-			if _, dup := seenCols[c]; dup {
-				continue
-			}
-			seenCols[c] = struct{}{}
-			nCols++
-		}
-	}
-	return nRows, nCols
+	return pages
 }
 
-// absorb assigns every unassigned marked entry inside rc to cl.
-func (cc *ccState) absorb(cl *Cluster, rc rect, rows, cols map[int]struct{}) {
+// absorb assigns every unassigned marked entry inside rc to the growing
+// cluster.
+func (cc *ccState) absorb(rc rect) {
 	for r := rc.rLo; r <= rc.rHi; r++ {
 		live := cc.liveByRow[r]
-		if len(live) == 0 {
-			continue
-		}
-		var keep []int
+		keep := 0
 		for _, c := range live {
 			if c < rc.cLo || c > rc.cHi {
-				keep = append(keep, c)
+				live[keep] = c
+				keep++
 				continue
 			}
-			cl.Entries = append(cl.Entries, predmat.Entry{R: r, C: c})
-			rows[r] = struct{}{}
-			cols[c] = struct{}{}
+			cc.entries = append(cc.entries, predmat.Entry{R: r, C: c})
+			if cc.inRows.add(r) {
+				cc.rows = append(cc.rows, r)
+			}
+			if cc.inCols.add(c) {
+				cc.cols = append(cc.cols, c)
+			}
 			cc.remaining--
 			cc.hist[cc.bucket(r, c)]--
 			cc.removeFromCol(c, r)
 		}
-		cc.liveByRow[r] = keep
+		cc.liveByRow[r] = live[:keep]
 	}
 }
 
@@ -305,13 +308,13 @@ func (cc *ccState) cheapestExpansion(rc rect) (predmat.Entry, bool) {
 			// Best live partner column of this row: the extension cost is
 			// V-shaped in the column index, so the candidates nearest the
 			// column interval win; liveByRow[r] is sorted.
-			if c, ok := nearestLive(cc.liveByRow[r], rc.cLo, rc.cHi, cc.extendCostFn(rc.cLo, rc.cHi)); ok {
+			if c, ok := cc.nearestLive(cc.liveByRow[r], rc.cLo, rc.cHi); ok {
 				consider(r, c)
 			}
 		}
 		c, _, cOK := colWalk.next()
 		if cOK {
-			if r2, ok := nearestLive(cc.liveByCol[c], rc.rLo, rc.rHi, cc.extendCostFn(rc.rLo, rc.rHi)); ok {
+			if r2, ok := cc.nearestLive(cc.liveByCol[c], rc.rLo, rc.rHi); ok {
 				consider(r2, c)
 			}
 		}
@@ -347,7 +350,7 @@ func (cc *ccState) cheapestExpansion(rc rect) (predmat.Entry, bool) {
 type walk struct {
 	cc       *ccState
 	sorted   []int // all marked indices of the direction, ascending
-	live     map[int][]int
+	live     [][]int
 	lo, hi   int
 	inside   int // next position within [lo,hi]
 	insideHi int // first position past hi
@@ -355,8 +358,8 @@ type walk struct {
 	right    int // next position above hi (ascending)
 }
 
-func (cc *ccState) newWalk(lo, hi int, sorted []int, live map[int][]int) *walk {
-	w := &walk{cc: cc, sorted: sorted, live: live, lo: lo, hi: hi}
+func (cc *ccState) newWalk(lo, hi int, sorted []int, live [][]int) walk {
+	w := walk{cc: cc, sorted: sorted, live: live, lo: lo, hi: hi}
 	w.inside = sort.SearchInts(sorted, lo)
 	w.insideHi = sort.SearchInts(sorted, hi+1)
 	w.left = w.inside - 1
@@ -420,16 +423,10 @@ func (w *walk) sideCost(pos int) (float64, bool) {
 	return w.cc.extendCost(w.sorted[pos], w.lo, w.hi), true
 }
 
-// extendCostFn returns the single-direction extension cost function for the
-// interval [lo,hi].
-func (cc *ccState) extendCostFn(lo, hi int) func(int) float64 {
-	return func(p int) float64 { return cc.extendCost(p, lo, hi) }
-}
-
 // nearestLive returns the index in the sorted live list with minimum
 // extension cost relative to [lo,hi]: an index inside the interval if any,
 // otherwise the nearest neighbour of either boundary.
-func nearestLive(sorted []int, lo, hi int, costOf func(int) float64) (int, bool) {
+func (cc *ccState) nearestLive(sorted []int, lo, hi int) (int, bool) {
 	if len(sorted) == 0 {
 		return 0, false
 	}
@@ -439,10 +436,10 @@ func nearestLive(sorted []int, lo, hi int, costOf func(int) float64) (int, bool)
 	}
 	best, bestCost := 0, -1.0
 	if pos-1 >= 0 {
-		best, bestCost = sorted[pos-1], costOf(sorted[pos-1])
+		best, bestCost = sorted[pos-1], cc.extendCost(sorted[pos-1], lo, hi)
 	}
 	if pos < len(sorted) {
-		if c := costOf(sorted[pos]); bestCost < 0 || c < bestCost {
+		if c := cc.extendCost(sorted[pos], lo, hi); bestCost < 0 || c < bestCost {
 			best, bestCost = sorted[pos], c
 		}
 	}
@@ -473,11 +470,4 @@ func (cc *ccState) extendCost(p, lo, hi int) float64 {
 		}
 		return cost
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
@@ -341,14 +340,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 
 		pageSets := make([]sched.PageSet, len(clusters))
 		for i, c := range clusters {
-			ps := make(sched.PageSet, c.Pages())
-			for _, row := range c.Rows() {
-				ps[disk.PageAddr{File: r.File, Page: row}] = struct{}{}
-			}
-			for _, col := range c.Cols() {
-				ps[disk.PageAddr{File: s.File, Page: col}] = struct{}{}
-			}
-			pageSets[i] = ps
+			pageSets[i] = sched.NewPageSet(r.File, c.Rows(), s.File, c.Cols())
 		}
 
 		var order []int
@@ -358,11 +350,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			// it runs inside the executor scope; the nested phase window
 			// attributes it (exclusively) to PhaseCluster.
 			e.Metrics.PhaseStart(metrics.PhaseCluster)
-			var submit func(func())
-			if e.Workers != nil {
-				submit = e.Workers.Run
-			}
-			edges := sched.SharingGraphParallel(pageSets, submit)
+			edges := sched.SharingGraph(pageSets)
 			order = sched.GreedyOrder(len(clusters), edges)
 			e.Metrics.PhaseEnd()
 			x.Rep.PreprocessSeconds += ModelSchedulePreprocess(len(edges))
@@ -379,7 +367,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 		// victims are the same front-first survivors — so FIFO runs stay
 		// unpipelined regardless of the option.
 		prefetching := e.Prefetch && e.Policy == buffer.LRU && len(order) > 1
-		var plan [][]any
+		var plan []sched.PageSet
 		if prefetching {
 			plan = sched.PrefetchPlan(pageSets, order)
 		}
@@ -394,17 +382,17 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			}
 			c := clusters[ci]
 			e.Metrics.ClusterStart(ci)
-			// Fetch missing pages in ascending (file, page) order; pin all.
-			// Staged frames from the predecessor's prefetch are claimed here:
-			// the claim counts nothing (their hit or miss was pre-charged at
-			// stage time), keeping the counters identical with prefetch off.
-			addrs := sortedAddrs(pageSets[ci])
-			for _, a := range addrs {
+			// Fetch missing pages in ascending (file, page) order — the page
+			// set's own order — and pin all. Staged frames from the
+			// predecessor's prefetch are claimed here: the claim counts
+			// nothing (their hit or miss was pre-charged at stage time),
+			// keeping the counters identical with prefetch off.
+			for _, a := range pageSets[ci] {
 				if _, err := x.Pool.GetPinned(a); err != nil {
 					return err
 				}
 			}
-			e.Metrics.ClusterPinned(len(addrs))
+			e.Metrics.ClusterPinned(len(pageSets[ci]))
 			if err := x.JoinCluster(r, s, c, j); err != nil {
 				return err
 			}
@@ -431,46 +419,19 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 	})
 }
 
-// sortedAddrs returns the page set's addresses in ascending (file, page)
-// order — the optimal disk scheduling order [40] shared by the pin loop and
-// the prefetch loop, which is what keeps the two modes' read sequences
-// identical.
-func sortedAddrs(ps sched.PageSet) []disk.PageAddr {
-	addrs := make([]disk.PageAddr, 0, len(ps))
-	for a := range ps {
-		addrs = append(addrs, a.(disk.PageAddr))
-	}
-	sort.Slice(addrs, func(i, k int) bool {
-		if addrs[i].File != addrs[k].File {
-			return addrs[i].File < addrs[k].File
-		}
-		return addrs[i].Page < addrs[k].Page
-	})
-	return addrs
-}
-
 // prefetchStep stages the next cluster's prefetch-plan pages (ascending
-// order, bounded by PrefetchDepth) while the current cluster's comparisons
-// run. A degraded admission (no evictable frame) ends the step: every
-// remaining plan page is then non-resident — any resident one would itself
-// have been an eviction candidate — so the deferred reads fall through to the
-// successor's pin loop, where the victim order matches the unpipelined run.
-func (e *Engine) prefetchStep(x *Exec, step []any, target int) error {
+// order — the pin loop's order — bounded by PrefetchDepth) while the current
+// cluster's comparisons run. A degraded admission (no evictable frame) ends
+// the step: every remaining plan page is then non-resident — any resident one
+// would itself have been an eviction candidate — so the deferred reads fall
+// through to the successor's pin loop, where the victim order matches the
+// unpipelined run.
+func (e *Engine) prefetchStep(x *Exec, step sched.PageSet, target int) error {
 	if len(step) == 0 {
 		return nil
 	}
-	addrs := make([]disk.PageAddr, len(step))
-	for i, p := range step {
-		addrs[i] = p.(disk.PageAddr)
-	}
-	sort.Slice(addrs, func(i, k int) bool {
-		if addrs[i].File != addrs[k].File {
-			return addrs[i].File < addrs[k].File
-		}
-		return addrs[i].Page < addrs[k].Page
-	})
-	if e.PrefetchDepth > 0 && len(addrs) > e.PrefetchDepth {
-		addrs = addrs[:e.PrefetchDepth]
+	if e.PrefetchDepth > 0 && len(step) > e.PrefetchDepth {
+		step = step[:e.PrefetchDepth]
 	}
 	if e.Timeline != nil {
 		e.Timeline.BeginOverlap()
@@ -478,7 +439,7 @@ func (e *Engine) prefetchStep(x *Exec, step []any, target int) error {
 	}
 	readMark := x.IO.Stats().Reads
 	staged := int64(0)
-	for _, a := range addrs {
+	for _, a := range step {
 		ok, err := x.Pool.Prefetch(a)
 		if err != nil {
 			return err

@@ -146,7 +146,7 @@ func TestPMNLJMatrixShapeMismatch(t *testing.T) {
 func TestClusteredMatchesNLJAllOrders(t *testing.T) {
 	d, da, db, want, eps := testSetup(t, 5, 300, 200)
 	m := buildMatrix(t, da, db, eps)
-	clusters, err := cluster.Square(m, 12)
+	clusters, err := cluster.SquareOpts(m, 12, cluster.SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestClusteredMatchesNLJAllOrders(t *testing.T) {
 func TestClusteredRejectsOversizedCluster(t *testing.T) {
 	d, da, db, _, eps := testSetup(t, 6, 200, 150)
 	m := buildMatrix(t, da, db, eps)
-	clusters, err := cluster.Square(m, 16)
+	clusters, err := cluster.SquareOpts(m, 16, cluster.SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSelfJoinConsistentAcrossExecutors(t *testing.T) {
 	if pm.Results != want {
 		t.Fatalf("pm-NLJ self = %d, want %d", pm.Results, want)
 	}
-	clusters, err := cluster.Square(m, 10)
+	clusters, err := cluster.SquareOpts(m, 10, cluster.SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestClusteredIOBeatsPMNLJOnBandedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters, err := cluster.Square(m, b)
+	clusters, err := cluster.SquareOpts(m, b, cluster.SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestClusteredIOBeatsPMNLJOnBandedWorkload(t *testing.T) {
 func TestLemma2NoIntraClusterMisses(t *testing.T) {
 	d, da, db, _, eps := testSetup(t, 11, 400, 300)
 	m := buildMatrix(t, da, db, eps)
-	clusters, err := cluster.Square(m, 14)
+	clusters, err := cluster.SquareOpts(m, 14, cluster.SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

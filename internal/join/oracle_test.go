@@ -318,7 +318,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			clusters, err := cluster.Square(m, buffer)
+			clusters, err := cluster.SquareOpts(m, buffer, cluster.SquareOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func runEngine(t *testing.T, method string, workers int, seed int64) (*Report, [
 		rep, err = e.PMNLJ(da, db, buildMatrix(t, da, db, eps), j)
 	case "SC":
 		m := buildMatrix(t, da, db, eps)
-		clusters, cerr := cluster.Square(m, e.BufferSize)
+		clusters, cerr := cluster.SquareOpts(m, e.BufferSize, cluster.SquareOptions{})
 		if cerr != nil {
 			t.Fatal(cerr)
 		}

@@ -4,51 +4,27 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
-)
 
-// sharingGraphMapRef is the pre-optimization SharingGraph: pairwise weights
-// via per-element map probes (hash work per (pair, element)). Kept as the
-// reference implementation for equivalence tests and the "before" side of
-// BenchmarkSharingGraph.
-func sharingGraphMapRef(pages []PageSet) []Edge {
-	var edges []Edge
-	for i := range pages {
-		for j := i + 1; j < len(pages); j++ {
-			a, b := pages[i], pages[j]
-			if len(b) < len(a) {
-				a, b = b, a
-			}
-			w := 0
-			for p := range a {
-				if _, ok := b[p]; ok {
-					w++
-				}
-			}
-			if w > 0 {
-				edges = append(edges, Edge{A: i, B: j, Weight: w})
-			}
-		}
-	}
-	return edges
-}
+	"pmjoin/internal/disk"
+)
 
 // benchSets builds n overlapping page sets of ~setSize pages drawn from a
 // universe sized to give neighbouring clusters substantial sharing, the shape
 // the clustered executor produces.
-func benchSets(n, setSize int, seed int64) []PageSet {
+func benchSets(n, setSize int, seed int64) []refSet {
 	rng := rand.New(rand.NewSource(seed))
-	sets := make([]PageSet, n)
+	sets := make([]refSet, n)
 	universe := n * setSize / 4
 	if universe < setSize {
 		universe = setSize
 	}
 	for i := range sets {
-		s := make(PageSet, setSize)
+		s := make(refSet, setSize)
 		base := (i * setSize / 3) % universe
 		for k := 0; k < setSize; k++ {
-			s[(base+rng.Intn(setSize*2))%universe] = struct{}{}
+			s[disk.PageAddr{Page: (base + rng.Intn(setSize*2)) % universe}] = struct{}{}
 		}
 		sets[i] = s
 	}
@@ -64,16 +40,10 @@ func TestSharingGraphMatchesMapReference(t *testing.T) {
 	} {
 		sets := benchSets(tc.n, tc.setSize, tc.seed)
 		want := sharingGraphMapRef(sets)
-		got := SharingGraph(sets)
+		got := SharingGraph(toPageSets(sets))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d setSize=%d: interned graph differs from map reference\n got %v\nwant %v",
+			t.Fatalf("n=%d setSize=%d: inverted-index graph differs from map reference\n got %v\nwant %v",
 				tc.n, tc.setSize, got, want)
-		}
-		// The parallel path must match element for element too; an inline
-		// submit exercises the row fan-out without a pool.
-		par := SharingGraphParallel(sets, func(task func()) { task() })
-		if !reflect.DeepEqual(par, want) {
-			t.Fatalf("n=%d setSize=%d: parallel graph differs from reference", tc.n, tc.setSize)
 		}
 	}
 }
@@ -82,7 +52,7 @@ func TestPrefetchPlanComplementsStepSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 30; iter++ {
 		n := 1 + rng.Intn(12)
-		sets := benchSets(n, 2+rng.Intn(8), int64(100+iter))
+		sets := toPageSets(benchSets(n, 2+rng.Intn(8), int64(100+iter)))
 		order := GreedyOrder(n, SharingGraph(sets))
 		plan := PrefetchPlan(sets, order)
 		steps := StepSavings(sets, order)
@@ -99,18 +69,16 @@ func TestPrefetchPlanComplementsStepSavings(t *testing.T) {
 					iter, i, got, want)
 			}
 			prev := sets[order[i-1]]
-			seen := make(map[any]bool, len(plan[i]))
-			for _, p := range plan[i] {
-				if _, ok := cur[p]; !ok {
+			for k, p := range plan[i] {
+				if !slices.Contains(cur, p) {
 					t.Fatalf("iter %d step %d: planned page %v not in cluster", iter, i, p)
 				}
-				if _, ok := prev[p]; ok {
+				if slices.Contains(prev, p) {
 					t.Fatalf("iter %d step %d: planned page %v is pinned by predecessor", iter, i, p)
 				}
-				if seen[p] {
-					t.Fatalf("iter %d step %d: duplicate page %v", iter, i, p)
+				if k > 0 && comparePages(plan[i][k-1], p) >= 0 {
+					t.Fatalf("iter %d step %d: pages %v not strictly ascending", iter, i, plan[i])
 				}
-				seen[p] = true
 			}
 		}
 	}
@@ -119,20 +87,12 @@ func TestPrefetchPlanComplementsStepSavings(t *testing.T) {
 func TestPrefetchPlanDisjointClusters(t *testing.T) {
 	sets := []PageSet{pageSet(1, 2), pageSet(3, 4, 5)}
 	plan := PrefetchPlan(sets, []int{0, 1})
-	if plan[0] != nil || len(plan[1]) != 3 {
+	if plan[0] != nil || !slices.Equal(plan[1], pageSet(3, 4, 5)) {
 		t.Fatalf("plan = %v", plan)
-	}
-	got := make([]int, 0, 3)
-	for _, p := range plan[1] {
-		got = append(got, p.(int))
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{3, 4, 5}) {
-		t.Fatalf("step 1 pages = %v", got)
 	}
 }
 
-func benchmarkGraph(b *testing.B, f func([]PageSet) []Edge) {
+func benchmarkGraph(b *testing.B, f func([]refSet) []Edge) {
 	for _, size := range []struct{ n, pages int }{
 		{64, 32}, {256, 32}, {256, 128},
 	} {
@@ -146,7 +106,21 @@ func benchmarkGraph(b *testing.B, f func([]PageSet) []Edge) {
 	}
 }
 
-// BenchmarkSharingGraph is the "after" side (interned sorted-slice merge);
-// BenchmarkSharingGraphMapProbe is the "before" side (per-element map probes).
-func BenchmarkSharingGraph(b *testing.B)         { benchmarkGraph(b, SharingGraph) }
+// BenchmarkSharingGraph is the "after" side (inverted index over sorted page
+// sets, conversion included); BenchmarkSharingGraphMapProbe is the "before"
+// side (per-element map probes).
+func BenchmarkSharingGraph(b *testing.B) {
+	benchmarkGraph(b, func(s []refSet) []Edge { return SharingGraph(toPageSets(s)) })
+}
 func BenchmarkSharingGraphMapProbe(b *testing.B) { benchmarkGraph(b, sharingGraphMapRef) }
+
+// BenchmarkSharingGraph376 is the landsat_* schedule's size: 376 clusters of
+// 100 pages.
+func BenchmarkSharingGraph376(b *testing.B) {
+	sets := toPageSets(benchSets(376, 100, 42))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SharingGraph(sets)
+	}
+}

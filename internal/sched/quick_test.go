@@ -16,10 +16,7 @@ func TestQuickGreedyOrderProperties(t *testing.T) {
 		}
 		sets := make([]PageSet, len(raw))
 		for i, r := range raw {
-			sets[i] = PageSet{}
-			for _, p := range r {
-				sets[i][int(p%16)] = struct{}{}
-			}
+			sets[i] = pageSet(int(r[0]%16), int(r[1]%16), int(r[2]%16))
 		}
 		edges := SharingGraph(sets)
 		order := GreedyOrder(len(sets), edges)
@@ -50,20 +47,23 @@ func TestQuickGreedyOrderProperties(t *testing.T) {
 // intersection sizes regardless of set ordering.
 func TestQuickSharingGraphSymmetricWeights(t *testing.T) {
 	f := func(a, b []uint8) bool {
-		sa := PageSet{}
+		var inA, inB [32]bool
+		var pa, pb []int
 		for _, p := range a {
-			sa[int(p%32)] = struct{}{}
+			inA[p%32] = true
+			pa = append(pa, int(p%32))
 		}
-		sb := PageSet{}
 		for _, p := range b {
-			sb[int(p%32)] = struct{}{}
+			inB[p%32] = true
+			pb = append(pb, int(p%32))
 		}
 		shared := 0
-		for p := range sa {
-			if _, ok := sb[p]; ok {
+		for p := range inA {
+			if inA[p] && inB[p] {
 				shared++
 			}
 		}
+		sa, sb := pageSet(pa...), pageSet(pb...)
 		e1 := SharingGraph([]PageSet{sa, sb})
 		e2 := SharingGraph([]PageSet{sb, sa})
 		w1, w2 := 0, 0

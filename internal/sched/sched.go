@@ -7,14 +7,39 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
+
+	"pmjoin/internal/disk"
 )
 
-// PageSet is the set of pages a cluster needs, as opaque comparable keys
-// (the join layer uses disk.PageAddr).
-type PageSet map[any]struct{}
+// PageSet is the set of pages a cluster needs resident: distinct addresses in
+// ascending (file, page) order, the optimal disk scheduling order [40] in
+// which the executor fetches and pins them.
+type PageSet []disk.PageAddr
+
+// NewPageSet returns the page set of a cluster with the given ascending
+// distinct rows (pages of rFile) and cols (pages of sFile). In a self join
+// (rFile == sFile) a row and an equal col are one page, listed once.
+func NewPageSet(rFile disk.FileID, rows []int, sFile disk.FileID, cols []int) PageSet {
+	ps := make(PageSet, 0, len(rows)+len(cols))
+	for _, p := range rows {
+		ps = append(ps, disk.PageAddr{File: rFile, Page: p})
+	}
+	for _, p := range cols {
+		ps = append(ps, disk.PageAddr{File: sFile, Page: p})
+	}
+	if sFile <= rFile {
+		slices.SortFunc(ps, comparePages)
+		ps = slices.Compact(ps)
+	}
+	return ps
+}
+
+func comparePages(a, b disk.PageAddr) int {
+	return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Page, b.Page))
+}
 
 // Edge is one weighted sharing-graph edge between cluster indices A < B.
 type Edge struct {
@@ -22,100 +47,89 @@ type Edge struct {
 	Weight int
 }
 
-// SharingGraph computes all positive-weight edges between the page sets.
+// SharingGraph computes all positive-weight edges between the page sets, in
+// ascending (A, B) order.
 //
-// Page keys are interned once into dense integer ids and each set becomes a
-// sorted id slice, so every pairwise weight is a linear merge over two sorted
-// slices instead of per-element map probes: the hash work is paid once per
-// page occurrence (O(total set size)) rather than once per (pair, element).
-// See BenchmarkSharingGraph in this package for the before/after numbers.
+// It inverts the sets into page → holding clusters lists, then for each
+// cluster A counts, over its pages, the holders B > A: O(Σ k²) over pages
+// held by k clusters, where pairwise set merges would cost O(n² · B).
 func SharingGraph(pages []PageSet) []Edge {
-	sets := internSets(pages)
+	ids, universe := pageIDs(pages)
+	// holders[head[p]:head[p+1]] are the clusters holding page id p, ascending.
+	head := make([]int, universe+1)
+	for _, set := range ids {
+		for _, p := range set {
+			head[p+1]++
+		}
+	}
+	for p := range universe {
+		head[p+1] += head[p]
+	}
+	holders := make([]int, head[universe])
+	next := slices.Clone(head[:universe])
+	for i, set := range ids {
+		for _, p := range set {
+			holders[next[p]] = i
+			next[p]++
+		}
+	}
+	// Clusters are visited in ascending order, so when A is visited it is
+	// the first holder of each of its pages that next has not yet passed.
+	copy(next, head)
+	weight := make([]int, len(pages))
+	var touched []int
 	var edges []Edge
-	for i := range sets {
-		edges = append(edges, rowEdges(sets, i)...)
-	}
-	return edges
-}
-
-// SharingGraphParallel is SharingGraph with the per-row edge computations
-// fanned out through submit (a worker pool's Run). Rows are independent and
-// their results are concatenated in row order, so the returned slice is
-// identical to SharingGraph's — element for element — regardless of worker
-// count or completion order. A nil submit falls back to the serial path.
-// Interning runs serially up front; only the pairwise merges fan out.
-func SharingGraphParallel(pages []PageSet, submit func(task func())) []Edge {
-	if submit == nil {
-		return SharingGraph(pages)
-	}
-	sets := internSets(pages)
-	rows := make([][]Edge, len(sets))
-	var wg sync.WaitGroup
-	for i := range sets {
-		wg.Add(1)
-		submit(func() {
-			defer wg.Done()
-			rows[i] = rowEdges(sets, i)
-		})
-	}
-	wg.Wait()
-	var edges []Edge
-	for _, r := range rows {
-		edges = append(edges, r...)
-	}
-	return edges
-}
-
-// internSets assigns each distinct page key a dense id and returns each set
-// as a sorted id slice. Id assignment order follows map iteration and is not
-// deterministic, but ids are only ever compared for equality, so the
-// intersection weights — and therefore the returned edges — are.
-func internSets(pages []PageSet) [][]int32 {
-	ids := make(map[any]int32)
-	sets := make([][]int32, len(pages))
-	for i, ps := range pages {
-		s := make([]int32, 0, len(ps))
-		for p := range ps {
-			id, ok := ids[p]
-			if !ok {
-				id = int32(len(ids))
-				ids[p] = id
+	for a, set := range ids {
+		touched = touched[:0]
+		for _, p := range set {
+			next[p]++
+			for _, b := range holders[next[p]:head[p+1]] {
+				if weight[b] == 0 {
+					touched = append(touched, b)
+				}
+				weight[b]++
 			}
-			s = append(s, id)
 		}
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		sets[i] = s
-	}
-	return sets
-}
-
-// rowEdges computes the positive-weight edges (i, j) for all j > i.
-func rowEdges(sets [][]int32, i int) []Edge {
-	var edges []Edge
-	for j := i + 1; j < len(sets); j++ {
-		if w := intersectCount(sets[i], sets[j]); w > 0 {
-			edges = append(edges, Edge{A: i, B: j, Weight: w})
+		slices.Sort(touched)
+		for _, b := range touched {
+			edges = append(edges, Edge{A: a, B: b, Weight: weight[b]})
+			weight[b] = 0
 		}
 	}
 	return edges
 }
 
-// intersectCount merges two sorted id slices and counts common elements.
-func intersectCount(a, b []int32) int {
-	w, ai, bi := 0, 0, 0
-	for ai < len(a) && bi < len(b) {
-		switch {
-		case a[ai] < b[bi]:
-			ai++
-		case a[ai] > b[bi]:
-			bi++
-		default:
-			w++
-			ai++
-			bi++
+// pageIDs numbers the pages densely — a file's page p is p plus the page
+// counts of the files met before it (a join has one or two) — and returns
+// every set as ids, views of one array, and the number of ids.
+func pageIDs(pages []PageSet) ([][]int, int) {
+	var files []disk.FileID
+	var offset []int // per file: first the page count, then the id offset
+	total := 0
+	for _, set := range pages {
+		total += len(set)
+		for _, a := range set {
+			k := slices.Index(files, a.File)
+			if k < 0 {
+				k = len(files)
+				files, offset = append(files, a.File), append(offset, 0)
+			}
+			offset[k] = max(offset[k], a.Page+1)
 		}
 	}
-	return w
+	universe := 0
+	for k, n := range offset {
+		offset[k], universe = universe, universe+n
+	}
+	flat := make([]int, total)
+	ids := make([][]int, len(pages))
+	for i, set := range pages {
+		ids[i], flat = flat[:len(set)], flat[len(set):]
+		for j, a := range set {
+			ids[i][j] = offset[slices.Index(files, a.File)] + a.Page
+		}
+	}
+	return ids, universe
 }
 
 // PathSavings returns the total page reads saved by visiting clusters in the
@@ -137,15 +151,7 @@ func PathSavings(pages []PageSet, order []int) int {
 func StepSavings(pages []PageSet, order []int) []int {
 	steps := make([]int, len(order))
 	for i := 1; i < len(order); i++ {
-		a, b := pages[order[i-1]], pages[order[i]]
-		if len(b) < len(a) {
-			a, b = b, a
-		}
-		for p := range a {
-			if _, ok := b[p]; ok {
-				steps[i]++
-			}
-		}
+		steps[i] = shared(pages[order[i-1]], pages[order[i]])
 	}
 	return steps
 }
@@ -159,23 +165,44 @@ func StepSavings(pages []PageSet, order []int) []int {
 //
 // Step 0 is nil: the first cluster has no predecessor to overlap with, so all
 // of its pages are demand-fetched. For every later position i,
-// len(plan[i]) == len(pages[order[i]]) - StepSavings(pages, order)[i].
-// Pages within a step are in unspecified order; callers sort by their
-// concrete key type before issuing I/O.
-func PrefetchPlan(pages []PageSet, order []int) [][]any {
-	plan := make([][]any, len(order))
+// len(plan[i]) == len(pages[order[i]]) - StepSavings(pages, order)[i], and
+// the step lists its pages in ascending order, the order the pin loop would
+// fetch them in.
+func PrefetchPlan(pages []PageSet, order []int) []PageSet {
+	plan := make([]PageSet, len(order))
 	for i := 1; i < len(order); i++ {
-		prev, cur := pages[order[i-1]], pages[order[i]]
-		step := make([]any, 0, len(cur))
-		//lint:ignore maporder step order is documented as unspecified; PageSet keys are `any` and unsortable here — callers sort by their concrete key type before issuing I/O
-		for p := range cur {
-			if _, ok := prev[p]; !ok {
-				step = append(step, p)
-			}
-		}
-		plan[i] = step
+		plan[i] = missing(pages[order[i]], pages[order[i-1]])
 	}
 	return plan
+}
+
+// shared counts the pages two sets have in common (one sorted merge).
+func shared(a, b PageSet) int {
+	n, j := 0, 0
+	for _, p := range a {
+		for j < len(b) && comparePages(b[j], p) < 0 {
+			j++
+		}
+		if j < len(b) && b[j] == p {
+			n++
+		}
+	}
+	return n
+}
+
+// missing returns the pages of cur that prev lacks, in ascending order.
+func missing(cur, prev PageSet) PageSet {
+	step := make(PageSet, 0, len(cur))
+	j := 0
+	for _, a := range cur {
+		for j < len(prev) && comparePages(prev[j], a) < 0 {
+			j++
+		}
+		if j == len(prev) || prev[j] != a {
+			step = append(step, a)
+		}
+	}
+	return step
 }
 
 // GreedyOrder returns a processing order over all n clusters maximizing
@@ -186,15 +213,10 @@ func GreedyOrder(n int, edges []Edge) []int {
 	if n == 0 {
 		return nil
 	}
-	sorted := append([]Edge(nil), edges...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Weight != sorted[j].Weight {
-			return sorted[i].Weight > sorted[j].Weight
-		}
-		if sorted[i].A != sorted[j].A {
-			return sorted[i].A < sorted[j].A
-		}
-		return sorted[i].B < sorted[j].B
+	// Heaviest first; (A, B) breaks ties, so the order is total.
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(y.Weight, x.Weight), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 
 	degree := make([]int, n)

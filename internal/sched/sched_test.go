@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
+// pageSet builds the page set of the given pages of file 0 (NewPageSet sorts
+// and dedups a self join's pages, so they may come unsorted and repeated).
 func pageSet(pages ...int) PageSet {
-	s := make(PageSet, len(pages))
-	for _, p := range pages {
-		s[p] = struct{}{}
-	}
-	return s
+	return NewPageSet(0, nil, 0, pages)
 }
 
 func TestSharingGraphWeights(t *testing.T) {
@@ -72,10 +70,11 @@ func TestGreedyOrderIsPermutation(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		sets := make([]PageSet, n)
 		for i := range sets {
-			sets[i] = make(PageSet)
+			var pages []int
 			for k := 0; k < 1+rng.Intn(6); k++ {
-				sets[i][rng.Intn(30)] = struct{}{}
+				pages = append(pages, rng.Intn(30))
 			}
+			sets[i] = pageSet(pages...)
 		}
 		order := GreedyOrder(n, SharingGraph(sets))
 		if !isPermutation(order, n) {

@@ -216,14 +216,7 @@ func cutBetter(in bool, step int, c float64, bestIn bool, bestStep int, bestC, i
 func PageSets(clusters []*cluster.Cluster, rFile, sFile disk.FileID) []sched.PageSet {
 	sets := make([]sched.PageSet, len(clusters))
 	for i, c := range clusters {
-		ps := make(sched.PageSet, c.Pages())
-		for _, row := range c.Rows() {
-			ps[disk.PageAddr{File: rFile, Page: row}] = struct{}{}
-		}
-		for _, col := range c.Cols() {
-			ps[disk.PageAddr{File: sFile, Page: col}] = struct{}{}
-		}
-		sets[i] = ps
+		sets[i] = sched.NewPageSet(rFile, c.Rows(), sFile, c.Cols())
 	}
 	return sets
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
 	"pmjoin/internal/sched"
 )
@@ -21,8 +22,8 @@ func chainSets(n, size, stride int) []sched.PageSet {
 	sets := make([]sched.PageSet, n)
 	for i := range sets {
 		ps := make(sched.PageSet, size)
-		for p := 0; p < size; p++ {
-			ps[i*stride+p] = struct{}{}
+		for p := range ps {
+			ps[p] = disk.PageAddr{Page: i*stride + p}
 		}
 		sets[i] = ps
 	}
@@ -114,18 +115,19 @@ func TestCutPrefersWeakEdges(t *testing.T) {
 	block := func(base int) []sched.PageSet {
 		var sets []sched.PageSet
 		for i := 0; i < 3; i++ {
-			ps := make(sched.PageSet)
+			var ps []int
 			for p := 0; p < 8; p++ {
-				ps[base+p] = struct{}{} // the block's shared core
+				ps = append(ps, base+p) // the block's shared core
 			}
-			ps[base+100+i] = struct{}{} // a private page each
-			sets = append(sets, ps)
+			ps = append(ps, base+100+i) // a private page each
+			if base == 0 && i == 2 {
+				ps = append(ps, 50) // one shared bridge page between the blocks
+			}
+			sets = append(sets, sched.NewPageSet(0, nil, 0, ps))
 		}
 		return sets
 	}
 	pages := append(block(0), block(50)...)
-	// One shared bridge page between the blocks.
-	pages[2][50] = struct{}{}
 	plan, err := Cut(pages, uniformEntries(6, 10), 2, testCost)
 	if err != nil {
 		t.Fatal(err)

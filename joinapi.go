@@ -37,7 +37,10 @@ type ExecStats struct {
 	// MatrixWall is the wall time of prediction-matrix construction
 	// (zero when the matrix was cached or the method builds none).
 	MatrixWall time.Duration
-	// PreprocessWall is the wall time of clustering and scheduling.
+	// PreprocessWall is the wall time of clustering alone (SC or CC; zero
+	// for unclustered methods). The schedule is built inside the clustered
+	// executor, so its wall time lands in JoinWall — although the metrics
+	// ledger attributes it to the cluster phase.
 	PreprocessWall time.Duration
 	// JoinWall is the wall time of the join executor itself.
 	JoinWall time.Duration

@@ -123,7 +123,22 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 }
 
 func TestAdmitterQueueFullAndDeadline(t *testing.T) {
-	ad := &admitter{budget: 10, queueCap: 1, timeout: 20 * time.Millisecond}
+	// The scenario needs the second arrival to find the first still queued.
+	// A 20 ms deadline can pass before the test observes it queued (a loaded
+	// -race run did), so a missed window retries with a doubled deadline.
+	for timeout := 20 * time.Millisecond; timeout <= 5*time.Second; timeout *= 2 {
+		if admitterQueueFullAndDeadline(t, timeout) {
+			return
+		}
+	}
+	t.Fatal("the queued waiter expired before the queue-full arrival at every deadline up to 5s")
+}
+
+// admitterQueueFullAndDeadline runs the scenario once and reports false when
+// the waiter's deadline passed before the queue-full arrival.
+func admitterQueueFullAndDeadline(t *testing.T, timeout time.Duration) bool {
+	t.Helper()
+	ad := &admitter{budget: 10, queueCap: 1, timeout: timeout}
 	ctx := context.Background()
 	if err := ad.acquire(ctx, 10); err != nil {
 		t.Fatal(err)
@@ -132,21 +147,32 @@ func TestAdmitterQueueFullAndDeadline(t *testing.T) {
 	// One waiter fits in the queue and times out at the deadline.
 	errCh := make(chan error, 1)
 	go func() { errCh <- ad.acquire(ctx, 5) }()
-	// Wait until it is queued, then a second arrival overflows the queue.
+	// Wait until it is queued; its deadline bounds the wait, since it leaves
+	// the queue (expired moves) no later than timeout after joining it.
 	for {
-		_, _, _, _, _, queued, _ := ad.snapshot()
+		_, _, expired, _, _, queued, _ := ad.snapshot()
+		if expired > 0 {
+			<-errCh
+			return false
+		}
 		if queued == 1 {
 			break
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
-	if err := ad.acquire(ctx, 5); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("queue-full acquire err = %v, want ErrOverloaded", err)
-	}
+	// A second arrival overflows the queue — unless the waiter expired since
+	// the snapshot, in which case this one queues and expires in turn.
+	overflowErr := ad.acquire(ctx, 5)
 	if err := <-errCh; !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("deadline acquire err = %v, want ErrOverloaded", err)
 	}
 	admitted, rejected, expired, inUse, _, queued, _ := ad.snapshot()
+	if rejected == 0 && expired == 2 {
+		return false
+	}
+	if !errors.Is(overflowErr, ErrOverloaded) {
+		t.Fatalf("queue-full acquire err = %v, want ErrOverloaded", overflowErr)
+	}
 	if admitted != 1 || rejected != 1 || expired != 1 || inUse != 10 || queued != 0 {
 		t.Fatalf("counters: admitted=%d rejected=%d expired=%d inUse=%d queued=%d",
 			admitted, rejected, expired, inUse, queued)
@@ -158,6 +184,7 @@ func TestAdmitterQueueFullAndDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ad.release(10)
+	return true
 }
 
 func TestAdmitterFIFOAndOversize(t *testing.T) {
