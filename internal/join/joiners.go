@@ -294,7 +294,7 @@ type StringPage struct {
 
 // StringJoiner joins string windows under edit distance with threshold
 // MaxEdit, using the frequency distance as a cheap first filter and the
-// banded edit-distance DP only on surviving pairs (the multi-step filtering
+// banded edit distance only on surviving pairs (the multi-step filtering
 // of [9] applied to sequence data).
 type StringJoiner struct {
 	MaxEdit int
@@ -304,28 +304,55 @@ type StringJoiner struct {
 	ExcludeOverlap int
 }
 
+// packedStackCells is the stack capacity of JoinPages' packed frequency
+// scratch, which takes alpha+2 cells per window of page b: 256 windows of a
+// 4-symbol alphabet, over twice a 4 KB page of 500-symbol windows at
+// stride 32.
+const packedStackCells = 256 * (4 + 2)
+
 // JoinPages implements ObjectJoiner.
+//
+// The frequency filter runs on page b's vectors packed component-major:
+// for each window of a, one pass per symbol over all of b's windows sums
+// the L1 distances, and the frequency distance max(Σ positive, Σ negative
+// differences) is then (L1 + |Σ d|)/2, with Σ d the difference of the two
+// windows' totals. No step branches on a sign.
 func (j StringJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
 	pa, ok := a.(*StringPage)
 	if !ok {
 		panic(fmt.Sprintf("join: StringJoiner got %T", a))
 	}
 	pb := b.(*StringPage)
+	if len(pa.Windows) == 0 {
+		return 0, 0
+	}
 	var comps, verifs int64
-	w := 0
-	if len(pa.Windows) > 0 {
-		w = len(pa.Windows[0])
+	w := len(pa.Windows[0])
+	alpha := len(pa.Freqs[0])
+	nb := len(pb.Windows)
+	// Components count one symbol of one window, so int32 holds them.
+	var stack [packedStackCells]int32
+	scratch := stack[:]
+	if need := nb * (alpha + 2); need > len(stack) {
+		scratch = make([]int32, need)
 	}
-	alpha := 0
-	if len(pa.Freqs) > 0 {
-		alpha = len(pa.Freqs[0])
+	cols, totals, l1 := scratch[:alpha*nb], scratch[alpha*nb:(alpha+1)*nb], scratch[(alpha+1)*nb:(alpha+2)*nb]
+	for k := range nb {
+		f := pb.Freqs[k]
+		if len(f) != alpha {
+			panic(fmt.Sprintf("join: frequency dimension mismatch %d vs %d", alpha, len(f)))
+		}
+		for c, v := range f {
+			cols[c*nb+k] = int32(v)
+			totals[k] += int32(v)
+		}
 	}
-	fast4 := alpha == 4
 	for i := range pa.Windows {
-		fi := pa.Freqs[i]
+		clear(l1)
+		ti := freqL1(pa.Freqs[i], cols, l1)
 		idI := pa.IDs[i]
 		startI := pa.Starts[i]
-		for k := range pb.Windows {
+		for k, l1k := range l1 {
 			if j.Self {
 				if idI >= pb.IDs[k] {
 					continue
@@ -341,34 +368,9 @@ func (j StringJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 				}
 			}
 			comps++
-			fk := pb.Freqs[k]
-			if fast4 {
-				// Inlined 4-symbol frequency distance (the NLJ hot loop).
-				var pos, neg int
-				if d := fi[0] - fk[0]; d > 0 {
-					pos += d
-				} else {
-					neg -= d
-				}
-				if d := fi[1] - fk[1]; d > 0 {
-					pos += d
-				} else {
-					neg -= d
-				}
-				if d := fi[2] - fk[2]; d > 0 {
-					pos += d
-				} else {
-					neg -= d
-				}
-				if d := fi[3] - fk[3]; d > 0 {
-					pos += d
-				} else {
-					neg -= d
-				}
-				if pos > j.MaxEdit || neg > j.MaxEdit {
-					continue
-				}
-			} else if seqdist.FreqDistance(fi, fk) > j.MaxEdit {
+			sd := ti - totals[k]
+			s := sd >> 31
+			if int((l1k+(sd^s)-s)>>1) > j.MaxEdit {
 				continue
 			}
 			verifs++
@@ -381,4 +383,27 @@ func (j StringJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 	bandCells := float64(2*j.MaxEdit+1) * float64(w)
 	cpu := float64(comps)*perPair + float64(verifs)*bandCells*editPerCellCost
 	return comps, cpu
+}
+
+// freqL1 adds to l1[k], zero on entry, the L1 distance between the
+// frequency vector fi and window k of cols, packed component-major
+// (component c of window k at cols[c*len(l1)+k]), and returns fi's total.
+// Looping over windows inside components keeps the sums in registers; a
+// window-at-a-time loop over so few components spills them and runs about
+// 1.5× slower, and so does this loop inlined into JoinPages.
+//
+//go:noinline
+func freqL1(fi []int, cols, l1 []int32) (total int32) {
+	n := len(l1)
+	for c, v := range fi {
+		a := int32(v)
+		total += a
+		col := cols[c*n:][:n]
+		for k, b := range col {
+			d := a - b
+			s := d >> 31
+			l1[k] += (d ^ s) - s
+		}
+	}
+	return total
 }

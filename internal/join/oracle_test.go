@@ -14,6 +14,7 @@ import (
 	"pmjoin/internal/index"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
+	"pmjoin/internal/seqdist"
 )
 
 // The reference comparison loops: the plain per-pair distance tests that
@@ -76,16 +77,52 @@ func refSeriesJoinPages(j SeriesJoiner, pa, pb *SeriesPage, emit func(int, int))
 	return comps, float64(comps) * perPair
 }
 
-// refJoinPages dispatches to the reference loop for j. String joins have no
-// float kernel: their one integer path is its own reference.
+// refStringJoinPages is the string join by definition: a pair matches when
+// its full edit distance is at most MaxEdit, whatever the frequency filter
+// says. The filter only decides which pairs the modeled CPU charges a
+// banded verification for, so it enters the reference through the public
+// FreqDistance and the seed's cost formula alone.
+func refStringJoinPages(j StringJoiner, pa, pb *StringPage, emit func(int, int)) (int64, float64) {
+	var comps, verifs int64
+	w, alpha := 0, 0
+	if len(pa.Windows) > 0 {
+		w, alpha = len(pa.Windows[0]), len(pa.Freqs[0])
+	}
+	for i, wa := range pa.Windows {
+		for k, wb := range pb.Windows {
+			if j.Self {
+				if pa.IDs[i] >= pb.IDs[k] {
+					continue
+				}
+				if d := pa.Starts[i] - pb.Starts[k]; max(d, -d) < j.ExcludeOverlap {
+					continue
+				}
+			}
+			comps++
+			if seqdist.FreqDistance(pa.Freqs[i], pb.Freqs[k]) <= j.MaxEdit {
+				verifs++
+			}
+			if seqdist.EditDistance(wa, wb) <= j.MaxEdit {
+				emit(pa.IDs[i], pb.IDs[k])
+			}
+		}
+	}
+	perPair := compareBaseCost + comparePerDimCost*float64(alpha)
+	bandCells := float64(2*j.MaxEdit+1) * float64(w)
+	return comps, float64(comps)*perPair + float64(verifs)*bandCells*editPerCellCost
+}
+
+// refJoinPages dispatches to the reference loop for j.
 func refJoinPages(j ObjectJoiner, a, b any, emit func(int, int)) (int64, float64) {
 	switch j := j.(type) {
 	case VectorJoiner:
 		return refVectorJoinPages(j, a.(*VectorPage), b.(*VectorPage), emit)
 	case SeriesJoiner:
 		return refSeriesJoinPages(j, a.(*SeriesPage), b.(*SeriesPage), emit)
+	case StringJoiner:
+		return refStringJoinPages(j, a.(*StringPage), b.(*StringPage), emit)
 	default:
-		return j.JoinPages(a, b, emit)
+		panic(fmt.Sprintf("no reference loop for %T", j))
 	}
 }
 
@@ -132,6 +169,20 @@ func randVectorPage(rng *rand.Rand, firstID, n, dim int) *VectorPage {
 	for i, r := range randRows(rng, n, dim) {
 		p.IDs = append(p.IDs, firstID+i)
 		p.Vecs = append(p.Vecs, r)
+	}
+	return p
+}
+
+// stringPage cuts the windows firstID … firstID+n−1 of length w at stride
+// out of seq, with their frequency vectors over alpha.
+func stringPage(seq []byte, alpha *seqdist.Alphabet, firstID, n, w, stride int) *StringPage {
+	p := &StringPage{}
+	for id := firstID; id < firstID+n; id++ {
+		win := seq[id*stride : id*stride+w]
+		p.IDs = append(p.IDs, id)
+		p.Starts = append(p.Starts, id*stride)
+		p.Windows = append(p.Windows, win)
+		p.Freqs = append(p.Freqs, alpha.FreqVector(win))
 	}
 	return p
 }
@@ -220,6 +271,55 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 					t.Error("self join compared every pair; the id and overlap skips are not in play")
 				}
 			})
+		}
+	}
+
+	// Strings: page b is cut from a copy of page a's sequence with about one
+	// substitution per window, and the sequence repeats its first 80
+	// symbols 120 further on, so every k finds matches, self joins too.
+	// Alphabets other than DNA's four symbols change the packed filter's
+	// stride, and the large page outgrows its stack scratch.
+	const sw, sstride = 24, 4
+	srng := rand.New(rand.NewSource(8))
+	stringCase := func(name string, j StringJoiner, pa, pb *StringPage) {
+		t.Run("string/"+name, func(t *testing.T) {
+			var got, want joinTrace
+			got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
+			want.add(func(emit func(int, int)) (int64, float64) { return refStringJoinPages(j, pa, pb, emit) })
+			got.check(t, want)
+			if len(pa.IDs) > 0 && len(pb.IDs) > 0 && len(want.pairs) == 0 {
+				t.Error("the reference matched nothing; the verification step is not exercised")
+			}
+		})
+	}
+	for _, symbols := range []string{"ACGT", "ACGTN", "AB", "ACDEFGHIKLMNPQRSTVWY"} {
+		alpha, err := seqdist.NewAlphabet(symbols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqA := make([]byte, 2100)
+		for i := range seqA {
+			seqA[i] = symbols[srng.Intn(len(symbols))]
+		}
+		copy(seqA[120:200], seqA[:80])
+		seqB := append([]byte(nil), seqA...)
+		for i := range seqB {
+			if srng.Intn(sw) == 0 {
+				seqB[i] = symbols[srng.Intn(len(symbols))]
+			}
+		}
+		pa := stringPage(seqA, alpha, 0, 40, sw, sstride)
+		for _, k := range []int{0, 2, 5} {
+			stringCase(fmt.Sprintf("%s/k=%d", symbols, k), StringJoiner{MaxEdit: k},
+				pa, stringPage(seqB, alpha, 20, 50, sw, sstride))
+			stringCase(fmt.Sprintf("%s/self/k=%d", symbols, k), StringJoiner{MaxEdit: k, Self: true, ExcludeOverlap: sw},
+				pa, stringPage(seqA, alpha, 0, 60, sw, sstride))
+		}
+		large := stringPage(seqB, alpha, 0, packedStackCells/(alpha.Size()+2)+1, sw, sstride)
+		stringCase(symbols+"/large-b", StringJoiner{MaxEdit: 3}, pa, large)
+		if symbols == "ACGT" {
+			stringCase("empty-a", StringJoiner{MaxEdit: 3}, &StringPage{}, large)
+			stringCase("empty-b", StringJoiner{MaxEdit: 3}, pa, &StringPage{})
 		}
 	}
 }

@@ -12,13 +12,21 @@ import (
 // MRS-index prediction matrix relies on).
 func FuzzEditDistanceBand(f *testing.F) {
 	// Seed corpus: equal strings, disjoint alphabets, single edits,
-	// length-skewed pairs, and symbols outside the DNA alphabet.
+	// length-skewed pairs, and symbols outside the DNA alphabet; then the
+	// inputs EditDistanceBounded's bit-parallel band hands to its DP
+	// fallback (a band wider than a word, more than eight symbols) and the
+	// band's one-word edge (k = 31) at lengths past 128.
 	f.Add([]byte("ACGT"), []byte("ACGT"), 3)
 	f.Add([]byte("AAAA"), []byte("TTTT"), 2)
 	f.Add([]byte("ACGTACGT"), []byte("ACTTACGT"), 1)
 	f.Add([]byte("A"), []byte("ACGTACGTACGT"), 4)
 	f.Add([]byte(""), []byte("ACG"), 0)
 	f.Add([]byte("ACNNGT"), []byte("ACGT"), 5)
+	long := bytes.Repeat([]byte("ACGTTGCAAT"), 15)
+	f.Add(long, append([]byte("GG"), long[5:]...), 31)
+	f.Add(long, bytes.Repeat([]byte("TGCA"), 40), 40)
+	f.Add([]byte("THEQUICKBROWNFOX0123456789"), []byte("THEQUICKBROWNFIX0123456789"), 2)
+	f.Add(bytes.Repeat([]byte("ABCDEFGHIJKL"), 12), bytes.Repeat([]byte("ABCDEFGHIJKM"), 12), 33)
 
 	f.Fuzz(func(t *testing.T, a, b []byte, bound int) {
 		if len(a) > 256 || len(b) > 256 {

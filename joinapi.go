@@ -513,8 +513,20 @@ func (s *System) joiner(a *Dataset, eps float64, self bool) join.ObjectJoiner {
 	default:
 		// String joins filter on integer frequency distance; there is no
 		// float kernel to route through.
-		return join.StringJoiner{MaxEdit: int(eps), Self: self, ExcludeOverlap: a.window}
+		return join.StringJoiner{MaxEdit: stringMaxEdit(eps, a.window), Self: self, ExcludeOverlap: a.window}
 	}
+}
+
+// stringMaxEdit is the integer edit-distance bound of a string join at
+// threshold eps over windows of length window. No two windows are more than
+// window edits apart, so any larger eps means every pair; clamping keeps the
+// conversion defined, where int(eps) of eps ≥ 2⁶³ or +Inf is not (MinInt on
+// amd64, which matched nothing).
+func stringMaxEdit(eps float64, window int) int {
+	if eps >= float64(window) {
+		return window
+	}
+	return int(eps)
 }
 
 // predictor builds the lower-bounding predictor of Table 1.
@@ -612,10 +624,7 @@ func (s *System) egoAdapter(a *Dataset, eps float64, self bool) ego.Adapter {
 		return &seriesEGO{cell: cell, self: self, window: a.window, features: a.features,
 			th: kernel.NewThresholdSq(eps)}
 	default:
-		cell := eps
-		if cell < 1 {
-			cell = 1
-		}
-		return &stringEGO{maxEdit: int(eps), cell: int(cell), self: self, window: a.window}
+		maxEdit := stringMaxEdit(eps, a.window)
+		return &stringEGO{maxEdit: maxEdit, cell: max(maxEdit, 1), self: self, window: a.window}
 	}
 }

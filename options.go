@@ -2,6 +2,7 @@ package pmjoin
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
@@ -117,6 +118,9 @@ func (o *Options) Validate() error {
 	}
 	if o.Epsilon < 0 {
 		return fmt.Errorf("pmjoin: negative epsilon %g", o.Epsilon)
+	}
+	if math.IsNaN(o.Epsilon) {
+		return fmt.Errorf("pmjoin: epsilon is NaN")
 	}
 	if !policySpec.valid(o.Policy) {
 		return fmt.Errorf("pmjoin: unknown replacement policy %v", o.Policy)

@@ -3,6 +3,7 @@ package pmjoin
 import (
 	"flag"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -44,6 +45,7 @@ func TestOptionsValidateRejects(t *testing.T) {
 		{"unknown method", func(o *Options) { o.Method = Method(99) }},
 		{"tiny buffer", func(o *Options) { o.BufferPages = 3 }},
 		{"negative epsilon", func(o *Options) { o.Epsilon = -1 }},
+		{"NaN epsilon", func(o *Options) { o.Epsilon = math.NaN() }},
 		{"unknown policy", func(o *Options) { o.Policy = ReplacementPolicy(7) }},
 		{"negative parallelism", func(o *Options) { o.Parallelism = -2 }},
 		{"negative MaxPairs", func(o *Options) { o.MaxPairs = -1 }},

@@ -1,6 +1,8 @@
 package pmjoin
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -286,5 +288,36 @@ func TestBatchDispatchRan(t *testing.T) {
 				t.Errorf("fallback run reported block-kernel dispatch: %+v", x)
 			}
 		})
+	}
+}
+
+// TestStringEpsilonBeyondWindow: a string ε at or above the window length
+// matches every pair however large it is — ε ≥ 2⁶³ and +Inf once converted
+// to MinInt and matched nothing — on every method, and a NaN ε is refused.
+func TestStringEpsilonBeyondWindow(t *testing.T) {
+	const window = 32
+	sa := dataset.DNA(window+46, 30) // 47 windows at stride 1
+	sb := dataset.DNA(window+46, 31)
+	sys := NewSystem(DiskModel{PageBytes: 48})
+	a, err := sys.AddString("a", sa, StringOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.AddString("b", sb, StringOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{window, 1e6, 1e19, math.Inf(1)} {
+		want := brutePairs(a.Objects(), b.Objects(), false, func(i, j int) bool {
+			return float64(seqdist.EditDistance(sa[i:i+window], sb[j:j+window])) <= eps
+		})
+		for _, m := range allMethods {
+			t.Run(fmt.Sprintf("%v/eps=%g", m, eps), func(t *testing.T) {
+				checkOracle(t, sys, a, b, Options{Method: m, Epsilon: eps, BufferPages: 8}, want)
+			})
+		}
+	}
+	if _, err := sys.Join(a, b, Options{Method: SC, Epsilon: math.NaN(), BufferPages: 8}); err == nil {
+		t.Error("a NaN epsilon was accepted")
 	}
 }
