@@ -54,18 +54,34 @@ func printMetrics(m *metrics.Metrics) {
 	}
 }
 
-// printPredictedVsMeasured renders Explain's Lemma 4 per-cluster read
-// prediction next to the run's measured pinned-set turnover, in schedule
-// order.
+// printPredictedVsMeasured renders Explain's per-cluster read prediction next
+// to the run's measured pinned-set turnover, in schedule order, then a
+// one-line Lemma 4 verdict: the clusters whose reads differ from the
+// prediction and the reads beyond it, both 0 when the plan holds. A sharded
+// run follows each shard's own schedule, so it is compared shard by shard.
 func printPredictedVsMeasured(plan *pmjoin.Plan, m *metrics.Metrics) {
+	if len(plan.Shards) > 0 && len(plan.Shards) == len(m.Shards) {
+		fmt.Printf("  per-shard reads, predicted vs measured:\n")
+		for i, sh := range plan.Shards {
+			fmt.Printf("    shard %d: %d predicted, %d read\n", i, sh.PredictedReads, m.Shards[i].Buffer.Misses)
+		}
+		return
+	}
 	if len(plan.ClusterIO) == 0 || len(plan.ClusterIO) != len(m.Clusters) {
 		return
 	}
-	fmt.Printf("  per-cluster I/O, predicted (Lemma 4) vs measured:\n")
+	fmt.Printf("  per-cluster I/O, predicted vs measured:\n")
 	fmt.Printf("    %-8s %8s %10s %10s %8s %10s\n", "cluster", "pages", "predicted", "fetched", "reused", "prefetched")
+	mismatch, excess := 0, int64(0)
 	for i, pc := range plan.ClusterIO {
 		mc := m.Clusters[i]
 		fmt.Printf("    %-8d %8d %10d %10d %8d %10d\n",
 			pc.Cluster, pc.Pages, pc.Reads, mc.Fetched, mc.Reused, mc.Prefetched)
+		if mc.Fetched != int64(pc.Reads) {
+			mismatch++
+		}
+		excess += mc.Fetched - int64(pc.Reads)
 	}
+	fmt.Printf("  Lemma 4: %d of %d clusters mismatch the prediction, %d excess reads\n",
+		mismatch, len(plan.ClusterIO), excess)
 }

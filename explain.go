@@ -4,20 +4,22 @@ import (
 	"context"
 	"fmt"
 
+	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
+	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 	"pmjoin/internal/shard"
 )
 
-// ClusterIOPlan is the analytic per-cluster read prediction for one scheduled
-// cluster: of its Pages pinned pages, Reads = Pages - the overlap with the
-// schedule predecessor (Lemma 4's per-step reuse term, which assumes shared
-// pages stay resident between consecutive clusters). A run's actually-measured
-// fetches (Metrics.Clusters[i].Fetched) can land on either side: lower when
-// pages from older clusters also survive in the buffer, higher when the
-// replacement policy evicts a shared page before the pin loop reaches it.
+// ClusterIOPlan is the per-cluster read prediction for one scheduled cluster:
+// of its Pages pinned pages, the Reads a run makes. Reads comes from
+// replaying the executor's pins over a buffer of the run's size and policy
+// (join.PredictReads), so it equals the run's measured fetches
+// (Metrics.Clusters[i].Fetched) exactly. Every page shared with the schedule
+// predecessor is reused (Lemma 4), and pages surviving from older clusters
+// are reused too, so Reads never exceeds Pages minus the predecessor overlap.
 type ClusterIOPlan struct {
 	// Cluster is the cluster's creation index (matches
 	// metrics.ClusterStats.Cluster for the same run).
@@ -25,19 +27,20 @@ type ClusterIOPlan struct {
 	// Pages is the cluster's pinned-set size: rows + cols, with row/col
 	// pages that are the same frame counted once (self joins).
 	Pages int
-	// Reads is the predicted page reads: Pages minus predecessor overlap.
+	// Reads is the page reads the cluster's pins make.
 	Reads int
-	// Prefetchable is how many of those reads the pipelined executor can
+	// Prefetchable is how many of those reads the pipelined executor may
 	// issue ahead of the cluster boundary, overlapped with the predecessor's
-	// CPU phase (the sched.PrefetchPlan step size). It equals Reads at every
-	// position except the first, which has no predecessor to overlap with.
+	// CPU phase; staging stops early when no frame is free. It equals Reads
+	// at every position except the first, which has no predecessor to
+	// overlap with.
 	Prefetchable int
 }
 
 // ShardIOPlan is the predicted I/O of one planned shard: Clusters clusters
-// holding Pages pinned pages, of which PredictedReads must actually be read
-// under the shard's own greedy schedule (the rest is Lemma 4 sharing reuse
-// within the shard). CostSeconds is the modeled solo cost the planner
+// holding Pages pinned pages, of which the shard's run reads PredictedReads
+// (the replay of its own greedy schedule from a cold buffer; the rest is
+// reuse within the shard). CostSeconds is the modeled solo cost the planner
 // balanced shards over.
 type ShardIOPlan struct {
 	Shard          int
@@ -70,7 +73,8 @@ type Plan struct {
 	// each cluster joins in memory after those reads).
 	ClusteredPageReads int64
 	// ScheduleSavings is the page reads recovered by the greedy schedule:
-	// the summed page overlap of consecutive clusters (Lemma 4).
+	// the summed page overlap of consecutive clusters (Lemma 4). It is the
+	// paper's analytic term, not a replay: a run reuses at least this much.
 	ScheduleSavings int64
 	// PrefetchablePages is the total reads the pipelined executor can issue
 	// ahead of cluster boundaries (the sum of ClusterIO Prefetchable): every
@@ -91,9 +95,10 @@ type Plan struct {
 	AvgEntriesPerCluster float64
 
 	// ClusterIO is the per-cluster read prediction in schedule order: the
-	// exact clusters a greedy-scheduled (SC) run visits, each with its
-	// Lemma 4 predicted read count. Compare against a Result.Metrics
-	// snapshot's Clusters to see predicted vs. actually-measured I/O.
+	// exact clusters a greedy-scheduled (SC) run visits, each with the reads
+	// the run makes for it. A Result.Metrics snapshot's Clusters measure the
+	// same reads; the two are equal cluster for cluster. The total is at
+	// most ClusteredPageReads - ScheduleSavings, the paper's bound.
 	ClusterIO []ClusterIOPlan
 
 	// Shards is the sharding plan in shard-index order (nil unless
@@ -118,14 +123,18 @@ type Plan struct {
 
 // String renders the plan as a compact report.
 func (p *Plan) String() string {
+	var runReads int64
+	for _, c := range p.ClusterIO {
+		runReads += int64(c.Reads)
+	}
 	out := fmt.Sprintf(
 		"matrix %dx%d pages, %d marked (%.2f%%), %d marked rows, %d marked cols\n"+
-			"page reads: NLJ=%d, pm-NLJ>=%d (Lemma 1), clustered=%d - %d reused (schedule) = %d\n"+
+			"page reads: NLJ=%d, pm-NLJ>=%d (Lemma 1), clustered=%d - %d reused (schedule) = %d, a run reads %d\n"+
 			"clusters: %d (max %d pages, avg %.1f entries)\n"+
 			"pipeline: %d prefetchable pages, predicted overlap %.3fs",
 		p.RowPages, p.ColPages, p.MarkedEntries, 100*p.MatrixDensity, p.MarkedRows, p.MarkedCols,
 		p.NLJPageReads, p.PMNLJLowerBound, p.ClusteredPageReads, p.ScheduleSavings,
-		p.ClusteredPageReads-p.ScheduleSavings,
+		p.ClusteredPageReads-p.ScheduleSavings, runReads,
 		p.Clusters, p.MaxClusterPages, p.AvgEntriesPerCluster,
 		p.PrefetchablePages, p.PredictedOverlapSeconds)
 	if len(p.Shards) > 0 {
@@ -141,8 +150,10 @@ func (p *Plan) String() string {
 
 // Explain builds the prediction matrix and SC clustering for joining a and b
 // under opt and returns the plan with the paper's analytic page-read bounds
-// (Lemmas 1-4), without reading any data pages. Only Epsilon, BufferPages,
-// FilterDepth and ClusterRowFraction of opt are used. Explain shares Join's
+// (Lemmas 1-4) and the per-cluster reads a run will make, without reading
+// any data pages. Only Epsilon, BufferPages, Policy, FilterDepth,
+// ClusterRowFraction and Sharding.Shards of opt are used; the reads depend
+// on BufferPages and Policy, which the plan replays. Explain shares Join's
 // option validation: an Options value Join accepts, Explain accepts too.
 func (s *System) Explain(a, b *Dataset, opt Options) (*Plan, error) {
 	return s.ExplainContext(context.Background(), a, b, opt)
@@ -211,22 +222,26 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		edges := sched.SharingGraph(pageSets)
 		order := sched.GreedyOrder(len(clusters), edges)
 		steps := sched.StepSavings(pageSets, order)
+		reads, err := join.PredictReads(pageSets, order, opt.BufferPages, buffer.Policy(opt.Policy))
+		if err != nil {
+			mc.PhaseEnd()
+			return nil, err
+		}
 		p.ClusterIO = make([]ClusterIOPlan, len(order))
 		for pos, ci := range order {
 			// len(pageSets[ci]), not Pages(): the pinned set, post self-join
 			// dedup, is what the executor fetches and pins.
 			pages := len(pageSets[ci])
-			// The prefetch-plan step size (len of sched.PrefetchPlan's step)
-			// is the same complement Reads measures — except at position 0,
-			// which has no predecessor to overlap with.
+			// Position 0 has no predecessor whose CPU phase could hide its
+			// reads.
 			prefetchable := 0
 			if pos > 0 {
-				prefetchable = pages - steps[pos]
+				prefetchable = reads[pos]
 			}
 			p.ClusterIO[pos] = ClusterIOPlan{
 				Cluster:      ci,
 				Pages:        pages,
-				Reads:        pages - steps[pos],
+				Reads:        reads[pos],
 				Prefetchable: prefetchable,
 			}
 			p.ScheduleSavings += int64(steps[pos])
@@ -240,7 +255,7 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	if opt.Sharding.Shards > 0 {
 		// The same planner call the sharded run makes, so the predicted
 		// per-shard I/O here is the plan the coordinator will execute.
-		sp, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost())
+		sp, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost(opt))
 		if err != nil {
 			mc.PhaseEnd()
 			return nil, err

@@ -7,7 +7,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -89,15 +88,18 @@ func (s Stats) HitRatio() float64 {
 }
 
 type frame struct {
+	addr   disk.PageAddr
 	page   *disk.Page
 	pinned int
-	staged bool          // admitted by Prefetch, not yet claimed or released
-	elem   *list.Element // position in the eviction order list
+	staged bool // admitted by Prefetch, not yet claimed or released
 	// pending, when non-nil, is the in-flight background fetch whose result
 	// this frame is waiting for (async prefetch). Invariant: a pending frame
 	// is always staged, so the victim scan can never evict it; page is nil
 	// until resolvePending fills it.
 	pending *disk.PendingRead
+	// prev and next link the frame into the pool's eviction order; a frame
+	// on the pool's free list is linked through next alone.
+	prev, next *frame
 }
 
 // Source is the read path beneath a Pool: the shared disk.Disk itself, or a
@@ -130,8 +132,13 @@ type Pool struct {
 	capacity int
 	policy   Policy
 	frames   map[disk.PageAddr]*frame
-	order    *list.List // front = next eviction victim
-	stats    Stats
+	// order is the sentinel of the circular eviction-order list: order.next
+	// is the front (the next victim), order.prev the most recent frame.
+	order frame
+	// free holds removed frames for reuse, so steady-state misses allocate
+	// nothing.
+	free  *frame
+	stats Stats
 	// onEvict, when non-nil, observes every frame leaving the pool
 	// (policy eviction, explicit Evict, Flush). It is a tracing hook (see
 	// internal/metrics) and runs on the goroutine driving the pool.
@@ -148,6 +155,8 @@ type Pool struct {
 	// background reader (SetPrefetchRunner). Requires the source to be an
 	// asyncSource; otherwise prefetch reads stay synchronous.
 	runner func(func())
+	// setFrames is PinSet's scratch: the frame of each page of the set.
+	setFrames []*frame
 }
 
 // SetPrefetchRunner installs the background dispatcher for prefetch reads
@@ -207,13 +216,14 @@ func NewPool(src Source, capacity int, policy Policy) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity %d < 1", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		d:        src,
 		capacity: capacity,
 		policy:   policy,
 		frames:   make(map[disk.PageAddr]*frame, capacity),
-		order:    list.New(),
-	}, nil
+	}
+	p.order.prev, p.order.next = &p.order, &p.order
+	return p, nil
 }
 
 // Capacity returns the number of page frames.
@@ -248,43 +258,120 @@ func (p *Pool) GetPinned(addr disk.PageAddr) (*disk.Page, error) {
 
 func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 	if f, ok := p.frames[addr]; ok {
-		if f.pending != nil {
-			// The claim caught up with an in-flight background fetch: wait
-			// for it (demand-falling-back happens inside resolvePending). A
-			// resolution failure has already dropped the frame and undone the
-			// stage-time admission, so the error surfaces here cleanly.
-			if err := p.resolvePending(addr, f); err != nil {
-				return nil, err
-			}
-		}
-		if f.staged {
-			// Claim: the access this frame exists for. Its hit or miss was
-			// already charged when Prefetch staged it, so claiming counts
-			// nothing — that is what keeps Hits/Misses identical with
-			// prefetch on or off. The recency touch still happens, putting
-			// the frame exactly where the pre-charged access would have.
-			f.staged = false
-		} else {
-			p.stats.Hits++
+		if err := p.access(f); err != nil {
+			return nil, err
 		}
 		if p.policy == LRU {
-			p.order.MoveToBack(f.elem)
+			p.touch(f)
 		}
 		if pin {
-			f.pinned++
-			if p.shared != nil {
-				p.shared.Pin(addr, f.page)
-			}
+			p.pin(f)
 		}
 		return f.page, nil
 	}
+	f, err := p.load(addr, pin)
+	if err != nil {
+		return nil, err
+	}
+	return f.page, nil
+}
+
+// PinSet pins every page of set, a cluster's distinct pages in the order
+// their reads are to be issued (ascending, for a sched.PageSet); the caller
+// releases them with Unpin or UnpinAll. The pages already resident are
+// pinned first and only then are the others read, so no read of the set can
+// evict a page of the set that was resident when the call began: the set's
+// misses are exactly its non-resident pages, read in set order (Lemma 4's
+// reuse, realized). Under LRU the set is then touched in set order, so the
+// recency order the call leaves behind does not depend on which pages were
+// resident, staged by Prefetch or read here. On error the pages pinned so
+// far stay pinned.
+func (p *Pool) PinSet(set []disk.PageAddr) error {
+	fs := p.setFrames[:0]
+	for _, a := range set {
+		f := p.frames[a]
+		if f != nil {
+			if err := p.access(f); err != nil {
+				return err
+			}
+			p.pin(f)
+			if p.policy == LRU {
+				// Gather the pins at the back, so the reads below find
+				// their victims at the front instead of scanning past them.
+				p.touch(f)
+			}
+		}
+		fs = append(fs, f)
+	}
+	for i, f := range fs {
+		if f == nil {
+			var err error
+			if fs[i], err = p.load(set[i], true); err != nil {
+				return err
+			}
+		}
+	}
+	if p.policy == LRU {
+		for _, f := range fs {
+			p.touch(f)
+		}
+	}
+	p.setFrames = fs
+	return nil
+}
+
+// Pinned returns a page the caller holds pinned. It counts no access and
+// leaves the recency order alone: the pin already counted the access, and a
+// pinned frame cannot be a victim, so reading it again changes nothing the
+// policy sees. This keeps a cluster's buffer traffic exactly its PinSet
+// call. A page that is not resident and pinned is an error.
+func (p *Pool) Pinned(addr disk.PageAddr) (*disk.Page, error) {
+	f, ok := p.frames[addr]
+	if !ok || f.pinned == 0 {
+		return nil, fmt.Errorf("buffer: page %v is not pinned", addr)
+	}
+	return f.page, nil
+}
+
+// access counts one access to a resident frame: a hit, or nothing for a
+// staged frame. Staged frames are claimed here — the access they exist for,
+// whose hit or miss Prefetch already charged — which is what keeps
+// Hits/Misses identical with prefetch on or off. A claim that catches an
+// in-flight background fetch waits for it (falling back to a demand read
+// inside resolvePending); a resolution failure has already dropped the frame
+// and undone the stage-time admission, so the error surfaces cleanly.
+func (p *Pool) access(f *frame) error {
+	if f.pending != nil {
+		if err := p.resolvePending(f); err != nil {
+			return err
+		}
+	}
+	if f.staged {
+		f.staged = false
+	} else {
+		p.stats.Hits++
+	}
+	return nil
+}
+
+// pin adds one pin to a resident frame, mirrored into the shared pool.
+func (p *Pool) pin(f *frame) {
+	f.pinned++
+	if p.shared != nil {
+		p.shared.Pin(f.addr, f.page)
+	}
+}
+
+// load reads a non-resident page into a frame, evicting per the policy when
+// the pool is full, and pins it if asked.
+func (p *Pool) load(addr disk.PageAddr, pin bool) (*frame, error) {
 	p.stats.Misses++
 	// Pick the eviction victim before reading — so a fully pinned pool
 	// fails with ErrBufferFull without charging any I/O — but remove it
 	// only after the read succeeds: evicting first would let a failed read
 	// (a bad page address, ErrNoSuchPage) permanently drop a resident page
 	// and charge an eviction for I/O that never happened.
-	var victim *list.Element
+	var victim *frame
 	if len(p.frames) >= p.capacity {
 		if victim = p.victim(); victim == nil {
 			return nil, ErrBufferFull
@@ -310,12 +397,10 @@ func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 	if victim != nil {
 		p.removeFrame(victim)
 	}
-	f := &frame{page: pg}
-	f.elem = p.order.PushBack(addr)
+	f := p.admit(addr, pg)
 	if pin {
 		f.pinned++
 	}
-	p.frames[addr] = f
 	if p.shared != nil {
 		if pin {
 			p.shared.Pin(addr, pg)
@@ -323,7 +408,41 @@ func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 			p.shared.Publish(addr, pg)
 		}
 	}
-	return pg, nil
+	return f, nil
+}
+
+// admit makes a new frame for addr the most recent in the eviction order.
+func (p *Pool) admit(addr disk.PageAddr, pg *disk.Page) *frame {
+	f := p.free
+	if f != nil {
+		p.free = f.next
+	} else {
+		f = new(frame)
+	}
+	*f = frame{addr: addr, page: pg}
+	p.pushBack(f)
+	p.frames[addr] = f
+	return f
+}
+
+// pushBack links f in as the most recent frame.
+func (p *Pool) pushBack(f *frame) {
+	f.prev, f.next = p.order.prev, &p.order
+	f.prev.next, p.order.prev = f, f
+}
+
+// touch makes a resident frame the most recent.
+func (p *Pool) touch(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	p.pushBack(f)
+}
+
+// drop unlinks f, forgets it and puts it on the free list.
+func (p *Pool) drop(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	delete(p.frames, f.addr)
+	*f = frame{next: p.free}
+	p.free = f
 }
 
 // Unpin releases one pin on the page. Unpinning a page that is not resident
@@ -345,9 +464,9 @@ func (p *Pool) Unpin(addr disk.PageAddr) error {
 
 // UnpinAll drops every pin. Used between join phases.
 func (p *Pool) UnpinAll() {
-	for addr, f := range p.frames {
+	for f := p.order.next; f != &p.order; f = f.next {
 		if f.pinned > 0 && p.shared != nil {
-			p.shared.Unpin(addr, f.pinned)
+			p.shared.Unpin(f.addr, f.pinned)
 		}
 		f.pinned = 0
 	}
@@ -360,7 +479,7 @@ func (p *Pool) Evict(addr disk.PageAddr) bool {
 	if !ok || f.pinned > 0 || f.staged {
 		return false
 	}
-	p.removeFrame(f.elem)
+	p.removeFrame(f)
 	return true
 }
 
@@ -374,14 +493,14 @@ func (p *Pool) Evict(addr disk.PageAddr) bool {
 func (p *Pool) Flush() error {
 	p.ReleaseStaged()
 	pinned := 0
-	for e := p.order.Front(); e != nil; {
-		next := e.Next()
-		if p.frames[e.Value.(disk.PageAddr)].pinned > 0 {
+	for f := p.order.next; f != &p.order; {
+		next := f.next
+		if f.pinned > 0 {
 			pinned++
 		} else {
-			p.removeFrame(e)
+			p.removeFrame(f)
 		}
-		e = next
+		f = next
 	}
 	if pinned > 0 {
 		return fmt.Errorf("buffer: flush with %d pinned frame(s); they remain resident", pinned)
@@ -408,12 +527,12 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 		p.stats.Hits++
 		p.stats.Prefetched++
 		if p.policy == LRU {
-			p.order.MoveToBack(f.elem)
+			p.touch(f)
 		}
 		f.staged = true
 		return true, nil
 	}
-	var victim *list.Element
+	var victim *frame
 	if len(p.frames) >= p.capacity {
 		if victim = p.victim(); victim == nil {
 			return false, nil
@@ -444,9 +563,8 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 			if victim != nil {
 				p.removeFrame(victim)
 			}
-			f := &frame{staged: true, pending: pr}
-			f.elem = p.order.PushBack(addr)
-			p.frames[addr] = f
+			f := p.admit(addr, nil)
+			f.staged, f.pending = true, pr
 			return true, nil
 		}
 	}
@@ -464,9 +582,7 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 	if victim != nil {
 		p.removeFrame(victim)
 	}
-	f := &frame{page: pg, staged: true}
-	f.elem = p.order.PushBack(addr)
-	p.frames[addr] = f
+	p.admit(addr, pg).staged = true
 	return true, nil
 }
 
@@ -477,18 +593,17 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 // undone — no eviction is charged and Prefetched is decremented, so the
 // counters end exactly where a failed synchronous prefetch read would have
 // left them — and the error is returned.
-func (p *Pool) resolvePending(addr disk.PageAddr, f *frame) error {
+func (p *Pool) resolvePending(f *frame) error {
 	pr := f.pending
 	f.pending = nil
 	pg, err := pr.Wait()
 	if err != nil {
 		if rf, ok := p.d.(refetcher); ok {
-			pg, err = rf.Refetch(addr)
+			pg, err = rf.Refetch(f.addr)
 		}
 	}
 	if err != nil {
-		p.order.Remove(f.elem)
-		delete(p.frames, addr)
+		p.drop(f)
 		p.stats.Prefetched--
 		return err
 	}
@@ -497,7 +612,7 @@ func (p *Pool) resolvePending(addr disk.PageAddr, f *frame) error {
 		p.onLoad(pg)
 	}
 	if p.shared != nil {
-		p.shared.Publish(addr, pg)
+		p.shared.Publish(f.addr, pg)
 	}
 	return nil
 }
@@ -513,21 +628,16 @@ func (p *Pool) ReleaseStaged() int {
 	// Collect from the order list, not the frames map: resolution can drop a
 	// failed frame mid-walk, and the list walk keeps the release order
 	// deterministic (recency order) besides.
-	var staged []disk.PageAddr
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		addr := e.Value.(disk.PageAddr)
-		if p.frames[addr].staged {
-			staged = append(staged, addr)
+	var staged []*frame
+	for f := p.order.next; f != &p.order; f = f.next {
+		if f.staged {
+			staged = append(staged, f)
 		}
 	}
 	n := 0
-	for _, addr := range staged {
-		f, ok := p.frames[addr]
-		if !ok {
-			continue
-		}
+	for _, f := range staged {
 		if f.pending != nil {
-			if err := p.resolvePending(addr, f); err != nil {
+			if err := p.resolvePending(f); err != nil {
 				continue
 			}
 		}
@@ -548,23 +658,22 @@ func (p *Pool) Staged() int {
 	return n
 }
 
-// victim returns the next evictable frame's list element per the policy, or
-// nil when every resident frame is pinned or staged.
-func (p *Pool) victim() *list.Element {
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		if f := p.frames[e.Value.(disk.PageAddr)]; f.pinned == 0 && !f.staged {
-			return e
+// victim returns the next evictable frame per the policy, or nil when every
+// resident frame is pinned or staged.
+func (p *Pool) victim() *frame {
+	for f := p.order.next; f != &p.order; f = f.next {
+		if f.pinned == 0 && !f.staged {
+			return f
 		}
 	}
 	return nil
 }
 
-// removeFrame drops the frame behind e from the pool, charging one eviction
-// and notifying the observer.
-func (p *Pool) removeFrame(e *list.Element) {
-	addr := e.Value.(disk.PageAddr)
-	p.order.Remove(e)
-	delete(p.frames, addr)
+// removeFrame drops f from the pool, charging one eviction and notifying the
+// observer.
+func (p *Pool) removeFrame(f *frame) {
+	addr := f.addr
+	p.drop(f)
 	p.stats.Evictions++
 	if p.onEvict != nil {
 		p.onEvict(addr)
@@ -575,8 +684,8 @@ func (p *Pool) removeFrame(e *list.Element) {
 // (front first). Intended for tests.
 func (p *Pool) Resident() []disk.PageAddr {
 	out := make([]disk.PageAddr, 0, len(p.frames))
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(disk.PageAddr))
+	for f := p.order.next; f != &p.order; f = f.next {
+		out = append(out, f.addr)
 	}
 	return out
 }

@@ -312,10 +312,11 @@ type ClusteredOptions struct {
 }
 
 // Clustered runs the clustered join: clusters are scheduled, then each
-// cluster's marked row and column pages are fetched (missing pages in
-// ascending page order per file — optimal disk scheduling [40]) and pinned,
-// and the cluster's marked page pairs are joined entirely in memory
-// (Lemma 2).
+// cluster's marked row and column pages are pinned with Pool.PinSet (the
+// resident ones first, so every page shared with the predecessor is reused
+// as Lemma 4 requires, then the missing ones read in ascending page order —
+// optimal disk scheduling [40]), and the cluster's marked page pairs are
+// joined entirely in memory (Lemma 2).
 func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster.Cluster, j ObjectJoiner, opts ClusteredOptions) (*Report, error) {
 	if err := e.validate(r, s); err != nil {
 		return nil, err
@@ -363,9 +364,9 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 		// The prefetch pipeline needs the per-step plan (the pages each
 		// cluster needs that its predecessor does not pin). Only LRU
 		// preserves the off-mode victim order under staged frames — staged
-		// protection mirrors the pin loop's incremental pinning and prefetch
-		// victims are the same front-first survivors — so FIFO runs stay
-		// unpipelined regardless of the option.
+		// protection mirrors PinSet's pins and prefetch victims are the same
+		// front-first survivors — so FIFO runs stay unpipelined regardless of
+		// the option.
 		prefetching := e.Prefetch && e.Policy == buffer.LRU && len(order) > 1
 		var plan []sched.PageSet
 		if prefetching {
@@ -382,15 +383,14 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			}
 			c := clusters[ci]
 			e.Metrics.ClusterStart(ci)
-			// Fetch missing pages in ascending (file, page) order — the page
-			// set's own order — and pin all. Staged frames from the
-			// predecessor's prefetch are claimed here: the claim counts
-			// nothing (their hit or miss was pre-charged at stage time),
-			// keeping the counters identical with prefetch off.
-			for _, a := range pageSets[ci] {
-				if _, err := x.Pool.GetPinned(a); err != nil {
-					return err
-				}
+			// Pin the resident pages, then read the missing ones in ascending
+			// (file, page) order — the page set's own order. Staged frames
+			// from the predecessor's prefetch are claimed here: the claim
+			// counts nothing (their hit or miss was pre-charged at stage
+			// time), keeping the counters identical with prefetch off.
+			// PredictReads replays this call.
+			if err := x.Pool.PinSet(pageSets[ci]); err != nil {
+				return err
 			}
 			e.Metrics.ClusterPinned(len(pageSets[ci]))
 			if err := x.JoinCluster(r, s, c, j); err != nil {
@@ -400,7 +400,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			// chewing on them now), so the coordinator overlaps the
 			// successor's new-page reads with this cluster's CPU phase. The
 			// reads occupy exactly the session-head sequence the successor's
-			// pin loop would have issued, so Seeks/Sequential/GapPages are
+			// PinSet would have issued, so Seeks/Sequential/GapPages are
 			// untouched; only the timeline buckets them as overlapped.
 			if prefetching && oi+1 < len(order) {
 				if err := e.prefetchStep(x, plan[oi+1], order[oi+1]); err != nil {
@@ -419,39 +419,78 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 	})
 }
 
-// prefetchStep stages the next cluster's prefetch-plan pages (ascending
-// order — the pin loop's order — bounded by PrefetchDepth) while the current
-// cluster's comparisons run. A degraded admission (no evictable frame) ends
-// the step: every remaining plan page is then non-resident — any resident one
-// would itself have been an eviction candidate — so the deferred reads fall
-// through to the successor's pin loop, where the victim order matches the
-// unpipelined run.
+// prefetchStep stages the next cluster's prefetch-plan pages while the
+// current cluster's comparisons run: first the ones already resident, then
+// the missing ones in ascending order — PinSet's order — at most
+// PrefetchDepth pages in all. Staging the residents first protects them the
+// way the successor's PinSet would pin them, so each staged read evicts the
+// victim the unpipelined PinSet would have. A degraded admission (no
+// evictable frame) ends the step; the pages left are all non-resident, and
+// their reads fall through to the successor's PinSet with the same victims.
 func (e *Engine) prefetchStep(x *Exec, step sched.PageSet, target int) error {
 	if len(step) == 0 {
 		return nil
-	}
-	if e.PrefetchDepth > 0 && len(step) > e.PrefetchDepth {
-		step = step[:e.PrefetchDepth]
 	}
 	if e.Timeline != nil {
 		e.Timeline.BeginOverlap()
 		defer e.Timeline.EndOverlap()
 	}
 	readMark := x.IO.Stats().Reads
-	staged := int64(0)
-	for _, a := range step {
-		ok, err := x.Pool.Prefetch(a)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		staged++
+	staged, budget := 0, len(step)
+	if e.PrefetchDepth > 0 {
+		budget = min(budget, e.PrefetchDepth)
 	}
-	e.Metrics.ClusterPrefetched(target, staged, x.IO.Stats().Reads-readMark)
+	for _, resident := range [...]bool{true, false} {
+		for _, a := range step {
+			if staged == budget {
+				break
+			}
+			if x.Pool.Contains(a) != resident {
+				continue
+			}
+			ok, err := x.Pool.Prefetch(a)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			staged++
+		}
+	}
+	e.Metrics.ClusterPrefetched(target, int64(staged), x.IO.Stats().Reads-readMark)
 	return nil
 }
+
+// PredictReads returns the pages the clustered executor reads at each
+// position of order, a run over the page sets with a cold pool of
+// bufferPages frames under policy. It replays the executor's own buffer
+// traffic — Pool.PinSet per cluster, UnpinAll after it — over a pool whose
+// source does no I/O, so the prediction is the measurement by construction:
+// the same pool code decides every hit, miss and victim. Prefetch does not
+// change the result, because staging preserves PinSet's charges and victims.
+func PredictReads(sets []sched.PageSet, order []int, bufferPages int, policy buffer.Policy) ([]int, error) {
+	pool, err := buffer.NewPool(noIO{new(disk.Page)}, bufferPages, policy)
+	if err != nil {
+		return nil, err
+	}
+	reads := make([]int, len(order))
+	for pos, ci := range order {
+		misses := pool.Stats().Misses
+		if err := pool.PinSet(sets[ci]); err != nil {
+			return nil, err
+		}
+		reads[pos] = int(pool.Stats().Misses - misses)
+		pool.UnpinAll()
+	}
+	return reads, nil
+}
+
+// noIO is PredictReads' page source: residency is all the replay needs, so
+// every read returns the same empty page.
+type noIO struct{ page *disk.Page }
+
+func (n noIO) Read(disk.PageAddr) (*disk.Page, error) { return n.page, nil }
 
 // ModelSCPreprocess returns the modeled seconds of SC clustering over m
 // marked entries (two linear passes, §7.1).

@@ -230,14 +230,14 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 	return nil
 }
 
-// JoinCluster schedules every marked entry of one pinned cluster — the
-// clustered executor's only comparison dispatch. Pages are fetched per
-// entry, R then S, exactly as a JoinPair loop would (charging pool
-// hits/misses and touching LRU recency identically). When the joiner
-// reports a batch kernel, one flat block per side is built from the distinct
-// pinned pages and the cells are cut into block runs; otherwise each entry
-// becomes a fallback cell. The cluster's last run ships before returning, so
-// the workers chew on it while the caller stages the next cluster.
+// JoinCluster schedules every marked entry of one cluster whose pages the
+// caller has pinned — the clustered executor's only comparison dispatch. It
+// reads the pages with Pool.Pinned, so the cluster's buffer traffic is its
+// pin and nothing else. When the joiner reports a batch kernel, one flat
+// block per side is built from the pinned pages and the cells are cut into
+// block runs; otherwise each entry becomes a fallback cell. The cluster's
+// last run ships before returning, so the workers chew on it while the
+// caller stages the next cluster.
 func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) error {
 	var th kernel.Threshold
 	bj, batch := j.(BatchJoiner)
@@ -246,40 +246,31 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 	}
 	if !batch {
 		for _, en := range c.Entries {
-			if err := x.JoinPair(r, s, en.R, en.C, j); err != nil {
+			pa, err := x.Pool.Pinned(disk.PageAddr{File: r.File, Page: en.R})
+			if err != nil {
 				return err
 			}
+			pb, err := x.Pool.Pinned(disk.PageAddr{File: s.File, Page: en.C})
+			if err != nil {
+				return err
+			}
+			x.JoinPayloads(j, pa.Payload, pb.Payload)
 		}
 		x.ship()
 		return nil
 	}
 
 	rows, cols := c.Rows(), c.Cols()
-	if cap(x.payloadsR) < len(rows) {
-		x.payloadsR = make([]any, len(rows))
+	var err error
+	if x.payloadsR, err = x.pinnedPayloads(x.payloadsR[:0], r.File, rows); err != nil {
+		return err
 	}
-	if cap(x.payloadsS) < len(cols) {
-		x.payloadsS = make([]any, len(cols))
+	if x.payloadsS, err = x.pinnedPayloads(x.payloadsS[:0], s.File, cols); err != nil {
+		return err
 	}
-	// Every row/col of a cluster appears in at least one entry (they are
-	// derived from the entry set), so each payload slot below is written.
-	x.payloadsR = x.payloadsR[:len(rows)]
-	x.payloadsS = x.payloadsS[:len(cols)]
 	x.cells = x.cells[:0]
 	for _, en := range c.Entries {
-		pa, err := x.Pool.Get(disk.PageAddr{File: r.File, Page: en.R})
-		if err != nil {
-			return err
-		}
-		pb, err := x.Pool.Get(disk.PageAddr{File: s.File, Page: en.C})
-		if err != nil {
-			return err
-		}
-		ri := sort.SearchInts(rows, en.R)
-		ci := sort.SearchInts(cols, en.C)
-		x.payloadsR[ri] = pa.Payload
-		x.payloadsS[ci] = pb.Payload
-		x.cells = append(x.cells, kernel.Cell{R: ri, S: ci})
+		x.cells = append(x.cells, kernel.Cell{R: sort.SearchInts(rows, en.R), S: sort.SearchInts(cols, en.C)})
 	}
 	// Concatenate each side's flat pages into one block, timed through the
 	// metrics hook (a nil collector just runs the closure; internal/join
@@ -310,6 +301,19 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 	}
 	x.ship()
 	return nil
+}
+
+// pinnedPayloads appends to dst the payloads of the given pinned pages of
+// file, in order.
+func (x *Exec) pinnedPayloads(dst []any, file disk.FileID, pages []int) ([]any, error) {
+	for _, p := range pages {
+		pg, err := x.Pool.Pinned(disk.PageAddr{File: file, Page: p})
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, pg.Payload)
+	}
+	return dst, nil
 }
 
 // Flush ships the open run, waits for every shipped run and merges their

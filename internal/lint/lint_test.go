@@ -54,6 +54,7 @@ type Pool struct{}
 
 func (p *Pool) Get(a disk.PageAddr) (*disk.Page, error)       { return nil, nil }
 func (p *Pool) GetPinned(a disk.PageAddr) (*disk.Page, error) { return nil, nil }
+func (p *Pool) PinSet(set []disk.PageAddr) error               { return nil }
 func (p *Pool) Unpin(a disk.PageAddr) error                   { return nil }
 func (p *Pool) UnpinAll()                                     {}
 func (p *Pool) Flush() error                                  { return nil }
@@ -296,6 +297,36 @@ func ok(p *buffer.Pool, f disk.FileID, n int) error {
 	return nil
 }
 `,
+		},
+		{
+			name: "PinSet pins like GetPinned",
+			src: `package fixture
+
+import (
+	"pmjoin/internal/buffer"
+	"pmjoin/internal/disk"
+)
+
+func leak(p *buffer.Pool, sets [][]disk.PageAddr) error {
+	for _, set := range sets {
+		if err := p.PinSet(set); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func ok(p *buffer.Pool, sets [][]disk.PageAddr) error {
+	for _, set := range sets {
+		if err := p.PinSet(set); err != nil {
+			return err
+		}
+		p.UnpinAll()
+	}
+	return nil
+}
+`,
+			lines: []int{14},
 		},
 		{
 			name: "leaking function literal is flagged",

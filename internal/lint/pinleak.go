@@ -7,10 +7,10 @@ import (
 )
 
 // pinleakAnalyzer flags functions that pin pages via buffer.Pool.GetPinned
-// but can exit without a matching Unpin/UnpinAll. Pinned pages are exempt
-// from eviction, so a leaked pin shrinks the effective buffer for the rest
-// of the run and silently distorts every I/O count the paper's figures are
-// built from (a pinned-out frame turns would-be hits into misses).
+// or PinSet but can exit without a matching Unpin/UnpinAll. Pinned pages are
+// exempt from eviction, so a leaked pin shrinks the effective buffer for the
+// rest of the run and silently distorts every I/O count the paper's figures
+// are built from (a pinned-out frame turns would-be hits into misses).
 //
 // The analysis is path-sensitive: a forward dataflow over the function's
 // control-flow graph (BuildCFG) tracks the outstanding pin count per path.
@@ -36,7 +36,7 @@ import (
 func pinleakAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "pinleak",
-		Doc:  "GetPinned without a matching Unpin/UnpinAll on all non-error, non-panic paths (CFG dataflow, defer-aware)",
+		Doc:  "GetPinned/PinSet without a matching Unpin/UnpinAll on all non-error, non-panic paths (CFG dataflow, defer-aware)",
 		Run:  runPinleak,
 	}
 }
@@ -89,7 +89,7 @@ func (p *Package) pinleakBody(nb namedBody) []Diagnostic {
 	walkSkipFuncLits(nb.body, func(n ast.Node, stack []ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if p.isPoolMethod(n, "GetPinned") {
+			if p.isPin(n) {
 				hasPin = true
 			}
 		case *ast.ReturnStmt:
@@ -120,7 +120,7 @@ func (p *Package) pinleakBody(nb namedBody) []Diagnostic {
 				return
 			}
 			switch {
-			case p.isPoolMethod(call, "GetPinned"):
+			case p.isPin(call):
 				if out.firstPin == token.NoPos {
 					out.firstPin = call.Pos()
 				}
@@ -205,6 +205,12 @@ func pinAnchor(nb namedBody, f pinFact) ast.Node {
 		return posNode{f.firstPin}
 	}
 	return nb.body
+}
+
+// isPin reports whether call pins pages: buffer.Pool.GetPinned, or PinSet,
+// which pins a whole set and counts as one pin (released by UnpinAll).
+func (p *Package) isPin(call *ast.CallExpr) bool {
+	return p.isPoolMethod(call, "GetPinned") || p.isPoolMethod(call, "PinSet")
 }
 
 // isPoolMethod reports whether call invokes buffer.Pool.<name>.

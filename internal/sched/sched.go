@@ -159,9 +159,10 @@ func StepSavings(pages []PageSet, order []int) []int {
 // PrefetchPlan returns, for each position in the order, the pages the cluster
 // at that position needs that its immediate predecessor does not — the
 // complement of the Lemma 4 sharing term measured by StepSavings, and exactly
-// the reads an overlapped executor can issue while the predecessor's CPU
-// phase is still running (the predecessor pins its own pages, so none of the
-// returned pages can displace a pinned frame).
+// the pages an overlapped executor can stage while the predecessor's CPU
+// phase is still running (reading those not resident from older clusters;
+// the predecessor pins its own pages, so none of the returned pages can
+// displace a pinned frame).
 //
 // Step 0 is nil: the first cluster has no predecessor to overlap with, so all
 // of its pages are demand-fetched. For every later position i,

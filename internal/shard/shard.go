@@ -22,8 +22,10 @@ import (
 	"math"
 	"sort"
 
+	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
+	"pmjoin/internal/join"
 	"pmjoin/internal/sched"
 )
 
@@ -37,6 +39,12 @@ type CostModel struct {
 	// CPU-heavy clusters from piling onto one shard when page counts alone
 	// would look balanced.
 	EntrySeconds float64
+	// BufferPages and Policy are the buffer every shard runs with, which the
+	// read predictions replay (join.PredictReads). They price the cut but do
+	// not choose it. A BufferPages below the largest page set, zero included,
+	// replays with that set's size, the smallest buffer Lemma 2 allows.
+	BufferPages int
+	Policy      buffer.Policy
 }
 
 // cluster is the modeled cost of fetching and joining one cluster solo.
@@ -61,24 +69,22 @@ type Shard struct {
 	// CostSeconds is the shard's modeled solo cost under the CostModel —
 	// the quantity the planner balanced.
 	CostSeconds float64
-	// PredictedReads is the Lemma 4 page-read prediction for the shard's own
-	// greedy schedule over its subset: Pages minus the subset schedule's
-	// sharing savings. This is what the shard's executor will predict for
-	// itself, since it rebuilds the same subset graph.
+	// PredictedReads is the page reads of the shard's own run: the replay
+	// (join.PredictReads) of its greedy schedule over its subset, which the
+	// shard's executor rebuilds, from a cold buffer.
 	PredictedReads int64
 }
 
 // Plan is the planner's output: the shards plus the cut's modeled I/O cost.
 type Plan struct {
 	Shards []Shard
-	// UnshardedReads is the Lemma 4 read prediction of the uncut global
+	// UnshardedReads is the replayed page reads of the uncut global
 	// schedule; ShardedReads is the sum of the shards' predictions.
 	UnshardedReads int64
 	ShardedReads   int64
 	// CutLostPages = ShardedReads - UnshardedReads: the buffer reuse the cut
-	// severed. Usually non-negative; slightly negative is possible when a
-	// subset greedy path beats the global path's restriction (both are
-	// heuristics).
+	// severed. Usually non-negative; negative is possible when a subset
+	// greedy path beats the global path's restriction (both are heuristics).
 	CutLostPages int64
 	// CutPenaltySeconds is the modeled I/O price of the cut: a transfer per
 	// lost page plus one cold first seek per extra shard.
@@ -154,12 +160,16 @@ func Cut(pages []sched.PageSet, entries []int, shards int, cm CostModel) (*Plan,
 	}
 	cuts = append(cuts, n)
 
-	totalPages := 0
+	cm.BufferPages = max(cm.BufferPages, 1)
 	for _, ps := range pages {
-		totalPages += len(ps)
+		cm.BufferPages = max(cm.BufferPages, len(ps))
+	}
+	unsharded, err := replayedReads(pages, order, cm)
+	if err != nil {
+		return nil, err
 	}
 	plan := &Plan{
-		UnshardedReads: int64(totalPages - sched.PathSavings(pages, order)),
+		UnshardedReads: unsharded,
 		Shards:         make([]Shard, k),
 	}
 	for si := 0; si < k; si++ {
@@ -177,7 +187,10 @@ func Cut(pages []sched.PageSet, entries []int, shards int, cm CostModel) (*Plan,
 			sh.Pages += int64(len(pages[ci]))
 			sh.Entries += int64(entries[ci])
 		}
-		sh.PredictedReads = predictedReads(pages, members)
+		sh.PredictedReads, err = predictedReads(pages, members, cm)
+		if err != nil {
+			return nil, err
+		}
 		plan.Shards[si] = sh
 		plan.ShardedReads += sh.PredictedReads
 	}
@@ -230,17 +243,26 @@ func Entries(clusters []*cluster.Cluster) []int {
 	return entries
 }
 
-// predictedReads is the Lemma 4 prediction for a shard's own greedy schedule
-// over its member clusters: summed pinned pages minus the subset path's
-// sharing savings. The subset page sets are listed in members order, matching
-// how the shard's executor will see them.
-func predictedReads(pages []sched.PageSet, members []int) int64 {
+// predictedReads is the page-read prediction for a shard's own greedy
+// schedule over its member clusters. The subset page sets are listed in
+// members order, matching how the shard's executor will see them.
+func predictedReads(pages []sched.PageSet, members []int, cm CostModel) (int64, error) {
 	sub := make([]sched.PageSet, len(members))
-	total := 0
 	for i, ci := range members {
 		sub[i] = pages[ci]
-		total += len(pages[ci])
 	}
-	order := sched.GreedyOrder(len(sub), sched.SharingGraph(sub))
-	return int64(total - sched.PathSavings(sub, order))
+	return replayedReads(sub, sched.GreedyOrder(len(sub), sched.SharingGraph(sub)), cm)
+}
+
+// replayedReads sums join.PredictReads over a schedule.
+func replayedReads(pages []sched.PageSet, order []int, cm CostModel) (int64, error) {
+	reads, err := join.PredictReads(pages, order, cm.BufferPages, cm.Policy)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, r := range reads {
+		total += int64(r)
+	}
+	return total, nil
 }

@@ -387,7 +387,7 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, m *predmat.Matr
 	shared *buffer.SharedPool, backend disk.Backend, readers *join.WorkerPool,
 ) (*join.Report, []*metrics.Metrics, error) {
 	pageSets := shard.PageSets(clusters, a.ds.File, b.ds.File)
-	plan, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost())
+	plan, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost(opt))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -466,11 +466,14 @@ func coordWorkers(workers, tasks int) int {
 // shardCost is the planner's balance model: the system's linear disk terms
 // plus a per-marked-entry CPU weight. Only the relative magnitudes matter to
 // the cut, so the SC preprocessing constant serves as the entry weight proxy.
-func (s *System) shardCost() shard.CostModel {
+// The buffer terms are opt's, which the shards' read predictions replay.
+func (s *System) shardCost(opt Options) shard.CostModel {
 	return shard.CostModel{
 		SeekSeconds:     s.model.SeekSeconds,
 		TransferSeconds: s.model.TransferSeconds,
 		EntrySeconds:    join.SCEntryCost,
+		BufferPages:     opt.BufferPages,
+		Policy:          buffer.Policy(opt.Policy),
 	}
 }
 

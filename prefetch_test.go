@@ -22,8 +22,29 @@ func TestPrefetchDeterminism(t *testing.T) {
 		methods []Method
 		build   func(t *testing.T) (*System, *Dataset, *Dataset)
 		opt     Options
+		// full marks the landsat shape: clusters fill at least 90 % of the
+		// buffer, so staging succeeds only for part of each step.
+		full bool
 	}
 	loads := []workload{
+		{
+			name:    "vector-full-clusters",
+			methods: []Method{SC},
+			build: func(t *testing.T) (*System, *Dataset, *Dataset) {
+				sys := NewSystem(DiskModel{PageBytes: 256})
+				da, err := sys.AddVectors("a", randomVecs(400, 8, 61), VectorOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				db, err := sys.AddVectors("b", randomVecs(300, 8, 62), VectorOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys, da, db
+			},
+			opt:  Options{Epsilon: 0.5, BufferPages: 20, CollectPairs: true},
+			full: true,
+		},
 		{
 			// Small buffer relative to the matrix so clustering yields many
 			// clusters with real turnover at every boundary: the workload that
@@ -127,6 +148,19 @@ func TestPrefetchDeterminism(t *testing.T) {
 						}
 						if par == 1 && off.Count() == 0 {
 							t.Error("workload has no results; the comparison is vacuous")
+						}
+						if w.full {
+							pages := 0
+							for _, c := range onPlan.ClusterIO {
+								pages += c.Pages
+							}
+							if fill := float64(pages) / float64(len(onPlan.ClusterIO)*w.opt.BufferPages); fill < 0.9 {
+								t.Errorf("clusters fill %.2f of the buffer, want >= 0.9", fill)
+							}
+							if on.Exec.PrefetchedPages == 0 || on.Exec.PrefetchedPages >= onPlan.PrefetchablePages {
+								t.Errorf("staged %d of %d prefetchable pages, want some but not all",
+									on.Exec.PrefetchedPages, onPlan.PrefetchablePages)
+							}
 						}
 						stagedTotal += on.Exec.PrefetchedPages
 					}

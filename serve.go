@@ -178,6 +178,7 @@ type planKey struct {
 	eps            float64
 	method         Method
 	bufferPages    int
+	policy         ReplacementPolicy
 	filterDepth    int
 	rowFraction    float64
 	shards         int
@@ -307,7 +308,7 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 		epochA: a.Epoch(), epochB: b.Epoch(),
 		fileA: a.ds.File, fileB: b.ds.File,
 		eps: opt.Epsilon, method: opt.Method,
-		bufferPages: opt.BufferPages, filterDepth: opt.FilterDepth,
+		bufferPages: opt.BufferPages, policy: opt.Policy, filterDepth: opt.FilterDepth,
 		rowFraction: opt.ClusterRowFraction, shards: opt.Sharding.Shards,
 	}
 	sv.planMu.Lock()

@@ -415,6 +415,36 @@ func TestServerExplainCached(t *testing.T) {
 	}
 }
 
+// TestServerExplainCachedPolicy: Explain replays the replacement policy, so
+// an LRU plan must not answer a FIFO explain of the same join.
+func TestServerExplainCachedPolicy(t *testing.T) {
+	sv, da, db := newTestServer(t, ServeOptions{})
+	opt := Options{Method: SC, Epsilon: 0.1, BufferPages: 12}
+	lru, err := sv.ExplainCached(context.Background(), da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Policy = FIFO
+	misses := sv.Stats().PlanMisses
+	fifo, err := sv.ExplainCached(context.Background(), da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.Stats().PlanMisses != misses+1 || fifo == lru {
+		t.Fatal("the FIFO explain was answered from the LRU plan")
+	}
+	direct, err := sv.System().Explain(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fifo, direct) {
+		t.Fatalf("cached FIFO plan differs from direct Explain:\n cached: %+v\n direct: %+v", fifo, direct)
+	}
+	if reflect.DeepEqual(fifo.ClusterIO, lru.ClusterIO) {
+		t.Fatal("LRU and FIFO predict the same reads; the workload cannot tell the plans apart")
+	}
+}
+
 func TestServerValidatesBeforeAdmission(t *testing.T) {
 	sv, da, db := newTestServer(t, ServeOptions{})
 	if _, err := sv.Join(context.Background(), da, db, Options{Method: SC, Epsilon: 0.05, BufferPages: 1}); err == nil {
