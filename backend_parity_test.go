@@ -11,12 +11,12 @@ import (
 // file store attached, a join run with Options.Storage = StorageFile — real
 // encoded page files, mmap/pread reads, background prefetch fetches — must
 // produce a Report, Pairs and Plan bit-identical to the simulator run, for
-// every combination of prefetch mode and shard count. Only the measured
-// ExecStats fields (MeasuredIOWall, MeasuredReads) may differ: they are
-// wall-clock observations of the physical reads and are excluded from the
-// comparison by construction (the test compares Report/Pairs/Plan, never
-// ExecStats). Run under -race this also exercises the concurrent background
-// reader pool against the coordinator.
+// every combination of prefetch mode and shard count. ExecStats is not
+// compared with the simulator run: its measured fields observe the physical
+// reads. MeasuredIOWall is wall time and may differ; MeasuredReads counts the
+// buffer misses, so every file run — cache-cold after DropStoreCaches too —
+// must repeat it. Run under -race this also exercises the concurrent
+// background reader pool against the coordinator.
 func TestBackendParity(t *testing.T) {
 	type workload struct {
 		name  string
@@ -80,26 +80,42 @@ func TestBackendParity(t *testing.T) {
 			defer sys.CloseStore()
 
 			for _, shards := range []int{0, 3} {
+				join := func(prefetch PrefetchMode, storage StorageMode) (*Result, string) {
+					o := wl.opt
+					o.Pipeline.Prefetch = prefetch
+					o.Storage = storage
+					if shards > 0 {
+						o.Sharding = ShardingOptions{Shards: shards}
+					}
+					name := storage.String() + "/" + prefetch.String()
+					res, err := sys.Join(da, db, o)
+					if err != nil {
+						t.Fatalf("shards=%d %s: %v", shards, name, err)
+					}
+					return res, name
+				}
 				var ref *Result
 				var refName string
+				// Every buffer miss is one backend fetch, so the physical read
+				// count is fixed by the schedule: equal in every file run.
+				var fileReads int64
+				checkFileReads := func(res *Result, name string) {
+					if fileReads == 0 {
+						fileReads = res.Exec.MeasuredReads
+					} else if res.Exec.MeasuredReads != fileReads {
+						t.Errorf("shards=%d %s: %d measured reads, an earlier file run measured %d",
+							shards, name, res.Exec.MeasuredReads, fileReads)
+					}
+				}
 				for _, prefetch := range []PrefetchMode{PrefetchOn, PrefetchOff} {
 					for _, storage := range []StorageMode{StorageSim, StorageFile} {
-						o := wl.opt
-						o.Pipeline.Prefetch = prefetch
-						o.Storage = storage
-						if shards > 0 {
-							o.Sharding = ShardingOptions{Shards: shards}
-						}
-						name := storage.String() + "/" + prefetch.String()
-						res, err := sys.Join(da, db, o)
-						if err != nil {
-							t.Fatalf("shards=%d %s: %v", shards, name, err)
-						}
+						res, name := join(prefetch, storage)
 						if storage == StorageFile {
 							if res.Exec.MeasuredReads == 0 || res.Exec.MeasuredIOWall <= 0 {
 								t.Errorf("shards=%d %s: no measured physical reads (reads=%d wall=%g)",
 									shards, name, res.Exec.MeasuredReads, res.Exec.MeasuredIOWall)
 							}
+							checkFileReads(res, name)
 						} else if res.Exec.MeasuredReads != 0 || res.Exec.MeasuredIOWall != 0 {
 							t.Errorf("shards=%d %s: simulator reported measured reads (reads=%d wall=%g)",
 								shards, name, res.Exec.MeasuredReads, res.Exec.MeasuredIOWall)
@@ -116,6 +132,16 @@ func TestBackendParity(t *testing.T) {
 							t.Errorf("shards=%d: Pairs differ between %s and %s", shards, refName, name)
 						}
 					}
+				}
+				// With the OS page cache dropped the store reads cold, and the
+				// read count still does not move.
+				if err := sys.DropStoreCaches(); err != nil {
+					t.Fatal(err)
+				}
+				res, name := join(PrefetchOn, StorageFile)
+				checkFileReads(res, "cold "+name)
+				if !reflect.DeepEqual(res.Report, ref.Report) {
+					t.Errorf("shards=%d: Report differs between %s and cold %s", shards, refName, name)
 				}
 			}
 

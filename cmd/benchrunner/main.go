@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig10|...|table2|ablations|load] [-scale 0.25] [-seed 1]
+//	benchrunner [-exp all|fig10|...|table2|ablations] [-scale 0.25] [-seed 1]
 //
 // Scale 1.0 uses the paper's exact dataset cardinalities and buffer sizes
 // (several minutes of wall time); the default 0.25 scales cardinalities and
@@ -18,17 +18,14 @@ import (
 	"os"
 	"time"
 
-	"pmjoin"
 	"pmjoin/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig10, fig11, fig12, fig13a, fig13b, fig13c, fig14, table2, ablations, parallel, kernels, pipeline, shards, storage, load")
+	exp := flag.String("exp", "all", "experiment to run: all, fig10, fig11, fig12, fig13a, fig13b, fig13c, fig14, table2, ablations")
 	scale := flag.Float64("scale", 0.25, "dataset/buffer scale factor (1.0 = paper size)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files (optional)")
-	method := pmjoin.SC
-	flag.TextVar(&method, "method", method, "join method for -exp parallel")
 	flag.Parse()
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -43,72 +40,64 @@ func main() {
 		name string
 		run  func(*experiments.Config) error
 	}
-	wrap := func(f func(*experiments.Config) error) func(*experiments.Config) error { return f }
 	runners := []runner{
-		{"fig10", wrap(func(c *experiments.Config) error {
+		{"fig10", func(c *experiments.Config) error {
 			rows, err := experiments.Fig10(c)
 			if err != nil {
 				return err
 			}
 			return writeCostCSV(*csvDir, "fig10", rows)
-		})},
-		{"fig11", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig11", func(c *experiments.Config) error {
 			rows, err := experiments.Fig11(c)
 			if err != nil {
 				return err
 			}
 			return writeCostCSV(*csvDir, "fig11", rows)
-		})},
-		{"fig12", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig12", func(c *experiments.Config) error {
 			points, err := experiments.Fig12(c)
 			if err != nil {
 				return err
 			}
 			return writeSweepCSV(*csvDir, "fig12", "buffer", points)
-		})},
-		{"table2", wrap(func(c *experiments.Config) error {
+		}},
+		{"table2", func(c *experiments.Config) error {
 			blocks, err := experiments.Table2(c)
 			if err != nil {
 				return err
 			}
 			return writeTable2CSV(*csvDir, blocks)
-		})},
-		{"fig13a", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig13a", func(c *experiments.Config) error {
 			points, err := experiments.Fig13a(c)
 			if err != nil {
 				return err
 			}
 			return writeSweepCSV(*csvDir, "fig13a", "buffer", points)
-		})},
-		{"fig13b", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig13b", func(c *experiments.Config) error {
 			points, err := experiments.Fig13b(c)
 			if err != nil {
 				return err
 			}
 			return writeSweepCSV(*csvDir, "fig13b", "buffer", points)
-		})},
-		{"fig13c", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig13c", func(c *experiments.Config) error {
 			points, err := experiments.Fig13c(c)
 			if err != nil {
 				return err
 			}
 			return writeSweepCSV(*csvDir, "fig13c", "buffer", points)
-		})},
-		{"fig14", wrap(func(c *experiments.Config) error {
+		}},
+		{"fig14", func(c *experiments.Config) error {
 			points, err := experiments.Fig14(c)
 			if err != nil {
 				return err
 			}
 			return writeSweepCSV(*csvDir, "fig14", "tuples", points)
-		})},
-		{"metrics", wrap(func(c *experiments.Config) error {
-			records, err := experiments.MetricsProfile(c)
-			if err != nil {
-				return err
-			}
-			return writeMetricsJSON(*csvDir, records)
-		})},
-		{"ablations", wrap(func(c *experiments.Config) error {
+		}},
+		{"ablations", func(c *experiments.Config) error {
 			if _, err := experiments.AblationFilterDepth(c); err != nil {
 				return err
 			}
@@ -129,91 +118,7 @@ func main() {
 			}
 			_, err := experiments.AblationSeekRatio(c)
 			return err
-		})},
-	}
-
-	// Wall-clock experiments run only when named: their timings depend on
-	// the host, so they are excluded from -exp all (whose outputs are
-	// deterministic).
-	if *exp == "kernels" {
-		start := time.Now()
-		fmt.Printf("== kernels (seed %d) ==\n", *seed)
-		records, err := experiments.KernelsBench(cfg)
-		if err == nil {
-			err = writeKernelsJSON(*csvDir, records)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kernels: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- kernels done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "pipeline" {
-		start := time.Now()
-		fmt.Printf("== pipeline (scale %g, seed %d) ==\n", *scale, *seed)
-		records, err := experiments.PipelineBench(cfg)
-		if err == nil {
-			err = writePipelineJSON(*csvDir, records)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- pipeline done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "storage" {
-		start := time.Now()
-		fmt.Printf("== storage (scale %g, seed %d) ==\n", *scale, *seed)
-		records, err := experiments.StorageBench(cfg)
-		if err == nil {
-			err = writeStorageJSON(*csvDir, records)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "storage: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- storage done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "shards" {
-		start := time.Now()
-		fmt.Printf("== shards (scale %g, seed %d) ==\n", *scale, *seed)
-		records, err := experiments.ShardsBench(cfg)
-		if err == nil {
-			err = writeShardsJSON(*csvDir, records)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shards: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- shards done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "load" {
-		start := time.Now()
-		fmt.Printf("== load (scale %g, seed %d) ==\n", *scale, *seed)
-		point, err := experiments.LoadBench(cfg, experiments.LoadSpec{})
-		if werr := writeLoadJSON(*csvDir, point); err == nil {
-			err = werr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- load done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *exp == "parallel" {
-		start := time.Now()
-		fmt.Printf("== parallel (scale %g) ==\n", *scale)
-		if _, err := experiments.ParallelSpeedup(cfg, method, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "parallel: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- parallel done in %v --\n\n", time.Since(start).Round(time.Millisecond))
-		return
+		}},
 	}
 
 	ran := false

@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmjoin/internal/geom"
@@ -223,6 +224,15 @@ func clusterBench(dim, pages, rowsPerPage int) (br, bs *ClusterBlock, pagesR, pa
 func benchmarkBlockVsLoop(b *testing.B, dim int, batch bool) {
 	br, bs, pagesR, pagesS, cells := clusterBench(dim, 8, 64)
 	th := NewThreshold(geom.L2, 0.3*math.Sqrt(float64(dim)))
+	// Both timed paths must produce the same hit stream, order included: at
+	// the timed ε, and at the median pair distance √(2·dim), where about
+	// half the pairs hit.
+	for _, check := range []Threshold{th, NewThreshold(geom.L2, math.Sqrt(2*float64(dim)))} {
+		want, _ := refBlockHits(&check, pagesR, pagesS, cells)
+		if got := BlockPairsWithin(&check, br, bs, cells, nil); !slices.Equal(got, want) {
+			b.Fatalf("BlockPairsWithin gives %d hits, the per-pair loop %d, or they differ in order", len(got), len(want))
+		}
+	}
 	var hits []BlockHit
 	var scratch []int
 	b.SetBytes(int64(len(cells)) * 64 * 64 * int64(dim) * 8)

@@ -1082,10 +1082,6 @@ var now = time.Now
 		src := strings.Replace(timeSrc, "package fixture", "package metrics", 1)
 		expectDiags(t, runOne(t, "walltime", metricsPkgPath, src), "walltime", nil)
 	})
-	t.Run("internal/experiments is exempt", func(t *testing.T) {
-		src := strings.Replace(timeSrc, "package fixture", "package experiments", 1)
-		expectDiags(t, runOne(t, "walltime", experimentsPkgPath, src), "walltime", nil)
-	})
 	t.Run("internal/store is exempt", func(t *testing.T) {
 		src := strings.Replace(timeSrc, "package fixture", "package store", 1)
 		expectDiags(t, runOne(t, "walltime", storePkgPath, src), "walltime", nil)

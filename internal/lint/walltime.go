@@ -4,21 +4,19 @@ import "strings"
 
 // Package paths referenced by individual rules.
 const (
-	metricsPkgPath     = "pmjoin/internal/metrics"
-	experimentsPkgPath = "pmjoin/internal/experiments"
-	storePkgPath       = "pmjoin/internal/store"
+	metricsPkgPath = "pmjoin/internal/metrics"
+	storePkgPath   = "pmjoin/internal/store"
 )
 
 // walltimeAllowed lists the internal packages sanctioned to read the wall
-// clock: metrics (the phase-scoped collector), experiments (the host-speedup
-// harness), and store (the file-backed page store, whose whole point is
-// *measured* physical read latencies — they flow only into disk.Measured /
-// ExecStats.MeasuredIOWall, never into a Report). Everything else under
-// internal/ is hot-path and stays modeled-time only.
+// clock: metrics (the phase-scoped collector) and store (the file-backed
+// page store, whose whole point is *measured* physical read latencies — they
+// flow only into disk.Measured / ExecStats.MeasuredIOWall, never into a
+// Report). Everything else under internal/ is hot-path and stays
+// modeled-time only.
 var walltimeAllowed = map[string]bool{
-	metricsPkgPath:     true,
-	experimentsPkgPath: true,
-	storePkgPath:       true,
+	metricsPkgPath: true,
+	storePkgPath:   true,
 }
 
 // walltimeAnalyzer flags `import "time"` in the hot-path internal packages.
@@ -29,14 +27,14 @@ var walltimeAllowed = map[string]bool{
 // join is either dead weight on the hot path or — worse — the first step of
 // time-based accounting that would make Reports host-dependent. All wall-
 // clock measurement flows through the sanctioned seams instead — the
-// walltimeAllowed set: internal/metrics (the phase-scoped collector),
-// internal/experiments (the host-speedup harness), internal/store (measured
-// physical read latencies) — and the ExecStats fields at the API layer
-// (outside internal/). Anything else needs a //lint:ignore walltime <reason>.
+// walltimeAllowed set: internal/metrics (the phase-scoped collector) and
+// internal/store (measured physical read latencies) — and the ExecStats
+// fields at the API layer (outside internal/). Anything else needs a
+// //lint:ignore walltime <reason>.
 func walltimeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "walltime",
-		Doc:  "import of time in a hot-path internal package; wall-clock measurement belongs to internal/metrics, internal/experiments, or ExecStats",
+		Doc:  "import of time in a hot-path internal package; wall-clock measurement belongs to internal/metrics, internal/store, or ExecStats",
 		Run:  runWalltime,
 	}
 }

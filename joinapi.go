@@ -72,7 +72,7 @@ type ExecStats struct {
 	// the planned shard count and the concurrent shard workers. When sharded,
 	// ModeledWallSeconds is the slowest shard's modeled clock (shards run
 	// concurrently) while ModeledSerialSeconds sums every shard — their ratio
-	// is the modeled sharding speedup benchrunner reports.
+	// is the modeled sharding speedup.
 	Shards       int
 	ShardWorkers int
 	// MeasuredIOWall and MeasuredReads report the physical backend read

@@ -3,7 +3,11 @@
 #
 # Order matters: cheap structural checks first, then the project lint suite
 # (pmlint: buffer/I-O/determinism invariants the compiler cannot see), then
-# the full test suite under the race detector.
+# the determinism contract tests on their own, the full test suite under the
+# race detector, and last the end-to-end benchmark's smoke test. Serving-mode
+# behaviour (concurrent joins bit-identical to solo runs, rejections and
+# cancellations accounted) is covered by the root package's TestServer* tests
+# inside the race run.
 #
 # Usage: scripts/verify.sh [-short]
 #   -short  passes -short to `go test` (skips the whole-module lint test,
@@ -60,14 +64,5 @@ echo "==> go test ./bench (the end-to-end benchmark's own tests)"
 # metric in BENCHMARK.json is produced, that exact counters repeat, and
 # Lemma 2, on the binary the benchmark actually builds.
 go test ./bench
-
-echo "==> pmjoind load smoke (benchrunner -exp load)"
-# Drives the real joinsvc handler stack with 8 concurrent clients in an
-# open/query/cancel/explain mix. LoadBench exits nonzero if any request is
-# lost or any concurrent report diverges from its solo baseline, so this is
-# the serving-mode acceptance gate, not just a benchmark.
-# The latency sidecar (BENCH_load.json) goes to a scratch dir here; CI
-# passes -csv artifacts instead and uploads it.
-go run ./cmd/benchrunner -exp load -scale 0.1 -csv "$(mktemp -d)"
 
 echo "verify: OK"

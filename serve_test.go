@@ -325,6 +325,64 @@ func TestServerRejectionAccounting(t *testing.T) {
 	}
 }
 
+// TestServerJoinCancel: a client that cancels before or during its join gets
+// context.Canceled, the server hands the join's frames back and books it as
+// failed, and the next join runs.
+func TestServerJoinCancel(t *testing.T) {
+	sv, da, db := newTestServer(t, ServeOptions{})
+	// A self NLJ long enough that a cancel lands mid-run on any host.
+	big, err := sv.System().AddVectors("big", randomVecs(3000, 2, 5), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sv.Join(ctx, da, db, Options{Method: SC, Epsilon: 0.05, BufferPages: 16}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled join: err = %v, want context.Canceled", err)
+	}
+
+	// Cancel as soon as the registry shows the join running.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	returned, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-returned:
+				return
+			default:
+			}
+			if active, _ := sv.Joins(); len(active) == 1 && active[0].State == StateRunning {
+				cancel()
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	res, err := sv.Join(ctx, big, big, Options{Method: NLJ, Epsilon: 0.05, BufferPages: 4})
+	close(returned)
+	<-polled
+	if !errors.Is(err, context.Canceled) || res == nil || !res.Exec.Cancelled {
+		t.Fatalf("mid-run cancel: err = %v, result %v; want context.Canceled and Exec.Cancelled", err, res != nil)
+	}
+
+	st := sv.Stats()
+	if st.InUseFrames != 0 || st.Queued != 0 {
+		t.Fatalf("cancelled joins kept admission state: %+v", st)
+	}
+	if st.Admitted != 2 || st.Completed != 0 || st.Failed != 2 || st.Rejected != 0 {
+		t.Fatalf("cancelled joins misaccounted: %+v", st)
+	}
+	if _, err := sv.Join(context.Background(), da, db, Options{Method: SC, Epsilon: 0.05, BufferPages: 16}); err != nil {
+		t.Fatalf("join after cancellations: %v", err)
+	}
+	if st := sv.Stats(); st.Admitted != 3 || st.Completed != 1 || st.Failed != 2 || st.InUseFrames != 0 {
+		t.Fatalf("join after cancellations misaccounted: %+v", st)
+	}
+}
+
 func TestServerJoinsRegistry(t *testing.T) {
 	sv, da, db := newTestServer(t, ServeOptions{RecentJoins: 2})
 	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 16}
