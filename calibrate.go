@@ -24,8 +24,7 @@ func (s *System) CalibrateEpsilon(a, b *Dataset, target float64) (float64, error
 	}
 	density := func(eps float64) (float64, error) {
 		m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
-			s.matrixEpsilon(a, eps), s.predictor(a),
-			predmat.BuildOptions{FilterDepth: predmat.DefaultFilterDepth})
+			eps, s.predictor(a), predmat.BuildOptions{FilterDepth: predmat.DefaultFilterDepth})
 		if err != nil {
 			return 0, err
 		}

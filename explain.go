@@ -4,13 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/cluster"
-	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
-	"pmjoin/internal/sched"
-	"pmjoin/internal/shard"
 )
 
 // ClusterIOPlan is the per-cluster read prediction for one scheduled cluster:
@@ -148,10 +143,11 @@ func (p *Plan) String() string {
 	return out
 }
 
-// Explain builds the prediction matrix and SC clustering for joining a and b
-// under opt and returns the plan with the paper's analytic page-read bounds
-// (Lemmas 1-4) and the per-cluster reads a run will make, without reading
-// any data pages. Only Epsilon, BufferPages, Policy, FilterDepth,
+// Explain builds the plan an SC join of a and b under opt runs — the same
+// matrix, clustering, schedule and shard cut, from the same planner — and
+// renders it with the paper's analytic page-read bounds (Lemmas 1-4) and the
+// per-cluster reads a run will make, without reading any data pages. Only
+// Epsilon, BufferPages, Policy, FilterDepth,
 // ClusterRowFraction and Sharding.Shards of opt are used; the reads depend
 // on BufferPages and Policy, which the plan replays. Explain shares Join's
 // option validation: an Options value Join accepts, Explain accepts too.
@@ -177,19 +173,18 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	if opt.Metrics {
 		mc = metrics.New(metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity})
 	}
-	res := &Result{}
-	m, err := s.buildMatrix(a, b, opt, res, nil, mc)
+	// The plan an SC join would run, priced by replaying its pins.
+	cp, err := s.planClusters(a, b, SC, opt, &Result{}, nil, mc)
 	if err != nil {
 		return nil, err
 	}
 	mc.PhaseStart(metrics.PhaseCluster)
-	clusters, err := cluster.SquareOpts(m, opt.BufferPages, cluster.SquareOptions{
-		RowFraction: opt.ClusterRowFraction,
-	})
+	err = cp.cut.Price(cp.pages, s.shardCost(opt))
+	mc.PhaseEnd()
 	if err != nil {
-		mc.PhaseEnd()
 		return nil, err
 	}
+	m, clusters, cut := cp.m, cp.clusters, cp.cut
 
 	p := &Plan{
 		RowPages:      a.ds.Pages,
@@ -203,12 +198,6 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	p.NLJPageReads = nljReads(a.ds.Pages, b.ds.Pages, opt.BufferPages)
 	p.PMNLJLowerBound = lemma1Bound(m)
 
-	// Page-set keys are the executor's disk.PageAddr sets (shard.PageSets):
-	// for a self join both sides read the same file, so a cluster's row page
-	// and equal col page are one frame, not two. Without the dedup the
-	// sharing graph (and so the schedule and its savings) would diverge from
-	// the one the run actually builds.
-	pageSets := shard.PageSets(clusters, a.ds.File, b.ds.File)
 	var entries int
 	for _, c := range clusters {
 		p.ClusteredPageReads += int64(c.Pages())
@@ -219,32 +208,23 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	}
 	if len(clusters) > 0 {
 		p.AvgEntriesPerCluster = float64(entries) / float64(len(clusters))
-		edges := sched.SharingGraph(pageSets)
-		order := sched.GreedyOrder(len(clusters), edges)
-		steps := sched.StepSavings(pageSets, order)
-		reads, err := join.PredictReads(pageSets, order, opt.BufferPages, buffer.Policy(opt.Policy))
-		if err != nil {
-			mc.PhaseEnd()
-			return nil, err
-		}
-		p.ClusterIO = make([]ClusterIOPlan, len(order))
-		for pos, ci := range order {
-			// len(pageSets[ci]), not Pages(): the pinned set, post self-join
-			// dedup, is what the executor fetches and pins.
-			pages := len(pageSets[ci])
+		p.ClusterIO = make([]ClusterIOPlan, len(cut.Order))
+		for pos, ci := range cut.Order {
 			// Position 0 has no predecessor whose CPU phase could hide its
 			// reads.
-			prefetchable := 0
+			reads, prefetchable := cut.Reads[pos], 0
 			if pos > 0 {
-				prefetchable = reads[pos]
+				prefetchable = reads
 			}
+			// len(cp.pages[ci]), not Pages(): the pinned set, post self-join
+			// dedup, is what the executor fetches and pins.
 			p.ClusterIO[pos] = ClusterIOPlan{
 				Cluster:      ci,
-				Pages:        pages,
-				Reads:        reads[pos],
+				Pages:        len(cp.pages[ci]),
+				Reads:        reads,
 				Prefetchable: prefetchable,
 			}
-			p.ScheduleSavings += int64(steps[pos])
+			p.ScheduleSavings += int64(cut.Shared[pos])
 			p.PrefetchablePages += int64(prefetchable)
 			if prefetchable > 0 {
 				p.PredictedOverlapSeconds += s.model.SeekSeconds +
@@ -253,15 +233,8 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		}
 	}
 	if opt.Sharding.Shards > 0 {
-		// The same planner call the sharded run makes, so the predicted
-		// per-shard I/O here is the plan the coordinator will execute.
-		sp, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost(opt))
-		if err != nil {
-			mc.PhaseEnd()
-			return nil, err
-		}
-		p.Shards = make([]ShardIOPlan, len(sp.Shards))
-		for i, sh := range sp.Shards {
+		p.Shards = make([]ShardIOPlan, len(cut.Shards))
+		for i, sh := range cut.Shards {
 			p.Shards[i] = ShardIOPlan{
 				Shard:          i,
 				Clusters:       len(sh.Clusters),
@@ -270,10 +243,9 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 				CostSeconds:    sh.CostSeconds,
 			}
 		}
-		p.CutLostPages = sp.CutLostPages
-		p.CutPenaltySeconds = sp.CutPenaltySeconds
+		p.CutLostPages = cut.CutLostPages
+		p.CutPenaltySeconds = cut.CutPenaltySeconds
 	}
-	mc.PhaseEnd()
 	p.Metrics = mc.Finish()
 	return p, nil
 }

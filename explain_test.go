@@ -84,3 +84,31 @@ func TestExplainValidation(t *testing.T) {
 		t.Fatal("tiny buffer accepted")
 	}
 }
+
+// TestExplainOrderIsExecutedOrder: Explain renders the plan a join runs, so
+// the plan's cluster order is the run's, position for position, unsharded
+// and at one shard.
+func TestExplainOrderIsExecutedOrder(t *testing.T) {
+	sys, da, db := smallVecSystem(t)
+	for _, shards := range []int{0, 1} {
+		opt := Options{Method: SC, Epsilon: 0.1, BufferPages: 12, Metrics: true,
+			Sharding: ShardingOptions{Shards: shards}}
+		plan, err := sys.Explain(da, db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Join(da, db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := res.Metrics.Clusters
+		if len(plan.ClusterIO) < 2 || len(plan.ClusterIO) != len(ran) {
+			t.Fatalf("shards=%d: plan orders %d clusters, run visited %d", shards, len(plan.ClusterIO), len(ran))
+		}
+		for i, c := range plan.ClusterIO {
+			if c.Cluster != ran[i].Cluster {
+				t.Fatalf("shards=%d position %d: plan runs cluster %d, run visited %d", shards, i, c.Cluster, ran[i].Cluster)
+			}
+		}
+	}
+}

@@ -77,8 +77,8 @@ func AblationClusterShape(cfg *Config) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblationSchedule compares the greedy sharing-graph cluster order against
-// random and creation order (Optimization 3 of §9.1).
+// AblationSchedule compares the greedy sharing-graph cluster order (SC)
+// against a random order (random-SC), Optimization 3 of §9.1.
 func AblationSchedule(cfg *Config) ([]AblationRow, error) {
 	cfg.defaults()
 	sys, da, db, eps, err := SpatialPair(cfg)

@@ -78,6 +78,9 @@ type Engine struct {
 // account across this engine's completed runs. Zero without a Backend.
 func (e *Engine) MeasuredIO() disk.Measured { return e.measured }
 
+// validate makes a run's O(1) checks: the engine has a disk and a buffer of
+// at least three frames, and each dataset matches its file's page count. The
+// index walk (Dataset.Validate) is the ingester's, once per dataset.
 func (e *Engine) validate(r, s *Dataset) error {
 	if e.Disk == nil {
 		return fmt.Errorf("join: engine has no disk")
@@ -85,13 +88,10 @@ func (e *Engine) validate(r, s *Dataset) error {
 	if e.BufferSize < 3 {
 		return fmt.Errorf("join: buffer size %d < 3", e.BufferSize)
 	}
-	if err := r.Validate(e.Disk); err != nil {
+	if err := r.check(e.Disk); err != nil {
 		return err
 	}
-	if err := s.Validate(e.Disk); err != nil {
-		return err
-	}
-	return nil
+	return s.check(e.Disk)
 }
 
 // Run wraps an executor body with a fresh execution scope: a cold disk
@@ -290,76 +290,28 @@ func (e *Engine) PMNLJ(r, s *Dataset, m *predmat.Matrix, j ObjectJoiner) (*Repor
 	})
 }
 
-// ClusterOrder selects how the clustered executor sequences clusters.
-type ClusterOrder int
-
-const (
-	// OrderGreedySharing is the paper's sharing-graph greedy schedule (§8).
-	OrderGreedySharing ClusterOrder = iota
-	// OrderRandom processes clusters in random order (random-SC, §9.1).
-	OrderRandom
-	// OrderCreation processes clusters in creation order (ablation).
-	OrderCreation
-)
-
-// ClusteredOptions configures the clustered join executor.
-type ClusteredOptions struct {
-	Order ClusterOrder
-	Seed  int64 // for OrderRandom
-	// PreprocessSeconds is added to the report (the caller models the
-	// clustering cost; see ModelSCPreprocess / ModelCCPreprocess).
-	PreprocessSeconds float64
-}
-
-// Clustered runs the clustered join: clusters are scheduled, then each
-// cluster's marked row and column pages are pinned with Pool.PinSet (the
-// resident ones first, so every page shared with the predecessor is reused
-// as Lemma 4 requires, then the missing ones read in ascending page order —
-// optimal disk scheduling [40]), and the cluster's marked page pairs are
-// joined entirely in memory (Lemma 2).
-func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster.Cluster, j ObjectJoiner, opts ClusteredOptions) (*Report, error) {
+// Clustered runs the clustered join over the clusters at the creation
+// indices in order, in that order; pages[i] is cluster i's pinned page set
+// (sched.NewPageSet over its rows and columns). Each cluster's pages are
+// pinned with Pool.PinSet (the resident ones first, so every page shared
+// with the predecessor is reused as Lemma 4 requires, then the missing ones
+// read in ascending page order — optimal disk scheduling [40]), and the
+// cluster's marked page pairs are joined entirely in memory (Lemma 2). The
+// schedule is the caller's (internal/shard plans it), and so are the
+// report's Method and PreprocessSeconds.
+func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster.Cluster, pages []sched.PageSet, order []int, j ObjectJoiner) (*Report, error) {
 	if err := e.validate(r, s); err != nil {
 		return nil, err
 	}
-	for i, c := range clusters {
-		if c.Pages() > e.BufferSize {
-			return nil, fmt.Errorf("join: cluster %d needs %d pages > buffer %d", i, c.Pages(), e.BufferSize)
+	for _, ci := range order {
+		if c := clusters[ci]; c.Pages() > e.BufferSize {
+			return nil, fmt.Errorf("join: cluster %d needs %d pages > buffer %d", ci, c.Pages(), e.BufferSize)
 		}
 	}
-	method := "SC"
-	switch opts.Order {
-	case OrderRandom:
-		method = "random-SC"
-	case OrderCreation:
-		method = "creation-SC"
-	}
 
-	return e.Run(method, func(x *Exec) error {
+	return e.Run("clustered", func(x *Exec) error {
 		x.Rep.MarkedEntries = m.Marked()
-		x.Rep.Clusters = len(clusters)
-		x.Rep.PreprocessSeconds = opts.PreprocessSeconds
-
-		pageSets := make([]sched.PageSet, len(clusters))
-		for i, c := range clusters {
-			pageSets[i] = sched.NewPageSet(r.File, c.Rows(), s.File, c.Cols())
-		}
-
-		var order []int
-		switch opts.Order {
-		case OrderGreedySharing:
-			// Schedule construction is clustering-phase work even though
-			// it runs inside the executor scope; the nested phase window
-			// attributes it (exclusively) to PhaseCluster.
-			e.Metrics.PhaseStart(metrics.PhaseCluster)
-			edges := sched.SharingGraph(pageSets)
-			order = sched.GreedyOrder(len(clusters), edges)
-			e.Metrics.PhaseEnd()
-			x.Rep.PreprocessSeconds += ModelSchedulePreprocess(len(edges))
-		case OrderRandom:
-			order = sched.RandomOrder(len(clusters), opts.Seed)
-		case OrderCreation:
-			order = sched.IdentityOrder(len(clusters))
-		}
+		x.Rep.Clusters = len(order)
 
 		// The prefetch pipeline needs the per-step plan (the pages each
 		// cluster needs that its predecessor does not pin). Only LRU
@@ -370,7 +322,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 		prefetching := e.Prefetch && e.Policy == buffer.LRU && len(order) > 1
 		var plan []sched.PageSet
 		if prefetching {
-			plan = sched.PrefetchPlan(pageSets, order)
+			plan = sched.PrefetchPlan(pages, order)
 		}
 
 		var cpuMark float64
@@ -389,10 +341,10 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			// counts nothing (their hit or miss was pre-charged at stage
 			// time), keeping the counters identical with prefetch off.
 			// PredictReads replays this call.
-			if err := x.Pool.PinSet(pageSets[ci]); err != nil {
+			if err := x.Pool.PinSet(pages[ci]); err != nil {
 				return err
 			}
-			e.Metrics.ClusterPinned(len(pageSets[ci]))
+			e.Metrics.ClusterPinned(len(pages[ci]))
 			if err := x.JoinCluster(r, s, c, j); err != nil {
 				return err
 			}

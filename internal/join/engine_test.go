@@ -9,6 +9,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/rstar"
+	"pmjoin/internal/sched"
 )
 
 // buildVectorDataset materializes n random 2-d points as a packed R*-tree
@@ -78,6 +79,23 @@ func buildMatrix(t *testing.T, da, db *Dataset, eps float64) *predmat.Matrix {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// pageSetsOf returns the clusters' pinned page sets, as internal/shard
+// builds them.
+func pageSetsOf(r, s *Dataset, clusters []*cluster.Cluster) []sched.PageSet {
+	sets := make([]sched.PageSet, len(clusters))
+	for i, c := range clusters {
+		sets[i] = sched.NewPageSet(r.File, c.Rows(), s.File, c.Cols())
+	}
+	return sets
+}
+
+// runScheduled runs the clustered join in the paper's greedy schedule (§8),
+// the order internal/shard plans for an unsharded run.
+func runScheduled(e *Engine, r, s *Dataset, m *predmat.Matrix, clusters []*cluster.Cluster, j ObjectJoiner) (*Report, error) {
+	pages := pageSetsOf(r, s, clusters)
+	return e.Clustered(r, s, m, clusters, pages, sched.GreedyOrder(len(pages), sched.SharingGraph(pages)), j)
 }
 
 func TestNLJMatchesBruteForce(t *testing.T) {
@@ -150,15 +168,26 @@ func TestClusteredMatchesNLJAllOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, order := range []ClusterOrder{OrderGreedySharing, OrderRandom, OrderCreation} {
+	pages := pageSetsOf(da, db, clusters)
+	reversed := make([]int, len(clusters))
+	for i := range reversed {
+		reversed[i] = len(clusters) - 1 - i
+	}
+	for _, tc := range []struct {
+		name  string
+		order []int
+	}{
+		{"greedy", sched.GreedyOrder(len(pages), sched.SharingGraph(pages))},
+		{"random", sched.RandomOrder(len(clusters), 9)},
+		{"reversed", reversed},
+	} {
 		e := &Engine{Disk: d, BufferSize: 12}
-		rep, err := e.Clustered(da, db, m, clusters, VectorJoiner{Norm: geom.L2, Eps: eps},
-			ClusteredOptions{Order: order, Seed: 9})
+		rep, err := e.Clustered(da, db, m, clusters, pages, tc.order, VectorJoiner{Norm: geom.L2, Eps: eps})
 		if err != nil {
-			t.Fatalf("order %v: %v", order, err)
+			t.Fatalf("%s order: %v", tc.name, err)
 		}
 		if rep.Results != want {
-			t.Fatalf("order %v: results = %d, want %d", order, rep.Results, want)
+			t.Fatalf("%s order: results = %d, want %d", tc.name, rep.Results, want)
 		}
 		if rep.Clusters != len(clusters) {
 			t.Fatalf("clusters = %d", rep.Clusters)
@@ -174,7 +203,7 @@ func TestClusteredRejectsOversizedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Disk: d, BufferSize: 8} // smaller than the clusters were built for
-	_, err = e.Clustered(da, db, m, clusters, VectorJoiner{Norm: geom.L2, Eps: eps}, ClusteredOptions{})
+	_, err = runScheduled(e, da, db, m, clusters, VectorJoiner{Norm: geom.L2, Eps: eps})
 	if err == nil {
 		t.Fatal("oversized cluster accepted")
 	}
@@ -254,7 +283,7 @@ func TestSelfJoinConsistentAcrossExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := e.Clustered(da, da, m, clusters, j, ClusteredOptions{})
+	sc, err := runScheduled(e, da, da, m, clusters, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +339,7 @@ func TestClusteredIOBeatsPMNLJOnBandedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := e.Clustered(da, db, m, clusters, j, ClusteredOptions{Order: OrderGreedySharing})
+	sc, err := runScheduled(e, da, db, m, clusters, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +366,7 @@ func TestLemma2NoIntraClusterMisses(t *testing.T) {
 		totalPages += int64(c.Pages())
 	}
 	e := &Engine{Disk: d, BufferSize: 14}
-	rep, err := e.Clustered(da, db, m, clusters, VectorJoiner{Norm: geom.L2, Eps: eps},
-		ClusteredOptions{Order: OrderGreedySharing})
+	rep, err := runScheduled(e, da, db, m, clusters, VectorJoiner{Norm: geom.L2, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

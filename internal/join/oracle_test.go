@@ -431,8 +431,9 @@ func TestClusteredMatchesOracle(t *testing.T) {
 				t.Fatalf("no cluster exceeds %d entries; run splitting is not exercised", taskCells)
 			}
 
+			order := sched.RandomOrder(len(clusters), seed)
 			var want joinTrace
-			for _, ci := range sched.RandomOrder(len(clusters), seed) {
+			for _, ci := range order {
 				for _, en := range clusters[ci].Entries {
 					want.add(func(emit func(int, int)) (int64, float64) {
 						return refJoinPages(tc.joiner, tc.r[en.R], sPages[en.C], emit)
@@ -449,7 +450,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 				if workers > 0 {
 					e.Workers = NewWorkerPool(workers)
 				}
-				rep, err := e.Clustered(dr, ds, m, clusters, tc.joiner, ClusteredOptions{Order: OrderRandom, Seed: seed})
+				rep, err := e.Clustered(dr, ds, m, clusters, pageSetsOf(dr, ds, clusters), order, tc.joiner)
 				if e.Workers != nil {
 					e.Workers.Close()
 				}

@@ -33,7 +33,7 @@ func runEngine(t *testing.T, method string, workers int, seed int64) (*Report, [
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
-		rep, err = e.Clustered(da, db, m, clusters, j, ClusteredOptions{})
+		rep, err = runScheduled(e, da, db, m, clusters, j)
 	default:
 		t.Fatalf("unknown method %q", method)
 	}

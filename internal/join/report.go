@@ -21,16 +21,15 @@ type Dataset struct {
 	Pages int
 }
 
-// Validate checks that the hierarchy matches the page file.
+// Validate checks that the hierarchy matches the page file. It walks the
+// whole index, so it runs once per dataset, when the dataset is ingested;
+// every join repeats only its O(1) part, check.
 func (d *Dataset) Validate(dk *disk.Disk) error {
-	if d.Root == nil {
-		return fmt.Errorf("join: dataset %q has no index", d.Name)
+	if err := d.check(dk); err != nil {
+		return err
 	}
 	if err := d.Root.Validate(); err != nil {
 		return fmt.Errorf("join: dataset %q: %w", d.Name, err)
-	}
-	if got := dk.NumPages(d.File); got != d.Pages {
-		return fmt.Errorf("join: dataset %q declares %d pages, file has %d", d.Name, d.Pages, got)
 	}
 	// Several leaves may share a page (multi-resolution sequence indexes),
 	// but every page must be covered and every leaf in range.
@@ -47,6 +46,18 @@ func (d *Dataset) Validate(dk *disk.Disk) error {
 	}
 	if len(seen) != d.Pages {
 		return fmt.Errorf("join: dataset %q leaves cover %d of %d pages", d.Name, len(seen), d.Pages)
+	}
+	return nil
+}
+
+// check is Validate's O(1) part: the dataset has an index, and it declares
+// as many pages as its file holds.
+func (d *Dataset) check(dk *disk.Disk) error {
+	if d.Root == nil {
+		return fmt.Errorf("join: dataset %q has no index", d.Name)
+	}
+	if got := dk.NumPages(d.File); got != d.Pages {
+		return fmt.Errorf("join: dataset %q declares %d pages, file has %d", d.Name, d.Pages, got)
 	}
 	return nil
 }

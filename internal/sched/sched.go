@@ -289,13 +289,3 @@ func RandomOrder(n int, seed int64) []int {
 	order := rng.Perm(n)
 	return order
 }
-
-// IdentityOrder returns 0..n-1 (row-major cluster creation order), used by
-// the scheduling ablation.
-func IdentityOrder(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

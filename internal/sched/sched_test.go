@@ -164,12 +164,3 @@ func TestRandomOrderDeterministicInSeed(t *testing.T) {
 		t.Fatal("random order not a permutation")
 	}
 }
-
-func TestIdentityOrder(t *testing.T) {
-	got := IdentityOrder(4)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("identity = %v", got)
-		}
-	}
-}

@@ -137,7 +137,9 @@ func MergeTimelines(results []*Result) disk.TimelineStats {
 
 // MergePairs concatenates per-shard pair slices in shard-index order, capped
 // at maxPairs. The second result reports truncation: either the concatenation
-// overflowed the cap or some shard already truncated locally.
+// overflowed the cap or some shard already truncated locally. The merge
+// appends to the first shard's slice rather than copying it, so a one-shard
+// run hands its pairs over as collected.
 func MergePairs(results []*Result, maxPairs int) ([][2]int, bool) {
 	var pairs [][2]int
 	truncated := false
@@ -145,15 +147,14 @@ func MergePairs(results []*Result, maxPairs int) ([][2]int, bool) {
 		if r == nil {
 			continue
 		}
-		if r.Truncated {
-			truncated = true
+		truncated = truncated || r.Truncated
+		if room := maxPairs - len(pairs); len(r.Pairs) > room {
+			return append(pairs, r.Pairs[:room]...), true
 		}
-		for _, p := range r.Pairs {
-			if len(pairs) >= maxPairs {
-				truncated = true
-				return pairs, truncated
-			}
-			pairs = append(pairs, p)
+		if pairs == nil {
+			pairs = r.Pairs
+		} else {
+			pairs = append(pairs, r.Pairs...)
 		}
 	}
 	return pairs, truncated

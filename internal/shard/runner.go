@@ -3,20 +3,23 @@ package shard
 import (
 	"context"
 
-	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
+	"pmjoin/internal/sched"
 )
 
-// Task names one shard's work: which clusters (by creation index) it owns.
-// Everything else a shard needs — datasets, matrix, options — is carried by
-// the Runner, so a Task is small enough to put on the wire.
+// Task names one shard's work: the clusters it runs, by creation index and in
+// execution order, and the size of the sharing graph that order was built
+// from, which prices its modeled construction. Everything else a shard needs
+// — datasets, matrix, options — is carried by the Runner, so a Task is small
+// enough to put on the wire.
 type Task struct {
-	Shard    int
-	Clusters []int
+	Shard         int
+	Clusters      []int
+	ScheduleEdges int
 }
 
 // Result is one shard's outcome. Report, Pairs and Truncated are
@@ -49,46 +52,29 @@ type Runner interface {
 	RunShard(ctx context.Context, t Task) (*Result, error)
 }
 
-// LocalRunner runs shards in process: each RunShard builds a fresh
-// join.Engine over the shared simulated disk, so the shard gets its own cold
-// disk session and private buffer pool (via Engine.Run) and reuses the
-// pipelined clustered executor unchanged over its cluster subset.
+// LocalRunner runs shards in process: each RunShard runs a copy of the
+// Engine template, so the shard gets its own cold disk session and private
+// buffer pool (via Engine.Run), and executes the task's order unchanged.
 type LocalRunner struct {
-	// Execution environment, shared across shards.
-	Disk       *disk.Disk
-	BufferSize int
-	Policy     buffer.Policy
-	// Workers is the shared comparison pool (nil = inline). Shards must not
-	// submit blocking shard-level work here — they only feed it page-pair
-	// comparison tasks, exactly as the unsharded executor does — so sharing
-	// one pool across concurrent shards cannot deadlock.
-	Workers *join.WorkerPool
-	// Shared, when non-nil, is the service-wide concurrent frame cache every
-	// shard's engine participates in (see join.Engine.Shared); per-shard
-	// Reports stay solo-run pure either way.
-	Shared *buffer.SharedPool
-	// Pipeline knobs, inherited by every shard's engine.
-	Prefetch      bool
-	PrefetchDepth int
-	// Backend, when non-nil, is the physical page source every shard's
-	// engine reads through (see join.Engine.Backend); per-shard Reports are
-	// bit-identical either way, only Result.Measured differs.
-	Backend disk.Backend
-	// Readers is the shared background reader pool for prefetch fetches
-	// (nil = synchronous). Reader tasks are plain backend fetches that never
-	// submit further work, so sharing one pool across shards cannot deadlock.
-	Readers *join.WorkerPool
+	// Engine is the execution environment every shard's engine copies: the
+	// shared disk, buffer size and policy, comparison and reader pools, frame
+	// cache, backend and pipeline knobs. Each copy gets its own Ctx, Timeline
+	// and OnPair. Shards may share the pools: they only feed them comparison
+	// tasks and plain backend fetches, which never wait on a shard, so
+	// concurrent shards cannot deadlock. The template's Metrics collector is
+	// used as is, which suits a one-shard run reporting on its caller's
+	// snapshot; with Metrics set, every shard gets a collector of its own.
+	Engine join.Engine
 
 	// The join being sharded.
 	R, S     *join.Dataset
 	Matrix   *predmat.Matrix
 	Clusters []*cluster.Cluster
+	Pages    []sched.PageSet // the clusters' pinned page sets (PageSets)
 	Joiner   join.ObjectJoiner
-	Order    join.ClusterOrder
-	Seed     int64
 	// PreprocessSeconds is the modeled clustering cost; it is charged to
-	// shard 0 only, so the merged report counts it once (each shard's own
-	// schedule-construction cost accrues per shard, as it is really paid).
+	// shard 0 only, so the merged report counts it once. Each shard adds the
+	// modeled construction of its own order (Task.ScheduleEdges).
 	PreprocessSeconds float64
 
 	// Pair collection. Each shard collects up to MaxPairs locally; the
@@ -106,26 +92,11 @@ type LocalRunner struct {
 // cold session and private pool; the timeline and optional collector are
 // per-shard, so nothing observational is shared across concurrent shards.
 func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
-	var mc *metrics.Collector // nil when disabled: every hook no-ops
-	if r.Metrics {
-		mc = metrics.New(r.MetricsConfig)
-	}
-	tl := disk.NewTimeline()
 	out := &Result{Shard: t.Shard}
-	eng := &join.Engine{
-		Disk:          r.Disk,
-		BufferSize:    r.BufferSize,
-		Policy:        r.Policy,
-		Workers:       r.Workers,
-		Ctx:           ctx,
-		Metrics:       mc,
-		Shared:        r.Shared,
-		Prefetch:      r.Prefetch,
-		PrefetchDepth: r.PrefetchDepth,
-		Backend:       r.Backend,
-		Readers:       r.Readers,
-		Timeline:      tl,
-	}
+	eng := r.Engine
+	eng.Ctx = ctx
+	eng.Timeline = disk.NewTimeline()
+	eng.OnPair = nil
 	if r.CollectPairs {
 		eng.OnPair = func(i, j int) {
 			if len(out.Pairs) < r.MaxPairs {
@@ -135,26 +106,24 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 			}
 		}
 	}
-	sub := make([]*cluster.Cluster, len(t.Clusters))
-	for i, ci := range t.Clusters {
-		sub[i] = r.Clusters[ci]
+	if r.Metrics {
+		eng.Metrics = metrics.New(r.MetricsConfig)
+	}
+	rep, err := eng.Clustered(r.R, r.S, r.Matrix, r.Clusters, r.Pages, t.Clusters, r.Joiner)
+	out.Timeline = eng.Timeline.Stats()
+	out.Measured = eng.MeasuredIO()
+	eng.Metrics.RecordTimeline(out.Timeline)
+	if r.Metrics {
+		out.Metrics = eng.Metrics.Finish()
+	}
+	if err != nil {
+		return nil, err
 	}
 	pre := 0.0
 	if t.Shard == 0 {
 		pre = r.PreprocessSeconds
 	}
-	rep, err := eng.Clustered(r.R, r.S, r.Matrix, sub, r.Joiner, join.ClusteredOptions{
-		Order:             r.Order,
-		Seed:              r.Seed,
-		PreprocessSeconds: pre,
-	})
-	out.Timeline = tl.Stats()
-	out.Measured = eng.MeasuredIO()
-	mc.RecordTimeline(out.Timeline)
-	out.Metrics = mc.Finish()
-	if err != nil {
-		return nil, err
-	}
+	rep.PreprocessSeconds = pre + join.ModelSchedulePreprocess(t.ScheduleEdges)
 	out.Report = rep
 	return out, nil
 }

@@ -1,16 +1,17 @@
-// Package shard cuts a clustered join into independent shards and executes
-// them on parallel workers, merging the per-shard results deterministically.
+// Package shard plans every clustered join and executes it as shards on
+// parallel workers, merging the per-shard results deterministically.
 //
 // The cluster schedule is already a partition of independent work units with
 // an explicit sharing graph (Lemma 4): the only coupling between clusters is
 // the buffer reuse the schedule arranges. That makes sharding a graph-cut
 // problem — cut the greedy Hamiltonian path at its weakest sharing edges,
 // balanced over modeled per-cluster cost, and each segment becomes a shard
-// that runs the existing clustered executor unchanged over its own cold disk
-// session and private buffer pool. What the cut severs is exactly the lost
-// buffer reuse across the cut edges, which the planner reports as the cut
-// penalty (in pages and modeled seconds) so callers can weigh shards against
-// I/O before running anything.
+// that runs the clustered executor over its own cold disk session and private
+// buffer pool. An unsharded join is the one-shard plan, whose order is the
+// global schedule. What a cut severs is exactly the lost buffer reuse across
+// the cut edges, which a priced plan reports as the cut penalty (in pages and
+// modeled seconds) so callers can weigh shards against I/O before running
+// anything.
 //
 // The shard boundary is the small Runner interface (plan in, shard result
 // out): the in-process LocalRunner is the only implementation today, and a
@@ -20,7 +21,7 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/cluster"
@@ -29,9 +30,10 @@ import (
 	"pmjoin/internal/sched"
 )
 
-// CostModel carries the per-cluster cost terms the planner balances shards
-// over: one seek plus a transfer per page (the linear disk model) plus a
-// modeled CPU charge per marked matrix entry.
+// CostModel carries what the planner needs besides the clusters: the
+// per-cluster cost terms it balances shards over (one seek plus a transfer
+// per page, the linear disk model, plus a modeled CPU charge per marked
+// matrix entry), the buffer a priced plan replays, and the order shards run.
 type CostModel struct {
 	SeekSeconds     float64
 	TransferSeconds float64
@@ -40,11 +42,17 @@ type CostModel struct {
 	// would look balanced.
 	EntrySeconds float64
 	// BufferPages and Policy are the buffer every shard runs with, which the
-	// read predictions replay (join.PredictReads). They price the cut but do
-	// not choose it. A BufferPages below the largest page set, zero included,
+	// read predictions replay (Plan.Price). They price the cut but do not
+	// choose it. A BufferPages below the largest page set, zero included,
 	// replays with that set's size, the smallest buffer Lemma 2 allows.
 	BufferPages int
 	Policy      buffer.Policy
+	// Random plans random-SC (§9.1): each shard runs its clusters in the
+	// seeded order sched.RandomOrder(len(members), Seed) over their ascending
+	// creation indices instead of the greedy schedule over them. The cut
+	// still follows the global greedy schedule.
+	Random bool
+	Seed   int64
 }
 
 // cluster is the modeled cost of fetching and joining one cluster solo.
@@ -54,13 +62,15 @@ func (cm CostModel) cluster(pages, entries int) float64 {
 
 // Shard is one planned segment of the global greedy schedule.
 type Shard struct {
-	// Clusters holds the creation indices of the clusters this shard owns,
-	// in ascending creation order. The cut is made along the global greedy
-	// schedule, but the shard's executor re-derives its own order over this
-	// subset, so the slice is a membership list, not an execution order —
-	// and ascending order means a 1-shard plan hands the executor the same
-	// input slice an unsharded run would see.
+	// Clusters is the shard's execution order: the creation indices of the
+	// clusters it owns, in the order its executor runs them. That is the
+	// greedy schedule over its members — for a one-shard plan, the global
+	// schedule itself — or, under CostModel.Random, random-SC's permutation.
 	Clusters []int
+	// ScheduleEdges is the size of the sharing graph the shard's greedy order
+	// was built from (0 under random-SC); it prices the order's construction
+	// (join.ModelSchedulePreprocess).
+	ScheduleEdges int
 	// Pages is the summed pinned-set size over the shard's clusters
 	// (post self-join dedup), before any buffer reuse.
 	Pages int64
@@ -69,17 +79,24 @@ type Shard struct {
 	// CostSeconds is the shard's modeled solo cost under the CostModel —
 	// the quantity the planner balanced.
 	CostSeconds float64
-	// PredictedReads is the page reads of the shard's own run: the replay
-	// (join.PredictReads) of its greedy schedule over its subset, which the
-	// shard's executor rebuilds, from a cold buffer.
+	// PredictedReads is the page reads of the shard's run: the replay
+	// (join.PredictReads) of its order from a cold buffer. Price fills it.
 	PredictedReads int64
 }
 
-// Plan is the planner's output: the shards plus the cut's modeled I/O cost.
+// Plan is the planner's output: the global greedy schedule, the shards cut
+// from it, and — once priced — the cut's modeled I/O cost.
 type Plan struct {
+	// Order is the global greedy schedule (creation indices), and Shared[i]
+	// the pages Order[i] shares with Order[i-1] (sched.StepSavings; Shared[0]
+	// is 0).
+	Order  []int
+	Shared []int
 	Shards []Shard
-	// UnshardedReads is the replayed page reads of the uncut global
-	// schedule; ShardedReads is the sum of the shards' predictions.
+	// Reads[i] is the replayed page reads of Order[i] in an uncut run, and
+	// UnshardedReads their sum; ShardedReads is the sum of the shards'
+	// predictions. Price fills these and the two cut fields below.
+	Reads          []int
 	UnshardedReads int64
 	ShardedReads   int64
 	// CutLostPages = ShardedReads - UnshardedReads: the buffer reuse the cut
@@ -95,18 +112,18 @@ type Plan struct {
 func (p *Plan) Tasks() []Task {
 	ts := make([]Task, len(p.Shards))
 	for i, s := range p.Shards {
-		ts[i] = Task{Shard: i, Clusters: s.Clusters}
+		ts[i] = Task{Shard: i, Clusters: s.Clusters, ScheduleEdges: s.ScheduleEdges}
 	}
 	return ts
 }
 
-// Cut plans a sharded execution: it builds the sharing graph and the global
-// greedy schedule, then cuts the schedule into min(shards, len(pages))
-// contiguous segments, choosing each cut position among the cost-balanced
-// candidates by minimum severed sharing (the StepSavings at the boundary).
-// pages[i] and entries[i] describe cluster i's pinned page set and marked
-// entry count; both the plan and every derived prediction are deterministic
-// functions of the inputs.
+// Cut plans a clustered join: it builds the sharing graph and the global
+// greedy schedule, cuts the schedule into min(shards, len(pages)) contiguous
+// segments, choosing each cut position among the cost-balanced candidates by
+// minimum severed sharing (the StepSavings at the boundary), and fixes each
+// shard's execution order. pages[i] and entries[i] describe cluster i's
+// pinned page set and marked entry count; the plan is a deterministic
+// function of the inputs. Cut replays nothing: Price adds the predictions.
 func Cut(pages []sched.PageSet, entries []int, shards int, cm CostModel) (*Plan, error) {
 	if len(entries) != len(pages) {
 		return nil, fmt.Errorf("shard: %d page sets but %d entry counts", len(pages), len(entries))
@@ -160,44 +177,88 @@ func Cut(pages []sched.PageSet, entries []int, shards int, cm CostModel) (*Plan,
 	}
 	cuts = append(cuts, n)
 
+	plan := &Plan{Order: order, Shared: steps, Shards: make([]Shard, k)}
+	for si := range plan.Shards {
+		segment := order[cuts[si]:cuts[si+1]]
+		sh := Shard{CostSeconds: cum[cuts[si+1]] - cum[cuts[si]]}
+		for _, ci := range segment {
+			sh.Pages += int64(len(pages[ci]))
+			sh.Entries += int64(entries[ci])
+		}
+		if k == 1 && !cm.Random {
+			// The greedy schedule over every cluster is the global one.
+			sh.Clusters, sh.ScheduleEdges = order, len(edges)
+		} else {
+			sh.Clusters, sh.ScheduleEdges = cm.schedule(pages, segment)
+		}
+		plan.Shards[si] = sh
+	}
+	return plan, nil
+}
+
+// schedule is the execution order of the shard owning segment of the global
+// schedule, with the size of the sharing graph it was built from: the order
+// a solo run over the shard's members, listed in ascending creation order,
+// takes — random-SC's seeded permutation or the greedy schedule.
+func (cm CostModel) schedule(pages []sched.PageSet, segment []int) ([]int, int) {
+	members := slices.Clone(segment)
+	slices.Sort(members)
+	if cm.Random {
+		return pick(members, sched.RandomOrder(len(members), cm.Seed)), 0
+	}
+	sub := pick(pages, members)
+	edges := sched.SharingGraph(sub)
+	return pick(members, sched.GreedyOrder(len(sub), edges)), len(edges)
+}
+
+// pick returns xs[i] for each i in at, in order.
+func pick[T any](xs []T, at []int) []T {
+	out := make([]T, len(at))
+	for i, x := range at {
+		out[i] = xs[x]
+	}
+	return out
+}
+
+// Price predicts the plan's page reads by replaying the executor's pins
+// (join.PredictReads) over pages, the page sets the plan was cut from, with
+// cm's buffer: the uncut schedule's reads per position, each shard's reads,
+// and what the cut costs. Replays price a cut but never choose it, so a join
+// runs its plan unpriced. A shard whose order is the global schedule reuses
+// the uncut replay.
+func (p *Plan) Price(pages []sched.PageSet, cm CostModel) error {
 	cm.BufferPages = max(cm.BufferPages, 1)
 	for _, ps := range pages {
 		cm.BufferPages = max(cm.BufferPages, len(ps))
 	}
-	unsharded, err := replayedReads(pages, order, cm)
-	if err != nil {
-		return nil, err
+	var err error
+	if p.Reads, err = join.PredictReads(pages, p.Order, cm.BufferPages, cm.Policy); err != nil {
+		return err
 	}
-	plan := &Plan{
-		UnshardedReads: unsharded,
-		Shards:         make([]Shard, k),
+	p.UnshardedReads, p.ShardedReads = sum(p.Reads), 0
+	for i := range p.Shards {
+		sh := &p.Shards[i]
+		reads := p.Reads
+		if !slices.Equal(sh.Clusters, p.Order) {
+			if reads, err = join.PredictReads(pages, sh.Clusters, cm.BufferPages, cm.Policy); err != nil {
+				return err
+			}
+		}
+		sh.PredictedReads = sum(reads)
+		p.ShardedReads += sh.PredictedReads
 	}
-	for si := 0; si < k; si++ {
-		// The cut decides membership only; the executor re-derives its own
-		// processing order per shard. Handing members back in ascending
-		// creation order makes a 1-shard plan's cluster slice identical to the
-		// unsharded executor's input, so shards=1 reproduces it bit for bit.
-		members := append([]int(nil), order[cuts[si]:cuts[si+1]]...)
-		sort.Ints(members)
-		sh := Shard{
-			Clusters:    members,
-			CostSeconds: cum[cuts[si+1]] - cum[cuts[si]],
-		}
-		for _, ci := range members {
-			sh.Pages += int64(len(pages[ci]))
-			sh.Entries += int64(entries[ci])
-		}
-		sh.PredictedReads, err = predictedReads(pages, members, cm)
-		if err != nil {
-			return nil, err
-		}
-		plan.Shards[si] = sh
-		plan.ShardedReads += sh.PredictedReads
+	p.CutLostPages = p.ShardedReads - p.UnshardedReads
+	p.CutPenaltySeconds = float64(p.CutLostPages)*cm.TransferSeconds +
+		float64(len(p.Shards)-1)*cm.SeekSeconds
+	return nil
+}
+
+func sum(reads []int) int64 {
+	var total int64
+	for _, r := range reads {
+		total += int64(r)
 	}
-	plan.CutLostPages = plan.ShardedReads - plan.UnshardedReads
-	plan.CutPenaltySeconds = float64(plan.CutLostPages)*cm.TransferSeconds +
-		float64(k-1)*cm.SeekSeconds
-	return plan, nil
+	return total
 }
 
 // inWindow reports whether a cut at cumulative cost c lands within the
@@ -224,8 +285,8 @@ func cutBetter(in bool, step int, c float64, bestIn bool, bestStep int, bestC, i
 // disk.PageAddr exactly like the executor's: for a self join both sides read
 // the same file, so a cluster's row page and equal column page are one frame,
 // not two. Using the executor's keys keeps the planner's sharing graph — and
-// so the cut and every prediction derived from it — identical to the one each
-// shard's run builds.
+// so the schedule and every prediction derived from it — the one the run's
+// buffer sees.
 func PageSets(clusters []*cluster.Cluster, rFile, sFile disk.FileID) []sched.PageSet {
 	sets := make([]sched.PageSet, len(clusters))
 	for i, c := range clusters {
@@ -241,28 +302,4 @@ func Entries(clusters []*cluster.Cluster) []int {
 		entries[i] = len(c.Entries)
 	}
 	return entries
-}
-
-// predictedReads is the page-read prediction for a shard's own greedy
-// schedule over its member clusters. The subset page sets are listed in
-// members order, matching how the shard's executor will see them.
-func predictedReads(pages []sched.PageSet, members []int, cm CostModel) (int64, error) {
-	sub := make([]sched.PageSet, len(members))
-	for i, ci := range members {
-		sub[i] = pages[ci]
-	}
-	return replayedReads(sub, sched.GreedyOrder(len(sub), sched.SharingGraph(sub)), cm)
-}
-
-// replayedReads sums join.PredictReads over a schedule.
-func replayedReads(pages []sched.PageSet, order []int, cm CostModel) (int64, error) {
-	reads, err := join.PredictReads(pages, order, cm.BufferPages, cm.Policy)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, r := range reads {
-		total += int64(r)
-	}
-	return total, nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -49,13 +51,23 @@ func TestCutRejects(t *testing.T) {
 	}
 }
 
+// priced cuts pages into shards under testCost and prices the plan.
+func priced(t *testing.T, pages []sched.PageSet, entries []int, shards int) *Plan {
+	t.Helper()
+	plan, err := Cut(pages, entries, shards, testCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Price(pages, testCost); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestCutPartition(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 16} {
 		n := 10
-		plan, err := Cut(chainSets(n, 6, 4), uniformEntries(n, 50), shards, testCost)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := priced(t, chainSets(n, 6, 4), uniformEntries(n, 50), shards)
 		want := shards
 		if want > n {
 			want = n
@@ -91,10 +103,7 @@ func TestCutPartition(t *testing.T) {
 func TestCutSingleShardMatchesGlobal(t *testing.T) {
 	n := 8
 	pages := chainSets(n, 5, 3)
-	plan, err := Cut(pages, uniformEntries(n, 10), 1, testCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := priced(t, pages, uniformEntries(n, 10), 1)
 	if len(plan.Shards) != 1 {
 		t.Fatalf("got %d shards", len(plan.Shards))
 	}
@@ -128,10 +137,7 @@ func TestCutPrefersWeakEdges(t *testing.T) {
 		return sets
 	}
 	pages := append(block(0), block(50)...)
-	plan, err := Cut(pages, uniformEntries(6, 10), 2, testCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := priced(t, pages, uniformEntries(6, 10), 2)
 	for _, sh := range plan.Shards {
 		lo, hi := 0, 0
 		for _, ci := range sh.Clusters {
@@ -154,16 +160,67 @@ func TestCutDeterministic(t *testing.T) {
 	n := 12
 	pages := chainSets(n, 7, 4)
 	entries := uniformEntries(n, 25)
-	a, err := Cut(pages, entries, 4, testCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Cut(pages, entries, 4, testCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := priced(t, pages, entries, 4)
+	b := priced(t, pages, entries, 4)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("plans differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestCutShardOrders pins the premise of every sharded run's bit-identity:
+// each shard runs the order a solo run over its members would take — the
+// greedy schedule over them, members in ascending creation order, mapped back
+// to creation indices, or under Random the seeded permutation of them — and a
+// one-shard plan runs the global schedule itself.
+func TestCutShardOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pages := make([]sched.PageSet, 24)
+	for i := range pages {
+		var ps []int
+		for p := 0; p < 6; p++ {
+			ps = append(ps, rng.Intn(40))
+		}
+		slices.Sort(ps)
+		pages[i] = sched.NewPageSet(0, slices.Compact(ps), 0, nil)
+	}
+	entries := uniformEntries(len(pages), 10)
+	global := sched.GreedyOrder(len(pages), sched.SharingGraph(pages))
+	for _, random := range []bool{false, true} {
+		cm := testCost
+		cm.Random, cm.Seed = random, 7
+		for _, shards := range []int{1, 2, 3} {
+			plan, err := Cut(pages, entries, shards, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(plan.Order, global) {
+				t.Fatalf("random=%v shards=%d: plan order %v, global schedule %v", random, shards, plan.Order, global)
+			}
+			for si, sh := range plan.Shards {
+				members := slices.Clone(sh.Clusters)
+				slices.Sort(members)
+				sub := make([]sched.PageSet, len(members))
+				for i, ci := range members {
+					sub[i] = pages[ci]
+				}
+				edges := sched.SharingGraph(sub)
+				local, wantEdges := sched.GreedyOrder(len(sub), edges), len(edges)
+				if random {
+					local, wantEdges = sched.RandomOrder(len(sub), cm.Seed), 0
+				}
+				want := make([]int, len(local))
+				for i, li := range local {
+					want[i] = members[li]
+				}
+				if !slices.Equal(sh.Clusters, want) || sh.ScheduleEdges != wantEdges {
+					t.Errorf("random=%v shards=%d shard %d: order %v (%d edges), want %v (%d edges)",
+						random, shards, si, sh.Clusters, sh.ScheduleEdges, want, wantEdges)
+				}
+				if shards == 1 && !random && !slices.Equal(sh.Clusters, global) {
+					t.Errorf("1-shard order %v, global schedule %v", sh.Clusters, global)
+				}
+			}
+		}
 	}
 }
 

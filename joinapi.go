@@ -18,6 +18,7 @@ import (
 	"pmjoin/internal/mrsindex"
 	"pmjoin/internal/pbsm"
 	"pmjoin/internal/predmat"
+	"pmjoin/internal/sched"
 	"pmjoin/internal/shard"
 )
 
@@ -37,12 +38,13 @@ type ExecStats struct {
 	// MatrixWall is the wall time of prediction-matrix construction
 	// (zero when the matrix was cached or the method builds none).
 	MatrixWall time.Duration
-	// PreprocessWall is the wall time of clustering alone (SC or CC; zero
-	// for unclustered methods). The schedule is built inside the clustered
-	// executor, so its wall time lands in JoinWall — although the metrics
-	// ledger attributes it to the cluster phase.
+	// PreprocessWall is the wall time of planning a clustered join: the
+	// clustering (SC or CC) and the schedule with its shard cut, which the
+	// metrics ledger attributes to the cluster phase too (zero for
+	// unclustered methods).
 	PreprocessWall time.Duration
-	// JoinWall is the wall time of the join executor itself.
+	// JoinWall is the wall time of the join executor itself; for a clustered
+	// join, running the plan's shards and merging their results.
 	JoinWall time.Duration
 	// PrefetchedPages is the number of page reads the pipelined executor
 	// issued ahead of demand, overlapped with the previous cluster's CPU
@@ -225,10 +227,14 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	self := a == b || a.ds.File == b.ds.File
 	joiner := s.joiner(a, opt.Epsilon, self)
 
+	// timedJoin runs an unclustered executor on eng and takes its wall time
+	// and measured I/O; the clustered route takes its own from its shards.
 	timedJoin := func(f func() (*join.Report, error)) (*join.Report, error) {
 		start := time.Now()
 		rep, err := f()
 		res.Exec.JoinWall = time.Since(start)
+		m := eng.MeasuredIO()
+		res.Exec.MeasuredIOWall, res.Exec.MeasuredReads = m.Seconds, m.Reads
 		return rep, err
 	}
 
@@ -245,70 +251,10 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 			rep, err = timedJoin(func() (*join.Report, error) { return eng.PMNLJ(&a.ds, &b.ds, m, joiner) })
 		}
 	case RandomSC, SC, CC:
-		var m *predmat.Matrix
-		m, err = s.buildMatrix(a, b, opt, res, wp, mc)
-		if err != nil {
-			break
-		}
-		mc.PhaseStart(metrics.PhaseCluster)
-		preStart := time.Now()
-		var clusters []*cluster.Cluster
-		var pre float64
-		if opt.Method == CC {
-			clusters, err = cluster.Cost(m, opt.BufferPages, cluster.CostOptions{
-				HistogramBins: opt.HistogramBins,
-				Seed:          opt.Seed,
-				IO: cluster.IOModel{
-					SeekTime:     s.model.SeekSeconds,
-					TransferTime: s.model.TransferSeconds,
-				},
-			})
-			pre = join.ModelCCPreprocess(m.Marked())
-		} else {
-			clusters, err = cluster.SquareOpts(m, opt.BufferPages, cluster.SquareOptions{
-				RowFraction: opt.ClusterRowFraction,
-			})
-			pre = join.ModelSCPreprocess(m.Marked())
-		}
-		res.Exec.PreprocessWall = time.Since(preStart)
-		mc.PhaseEnd()
-		if err != nil {
-			break
-		}
-		order := join.OrderGreedySharing
-		if opt.Method == RandomSC {
-			order = join.OrderRandom
-		}
-		if opt.Sharding.Shards > 0 {
-			rep, err = timedJoin(func() (*join.Report, error) {
-				r2, snaps, err2 := s.joinSharded(ctx, a, b, m, clusters, joiner, order, pre, opt, res, wp, mc, shared, backend, readers)
-				shardSnaps = snaps
-				return r2, err2
-			})
-		} else {
-			// The timeline is attached with prefetch on AND off, so both modes
-			// report modeled wall/serial clocks (off: every read is demand, the
-			// clocks coincide) and the pipeline experiment can difference them.
-			tl := disk.NewTimeline()
-			eng.Timeline = tl
-			eng.Prefetch = opt.Pipeline.Prefetch == PrefetchOn
-			eng.PrefetchDepth = opt.Pipeline.PrefetchDepth
-			rep, err = timedJoin(func() (*join.Report, error) {
-				return eng.Clustered(&a.ds, &b.ds, m, clusters, joiner, join.ClusteredOptions{
-					Order:             order,
-					Seed:              opt.Seed,
-					PreprocessSeconds: pre,
-				})
-			})
-			ts := tl.Stats()
-			res.Exec.PrefetchedPages = ts.OverlapReads
-			res.Exec.ModeledWallSeconds = ts.WallSeconds
-			res.Exec.ModeledSerialSeconds = ts.SerialSeconds
-			res.Exec.OverlapIOSeconds = ts.OverlapIOSeconds
-			mc.RecordTimeline(ts)
-		}
-		if rep != nil && opt.Method == CC {
-			rep.Method = "CC"
+		var cp *clusterPlan
+		cp, err = s.planClusters(a, b, opt.Method, opt, res, wp, mc)
+		if err == nil {
+			rep, shardSnaps, err = s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng, mc)
 		}
 	case EGO:
 		rep, err = timedJoin(func() (*join.Report, error) {
@@ -317,7 +263,7 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	case BFRJ:
 		rep, err = timedJoin(func() (*join.Report, error) {
 			return bfrj.Run(eng, &a.ds, &b.ds, joiner, bfrj.Options{
-				Eps:      s.matrixEpsilon(a, opt.Epsilon),
+				Eps:      opt.Epsilon,
 				Pred:     s.predictor(a),
 				SelfJoin: self,
 			})
@@ -344,13 +290,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 		return nil, err
 	}
 	res.Report = *rep
-	if opt.Sharding.Shards == 0 {
-		// Sharded runs sum per-shard accounts inside joinSharded; here the
-		// single engine's account is the whole story.
-		m := eng.MeasuredIO()
-		res.Exec.MeasuredIOWall = m.Seconds
-		res.Exec.MeasuredReads = m.Reads
-	}
 	if wp != nil {
 		mc.RecordQueueHighWater(wp.QueueHighWater())
 	}
@@ -371,51 +310,97 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	return res, nil
 }
 
-// joinSharded runs the clustered join through the shard planner and
-// coordinator: the schedule is cut into opt.Sharding.Shards segments along
-// minimum-sharing edges and each shard reruns the unchanged clustered
-// executor over its subset, with a cold disk session and private buffer pool
-// per shard. Results merge in shard-index order (reports and timelines sum /
-// max deterministically; pairs concatenate under the global cap), so the
-// Report and Pairs are bit-identical for any Sharding.Workers — and, at
-// Shards=1, to the unsharded executor, since the single shard re-derives the
-// identical global schedule. The returned snapshots are the per-shard metrics
-// (empty when metrics are off), appended to Result.Metrics after Finish.
-func (s *System) joinSharded(ctx context.Context, a, b *Dataset, m *predmat.Matrix,
-	clusters []*cluster.Cluster, joiner join.ObjectJoiner, order join.ClusterOrder,
-	pre float64, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector,
-	shared *buffer.SharedPool, backend disk.Backend, readers *join.WorkerPool,
-) (*join.Report, []*metrics.Metrics, error) {
-	pageSets := shard.PageSets(clusters, a.ds.File, b.ds.File)
-	plan, err := shard.Cut(pageSets, shard.Entries(clusters), opt.Sharding.Shards, s.shardCost(opt))
+// clusterPlan is a clustered join's plan: the prediction matrix, the
+// clusters, their pinned page sets, the modeled clustering seconds, and the
+// shard planner's schedule.
+type clusterPlan struct {
+	m        *predmat.Matrix
+	clusters []*cluster.Cluster
+	pages    []sched.PageSet
+	pre      float64
+	cut      *shard.Plan
+}
+
+// planClusters builds the plan of joining a and b under opt with method's
+// clusters (SC or CC) and order (greedy or random-SC): the matrix, the
+// clusters, their page sets, and shard.Cut's schedule cut into
+// max(opt.Sharding.Shards, 1) shards. Join runs this plan and Explain renders
+// it, so the two cannot disagree. Clustering and scheduling are timed into
+// res.Exec.PreprocessWall and charged to the metrics' cluster phase.
+func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
+	m, err := s.buildMatrix(a, b, opt, res, wp, mc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	mc.PhaseStart(metrics.PhaseCluster)
+	defer mc.PhaseEnd()
+	start := time.Now()
+	defer func() { res.Exec.PreprocessWall = time.Since(start) }()
+	cp := &clusterPlan{m: m}
+	if method == CC {
+		cp.clusters, err = cluster.Cost(m, opt.BufferPages, cluster.CostOptions{
+			HistogramBins: opt.HistogramBins,
+			Seed:          opt.Seed,
+			IO: cluster.IOModel{
+				SeekTime:     s.model.SeekSeconds,
+				TransferTime: s.model.TransferSeconds,
+			},
+		})
+		cp.pre = join.ModelCCPreprocess(m.Marked())
+	} else {
+		cp.clusters, err = cluster.SquareOpts(m, opt.BufferPages, cluster.SquareOptions{
+			RowFraction: opt.ClusterRowFraction,
+		})
+		cp.pre = join.ModelSCPreprocess(m.Marked())
+	}
+	if err != nil {
+		return nil, err
+	}
+	cp.pages = shard.PageSets(cp.clusters, a.ds.File, b.ds.File)
+	cm := s.shardCost(opt)
+	cm.Random, cm.Seed = method == RandomSC, opt.Seed
+	cp.cut, err = shard.Cut(cp.pages, shard.Entries(cp.clusters), max(opt.Sharding.Shards, 1), cm)
+	return cp, err
+}
+
+// joinSharded runs a clustered join's plan through the shard coordinator; it
+// is the one clustered route. Each shard runs its planned order on a copy of
+// eng, with a cold disk session and private buffer pool. Results merge in
+// shard-index order (reports and timelines sum / max deterministically;
+// pairs concatenate under the global cap), so the Report and Pairs are
+// bit-identical for any Sharding.Workers. An unsharded join (Shards 0) is the
+// one-shard plan: its shard reports on the join's own collector, and
+// Exec.Shards stays 0. So Shards 1 differs from it only in keeping a
+// per-shard metrics snapshot. The returned snapshots are the per-shard
+// metrics (none when unsharded or metrics are off), appended to
+// Result.Metrics after Finish.
+func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan, joiner join.ObjectJoiner,
+	opt Options, res *Result, eng join.Engine, mc *metrics.Collector,
+) (*join.Report, []*metrics.Metrics, error) {
+	start := time.Now()
+	defer func() { res.Exec.JoinWall = time.Since(start) }()
+	eng.Prefetch = opt.Pipeline.Prefetch == PrefetchOn
+	eng.PrefetchDepth = opt.Pipeline.PrefetchDepth
 	runner := &shard.LocalRunner{
-		Disk:              s.d,
-		BufferSize:        opt.BufferPages,
-		Policy:            buffer.Policy(opt.Policy),
-		Workers:           wp,
-		Shared:            shared,
-		Prefetch:          opt.Pipeline.Prefetch == PrefetchOn,
-		PrefetchDepth:     opt.Pipeline.PrefetchDepth,
-		Backend:           backend,
-		Readers:           readers,
+		Engine:            eng,
 		R:                 &a.ds,
 		S:                 &b.ds,
-		Matrix:            m,
-		Clusters:          clusters,
+		Matrix:            cp.m,
+		Clusters:          cp.clusters,
+		Pages:             cp.pages,
 		Joiner:            joiner,
-		Order:             order,
-		Seed:              opt.Seed,
-		PreprocessSeconds: pre,
+		PreprocessSeconds: cp.pre,
 		CollectPairs:      opt.CollectPairs,
 		MaxPairs:          opt.MaxPairs,
-		Metrics:           opt.Metrics,
-		MetricsConfig:     metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity},
+	}
+	sharded := opt.Sharding.Shards > 0
+	if sharded {
+		runner.Engine.Metrics = nil
+		runner.Metrics = opt.Metrics
+		runner.MetricsConfig = metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity}
 	}
 	coord := &shard.Coordinator{Runner: runner, Workers: opt.Sharding.Workers}
-	results, err := coord.Run(ctx, plan.Tasks())
+	results, err := coord.Run(ctx, cp.cut.Tasks())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -426,16 +411,22 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, m *predmat.Matr
 		// as an error instead of a nil-Report dereference below.
 		return nil, nil, fmt.Errorf("pmjoin: sharded merge yielded no report")
 	}
+	rep.Method = opt.Method.String()
 	if opt.CollectPairs {
 		res.Pairs, res.Truncated = shard.MergePairs(results, opt.MaxPairs)
 	}
+	// Every shard runs with a timeline, prefetch on and off, so both modes
+	// report modeled wall/serial clocks (off: every read is demand, the clocks
+	// coincide).
 	ts := shard.MergeTimelines(results)
 	res.Exec.PrefetchedPages = ts.OverlapReads
 	res.Exec.ModeledWallSeconds = ts.WallSeconds
 	res.Exec.ModeledSerialSeconds = ts.SerialSeconds
 	res.Exec.OverlapIOSeconds = ts.OverlapIOSeconds
-	res.Exec.Shards = len(plan.Shards)
-	res.Exec.ShardWorkers = coordWorkers(opt.Sharding.Workers, len(plan.Shards))
+	if sharded {
+		res.Exec.Shards = len(cp.cut.Shards)
+		res.Exec.ShardWorkers = coordWorkers(opt.Sharding.Workers, len(cp.cut.Shards))
+	}
 	var meas disk.Measured
 	for _, r := range results {
 		if r != nil {
@@ -544,10 +535,6 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 	}
 }
 
-// matrixEpsilon returns the threshold in the predictor's space (identical
-// to the join epsilon for every kind; kept as a seam for future predictors).
-func (s *System) matrixEpsilon(a *Dataset, eps float64) float64 { return eps }
-
 // buildMatrix returns the prediction matrix for (a, b, opt), from the cache
 // when available. Concurrent cold-start callers are collapsed by single
 // flight: exactly one builds (charging its own wall clock and metrics phase),
@@ -585,7 +572,7 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 			}
 			mc.PhaseStart(metrics.PhaseMatrix)
 			m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
-				s.matrixEpsilon(a, opt.Epsilon), s.predictor(a), bopts)
+				opt.Epsilon, s.predictor(a), bopts)
 			mc.PhaseEnd()
 			if err != nil {
 				return nil, err

@@ -13,10 +13,11 @@ import (
 // Sharding applies to the clustered methods (RandomSC, SC, CC) only.
 type ShardingOptions struct {
 	// Shards is the number of shards the planner cuts the schedule into.
-	// 0 (the default) runs the regular unsharded executor. 1 routes through
-	// the shard machinery with a single shard, which produces a Report,
-	// Pairs and Plan bit-identical to the unsharded run — the seam
-	// TestShardDeterminism pins.
+	// 0 (the default) is unsharded: the join runs as one shard, the global
+	// schedule, and reports no shards (ExecStats.Shards 0, no per-shard
+	// metrics snapshots). 1 runs the same single shard and reports it, so its
+	// Report, Pairs and Plan are bit-identical to the unsharded run — the
+	// seam TestShardDeterminism pins.
 	Shards int
 	// Workers bounds how many shards execute concurrently; 0 means
 	// min(Shards, GOMAXPROCS). Like Parallelism, Report, Pairs and Plan are

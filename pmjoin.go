@@ -373,7 +373,7 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if opts.NormP == -1 { // explicit L∞ request
 		norm = geom.LInf
 	}
-	return &Dataset{
+	return s.validated(&Dataset{
 		sys:     s,
 		kind:    KindVector,
 		ds:      join.Dataset{Name: name, File: file, Root: tree.Root(), Pages: len(pages)},
@@ -381,7 +381,7 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 		norm:    norm,
 		objects: len(vecs),
 		epoch:   s.bumpEpoch(),
-	}, nil
+	})
 }
 
 // SeriesOptions configures AddSeries.
@@ -428,7 +428,7 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 			return nil, err
 		}
 	}
-	return &Dataset{
+	return s.validated(&Dataset{
 		sys:      s,
 		kind:     KindSeries,
 		ds:       join.Dataset{Name: name, File: file, Root: ix.Root(), Pages: ix.NumPages()},
@@ -438,7 +438,7 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 		features: ix.Config().Features,
 		objects:  ix.NumWindows(),
 		epoch:    s.bumpEpoch(),
-	}, nil
+	})
 }
 
 // StringOptions configures AddString.
@@ -489,7 +489,7 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 			return nil, err
 		}
 	}
-	return &Dataset{
+	return s.validated(&Dataset{
 		sys:      s,
 		kind:     KindString,
 		ds:       join.Dataset{Name: name, File: file, Root: ix.Root(), Pages: ix.NumPages()},
@@ -498,7 +498,17 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 		alphabet: alpha,
 		objects:  ix.NumWindows(),
 		epoch:    s.bumpEpoch(),
-	}, nil
+	})
+}
+
+// validated returns d once its index has been checked against its page
+// file. Datasets are immutable, so this walk is made once, at ingest; a join
+// repeats only the O(1) page-count check (join.Engine).
+func (s *System) validated(d *Dataset) (*Dataset, error) {
+	if err := d.ds.Validate(s.d); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // root exposes the dataset's MBR hierarchy for tests in this package.

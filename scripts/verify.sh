@@ -36,20 +36,22 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + sharded execution + storage backends + prefetch + Lemma 4 + comparison oracle)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + prefetch + Lemma 4 + comparison oracle)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
-# the metrics layer an observer rather than a participant, the same triple
-# must be identical across shard worker counts and vs the unsharded executor
-# at shards=1, the file-backed store (real encoded files, background
-# prefetch readers) must reproduce the simulator's triple bit for bit,
-# prefetch on and off must agree on every counter (clusters that fill the
-# buffer included), Explain's per-cluster and per-shard reads must equal the
-# run's measured reads (Lemma 4), and the one comparison path — block kernel
-# and per-cell fallback, inline and on workers — must reproduce the
-# reference distance loops' pair stream, comparison counts and CPU-second
-# bits.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestBackendParity|TestPrefetchDeterminism|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured' .
+# the metrics layer an observer rather than a participant. Every clustered
+# join runs the shard planner's plan through the coordinator, so the same
+# triple must be identical across shard worker counts, and shards=0 and
+# shards=1 (one shard, the global schedule) must agree, with shards=0 still
+# reporting no shards. Explain renders that plan, so its cluster order is the
+# run's. The file-backed store (real encoded files, background prefetch
+# readers) must reproduce the simulator's triple bit for bit, prefetch on and
+# off must agree on every counter (clusters that fill the buffer included),
+# Explain's per-cluster and per-shard reads must equal the run's measured
+# reads (Lemma 4), and the one comparison path — block kernel and per-cell
+# fallback, inline and on workers — must reproduce the reference distance
+# loops' pair stream, comparison counts and CPU-second bits.
+go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestPrefetchDeterminism|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured' .
 go test -race -run 'TestPinSet' ./internal/buffer
 go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle' ./internal/join
 

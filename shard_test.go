@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/metrics"
 )
 
 // TestShardDeterminism is the sharding half of the determinism contract:
 // for every clustered method, the merged Report, Pairs and Plan of a sharded
 // run are bit-identical across shard worker counts {1, GOMAXPROCS} for a
-// fixed shard count, and a 1-shard run is bit-identical to the unsharded
-// executor (the single shard re-derives the identical global schedule over
-// its own cold session and private pool). Run under -race, this also
+// fixed shard count, and a 1-shard run is bit-identical to the unsharded one
+// (both run the planner's single shard, the global schedule, over a cold
+// session and private pool). Run under -race, this also
 // exercises the coordinator's concurrent shard execution against the shared
 // comparison pool.
 func TestShardDeterminism(t *testing.T) {
@@ -156,6 +157,37 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestUnshardedResultShape pins what running Shards 0 as one shard keeps from
+// the unsharded executor: no shard counts in ExecStats, no per-shard metrics
+// snapshots, and the cluster stats and trace events on the top-level
+// snapshot itself.
+func TestUnshardedResultShape(t *testing.T) {
+	sys, da, db := smallVecSystem(t)
+	res, err := sys.Join(da, db, Options{Method: SC, Epsilon: 0.1, BufferPages: 12, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exec.Shards != 0 || res.Exec.ShardWorkers != 0 {
+		t.Errorf("unsharded run reports %d shards on %d workers", res.Exec.Shards, res.Exec.ShardWorkers)
+	}
+	m := res.Metrics
+	if m.Shards != nil {
+		t.Errorf("unsharded run carries %d shard snapshots", len(m.Shards))
+	}
+	if len(m.Clusters) == 0 || len(m.Clusters) != res.Report.Clusters {
+		t.Errorf("top-level snapshot has %d cluster stats for %d clusters", len(m.Clusters), res.Report.Clusters)
+	}
+	var starts int
+	for _, ev := range m.Events {
+		if ev.Kind == metrics.EvClusterStart {
+			starts++
+		}
+	}
+	if starts != len(m.Clusters) {
+		t.Errorf("top-level trace has %d cluster starts for %d clusters", starts, len(m.Clusters))
+	}
+}
+
 // TestShardedCC pins the sharded CC path's method label and cluster count:
 // the merged report must still read "CC" and cover every cluster once.
 func TestShardedCC(t *testing.T) {
@@ -245,11 +277,12 @@ func TestShardMetricsMerge(t *testing.T) {
 // its boundary, sharded against unsharded: with the cap exactly at the total
 // pair count both modes collect the same pair set and report Truncated=false;
 // one below, both truncate to exactly the cap with Truncated=true; one above,
-// neither truncates. Pair ORDER differs between the modes by design — each
-// shard greedily re-schedules its own cluster subset, so the sharded emission
-// order is the shard-index concatenation of per-shard schedules, not the
-// global schedule — but within each mode a capped run returns an exact prefix
-// of that mode's full emission order.
+// neither truncates. Pair ORDER differs between the modes by design — the
+// planner fixes each shard's order as the greedy schedule over that shard's
+// own clusters, so the sharded emission order is the shard-index
+// concatenation of those orders, not the global schedule — but within each
+// mode a capped run returns an exact prefix of that mode's full emission
+// order.
 func TestPairsCapBoundaryShardedVsUnsharded(t *testing.T) {
 	sys := NewSystem(DiskModel{PageBytes: 256})
 	da, err := sys.AddVectors("a", randomVecs(400, 2, 41), VectorOptions{})
