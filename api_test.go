@@ -1,11 +1,16 @@
 package pmjoin
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/join"
 )
 
 func smallVecSystem(t *testing.T) (*System, *Dataset, *Dataset) {
@@ -200,6 +205,113 @@ func TestCollectPairsAndTruncation(t *testing.T) {
 	}
 	if len(res.Pairs) != 5 || !res.Truncated {
 		t.Fatalf("pairs = %d truncated = %v", len(res.Pairs), res.Truncated)
+	}
+
+	// Caps that straddle a pair-chunk boundary, on the clustered route
+	// (chunks written by comparison runs, linked at merge, re-capped across
+	// shards) and on EGO (one pair at a time through Exec.Emit). A capped run
+	// keeps a prefix of the full run's pairs and reports the same Report.
+	sys = NewSystem(DiskModel{PageBytes: 1024})
+	da, err = sys.AddVectors("a", randomVecs(1500, 2, 61), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err = sys.AddVectors("b", randomVecs(1500, 2, 62), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{SC, CC, EGO} {
+		for _, par := range []int{1, 4} {
+			for _, shards := range []int{0, 3} {
+				if m == EGO && shards > 0 {
+					continue // sharding is for clustered methods
+				}
+				t.Run(fmt.Sprintf("%v/par=%d/shards=%d", m, par, shards), func(t *testing.T) {
+					opt := Options{Method: m, Epsilon: 0.04, BufferPages: 16, Parallelism: par,
+						CollectPairs: true, MaxPairs: 1 << 30, Sharding: ShardingOptions{Shards: shards}}
+					full, err := sys.Join(da, db, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total := len(full.Pairs)
+					if full.Truncated || int64(total) != full.Count() || total <= 2*join.ChunkPairs {
+						t.Fatalf("full run: %d pairs of %d results, truncated %v; want more than %d",
+							total, full.Count(), full.Truncated, 2*join.ChunkPairs)
+					}
+					for _, cap := range []int{join.ChunkPairs - 1, join.ChunkPairs, join.ChunkPairs + 1} {
+						opt.MaxPairs = cap
+						res, err := sys.Join(da, db, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Truncated || !reflect.DeepEqual(res.Pairs, full.Pairs[:cap]) ||
+							!reflect.DeepEqual(res.Report, full.Report) {
+							t.Fatalf("cap %d: %d pairs, truncated %v; want the full run's first %d, truncated, same Report",
+								cap, len(res.Pairs), res.Truncated, cap)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// raceEnabled reports that the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestCollectPairsAllocatesOnce bounds what a warm, result-heavy join
+// allocates: the collected pairs (16 bytes each) are written into pooled
+// chunks and copied once into a slice of exactly their size, so the join
+// allocates little more than that slice. Growing the result pair by pair,
+// as a per-pair callback did, allocates several times the pairs' size.
+func TestCollectPairsAllocatesOnce(t *testing.T) {
+	sys := NewSystem(DiskModel{PageBytes: 1024})
+	da, err := sys.AddVectors("a", randomVecs(4000, 2, 71), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sys.AddVectors("b", randomVecs(4000, 2, 72), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Method: CC, Epsilon: 0.07, BufferPages: 32, CollectPairs: true, MaxPairs: 1 << 30}
+	if _, err := sys.Join(da, db, opt); err != nil { // builds the matrix, fills the pools
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sys.Join(da, db, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := len(res.Pairs)
+	if pairs < 200_000 || res.Truncated || int64(pairs) != res.Count() {
+		t.Fatalf("collected %d of %d pairs (truncated %v); the workload must collect every pair, at least 200 000",
+			pairs, res.Count(), res.Truncated)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(16*float64(pairs)*1.2) + 8<<20
+	if raceEnabled() {
+		// The race detector's sync.Pool drops a quarter of what is put back,
+		// so pooled chunks and hit buffers are partly allocated again.
+		limit *= 2
+	}
+	t.Logf("warm join: %d pairs (%.1f MB), allocated %.1f MB", pairs, float64(16*pairs)/(1<<20), float64(alloc)/(1<<20))
+	if alloc > limit {
+		t.Fatalf("warm join allocated %d bytes for %d pairs, limit %d", alloc, pairs, limit)
 	}
 }
 

@@ -20,9 +20,9 @@ type Engine struct {
 	Disk       *disk.Disk
 	BufferSize int           // B, in pages
 	Policy     buffer.Policy // LRU by default
-	// OnPair, when non-nil, receives every result pair. It is always called
-	// on the coordinating goroutine, in deterministic order.
-	OnPair func(idA, idB int)
+	// Pairs, when non-nil, collects the result pairs of the engine's runs in
+	// deterministic order, up to its cap (see Pairs and MergePairs).
+	Pairs *Pairs
 	// Workers, when non-nil, receives the CPU-side page-pair comparisons of
 	// NLJ / pm-NLJ / clustered runs; nil executes everything inline. Either
 	// way the report is bit-for-bit identical (see Exec).

@@ -228,16 +228,18 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// TestOnPairCallback checks that the engine's pair collector keeps every
+// result pair of a run, and nothing else.
 func TestOnPairCallback(t *testing.T) {
 	d, da, db, want, eps := testSetup(t, 8, 150, 150)
-	var got int64
-	e := &Engine{Disk: d, BufferSize: 8, OnPair: func(a, b int) { got++ }}
+	e := &Engine{Disk: d, BufferSize: 8, Pairs: NewPairs(1 << 30)}
 	rep, err := e.NLJ(da, db, VectorJoiner{Norm: geom.L2, Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || rep.Results != want {
-		t.Fatalf("callback count %d, results %d, want %d", got, rep.Results, want)
+	got, truncated := MergePairs([]*Pairs{e.Pairs}, 1<<30)
+	if int64(len(got)) != want || rep.Results != want || truncated {
+		t.Fatalf("collected %d pairs (truncated %v), results %d, want %d", len(got), truncated, rep.Results, want)
 	}
 }
 

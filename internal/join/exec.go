@@ -27,8 +27,9 @@ import (
 //     (JoinCluster), to runs of up to taskCells cells. A run ships to the
 //     workers as soon as it is full, its cluster ends, or Flush is called.
 //   - Flush waits for the shipped runs and merges their results into Rep in
-//     submission order, cell by cell, so float64 accumulation order, result
-//     counts, and pair emission order are those of a serial loop over the
+//     submission order, cell by cell, and links their pair chunks into the
+//     engine's collector in the same order, so float64 accumulation order,
+//     result counts, and pair order are those of a serial loop over the
 //     cells — at any parallelism.
 type Exec struct {
 	// IO is the run's disk session: its charges are independent of any
@@ -76,9 +77,10 @@ type pagePair struct {
 // strings) falls back to a JoinPages call per cell. Either way run records
 // each cell's comparison count and modeled CPU cost separately, so merge can
 // fold them in cell order. Workers only read the shared blocks and id
-// slices; each task owns its output buffers.
+// slices; each task owns its output buffers, and the pair chunks it writes
+// pass to the collector at merge. Kernel hits are scratch of the run alone.
 type task struct {
-	capture bool
+	capture bool // translate hits into pairs: the collector is set and not full
 
 	pages []pagePair
 
@@ -90,20 +92,38 @@ type task struct {
 	comps   []int64
 	cpu     []float64
 	results int64
-	hits    []kernel.BlockHit
-	pairs   [][2]int
+	pairs   pairChunks
 }
+
+// blockHitsPool recycles the block kernel's hit buffers between runs and
+// joins: a run holds one only while it executes, so the pool holds about one
+// per worker.
+var blockHitsPool = sync.Pool{New: func() any { return new([]kernel.BlockHit) }}
 
 func (t *task) run() {
 	if t.cells != nil {
-		t.hits = kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells, t.hits[:0])
-		t.results = int64(len(t.hits))
+		scratch := blockHitsPool.Get().(*[]kernel.BlockHit)
+		all := kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells, (*scratch)[:0])
+		t.results = int64(len(all))
 		if t.capture {
-			for _, h := range t.hits {
-				c := t.cells[h.Cell]
-				t.pairs = append(t.pairs, [2]int{t.idsR[c.R][h.I], t.idsS[c.S][h.J]})
+			// Hits come grouped by cell, so each cell's id slices are looked
+			// up once, and pairs are written a chunk's worth at a time.
+			cell, idsR, idsS := int32(-1), []int(nil), []int(nil)
+			for hits := all; len(hits) > 0; {
+				dst := t.pairs.next(len(hits))
+				for i, h := range hits[:len(dst)] {
+					if h.Cell != cell {
+						cell = h.Cell
+						c := t.cells[cell]
+						idsR, idsS = t.idsR[c.R], t.idsS[c.S]
+					}
+					dst[i] = [2]int{idsR[h.I], idsS[h.J]}
+				}
+				hits = hits[len(dst):]
 			}
 		}
+		*scratch = all[:0]
+		blockHitsPool.Put(scratch)
 		// The expressions JoinPages evaluates for the same page pair, so the
 		// fold in merge is bit-identical to the per-cell fallback's. Empty
 		// pages contribute exactly +0.0 either way.
@@ -118,7 +138,7 @@ func (t *task) run() {
 	emit := func(i, j int) {
 		t.results++
 		if t.capture {
-			t.pairs = append(t.pairs, [2]int{i, j})
+			t.pairs.add(i, j)
 		}
 	}
 	for _, p := range t.pages {
@@ -129,20 +149,20 @@ func (t *task) run() {
 }
 
 // merge folds the run into the report, cell by cell in submission order,
-// and resets the task for reuse (dropping payload refs while pooled).
+// links its pair chunks into the collector, and resets the task for reuse
+// (dropping payload and chunk refs while pooled).
 func (t *task) merge(x *Exec) {
 	for i, comps := range t.comps {
 		x.Rep.Comparisons += comps
 		x.Rep.CPUJoinSeconds += t.cpu[i]
 	}
 	x.Rep.Results += t.results
-	if x.eng.OnPair != nil {
-		for _, p := range t.pairs {
-			x.eng.OnPair(p[0], p[1])
-		}
+	if p := x.eng.Pairs; p != nil {
+		p.link(t.pairs, t.results)
 	}
 	clear(t.pages)
-	*t = task{pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], hits: t.hits[:0], pairs: t.pairs[:0]}
+	clear(t.pairs)
+	*t = task{pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], pairs: t.pairs[:0]}
 }
 
 // Err returns the engine context's error, if any. Executors call it at
@@ -159,8 +179,8 @@ func (x *Exec) Err() error {
 // emission with their own bookkeeping use this instead of task dispatch).
 func (x *Exec) Emit(a, b int) {
 	x.Rep.Results++
-	if x.eng.OnPair != nil {
-		x.eng.OnPair(a, b)
+	if p := x.eng.Pairs; p != nil {
+		p.Add(a, b)
 	}
 }
 
@@ -174,7 +194,10 @@ func (x *Exec) newRun() *task {
 	} else {
 		t = &task{}
 	}
-	t.capture = x.eng.OnPair != nil
+	// Whether the collector is full is decided here, on the coordinator, from
+	// the runs already merged, so which runs skip translation cannot depend
+	// on timing.
+	t.capture = x.eng.Pairs != nil && !x.eng.Pairs.full()
 	x.tasks = append(x.tasks, t)
 	x.open = t
 	return t

@@ -326,7 +326,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 
 // oracleDataset writes pages to a fresh file of d behind a flat one-level
 // index (the clustered executor only needs the leaves to cover the pages).
-func oracleDataset(t *testing.T, d *disk.Disk, name string, pages []any) *Dataset {
+func oracleDataset(t testing.TB, d *disk.Disk, name string, pages []any) *Dataset {
 	t.Helper()
 	f := d.CreateFile()
 	box := geom.NewMBR(geom.Vector{0})
@@ -344,7 +344,7 @@ func oracleDataset(t *testing.T, d *disk.Disk, name string, pages []any) *Datase
 // run — inline and on four workers — must report exactly what a serial fold
 // of the reference loops over every cluster's entries, in schedule order,
 // produces: equal Comparisons and Results, bit-equal CPUJoinSeconds, and the
-// identical OnPair stream. The four workloads cover both evaluations inside
+// identical collected pair stream. The four workloads cover both evaluations inside
 // a run: the block kernel (non-self vectors at dim 8, where the SIMD row sums
 // engage, and non-self series) and the per-cell fallback (self joins,
 // strings).
@@ -446,7 +446,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 
 			for _, workers := range []int{0, 4} {
 				var got joinTrace
-				e := &Engine{Disk: d, BufferSize: buffer, OnPair: func(i, k int) { got.pairs = append(got.pairs, [2]int{i, k}) }}
+				e := &Engine{Disk: d, BufferSize: buffer, Pairs: NewPairs(1 << 30)}
 				if workers > 0 {
 					e.Workers = NewWorkerPool(workers)
 				}
@@ -457,6 +457,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				got.pairs, _ = MergePairs([]*Pairs{e.Pairs}, 1<<30)
 				got.comps, got.cpu = rep.Comparisons, rep.CPUJoinSeconds
 				got.check(t, want)
 				if rep.Results != int64(len(want.pairs)) {

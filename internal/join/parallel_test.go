@@ -13,8 +13,7 @@ import (
 func runEngine(t *testing.T, method string, workers int, seed int64) (*Report, [][2]int) {
 	t.Helper()
 	d, da, db, _, eps := testSetup(t, seed, 400, 300)
-	var pairs [][2]int
-	e := &Engine{Disk: d, BufferSize: 16, OnPair: func(a, b int) { pairs = append(pairs, [2]int{a, b}) }}
+	e := &Engine{Disk: d, BufferSize: 16, Pairs: NewPairs(1 << 30)}
 	if workers > 1 {
 		e.Workers = NewWorkerPool(workers)
 		defer e.Workers.Close()
@@ -40,6 +39,7 @@ func runEngine(t *testing.T, method string, workers int, seed int64) (*Report, [
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs, _ := MergePairs([]*Pairs{e.Pairs}, 1<<30)
 	return rep, pairs
 }
 

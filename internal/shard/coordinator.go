@@ -135,27 +135,17 @@ func MergeTimelines(results []*Result) disk.TimelineStats {
 	return out
 }
 
-// MergePairs concatenates per-shard pair slices in shard-index order, capped
-// at maxPairs. The second result reports truncation: either the concatenation
-// overflowed the cap or some shard already truncated locally. The merge
-// appends to the first shard's slice rather than copying it, so a one-shard
-// run hands its pairs over as collected.
+// MergePairs concatenates the shards' collected pairs in shard-index order,
+// capped at maxPairs, into one slice allocated at its exact size
+// (join.MergePairs). The second result reports truncation: either the
+// concatenation overflowed the cap or some shard already truncated locally.
+// The shards' collectors are emptied.
 func MergePairs(results []*Result, maxPairs int) ([][2]int, bool) {
-	var pairs [][2]int
-	truncated := false
+	var cols []*join.Pairs
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		truncated = truncated || r.Truncated
-		if room := maxPairs - len(pairs); len(r.Pairs) > room {
-			return append(pairs, r.Pairs[:room]...), true
-		}
-		if pairs == nil {
-			pairs = r.Pairs
-		} else {
-			pairs = append(pairs, r.Pairs...)
+		if r != nil && r.Pairs != nil {
+			cols = append(cols, r.Pairs)
 		}
 	}
-	return pairs, truncated
+	return join.MergePairs(cols, maxPairs)
 }

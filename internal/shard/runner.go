@@ -22,18 +22,17 @@ type Task struct {
 	ScheduleEdges int
 }
 
-// Result is one shard's outcome. Report, Pairs and Truncated are
-// deterministic functions of the Task (each shard runs over a cold disk
+// Result is one shard's outcome. Report and Pairs are deterministic
+// functions of the Task (each shard runs over a cold disk
 // session and a private buffer pool, so its numbers are what a solo run over
 // its clusters would produce); Metrics and Timeline are observational.
 type Result struct {
 	Shard  int
 	Report *join.Report
 	// Pairs holds the shard's collected result pairs (nil unless the runner
-	// collects pairs), in the shard executor's deterministic emission order.
-	Pairs [][2]int
-	// Truncated reports the shard hit its local pair cap.
-	Truncated bool
+	// collects pairs), in the shard executor's deterministic emission order,
+	// and whether the shard hit its local pair cap.
+	Pairs *join.Pairs
 	// Metrics is the shard's own phase-scoped snapshot (nil unless enabled).
 	Metrics *metrics.Metrics
 	// Timeline is the shard's modeled overlapped-pipeline clock.
@@ -59,9 +58,9 @@ type LocalRunner struct {
 	// Engine is the execution environment every shard's engine copies: the
 	// shared disk, buffer size and policy, comparison and reader pools, frame
 	// cache, backend and pipeline knobs. Each copy gets its own Ctx, Timeline
-	// and OnPair. Shards may share the pools: they only feed them comparison
-	// tasks and plain backend fetches, which never wait on a shard, so
-	// concurrent shards cannot deadlock. The template's Metrics collector is
+	// and pair collector. Shards may share the pools: they only feed them
+	// comparison tasks and plain backend fetches, which never wait on a shard,
+	// so concurrent shards cannot deadlock. The template's Metrics collector is
 	// used as is, which suits a one-shard run reporting on its caller's
 	// snapshot; with Metrics set, every shard gets a collector of its own.
 	Engine join.Engine
@@ -77,8 +76,8 @@ type LocalRunner struct {
 	// modeled construction of its own order (Task.ScheduleEdges).
 	PreprocessSeconds float64
 
-	// Pair collection. Each shard collects up to MaxPairs locally; the
-	// coordinator's merge re-caps globally.
+	// Pair collection. Each shard collects up to MaxPairs locally; MergePairs
+	// re-caps globally.
 	CollectPairs bool
 	MaxPairs     int
 
@@ -96,15 +95,9 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 	eng := r.Engine
 	eng.Ctx = ctx
 	eng.Timeline = disk.NewTimeline()
-	eng.OnPair = nil
+	eng.Pairs = nil
 	if r.CollectPairs {
-		eng.OnPair = func(i, j int) {
-			if len(out.Pairs) < r.MaxPairs {
-				out.Pairs = append(out.Pairs, [2]int{i, j})
-			} else {
-				out.Truncated = true
-			}
-		}
+		eng.Pairs = join.NewPairs(r.MaxPairs)
 	}
 	if r.Metrics {
 		eng.Metrics = metrics.New(r.MetricsConfig)
@@ -125,5 +118,6 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 	}
 	rep.PreprocessSeconds = pre + join.ModelSchedulePreprocess(t.ScheduleEdges)
 	out.Report = rep
+	out.Pairs = eng.Pairs
 	return out, nil
 }

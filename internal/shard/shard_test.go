@@ -243,7 +243,7 @@ func TestCutEmpty(t *testing.T) {
 type indexRunner struct{}
 
 func (indexRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
-	return &Result{Shard: t.Shard, Pairs: [][2]int{{t.Shard, len(t.Clusters)}}}, nil
+	return &Result{Shard: t.Shard, Report: &join.Report{Results: int64(len(t.Clusters))}}, nil
 }
 
 type failingRunner struct{ fail int }
@@ -267,7 +267,7 @@ func TestCoordinatorOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range results {
-			if r.Shard != i || r.Pairs[0] != [2]int{i, i + 1} {
+			if r.Shard != i || r.Report.Results != int64(i+1) {
 				t.Fatalf("workers=%d: slot %d holds %+v", workers, i, r)
 			}
 		}
@@ -289,23 +289,32 @@ func TestCoordinatorFirstError(t *testing.T) {
 }
 
 func TestMergePairsCapsAndFlags(t *testing.T) {
-	results := []*Result{
-		{Pairs: [][2]int{{1, 1}, {1, 2}}},
-		nil,
-		{Pairs: [][2]int{{2, 1}}},
+	// results builds three shard results (the middle one missing) whose
+	// collectors keep at most localCap pairs each; merging empties them.
+	results := func(localCap int) []*Result {
+		collect := func(pairs ...[2]int) *join.Pairs {
+			p := join.NewPairs(localCap)
+			for _, pr := range pairs {
+				p.Add(pr[0], pr[1])
+			}
+			return p
+		}
+		return []*Result{{Pairs: collect([2]int{1, 1}, [2]int{1, 2})}, nil, {Pairs: collect([2]int{2, 1})}}
 	}
-	pairs, trunc := MergePairs(results, 10)
+	pairs, trunc := MergePairs(results(10), 10)
 	if trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {1, 2}, {2, 1}}) {
 		t.Fatalf("pairs %v trunc %v", pairs, trunc)
 	}
-	pairs, trunc = MergePairs(results, 2)
-	if !trunc || len(pairs) != 2 {
+	pairs, trunc = MergePairs(results(10), 2)
+	if !trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {1, 2}}) {
 		t.Fatalf("capped merge: pairs %v trunc %v", pairs, trunc)
 	}
-	results[0].Truncated = true
-	_, trunc = MergePairs(results, 10)
-	if !trunc {
-		t.Fatal("local truncation not propagated")
+	pairs, trunc = MergePairs(results(1), 10)
+	if !trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {2, 1}}) {
+		t.Fatalf("local truncation not propagated: pairs %v trunc %v", pairs, trunc)
+	}
+	if pairs, trunc = MergePairs([]*Result{{}, nil}, 10); pairs != nil || trunc {
+		t.Fatalf("nothing collected: pairs %v trunc %v, want nil, false", pairs, trunc)
 	}
 }
 

@@ -214,24 +214,22 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 		Backend:    backend,
 		Readers:    readers,
 	}
-	if opt.CollectPairs {
-		eng.OnPair = func(i, j int) {
-			if len(res.Pairs) < opt.MaxPairs {
-				res.Pairs = append(res.Pairs, [2]int{i, j})
-			} else {
-				res.Truncated = true
-			}
-		}
-	}
 
 	self := a == b || a.ds.File == b.ds.File
 	joiner := s.joiner(a, opt.Epsilon, self)
 
-	// timedJoin runs an unclustered executor on eng and takes its wall time
-	// and measured I/O; the clustered route takes its own from its shards.
+	// timedJoin runs an unclustered executor on eng and takes its wall time,
+	// its pairs and its measured I/O; the clustered route takes its own from
+	// its shards.
 	timedJoin := func(f func() (*join.Report, error)) (*join.Report, error) {
+		if opt.CollectPairs {
+			eng.Pairs = join.NewPairs(opt.MaxPairs)
+		}
 		start := time.Now()
 		rep, err := f()
+		if eng.Pairs != nil {
+			res.Pairs, res.Truncated = join.MergePairs([]*join.Pairs{eng.Pairs}, opt.MaxPairs)
+		}
 		res.Exec.JoinWall = time.Since(start)
 		m := eng.MeasuredIO()
 		res.Exec.MeasuredIOWall, res.Exec.MeasuredReads = m.Seconds, m.Reads

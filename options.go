@@ -64,10 +64,15 @@ type Options struct {
 	Parallelism int
 	// Seed drives the random choices of RandomSC and CC (deterministic).
 	Seed int64
-	// CollectPairs stores up to MaxPairs result pairs in the Result.
+	// CollectPairs stores up to MaxPairs result pairs in the Result. Each
+	// pair costs 16 bytes, held twice at the end of the join: in the pooled
+	// chunks it is collected into and in the exact-size Result.Pairs they
+	// are copied to. A sharded join collects up to MaxPairs pairs in every
+	// shard before the merge re-caps them.
 	CollectPairs bool
 	// MaxPairs caps collected pairs. 0 means the default (100000);
-	// negative values are rejected by Validate.
+	// negative values are rejected by Validate. Past the cap the join still
+	// counts every result but stops turning them into pairs.
 	MaxPairs int
 	// FilterDepth bounds the prediction-matrix filter iterations
 	// (default 5, the paper's k; -1 disables filtering).

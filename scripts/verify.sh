@@ -36,7 +36,7 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + prefetch + Lemma 4 + comparison oracle)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + prefetch + Lemma 4 + comparison oracle + pair collection)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant. Every clustered
@@ -50,10 +50,13 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # Explain's per-cluster and per-shard reads must equal the run's measured
 # reads (Lemma 4), and the one comparison path — block kernel and per-cell
 # fallback, inline and on workers — must reproduce the reference distance
-# loops' pair stream, comparison counts and CPU-second bits.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestPrefetchDeterminism|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured' .
+# loops' pair stream, comparison counts and CPU-second bits. Collected pairs
+# keep the per-pair reference's order and Truncated flag at caps around a
+# pair-chunk boundary, sharded or not, and a warm result-heavy join allocates
+# little more than its exact-size pair slice.
+go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestPrefetchDeterminism|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce' .
 go test -race -run 'TestPinSet' ./internal/buffer
-go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle' ./internal/join
+go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference' ./internal/join
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 )
 
@@ -282,18 +283,19 @@ func TestShardMetricsMerge(t *testing.T) {
 // own clusters, so the sharded emission order is the shard-index
 // concatenation of those orders, not the global schedule — but within each
 // mode a capped run returns an exact prefix of that mode's full emission
-// order.
+// order. The same holds for caps on both sides of a pair-chunk boundary,
+// where the cap cuts a chunk inside a shard or in the merge.
 func TestPairsCapBoundaryShardedVsUnsharded(t *testing.T) {
 	sys := NewSystem(DiskModel{PageBytes: 256})
-	da, err := sys.AddVectors("a", randomVecs(400, 2, 41), VectorOptions{})
+	da, err := sys.AddVectors("a", randomVecs(600, 2, 41), VectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sys.AddVectors("b", randomVecs(300, 2, 42), VectorOptions{})
+	db, err := sys.AddVectors("b", randomVecs(500, 2, 42), VectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{Method: SC, Epsilon: 0.06, BufferPages: 12, CollectPairs: true}
+	base := Options{Method: SC, Epsilon: 0.08, BufferPages: 12, CollectPairs: true}
 	sharded := func(o Options) Options {
 		o.Sharding = ShardingOptions{Shards: 3, Workers: 2}
 		return o
@@ -307,7 +309,7 @@ func TestPairsCapBoundaryShardedVsUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := len(full.Pairs)
-	if full.Truncated || total < 3 {
+	if full.Truncated || total <= join.ChunkPairs+1 {
 		t.Fatalf("probe: %d pairs, truncated=%v", total, full.Truncated)
 	}
 	fullShard, err := sys.Join(da, db, sharded(probe))
@@ -331,6 +333,9 @@ func TestPairsCapBoundaryShardedVsUnsharded(t *testing.T) {
 		{"exactly-at-cap", total, total, false},
 		{"one-under-cap", total - 1, total - 1, true},
 		{"one-over-cap", total + 1, total, false},
+		{"one-under-chunk", join.ChunkPairs - 1, join.ChunkPairs - 1, true},
+		{"at-chunk", join.ChunkPairs, join.ChunkPairs, true},
+		{"one-over-chunk", join.ChunkPairs + 1, join.ChunkPairs + 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base
