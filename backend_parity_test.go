@@ -166,14 +166,18 @@ func TestBackendParity(t *testing.T) {
 
 // TestFileStoreLifecycle pins the attachment errors: StorageFile without a
 // store fails with a clear message, double attachment fails, and a dataset
-// added AFTER attachment is served from the store via the write mirror.
+// added AFTER attachment is served from the store via the write mirror. It
+// also pins the lifetime of fetched pages: they view the store's mapping, so
+// nothing a join leaves behind may hold one once the store is closed — PBSM's
+// partition pages stay on the disk and are copied into the next store
+// attached.
 func TestFileStoreLifecycle(t *testing.T) {
 	sys := NewSystem(DiskModel{PageBytes: 256})
 	da, err := sys.AddVectors("a", randomVecs(120, 2, 55), VectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 8, Storage: StorageFile}
+	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 8, Storage: StorageFile, CollectPairs: true}
 	if _, err := sys.Join(da, da, opt); err == nil {
 		t.Fatal("StorageFile without an attached store did not fail")
 	}
@@ -193,8 +197,23 @@ func TestFileStoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Exec.MeasuredReads == 0 {
-		t.Error("mirrored dataset produced no measured reads")
+	if res.Exec.MeasuredReads == 0 || len(res.Pairs) == 0 {
+		t.Errorf("mirrored dataset produced %d measured reads and %d pairs, want some of each", res.Exec.MeasuredReads, len(res.Pairs))
+	}
+	// Fetched pages view the store's mapping. Dropping the OS caches between
+	// two joins makes the second fault its views back in from the file.
+	if err := sys.DropStoreCaches(); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := sys.Join(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbsmOpt := opt
+	pbsmOpt.Method = PBSM
+	pbsm, err := sys.Join(da, db, pbsmOpt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := sys.CloseStore(); err != nil {
 		t.Fatal(err)
@@ -204,5 +223,33 @@ func TestFileStoreLifecycle(t *testing.T) {
 	}
 	if err := sys.CloseStore(); err != nil {
 		t.Fatal("second CloseStore must be a no-op")
+	}
+	// A fresh store on a fresh directory serves the same join again: nothing
+	// of the first store's closed mappings is read.
+	if err := sys.UseFileStore(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseStore()
+	again, err := sys.Join(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbsmAgain, err := sys.Join(da, db, pbsmOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		got, first *Result
+	}{{"cold", cold, res}, {"reattached", again, res}, {"reattached PBSM", pbsmAgain, pbsm}} {
+		if !reflect.DeepEqual(c.got.Report, c.first.Report) || !reflect.DeepEqual(c.got.Pairs, c.first.Pairs) {
+			t.Errorf("%s join differs from the first: %+v vs %+v", c.name, c.got.Report, c.first.Report)
+		}
+		if c.got.Exec.MeasuredReads != c.first.Exec.MeasuredReads {
+			t.Errorf("%s join measured %d reads, the first %d", c.name, c.got.Exec.MeasuredReads, c.first.Exec.MeasuredReads)
+		}
+	}
+	if len(pbsm.Pairs) != len(res.Pairs) {
+		t.Errorf("PBSM found %d pairs, SC %d", len(pbsm.Pairs), len(res.Pairs))
 	}
 }

@@ -210,7 +210,7 @@ func ParsePrefetchMode(s string) (PrefetchMode, error) { return prefetchSpec.par
 // StorageMode selects the physical page source behind a join run: the
 // in-memory simulator (reads cost nothing in wall time; only the linear disk
 // model is charged) or the file-backed store attached to the System
-// (System.UseFileStore), where page payloads are decoded from real files
+// (System.UseFileStore), where page payloads are read from real files
 // with measured latencies. The logical account is identical either way —
 // Report, Pairs and Plan are bit-for-bit independent of this knob (pinned by
 // TestBackendParity); only ExecStats' measured I/O fields differ.

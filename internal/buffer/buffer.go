@@ -143,11 +143,6 @@ type Pool struct {
 	// (policy eviction, explicit Evict, Flush). It is a tracing hook (see
 	// internal/metrics) and runs on the goroutine driving the pool.
 	onEvict func(addr disk.PageAddr)
-	// onLoad, when non-nil, observes every page entering the pool off a miss
-	// read, before it is returned to the caller. The engine uses it to warm
-	// per-page derived state (flat kernel blocks) on the coordinator, once
-	// per residency, instead of inside worker join loops.
-	onLoad func(pg *disk.Page)
 	// shared, when non-nil, is the service-wide concurrent frame cache this
 	// run participates in (see AttachShared).
 	shared *SharedPool
@@ -202,10 +197,6 @@ func (p *Pool) Detach() {
 // SetOnEvict installs the eviction observer; nil removes it. The callback
 // must be cheap and must not call back into the pool.
 func (p *Pool) SetOnEvict(fn func(addr disk.PageAddr)) { p.onEvict = fn }
-
-// SetOnLoad installs the miss-load observer; nil removes it. The callback
-// runs on the goroutine driving the pool and must not call back into it.
-func (p *Pool) SetOnLoad(fn func(pg *disk.Page)) { p.onLoad = fn }
 
 // ErrBufferFull is returned when every frame is pinned and a miss occurs.
 var ErrBufferFull = errors.New("buffer: all frames pinned")
@@ -391,9 +382,6 @@ func (p *Pool) load(addr disk.PageAddr, pin bool) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.onLoad != nil {
-		p.onLoad(pg)
-	}
 	if victim != nil {
 		p.removeFrame(victim)
 	}
@@ -554,7 +542,7 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 			// synchronous charge error (unknown page) fails exactly like a
 			// failed sync read, with the miss kept. The victim leaves at stage
 			// time, as it would after a sync read, so the eviction sequence is
-			// identical; onLoad and the shared publish wait for the bytes.
+			// identical; the shared publish waits for the bytes.
 			pr, err := src.ReadAsync(addr, p.runner)
 			if err != nil {
 				return false, err
@@ -575,9 +563,6 @@ func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
 	p.stats.Prefetched++
 	if p.shared != nil {
 		p.shared.Publish(addr, pg)
-	}
-	if p.onLoad != nil {
-		p.onLoad(pg)
 	}
 	if victim != nil {
 		p.removeFrame(victim)
@@ -608,9 +593,6 @@ func (p *Pool) resolvePending(f *frame) error {
 		return err
 	}
 	f.page = pg
-	if p.onLoad != nil {
-		p.onLoad(pg)
-	}
 	if p.shared != nil {
 		p.shared.Publish(f.addr, pg)
 	}

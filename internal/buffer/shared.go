@@ -57,8 +57,8 @@ type sharedShard struct {
 // as a solo run would — per-request Reports stay pure functions of the
 // request (see Pool.AttachShared). What the shared pool eliminates is
 // duplicated work outside the simulated account: page-payload
-// materialization and per-page derived state (flat kernel blocks) are built
-// once per shared residency instead of once per request, and under a future
+// materialization happens once per shared residency instead of once per
+// request, and under a future
 // physical-disk backend the Lookup hit is where the real read would be
 // skipped. SharedStats records the cross-request reuse.
 //

@@ -15,7 +15,8 @@ import (
 //     are free in wall time and only the linear model is charged, the seed
 //     behavior of this repository;
 //   - internal/store.Store: payloads are encoded to real files and served
-//     via mmap/pread with *measured* per-read latencies.
+//     via mmap/pread with *measured* per-read latencies; vector and series
+//     pages are served as views of the mapped records.
 //
 // The determinism contract is deliberately split across that line: logical
 // accounting (Stats, seek classification, Timeline charges, and therefore
@@ -26,9 +27,11 @@ import (
 // Report. TestBackendParity pins this.
 type Backend interface {
 	// Fetch returns the payload stored for addr and the measured wall
-	// seconds the physical read took. A page the backend never received
-	// (see ErrNotInBackend) is not an I/O error: the Session falls back to
-	// the Disk's in-memory payload at zero measured cost.
+	// seconds the physical read took, checksum included. The payload may
+	// alias the backend's storage (the file store's mapping): callers only
+	// read it, and only while the backend is open. A page the backend never
+	// received (see ErrNotInBackend) is not an I/O error: the Session falls
+	// back to the Disk's in-memory payload at zero measured cost.
 	Fetch(addr PageAddr) (payload any, seconds float64, err error)
 	// Put stores (or overwrites) the payload for addr. Implementations may
 	// silently skip payloads they cannot encode — runtime scratch pages
@@ -47,7 +50,7 @@ type Measured struct {
 	// Reads is the number of physical backend fetches served.
 	Reads int64
 	// Seconds is the summed wall time of those fetches (read + checksum +
-	// decode). It is a sum of latencies, not an elapsed window: concurrent
+	// page build). It is a sum of latencies, not an elapsed window: concurrent
 	// background reads can make Seconds exceed the join's wall clock.
 	Seconds float64
 }

@@ -112,8 +112,8 @@ func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
 }
 
 // fetch performs the physical half of a read: with no backend the in-memory
-// page is the result; with one, the payload is read and decoded from the
-// backend's real files, its wall cost accumulated into Measured. A page the
+// page is the result; with one, the payload is read from the backend's real
+// files, its wall cost accumulated into Measured. A page the
 // backend never received (ErrNotInBackend — runtime scratch pages with
 // unencodable payloads) falls back to memory at zero measured cost. Called
 // without holding s.mu, possibly from a background reader goroutine.

@@ -112,10 +112,6 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	if e.Backend != nil && e.Readers != nil {
 		pool.SetPrefetchRunner(e.Readers.Run)
 	}
-	// Warm each page's flat kernel block as the pool loads it, so joiners
-	// find it prebuilt on the coordinator instead of building it lazily
-	// inside worker tasks.
-	pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
 	if e.Shared != nil {
 		pool.AttachShared(e.Shared)
 		// Detach on every exit path (cancellation included) so this run's

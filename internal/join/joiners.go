@@ -54,9 +54,33 @@ type VectorPage struct {
 	flat atomic.Pointer[kernel.FlatPage]
 }
 
+// NewVectorPage returns the page whose object ids[i] is row i of f: Vecs are
+// views of f's rows and f is the page's flat block from the start, so the
+// kernels never build one. The page takes ownership of ids and f; neither
+// may be modified afterwards.
+func NewVectorPage(ids []int, f *kernel.FlatPage) *VectorPage {
+	p := &VectorPage{IDs: ids, Vecs: flatRows[geom.Vector](len(ids), f)}
+	p.flat.Store(f)
+	return p
+}
+
+// flatRows returns the rows of f as views of its block, panicking unless f
+// holds exactly n rows of f.Dim values.
+func flatRows[V ~[]float64](n int, f *kernel.FlatPage) []V {
+	if f.N != n || len(f.Data) != f.N*f.Dim {
+		panic(fmt.Sprintf("join: flat block of %d rows (%d values, dim %d) for %d objects", f.N, len(f.Data), f.Dim, n))
+	}
+	rows := make([]V, n)
+	for i := range rows {
+		rows[i] = f.Row(i)
+	}
+	return rows
+}
+
 // Flat returns the page's points as one contiguous row-major block for the
-// kernels, building it on first use. Safe for concurrent callers: a
-// lost CAS race just discards a duplicate build.
+// kernels: the block the page was built over (NewVectorPage), or one built
+// from Vecs on first use. Safe for concurrent callers: a lost CAS race just
+// discards a duplicate build.
 func (p *VectorPage) Flat() *kernel.FlatPage {
 	if f := p.flat.Load(); f != nil {
 		return f
@@ -71,19 +95,6 @@ func (p *VectorPage) Flat() *kernel.FlatPage {
 	}
 	p.flat.CompareAndSwap(nil, f)
 	return p.flat.Load()
-}
-
-// PrepareFlat eagerly builds the flat block of a vector or series page
-// payload (and is a no-op for anything else). The engine hooks it into the
-// buffer pool's load path so the one-time flattening cost is paid on the
-// coordinator at page-read time, not inside worker join loops.
-func PrepareFlat(payload any) {
-	switch p := payload.(type) {
-	case *VectorPage:
-		p.Flat()
-	case *SeriesPage:
-		p.Flat()
-	}
 }
 
 // hitsPool recycles the scratch index buffers the batched kernel paths
@@ -191,8 +202,19 @@ type SeriesPage struct {
 	flat atomic.Pointer[kernel.FlatPage]
 }
 
+// NewSeriesPage returns the page whose window ids[i], starting at starts[i],
+// is row i of f (see NewVectorPage).
+func NewSeriesPage(ids, starts []int, f *kernel.FlatPage) *SeriesPage {
+	if len(starts) != len(ids) {
+		panic(fmt.Sprintf("join: %d starts for %d windows", len(starts), len(ids)))
+	}
+	p := &SeriesPage{IDs: ids, Starts: starts, Windows: flatRows[[]float64](len(ids), f)}
+	p.flat.Store(f)
+	return p
+}
+
 // Flat returns the page's windows as one contiguous row-major block for the
-// batched kernels, building it on first use (see VectorPage.Flat).
+// batched kernels (see VectorPage.Flat).
 func (p *SeriesPage) Flat() *kernel.FlatPage {
 	if f := p.flat.Load(); f != nil {
 		return f

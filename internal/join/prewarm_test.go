@@ -1,61 +1,79 @@
-package join
+package join_test
 
 import (
 	"testing"
 
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/disk"
-	"pmjoin/internal/geom"
+	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
+	"pmjoin/internal/store"
 )
 
-// TestPrefetchPrewarmsFlat pins the prefetch admission path's kernel
-// prewarming: a page staged by Pool.Prefetch must run the pool's onLoad hook
-// (PrepareFlat, which Engine.Run installs), so the kernels — per page pair or
-// whole cluster — find the flat block prebuilt on the coordinator instead of
-// building it lazily inside worker tasks. Regression test for the audit of
-// the staged-admission path: Prefetch and Get must prewarm identically.
+// ownsFlat reports whether the page's rows are views of its flat block, that
+// is, whether the page was built over the block (join.NewVectorPage) rather
+// than given one later: a block built lazily from the rows is a copy of them.
+func ownsFlat(p *join.VectorPage) bool {
+	f, _ := join.VectorJoiner{}.BatchPage(p)
+	return len(f.Data) > 0 && &f.Data[0] == &p.Vecs[0][0]
+}
+
+// TestPrefetchPrewarmsFlat pins where a page's flat kernel block comes from
+// now that no load hook builds it: every page arrives with its block, so
+// neither the coordinator nor a worker ever flattens one. A page built the
+// way ingest builds it has its block before any join; a page staged by
+// Pool.Prefetch and claimed by Get is that same page; a page fetched from
+// the file store has its block too, as a view of the mapped record; and
+// BatchPage hands out the block without building one.
 func TestPrefetchPrewarmsFlat(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
-	payloads := make([]*VectorPage, 3)
-	for p := range payloads {
-		payloads[p] = &VectorPage{
-			IDs:  []int{2 * p, 2*p + 1},
-			Vecs: []geom.Vector{{float64(p), 0}, {0, float64(p)}},
+	ingested := make([]*join.VectorPage, 3)
+	for p := range ingested {
+		fp := kernel.NewFlatPage(2, 2)
+		fp.AppendRow([]float64{float64(p), 0})
+		fp.AppendRow([]float64{0, float64(p)})
+		ingested[p] = join.NewVectorPage([]int{2 * p, 2*p + 1}, fp)
+		if !ownsFlat(ingested[p]) {
+			t.Fatalf("page %d: ingest did not build the page over its flat block", p)
 		}
-		if _, err := d.AppendPage(f, payloads[p]); err != nil {
+		if _, err := d.AppendPage(f, ingested[p]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	io := d.NewSession()
-	pool, err := buffer.NewPool(io, 4, buffer.LRU)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
-	for p, payload := range payloads {
-		ok, err := pool.Prefetch(disk.PageAddr{File: f, Page: p})
+	defer st.Close()
+	if err := d.EachPage(st.Put); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, backend := range []disk.Backend{nil, st} {
+		pool, err := buffer.NewPool(d.NewSessionOn(backend), 4, buffer.LRU)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatalf("prefetch of page %d not admitted", p)
+		for p := range ingested {
+			addr := disk.PageAddr{File: f, Page: p}
+			if ok, err := pool.Prefetch(addr); err != nil || !ok {
+				t.Fatalf("prefetch of page %d: admitted %v, err %v", p, ok, err)
+			}
+			pg, err := pool.Get(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pg.Payload.(*join.VectorPage)
+			if backend == nil && got != ingested[p] {
+				t.Fatalf("simulator page %d: claimed a different payload than the ingested one", p)
+			}
+			if backend != nil && got == ingested[p] {
+				t.Fatalf("store page %d: served from memory, not fetched", p)
+			}
+			if !ownsFlat(got) {
+				t.Fatalf("page %d (backend %T): BatchPage's block is not the one the rows view", p, backend)
+			}
 		}
-		// The flat block must exist before any Get claims the staged frame:
-		// staged claims skip the load path, so a missing prewarm here would
-		// push the build into whichever worker touches the page first.
-		if payload.flat.Load() == nil {
-			t.Fatalf("page %d: Prefetch admission did not prewarm the flat block", p)
-		}
-	}
-	// The claim must not rebuild: the pointer Get's caller observes is the
-	// one the prefetch built.
-	before := payloads[0].flat.Load()
-	pg, err := pool.Get(disk.PageAddr{File: f, Page: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pg.Payload.(*VectorPage).flat.Load(); got != before {
-		t.Fatal("claiming a staged frame rebuilt the flat block")
 	}
 }

@@ -11,8 +11,9 @@ import (
 // FlatPage is a page's points flattened into one contiguous row-major block:
 // point i occupies Data[i*Dim : (i+1)*Dim]. Batch kernels walk it linearly
 // instead of pointer-chasing a []geom.Vector, so the inner loop stays in one
-// stream of cache lines. Pages build their FlatPage once (lazily, or eagerly
-// via the buffer pool's load hook) and reuse it for every probe.
+// stream of cache lines. A page gets its FlatPage once — built with it at
+// ingest, viewed in place by the file store, or built lazily on first use —
+// and reuses it for every probe.
 type FlatPage struct {
 	Dim  int
 	N    int

@@ -18,6 +18,7 @@ import (
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 )
 
 // Options configures a PBSM run.
@@ -190,30 +191,36 @@ func (g *grid) partOf(tx, ty int) int { return (tx*g.tiles + ty) % g.parts }
 // every partition whose tiles the object's ε-box intersects when true.
 func (g *grid) partition(x *join.Exec, d *join.Dataset, eps float64, replicate bool) ([]disk.FileID, error) {
 	files := make([]disk.FileID, g.parts)
-	staging := make([]*join.VectorPage, g.parts)
+	// Each partition stages its next page as IDs plus a flat block the rows
+	// are copied into, so a staged page never aliases the source page it was
+	// read from (a file-backed read is a view of the store's mapping, which
+	// the partition files outlive) and arrives with its kernel block.
+	ids := make([][]int, g.parts)
+	rows := make([]*kernel.FlatPage, g.parts)
 	for p := range files {
 		files[p] = x.IO.CreateFile()
-		staging[p] = &join.VectorPage{}
 	}
 	flush := func(p int) error {
-		if len(staging[p].IDs) == 0 {
+		if len(ids[p]) == 0 {
 			return nil
 		}
-		addr, err := x.IO.AppendPage(files[p], staging[p])
+		page := join.NewVectorPage(ids[p], rows[p])
+		ids[p], rows[p] = nil, nil
+		addr, err := x.IO.AppendPage(files[p], page)
 		if err != nil {
 			return err
 		}
 		//lint:ignore bufferbypass partition staging writes are charged directly; the pool has no write path
-		if err := x.IO.Write(addr, staging[p]); err != nil {
-			return err
-		}
-		staging[p] = &join.VectorPage{}
-		return nil
+		return x.IO.Write(addr, page)
 	}
 	add := func(p, id int, v geom.Vector) error {
-		staging[p].IDs = append(staging[p].IDs, id)
-		staging[p].Vecs = append(staging[p].Vecs, v)
-		if len(staging[p].IDs) >= g.perPage {
+		if rows[p] == nil {
+			ids[p] = make([]int, 0, g.perPage)
+			rows[p] = kernel.NewFlatPage(len(v), g.perPage)
+		}
+		ids[p] = append(ids[p], id)
+		rows[p].AppendRow(v)
+		if len(ids[p]) >= g.perPage {
 			return flush(p)
 		}
 		return nil

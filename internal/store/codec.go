@@ -21,9 +21,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 
-	"pmjoin/internal/geom"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 )
 
 // Record layout (all integers little-endian):
@@ -35,6 +36,18 @@ import (
 //	8      4    payload length in bytes
 //	12     4    CRC-32 (IEEE) of the payload bytes
 //	16     n    payload (kind-specific, see encodePayload)
+//
+// Vector and series page payloads are the kernel's flat layout, so a fetched
+// page is a view of its record rather than a decoded copy:
+//
+//	u32 n, u32 width
+//	n × i64       object IDs
+//	n × i64       window starts (series pages only)
+//	n·width × f64 rows, row-major (kernel.FlatPage.Data)
+//
+// Every field is a whole number of 8-byte words from the record start, and
+// Store.Put starts every record on an 8-byte boundary, so in a mapped file
+// the IDs, starts and floats are 8-aligned (see words).
 const (
 	headerSize    = 16
 	formatVersion = 1
@@ -45,13 +58,16 @@ var magic = [4]byte{'P', 'M', 'J', 'P'}
 // pageKind tags a record's payload encoding.
 type pageKind uint16
 
+// Kinds 1 and 2 were vector and series pages in a per-row layout. Page
+// records never outlive their Store (Open truncates), so no reader for them
+// is kept: they decode as unknown kinds.
 const (
-	kindVectorPage pageKind = 1 + iota
-	kindSeriesPage
-	kindStringPage
+	kindStringPage pageKind = 3 + iota
 	kindRawVectors
 	kindRawSeries
 	kindRawString
+	kindVectorPage
+	kindSeriesPage
 )
 
 // Raw dataset payloads: the save/load container types. They are distinct
@@ -79,22 +95,21 @@ var ErrCorruptRecord = errors.New("store: corrupt record")
 
 // EncodeRecord encodes one payload into a complete wire record
 // (header + payload). It returns ErrUnsupportedPayload for types outside
-// the format.
+// the format, and an error for a page whose rows differ in width.
 func EncodeRecord(payload any) ([]byte, error) {
-	kind, body, err := encodePayload(payload)
+	kind, rec, err := encodePayload(payload)
 	if err != nil {
 		return nil, err
 	}
+	body := rec[headerSize:]
 	if len(body) > math.MaxUint32 {
 		return nil, fmt.Errorf("store: payload of %d bytes exceeds the record size limit", len(body))
 	}
-	rec := make([]byte, headerSize+len(body))
 	copy(rec[0:4], magic[:])
 	binary.LittleEndian.PutUint16(rec[4:6], formatVersion)
 	binary.LittleEndian.PutUint16(rec[6:8], uint16(kind))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(body))
-	copy(rec[headerSize:], body)
 	return rec, nil
 }
 
@@ -111,7 +126,7 @@ func parseHeader(b []byte) (kind pageKind, payloadLen uint32, crc uint32, err er
 		return 0, 0, 0, fmt.Errorf("%w: unknown format version %d", ErrCorruptRecord, v)
 	}
 	kind = pageKind(binary.LittleEndian.Uint16(b[6:8]))
-	if kind < kindVectorPage || kind > kindRawString {
+	if kind < kindStringPage || kind > kindSeriesPage {
 		return 0, 0, 0, fmt.Errorf("%w: unknown payload kind %d", ErrCorruptRecord, kind)
 	}
 	return kind, binary.LittleEndian.Uint32(b[8:12]), binary.LittleEndian.Uint32(b[12:16]), nil
@@ -119,7 +134,9 @@ func parseHeader(b []byte) (kind pageKind, payloadLen uint32, crc uint32, err er
 
 // DecodeRecord decodes one complete wire record (as produced by
 // EncodeRecord) back into its payload. Corrupt or truncated input returns
-// ErrCorruptRecord — never a panic.
+// ErrCorruptRecord — never a panic. A vector or series page aliases rec: its
+// IDs, starts and flat block view rec's bytes wherever words can, so rec must
+// outlive the page and never change.
 func DecodeRecord(rec []byte) (any, error) {
 	kind, plen, crc, err := parseHeader(rec)
 	if err != nil {
@@ -233,33 +250,23 @@ func (d *decoder) bytes() []byte {
 // done reports whether the decoder consumed the payload exactly.
 func (d *decoder) done() bool { return !d.bad && d.off == len(d.b) }
 
-// encodePayload serializes one payload, returning its kind tag and body.
+// encodePayload serializes one payload after headerSize bytes left for
+// EncodeRecord's header, returning its kind tag and the record.
 func encodePayload(payload any) (pageKind, []byte, error) {
-	var e encoder
+	e := encoder{b: make([]byte, headerSize)}
 	switch p := payload.(type) {
 	case *join.VectorPage:
 		if len(p.Vecs) != len(p.IDs) {
 			return 0, nil, fmt.Errorf("store: vector page with %d ids but %d vectors", len(p.IDs), len(p.Vecs))
 		}
-		// u32 n, then per row: i64 id, u32 dim, dim×f64.
-		e.u32(uint32(len(p.IDs)))
-		for i, id := range p.IDs {
-			e.i64(id)
-			e.floats(p.Vecs[i])
-		}
-		return kindVectorPage, e.b, nil
+		rec, err := encodeFlat(p.IDs, nil, p.Vecs)
+		return kindVectorPage, rec, err
 	case *join.SeriesPage:
 		if len(p.Starts) != len(p.IDs) || len(p.Windows) != len(p.IDs) {
 			return 0, nil, fmt.Errorf("store: series page with mismatched row slices")
 		}
-		// u32 n, then per row: i64 id, i64 start, u32 len, len×f64.
-		e.u32(uint32(len(p.IDs)))
-		for i, id := range p.IDs {
-			e.i64(id)
-			e.i64(p.Starts[i])
-			e.floats(p.Windows[i])
-		}
-		return kindSeriesPage, e.b, nil
+		rec, err := encodeFlat(p.IDs, p.Starts, p.Windows)
+		return kindSeriesPage, rec, err
 	case *join.StringPage:
 		if len(p.Starts) != len(p.IDs) || len(p.Windows) != len(p.IDs) || len(p.Freqs) != len(p.IDs) {
 			return 0, nil, fmt.Errorf("store: string page with mismatched row slices")
@@ -298,28 +305,44 @@ func encodePayload(payload any) (pageKind, []byte, error) {
 	}
 }
 
+// encodeFlat lays out a vector page (starts nil) or a series page in the
+// flat layout, after headerSize bytes left for the header. Every row must
+// have row 0's width.
+func encodeFlat[V ~[]float64](ids, starts []int, rows []V) ([]byte, error) {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0])
+	}
+	for i, r := range rows {
+		if len(r) != width {
+			return nil, fmt.Errorf("store: ragged page: row %d has %d values, row 0 has %d", i, len(r), width)
+		}
+	}
+	e := encoder{b: make([]byte, headerSize, headerSize+8*(1+len(ids)+len(starts)+len(rows)*width))}
+	e.u32(uint32(len(ids)))
+	e.u32(uint32(width))
+	for _, id := range ids {
+		e.i64(id)
+	}
+	for _, s := range starts {
+		e.i64(s)
+	}
+	for _, r := range rows {
+		for _, v := range r {
+			e.f64(v)
+		}
+	}
+	return e.b, nil
+}
+
 // decodePayload parses a payload body of the given kind.
 func decodePayload(kind pageKind, body []byte) (any, error) {
+	if kind == kindVectorPage || kind == kindSeriesPage {
+		return decodeFlat(kind, body)
+	}
 	d := &decoder{b: body}
 	var out any
 	switch kind {
-	case kindVectorPage:
-		n := d.count(12) // id + dim count per row, minimum
-		p := &join.VectorPage{IDs: make([]int, 0, n), Vecs: make([]geom.Vector, 0, n)}
-		for i := 0; i < n && !d.bad; i++ {
-			p.IDs = append(p.IDs, d.i64())
-			p.Vecs = append(p.Vecs, geom.Vector(d.floats()))
-		}
-		out = p
-	case kindSeriesPage:
-		n := d.count(20) // id + start + len count per row, minimum
-		p := &join.SeriesPage{IDs: make([]int, 0, n), Starts: make([]int, 0, n), Windows: make([][]float64, 0, n)}
-		for i := 0; i < n && !d.bad; i++ {
-			p.IDs = append(p.IDs, d.i64())
-			p.Starts = append(p.Starts, d.i64())
-			p.Windows = append(p.Windows, d.floats())
-		}
-		out = p
 	case kindStringPage:
 		n := d.count(24) // id + start + two len counts per row, minimum
 		p := &join.StringPage{IDs: make([]int, 0, n), Starts: make([]int, 0, n), Windows: make([][]byte, 0, n), Freqs: make([][]int, 0, n)}
@@ -353,4 +376,67 @@ func decodePayload(kind pageKind, body []byte) (any, error) {
 		return nil, fmt.Errorf("%w: payload does not parse (kind %d)", ErrCorruptRecord, kind)
 	}
 	return out, nil
+}
+
+// decodeFlat builds a vector or series page over a flat-layout body. The
+// shape is checked against the body length before anything is allocated,
+// and an empty page must have width 0 (the one encoding of it).
+func decodeFlat(kind pageKind, body []byte) (any, error) {
+	if len(body) < 8 {
+		return nil, fmt.Errorf("%w: page payload of %d bytes has no shape", ErrCorruptRecord, len(body))
+	}
+	n := uint64(binary.LittleEndian.Uint32(body[0:4]))
+	width := uint64(binary.LittleEndian.Uint32(body[4:8]))
+	cols := uint64(1) // IDs
+	if kind == kindSeriesPage {
+		cols = 2 // IDs and starts
+	}
+	bodyWords := uint64(len(body)-8) / 8
+	switch {
+	case n == 0 && width != 0:
+		return nil, fmt.Errorf("%w: empty page of width %d", ErrCorruptRecord, width)
+	case width != 0 && n > bodyWords/width:
+		return nil, fmt.Errorf("%w: %d rows of width %d exceed the payload", ErrCorruptRecord, n, width)
+	case uint64(len(body)) != 8+8*(cols*n+n*width):
+		return nil, fmt.Errorf("%w: %d-byte payload for %d rows of width %d", ErrCorruptRecord, len(body), n, width)
+	}
+	rest := body[8:]
+	ids := words(rest[:8*n], wordInt)
+	rest = rest[8*n:]
+	f := &kernel.FlatPage{Dim: int(width), N: int(n)}
+	if kind == kindVectorPage {
+		f.Data = words(rest, math.Float64frombits)
+		return join.NewVectorPage(ids, f), nil
+	}
+	starts := words(rest[:8*n], wordInt)
+	f.Data = words(rest[8*n:], math.Float64frombits)
+	return join.NewSeriesPage(ids, starts, f), nil
+}
+
+// wordInt reads a two's-complement word as an int (see encoder.i64).
+func wordInt(u uint64) int { return int(int64(u)) }
+
+// nativeWords reports whether this host's int and float64 are the format's
+// 8-byte little-endian words, so record bytes can be viewed in place.
+var nativeWords = math.MaxInt == math.MaxInt64 && binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// words returns b's 8-byte little-endian words as a []T. On a native-word
+// host with b 8-aligned the result is a view of b; otherwise — a misaligned
+// buffer, a fuzz input, another host — it is a decoded copy, through conv.
+// Both read the same values bit for bit. This is the package's one use of
+// unsafe; T holds no pointers, so the view hides none from the garbage
+// collector.
+func words[T int | float64](b []byte, conv func(uint64) T) []T {
+	n := len(b) / 8
+	if n == 0 {
+		return nil
+	}
+	if p := unsafe.Pointer(unsafe.SliceData(b)); nativeWords && uintptr(p)%8 == 0 {
+		return unsafe.Slice((*T)(p), n)
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = conv(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
 }

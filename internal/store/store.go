@@ -17,19 +17,24 @@ import (
 // from an mmap view (pread when mapping is unavailable) with measured wall
 // latencies.
 //
-// Write model: records are append-only. Overwriting a page appends the new
-// record and repoints the page's offset — the old record's bytes leak inside
-// the file, which is fine for the short-lived scratch files runtime
-// executors write and keeps Put a single positioned write. Payload types the
-// wire format cannot encode are silently skipped (the page stays
-// memory-only and Fetch reports disk.ErrNotInBackend), so executor-internal
-// scratch payloads never break a run.
+// Write model: records are append-only, each padded to a multiple of 8 bytes
+// so every record starts 8-aligned in the file (and in its mapping).
+// Overwriting a page appends the new record and repoints the page's offset —
+// the old record's bytes leak inside the file, which is fine for the
+// short-lived scratch files runtime executors write and keeps Put a single
+// positioned write. Payload types the wire format cannot encode are silently
+// skipped (the page stays memory-only and Fetch reports
+// disk.ErrNotInBackend), so executor-internal scratch payloads never break a
+// run.
 //
 // Concurrency: Put and Fetch are safe for concurrent use — the coordinator
 // appends while background prefetch readers fetch. Mappings are
 // remap-lagging: when a file has grown past the current view the file is
 // remapped at its new size and the old view is kept alive until Close, so a
 // concurrent reader's slice can never be unmapped under it.
+//
+// Lifetime: a fetched vector or series page is a view of the mapping (see
+// Fetch), so it is valid until Close and never outlives the Store.
 type Store struct {
 	dir   string
 	mu    sync.Mutex
@@ -83,9 +88,10 @@ func (st *Store) file(id disk.FileID, create bool) (*storeFile, error) {
 	return sf, nil
 }
 
-// Put implements disk.Backend: it encodes the payload and appends the record
-// to the page's file, repointing the page offset. Unencodable payloads are
-// skipped (nil error), leaving the page memory-only.
+// Put implements disk.Backend: it encodes the payload and appends the record,
+// zero-padded to a multiple of 8 bytes, to the page's file, repointing the
+// page offset. Unencodable payloads are skipped (nil error), leaving the page
+// memory-only.
 func (st *Store) Put(addr disk.PageAddr, payload any) error {
 	rec, err := EncodeRecord(payload)
 	if errors.Is(err, ErrUnsupportedPayload) {
@@ -94,6 +100,8 @@ func (st *Store) Put(addr disk.PageAddr, payload any) error {
 	if err != nil {
 		return err
 	}
+	var zeros [8]byte
+	rec = append(rec, zeros[:-len(rec)&7]...)
 	if addr.Page < 0 {
 		return fmt.Errorf("store: negative page index %v", addr)
 	}
@@ -116,10 +124,15 @@ func (st *Store) Put(addr disk.PageAddr, payload any) error {
 }
 
 // Fetch implements disk.Backend: it locates the page's record, reads it
-// through the mmap view (pread fallback), validates and decodes it, and
-// returns the payload together with the measured wall seconds the whole
-// physical read took (read + CRC + decode — the real cost of serving the
-// page). Pages never Put return disk.ErrNotInBackend.
+// through the mmap view (pread fallback), validates its header, length and
+// CRC, and returns the payload together with the measured wall seconds the
+// whole physical read took (read + CRC + page build — the real cost of
+// serving the page). Pages never Put return disk.ErrNotInBackend.
+//
+// A vector or series page is built over the record's bytes, not decoded out
+// of them: its IDs, starts and flat block (Vecs and Windows are its rows)
+// alias the read-only mapping, valid until Close. Nothing may write into a
+// fetched payload; on a mapped file such a write faults.
 func (st *Store) Fetch(addr disk.PageAddr) (any, float64, error) {
 	start := time.Now()
 	sf, err := st.file(addr.File, false)
@@ -160,8 +173,8 @@ func (st *Store) Fetch(addr disk.PageAddr) (any, float64, error) {
 
 // bytesAt returns n bytes at off: a zero-copy slice of the mmap view when it
 // covers the range (remapping first if the file grew past the view), else a
-// pread into a fresh buffer. size is the file length snapshot the caller
-// read under the lock.
+// pread into a fresh buffer. size is the file length snapshot the caller read
+// under the lock.
 func (sf *storeFile) bytesAt(off, n, size int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > size {
 		return nil, fmt.Errorf("%w: record extends past end of file", ErrCorruptRecord)

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -280,5 +282,173 @@ func TestSaveLoadData(t *testing.T) {
 	}
 	if _, err := LoadData(pagePath); err == nil {
 		t.Error("LoadData(page record) succeeded, want error")
+	}
+}
+
+// flatVecPage returns a rows×dim vector page with distinct coordinates.
+func flatVecPage(rows, dim int) *join.VectorPage {
+	p := &join.VectorPage{}
+	for i := 0; i < rows; i++ {
+		v := make(geom.Vector, dim)
+		for j := range v {
+			v[j] = float64(i*dim+j) / 7
+		}
+		p.IDs = append(p.IDs, 1000+i)
+		p.Vecs = append(p.Vecs, v)
+	}
+	return p
+}
+
+// TestStoreRecordsAligned checks the invariant page views rest on: after any
+// mix of Puts and overwrites, every record starts on an 8-byte boundary.
+func TestStoreRecordsAligned(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	payloads := []any{
+		vecPage(1), sampleSeriesPage(), sampleStringPage(),
+		RawString("odd"), RawVectors{{1}, {2, 3}}, RawSeries{1, 2, 3},
+		&join.StringPage{IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("abcde")}, Freqs: [][]int{{1}}},
+		flatVecPage(3, 5),
+	}
+	for round := 0; round < 3; round++ { // later rounds overwrite
+		for i, p := range payloads {
+			addr := disk.PageAddr{File: disk.FileID(i % 2), Page: (i + round) % 5}
+			if err := st.Put(addr, p); err != nil {
+				t.Fatalf("Put(%T): %v", p, err)
+			}
+		}
+	}
+	for id, sf := range st.files {
+		if sf.size%8 != 0 {
+			t.Errorf("file %d: size %d is not a multiple of 8", id, sf.size)
+		}
+		for page, off := range sf.offsets {
+			if off%8 != 0 {
+				t.Errorf("file %d page %d: record at offset %d", id, page, off)
+			}
+		}
+	}
+	// Every page reads back, the string and raw records included.
+	for id, sf := range st.files {
+		for page, off := range sf.offsets {
+			if off < 0 {
+				continue
+			}
+			if _, _, err := st.Fetch(disk.PageAddr{File: id, Page: page}); err != nil {
+				t.Errorf("Fetch(%d, %d): %v", id, page, err)
+			}
+		}
+	}
+}
+
+// TestFetchAllocsFlat pins the cost of a warm page fetch: a few fixed
+// allocations (the page, its flat block header, its row views), none per row.
+func TestFetchAllocsFlat(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var allocs []float64
+	for i, rows := range []int{8, 64} {
+		addr := disk.PageAddr{File: 0, Page: i}
+		if err := st.Put(addr, flatVecPage(rows, 60)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Fetch(addr); err != nil { // map the file first
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if _, _, err := st.Fetch(addr); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] > 5 || allocs[0] != allocs[1] {
+		t.Errorf("Fetch allocates %v times for 8 rows and %v for 64, want ≤ 5 and equal", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkStoreFetch60D times one warm fetch of a landsat-shaped page:
+// 8 rows of 60 dimensions.
+func BenchmarkStoreFetch60D(b *testing.B) {
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	addr := disk.PageAddr{File: 0, Page: 0}
+	if err := st.Put(addr, flatVecPage(8, 60)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.Fetch(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoadDataParentContainers loads `pmjoin -save` containers written
+// before vector and series pages moved to the flat layout: the raw-dataset
+// records kept their kinds and bytes, so old files still load bit-equal.
+func TestLoadDataParentContainers(t *testing.T) {
+	cases := []struct {
+		hex  string
+		want any
+	}{
+		{
+			"504d4a50010004003c0000000fc3197e0200000003000000000000000000f83f00000000000002c000000000000000000300000000000000000000800100000000000000ffffffffffffef7f",
+			RawVectors{{1.5, -2.25, 0}, {math.Copysign(0, -1), 5e-324, math.MaxFloat64}},
+		},
+		{
+			"504d4a500100050024000000c1b709a304000000000000000000d03f000000000000f0bf000000000000f07f0000000000000c40",
+			RawSeries{0.25, -1, math.Inf(1), 3.5},
+		},
+		{
+			"504d4a50010006000c000000a920f6d9080000004143475454474341",
+			RawString("ACGTTGCA"),
+		},
+	}
+	dir := t.TempDir()
+	for i, tc := range cases {
+		rec, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := fmt.Sprintf("%s/old%d.pmj", dir, i)
+		if err := os.WriteFile(path, rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadData(path)
+		if err != nil {
+			t.Fatalf("LoadData(%T container): %v", tc.want, err)
+		}
+		ok := false
+		switch want := tc.want.(type) {
+		case RawVectors:
+			g, isVec := got.(RawVectors)
+			ok = isVec && len(g) == len(want)
+			for r := 0; ok && r < len(want); r++ {
+				ok = eqFloats(g[r], want[r])
+			}
+		case RawSeries:
+			g, isSeries := got.(RawSeries)
+			ok = isSeries && eqFloats(g, want)
+		case RawString:
+			g, isString := got.(RawString)
+			ok = isString && string(g) == string(want)
+		}
+		if !ok {
+			t.Errorf("LoadData = %v, want bit-equal %v", got, tc.want)
+		}
+		// The container is canonical: today's encoder writes the same bytes.
+		if again, err := EncodeRecord(tc.want); err != nil || string(again) != string(rec) {
+			t.Errorf("EncodeRecord(%T) = %x (err %v), want the saved bytes %x", tc.want, again, err, rec)
+		}
 	}
 }

@@ -80,7 +80,7 @@ type ExecStats struct {
 	// MeasuredIOWall and MeasuredReads report the physical backend read
 	// account under Options.Storage = StorageFile: the number of real file
 	// reads served and their summed wall latencies in seconds (read +
-	// checksum + decode; a sum of latencies, not an elapsed window —
+	// checksum + page build; a sum of latencies, not an elapsed window —
 	// concurrent background reads can exceed JoinWall). Both are zero under
 	// the simulator. Host-dependent and excluded from the determinism
 	// contract, like every other ExecStats field.

@@ -33,6 +33,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 	"pmjoin/internal/mrindex"
 	"pmjoin/internal/mrsindex"
 	"pmjoin/internal/predmat"
@@ -183,7 +184,9 @@ func (s *System) UseFileStore(dir string) error {
 
 // CloseStore detaches and closes the file store attached by UseFileStore
 // (no-op when none is attached). Joins requesting StorageFile fail afterwards
-// until a store is attached again. Must not overlap with running joins.
+// until a store is attached again. Must not overlap with running joins: the
+// page payloads a file-backed join fetches alias the store's file mappings,
+// which stay valid until this call unmaps them.
 func (s *System) CloseStore() error {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
@@ -353,15 +356,13 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	pages := tree.Pack()
 	file := s.d.CreateFile()
 	for _, pg := range pages {
-		payload := &join.VectorPage{
-			IDs:  make([]int, len(pg)),
-			Vecs: make([]geom.Vector, len(pg)),
-		}
+		ids := make([]int, len(pg))
+		f := kernel.NewFlatPage(dim, len(pg))
 		for i, it := range pg {
-			payload.IDs[i] = it.ID
-			payload.Vecs[i] = it.MBR.Min // points: Min == Max
+			ids[i] = it.ID
+			f.AppendRow(it.MBR.Min) // points: Min == Max
 		}
-		if _, err := s.d.AppendPage(file, payload); err != nil {
+		if _, err := s.d.AppendPage(file, join.NewVectorPage(ids, f)); err != nil {
 			return nil, err
 		}
 	}
@@ -424,7 +425,11 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 	file := s.d.CreateFile()
 	for p := 0; p < ix.NumPages(); p++ {
 		ids, starts, windows := ix.PageWindows(p)
-		if _, err := s.d.AppendPage(file, &join.SeriesPage{IDs: ids, Starts: starts, Windows: windows}); err != nil {
+		f := kernel.NewFlatPage(ix.Config().Window, len(windows))
+		for _, w := range windows {
+			f.AppendRow(w)
+		}
+		if _, err := s.d.AppendPage(file, join.NewSeriesPage(ids, starts, f)); err != nil {
 			return nil, err
 		}
 	}
