@@ -76,8 +76,8 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 			_, err := s.AddVectors(n, [][]float64{{inf, 1}, {2, 3}}, VectorOptions{})
 			return err
 		}, "vector 0"},
-		{"-Inf coordinate, insert build", func(s *System, n string) error {
-			_, err := s.AddVectors(n, [][]float64{{0, 1}, {-inf, 3}}, VectorOptions{UseInsert: true})
+		{"-Inf coordinate", func(s *System, n string) error {
+			_, err := s.AddVectors(n, [][]float64{{0, 1}, {-inf, 3}}, VectorOptions{})
 			return err
 		}, "vector 1"},
 		{"NaN sample", func(s *System, n string) error {
@@ -101,30 +101,6 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 	// The finite extremes stay legal.
 	if _, err := New().AddVectors("big", [][]float64{{math.MaxFloat64, -math.MaxFloat64}, {0, math.SmallestNonzeroFloat64}}, VectorOptions{}); err != nil {
 		t.Errorf("finite extremes rejected: %v", err)
-	}
-}
-
-func TestAddVectorsInsertPath(t *testing.T) {
-	sys := NewSystem(DiskModel{PageBytes: 256})
-	da, err := sys.AddVectors("ins", randomVecs(120, 2, 22), VectorOptions{UseInsert: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := sys.AddVectors("str", randomVecs(120, 2, 22), VectorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same data indexed two ways must join identically.
-	r1, err := sys.Join(da, da, Options{Method: SC, Epsilon: 0.05, BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sys.Join(db, db, Options{Method: SC, Epsilon: 0.05, BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Count() != r2.Count() {
-		t.Fatalf("insert-built %d vs STR-built %d", r1.Count(), r2.Count())
 	}
 }
 

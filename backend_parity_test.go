@@ -9,14 +9,12 @@ import (
 
 // TestBackendParity is the storage half of the determinism contract: with a
 // file store attached, a join run with Options.Storage = StorageFile — real
-// encoded page files, mmap/pread reads, background prefetch fetches — must
-// produce a Report, Pairs and Plan bit-identical to the simulator run, for
-// every combination of prefetch mode and shard count. ExecStats is not
+// encoded page files, mmap reads — must produce a Report, Pairs and Plan
+// bit-identical to the simulator run, unsharded and sharded. ExecStats is not
 // compared with the simulator run: its measured fields observe the physical
 // reads. MeasuredIOWall is wall time and may differ; MeasuredReads counts the
-// buffer misses, so every file run — cache-cold after DropStoreCaches too —
-// must repeat it. Run under -race this also exercises the concurrent
-// background reader pool against the coordinator.
+// buffer misses, so the file run cache-cold after DropStoreCaches must repeat
+// it.
 func TestBackendParity(t *testing.T) {
 	type workload struct {
 		name  string
@@ -25,8 +23,8 @@ func TestBackendParity(t *testing.T) {
 	}
 	loads := []workload{
 		{
-			// Tight buffer so the schedule has many clusters and the prefetch
-			// pipeline stages real reads.
+			// Tight buffer so the schedule has many clusters with real
+			// turnover between them.
 			name: "vector",
 			build: func(t *testing.T) (*System, *Dataset, *Dataset) {
 				sys := NewSystem(DiskModel{PageBytes: 256})
@@ -80,68 +78,50 @@ func TestBackendParity(t *testing.T) {
 			defer sys.CloseStore()
 
 			for _, shards := range []int{0, 3} {
-				join := func(prefetch PrefetchMode, storage StorageMode) (*Result, string) {
+				join := func(storage StorageMode) *Result {
 					o := wl.opt
-					o.Pipeline.Prefetch = prefetch
 					o.Storage = storage
 					if shards > 0 {
 						o.Sharding = ShardingOptions{Shards: shards}
 					}
-					name := storage.String() + "/" + prefetch.String()
 					res, err := sys.Join(da, db, o)
 					if err != nil {
-						t.Fatalf("shards=%d %s: %v", shards, name, err)
+						t.Fatalf("shards=%d %s: %v", shards, storage, err)
 					}
-					return res, name
+					return res
 				}
-				var ref *Result
-				var refName string
-				// Every buffer miss is one backend fetch, so the physical read
-				// count is fixed by the schedule: equal in every file run.
-				var fileReads int64
-				checkFileReads := func(res *Result, name string) {
-					if fileReads == 0 {
-						fileReads = res.Exec.MeasuredReads
-					} else if res.Exec.MeasuredReads != fileReads {
-						t.Errorf("shards=%d %s: %d measured reads, an earlier file run measured %d",
-							shards, name, res.Exec.MeasuredReads, fileReads)
-					}
+				sim := join(StorageSim)
+				if sim.Exec.MeasuredReads != 0 || sim.Exec.MeasuredIOWall != 0 {
+					t.Errorf("shards=%d: simulator reported measured reads (reads=%d wall=%g)",
+						shards, sim.Exec.MeasuredReads, sim.Exec.MeasuredIOWall)
 				}
-				for _, prefetch := range []PrefetchMode{PrefetchOn, PrefetchOff} {
-					for _, storage := range []StorageMode{StorageSim, StorageFile} {
-						res, name := join(prefetch, storage)
-						if storage == StorageFile {
-							if res.Exec.MeasuredReads == 0 || res.Exec.MeasuredIOWall <= 0 {
-								t.Errorf("shards=%d %s: no measured physical reads (reads=%d wall=%g)",
-									shards, name, res.Exec.MeasuredReads, res.Exec.MeasuredIOWall)
-							}
-							checkFileReads(res, name)
-						} else if res.Exec.MeasuredReads != 0 || res.Exec.MeasuredIOWall != 0 {
-							t.Errorf("shards=%d %s: simulator reported measured reads (reads=%d wall=%g)",
-								shards, name, res.Exec.MeasuredReads, res.Exec.MeasuredIOWall)
-						}
-						if ref == nil {
-							ref, refName = res, name
-							continue
-						}
-						if !reflect.DeepEqual(res.Report, ref.Report) {
-							t.Errorf("shards=%d: Report differs between %s and %s:\n%+v\n%+v",
-								shards, refName, name, ref.Report, res.Report)
-						}
-						if !reflect.DeepEqual(res.Pairs, ref.Pairs) || res.Truncated != ref.Truncated {
-							t.Errorf("shards=%d: Pairs differ between %s and %s", shards, refName, name)
-						}
-					}
+				file := join(StorageFile)
+				if file.Exec.MeasuredReads == 0 || file.Exec.MeasuredIOWall <= 0 {
+					t.Errorf("shards=%d: no measured physical reads (reads=%d wall=%g)",
+						shards, file.Exec.MeasuredReads, file.Exec.MeasuredIOWall)
 				}
-				// With the OS page cache dropped the store reads cold, and the
-				// read count still does not move.
+				// With the OS page cache dropped the store reads cold. Every
+				// buffer miss is one backend fetch, so the physical read count
+				// is fixed by the schedule and does not move.
 				if err := sys.DropStoreCaches(); err != nil {
 					t.Fatal(err)
 				}
-				res, name := join(PrefetchOn, StorageFile)
-				checkFileReads(res, "cold "+name)
-				if !reflect.DeepEqual(res.Report, ref.Report) {
-					t.Errorf("shards=%d: Report differs between %s and cold %s", shards, refName, name)
+				cold := join(StorageFile)
+				if cold.Exec.MeasuredReads != file.Exec.MeasuredReads {
+					t.Errorf("shards=%d: cold file run measured %d reads, the warm one %d",
+						shards, cold.Exec.MeasuredReads, file.Exec.MeasuredReads)
+				}
+				for _, r := range []struct {
+					name string
+					res  *Result
+				}{{"file", file}, {"cold file", cold}} {
+					if !reflect.DeepEqual(r.res.Report, sim.Report) {
+						t.Errorf("shards=%d: Report differs between sim and %s:\n%+v\n%+v",
+							shards, r.name, sim.Report, r.res.Report)
+					}
+					if !reflect.DeepEqual(r.res.Pairs, sim.Pairs) || r.res.Truncated != sim.Truncated {
+						t.Errorf("shards=%d: Pairs differ between sim and %s", shards, r.name)
+					}
 				}
 			}
 

@@ -30,16 +30,14 @@ import (
 
 func main() {
 	var (
-		kind     = pmjoin.KindVector
-		m        = pmjoin.SC
-		policy   = pmjoin.LRU
-		prefetch = pmjoin.PrefetchDefault
-		storage  = pmjoin.StorageDefault
+		kind    = pmjoin.KindVector
+		m       = pmjoin.SC
+		policy  = pmjoin.LRU
+		storage = pmjoin.StorageDefault
 	)
 	flag.TextVar(&kind, "kind", kind, "data kind: vector, series, string")
 	flag.TextVar(&m, "method", m, "join method: NLJ, pm-NLJ, random-SC, SC, CC, EGO, BFRJ, PBSM")
 	flag.TextVar(&policy, "policy", policy, "buffer replacement policy: LRU, FIFO")
-	flag.TextVar(&prefetch, "prefetch", prefetch, "pipelined cluster prefetch: on, off, default (on; identical results either way)")
 	flag.TextVar(&storage, "storage", storage, "physical page source: sim, file (identical results; file serves real encoded files and measures read latencies)")
 	var (
 		data      = flag.String("data", "", "vector generator: roads (default for dim 2) or landsat (default otherwise)")
@@ -55,7 +53,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		pairs     = flag.Int("pairs", 0, "print up to this many result pairs")
 		parallel  = flag.Int("parallel", 0, "comparison workers (0: GOMAXPROCS, 1: serial)")
-		depth     = flag.Int("prefetch-depth", 0, "max pages staged ahead per cluster boundary (0: unbounded)")
 		shards    = flag.Int("shards", 0, "cut the clustered join into this many shards (0: unsharded)")
 		shardWork = flag.Int("shard-workers", 0, "parallel shard workers (0: min(shards, GOMAXPROCS))")
 		metrics   = flag.Bool("metrics", false, "print the phase-scoped metrics snapshot")
@@ -160,7 +157,6 @@ func main() {
 		Trace:         *trace > 0,
 		TraceCapacity: *trace,
 		Storage:       storage,
-		Pipeline:      pmjoin.PipelineOptions{Prefetch: prefetch, PrefetchDepth: *depth},
 		Sharding:      pmjoin.ShardingOptions{Shards: *shards, Workers: *shardWork},
 	}
 	res, err := sys.Join(da, db, opt)
@@ -179,11 +175,6 @@ func main() {
 			res.MarkedEntries, res.MatrixDensity, res.MatrixSeconds)
 	}
 	fmt.Printf("  buffer:         %d hits / %d misses\n", r.Hits, r.Misses)
-	if res.Exec.ModeledWallSeconds > 0 {
-		fmt.Printf("  pipeline:       %d pages prefetched, modeled wall %.3f sim-s (serial %.3f, overlap %.3f hidden-capable)\n",
-			res.Exec.PrefetchedPages, res.Exec.ModeledWallSeconds,
-			res.Exec.ModeledSerialSeconds, res.Exec.OverlapIOSeconds)
-	}
 	if res.Exec.Shards > 0 {
 		fmt.Printf("  sharding:       %d shards on %d workers\n", res.Exec.Shards, res.Exec.ShardWorkers)
 	}

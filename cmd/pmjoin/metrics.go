@@ -41,11 +41,6 @@ func printMetrics(m *metrics.Metrics) {
 	if m.QueueHighWater > 0 {
 		fmt.Printf("  worker queue high water: %d tasks\n", m.QueueHighWater)
 	}
-	if m.Buffer.Prefetched > 0 || m.Timeline.Stages > 0 {
-		fmt.Printf("  pipeline: %d pages staged (%d overlapped reads), modeled wall %.3fs vs serial %.3fs\n",
-			m.Buffer.Prefetched, m.Timeline.OverlapReads,
-			m.Timeline.WallSeconds, m.Timeline.SerialSeconds)
-	}
 	if len(m.Events) > 0 {
 		fmt.Printf("  trace (%d events, %d dropped):\n", len(m.Events), m.EventsDropped)
 		for _, ev := range m.Events {
@@ -71,12 +66,12 @@ func printPredictedVsMeasured(plan *pmjoin.Plan, m *metrics.Metrics) {
 		return
 	}
 	fmt.Printf("  per-cluster I/O, predicted vs measured:\n")
-	fmt.Printf("    %-8s %8s %10s %10s %8s %10s\n", "cluster", "pages", "predicted", "fetched", "reused", "prefetched")
+	fmt.Printf("    %-8s %8s %10s %10s %8s\n", "cluster", "pages", "predicted", "fetched", "reused")
 	mismatch, excess := 0, int64(0)
 	for i, pc := range plan.ClusterIO {
 		mc := m.Clusters[i]
-		fmt.Printf("    %-8d %8d %10d %10d %8d %10d\n",
-			pc.Cluster, pc.Pages, pc.Reads, mc.Fetched, mc.Reused, mc.Prefetched)
+		fmt.Printf("    %-8d %8d %10d %10d %8d\n",
+			pc.Cluster, pc.Pages, pc.Reads, mc.Fetched, mc.Reused)
 		if mc.Fetched != int64(pc.Reads) {
 			mismatch++
 		}

@@ -172,41 +172,6 @@ func (p *ReplacementPolicy) UnmarshalText(text []byte) error { return policySpec
 // ParseReplacementPolicy parses a policy name (case-insensitive).
 func ParseReplacementPolicy(s string) (ReplacementPolicy, error) { return policySpec.parse(s) }
 
-// PrefetchMode selects whether clustered joins pipeline the next cluster's
-// page reads behind the current cluster's CPU phase (double buffering through
-// the staged-frame prefetch path). Prefetch never changes Report, Pairs or
-// Plan — the staged admissions replay the exact hit/miss/eviction/read
-// sequence of the unpipelined run — so the knob only exists as an escape
-// hatch, for differential testing, and for the pipeline benchmark baseline.
-type PrefetchMode int
-
-const (
-	// PrefetchDefault resolves to PrefetchOn in Validate.
-	PrefetchDefault PrefetchMode = iota
-	// PrefetchOn overlaps the successor cluster's reads with the current
-	// cluster's comparisons (default; LRU policy only — FIFO runs stay
-	// unpipelined silently, since FIFO insertion order is not
-	// prefetch-invariant).
-	PrefetchOn
-	// PrefetchOff issues every read at demand time (the serial timeline).
-	PrefetchOff
-)
-
-var prefetchSpec = newEnum[PrefetchMode]("PrefetchMode", "prefetch mode",
-	[]string{"default", "on", "off"}, true)
-
-func (p PrefetchMode) String() string { return prefetchSpec.string(p) }
-
-// MarshalText implements encoding.TextMarshaler.
-func (p PrefetchMode) MarshalText() ([]byte, error) { return prefetchSpec.marshal(p) }
-
-// UnmarshalText implements encoding.TextUnmarshaler; see ParsePrefetchMode.
-func (p *PrefetchMode) UnmarshalText(text []byte) error { return prefetchSpec.unmarshal(p, text) }
-
-// ParsePrefetchMode parses a prefetch mode name (case-insensitive; "" parses
-// to PrefetchDefault).
-func ParsePrefetchMode(s string) (PrefetchMode, error) { return prefetchSpec.parse(s) }
-
 // StorageMode selects the physical page source behind a join run: the
 // in-memory simulator (reads cost nothing in wall time; only the linear disk
 // model is charged) or the file-backed store attached to the System

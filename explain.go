@@ -24,12 +24,6 @@ type ClusterIOPlan struct {
 	Pages int
 	// Reads is the page reads the cluster's pins make.
 	Reads int
-	// Prefetchable is how many of those reads the pipelined executor may
-	// issue ahead of the cluster boundary, overlapped with the predecessor's
-	// CPU phase; staging stops early when no frame is free. It equals Reads
-	// at every position except the first, which has no predecessor to
-	// overlap with.
-	Prefetchable int
 }
 
 // ShardIOPlan is the predicted I/O of one planned shard: Clusters clusters
@@ -71,19 +65,6 @@ type Plan struct {
 	// the summed page overlap of consecutive clusters (Lemma 4). It is the
 	// paper's analytic term, not a replay: a run reuses at least this much.
 	ScheduleSavings int64
-	// PrefetchablePages is the total reads the pipelined executor can issue
-	// ahead of cluster boundaries (the sum of ClusterIO Prefetchable): every
-	// predicted read except the first cluster's. Independent of
-	// Options.Prefetch — it describes the schedule, not the run mode.
-	PrefetchablePages int64
-	// PredictedOverlapSeconds is the modeled I/O time those prefetchable
-	// reads can hide behind CPU phases under the linear disk model: one seek
-	// per step with prefetchable pages plus one transfer per page (each
-	// step's staged run is issued in ascending page order). The realized
-	// overlap is bounded above by this and by the clusters' CPU time; compare
-	// ExecStats.OverlapIOSeconds from a run.
-	PredictedOverlapSeconds float64
-
 	// Clustering summary.
 	Clusters             int
 	MaxClusterPages      int
@@ -125,13 +106,11 @@ func (p *Plan) String() string {
 	out := fmt.Sprintf(
 		"matrix %dx%d pages, %d marked (%.2f%%), %d marked rows, %d marked cols\n"+
 			"page reads: NLJ=%d, pm-NLJ>=%d (Lemma 1), clustered=%d - %d reused (schedule) = %d, a run reads %d\n"+
-			"clusters: %d (max %d pages, avg %.1f entries)\n"+
-			"pipeline: %d prefetchable pages, predicted overlap %.3fs",
+			"clusters: %d (max %d pages, avg %.1f entries)",
 		p.RowPages, p.ColPages, p.MarkedEntries, 100*p.MatrixDensity, p.MarkedRows, p.MarkedCols,
 		p.NLJPageReads, p.PMNLJLowerBound, p.ClusteredPageReads, p.ScheduleSavings,
 		p.ClusteredPageReads-p.ScheduleSavings, runReads,
-		p.Clusters, p.MaxClusterPages, p.AvgEntriesPerCluster,
-		p.PrefetchablePages, p.PredictedOverlapSeconds)
+		p.Clusters, p.MaxClusterPages, p.AvgEntriesPerCluster)
 	if len(p.Shards) > 0 {
 		var reads int64
 		for _, sh := range p.Shards {
@@ -210,26 +189,14 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		p.AvgEntriesPerCluster = float64(entries) / float64(len(clusters))
 		p.ClusterIO = make([]ClusterIOPlan, len(cut.Order))
 		for pos, ci := range cut.Order {
-			// Position 0 has no predecessor whose CPU phase could hide its
-			// reads.
-			reads, prefetchable := cut.Reads[pos], 0
-			if pos > 0 {
-				prefetchable = reads
-			}
 			// len(cp.pages[ci]), not Pages(): the pinned set, post self-join
 			// dedup, is what the executor fetches and pins.
 			p.ClusterIO[pos] = ClusterIOPlan{
-				Cluster:      ci,
-				Pages:        len(cp.pages[ci]),
-				Reads:        reads,
-				Prefetchable: prefetchable,
+				Cluster: ci,
+				Pages:   len(cp.pages[ci]),
+				Reads:   cut.Reads[pos],
 			}
 			p.ScheduleSavings += int64(cut.Shared[pos])
-			p.PrefetchablePages += int64(prefetchable)
-			if prefetchable > 0 {
-				p.PredictedOverlapSeconds += s.model.SeekSeconds +
-					float64(prefetchable)*s.model.TransferSeconds
-			}
 		}
 	}
 	if opt.Sharding.Shards > 0 {

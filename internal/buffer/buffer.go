@@ -35,18 +35,10 @@ func (p Policy) String() string {
 }
 
 // Stats counts buffer activity.
-//
-// Prefetched counts pages admitted through the Prefetch path, split from the
-// Hits/Misses they pre-charge: a prefetch read increments Misses (the miss it
-// replaces) and Prefetched; staging a resident page increments Hits (the hit
-// the later pin would have counted) and Prefetched. The later claim counts
-// nothing, so Hits/Misses/Evictions are identical with prefetch on or off and
-// Prefetched alone records how much traffic moved to the prefetch path.
 type Stats struct {
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	Prefetched int64
+	Hits      int64
+	Misses    int64
+	Evictions int64
 	// SharedHits counts misses whose page was resident in an attached
 	// SharedPool (see AttachShared): reads another in-flight run had already
 	// materialized. Purely observational — the miss is still charged to the
@@ -61,7 +53,6 @@ func (s Stats) Add(o Stats) Stats {
 		Hits:       s.Hits + o.Hits,
 		Misses:     s.Misses + o.Misses,
 		Evictions:  s.Evictions + o.Evictions,
-		Prefetched: s.Prefetched + o.Prefetched,
 		SharedHits: s.SharedHits + o.SharedHits,
 	}
 }
@@ -73,7 +64,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Hits:       s.Hits - o.Hits,
 		Misses:     s.Misses - o.Misses,
 		Evictions:  s.Evictions - o.Evictions,
-		Prefetched: s.Prefetched - o.Prefetched,
 		SharedHits: s.SharedHits - o.SharedHits,
 	}
 }
@@ -91,12 +81,6 @@ type frame struct {
 	addr   disk.PageAddr
 	page   *disk.Page
 	pinned int
-	staged bool // admitted by Prefetch, not yet claimed or released
-	// pending, when non-nil, is the in-flight background fetch whose result
-	// this frame is waiting for (async prefetch). Invariant: a pending frame
-	// is always staged, so the victim scan can never evict it; page is nil
-	// until resolvePending fills it.
-	pending *disk.PendingRead
 	// prev and next link the frame into the pool's eviction order; a frame
 	// on the pool's free list is linked through next alone.
 	prev, next *frame
@@ -106,21 +90,6 @@ type frame struct {
 // per-run disk.Session whose charges stay out of other runs' accounts.
 type Source interface {
 	Read(addr disk.PageAddr) (*disk.Page, error)
-}
-
-// asyncSource is the optional Source extension (disk.Session) that splits a
-// read into a synchronous logical charge and a background physical fetch.
-// With a prefetch runner installed, Prefetch admissions go through it so
-// staged reads overlap the coordinator's compute.
-type asyncSource interface {
-	ReadAsync(addr disk.PageAddr, run func(func())) (*disk.PendingRead, error)
-}
-
-// refetcher is the optional Source extension that repeats only the physical
-// half of an already-charged read — the demand-path fallback after a failed
-// background fetch (re-charging would double-count the access).
-type refetcher interface {
-	Refetch(addr disk.PageAddr) (*disk.Page, error)
 }
 
 // Pool is a buffer pool of a fixed number of page frames over one page
@@ -146,22 +115,9 @@ type Pool struct {
 	// shared, when non-nil, is the service-wide concurrent frame cache this
 	// run participates in (see AttachShared).
 	shared *SharedPool
-	// runner, when non-nil, dispatches prefetch reads' physical half to a
-	// background reader (SetPrefetchRunner). Requires the source to be an
-	// asyncSource; otherwise prefetch reads stay synchronous.
-	runner func(func())
 	// setFrames is PinSet's scratch: the frame of each page of the set.
 	setFrames []*frame
 }
-
-// SetPrefetchRunner installs the background dispatcher for prefetch reads
-// (typically a dedicated reader WorkerPool's submit function). Every
-// subsequent Prefetch miss charges its logical I/O synchronously as before —
-// identical counters, identical eviction order — but the physical fetch runs
-// on the dispatcher, overlapping the coordinator's compute, and is awaited
-// when the frame is claimed (or at ReleaseStaged/Flush). A nil run reverts
-// to fully synchronous prefetch reads.
-func (p *Pool) SetPrefetchRunner(run func(func())) { p.runner = run }
 
 // AttachShared joins the pool to a service-wide SharedPool: every miss
 // consults it (counting Stats.SharedHits) and publishes the page it read,
@@ -249,9 +205,7 @@ func (p *Pool) GetPinned(addr disk.PageAddr) (*disk.Page, error) {
 
 func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 	if f, ok := p.frames[addr]; ok {
-		if err := p.access(f); err != nil {
-			return nil, err
-		}
+		p.stats.Hits++
 		if p.policy == LRU {
 			p.touch(f)
 		}
@@ -275,16 +229,13 @@ func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 // misses are exactly its non-resident pages, read in set order (Lemma 4's
 // reuse, realized). Under LRU the set is then touched in set order, so the
 // recency order the call leaves behind does not depend on which pages were
-// resident, staged by Prefetch or read here. On error the pages pinned so
-// far stay pinned.
+// resident or read here. On error the pages pinned so far stay pinned.
 func (p *Pool) PinSet(set []disk.PageAddr) error {
 	fs := p.setFrames[:0]
 	for _, a := range set {
 		f := p.frames[a]
 		if f != nil {
-			if err := p.access(f); err != nil {
-				return err
-			}
+			p.stats.Hits++
 			p.pin(f)
 			if p.policy == LRU {
 				// Gather the pins at the back, so the reads below find
@@ -322,27 +273,6 @@ func (p *Pool) Pinned(addr disk.PageAddr) (*disk.Page, error) {
 		return nil, fmt.Errorf("buffer: page %v is not pinned", addr)
 	}
 	return f.page, nil
-}
-
-// access counts one access to a resident frame: a hit, or nothing for a
-// staged frame. Staged frames are claimed here — the access they exist for,
-// whose hit or miss Prefetch already charged — which is what keeps
-// Hits/Misses identical with prefetch on or off. A claim that catches an
-// in-flight background fetch waits for it (falling back to a demand read
-// inside resolvePending); a resolution failure has already dropped the frame
-// and undone the stage-time admission, so the error surfaces cleanly.
-func (p *Pool) access(f *frame) error {
-	if f.pending != nil {
-		if err := p.resolvePending(f); err != nil {
-			return err
-		}
-	}
-	if f.staged {
-		f.staged = false
-	} else {
-		p.stats.Hits++
-	}
-	return nil
 }
 
 // pin adds one pin to a resident frame, mirrored into the shared pool.
@@ -425,14 +355,6 @@ func (p *Pool) touch(f *frame) {
 	p.pushBack(f)
 }
 
-// drop unlinks f, forgets it and puts it on the free list.
-func (p *Pool) drop(f *frame) {
-	f.prev.next, f.next.prev = f.next, f.prev
-	delete(p.frames, f.addr)
-	*f = frame{next: p.free}
-	p.free = f
-}
-
 // Unpin releases one pin on the page. Unpinning a page that is not resident
 // or not pinned is a programming error and returns a non-nil error.
 func (p *Pool) Unpin(addr disk.PageAddr) error {
@@ -460,26 +382,22 @@ func (p *Pool) UnpinAll() {
 	}
 }
 
-// Evict removes the page at addr from the pool if resident, unpinned and not
-// staged. It reports whether the page was removed.
+// Evict removes the page at addr from the pool if resident and unpinned. It
+// reports whether the page was removed.
 func (p *Pool) Evict(addr disk.PageAddr) bool {
 	f, ok := p.frames[addr]
-	if !ok || f.pinned > 0 || f.staged {
+	if !ok || f.pinned > 0 {
 		return false
 	}
 	p.removeFrame(f)
 	return true
 }
 
-// Flush evicts every unpinned frame, charging evictions. Staged frames are
-// released first — Flush is a phase boundary, the point where unclaimed
-// prefetches lose their protection — so they are evicted like any other
-// unpinned frame. Pinned frames stay resident — dropping them would break the
-// pin invariant GetPinned/Unpin enforce — and their presence is reported as
-// an error so the caller learns its pin ledger is not empty at a phase
-// boundary.
+// Flush evicts every unpinned frame, charging evictions. Pinned frames stay
+// resident — dropping them would break the pin invariant GetPinned/Unpin
+// enforce — and their presence is reported as an error so the caller learns
+// its pin ledger is not empty at a phase boundary.
 func (p *Pool) Flush() error {
-	p.ReleaseStaged()
 	pinned := 0
 	for f := p.order.next; f != &p.order; {
 		next := f.next
@@ -496,166 +414,25 @@ func (p *Pool) Flush() error {
 	return nil
 }
 
-// Prefetch stages the page at addr: it becomes resident (read from the source
-// if needed) and protected from eviction until the next Get/GetPinned claims
-// it or ReleaseStaged/Flush drops the protection. The access is pre-charged
-// here — a resident page counts the hit the later claim would have counted, a
-// read counts the miss — so the claim itself counts nothing (see Stats).
-//
-// Prefetch never displaces a pinned, staged, or currently-needed frame: when
-// no evictable victim exists it returns (false, nil) without reading, the
-// graceful-degradation contract — the caller simply stops prefetching and the
-// deferred reads happen at demand time. A read error returns (false, err).
-// Staging an already-staged page is a no-op counted as nothing.
-func (p *Pool) Prefetch(addr disk.PageAddr) (bool, error) {
-	if f, ok := p.frames[addr]; ok {
-		if f.staged {
-			return true, nil
-		}
-		p.stats.Hits++
-		p.stats.Prefetched++
-		if p.policy == LRU {
-			p.touch(f)
-		}
-		f.staged = true
-		return true, nil
-	}
-	var victim *frame
-	if len(p.frames) >= p.capacity {
-		if victim = p.victim(); victim == nil {
-			return false, nil
-		}
-	}
-	// Same charge order as get: the miss is counted once the read is
-	// committed to, so a failed read leaves the same counters either path.
-	p.stats.Misses++
-	if p.shared != nil {
-		if _, ok := p.shared.Lookup(addr); ok {
-			p.stats.SharedHits++
-		}
-	}
-	if p.runner != nil {
-		if src, ok := p.d.(asyncSource); ok {
-			// Async admission: the logical charge happens inside ReadAsync,
-			// right here on the coordinator — same counters, same order as the
-			// synchronous path — and only the physical fetch is dispatched. A
-			// synchronous charge error (unknown page) fails exactly like a
-			// failed sync read, with the miss kept. The victim leaves at stage
-			// time, as it would after a sync read, so the eviction sequence is
-			// identical; the shared publish waits for the bytes.
-			pr, err := src.ReadAsync(addr, p.runner)
-			if err != nil {
-				return false, err
-			}
-			p.stats.Prefetched++
-			if victim != nil {
-				p.removeFrame(victim)
-			}
-			f := p.admit(addr, nil)
-			f.staged, f.pending = true, pr
-			return true, nil
-		}
-	}
-	pg, err := p.d.Read(addr)
-	if err != nil {
-		return false, err
-	}
-	p.stats.Prefetched++
-	if p.shared != nil {
-		p.shared.Publish(addr, pg)
-	}
-	if victim != nil {
-		p.removeFrame(victim)
-	}
-	p.admit(addr, pg).staged = true
-	return true, nil
-}
-
-// resolvePending completes a frame's background fetch: it waits for the
-// read, and on failure retries once through the uncharged demand path
-// (Refetch — the logical charge already happened at stage time). If the page
-// still cannot be produced the frame is removed and the stage-time admission
-// undone — no eviction is charged and Prefetched is decremented, so the
-// counters end exactly where a failed synchronous prefetch read would have
-// left them — and the error is returned.
-func (p *Pool) resolvePending(f *frame) error {
-	pr := f.pending
-	f.pending = nil
-	pg, err := pr.Wait()
-	if err != nil {
-		if rf, ok := p.d.(refetcher); ok {
-			pg, err = rf.Refetch(f.addr)
-		}
-	}
-	if err != nil {
-		p.drop(f)
-		p.stats.Prefetched--
-		return err
-	}
-	f.page = pg
-	if p.shared != nil {
-		p.shared.Publish(f.addr, pg)
-	}
-	return nil
-}
-
-// ReleaseStaged drops the eviction protection from every staged frame and
-// returns how many were released. The frames stay resident; they are simply
-// ordinary policy-evictable pages again. Callers invoke it at the cluster
-// boundary to give back whatever the next cluster did not claim. In-flight
-// background fetches are awaited first; one that fails even the demand
-// retry is dropped with its frame and not counted — the read was speculative
-// and nothing ever claimed it, so its failure is not a join error.
-func (p *Pool) ReleaseStaged() int {
-	// Collect from the order list, not the frames map: resolution can drop a
-	// failed frame mid-walk, and the list walk keeps the release order
-	// deterministic (recency order) besides.
-	var staged []*frame
-	for f := p.order.next; f != &p.order; f = f.next {
-		if f.staged {
-			staged = append(staged, f)
-		}
-	}
-	n := 0
-	for _, f := range staged {
-		if f.pending != nil {
-			if err := p.resolvePending(f); err != nil {
-				continue
-			}
-		}
-		f.staged = false
-		n++
-	}
-	return n
-}
-
-// Staged returns the number of currently staged frames.
-func (p *Pool) Staged() int {
-	n := 0
-	for _, f := range p.frames {
-		if f.staged {
-			n++
-		}
-	}
-	return n
-}
-
 // victim returns the next evictable frame per the policy, or nil when every
-// resident frame is pinned or staged.
+// resident frame is pinned.
 func (p *Pool) victim() *frame {
 	for f := p.order.next; f != &p.order; f = f.next {
-		if f.pinned == 0 && !f.staged {
+		if f.pinned == 0 {
 			return f
 		}
 	}
 	return nil
 }
 
-// removeFrame drops f from the pool, charging one eviction and notifying the
-// observer.
+// removeFrame drops f from the pool — unlinks it, forgets it and puts it on
+// the free list — charging one eviction and notifying the observer.
 func (p *Pool) removeFrame(f *frame) {
 	addr := f.addr
-	p.drop(f)
+	f.prev.next, f.next.prev = f.next, f.prev
+	delete(p.frames, addr)
+	*f = frame{next: p.free}
+	p.free = f
 	p.stats.Evictions++
 	if p.onEvict != nil {
 		p.onEvict(addr)

@@ -19,8 +19,8 @@ import (
 //     pages are served as views of the mapped records.
 //
 // The determinism contract is deliberately split across that line: logical
-// accounting (Stats, seek classification, Timeline charges, and therefore
-// every Report/Pairs/Plan field) is computed by the Session from the access
+// accounting (Stats, seek classification, and therefore every
+// Report/Pairs/Plan field) is computed by the Session from the access
 // sequence alone and is bit-identical regardless of the backend; only the
 // Measured side (wall seconds per physical read) differs, and it is reported
 // exclusively through Measured / ExecStats.MeasuredIOWall, never through a
@@ -50,8 +50,7 @@ type Measured struct {
 	// Reads is the number of physical backend fetches served.
 	Reads int64
 	// Seconds is the summed wall time of those fetches (read + checksum +
-	// page build). It is a sum of latencies, not an elapsed window: concurrent
-	// background reads can make Seconds exceed the join's wall clock.
+	// page build).
 	Seconds float64
 }
 

@@ -18,14 +18,13 @@ import (
 // seek classification, because neither shares head state with the other.
 //
 // A session optionally serves page payloads through a physical Backend
-// (NewSessionOn). Every read then splits into two halves:
+// (NewSessionOn). Every read then has two halves, both on the calling
+// goroutine, in access order:
 //
-//   - the logical charge — existence check, seek classification, counter
-//     and timeline accounting — which always happens synchronously on the
-//     calling goroutine, in access order, exactly as without a backend;
-//   - the physical fetch — reading and decoding real bytes — whose wall
-//     time is accumulated into Measured and which ReadAsync can push onto a
-//     background runner.
+//   - the logical charge — existence check, seek classification and counter
+//     accounting — exactly as without a backend;
+//   - the physical fetch — reading real bytes — whose wall time is
+//     accumulated into Measured.
 //
 // Only the logical half feeds Stats/Cost (and hence Reports), so the
 // determinism contract is backend-independent by construction.
@@ -47,18 +46,6 @@ type Session struct {
 	// a random seek (write reports the access direction). It is a tracing
 	// hook (see internal/metrics); set it before issuing any I/O.
 	onSeek func(addr PageAddr, write bool)
-	// timeline, when non-nil, receives the modeled cost of every charge so an
-	// overlapped pipeline clock can be derived without touching the counters.
-	timeline *Timeline
-}
-
-// SetTimeline attaches a pipeline timeline: every subsequent charge's modeled
-// cost is also folded into it, bucketed by the timeline's overlap state. A
-// nil tl detaches. Set it before issuing any I/O.
-func (s *Session) SetTimeline(tl *Timeline) {
-	s.mu.Lock()
-	s.timeline = tl
-	s.mu.Unlock()
 }
 
 // SetOnSeek installs the seek observer. The callback runs on the goroutine
@@ -87,8 +74,8 @@ func (d *Disk) NewSessionOn(b Backend) *Session {
 
 // chargeRead performs the logical half of a read: existence check (an
 // unknown page is an error and charges nothing), seek classification against
-// the session's heads, counter folding, and the timeline charge. It returns
-// the in-memory page. Callers hold s.mu.
+// the session's heads and counter folding. It returns the in-memory page.
+// Callers hold s.mu.
 func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
 	pg, err := s.d.Peek(addr)
 	if err != nil {
@@ -105,9 +92,6 @@ func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
 	}
 	s.stats.add(delta)
 	s.d.addStats(delta)
-	if s.timeline != nil {
-		s.timeline.charge(s.d.model.Cost(delta), delta.Reads)
-	}
 	return pg, nil
 }
 
@@ -116,7 +100,7 @@ func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
 // files, its wall cost accumulated into Measured. A page the
 // backend never received (ErrNotInBackend — runtime scratch pages with
 // unencodable payloads) falls back to memory at zero measured cost. Called
-// without holding s.mu, possibly from a background reader goroutine.
+// without holding s.mu.
 func (s *Session) fetch(addr PageAddr, memory *Page) (*Page, error) {
 	if s.backend == nil {
 		return memory, nil
@@ -137,67 +121,11 @@ func (s *Session) fetch(addr PageAddr, memory *Page) (*Page, error) {
 
 // Read fetches one page, charging the session (and the global counters) a
 // seek or a sequential transfer per the session's own head positions. With a
-// backend attached, the payload comes from the backend's files (the demand
-// path: charge and fetch both synchronous on the calling goroutine).
+// backend attached, the payload comes from the backend's files.
 func (s *Session) Read(addr PageAddr) (*Page, error) {
 	s.mu.Lock()
 	pg, err := s.chargeRead(addr)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.fetch(addr, pg)
-}
-
-// PendingRead is the handle of a read whose physical half may still be in
-// flight on a background runner. Wait blocks until the fetch completes; it is
-// safe to call from any goroutine, any number of times.
-type PendingRead struct {
-	done chan struct{}
-	pg   *Page
-	err  error
-}
-
-// Wait blocks until the physical read completes and returns its result.
-func (r *PendingRead) Wait() (*Page, error) {
-	<-r.done
-	return r.pg, r.err
-}
-
-// ReadAsync charges the read logically right now — same counters, same
-// classification order, same timeline bucket as Read — and dispatches the
-// physical fetch through run (a background reader pool's submit function).
-// The returned error is the logical half's: an unknown page fails here,
-// synchronously, charging nothing, exactly like Read. With no backend (or a
-// nil run) the pending read is already complete when returned.
-func (s *Session) ReadAsync(addr PageAddr, run func(func())) (*PendingRead, error) {
-	s.mu.Lock()
-	pg, err := s.chargeRead(addr)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	pr := &PendingRead{done: make(chan struct{})}
-	if s.backend == nil || run == nil {
-		pr.pg = pg
-		close(pr.done)
-		return pr, nil
-	}
-	run(func() {
-		pr.pg, pr.err = s.fetch(addr, pg)
-		close(pr.done)
-	})
-	return pr, nil
-}
-
-// Refetch repeats only the physical half of a read that was already charged:
-// no counters, no head movement, no timeline — just the backend fetch (with
-// the usual memory fallback), accumulating its measured cost. The buffer
-// pool uses it as the demand-path fallback when a background prefetch read
-// fails: the logical charge happened at stage time, so re-charging a demand
-// read would double-count.
-func (s *Session) Refetch(addr PageAddr) (*Page, error) {
-	pg, err := s.d.Peek(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -222,9 +150,6 @@ func (s *Session) Write(addr PageAddr, payload any) error {
 	}
 	s.stats.add(delta)
 	s.d.addStats(delta)
-	if s.timeline != nil {
-		s.timeline.charge(s.d.model.Cost(delta), 0)
-	}
 	return nil
 }
 
@@ -256,9 +181,7 @@ func (s *Session) Stats() Stats {
 }
 
 // Measured returns a snapshot of the physical read activity served through
-// the session's backend (zero without one). Callers that want the complete
-// account must first ensure no background fetches are in flight (the engine
-// closes its reader pool before reading this).
+// the session's backend (zero without one).
 func (s *Session) Measured() Measured {
 	s.mu.Lock()
 	defer s.mu.Unlock()

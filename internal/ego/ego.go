@@ -254,7 +254,7 @@ func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, a
 		for i := range block {
 			touched[block[i].Page] = struct{}{}
 		}
-		if err := prefetch(x, rData.File, touched); err != nil {
+		if err := pinBlock(x, rData.File, touched); err != nil {
 			return err
 		}
 
@@ -299,13 +299,13 @@ func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, a
 	return nil
 }
 
-// prefetch pins a set of pages, fetching missing ones in ascending page
+// pinBlock pins a block's pages, fetching missing ones in ascending page
 // order (sequential runs on disk). The pins are taken on behalf of the
 // caller: sweep joins against the pinned block and drops every pin with
 // UnpinAll once the block is exhausted.
 //
 //lint:ignore pinleak pins are owned by the caller, released via UnpinAll per block in sweep
-func prefetch(x *join.Exec, f disk.FileID, touched map[int]struct{}) error {
+func pinBlock(x *join.Exec, f disk.FileID, touched map[int]struct{}) error {
 	pages := make([]int, 0, len(touched))
 	for p := range touched {
 		pages = append(pages, p)

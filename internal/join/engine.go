@@ -35,20 +35,6 @@ type Engine struct {
 	// hook is a nil-receiver no-op. Metrics never influence the Report —
 	// they are outside the determinism contract.
 	Metrics *metrics.Collector
-	// Prefetch enables the double-buffered cluster pipeline: while workers
-	// compare cluster k's page pairs, the coordinator stages cluster k+1's
-	// prefetch-plan pages (Pool.Prefetch), promoting them to pinned at the
-	// boundary. Only the LRU policy preserves the determinism contract's
-	// victim order under staging, so the pipeline silently stays off under
-	// FIFO. The Report is bit-identical either way (see TestPrefetchDeterminism).
-	Prefetch bool
-	// PrefetchDepth bounds the pages staged ahead of each cluster boundary;
-	// <= 0 stages the successor's whole prefetch plan, budget permitting.
-	PrefetchDepth int
-	// Timeline, when non-nil, is attached to the run's disk session and fed
-	// one stage per cluster (demand vs overlapped I/O, modeled CPU), yielding
-	// the modeled pipeline wall clock reported through ExecStats/Metrics.
-	Timeline *disk.Timeline
 	// Shared, when non-nil, is an externally owned concurrent frame cache
 	// (the join service's hot state) the run's private pool participates in:
 	// misses consult and publish to it, pins are mirrored into its pinned-
@@ -61,13 +47,6 @@ type Engine struct {
 	// bit-identical either way — only MeasuredIO differs (see disk.Backend;
 	// pinned by TestBackendParity).
 	Backend disk.Backend
-	// Readers, when non-nil (and Backend is set), dispatches the physical
-	// half of prefetch reads to background reader goroutines, overlapping
-	// staged I/O with the coordinator's compute. The logical charges stay on
-	// the coordinator in schedule order, so the Report is unchanged. The
-	// caller owns the pool and must Close it (joining all reads) before
-	// trusting MeasuredIO's final account.
-	Readers *WorkerPool
 
 	// measured accumulates the physical read activity of this engine's runs
 	// (zero without a Backend).
@@ -106,12 +85,6 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Method: method}
-	if e.Timeline != nil {
-		io.SetTimeline(e.Timeline)
-	}
-	if e.Backend != nil && e.Readers != nil {
-		pool.SetPrefetchRunner(e.Readers.Run)
-	}
 	if e.Shared != nil {
 		pool.AttachShared(e.Shared)
 		// Detach on every exit path (cancellation included) so this run's
@@ -129,11 +102,6 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve any background prefetch reads still in flight (frames staged
-	// but never claimed) before snapshotting: releasing changes no logical
-	// counter, and afterwards the session's Measured account covers every
-	// fetch this run dispatched.
-	pool.ReleaseStaged()
 	e.measured = e.measured.Add(io.Measured())
 	st := io.Stats()
 	rep.IOSeconds += e.Disk.Model().Cost(st)
@@ -308,21 +276,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 	return e.Run("clustered", func(x *Exec) error {
 		x.Rep.MarkedEntries = m.Marked()
 		x.Rep.Clusters = len(order)
-
-		// The prefetch pipeline needs the per-step plan (the pages each
-		// cluster needs that its predecessor does not pin). Only LRU
-		// preserves the off-mode victim order under staged frames — staged
-		// protection mirrors PinSet's pins and prefetch victims are the same
-		// front-first survivors — so FIFO runs stay unpipelined regardless of
-		// the option.
-		prefetching := e.Prefetch && e.Policy == buffer.LRU && len(order) > 1
-		var plan []sched.PageSet
-		if prefetching {
-			plan = sched.PrefetchPlan(pages, order)
-		}
-
-		var cpuMark float64
-		for oi, ci := range order {
+		for _, ci := range order {
 			// A cluster is one unit of work: cancellation is checked at its
 			// boundary, and its comparison tasks are flushed before the next
 			// cluster's pages are fetched.
@@ -332,11 +286,8 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			c := clusters[ci]
 			e.Metrics.ClusterStart(ci)
 			// Pin the resident pages, then read the missing ones in ascending
-			// (file, page) order — the page set's own order. Staged frames
-			// from the predecessor's prefetch are claimed here: the claim
-			// counts nothing (their hit or miss was pre-charged at stage
-			// time), keeping the counters identical with prefetch off.
-			// PredictReads replays this call.
+			// (file, page) order — the page set's own order. PredictReads
+			// replays this call.
 			if err := x.Pool.PinSet(pages[ci]); err != nil {
 				return err
 			}
@@ -344,22 +295,7 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			if err := x.JoinCluster(r, s, c, j); err != nil {
 				return err
 			}
-			// Double buffering: the cluster's runs are all shipped (workers are
-			// chewing on them now), so the coordinator overlaps the
-			// successor's new-page reads with this cluster's CPU phase. The
-			// reads occupy exactly the session-head sequence the successor's
-			// PinSet would have issued, so Seeks/Sequential/GapPages are
-			// untouched; only the timeline buckets them as overlapped.
-			if prefetching && oi+1 < len(order) {
-				if err := e.prefetchStep(x, plan[oi+1], order[oi+1]); err != nil {
-					return err
-				}
-			}
 			x.Flush()
-			if e.Timeline != nil {
-				e.Timeline.StageEnd(x.Rep.CPUJoinSeconds - cpuMark)
-				cpuMark = x.Rep.CPUJoinSeconds
-			}
 			x.Pool.UnpinAll()
 			e.Metrics.ClusterEnd()
 		}
@@ -367,56 +303,12 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 	})
 }
 
-// prefetchStep stages the next cluster's prefetch-plan pages while the
-// current cluster's comparisons run: first the ones already resident, then
-// the missing ones in ascending order — PinSet's order — at most
-// PrefetchDepth pages in all. Staging the residents first protects them the
-// way the successor's PinSet would pin them, so each staged read evicts the
-// victim the unpipelined PinSet would have. A degraded admission (no
-// evictable frame) ends the step; the pages left are all non-resident, and
-// their reads fall through to the successor's PinSet with the same victims.
-func (e *Engine) prefetchStep(x *Exec, step sched.PageSet, target int) error {
-	if len(step) == 0 {
-		return nil
-	}
-	if e.Timeline != nil {
-		e.Timeline.BeginOverlap()
-		defer e.Timeline.EndOverlap()
-	}
-	readMark := x.IO.Stats().Reads
-	staged, budget := 0, len(step)
-	if e.PrefetchDepth > 0 {
-		budget = min(budget, e.PrefetchDepth)
-	}
-	for _, resident := range [...]bool{true, false} {
-		for _, a := range step {
-			if staged == budget {
-				break
-			}
-			if x.Pool.Contains(a) != resident {
-				continue
-			}
-			ok, err := x.Pool.Prefetch(a)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			staged++
-		}
-	}
-	e.Metrics.ClusterPrefetched(target, int64(staged), x.IO.Stats().Reads-readMark)
-	return nil
-}
-
 // PredictReads returns the pages the clustered executor reads at each
 // position of order, a run over the page sets with a cold pool of
 // bufferPages frames under policy. It replays the executor's own buffer
 // traffic — Pool.PinSet per cluster, UnpinAll after it — over a pool whose
 // source does no I/O, so the prediction is the measurement by construction:
-// the same pool code decides every hit, miss and victim. Prefetch does not
-// change the result, because staging preserves PinSet's charges and victims.
+// the same pool code decides every hit, miss and victim.
 func PredictReads(sets []sched.PageSet, order []int, bufferPages int, policy buffer.Policy) ([]int, error) {
 	pool, err := buffer.NewPool(noIO{new(disk.Page)}, bufferPages, policy)
 	if err != nil {

@@ -21,10 +21,10 @@ func ownsFlat(p *join.VectorPage) bool {
 // TestPrefetchPrewarmsFlat pins where a page's flat kernel block comes from
 // now that no load hook builds it: every page arrives with its block, so
 // neither the coordinator nor a worker ever flattens one. A page built the
-// way ingest builds it has its block before any join; a page staged by
-// Pool.Prefetch and claimed by Get is that same page; a page fetched from
-// the file store has its block too, as a view of the mapped record; and
-// BatchPage hands out the block without building one.
+// way ingest builds it has its block before any join, and the simulator's
+// Get returns that same page; a page fetched from the file store has its
+// block too, as a view of the mapped record; and BatchPage hands out the
+// block without building one.
 func TestPrefetchPrewarmsFlat(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
@@ -56,17 +56,13 @@ func TestPrefetchPrewarmsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := range ingested {
-			addr := disk.PageAddr{File: f, Page: p}
-			if ok, err := pool.Prefetch(addr); err != nil || !ok {
-				t.Fatalf("prefetch of page %d: admitted %v, err %v", p, ok, err)
-			}
-			pg, err := pool.Get(addr)
+			pg, err := pool.Get(disk.PageAddr{File: f, Page: p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := pg.Payload.(*join.VectorPage)
 			if backend == nil && got != ingested[p] {
-				t.Fatalf("simulator page %d: claimed a different payload than the ingested one", p)
+				t.Fatalf("simulator page %d: got a different payload than the ingested one", p)
 			}
 			if backend != nil && got == ingested[p] {
 				t.Fatalf("store page %d: served from memory, not fetched", p)

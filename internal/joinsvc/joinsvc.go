@@ -199,13 +199,11 @@ type JoinOptions struct {
 	FilterDepth  int           `json:"filterDepth,omitempty"`
 	Shards       int           `json:"shards,omitempty"`
 	ShardWorkers int           `json:"shardWorkers,omitempty"`
-	// PrefetchOff disables the pipelined executor (on by default).
-	PrefetchOff bool `json:"prefetchOff,omitempty"`
-	Trace       bool `json:"trace,omitempty"`
+	Trace        bool          `json:"trace,omitempty"`
 }
 
 func (o JoinOptions) options() pmjoin.Options {
-	opt := pmjoin.Options{
+	return pmjoin.Options{
 		Method:       o.Method,
 		Epsilon:      o.Epsilon,
 		BufferPages:  o.BufferPages,
@@ -217,10 +215,6 @@ func (o JoinOptions) options() pmjoin.Options {
 		Trace:        o.Trace,
 		Sharding:     pmjoin.ShardingOptions{Shards: o.Shards, Workers: o.ShardWorkers},
 	}
-	if o.PrefetchOff {
-		opt.Pipeline.Prefetch = pmjoin.PrefetchOff
-	}
-	return opt
 }
 
 // JoinRequest names two registered datasets and the join options.

@@ -163,8 +163,8 @@ func TestErrorStatuses(t *testing.T) {
 			h.ServeHTTP(w, req)
 			return w
 		}, http.StatusBadRequest, ""},
-		// The option was removed with the knob it set; a client still sending
-		// it must be told which field to drop.
+		// These options were removed with the knobs they set; a client still
+		// sending one must be told which field to drop.
 		{"removed kernelBatchOff option", func() *httptest.ResponseRecorder {
 			req := httptest.NewRequest(http.MethodPost, "/join",
 				strings.NewReader(`{"left":"a","right":"a","options":{"method":"SC","epsilon":0.1,"kernelBatchOff":true}}`))
@@ -172,6 +172,13 @@ func TestErrorStatuses(t *testing.T) {
 			h.ServeHTTP(w, req)
 			return w
 		}, http.StatusBadRequest, "kernelBatchOff"},
+		{"removed prefetchOff option", func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/join",
+				strings.NewReader(`{"left":"a","right":"a","options":{"method":"SC","epsilon":0.1,"prefetchOff":true}}`))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusBadRequest, "prefetchOff"},
 	}
 	for _, tc := range cases {
 		w := tc.do()

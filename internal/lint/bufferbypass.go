@@ -25,10 +25,10 @@ import (
 // has the same Read method, and a call through a Source-typed value resolves
 // to the interface method rather than to disk.Disk or disk.Session, escaping
 // the concrete-receiver checks. Engine code holding the pool's source (for
-// example to issue its own readahead instead of Pool.Prefetch, which would
-// skip staged-frame accounting and eviction protection) is exactly the
-// bypass this rule exists to catch, so interface-mediated reads are flagged
-// outside internal/buffer and internal/disk too.
+// example to issue its own readahead instead of pinning through Get or
+// PinSet, which would skip hit/miss accounting and eviction order) is exactly
+// the bypass this rule exists to catch, so interface-mediated reads are
+// flagged outside internal/buffer and internal/disk too.
 func bufferBypassAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "bufferbypass",
@@ -64,7 +64,7 @@ func runBufferBypass(p *Package) []Diagnostic {
 			}
 			if isMethodOf(fn, bufferPkgPath, "Source", "Read") {
 				diags = append(diags, p.diag(call, "bufferbypass",
-					"buffer.Source.Read outside internal/buffer bypasses buffer-pool I/O accounting; route page access through buffer.Pool (Get for demand, Prefetch for readahead)"))
+					"buffer.Source.Read outside internal/buffer bypasses buffer-pool I/O accounting; route page access through buffer.Pool (Get for one page, PinSet for a set)"))
 			}
 			return true
 		})

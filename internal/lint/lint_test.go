@@ -58,7 +58,6 @@ func (p *Pool) PinSet(set []disk.PageAddr) error               { return nil }
 func (p *Pool) Unpin(a disk.PageAddr) error                   { return nil }
 func (p *Pool) UnpinAll()                                     {}
 func (p *Pool) Flush() error                                  { return nil }
-func (p *Pool) Prefetch(a disk.PageAddr) (bool, error)        { return false, nil }
 `
 
 const stubGeom = `package geom
@@ -618,7 +617,7 @@ func ok(s *disk.Session, f disk.FileID) int {
 			// A call through the pool's Source interface resolves to the
 			// interface method, not disk.Disk or disk.Session; the rule must
 			// still see it, or engines could hold the pool's source and issue
-			// their own readahead around Pool.Prefetch.
+			// their own readahead around Get and PinSet.
 			name: "read through buffer.Source is flagged",
 			src: `package fixture
 
@@ -633,21 +632,6 @@ func bad(src buffer.Source, a disk.PageAddr) error {
 }
 `,
 			lines: []int{9},
-		},
-		{
-			name: "prefetch through the pool is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr) error {
-	_, err := p.Prefetch(a)
-	return err
-}
-`,
 		},
 		{
 			// A fixture-local Read is not pool-source traffic: only the

@@ -163,20 +163,13 @@ type ClusterStats struct {
 	// Reused is how many pins hit pages still resident from earlier
 	// clusters (the schedule's realized sharing, Lemma 4).
 	Reused int64
-	// Prefetched is how many of the cluster's pages its predecessor staged
-	// ahead of time (Pool.Prefetch); their hits/misses are pre-charged at
-	// stage time and folded into Reused/Fetched here, so Fetched + Reused
-	// still partitions Pinned regardless of the prefetch setting.
-	Prefetched int64
 	// Disk is the cluster's full simulated I/O delta (fetch + any
-	// executor-side traffic until the next cluster starts, including reads
-	// prefetching the successor's pages).
+	// executor-side traffic until the next cluster starts).
 	Disk disk.Stats
 	// Measured is the physical backend read delta over the cluster's window
-	// (zero under the simulator). Observational only: with background
-	// prefetch readers, a fetch dispatched in one cluster's window can
-	// resolve in a later one, smearing its wall cost across boundaries —
-	// unlike Disk, Measured per cluster is not deterministic.
+	// (zero under the simulator). Every read is issued by the cluster's own
+	// pins, so Measured.Reads equals Fetched under the file store; its
+	// Seconds are wall time and not deterministic.
 	Measured disk.Measured
 	// Wall is the cluster's real elapsed time (not deterministic).
 	Wall time.Duration
@@ -210,9 +203,6 @@ type Metrics struct {
 	// QueueHighWater is the worker pool's queue-depth high-water mark
 	// (0 when the run was serial).
 	QueueHighWater int
-	// Timeline is the modeled overlapped-pipeline clock (zero unless the
-	// engine attached a disk.Timeline, i.e. for clustered methods).
-	Timeline disk.TimelineStats
 	// Events is the trace, oldest first (nil unless tracing was enabled).
 	Events []Event
 	// EventsDropped counts events the bounded ring overwrote.
@@ -278,13 +268,6 @@ func (m *Metrics) Fold(s *Metrics) {
 	if s.QueueHighWater > m.QueueHighWater {
 		m.QueueHighWater = s.QueueHighWater
 	}
-	m.Timeline.WallSeconds += s.Timeline.WallSeconds
-	m.Timeline.SerialSeconds += s.Timeline.SerialSeconds
-	m.Timeline.DemandIOSeconds += s.Timeline.DemandIOSeconds
-	m.Timeline.OverlapIOSeconds += s.Timeline.OverlapIOSeconds
-	m.Timeline.CPUSeconds += s.Timeline.CPUSeconds
-	m.Timeline.OverlapReads += s.Timeline.OverlapReads
-	m.Timeline.Stages += s.Timeline.Stages
 	m.EventsDropped += s.EventsDropped
 	m.Wall += s.Wall
 	m.FoldedRuns++
@@ -324,13 +307,8 @@ type Collector struct {
 	clusterBuf      buffer.Stats
 	clusterMeasured disk.Measured
 	clusterStart    time.Time
-	// pendingPrefetch holds, per target cluster index, the {pages, reads}
-	// staged for it ahead of its ClusterStart; ClusterPinned consumes the
-	// entry so the pre-charged turnover lands on the cluster it belongs to.
-	pendingPrefetch map[int][2]int64
 
 	queueHighWater int
-	timeline       disk.TimelineStats
 
 	trace    bool
 	ring     []Event
@@ -472,32 +450,7 @@ func (c *Collector) ClusterPinned(pages int) {
 		bs := c.pool.Stats().Sub(c.clusterBuf)
 		cs.Fetched, cs.Reused = bs.Misses, bs.Hits
 	}
-	if pending, ok := c.pendingPrefetch[c.cluster]; ok {
-		// The predecessor pre-charged these pages: reads count as this
-		// cluster's fetches, resident stagings as its reuse.
-		cs.Prefetched = pending[0]
-		cs.Fetched += pending[1]
-		cs.Reused += pending[0] - pending[1]
-		delete(c.pendingPrefetch, c.cluster)
-	}
 	c.clusters = append(c.clusters, cs)
-}
-
-// ClusterPrefetched records that the currently open cluster staged pages for
-// the cluster with creation index target (reads of them actually hit the
-// disk; the rest were already resident). The turnover is credited to target's
-// ClusterStats entry when target's own pin loop completes.
-func (c *Collector) ClusterPrefetched(target int, pages, reads int64) {
-	if c == nil || pages == 0 {
-		return
-	}
-	if c.pendingPrefetch == nil {
-		c.pendingPrefetch = make(map[int][2]int64)
-	}
-	p := c.pendingPrefetch[target]
-	p[0] += pages
-	p[1] += reads
-	c.pendingPrefetch[target] = p
 }
 
 // ClusterBatchBuild times one cluster's flat-block construction: build runs
@@ -520,14 +473,6 @@ func (c *Collector) ClusterBatchBuild(build func() (cells, rows int)) {
 		cs.BatchRows += rows
 		cs.BatchBuild += d
 	}
-}
-
-// RecordTimeline stores the run's modeled pipeline clock snapshot.
-func (c *Collector) RecordTimeline(ts disk.TimelineStats) {
-	if c == nil {
-		return
-	}
-	c.timeline = ts
 }
 
 // ClusterEnd closes the per-cluster window, completing the entry's disk
@@ -586,7 +531,6 @@ func (c *Collector) Finish() *Metrics {
 		Phases:         c.phases,
 		Clusters:       c.clusters,
 		QueueHighWater: c.queueHighWater,
-		Timeline:       c.timeline,
 		EventsDropped:  c.dropped,
 		Wall:           time.Since(c.start),
 	}
@@ -597,8 +541,8 @@ func (c *Collector) Finish() *Metrics {
 		m.Disk = m.Disk.Add(ps.Disk)
 		m.Buffer = m.Buffer.Add(ps.Buffer)
 	}
-	// Measured has no per-phase split (background fetches resolve on their
-	// own clock); the session's final account is the total.
+	// Measured has no per-phase split; the session's final account is the
+	// total.
 	if c.io != nil {
 		m.Measured = c.io.Measured()
 	}

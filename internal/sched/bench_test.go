@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"pmjoin/internal/disk"
@@ -45,50 +44,6 @@ func TestSharingGraphMatchesMapReference(t *testing.T) {
 			t.Fatalf("n=%d setSize=%d: inverted-index graph differs from map reference\n got %v\nwant %v",
 				tc.n, tc.setSize, got, want)
 		}
-	}
-}
-
-func TestPrefetchPlanComplementsStepSavings(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 30; iter++ {
-		n := 1 + rng.Intn(12)
-		sets := toPageSets(benchSets(n, 2+rng.Intn(8), int64(100+iter)))
-		order := GreedyOrder(n, SharingGraph(sets))
-		plan := PrefetchPlan(sets, order)
-		steps := StepSavings(sets, order)
-		if len(plan) != len(order) {
-			t.Fatalf("plan length %d != order length %d", len(plan), len(order))
-		}
-		if len(plan) > 0 && plan[0] != nil {
-			t.Fatalf("step 0 = %v, want nil (no predecessor to overlap with)", plan[0])
-		}
-		for i := 1; i < len(order); i++ {
-			cur := sets[order[i]]
-			if got, want := len(plan[i]), len(cur)-steps[i]; got != want {
-				t.Fatalf("iter %d step %d: len(plan)=%d, want %d (=|cluster|-StepSavings)",
-					iter, i, got, want)
-			}
-			prev := sets[order[i-1]]
-			for k, p := range plan[i] {
-				if !slices.Contains(cur, p) {
-					t.Fatalf("iter %d step %d: planned page %v not in cluster", iter, i, p)
-				}
-				if slices.Contains(prev, p) {
-					t.Fatalf("iter %d step %d: planned page %v is pinned by predecessor", iter, i, p)
-				}
-				if k > 0 && comparePages(plan[i][k-1], p) >= 0 {
-					t.Fatalf("iter %d step %d: pages %v not strictly ascending", iter, i, plan[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPrefetchPlanDisjointClusters(t *testing.T) {
-	sets := []PageSet{pageSet(1, 2), pageSet(3, 4, 5)}
-	plan := PrefetchPlan(sets, []int{0, 1})
-	if plan[0] != nil || !slices.Equal(plan[1], pageSet(3, 4, 5)) {
-		t.Fatalf("plan = %v", plan)
 	}
 }
 

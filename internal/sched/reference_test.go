@@ -1,8 +1,8 @@
 package sched
 
 // The seed scheduling algorithms over map-keyed page sets, kept as test
-// oracles: SharingGraph, GreedyOrder, StepSavings and PrefetchPlan must give
-// exactly their edges, orders, steps and plans on every input.
+// oracles: SharingGraph, GreedyOrder and StepSavings must give exactly their
+// edges, orders and steps on every input.
 
 import (
 	"fmt"
@@ -93,24 +93,6 @@ func refStepSavings(pages []refSet, order []int) []int {
 	return steps
 }
 
-// refPrefetchPlan is the seed PrefetchPlan followed by the sort the seed
-// executor applied to every step before issuing it (step order was
-// unspecified; the executor fetched in ascending address order).
-func refPrefetchPlan(pages []refSet, order []int) []PageSet {
-	plan := make([]PageSet, len(order))
-	for i := 1; i < len(order); i++ {
-		prev, cur := pages[order[i-1]], pages[order[i]]
-		step := make(refSet, len(cur))
-		for p := range cur {
-			if _, ok := prev[p]; !ok {
-				step[p] = struct{}{}
-			}
-		}
-		plan[i] = toPageSet(step)
-	}
-	return plan
-}
-
 // refGreedyOrder is the seed GreedyOrder: a stable sort of the edges by
 // (weight desc, A, B), then the same path construction.
 func refGreedyOrder(n int, edges []Edge) []int {
@@ -183,8 +165,8 @@ func refGreedyOrder(n int, edges []Edge) []int {
 	return order
 }
 
-// assertMatchesReference runs the whole schedule — graph, greedy order, steps,
-// prefetch plan, and the plan over a random order — through both sides.
+// assertMatchesReference runs the whole schedule — graph, greedy order, and
+// the steps over it and over a random order — through both sides.
 func assertMatchesReference(t *testing.T, what string, ref []refSet) {
 	t.Helper()
 	pages := toPageSets(ref)
@@ -202,15 +184,6 @@ func assertMatchesReference(t *testing.T, what string, ref []refSet) {
 		}
 		if got, want := PathSavings(pages, o), sum(refStepSavings(ref, o)); got != want {
 			t.Fatalf("%s: path savings %d, oracle %d", what, got, want)
-		}
-		got, want := PrefetchPlan(pages, o), refPrefetchPlan(ref, o)
-		if len(got) != len(want) || (len(got) > 0 && got[0] != nil) {
-			t.Fatalf("%s: plan has %d steps (step 0 %v), oracle %d", what, len(got), got, len(want))
-		}
-		for i := 1; i < len(got); i++ {
-			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("%s: prefetch step %d = %v, oracle %v", what, i, got[i], want[i])
-			}
 		}
 	}
 }

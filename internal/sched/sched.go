@@ -156,27 +156,6 @@ func StepSavings(pages []PageSet, order []int) []int {
 	return steps
 }
 
-// PrefetchPlan returns, for each position in the order, the pages the cluster
-// at that position needs that its immediate predecessor does not — the
-// complement of the Lemma 4 sharing term measured by StepSavings, and exactly
-// the pages an overlapped executor can stage while the predecessor's CPU
-// phase is still running (reading those not resident from older clusters;
-// the predecessor pins its own pages, so none of the returned pages can
-// displace a pinned frame).
-//
-// Step 0 is nil: the first cluster has no predecessor to overlap with, so all
-// of its pages are demand-fetched. For every later position i,
-// len(plan[i]) == len(pages[order[i]]) - StepSavings(pages, order)[i], and
-// the step lists its pages in ascending order, the order the pin loop would
-// fetch them in.
-func PrefetchPlan(pages []PageSet, order []int) []PageSet {
-	plan := make([]PageSet, len(order))
-	for i := 1; i < len(order); i++ {
-		plan[i] = missing(pages[order[i]], pages[order[i-1]])
-	}
-	return plan
-}
-
 // shared counts the pages two sets have in common (one sorted merge).
 func shared(a, b PageSet) int {
 	n, j := 0, 0
@@ -189,21 +168,6 @@ func shared(a, b PageSet) int {
 		}
 	}
 	return n
-}
-
-// missing returns the pages of cur that prev lacks, in ascending order.
-func missing(cur, prev PageSet) PageSet {
-	step := make(PageSet, 0, len(cur))
-	j := 0
-	for _, a := range cur {
-		for j < len(prev) && comparePages(prev[j], a) < 0 {
-			j++
-		}
-		if j == len(prev) || prev[j] != a {
-			step = append(step, a)
-		}
-	}
-	return step
 }
 
 // GreedyOrder returns a processing order over all n clusters maximizing

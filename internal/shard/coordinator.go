@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
 )
 
@@ -108,29 +107,6 @@ func MergeReports(results []*Result) *join.Report {
 		out.Comparisons += r.Report.Comparisons
 		out.Results += r.Report.Results
 		out.Clusters += r.Report.Clusters
-	}
-	return out
-}
-
-// MergeTimelines folds per-shard modeled clocks: shards run concurrently, so
-// the merged wall clock is the slowest shard, while serial and component
-// times sum (the work that would run back to back on one machine).
-func MergeTimelines(results []*Result) disk.TimelineStats {
-	var out disk.TimelineStats
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		ts := r.Timeline
-		if ts.WallSeconds > out.WallSeconds {
-			out.WallSeconds = ts.WallSeconds
-		}
-		out.SerialSeconds += ts.SerialSeconds
-		out.DemandIOSeconds += ts.DemandIOSeconds
-		out.OverlapIOSeconds += ts.OverlapIOSeconds
-		out.CPUSeconds += ts.CPUSeconds
-		out.OverlapReads += ts.OverlapReads
-		out.Stages += ts.Stages
 	}
 	return out
 }

@@ -25,7 +25,7 @@ type Task struct {
 // Result is one shard's outcome. Report and Pairs are deterministic
 // functions of the Task (each shard runs over a cold disk
 // session and a private buffer pool, so its numbers are what a solo run over
-// its clusters would produce); Metrics and Timeline are observational.
+// its clusters would produce); Metrics and Measured are observational.
 type Result struct {
 	Shard  int
 	Report *join.Report
@@ -35,10 +35,8 @@ type Result struct {
 	Pairs *join.Pairs
 	// Metrics is the shard's own phase-scoped snapshot (nil unless enabled).
 	Metrics *metrics.Metrics
-	// Timeline is the shard's modeled overlapped-pipeline clock.
-	Timeline disk.TimelineStats
 	// Measured is the shard's physical backend read account (zero under the
-	// simulator); observational, like Timeline.
+	// simulator).
 	Measured disk.Measured
 }
 
@@ -56,13 +54,13 @@ type Runner interface {
 // buffer pool (via Engine.Run), and executes the task's order unchanged.
 type LocalRunner struct {
 	// Engine is the execution environment every shard's engine copies: the
-	// shared disk, buffer size and policy, comparison and reader pools, frame
-	// cache, backend and pipeline knobs. Each copy gets its own Ctx, Timeline
-	// and pair collector. Shards may share the pools: they only feed them
-	// comparison tasks and plain backend fetches, which never wait on a shard,
-	// so concurrent shards cannot deadlock. The template's Metrics collector is
-	// used as is, which suits a one-shard run reporting on its caller's
-	// snapshot; with Metrics set, every shard gets a collector of its own.
+	// shared disk, buffer size and policy, comparison pool, frame cache and
+	// backend. Each copy gets its own Ctx and pair collector. Shards may share
+	// the comparison pool: they only feed it tasks that never wait on a
+	// shard, so concurrent shards cannot deadlock. The template's Metrics
+	// collector is used as is, which suits a one-shard run reporting on its
+	// caller's snapshot; with Metrics set, every shard gets a collector of its
+	// own.
 	Engine join.Engine
 
 	// The join being sharded.
@@ -88,13 +86,12 @@ type LocalRunner struct {
 }
 
 // RunShard executes one shard. The engine's Run scope gives the shard its
-// cold session and private pool; the timeline and optional collector are
-// per-shard, so nothing observational is shared across concurrent shards.
+// cold session and private pool; the optional collector is per-shard, so
+// nothing observational is shared across concurrent shards.
 func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 	out := &Result{Shard: t.Shard}
 	eng := r.Engine
 	eng.Ctx = ctx
-	eng.Timeline = disk.NewTimeline()
 	eng.Pairs = nil
 	if r.CollectPairs {
 		eng.Pairs = join.NewPairs(r.MaxPairs)
@@ -103,9 +100,7 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 		eng.Metrics = metrics.New(r.MetricsConfig)
 	}
 	rep, err := eng.Clustered(r.R, r.S, r.Matrix, r.Clusters, r.Pages, t.Clusters, r.Joiner)
-	out.Timeline = eng.Timeline.Stats()
 	out.Measured = eng.MeasuredIO()
-	eng.Metrics.RecordTimeline(out.Timeline)
 	if r.Metrics {
 		out.Metrics = eng.Metrics.Finish()
 	}

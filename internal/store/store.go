@@ -27,8 +27,8 @@ import (
 // disk.ErrNotInBackend), so executor-internal scratch payloads never break a
 // run.
 //
-// Concurrency: Put and Fetch are safe for concurrent use — the coordinator
-// appends while background prefetch readers fetch. Mappings are
+// Concurrency: Put and Fetch are safe for concurrent use — concurrent runs
+// and shards fetch while a coordinator appends. Mappings are
 // remap-lagging: when a file has grown past the current view the file is
 // remapped at its new size and the old view is kept alive until Close, so a
 // concurrent reader's slice can never be unmapped under it.

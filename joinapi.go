@@ -22,12 +22,6 @@ import (
 	"pmjoin/internal/shard"
 )
 
-// storageReaderWorkers is the width of the dedicated background reader pool
-// a file-backed join runs its prefetch fetches on. Reader tasks are plain
-// blocking preads, so a small fixed width suffices to overlap staged reads
-// with compute without oversubscribing the host.
-const storageReaderWorkers = 4
-
 // ExecStats reports how a join actually executed on the host machine. Unlike
 // every other Result field, these are real wall-clock measurements: they vary
 // run to run and are excluded from the determinism contract (Report, Pairs
@@ -46,20 +40,18 @@ type ExecStats struct {
 	// JoinWall is the wall time of the join executor itself; for a clustered
 	// join, running the plan's shards and merging their results.
 	JoinWall time.Duration
-	// PrefetchedPages is the number of page reads the pipelined executor
-	// issued ahead of demand, overlapped with the previous cluster's CPU
-	// phase (0 with prefetch off, under FIFO, or for unclustered methods).
+	// PrefetchedPages is always 0: every page is read when its cluster pins
+	// it, so no read is issued ahead of demand.
 	PrefetchedPages int64
-	// ModeledWallSeconds is the modeled pipeline wall clock of the join
-	// phase under the linear disk model: per cluster, demand I/O plus
-	// max(overlapped I/O, modeled CPU). ModeledSerialSeconds is the same
-	// work with every read at demand time; their difference is the modeled
-	// time the overlap hides. Both are zero for unclustered methods. They
-	// are deterministic for a fixed option set but — unlike Report — move
-	// between prefetch on and off; that movement is the point.
+	// ModeledSerialSeconds is the modeled time of a clustered join's shards
+	// run back to back: the sum over shards of Report.IOSeconds +
+	// Report.CPUJoinSeconds. ModeledWallSeconds is the largest such shard
+	// term, the modeled clock of shards running concurrently; unsharded, the
+	// two are equal. Both are zero for unclustered methods and deterministic
+	// for a fixed option set.
 	ModeledWallSeconds   float64
 	ModeledSerialSeconds float64
-	// OverlapIOSeconds is the modeled I/O time charged as overlapped.
+	// OverlapIOSeconds is always 0: no I/O overlaps the comparisons.
 	OverlapIOSeconds float64
 	// Block-kernel profile of the clustered executor (all zero for joiners
 	// with no batch kernel — self joins, strings — for unclustered methods, or
@@ -72,18 +64,17 @@ type ExecStats struct {
 	BatchBuildWall time.Duration
 	// Shards and ShardWorkers report sharded execution (0 when unsharded):
 	// the planned shard count and the concurrent shard workers. When sharded,
-	// ModeledWallSeconds is the slowest shard's modeled clock (shards run
-	// concurrently) while ModeledSerialSeconds sums every shard — their ratio
-	// is the modeled sharding speedup.
+	// ModeledSerialSeconds / ModeledWallSeconds is the modeled sharding
+	// speedup.
 	Shards       int
 	ShardWorkers int
 	// MeasuredIOWall and MeasuredReads report the physical backend read
 	// account under Options.Storage = StorageFile: the number of real file
 	// reads served and their summed wall latencies in seconds (read +
-	// checksum + page build; a sum of latencies, not an elapsed window —
-	// concurrent background reads can exceed JoinWall). Both are zero under
-	// the simulator. Host-dependent and excluded from the determinism
-	// contract, like every other ExecStats field.
+	// checksum + page build; concurrent shards' latencies add up, so the sum
+	// can exceed JoinWall). Both are zero under the simulator.
+	// Host-dependent and excluded from the determinism contract, like every
+	// other ExecStats field.
 	MeasuredIOWall float64
 	MeasuredReads  int64
 	// Cancelled reports that the run stopped early because the context was
@@ -185,10 +176,7 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	}
 
 	// Resolve the physical page source. StorageFile requires a store attached
-	// via UseFileStore; with prefetch on it also gets a small dedicated reader
-	// pool so staged backend reads overlap compute. Blocked preads sit in
-	// syscalls, not on GOMAXPROCS slots, so a modest fixed width overlaps I/O
-	// even on single-core hosts.
+	// via UseFileStore.
 	var backend disk.Backend
 	if opt.Storage == StorageFile {
 		st := s.fileStore()
@@ -196,11 +184,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 			return nil, fmt.Errorf("pmjoin: Options.Storage is file but no store is attached; call System.UseFileStore first")
 		}
 		backend = st
-	}
-	var readers *join.WorkerPool
-	if backend != nil && opt.Pipeline.Prefetch == PrefetchOn {
-		readers = join.NewWorkerPool(storageReaderWorkers)
-		defer readers.Close()
 	}
 
 	eng := &join.Engine{
@@ -212,7 +195,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 		Metrics:    mc,
 		Shared:     shared,
 		Backend:    backend,
-		Readers:    readers,
 	}
 
 	self := a == b || a.ds.File == b.ds.File
@@ -364,7 +346,7 @@ func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Re
 // joinSharded runs a clustered join's plan through the shard coordinator; it
 // is the one clustered route. Each shard runs its planned order on a copy of
 // eng, with a cold disk session and private buffer pool. Results merge in
-// shard-index order (reports and timelines sum / max deterministically;
+// shard-index order (reports and modeled clocks sum / max deterministically;
 // pairs concatenate under the global cap), so the Report and Pairs are
 // bit-identical for any Sharding.Workers. An unsharded join (Shards 0) is the
 // one-shard plan: its shard reports on the join's own collector, and
@@ -377,8 +359,6 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 ) (*join.Report, []*metrics.Metrics, error) {
 	start := time.Now()
 	defer func() { res.Exec.JoinWall = time.Since(start) }()
-	eng.Prefetch = opt.Pipeline.Prefetch == PrefetchOn
-	eng.PrefetchDepth = opt.Pipeline.PrefetchDepth
 	runner := &shard.LocalRunner{
 		Engine:            eng,
 		R:                 &a.ds,
@@ -413,33 +393,26 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 	if opt.CollectPairs {
 		res.Pairs, res.Truncated = shard.MergePairs(results, opt.MaxPairs)
 	}
-	// Every shard runs with a timeline, prefetch on and off, so both modes
-	// report modeled wall/serial clocks (off: every read is demand, the clocks
-	// coincide).
-	ts := shard.MergeTimelines(results)
-	res.Exec.PrefetchedPages = ts.OverlapReads
-	res.Exec.ModeledWallSeconds = ts.WallSeconds
-	res.Exec.ModeledSerialSeconds = ts.SerialSeconds
-	res.Exec.OverlapIOSeconds = ts.OverlapIOSeconds
 	if sharded {
 		res.Exec.Shards = len(cp.cut.Shards)
 		res.Exec.ShardWorkers = coordWorkers(opt.Sharding.Workers, len(cp.cut.Shards))
 	}
 	var meas disk.Measured
+	var snaps []*metrics.Metrics
 	for _, r := range results {
-		if r != nil {
-			meas = meas.Add(r.Measured)
+		if r == nil {
+			continue
+		}
+		t := r.Report.IOSeconds + r.Report.CPUJoinSeconds
+		res.Exec.ModeledSerialSeconds += t
+		res.Exec.ModeledWallSeconds = max(res.Exec.ModeledWallSeconds, t)
+		meas = meas.Add(r.Measured)
+		if r.Metrics != nil {
+			snaps = append(snaps, r.Metrics)
 		}
 	}
 	res.Exec.MeasuredIOWall = meas.Seconds
 	res.Exec.MeasuredReads = meas.Reads
-	mc.RecordTimeline(ts)
-	var snaps []*metrics.Metrics
-	for _, r := range results {
-		if r != nil && r.Metrics != nil {
-			snaps = append(snaps, r.Metrics)
-		}
-	}
 	return rep, snaps, nil
 }
 

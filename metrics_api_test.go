@@ -144,10 +144,12 @@ func TestMetricsPhaseSumsMatchReport(t *testing.T) {
 // TestMetricsPredictedVsMeasured is Lemma 4 made exact: Explain's
 // per-cluster read prediction equals the join's measured per-cluster reads,
 // cluster for cluster, for cross and self joins under both replacement
-// policies, with prefetch on and off, over the simulator and the file store.
-// The run visits the plan's clusters in the plan's order and pins exactly the
-// planned pages, every buffer miss belongs to one cluster, and the total stays
-// within the paper's bound: the pages minus the schedule's savings.
+// policies, with the event trace on and off, over the simulator and the file
+// store. The run visits the plan's clusters in the plan's order and pins
+// exactly the planned pages, every buffer miss belongs to one cluster, and the
+// total stays within the paper's bound: the pages minus the schedule's
+// savings. Under the file store each cluster's physical reads are exactly its
+// fetches. Recording the trace must not move a single read.
 func TestMetricsPredictedVsMeasured(t *testing.T) {
 	sys, da, db, opt := metricsWorkload(t)
 	// A 4-d join whose older survivors decide reads: in it, recency touches
@@ -161,6 +163,15 @@ func TestMetricsPredictedVsMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The landsat shape in small: 8-d clusters filling at least 90 % of B.
+	a8, err := sys.AddVectors("a8", randomVecs(400, 8, 61), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b8, err := sys.AddVectors("b8", randomVecs(300, 8, 62), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.UseFileStore(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +179,8 @@ func TestMetricsPredictedVsMeasured(t *testing.T) {
 	opt.Metrics = true
 	opt4 := opt
 	opt4.Epsilon, opt4.BufferPages = 0.3, 20
+	opt8 := opt
+	opt8.Epsilon, opt8.BufferPages = 0.5, 20
 	// Self joins exercise the page-set dedup: a cluster's row and col pages
 	// come from one file, so the plan must count shared frames once to line
 	// up with the executor's pinned sets.
@@ -175,15 +188,30 @@ func TestMetricsPredictedVsMeasured(t *testing.T) {
 		name string
 		a, b *Dataset
 		opt  Options
-	}{{"cross", da, db, opt}, {"self", da, da, opt}, {"cross-4d", a4, b4, opt4}} {
+	}{
+		{"cross", da, db, opt}, {"self", da, da, opt}, {"cross-4d", a4, b4, opt4},
+		{"vector-full-clusters", a8, b8, opt8},
+	} {
 		t.Run(join.name, func(t *testing.T) {
 			for _, policy := range []ReplacementPolicy{LRU, FIFO} {
-				for _, prefetch := range []PrefetchMode{PrefetchOn, PrefetchOff} {
+				for _, trace := range []bool{true, false} {
 					for _, storage := range []StorageMode{StorageSim, StorageFile} {
 						o := join.opt
-						o.Policy, o.Pipeline.Prefetch, o.Storage = policy, prefetch, storage
-						name := policy.String() + "/" + prefetch.String() + "/" + storage.String()
-						t.Run(name, func(t *testing.T) { testPredictedVsMeasured(t, sys, join.a, join.b, o) })
+						o.Policy, o.Trace, o.Storage = policy, trace, storage
+						name := policy.String() + "/" + onOff(trace) + "/" + storage.String()
+						t.Run(name, func(t *testing.T) {
+							plan := testPredictedVsMeasured(t, sys, join.a, join.b, o)
+							if join.name != "vector-full-clusters" {
+								return
+							}
+							pages := 0
+							for _, c := range plan.ClusterIO {
+								pages += c.Pages
+							}
+							if fill := float64(pages) / float64(len(plan.ClusterIO)*o.BufferPages); fill < 0.9 {
+								t.Errorf("clusters fill %.2f of the buffer, want >= 0.9", fill)
+							}
+						})
 					}
 				}
 			}
@@ -191,7 +219,14 @@ func TestMetricsPredictedVsMeasured(t *testing.T) {
 	}
 }
 
-func testPredictedVsMeasured(t *testing.T, sys *System, da, db *Dataset, opt Options) {
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
+func testPredictedVsMeasured(t *testing.T, sys *System, da, db *Dataset, opt Options) *Plan {
 	plan, err := sys.Explain(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +260,10 @@ func testPredictedVsMeasured(t *testing.T, sys *System, da, db *Dataset, opt Opt
 			t.Errorf("position %d, cluster %d: plan predicts %d reads, run fetched %d",
 				i, pc.Cluster, pc.Reads, mc.Fetched)
 		}
+		if opt.Storage == StorageFile && mc.Measured.Reads != mc.Fetched {
+			t.Errorf("cluster %d: %d file reads in its window, %d fetched",
+				mc.Cluster, mc.Measured.Reads, mc.Fetched)
+		}
 		predicted += int64(pc.Reads)
 		fetched += mc.Fetched
 	}
@@ -236,6 +275,7 @@ func testPredictedVsMeasured(t *testing.T, sys *System, da, db *Dataset, opt Opt
 	if bound := plan.ClusteredPageReads - plan.ScheduleSavings; predicted > bound {
 		t.Errorf("plan predicts %d reads, above Lemma 4's bound %d", predicted, bound)
 	}
+	return plan
 }
 
 // TestShardPredictedVsMeasured holds the sharding plan to the same standard:

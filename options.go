@@ -27,21 +27,6 @@ type ShardingOptions struct {
 	Workers int
 }
 
-// PipelineOptions groups the prefetch pipeline knobs.
-type PipelineOptions struct {
-	// Prefetch selects the pipelined cluster executor (default on): while
-	// workers compare one cluster's page pairs, the coordinator stages the
-	// next cluster's new pages, overlapping I/O with CPU. Report, Pairs and
-	// Plan are bit-for-bit independent of this knob (the staged reads replay
-	// the demand-time sequence exactly); the win is wall clock, visible in
-	// ExecStats' modeled timeline and JoinWall.
-	Prefetch PrefetchMode
-	// PrefetchDepth bounds how many pages may be staged ahead of each
-	// cluster boundary. 0 means unbounded (the whole per-step prefetch
-	// plan, budget permitting); negative values are rejected by Validate.
-	PrefetchDepth int
-}
-
 // Options configures one join execution. The zero value of every optional
 // field selects its documented default; Validate (called by Join, Explain
 // and their context variants) normalizes defaults in place and rejects
@@ -103,14 +88,11 @@ type Options struct {
 	Storage StorageMode
 	// Sharding selects sharded clustered execution (default: unsharded).
 	Sharding ShardingOptions
-	// Pipeline groups the prefetch pipeline knobs; see PipelineOptions.
-	Pipeline PipelineOptions
 }
 
 // Validate checks the options and normalizes defaulted fields in place:
 // MaxPairs 0 becomes 100000, Parallelism 0 becomes GOMAXPROCS,
-// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100,
-// Pipeline.Prefetch PrefetchDefault becomes PrefetchOn, Storage
+// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100, Storage
 // StorageDefault becomes StorageSim, and Sharding.Workers 0 becomes
 // min(Shards, GOMAXPROCS) when sharding. Validate is idempotent; Join,
 // JoinContext, Explain and ExplainContext call it on their own copy, so
@@ -160,16 +142,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Trace {
 		o.Metrics = true
-	}
-
-	if !prefetchSpec.valid(o.Pipeline.Prefetch) {
-		return fmt.Errorf("pmjoin: unknown prefetch mode %v", o.Pipeline.Prefetch)
-	}
-	if o.Pipeline.Prefetch == PrefetchDefault {
-		o.Pipeline.Prefetch = PrefetchOn
-	}
-	if o.Pipeline.PrefetchDepth < 0 {
-		return fmt.Errorf("pmjoin: negative prefetch depth %d", o.Pipeline.PrefetchDepth)
 	}
 
 	if !storageSpec.valid(o.Storage) {

@@ -218,10 +218,6 @@ func TestEnumSpecTable(t *testing.T) {
 			func(i int) string { return ReplacementPolicy(i).String() },
 			func(i int) (string, error) { b, err := ReplacementPolicy(i).MarshalText(); return string(b), err },
 			func(s string) (int, error) { v, err := ParseReplacementPolicy(s); return int(v), err }},
-		{"PrefetchMode", []string{"default", "on", "off"}, true,
-			func(i int) string { return PrefetchMode(i).String() },
-			func(i int) (string, error) { b, err := PrefetchMode(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParsePrefetchMode(s); return int(v), err }},
 		{"StorageMode", []string{"default", "sim", "file"}, true,
 			func(i int) string { return StorageMode(i).String() },
 			func(i int) (string, error) { b, err := StorageMode(i).MarshalText(); return string(b), err },
@@ -273,8 +269,8 @@ func TestEnumSpecTable(t *testing.T) {
 	}
 }
 
-// TestOptionsValidateGrouped covers the grouped sub-structs: the pipeline
-// and sharding field checks and the sharding worker default.
+// TestOptionsValidateGrouped covers the grouped sharding sub-struct: its
+// field checks and the sharding worker default.
 func TestOptionsValidateGrouped(t *testing.T) {
 	base := Options{Method: SC, Epsilon: 0.1, BufferPages: 8}
 
@@ -305,8 +301,6 @@ func TestOptionsValidateGrouped(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"unknown prefetch mode", func(o *Options) { o.Pipeline.Prefetch = PrefetchMode(99) }},
-		{"negative grouped prefetch depth", func(o *Options) { o.Pipeline.PrefetchDepth = -1 }},
 		{"negative shards", func(o *Options) { o.Sharding.Shards = -1 }},
 		{"negative shard workers", func(o *Options) { o.Sharding.Shards = 2; o.Sharding.Workers = -3 }},
 		{"workers without shards", func(o *Options) { o.Sharding.Workers = 2 }},

@@ -156,8 +156,8 @@ func checkOracle(t *testing.T, sys *System, a, b *Dataset, opt Options, want [][
 		t.Fatal(err)
 	}
 	if got := sortedPairs(res.Pairs); res.Truncated || res.Count() != int64(len(want)) || !reflect.DeepEqual(got, want) {
-		t.Errorf("parallelism %d shards %d prefetch %v: %d pairs (count %d), oracle %d",
-			opt.Parallelism, opt.Sharding.Shards, opt.Pipeline.Prefetch, len(got), res.Count(), len(want))
+		t.Errorf("parallelism %d shards %d: %d pairs (count %d), oracle %d",
+			opt.Parallelism, opt.Sharding.Shards, len(got), res.Count(), len(want))
 	}
 	return res
 }
@@ -213,17 +213,11 @@ func TestKernelsDeterminism(t *testing.T) {
 // oracle's pairs whichever evaluation their runs take — the whole-cluster
 // block kernel (non-self vectors and series; dim 8 so the SIMD row sums
 // engage) or the per-cell fallback (self joins, strings) — and, for the dim-8
-// workload, across the parallelism × sharding × prefetch cross.
+// workload, across the parallelism × sharding cross.
 func TestBatchKernelsDeterminism(t *testing.T) {
-	type config struct {
-		par, shards int
-		prefetch    PrefetchMode
-	}
+	type config struct{ par, shards int }
 	small := []config{{par: 1}, {par: 0}}
-	full := []config{
-		{1, 0, PrefetchOn}, {1, 0, PrefetchOff}, {1, 3, PrefetchOn},
-		{0, 0, PrefetchOn}, {0, 0, PrefetchOff}, {0, 3, PrefetchOn}, {0, 3, PrefetchOff},
-	}
+	full := []config{{1, 0}, {1, 3}, {0, 0}, {0, 3}}
 	loads := []struct {
 		oracleLoad
 		configs []config
@@ -248,7 +242,6 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 						checkOracle(t, sys, a, b, Options{
 							Method: m, Epsilon: w.eps, BufferPages: 16, Parallelism: c.par,
 							Sharding: ShardingOptions{Shards: c.shards},
-							Pipeline: PipelineOptions{Prefetch: c.prefetch},
 						}, want)
 					}
 				})

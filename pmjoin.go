@@ -278,9 +278,6 @@ type VectorOptions struct {
 	// NormP selects the Lp norm: 1, 2, ...; -1 selects L∞. The zero value
 	// means L2.
 	NormP int
-	// UseInsert builds the R*-tree by one-by-one R* insertion instead of
-	// STR bulk loading (slower; mainly for tests and ablations).
-	UseInsert bool
 	// BranchFanout overrides the internal-node fanout (default 32).
 	BranchFanout int
 }
@@ -335,20 +332,7 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	for i, v := range vecs {
 		items[i] = rstar.PointItem(i, geom.Vector(v))
 	}
-	var tree *rstar.Tree
-	var err error
-	if opts.UseInsert {
-		tree, err = rstar.New(dim, cfg)
-		if err == nil {
-			for _, it := range items {
-				if err = tree.Insert(it); err != nil {
-					break
-				}
-			}
-		}
-	} else {
-		tree, err = rstar.BulkLoadSTR(dim, cfg, items)
-	}
+	tree, err := rstar.BulkLoadSTR(dim, cfg, items)
 	if err != nil {
 		return nil, fmt.Errorf("pmjoin: indexing %q: %w", name, err)
 	}

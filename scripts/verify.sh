@@ -36,7 +36,7 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + prefetch + Lemma 4 + comparison oracle + pair collection)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + pair collection)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant. Every clustered
@@ -44,17 +44,16 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # triple must be identical across shard worker counts, and shards=0 and
 # shards=1 (one shard, the global schedule) must agree, with shards=0 still
 # reporting no shards. Explain renders that plan, so its cluster order is the
-# run's. The file-backed store (real encoded files, background prefetch
-# readers) must reproduce the simulator's triple bit for bit, prefetch on and
-# off must agree on every counter (clusters that fill the buffer included),
-# Explain's per-cluster and per-shard reads must equal the run's measured
-# reads (Lemma 4), and the one comparison path — block kernel and per-cell
+# run's. The file-backed store (real encoded files) must reproduce the
+# simulator's triple bit for bit, Explain's per-cluster and per-shard reads
+# must equal the run's measured reads (Lemma 4; clusters that fill the buffer
+# included), and the one comparison path — block kernel and per-cell
 # fallback, inline and on workers — must reproduce the reference distance
 # loops' pair stream, comparison counts and CPU-second bits. Collected pairs
 # keep the per-pair reference's order and Truncated flag at caps around a
 # pair-chunk boundary, sharded or not, and a warm result-heavy join allocates
 # little more than its exact-size pair slice.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestPrefetchDeterminism|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce' .
+go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce' .
 go test -race -run 'TestPinSet' ./internal/buffer
 go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference' ./internal/join
 

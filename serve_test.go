@@ -59,7 +59,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 		{Method: PMNLJ, Epsilon: 0.05, BufferPages: 8},
 		{Method: SC, Epsilon: 0.07, BufferPages: 12, Sharding: ShardingOptions{Shards: 3, Workers: 2}},
 		{Method: NLJ, Epsilon: 0.05, BufferPages: 8},
-		{Method: SC, Epsilon: 0.05, BufferPages: 24, Pipeline: PipelineOptions{Prefetch: PrefetchOff}},
+		{Method: SC, Epsilon: 0.05, BufferPages: 24},
 		{Method: CC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true, Seed: 7},
 	}
 	baselines := make([]*Result, len(jobs))

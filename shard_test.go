@@ -1,6 +1,7 @@
 package pmjoin
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -161,7 +162,10 @@ func TestShardDeterminism(t *testing.T) {
 // TestUnshardedResultShape pins what running Shards 0 as one shard keeps from
 // the unsharded executor: no shard counts in ExecStats, no per-shard metrics
 // snapshots, and the cluster stats and trace events on the top-level
-// snapshot itself.
+// snapshot itself. It also pins the modeled clocks ExecStats keeps: nothing
+// is prefetched or overlapped, so one shard's wall clock is its serial clock,
+// Report.IOSeconds + Report.CPUJoinSeconds; three shards run concurrently, so
+// their wall clock is shorter than their serial one.
 func TestUnshardedResultShape(t *testing.T) {
 	sys, da, db := smallVecSystem(t)
 	res, err := sys.Join(da, db, Options{Method: SC, Epsilon: 0.1, BufferPages: 12, Trace: true})
@@ -186,6 +190,27 @@ func TestUnshardedResultShape(t *testing.T) {
 	}
 	if starts != len(m.Clusters) {
 		t.Errorf("top-level trace has %d cluster starts for %d clusters", starts, len(m.Clusters))
+	}
+
+	ex := res.Exec
+	if ex.PrefetchedPages != 0 || ex.OverlapIOSeconds != 0 {
+		t.Errorf("unsharded run prefetched %d pages, overlapped %g s", ex.PrefetchedPages, ex.OverlapIOSeconds)
+	}
+	if ex.ModeledWallSeconds != ex.ModeledSerialSeconds {
+		t.Errorf("modeled wall %g s, serial %g s", ex.ModeledWallSeconds, ex.ModeledSerialSeconds)
+	}
+	want := res.Report.IOSeconds + res.Report.CPUJoinSeconds
+	if d := math.Abs(ex.ModeledSerialSeconds - want); want <= 0 || d > 1e-12*want {
+		t.Errorf("modeled serial %g s, Report I/O + CPU-join %g s", ex.ModeledSerialSeconds, want)
+	}
+
+	sharded, err := sys.Join(da, db, Options{Method: SC, Epsilon: 0.1, BufferPages: 12,
+		Sharding: ShardingOptions{Shards: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := sharded.Exec; ex.ModeledWallSeconds >= ex.ModeledSerialSeconds {
+		t.Errorf("3 shards: modeled wall %g s, not below serial %g s", ex.ModeledWallSeconds, ex.ModeledSerialSeconds)
 	}
 }
 
