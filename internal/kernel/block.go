@@ -150,7 +150,10 @@ func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []B
 // ascend through the run, so hits fall out cell-major with no reordering.
 // Classification is the same banded scheme as pagePairSumSIMD: certain-
 // within and certain-outside decide immediately, the band sliver re-runs
-// the exact sequential test.
+// the exact sequential test. The kernels take the certain-outside bound hiB
+// as their early-abandon limit, so a data row whose first 8 coordinates
+// already put every probe above it costs one block, and a probe group with
+// no row left below it skips classification altogether.
 func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []BlockHit) []BlockHit {
 	dim := br.dim
 	band := reassocBand(dim)
@@ -176,31 +179,29 @@ func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []
 		sLo := bs.offs[cs]
 		data := bs.data[sLo*dim : (sLo+nS)*dim : (sLo+nS)*dim]
 		ci := start // classification cell cursor, monotone over the run
-		for p := pLo; p < pHi; {
-			g := 1
+		for p, g := pLo, 0; p < pHi; p += g {
+			g = 1 // probe rows in this kernel call
 			if quad && p+4 <= pHi {
 				g = 4
-				if cap(sums) < 4*nS {
-					sums = make([]float64, 4*nS)
-				}
-				sums = sums[:4*nS]
-				probes := br.data[p*dim : (p+4)*dim : (p+4)*dim]
-				if l1 {
-					l1Sums4Asm(probes, data, sums, dim)
-				} else {
-					l2Sums4Asm(probes, data, sums, dim)
-				}
-			} else {
-				if cap(sums) < nS {
-					sums = make([]float64, nS)
-				}
-				sums = sums[:nS]
-				probe := br.data[p*dim : (p+1)*dim : (p+1)*dim]
-				if l1 {
-					l1SumsAsm(probe, data, sums, dim)
-				} else {
-					l2SumsAsm(probe, data, sums, dim)
-				}
+			}
+			if cap(sums) < g*nS {
+				sums = make([]float64, g*nS)
+			}
+			sums = sums[:g*nS]
+			probes := br.data[p*dim : (p+g)*dim : (p+g)*dim]
+			var live int // data rows with a sum not > hiB
+			switch {
+			case g == 4 && l1:
+				live = l1Sums4Asm(probes, data, sums, dim, hiB)
+			case g == 4:
+				live = l2Sums4Asm(probes, data, sums, dim, hiB)
+			case l1:
+				live = l1SumsAsm(probes, data, sums, dim, hiB)
+			default:
+				live = l2SumsAsm(probes, data, sums, dim, hiB)
+			}
+			if live == 0 {
+				continue // every pair of the group is certainly outside
 			}
 			for q := 0; q < g; q++ {
 				row := p + q
@@ -210,26 +211,15 @@ func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []
 				cell := int32(ci)
 				iLoc := int32(row - br.offs[cells[ci].R])
 				probe := br.data[row*dim : (row+1)*dim : (row+1)*dim]
-				if g == 4 {
-					for k := 0; k < nS; k++ {
-						s := sums[4*k+q]
-						if s <= loB {
-							hits = append(hits, BlockHit{cell, iLoc, int32(k)})
-						} else if !(s > hiB) && t.Within(probe, bs.Row(sLo+k)) {
-							hits = append(hits, BlockHit{cell, iLoc, int32(k)})
-						}
-					}
-				} else {
-					for k, s := range sums {
-						if s <= loB {
-							hits = append(hits, BlockHit{cell, iLoc, int32(k)})
-						} else if !(s > hiB) && t.Within(probe, bs.Row(sLo+k)) {
-							hits = append(hits, BlockHit{cell, iLoc, int32(k)})
-						}
+				for k := 0; k < nS; k++ {
+					s := sums[g*k+q]
+					if s <= loB {
+						hits = append(hits, BlockHit{cell, iLoc, int32(k)})
+					} else if !(s > hiB) && t.Within(probe, bs.Row(sLo+k)) {
+						hits = append(hits, BlockHit{cell, iLoc, int32(k)})
 					}
 				}
 			}
-			p += g
 		}
 		start = end
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"pmjoin/internal/dataset"
 	"pmjoin/internal/geom"
 )
 
@@ -159,7 +160,7 @@ func TestClusterBlockLayout(t *testing.T) {
 
 // TestSums4AsmMatchesSingle compares the 4-probe row-sum kernels against four
 // single-probe calls within the re-association tolerance the banded
-// classification budgets for.
+// classification budgets for. The limit is +Inf, so no row stops early.
 func TestSums4AsmMatchesSingle(t *testing.T) {
 	if !hasSIMD {
 		t.Skip("no AVX2+FMA")
@@ -179,16 +180,16 @@ func TestSums4AsmMatchesSingle(t *testing.T) {
 			want := make([]float64, rows)
 			for _, l1 := range []bool{false, true} {
 				if l1 {
-					l1Sums4Asm(probes, data, got, dim)
+					l1Sums4Asm(probes, data, got, dim, math.Inf(1))
 				} else {
-					l2Sums4Asm(probes, data, got, dim)
+					l2Sums4Asm(probes, data, got, dim, math.Inf(1))
 				}
 				for q := 0; q < 4; q++ {
 					probe := probes[q*dim : (q+1)*dim]
 					if l1 {
-						l1SumsAsm(probe, data, want, dim)
+						l1SumsAsm(probe, data, want, dim, math.Inf(1))
 					} else {
-						l2SumsAsm(probe, data, want, dim)
+						l2SumsAsm(probe, data, want, dim, math.Inf(1))
 					}
 					for k := 0; k < rows; k++ {
 						g, w := got[4*k+q], want[k]
@@ -198,6 +199,122 @@ func TestSums4AsmMatchesSingle(t *testing.T) {
 								dim, rows, l1, q, k, g, w)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumsAsmAbandon is the row-sum kernels' early-abandon contract, for all
+// four routines. Against the same routine's output at limit +Inf, where no
+// row stops early, every sum at a finite limit must be bit-equal, or — when
+// its data row stopped at the checkpoint after the first 8 coordinates —
+// > limit and no larger than the full sum. The one exception is a full sum
+// that is NaN through a NaN term after the checkpoint: the partial sum is
+// then any value > limit, and the row is outside either way. A stopped row
+// has every one of its sums > limit. The returned count must be the number
+// of data rows whose full sums are not all > limit, not counting the rows
+// of that exception. Data rows include NaN and ±Inf coordinates before and
+// after the checkpoint, and a copy of a probe; at limit 0 every random row
+// must stop.
+func TestSumsAsmAbandon(t *testing.T) {
+	if !hasSIMD {
+		t.Skip("no AVX2+FMA")
+	}
+	type sumsFunc func(probes, data, sums []float64, dim int, limit float64) int
+	routines := []struct {
+		name   string
+		probes int // probe rows per call
+		f      sumsFunc
+	}{
+		{"l2SumsAsm", 1, l2SumsAsm},
+		{"l1SumsAsm", 1, l1SumsAsm},
+		{"l2Sums4Asm", 4, l2Sums4Asm},
+		{"l1Sums4Asm", 4, l1Sums4Asm},
+	}
+	rng := rand.New(rand.NewSource(13))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, dim := range []int{8, 12, 16, 60, 64} {
+		probes := make([]float64, 4*dim)
+		for i := range probes {
+			probes[i] = rng.NormFloat64()
+		}
+		var data []float64
+		row := func(set map[int]float64) {
+			r := make([]float64, dim)
+			for j := range r {
+				r[j] = rng.NormFloat64()
+			}
+			for j, v := range set {
+				r[j] = v
+			}
+			data = append(data, r...)
+		}
+		for k := 0; k < 24; k++ {
+			row(nil)
+		}
+		row(map[int]float64{3: nan})
+		row(map[int]float64{dim - 1: nan})
+		row(map[int]float64{0: inf})
+		row(map[int]float64{dim - 1: -inf})
+		row(map[int]float64{2: inf, dim - 2: nan}) // stops at the checkpoint, full sum NaN
+		data = append(data, probes[:dim]...)
+		rows := len(data) / dim
+		for _, r := range routines {
+			g := r.probes
+			full := make([]float64, g*rows)
+			if n := r.f(probes[:g*dim], data, full, dim, inf); n != rows {
+				t.Fatalf("%s dim %d limit +Inf: count %d, want every row, %d", r.name, dim, n, rows)
+			}
+			var finite []float64
+			for _, s := range full {
+				if !math.IsNaN(s) && !math.IsInf(s, 0) {
+					finite = append(finite, s)
+				}
+			}
+			slices.Sort(finite)
+			for _, limit := range []float64{0, finite[len(finite)/2], inf} {
+				got := make([]float64, g*rows)
+				for i := range got {
+					got[i] = -1 // a sum the kernel failed to store fails every check below
+				}
+				n := r.f(probes[:g*dim], data, got, dim, limit)
+				want, stops := 0, 0
+				for k := 0; k < rows; k++ {
+					stopped, live, nanFull := false, false, false
+					for q := 0; q < g; q++ {
+						i := g*k + q
+						gs, fs := got[i], full[i]
+						if math.Float64bits(gs) != math.Float64bits(fs) {
+							stopped = true
+							if !(gs > limit) || !(gs <= fs || math.IsNaN(fs)) {
+								t.Fatalf("%s dim %d limit %g row %d probe %d: sum %g, full sum %g",
+									r.name, dim, limit, k, q, gs, fs)
+							}
+						}
+						live = live || !(fs > limit)
+						nanFull = nanFull || math.IsNaN(fs)
+					}
+					if stopped {
+						stops++
+						for q := 0; q < g; q++ {
+							if gs := got[g*k+q]; !(gs > limit) {
+								t.Fatalf("%s dim %d limit %g row %d: stopped early, but probe %d's sum %g is not > limit",
+									r.name, dim, limit, k, q, gs)
+							}
+						}
+					}
+					if live && !(stopped && nanFull) {
+						want++
+					}
+				}
+				if n != want {
+					t.Fatalf("%s dim %d limit %g: count %d, want %d", r.name, dim, limit, n, want)
+				}
+				// At limit 0 each random row is above it after 8 coordinates;
+				// past dim 8 its partial sums differ from the full ones.
+				if limit == 0 && dim > 8 && stops < 24 {
+					t.Fatalf("%s dim %d limit 0: %d rows stopped at the checkpoint, want at least 24", r.name, dim, stops)
 				}
 			}
 		}
@@ -260,3 +377,59 @@ func BenchmarkBlockPairsDim16(b *testing.B)   { benchmarkBlockVsLoop(b, 16, true
 func BenchmarkPagePairLoopDim16(b *testing.B) { benchmarkBlockVsLoop(b, 16, false) }
 func BenchmarkBlockPairsDim64(b *testing.B)   { benchmarkBlockVsLoop(b, 64, true) }
 func BenchmarkPagePairLoopDim64(b *testing.B) { benchmarkBlockVsLoop(b, 64, false) }
+
+// BenchmarkBlockPairsLandsat times one cluster at the landsat_sim shape: 50
+// R and 50 S pages of eight 60-d Landsat rows, every cell marked in
+// column-major order, at the benchmark's ε. As in the benchmark's data, one
+// S row in 50 is an R row moved by less than ε/32, so the join has a few
+// results and almost every other pair is out of range within the first
+// coordinates: the kernel's early abandon decides the time.
+func BenchmarkBlockPairsLandsat(b *testing.B) {
+	const dim, rowsPerPage, pages, eps = 60, 8, 50, 0.0155736
+	vecs := dataset.Landsat(2*pages*rowsPerPage, dim, 3)
+	rng := rand.New(rand.NewSource(3))
+	amp := eps / 32 / math.Sqrt(dim)
+	for j := pages * rowsPerPage; j < len(vecs); j += 50 {
+		src := vecs[rng.Intn(pages*rowsPerPage)]
+		v := make(geom.Vector, dim)
+		for d := range v {
+			v[d] = src[d] + (2*rng.Float64()-1)*amp
+		}
+		vecs[j] = v
+	}
+	var pagesR, pagesS []*FlatPage
+	for i := 0; i < 2*pages; i++ {
+		p := NewFlatPage(dim, rowsPerPage)
+		for _, v := range vecs[i*rowsPerPage : (i+1)*rowsPerPage] {
+			p.AppendRow(v)
+		}
+		if i < pages {
+			pagesR = append(pagesR, p)
+		} else {
+			pagesS = append(pagesS, p)
+		}
+	}
+	br, bs := buildBlock(pagesR), buildBlock(pagesS)
+	var cells []Cell
+	for s := 0; s < pages; s++ {
+		for r := 0; r < pages; r++ {
+			cells = append(cells, Cell{R: r, S: s})
+		}
+	}
+	th := NewThresholdSq(eps)
+	// Check the hit stream at the timed ε and at 30 ε, where about 3 % of
+	// the pairs are within range and many more rows run to their end.
+	for _, check := range []Threshold{th, NewThresholdSq(30 * eps)} {
+		want, _ := refBlockHits(&check, pagesR, pagesS, cells)
+		if got := BlockPairsWithin(&check, br, bs, cells, nil); !slices.Equal(got, want) {
+			b.Fatalf("BlockPairsWithin gives %d hits, the per-pair loop %d, or they differ in order", len(got), len(want))
+		}
+	}
+	var hits []BlockHit
+	b.SetBytes(int64(len(cells)) * rowsPerPage * rowsPerPage * dim * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hits = BlockPairsWithin(&th, br, bs, cells, hits[:0])
+	}
+	_ = hits
+}

@@ -309,13 +309,18 @@ scan:
 var sumsPool = sync.Pool{New: func() any { s := make([]float64, 0, 256); return &s }}
 
 // pagePairSumSIMD computes every row's re-associated L1/L2 statistic with
-// the AVX2+FMA kernels of sums_amd64.s — no early abandon, but four lanes
-// per cycle and one fused multiply-add per L2 term — then classifies the
-// sums against the banded limits exactly like the scalar blocked loop:
-// certain-within and certain-outside decide immediately, the band sliver
-// re-runs the exact sequential test.
+// the AVX2+FMA kernels of sums_amd64.s — four lanes per cycle, one fused
+// multiply-add per L2 term, and an early abandon after the first 8
+// coordinates of a row already above the certain-outside bound — then
+// classifies the sums against the banded limits exactly like the scalar
+// blocked loop: certain-within and certain-outside decide immediately, the
+// band sliver re-runs the exact sequential test. When no row is left below
+// the bound there is nothing to classify.
 func pagePairSumSIMD(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
 	dim := page.Dim
+	band := reassocBand(dim)
+	loB := t.lim * (1 - band)
+	hiB := t.lim * (1 + band)
 	sp := sumsPool.Get().(*[]float64)
 	sums := *sp
 	if cap(sums) < page.N {
@@ -323,15 +328,14 @@ func pagePairSumSIMD(t *Threshold, probe []float64, page *FlatPage, out []int) [
 	}
 	sums = sums[:page.N]
 	data := page.Data[: page.N*dim : page.N*dim]
+	var live int
 	if t.p == 1 {
-		l1SumsAsm(probe, data, sums, dim)
+		live = l1SumsAsm(probe, data, sums, dim, hiB)
 	} else {
-		l2SumsAsm(probe, data, sums, dim)
+		live = l2SumsAsm(probe, data, sums, dim, hiB)
 	}
-	band := reassocBand(dim)
-	loB := t.lim * (1 - band)
-	hiB := t.lim * (1 + band)
-	for k, s := range sums {
+	for k := 0; live > 0 && k < len(sums); k++ {
+		s := sums[k]
 		if s <= loB {
 			out = append(out, k)
 		} else if !(s > hiB) && t.Within(probe, page.Row(k)) {

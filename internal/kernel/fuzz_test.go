@@ -107,16 +107,22 @@ func fuzzCheckPair(t *testing.T, norms []geom.Norm, a, b geom.Vector, eps float6
 // one-ulp-off candidates, and marked-cell lists with runs, repeats, and empty
 // pages. BlockPairsWithin must emit the identical hit sequence and the
 // formula comparison count must equal the loop's, with the vector path on
-// and off.
+// and off. Dim 60 is the landsat width (fifteen 4-wide lanes: the 4-probe
+// kernels end on a 4-coordinate tail); shape's top bit zeroes every row's
+// first 8 coordinates, so the vector kernels' early-abandon checkpoint after
+// them cannot fire and the later coordinates decide.
 func FuzzBlockVsPagePair(f *testing.F) {
 	f.Add(0.0, 0.0, 3.0, 4.0, 5.0, uint8(1), uint8(0))
 	f.Add(0.5, -0.5, 0.25, -0.25, 0.75, uint8(2), uint8(3))
 	f.Add(1e150, -1e150, 1e-300, 0.0, 1e150, uint8(3), uint8(7))
 	f.Add(0.1, 0.2, 0.3, 0.4, -1.0, uint8(0), uint8(5))
 	f.Add(math.Inf(1), 0.0, math.NaN(), 1.0, 2.0, uint8(2), uint8(1))
+	f.Add(0.5, -0.5, 0.25, -0.25, 0.75, uint8(4), uint8(0x81))
+	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(3))
+	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(0x83))
 
 	norms := []geom.Norm{geom.L1, geom.L2, geom.LInf, {P: 3}}
-	dims := []int{2, 8, 16, 19}
+	dims := []int{2, 8, 16, 19, 12, 60}
 
 	f.Fuzz(func(t *testing.T, v0, v1, v2, v3, eps float64, dimSel, shape uint8) {
 		dim := dims[int(dimSel)%len(dims)]
@@ -127,6 +133,9 @@ func FuzzBlockVsPagePair(f *testing.F) {
 			for i := 0; i < n; i++ {
 				for d := range row {
 					row[d] = vals[(i+d+salt)%4] / float64(1+(d+salt)%3)
+				}
+				if shape&0x80 != 0 {
+					clear(row[:min(8, dim)])
 				}
 				p.AppendRow(row)
 			}

@@ -1,7 +1,9 @@
 // Package kernel provides the allocation-free, threshold-aware CPU kernels
 // behind every ε-test of the join framework: point-pair tests with running-sum
-// early abandon, a batched page-pair kernel over flat contiguous page blocks,
-// and MBR lower-bound tests for prediction-matrix construction.
+// early abandon, a batched page-pair kernel over flat contiguous page blocks
+// (on amd64, AVX2 row-sum kernels that stop a row after its first 8
+// coordinates once it is certainly out of range), and MBR lower-bound tests
+// for prediction-matrix construction.
 //
 // Every kernel is an exact drop-in for a reference comparison: Threshold
 // decides norm.Dist(a,b) <= eps (or the historical squared-L2 form) without

@@ -4,31 +4,38 @@ package kernel
 
 // l2SumsAsm fills sums[k] with the 4-lane re-associated sum of squared
 // coordinate gaps between probe and row k of data (row-major, stride dim),
-// for k in [0, len(sums)). Requires hasAVX2FMA; see sums_amd64.s for the
-// exactness caveat (callers must band-classify the result).
+// for k in [0, len(sums)), and returns the number of rows whose sum is not
+// > limit. A row whose partial sum after its first 8 coordinates is already
+// > limit stops there, and sums[k] holds that partial sum: still > limit, and
+// no larger than the full sum unless a NaN term follows. Every other row gets
+// its full sum, the same bits for any limit. Requires hasSIMD; see
+// sums_amd64.s for the checkpoint argument and the exactness caveat (callers
+// must band-classify the result).
 //
 //go:noescape
-func l2SumsAsm(probe []float64, data []float64, sums []float64, dim int)
+func l2SumsAsm(probe []float64, data []float64, sums []float64, dim int, limit float64) int
 
 // l1SumsAsm is l2SumsAsm for the L1 statistic (sum of absolute gaps).
 //
 //go:noescape
-func l1SumsAsm(probe []float64, data []float64, sums []float64, dim int)
+func l1SumsAsm(probe []float64, data []float64, sums []float64, dim int, limit float64) int
 
 // l2Sums4Asm is l2SumsAsm for four contiguous probe rows at once (probes has
 // len 4*dim): each data-chunk load is shared across four accumulator sets and
 // the horizontal reduction is a single 4-way transpose. The four sums of data
-// row k land interleaved at sums[4k .. 4k+3] (sums has len 4*rows). dim must
-// be a multiple of 4; the block kernel falls back to the single-probe routine
-// otherwise.
+// row k land interleaved at sums[4k .. 4k+3] (sums has len 4*rows). A data
+// row stops at the checkpoint only when all four of its partial sums are
+// > limit, and the count is of data rows with at least one sum not > limit.
+// dim must be a multiple of 4; the block kernel falls back to the
+// single-probe routine otherwise.
 //
 //go:noescape
-func l2Sums4Asm(probes []float64, data []float64, sums []float64, dim int)
+func l2Sums4Asm(probes []float64, data []float64, sums []float64, dim int, limit float64) int
 
 // l1Sums4Asm is l2Sums4Asm for the L1 statistic.
 //
 //go:noescape
-func l1Sums4Asm(probes []float64, data []float64, sums []float64, dim int)
+func l1Sums4Asm(probes []float64, data []float64, sums []float64, dim int, limit float64) int
 
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

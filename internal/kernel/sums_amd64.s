@@ -12,11 +12,26 @@
 // reduces); they require dim to be a multiple of 4 and store the four sums
 // of data row k interleaved at sums[4k .. 4k+3].
 //
+// Early abandon. Every routine takes a limit. After the first block of 8
+// coordinates it reduces its accumulators through the same tree its final
+// reduction uses; if that partial sum is > limit (for the 4-probe variants:
+// all four partial sums), it stores the partial sums and skips the rest of
+// the row. This never changes a decision made against limit: every term
+// (d² via FMA, or |d|) is non-negative and IEEE rounding is monotone, so
+// each lane accumulator only grows, and the fixed reduction tree is monotone
+// in each input. A partial sum > limit therefore means the full sum is
+// > limit too, or NaN when a NaN term follows the checkpoint, and both are
+// outside for a caller that classifies against limit. A NaN partial sum
+// compares not-above and runs to the end of the row, so every row that is
+// not abandoned gets the bit-identical sums it gets with limit = +Inf.
+// Each routine returns the number of data rows with at least one stored sum
+// not > limit; a caller that sees 0 has nothing to classify.
+//
 // The vector lanes re-associate the addition (and the FMA skips the
 // intermediate rounding of the multiply), so these sums are NOT bit-equal to
 // the sequential reference; the Go caller compares them against banded
 // limits and re-runs the exact sequential test on the sliver the band cannot
-// decide (see pagePairSumBlocked). Guarded by hasAVX2FMA.
+// decide (see pagePairSumSIMD and blockPairsSumSIMD). Guarded by hasSIMD.
 
 //go:build amd64
 
@@ -28,13 +43,19 @@ DATA absmask<>+16(SB)/8, $0x7FFFFFFFFFFFFFFF
 DATA absmask<>+24(SB)/8, $0x7FFFFFFFFFFFFFFF
 GLOBL absmask<>(SB), RODATA, $32
 
-// func l2SumsAsm(probe []float64, data []float64, sums []float64, dim int)
-TEXT ·l2SumsAsm(SB), NOSPLIT, $0-80
+// func l2SumsAsm(probe []float64, data []float64, sums []float64, dim int, limit float64) int
+//
+// Y0/Y1 accumulate even/odd 4-coordinate chunks; X15 holds limit; DX
+// counts surviving rows.
+TEXT ·l2SumsAsm(SB), NOSPLIT, $0-96
 	MOVQ probe_base+0(FP), SI
 	MOVQ data_base+24(FP), DI
 	MOVQ sums_base+48(FP), R10
 	MOVQ sums_len+56(FP), R8
 	MOVQ dim+72(FP), R9
+	VMOVSD limit+80(FP), X15
+	LEAQ 64(SI), AX          // probe pointer after the first block
+	XORQ DX, DX
 	TESTQ R8, R8
 	JZ   l2done
 
@@ -58,7 +79,18 @@ l2loop8:
 	ADDQ $64, R11
 	ADDQ $64, DI
 	SUBQ $8, CX
-	JMP  l2loop8
+	CMPQ R11, AX
+	JNE  l2loop8
+	// Checkpoint after the first block of 8: the final reduction on a
+	// copy of the accumulators.
+	VADDPD       Y1, Y0, Y2
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VPERMILPD    $1, X2, X3
+	VADDSD       X3, X2, X2
+	VUCOMISD     X15, X2
+	JA           l2abandon
+	JMP          l2loop8
 
 l2loop4:
 	CMPQ CX, $4
@@ -90,23 +122,41 @@ l2tail:
 	JMP  l2tail
 
 l2store:
-	VMOVSD X0, (R10)
-	ADDQ   $8, R10
-	DECQ   R8
-	JNZ    l2row
+	VMOVSD  X0, (R10)
+	VUCOMISD X15, X0
+	JA      l2next
+	INCQ    DX
+	JMP     l2next
+
+l2abandon:
+	// The partial sum is > limit: store it and skip the row's rest.
+	VMOVSD X2, (R10)
+	LEAQ   (DI)(CX*8), DI
+
+l2next:
+	ADDQ $8, R10
+	DECQ R8
+	JNZ  l2row
 
 l2done:
+	MOVQ DX, ret+88(FP)
 	VZEROUPPER
 	RET
 
-// func l1SumsAsm(probe []float64, data []float64, sums []float64, dim int)
-TEXT ·l1SumsAsm(SB), NOSPLIT, $0-80
+// func l1SumsAsm(probe []float64, data []float64, sums []float64, dim int, limit float64) int
+//
+// l2SumsAsm for the L1 statistic, the absolute value masked via absmask in
+// Y6.
+TEXT ·l1SumsAsm(SB), NOSPLIT, $0-96
 	MOVQ probe_base+0(FP), SI
 	MOVQ data_base+24(FP), DI
 	MOVQ sums_base+48(FP), R10
 	MOVQ sums_len+56(FP), R8
 	MOVQ dim+72(FP), R9
+	VMOVSD limit+80(FP), X15
 	VMOVUPD absmask<>(SB), Y6
+	LEAQ 64(SI), AX          // probe pointer after the first block
+	XORQ DX, DX
 	TESTQ R8, R8
 	JZ   l1done
 
@@ -132,7 +182,18 @@ l1loop8:
 	ADDQ $64, R11
 	ADDQ $64, DI
 	SUBQ $8, CX
-	JMP  l1loop8
+	CMPQ R11, AX
+	JNE  l1loop8
+	// Checkpoint after the first block of 8: the final reduction on a
+	// copy of the accumulators.
+	VADDPD       Y1, Y0, Y2
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VPERMILPD    $1, X2, X3
+	VADDSD       X3, X2, X2
+	VUCOMISD     X15, X2
+	JA           l1abandon
+	JMP          l1loop8
 
 l1loop4:
 	CMPQ CX, $4
@@ -166,28 +227,42 @@ l1tail:
 	JMP  l1tail
 
 l1store:
-	VMOVSD X0, (R10)
-	ADDQ   $8, R10
-	DECQ   R8
-	JNZ    l1row
+	VMOVSD  X0, (R10)
+	VUCOMISD X15, X0
+	JA      l1next
+	INCQ    DX
+	JMP     l1next
+
+l1abandon:
+	VMOVSD X2, (R10)
+	LEAQ   (DI)(CX*8), DI
+
+l1next:
+	ADDQ $8, R10
+	DECQ R8
+	JNZ  l1row
 
 l1done:
+	MOVQ DX, ret+88(FP)
 	VZEROUPPER
 	RET
 
-// func l2Sums4Asm(probes []float64, data []float64, sums []float64, dim int)
+// func l2Sums4Asm(probes []float64, data []float64, sums []float64, dim int, limit float64) int
 //
 // probes holds four contiguous rows (len 4*dim); sums holds 4 interleaved
 // sums per data row (len 4*rows). dim must be a multiple of 4. Accumulators:
 // Y0-Y3 even chunks, Y4-Y7 odd chunks (one pair per probe); Y8/Y9 the shared
-// data chunks; Y10/Y11 rotating difference temps.
-TEXT ·l2Sums4Asm(SB), NOSPLIT, $0-80
+// data chunks; Y10/Y11 rotating difference temps; Y8-Y11 again the
+// reduction temps; Y15 limit in every lane; DX counts surviving rows.
+TEXT ·l2Sums4Asm(SB), NOSPLIT, $0-96
 	MOVQ probes_base+0(FP), SI
 	MOVQ data_base+24(FP), DI
 	MOVQ sums_base+48(FP), R10
 	MOVQ sums_len+56(FP), R8
 	SHRQ $2, R8              // rows = len(sums)/4
 	MOVQ dim+72(FP), R9
+	VBROADCASTSD limit+80(FP), Y15
+	XORQ DX, DX
 	TESTQ R8, R8
 	JZ   l2x4done
 	MOVQ R9, AX
@@ -240,6 +315,23 @@ l2x4loop8:
 	ADDQ $64, DI
 	ADDQ $64, BX
 	SUBQ $8, CX
+	CMPQ BX, $64
+	JNE  l2x4loop8
+	// Checkpoint after the first block of 8: the final reduction's tree
+	// on copies of the accumulators.
+	VADDPD Y4, Y0, Y8
+	VADDPD Y5, Y1, Y9
+	VADDPD Y6, Y2, Y10
+	VADDPD Y7, Y3, Y11
+	VHADDPD Y9, Y8, Y8
+	VHADDPD Y11, Y10, Y10
+	VPERM2F128 $0x20, Y10, Y8, Y9
+	VPERM2F128 $0x31, Y10, Y8, Y11
+	VADDPD Y11, Y9, Y9
+	VCMPPD $0x1e, Y15, Y9, Y10 // GT_OQ: lane > limit, false on NaN
+	VMOVMSKPD Y10, AX
+	CMPQ AX, $15
+	JEQ  l2x4abandon
 	JMP  l2x4loop8
 
 l2x4loop4:
@@ -275,26 +367,42 @@ l2x4reduce:
 	VPERM2F128 $0x31, Y9, Y8, Y11
 	VADDPD Y11, Y10, Y10
 	VMOVUPD Y10, (R10)
+	VCMPPD $0x1e, Y15, Y10, Y11
+	VMOVMSKPD Y11, AX
+	CMPQ AX, $15
+	JEQ  l2x4next
+	INCQ DX
+	JMP  l2x4next
+
+l2x4abandon:
+	// All four partial sums are > limit: store them and skip the row's rest.
+	VMOVUPD Y9, (R10)
+	LEAQ (DI)(CX*8), DI
+
+l2x4next:
 	ADDQ $32, R10
 	DECQ R8
 	JNZ  l2x4row
 
 l2x4done:
+	MOVQ DX, ret+88(FP)
 	VZEROUPPER
 	RET
 
-// func l1Sums4Asm(probes []float64, data []float64, sums []float64, dim int)
+// func l1Sums4Asm(probes []float64, data []float64, sums []float64, dim int, limit float64) int
 //
-// The L1 statistic of l2Sums4Asm: same layout and dim%4 requirement, with
-// the absolute value masked via absmask in Y12.
-TEXT ·l1Sums4Asm(SB), NOSPLIT, $0-80
+// The L1 statistic of l2Sums4Asm: same layout, registers and dim%4
+// requirement, with the absolute value masked via absmask in Y12.
+TEXT ·l1Sums4Asm(SB), NOSPLIT, $0-96
 	MOVQ probes_base+0(FP), SI
 	MOVQ data_base+24(FP), DI
 	MOVQ sums_base+48(FP), R10
 	MOVQ sums_len+56(FP), R8
 	SHRQ $2, R8
 	MOVQ dim+72(FP), R9
+	VBROADCASTSD limit+80(FP), Y15
 	VMOVUPD absmask<>(SB), Y12
+	XORQ DX, DX
 	TESTQ R8, R8
 	JZ   l1x4done
 	MOVQ R9, AX
@@ -355,6 +463,23 @@ l1x4loop8:
 	ADDQ $64, DI
 	ADDQ $64, BX
 	SUBQ $8, CX
+	CMPQ BX, $64
+	JNE  l1x4loop8
+	// Checkpoint after the first block of 8: the final reduction's tree
+	// on copies of the accumulators.
+	VADDPD Y4, Y0, Y8
+	VADDPD Y5, Y1, Y9
+	VADDPD Y6, Y2, Y10
+	VADDPD Y7, Y3, Y11
+	VHADDPD Y9, Y8, Y8
+	VHADDPD Y11, Y10, Y10
+	VPERM2F128 $0x20, Y10, Y8, Y9
+	VPERM2F128 $0x31, Y10, Y8, Y11
+	VADDPD Y11, Y9, Y9
+	VCMPPD $0x1e, Y15, Y9, Y10
+	VMOVMSKPD Y10, AX
+	CMPQ AX, $15
+	JEQ  l1x4abandon
 	JMP  l1x4loop8
 
 l1x4loop4:
@@ -392,11 +517,24 @@ l1x4reduce:
 	VPERM2F128 $0x31, Y9, Y8, Y11
 	VADDPD Y11, Y10, Y10
 	VMOVUPD Y10, (R10)
+	VCMPPD $0x1e, Y15, Y10, Y11
+	VMOVMSKPD Y11, AX
+	CMPQ AX, $15
+	JEQ  l1x4next
+	INCQ DX
+	JMP  l1x4next
+
+l1x4abandon:
+	VMOVUPD Y9, (R10)
+	LEAQ (DI)(CX*8), DI
+
+l1x4next:
 	ADDQ $32, R10
 	DECQ R8
 	JNZ  l1x4row
 
 l1x4done:
+	MOVQ DX, ret+88(FP)
 	VZEROUPPER
 	RET
 

@@ -31,6 +31,11 @@ go build -o /dev/null ./cmd/pmjoind
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> GOARCH=arm64 go vet ./... (the build without the amd64 assembly)"
+# No test build on this host compiles sums_noasm.go; vetting the arm64 build
+# type-checks its stubs against the assembly kernels' signatures.
+GOARCH=arm64 go vet ./...
+
 echo "==> pmlint ./..."
 # -stats prints the rule count, finding count, and load/analyze wall time,
 # so a slow or noisy lint gate is visible right here in the verify log.
