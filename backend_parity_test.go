@@ -2,6 +2,7 @@ package pmjoin
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"pmjoin/internal/dataset"
@@ -231,5 +232,72 @@ func TestFileStoreLifecycle(t *testing.T) {
 	}
 	if len(pbsm.Pairs) != len(res.Pairs) {
 		t.Errorf("PBSM found %d pairs, SC %d", len(pbsm.Pairs), len(res.Pairs))
+	}
+}
+
+// TestCloseStoreWaitsForFileJoins pins the store lease: the block kernel
+// reads a file-backed join's pages in place, as views of the store's
+// mappings, so CloseStore called while such joins run must wait for them
+// rather than unmap the pages under their workers. Every join racing the
+// close returns either the simulator's Report and Pairs or a clean error,
+// CloseStore returns, and a StorageFile join after it fails.
+func TestCloseStoreWaitsForFileJoins(t *testing.T) {
+	sys := NewSystem(DiskModel{PageBytes: 1024})
+	da, err := sys.AddVectors("a", randomVecs(1500, 8, 57), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sys.AddVectors("b", randomVecs(1500, 8, 58), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Method: SC, Epsilon: 0.3, BufferPages: 24, Parallelism: 2, CollectPairs: true}
+	sim, err := sys.Join(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.Pairs) == 0 {
+		t.Fatal("the simulator join found no pairs; the checks below would be vacuous")
+	}
+	if err := sys.UseFileStore(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	opt.Storage = StorageFile
+
+	const joiners, rounds = 3, 4
+	var wg sync.WaitGroup
+	first := make(chan struct{}, joiners*rounds)
+	var mu sync.Mutex
+	served, failed := 0, 0
+	for range joiners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				res, err := sys.Join(da, db, opt)
+				mu.Lock()
+				switch {
+				case err != nil:
+					failed++
+				case !reflect.DeepEqual(res.Report, sim.Report) || !reflect.DeepEqual(res.Pairs, sim.Pairs):
+					t.Errorf("a file join racing CloseStore differs from the simulator: %+v vs %+v", res.Report, sim.Report)
+				default:
+					served++
+				}
+				mu.Unlock()
+				first <- struct{}{}
+			}
+		}()
+	}
+	<-first // one join is done; the others are running
+	if err := sys.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if served == 0 || failed == 0 {
+		t.Logf("%d joins served, %d failed: the close did not land mid-run this time", served, failed)
+	}
+	if _, err := sys.Join(da, db, opt); err == nil {
+		t.Fatal("StorageFile after CloseStore did not fail")
 	}
 }

@@ -54,20 +54,18 @@ func (v *vectorEGO) SelfSkip(pa any, i int, pb any, k int) bool {
 }
 
 func (v *vectorEGO) Repage(objs []ego.ObjectRef, fetch func(int) (any, error)) (any, error) {
-	out := &join.VectorPage{
-		IDs:  make([]int, 0, len(objs)),
-		Vecs: make([]geom.Vector, 0, len(objs)),
-	}
+	ids := make([]int, 0, len(objs))
+	vecs := make([]geom.Vector, 0, len(objs))
 	for _, o := range objs {
 		p, err := fetch(o.Page)
 		if err != nil {
 			return nil, err
 		}
 		vp := p.(*join.VectorPage)
-		out.IDs = append(out.IDs, vp.IDs[o.Slot])
-		out.Vecs = append(out.Vecs, vp.Vecs[o.Slot])
+		ids = append(ids, vp.IDs[o.Slot])
+		vecs = append(vecs, vp.Vecs[o.Slot])
 	}
-	return out, nil
+	return join.VectorPageOf(ids, vecs), nil
 }
 
 func (v *vectorEGO) Reorderable() bool { return true }

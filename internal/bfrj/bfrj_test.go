@@ -28,12 +28,13 @@ func buildDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, n, leafCap int) (*
 	pages := tr.Pack()
 	f := d.CreateFile()
 	for _, pg := range pages {
-		payload := &join.VectorPage{}
+		var ids []int
+		var vs []geom.Vector
 		for _, it := range pg {
-			payload.IDs = append(payload.IDs, it.ID)
-			payload.Vecs = append(payload.Vecs, it.MBR.Min)
+			ids = append(ids, it.ID)
+			vs = append(vs, it.MBR.Min)
 		}
-		if _, err := d.AppendPage(f, payload); err != nil {
+		if _, err := d.AppendPage(f, join.VectorPageOf(ids, vs)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,10 +127,7 @@ func TestBFRJSpillChargesWithTinyBuffer(t *testing.T) {
 func TestBFRJDedupsMultiResolutionLeaves(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
-	payload := &join.VectorPage{
-		IDs:  []int{0, 1},
-		Vecs: []geom.Vector{{0, 0}, {0.1, 0}},
-	}
+	payload := join.VectorPageOf([]int{0, 1}, []geom.Vector{{0, 0}, {0.1, 0}})
 	if _, err := d.AppendPage(f, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestBFRJLeafOnlyRoots(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	mk := func(x float64) *join.Dataset {
 		f := d.CreateFile()
-		payload := &join.VectorPage{IDs: []int{0}, Vecs: []geom.Vector{{x, 0}}}
+		payload := join.VectorPageOf([]int{0}, []geom.Vector{{x, 0}})
 		d.AppendPage(f, payload)
 		root := &index.Node{MBR: geom.NewMBR(geom.Vector{x, 0}), Page: 0}
 		return &join.Dataset{Name: "leaf", File: f, Root: root, Pages: 1}

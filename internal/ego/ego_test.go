@@ -40,17 +40,18 @@ func (a *testAdapter) SelfSkip(pa any, i int, pb any, k int) bool {
 }
 
 func (a *testAdapter) Repage(objs []ObjectRef, fetch func(int) (any, error)) (any, error) {
-	out := &join.VectorPage{}
+	var ids []int
+	var vs []geom.Vector
 	for _, o := range objs {
 		p, err := fetch(o.Page)
 		if err != nil {
 			return nil, err
 		}
 		vp := p.(*join.VectorPage)
-		out.IDs = append(out.IDs, vp.IDs[o.Slot])
-		out.Vecs = append(out.Vecs, vp.Vecs[o.Slot])
+		ids = append(ids, vp.IDs[o.Slot])
+		vs = append(vs, vp.Vecs[o.Slot])
 	}
-	return out, nil
+	return join.VectorPageOf(ids, vs), nil
 }
 
 func (a *testAdapter) Reorderable() bool { return true }
@@ -71,16 +72,17 @@ func buildFlat(t *testing.T, d *disk.Disk, rng *rand.Rand, n, perPage int) (*joi
 	var vecs []geom.Vector
 	var leaves []*index.Node
 	for i := 0; i < n; i += perPage {
-		payload := &join.VectorPage{}
+		var ids []int
+		var vs []geom.Vector
 		mbr := geom.EmptyMBR(2)
 		for k := i; k < i+perPage && k < n; k++ {
 			v := geom.Vector{rng.Float64(), rng.Float64()}
 			vecs = append(vecs, v)
-			payload.IDs = append(payload.IDs, k)
-			payload.Vecs = append(payload.Vecs, v)
+			ids = append(ids, k)
+			vs = append(vs, v)
 			mbr.ExtendPoint(v)
 		}
-		addr, err := d.AppendPage(f, payload)
+		addr, err := d.AppendPage(f, join.VectorPageOf(ids, vs))
 		if err != nil {
 			t.Fatal(err)
 		}

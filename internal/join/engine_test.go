@@ -28,13 +28,12 @@ func buildVectorDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, name string,
 	f := d.CreateFile()
 	raw := make([][]geom.Vector, len(pages))
 	for p, pg := range pages {
-		payload := &VectorPage{}
+		var ids []int
 		for _, it := range pg {
-			payload.IDs = append(payload.IDs, it.ID)
-			payload.Vecs = append(payload.Vecs, it.MBR.Min)
+			ids = append(ids, it.ID)
 			raw[p] = append(raw[p], it.MBR.Min)
 		}
-		if _, err := d.AppendPage(f, payload); err != nil {
+		if _, err := d.AppendPage(f, VectorPageOf(ids, raw[p])); err != nil {
 			t.Fatal(err)
 		}
 	}

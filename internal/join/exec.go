@@ -20,8 +20,10 @@ import (
 //   - All I/O goes through Pool/IO on the coordinating goroutine, in
 //     exactly the order the serial executor would issue it. Workers never
 //     touch the disk; they only compute over payloads the coordinator has
-//     already fetched (payloads stay valid after eviction — the simulated
-//     disk keeps pages resident).
+//     already fetched, reading them in place. Payloads stay valid after
+//     eviction: the simulated disk keeps pages resident, and a file store's
+//     pages are views of its mapping, which the caller holds open for the
+//     whole run.
 //   - Comparison work is appended in schedule order, one page-pair cell at a
 //     time (JoinPayloads / JoinPair) or one pinned cluster at a time
 //     (JoinCluster), to runs of up to taskCells cells. A run ships to the
@@ -48,13 +50,13 @@ type Exec struct {
 	free  []*task // recycled across Flush boundaries
 	wg    sync.WaitGroup
 
-	// Cluster scratch, reused across clusters within the run. The blocks and
-	// slices are referenced by in-flight block runs, which Flush retires
-	// before the next cluster rebuilds them.
-	blockR, blockS       kernel.ClusterBlock
-	idsR, idsS           [][]int
-	payloadsR, payloadsS []any
-	cells                []kernel.Cell
+	// Cluster scratch, reused across clusters within the run: each side's
+	// pinned pages as the kernel reads them, their object IDs, and the
+	// marked cells. In-flight block runs reference them, and Flush retires
+	// those runs before the next cluster refills them.
+	pagesR, pagesS kernel.ClusterBlock
+	idsR, idsS     [][]int
+	cells          []kernel.Cell
 }
 
 // taskCells is the run granularity: one page pair is ~1-10us of comparison
@@ -72,13 +74,14 @@ type pagePair struct {
 
 // task is one unit of comparison work: a contiguous run of up to taskCells
 // page-pair cells. A run cut from a batchable cluster (cells set) is
-// evaluated by one kernel.BlockPairsWithin call over the cluster's two flat
-// blocks; any other run (pages set: unclustered executors, self joins,
+// evaluated by one kernel.BlockPairsWithin call over the cluster's pinned
+// pages; any other run (pages set: unclustered executors, self joins,
 // strings) falls back to a JoinPages call per cell. Either way run records
 // each cell's comparison count and modeled CPU cost separately, so merge can
-// fold them in cell order. Workers only read the shared blocks and id
-// slices; each task owns its output buffers, and the pair chunks it writes
-// pass to the collector at merge. Kernel hits are scratch of the run alone.
+// fold them in cell order. Workers only read the shared page lists, the pages
+// themselves and the id slices; each task owns its output buffers, and the
+// pair chunks it writes pass to the collector at merge. Kernel hits are
+// scratch of the run alone.
 type task struct {
 	capture bool // translate hits into pairs: the collector is set and not full
 
@@ -87,7 +90,7 @@ type task struct {
 	th         kernel.Threshold
 	br, bs     *kernel.ClusterBlock
 	cells      []kernel.Cell
-	idsR, idsS [][]int // per block page, the payload's object IDs
+	idsR, idsS [][]int // per page of br and bs, the payload's object IDs
 
 	comps   []int64
 	cpu     []float64
@@ -256,11 +259,11 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 // JoinCluster schedules every marked entry of one cluster whose pages the
 // caller has pinned — the clustered executor's only comparison dispatch. It
 // reads the pages with Pool.Pinned, so the cluster's buffer traffic is its
-// pin and nothing else. When the joiner reports a batch kernel, one flat
-// block per side is built from the pinned pages and the cells are cut into
-// block runs; otherwise each entry becomes a fallback cell. The cluster's
-// last run ships before returning, so the workers chew on it while the
-// caller stages the next cluster.
+// pin and nothing else. When the joiner reports a batch kernel, each side's
+// pinned pages hand their own flat blocks and IDs to the kernel, no row
+// copied, and the cells are cut into block runs; otherwise each entry becomes
+// a fallback cell. The cluster's last run ships before returning, so the
+// workers chew on it while the caller stages the next cluster.
 func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) error {
 	var th kernel.Threshold
 	bj, batch := j.(BatchJoiner)
@@ -285,40 +288,21 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 
 	rows, cols := c.Rows(), c.Cols()
 	var err error
-	if x.payloadsR, err = x.pinnedPayloads(x.payloadsR[:0], r.File, rows); err != nil {
+	if x.idsR, err = x.pinnedPages(&x.pagesR, x.idsR[:0], r.File, rows); err != nil {
 		return err
 	}
-	if x.payloadsS, err = x.pinnedPayloads(x.payloadsS[:0], s.File, cols); err != nil {
+	if x.idsS, err = x.pinnedPages(&x.pagesS, x.idsS[:0], s.File, cols); err != nil {
 		return err
 	}
 	x.cells = x.cells[:0]
 	for _, en := range c.Entries {
 		x.cells = append(x.cells, kernel.Cell{R: sort.SearchInts(rows, en.R), S: sort.SearchInts(cols, en.C)})
 	}
-	// Concatenate each side's flat pages into one block, timed through the
-	// metrics hook (a nil collector just runs the closure; internal/join
-	// itself takes no wall clocks).
-	x.eng.Metrics.ClusterBatchBuild(func() (int, int) {
-		x.blockR.Reset()
-		x.idsR = x.idsR[:0]
-		for _, p := range x.payloadsR {
-			f, ids := bj.BatchPage(p)
-			x.blockR.AddPage(f)
-			x.idsR = append(x.idsR, ids)
-		}
-		x.blockS.Reset()
-		x.idsS = x.idsS[:0]
-		for _, p := range x.payloadsS {
-			f, ids := bj.BatchPage(p)
-			x.blockS.AddPage(f)
-			x.idsS = append(x.idsS, ids)
-		}
-		return len(x.cells), x.blockR.Rows() + x.blockS.Rows()
-	})
+	x.eng.Metrics.ClusterBatch(len(x.cells), x.pagesR.Rows()+x.pagesS.Rows())
 	for lo := 0; lo < len(x.cells); lo += taskCells {
 		hi := min(lo+taskCells, len(x.cells))
 		t := x.newRun()
-		t.th, t.br, t.bs = th, &x.blockR, &x.blockS
+		t.th, t.br, t.bs = th, &x.pagesR, &x.pagesS
 		t.cells = x.cells[lo:hi:hi]
 		t.idsR, t.idsS = x.idsR, x.idsS
 	}
@@ -326,17 +310,20 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 	return nil
 }
 
-// pinnedPayloads appends to dst the payloads of the given pinned pages of
-// file, in order.
-func (x *Exec) pinnedPayloads(dst []any, file disk.FileID, pages []int) ([]any, error) {
+// pinnedPages refills b with the flat blocks of the given pinned pages of
+// file, in order, and appends their object IDs to ids.
+func (x *Exec) pinnedPages(b *kernel.ClusterBlock, ids [][]int, file disk.FileID, pages []int) ([][]int, error) {
+	b.Reset()
 	for _, p := range pages {
 		pg, err := x.Pool.Pinned(disk.PageAddr{File: file, Page: p})
 		if err != nil {
-			return dst, err
+			return ids, err
 		}
-		dst = append(dst, pg.Payload)
+		f, pageIDs := flatPage(pg.Payload)
+		b.AddPage(f)
+		ids = append(ids, pageIDs)
 	}
-	return dst, nil
+	return ids, nil
 }
 
 // Flush ships the open run, waits for every shipped run and merges their

@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pmjoin/internal/geom"
 	"pmjoin/internal/kernel"
@@ -21,10 +20,10 @@ type ObjectJoiner interface {
 }
 
 // BatchJoiner is an ObjectJoiner whose JoinPages can be hoisted to
-// whole-cluster block evaluation (Exec.JoinCluster). The contract: batch
-// evaluation of a cluster's marked page pairs yields results, comparison
-// counts and modeled CPU cost bit-identical to a JoinPages loop over the same
-// pairs in the same order.
+// whole-cluster block evaluation (Exec.JoinCluster) over the flat blocks of
+// its pages (flatPage). The contract: batch evaluation of a cluster's marked
+// page pairs yields results, comparison counts and modeled CPU cost
+// bit-identical to a JoinPages loop over the same pairs in the same order.
 type BatchJoiner interface {
 	ObjectJoiner
 	// BatchKernel reports whether this joiner configuration is batchable
@@ -32,8 +31,18 @@ type BatchJoiner interface {
 	// per-pair path carries id-dependent logic (self joins) or no float
 	// kernel at all return false.
 	BatchKernel() (kernel.Threshold, bool)
-	// BatchPage extracts a page payload's flat block and object IDs.
-	BatchPage(payload any) (*kernel.FlatPage, []int)
+}
+
+// flatPage returns a vector or series page payload's flat block and object
+// IDs: row i of the block is object ids[i].
+func flatPage(payload any) (*kernel.FlatPage, []int) {
+	switch p := payload.(type) {
+	case *VectorPage:
+		return p.flat, p.IDs
+	case *SeriesPage:
+		return p.flat, p.IDs
+	}
+	panic(fmt.Sprintf("join: no flat block in a %T payload", payload))
 }
 
 // Base modeled CPU costs. Calibrated against the paper's platform (a 400 MHz
@@ -46,22 +55,41 @@ const (
 )
 
 // VectorPage is the payload of a point/spatial data page: parallel slices of
-// object IDs and their vectors.
+// object IDs and their vectors, the vectors being the rows of the page's flat
+// block. Build one with NewVectorPage or VectorPageOf.
 type VectorPage struct {
 	IDs  []int
 	Vecs []geom.Vector
 
-	flat atomic.Pointer[kernel.FlatPage]
+	flat *kernel.FlatPage
 }
 
 // NewVectorPage returns the page whose object ids[i] is row i of f: Vecs are
-// views of f's rows and f is the page's flat block from the start, so the
-// kernels never build one. The page takes ownership of ids and f; neither
-// may be modified afterwards.
+// views of f's rows and f is the page's flat block, which the kernels read in
+// place. The page takes ownership of ids and f; neither may be modified
+// afterwards.
 func NewVectorPage(ids []int, f *kernel.FlatPage) *VectorPage {
-	p := &VectorPage{IDs: ids, Vecs: flatRows[geom.Vector](len(ids), f)}
-	p.flat.Store(f)
-	return p
+	return &VectorPage{IDs: ids, Vecs: flatRows[geom.Vector](len(ids), f), flat: f}
+}
+
+// VectorPageOf returns the page whose object ids[i] is vecs[i], copying the
+// vectors into a new flat block (see NewVectorPage). Every vector must have
+// the first one's dimensionality.
+func VectorPageOf(ids []int, vecs []geom.Vector) *VectorPage {
+	return NewVectorPage(ids, flatten(vecs))
+}
+
+// flatten copies rows into a new flat block.
+func flatten[V ~[]float64](rows []V) *kernel.FlatPage {
+	dim := 0
+	if len(rows) > 0 {
+		dim = len(rows[0])
+	}
+	f := kernel.NewFlatPage(dim, len(rows))
+	for _, row := range rows {
+		f.AppendRow(row)
+	}
+	return f
 }
 
 // flatRows returns the rows of f as views of its block, panicking unless f
@@ -78,24 +106,8 @@ func flatRows[V ~[]float64](n int, f *kernel.FlatPage) []V {
 }
 
 // Flat returns the page's points as one contiguous row-major block for the
-// kernels: the block the page was built over (NewVectorPage), or one built
-// from Vecs on first use. Safe for concurrent callers: a lost CAS race just
-// discards a duplicate build.
-func (p *VectorPage) Flat() *kernel.FlatPage {
-	if f := p.flat.Load(); f != nil {
-		return f
-	}
-	dim := 0
-	if len(p.Vecs) > 0 {
-		dim = len(p.Vecs[0])
-	}
-	f := kernel.NewFlatPage(dim, len(p.Vecs))
-	for _, v := range p.Vecs {
-		f.AppendRow(v)
-	}
-	p.flat.CompareAndSwap(nil, f)
-	return p.flat.Load()
-}
+// kernels: the block the page was built over.
+func (p *VectorPage) Flat() *kernel.FlatPage { return p.flat }
 
 // hitsPool recycles the scratch index buffers the batched kernel paths
 // append hits into, keeping the hot path allocation-free across page pairs.
@@ -183,23 +195,15 @@ func (j VectorJoiner) BatchKernel() (kernel.Threshold, bool) {
 	return j.threshold(), true
 }
 
-// BatchPage implements BatchJoiner.
-func (j VectorJoiner) BatchPage(payload any) (*kernel.FlatPage, []int) {
-	p, ok := payload.(*VectorPage)
-	if !ok {
-		panic(fmt.Sprintf("join: VectorJoiner got %T", payload))
-	}
-	return p.Flat(), p.IDs
-}
-
 // SeriesPage is the payload of a time-series data page: a run of consecutive
-// subsequence windows of one or more series.
+// subsequence windows of one or more series, the windows being the rows of
+// the page's flat block. Build one with NewSeriesPage or SeriesPageOf.
 type SeriesPage struct {
 	IDs     []int       // global window ids (position order)
 	Starts  []int       // absolute start offsets within the flattened data
 	Windows [][]float64 // raw windows, each of the join's window length
 
-	flat atomic.Pointer[kernel.FlatPage]
+	flat *kernel.FlatPage
 }
 
 // NewSeriesPage returns the page whose window ids[i], starting at starts[i],
@@ -208,28 +212,19 @@ func NewSeriesPage(ids, starts []int, f *kernel.FlatPage) *SeriesPage {
 	if len(starts) != len(ids) {
 		panic(fmt.Sprintf("join: %d starts for %d windows", len(starts), len(ids)))
 	}
-	p := &SeriesPage{IDs: ids, Starts: starts, Windows: flatRows[[]float64](len(ids), f)}
-	p.flat.Store(f)
-	return p
+	return &SeriesPage{IDs: ids, Starts: starts, Windows: flatRows[[]float64](len(ids), f), flat: f}
+}
+
+// SeriesPageOf returns the page whose window ids[i], starting at starts[i],
+// is windows[i], copying the windows into a new flat block (see
+// VectorPageOf).
+func SeriesPageOf(ids, starts []int, windows [][]float64) *SeriesPage {
+	return NewSeriesPage(ids, starts, flatten(windows))
 }
 
 // Flat returns the page's windows as one contiguous row-major block for the
-// batched kernels (see VectorPage.Flat).
-func (p *SeriesPage) Flat() *kernel.FlatPage {
-	if f := p.flat.Load(); f != nil {
-		return f
-	}
-	w := 0
-	if len(p.Windows) > 0 {
-		w = len(p.Windows[0])
-	}
-	f := kernel.NewFlatPage(w, len(p.Windows))
-	for _, win := range p.Windows {
-		f.AppendRow(win)
-	}
-	p.flat.CompareAndSwap(nil, f)
-	return p.flat.Load()
-}
+// kernels (see VectorPage.Flat).
+func (p *SeriesPage) Flat() *kernel.FlatPage { return p.flat }
 
 // SeriesJoiner joins time-series windows under L2 with threshold Eps, through
 // internal/kernel's exact squared-L2 test.
@@ -294,15 +289,6 @@ func (j SeriesJoiner) BatchKernel() (kernel.Threshold, bool) {
 		return kernel.Threshold{}, false
 	}
 	return kernel.NewThresholdSq(j.Eps), true
-}
-
-// BatchPage implements BatchJoiner.
-func (j SeriesJoiner) BatchPage(payload any) (*kernel.FlatPage, []int) {
-	p, ok := payload.(*SeriesPage)
-	if !ok {
-		panic(fmt.Sprintf("join: SeriesJoiner got %T", payload))
-	}
-	return p.Flat(), p.IDs
 }
 
 // StringPage is the payload of a string data page: a run of consecutive

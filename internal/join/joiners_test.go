@@ -7,7 +7,7 @@ import (
 )
 
 func vecPage(ids []int, vecs ...geom.Vector) *VectorPage {
-	return &VectorPage{IDs: ids, Vecs: vecs}
+	return VectorPageOf(ids, vecs)
 }
 
 func collectPairs() (func(int, int), *[][2]int) {
@@ -55,16 +55,8 @@ func TestVectorJoinerWrongPayloadPanics(t *testing.T) {
 }
 
 func TestSeriesJoinerBasic(t *testing.T) {
-	a := &SeriesPage{
-		IDs:     []int{0, 1},
-		Starts:  []int{0, 8},
-		Windows: [][]float64{{1, 2, 3}, {9, 9, 9}},
-	}
-	b := &SeriesPage{
-		IDs:     []int{10},
-		Starts:  []int{80},
-		Windows: [][]float64{{1, 2, 3.4}},
-	}
+	a := SeriesPageOf([]int{0, 1}, []int{0, 8}, [][]float64{{1, 2, 3}, {9, 9, 9}})
+	b := SeriesPageOf([]int{10}, []int{80}, [][]float64{{1, 2, 3.4}})
 	j := SeriesJoiner{Eps: 0.5}
 	emit, pairs := collectPairs()
 	comps, cpu := j.JoinPages(a, b, emit)
@@ -79,11 +71,7 @@ func TestSeriesJoinerBasic(t *testing.T) {
 func TestSeriesJoinerSelfOverlapExclusion(t *testing.T) {
 	// Two overlapping windows of the same series: identical content but
 	// starts 4 apart; with ExcludeOverlap 8 they must be skipped.
-	p := &SeriesPage{
-		IDs:     []int{0, 1},
-		Starts:  []int{0, 4},
-		Windows: [][]float64{{1, 1, 1}, {1, 1, 1}},
-	}
+	p := SeriesPageOf([]int{0, 1}, []int{0, 4}, [][]float64{{1, 1, 1}, {1, 1, 1}})
 	j := SeriesJoiner{Eps: 1, Self: true, ExcludeOverlap: 8}
 	emit, pairs := collectPairs()
 	j.JoinPages(p, p, emit)

@@ -165,12 +165,13 @@ func randRows(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 func randVectorPage(rng *rand.Rand, firstID, n, dim int) *VectorPage {
-	p := &VectorPage{}
+	var ids []int
+	var vecs []geom.Vector
 	for i, r := range randRows(rng, n, dim) {
-		p.IDs = append(p.IDs, firstID+i)
-		p.Vecs = append(p.Vecs, r)
+		ids = append(ids, firstID+i)
+		vecs = append(vecs, r)
 	}
-	return p
+	return VectorPageOf(ids, vecs)
 }
 
 // stringPage cuts the windows firstID … firstID+n−1 of length w at stride
@@ -189,13 +190,12 @@ func stringPage(seq []byte, alpha *seqdist.Alphabet, firstID, n, w, stride int) 
 
 // randSeriesPage draws n windows of length w whose starts advance by stride.
 func randSeriesPage(rng *rand.Rand, firstID, n, w, stride int) *SeriesPage {
-	p := &SeriesPage{}
-	for i, r := range randRows(rng, n, w) {
-		p.IDs = append(p.IDs, firstID+i)
-		p.Starts = append(p.Starts, (firstID+i)*stride)
-		p.Windows = append(p.Windows, r)
+	var ids, starts []int
+	for i := range n {
+		ids = append(ids, firstID+i)
+		starts = append(starts, (firstID+i)*stride)
 	}
-	return p
+	return SeriesPageOf(ids, starts, randRows(rng, n, w))
 }
 
 // epsLadder returns the thresholds every differential case runs at: zero,
@@ -219,7 +219,9 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 		for _, dim := range []int{3, 8} {
 			pa := randVectorPage(rng, 0, 40, dim)
 			pb := randVectorPage(rng, 20, 50, dim) // IDs overlap a's, so Self skips some
-			copy(pb.Vecs[:5], pa.Vecs[:5])
+			for i, v := range pa.Vecs[:5] {
+				copy(pb.Vecs[i], v)
+			}
 			var dists []float64
 			for _, va := range pa.Vecs {
 				for _, vb := range pb.Vecs[5:] {
@@ -246,7 +248,9 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 	const w, stride = 16, 4
 	sa := randSeriesPage(rng, 0, 40, w, stride)
 	sb := randSeriesPage(rng, 20, 50, w, stride)
-	copy(sb.Windows[10:15], sa.Windows[:5]) // duplicates outside the overlap exclusion
+	for i, win := range sa.Windows[:5] {
+		copy(sb.Windows[10+i], win) // duplicates outside the overlap exclusion
+	}
 	var dists []float64
 	for _, wa := range sa.Windows {
 		for _, wb := range sb.Windows[15:] {

@@ -11,10 +11,9 @@ import (
 )
 
 // ownsFlat reports whether the page's rows are views of its flat block, that
-// is, whether the page was built over the block (join.NewVectorPage) rather
-// than given one later: a block built lazily from the rows is a copy of them.
+// is, whether the page was built over the block (join.NewVectorPage).
 func ownsFlat(p *join.VectorPage) bool {
-	f, _ := join.VectorJoiner{}.BatchPage(p)
+	f := p.Flat()
 	return len(f.Data) > 0 && &f.Data[0] == &p.Vecs[0][0]
 }
 
@@ -23,8 +22,8 @@ func ownsFlat(p *join.VectorPage) bool {
 // neither the coordinator nor a worker ever flattens one. A page built the
 // way ingest builds it has its block before any join, and the simulator's
 // Get returns that same page; a page fetched from the file store has its
-// block too, as a view of the mapped record; and BatchPage hands out the
-// block without building one.
+// block too, as a view of the mapped record; and Flat hands out that
+// block.
 func TestPrefetchPrewarmsFlat(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
@@ -68,7 +67,7 @@ func TestPrefetchPrewarmsFlat(t *testing.T) {
 				t.Fatalf("store page %d: served from memory, not fetched", p)
 			}
 			if !ownsFlat(got) {
-				t.Fatalf("page %d (backend %T): BatchPage's block is not the one the rows view", p, backend)
+				t.Fatalf("page %d (backend %T): Flat's block is not the one the rows view", p, backend)
 			}
 		}
 	}

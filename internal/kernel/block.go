@@ -5,77 +5,59 @@ import (
 	"sync"
 )
 
-// ClusterBlock concatenates one cluster side's FlatPages into a single
-// row-major block with per-page row offsets. The clustered executor builds
-// one per side per cluster (from the pinned page set, reusing the block's
-// own storage across clusters) and evaluates every marked page pair of the
-// cluster against it in one BlockPairsWithin call, so the vector kernels
-// stream across page boundaries instead of restarting per pair.
+// ClusterBlock is one cluster side as the block kernel sees it: the list of
+// the side's FlatPages, in the order they were added, read in place. The
+// clustered executor fills one per side per cluster from the pinned pages'
+// own flat blocks (reusing the list across clusters) and evaluates every
+// marked page pair of the cluster against the two in one BlockPairsWithin
+// call. No row is copied: the pages must stay valid, and unmodified, until
+// the last call that reads the block returns.
 //
 // Empty pages occupy a page slot with zero rows; every non-empty page must
 // share one dimensionality, fixed by the first non-empty AddPage.
 type ClusterBlock struct {
-	dim  int       // -1 until the first non-empty page fixes it
-	offs []int     // per page, starting row; len = Pages()+1
-	data []float64 // concatenated rows, row-major with stride dim
+	pages []*FlatPage
+	rows  int // total rows across pages
+	dim   int // the non-empty pages' dimensionality; meaningful once rows > 0
 }
 
-// Reset clears the block for reuse, keeping its storage.
+// Reset clears the block for reuse, keeping its page list's storage and
+// dropping its page references.
 func (b *ClusterBlock) Reset() {
-	b.dim = -1
-	b.offs = append(b.offs[:0], 0)
-	b.data = b.data[:0]
+	clear(b.pages)
+	*b = ClusterBlock{pages: b.pages[:0]}
 }
 
-// AddPage appends one page's rows to the block and returns its page index.
-// It panics if a non-empty page disagrees with the block's dimensionality.
+// AddPage appends page f to the block and returns its page index. It panics
+// if a non-empty page disagrees with the block's dimensionality.
 func (b *ClusterBlock) AddPage(f *FlatPage) int {
-	if len(b.offs) == 0 {
-		b.Reset()
-	}
 	if f.N > 0 {
-		if b.dim < 0 {
+		if b.rows == 0 {
 			b.dim = f.Dim
 		} else if f.Dim != b.dim {
 			panic(fmt.Sprintf("kernel: page of dim %d in cluster block of dim %d", f.Dim, b.dim))
 		}
-		b.data = append(b.data, f.Data[:f.N*f.Dim]...)
+		b.rows += f.N
 	}
-	b.offs = append(b.offs, b.offs[len(b.offs)-1]+f.N)
-	return len(b.offs) - 2
+	b.pages = append(b.pages, f)
+	return len(b.pages) - 1
 }
 
 // Pages returns the number of pages added since the last Reset.
-func (b *ClusterBlock) Pages() int { return len(b.offs) - 1 }
+func (b *ClusterBlock) Pages() int { return len(b.pages) }
 
-// Rows returns the total row count of the block.
-func (b *ClusterBlock) Rows() int { return b.offs[len(b.offs)-1] }
+// Rows returns the total row count of the block's pages.
+func (b *ClusterBlock) Rows() int { return b.rows }
 
 // PageRows returns the row count of page p.
-func (b *ClusterBlock) PageRows(p int) int { return b.offs[p+1] - b.offs[p] }
+func (b *ClusterBlock) PageRows(p int) int { return b.pages[p].N }
 
 // Dim returns the block's row dimensionality (0 while every page is empty).
 func (b *ClusterBlock) Dim() int {
-	if b.dim < 0 {
+	if b.rows == 0 {
 		return 0
 	}
 	return b.dim
-}
-
-// Row returns global row r as a slice into the block.
-func (b *ClusterBlock) Row(r int) []float64 {
-	off := r * b.dim
-	return b.data[off : off+b.dim : off+b.dim]
-}
-
-// pageView returns page p of the block as a FlatPage aliasing the block's
-// storage, for the reference per-pair kernel.
-func (b *ClusterBlock) pageView(p int) FlatPage {
-	lo, hi := b.offs[p], b.offs[p+1]
-	if lo == hi {
-		return FlatPage{Dim: b.Dim()}
-	}
-	return FlatPage{Dim: b.dim, N: hi - lo, Data: b.data[lo*b.dim : hi*b.dim : hi*b.dim]}
 }
 
 // Cell is one marked (pageR, pageS) entry of a cluster, as page indices into
@@ -98,18 +80,19 @@ var cellHitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return 
 
 // BlockPairsWithin evaluates every marked cell of a cluster in one call,
 // appending a BlockHit for each (probe row i of cell.R, data row j of
-// cell.S) pair within the threshold and returning the extended slice.
+// cell.S) pair within the threshold and returning the extended slice. It
+// reads the cells' pages where they are.
 //
 // Hits are emitted grouped by cell in cells order, and within one cell by
 // (I ascending, J ascending) — exactly the order a per-pair loop over
 // PagePairWithin produces, which is what keeps the executor's Report and
-// pair stream bit-identical batch on vs. off. The hit decisions themselves
-// are identical to PagePairWithin's for every input: the vector path
-// re-associates sums differently (four probes per pass, streamed across
-// page boundaries), but any sum inside the reassocBand sliver is re-decided
-// by the same exact t.Within reference, so no decision can differ.
+// pair stream bit-identical to the per-cell fallback. The hit decisions
+// themselves are identical to PagePairWithin's for every input: the vector
+// path re-associates sums differently (four probes per pass), but any sum
+// inside the reassocBand sliver is re-decided by the same exact t.Within
+// reference, so no decision can differ.
 func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []BlockHit) []BlockHit {
-	if t.never || len(cells) == 0 || br.Rows() == 0 || bs.Rows() == 0 {
+	if t.never || len(cells) == 0 || br.rows == 0 || bs.rows == 0 {
 		return hits
 	}
 	dim := br.dim
@@ -119,19 +102,17 @@ func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []B
 	if useSIMD && dim >= blockDim && (t.p == 1 || t.p == 2) {
 		return blockPairsSumSIMD(t, br, bs, cells, hits)
 	}
-	// Reference path: the per-pair kernel over page views of the block. Every
-	// norm, dimensionality, and non-SIMD build routes here, so batch mode is
-	// per-pair-identical by construction outside the vector span path.
+	// Reference path: the per-pair kernel over each cell's two pages. Every
+	// norm, dimensionality, and non-SIMD build routes here, so it is
+	// per-pair-identical by construction.
 	ip := cellHitsPool.Get().(*[]int)
 	for ci, c := range cells {
-		view := bs.pageView(c.S)
-		nR := br.PageRows(c.R)
-		if nR == 0 || view.N == 0 {
+		pr, ps := br.pages[c.R], bs.pages[c.S]
+		if ps.N == 0 {
 			continue
 		}
-		rOff := br.offs[c.R]
-		for i := 0; i < nR; i++ {
-			*ip = PagePairWithin(t, br.Row(rOff+i), &view, (*ip)[:0])
+		for i := 0; i < pr.N; i++ {
+			*ip = PagePairWithin(t, pr.Row(i), ps, (*ip)[:0])
 			for _, j := range *ip {
 				hits = append(hits, BlockHit{Cell: int32(ci), I: int32(i), J: int32(j)})
 			}
@@ -141,19 +122,17 @@ func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []B
 	return hits
 }
 
-// blockPairsSumSIMD is the vector span path of BlockPairsWithin: consecutive
-// cells sharing one S page whose R pages are adjacent in the block (the
-// dominant layout — SC emits a cluster's entries column-major) form one run
-// whose probe rows are contiguous across page boundaries, and the row-sum
-// kernels stream four probes per pass over the S page (l2Sums4Asm /
-// l1Sums4Asm share each data load across four accumulator sets). Probe rows
-// ascend through the run, so hits fall out cell-major with no reordering.
-// Classification is the same banded scheme as pagePairSumSIMD: certain-
-// within and certain-outside decide immediately, the band sliver re-runs
-// the exact sequential test. The kernels take the certain-outside bound hiB
-// as their early-abandon limit, so a data row whose first 8 coordinates
-// already put every probe above it costs one block, and a probe group with
-// no row left below it skips classification altogether.
+// blockPairsSumSIMD is the vector path of BlockPairsWithin: cell by cell, the
+// row-sum kernels stream the R page's probe rows over the S page, four probes
+// per pass (l2Sums4Asm / l1Sums4Asm share each data load across four
+// accumulator sets) and the R page's last nR mod 4 rows one at a time. Probe
+// rows ascend through the cell, so hits fall out cell-major with no
+// reordering. Classification is the same banded scheme as pagePairSumSIMD:
+// certain-within and certain-outside decide immediately, the band sliver
+// re-runs the exact sequential test. The kernels take the certain-outside
+// bound hiB as their early-abandon limit, so a data row whose first 8
+// coordinates already put every probe above it costs one block, and a probe
+// group with no row left below it skips classification altogether.
 func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []BlockHit) []BlockHit {
 	dim := br.dim
 	band := reassocBand(dim)
@@ -163,32 +142,23 @@ func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []
 	quad := dim%4 == 0 // the 4-probe kernels handle dim in whole vector lanes
 	sp := sumsPool.Get().(*[]float64)
 	sums := *sp
-	for start := 0; start < len(cells); {
-		end := start + 1
-		cs := cells[start].S
-		for end < len(cells) && cells[end].S == cs && cells[end].R == cells[end-1].R+1 {
-			end++
-		}
-		nS := bs.PageRows(cs)
-		pLo := br.offs[cells[start].R]
-		pHi := br.offs[cells[end-1].R+1]
-		if nS == 0 || pLo == pHi {
-			start = end
+	for ci, c := range cells {
+		pr, ps := br.pages[c.R], bs.pages[c.S]
+		nR, nS := pr.N, ps.N
+		if nR == 0 || nS == 0 {
 			continue
 		}
-		sLo := bs.offs[cs]
-		data := bs.data[sLo*dim : (sLo+nS)*dim : (sLo+nS)*dim]
-		ci := start // classification cell cursor, monotone over the run
-		for p, g := pLo, 0; p < pHi; p += g {
+		data := ps.Data[: nS*dim : nS*dim]
+		for p, g := 0, 0; p < nR; p += g {
 			g = 1 // probe rows in this kernel call
-			if quad && p+4 <= pHi {
+			if quad && p+4 <= nR {
 				g = 4
 			}
 			if cap(sums) < g*nS {
 				sums = make([]float64, g*nS)
 			}
 			sums = sums[:g*nS]
-			probes := br.data[p*dim : (p+g)*dim : (p+g)*dim]
+			probes := pr.Data[p*dim : (p+g)*dim : (p+g)*dim]
 			var live int // data rows with a sum not > hiB
 			switch {
 			case g == 4 && l1:
@@ -204,24 +174,18 @@ func blockPairsSumSIMD(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []
 				continue // every pair of the group is certainly outside
 			}
 			for q := 0; q < g; q++ {
-				row := p + q
-				for row >= br.offs[cells[ci].R+1] {
-					ci++ // empty or exhausted R page: advance to the probe's cell
-				}
-				cell := int32(ci)
-				iLoc := int32(row - br.offs[cells[ci].R])
-				probe := br.data[row*dim : (row+1)*dim : (row+1)*dim]
+				i := p + q
+				probe := pr.Row(i)
 				for k := 0; k < nS; k++ {
 					s := sums[g*k+q]
 					if s <= loB {
-						hits = append(hits, BlockHit{cell, iLoc, int32(k)})
-					} else if !(s > hiB) && t.Within(probe, bs.Row(sLo+k)) {
-						hits = append(hits, BlockHit{cell, iLoc, int32(k)})
+						hits = append(hits, BlockHit{int32(ci), int32(i), int32(k)})
+					} else if !(s > hiB) && t.Within(probe, ps.Row(k)) {
+						hits = append(hits, BlockHit{int32(ci), int32(i), int32(k)})
 					}
 				}
 			}
 		}
-		start = end
 	}
 	*sp = sums
 	sumsPool.Put(sp)

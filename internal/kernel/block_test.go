@@ -10,10 +10,9 @@ import (
 	"pmjoin/internal/geom"
 )
 
-// buildBlock flattens pages into a ClusterBlock and returns both.
+// buildBlock returns a ClusterBlock over pages.
 func buildBlock(pages []*FlatPage) *ClusterBlock {
 	b := &ClusterBlock{}
-	b.Reset()
 	for _, p := range pages {
 		b.AddPage(p)
 	}
@@ -120,10 +119,13 @@ func TestBlockPairsWithinMatchesPagePair(t *testing.T) {
 	}
 }
 
-// TestClusterBlockLayout checks offsets, reuse, and empty-page handling.
+// TestClusterBlockLayout checks page indices, row counts, reuse and
+// empty-page handling, and that the block holds the added pages themselves:
+// each slot is the page that was added, its rows live in that page's own
+// backing array, and a row written into a page after AddPage is the row the
+// kernel reads. A block that copied rows would fail the last check.
 func TestClusterBlockLayout(t *testing.T) {
 	b := &ClusterBlock{}
-	b.Reset()
 	if b.Pages() != 0 || b.Rows() != 0 || b.Dim() != 0 {
 		t.Fatalf("fresh block: pages %d rows %d dim %d", b.Pages(), b.Rows(), b.Dim())
 	}
@@ -149,12 +151,35 @@ func TestClusterBlockLayout(t *testing.T) {
 			t.Fatalf("page %d rows %d, want %d", i, got, want)
 		}
 	}
-	if row := b.Row(2); row[0] != 7 || row[2] != 9 {
-		t.Fatalf("row 2 = %v", row)
+	for i, want := range []*FlatPage{empty, p0, empty, p1} {
+		got := b.pages[i]
+		if got != want {
+			t.Fatalf("page slot %d holds %p, want the added page %p", i, got, want)
+		}
+		if want.N > 0 && &got.Data[0] != &want.Data[0] {
+			t.Fatalf("page slot %d: rows are not the added page's backing array", i)
+		}
 	}
+
+	// The kernel reads the pages in place: move p0's row 1 onto p1's only
+	// row after both were added, and the cell (p0, p1) must find the pair.
+	th := NewThresholdSq(0.5)
+	cells := []Cell{{R: 1, S: 3}}
+	if hits := BlockPairsWithin(&th, b, b, cells, nil); len(hits) != 0 {
+		t.Fatalf("hits before the write: %v", hits)
+	}
+	copy(p0.Row(1), p1.Row(0))
+	want := []BlockHit{{Cell: 0, I: 1, J: 0}}
+	if hits := BlockPairsWithin(&th, b, b, cells, nil); !slices.Equal(hits, want) {
+		t.Fatalf("hits after writing a page row: %v, want %v (the block copied the rows)", hits, want)
+	}
+
 	b.Reset()
-	if b.Pages() != 0 || b.Dim() != 0 {
-		t.Fatalf("after reset: pages %d dim %d", b.Pages(), b.Dim())
+	if b.Pages() != 0 || b.Rows() != 0 || b.Dim() != 0 {
+		t.Fatalf("after reset: pages %d rows %d dim %d", b.Pages(), b.Rows(), b.Dim())
+	}
+	if b.AddPage(p1) != 0 || b.Rows() != 1 {
+		t.Fatalf("reused block: pages %d rows %d", b.Pages(), b.Rows())
 	}
 }
 
@@ -379,18 +404,33 @@ func BenchmarkBlockPairsDim64(b *testing.B)   { benchmarkBlockVsLoop(b, 64, true
 func BenchmarkPagePairLoopDim64(b *testing.B) { benchmarkBlockVsLoop(b, 64, false) }
 
 // BenchmarkBlockPairsLandsat times one cluster at the landsat_sim shape: 50
-// R and 50 S pages of eight 60-d Landsat rows, every cell marked in
-// column-major order, at the benchmark's ε. As in the benchmark's data, one
-// S row in 50 is an R row moved by less than ε/32, so the join has a few
-// results and almost every other pair is out of range within the first
-// coordinates: the kernel's early abandon decides the time.
+// R and 50 S pages of 60-d Landsat rows, every cell marked in column-major
+// order, at the benchmark's ε. The pages have the workload's fill: at seed 1
+// STR leaves 1 665 of each side's 5 761 landsat pages with a single vector
+// and the rest with 8, so each page here holds one row with that frequency
+// and 8 otherwise. As in the benchmark's data, one S row in 50 is an R row
+// moved by less than ε/32, so the join has a few results and almost every
+// other pair is out of range within the first coordinates: the kernel's
+// early abandon decides the time.
 func BenchmarkBlockPairsLandsat(b *testing.B) {
-	const dim, rowsPerPage, pages, eps = 60, 8, 50, 0.0155736
-	vecs := dataset.Landsat(2*pages*rowsPerPage, dim, 3)
+	const dim, pages, eps = 60, 50, 0.0155736
 	rng := rand.New(rand.NewSource(3))
+	fill := make([]int, 2*pages) // R pages, then S pages
+	rowsR, rows := 0, 0
+	for i := range fill {
+		fill[i] = 8
+		if rng.Intn(5761) < 1665 {
+			fill[i] = 1
+		}
+		rows += fill[i]
+		if i < pages {
+			rowsR = rows
+		}
+	}
+	vecs := dataset.Landsat(rows, dim, 3)
 	amp := eps / 32 / math.Sqrt(dim)
-	for j := pages * rowsPerPage; j < len(vecs); j += 50 {
-		src := vecs[rng.Intn(pages*rowsPerPage)]
+	for j := rowsR; j < len(vecs); j += 50 {
+		src := vecs[rng.Intn(rowsR)]
 		v := make(geom.Vector, dim)
 		for d := range v {
 			v[d] = src[d] + (2*rng.Float64()-1)*amp
@@ -398,11 +438,12 @@ func BenchmarkBlockPairsLandsat(b *testing.B) {
 		vecs[j] = v
 	}
 	var pagesR, pagesS []*FlatPage
-	for i := 0; i < 2*pages; i++ {
-		p := NewFlatPage(dim, rowsPerPage)
-		for _, v := range vecs[i*rowsPerPage : (i+1)*rowsPerPage] {
+	for i, n := range fill {
+		p := NewFlatPage(dim, n)
+		for _, v := range vecs[:n] {
 			p.AppendRow(v)
 		}
+		vecs = vecs[n:]
 		if i < pages {
 			pagesR = append(pagesR, p)
 		} else {
@@ -419,14 +460,16 @@ func BenchmarkBlockPairsLandsat(b *testing.B) {
 	th := NewThresholdSq(eps)
 	// Check the hit stream at the timed ε and at 30 ε, where about 3 % of
 	// the pairs are within range and many more rows run to their end.
+	var comps int64
 	for _, check := range []Threshold{th, NewThresholdSq(30 * eps)} {
-		want, _ := refBlockHits(&check, pagesR, pagesS, cells)
+		want, n := refBlockHits(&check, pagesR, pagesS, cells)
 		if got := BlockPairsWithin(&check, br, bs, cells, nil); !slices.Equal(got, want) {
 			b.Fatalf("BlockPairsWithin gives %d hits, the per-pair loop %d, or they differ in order", len(got), len(want))
 		}
+		comps = n
 	}
 	var hits []BlockHit
-	b.SetBytes(int64(len(cells)) * rowsPerPage * rowsPerPage * dim * 8)
+	b.SetBytes(comps * dim * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hits = BlockPairsWithin(&th, br, bs, cells, hits[:0])

@@ -12,8 +12,8 @@ import (
 // point i occupies Data[i*Dim : (i+1)*Dim]. Batch kernels walk it linearly
 // instead of pointer-chasing a []geom.Vector, so the inner loop stays in one
 // stream of cache lines. A page gets its FlatPage once — built with it at
-// ingest, viewed in place by the file store, or built lazily on first use —
-// and reuses it for every probe.
+// ingest, or viewed in place by the file store — and reuses it for every
+// probe.
 type FlatPage struct {
 	Dim  int
 	N    int

@@ -110,7 +110,10 @@ func fuzzCheckPair(t *testing.T, norms []geom.Norm, a, b geom.Vector, eps float6
 // and off. Dim 60 is the landsat width (fifteen 4-wide lanes: the 4-probe
 // kernels end on a 4-coordinate tail); shape's top bit zeroes every row's
 // first 8 coordinates, so the vector kernels' early-abandon checkpoint after
-// them cannot fire and the later coordinates decide.
+// them cannot fire and the later coordinates decide. Shape bit 0x40 builds
+// the landsat page fill instead: a run of 1-row R pages, with one 8-row page
+// among them, against an 8-row S page, so 4-probe groups meet page
+// boundaries and 1-row pages.
 func FuzzBlockVsPagePair(f *testing.F) {
 	f.Add(0.0, 0.0, 3.0, 4.0, 5.0, uint8(1), uint8(0))
 	f.Add(0.5, -0.5, 0.25, -0.25, 0.75, uint8(2), uint8(3))
@@ -120,6 +123,9 @@ func FuzzBlockVsPagePair(f *testing.F) {
 	f.Add(0.5, -0.5, 0.25, -0.25, 0.75, uint8(4), uint8(0x81))
 	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(3))
 	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(0x83))
+	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(0x41))
+	f.Add(0.5, -0.5, 0.25, -0.25, 0.75, uint8(1), uint8(0x40))
+	f.Add(0.1, 0.2, 0.3, 0.4, 2.0, uint8(5), uint8(0xc3))
 
 	norms := []geom.Norm{geom.L1, geom.L2, geom.LInf, {P: 3}}
 	dims := []int{2, 8, 16, 19, 12, 60}
@@ -151,20 +157,29 @@ func FuzzBlockVsPagePair(f *testing.F) {
 			mkPage(int(shape>>2)%4, 4), // possibly empty
 			mkPage(6, 5),
 		}
-		br := &ClusterBlock{}
-		br.Reset()
-		bs := &ClusterBlock{}
-		bs.Reset()
+		// Column-major runs plus scattered repeats; shape varies the list.
+		cells := []Cell{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 2}, {2, 2}}
+		if shape&0x40 != 0 {
+			pagesR = nil
+			for i, n := range []int{1, 1, 1, 8, 1, 1, 1} {
+				pagesR = append(pagesR, mkPage(n, 6+i))
+			}
+			pagesS[0] = mkPage(8, 3)
+			cells = cells[:0]
+			for r := range pagesR {
+				cells = append(cells, Cell{r, 0})
+			}
+			cells = append(cells, Cell{0, 1}, Cell{3, 2}, Cell{6, 2})
+		}
+		if shape&1 != 0 {
+			cells = append(cells, Cell{0, 0}, Cell{2, 1})
+		}
+		br, bs := &ClusterBlock{}, &ClusterBlock{}
 		for _, p := range pagesR {
 			br.AddPage(p)
 		}
 		for _, p := range pagesS {
 			bs.AddPage(p)
-		}
-		// Column-major runs plus scattered repeats; shape varies the list.
-		cells := []Cell{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 2}, {2, 2}}
-		if shape&1 != 0 {
-			cells = append(cells, Cell{0, 0}, Cell{2, 1})
 		}
 		saved := useSIMD
 		defer func() { useSIMD = saved }()

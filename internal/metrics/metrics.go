@@ -175,12 +175,10 @@ type ClusterStats struct {
 	Wall time.Duration
 	// BatchCells and BatchRows describe the cluster's batched kernel
 	// dispatch (zero when the per-pair path ran): marked cells evaluated in
-	// block tasks, and total flat-block rows across both sides.
+	// block tasks, and the rows of the pinned pages the kernel reads, both
+	// sides together.
 	BatchCells int
 	BatchRows  int
-	// BatchBuild is the wall time spent concatenating the cluster's flat
-	// blocks (not deterministic).
-	BatchBuild time.Duration
 }
 
 // Metrics is the snapshot a run produces: per-phase and total deltas,
@@ -453,25 +451,16 @@ func (c *Collector) ClusterPinned(pages int) {
 	c.clusters = append(c.clusters, cs)
 }
 
-// ClusterBatchBuild times one cluster's flat-block construction: build runs
-// either way (a nil collector adds nothing beyond the call) and returns the
-// cluster's batched cell and row counts, which are recorded on the open
-// cluster's entry together with the build's wall time. The clustered
-// executor routes its block-build timing through this hook so internal/join
-// stays free of wall clocks (the walltime lint rule).
-func (c *Collector) ClusterBatchBuild(build func() (cells, rows int)) {
+// ClusterBatch records the open cluster's batched kernel dispatch: its
+// marked cells and the rows of its pinned pages.
+func (c *Collector) ClusterBatch(cells, rows int) {
 	if c == nil {
-		build()
 		return
 	}
-	start := time.Now()
-	cells, rows := build()
-	d := time.Since(start)
 	if n := len(c.clusters); n > 0 && c.cluster >= 0 && c.clusters[n-1].Cluster == c.cluster {
 		cs := &c.clusters[n-1]
 		cs.BatchCells += cells
 		cs.BatchRows += rows
-		cs.BatchBuild += d
 	}
 }
 

@@ -29,12 +29,13 @@ func buildDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, n, leafCap, dim in
 	pages := tr.Pack()
 	f := d.CreateFile()
 	for _, pg := range pages {
-		payload := &join.VectorPage{}
+		var ids []int
+		var vs []geom.Vector
 		for _, it := range pg {
-			payload.IDs = append(payload.IDs, it.ID)
-			payload.Vecs = append(payload.Vecs, it.MBR.Min)
+			ids = append(ids, it.ID)
+			vs = append(vs, it.MBR.Min)
 		}
-		if _, err := d.AppendPage(f, payload); err != nil {
+		if _, err := d.AppendPage(f, join.VectorPageOf(ids, vs)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,22 +15,16 @@ import (
 // sampleVectorPage exercises negative IDs and every special float class the
 // format promises to round-trip bit-exactly.
 func sampleVectorPage() *join.VectorPage {
-	return &join.VectorPage{
-		IDs: []int{0, -7, 1 << 40},
-		Vecs: []geom.Vector{
-			{1.5, -2.25, 0},
-			{math.NaN(), math.Inf(1), math.Inf(-1)},
-			{math.Copysign(0, -1), 5e-324, math.MaxFloat64},
-		},
-	}
+	return join.VectorPageOf([]int{0, -7, 1 << 40}, []geom.Vector{
+		{1.5, -2.25, 0},
+		{math.NaN(), math.Inf(1), math.Inf(-1)},
+		{math.Copysign(0, -1), 5e-324, math.MaxFloat64},
+	})
 }
 
 func sampleSeriesPage() *join.SeriesPage {
-	return &join.SeriesPage{
-		IDs:     []int{3, 4},
-		Starts:  []int{0, -128},
-		Windows: [][]float64{{0.5, 1.5, 2.5}, {math.NaN(), math.Copysign(0, -1), -7}},
-	}
+	return join.SeriesPageOf([]int{3, 4}, []int{0, -128},
+		[][]float64{{0.5, 1.5, 2.5}, {math.NaN(), math.Copysign(0, -1), -7}})
 }
 
 func sampleStringPage() *join.StringPage {
@@ -151,7 +145,7 @@ func TestCodecRoundTripRawPayloads(t *testing.T) {
 
 func TestCodecRoundTripEmptyPages(t *testing.T) {
 	for _, payload := range []any{
-		&join.VectorPage{}, &join.SeriesPage{}, &join.StringPage{},
+		join.VectorPageOf(nil, nil), join.SeriesPageOf(nil, nil, nil), &join.StringPage{},
 		RawVectors{}, RawSeries{}, RawString{},
 	} {
 		roundTrip(t, payload)
@@ -167,6 +161,7 @@ func TestEncodeUnsupportedPayload(t *testing.T) {
 }
 
 func TestEncodeMismatchedPageSlices(t *testing.T) {
+	// Literals: the page constructors refuse these shapes.
 	cases := []any{
 		&join.VectorPage{IDs: []int{1, 2}, Vecs: []geom.Vector{{1}}},
 		&join.SeriesPage{IDs: []int{1}, Starts: []int{0, 1}, Windows: [][]float64{{1}}},
@@ -323,7 +318,7 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 	for _, payload := range []any{
 		sampleVectorPage(), sampleSeriesPage(), sampleStringPage(),
 		RawVectors{{1, 2, 3}}, RawSeries{4, 5}, RawString("seed"),
-		&join.VectorPage{}, &join.StringPage{},
+		join.VectorPageOf(nil, nil), &join.StringPage{},
 	} {
 		rec, err := EncodeRecord(payload)
 		if err != nil {
@@ -335,9 +330,9 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("PMJP"))
 	for _, payload := range []any{
-		&join.SeriesPage{},
-		&join.VectorPage{IDs: []int{5, 6}, Vecs: []geom.Vector{{}, {}}},
-		&join.SeriesPage{IDs: []int{1}, Starts: []int{9}, Windows: [][]float64{{-1, 2}}},
+		join.SeriesPageOf(nil, nil, nil),
+		join.VectorPageOf([]int{5, 6}, []geom.Vector{{}, {}}),
+		join.SeriesPageOf([]int{1}, []int{9}, [][]float64{{-1, 2}}),
 	} {
 		rec, err := EncodeRecord(payload)
 		if err != nil {

@@ -15,10 +15,7 @@ import (
 )
 
 func vecPage(base int) *join.VectorPage {
-	return &join.VectorPage{
-		IDs:  []int{base, base + 1},
-		Vecs: []geom.Vector{{float64(base), 1}, {float64(base) + 0.5, -2}},
-	}
+	return join.VectorPageOf([]int{base, base + 1}, []geom.Vector{{float64(base), 1}, {float64(base) + 0.5, -2}})
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -287,16 +284,17 @@ func TestSaveLoadData(t *testing.T) {
 
 // flatVecPage returns a rows×dim vector page with distinct coordinates.
 func flatVecPage(rows, dim int) *join.VectorPage {
-	p := &join.VectorPage{}
+	var ids []int
+	var vecs []geom.Vector
 	for i := 0; i < rows; i++ {
 		v := make(geom.Vector, dim)
 		for j := range v {
 			v[j] = float64(i*dim+j) / 7
 		}
-		p.IDs = append(p.IDs, 1000+i)
-		p.Vecs = append(p.Vecs, v)
+		ids = append(ids, 1000+i)
+		vecs = append(vecs, v)
 	}
-	return p
+	return join.VectorPageOf(ids, vecs)
 }
 
 // TestStoreRecordsAligned checks the invariant page views rest on: after any

@@ -56,11 +56,14 @@ type ExecStats struct {
 	// Block-kernel profile of the clustered executor (all zero for joiners
 	// with no batch kernel — self joins, strings — for unclustered methods, or
 	// when Options.Metrics is off — the counters ride the metrics snapshot):
-	// the number of clusters evaluated as block runs, their marked cells and
-	// concatenated block rows, and the wall time spent building the blocks.
-	BatchClusters  int
-	BatchCells     int
-	BatchRows      int
+	// the number of clusters evaluated as block runs, their marked cells, and
+	// the rows the kernel spans: the rows of each such cluster's pinned pages,
+	// both sides, summed over the clusters.
+	BatchClusters int
+	BatchCells    int
+	BatchRows     int
+	// BatchBuildWall is always 0: the kernel reads the pinned pages in place,
+	// so no block is built.
 	BatchBuildWall time.Duration
 	// Shards and ShardWorkers report sharded execution (0 when unsharded):
 	// the planned shard count and the concurrent shard workers. When sharded,
@@ -176,14 +179,19 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 	}
 
 	// Resolve the physical page source. StorageFile requires a store attached
-	// via UseFileStore.
+	// via UseFileStore and leases it for the whole run: the workers read its
+	// pages in place as views of its mapping, so the run holds the store read
+	// lock until it returns and CloseStore waits. The lock is taken once and
+	// the store passed down: a second RLock on this goroutine could deadlock
+	// behind a waiting CloseStore.
 	var backend disk.Backend
 	if opt.Storage == StorageFile {
-		st := s.fileStore()
-		if st == nil {
+		s.storeMu.RLock()
+		defer s.storeMu.RUnlock()
+		if s.store == nil {
 			return nil, fmt.Errorf("pmjoin: Options.Storage is file but no store is attached; call System.UseFileStore first")
 		}
-		backend = st
+		backend = s.store
 	}
 
 	eng := &join.Engine{
@@ -283,7 +291,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 				res.Exec.BatchClusters++
 				res.Exec.BatchCells += cs.BatchCells
 				res.Exec.BatchRows += cs.BatchRows
-				res.Exec.BatchBuildWall += cs.BatchBuild
 			}
 		}
 	}

@@ -107,6 +107,8 @@ type System struct {
 	// storeMu guards store, the optional file-backed page store attached by
 	// UseFileStore (nil = simulator-only). Once attached it also serves as
 	// the disk's write mirror, so later Add* calls land in its files too.
+	// A StorageFile join holds the read lock for its whole run (its lease on
+	// the store's mappings).
 	storeMu sync.RWMutex
 	store   *store.Store
 }
@@ -183,10 +185,10 @@ func (s *System) UseFileStore(dir string) error {
 }
 
 // CloseStore detaches and closes the file store attached by UseFileStore
-// (no-op when none is attached). Joins requesting StorageFile fail afterwards
-// until a store is attached again. Must not overlap with running joins: the
-// page payloads a file-backed join fetches alias the store's file mappings,
-// which stay valid until this call unmaps them.
+// (no-op when none is attached). The page payloads a file-backed join fetches
+// are views of the store's file mappings, so CloseStore first waits for every
+// running StorageFile join to return; joins requesting StorageFile that
+// start while it waits, or after it, fail until a store is attached again.
 func (s *System) CloseStore() error {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
@@ -209,13 +211,6 @@ func (s *System) DropStoreCaches() error {
 		return nil
 	}
 	return s.store.DropCaches()
-}
-
-// fileStore returns the attached store (nil when none).
-func (s *System) fileStore() *store.Store {
-	s.storeMu.RLock()
-	defer s.storeMu.RUnlock()
-	return s.store
 }
 
 // Dataset is a dataset materialized on the system's disk, ready to join.
@@ -409,11 +404,7 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 	file := s.d.CreateFile()
 	for p := 0; p < ix.NumPages(); p++ {
 		ids, starts, windows := ix.PageWindows(p)
-		f := kernel.NewFlatPage(ix.Config().Window, len(windows))
-		for _, w := range windows {
-			f.AppendRow(w)
-		}
-		if _, err := s.d.AppendPage(file, join.NewSeriesPage(ids, starts, f)); err != nil {
+		if _, err := s.d.AppendPage(file, join.SeriesPageOf(ids, starts, windows)); err != nil {
 			return nil, err
 		}
 	}

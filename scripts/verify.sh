@@ -41,7 +41,26 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + pair collection)"
+# contract PKG PATTERN runs the tests PATTERN selects in PKG under the race
+# detector. PATTERN is a |-separated list of test names (each, as in -run, a
+# regexp matched anywhere in the name), and every name must select at least
+# one test: a name in -run that matches nothing passes silently, so a renamed
+# or deleted contract test fails the gate here instead.
+contract() {
+  local pkg=$1 pattern=$2 listed name dead=()
+  listed=$(go test -list '.*' "$pkg" | grep '^Test')
+  IFS='|' read -ra names <<< "$pattern"
+  for name in "${names[@]}"; do
+    grep -Eq -- "$name" <<< "$listed" || dead+=("$name")
+  done
+  if ((${#dead[@]})); then
+    echo "verify: no test in $pkg matches contract name(s): ${dead[*]}" >&2
+    exit 1
+  fi
+  go test -race -run "$pattern" "$pkg"
+}
+
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant. Every clustered
@@ -57,10 +76,13 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # loops' pair stream, comparison counts and CPU-second bits. Collected pairs
 # keep the per-pair reference's order and Truncated flag at caps around a
 # pair-chunk boundary, sharded or not, and a warm result-heavy join allocates
-# little more than its exact-size pair slice.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce' .
-go test -race -run 'TestPinSet' ./internal/buffer
-go test -race -run 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference' ./internal/join
+# little more than its exact-size pair slice. The block kernel, reading the
+# pinned pages in place, must emit a per-pair PagePairWithin loop's hits in
+# its order, and the root's joins must not depend on which kernel ran.
+contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism'
+contract ./internal/buffer 'TestPinSet'
+contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference'
+contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;
