@@ -1,12 +1,13 @@
 // Command pmjoind serves pmjoin as a long-lived HTTP/JSON join service: one
-// shared System and simulated disk, a server-wide shared frame cache, an
-// admission controller bounding concurrent joins by buffer-frame budget, and
-// a plan cache for repeated Explain requests.
+// shared System and simulated disk, an admission controller bounding
+// concurrent joins by buffer-frame budget, and a plan cache for repeated
+// Explain requests. Each join reads through its own private buffer pool.
 //
 // Usage:
 //
-//	pmjoind [-addr :7744] [-shared-frames 4096] [-admit-frames 16384]
-//	        [-queue-depth 64] [-queue-timeout 5s] [-page-bytes 4096]
+//	pmjoind [-addr :7744] [-admit-frames 16384] [-queue-depth 64]
+//	        [-queue-timeout 5s] [-plan-cache 128] [-recent 64]
+//	        [-page-bytes 4096]
 //
 // Endpoints (see internal/joinsvc):
 //
@@ -45,9 +46,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7744", "listen address")
 	pageBytes := flag.Int("page-bytes", 0, "simulated disk page size (0 = default 4096)")
-	sharedFrames := flag.Int("shared-frames", 0, "shared frame cache capacity in pages (0 = default 4096, negative disables)")
-	poolShards := flag.Int("pool-shards", 0, "lock shards in the shared frame cache (0 = default 16)")
-	admitFrames := flag.Int("admit-frames", 0, "admission budget: total buffer frames joinable at once (0 = 4x shared-frames)")
+	admitFrames := flag.Int("admit-frames", 0, "admission budget: total buffer frames joinable at once (0 = default 16384)")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue length before 429 (0 = default 64)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "longest a join waits for admission (0 = default 5s)")
 	planCache := flag.Int("plan-cache", 0, "cached Explain plans (0 = default 128)")
@@ -56,8 +55,6 @@ func main() {
 
 	sys := pmjoin.NewSystem(pmjoin.DiskModel{PageBytes: *pageBytes})
 	srv, err := pmjoin.NewServer(sys, pmjoin.ServeOptions{
-		SharedFrames:     *sharedFrames,
-		PoolShards:       *poolShards,
 		AdmitFrames:      *admitFrames,
 		QueueDepth:       *queueDepth,
 		QueueTimeout:     *queueTimeout,
@@ -90,9 +87,8 @@ func main() {
 		}
 	})
 
-	so := srv.Options()
-	fmt.Printf("pmjoind: serving on %s (shared frames %d, admit budget %d frames)\n",
-		*addr, so.SharedFrames, so.AdmitFrames)
+	fmt.Printf("pmjoind: serving on %s (admit budget %d frames)\n",
+		*addr, srv.Options().AdmitFrames)
 	err = hs.ListenAndServe()
 	stop()
 	pool.Close()

@@ -39,21 +39,14 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// SharedHits counts misses whose page was resident in an attached
-	// SharedPool (see AttachShared): reads another in-flight run had already
-	// materialized. Purely observational — the miss is still charged to the
-	// run's own session, so Hits/Misses (and the Report) are identical with
-	// or without the shared pool. Always 0 when no shared pool is attached.
-	SharedHits int64
 }
 
 // Add returns the field-wise sum s + o.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
-		Hits:       s.Hits + o.Hits,
-		Misses:     s.Misses + o.Misses,
-		Evictions:  s.Evictions + o.Evictions,
-		SharedHits: s.SharedHits + o.SharedHits,
+		Hits:      s.Hits + o.Hits,
+		Misses:    s.Misses + o.Misses,
+		Evictions: s.Evictions + o.Evictions,
 	}
 }
 
@@ -61,10 +54,9 @@ func (s Stats) Add(o Stats) Stats {
 // two snapshots of one pool's counters.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Hits:       s.Hits - o.Hits,
-		Misses:     s.Misses - o.Misses,
-		Evictions:  s.Evictions - o.Evictions,
-		SharedHits: s.SharedHits - o.SharedHits,
+		Hits:      s.Hits - o.Hits,
+		Misses:    s.Misses - o.Misses,
+		Evictions: s.Evictions - o.Evictions,
 	}
 }
 
@@ -112,42 +104,8 @@ type Pool struct {
 	// (policy eviction, explicit Evict, Flush). It is a tracing hook (see
 	// internal/metrics) and runs on the goroutine driving the pool.
 	onEvict func(addr disk.PageAddr)
-	// shared, when non-nil, is the service-wide concurrent frame cache this
-	// run participates in (see AttachShared).
-	shared *SharedPool
 	// setFrames is PinSet's scratch: the frame of each page of the set.
 	setFrames []*frame
-}
-
-// AttachShared joins the pool to a service-wide SharedPool: every miss
-// consults it (counting Stats.SharedHits) and publishes the page it read,
-// and every local pin is mirrored as a shared pin so frames in use by this
-// run are never evicted from the shared cache. The simulated charges are
-// unchanged — the run's source is still read on every local miss, so its
-// Report is bit-identical to a run without the shared pool. Call Detach
-// when the run ends to release the mirrored pins; nil detaches immediately.
-func (p *Pool) AttachShared(sp *SharedPool) {
-	if sp == nil {
-		p.Detach()
-		return
-	}
-	p.shared = sp
-}
-
-// Detach releases every mirrored pin this pool still holds in the shared
-// pool and disconnects from it. Safe to call with no shared pool attached,
-// and idempotent — Engine.Run defers it so error paths (cancellation
-// included) cannot leak shared pins that would pin frames forever.
-func (p *Pool) Detach() {
-	if p.shared == nil {
-		return
-	}
-	for addr, f := range p.frames {
-		if f.pinned > 0 {
-			p.shared.Unpin(addr, f.pinned)
-		}
-	}
-	p.shared = nil
 }
 
 // SetOnEvict installs the eviction observer; nil removes it. The callback
@@ -210,7 +168,7 @@ func (p *Pool) get(addr disk.PageAddr, pin bool) (*disk.Page, error) {
 			p.touch(f)
 		}
 		if pin {
-			p.pin(f)
+			f.pinned++
 		}
 		return f.page, nil
 	}
@@ -236,7 +194,7 @@ func (p *Pool) PinSet(set []disk.PageAddr) error {
 		f := p.frames[a]
 		if f != nil {
 			p.stats.Hits++
-			p.pin(f)
+			f.pinned++
 			if p.policy == LRU {
 				// Gather the pins at the back, so the reads below find
 				// their victims at the front instead of scanning past them.
@@ -275,14 +233,6 @@ func (p *Pool) Pinned(addr disk.PageAddr) (*disk.Page, error) {
 	return f.page, nil
 }
 
-// pin adds one pin to a resident frame, mirrored into the shared pool.
-func (p *Pool) pin(f *frame) {
-	f.pinned++
-	if p.shared != nil {
-		p.shared.Pin(f.addr, f.page)
-	}
-}
-
 // load reads a non-resident page into a frame, evicting per the policy when
 // the pool is full, and pins it if asked.
 func (p *Pool) load(addr disk.PageAddr, pin bool) (*frame, error) {
@@ -298,16 +248,6 @@ func (p *Pool) load(addr disk.PageAddr, pin bool) (*frame, error) {
 			return nil, ErrBufferFull
 		}
 	}
-	if p.shared != nil {
-		// A shared-resident page is a hit in the service-wide cache: another
-		// run already materialized it. The session read below still happens —
-		// the simulated charge keeps this run's Report a pure function of its
-		// own access sequence — so the lookup only records the reuse (and
-		// bumps the frame's shared recency).
-		if _, ok := p.shared.Lookup(addr); ok {
-			p.stats.SharedHits++
-		}
-	}
 	pg, err := p.d.Read(addr)
 	if err != nil {
 		return nil, err
@@ -318,13 +258,6 @@ func (p *Pool) load(addr disk.PageAddr, pin bool) (*frame, error) {
 	f := p.admit(addr, pg)
 	if pin {
 		f.pinned++
-	}
-	if p.shared != nil {
-		if pin {
-			p.shared.Pin(addr, pg)
-		} else {
-			p.shared.Publish(addr, pg)
-		}
 	}
 	return f, nil
 }
@@ -366,18 +299,12 @@ func (p *Pool) Unpin(addr disk.PageAddr) error {
 		return fmt.Errorf("buffer: unpin of unpinned page %v", addr)
 	}
 	f.pinned--
-	if p.shared != nil {
-		p.shared.Unpin(addr, 1)
-	}
 	return nil
 }
 
 // UnpinAll drops every pin. Used between join phases.
 func (p *Pool) UnpinAll() {
 	for f := p.order.next; f != &p.order; f = f.next {
-		if f.pinned > 0 && p.shared != nil {
-			p.shared.Unpin(f.addr, f.pinned)
-		}
 		f.pinned = 0
 	}
 }

@@ -35,12 +35,6 @@ type Engine struct {
 	// hook is a nil-receiver no-op. Metrics never influence the Report —
 	// they are outside the determinism contract.
 	Metrics *metrics.Collector
-	// Shared, when non-nil, is an externally owned concurrent frame cache
-	// (the join service's hot state) the run's private pool participates in:
-	// misses consult and publish to it, pins are mirrored into its pinned-
-	// frame ledger. The Report is bit-identical with or without it — the
-	// run's session is charged the same either way (see buffer.SharedPool).
-	Shared *buffer.SharedPool
 	// Backend, when non-nil, is the physical page source behind the disk
 	// (internal/store.Store): page payloads are read from real files with
 	// measured latencies instead of served from memory. The Report is
@@ -85,12 +79,6 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Method: method}
-	if e.Shared != nil {
-		pool.AttachShared(e.Shared)
-		// Detach on every exit path (cancellation included) so this run's
-		// mirrored pins cannot outlive it and pin shared frames forever.
-		defer pool.Detach()
-	}
 	x := &Exec{IO: io, Pool: pool, Rep: rep, eng: e}
 	// Even on an error path (cancellation included), wait for in-flight
 	// tasks so no worker is left computing over the run's state.

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -247,9 +248,6 @@ type JoinResponse struct {
 	Shards       int  `json:"shards,omitempty"`
 	ShardWorkers int  `json:"shardWorkers,omitempty"`
 	Cancelled    bool `json:"cancelled,omitempty"`
-	// SharedHits counts this run's buffer misses that found the page already
-	// materialized in the server-wide shared frame cache.
-	SharedHits int64 `json:"sharedHits"`
 }
 
 func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -287,9 +285,6 @@ func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Shards:            res.Exec.Shards,
 		ShardWorkers:      res.Exec.ShardWorkers,
 		Cancelled:         res.Exec.Cancelled,
-	}
-	if res.Metrics != nil {
-		resp.SharedHits = res.Metrics.Buffer.SharedHits
 	}
 	s.reply(w, resp)
 }
@@ -334,19 +329,11 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("admission_queue_high_water", st.QueueHighWater)
 	p("plan_cache_hits_total", st.PlanHits)
 	p("plan_cache_misses_total", st.PlanMisses)
-	p("shared_pool_hits_total", st.Shared.Hits)
-	p("shared_pool_misses_total", st.Shared.Misses)
-	p("shared_pool_published_total", st.Shared.Published)
-	p("shared_pool_evictions_total", st.Shared.Evictions)
-	p("shared_pool_over_capacity_total", st.Shared.OverCapacity)
-	p("shared_pool_resident", st.Shared.Resident)
-	p("shared_pool_pinned", st.Shared.Pinned)
 	p("folded_runs_total", m.FoldedRuns)
 	p("folded_disk_reads_total", m.Disk.Reads)
 	p("folded_disk_seeks_total", m.Disk.Seeks)
 	p("folded_buffer_hits_total", m.Buffer.Hits)
 	p("folded_buffer_misses_total", m.Buffer.Misses)
-	p("folded_buffer_shared_hits_total", m.Buffer.SharedHits)
 	p("folded_wall_seconds_total", m.Wall.Seconds())
 	for ph, ps := range m.Phases {
 		fmt.Fprintf(w, "pmjoind_folded_phase_wall_seconds{phase=%q} %v\n",
@@ -385,14 +372,28 @@ func (s *Service) pair(w http.ResponseWriter, left, right string) (a, b *pmjoin.
 	return a, b, true
 }
 
+// maxBodyBytes bounds a request body; reading past it fails the request.
+const maxBodyBytes = 1 << 20
+
+// decode reads a POST body strictly: one JSON value of at most maxBodyBytes,
+// no unknown fields, and nothing but white space after it. Any other body is
+// a 400.
 func (s *Service) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("joinsvc: %s requires POST", r.URL.Path))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: bad request body: %w", err))
 		return false
 	}

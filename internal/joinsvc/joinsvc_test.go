@@ -16,7 +16,7 @@ import (
 func newTestService(t *testing.T) *Service {
 	t.Helper()
 	sys := pmjoin.NewSystem(pmjoin.DiskModel{PageBytes: 256})
-	srv, err := pmjoin.NewServer(sys, pmjoin.ServeOptions{SharedFrames: 256, PoolShards: 4})
+	srv, err := pmjoin.NewServer(sys, pmjoin.ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +163,20 @@ func TestErrorStatuses(t *testing.T) {
 			h.ServeHTTP(w, req)
 			return w
 		}, http.StatusBadRequest, ""},
+		{"data after the value", func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/join",
+				strings.NewReader(`{"left":"a","right":"a","options":{"method":"SC","epsilon":0.1,"bufferPages":16}}{"x":1}`))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusBadRequest, "after the JSON value"},
+		{"oversized body", func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/open",
+				strings.NewReader(`{"name":"big",`+strings.Repeat(" ", maxBodyBytes)+`"kind":"vector","n":10}`))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusBadRequest, "too large"},
 		// These options were removed with the knobs they set; a client still
 		// sending one must be told which field to drop.
 		{"removed kernelBatchOff option", func() *httptest.ResponseRecorder {
@@ -244,12 +258,15 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 		"pmjoind_joins_admitted_total 1",
 		"pmjoind_joins_completed_total 1",
 		"pmjoind_folded_runs_total 1",
-		"pmjoind_shared_pool_published_total",
 		"pmjoind_folded_phase_wall_seconds{phase=",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+
+	if strings.Contains(body, "shared") {
+		t.Errorf("metrics still carry a shared frame cache series:\n%s", body)
 	}
 
 	dw := get(t, h, "/debug/joins")

@@ -54,10 +54,10 @@ type Runner interface {
 // buffer pool (via Engine.Run), and executes the task's order unchanged.
 type LocalRunner struct {
 	// Engine is the execution environment every shard's engine copies: the
-	// shared disk, buffer size and policy, comparison pool, frame cache and
-	// backend. Each copy gets its own Ctx and pair collector. Shards may share
-	// the comparison pool: they only feed it tasks that never wait on a
-	// shard, so concurrent shards cannot deadlock. The template's Metrics
+	// shared disk, buffer size and policy, comparison pool and backend.
+	// Each copy gets its own Ctx and pair collector. Shards may share the
+	// comparison pool: they only feed it tasks that never wait on a shard,
+	// so concurrent shards cannot deadlock. The template's Metrics
 	// collector is used as is, which suits a one-shard run reporting on its
 	// caller's snapshot; with Metrics set, every shard gets a collector of its
 	// own.

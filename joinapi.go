@@ -137,17 +137,6 @@ func (s *System) Join(a, b *Dataset, opt Options) (*Result, error) {
 // simulated I/O to a private disk session, so its Report is identical to what
 // a solo run would produce.
 func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*Result, error) {
-	return s.joinContext(ctx, a, b, opt, nil)
-}
-
-// joinContext is the full join implementation. shared, when non-nil, is an
-// externally owned concurrent frame cache (the serving layer's): it is
-// attached to the run's buffer pool — and to every shard's pool when sharded —
-// so concurrent runs reuse each other's materialized frames. It is strictly
-// observational: every local pool miss still charges the run's private disk
-// session, so Report and Pairs are bit-identical with or without it (see
-// buffer.SharedPool).
-func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, shared *buffer.SharedPool) (*Result, error) {
 	if err := s.checkJoinable(a, b); err != nil {
 		return nil, err
 	}
@@ -201,7 +190,6 @@ func (s *System) joinContext(ctx context.Context, a, b *Dataset, opt Options, sh
 		Workers:    wp,
 		Ctx:        ctx,
 		Metrics:    mc,
-		Shared:     shared,
 		Backend:    backend,
 	}
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"pmjoin/internal/buffer"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/sflight"
@@ -23,19 +22,11 @@ var ErrOverloaded = errors.New("pmjoin: server overloaded")
 // ServeOptions configures a long-lived Server. The zero value of every field
 // selects its documented default; NewServer normalizes a copy.
 type ServeOptions struct {
-	// SharedFrames is the capacity (in pages) of the server-wide shared frame
-	// cache that concurrent joins populate and reuse (default 4096; see
-	// buffer.SharedPool). 0 picks the default; negative disables the shared
-	// cache entirely — runs then keep only their private pools.
-	SharedFrames int
-	// PoolShards is the shared cache's lock-shard count (default 16, rounded
-	// up to a power of two).
-	PoolShards int
 	// AdmitFrames is the admission budget: the total private buffer frames
 	// (Options.BufferPages, times concurrent shard workers when sharded) that
-	// admitted joins may hold at once (default 4 * SharedFrames). A single
-	// request costing more than the whole budget is admitted alone rather
-	// than rejected, so one big join cannot be starved by its own size.
+	// admitted joins may hold at once (default 16 384). A single request
+	// costing more than the whole budget is admitted alone rather than
+	// rejected, so one big join cannot be starved by its own size.
 	AdmitFrames int
 	// QueueDepth bounds how many requests may wait for admission; arrivals
 	// beyond it are rejected immediately with ErrOverloaded (default 64).
@@ -52,18 +43,8 @@ type ServeOptions struct {
 }
 
 func (o ServeOptions) withDefaults() ServeOptions {
-	if o.SharedFrames == 0 {
-		o.SharedFrames = 4096
-	}
-	if o.PoolShards <= 0 {
-		o.PoolShards = 16
-	}
 	if o.AdmitFrames <= 0 {
-		frames := o.SharedFrames
-		if frames < 0 {
-			frames = 4096
-		}
-		o.AdmitFrames = 4 * frames
+		o.AdmitFrames = 16384
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
@@ -129,27 +110,27 @@ type ServeStats struct {
 	// Plan cache.
 	PlanHits   int64
 	PlanMisses int64
-	// Shared frame cache (zero value when SharedFrames < 0).
-	Shared buffer.SharedStats
+	// Shared always reads 0: the server keeps no frame cache across runs,
+	// and each join reads through its own private buffer pool. The fields
+	// stay for source compatibility with callers that read them.
+	Shared struct{ Hits, Misses int64 }
 	// FoldedRuns is the number of per-request metrics snapshots folded into
 	// the cumulative service metrics (see Server.Metrics).
 	FoldedRuns int64
 }
 
-// Server wraps a System for long-lived concurrent serving: it owns the
-// shared frame cache every admitted join participates in, an admission
-// controller that bounds the total private buffer frames in flight, an
-// Explain-plan cache with single-flight population, and a request registry
-// for introspection. cmd/pmjoind exposes it over HTTP via internal/joinsvc;
-// it is equally usable in-process.
+// Server wraps a System for long-lived concurrent serving: it owns an
+// admission controller that bounds the total private buffer frames in
+// flight, an Explain-plan cache with single-flight population, and a request
+// registry for introspection. cmd/pmjoind exposes it over HTTP via
+// internal/joinsvc; it is equally usable in-process.
 //
 // The serving layer never touches the determinism contract: every admitted
 // join's Report and Pairs are bit-identical to a solo System.Join with the
-// same Options (the shared cache is observational; see buffer.SharedPool).
+// same Options, because each join runs in its own disk session and pool.
 type Server struct {
-	sys    *System
-	opt    ServeOptions
-	shared *buffer.SharedPool
+	sys *System
+	opt ServeOptions
 
 	admit *admitter
 
@@ -191,7 +172,7 @@ func NewServer(sys *System, opt ServeOptions) (*Server, error) {
 		return nil, fmt.Errorf("pmjoin: NewServer requires a System")
 	}
 	opt = opt.withDefaults()
-	sv := &Server{
+	return &Server{
 		sys:    sys,
 		opt:    opt,
 		plans:  make(map[planKey]*Plan),
@@ -201,15 +182,7 @@ func NewServer(sys *System, opt ServeOptions) (*Server, error) {
 			queueCap: opt.QueueDepth,
 			timeout:  opt.QueueTimeout,
 		},
-	}
-	if opt.SharedFrames > 0 {
-		sp, err := buffer.NewShared(opt.SharedFrames, opt.PoolShards)
-		if err != nil {
-			return nil, err
-		}
-		sv.shared = sp
-	}
-	return sv, nil
+	}, nil
 }
 
 // Options returns the normalized serving options.
@@ -238,11 +211,10 @@ func admissionCost(opt Options) int {
 
 // Join runs one admitted join. It validates opt, waits for admission budget
 // (up to QueueTimeout behind at most QueueDepth waiters), then executes
-// System.JoinContext with the server's shared frame cache attached. On
-// overload it returns an error matching ErrOverloaded without running.
-// Metrics collection is forced on so the run's snapshot can fold into the
-// cumulative service metrics; like everywhere else, collection never changes
-// Report or Pairs.
+// System.JoinContext. On overload it returns an error matching
+// ErrOverloaded without running. Metrics collection is forced on so the
+// run's snapshot can fold into the cumulative service metrics; like
+// everywhere else, collection never changes Report or Pairs.
 func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result, error) {
 	if err := sv.sys.checkJoinable(a, b); err != nil {
 		return nil, err
@@ -268,7 +240,7 @@ func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result
 	defer sv.admit.release(cost)
 	sv.update(st.ID, func(s *JoinStatus) { s.State = StateRunning })
 
-	res, err := sv.sys.joinContext(ctx, a, b, opt, sv.shared)
+	res, err := sv.sys.JoinContext(ctx, a, b, opt)
 	sv.finish(st.ID, func(s *JoinStatus) {
 		if err != nil {
 			s.State = StateFailed
@@ -359,9 +331,6 @@ func (sv *Server) Stats() ServeStats {
 	out.Completed, out.Failed = sv.completed, sv.failed
 	out.FoldedRuns = sv.folded.FoldedRuns
 	sv.reqMu.Unlock()
-	if sv.shared != nil {
-		out.Shared = sv.shared.Stats()
-	}
 	return out
 }
 
@@ -515,7 +484,9 @@ func (ad *admitter) acquire(ctx context.Context, cost int) error {
 }
 
 // abandon removes a waiter that gave up; it reports false when the grant
-// already happened (the caller then owns the budget and must proceed).
+// already happened (the caller then owns the budget and must proceed). A
+// departing head may have been all that held the waiters behind it back, so
+// the queue is granted again.
 func (ad *admitter) abandon(w *waiter) bool {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
@@ -529,11 +500,11 @@ func (ad *admitter) abandon(w *waiter) bool {
 			break
 		}
 	}
+	ad.grantWaitersLocked()
 	return true
 }
 
-// release returns cost frames and grants queued waiters in FIFO order while
-// the budget allows.
+// release returns cost frames and grants the queue.
 func (ad *admitter) release(cost int) {
 	if cost > ad.budget {
 		cost = ad.budget // mirror acquire's clamp
@@ -544,6 +515,12 @@ func (ad *admitter) release(cost int) {
 	if ad.inUse < 0 {
 		ad.inUse = 0
 	}
+	ad.grantWaitersLocked()
+}
+
+// grantWaitersLocked grants queued waiters in FIFO order while the budget
+// allows.
+func (ad *admitter) grantWaitersLocked() {
 	for len(ad.waiters) > 0 {
 		w := ad.waiters[0]
 		if ad.inUse+w.cost > ad.budget {

@@ -29,32 +29,27 @@ func newTestServer(t *testing.T, so ServeOptions) (*Server, *Dataset, *Dataset) 
 
 func TestServeOptionsDefaults(t *testing.T) {
 	o := ServeOptions{}.withDefaults()
-	if o.SharedFrames != 4096 || o.AdmitFrames != 4*4096 || o.QueueDepth != 64 ||
+	if o.AdmitFrames != 16384 || o.QueueDepth != 64 ||
 		o.QueueTimeout != 5*time.Second || o.PlanCacheEntries != 128 || o.RecentJoins != 64 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	// Negative SharedFrames disables the cache but still needs a budget.
-	o = ServeOptions{SharedFrames: -1}.withDefaults()
-	if o.AdmitFrames != 4*4096 {
-		t.Fatalf("disabled-cache budget = %d", o.AdmitFrames)
-	}
-	sv, _, _ := newTestServer(t, ServeOptions{SharedFrames: -1})
-	if sv.shared != nil {
-		t.Fatal("negative SharedFrames must disable the shared pool")
+	if o = (ServeOptions{AdmitFrames: 100}).withDefaults(); o.AdmitFrames != 100 {
+		t.Fatalf("explicit budget = %d, want 100", o.AdmitFrames)
 	}
 }
 
 // TestServerConcurrentBitIdentical is the serving-layer determinism gate: many
-// concurrent Server.Join calls — all sharing one concurrent frame cache, some
-// sharded — must each return a Result bit-identical (deterministic fields) to
-// a solo System.Join with the same Options. Run under -race in CI.
+// concurrent Server.Join calls, some sharded, must each return a Result
+// bit-identical (deterministic fields) to a solo System.Join with the same
+// Options, and the admission ledger must balance afterwards. Run under -race
+// in CI.
 func TestServerConcurrentBitIdentical(t *testing.T) {
-	sv, da, db := newTestServer(t, ServeOptions{SharedFrames: 256, PoolShards: 4})
+	sv, da, db := newTestServer(t, ServeOptions{})
 	sys := sv.System()
 
 	jobs := []Options{
 		{Method: SC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true},
-		{Method: SC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true}, // duplicate: same frames reused
+		{Method: SC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true}, // duplicate: same pages read concurrently
 		{Method: CC, Epsilon: 0.07, BufferPages: 16, Parallelism: 2},
 		{Method: PMNLJ, Epsilon: 0.05, BufferPages: 8},
 		{Method: SC, Epsilon: 0.07, BufferPages: 12, Sharding: ShardingOptions{Shards: 3, Workers: 2}},
@@ -70,7 +65,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 		}
 	}
 
-	const rounds = 2 // second round hits the warm shared cache
+	const rounds = 2
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		results := make([]*Result, len(jobs))
@@ -96,7 +91,7 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 	}
 
 	st := sv.Stats()
-	if st.Admitted != int64(rounds*len(jobs)) || st.Completed != int64(rounds*len(jobs)) {
+	if st.Admitted != int64(rounds*len(jobs)) || st.Completed != st.Admitted {
 		t.Fatalf("admission accounting: %+v", st)
 	}
 	if st.Rejected != 0 || st.DeadlineExpired != 0 || st.Failed != 0 {
@@ -104,9 +99,6 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 	}
 	if st.FoldedRuns != st.Completed {
 		t.Fatalf("folded %d runs, completed %d", st.FoldedRuns, st.Completed)
-	}
-	if st.Shared.Published == 0 {
-		t.Fatalf("shared cache saw no traffic: %+v", st.Shared)
 	}
 	if st.InUseFrames != 0 || st.Queued != 0 {
 		t.Fatalf("admission state not drained: %+v", st)
@@ -268,12 +260,55 @@ func TestAdmitterCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestAdmitterCancelledHeadGrantsWaiters: when the head of the queue gives
+// up, the waiters behind it that fit the free budget are granted at once,
+// not left to wait for the next release (or to time out into ErrOverloaded).
+func TestAdmitterCancelledHeadGrantsWaiters(t *testing.T) {
+	ad := &admitter{budget: 100, queueCap: 4, timeout: time.Minute}
+	if err := ad.acquire(context.Background(), 60); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued := func(n int) {
+		for {
+			if _, _, _, _, _, queued, _ := ad.snapshot(); queued == n {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	headErr := make(chan error, 1)
+	go func() { headErr <- ad.acquire(ctx, 50) }() // 60+50 > 100: queues at head
+	waitQueued(1)
+	nextErr := make(chan error, 1)
+	go func() { nextErr <- ad.acquire(context.Background(), 30) }() // fits, but behind the head
+	waitQueued(2)
+
+	cancel()
+	if err := <-headErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("head err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-nextErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter behind a cancelled head is still queued with 40 frames free")
+	}
+	if _, _, _, inUse, _, queued, _ := ad.snapshot(); inUse != 90 || queued != 0 {
+		t.Fatalf("inUse = %d, queued = %d; want 90 and 0", inUse, queued)
+	}
+	ad.release(30)
+	ad.release(60)
+}
+
 // TestServerRejectionAccounting drives the server into overload and checks
 // rejected requests surface ErrOverloaded, never run, and are accounted.
 func TestServerRejectionAccounting(t *testing.T) {
 	// Budget of one request; no queue to speak of.
 	sv, da, db := newTestServer(t, ServeOptions{
-		SharedFrames: 64, AdmitFrames: 16, QueueDepth: 1, QueueTimeout: 30 * time.Millisecond,
+		AdmitFrames: 16, QueueDepth: 1, QueueTimeout: 30 * time.Millisecond,
 	})
 	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 16}
 
