@@ -1,8 +1,10 @@
 package join
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pmjoin/internal/cluster"
@@ -10,6 +12,7 @@ import (
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/predmat"
+	"pmjoin/internal/sched"
 	"pmjoin/internal/seqdist"
 )
 
@@ -102,4 +105,90 @@ func BenchmarkCollectPairs2D(b *testing.B) {
 		benchPairs = run()
 	}
 	b.ReportMetric(float64(len(want.pairs)), "pairs")
+}
+
+// BenchmarkClusteredWindow runs the clustered executor on two workers over
+// about forty landsat-shaped clusters: 60-d Landsat rows, pages holding eight
+// rows or, with the workload's frequency (1 665 of 5 761), one, at the
+// landsat_sim ε, with about one S row in 50 a near copy of a row of the R page
+// with its index, so the join has a few results. The matrix is a band, so SC
+// cuts it into clusters of up to 100 pages that share pages with their
+// neighbours, and the coordinator's pins of one cluster overlap the workers'
+// kernel calls over the one before. Report and pairs are checked against an
+// inline run before timing.
+func BenchmarkClusteredWindow(b *testing.B) {
+	const dim, pages, band, buffer, eps = 60, 880, 40, 100, 0.0155736
+	rng := rand.New(rand.NewSource(4))
+	vecs := dataset.Landsat(2*8*pages, dim, 4)
+	amp := eps / 32 / math.Sqrt(dim)
+	side := func(first int, src [][]geom.Vector) ([]any, [][]geom.Vector) {
+		var out []any
+		var rows [][]geom.Vector
+		for p := 0; p < pages; p++ {
+			n := 8
+			if rng.Intn(5761) < 1665 {
+				n = 1
+			}
+			page := vecs[:n:n]
+			vecs = vecs[n:]
+			for k := range page {
+				if src != nil && len(src[p]) > 0 && rng.Intn(50) == 0 {
+					v := slices.Clone(src[p][rng.Intn(len(src[p]))])
+					for d := range v {
+						v[d] += (2*rng.Float64() - 1) * amp
+					}
+					page[k] = v
+				}
+			}
+			ids := make([]int, n)
+			for k := range ids {
+				ids[k] = first + 8*p + k
+			}
+			out = append(out, VectorPageOf(ids, page))
+			rows = append(rows, page)
+		}
+		return out, rows
+	}
+	pr, rowsR := side(0, nil)
+	ps, _ := side(8*pages, rowsR)
+	d := disk.New(disk.DefaultModel())
+	dr, ds := oracleDataset(b, d, "r", pr), oracleDataset(b, d, "s", ps)
+	m := predmat.NewMatrix(pages, pages)
+	for r := 0; r < pages; r++ {
+		for c := max(r-band, 0); c < min(r+band+1, pages); c++ {
+			if c == r || rng.Intn(2) == 0 {
+				m.Mark(r, c)
+			}
+		}
+	}
+	clusters, err := cluster.SquareOpts(m, buffer, cluster.SquareOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := pageSetsOf(dr, ds, clusters)
+	order := sched.GreedyOrder(len(sets), sched.SharingGraph(sets))
+	j := VectorJoiner{Norm: geom.L2, Eps: eps}
+	run := func(workers *WorkerPool) (*Report, [][2]int) {
+		e := &Engine{Disk: d, BufferSize: buffer, Pairs: NewPairs(1 << 30), Workers: workers}
+		rep, err := e.Clustered(dr, ds, m, clusters, sets, order, j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs, _ := MergePairs([]*Pairs{e.Pairs}, 1<<30)
+		return rep, pairs
+	}
+
+	workers := NewWorkerPool(2)
+	defer workers.Close()
+	wantRep, wantPairs := run(nil)
+	if rep, pairs := run(workers); !reflect.DeepEqual(rep, wantRep) || !reflect.DeepEqual(pairs, wantPairs) || len(pairs) == 0 {
+		b.Fatalf("two workers: %d pairs, report %+v; inline: %d pairs, report %+v", len(pairs), rep, len(wantPairs), wantRep)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(workers)
+	}
+	b.ReportMetric(float64(len(clusters)), "clusters")
+	b.ReportMetric(float64(len(wantPairs)), "pairs")
 }

@@ -82,7 +82,7 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	x := &Exec{IO: io, Pool: pool, Rep: rep, eng: e}
 	// Even on an error path (cancellation included), wait for in-flight
 	// tasks so no worker is left computing over the run's state.
-	defer x.wg.Wait()
+	defer x.wait()
 	e.Metrics.Attach(io, pool)
 	e.Metrics.PhaseStart(metrics.PhaseJoin)
 	err = body(x)
@@ -262,33 +262,40 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 	}
 
 	return e.Run("clustered", func(x *Exec) error {
-		x.Rep.MarkedEntries = m.Marked()
-		x.Rep.Clusters = len(order)
-		for _, ci := range order {
-			// A cluster is one unit of work: cancellation is checked at its
-			// boundary, and its comparison tasks are flushed before the next
-			// cluster's pages are fetched.
-			if err := x.Err(); err != nil {
-				return err
-			}
-			c := clusters[ci]
-			e.Metrics.ClusterStart(ci)
-			// Pin the resident pages, then read the missing ones in ascending
-			// (file, page) order — the page set's own order. PredictReads
-			// replays this call.
-			if err := x.Pool.PinSet(pages[ci]); err != nil {
-				return err
-			}
-			e.Metrics.ClusterPinned(len(pages[ci]))
-			if err := x.JoinCluster(r, s, c, j); err != nil {
-				return err
-			}
-			x.Flush()
-			x.Pool.UnpinAll()
-			e.Metrics.ClusterEnd()
-		}
-		return nil
+		return x.joinClusters(r, s, m, clusters, pages, order, j)
 	})
+}
+
+// joinClusters is the clustered executor's body. Each cluster is pinned,
+// dispatched and unpinned in turn; its comparison runs are still executing
+// while the next cluster's pages are pinned (JoinCluster retires them after
+// dispatching the next cluster's, and Flush the last), so the coordinator
+// and the workers overlap through a window of two clusters.
+func (x *Exec) joinClusters(r, s *Dataset, m *predmat.Matrix, clusters []*cluster.Cluster, pages []sched.PageSet, order []int, j ObjectJoiner) error {
+	x.Rep.MarkedEntries = m.Marked()
+	x.Rep.Clusters = len(order)
+	for _, ci := range order {
+		// A cluster is one unit of work: cancellation is checked at its
+		// boundary.
+		if err := x.Err(); err != nil {
+			return err
+		}
+		x.eng.Metrics.ClusterStart(ci)
+		// Pin the resident pages, then read the missing ones in ascending
+		// (file, page) order — the page set's own order. PredictReads
+		// replays this call.
+		if err := x.Pool.PinSet(pages[ci]); err != nil {
+			return err
+		}
+		x.eng.Metrics.ClusterPinned(len(pages[ci]))
+		if err := x.JoinCluster(r, s, clusters[ci], j); err != nil {
+			return err
+		}
+		x.Pool.UnpinAll()
+		x.eng.Metrics.ClusterEnd()
+	}
+	x.Flush()
+	return nil
 }
 
 // PredictReads returns the pages the clustered executor reads at each

@@ -1,7 +1,7 @@
 package join
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"pmjoin/internal/buffer"
@@ -21,18 +21,23 @@ import (
 //     exactly the order the serial executor would issue it. Workers never
 //     touch the disk; they only compute over payloads the coordinator has
 //     already fetched, reading them in place. Payloads stay valid after
-//     eviction: the simulated disk keeps pages resident, and a file store's
-//     pages are views of its mapping, which the caller holds open for the
-//     whole run.
+//     unpin and eviction: the simulated disk keeps pages resident, and a
+//     file store's pages are views of its mapping, which the caller holds
+//     open for the whole run.
 //   - Comparison work is appended in schedule order, one page-pair cell at a
 //     time (JoinPayloads / JoinPair) or one pinned cluster at a time
 //     (JoinCluster), to runs of up to taskCells cells. A run ships to the
 //     workers as soon as it is full, its cluster ends, or Flush is called.
-//   - Flush waits for the shipped runs and merges their results into Rep in
-//     submission order, cell by cell, and links their pair chunks into the
-//     engine's collector in the same order, so float64 accumulation order,
-//     result counts, and pair order are those of a serial loop over the
-//     cells — at any parallelism.
+//   - Runs are retired — waited for, then merged into Rep in submission
+//     order, cell by cell, with their pair chunks linked into the engine's
+//     collector in the same order — at fixed points of the coordinator's
+//     sequence: Flush retires every shipped run, and JoinCluster, after
+//     shipping its own runs, retires the previous cluster's. So the
+//     clustered executor keeps a window of two clusters: the coordinator
+//     pins and dispatches cluster i+1 while cluster i's runs execute. Float64
+//     accumulation order, result counts and pair order are those of a serial
+//     loop over the cells, at any parallelism, and the merge points do not
+//     depend on timing.
 type Exec struct {
 	// IO is the run's disk session: its charges are independent of any
 	// concurrent run and also folded into the global disk counters.
@@ -43,17 +48,26 @@ type Exec struct {
 	Rep *Report
 
 	eng *Engine
-	// tasks holds every run since the last Flush in submission order; open,
-	// when non-nil, is the last of them and still accepts cells.
-	tasks []*task
+	// The window: slots[cur] takes the runs being submitted, and the other
+	// slot holds the previous cluster's runs until they are retired. open,
+	// when non-nil, is the last run of slots[cur] and still accepts cells.
+	slots [2]slot
+	cur   int
 	open  *task
-	free  []*task // recycled across Flush boundaries
+	free  []*task // recycled across retirements
+	// pos maps a page of one side to its position among the cluster's pages
+	// of that side: JoinCluster's scratch for the cells, one side at a time.
+	pos []int32
+}
+
+// slot is one cluster of the window: its runs in submission order, the count
+// of those still executing, and the cluster scratch its block runs read —
+// each side's pinned pages as the kernel reads them, their object IDs, and
+// the marked cells. A slot is refilled only after its runs are retired.
+type slot struct {
+	tasks []*task
 	wg    sync.WaitGroup
 
-	// Cluster scratch, reused across clusters within the run: each side's
-	// pinned pages as the kernel reads them, their object IDs, and the
-	// marked cells. In-flight block runs reference them, and Flush retires
-	// those runs before the next cluster refills them.
 	pagesR, pagesS kernel.ClusterBlock
 	idsR, idsS     [][]int
 	cells          []kernel.Cell
@@ -74,16 +88,21 @@ type pagePair struct {
 
 // task is one unit of comparison work: a contiguous run of up to taskCells
 // page-pair cells. A run cut from a batchable cluster (cells set) is
-// evaluated by one kernel.BlockPairsWithin call over the cluster's pinned
-// pages; any other run (pages set: unclustered executors, self joins,
-// strings) falls back to a JoinPages call per cell. Either way run records
-// each cell's comparison count and modeled CPU cost separately, so merge can
-// fold them in cell order. Workers only read the shared page lists, the pages
-// themselves and the id slices; each task owns its output buffers, and the
-// pair chunks it writes pass to the collector at merge. Kernel hits are
-// scratch of the run alone.
+// evaluated by kernel.BlockPairsWithin over the cluster's pinned pages, a
+// few cells a call; any other run (pages set: unclustered executors, self
+// joins, strings) falls back to a JoinPages call per cell, which records each
+// cell's comparison count and modeled CPU cost. merge folds those into the
+// report in cell order; a block run's are functions of its cells' page
+// sizes, which merge evaluates itself. Workers only read the shared page
+// lists, the pages themselves and the id slices; each task owns its output
+// buffers, and the pair chunks it writes pass to the collector at merge.
+// Kernel hits are scratch of the run alone.
 type task struct {
-	capture bool // translate hits into pairs: the collector is set and not full
+	capture bool  // translate hits into pairs: the collector is set and not full
+	slot    *slot // the window slot whose wait group counts the run in flight
+	// do runs the task on a worker and marks it done in its slot; built once
+	// per task, so shipping a recycled run allocates nothing.
+	do func()
 
 	pages []pagePair
 
@@ -103,39 +122,33 @@ type task struct {
 // per worker.
 var blockHitsPool = sync.Pool{New: func() any { return new([]kernel.BlockHit) }}
 
+// callPairs bounds one kernel call of a block run: the call's cells hold at
+// most this many row pairs, unless its one cell holds more. So a hit buffer
+// grows to what one call can match (48 KiB of hits, past a larger cell), not
+// to what a whole run matches.
+const callPairs = 1 << 12
+
 func (t *task) run() {
 	if t.cells != nil {
 		scratch := blockHitsPool.Get().(*[]kernel.BlockHit)
-		all := kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells, (*scratch)[:0])
-		t.results = int64(len(all))
-		if t.capture {
-			// Hits come grouped by cell, so each cell's id slices are looked
-			// up once, and pairs are written a chunk's worth at a time.
-			cell, idsR, idsS := int32(-1), []int(nil), []int(nil)
-			for hits := all; len(hits) > 0; {
-				dst := t.pairs.next(len(hits))
-				for i, h := range hits[:len(dst)] {
-					if h.Cell != cell {
-						cell = h.Cell
-						c := t.cells[cell]
-						idsR, idsS = t.idsR[c.R], t.idsS[c.S]
-					}
-					dst[i] = [2]int{idsR[h.I], idsS[h.J]}
+		hits := *scratch
+		for lo, hi, pairs := 0, 0, 0; lo < len(t.cells); lo, pairs = hi, 0 {
+			for ; hi < len(t.cells); hi++ {
+				c := t.cells[hi]
+				n := t.br.PageRows(c.R) * t.bs.PageRows(c.S)
+				if hi > lo && pairs+n > callPairs {
+					break
 				}
-				hits = hits[len(dst):]
+				pairs += n
+			}
+			hits = kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells[lo:hi], hits[:0])
+			t.results += int64(len(hits))
+			if t.capture {
+				t.translate(t.cells[lo:hi], hits)
 			}
 		}
-		*scratch = all[:0]
+		*scratch = hits[:0]
 		blockHitsPool.Put(scratch)
-		// The expressions JoinPages evaluates for the same page pair, so the
-		// fold in merge is bit-identical to the per-cell fallback's. Empty
-		// pages contribute exactly +0.0 either way.
-		perPair := compareBaseCost + comparePerDimCost*float64(t.br.Dim())
-		for _, c := range t.cells {
-			comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
-			t.comps = append(t.comps, comps)
-			t.cpu = append(t.cpu, float64(comps)*perPair)
-		}
 		return
 	}
 	emit := func(i, j int) {
@@ -151,10 +164,40 @@ func (t *task) run() {
 	}
 }
 
+// translate writes the pairs of one kernel call's hits over cells. Hits come
+// grouped by cell, so each cell's id slices are looked up once, and pairs are
+// written a chunk's worth at a time.
+func (t *task) translate(cells []kernel.Cell, hits []kernel.BlockHit) {
+	cell, idsR, idsS := int32(-1), []int(nil), []int(nil)
+	for len(hits) > 0 {
+		dst := t.pairs.next(len(hits))
+		for i, h := range hits[:len(dst)] {
+			if h.Cell != cell {
+				cell = h.Cell
+				c := cells[cell]
+				idsR, idsS = t.idsR[c.R], t.idsS[c.S]
+			}
+			dst[i] = [2]int{idsR[h.I], idsS[h.J]}
+		}
+		hits = hits[len(dst):]
+	}
+}
+
 // merge folds the run into the report, cell by cell in submission order,
 // links its pair chunks into the collector, and resets the task for reuse
 // (dropping payload and chunk refs while pooled).
 func (t *task) merge(x *Exec) {
+	if t.cells != nil {
+		// The expressions JoinPages evaluates for the same page pair, so the
+		// fold is bit-identical to the per-cell fallback's. Empty pages
+		// contribute exactly +0.0 either way.
+		perPair := compareBaseCost + comparePerDimCost*float64(t.br.Dim())
+		for _, c := range t.cells {
+			comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
+			x.Rep.Comparisons += comps
+			x.Rep.CPUJoinSeconds += float64(comps) * perPair
+		}
+	}
 	for i, comps := range t.comps {
 		x.Rep.Comparisons += comps
 		x.Rep.CPUJoinSeconds += t.cpu[i]
@@ -165,7 +208,7 @@ func (t *task) merge(x *Exec) {
 	}
 	clear(t.pages)
 	clear(t.pairs)
-	*t = task{pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], pairs: t.pairs[:0]}
+	*t = task{do: t.do, pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], pairs: t.pairs[:0]}
 }
 
 // Err returns the engine context's error, if any. Executors call it at
@@ -196,18 +239,23 @@ func (x *Exec) newRun() *task {
 		x.free = x.free[:n-1]
 	} else {
 		t = &task{}
+		t.do = func() {
+			defer t.slot.wg.Done()
+			t.run()
+		}
 	}
 	// Whether the collector is full is decided here, on the coordinator, from
 	// the runs already merged, so which runs skip translation cannot depend
 	// on timing.
 	t.capture = x.eng.Pairs != nil && !x.eng.Pairs.full()
-	x.tasks = append(x.tasks, t)
+	t.slot = &x.slots[x.cur]
+	t.slot.tasks = append(t.slot.tasks, t)
 	x.open = t
 	return t
 }
 
 // ship closes the open run and hands it to the worker pool (or evaluates it
-// inline without one). Its outputs reach Rep only at the next Flush.
+// inline without one). Its outputs reach Rep only when its slot is retired.
 func (x *Exec) ship() {
 	t := x.open
 	if t == nil {
@@ -218,21 +266,43 @@ func (x *Exec) ship() {
 		t.run()
 		return
 	}
-	x.wg.Add(1)
-	x.eng.Workers.Run(func() {
-		defer x.wg.Done()
-		t.run()
-	})
+	t.slot.wg.Add(1)
+	x.eng.Workers.Run(t.do)
+}
+
+// retire waits for the slot's runs, merges them in submission order and
+// recycles them, which frees the slot for the next cluster.
+func (x *Exec) retire(s *slot) {
+	s.wg.Wait()
+	for _, t := range s.tasks {
+		t.merge(x)
+	}
+	x.free = append(x.free, s.tasks...)
+	s.tasks = s.tasks[:0]
+}
+
+// wait blocks until no run of either slot is executing, merging nothing:
+// the run's exit path, error or not, so no worker outlives it.
+func (x *Exec) wait() {
+	x.slots[0].wg.Wait()
+	x.slots[1].wg.Wait()
 }
 
 // JoinPayloads schedules the comparison of two already-fetched page
 // payloads (a from the first dataset, b from the second) as the next cell
-// of the open run. Its counters merge into Rep only at the next Flush, in
-// submission order.
+// of the open run. Its counters merge into Rep only when the run is retired,
+// in submission order.
 func (x *Exec) JoinPayloads(j ObjectJoiner, a, b any) {
 	t := x.open
 	if t == nil {
 		t = x.newRun()
+		if t.pages == nil {
+			// A fresh run, at full size: growing it by append would allocate
+			// twice as much.
+			t.pages = make([]pagePair, 0, taskCells)
+			t.comps = make([]int64, 0, taskCells)
+			t.cpu = make([]float64, 0, taskCells)
+		}
 	}
 	t.pages = append(t.pages, pagePair{j: j, a: a, b: b})
 	if len(t.pages) == taskCells {
@@ -262,8 +332,14 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 // pin and nothing else. When the joiner reports a batch kernel, each side's
 // pinned pages hand their own flat blocks and IDs to the kernel, no row
 // copied, and the cells are cut into block runs; otherwise each entry becomes
-// a fallback cell. The cluster's last run ships before returning, so the
-// workers chew on it while the caller stages the next cluster.
+// a fallback cell.
+//
+// The cluster's runs fill the window's current slot and all ship before
+// JoinCluster returns. It then retires the previous call's runs, waiting for
+// them, and makes their slot the current one. So the workers chew on this
+// cluster while the caller unpins it and pins the next, and a cluster's
+// pages may still be read after the caller has unpinned them (see Exec).
+// The last cluster's runs are retired by Flush.
 func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) error {
 	var th kernel.Threshold
 	bj, batch := j.(BatchJoiner)
@@ -282,32 +358,58 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 			}
 			x.JoinPayloads(j, pa.Payload, pb.Payload)
 		}
-		x.ship()
+		x.nextCluster()
 		return nil
 	}
 
+	sl := &x.slots[x.cur]
 	rows, cols := c.Rows(), c.Cols()
 	var err error
-	if x.idsR, err = x.pinnedPages(&x.pagesR, x.idsR[:0], r.File, rows); err != nil {
+	if sl.idsR, err = x.pinnedPages(&sl.pagesR, sl.idsR[:0], r.File, rows); err != nil {
 		return err
 	}
-	if x.idsS, err = x.pinnedPages(&x.pagesS, x.idsS[:0], s.File, cols); err != nil {
+	if sl.idsS, err = x.pinnedPages(&sl.pagesS, sl.idsS[:0], s.File, cols); err != nil {
 		return err
 	}
-	x.cells = x.cells[:0]
-	for _, en := range c.Entries {
-		x.cells = append(x.cells, kernel.Cell{R: sort.SearchInts(rows, en.R), S: sort.SearchInts(cols, en.C)})
+	sl.cells = slices.Grow(sl.cells[:0], len(c.Entries))[:len(c.Entries)]
+	x.pos = positions(x.pos, r.Pages, rows)
+	for i, en := range c.Entries {
+		sl.cells[i].R = int(x.pos[en.R])
 	}
-	x.eng.Metrics.ClusterBatch(len(x.cells), x.pagesR.Rows()+x.pagesS.Rows())
-	for lo := 0; lo < len(x.cells); lo += taskCells {
-		hi := min(lo+taskCells, len(x.cells))
+	x.pos = positions(x.pos, s.Pages, cols)
+	for i, en := range c.Entries {
+		sl.cells[i].S = int(x.pos[en.C])
+	}
+	x.eng.Metrics.ClusterBatch(len(sl.cells), sl.pagesR.Rows()+sl.pagesS.Rows())
+	for lo := 0; lo < len(sl.cells); lo += taskCells {
+		hi := min(lo+taskCells, len(sl.cells))
 		t := x.newRun()
-		t.th, t.br, t.bs = th, &x.pagesR, &x.pagesS
-		t.cells = x.cells[lo:hi:hi]
-		t.idsR, t.idsS = x.idsR, x.idsS
+		t.th, t.br, t.bs = th, &sl.pagesR, &sl.pagesS
+		t.cells = sl.cells[lo:hi:hi]
+		t.idsR, t.idsS = sl.idsR, sl.idsS
 	}
-	x.ship()
+	x.nextCluster()
 	return nil
+}
+
+// nextCluster ships the open run, then retires the other slot — the previous
+// cluster's runs — and makes it the current one.
+func (x *Exec) nextCluster() {
+	x.ship()
+	x.cur ^= 1
+	x.retire(&x.slots[x.cur])
+}
+
+// positions sets pos[p] to i for the i-th of the given pages, growing pos to
+// the file's page count on first use. Other entries keep stale values.
+func positions(pos []int32, filePages int, pages []int) []int32 {
+	if len(pos) < filePages {
+		pos = make([]int32, filePages)
+	}
+	for i, p := range pages {
+		pos[p] = int32(i)
+	}
+	return pos
 }
 
 // pinnedPages refills b with the flat blocks of the given pinned pages of
@@ -326,16 +428,14 @@ func (x *Exec) pinnedPages(b *kernel.ClusterBlock, ids [][]int, file disk.FileID
 	return ids, nil
 }
 
-// Flush ships the open run, waits for every shipped run and merges their
-// outputs into Rep in submission order. Executors call it at the same
-// boundaries where the buffer's pinned set turns over (cluster end, outer
-// block end), bounding the number of outstanding runs.
+// Flush ships the open run, then retires both slots, the previous cluster's
+// first: it waits for every shipped run and merges their outputs into Rep in
+// submission order. The clustered executor calls it once, after its last
+// cluster; the other executors at each boundary where the buffer's pinned
+// set turns over (outer block end, partition end), bounding the number of
+// outstanding runs.
 func (x *Exec) Flush() {
 	x.ship()
-	x.wg.Wait()
-	for _, t := range x.tasks {
-		t.merge(x)
-	}
-	x.free = append(x.free, x.tasks...)
-	x.tasks = x.tasks[:0]
+	x.retire(&x.slots[x.cur^1])
+	x.retire(&x.slots[x.cur])
 }

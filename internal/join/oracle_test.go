@@ -198,6 +198,33 @@ func randSeriesPage(rng *rand.Rand, firstID, n, w, stride int) *SeriesPage {
 	return SeriesPageOf(ids, starts, randRows(rng, n, w))
 }
 
+// randStringPages draws n pages of 12 DNA windows of length 24 each. The
+// windows are mostly A, so a fair share of pairs survives the frequency
+// filter and reaches the edit-distance step.
+func randStringPages(rng *rand.Rand, n int) []any {
+	pages := make([]any, n)
+	id := 0
+	for p := range pages {
+		sp := &StringPage{}
+		for i := 0; i < 12; i++ {
+			win := make([]byte, 24)
+			freq := make([]int, 4)
+			for c := range win {
+				s := rng.Intn(4) * rng.Intn(2)
+				win[c] = "ACGT"[s]
+				freq[s]++
+			}
+			sp.IDs = append(sp.IDs, id)
+			sp.Starts = append(sp.Starts, 8*id)
+			sp.Windows = append(sp.Windows, win)
+			sp.Freqs = append(sp.Freqs, freq)
+			id++
+		}
+		pages[p] = sp
+	}
+	return pages
+}
+
 // epsLadder returns the thresholds every differential case runs at: zero,
 // an exact pairwise distance (the boundary), a selective quantile, and one
 // beyond the diameter.
@@ -369,31 +396,6 @@ func TestClusteredMatchesOracle(t *testing.T) {
 		}
 		return pages
 	}
-	stringPages := func() []any {
-		pages := make([]any, nPages)
-		id := 0
-		for p := range pages {
-			sp := &StringPage{}
-			for i := 0; i < 12; i++ {
-				win := make([]byte, 24)
-				freq := make([]int, 4)
-				for c := range win {
-					// Mostly-A windows, so a fair share of pairs survives the
-					// frequency filter and reaches the edit-distance step.
-					s := rng.Intn(4) * rng.Intn(2)
-					win[c] = "ACGT"[s]
-					freq[s]++
-				}
-				sp.IDs = append(sp.IDs, id)
-				sp.Starts = append(sp.Starts, 8*id)
-				sp.Windows = append(sp.Windows, win)
-				sp.Freqs = append(sp.Freqs, freq)
-				id++
-			}
-			pages[p] = sp
-		}
-		return pages
-	}
 
 	cases := []struct {
 		name   string
@@ -403,7 +405,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 		{"vector-dim8", vectorPages(8), vectorPages(8), VectorJoiner{Norm: geom.L2, Eps: 0.75}},
 		{"vector-self", vectorPages(2), nil, VectorJoiner{Norm: geom.L1, Eps: 0.2, Self: true}},
 		{"series", seriesPages(), seriesPages(), SeriesJoiner{Eps: 1.35}},
-		{"string", stringPages(), stringPages(), StringJoiner{MaxEdit: 9}},
+		{"string", randStringPages(rng, nPages), randStringPages(rng, nPages), StringJoiner{MaxEdit: 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -171,7 +171,11 @@ type ClusterStats struct {
 	// pins, so Measured.Reads equals Fetched under the file store; its
 	// Seconds are wall time and not deterministic.
 	Measured disk.Measured
-	// Wall is the cluster's real elapsed time (not deterministic).
+	// Wall is the coordinator's real elapsed time for the cluster (not
+	// deterministic): its pin, its dispatch and the wait for the previous
+	// cluster's comparison runs. The cluster's own runs execute after its
+	// window closes, while the next cluster is pinned, so Wall is not its
+	// kernel time.
 	Wall time.Duration
 	// BatchCells and BatchRows describe the cluster's batched kernel
 	// dispatch (zero when the per-pair path ran): marked cells evaluated in

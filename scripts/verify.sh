@@ -73,7 +73,10 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # must equal the run's measured reads (Lemma 4; clusters that fill the buffer
 # included), and the one comparison path — block kernel and per-cell
 # fallback, inline and on workers — must reproduce the reference distance
-# loops' pair stream, comparison counts and CPU-second bits. Collected pairs
+# loops' pair stream, comparison counts and CPU-second bits. The clustered
+# executor's two-cluster window must match its inline run with pair caps cut
+# inside a cluster whose successor is in flight, and a cancellation inside the
+# window must leave no comparison running and no frame pinned. Collected pairs
 # keep the per-pair reference's order and Truncated flag at caps around a
 # pair-chunk boundary, sharded or not, and a warm result-heavy join allocates
 # little more than its exact-size pair slice. The block kernel, reading the
@@ -84,7 +87,7 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # behind it.
 contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
 contract ./internal/buffer 'TestPinSet'
-contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference'
+contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
