@@ -144,9 +144,6 @@ func TestJoinOptionValidation(t *testing.T) {
 	if _, err := sys.Join(da, ds, Options{Method: SC, Epsilon: 0.1, BufferPages: 8}); err == nil {
 		t.Fatal("cross-kind join accepted")
 	}
-	if _, err := sys.Join(ds, ds, Options{Method: PBSM, Epsilon: 1, BufferPages: 8}); err == nil {
-		t.Fatal("PBSM on sequence data accepted")
-	}
 }
 
 func TestJoinDimensionMismatch(t *testing.T) {
@@ -325,9 +322,9 @@ func TestResultAccessors(t *testing.T) {
 
 func TestMethodAndKindStrings(t *testing.T) {
 	names := []string{NLJ.String(), PMNLJ.String(), RandomSC.String(), SC.String(),
-		CC.String(), EGO.String(), BFRJ.String(), PBSM.String()}
+		CC.String(), EGO.String(), BFRJ.String()}
 	joined := strings.Join(names, ",")
-	if joined != "NLJ,pm-NLJ,random-SC,SC,CC,EGO,BFRJ,PBSM" {
+	if joined != "NLJ,pm-NLJ,random-SC,SC,CC,EGO,BFRJ" {
 		t.Fatalf("method names: %s", joined)
 	}
 	if Method(42).String() == "" || Kind(42).String() == "" {

@@ -36,7 +36,7 @@ func main() {
 		storage = pmjoin.StorageDefault
 	)
 	flag.TextVar(&kind, "kind", kind, "data kind: vector, series, string")
-	flag.TextVar(&m, "method", m, "join method: NLJ, pm-NLJ, random-SC, SC, CC, EGO, BFRJ, PBSM")
+	flag.TextVar(&m, "method", m, "join method: NLJ, pm-NLJ, random-SC, SC, CC, EGO, BFRJ")
 	flag.TextVar(&policy, "policy", policy, "buffer replacement policy: LRU, FIFO")
 	flag.TextVar(&storage, "storage", storage, "physical page source: sim, file (identical results; file serves real encoded files and measures read latencies)")
 	var (

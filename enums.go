@@ -15,7 +15,7 @@ type enumSpec[T ~int] struct {
 	typeName string // Go type name, for the out-of-range String form
 	kind     string // error noun: "method", "kind", "replacement policy", ...
 	names    []string
-	hint     string // "NLJ, pm-NLJ, ... or PBSM"
+	hint     string // "NLJ, pm-NLJ, ... or BFRJ"
 	// allowEmpty parses "" to the zero value — the mode enums treat an unset
 	// flag as their Default value.
 	allowEmpty bool
@@ -110,14 +110,10 @@ const (
 	EGO
 	// BFRJ is the breadth-first R-tree join baseline (§9).
 	BFRJ
-	// PBSM is the Partition Based Spatial-Merge join of Patel & DeWitt,
-	// surveyed in §2.1 — an extension baseline beyond the paper's
-	// evaluation, available for vector data only.
-	PBSM
 )
 
 var methodSpec = newEnum[Method]("Method", "method",
-	[]string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ", "PBSM"}, false)
+	[]string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"}, false)
 
 func (m Method) String() string { return methodSpec.string(m) }
 

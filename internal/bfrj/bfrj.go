@@ -20,7 +20,8 @@ import (
 )
 
 // nodeFile materializes an index hierarchy on disk, one node per page, in
-// BFS order.
+// BFS order. The node pages are scratch pages: reading one only charges its
+// I/O, and the node itself is the in-memory pointer the pair list holds.
 type nodeFile struct {
 	file  disk.FileID
 	pages map[*index.Node]int
@@ -32,7 +33,7 @@ func materialize(io *disk.Session, root *index.Node) (*nodeFile, error) {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		addr, err := io.AppendPage(nf.file, n)
+		addr, err := io.AppendPage(nf.file, disk.Page{})
 		if err != nil {
 			return nil, err
 		}
@@ -196,12 +197,12 @@ func Run(e *join.Engine, r, s *join.Dataset, j join.ObjectJoiner, opts Options) 
 func chargeSpill(x *join.Exec, f disk.FileID, n int) error {
 	base := x.IO.NumPages(f)
 	for i := 0; i < n; i++ {
-		addr, err := x.IO.AppendPage(f, nil)
+		addr, err := x.IO.AppendPage(f, disk.Page{})
 		if err != nil {
 			return err
 		}
 		//lint:ignore bufferbypass spill scratch traffic is charged directly; see chargeSpill doc
-		if err := x.IO.Write(addr, nil); err != nil {
+		if err := x.IO.Write(addr, disk.Page{}); err != nil {
 			return err
 		}
 	}

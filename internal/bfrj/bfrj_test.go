@@ -8,6 +8,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/rstar"
 )
@@ -34,7 +35,7 @@ func buildDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, n, leafCap int) (*
 			ids = append(ids, it.ID)
 			vs = append(vs, it.MBR.Min)
 		}
-		if _, err := d.AppendPage(f, join.VectorPageOf(ids, vs)); err != nil {
+		if _, err := d.AppendPage(f, disk.Page{Kind: disk.Vectors, IDs: ids, Flat: kernel.FlatOf(vs)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,8 +128,8 @@ func TestBFRJSpillChargesWithTinyBuffer(t *testing.T) {
 func TestBFRJDedupsMultiResolutionLeaves(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
-	payload := join.VectorPageOf([]int{0, 1}, []geom.Vector{{0, 0}, {0.1, 0}})
-	if _, err := d.AppendPage(f, payload); err != nil {
+	pg := disk.Page{Kind: disk.Vectors, IDs: []int{0, 1}, Flat: kernel.FlatOf([]geom.Vector{{0, 0}, {0.1, 0}})}
+	if _, err := d.AppendPage(f, pg); err != nil {
 		t.Fatal(err)
 	}
 	// Two leaf boxes both pointing at page 0.
@@ -157,8 +158,7 @@ func TestBFRJLeafOnlyRoots(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	mk := func(x float64) *join.Dataset {
 		f := d.CreateFile()
-		payload := join.VectorPageOf([]int{0}, []geom.Vector{{x, 0}})
-		d.AppendPage(f, payload)
+		d.AppendPage(f, disk.Page{Kind: disk.Vectors, IDs: []int{0}, Flat: kernel.FlatOf([]geom.Vector{{x, 0}})})
 		root := &index.Node{MBR: geom.NewMBR(geom.Vector{x, 0}), Page: 0}
 		return &join.Dataset{Name: "leaf", File: f, Root: root, Pages: 1}
 	}

@@ -13,7 +13,7 @@ func newDiskWithFile(t *testing.T, pages int) (*disk.Disk, disk.FileID) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
 	for i := 0; i < pages; i++ {
-		if _, err := d.AppendPage(f, i); err != nil {
+		if _, err := d.AppendPage(f, disk.Page{IDs: []int{i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,8 +35,8 @@ func TestGetMissThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.Payload != 0 {
-		t.Fatalf("payload = %v", pg.Payload)
+	if pg.IDs[0] != 0 {
+		t.Fatalf("page = %+v", pg)
 	}
 	if _, err := p.Get(addr); err != nil {
 		t.Fatal(err)

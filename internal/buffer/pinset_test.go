@@ -92,7 +92,7 @@ func TestPinnedCountsNothing(t *testing.T) {
 	}
 	before, order := p.Stats(), p.Resident()
 	pg, err := p.Pinned(addr(f, 0))
-	if err != nil || pg.Payload != 0 {
+	if err != nil || pg.IDs[0] != 0 {
 		t.Fatalf("Pinned = %v, %v", pg, err)
 	}
 	if p.Stats() != before || !slices.Equal(p.Resident(), order) {

@@ -16,7 +16,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 		d := disk.New(disk.DefaultModel())
 		file := d.CreateFile()
 		for i := 0; i < 64; i++ {
-			if _, err := d.AppendPage(file, i); err != nil {
+			if _, err := d.AppendPage(file, disk.Page{IDs: []int{i}}); err != nil {
 				return false
 			}
 		}
@@ -58,7 +58,7 @@ func TestQuickFIFOSameMissCountAsReference(t *testing.T) {
 		d := disk.New(disk.DefaultModel())
 		file := d.CreateFile()
 		for i := 0; i < 32; i++ {
-			d.AppendPage(file, i)
+			d.AppendPage(file, disk.Page{IDs: []int{i}})
 		}
 		p, err := NewPool(d, capacity, FIFO)
 		if err != nil {

@@ -5,18 +5,18 @@ import (
 	"sort"
 )
 
-// Backend is the physical page source behind a Disk: where page payloads
-// actually live and what it really costs to read them back. The Disk itself
+// Backend is the physical page source behind a Disk: where pages actually
+// live and what it really costs to read them back. The Disk itself
 // remains the logical catalog — files, page addresses, head positions, and
 // every *modeled* charge — while a Backend serves the bytes. Two
 // implementations exist:
 //
-//   - the Disk's own in-memory payloads (backend == nil everywhere): reads
-//     are free in wall time and only the linear model is charged, the seed
+//   - the Disk's own in-memory pages (backend == nil everywhere): reads are
+//     free in wall time and only the linear model is charged, the seed
 //     behavior of this repository;
-//   - internal/store.Store: payloads are encoded to real files and served
-//     via mmap/pread with *measured* per-read latencies; vector and series
-//     pages are served as views of the mapped records.
+//   - internal/store.Store: pages are encoded to real files and served via
+//     mmap/pread with *measured* per-read latencies; vector and series pages
+//     are served as views of the mapped records.
 //
 // The determinism contract is deliberately split across that line: logical
 // accounting (Stats, seek classification, and therefore every
@@ -26,17 +26,16 @@ import (
 // exclusively through Measured / ExecStats.MeasuredIOWall, never through a
 // Report. TestBackendParity pins this.
 type Backend interface {
-	// Fetch returns the payload stored for addr and the measured wall
-	// seconds the physical read took, checksum included. The payload may
+	// Fetch returns the page stored for addr and the measured wall seconds
+	// the physical read took, checksum included. The page's slices may
 	// alias the backend's storage (the file store's mapping): callers only
-	// read it, and only while the backend is open. A page the backend never
-	// received (see ErrNotInBackend) is not an I/O error: the Session falls
-	// back to the Disk's in-memory payload at zero measured cost.
-	Fetch(addr PageAddr) (payload any, seconds float64, err error)
-	// Put stores (or overwrites) the payload for addr. Implementations may
-	// silently skip payloads they cannot encode — runtime scratch pages
-	// with executor-internal payloads — leaving the page memory-only.
-	Put(addr PageAddr, payload any) error
+	// read them, and only while the backend is open. A page the backend
+	// never received (see ErrNotInBackend) is not an I/O error: the Session
+	// falls back to the Disk's in-memory page at zero measured cost.
+	Fetch(addr PageAddr) (pg *Page, seconds float64, err error)
+	// Put stores (or overwrites) pg at pg.Addr. Scratch pages hold no
+	// objects and are skipped, staying memory-only.
+	Put(pg *Page) error
 }
 
 // ErrNotInBackend reports that a backend holds no bytes for the requested
@@ -65,7 +64,7 @@ func (m Measured) Sub(o Measured) Measured {
 	return Measured{Reads: m.Reads - o.Reads, Seconds: m.Seconds - o.Seconds}
 }
 
-// SetMirror installs a write mirror: every payload that enters the Disk from
+// SetMirror installs a write mirror: every page that enters the Disk from
 // now on (AppendPage, Write) is also handed to b.Put, keeping the backend's
 // files in sync with the catalog. Pages appended before the mirror was set
 // are the caller's responsibility (see EachPage). A nil b detaches.
@@ -76,30 +75,27 @@ func (d *Disk) SetMirror(b Backend) {
 }
 
 // EachPage calls fn for every page of every file in ascending (file, page)
-// order, stopping at the first error. It exists so a freshly attached
-// Backend can be seeded with the payloads materialized before SetMirror.
-func (d *Disk) EachPage(fn func(addr PageAddr, payload any) error) error {
+// order, stopping at the first error, on a copy of each page taken under the
+// disk lock. It exists so a freshly attached Backend can be seeded with the
+// pages materialized before SetMirror.
+func (d *Disk) EachPage(fn func(pg *Page) error) error {
 	d.mu.Lock()
 	ids := make([]FileID, 0, len(d.files))
 	for id := range d.files {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	type entry struct {
-		addr    PageAddr
-		payload any
-	}
-	var all []entry
+	var all []Page
 	for _, id := range ids {
 		for _, pg := range d.files[id] {
-			all = append(all, entry{pg.Addr, pg.Payload})
+			all = append(all, *pg)
 		}
 	}
 	d.mu.Unlock()
 	// fn runs outside the disk lock: a Backend.Put may be slow (real file
 	// writes) and must not block concurrent readers of the catalog.
-	for _, e := range all {
-		if err := fn(e.addr, e.payload); err != nil {
+	for i := range all {
+		if err := fn(&all[i]); err != nil {
 			return err
 		}
 	}

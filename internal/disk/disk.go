@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"pmjoin/internal/kernel"
 )
 
 // Default cost parameters. They model a ca. 2003 commodity drive: a random
@@ -41,11 +43,43 @@ type PageAddr struct {
 
 func (a PageAddr) String() string { return fmt.Sprintf("f%d:p%d", a.File, a.Page) }
 
-// Page is the unit of disk transfer. Payload is opaque to the disk; join
-// executors store object slices in it.
+// Kind tags what a page holds: one of the paper's three object kinds, or
+// nothing (Scratch, the zero kind).
+type Kind uint8
+
+const (
+	// Scratch pages hold no objects: executors' node and spill pages, whose
+	// reads and writes only charge I/O.
+	Scratch Kind = iota
+	// Vectors pages hold points, one row of Flat each.
+	Vectors
+	// Series pages hold time-series windows, one row of Flat each.
+	Series
+	// Strings pages hold string windows and their frequency vectors.
+	Strings
+)
+
+func (k Kind) String() string {
+	if names := [...]string{"scratch", "vector", "series", "string"}; int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Page is the unit of disk transfer. Object i of a page has the global id
+// IDs[i]; a window's start offset in its flattened sequence is Starts[i].
+// Vector and series pages hold object i as row i of Flat, the block the
+// kernels read in place; string pages hold it as Windows[i] with its symbol
+// frequency vector Freqs[i]. A page's slices are never modified once the
+// page is on a disk: a page served by a file store views its mapping.
 type Page struct {
 	Addr    PageAddr
-	Payload any
+	Kind    Kind
+	IDs     []int
+	Starts  []int           // series and string pages
+	Flat    kernel.FlatPage // vector and series pages
+	Windows [][]byte        // string pages
+	Freqs   [][]int         // string pages
 }
 
 // Stats accumulates the I/O activity charged against a Disk. Reads
@@ -142,7 +176,7 @@ type Disk struct {
 	nextID FileID
 	heads  map[FileID]int // per-file head position (last page touched)
 	stats  Stats
-	// mirror, when non-nil, receives every payload entering the disk so a
+	// mirror, when non-nil, receives every page entering the disk so a
 	// physical Backend stays in sync with the in-memory catalog (SetMirror).
 	mirror Backend
 }
@@ -198,24 +232,25 @@ func (d *Disk) CreateFile() FileID {
 	return id
 }
 
-// AppendPage appends a page with the given payload to the file and returns
-// its address. Appends model the initial (pre-join) materialization of the
-// dataset and are not charged: the paper's costs cover the join phase.
-func (d *Disk) AppendPage(f FileID, payload any) (PageAddr, error) {
+// AppendPage appends a copy of pg to the file, at the address it returns
+// (pg.Addr is ignored). Appends model the initial (pre-join)
+// materialization of the dataset and are not charged: the paper's costs
+// cover the join phase.
+func (d *Disk) AppendPage(f FileID, pg Page) (PageAddr, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages, ok := d.files[f]
 	if !ok {
 		return PageAddr{}, fmt.Errorf("disk: append to unknown file %d", f)
 	}
-	addr := PageAddr{File: f, Page: len(pages)}
-	d.files[f] = append(pages, &Page{Addr: addr, Payload: payload})
+	pg.Addr = PageAddr{File: f, Page: len(pages)}
+	d.files[f] = append(pages, &pg)
 	if d.mirror != nil {
-		if err := d.mirror.Put(addr, payload); err != nil {
+		if err := d.mirror.Put(&pg); err != nil {
 			return PageAddr{}, err
 		}
 	}
-	return addr, nil
+	return pg.Addr, nil
 }
 
 // NumPages returns the number of pages in the file.
@@ -243,8 +278,9 @@ func (d *Disk) Read(addr PageAddr) (*Page, error) {
 	return pages[addr.Page], nil
 }
 
-// Write stores a payload into an existing page, charging like a read.
-func (d *Disk) Write(addr PageAddr, payload any) error {
+// Write stores pg's contents into the existing page at addr, charging like
+// a read.
+func (d *Disk) Write(addr PageAddr, pg Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages, ok := d.files[addr.File]
@@ -257,16 +293,21 @@ func (d *Disk) Write(addr PageAddr, payload any) error {
 	} else {
 		d.stats.WriteSequential++
 	}
-	pages[addr.Page].Payload = payload
+	return d.put(pages[addr.Page], pg)
+}
+
+// put overwrites page dst's contents with pg's, keeping dst's address, and
+// mirrors the result. Callers hold d.mu.
+func (d *Disk) put(dst *Page, pg Page) error {
+	pg.Addr = dst.Addr
+	*dst = pg
 	if d.mirror != nil {
-		if err := d.mirror.Put(addr, payload); err != nil {
-			return err
-		}
+		return d.mirror.Put(dst)
 	}
 	return nil
 }
 
-// Peek returns a page payload without charging any I/O. It models inspecting
+// Peek returns a page without charging any I/O. It models inspecting
 // a page already known to the caller (e.g. during data generation or in
 // tests) and must not be used on a join's data path.
 func (d *Disk) Peek(addr PageAddr) (*Page, error) {
@@ -279,22 +320,16 @@ func (d *Disk) Peek(addr PageAddr) (*Page, error) {
 	return pages[addr.Page], nil
 }
 
-// store overwrites an existing page's payload without charging any I/O; the
-// caller (a Session) carries the charge.
-func (d *Disk) store(addr PageAddr, payload any) error {
+// store overwrites an existing page's contents without charging any I/O;
+// the caller (a Session) carries the charge.
+func (d *Disk) store(addr PageAddr, pg Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages, ok := d.files[addr.File]
 	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
 		return fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
 	}
-	pages[addr.Page].Payload = payload
-	if d.mirror != nil {
-		if err := d.mirror.Put(addr, payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.put(pages[addr.Page], pg)
 }
 
 // addStats folds a Session's per-access charge into the global counters.

@@ -14,7 +14,7 @@ func mustAppend(t *testing.T, d *Disk, f FileID, n int) []PageAddr {
 	t.Helper()
 	addrs := make([]PageAddr, n)
 	for i := 0; i < n; i++ {
-		a, err := d.AppendPage(f, i)
+		a, err := d.AppendPage(f, Page{IDs: []int{i}})
 		if err != nil {
 			t.Fatalf("append: %v", err)
 		}
@@ -39,7 +39,7 @@ func TestAppendAssignsSequentialAddresses(t *testing.T) {
 
 func TestAppendUnknownFile(t *testing.T) {
 	d := newTestDisk()
-	if _, err := d.AppendPage(FileID(99), nil); err == nil {
+	if _, err := d.AppendPage(FileID(99), Page{}); err == nil {
 		t.Fatal("expected error for unknown file")
 	}
 }
@@ -174,15 +174,15 @@ func TestWriteStoresPayloadAndCharges(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
 	addrs := mustAppend(t, d, f, 3)
-	if err := d.Write(addrs[1], "updated"); err != nil {
+	if err := d.Write(addrs[1], Page{IDs: []int{42}}); err != nil {
 		t.Fatal(err)
 	}
 	pg, err := d.Peek(addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.Payload != "updated" {
-		t.Fatalf("payload = %v", pg.Payload)
+	if pg.IDs[0] != 42 || pg.Addr != addrs[1] {
+		t.Fatalf("page = %+v", pg)
 	}
 	s := d.Stats()
 	if s.Writes != 1 || s.WriteSeeks != 1 {
@@ -193,7 +193,7 @@ func TestWriteStoresPayloadAndCharges(t *testing.T) {
 func TestWriteErrors(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
-	if err := d.Write(PageAddr{File: f, Page: 0}, nil); !errors.Is(err, ErrNoSuchPage) {
+	if err := d.Write(PageAddr{File: f, Page: 0}, Page{}); !errors.Is(err, ErrNoSuchPage) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestReadaheadNegativeDisables(t *testing.T) {
 	d := New(m)
 	f := d.CreateFile()
 	for i := 0; i < 10; i++ {
-		d.AppendPage(f, nil)
+		d.AppendPage(f, Page{})
 	}
 	d.Read(PageAddr{File: f, Page: 0})
 	d.Read(PageAddr{File: f, Page: 2}) // gap 1: would stream with readahead
@@ -307,7 +307,7 @@ func TestWriteSequentialCategorized(t *testing.T) {
 	f := d.CreateFile()
 	addrs := mustAppend(t, d, f, 4)
 	for _, a := range addrs {
-		if err := d.Write(a, "w"); err != nil {
+		if err := d.Write(a, Page{}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // joins on one System: interleaving two joins cannot perturb either join's
 // seek classification, because neither shares head state with the other.
 //
-// A session optionally serves page payloads through a physical Backend
+// A session optionally serves pages through a physical Backend
 // (NewSessionOn). Every read then has two halves, both on the calling
 // goroutine, in access order:
 //
@@ -36,8 +36,8 @@ type Session struct {
 	mu    sync.Mutex
 	heads map[FileID]int
 	stats Stats
-	// backend, when non-nil, serves page payloads physically; nil serves the
-	// Disk's in-memory payloads (the simulator).
+	// backend, when non-nil, serves pages physically; nil serves the Disk's
+	// in-memory pages (the simulator).
 	backend Backend
 	// measured accumulates the physical fetches' wall cost (zero without a
 	// backend). Outside the determinism contract.
@@ -63,7 +63,7 @@ func (d *Disk) NewSession() *Session {
 	return &Session{d: d, heads: make(map[FileID]int)}
 }
 
-// NewSessionOn creates a session whose page payloads are served through the
+// NewSessionOn creates a session whose pages are served through the
 // physical backend b (nil behaves exactly like NewSession). The logical
 // charges are identical either way; only Measured differs.
 func (d *Disk) NewSessionOn(b Backend) *Session {
@@ -96,16 +96,15 @@ func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
 }
 
 // fetch performs the physical half of a read: with no backend the in-memory
-// page is the result; with one, the payload is read from the backend's real
-// files, its wall cost accumulated into Measured. A page the
-// backend never received (ErrNotInBackend — runtime scratch pages with
-// unencodable payloads) falls back to memory at zero measured cost. Called
-// without holding s.mu.
+// page is the result; with one, the page is read from the backend's real
+// files, its wall cost accumulated into Measured. A page the backend never
+// received (ErrNotInBackend — runtime scratch pages) falls back to memory at
+// zero measured cost. Called without holding s.mu.
 func (s *Session) fetch(addr PageAddr, memory *Page) (*Page, error) {
 	if s.backend == nil {
 		return memory, nil
 	}
-	payload, secs, err := s.backend.Fetch(addr)
+	pg, secs, err := s.backend.Fetch(addr)
 	if errors.Is(err, ErrNotInBackend) {
 		return memory, nil
 	}
@@ -116,12 +115,12 @@ func (s *Session) fetch(addr PageAddr, memory *Page) (*Page, error) {
 	s.measured.Reads++
 	s.measured.Seconds += secs
 	s.mu.Unlock()
-	return &Page{Addr: addr, Payload: payload}, nil
+	return pg, nil
 }
 
 // Read fetches one page, charging the session (and the global counters) a
 // seek or a sequential transfer per the session's own head positions. With a
-// backend attached, the payload comes from the backend's files.
+// backend attached, the page comes from the backend's files.
 func (s *Session) Read(addr PageAddr) (*Page, error) {
 	s.mu.Lock()
 	pg, err := s.chargeRead(addr)
@@ -132,11 +131,12 @@ func (s *Session) Read(addr PageAddr) (*Page, error) {
 	return s.fetch(addr, pg)
 }
 
-// Write stores a payload into an existing page, charging like a read.
-func (s *Session) Write(addr PageAddr, payload any) error {
+// Write stores pg's contents into the existing page at addr, charging like
+// a read.
+func (s *Session) Write(addr PageAddr, pg Page) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.d.store(addr, payload); err != nil {
+	if err := s.d.store(addr, pg); err != nil {
 		return err
 	}
 	delta := Stats{Writes: 1}
@@ -153,7 +153,7 @@ func (s *Session) Write(addr PageAddr, payload any) error {
 	return nil
 }
 
-// Peek returns a page payload without charging any I/O (see Disk.Peek). It
+// Peek returns a page without charging any I/O (see Disk.Peek). It
 // always serves from memory, backend or not: peeks model coordinator-side
 // inspection of pages the caller already owns.
 func (s *Session) Peek(addr PageAddr) (*Page, error) { return s.d.Peek(addr) }
@@ -163,8 +163,8 @@ func (s *Session) CreateFile() FileID { return s.d.CreateFile() }
 
 // AppendPage appends a page to a file on the underlying disk (uncharged,
 // like Disk.AppendPage; pair with Write to charge the materialization).
-func (s *Session) AppendPage(f FileID, payload any) (PageAddr, error) {
-	return s.d.AppendPage(f, payload)
+func (s *Session) AppendPage(f FileID, pg Page) (PageAddr, error) {
+	return s.d.AppendPage(f, pg)
 }
 
 // NumPages returns the number of pages in the file.

@@ -83,7 +83,7 @@ func TestSessionChargesGlobalCounters(t *testing.T) {
 	if _, err := s.Read(PageAddr{File: f, Page: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(PageAddr{File: f, Page: 2}, "x"); err != nil {
+	if err := s.Write(PageAddr{File: f, Page: 2}, Page{}); err != nil {
 		t.Fatal(err)
 	}
 	after := d.Stats()
@@ -124,7 +124,7 @@ func TestSessionWriteToMissingPage(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
 	s := d.NewSession()
-	if err := s.Write(PageAddr{File: f, Page: 3}, "x"); err == nil {
+	if err := s.Write(PageAddr{File: f, Page: 3}, Page{}); err == nil {
 		t.Fatal("write to missing page succeeded")
 	}
 }
@@ -178,7 +178,7 @@ func TestSessionWriteSequentialAndSeekObserver(t *testing.T) {
 	d := New(DefaultModel())
 	f := d.CreateFile()
 	for i := 0; i < 4; i++ {
-		if _, err := d.AppendPage(f, i); err != nil {
+		if _, err := d.AppendPage(f, Page{IDs: []int{i}}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestSessionWriteSequentialAndSeekObserver(t *testing.T) {
 	var seen []seek
 	s.SetOnSeek(func(a PageAddr, w bool) { seen = append(seen, seek{a, w}) })
 	for i := 0; i < 3; i++ {
-		if err := s.Write(PageAddr{File: f, Page: i}, "w"); err != nil {
+		if err := s.Write(PageAddr{File: f, Page: i}, Page{}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}

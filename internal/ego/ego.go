@@ -16,29 +16,19 @@ import (
 
 	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 )
 
-// Adapter gives the EGO join access to the objects inside page payloads.
+// Adapter gives the EGO join what a page does not say about its objects:
+// their grid cells and the join predicate. Object counts and IDs, the
+// self-join skip and reordering are read off the pages.
 type Adapter interface {
-	// NumObjects returns the number of objects in the payload.
-	NumObjects(payload any) int
-	// ObjectID returns the global id of object i of the payload.
-	ObjectID(payload any, i int) int
-	// GridKey returns the ε-grid cell coordinates of object i.
-	GridKey(payload any, i int) []int
-	// Compare exactly verifies the join predicate between object i of pa
-	// and object k of pb, returning whether they match and the modeled CPU
+	// GridKey returns the ε-grid cell coordinates of object i of pg.
+	GridKey(pg *disk.Page, i int) []int
+	// Compare exactly verifies the join predicate between object i of a
+	// and object k of b, returning whether they match and the modeled CPU
 	// seconds of the check.
-	Compare(pa any, i int, pb any, k int) (match bool, cpuSeconds float64)
-	// SelfSkip reports whether the pair must be skipped in a self join.
-	SelfSkip(pa any, i int, pb any, k int) bool
-	// Repage rebuilds a page payload holding the given objects (identified
-	// by their source payload and slot), for writing reordered data. It is
-	// only called when Reorderable returns true.
-	Repage(objs []ObjectRef, fetch func(page int) (any, error)) (any, error)
-	// Reorderable reports whether the dataset may be rewritten in grid
-	// order (false for sequence data).
-	Reorderable() bool
+	Compare(a *disk.Page, i int, b *disk.Page, k int) (match bool, cpuSeconds float64)
 }
 
 // ObjectRef identifies one object by home page and slot.
@@ -50,6 +40,9 @@ type ObjectRef struct {
 // Options configures an EGO run.
 type Options struct {
 	SelfJoin bool
+	// ExcludeOverlap skips self-join pairs of windows whose starts are
+	// closer than this (see join.SelfSkip); 0 disables.
+	ExcludeOverlap int
 }
 
 // Run executes the EGO join of r and s. The executor itself is serial
@@ -79,11 +72,13 @@ func Run(e *join.Engine, r, s *join.Dataset, ad Adapter, opts Options) (*join.Re
 }
 
 // prepare scans the dataset once (sequential), builds grid-ordered object
-// references, and — when the data is reorderable — materializes a reordered
-// copy on disk, charging the I/O of an external merge sort.
+// references, and — when the data is reorderable, vector pages only —
+// materializes a reordered copy on disk, charging the I/O of an external
+// merge sort.
 func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]ObjectRef, *join.Dataset, error) {
 	var refs []ObjectRef
 	perPage := 1
+	reorderable := true
 	for p := 0; p < d.Pages; p++ {
 		// The reference scan streams the file once in page order; it is
 		// charged directly (all sequential transfers) and must not populate
@@ -93,7 +88,10 @@ func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]Objec
 		if err != nil {
 			return nil, nil, err
 		}
-		n := ad.NumObjects(pg.Payload)
+		if pg.Kind != disk.Vectors {
+			reorderable = false
+		}
+		n := len(pg.IDs)
 		if n > perPage {
 			// The reordered copy packs pages to the source capacity; using
 			// the fullest page avoids inflating the temp file when the
@@ -101,12 +99,12 @@ func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]Objec
 			perPage = n
 		}
 		for i := 0; i < n; i++ {
-			refs = append(refs, ObjectRef{Page: p, Slot: i, Key: ad.GridKey(pg.Payload, i)})
+			refs = append(refs, ObjectRef{Page: p, Slot: i, Key: ad.GridKey(pg, i)})
 		}
 	}
 	sort.SliceStable(refs, func(i, j int) bool { return lessKey(refs[i].Key, refs[j].Key) })
 
-	if !ad.Reorderable() {
+	if !reorderable {
 		// Sequence data stays in place: objects will be fetched from their
 		// home pages in grid order during the sweep.
 		return refs, d, nil
@@ -114,34 +112,26 @@ func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]Objec
 
 	// Write the reordered copy, page by page (sequential writes).
 	// The input was already read sequentially by the reference scan above;
-	// run formation consumes those buffered chunks, so gathering payloads
+	// run formation consumes those buffered chunks, so gathering objects
 	// here is not billed again (Peek). The billed sort I/O is the run
 	// writes below plus the merge passes.
 	tmp := x.IO.CreateFile()
-	fetch := func(page int) (any, error) {
-		//lint:ignore bufferbypass free re-inspection of pages the scan above already paid for
-		pg, err := x.IO.Peek(disk.PageAddr{File: d.File, Page: page})
-		if err != nil {
-			return nil, err
-		}
-		return pg.Payload, nil
-	}
 	newRefs := make([]ObjectRef, 0, len(refs))
 	for lo := 0; lo < len(refs); lo += perPage {
 		hi := lo + perPage
 		if hi > len(refs) {
 			hi = len(refs)
 		}
-		payload, err := ad.Repage(refs[lo:hi], fetch)
+		pg, err := repage(x, d.File, refs[lo:hi])
 		if err != nil {
 			return nil, nil, err
 		}
-		addr, err := x.IO.AppendPage(tmp, payload)
+		addr, err := x.IO.AppendPage(tmp, pg)
 		if err != nil {
 			return nil, nil, err
 		}
 		//lint:ignore bufferbypass run-formation writes are charged directly; the pool has no write path
-		if err := x.IO.Write(addr, payload); err != nil { // charge the write
+		if err := x.IO.Write(addr, pg); err != nil { // charge the write
 			return nil, nil, err
 		}
 		for i := lo; i < hi; i++ {
@@ -153,6 +143,25 @@ func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]Objec
 	}
 	out := &join.Dataset{Name: d.Name + "-ego", File: tmp, Pages: x.IO.NumPages(tmp)}
 	return newRefs, out, nil
+}
+
+// repage builds the vector page holding the given objects, in order, copied
+// from their home pages of file f.
+func repage(x *join.Exec, f disk.FileID, objs []ObjectRef) (disk.Page, error) {
+	pg := disk.Page{Kind: disk.Vectors, IDs: make([]int, 0, len(objs))}
+	for i, o := range objs {
+		//lint:ignore bufferbypass free re-inspection of pages the reference scan already paid for
+		src, err := x.IO.Peek(disk.PageAddr{File: f, Page: o.Page})
+		if err != nil {
+			return disk.Page{}, err
+		}
+		if i == 0 {
+			pg.Flat = *kernel.NewFlatPage(src.Flat.Dim, len(objs))
+		}
+		pg.IDs = append(pg.IDs, src.IDs[o.Slot])
+		pg.Flat.AppendRow(src.Flat.Row(o.Slot))
+	}
+	return pg, nil
 }
 
 // chargeMergePasses charges the I/O of the merge passes of an external sort
@@ -192,13 +201,13 @@ func chargeMergePasses(e *join.Engine, x *join.Exec, f disk.FileID) error {
 		}
 		// Sequential rewrite.
 		for p := 0; p < n; p++ {
-			//lint:ignore bufferbypass free fetch of the payload being rewritten; the Write below carries the charge
+			//lint:ignore bufferbypass free fetch of the page being rewritten; the Write below carries the charge
 			pg, err := x.IO.Peek(disk.PageAddr{File: f, Page: p})
 			if err != nil {
 				return err
 			}
 			//lint:ignore bufferbypass external-sort rewrite is charged directly; the pool has no write path
-			if err := x.IO.Write(disk.PageAddr{File: f, Page: p}, pg.Payload); err != nil {
+			if err := x.IO.Write(disk.PageAddr{File: f, Page: p}, *pg); err != nil {
 				return err
 			}
 		}
@@ -282,14 +291,15 @@ func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, a
 				if err != nil {
 					return err
 				}
-				if opts.SelfJoin && ad.SelfSkip(pa.Payload, block[i].Slot, pb.Payload, sb.Slot) {
+				slot := block[i].Slot
+				if opts.SelfJoin && join.SelfSkip(pa, slot, pb, sb.Slot, opts.ExcludeOverlap) {
 					continue
 				}
 				x.Rep.Comparisons++
-				match, cpu := ad.Compare(pa.Payload, block[i].Slot, pb.Payload, sb.Slot)
+				match, cpu := ad.Compare(pa, slot, pb, sb.Slot)
 				x.Rep.CPUJoinSeconds += cpu
 				if match {
-					x.Emit(ad.ObjectID(pa.Payload, block[i].Slot), ad.ObjectID(pb.Payload, sb.Slot))
+					x.Emit(pa.IDs[slot], pb.IDs[sb.Slot])
 				}
 			}
 		}

@@ -9,19 +9,14 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 )
 
-// testAdapter adapts VectorPage payloads for EGO with L2 and width eps.
-type testAdapter struct {
-	eps  float64
-	self bool
-}
+// testAdapter adapts 2-d point pages for EGO with L2 and width eps.
+type testAdapter struct{ eps float64 }
 
-func (a *testAdapter) NumObjects(p any) int      { return len(p.(*join.VectorPage).IDs) }
-func (a *testAdapter) ObjectID(p any, i int) int { return p.(*join.VectorPage).IDs[i] }
-
-func (a *testAdapter) GridKey(p any, i int) []int {
-	v := p.(*join.VectorPage).Vecs[i]
+func (a *testAdapter) GridKey(pg *disk.Page, i int) []int {
+	v := pg.Flat.Row(i)
 	key := make([]int, len(v))
 	for d, x := range v {
 		key[d] = int(math.Floor(x / a.eps))
@@ -29,44 +24,15 @@ func (a *testAdapter) GridKey(p any, i int) []int {
 	return key
 }
 
-func (a *testAdapter) Compare(pa any, i int, pb any, k int) (bool, float64) {
-	va := pa.(*join.VectorPage).Vecs[i]
-	vb := pb.(*join.VectorPage).Vecs[k]
-	return geom.L2.Dist(va, vb) <= a.eps, 1e-9
+func (a *testAdapter) Compare(pa *disk.Page, i int, pb *disk.Page, k int) (bool, float64) {
+	return geom.L2.Dist(pa.Flat.Row(i), pb.Flat.Row(k)) <= a.eps, 1e-9
 }
 
-func (a *testAdapter) SelfSkip(pa any, i int, pb any, k int) bool {
-	return a.self && pa.(*join.VectorPage).IDs[i] >= pb.(*join.VectorPage).IDs[k]
-}
-
-func (a *testAdapter) Repage(objs []ObjectRef, fetch func(int) (any, error)) (any, error) {
-	var ids []int
-	var vs []geom.Vector
-	for _, o := range objs {
-		p, err := fetch(o.Page)
-		if err != nil {
-			return nil, err
-		}
-		vp := p.(*join.VectorPage)
-		ids = append(ids, vp.IDs[o.Slot])
-		vs = append(vs, vp.Vecs[o.Slot])
-	}
-	return join.VectorPageOf(ids, vs), nil
-}
-
-func (a *testAdapter) Reorderable() bool { return true }
-
-// inPlaceAdapter is the non-reorderable variant (sequence-data behaviour).
-type inPlaceAdapter struct{ testAdapter }
-
-func (a *inPlaceAdapter) Reorderable() bool { return false }
-func (a *inPlaceAdapter) Repage([]ObjectRef, func(int) (any, error)) (any, error) {
-	panic("not reorderable")
-}
-
-// buildFlat materializes n random 2-d points into sequential pages with a
-// flat one-level index.
-func buildFlat(t *testing.T, d *disk.Disk, rng *rand.Rand, n, perPage int) (*join.Dataset, []geom.Vector) {
+// buildFlat materializes n random 2-d points into sequential pages of the
+// given kind with a flat one-level index. Vector pages may be reordered; the
+// same points on series pages (window starts equal to their ids) stay in
+// place, like sequence data.
+func buildFlat(t *testing.T, d *disk.Disk, rng *rand.Rand, kind disk.Kind, n, perPage int) (*join.Dataset, []geom.Vector) {
 	t.Helper()
 	f := d.CreateFile()
 	var vecs []geom.Vector
@@ -82,7 +48,11 @@ func buildFlat(t *testing.T, d *disk.Disk, rng *rand.Rand, n, perPage int) (*joi
 			vs = append(vs, v)
 			mbr.ExtendPoint(v)
 		}
-		addr, err := d.AppendPage(f, join.VectorPageOf(ids, vs))
+		pg := disk.Page{Kind: kind, IDs: ids, Flat: kernel.FlatOf(vs)}
+		if kind == disk.Series {
+			pg.Starts = ids
+		}
+		addr, err := d.AppendPage(f, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +84,8 @@ func brute(a, b []geom.Vector, eps float64, self bool) int64 {
 func TestEGOMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := disk.New(disk.DefaultModel())
-	da, va := buildFlat(t, d, rng, 400, 8)
-	db, vb := buildFlat(t, d, rng, 300, 8)
+	da, va := buildFlat(t, d, rng, disk.Vectors, 400, 8)
+	db, vb := buildFlat(t, d, rng, disk.Vectors, 300, 8)
 	const eps = 0.06
 	e := &join.Engine{Disk: d, BufferSize: 16}
 	rep, err := Run(e, da, db, &testAdapter{eps: eps}, Options{})
@@ -134,10 +104,10 @@ func TestEGOMatchesBruteForce(t *testing.T) {
 func TestEGOSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := disk.New(disk.DefaultModel())
-	da, va := buildFlat(t, d, rng, 350, 8)
+	da, va := buildFlat(t, d, rng, disk.Vectors, 350, 8)
 	const eps = 0.05
 	e := &join.Engine{Disk: d, BufferSize: 16}
-	rep, err := Run(e, da, da, &testAdapter{eps: eps, self: true}, Options{SelfJoin: true})
+	rep, err := Run(e, da, da, &testAdapter{eps: eps}, Options{SelfJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +117,43 @@ func TestEGOSelfJoin(t *testing.T) {
 	}
 }
 
-func TestEGONonReorderableMatchesAndSeeksMore(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// TestEGOSelfJoinExcludesOverlap self-joins in-place window pages, whose
+// starts are their ids: pairs of windows starting closer than
+// ExcludeOverlap are skipped, as join.SelfSkip does, and the rest equal
+// brute force.
+func TestEGOSelfJoinExcludesOverlap(t *testing.T) {
+	const eps, exclude = 0.08, 5
 	d := disk.New(disk.DefaultModel())
-	da, va := buildFlat(t, d, rng, 400, 8)
-	db, vb := buildFlat(t, d, rng, 400, 8)
+	da, va := buildFlat(t, d, rand.New(rand.NewSource(6)), disk.Series, 300, 8)
+	e := &join.Engine{Disk: d, BufferSize: 16}
+	rep, err := Run(e, da, da, &testAdapter{eps: eps}, Options{SelfJoin: true, ExcludeOverlap: exclude})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for i := range va {
+		for k := i + exclude; k < len(va); k++ {
+			if geom.L2.Dist(va[i], va[k]) <= eps {
+				want++
+			}
+		}
+	}
+	if rep.Results != want {
+		t.Fatalf("results = %d, want %d", rep.Results, want)
+	}
+	if all := brute(va, va, eps, true); all == want {
+		t.Fatalf("no pair within %d starts matched; the exclusion is not exercised", exclude)
+	}
+}
+
+func TestEGONonReorderableMatchesAndSeeksMore(t *testing.T) {
 	const eps = 0.06
+	d := disk.New(disk.DefaultModel())
+	// The same points twice: on vector pages and on in-place series pages.
+	da, va := buildFlat(t, d, rand.New(rand.NewSource(3)), disk.Vectors, 400, 8)
+	db, vb := buildFlat(t, d, rand.New(rand.NewSource(4)), disk.Vectors, 400, 8)
+	sa, _ := buildFlat(t, d, rand.New(rand.NewSource(3)), disk.Series, 400, 8)
+	sb, _ := buildFlat(t, d, rand.New(rand.NewSource(4)), disk.Series, 400, 8)
 	want := brute(va, vb, eps, false)
 
 	e := &join.Engine{Disk: d, BufferSize: 16}
@@ -160,9 +161,7 @@ func TestEGONonReorderableMatchesAndSeeksMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad := &inPlaceAdapter{}
-	ad.eps = eps
-	ri, err := Run(e, da, db, ad, Options{})
+	ri, err := Run(e, sa, sb, &testAdapter{eps: eps}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +178,11 @@ func TestEGONonReorderableMatchesAndSeeksMore(t *testing.T) {
 func TestEGOEmptyInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := disk.New(disk.DefaultModel())
-	da, _ := buildFlat(t, d, rng, 10, 4)
+	da, _ := buildFlat(t, d, rng, disk.Vectors, 10, 4)
 	e := &join.Engine{Disk: d, BufferSize: 8}
 	// Epsilon so small every point is isolated: still must terminate with 0
 	// or more results and no error.
-	if _, err := Run(e, da, da, &testAdapter{eps: 1e-9, self: true}, Options{SelfJoin: true}); err != nil {
+	if _, err := Run(e, da, da, &testAdapter{eps: 1e-9}, Options{SelfJoin: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,8 +213,8 @@ func TestMergePassChargesGrowWithSmallBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mk := func(buffer int) int64 {
 		d := disk.New(disk.DefaultModel())
-		da, _ := buildFlat(t, d, rng, 600, 4)
-		db, _ := buildFlat(t, d, rng, 600, 4)
+		da, _ := buildFlat(t, d, rng, disk.Vectors, 600, 4)
+		db, _ := buildFlat(t, d, rng, disk.Vectors, 600, 4)
 		e := &join.Engine{Disk: d, BufferSize: buffer}
 		rep, err := Run(e, da, db, &testAdapter{eps: 0.02}, Options{})
 		if err != nil {

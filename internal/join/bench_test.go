@@ -64,7 +64,7 @@ var benchPairs [][2]int
 func BenchmarkCollectPairs2D(b *testing.B) {
 	const pages, perPage = 16, 1024 / (8*2 + 8)
 	rng := rand.New(rand.NewSource(5))
-	pr, ps := make([]any, pages), make([]any, pages)
+	pr, ps := make([]*disk.Page, pages), make([]*disk.Page, pages)
 	for p := range pr {
 		pr[p] = randVectorPage(rng, perPage*p, perPage, 2)
 		ps[p] = randVectorPage(rng, perPage*p, perPage, 2)
@@ -121,8 +121,8 @@ func BenchmarkClusteredWindow(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	vecs := dataset.Landsat(2*8*pages, dim, 4)
 	amp := eps / 32 / math.Sqrt(dim)
-	side := func(first int, src [][]geom.Vector) ([]any, [][]geom.Vector) {
-		var out []any
+	side := func(first int, src [][]geom.Vector) ([]*disk.Page, [][]geom.Vector) {
+		var out []*disk.Page
 		var rows [][]geom.Vector
 		for p := 0; p < pages; p++ {
 			n := 8
@@ -144,7 +144,7 @@ func BenchmarkClusteredWindow(b *testing.B) {
 			for k := range ids {
 				ids[k] = first + 8*p + k
 			}
-			out = append(out, VectorPageOf(ids, page))
+			out = append(out, vecPage(ids, page...))
 			rows = append(rows, page)
 		}
 		return out, rows

@@ -145,9 +145,9 @@ func (e *Engine) NLJ(r, s *Dataset, j ObjectJoiner) (*Report, error) {
 						return err
 					}
 					if outerIsR {
-						x.JoinPayloads(j, op.Payload, ip.Payload)
+						x.JoinPayloads(j, op, ip)
 					} else {
-						x.JoinPayloads(j, ip.Payload, op.Payload)
+						x.JoinPayloads(j, ip, op)
 					}
 				}
 			}

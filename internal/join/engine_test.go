@@ -33,7 +33,7 @@ func buildVectorDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, name string,
 			ids = append(ids, it.ID)
 			raw[p] = append(raw[p], it.MBR.Min)
 		}
-		if _, err := d.AppendPage(f, VectorPageOf(ids, raw[p])); err != nil {
+		if _, err := d.AppendPage(f, *vecPage(ids, raw[p]...)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,14 +13,14 @@ import (
 // Exec is the execution scope of one join run: the run's private I/O
 // session, the buffer pool over it, and the report being built. Engine.Run
 // constructs one and passes it to the executor body; external executors
-// (ego, bfrj, pbsm) receive it the same way.
+// (ego, bfrj) receive it the same way.
 //
 // The determinism contract, which the parallel path must uphold:
 //
 //   - All I/O goes through Pool/IO on the coordinating goroutine, in
 //     exactly the order the serial executor would issue it. Workers never
-//     touch the disk; they only compute over payloads the coordinator has
-//     already fetched, reading them in place. Payloads stay valid after
+//     touch the disk; they only compute over pages the coordinator has
+//     already fetched, reading them in place. Pages stay valid after
 //     unpin and eviction: the simulated disk keeps pages resident, and a
 //     file store's pages are views of its mapping, which the caller holds
 //     open for the whole run.
@@ -79,11 +79,11 @@ type slot struct {
 // (clusters hold hundreds of cells) without a task per page pair.
 const taskCells = 64
 
-// pagePair is one cell of a fallback run: two fetched payloads and the
-// joiner that compares them.
+// pagePair is one cell of a fallback run: two fetched pages and the joiner
+// that compares them.
 type pagePair struct {
 	j    ObjectJoiner
-	a, b any
+	a, b *disk.Page
 }
 
 // task is one unit of comparison work: a contiguous run of up to taskCells
@@ -109,7 +109,7 @@ type task struct {
 	th         kernel.Threshold
 	br, bs     *kernel.ClusterBlock
 	cells      []kernel.Cell
-	idsR, idsS [][]int // per page of br and bs, the payload's object IDs
+	idsR, idsS [][]int // per page of br and bs, the page's object IDs
 
 	comps   []int64
 	cpu     []float64
@@ -185,7 +185,7 @@ func (t *task) translate(cells []kernel.Cell, hits []kernel.BlockHit) {
 
 // merge folds the run into the report, cell by cell in submission order,
 // links its pair chunks into the collector, and resets the task for reuse
-// (dropping payload and chunk refs while pooled).
+// (dropping page and chunk refs while pooled).
 func (t *task) merge(x *Exec) {
 	if t.cells != nil {
 		// The expressions JoinPages evaluates for the same page pair, so the
@@ -288,11 +288,11 @@ func (x *Exec) wait() {
 	x.slots[1].wg.Wait()
 }
 
-// JoinPayloads schedules the comparison of two already-fetched page
-// payloads (a from the first dataset, b from the second) as the next cell
-// of the open run. Its counters merge into Rep only when the run is retired,
-// in submission order.
-func (x *Exec) JoinPayloads(j ObjectJoiner, a, b any) {
+// JoinPayloads schedules the comparison of two already-fetched pages (a
+// from the first dataset, b from the second) as the next cell of the open
+// run. Its counters merge into Rep only when the run is retired, in
+// submission order.
+func (x *Exec) JoinPayloads(j ObjectJoiner, a, b *disk.Page) {
 	t := x.open
 	if t == nil {
 		t = x.newRun()
@@ -322,7 +322,7 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 	if err != nil {
 		return err
 	}
-	x.JoinPayloads(j, pa.Payload, pb.Payload)
+	x.JoinPayloads(j, pa, pb)
 	return nil
 }
 
@@ -356,7 +356,7 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 			if err != nil {
 				return err
 			}
-			x.JoinPayloads(j, pa.Payload, pb.Payload)
+			x.JoinPayloads(j, pa, pb)
 		}
 		x.nextCluster()
 		return nil
@@ -421,9 +421,8 @@ func (x *Exec) pinnedPages(b *kernel.ClusterBlock, ids [][]int, file disk.FileID
 		if err != nil {
 			return ids, err
 		}
-		f, pageIDs := flatPage(pg.Payload)
-		b.AddPage(f)
-		ids = append(ids, pageIDs)
+		b.AddPage(&pg.Flat)
+		ids = append(ids, pg.IDs)
 	}
 	return ids, nil
 }

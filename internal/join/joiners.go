@@ -4,25 +4,26 @@ import (
 	"fmt"
 	"sync"
 
+	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/kernel"
 	"pmjoin/internal/seqdist"
 )
 
-// ObjectJoiner joins the objects of two page payloads.
+// ObjectJoiner joins the objects of two pages.
 //
-// JoinPages compares the objects of payload a (a page of the first dataset)
-// against those of payload b (second dataset), calling emit for every result
+// JoinPages compares the objects of page a (a page of the first dataset)
+// against those of page b (second dataset), calling emit for every result
 // pair. It returns the number of object-pair comparisons performed and the
 // modeled CPU seconds they cost.
 type ObjectJoiner interface {
-	JoinPages(a, b any, emit func(idA, idB int)) (comparisons int64, cpuSeconds float64)
+	JoinPages(a, b *disk.Page, emit func(idA, idB int)) (comparisons int64, cpuSeconds float64)
 }
 
 // BatchJoiner is an ObjectJoiner whose JoinPages can be hoisted to
 // whole-cluster block evaluation (Exec.JoinCluster) over the flat blocks of
-// its pages (flatPage). The contract: batch evaluation of a cluster's marked
-// page pairs yields results, comparison counts and modeled CPU cost
+// its pages (disk.Page.Flat). The contract: batch evaluation of a cluster's
+// marked page pairs yields results, comparison counts and modeled CPU cost
 // bit-identical to a JoinPages loop over the same pairs in the same order.
 type BatchJoiner interface {
 	ObjectJoiner
@@ -31,18 +32,6 @@ type BatchJoiner interface {
 	// per-pair path carries id-dependent logic (self joins) or no float
 	// kernel at all return false.
 	BatchKernel() (kernel.Threshold, bool)
-}
-
-// flatPage returns a vector or series page payload's flat block and object
-// IDs: row i of the block is object ids[i].
-func flatPage(payload any) (*kernel.FlatPage, []int) {
-	switch p := payload.(type) {
-	case *VectorPage:
-		return p.flat, p.IDs
-	case *SeriesPage:
-		return p.flat, p.IDs
-	}
-	panic(fmt.Sprintf("join: no flat block in a %T payload", payload))
 }
 
 // Base modeled CPU costs. Calibrated against the paper's platform (a 400 MHz
@@ -54,78 +43,65 @@ const (
 	editPerCellCost   = 2e-9  // per banded-DP-cell cost, seconds
 )
 
-// VectorPage is the payload of a point/spatial data page: parallel slices of
-// object IDs and their vectors, the vectors being the rows of the page's flat
-// block. Build one with NewVectorPage or VectorPageOf.
-type VectorPage struct {
-	IDs  []int
-	Vecs []geom.Vector
-
-	flat *kernel.FlatPage
-}
-
-// NewVectorPage returns the page whose object ids[i] is row i of f: Vecs are
-// views of f's rows and f is the page's flat block, which the kernels read in
-// place. The page takes ownership of ids and f; neither may be modified
-// afterwards.
-func NewVectorPage(ids []int, f *kernel.FlatPage) *VectorPage {
-	return &VectorPage{IDs: ids, Vecs: flatRows[geom.Vector](len(ids), f), flat: f}
-}
-
-// VectorPageOf returns the page whose object ids[i] is vecs[i], copying the
-// vectors into a new flat block (see NewVectorPage). Every vector must have
-// the first one's dimensionality.
-func VectorPageOf(ids []int, vecs []geom.Vector) *VectorPage {
-	return NewVectorPage(ids, flatten(vecs))
-}
-
-// flatten copies rows into a new flat block.
-func flatten[V ~[]float64](rows []V) *kernel.FlatPage {
-	dim := 0
-	if len(rows) > 0 {
-		dim = len(rows[0])
+// SelfSkip reports whether a self join skips object i of page a against
+// object k of page b: every pair is joined once, from its lower id, and
+// windows whose starts are closer than exclude are trivially similar
+// overlaps (exclude 0 disables that test).
+func SelfSkip(a *disk.Page, i int, b *disk.Page, k, exclude int) bool {
+	if a.IDs[i] >= b.IDs[k] {
+		return true
 	}
-	f := kernel.NewFlatPage(dim, len(rows))
-	for _, row := range rows {
-		f.AppendRow(row)
+	if exclude <= 0 {
+		return false
 	}
-	return f
+	d := a.Starts[i] - b.Starts[k]
+	return max(d, -d) < exclude
 }
 
-// flatRows returns the rows of f as views of its block, panicking unless f
-// holds exactly n rows of f.Dim values.
-func flatRows[V ~[]float64](n int, f *kernel.FlatPage) []V {
-	if f.N != n || len(f.Data) != f.N*f.Dim {
-		panic(fmt.Sprintf("join: flat block of %d rows (%d values, dim %d) for %d objects", f.N, len(f.Data), f.Dim, n))
+// checkKinds panics unless pages a and b are both of kind k.
+func checkKinds(joiner string, k disk.Kind, a, b *disk.Page) {
+	if a.Kind != k || b.Kind != k {
+		panic(fmt.Sprintf("join: %s got %v and %v pages", joiner, a.Kind, b.Kind))
 	}
-	rows := make([]V, n)
-	for i := range rows {
-		rows[i] = f.Row(i)
-	}
-	return rows
 }
-
-// Flat returns the page's points as one contiguous row-major block for the
-// kernels: the block the page was built over.
-func (p *VectorPage) Flat() *kernel.FlatPage { return p.flat }
 
 // hitsPool recycles the scratch index buffers the batched kernel paths
 // append hits into, keeping the hot path allocation-free across page pairs.
 var hitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
 
-// probePage tests every row of page a against the flat block of page b,
-// emitting the hits in (row of a, row of b) order — the non-self body of
-// VectorJoiner.JoinPages and SeriesJoiner.JoinPages.
-func probePage[V ~[]float64](th *kernel.Threshold, rows []V, ids []int, fb *kernel.FlatPage, idsB []int, emit func(int, int)) {
-	hits := hitsPool.Get().(*[]int)
-	for i, row := range rows {
-		*hits = kernel.PagePairWithin(th, row, fb, (*hits)[:0])
-		idI := ids[i]
-		for _, k := range *hits {
-			emit(idI, idsB[k])
+// joinRows is JoinPages over the rows of two vector or series pages. A self
+// join tests its pairs one at a time past SelfSkip, which needs both pages'
+// IDs; any other join probes each row of a against b's flat block, emitting
+// the hits in (row of a, row of b) order. The modeled cost charges the full
+// comparison whether or not the kernel abandoned early.
+func joinRows(th kernel.Threshold, self bool, exclude int, a, b *disk.Page, emit func(int, int)) (int64, float64) {
+	var comps int64
+	if self {
+		for i, idI := range a.IDs {
+			row := a.Flat.Row(i)
+			for k, idK := range b.IDs {
+				if SelfSkip(a, i, b, k, exclude) {
+					continue
+				}
+				comps++
+				if th.Within(row, b.Flat.Row(k)) {
+					emit(idI, idK)
+				}
+			}
 		}
+	} else {
+		comps = int64(len(a.IDs)) * int64(len(b.IDs))
+		hits := hitsPool.Get().(*[]int)
+		for i, idI := range a.IDs {
+			*hits = kernel.PagePairWithin(&th, a.Flat.Row(i), &b.Flat, (*hits)[:0])
+			for _, k := range *hits {
+				emit(idI, b.IDs[k])
+			}
+		}
+		hitsPool.Put(hits)
 	}
-	hitsPool.Put(hits)
+	perPair := compareBaseCost + comparePerDimCost*float64(a.Flat.Dim)
+	return comps, float64(comps) * perPair
 }
 
 // VectorJoiner joins vector pages under an Lp norm with threshold Eps,
@@ -148,41 +124,9 @@ func (j VectorJoiner) threshold() kernel.Threshold {
 }
 
 // JoinPages implements ObjectJoiner.
-func (j VectorJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
-	pa, ok := a.(*VectorPage)
-	if !ok {
-		panic(fmt.Sprintf("join: VectorJoiner got %T", a))
-	}
-	pb := b.(*VectorPage)
-	var comps int64
-	dim := 0
-	if len(pa.Vecs) > 0 {
-		dim = len(pa.Vecs[0])
-	}
-	th := j.threshold()
-	if j.Self {
-		// The id-based skip depends on both pages' IDs, so self joins stay
-		// per-point.
-		for i, va := range pa.Vecs {
-			idI := pa.IDs[i]
-			for k, vb := range pb.Vecs {
-				if idI >= pb.IDs[k] {
-					continue
-				}
-				comps++
-				if th.Within(va, vb) {
-					emit(idI, pb.IDs[k])
-				}
-			}
-		}
-	} else {
-		comps = int64(len(pa.Vecs)) * int64(len(pb.Vecs))
-		probePage(&th, pa.Vecs, pa.IDs, pb.Flat(), pb.IDs, emit)
-	}
-	// The modeled cost charges the full comparison whether or not the kernel
-	// abandoned early.
-	perPair := compareBaseCost + comparePerDimCost*float64(dim)
-	return comps, float64(comps) * perPair
+func (j VectorJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
+	checkKinds("VectorJoiner", disk.Vectors, a, b)
+	return joinRows(j.threshold(), j.Self, 0, a, b, emit)
 }
 
 // BatchKernel implements BatchJoiner: non-self joins are batchable under the
@@ -194,37 +138,6 @@ func (j VectorJoiner) BatchKernel() (kernel.Threshold, bool) {
 	}
 	return j.threshold(), true
 }
-
-// SeriesPage is the payload of a time-series data page: a run of consecutive
-// subsequence windows of one or more series, the windows being the rows of
-// the page's flat block. Build one with NewSeriesPage or SeriesPageOf.
-type SeriesPage struct {
-	IDs     []int       // global window ids (position order)
-	Starts  []int       // absolute start offsets within the flattened data
-	Windows [][]float64 // raw windows, each of the join's window length
-
-	flat *kernel.FlatPage
-}
-
-// NewSeriesPage returns the page whose window ids[i], starting at starts[i],
-// is row i of f (see NewVectorPage).
-func NewSeriesPage(ids, starts []int, f *kernel.FlatPage) *SeriesPage {
-	if len(starts) != len(ids) {
-		panic(fmt.Sprintf("join: %d starts for %d windows", len(starts), len(ids)))
-	}
-	return &SeriesPage{IDs: ids, Starts: starts, Windows: flatRows[[]float64](len(ids), f), flat: f}
-}
-
-// SeriesPageOf returns the page whose window ids[i], starting at starts[i],
-// is windows[i], copying the windows into a new flat block (see
-// VectorPageOf).
-func SeriesPageOf(ids, starts []int, windows [][]float64) *SeriesPage {
-	return NewSeriesPage(ids, starts, flatten(windows))
-}
-
-// Flat returns the page's windows as one contiguous row-major block for the
-// kernels (see VectorPage.Flat).
-func (p *SeriesPage) Flat() *kernel.FlatPage { return p.flat }
 
 // SeriesJoiner joins time-series windows under L2 with threshold Eps, through
 // internal/kernel's exact squared-L2 test.
@@ -238,47 +151,9 @@ type SeriesJoiner struct {
 }
 
 // JoinPages implements ObjectJoiner.
-func (j SeriesJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
-	pa, ok := a.(*SeriesPage)
-	if !ok {
-		panic(fmt.Sprintf("join: SeriesJoiner got %T", a))
-	}
-	pb := b.(*SeriesPage)
-	var comps int64
-	w := 0
-	if len(pa.Windows) > 0 {
-		w = len(pa.Windows[0])
-	}
-	th := kernel.NewThresholdSq(j.Eps)
-	if j.Self {
-		for i, wa := range pa.Windows {
-			idI := pa.IDs[i]
-			startI := pa.Starts[i]
-			for k, wb := range pb.Windows {
-				if idI >= pb.IDs[k] {
-					continue
-				}
-				if j.ExcludeOverlap > 0 {
-					d := startI - pb.Starts[k]
-					if d < 0 {
-						d = -d
-					}
-					if d < j.ExcludeOverlap {
-						continue
-					}
-				}
-				comps++
-				if th.Within(wa, wb) {
-					emit(idI, pb.IDs[k])
-				}
-			}
-		}
-	} else {
-		comps = int64(len(pa.Windows)) * int64(len(pb.Windows))
-		probePage(&th, pa.Windows, pa.IDs, pb.Flat(), pb.IDs, emit)
-	}
-	perPair := compareBaseCost + comparePerDimCost*float64(w)
-	return comps, float64(comps) * perPair
+func (j SeriesJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
+	checkKinds("SeriesJoiner", disk.Series, a, b)
+	return joinRows(kernel.NewThresholdSq(j.Eps), j.Self, j.ExcludeOverlap, a, b, emit)
 }
 
 // BatchKernel implements BatchJoiner: non-self joins are batchable under the
@@ -289,15 +164,6 @@ func (j SeriesJoiner) BatchKernel() (kernel.Threshold, bool) {
 		return kernel.Threshold{}, false
 	}
 	return kernel.NewThresholdSq(j.Eps), true
-}
-
-// StringPage is the payload of a string data page: a run of consecutive
-// subsequence windows with their precomputed frequency vectors.
-type StringPage struct {
-	IDs     []int
-	Starts  []int
-	Windows [][]byte
-	Freqs   [][]int
 }
 
 // StringJoiner joins string windows under edit distance with threshold
@@ -325,12 +191,8 @@ const packedStackCells = 256 * (4 + 2)
 // the L1 distances, and the frequency distance max(Σ positive, Σ negative
 // differences) is then (L1 + |Σ d|)/2, with Σ d the difference of the two
 // windows' totals. No step branches on a sign.
-func (j StringJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
-	pa, ok := a.(*StringPage)
-	if !ok {
-		panic(fmt.Sprintf("join: StringJoiner got %T", a))
-	}
-	pb := b.(*StringPage)
+func (j StringJoiner) JoinPages(pa, pb *disk.Page, emit func(int, int)) (int64, float64) {
+	checkKinds("StringJoiner", disk.Strings, pa, pb)
 	if len(pa.Windows) == 0 {
 		return 0, 0
 	}
@@ -359,21 +221,9 @@ func (j StringJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 		clear(l1)
 		ti := freqL1(pa.Freqs[i], cols, l1)
 		idI := pa.IDs[i]
-		startI := pa.Starts[i]
 		for k, l1k := range l1 {
-			if j.Self {
-				if idI >= pb.IDs[k] {
-					continue
-				}
-				if j.ExcludeOverlap > 0 {
-					d := startI - pb.Starts[k]
-					if d < 0 {
-						d = -d
-					}
-					if d < j.ExcludeOverlap {
-						continue
-					}
-				}
+			if j.Self && SelfSkip(pa, i, pb, k, j.ExcludeOverlap) {
+				continue
 			}
 			comps++
 			sd := ti - totals[k]

@@ -3,11 +3,29 @@ package join
 import (
 	"testing"
 
+	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
+	"pmjoin/internal/kernel"
 )
 
-func vecPage(ids []int, vecs ...geom.Vector) *VectorPage {
-	return VectorPageOf(ids, vecs)
+// vecPage returns the vector page whose object ids[i] is vecs[i].
+func vecPage(ids []int, vecs ...geom.Vector) *disk.Page {
+	return &disk.Page{Kind: disk.Vectors, IDs: ids, Flat: kernel.FlatOf(vecs)}
+}
+
+// seriesPage returns the series page whose window ids[i], starting at
+// starts[i], is windows[i].
+func seriesPage(ids, starts []int, windows [][]float64) *disk.Page {
+	return &disk.Page{Kind: disk.Series, IDs: ids, Starts: starts, Flat: kernel.FlatOf(windows)}
+}
+
+// rows returns the rows of a vector or series page, as views of its block.
+func rows(pg *disk.Page) [][]float64 {
+	out := make([][]float64, len(pg.IDs))
+	for i := range out {
+		out[i] = pg.Flat.Row(i)
+	}
+	return out
 }
 
 func collectPairs() (func(int, int), *[][2]int) {
@@ -51,12 +69,13 @@ func TestVectorJoinerWrongPayloadPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	VectorJoiner{Norm: geom.L2, Eps: 1}.JoinPages("bogus", "bogus", func(int, int) {})
+	p := seriesPage([]int{1}, []int{0}, [][]float64{{0, 0}})
+	VectorJoiner{Norm: geom.L2, Eps: 1}.JoinPages(p, p, func(int, int) {})
 }
 
 func TestSeriesJoinerBasic(t *testing.T) {
-	a := SeriesPageOf([]int{0, 1}, []int{0, 8}, [][]float64{{1, 2, 3}, {9, 9, 9}})
-	b := SeriesPageOf([]int{10}, []int{80}, [][]float64{{1, 2, 3.4}})
+	a := seriesPage([]int{0, 1}, []int{0, 8}, [][]float64{{1, 2, 3}, {9, 9, 9}})
+	b := seriesPage([]int{10}, []int{80}, [][]float64{{1, 2, 3.4}})
 	j := SeriesJoiner{Eps: 0.5}
 	emit, pairs := collectPairs()
 	comps, cpu := j.JoinPages(a, b, emit)
@@ -71,7 +90,7 @@ func TestSeriesJoinerBasic(t *testing.T) {
 func TestSeriesJoinerSelfOverlapExclusion(t *testing.T) {
 	// Two overlapping windows of the same series: identical content but
 	// starts 4 apart; with ExcludeOverlap 8 they must be skipped.
-	p := SeriesPageOf([]int{0, 1}, []int{0, 4}, [][]float64{{1, 1, 1}, {1, 1, 1}})
+	p := seriesPage([]int{0, 1}, []int{0, 4}, [][]float64{{1, 1, 1}, {1, 1, 1}})
 	j := SeriesJoiner{Eps: 1, Self: true, ExcludeOverlap: 8}
 	emit, pairs := collectPairs()
 	j.JoinPages(p, p, emit)
@@ -92,7 +111,8 @@ func TestSeriesJoinerWrongPayloadPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SeriesJoiner{Eps: 1}.JoinPages(42, 43, func(int, int) {})
+	p := vecPage([]int{1}, geom.Vector{0, 0})
+	SeriesJoiner{Eps: 1}.JoinPages(p, p, func(int, int) {})
 }
 
 func TestStringJoinerFreqFilterThenEdit(t *testing.T) {
@@ -116,8 +136,8 @@ func TestStringJoinerFreqFilterThenEdit(t *testing.T) {
 	wa, fa := mk(0, "ACGTACGT")
 	wb, fb := mk(1, "ACGTACGA") // edit distance 1
 	wc, fc := mk(2, "TTTTTTTT") // far away
-	a := &StringPage{IDs: []int{0}, Starts: []int{0}, Windows: [][]byte{wa}, Freqs: [][]int{fa}}
-	b := &StringPage{IDs: []int{10, 11}, Starts: []int{100, 200}, Windows: [][]byte{wb, wc}, Freqs: [][]int{fb, fc}}
+	a := &disk.Page{Kind: disk.Strings, IDs: []int{0}, Starts: []int{0}, Windows: [][]byte{wa}, Freqs: [][]int{fa}}
+	b := &disk.Page{Kind: disk.Strings, IDs: []int{10, 11}, Starts: []int{100, 200}, Windows: [][]byte{wb, wc}, Freqs: [][]int{fb, fc}}
 	j := StringJoiner{MaxEdit: 2}
 	emit, pairs := collectPairs()
 	comps, cpu := j.JoinPages(a, b, emit)
@@ -132,7 +152,8 @@ func TestStringJoinerFreqFilterThenEdit(t *testing.T) {
 func TestStringJoinerSelfExclusion(t *testing.T) {
 	w := []byte("ACGTACGT")
 	f := []int{2, 2, 2, 2}
-	p := &StringPage{
+	p := &disk.Page{
+		Kind:    disk.Strings,
 		IDs:     []int{0, 1},
 		Starts:  []int{0, 4},
 		Windows: [][]byte{w, w},
@@ -152,5 +173,6 @@ func TestStringJoinerWrongPayloadPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	StringJoiner{MaxEdit: 1}.JoinPages(1.5, 2.5, func(int, int) {})
+	p := vecPage([]int{1}, geom.Vector{0, 0})
+	StringJoiner{MaxEdit: 1}.JoinPages(p, p, func(int, int) {})
 }

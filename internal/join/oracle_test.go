@@ -23,15 +23,15 @@ import (
 // for bit — same emit order, same comparison count, same modeled CPU
 // seconds — and live only here.
 
-func refVectorJoinPages(j VectorJoiner, pa, pb *VectorPage, emit func(int, int)) (int64, float64) {
+func refVectorJoinPages(j VectorJoiner, pa, pb *disk.Page, emit func(int, int)) (int64, float64) {
 	var comps int64
 	dim := 0
-	if len(pa.Vecs) > 0 {
-		dim = len(pa.Vecs[0])
+	if len(pa.IDs) > 0 {
+		dim = len(pa.Flat.Row(0))
 	}
 	epsSq := j.Eps * j.Eps
-	for i, va := range pa.Vecs {
-		for k, vb := range pb.Vecs {
+	for i, va := range rows(pa) {
+		for k, vb := range rows(pb) {
 			if j.Self && pa.IDs[i] >= pb.IDs[k] {
 				continue
 			}
@@ -50,15 +50,15 @@ func refVectorJoinPages(j VectorJoiner, pa, pb *VectorPage, emit func(int, int))
 	return comps, float64(comps) * perPair
 }
 
-func refSeriesJoinPages(j SeriesJoiner, pa, pb *SeriesPage, emit func(int, int)) (int64, float64) {
+func refSeriesJoinPages(j SeriesJoiner, pa, pb *disk.Page, emit func(int, int)) (int64, float64) {
 	var comps int64
 	w := 0
-	if len(pa.Windows) > 0 {
-		w = len(pa.Windows[0])
+	if len(pa.IDs) > 0 {
+		w = len(pa.Flat.Row(0))
 	}
 	epsSq := j.Eps * j.Eps
-	for i, wa := range pa.Windows {
-		for k, wb := range pb.Windows {
+	for i, wa := range rows(pa) {
+		for k, wb := range rows(pb) {
 			if j.Self {
 				if pa.IDs[i] >= pb.IDs[k] {
 					continue
@@ -82,7 +82,7 @@ func refSeriesJoinPages(j SeriesJoiner, pa, pb *SeriesPage, emit func(int, int))
 // says. The filter only decides which pairs the modeled CPU charges a
 // banded verification for, so it enters the reference through the public
 // FreqDistance and the seed's cost formula alone.
-func refStringJoinPages(j StringJoiner, pa, pb *StringPage, emit func(int, int)) (int64, float64) {
+func refStringJoinPages(j StringJoiner, pa, pb *disk.Page, emit func(int, int)) (int64, float64) {
 	var comps, verifs int64
 	w, alpha := 0, 0
 	if len(pa.Windows) > 0 {
@@ -113,14 +113,14 @@ func refStringJoinPages(j StringJoiner, pa, pb *StringPage, emit func(int, int))
 }
 
 // refJoinPages dispatches to the reference loop for j.
-func refJoinPages(j ObjectJoiner, a, b any, emit func(int, int)) (int64, float64) {
+func refJoinPages(j ObjectJoiner, a, b *disk.Page, emit func(int, int)) (int64, float64) {
 	switch j := j.(type) {
 	case VectorJoiner:
-		return refVectorJoinPages(j, a.(*VectorPage), b.(*VectorPage), emit)
+		return refVectorJoinPages(j, a, b, emit)
 	case SeriesJoiner:
-		return refSeriesJoinPages(j, a.(*SeriesPage), b.(*SeriesPage), emit)
+		return refSeriesJoinPages(j, a, b, emit)
 	case StringJoiner:
-		return refStringJoinPages(j, a.(*StringPage), b.(*StringPage), emit)
+		return refStringJoinPages(j, a, b, emit)
 	default:
 		panic(fmt.Sprintf("no reference loop for %T", j))
 	}
@@ -164,20 +164,20 @@ func randRows(rng *rand.Rand, n, dim int) [][]float64 {
 	return rows
 }
 
-func randVectorPage(rng *rand.Rand, firstID, n, dim int) *VectorPage {
+func randVectorPage(rng *rand.Rand, firstID, n, dim int) *disk.Page {
 	var ids []int
 	var vecs []geom.Vector
 	for i, r := range randRows(rng, n, dim) {
 		ids = append(ids, firstID+i)
 		vecs = append(vecs, r)
 	}
-	return VectorPageOf(ids, vecs)
+	return vecPage(ids, vecs...)
 }
 
 // stringPage cuts the windows firstID … firstID+n−1 of length w at stride
 // out of seq, with their frequency vectors over alpha.
-func stringPage(seq []byte, alpha *seqdist.Alphabet, firstID, n, w, stride int) *StringPage {
-	p := &StringPage{}
+func stringPage(seq []byte, alpha *seqdist.Alphabet, firstID, n, w, stride int) *disk.Page {
+	p := &disk.Page{Kind: disk.Strings}
 	for id := firstID; id < firstID+n; id++ {
 		win := seq[id*stride : id*stride+w]
 		p.IDs = append(p.IDs, id)
@@ -189,23 +189,23 @@ func stringPage(seq []byte, alpha *seqdist.Alphabet, firstID, n, w, stride int) 
 }
 
 // randSeriesPage draws n windows of length w whose starts advance by stride.
-func randSeriesPage(rng *rand.Rand, firstID, n, w, stride int) *SeriesPage {
+func randSeriesPage(rng *rand.Rand, firstID, n, w, stride int) *disk.Page {
 	var ids, starts []int
 	for i := range n {
 		ids = append(ids, firstID+i)
 		starts = append(starts, (firstID+i)*stride)
 	}
-	return SeriesPageOf(ids, starts, randRows(rng, n, w))
+	return seriesPage(ids, starts, randRows(rng, n, w))
 }
 
 // randStringPages draws n pages of 12 DNA windows of length 24 each. The
 // windows are mostly A, so a fair share of pairs survives the frequency
 // filter and reaches the edit-distance step.
-func randStringPages(rng *rand.Rand, n int) []any {
-	pages := make([]any, n)
+func randStringPages(rng *rand.Rand, n int) []*disk.Page {
+	pages := make([]*disk.Page, n)
 	id := 0
 	for p := range pages {
-		sp := &StringPage{}
+		sp := &disk.Page{Kind: disk.Strings}
 		for i := 0; i < 12; i++ {
 			win := make([]byte, 24)
 			freq := make([]int, 4)
@@ -246,12 +246,12 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 		for _, dim := range []int{3, 8} {
 			pa := randVectorPage(rng, 0, 40, dim)
 			pb := randVectorPage(rng, 20, 50, dim) // IDs overlap a's, so Self skips some
-			for i, v := range pa.Vecs[:5] {
-				copy(pb.Vecs[i], v)
+			for i, v := range rows(pa)[:5] {
+				copy(pb.Flat.Row(i), v)
 			}
 			var dists []float64
-			for _, va := range pa.Vecs {
-				for _, vb := range pb.Vecs[5:] {
+			for _, va := range rows(pa) {
+				for _, vb := range rows(pb)[5:] {
 					dists = append(dists, norm.Dist(va, vb))
 				}
 			}
@@ -275,12 +275,12 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 	const w, stride = 16, 4
 	sa := randSeriesPage(rng, 0, 40, w, stride)
 	sb := randSeriesPage(rng, 20, 50, w, stride)
-	for i, win := range sa.Windows[:5] {
-		copy(sb.Windows[10+i], win) // duplicates outside the overlap exclusion
+	for i, win := range rows(sa)[:5] {
+		copy(sb.Flat.Row(10+i), win) // duplicates outside the overlap exclusion
 	}
 	var dists []float64
-	for _, wa := range sa.Windows {
-		for _, wb := range sb.Windows[15:] {
+	for _, wa := range rows(sa) {
+		for _, wb := range rows(sb)[15:] {
 			dists = append(dists, geom.L2.Dist(wa, wb))
 		}
 	}
@@ -298,7 +298,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 				if eps == 0 && len(want.pairs) == 0 {
 					t.Error("ε = 0 matched nothing; the duplicate windows are not being compared")
 				}
-				if full := int64(len(sa.Windows) * len(sb.Windows)); self && want.comps == full {
+				if full := int64(len(sa.IDs) * len(sb.IDs)); self && want.comps == full {
 					t.Error("self join compared every pair; the id and overlap skips are not in play")
 				}
 			})
@@ -312,7 +312,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 	// stride, and the large page outgrows its stack scratch.
 	const sw, sstride = 24, 4
 	srng := rand.New(rand.NewSource(8))
-	stringCase := func(name string, j StringJoiner, pa, pb *StringPage) {
+	stringCase := func(name string, j StringJoiner, pa, pb *disk.Page) {
 		t.Run("string/"+name, func(t *testing.T) {
 			var got, want joinTrace
 			got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
@@ -349,21 +349,21 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 		large := stringPage(seqB, alpha, 0, packedStackCells/(alpha.Size()+2)+1, sw, sstride)
 		stringCase(symbols+"/large-b", StringJoiner{MaxEdit: 3}, pa, large)
 		if symbols == "ACGT" {
-			stringCase("empty-a", StringJoiner{MaxEdit: 3}, &StringPage{}, large)
-			stringCase("empty-b", StringJoiner{MaxEdit: 3}, pa, &StringPage{})
+			stringCase("empty-a", StringJoiner{MaxEdit: 3}, &disk.Page{Kind: disk.Strings}, large)
+			stringCase("empty-b", StringJoiner{MaxEdit: 3}, pa, &disk.Page{Kind: disk.Strings})
 		}
 	}
 }
 
 // oracleDataset writes pages to a fresh file of d behind a flat one-level
 // index (the clustered executor only needs the leaves to cover the pages).
-func oracleDataset(t testing.TB, d *disk.Disk, name string, pages []any) *Dataset {
+func oracleDataset(t testing.TB, d *disk.Disk, name string, pages []*disk.Page) *Dataset {
 	t.Helper()
 	f := d.CreateFile()
 	box := geom.NewMBR(geom.Vector{0})
 	root := &index.Node{MBR: box, Page: -1}
-	for p, payload := range pages {
-		if _, err := d.AppendPage(f, payload); err != nil {
+	for p, pg := range pages {
+		if _, err := d.AppendPage(f, *pg); err != nil {
 			t.Fatal(err)
 		}
 		root.Children = append(root.Children, &index.Node{MBR: box, Page: p})
@@ -382,15 +382,15 @@ func oracleDataset(t testing.TB, d *disk.Disk, name string, pages []any) *Datase
 func TestClusteredMatchesOracle(t *testing.T) {
 	const nPages, buffer, seed = 24, 20, 11
 	rng := rand.New(rand.NewSource(seed))
-	vectorPages := func(dim int) []any {
-		pages := make([]any, nPages)
+	vectorPages := func(dim int) []*disk.Page {
+		pages := make([]*disk.Page, nPages)
 		for p := range pages {
 			pages[p] = randVectorPage(rng, 100*p, 5+rng.Intn(12), dim)
 		}
 		return pages
 	}
-	seriesPages := func() []any {
-		pages := make([]any, nPages)
+	seriesPages := func() []*disk.Page {
+		pages := make([]*disk.Page, nPages)
 		for p := range pages {
 			pages[p] = randSeriesPage(rng, 20*p, 20, 16, 4)
 		}
@@ -399,7 +399,7 @@ func TestClusteredMatchesOracle(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		r, s   []any // s nil: self join
+		r, s   []*disk.Page // s nil: self join
 		joiner ObjectJoiner
 	}{
 		{"vector-dim8", vectorPages(8), vectorPages(8), VectorJoiner{Norm: geom.L2, Eps: 0.75}},

@@ -1,42 +1,31 @@
 package join_test
 
 import (
+	"slices"
 	"testing"
 
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/disk"
-	"pmjoin/internal/join"
 	"pmjoin/internal/kernel"
 	"pmjoin/internal/store"
 )
-
-// ownsFlat reports whether the page's rows are views of its flat block, that
-// is, whether the page was built over the block (join.NewVectorPage).
-func ownsFlat(p *join.VectorPage) bool {
-	f := p.Flat()
-	return len(f.Data) > 0 && &f.Data[0] == &p.Vecs[0][0]
-}
 
 // TestPrefetchPrewarmsFlat pins where a page's flat kernel block comes from
 // now that no load hook builds it: every page arrives with its block, so
 // neither the coordinator nor a worker ever flattens one. A page built the
 // way ingest builds it has its block before any join, and the simulator's
-// Get returns that same page; a page fetched from the file store has its
-// block too, as a view of the mapped record; and Flat hands out that
-// block.
+// Get returns that same block; a page fetched from the file store has its
+// block too, as a view of the mapped record, holding the same rows.
 func TestPrefetchPrewarmsFlat(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
-	ingested := make([]*join.VectorPage, 3)
+	ingested := make([]*kernel.FlatPage, 3)
 	for p := range ingested {
 		fp := kernel.NewFlatPage(2, 2)
 		fp.AppendRow([]float64{float64(p), 0})
 		fp.AppendRow([]float64{0, float64(p)})
-		ingested[p] = join.NewVectorPage([]int{2 * p, 2*p + 1}, fp)
-		if !ownsFlat(ingested[p]) {
-			t.Fatalf("page %d: ingest did not build the page over its flat block", p)
-		}
-		if _, err := d.AppendPage(f, ingested[p]); err != nil {
+		ingested[p] = fp
+		if _, err := d.AppendPage(f, disk.Page{Kind: disk.Vectors, IDs: []int{2 * p, 2*p + 1}, Flat: *fp}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,20 +43,21 @@ func TestPrefetchPrewarmsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range ingested {
+		for p, want := range ingested {
 			pg, err := pool.Get(disk.PageAddr{File: f, Page: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := pg.Payload.(*join.VectorPage)
-			if backend == nil && got != ingested[p] {
-				t.Fatalf("simulator page %d: got a different payload than the ingested one", p)
+			got := pg.Flat
+			if got.N != 2 || got.Dim != 2 || !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("page %d (backend %T): block %+v, want the ingested rows %v", p, backend, got, want.Data)
 			}
-			if backend != nil && got == ingested[p] {
+			same := &got.Data[0] == &want.Data[0]
+			if backend == nil && !same {
+				t.Fatalf("simulator page %d: got a different block than the ingested one", p)
+			}
+			if backend != nil && same {
 				t.Fatalf("store page %d: served from memory, not fetched", p)
-			}
-			if !ownsFlat(got) {
-				t.Fatalf("page %d (backend %T): Flat's block is not the one the rows view", p, backend)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ type windowCase struct {
 
 const windowBuffer = 6
 
-func newWindowCase(t testing.TB, rPages, sPages []any, j ObjectJoiner, seed int64) *windowCase {
+func newWindowCase(t testing.TB, rPages, sPages []*disk.Page, j ObjectJoiner, seed int64) *windowCase {
 	t.Helper()
 	d := disk.New(disk.DefaultModel())
 	wc := &windowCase{d: d, r: oracleDataset(t, d, "r", rPages), s: oracleDataset(t, d, "s", sPages), j: j}
@@ -110,8 +110,8 @@ func (wc *windowCase) cutCluster(maxPairs int) int {
 func TestClusterWindowMatchesSerial(t *testing.T) {
 	const nPages = 40
 	rng := rand.New(rand.NewSource(21))
-	vectorPages := func() []any {
-		pages := make([]any, nPages)
+	vectorPages := func() []*disk.Page {
+		pages := make([]*disk.Page, nPages)
 		for p := range pages {
 			pages[p] = randVectorPage(rng, 100*p, 6+rng.Intn(3), 8)
 		}
@@ -119,7 +119,7 @@ func TestClusterWindowMatchesSerial(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		r, s   []any
+		r, s   []*disk.Page
 		joiner ObjectJoiner
 	}{
 		{"block", vectorPages(), vectorPages(), VectorJoiner{Norm: geom.L2, Eps: 1.0}},
@@ -170,7 +170,7 @@ type cancellingJoiner struct {
 	inFlight atomic.Int64
 }
 
-func (j *cancellingJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) {
+func (j *cancellingJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
 	j.inFlight.Add(1)
 	defer j.inFlight.Add(-1)
 	if j.calls.Add(1) == j.k {

@@ -36,6 +36,19 @@ func (f *FlatPage) AppendRow(row []float64) {
 	f.N++
 }
 
+// FlatOf returns a new block holding copies of rows, which must all have
+// the first one's length.
+func FlatOf[V ~[]float64](rows []V) FlatPage {
+	var f FlatPage
+	if len(rows) > 0 {
+		f = *NewFlatPage(len(rows[0]), len(rows))
+	}
+	for _, row := range rows {
+		f.AppendRow(row)
+	}
+	return f
+}
+
 // Row returns point i as a slice into the block (full-capacity cut, so an
 // append by the caller cannot clobber the neighbor row).
 func (f *FlatPage) Row(i int) []float64 {

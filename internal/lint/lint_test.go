@@ -21,23 +21,23 @@ type PageAddr struct {
 }
 
 type Page struct {
-	Addr    PageAddr
-	Payload any
+	Addr PageAddr
+	IDs  []int
 }
 
 type Disk struct{}
 
 func (d *Disk) Read(a PageAddr) (*Page, error)            { return nil, nil }
-func (d *Disk) Write(a PageAddr, payload any) error       { return nil }
+func (d *Disk) Write(a PageAddr, p Page) error            { return nil }
 func (d *Disk) Peek(a PageAddr) (*Page, error)            { return nil, nil }
-func (d *Disk) AppendPage(f FileID, p any) (PageAddr, error) { return PageAddr{}, nil }
+func (d *Disk) AppendPage(f FileID, p Page) (PageAddr, error) { return PageAddr{}, nil }
 func (d *Disk) NumPages(f FileID) int                     { return 0 }
 func (d *Disk) NewSession() *Session                      { return nil }
 
 type Session struct{}
 
 func (s *Session) Read(a PageAddr) (*Page, error)      { return nil, nil }
-func (s *Session) Write(a PageAddr, payload any) error { return nil }
+func (s *Session) Write(a PageAddr, p Page) error      { return nil }
 func (s *Session) Peek(a PageAddr) (*Page, error)      { return nil, nil }
 func (s *Session) NumPages(f FileID) int               { return 0 }
 `
@@ -553,7 +553,7 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 	if _, err := d.Peek(a); err != nil {
 		return err
 	}
-	return d.Write(a, nil)
+	return d.Write(a, disk.Page{})
 }
 `,
 			lines: []int{6, 9, 12},
@@ -597,7 +597,7 @@ func bad(s *disk.Session, a disk.PageAddr) error {
 	if _, err := s.Peek(a); err != nil {
 		return err
 	}
-	return s.Write(a, nil)
+	return s.Write(a, disk.Page{})
 }
 `,
 			lines: []int{6, 9, 12},
@@ -1114,7 +1114,7 @@ func f(n geom.Norm, a, b geom.MBR, p geom.Vector, eps float64) {
 		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/predmat", src), "slowdist", []int{6, 7, 8, 9})
 	})
 	t.Run("distance used as a value is clean", func(t *testing.T) {
-		src := `package pbsm
+		src := `package ego
 
 import "pmjoin/internal/geom"
 
@@ -1123,7 +1123,7 @@ func f(n geom.Norm, a, b geom.Vector) float64 {
 	return d * 2
 }
 `
-		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/pbsm", src), "slowdist", nil)
+		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/ego", src), "slowdist", nil)
 	})
 	t.Run("comparing a stored distance variable is clean", func(t *testing.T) {
 		// The rule targets the immediate compute-then-compare shape; a stored

@@ -16,7 +16,6 @@ const geomPkgPath = "pmjoin/internal/geom"
 var slowdistPackages = map[string]bool{
 	"pmjoin/internal/bfrj":    true,
 	"pmjoin/internal/ego":     true,
-	"pmjoin/internal/pbsm":    true,
 	"pmjoin/internal/predmat": true,
 }
 

@@ -12,7 +12,7 @@ func newRun(t *testing.T, pages, capacity int) (*disk.Disk, disk.FileID, *disk.S
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
 	for i := 0; i < pages; i++ {
-		if _, err := d.AppendPage(f, i); err != nil {
+		if _, err := d.AppendPage(f, disk.Page{IDs: []int{i}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ import (
 	"math"
 	"unsafe"
 
-	"pmjoin/internal/join"
+	"pmjoin/internal/disk"
 	"pmjoin/internal/kernel"
 )
 
@@ -35,7 +35,7 @@ import (
 //	6      2    payload kind
 //	8      4    payload length in bytes
 //	12     4    CRC-32 (IEEE) of the payload bytes
-//	16     n    payload (kind-specific, see encodePayload)
+//	16     n    payload (kind-specific, see encodePage and encodeData)
 //
 // Vector and series page payloads are the kernel's flat layout, so a fetched
 // page is a view of its record rather than a decoded copy:
@@ -71,7 +71,7 @@ const (
 )
 
 // Raw dataset payloads: the save/load container types. They are distinct
-// named types so DecodeRecord's result is self-describing.
+// named types so LoadData's result is self-describing.
 type (
 	// RawVectors is an unindexed vector dataset (rows of coordinates).
 	RawVectors [][]float64
@@ -81,10 +81,9 @@ type (
 	RawString []byte
 )
 
-// ErrUnsupportedPayload reports a payload type the wire format has no
-// encoding for — executor-internal scratch payloads. The store skips such
-// pages (they stay memory-only); callers that require encodability (the
-// dataset saver) surface it.
+// ErrUnsupportedPayload reports a payload the wire format has no encoding
+// for: a scratch page, which holds no objects (Store.Put keeps such pages
+// memory-only), or a SaveData payload outside the raw dataset types.
 var ErrUnsupportedPayload = errors.New("store: unsupported payload type")
 
 // ErrCorruptRecord reports a record that failed structural validation:
@@ -93,11 +92,22 @@ var ErrUnsupportedPayload = errors.New("store: unsupported payload type")
 // input (fuzzed by FuzzPageCodecRoundTrip).
 var ErrCorruptRecord = errors.New("store: corrupt record")
 
-// EncodeRecord encodes one payload into a complete wire record
-// (header + payload). It returns ErrUnsupportedPayload for types outside
-// the format, and an error for a page whose rows differ in width.
-func EncodeRecord(payload any) ([]byte, error) {
-	kind, rec, err := encodePayload(payload)
+// EncodePage encodes one page into a complete wire record (header +
+// payload). It returns ErrUnsupportedPayload for a scratch page, and an
+// error for a page whose slices disagree on its object count.
+func EncodePage(pg *disk.Page) ([]byte, error) {
+	return seal(encodePage(pg))
+}
+
+// encodeData encodes one raw dataset payload into a complete wire record,
+// or returns ErrUnsupportedPayload for any other type.
+func encodeData(payload any) ([]byte, error) {
+	return seal(encodeRaw(payload))
+}
+
+// seal writes the header of rec, whose payload follows headerSize bytes
+// left for it.
+func seal(kind pageKind, rec []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -132,24 +142,40 @@ func parseHeader(b []byte) (kind pageKind, payloadLen uint32, crc uint32, err er
 	return kind, binary.LittleEndian.Uint32(b[8:12]), binary.LittleEndian.Uint32(b[12:16]), nil
 }
 
-// DecodeRecord decodes one complete wire record (as produced by
-// EncodeRecord) back into its payload. Corrupt or truncated input returns
+// DecodePage decodes one complete page record (as produced by EncodePage).
+// Corrupt or truncated input, and a raw dataset record, return
 // ErrCorruptRecord — never a panic. A vector or series page aliases rec: its
 // IDs, starts and flat block view rec's bytes wherever words can, so rec must
 // outlive the page and never change.
-func DecodeRecord(rec []byte) (any, error) {
-	kind, plen, crc, err := parseHeader(rec)
+func DecodePage(rec []byte) (*disk.Page, error) {
+	kind, body, err := record(rec)
 	if err != nil {
 		return nil, err
 	}
+	switch kind {
+	case kindVectorPage, kindSeriesPage:
+		return decodeFlat(kind, body)
+	case kindStringPage:
+		return decodeStrings(body)
+	}
+	return nil, fmt.Errorf("%w: kind %d is not a page record", ErrCorruptRecord, kind)
+}
+
+// record validates one complete wire record — header, length and CRC — and
+// returns its kind and payload.
+func record(rec []byte) (pageKind, []byte, error) {
+	kind, plen, crc, err := parseHeader(rec)
+	if err != nil {
+		return 0, nil, err
+	}
 	if uint64(len(rec)) != headerSize+uint64(plen) {
-		return nil, fmt.Errorf("%w: record is %d bytes, header says %d", ErrCorruptRecord, len(rec), headerSize+plen)
+		return 0, nil, fmt.Errorf("%w: record is %d bytes, header says %d", ErrCorruptRecord, len(rec), headerSize+plen)
 	}
 	body := rec[headerSize:]
 	if crc32.ChecksumIEEE(body) != crc {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+		return 0, nil, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
 	}
-	return decodePayload(kind, body)
+	return kind, body, nil
 }
 
 // encoder appends the fixed-width primitives of the format.
@@ -250,43 +276,50 @@ func (d *decoder) bytes() []byte {
 // done reports whether the decoder consumed the payload exactly.
 func (d *decoder) done() bool { return !d.bad && d.off == len(d.b) }
 
-// encodePayload serializes one payload after headerSize bytes left for
-// EncodeRecord's header, returning its kind tag and the record.
-func encodePayload(payload any) (pageKind, []byte, error) {
-	e := encoder{b: make([]byte, headerSize)}
-	switch p := payload.(type) {
-	case *join.VectorPage:
-		if len(p.Vecs) != len(p.IDs) {
-			return 0, nil, fmt.Errorf("store: vector page with %d ids but %d vectors", len(p.IDs), len(p.Vecs))
-		}
-		rec, err := encodeFlat(p.IDs, nil, p.Vecs)
+// encodePage serializes one page after headerSize bytes left for the
+// header, returning its kind tag and the record.
+func encodePage(pg *disk.Page) (pageKind, []byte, error) {
+	n := len(pg.IDs)
+	switch pg.Kind {
+	case disk.Vectors:
+		rec, err := encodeFlat(pg.IDs, nil, &pg.Flat)
 		return kindVectorPage, rec, err
-	case *join.SeriesPage:
-		if len(p.Starts) != len(p.IDs) || len(p.Windows) != len(p.IDs) {
-			return 0, nil, fmt.Errorf("store: series page with mismatched row slices")
+	case disk.Series:
+		if len(pg.Starts) != n {
+			return 0, nil, fmt.Errorf("store: series page with %d ids but %d starts", n, len(pg.Starts))
 		}
-		rec, err := encodeFlat(p.IDs, p.Starts, p.Windows)
+		rec, err := encodeFlat(pg.IDs, pg.Starts, &pg.Flat)
 		return kindSeriesPage, rec, err
-	case *join.StringPage:
-		if len(p.Starts) != len(p.IDs) || len(p.Windows) != len(p.IDs) || len(p.Freqs) != len(p.IDs) {
+	case disk.Strings:
+		if len(pg.Starts) != n || len(pg.Windows) != n || len(pg.Freqs) != n {
 			return 0, nil, fmt.Errorf("store: string page with mismatched row slices")
 		}
 		// u32 n, then per row: i64 id, i64 start, u32 wlen + bytes,
 		// u32 flen, flen×i64 frequencies.
-		e.u32(uint32(len(p.IDs)))
-		for i, id := range p.IDs {
+		e := encoder{b: make([]byte, headerSize)}
+		e.u32(uint32(n))
+		for i, id := range pg.IDs {
 			e.i64(id)
-			e.i64(p.Starts[i])
-			w := p.Windows[i]
+			e.i64(pg.Starts[i])
+			w := pg.Windows[i]
 			e.u32(uint32(len(w)))
 			e.b = append(e.b, w...)
-			fr := p.Freqs[i]
+			fr := pg.Freqs[i]
 			e.u32(uint32(len(fr)))
 			for _, f := range fr {
 				e.i64(f)
 			}
 		}
 		return kindStringPage, e.b, nil
+	}
+	return 0, nil, fmt.Errorf("%w: %v page", ErrUnsupportedPayload, pg.Kind)
+}
+
+// encodeRaw serializes one raw dataset payload after headerSize bytes left
+// for the header, returning its kind tag and the record.
+func encodeRaw(payload any) (pageKind, []byte, error) {
+	e := encoder{b: make([]byte, headerSize)}
+	switch p := payload.(type) {
 	case RawVectors:
 		e.u32(uint32(len(p)))
 		for _, row := range p {
@@ -300,25 +333,22 @@ func encodePayload(payload any) (pageKind, []byte, error) {
 		e.u32(uint32(len(p)))
 		e.b = append(e.b, p...)
 		return kindRawString, e.b, nil
-	default:
-		return 0, nil, fmt.Errorf("%w: %T", ErrUnsupportedPayload, payload)
 	}
+	return 0, nil, fmt.Errorf("%w: %T", ErrUnsupportedPayload, payload)
 }
 
 // encodeFlat lays out a vector page (starts nil) or a series page in the
-// flat layout, after headerSize bytes left for the header. Every row must
-// have row 0's width.
-func encodeFlat[V ~[]float64](ids, starts []int, rows []V) ([]byte, error) {
+// flat layout, after headerSize bytes left for the header. The block must
+// hold exactly one row per id; an empty page is written with width 0.
+func encodeFlat(ids, starts []int, f *kernel.FlatPage) ([]byte, error) {
+	if f.N != len(ids) || len(f.Data) != f.N*f.Dim {
+		return nil, fmt.Errorf("store: page of %d ids over a block of %d rows (%d values, dim %d)", len(ids), f.N, len(f.Data), f.Dim)
+	}
 	width := 0
-	if len(rows) > 0 {
-		width = len(rows[0])
+	if f.N > 0 {
+		width = f.Dim
 	}
-	for i, r := range rows {
-		if len(r) != width {
-			return nil, fmt.Errorf("store: ragged page: row %d has %d values, row 0 has %d", i, len(r), width)
-		}
-	}
-	e := encoder{b: make([]byte, headerSize, headerSize+8*(1+len(ids)+len(starts)+len(rows)*width))}
+	e := encoder{b: make([]byte, headerSize, headerSize+8*(1+len(ids)+len(starts)+len(f.Data)))}
 	e.u32(uint32(len(ids)))
 	e.u32(uint32(width))
 	for _, id := range ids {
@@ -327,37 +357,22 @@ func encodeFlat[V ~[]float64](ids, starts []int, rows []V) ([]byte, error) {
 	for _, s := range starts {
 		e.i64(s)
 	}
-	for _, r := range rows {
-		for _, v := range r {
-			e.f64(v)
-		}
+	for _, v := range f.Data {
+		e.f64(v)
 	}
 	return e.b, nil
 }
 
-// decodePayload parses a payload body of the given kind.
-func decodePayload(kind pageKind, body []byte) (any, error) {
-	if kind == kindVectorPage || kind == kindSeriesPage {
-		return decodeFlat(kind, body)
+// decodeData decodes one complete raw dataset record (as produced by
+// encodeData). Corrupt input, and a page record, return ErrCorruptRecord.
+func decodeData(rec []byte) (any, error) {
+	kind, body, err := record(rec)
+	if err != nil {
+		return nil, err
 	}
 	d := &decoder{b: body}
 	var out any
 	switch kind {
-	case kindStringPage:
-		n := d.count(24) // id + start + two len counts per row, minimum
-		p := &join.StringPage{IDs: make([]int, 0, n), Starts: make([]int, 0, n), Windows: make([][]byte, 0, n), Freqs: make([][]int, 0, n)}
-		for i := 0; i < n && !d.bad; i++ {
-			p.IDs = append(p.IDs, d.i64())
-			p.Starts = append(p.Starts, d.i64())
-			p.Windows = append(p.Windows, d.bytes())
-			fn := d.count(8)
-			fr := make([]int, 0, fn)
-			for k := 0; k < fn && !d.bad; k++ {
-				fr = append(fr, d.i64())
-			}
-			p.Freqs = append(p.Freqs, fr)
-		}
-		out = p
 	case kindRawVectors:
 		n := d.count(4) // a length word per row, minimum
 		rows := make(RawVectors, 0, n)
@@ -370,7 +385,7 @@ func decodePayload(kind pageKind, body []byte) (any, error) {
 	case kindRawString:
 		out = RawString(d.bytes())
 	default:
-		return nil, fmt.Errorf("%w: unknown payload kind %d", ErrCorruptRecord, kind)
+		return nil, fmt.Errorf("%w: kind %d is not a dataset record", ErrCorruptRecord, kind)
 	}
 	if !d.done() {
 		return nil, fmt.Errorf("%w: payload does not parse (kind %d)", ErrCorruptRecord, kind)
@@ -378,10 +393,32 @@ func decodePayload(kind pageKind, body []byte) (any, error) {
 	return out, nil
 }
 
+// decodeStrings parses a string page body.
+func decodeStrings(body []byte) (*disk.Page, error) {
+	d := &decoder{b: body}
+	n := d.count(24) // id + start + two len counts per row, minimum
+	p := &disk.Page{Kind: disk.Strings, IDs: make([]int, 0, n), Starts: make([]int, 0, n), Windows: make([][]byte, 0, n), Freqs: make([][]int, 0, n)}
+	for i := 0; i < n && !d.bad; i++ {
+		p.IDs = append(p.IDs, d.i64())
+		p.Starts = append(p.Starts, d.i64())
+		p.Windows = append(p.Windows, d.bytes())
+		fn := d.count(8)
+		fr := make([]int, 0, fn)
+		for k := 0; k < fn && !d.bad; k++ {
+			fr = append(fr, d.i64())
+		}
+		p.Freqs = append(p.Freqs, fr)
+	}
+	if !d.done() {
+		return nil, fmt.Errorf("%w: payload does not parse (kind %d)", ErrCorruptRecord, kindStringPage)
+	}
+	return p, nil
+}
+
 // decodeFlat builds a vector or series page over a flat-layout body. The
 // shape is checked against the body length before anything is allocated,
 // and an empty page must have width 0 (the one encoding of it).
-func decodeFlat(kind pageKind, body []byte) (any, error) {
+func decodeFlat(kind pageKind, body []byte) (*disk.Page, error) {
 	if len(body) < 8 {
 		return nil, fmt.Errorf("%w: page payload of %d bytes has no shape", ErrCorruptRecord, len(body))
 	}
@@ -401,16 +438,15 @@ func decodeFlat(kind pageKind, body []byte) (any, error) {
 		return nil, fmt.Errorf("%w: %d-byte payload for %d rows of width %d", ErrCorruptRecord, len(body), n, width)
 	}
 	rest := body[8:]
-	ids := words(rest[:8*n], wordInt)
+	pg := &disk.Page{Kind: disk.Vectors, IDs: words(rest[:8*n], wordInt), Flat: kernel.FlatPage{Dim: int(width), N: int(n)}}
 	rest = rest[8*n:]
-	f := &kernel.FlatPage{Dim: int(width), N: int(n)}
-	if kind == kindVectorPage {
-		f.Data = words(rest, math.Float64frombits)
-		return join.NewVectorPage(ids, f), nil
+	if kind == kindSeriesPage {
+		pg.Kind = disk.Series
+		pg.Starts = words(rest[:8*n], wordInt)
+		rest = rest[8*n:]
 	}
-	starts := words(rest[:8*n], wordInt)
-	f.Data = words(rest[8*n:], math.Float64frombits)
-	return join.NewSeriesPage(ids, starts, f), nil
+	pg.Flat.Data = words(rest, math.Float64frombits)
+	return pg, nil
 }
 
 // wordInt reads a two's-complement word as an int (see encoder.i64).

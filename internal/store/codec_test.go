@@ -2,33 +2,41 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
 
+	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
-	"pmjoin/internal/join"
+	"pmjoin/internal/kernel"
 )
+
+// vectorPage returns the vector page whose object ids[i] is vecs[i].
+func vectorPage(ids []int, vecs []geom.Vector) *disk.Page {
+	return &disk.Page{Kind: disk.Vectors, IDs: ids, Flat: kernel.FlatOf(vecs)}
+}
 
 // sampleVectorPage exercises negative IDs and every special float class the
 // format promises to round-trip bit-exactly.
-func sampleVectorPage() *join.VectorPage {
-	return join.VectorPageOf([]int{0, -7, 1 << 40}, []geom.Vector{
+func sampleVectorPage() *disk.Page {
+	return vectorPage([]int{0, -7, 1 << 40}, []geom.Vector{
 		{1.5, -2.25, 0},
 		{math.NaN(), math.Inf(1), math.Inf(-1)},
 		{math.Copysign(0, -1), 5e-324, math.MaxFloat64},
 	})
 }
 
-func sampleSeriesPage() *join.SeriesPage {
-	return join.SeriesPageOf([]int{3, 4}, []int{0, -128},
-		[][]float64{{0.5, 1.5, 2.5}, {math.NaN(), math.Copysign(0, -1), -7}})
+func sampleSeriesPage() *disk.Page {
+	return &disk.Page{Kind: disk.Series, IDs: []int{3, 4}, Starts: []int{0, -128},
+		Flat: kernel.FlatOf([][]float64{{0.5, 1.5, 2.5}, {math.NaN(), math.Copysign(0, -1), -7}})}
 }
 
-func sampleStringPage() *join.StringPage {
-	return &join.StringPage{
+func sampleStringPage() *disk.Page {
+	return &disk.Page{
+		Kind:    disk.Strings,
 		IDs:     []int{9, 10},
 		Starts:  []int{2, 11},
 		Windows: [][]byte{[]byte("abacus"), {}},
@@ -60,119 +68,164 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
-// roundTrip encodes payload and decodes it back, failing the test on error.
-func roundTrip(t *testing.T, payload any) any {
-	t.Helper()
-	rec, err := EncodeRecord(payload)
-	if err != nil {
-		t.Fatalf("EncodeRecord(%T): %v", payload, err)
+// eqPage reports whether two pages hold the same objects, floats bit for
+// bit; an empty block's width does not count.
+func eqPage(a, b *disk.Page) bool {
+	if a.Kind != b.Kind || !eqInts(a.IDs, b.IDs) || !eqInts(a.Starts, b.Starts) ||
+		a.Flat.N != b.Flat.N || !eqFloats(a.Flat.Data, b.Flat.Data) || (a.Flat.N > 0 && a.Flat.Dim != b.Flat.Dim) ||
+		len(a.Windows) != len(b.Windows) || len(a.Freqs) != len(b.Freqs) {
+		return false
 	}
-	got, err := DecodeRecord(rec)
+	for i := range a.Windows {
+		if string(a.Windows[i]) != string(b.Windows[i]) {
+			return false
+		}
+	}
+	for i := range a.Freqs {
+		if !eqInts(a.Freqs[i], b.Freqs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// roundTrip encodes pg and decodes it back, failing the test on error.
+func roundTrip(t *testing.T, pg *disk.Page) *disk.Page {
+	t.Helper()
+	rec, err := EncodePage(pg)
 	if err != nil {
-		t.Fatalf("DecodeRecord(%T record): %v", payload, err)
+		t.Fatalf("EncodePage(%v page): %v", pg.Kind, err)
+	}
+	got, err := DecodePage(rec)
+	if err != nil {
+		t.Fatalf("DecodePage(%v record): %v", pg.Kind, err)
+	}
+	return got
+}
+
+// roundTripData is roundTrip for a raw dataset payload.
+func roundTripData(t *testing.T, payload any) any {
+	t.Helper()
+	rec, err := encodeData(payload)
+	if err != nil {
+		t.Fatalf("encodeData(%T): %v", payload, err)
+	}
+	got, err := decodeData(rec)
+	if err != nil {
+		t.Fatalf("decodeData(%T record): %v", payload, err)
 	}
 	return got
 }
 
 func TestCodecRoundTripVectorPage(t *testing.T) {
-	want := sampleVectorPage()
-	got, ok := roundTrip(t, want).(*join.VectorPage)
-	if !ok {
-		t.Fatalf("decoded to %T, want *join.VectorPage", got)
-	}
-	if !eqInts(got.IDs, want.IDs) {
-		t.Errorf("IDs = %v, want %v", got.IDs, want.IDs)
-	}
-	if len(got.Vecs) != len(want.Vecs) {
-		t.Fatalf("len(Vecs) = %d, want %d", len(got.Vecs), len(want.Vecs))
-	}
-	for i := range want.Vecs {
-		if !eqFloats(got.Vecs[i], want.Vecs[i]) {
-			t.Errorf("Vecs[%d] = %v, want bit-identical %v", i, got.Vecs[i], want.Vecs[i])
-		}
+	if want, got := sampleVectorPage(), roundTrip(t, sampleVectorPage()); !eqPage(got, want) {
+		t.Errorf("round trip = %+v, want bit-identical %+v", got, want)
 	}
 }
 
 func TestCodecRoundTripSeriesPage(t *testing.T) {
-	want := sampleSeriesPage()
-	got, ok := roundTrip(t, want).(*join.SeriesPage)
-	if !ok {
-		t.Fatalf("decoded to %T, want *join.SeriesPage", got)
-	}
-	if !eqInts(got.IDs, want.IDs) || !eqInts(got.Starts, want.Starts) {
-		t.Errorf("IDs/Starts = %v/%v, want %v/%v", got.IDs, got.Starts, want.IDs, want.Starts)
-	}
-	if len(got.Windows) != len(want.Windows) {
-		t.Fatalf("len(Windows) = %d, want %d", len(got.Windows), len(want.Windows))
-	}
-	for i := range want.Windows {
-		if !eqFloats(got.Windows[i], want.Windows[i]) {
-			t.Errorf("Windows[%d] = %v, want %v", i, got.Windows[i], want.Windows[i])
-		}
+	if want, got := sampleSeriesPage(), roundTrip(t, sampleSeriesPage()); !eqPage(got, want) {
+		t.Errorf("round trip = %+v, want bit-identical %+v", got, want)
 	}
 }
 
 func TestCodecRoundTripStringPage(t *testing.T) {
-	want := sampleStringPage()
-	got, ok := roundTrip(t, want).(*join.StringPage)
-	if !ok {
-		t.Fatalf("decoded to %T, want *join.StringPage", got)
+	if want, got := sampleStringPage(), roundTrip(t, sampleStringPage()); !eqPage(got, want) {
+		t.Errorf("round trip = %+v, want %+v", got, want)
 	}
-	if !eqInts(got.IDs, want.IDs) || !eqInts(got.Starts, want.Starts) {
-		t.Errorf("IDs/Starts = %v/%v, want %v/%v", got.IDs, got.Starts, want.IDs, want.Starts)
-	}
-	for i := range want.Windows {
-		if string(got.Windows[i]) != string(want.Windows[i]) {
-			t.Errorf("Windows[%d] = %q, want %q", i, got.Windows[i], want.Windows[i])
+}
+
+// TestDecodeParentPageRecords decodes one vector, one series and one string
+// page record as the encoder wrote them before pages had one type: the
+// wire format is unchanged, so each decodes to the sample page it was
+// written from, and today's encoder writes the same bytes.
+func TestDecodeParentPageRecords(t *testing.T) {
+	for _, tc := range []struct {
+		hex  string
+		want *disk.Page
+	}{
+		{
+			"504d4a50010007006800000036eed74a03000000030000000000000000000000f9ffffffffffffff0000000000010000000000000000f83f00000000000002c00000000000000000010000000000f87f000000000000f07f000000000000f0ff00000000000000800100000000000000ffffffffffffef7f",
+			sampleVectorPage(),
+		},
+		{
+			"504d4a5001000800580000007295c857020000000300000003000000000000000400000000000000000000000000000080ffffffffffffff000000000000e03f000000000000f83f0000000000000440010000000000f87f00000000000000800000000000001cc0",
+			sampleSeriesPage(),
+		},
+		{
+			"504d4a5001000300520000006d5d96b30200000009000000000000000200000000000000060000006162616375730300000003000000000000000000000000000000ffffffffffffffff0a000000000000000b000000000000000000000000000000",
+			sampleStringPage(),
+		},
+	} {
+		rec, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !eqInts(got.Freqs[i], want.Freqs[i]) {
-			t.Errorf("Freqs[%d] = %v, want %v", i, got.Freqs[i], want.Freqs[i])
+		got, err := DecodePage(rec)
+		if err != nil {
+			t.Fatalf("DecodePage(%v record): %v", tc.want.Kind, err)
+		}
+		if !eqPage(got, tc.want) {
+			t.Errorf("DecodePage(%v record) = %+v, want %+v", tc.want.Kind, got, tc.want)
+		}
+		if again, err := EncodePage(tc.want); err != nil || string(again) != string(rec) {
+			t.Errorf("EncodePage(%v page) = %x (err %v), want the parent's bytes %x", tc.want.Kind, again, err, rec)
 		}
 	}
 }
 
 func TestCodecRoundTripRawPayloads(t *testing.T) {
-	if got := roundTrip(t, RawVectors{{1, 2}, {}, {-3.5}}).(RawVectors); len(got) != 3 || !eqFloats(got[0], []float64{1, 2}) || !eqFloats(got[2], []float64{-3.5}) {
+	if got := roundTripData(t, RawVectors{{1, 2}, {}, {-3.5}}).(RawVectors); len(got) != 3 || !eqFloats(got[0], []float64{1, 2}) || !eqFloats(got[2], []float64{-3.5}) {
 		t.Errorf("RawVectors round-trip = %v", got)
 	}
-	if got := roundTrip(t, RawSeries{0.25, math.NaN(), -1}).(RawSeries); !eqFloats(got, []float64{0.25, math.NaN(), -1}) {
+	if got := roundTripData(t, RawSeries{0.25, math.NaN(), -1}).(RawSeries); !eqFloats(got, []float64{0.25, math.NaN(), -1}) {
 		t.Errorf("RawSeries round-trip = %v", got)
 	}
-	if got := roundTrip(t, RawString("hello\x00world")).(RawString); string(got) != "hello\x00world" {
+	if got := roundTripData(t, RawString("hello\x00world")).(RawString); string(got) != "hello\x00world" {
 		t.Errorf("RawString round-trip = %q", got)
 	}
 }
 
 func TestCodecRoundTripEmptyPages(t *testing.T) {
-	for _, payload := range []any{
-		join.VectorPageOf(nil, nil), join.SeriesPageOf(nil, nil, nil), &join.StringPage{},
-		RawVectors{}, RawSeries{}, RawString{},
+	for _, pg := range []*disk.Page{
+		{Kind: disk.Vectors}, {Kind: disk.Series}, {Kind: disk.Strings},
+		// An empty block of nonzero width is written with width 0.
+		{Kind: disk.Vectors, Flat: *kernel.NewFlatPage(3, 0)},
 	} {
-		roundTrip(t, payload)
+		if got := roundTrip(t, pg); !eqPage(got, pg) {
+			t.Errorf("empty %v page round trip = %+v", pg.Kind, got)
+		}
+	}
+	for _, payload := range []any{RawVectors{}, RawSeries{}, RawString{}} {
+		roundTripData(t, payload)
 	}
 }
 
 func TestEncodeUnsupportedPayload(t *testing.T) {
-	for _, payload := range []any{nil, 42, "scratch", []int{1}, join.VectorPage{}} {
-		if _, err := EncodeRecord(payload); !errors.Is(err, ErrUnsupportedPayload) {
-			t.Errorf("EncodeRecord(%T) err = %v, want ErrUnsupportedPayload", payload, err)
+	for _, pg := range []*disk.Page{{}, {Kind: 9, IDs: []int{1}}} {
+		if _, err := EncodePage(pg); !errors.Is(err, ErrUnsupportedPayload) {
+			t.Errorf("EncodePage(%v page) err = %v, want ErrUnsupportedPayload", pg.Kind, err)
+		}
+	}
+	for _, payload := range []any{nil, 42, "scratch", []int{1}, disk.Page{}, sampleVectorPage()} {
+		if _, err := encodeData(payload); !errors.Is(err, ErrUnsupportedPayload) {
+			t.Errorf("encodeData(%T) err = %v, want ErrUnsupportedPayload", payload, err)
 		}
 	}
 }
 
 func TestEncodeMismatchedPageSlices(t *testing.T) {
-	// Literals: the page constructors refuse these shapes.
-	cases := []any{
-		&join.VectorPage{IDs: []int{1, 2}, Vecs: []geom.Vector{{1}}},
-		&join.SeriesPage{IDs: []int{1}, Starts: []int{0, 1}, Windows: [][]float64{{1}}},
-		&join.StringPage{IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("a")}, Freqs: nil},
-		// Ragged rows: the flat layout has one width per page.
-		&join.VectorPage{IDs: []int{1, 2}, Vecs: []geom.Vector{{1, 2}, {3}}},
-		&join.SeriesPage{IDs: []int{1, 2}, Starts: []int{0, 1}, Windows: [][]float64{{1}, {}}},
+	cases := []*disk.Page{
+		{Kind: disk.Vectors, IDs: []int{1, 2}, Flat: kernel.FlatOf([]geom.Vector{{1}})},
+		{Kind: disk.Series, IDs: []int{1}, Starts: []int{0, 1}, Flat: kernel.FlatOf([][]float64{{1}})},
+		{Kind: disk.Strings, IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("a")}, Freqs: nil},
+		// A block whose values are not its rows × its width.
+		{Kind: disk.Vectors, IDs: []int{1, 2}, Flat: kernel.FlatPage{Dim: 2, N: 2, Data: []float64{1, 2, 3}}},
+		{Kind: disk.Series, IDs: []int{1, 2}, Starts: []int{0, 1}, Flat: kernel.FlatPage{Dim: 1, N: 2, Data: []float64{1}}},
 	}
-	for _, payload := range cases {
-		if _, err := EncodeRecord(payload); err == nil || errors.Is(err, ErrUnsupportedPayload) {
-			t.Errorf("EncodeRecord(%T with mismatched slices) err = %v, want an encode error", payload, err)
+	for _, pg := range cases {
+		if _, err := EncodePage(pg); err == nil || errors.Is(err, ErrUnsupportedPayload) {
+			t.Errorf("EncodePage(%v page with mismatched slices) err = %v, want an encode error", pg.Kind, err)
 		}
 	}
 }
@@ -206,7 +259,7 @@ func corrupt(rec []byte, i int, mask byte) []byte {
 }
 
 func TestDecodeRejectsCorruptRecords(t *testing.T) {
-	rec, err := EncodeRecord(sampleVectorPage())
+	rec, err := EncodePage(sampleVectorPage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +284,11 @@ func TestDecodeRejectsCorruptRecords(t *testing.T) {
 		// The per-row page layouts, retired with no reader kept.
 		"retired vector kind": frame(1, shape(1, 1, 2)),
 		"retired series kind": frame(2, shape(1, 1, 3)),
+		// A dataset container is not a page.
+		"raw dataset record": frame(kindRawString, []byte{0, 0, 0, 0}),
 	}
 	for name, bad := range cases {
-		if _, err := DecodeRecord(bad); !errors.Is(err, ErrCorruptRecord) {
+		if _, err := DecodePage(bad); !errors.Is(err, ErrCorruptRecord) {
 			t.Errorf("%s: err = %v, want ErrCorruptRecord", name, err)
 		}
 	}
@@ -246,11 +301,13 @@ func TestDecodeRejectsAllocationBomb(t *testing.T) {
 	for _, rec := range [][]byte{
 		frame(kindStringPage, binary.LittleEndian.AppendUint32(nil, 0xffffffff)),
 		frame(kindVectorPage, shape(0xffffffff, 0, 0)),
-		frame(kindRawVectors, binary.LittleEndian.AppendUint32(nil, 0xffffffff)),
 	} {
-		if _, err := DecodeRecord(rec); !errors.Is(err, ErrCorruptRecord) {
+		if _, err := DecodePage(rec); !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("err = %v, want ErrCorruptRecord", err)
 		}
+	}
+	if _, err := decodeData(frame(kindRawVectors, binary.LittleEndian.AppendUint32(nil, 0xffffffff))); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("err = %v, want ErrCorruptRecord", err)
 	}
 }
 
@@ -273,7 +330,7 @@ func within(addr uintptr, b []byte) bool {
 // the aligned one viewing its input and the misaligned ones copying.
 func TestDecodeMisalignedCopies(t *testing.T) {
 	want := sampleSeriesPage()
-	rec, err := EncodeRecord(want)
+	rec, err := EncodePage(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,26 +339,16 @@ func TestDecodeMisalignedCopies(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		in := buf[base+k : base+k+len(rec)]
 		copy(in, rec)
-		payload, err := DecodeRecord(in)
+		got, err := DecodePage(in)
 		if err != nil {
 			t.Fatalf("offset %d: %v", k, err)
 		}
-		got := payload.(*join.SeriesPage)
-		if !eqInts(got.IDs, want.IDs) || !eqInts(got.Starts, want.Starts) {
-			t.Errorf("offset %d: IDs/Starts = %v/%v, want %v/%v", k, got.IDs, got.Starts, want.IDs, want.Starts)
-		}
-		for i := range want.Windows {
-			if !eqFloats(got.Windows[i], want.Windows[i]) {
-				t.Errorf("offset %d: Windows[%d] = %v, want bit-identical %v", k, i, got.Windows[i], want.Windows[i])
-			}
-		}
-		f := got.Flat()
-		if dataAddr(f.Data) != dataAddr(got.Windows[0]) {
-			t.Errorf("offset %d: Windows are not rows of the page's flat block", k)
+		if !eqPage(got, want) {
+			t.Errorf("offset %d: page = %+v, want bit-identical %+v", k, got, want)
 		}
 		views := k == 0 && nativeWords
 		for name, addr := range map[string]uintptr{
-			"IDs": dataAddr(got.IDs), "Starts": dataAddr(got.Starts), "Data": dataAddr(f.Data),
+			"IDs": dataAddr(got.IDs), "Starts": dataAddr(got.Starts), "Data": dataAddr(got.Flat.Data),
 		} {
 			if within(addr, in) != views {
 				t.Errorf("offset %d: %s aliases the record = %v, want %v", k, name, !views, views)
@@ -310,60 +357,80 @@ func TestDecodeMisalignedCopies(t *testing.T) {
 	}
 }
 
-// FuzzPageCodecRoundTrip is the codec's safety net: DecodeRecord must never
-// panic on arbitrary input, and any input it accepts must re-encode to the
-// identical bytes (the format is canonical: decode ∘ encode = id on valid
-// records).
+// FuzzPageCodecRoundTrip is the codec's safety net: DecodePage and
+// decodeData must never panic on arbitrary input, and any input one of them
+// accepts must re-encode to the identical bytes (the format is canonical:
+// decode ∘ encode = id on valid records).
 func FuzzPageCodecRoundTrip(f *testing.F) {
-	for _, payload := range []any{
-		sampleVectorPage(), sampleSeriesPage(), sampleStringPage(),
-		RawVectors{{1, 2, 3}}, RawSeries{4, 5}, RawString("seed"),
-		join.VectorPageOf(nil, nil), &join.StringPage{},
-	} {
-		rec, err := EncodeRecord(payload)
+	seed := func(rec []byte, err error) []byte {
 		if err != nil {
 			f.Fatal(err)
 		}
+		return rec
+	}
+	var recs [][]byte
+	for _, pg := range []*disk.Page{
+		sampleVectorPage(), sampleSeriesPage(), sampleStringPage(),
+		{Kind: disk.Vectors}, {Kind: disk.Strings},
+	} {
+		recs = append(recs, seed(EncodePage(pg)))
+	}
+	for _, payload := range []any{RawVectors{{1, 2, 3}}, RawSeries{4, 5}, RawString("seed")} {
+		recs = append(recs, seed(encodeData(payload)))
+	}
+	for _, rec := range recs {
 		f.Add(rec)
 		f.Add(corrupt(rec, len(rec)/2, 0x80))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("PMJP"))
-	for _, payload := range []any{
-		join.SeriesPageOf(nil, nil, nil),
-		join.VectorPageOf([]int{5, 6}, []geom.Vector{{}, {}}),
-		join.SeriesPageOf([]int{1}, []int{9}, [][]float64{{-1, 2}}),
+	for _, pg := range []*disk.Page{
+		{Kind: disk.Series},
+		{Kind: disk.Vectors, IDs: []int{5, 6}, Flat: kernel.FlatOf([]geom.Vector{{}, {}})},
+		{Kind: disk.Series, IDs: []int{1}, Starts: []int{9}, Flat: kernel.FlatOf([][]float64{{-1, 2}})},
 	} {
-		rec, err := EncodeRecord(payload)
-		if err != nil {
-			f.Fatal(err)
-		}
+		rec := seed(EncodePage(pg))
 		f.Add(rec)
 		f.Add(rec[:len(rec)-8])
 	}
 	f.Add(frame(kindVectorPage, shape(0xffffffff, 0xffffffff, 1)))
 	f.Add(frame(1, shape(1, 1, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := DecodeRecord(data)
+		pg, err := DecodePage(data)
 		// The same bytes at an odd offset decode through the copy path and
 		// must agree with the (possibly viewing) decode above.
 		odd := make([]byte, len(data)+1)
 		copy(odd[1:], data)
-		oddPayload, oddErr := DecodeRecord(odd[1:])
+		oddPg, oddErr := DecodePage(odd[1:])
 		if (err == nil) != (oddErr == nil) {
 			t.Fatalf("decode at an odd offset disagrees: err %v, odd err %v", err, oddErr)
 		}
-		if err != nil {
-			if !errors.Is(err, ErrCorruptRecord) {
-				t.Fatalf("decode error is not ErrCorruptRecord: %v", err)
+		raw, rawErr := decodeData(data)
+		for _, e := range []error{err, rawErr} {
+			if e != nil && !errors.Is(e, ErrCorruptRecord) {
+				t.Fatalf("decode error is not ErrCorruptRecord: %v", e)
 			}
-			return
 		}
-		for _, p := range []any{payload, oddPayload} {
-			rec, err := EncodeRecord(p)
-			if err != nil {
-				t.Fatalf("accepted input failed to re-encode: %v", err)
+		var again [][]byte
+		switch {
+		case err == nil && rawErr == nil:
+			t.Fatal("one record decoded as both a page and a dataset")
+		case err == nil:
+			for _, p := range []*disk.Page{pg, oddPg} {
+				rec, err := EncodePage(p)
+				if err != nil {
+					t.Fatalf("accepted page failed to re-encode: %v", err)
+				}
+				again = append(again, rec)
 			}
+		case rawErr == nil:
+			rec, err := encodeData(raw)
+			if err != nil {
+				t.Fatalf("accepted dataset failed to re-encode: %v", err)
+			}
+			again = append(again, rec)
+		}
+		for _, rec := range again {
 			if string(rec) != string(data) {
 				t.Fatalf("re-encode is not canonical:\n in: %x\nout: %x", data, rec)
 			}

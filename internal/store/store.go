@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,10 +21,9 @@ import (
 // Overwriting a page appends the new record and repoints the page's offset —
 // the old record's bytes leak inside the file, which is fine for the
 // short-lived scratch files runtime executors write and keeps Put a single
-// positioned write. Payload types the wire format cannot encode are silently
-// skipped (the page stays memory-only and Fetch reports
-// disk.ErrNotInBackend), so executor-internal scratch payloads never break a
-// run.
+// positioned write. Scratch pages hold no objects and are skipped (the page
+// stays memory-only and Fetch reports disk.ErrNotInBackend), so executors'
+// node and spill pages never reach a file.
 //
 // Concurrency: Put and Fetch are safe for concurrent use — concurrent runs
 // and shards fetch while a coordinator appends. Mappings are
@@ -88,15 +86,15 @@ func (st *Store) file(id disk.FileID, create bool) (*storeFile, error) {
 	return sf, nil
 }
 
-// Put implements disk.Backend: it encodes the payload and appends the record,
+// Put implements disk.Backend: it encodes the page and appends the record,
 // zero-padded to a multiple of 8 bytes, to the page's file, repointing the
-// page offset. Unencodable payloads are skipped (nil error), leaving the page
-// memory-only.
-func (st *Store) Put(addr disk.PageAddr, payload any) error {
-	rec, err := EncodeRecord(payload)
-	if errors.Is(err, ErrUnsupportedPayload) {
+// page offset. Scratch pages are skipped (nil error), staying memory-only.
+func (st *Store) Put(pg *disk.Page) error {
+	if pg.Kind == disk.Scratch {
 		return nil
 	}
+	addr := pg.Addr
+	rec, err := EncodePage(pg)
 	if err != nil {
 		return err
 	}
@@ -125,15 +123,15 @@ func (st *Store) Put(addr disk.PageAddr, payload any) error {
 
 // Fetch implements disk.Backend: it locates the page's record, reads it
 // through the mmap view (pread fallback), validates its header, length and
-// CRC, and returns the payload together with the measured wall seconds the
+// CRC, and returns the page together with the measured wall seconds the
 // whole physical read took (read + CRC + page build — the real cost of
 // serving the page). Pages never Put return disk.ErrNotInBackend.
 //
 // A vector or series page is built over the record's bytes, not decoded out
-// of them: its IDs, starts and flat block (Vecs and Windows are its rows)
-// alias the read-only mapping, valid until Close. Nothing may write into a
-// fetched payload; on a mapped file such a write faults.
-func (st *Store) Fetch(addr disk.PageAddr) (any, float64, error) {
+// of them: its IDs, starts and flat block alias the read-only mapping, valid
+// until Close. Nothing may write into a fetched page's slices; on a mapped
+// file such a write faults.
+func (st *Store) Fetch(addr disk.PageAddr) (*disk.Page, float64, error) {
 	start := time.Now()
 	sf, err := st.file(addr.File, false)
 	if err != nil {
@@ -164,11 +162,12 @@ func (st *Store) Fetch(addr disk.PageAddr) (any, float64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: %v: %w", addr, err)
 	}
-	payload, err := DecodeRecord(rec)
+	pg, err := DecodePage(rec)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: %v: %w", addr, err)
 	}
-	return payload, time.Since(start).Seconds(), nil
+	pg.Addr = addr
+	return pg, time.Since(start).Seconds(), nil
 }
 
 // bytesAt returns n bytes at off: a zero-copy slice of the mmap view when it
@@ -296,13 +295,9 @@ func (st *Store) Pages(id disk.FileID) int {
 
 // SaveData writes one raw-dataset payload (RawVectors, RawSeries or
 // RawString) as a single wire record at path — the `pmjoin -save` container.
+// Any other payload is ErrUnsupportedPayload.
 func SaveData(path string, payload any) error {
-	switch payload.(type) {
-	case RawVectors, RawSeries, RawString:
-	default:
-		return fmt.Errorf("%w: %T is not a raw dataset payload", ErrUnsupportedPayload, payload)
-	}
-	rec, err := EncodeRecord(payload)
+	rec, err := encodeData(payload)
 	if err != nil {
 		return err
 	}
@@ -316,14 +311,9 @@ func LoadData(path string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := DecodeRecord(b)
+	payload, err := decodeData(b)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
-	switch payload.(type) {
-	case RawVectors, RawSeries, RawString:
-		return payload, nil
-	default:
-		return nil, fmt.Errorf("store: %s holds a page record, not a dataset", path)
-	}
+	return payload, nil
 }

@@ -11,11 +11,16 @@ import (
 
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
-	"pmjoin/internal/join"
 )
 
-func vecPage(base int) *join.VectorPage {
-	return join.VectorPageOf([]int{base, base + 1}, []geom.Vector{{float64(base), 1}, {float64(base) + 0.5, -2}})
+func vecPage(base int) *disk.Page {
+	return vectorPage([]int{base, base + 1}, []geom.Vector{{float64(base), 1}, {float64(base) + 0.5, -2}})
+}
+
+// at returns pg addressed at addr, for Put.
+func at(addr disk.PageAddr, pg *disk.Page) *disk.Page {
+	pg.Addr = addr
+	return pg
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -29,23 +34,19 @@ func TestStoreRoundTrip(t *testing.T) {
 		{File: 0, Page: 0}, {File: 0, Page: 1}, {File: 3, Page: 5},
 	}
 	for i, addr := range addrs {
-		if err := st.Put(addr, vecPage(10*i)); err != nil {
+		if err := st.Put(at(addr, vecPage(10*i))); err != nil {
 			t.Fatalf("Put(%v): %v", addr, err)
 		}
 	}
 	for i, addr := range addrs {
-		payload, secs, err := st.Fetch(addr)
+		pg, secs, err := st.Fetch(addr)
 		if err != nil {
 			t.Fatalf("Fetch(%v): %v", addr, err)
 		}
 		if secs < 0 {
 			t.Errorf("Fetch(%v) measured %v seconds", addr, secs)
 		}
-		pg, ok := payload.(*join.VectorPage)
-		if !ok {
-			t.Fatalf("Fetch(%v) = %T, want *join.VectorPage", addr, payload)
-		}
-		if want := vecPage(10 * i); !eqInts(pg.IDs, want.IDs) || !eqFloats(pg.Vecs[0], want.Vecs[0]) {
+		if want := at(addr, vecPage(10*i)); !eqPage(pg, want) || pg.Addr != addr {
 			t.Errorf("Fetch(%v) = %+v, want %+v", addr, pg, want)
 		}
 	}
@@ -60,7 +61,7 @@ func TestStoreAbsentPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put(disk.PageAddr{File: 1, Page: 2}, vecPage(0)); err != nil {
+	if err := st.Put(at(disk.PageAddr{File: 1, Page: 2}, vecPage(0))); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range []disk.PageAddr{
@@ -82,24 +83,25 @@ func TestStoreOverwrite(t *testing.T) {
 	}
 	defer st.Close()
 	addr := disk.PageAddr{File: 0, Page: 0}
-	if err := st.Put(addr, vecPage(1)); err != nil {
+	if err := st.Put(at(addr, vecPage(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(addr, vecPage(42)); err != nil {
+	if err := st.Put(at(addr, vecPage(42))); err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := st.Fetch(addr)
+	got, _, err := st.Fetch(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := payload.(*join.VectorPage); got.IDs[0] != 42 {
+	if got.IDs[0] != 42 {
 		t.Errorf("after overwrite, IDs[0] = %d, want 42", got.IDs[0])
 	}
 }
 
-// TestStoreSkipsUnencodable pins the scratch-page contract: a Put of an
-// executor-internal payload succeeds as a no-op and the page reads back as
-// not-in-backend (memory fallback at the Session layer).
+// TestStoreSkipsUnencodable pins the scratch-page contract: a Put of a
+// scratch page, which holds no objects, succeeds as a no-op, creates no
+// file, and the page reads back as not-in-backend (memory fallback at the
+// Session layer).
 func TestStoreSkipsUnencodable(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -107,11 +109,11 @@ func TestStoreSkipsUnencodable(t *testing.T) {
 	}
 	defer st.Close()
 	addr := disk.PageAddr{File: 0, Page: 0}
-	if err := st.Put(addr, struct{ x int }{1}); err != nil {
-		t.Fatalf("Put(scratch payload): %v", err)
+	if err := st.Put(&disk.Page{Addr: addr}); err != nil {
+		t.Fatalf("Put(scratch page): %v", err)
 	}
-	if err := st.Put(addr, nil); err != nil {
-		t.Fatalf("Put(nil payload): %v", err)
+	if n := st.Pages(addr.File); n != 0 {
+		t.Errorf("scratch page took %d page slots", n)
 	}
 	if _, _, err := st.Fetch(addr); !errors.Is(err, disk.ErrNotInBackend) {
 		t.Errorf("Fetch err = %v, want ErrNotInBackend", err)
@@ -125,7 +127,7 @@ func TestStoreDropCaches(t *testing.T) {
 	}
 	defer st.Close()
 	addr := disk.PageAddr{File: 0, Page: 0}
-	if err := st.Put(addr, vecPage(7)); err != nil {
+	if err := st.Put(at(addr, vecPage(7))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.Fetch(addr); err != nil { // warm the mapping first
@@ -134,11 +136,11 @@ func TestStoreDropCaches(t *testing.T) {
 	if err := st.DropCaches(); err != nil {
 		t.Fatalf("DropCaches: %v", err)
 	}
-	payload, _, err := st.Fetch(addr)
+	got, _, err := st.Fetch(addr)
 	if err != nil {
 		t.Fatalf("Fetch after DropCaches: %v", err)
 	}
-	if got := payload.(*join.VectorPage); got.IDs[0] != 7 {
+	if got.IDs[0] != 7 {
 		t.Errorf("IDs[0] = %d, want 7", got.IDs[0])
 	}
 }
@@ -152,7 +154,7 @@ func TestStoreConcurrentPutFetch(t *testing.T) {
 	}
 	defer st.Close()
 	const pages = 64
-	if err := st.Put(disk.PageAddr{File: 0, Page: 0}, vecPage(0)); err != nil {
+	if err := st.Put(at(disk.PageAddr{File: 0, Page: 0}, vecPage(0))); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -160,7 +162,7 @@ func TestStoreConcurrentPutFetch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for p := 1; p < pages; p++ {
-			if err := st.Put(disk.PageAddr{File: 0, Page: p}, vecPage(p)); err != nil {
+			if err := st.Put(at(disk.PageAddr{File: 0, Page: p}, vecPage(p))); err != nil {
 				t.Errorf("Put page %d: %v", p, err)
 				return
 			}
@@ -199,7 +201,7 @@ func TestSessionThroughStore(t *testing.T) {
 	f := d.CreateFile()
 	var addrs []disk.PageAddr
 	for p := 0; p < 4; p++ {
-		addr, err := d.AppendPage(f, vecPage(p))
+		addr, err := d.AppendPage(f, *vecPage(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +212,7 @@ func TestSessionThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetMirror(st)
-	if addr, err := d.AppendPage(f, vecPage(4)); err != nil {
+	if addr, err := d.AppendPage(f, *vecPage(4)); err != nil {
 		t.Fatal(err)
 	} else {
 		addrs = append(addrs, addr)
@@ -227,10 +229,8 @@ func TestSessionThroughStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simV := simPg.Payload.(*join.VectorPage)
-		physV := physPg.Payload.(*join.VectorPage)
-		if !eqInts(simV.IDs, physV.IDs) {
-			t.Errorf("Read(%v): backend IDs %v != memory IDs %v", addr, physV.IDs, simV.IDs)
+		if !eqPage(simPg, physPg) {
+			t.Errorf("Read(%v): backend page %+v != memory page %+v", addr, physPg, simPg)
 		}
 	}
 	if sim.Stats() != phys.Stats() {
@@ -269,7 +269,7 @@ func TestSaveLoadData(t *testing.T) {
 		t.Errorf("SaveData(page payload) err = %v, want ErrUnsupportedPayload", err)
 	}
 	// A page record on disk is not a dataset.
-	rec, err := EncodeRecord(vecPage(0))
+	rec, err := EncodePage(vecPage(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSaveLoadData(t *testing.T) {
 }
 
 // flatVecPage returns a rows×dim vector page with distinct coordinates.
-func flatVecPage(rows, dim int) *join.VectorPage {
+func flatVecPage(rows, dim int) *disk.Page {
 	var ids []int
 	var vecs []geom.Vector
 	for i := 0; i < rows; i++ {
@@ -294,7 +294,7 @@ func flatVecPage(rows, dim int) *join.VectorPage {
 		ids = append(ids, 1000+i)
 		vecs = append(vecs, v)
 	}
-	return join.VectorPageOf(ids, vecs)
+	return vectorPage(ids, vecs)
 }
 
 // TestStoreRecordsAligned checks the invariant page views rest on: after any
@@ -305,17 +305,17 @@ func TestStoreRecordsAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	payloads := []any{
+	pages := []*disk.Page{
 		vecPage(1), sampleSeriesPage(), sampleStringPage(),
-		RawString("odd"), RawVectors{{1}, {2, 3}}, RawSeries{1, 2, 3},
-		&join.StringPage{IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("abcde")}, Freqs: [][]int{{1}}},
+		{Kind: disk.Strings, IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("odd")}, Freqs: [][]int{{1}}},
+		{Kind: disk.Strings, IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("abcde")}, Freqs: [][]int{{1}}},
 		flatVecPage(3, 5),
 	}
 	for round := 0; round < 3; round++ { // later rounds overwrite
-		for i, p := range payloads {
+		for i, p := range pages {
 			addr := disk.PageAddr{File: disk.FileID(i % 2), Page: (i + round) % 5}
-			if err := st.Put(addr, p); err != nil {
-				t.Fatalf("Put(%T): %v", p, err)
+			if err := st.Put(at(addr, p)); err != nil {
+				t.Fatalf("Put(%v page): %v", p.Kind, err)
 			}
 		}
 	}
@@ -329,7 +329,7 @@ func TestStoreRecordsAligned(t *testing.T) {
 			}
 		}
 	}
-	// Every page reads back, the string and raw records included.
+	// Every page reads back, the string records included.
 	for id, sf := range st.files {
 		for page, off := range sf.offsets {
 			if off < 0 {
@@ -342,8 +342,8 @@ func TestStoreRecordsAligned(t *testing.T) {
 	}
 }
 
-// TestFetchAllocsFlat pins the cost of a warm page fetch: a few fixed
-// allocations (the page, its flat block header, its row views), none per row.
+// TestFetchAllocsFlat pins the cost of a warm page fetch: one allocation,
+// the page itself, whose IDs and flat block view the mapping; none per row.
 func TestFetchAllocsFlat(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -353,7 +353,7 @@ func TestFetchAllocsFlat(t *testing.T) {
 	var allocs []float64
 	for i, rows := range []int{8, 64} {
 		addr := disk.PageAddr{File: 0, Page: i}
-		if err := st.Put(addr, flatVecPage(rows, 60)); err != nil {
+		if err := st.Put(at(addr, flatVecPage(rows, 60))); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := st.Fetch(addr); err != nil { // map the file first
@@ -365,8 +365,8 @@ func TestFetchAllocsFlat(t *testing.T) {
 			}
 		}))
 	}
-	if allocs[0] > 5 || allocs[0] != allocs[1] {
-		t.Errorf("Fetch allocates %v times for 8 rows and %v for 64, want ≤ 5 and equal", allocs[0], allocs[1])
+	if allocs[0] > 1 || allocs[0] != allocs[1] {
+		t.Errorf("Fetch allocates %v times for 8 rows and %v for 64, want 1 and equal", allocs[0], allocs[1])
 	}
 }
 
@@ -379,7 +379,7 @@ func BenchmarkStoreFetch60D(b *testing.B) {
 	}
 	defer st.Close()
 	addr := disk.PageAddr{File: 0, Page: 0}
-	if err := st.Put(addr, flatVecPage(8, 60)); err != nil {
+	if err := st.Put(at(addr, flatVecPage(8, 60))); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -445,8 +445,8 @@ func TestLoadDataParentContainers(t *testing.T) {
 			t.Errorf("LoadData = %v, want bit-equal %v", got, tc.want)
 		}
 		// The container is canonical: today's encoder writes the same bytes.
-		if again, err := EncodeRecord(tc.want); err != nil || string(again) != string(rec) {
-			t.Errorf("EncodeRecord(%T) = %x (err %v), want the saved bytes %x", tc.want, again, err, rec)
+		if again, err := encodeData(tc.want); err != nil || string(again) != string(rec) {
+			t.Errorf("encodeData(%T) = %x (err %v), want the saved bytes %x", tc.want, again, err, rec)
 		}
 	}
 }

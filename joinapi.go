@@ -16,7 +16,6 @@ import (
 	"pmjoin/internal/kernel"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/mrsindex"
-	"pmjoin/internal/pbsm"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 	"pmjoin/internal/shard"
@@ -234,24 +233,13 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 		}
 	case EGO:
 		rep, err = timedJoin(func() (*join.Report, error) {
-			return ego.Run(eng, &a.ds, &b.ds, s.egoAdapter(a, opt.Epsilon, self), ego.Options{SelfJoin: self})
+			return ego.Run(eng, &a.ds, &b.ds, s.egoAdapter(a, opt.Epsilon), ego.Options{SelfJoin: self, ExcludeOverlap: a.window})
 		})
 	case BFRJ:
 		rep, err = timedJoin(func() (*join.Report, error) {
 			return bfrj.Run(eng, &a.ds, &b.ds, joiner, bfrj.Options{
 				Eps:      opt.Epsilon,
 				Pred:     s.predictor(a),
-				SelfJoin: self,
-			})
-		})
-	case PBSM:
-		if a.kind != KindVector {
-			err = fmt.Errorf("pmjoin: PBSM supports vector data only, got %v", a.kind)
-			break
-		}
-		rep, err = timedJoin(func() (*join.Report, error) {
-			return pbsm.Run(eng, &a.ds, &b.ds, joiner, pbsm.Options{
-				Eps:      opt.Epsilon,
 				SelfJoin: self,
 			})
 		})
@@ -564,23 +552,22 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 }
 
 // egoAdapter builds the EGO grid adapter for the data kind.
-func (s *System) egoAdapter(a *Dataset, eps float64, self bool) ego.Adapter {
+func (s *System) egoAdapter(a *Dataset, eps float64) ego.Adapter {
 	switch a.kind {
 	case KindVector:
 		cell := eps
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &vectorEGO{cell: cell, self: self, th: kernel.NewThreshold(a.norm, eps)}
+		return &vectorEGO{cell: cell, th: kernel.NewThreshold(a.norm, eps)}
 	case KindSeries:
 		cell := eps / a.scale
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &seriesEGO{cell: cell, self: self, window: a.window, features: a.features,
-			th: kernel.NewThresholdSq(eps)}
+		return &seriesEGO{cell: cell, features: a.features, th: kernel.NewThresholdSq(eps)}
 	default:
 		maxEdit := stringMaxEdit(eps, a.window)
-		return &stringEGO{maxEdit: maxEdit, cell: max(maxEdit, 1), self: self, window: a.window}
+		return &stringEGO{maxEdit: maxEdit, cell: max(maxEdit, 1)}
 	}
 }

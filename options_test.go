@@ -76,7 +76,7 @@ func TestJoinRejectsNegativeMaxPairs(t *testing.T) {
 }
 
 func TestEnumTextRoundTrip(t *testing.T) {
-	for m := NLJ; m <= PBSM; m++ {
+	for m := NLJ; m <= BFRJ; m++ {
 		text, err := m.MarshalText()
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestParseEnumSpellings(t *testing.T) {
 	}{
 		{"pm-NLJ", PMNLJ}, {"pmnlj", PMNLJ}, {"PM_NLJ", PMNLJ},
 		{"random-SC", RandomSC}, {"randomsc", RandomSC}, {"Random_SC", RandomSC},
-		{" sc ", SC}, {"CC", CC}, {"ego", EGO}, {"bfrj", BFRJ}, {"PBSM", PBSM},
+		{" sc ", SC}, {"CC", CC}, {"ego", EGO}, {"bfrj", BFRJ},
 	} {
 		got, err := ParseMethod(tc.in)
 		if err != nil {
@@ -206,7 +206,7 @@ func TestEnumSpecTable(t *testing.T) {
 		parse      func(string) (int, error)
 	}
 	enums := []enum{
-		{"Method", []string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ", "PBSM"}, false,
+		{"Method", []string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"}, false,
 			func(i int) string { return Method(i).String() },
 			func(i int) (string, error) { b, err := Method(i).MarshalText(); return string(b), err },
 			func(s string) (int, error) { v, err := ParseMethod(s); return int(v), err }},

@@ -168,7 +168,7 @@ func checkOracle(t *testing.T, sys *System, a, b *Dataset, opt Options, want [][
 func TestKernelsDeterminism(t *testing.T) {
 	sub := []Method{PMNLJ, EGO, BFRJ} // covers the matrix, grid and index pipelines
 	loads := []oracleLoad{
-		{"vector-L2", vectorMethods, 0.05, 256, vectorLoad(300, 200, 2, 0, 1)},
+		{"vector-L2", allMethods, 0.05, 256, vectorLoad(300, 200, 2, 0, 1)},
 		{"vector-L1", sub, 0.08, 256, vectorLoad(250, 0, 3, 1, 3)},
 		{"vector-Linf", sub, 0.05, 256, vectorLoad(250, 0, 3, -1, 4)},
 		{"vector-L3", sub, 0.06, 256, vectorLoad(250, 0, 3, 3, 5)},

@@ -341,7 +341,7 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 			ids[i] = it.ID
 			f.AppendRow(it.MBR.Min) // points: Min == Max
 		}
-		if _, err := s.d.AppendPage(file, join.NewVectorPage(ids, f)); err != nil {
+		if _, err := s.d.AppendPage(file, disk.Page{Kind: disk.Vectors, IDs: ids, Flat: *f}); err != nil {
 			return nil, err
 		}
 	}
@@ -404,7 +404,7 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 	file := s.d.CreateFile()
 	for p := 0; p < ix.NumPages(); p++ {
 		ids, starts, windows := ix.PageWindows(p)
-		if _, err := s.d.AppendPage(file, join.SeriesPageOf(ids, starts, windows)); err != nil {
+		if _, err := s.d.AppendPage(file, disk.Page{Kind: disk.Series, IDs: ids, Starts: starts, Flat: kernel.FlatOf(windows)}); err != nil {
 			return nil, err
 		}
 	}
@@ -465,7 +465,7 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 	file := s.d.CreateFile()
 	for p := 0; p < ix.NumPages(); p++ {
 		ids, starts, windows, freqs := ix.PageWindows(p)
-		if _, err := s.d.AppendPage(file, &join.StringPage{IDs: ids, Starts: starts, Windows: windows, Freqs: freqs}); err != nil {
+		if _, err := s.d.AppendPage(file, disk.Page{Kind: disk.Strings, IDs: ids, Starts: starts, Windows: windows, Freqs: freqs}); err != nil {
 			return nil, err
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
-	"pmjoin/internal/join"
 )
 
 // QueryOptions configures a single-dataset query. The zero value selects
@@ -98,10 +97,9 @@ func (s *System) RangeQueryOpts(d *Dataset, center []float64, eps float64, opts 
 			if err != nil {
 				return err
 			}
-			vp := pg.Payload.(*join.VectorPage)
-			for i, v := range vp.Vecs {
-				if d.norm.Dist(q, v) <= eps {
-					res.IDs = append(res.IDs, vp.IDs[i])
+			for i, id := range pg.IDs {
+				if d.norm.Dist(q, pg.Flat.Row(i)) <= eps {
+					res.IDs = append(res.IDs, id)
 				}
 			}
 			return nil
@@ -175,9 +173,8 @@ func (s *System) NearestNeighborsOpts(d *Dataset, center []float64, k int, opts 
 			if err != nil {
 				return nil, err
 			}
-			vp := pg.Payload.(*join.VectorPage)
-			for i, v := range vp.Vecs {
-				heap.Push(pq, nnItem{dist: d.norm.Dist(q, v), id: vp.IDs[i]})
+			for i, id := range pg.IDs {
+				heap.Push(pq, nnItem{dist: d.norm.Dist(q, pg.Flat.Row(i)), id: id})
 			}
 			continue
 		}

@@ -40,7 +40,7 @@ func TestRandomizedVectorAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want int64 = -1
-		for _, m := range vectorMethods {
+		for _, m := range allMethods {
 			res, err := sys.Join(da, db, Options{Method: m, Epsilon: eps, BufferPages: buffer, Seed: int64(iter)})
 			if err != nil {
 				t.Fatalf("iter %d (%v, dim=%d, B=%d, self=%v): %v", iter, m, dim, buffer, self, err)

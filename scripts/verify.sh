@@ -48,7 +48,7 @@ go run ./cmd/pmlint -stats ./...
 # or deleted contract test fails the gate here instead.
 contract() {
   local pkg=$1 pattern=$2 listed name dead=()
-  listed=$(go test -list '.*' "$pkg" | grep '^Test')
+  listed=$(go test -list '.*' "$pkg" | grep -E '^(Test|Fuzz)')
   IFS='|' read -ra names <<< "$pattern"
   for name in "${names[@]}"; do
     grep -Eq -- "$name" <<< "$listed" || dead+=("$name")
@@ -82,6 +82,9 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # little more than its exact-size pair slice. The block kernel, reading the
 # pinned pages in place, must emit a per-pair PagePairWithin loop's hits in
 # its order, and the root's joins must not depend on which kernel ran.
+# A fetched page costs one allocation, and page records written before pages
+# had one type decode to equal pages; the EGO join reads object counts, IDs
+# and the self-join skip off the pages and must still equal brute force.
 # Served joins must equal solo ones with the admission ledger balanced after,
 # and a cancelled head of the admission queue must not strand the waiters
 # behind it.
@@ -89,6 +92,8 @@ contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape
 contract ./internal/buffer 'TestPinSet'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
+contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
+contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;

@@ -2,6 +2,7 @@ package pmjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,13 +10,9 @@ import (
 	"pmjoin/internal/dataset"
 )
 
-// allMethods lists every join method applicable to all data kinds;
-// vectorMethods adds the vector-only PBSM. The cross-method agreement tests
-// rely on all of them producing identical result sets.
+// allMethods lists every join method. The cross-method agreement tests rely
+// on all of them producing identical result sets.
 var allMethods = []Method{NLJ, PMNLJ, RandomSC, SC, CC, EGO, BFRJ}
-
-// vectorMethods is allMethods plus the vector-only comparators.
-var vectorMethods = append(append([]Method(nil), allMethods...), PBSM)
 
 func randomVecs(n, dim int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -82,7 +79,7 @@ func TestVectorJoinAllMethodsAgree(t *testing.T) {
 	}
 
 	var reference [][2]int
-	for _, m := range vectorMethods {
+	for _, m := range allMethods {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			res, err := sys.Join(da, db, Options{
@@ -119,7 +116,7 @@ func TestVectorSelfJoinAllMethodsAgree(t *testing.T) {
 	if want == 0 {
 		t.Fatal("test workload has no result pairs")
 	}
-	for _, m := range vectorMethods {
+	for _, m := range allMethods {
 		res, err := sys.Join(da, da, Options{Method: m, Epsilon: eps, BufferPages: 16})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -154,6 +151,38 @@ func TestStringJoinAllMethodsAgree(t *testing.T) {
 			want = res.Count()
 			if want == 0 {
 				t.Fatal("string workload has no result pairs; planting failed")
+			}
+			continue
+		}
+		if res.Count() != want {
+			t.Errorf("%v found %d pairs, NLJ found %d", m, res.Count(), want)
+		}
+	}
+}
+
+// TestSeriesSelfJoinSkipsOverlapAllMethods self-joins a sine wave: windows
+// a period apart are equal, and windows a stride apart overlap and lie
+// within ε too, so every method must skip exactly the overlapping pairs to
+// agree with NLJ.
+func TestSeriesSelfJoinSkipsOverlapAllMethods(t *testing.T) {
+	s := make([]float64, 1200)
+	for i := range s {
+		s[i] = math.Sin(2 * math.Pi * float64(i) / 64)
+	}
+	sys := NewSystem(DiskModel{PageBytes: 1024})
+	ds, err := sys.AddSeries("sine", s, SeriesOptions{Window: 32, Stride: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64 = -1
+	for _, m := range allMethods {
+		res, err := sys.Join(ds, ds, Options{Method: m, Epsilon: 2, BufferPages: 16})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if want < 0 {
+			if want = res.Count(); want == 0 {
+				t.Fatal("sine workload has no result pairs")
 			}
 			continue
 		}
