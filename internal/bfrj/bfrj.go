@@ -57,7 +57,8 @@ type Options struct {
 	PairsPerPage int
 }
 
-// kernelBounder mirrors predmat's optional Predictor refinement.
+// kernelBounder is the optional Predictor refinement that
+// predmat.NormPredictor offers.
 type kernelBounder interface {
 	KernelBound(eps float64) func(a, b geom.MBR) bool
 }

@@ -65,6 +65,12 @@ func (b *Bound) Within(a, c geom.MBR) bool {
 	if a.IsEmpty() || c.IsEmpty() {
 		return b.emptyWithin
 	}
+	return b.WithinNonEmpty(a, c)
+}
+
+// WithinNonEmpty is Within for two MBRs of equal dimensionality that the
+// caller already knows to be non-empty, so it skips the emptiness tests.
+func (b *Bound) WithinNonEmpty(a, c geom.MBR) bool {
 	if b.t.never {
 		return false
 	}

@@ -201,16 +201,24 @@ func (ix *Index) Freq(i int) []int { return ix.freqs[i] }
 // L∞ box gap, which the plane sweep's ε/2 extension requires.
 type Predictor struct{}
 
-// LowerBound returns FreqDistanceMBR over the integer hulls of a and b.
+// stackSymbols is the largest alphabet whose hulls LowerBound keeps on the
+// stack.
+const stackSymbols = 32
+
+// LowerBound returns FreqDistanceMBR over the integer hulls of a and b. A
+// matrix build calls it once for every leaf pair whose boxes meet, so for
+// alphabets of up to stackSymbols symbols it allocates nothing.
 func (Predictor) LowerBound(a, b geom.MBR) float64 {
 	if a.IsEmpty() || b.IsEmpty() {
 		return math.Inf(1)
 	}
 	dim := a.Dim()
-	uMin := make([]int, dim)
-	uMax := make([]int, dim)
-	vMin := make([]int, dim)
-	vMax := make([]int, dim)
+	var buf [4 * stackSymbols]int
+	hulls := buf[:]
+	if dim > stackSymbols {
+		hulls = make([]int, 4*dim)
+	}
+	uMin, uMax, vMin, vMax := hulls[:dim], hulls[dim:2*dim], hulls[2*dim:3*dim], hulls[3*dim:4*dim]
 	for i := 0; i < dim; i++ {
 		uMin[i] = int(math.Ceil(a.Min[i]))
 		uMax[i] = int(math.Floor(a.Max[i]))

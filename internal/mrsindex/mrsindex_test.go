@@ -1,6 +1,7 @@
 package mrsindex
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -181,6 +182,45 @@ func TestPredictorEmptyBoxes(t *testing.T) {
 	p := Predictor{}
 	if got := p.LowerBound(geom.EmptyMBR(4), geom.NewMBR(geom.Vector{1, 2, 3, 4})); got < 1e300 {
 		t.Fatalf("empty box bound = %g, want +Inf", got)
+	}
+}
+
+// TestPredictorAllocatesNothing: a matrix build calls LowerBound once per
+// meeting leaf pair, so for alphabets up to stackSymbols it must not
+// allocate; past that it still gives FreqDistanceMBR of the integer hulls.
+func TestPredictorAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	box := func(dim int) geom.MBR {
+		m := geom.MBR{Min: make(geom.Vector, dim), Max: make(geom.Vector, dim)}
+		for i := range m.Min {
+			m.Min[i] = 10 * rng.Float64()
+			m.Max[i] = m.Min[i] + 5*rng.Float64()
+		}
+		return m
+	}
+	p := Predictor{}
+	for _, dim := range []int{4, stackSymbols, stackSymbols + 1} {
+		a, b := box(dim), box(dim)
+		hull := func(m geom.MBR) (lo, hi []int) {
+			for i := range m.Min {
+				lo = append(lo, int(math.Ceil(m.Min[i])))
+				hi = append(hi, int(math.Floor(m.Max[i])))
+			}
+			return lo, hi
+		}
+		uMin, uMax := hull(a)
+		vMin, vMax := hull(b)
+		if got, want := p.LowerBound(a, b), float64(seqdist.FreqDistanceMBR(uMin, uMax, vMin, vMax)); got != want {
+			t.Errorf("dim %d: LowerBound = %g, want %g", dim, got, want)
+		}
+		allocs := testing.AllocsPerRun(50, func() { p.LowerBound(a, b) })
+		want := 0.0
+		if dim > stackSymbols {
+			want = 1
+		}
+		if allocs != want {
+			t.Errorf("dim %d: LowerBound allocates %v objects, want %v", dim, allocs, want)
+		}
 	}
 }
 

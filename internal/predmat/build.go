@@ -44,27 +44,24 @@ func (p NormPredictor) LowerBound(a, b geom.MBR) float64 {
 // It returns nil when no exact kernel exists (non-positive or NaN Scale);
 // callers then keep the LowerBound comparison.
 func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
+	if b := p.bound(eps); b != nil {
+		return b.Within
+	}
+	return nil
+}
+
+// bound is the kernel test behind KernelBound, or nil.
+func (p NormPredictor) bound(eps float64) *kernel.Bound {
 	s := p.Scale
 	if s == 0 {
 		s = 1
 	}
-	b := kernel.NewBound(p.Norm, s, eps)
-	if b == nil {
-		return nil
-	}
-	return b.Within
-}
-
-// kernelBounder is the optional Predictor refinement Build probes for.
-// mrsindex's integer frequency predictor does not implement it — its bound
-// is already allocation-light — so only the norm-based predictors take the
-// kernel path.
-type kernelBounder interface {
-	KernelBound(eps float64) func(a, b geom.MBR) bool
+	return kernel.NewBound(p.Norm, s, eps)
 }
 
 // DefaultFilterDepth is the paper's default bound k on the number of filter
-// refinement iterations (§5.1).
+// refinement iterations (§5.1). The filter runs at most k rounds, and fewer
+// when a round cannot pay for itself (roundPays, roundDropped).
 const DefaultFilterDepth = 5
 
 // Runner executes independent construction tasks, possibly concurrently.
@@ -76,8 +73,10 @@ type Runner interface {
 
 // BuildOptions tunes prediction-matrix construction.
 type BuildOptions struct {
-	// FilterDepth bounds the refinement iterations of the Figure 2 filter.
-	// 0 disables filtering (useful for the ablation benchmark).
+	// FilterDepth bounds the refinement rounds of the Figure 2 filter: a
+	// sweep runs at most FilterDepth rounds, and stops earlier when a round
+	// cannot pay for itself. 0 disables filtering (useful for the ablation
+	// benchmark).
 	FilterDepth int
 	// Stats, when non-nil, receives construction counters.
 	Stats *BuildStats
@@ -102,7 +101,9 @@ type BuildStats struct {
 // It implements Figure 1: MBRs are extended by eps/2 in every dimension and
 // a plane sweep over first-coordinate endpoints finds intersecting pairs;
 // intersecting internal pairs recurse into their children; intersecting leaf
-// pairs additionally pass the predictor bound before being marked.
+// pairs additionally pass the predictor bound before being marked. What the
+// sweeps ask of a node's box is decided once, in a table that every sweep
+// reads (newTable).
 //
 // Deviation from the figure, for correctness: the filter runs on the
 // *extended* MBRs (the figure filters before extending, which could drop
@@ -116,16 +117,22 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 		return nil, fmt.Errorf("predmat: negative epsilon %g", eps)
 	}
 	m := NewMatrix(rPages, sPages)
-	b := &builder{eps: eps, pred: pred, opts: opts, m: m}
+	b := &builder{opts: opts, dim: max(maxDim(r), maxDim(s)), half: eps / 2}
 	// Leaf-pair predictor tests run through internal/kernel's exact MBR
 	// bound when the predictor offers one.
 	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	if kb, ok := pred.(kernelBounder); ok {
-		if f := kb.KernelBound(eps); f != nil {
-			b.within = f
+	b.withinFull = b.within
+	if np, ok := pred.(NormPredictor); ok {
+		if kb := np.bound(eps); kb != nil {
+			b.within, b.withinFull = kb.Within, kb.WithinNonEmpty
 		}
 	}
-	b.sweep([]*index.Node{r}, []*index.Node{s})
+	rt := newTable(r, b.dim, b.half)
+	st := rt
+	if s != r {
+		st = newTable(s, b.dim, b.half)
+	}
+	b.sweep(rt, st)
 	b.wg.Wait()
 	if opts.Stats != nil {
 		opts.Stats.SweepEvents += b.sweepEvents.Load()
@@ -133,25 +140,43 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 		opts.Stats.FilterDropped += b.filterDropped.Load()
 		opts.Stats.Recursions += b.recursions.Load()
 	}
+	// Size the matrix's mark buffer once: grown mark by mark, a large
+	// slice grows by a quarter at a time and allocates about five times
+	// what it ends up holding.
+	n := 0
+	for _, ms := range b.marks {
+		n += len(ms)
+	}
+	m.pending = slices.Grow(m.pending, n)
+	for _, ms := range b.marks {
+		for _, e := range ms {
+			m.Mark(e.R, e.C)
+		}
+	}
 	// Fold the buffered marks in before the matrix escapes: from here on it
 	// is read-only and safe to share across goroutines (joinapi caches it).
 	return m.Finalize(), nil
 }
 
 type builder struct {
-	eps  float64
-	pred Predictor
 	opts BuildOptions
-	m    *Matrix
+	// dim is the dimensionality every sweep computes in: the largest of any
+	// node's. A node of fewer dimensions is the canonical empty box.
+	dim int
+	// half is ε/2, by which the sweep extends every box in every direction.
+	half float64
 	// within decides pred.LowerBound(a, b) <= eps — through the kernel
 	// bound when enabled, which is exact, so the matrix never depends on
-	// which path ran.
-	within func(a, b geom.MBR) bool
+	// which path ran. withinFull is within for two non-empty MBRs, which the
+	// kernel decides without re-testing their emptiness.
+	within, withinFull func(a, b geom.MBR) bool
 
-	// markMu guards m: concurrent sub-sweeps may mark the same entry, and
-	// Mark is an idempotent sorted insertion, so the resulting matrix is
-	// identical regardless of interleaving.
+	// markMu guards marks, one batch for each sweep that found any. Build
+	// folds them into the matrix once every sweep has returned; a mark is an
+	// idempotent set insertion, so the matrix does not depend on the order
+	// the batches arrived in.
 	markMu sync.Mutex
+	marks  [][]Entry
 	// wg tracks sub-sweeps handed to the runner.
 	wg sync.WaitGroup
 	// Counters accumulate per-sweep totals; each sweep batches its local
@@ -174,7 +199,7 @@ func (b *builder) flush(st *BuildStats) {
 }
 
 // spawn runs a recursive sub-sweep, through the runner when one is set.
-func (b *builder) spawn(rNodes, sNodes []*index.Node) {
+func (b *builder) spawn(rNodes, sNodes []xnode) {
 	if b.opts.Runner == nil {
 		b.sweep(rNodes, sNodes)
 		return
@@ -187,7 +212,6 @@ func (b *builder) spawn(rNodes, sNodes []*index.Node) {
 }
 
 // span is a box as two rows of corner coordinates, one value a dimension.
-// Every box the sweep and the filter compute on is a window of flat scratch.
 type span struct {
 	lo, hi []float64
 }
@@ -239,19 +263,107 @@ func (a span) setIntersection(x, y span) bool {
 	return !a.isEmpty()
 }
 
-// box is a sweep participant: an index node with its extended MBR. Whether
-// that is empty — which every intersection test asks — is decided once, when
-// the box is loaded.
-type box struct {
+// xnode is an index node as every sweep sees it, with what the sweeps ask
+// of its box answered once per build. Sibling xnodes are contiguous, so a
+// node's children are one window of the table and a sweep reads its
+// participants in place.
+type xnode struct {
 	node *index.Node
+	// span is the node's own MBR, or the canonical empty box when the MBR
+	// has fewer dimensions than the build. Sweeps extend it by half where
+	// they read it, with the same v−half and hi+half expressions every time.
 	span
+	// empty: the extended box contains no point, so it intersects nothing.
 	empty bool
+	// rawEmpty: a leaf whose own MBR is empty, which the predictor decides
+	// by its empty-box rule.
+	rawEmpty bool
+	// skip: an internal node with an empty MBR, which no sweep loads.
+	skip     bool
+	children []xnode
 }
 
-// overlaps reports whether two extended boxes intersect as closed
-// rectangles; an empty box intersects nothing.
-func (a *box) overlaps(o *box) bool {
-	return !a.empty && !o.empty && !a.disjoint(o.span)
+// overlaps reports whether the two boxes, extended by half in every
+// direction, intersect as closed rectangles; an empty box intersects
+// nothing.
+func (a *xnode) overlaps(o *xnode, half float64) bool {
+	if a.empty || o.empty {
+		return false
+	}
+	n := len(a.lo)
+	aLo, aHi, oLo, oHi := a.lo, a.hi[:n], o.lo[:n], o.hi[:n]
+	for d := range aLo {
+		if aHi[d]+half < oLo[d]-half || oHi[d]+half < aLo[d]-half {
+			return false
+		}
+	}
+	return true
+}
+
+// maxDim returns the largest dimensionality of any MBR under n.
+func maxDim(n *index.Node) int {
+	d := n.MBR.Dim()
+	for _, c := range n.Children {
+		d = max(d, maxDim(c))
+	}
+	return d
+}
+
+// newTable builds the xnode tree that mirrors the index under root, in one
+// allocation, and returns the root's one-element window. It decides once
+// per node what every sweep used to decide on every load: whether the box
+// extended by half is empty, and which nodes are left out.
+func newTable(root *index.Node, dim int, half float64) []xnode {
+	canon := span{lo: make([]float64, dim), hi: make([]float64, dim)}
+	canon.setEmpty()
+	t := tableFill{nodes: make([]xnode, root.CountNodes()), canon: canon, dim: dim, half: half}
+	top := t.take(1)
+	t.fill(top, []*index.Node{root})
+	return top
+}
+
+// tableFill hands out the table's nodes in order.
+type tableFill struct {
+	nodes []xnode
+	canon span // the canonical empty box, shared by every node that is one
+	dim   int
+	half  float64
+}
+
+// take returns the next n nodes of the table.
+func (t *tableFill) take(n int) []xnode {
+	w := t.nodes[:n:n]
+	t.nodes = t.nodes[n:]
+	return w
+}
+
+// fill sets dst[i] from src[i], and then each one's children, depth first.
+func (t *tableFill) fill(dst []xnode, src []*index.Node) {
+	dim := t.dim
+	for i, n := range src {
+		x := &dst[i]
+		x.node = n
+		if dim > 0 && n.MBR.Dim() == dim {
+			x.span = span{lo: n.MBR.Min, hi: n.MBR.Max[:dim]}
+			for d, v := range x.lo {
+				x.empty = x.empty || v-t.half > x.hi[d]+t.half
+			}
+		} else {
+			x.span = t.canon
+			x.empty = true
+		}
+		if n.IsLeaf() {
+			x.rawEmpty = n.MBR.IsEmpty()
+		} else {
+			x.skip = n.MBR.IsEmpty()
+		}
+	}
+	for i, n := range src {
+		if !n.IsLeaf() {
+			dst[i].children = t.take(len(n.Children))
+			t.fill(dst[i].children, n.Children)
+		}
+	}
 }
 
 // endpoint is one sweep event on the first coordinate.
@@ -279,14 +391,13 @@ func (fs *filterSide) region(k, dim int) span {
 // sweep, so the per-box and per-round cost of a build is arithmetic, not
 // allocation. A recursive sub-sweep takes its own scratch from the pool.
 type sweepScratch struct {
-	boxes   []box
-	corners []float64 // the boxes' extended corners, 2·dim values a box
-	sides   [2]filterSide
-	covers  []float64 // filter's six covers: B_R, B_S and their intersections
-	events  []endpoint
-	active  [2][]int32 // boxes the sweep line crosses, by side
-	slot    []int32    // each box's position in its active list, -1 when absent
-	marks   []Entry
+	boxes  []*xnode // the sweep's participants, R side first
+	sides  [2]filterSide
+	covers []float64 // filter's six covers: B_R, B_S and their intersections
+	events []endpoint
+	active [2][]int32 // boxes the sweep line crosses, by side
+	slot   []int32    // each box's position in its active list, -1 when absent
+	marks  []Entry
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -300,53 +411,29 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// load fills the scratch with the sweep's participants — rNodes then sNodes,
-// empty internal nodes left out — each extended by half in every direction,
-// and returns how many are R boxes and the dimensionality. A box of fewer
-// dimensions than the rest (the zero-dimensional MBR of an empty leaf) is
-// loaded as the canonical empty box.
-func (sc *sweepScratch) load(rNodes, sNodes []*index.Node, half float64) (nR, dim int) {
-	for _, nodes := range [2][]*index.Node{rNodes, sNodes} {
-		for _, n := range nodes {
-			dim = max(dim, n.MBR.Dim())
-		}
-	}
+// load lists the sweep's participants — rNodes then sNodes, empty internal
+// nodes left out — and returns how many are R boxes.
+func (sc *sweepScratch) load(rNodes, sNodes []xnode) (nR int) {
 	sc.boxes = sc.boxes[:0]
-	sc.corners = grow(sc.corners, 2*dim*(len(rNodes)+len(sNodes)))
-	corners := sc.corners
-	for side, nodes := range [2][]*index.Node{rNodes, sNodes} {
-		for _, n := range nodes {
-			if !n.IsLeaf() && n.MBR.IsEmpty() {
-				continue
+	for side, nodes := range [2][]xnode{rNodes, sNodes} {
+		for i := range nodes {
+			if !nodes[i].skip {
+				sc.boxes = append(sc.boxes, &nodes[i])
 			}
-			bx := box{node: n, span: span{lo: corners[:dim:dim], hi: corners[dim : 2*dim : 2*dim]}}
-			corners = corners[2*dim:]
-			if dim > 0 && n.MBR.Dim() == dim {
-				nHi := n.MBR.Max[:dim]
-				for d, v := range n.MBR.Min {
-					l, h := v-half, nHi[d]+half
-					bx.lo[d], bx.hi[d] = l, h
-					bx.empty = bx.empty || l > h
-				}
-			} else {
-				bx.setEmpty()
-				bx.empty = true
-			}
-			sc.boxes = append(sc.boxes, bx)
 		}
 		if side == 0 {
 			nR = len(sc.boxes)
 		}
 	}
-	return nR, dim
+	return nR
 }
 
 // sweep runs one level of the hierarchical plane sweep over the given node
-// sets (Figure 1 steps 1-5). It only reads the (immutable) index nodes and
-// writes through the mark mutex — once, with every mark it found — so
-// concurrent sweeps need no coordination beyond that and their local stats,
-// flushed once on return.
-func (b *builder) sweep(rNodes, sNodes []*index.Node) {
+// sets (Figure 1 steps 1-5). It only reads the (immutable) node table and
+// hands its marks over under the mark mutex — once, with every mark it found
+// — so concurrent sweeps need no coordination beyond that and their local
+// stats, flushed once on return.
+func (b *builder) sweep(rNodes, sNodes []xnode) {
 	var st BuildStats
 	defer b.flush(&st)
 	st.Recursions++
@@ -355,14 +442,14 @@ func (b *builder) sweep(rNodes, sNodes []*index.Node) {
 	}
 	sc := scratchPool.Get().(*sweepScratch)
 	defer scratchPool.Put(sc)
-	nR, dim := sc.load(rNodes, sNodes, b.eps/2)
+	nR := sc.load(rNodes, sNodes)
 	boxes := sc.boxes
 
-	rAlive, sAlive := b.filter(sc, nR, dim, &st)
+	rAlive, sAlive, _ := b.filter(sc, nR, &st)
 	if len(rAlive) == 0 || len(sAlive) == 0 {
 		return
 	}
-	if dim == 0 {
+	if b.dim == 0 {
 		return // nothing but empty leaves: no first coordinate to sweep on
 	}
 
@@ -370,8 +457,8 @@ func (b *builder) sweep(rNodes, sNodes []*index.Node) {
 	for _, alive := range [2][]int32{rAlive, sAlive} {
 		for _, i := range alive {
 			events = append(events,
-				endpoint{x: boxes[i].lo[0], box: i, left: true},
-				endpoint{x: boxes[i].hi[0], box: i, left: false})
+				endpoint{x: boxes[i].lo[0] - b.half, box: i, left: true},
+				endpoint{x: boxes[i].hi[0] + b.half, box: i, left: false})
 		}
 	}
 	sc.events = events
@@ -412,25 +499,24 @@ func (b *builder) sweep(rNodes, sNodes []*index.Node) {
 		}
 		sc.slot[ev.box] = int32(len(sc.active[side]))
 		sc.active[side] = append(sc.active[side], ev.box)
-		bx := &boxes[ev.box]
+		bx := boxes[ev.box]
 		for _, o := range sc.active[1-side] {
 			st.PairTests++
-			other := &boxes[o]
-			if !bx.overlaps(other) {
+			other := boxes[o]
+			if !bx.overlaps(other, b.half) {
 				continue
 			}
 			if side == 0 {
-				b.handlePair(bx.node, other.node, &sc.marks)
+				b.handlePair(bx, other, &sc.marks)
 			} else {
-				b.handlePair(other.node, bx.node, &sc.marks)
+				b.handlePair(other, bx, &sc.marks)
 			}
 		}
 	}
 	if len(sc.marks) > 0 {
+		ms := slices.Clone(sc.marks)
 		b.markMu.Lock()
-		for _, e := range sc.marks {
-			b.m.Mark(e.R, e.C)
-		}
+		b.marks = append(b.marks, ms)
 		b.markMu.Unlock()
 	}
 }
@@ -454,32 +540,56 @@ func (sc *sweepScratch) deactivate(side int, i int32) {
 // the predictor are added to the sweep's marks, internal pairs descend (one
 // side at a time when heights differ). Descents go through spawn, so with a
 // Runner the recursive sub-sweeps fan out across the worker pool.
-func (b *builder) handlePair(rn, sn *index.Node, marks *[]Entry) {
+func (b *builder) handlePair(rx, sx *xnode, marks *[]Entry) {
+	rn, sn := rx.node, sx.node
 	switch {
 	case rn.IsLeaf() && sn.IsLeaf():
-		if b.within(rn.MBR, sn.MBR) {
+		within := b.withinFull
+		if rx.rawEmpty || sx.rawEmpty {
+			within = b.within
+		}
+		if within(rn.MBR, sn.MBR) {
 			*marks = append(*marks, Entry{R: rn.Page, C: sn.Page})
 		}
 	case rn.IsLeaf():
-		b.spawn([]*index.Node{rn}, sn.Children)
+		b.spawn([]xnode{*rx}, sx.children)
 	case sn.IsLeaf():
-		b.spawn(rn.Children, []*index.Node{sn})
+		b.spawn(rx.children, []xnode{*sx})
 	default:
-		b.spawn(rn.Children, sn.Children)
+		b.spawn(rx.children, sx.children)
 	}
+}
+
+// roundPays reports whether a filter round over nR × nS live boxes in dim
+// dimensions can save more than it costs. A round makes about five passes of
+// dim values over every live box; the sweep it prunes tests at most nR·nS
+// pairs, and a pair test stops at the first dimension that separates the
+// boxes. So a round that could at best save no more pair tests than it reads
+// box rows is skipped — which, at 60-d, is every sweep of fewer than 120
+// boxes a side.
+func roundPays(nR, nS, dim int) bool {
+	return nR*nS > (nR+nS)*dim
+}
+
+// roundDropped reports whether a filter round that left after of its before
+// live boxes dropped enough of them — a quarter — for another to be worth
+// trying: a round that drops few boxes leaves the next little to prune.
+func roundDropped(before, after int) bool {
+	return 4*(before-after) >= before
 }
 
 // filter implements the iterative refinement of Figure 2 on the extended
 // boxes: shrink both sides to the region B_RS = B_R ∩ B_S that can contain
-// intersecting pairs, and drop boxes that do not intersect it. It iterates
-// until a fixpoint or FilterDepth rounds and returns the surviving boxes of
-// each side, in order.
+// intersecting pairs, and drop boxes that do not intersect it. It runs at
+// most FilterDepth rounds, each only while roundPays, and stops after a
+// round that fails roundDropped. It returns the surviving boxes of each
+// side, in order, and the number of rounds it ran.
 //
 // The shrunken regions are working copies used only for filtering decisions
 // (sweeping and marking still use the extended and the original MBRs); they
 // live in flat rows that each round rewrites and compacts in place.
-func (b *builder) filter(sc *sweepScratch, nR, dim int, st *BuildStats) (rAlive, sAlive []int32) {
-	boxes := sc.boxes
+func (b *builder) filter(sc *sweepScratch, nR int, st *BuildStats) (rAlive, sAlive []int32, rounds int) {
+	boxes, dim := sc.boxes, b.dim
 	r, s := &sc.sides[0], &sc.sides[1]
 	for i, fs := range [2]*filterSide{r, s} {
 		first, n := 0, nR
@@ -492,15 +602,17 @@ func (b *builder) filter(sc *sweepScratch, nR, dim int, st *BuildStats) (rAlive,
 		}
 	}
 	depth := b.opts.FilterDepth
-	if depth <= 0 || len(r.alive) == 0 || len(s.alive) == 0 {
-		return r.alive, s.alive
+	if depth <= 0 || !roundPays(len(r.alive), len(s.alive), dim) {
+		return r.alive, s.alive, 0
 	}
 	for _, fs := range [2]*filterSide{r, s} {
 		fs.lo = grow(fs.lo, dim*len(fs.alive))
 		fs.hi = grow(fs.hi, dim*len(fs.alive))
 		for k, i := range fs.alive {
-			copy(fs.lo[k*dim:], boxes[i].lo)
-			copy(fs.hi[k*dim:], boxes[i].hi)
+			row := fs.region(k, dim)
+			for d, v := range boxes[i].lo {
+				row.lo[d], row.hi[d] = v-b.half, boxes[i].hi[d]+b.half
+			}
 		}
 	}
 	sc.covers = grow(sc.covers, 12*dim)
@@ -509,34 +621,38 @@ func (b *builder) filter(sc *sweepScratch, nR, dim int, st *BuildStats) (rAlive,
 		covers[k] = span{lo: sc.covers[2*k*dim : (2*k+1)*dim], hi: sc.covers[(2*k+1)*dim : (2*k+2)*dim]}
 	}
 	bigR, bigS, bb, bR, bS, bRS := covers[0], covers[1], covers[2], covers[3], covers[4], covers[5]
-	dropAll := func() ([]int32, []int32) {
+	dropAll := func() {
 		st.FilterDropped += int64(len(r.alive) + len(s.alive))
-		return nil, nil
+		r.alive, s.alive = r.alive[:0], s.alive[:0]
 	}
-	for iter := 0; iter < depth; iter++ {
+	for rounds < depth && roundPays(len(r.alive), len(s.alive), dim) {
+		rounds++
+		live := len(r.alive) + len(s.alive)
 		r.cover(boxes, dim, bigR)
 		s.cover(boxes, dim, bigS)
 		if !bb.setIntersection(bigR, bigS) {
-			return dropAll()
+			dropAll()
+			break
 		}
 		// B_R covers B ∩ R_i for all i; B_S similarly.
 		r.coverClipped(boxes, dim, bb, bR)
 		s.coverClipped(boxes, dim, bb, bS)
 		if !bRS.setIntersection(bR, bS) {
-			return dropAll()
+			dropAll()
+			break
 		}
-		changedR := r.shrink(boxes, dim, bRS, st)
-		changedS := s.shrink(boxes, dim, bRS, st)
-		if len(r.alive) == 0 || len(s.alive) == 0 || !(changedR || changedS) {
+		r.shrink(boxes, dim, bRS, st)
+		s.shrink(boxes, dim, bRS, st)
+		if !roundDropped(live, len(r.alive)+len(s.alive)) {
 			break
 		}
 	}
-	return r.alive, s.alive
+	return r.alive, s.alive, rounds
 }
 
 // cover sets out to the smallest box covering every non-empty region of the
 // side. With nothing to cover the result is the canonical empty box.
-func (fs *filterSide) cover(boxes []box, dim int, out span) {
+func (fs *filterSide) cover(boxes []*xnode, dim int, out span) {
 	out.setEmpty()
 	lo, hi := out.lo, out.hi
 	for k, i := range fs.alive {
@@ -558,7 +674,7 @@ func (fs *filterSide) cover(boxes []box, dim int, out span) {
 
 // coverClipped is cover over the regions clipped to the non-empty box clip
 // first; a region the clip empties is skipped.
-func (fs *filterSide) coverClipped(boxes []box, dim int, clip, out span) {
+func (fs *filterSide) coverClipped(boxes []*xnode, dim int, clip, out span) {
 	out.setEmpty()
 	lo, hi := out.lo, out.hi
 	clipLo, clipHi := clip.lo[:len(lo)], clip.hi[:len(lo)]
@@ -583,31 +699,23 @@ func (fs *filterSide) coverClipped(boxes []box, dim int, clip, out span) {
 }
 
 // shrink clips every region of the side to the non-empty box to, dropping
-// the boxes whose region misses it, compacts the survivors in place, and
-// reports whether anything was dropped or became smaller.
-func (fs *filterSide) shrink(boxes []box, dim int, to span, st *BuildStats) (changed bool) {
+// the boxes whose region misses it, and compacts the survivors in place.
+func (fs *filterSide) shrink(boxes []*xnode, dim int, to span, st *BuildStats) {
 	w := 0
 	toLo, toHi := to.lo[:dim], to.hi[:dim]
 	for k, i := range fs.alive {
 		row := fs.region(k, dim)
 		if boxes[i].empty || row.disjoint(to) {
-			changed = true
 			st.FilterDropped++
 			continue
 		}
 		out := fs.region(w, dim)
 		rowLo, rowHi, outLo, outHi := row.lo, row.hi[:dim], out.lo[:dim], out.hi[:dim]
 		for d, lo := range rowLo {
-			hi := rowHi[d]
-			l, h := max(lo, toLo[d]), min(hi, toHi[d])
-			if l != lo || h != hi {
-				changed = true
-			}
-			outLo[d], outHi[d] = l, h
+			outLo[d], outHi[d] = max(lo, toLo[d]), min(rowHi[d], toHi[d])
 		}
 		fs.alive[w] = i
 		w++
 	}
 	fs.alive = fs.alive[:w]
-	return changed
 }

@@ -10,11 +10,11 @@ import (
 	"pmjoin/internal/index"
 )
 
-// fourAtATime is a Runner that lets four sub-sweeps run concurrently. Build
+// semRunner is a Runner that lets cap(r) sub-sweeps run concurrently. Build
 // waits for every task it submitted, so nothing outlives the call.
-type fourAtATime chan struct{}
+type semRunner chan struct{}
 
-func (r fourAtATime) Run(task func()) {
+func (r semRunner) Run(task func()) {
 	go func() {
 		r <- struct{}{}
 		defer func() { <-r }()
@@ -113,7 +113,7 @@ func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const spread = 4.0
-	pool := make(fourAtATime, 4)
+	pool := make(semRunner, 4)
 	for _, dim := range []int{2, 60} {
 		for trial := 0; trial < 12; trial++ {
 			rPages, sPages := 1+rng.Intn(60), 1+rng.Intn(40)
@@ -129,38 +129,116 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// One level of 130–199 leaves a side: at 60-d the filter runs a round
+	// only on sweeps this wide.
+	for trial := 0; trial < 3; trial++ {
+		rPages, sPages := 130+rng.Intn(70), 130+rng.Intn(70)
+		r := randHierarchy(rng, 60, rPages, rPages, spread, true)
+		s := randHierarchy(rng, 60, sPages, sPages, spread, true)
+		for _, depth := range []int{1, 5} {
+			for _, runner := range []Runner{nil, pool} {
+				name := fmt.Sprintf("dim=60/wide trial=%d/depth=%d/runner=%v", trial, depth, runner != nil)
+				sameAsReference(t, name, r, s, rPages, sPages, spread/16, depth, runner)
+			}
+		}
+	}
+}
+
+// boxSides draws perSide boxes a side in dim dimensions, side s's lower
+// corners uniform in [s·shift, s·shift+1) and every edge between 1 and 2 long,
+// and returns them as the children windows of two node tables extended by
+// half, with a builder of the given filter depth to sweep them.
+func boxSides(rng *rand.Rand, dim, perSide int, shift, half float64, depth int) (*builder, [2][]xnode) {
+	var out [2][]xnode
+	for s := range out {
+		parent := &index.Node{MBR: geom.EmptyMBR(dim), Page: -1}
+		for p := 0; p < perSide; p++ {
+			m := geom.MBR{Min: make(geom.Vector, dim), Max: make(geom.Vector, dim)}
+			for d := 0; d < dim; d++ {
+				m.Min[d] = float64(s)*shift + rng.Float64()
+				m.Max[d] = m.Min[d] + 1 + rng.Float64()
+			}
+			parent.MBR.ExtendMBR(m)
+			parent.Children = append(parent.Children, &index.Node{MBR: m, Page: p})
+		}
+		out[s] = newTable(parent, dim, half)[0].children
+	}
+	return &builder{opts: BuildOptions{FilterDepth: depth}, dim: dim, half: half}, out
 }
 
 // TestFilterAllocatesNothingPerBox guards the point of the flat scratch: a
 // filter call's allocations must not grow with boxes × rounds. Once the
-// scratch has its capacity, a call over 32 × 32 overlapping 60-d boxes
-// allocates nothing at all.
+// scratch has its capacity, a call over 32 × 32 overlapping 2-d boxes — a
+// shape the filter runs rounds on — allocates nothing at all.
 func TestFilterAllocatesNothingPerBox(t *testing.T) {
-	const dim, perSide = 60, 32
-	rng := rand.New(rand.NewSource(37))
-	var sides [2][]*index.Node
-	for s := range sides {
-		for p := 0; p < perSide; p++ {
-			m := geom.MBR{Min: make(geom.Vector, dim), Max: make(geom.Vector, dim)}
-			for d := 0; d < dim; d++ {
-				m.Min[d] = rng.Float64()
-				m.Max[d] = m.Min[d] + 1 + rng.Float64()
-			}
-			sides[s] = append(sides[s], &index.Node{MBR: m, Page: p})
-		}
-	}
-	b := &builder{opts: BuildOptions{FilterDepth: DefaultFilterDepth}}
+	const dim, perSide = 2, 32
+	b, sides := boxSides(rand.New(rand.NewSource(37)), dim, perSide, 0, 0.01, DefaultFilterDepth)
 	sc := new(sweepScratch)
-	nR, _ := sc.load(sides[0], sides[1], 0.01)
+	nR := sc.load(sides[0], sides[1])
 	var st BuildStats
 	allocs := testing.AllocsPerRun(20, func() {
 		st = BuildStats{}
-		rAlive, sAlive := b.filter(sc, nR, dim, &st)
+		rAlive, sAlive, rounds := b.filter(sc, nR, &st)
+		if rounds == 0 {
+			t.Fatal("the filter ran no round, so the allocation count says nothing")
+		}
 		if len(rAlive) != perSide || len(sAlive) != perSide {
 			t.Fatalf("filter kept %d × %d boxes of %d × %d overlapping ones", len(rAlive), len(sAlive), perSide, perSide)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("filter over %d × %d boxes allocates %v objects per call, want 0", perSide, perSide, allocs)
+	}
+}
+
+// TestFilterRoundRule pins the filter's stopping rule: FilterDepth bounds
+// the rounds, a round runs only when it can pay (roundPays) and another
+// follows only a round that dropped a quarter of the live boxes
+// (roundDropped).
+func TestFilterRoundRule(t *testing.T) {
+	for _, c := range []struct {
+		nR, nS, dim int
+		pays        bool
+	}{
+		{32, 32, 60, false}, {120, 120, 60, false}, {121, 121, 60, true},
+		{32, 32, 2, true}, {4, 4, 2, false}, {5, 5, 2, true}, {1, 1, 1, false},
+		{16, 16, 4, true}, {0, 32, 2, false},
+	} {
+		if got := roundPays(c.nR, c.nS, c.dim); got != c.pays {
+			t.Errorf("roundPays(%d, %d, %d) = %v, want %v", c.nR, c.nS, c.dim, got, c.pays)
+		}
+	}
+	for _, c := range []struct {
+		before, after int
+		again         bool
+	}{{100, 75, true}, {100, 76, false}, {64, 64, false}, {64, 0, true}} {
+		if got := roundDropped(c.before, c.after); got != c.again {
+			t.Errorf("roundDropped(%d, %d) = %v, want %v", c.before, c.after, got, c.again)
+		}
+	}
+
+	rounds := func(dim int, shift float64, depth int) (int, BuildStats) {
+		b, sides := boxSides(rand.New(rand.NewSource(41)), dim, 32, shift, 0.01, depth)
+		sc := new(sweepScratch)
+		var st BuildStats
+		_, _, n := b.filter(sc, sc.load(sides[0], sides[1]), &st)
+		return n, st
+	}
+	// A 60-d sweep of 32 × 32 boxes: no round can pay.
+	for _, depth := range []int{1, DefaultFilterDepth, 64} {
+		if n, st := rounds(60, 0, depth); n != 0 || st.FilterDropped != 0 {
+			t.Errorf("60-d 32 × 32, depth %d: %d rounds dropping %d boxes, want none", depth, n, st.FilterDropped)
+		}
+	}
+	// 2-d sides that overlap in a corner: the first round drops most boxes,
+	// so a second runs and finds nothing more to drop. The depth caps both.
+	for depth, want := range []int{0, 1, 2, 2} {
+		if n, st := rounds(2, 2, depth); n != want || (n > 0) != (st.FilterDropped > 0) {
+			t.Errorf("2-d corner overlap, depth %d: %d rounds dropping %d boxes, want %d rounds", depth, n, st.FilterDropped, want)
+		}
+	}
+	// 2-d sides that overlap fully: one round, which drops nothing.
+	if n, st := rounds(2, 0, DefaultFilterDepth); n != 1 || st.FilterDropped != 0 {
+		t.Errorf("2-d full overlap: %d rounds dropping %d boxes, want 1 round dropping none", n, st.FilterDropped)
 	}
 }

@@ -4,7 +4,8 @@
 // first dataset and page j of the second dataset contribute to the join.
 //
 // Construction uses the hierarchical plane sweep of Figure 1 with the
-// iterative intersection-refinement filter of Figure 2 (default depth k=5).
+// iterative intersection-refinement filter of Figure 2, which runs at most
+// k rounds (default k=5) and stops when a round cannot pay for itself.
 // Completeness (Theorem 1): if a result pair lives in page pair (i,j), then
 // entry (i,j) is marked.
 package predmat

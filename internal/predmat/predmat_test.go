@@ -5,9 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"pmjoin/internal/dataset"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
+	"pmjoin/internal/mrsindex"
 	"pmjoin/internal/rstar"
+	"pmjoin/internal/seqdist"
 )
 
 func TestMatrixMarkAndQuery(t *testing.T) {
@@ -139,28 +142,52 @@ func TestCompleteness(t *testing.T) {
 	}
 }
 
-// TestFilterPreservesMatrix: the Figure 2 filter is a pure optimization —
-// the matrix must be identical with and without it.
+// TestFilterPreservesMatrix: the Figure 2 filter and its stopping rule are
+// a pure optimization — on each of the three index shapes (60-d
+// Landsat-like vectors, 2-d points and DNA frequency MBRs), every filter
+// depth, built inline or four sub-sweeps at a time, marks the entries the
+// unfiltered inline build marks.
 func TestFilterPreservesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 10; iter++ {
-		ta, tb, _, _ := buildTrees(t, rng, 200, 200, 2, 6)
-		eps := 0.02 + rng.Float64()*0.1
-		pred := NormPredictor{Norm: geom.L2}
-		m0, err := Build(ta.Root(), tb.Root(), ta.NumPages(), tb.NumPages(), eps, pred, BuildOptions{FilterDepth: 0})
-		if err != nil {
-			t.Fatal(err)
+	halves := dataset.SplitEqual(dataset.Landsat(4000, 60, 3), 2, 1)
+	ta, tb, _, _ := buildTrees(t, rng, 2000, 1500, 2, 8)
+	cfg := mrsindex.Config{Window: 500, Stride: 32, PageBytes: 4096}
+	ia, err := mrsindex.Build(dataset.DNA(60000, 7), seqdist.DNA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := mrsindex.Build(dataset.DNA(40000, 8), seqdist.DNA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name string
+		in   *buildInput
+	}{
+		{"landsat60d", strInput(t, halves[0], halves[1], 8, 0.05)},
+		{"points2d", &buildInput{r: ta.Root(), s: tb.Root(), rPages: ta.NumPages(), sPages: tb.NumPages(),
+			eps: 0.02, pred: NormPredictor{Norm: geom.L2}}},
+		{"dnaFreq", &buildInput{r: ia.Root(), s: ib.Root(), rPages: ia.NumPages(), sPages: ib.NumPages(),
+			eps: 20, pred: mrsindex.Predictor{}}},
+	} {
+		in := shape.in
+		build := func(depth int, runner Runner) []Entry {
+			m, err := Build(in.r, in.s, in.rPages, in.sPages, in.eps, in.pred, BuildOptions{FilterDepth: depth, Runner: runner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Entries()
 		}
-		m5, err := Build(ta.Root(), tb.Root(), ta.NumPages(), tb.NumPages(), eps, pred, BuildOptions{FilterDepth: 5})
-		if err != nil {
-			t.Fatal(err)
+		want := build(0, nil)
+		if len(want) == 0 || len(want) == in.rPages*in.sPages {
+			t.Fatalf("%s: %d of %d × %d cells marked; the comparison is vacuous", shape.name, len(want), in.rPages, in.sPages)
 		}
-		if m0.Marked() != m5.Marked() {
-			t.Fatalf("iter %d: filter changed marks %d -> %d", iter, m0.Marked(), m5.Marked())
-		}
-		for _, e := range m0.Entries() {
-			if !m5.IsMarked(e.R, e.C) {
-				t.Fatalf("iter %d: entry %v lost by filter", iter, e)
+		for _, depth := range []int{0, 1, 2, 5, 64} {
+			for _, runner := range []Runner{nil, make(semRunner, 4)} {
+				if got := build(depth, runner); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: depth %d, runner %v: %d entries, want the unfiltered build's %d",
+						shape.name, depth, runner != nil, len(got), len(want))
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package predmat
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,15 @@ import (
 // This file is the matrix construction as it was first written — pointer
 // boxes, a geom.MBR allocated per box per filter round, map-based active
 // sets, one mutex acquisition per mark — kept as the oracle that Build's
-// flat-scratch sweep and filter must reproduce: the same matrix and the same
-// BuildStats for every input.
+// node table, flat-scratch sweep and filter must reproduce: the same matrix
+// and the same BuildStats for every input. Its filter's stopping rule is
+// written apart from Build's roundPays and roundDropped, in other terms, so
+// that a slip in either shows as a stats difference.
+
+// kernelBounder is the optional Predictor refinement refBuild probes for.
+type kernelBounder interface {
+	KernelBound(eps float64) func(a, b geom.MBR) bool
+}
 
 // refBuild is Build over the reference sweep and filter.
 func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, opts BuildOptions) (*Matrix, error) {
@@ -138,15 +146,16 @@ func (b *refBuilder) sweep(rNodes, sNodes []*index.Node) {
 	}
 
 	events := make([]refEndpoint, 0, 2*(len(rBoxes)+len(sBoxes)))
-	for _, bx := range rBoxes {
+	for _, bx := range append(rBoxes[:len(rBoxes):len(rBoxes)], sBoxes...) {
+		// A zero-dimensional box is the canonical empty box: it enters the
+		// sweep at +Inf and leaves it at -Inf.
+		lo, hi := math.Inf(1), math.Inf(-1)
+		if bx.ext.Dim() > 0 {
+			lo, hi = bx.ext.Min[0], bx.ext.Max[0]
+		}
 		events = append(events,
-			refEndpoint{x: bx.ext.Min[0], left: true, b: bx},
-			refEndpoint{x: bx.ext.Max[0], left: false, b: bx})
-	}
-	for _, bx := range sBoxes {
-		events = append(events,
-			refEndpoint{x: bx.ext.Min[0], left: true, b: bx},
-			refEndpoint{x: bx.ext.Max[0], left: false, b: bx})
+			refEndpoint{x: lo, left: true, b: bx},
+			refEndpoint{x: hi, left: false, b: bx})
 	}
 	// Process left endpoints before right endpoints at equal x so touching
 	// boxes are seen as intersecting (closed rectangles).
@@ -215,7 +224,9 @@ func (b *refBuilder) handlePair(rn, sn *index.Node) {
 // filter implements the iterative refinement of Figure 2 on the extended
 // boxes: shrink both sides to the region B_RS = B_R ∩ B_S that can contain
 // intersecting pairs, and drop boxes that do not intersect it. It iterates
-// until a fixpoint or FilterDepth rounds.
+// at most FilterDepth rounds. A round runs only while the live boxes could
+// meet in more pairs than the round reads coordinates, and a round that
+// drops less than a quarter of the live boxes is the last.
 func (b *refBuilder) filter(rBoxes, sBoxes []*refBox, st *BuildStats) ([]*refBox, []*refBox) {
 	depth := b.opts.FilterDepth
 	if depth <= 0 {
@@ -238,6 +249,10 @@ func (b *refBuilder) filter(rBoxes, sBoxes []*refBox, st *BuildStats) ([]*refBox
 	rAlive := rBoxes
 	sAlive := sBoxes
 	for iter := 0; iter < depth; iter++ {
+		live := len(rAlive) + len(sAlive)
+		if pairs, reads := len(rAlive)*len(sAlive), live*dim; pairs <= reads {
+			break
+		}
 		bigR := refCoverAll(rCur, dim)
 		bigS := refCoverAll(sCur, dim)
 		bb := geom.Intersect(bigR, bigS)
@@ -259,36 +274,30 @@ func (b *refBuilder) filter(rBoxes, sBoxes []*refBox, st *BuildStats) ([]*refBox
 			st.FilterDropped += int64(len(rAlive) + len(sAlive))
 			return nil, nil
 		}
-		changed := false
-		rAlive, rCur, changed = refShrinkFilter(rAlive, rCur, bRS, changed, st)
-		sAlive, sCur, changed = refShrinkFilter(sAlive, sCur, bRS, changed, st)
+		rAlive, rCur = refShrinkFilter(rAlive, rCur, bRS, st)
+		sAlive, sCur = refShrinkFilter(sAlive, sCur, bRS, st)
 		if len(rAlive) == 0 || len(sAlive) == 0 {
 			return rAlive, sAlive
 		}
-		if !changed {
+		if dropped := live - len(rAlive) - len(sAlive); float64(dropped) < 0.25*float64(live) {
 			break
 		}
 	}
 	return rAlive, sAlive
 }
 
-func refShrinkFilter(alive []*refBox, cur []geom.MBR, bRS geom.MBR, changed bool, st *BuildStats) ([]*refBox, []geom.MBR, bool) {
+func refShrinkFilter(alive []*refBox, cur []geom.MBR, bRS geom.MBR, st *BuildStats) ([]*refBox, []geom.MBR) {
 	outBoxes := alive[:0]
 	outCur := cur[:0]
 	for i, bx := range alive {
 		if !cur[i].Intersects(bRS) {
-			changed = true
 			st.FilterDropped++
 			continue
 		}
-		next := geom.Intersect(cur[i], bRS)
-		if !refMBREqual(next, cur[i]) {
-			changed = true
-		}
 		outBoxes = append(outBoxes, bx)
-		outCur = append(outCur, next)
+		outCur = append(outCur, geom.Intersect(cur[i], bRS))
 	}
-	return outBoxes, outCur, changed
+	return outBoxes, outCur
 }
 
 func refCoverAll(boxes []geom.MBR, dim int) geom.MBR {
@@ -297,13 +306,4 @@ func refCoverAll(boxes []geom.MBR, dim int) geom.MBR {
 		out.ExtendMBR(m)
 	}
 	return out
-}
-
-func refMBREqual(a, b geom.MBR) bool {
-	for i := range a.Min {
-		if a.Min[i] != b.Min[i] || a.Max[i] != b.Max[i] {
-			return false
-		}
-	}
-	return true
 }

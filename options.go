@@ -59,8 +59,9 @@ type Options struct {
 	// negative values are rejected by Validate. Past the cap the join still
 	// counts every result but stops turning them into pairs.
 	MaxPairs int
-	// FilterDepth bounds the prediction-matrix filter iterations
-	// (default 5, the paper's k; -1 disables filtering).
+	// FilterDepth bounds the prediction-matrix filter rounds (default 5,
+	// the paper's k; -1 disables filtering). The filter runs at most k
+	// rounds and stops sooner when a round cannot pay for itself.
 	FilterDepth int
 	// ClusterRowFraction is the SC buffer fraction devoted to rows
 	// (default 0.5, the paper's square shape; ablation knob).

@@ -94,6 +94,7 @@ contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOrac
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
+contract ./internal/predmat 'TestBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;
