@@ -50,7 +50,7 @@ func FuzzMBRIntersect(f *testing.F) {
 				{m.Min[0], m.Max[1]},
 				{m.Max[0], m.Min[1]},
 				{m.Max[0], m.Max[1]},
-				m.Center(),
+				{(m.Min[0] + m.Max[0]) / 2, (m.Min[1] + m.Max[1]) / 2},
 			}
 		}
 		for _, n := range norms {

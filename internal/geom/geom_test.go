@@ -97,22 +97,9 @@ func TestMBRBasics(t *testing.T) {
 	if m.IsEmpty() || m.Dim() != 2 {
 		t.Fatal("point MBR")
 	}
-	if m.Area() != 0 {
-		t.Fatal("point MBR area")
-	}
 	m.ExtendPoint(Vector{3, 0})
 	if m.Min[0] != 1 || m.Min[1] != 0 || m.Max[0] != 3 || m.Max[1] != 2 {
 		t.Fatalf("extend: %v", m)
-	}
-	if m.Area() != 4 {
-		t.Fatalf("area = %g", m.Area())
-	}
-	if m.Margin() != 4 {
-		t.Fatalf("margin = %g", m.Margin())
-	}
-	c := m.Center()
-	if c[0] != 2 || c[1] != 1 {
-		t.Fatalf("center = %v", c)
 	}
 }
 
@@ -120,9 +107,6 @@ func TestEmptyMBR(t *testing.T) {
 	e := EmptyMBR(3)
 	if !e.IsEmpty() {
 		t.Fatal("EmptyMBR not empty")
-	}
-	if e.Area() != 0 || e.Margin() != 0 {
-		t.Fatal("empty metrics")
 	}
 	if e.Contains(Vector{0, 0, 0}) {
 		t.Fatal("empty contains point")

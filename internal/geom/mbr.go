@@ -153,39 +153,6 @@ func (m MBR) Extended(r float64) MBR {
 	return out
 }
 
-// Area returns the d-dimensional volume of the MBR (0 if empty).
-func (m MBR) Area() float64 {
-	if m.IsEmpty() {
-		return 0
-	}
-	a := 1.0
-	for i := range m.Min {
-		a *= m.Max[i] - m.Min[i]
-	}
-	return a
-}
-
-// Margin returns the sum of edge lengths (the R*-tree "margin" criterion).
-func (m MBR) Margin() float64 {
-	if m.IsEmpty() {
-		return 0
-	}
-	var s float64
-	for i := range m.Min {
-		s += m.Max[i] - m.Min[i]
-	}
-	return s
-}
-
-// Center returns the center point of the MBR.
-func (m MBR) Center() Vector {
-	c := make(Vector, m.Dim())
-	for i := range m.Min {
-		c[i] = (m.Min[i] + m.Max[i]) / 2
-	}
-	return c
-}
-
 // MinDist returns the minimum Lp distance between any point of a and any
 // point of b. It is 0 when the rectangles overlap. MinDist lower-bounds the
 // distance between any pair of points contained in a and b, which is the

@@ -1,5 +1,5 @@
 // Package index defines the hierarchical MBR-tree view shared by every index
-// structure in this repository (R*-tree, MR-index, MRS-index).
+// structure in this repository (STR-packed R-tree, MR-index, MRS-index).
 //
 // The prediction-matrix construction (paper §5) only needs the hierarchy of
 // MBRs with leaf MBRs pinned to single disk pages (Table 1: "the capacity of
@@ -93,12 +93,29 @@ func (n *Node) Validate() error {
 	return nil
 }
 
-// Tree is implemented by every index structure that can expose its MBR
-// hierarchy for prediction-matrix construction.
-type Tree interface {
-	// Root returns the root of the MBR hierarchy. Leaf nodes map 1:1 to
-	// data pages of the indexed dataset.
-	Root() *Node
-	// NumPages returns the number of data pages of the indexed dataset.
-	NumPages() int
+// BuildHierarchy groups consecutive nodes under parents of at most fanout
+// children until one root remains, and returns it (a childless node with
+// page -1 if nodes is empty). Grouping consecutive pages keeps sibling
+// leaves disk-contiguous.
+func BuildHierarchy(nodes []*Node, fanout int) *Node {
+	for len(nodes) > 1 {
+		var parents []*Node
+		for lo := 0; lo < len(nodes); lo += fanout {
+			hi := min(lo+fanout, len(nodes))
+			mbr := nodes[lo].MBR.Clone()
+			for _, c := range nodes[lo+1 : hi] {
+				mbr.ExtendMBR(c.MBR)
+			}
+			parents = append(parents, &Node{
+				MBR:      mbr,
+				Page:     -1,
+				Children: append([]*Node(nil), nodes[lo:hi]...),
+			})
+		}
+		nodes = parents
+	}
+	if len(nodes) == 0 {
+		return &Node{Page: -1}
+	}
+	return nodes[0]
 }

@@ -100,3 +100,31 @@ func TestCountNodesNil(t *testing.T) {
 		t.Fatal("nil leaves")
 	}
 }
+
+func TestBuildHierarchy(t *testing.T) {
+	var leaves []*Node
+	for p := 0; p < 5; p++ {
+		leaves = append(leaves, leaf(p, float64(p), float64(p)+1))
+	}
+	root := BuildHierarchy(leaves, 2)
+	if root.Height() != 4 || root.CountNodes() != 11 {
+		t.Fatalf("height %d with %d nodes, want 4 with 11", root.Height(), root.CountNodes())
+	}
+	for i, l := range root.Leaves(nil) {
+		if l != leaves[i] {
+			t.Fatalf("leaf %d moved", i)
+		}
+	}
+	if err := root.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if root.MBR.Min[0] != 0 || root.MBR.Max[0] != 5 {
+		t.Fatalf("root MBR %v", root.MBR)
+	}
+	if one := BuildHierarchy(leaves[:1], 2); one != leaves[0] {
+		t.Fatal("a single node is not its own root")
+	}
+	if empty := BuildHierarchy(nil, 2); !empty.IsLeaf() || empty.Page != -1 {
+		t.Fatal("empty hierarchy")
+	}
+}

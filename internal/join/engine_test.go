@@ -12,7 +12,7 @@ import (
 	"pmjoin/internal/sched"
 )
 
-// buildVectorDataset materializes n random 2-d points as a packed R*-tree
+// buildVectorDataset materializes n random 2-d points as an STR-packed R-tree
 // dataset on d and returns it with the per-page vectors.
 func buildVectorDataset(t *testing.T, d *disk.Disk, rng *rand.Rand, name string, n, leafCap int) (*Dataset, [][]geom.Vector) {
 	t.Helper()

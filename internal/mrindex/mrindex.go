@@ -134,42 +134,14 @@ func Build(series []float64, cfg Config) (*Index, error) {
 			leaves = append(leaves, &index.Node{MBR: mbr, Page: page})
 		}
 	}
-	ix.root = buildHierarchy(leaves, cfg.Fanout)
+	ix.root = index.BuildHierarchy(leaves, cfg.Fanout)
 	return ix, nil
 }
 
-// buildHierarchy groups consecutive nodes under parents until one root
-// remains. Grouping consecutive pages keeps sibling leaves disk-contiguous.
-func buildHierarchy(nodes []*index.Node, fanout int) *index.Node {
-	for len(nodes) > 1 {
-		var parents []*index.Node
-		for lo := 0; lo < len(nodes); lo += fanout {
-			hi := lo + fanout
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			mbr := nodes[lo].MBR.Clone()
-			for i := lo + 1; i < hi; i++ {
-				mbr.ExtendMBR(nodes[i].MBR)
-			}
-			parents = append(parents, &index.Node{
-				MBR:      mbr,
-				Page:     -1,
-				Children: append([]*index.Node(nil), nodes[lo:hi]...),
-			})
-		}
-		nodes = parents
-	}
-	if len(nodes) == 0 {
-		return &index.Node{Page: -1}
-	}
-	return nodes[0]
-}
-
-// Root implements index.Tree.
+// Root returns the MBR hierarchy; each leaf carries its page number.
 func (ix *Index) Root() *index.Node { return ix.root }
 
-// NumPages implements index.Tree.
+// NumPages returns the number of data pages.
 func (ix *Index) NumPages() int { return ix.pages }
 
 // Scale returns the factor by which feature-space distances must be

@@ -125,7 +125,7 @@ func Build(seq []byte, alphabet *seqdist.Alphabet, cfg Config) (*Index, error) {
 			leaves = append(leaves, &index.Node{MBR: mbr, Page: page})
 		}
 	}
-	ix.root = buildHierarchy(leaves, cfg.Fanout)
+	ix.root = index.BuildHierarchy(leaves, cfg.Fanout)
 	return ix, nil
 }
 
@@ -137,36 +137,10 @@ func freqToVec(f []int) geom.Vector {
 	return v
 }
 
-func buildHierarchy(nodes []*index.Node, fanout int) *index.Node {
-	for len(nodes) > 1 {
-		var parents []*index.Node
-		for lo := 0; lo < len(nodes); lo += fanout {
-			hi := lo + fanout
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			mbr := nodes[lo].MBR.Clone()
-			for i := lo + 1; i < hi; i++ {
-				mbr.ExtendMBR(nodes[i].MBR)
-			}
-			parents = append(parents, &index.Node{
-				MBR:      mbr,
-				Page:     -1,
-				Children: append([]*index.Node(nil), nodes[lo:hi]...),
-			})
-		}
-		nodes = parents
-	}
-	if len(nodes) == 0 {
-		return &index.Node{Page: -1}
-	}
-	return nodes[0]
-}
-
-// Root implements index.Tree.
+// Root returns the MBR hierarchy; each leaf carries its page number.
 func (ix *Index) Root() *index.Node { return ix.root }
 
-// NumPages implements index.Tree.
+// NumPages returns the number of data pages.
 func (ix *Index) NumPages() int { return ix.pages }
 
 // NumWindows returns the number of indexed windows.

@@ -23,122 +23,123 @@ func randItems(rng *rand.Rand, n, dim int) []Item {
 	return items
 }
 
-func insertAll(t *testing.T, tr *Tree, items []Item) {
-	t.Helper()
+// validateTree checks the packed tree's structure: MBR containment (through
+// index.Node.Validate), every leaf at the same depth, node sizes within the
+// configured capacities, each leaf's MBR covering its page, and every item
+// on exactly one page.
+func validateTree(tr *Tree, cfg Config, items []Item) error {
+	root, pages := tr.Root(), tr.Pack()
+	if len(items) == 0 {
+		if len(pages) != 0 || !root.IsLeaf() || root.Page != -1 {
+			return fmt.Errorf("empty tree: %d pages, root page %d", len(pages), root.Page)
+		}
+		return nil
+	}
+	if err := root.Validate(); err != nil {
+		return err
+	}
+	height := root.Height()
+	var walk func(n *index.Node, depth int) error
+	walk = func(n *index.Node, depth int) error {
+		if n.IsLeaf() {
+			if depth != height {
+				return fmt.Errorf("leaf of page %d at depth %d, tree height %d", n.Page, depth, height)
+			}
+			pg := pages[n.Page]
+			if len(pg) < 1 || len(pg) > cfg.MaxLeafEntries {
+				return fmt.Errorf("page %d holds %d items, capacity %d", n.Page, len(pg), cfg.MaxLeafEntries)
+			}
+			for _, it := range pg {
+				if !n.MBR.ContainsMBR(it.MBR) {
+					return fmt.Errorf("leaf of page %d does not cover item %d", n.Page, it.ID)
+				}
+			}
+			return nil
+		}
+		if len(n.Children) > cfg.MaxBranchEntries {
+			return fmt.Errorf("node with %d children exceeds fanout %d", len(n.Children), cfg.MaxBranchEntries)
+		}
+		for _, c := range n.Children {
+			if err := walk(c, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(root, 1); err != nil {
+		return err
+	}
+	seen := make(map[int]bool, len(items))
+	for _, pg := range pages {
+		for _, it := range pg {
+			if seen[it.ID] {
+				return fmt.Errorf("item %d packed twice", it.ID)
+			}
+			seen[it.ID] = true
+		}
+	}
+	if len(seen) != len(items) {
+		return fmt.Errorf("packed %d of %d items", len(seen), len(items))
+	}
+	return nil
+}
+
+// searchHierarchy returns the IDs of the items whose MBR intersects q, found
+// by descending only into nodes whose MBR intersects q, as the matrix build
+// does.
+func searchHierarchy(tr *Tree, q geom.MBR) []int {
+	var out []int
+	var walk func(n *index.Node)
+	walk = func(n *index.Node) {
+		if !n.MBR.Intersects(q) {
+			return
+		}
+		if n.IsLeaf() {
+			for _, it := range tr.Pack()[n.Page] {
+				if it.MBR.Intersects(q) {
+					out = append(out, it.ID)
+				}
+			}
+			return
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Root())
+	sort.Ints(out)
+	return out
+}
+
+func bruteSearch(items []Item, q geom.MBR) []int {
+	var out []int
 	for _, it := range items {
-		if err := tr.Insert(it); err != nil {
-			t.Fatal(err)
+		if it.MBR.Intersects(q) {
+			out = append(out, it.ID)
 		}
 	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, DefaultConfig(8)); err == nil {
-		t.Fatal("dim 0 accepted")
-	}
-	bad := DefaultConfig(8)
-	bad.MaxLeafEntries = 1
-	if _, err := New(2, bad); err == nil {
-		t.Fatal("leaf capacity 1 accepted")
-	}
-	bad = DefaultConfig(8)
-	bad.MinFill = 0.9
-	if _, err := New(2, bad); err == nil {
-		t.Fatal("min fill 0.9 accepted")
-	}
-	bad = DefaultConfig(8)
-	bad.ReinsertFraction = 0.9
-	if _, err := New(2, bad); err == nil {
-		t.Fatal("reinsert fraction 0.9 accepted")
-	}
-	bad = DefaultConfig(8)
-	bad.MaxBranchEntries = 1
-	if _, err := New(2, bad); err == nil {
-		t.Fatal("branch capacity 1 accepted")
-	}
-}
-
-func TestInsertRejectsWrongDimension(t *testing.T) {
-	tr, _ := New(2, DefaultConfig(8))
-	if err := tr.Insert(PointItem(0, geom.Vector{1})); err == nil {
-		t.Fatal("wrong dimension accepted")
-	}
-}
-
-func TestInsertMaintainsInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tr, _ := New(2, DefaultConfig(8))
-	items := randItems(rng, 500, 2)
-	insertAll(t, tr, items)
-	if tr.Size() != 500 {
-		t.Fatalf("size = %d", tr.Size())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Height() < 3 {
-		t.Fatalf("height = %d, expected >= 3 for 500 items at fanout 8", tr.Height())
-	}
-}
-
-func TestRangeSearchMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	items := randItems(rng, 400, 3)
-	tr, _ := New(3, DefaultConfig(10))
-	insertAll(t, tr, items)
-	for iter := 0; iter < 50; iter++ {
-		lo := make(geom.Vector, 3)
-		hi := make(geom.Vector, 3)
-		for d := 0; d < 3; d++ {
-			a, b := rng.Float64(), rng.Float64()
-			if a > b {
-				a, b = b, a
-			}
-			lo[d], hi[d] = a, b
-		}
-		q := geom.MBR{Min: lo, Max: hi}
-		got := tr.RangeSearch(q)
-		sort.Ints(got)
-		var want []int
-		for _, it := range items {
-			if q.Contains(it.MBR.Min) {
-				want = append(want, it.ID)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d results, want %d", iter, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: result mismatch at %d", iter, i)
-			}
-		}
-	}
+	sort.Ints(out)
+	return out
 }
 
 func TestBulkLoadSTRInvariantsAndSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items := randItems(rng, 1000, 2)
-	tr, err := BulkLoadSTR(2, DefaultConfig(16), items)
+	cfg := DefaultConfig(16)
+	tr, err := BulkLoadSTR(2, cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 1000 {
-		t.Fatalf("size = %d", tr.Size())
-	}
-	if err := tr.Validate(); err != nil {
+	if err := validateTree(tr, cfg, items); err != nil {
 		t.Fatal(err)
 	}
-	q := geom.MBR{Min: geom.Vector{0.2, 0.2}, Max: geom.Vector{0.4, 0.4}}
-	got := tr.RangeSearch(q)
-	var want int
-	for _, it := range items {
-		if q.Contains(it.MBR.Min) {
-			want++
+	for iter := 0; iter < 50; iter++ {
+		q := geom.NewMBR(geom.Vector{rng.Float64(), rng.Float64()})
+		q.ExtendPoint(geom.Vector{rng.Float64(), rng.Float64()})
+		got, want := searchHierarchy(tr, q), bruteSearch(items, q)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("query %v: hierarchy finds %d items, brute force %d", q, len(got), len(want))
 		}
-	}
-	if len(got) != want {
-		t.Fatalf("STR search: got %d, want %d", len(got), want)
 	}
 }
 
@@ -147,17 +148,34 @@ func TestBulkLoadSTRRejectsWrongDim(t *testing.T) {
 	if _, err := BulkLoadSTR(2, DefaultConfig(4), items); err == nil {
 		t.Fatal("wrong dim accepted")
 	}
+	if _, err := BulkLoadSTR(0, DefaultConfig(4), nil); err == nil {
+		t.Fatal("dim 0 accepted")
+	}
+}
+
+func TestBulkLoadSTRRejectsBadConfig(t *testing.T) {
+	items := randItems(rand.New(rand.NewSource(1)), 10, 2)
+	bad := DefaultConfig(1)
+	if _, err := BulkLoadSTR(2, bad, items); err == nil {
+		t.Fatal("leaf capacity 1 accepted")
+	}
+	bad = DefaultConfig(8)
+	bad.MaxBranchEntries = 1
+	if _, err := BulkLoadSTR(2, bad, items); err == nil {
+		t.Fatal("branch capacity 1 accepted")
+	}
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	tr, err := BulkLoadSTR(2, DefaultConfig(4), nil)
+	cfg := DefaultConfig(4)
+	tr, err := BulkLoadSTR(2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 0 {
-		t.Fatal("empty size")
+	if err := validateTree(tr, cfg, nil); err != nil {
+		t.Fatal(err)
 	}
-	if pages := tr.Pack(); len(pages) != 0 {
+	if pages := tr.Pack(); len(pages) != 0 || tr.NumPages() != 0 {
 		t.Fatalf("pages = %d", len(pages))
 	}
 }
@@ -195,54 +213,33 @@ func TestPackCoversAllItemsOnce(t *testing.T) {
 	}
 }
 
-func TestInsertAfterPackFails(t *testing.T) {
-	tr, _ := New(2, DefaultConfig(4))
-	insertAll(t, tr, randItems(rand.New(rand.NewSource(5)), 10, 2))
-	tr.Pack()
-	if err := tr.Insert(PointItem(99, geom.Vector{0, 0})); err == nil {
-		t.Fatal("insert after Pack accepted")
-	}
-}
-
 func TestRootHierarchyMatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, build := range []string{"insert", "str"} {
-		items := randItems(rng, 250, 2)
-		var tr *Tree
-		var err error
-		if build == "insert" {
-			tr, err = New(2, DefaultConfig(8))
-			if err == nil {
-				for _, it := range items {
-					if err = tr.Insert(it); err != nil {
-						break
-					}
-				}
-			}
-		} else {
-			tr, err = BulkLoadSTR(2, DefaultConfig(8), items)
+	items := randItems(rng, 250, 2)
+	tr, err := BulkLoadSTR(2, DefaultConfig(8), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := tr.Pack()
+	root := tr.Root()
+	if err := root.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Root() != root {
+		t.Fatal("Root built a second hierarchy")
+	}
+	leaves := root.Leaves(nil)
+	if len(leaves) != len(pages) {
+		t.Fatalf("%d leaves for %d pages", len(leaves), len(pages))
+	}
+	for i, l := range leaves {
+		if l.Page != i {
+			t.Fatalf("leaf %d has page %d (must be left-to-right order)", i, l.Page)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages := tr.Pack()
-		root := tr.Root()
-		if err := root.Validate(); err != nil {
-			t.Fatalf("%s: %v", build, err)
-		}
-		leaves := root.Leaves(nil)
-		if len(leaves) != len(pages) {
-			t.Fatalf("%s: %d leaves for %d pages", build, len(leaves), len(pages))
-		}
-		for i, l := range leaves {
-			if l.Page != i {
-				t.Fatalf("%s: leaf %d has page %d (must be left-to-right order)", build, i, l.Page)
-			}
-			// The leaf MBR must cover every item of its page.
-			for _, it := range pages[l.Page] {
-				if !l.MBR.ContainsMBR(it.MBR) {
-					t.Fatalf("%s: leaf %d does not cover item %d", build, i, it.ID)
-				}
+		// The leaf MBR must cover every item of its page.
+		for _, it := range pages[l.Page] {
+			if !l.MBR.ContainsMBR(it.MBR) {
+				t.Fatalf("leaf %d does not cover item %d", i, it.ID)
 			}
 		}
 	}
@@ -258,79 +255,48 @@ func TestSpatialObjectsWithExtent(t *testing.T) {
 		m.ExtendPoint(geom.Vector{lo[0] + rng.Float64()*0.1, lo[1] + rng.Float64()*0.1})
 		items[i] = Item{ID: i, MBR: m}
 	}
-	tr, _ := New(2, DefaultConfig(8))
-	for _, it := range items {
-		if err := tr.Insert(it); err != nil {
-			t.Fatal(err)
-		}
+	cfg := DefaultConfig(8)
+	tr, err := BulkLoadSTR(2, cfg, items)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := validateTree(tr, cfg, items); err != nil {
 		t.Fatal(err)
 	}
 	q := geom.MBR{Min: geom.Vector{0.4, 0.4}, Max: geom.Vector{0.6, 0.6}}
-	got := tr.RangeSearch(q)
-	var want int
-	for _, it := range items {
-		if q.Intersects(it.MBR) {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Fatalf("rect search: got %d, want %d", len(got), want)
+	if got, want := searchHierarchy(tr, q), bruteSearch(items, q); len(got) != len(want) {
+		t.Fatalf("rect search: got %d, want %d", len(got), len(want))
 	}
 }
 
 func TestDuplicatePointsSurvive(t *testing.T) {
-	tr, _ := New(2, DefaultConfig(4))
-	for i := 0; i < 50; i++ {
-		if err := tr.Insert(PointItem(i, geom.Vector{0.5, 0.5})); err != nil {
-			t.Fatal(err)
-		}
+	items := make([]Item, 50)
+	for i := range items {
+		items[i] = PointItem(i, geom.Vector{0.5, 0.5})
 	}
-	if err := tr.Validate(); err != nil {
+	cfg := DefaultConfig(4)
+	tr, err := BulkLoadSTR(2, cfg, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTree(tr, cfg, items); err != nil {
 		t.Fatal(err)
 	}
 	q := geom.NewMBR(geom.Vector{0.5, 0.5})
-	if got := tr.RangeSearch(q); len(got) != 50 {
+	if got := searchHierarchy(tr, q); len(got) != 50 {
 		t.Fatalf("got %d of 50 duplicates", len(got))
-	}
-}
-
-func TestClusteredInsertInvariants(t *testing.T) {
-	// Highly clustered data exercises forced reinsertion and splits.
-	rng := rand.New(rand.NewSource(8))
-	tr, _ := New(2, DefaultConfig(6))
-	id := 0
-	for c := 0; c < 10; c++ {
-		cx, cy := rng.Float64(), rng.Float64()
-		for i := 0; i < 60; i++ {
-			v := geom.Vector{cx + rng.NormFloat64()*0.001, cy + rng.NormFloat64()*0.001}
-			if err := tr.Insert(PointItem(id, v)); err != nil {
-				t.Fatal(err)
-			}
-			id++
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != 600 {
-		t.Fatalf("size = %d", tr.Size())
-	}
-	all := tr.RangeSearch(geom.MBR{Min: geom.Vector{-1, -1}, Max: geom.Vector{2, 2}})
-	if len(all) != 600 {
-		t.Fatalf("full-range search found %d of 600", len(all))
 	}
 }
 
 func TestHighDimensionalBulkLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	items := randItems(rng, 300, 60)
-	tr, err := BulkLoadSTR(60, DefaultConfig(8), items)
+	cfg := DefaultConfig(8)
+	tr, err := BulkLoadSTR(60, cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := validateTree(tr, cfg, items); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.Root().Leaves(nil)); got != tr.NumPages() {
@@ -341,37 +307,66 @@ func TestHighDimensionalBulkLoad(t *testing.T) {
 // refBulkLoadSTR, refStrPack and refSortByCenter are the bulk loader as it
 // was first written — one sort.SliceStable over the entries per axis and per
 // group — kept as the oracle BulkLoadSTR must reproduce bit for bit.
-func refBulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
-	t, err := New(dim, cfg)
-	if err != nil {
-		return nil, err
-	}
+func refBulkLoadSTR(dim int, cfg Config, items []Item) *Tree {
 	if len(items) == 0 {
-		return t, nil
+		return &Tree{root: &index.Node{Page: -1}, pages: [][]Item{}}
 	}
-	leafEntries := make([]entry, len(items))
+	leafItems := make(map[*index.Node][]Item)
+	entries := make([]refEntry, len(items))
 	for i, it := range items {
-		leafEntries[i] = entry{mbr: it.MBR.Clone(), item: it}
+		entries[i] = refEntry{mbr: it.MBR.Clone(), item: it}
 	}
-	nodes := refStrPack(leafEntries, dim, t.cfg.MaxLeafEntries, true, 0)
-	for level := 1; len(nodes) > 1; level++ {
-		parentEntries := make([]entry, len(nodes))
-		for i, c := range nodes {
-			parentEntries[i] = entry{mbr: nodeMBR(c), child: c}
+	var nodes []*index.Node
+	for _, g := range refStrPack(entries, dim, cfg.MaxLeafEntries) {
+		n := &index.Node{MBR: refEntriesMBR(g), Page: -1}
+		for _, e := range g {
+			leafItems[n] = append(leafItems[n], e.item)
 		}
-		nodes = refStrPack(parentEntries, dim, t.cfg.MaxBranchEntries, false, level)
+		nodes = append(nodes, n)
 	}
-	t.root = nodes[0]
-	t.size = len(items)
-	return t, nil
+	for len(nodes) > 1 {
+		entries = entries[:0]
+		for _, c := range nodes {
+			entries = append(entries, refEntry{mbr: c.MBR, child: c})
+		}
+		nodes = nodes[:0:0]
+		for _, g := range refStrPack(entries, dim, cfg.MaxBranchEntries) {
+			n := &index.Node{MBR: refEntriesMBR(g), Page: -1}
+			for _, e := range g {
+				n.Children = append(n.Children, e.child)
+			}
+			nodes = append(nodes, n)
+		}
+	}
+	t := &Tree{root: nodes[0]}
+	for _, l := range t.root.Leaves(nil) {
+		l.Page = len(t.pages)
+		t.pages = append(t.pages, leafItems[l])
+	}
+	return t
 }
 
-func refStrPack(entries []entry, dim, capacity int, leaf bool, level int) []*node {
+type refEntry struct {
+	mbr   geom.MBR
+	child *index.Node // nil for leaf entries
+	item  Item        // valid for leaf entries
+}
+
+func refEntriesMBR(es []refEntry) geom.MBR {
+	m := es[0].mbr.Clone()
+	for _, e := range es[1:] {
+		m.ExtendMBR(e.mbr)
+	}
+	return m
+}
+
+// refStrPack returns the entries of each node, in node order.
+func refStrPack(entries []refEntry, dim, capacity int) [][]refEntry {
 	numNodes := (len(entries) + capacity - 1) / capacity
-	groups := [][]entry{entries}
+	groups := [][]refEntry{entries}
 	for axis := 0; axis < dim-1 && numNodes > 1; axis++ {
 		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
-		var next [][]entry
+		var next [][]refEntry
 		for _, g := range groups {
 			refSortByCenter(g, axis)
 			slabSize := (len(g) + slabsPerGroup - 1) / slabsPerGroup
@@ -384,22 +379,17 @@ func refStrPack(entries []entry, dim, capacity int, leaf bool, level int) []*nod
 		}
 		groups = next
 	}
-	var out []*node
+	var out [][]refEntry
 	for _, g := range groups {
 		refSortByCenter(g, dim-1)
 		for i := 0; i < len(g); i += capacity {
-			out = append(out, &node{
-				leaf:    leaf,
-				level:   level,
-				page:    -1,
-				entries: append([]entry(nil), g[i:min(i+capacity, len(g))]...),
-			})
+			out = append(out, append([]refEntry(nil), g[i:min(i+capacity, len(g))]...))
 		}
 	}
 	return out
 }
 
-func refSortByCenter(es []entry, axis int) {
+func refSortByCenter(es []refEntry, axis int) {
 	sort.SliceStable(es, func(i, j int) bool {
 		ci := (es[i].mbr.Min[axis] + es[i].mbr.Max[axis]) / 2
 		cj := (es[j].mbr.Min[axis] + es[j].mbr.Max[axis]) / 2
@@ -409,12 +399,21 @@ func refSortByCenter(es []entry, axis int) {
 
 // strOracleItems draws the tree-identity inputs. Ties are where sorting a
 // finished slab once by its owed axes could part from sorting it axis by
-// axis, so three of the four shapes are made of them.
+// axis, so three of the five shapes are made of them. The clustered shape
+// packs ten tight Gaussian clusters, one after another in ID order.
 func strOracleItems(rng *rand.Rand, shape string, n, dim int) []Item {
 	items := make([]Item, n)
 	dup := make(geom.Vector, dim)
 	for d := range dup {
 		dup[d] = rng.Float64()
+	}
+	const clusters = 10
+	centres := make([]geom.Vector, clusters)
+	for c := range centres {
+		centres[c] = make(geom.Vector, dim)
+		for d := range centres[c] {
+			centres[c][d] = rng.Float64()
+		}
 	}
 	for i := range items {
 		lo, hi := make(geom.Vector, dim), make(geom.Vector, dim)
@@ -431,6 +430,9 @@ func strOracleItems(rng *rand.Rand, shape string, n, dim int) []Item {
 				hi[d] = lo[d]
 			case "collinear":
 				lo[d] = dup[d] + t*float64(d+1)
+				hi[d] = lo[d]
+			case "clustered":
+				lo[d] = centres[i*clusters/n][d] + rng.NormFloat64()*0.001
 				hi[d] = lo[d]
 			}
 		}
@@ -480,7 +482,7 @@ func TestBulkLoadSTRMatchesPerAxisSorts(t *testing.T) {
 				if testing.Short() && n > 1000 {
 					continue // the reference costs 59 stable passes over 5 000 entries
 				}
-				for _, shape := range []string{"uniform", "duplicates", "quantised", "collinear"} {
+				for _, shape := range []string{"uniform", "duplicates", "quantised", "collinear", "clustered"} {
 					name := fmt.Sprintf("dim=%d/cap=%d/n=%d/%s", dim, capacity, n, shape)
 					items := strOracleItems(rng, shape, n, dim)
 					cfg := DefaultConfig(capacity)
@@ -489,11 +491,8 @@ func TestBulkLoadSTRMatchesPerAxisSorts(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					want, err := refBulkLoadSTR(dim, cfg, items)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", name, err)
-					}
-					if err := got.Validate(); err != nil {
+					want := refBulkLoadSTR(dim, cfg, items)
+					if err := validateTree(got, cfg, items); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					gotPages, wantPages := got.Pack(), want.Pack()

@@ -14,7 +14,7 @@
 // Three data kinds are supported, mirroring Table 1 of the paper:
 //
 //   - Vector data (points, spatial objects, feature vectors), indexed with
-//     an R*-tree, joined under an Lp norm.
+//     an STR-packed R-tree, joined under an Lp norm.
 //   - Time-series data, indexed with an MR-index over sliding windows,
 //     subsequence-joined under L2.
 //   - String data, indexed with an MRS-index over sliding windows,
@@ -273,8 +273,6 @@ type VectorOptions struct {
 	// NormP selects the Lp norm: 1, 2, ...; -1 selects L∞. The zero value
 	// means L2.
 	NormP int
-	// BranchFanout overrides the internal-node fanout (default 32).
-	BranchFanout int
 }
 
 // firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
@@ -290,9 +288,9 @@ func firstNonFinite(v []float64) int {
 	return -1
 }
 
-// AddVectors indexes dim-dimensional vectors with an R*-tree whose leaves
-// are one page each, lays the vectors out page-contiguously on the
-// simulated disk (§5.1), and returns the joinable dataset. Object IDs are
+// AddVectors indexes dim-dimensional vectors with an STR-packed R-tree, one
+// leaf per page (§5.1), lays the vectors out page-contiguously on the
+// simulated disk, and returns the joinable dataset. Object IDs are
 // the indices into vecs. Every coordinate must be finite.
 func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (*Dataset, error) {
 	if len(vecs) == 0 {
@@ -318,16 +316,11 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if perPage < 2 {
 		perPage = 2
 	}
-	cfg := rstar.DefaultConfig(perPage)
-	if opts.BranchFanout != 0 {
-		cfg.MaxBranchEntries = opts.BranchFanout
-	}
-
 	items := make([]rstar.Item, len(vecs))
 	for i, v := range vecs {
 		items[i] = rstar.PointItem(i, geom.Vector(v))
 	}
-	tree, err := rstar.BulkLoadSTR(dim, cfg, items)
+	tree, err := rstar.BulkLoadSTR(dim, rstar.DefaultConfig(perPage), items)
 	if err != nil {
 		return nil, fmt.Errorf("pmjoin: indexing %q: %w", name, err)
 	}

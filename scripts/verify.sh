@@ -60,7 +60,7 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant. Every clustered
@@ -88,6 +88,8 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # Served joins must equal solo ones with the admission ledger balanced after,
 # and a cancelled head of the admission queue must not strand the waiters
 # behind it.
+# The STR loader must pack the pages and hierarchy of its per-axis reference,
+# and the landsat and road shapes must hash to their recorded trees.
 contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
 contract ./internal/buffer 'TestPinSet'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel'
@@ -95,6 +97,7 @@ contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
 contract ./internal/predmat 'TestBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
+contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;
