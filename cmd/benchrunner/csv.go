@@ -11,35 +11,39 @@ import (
 	"pmjoin/internal/experiments"
 )
 
+// writeCSV writes header and rows to path. csv.Writer buffers, so a write
+// error (a full disk, say) may show only when WriteAll flushes: that error
+// is returned, else the error of closing the file.
+func writeCSV(path string, header []string, rows [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = csv.NewWriter(f).WriteAll(append([][]string{header}, rows...))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeCostCSV writes a Figure 10/11-style breakdown as CSV.
 func writeCostCSV(dir, name string, rows []experiments.CostRow) error {
 	if dir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	if err := w.Write([]string{"method", "preprocess_s", "cpu_join_s", "io_s", "total_s", "results"}); err != nil {
-		return err
-	}
+	recs := make([][]string, 0, len(rows))
 	for _, r := range rows {
-		rec := []string{
+		recs = append(recs, []string{
 			r.Method,
 			fmt.Sprintf("%.6f", r.Preprocess),
 			fmt.Sprintf("%.6f", r.CPUJoin),
 			fmt.Sprintf("%.6f", r.IO),
 			fmt.Sprintf("%.6f", r.Total()),
 			strconv.FormatInt(r.Results, 10),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return writeCSV(filepath.Join(dir, name+".csv"),
+		[]string{"method", "preprocess_s", "cpu_join_s", "io_s", "total_s", "results"}, recs)
 }
 
 // writeSweepCSV writes a Figure 12/13/14-style sweep as CSV with one column
@@ -60,16 +64,7 @@ func writeSweepCSV(dir, name, xLabel string, points []experiments.SweepPoint) er
 	}
 	sort.Strings(cols)
 
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	if err := w.Write(append([]string{xLabel}, cols...)); err != nil {
-		return err
-	}
+	recs := make([][]string, 0, len(points))
 	for _, p := range points {
 		rec := []string{strconv.Itoa(p.X)}
 		for _, m := range cols {
@@ -79,11 +74,9 @@ func writeSweepCSV(dir, name, xLabel string, points []experiments.SweepPoint) er
 				rec = append(rec, "")
 			}
 		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+		recs = append(recs, rec)
 	}
-	return nil
+	return writeCSV(filepath.Join(dir, name+".csv"), append([]string{xLabel}, cols...), recs)
 }
 
 // writeTable2CSV writes the Table 2 blocks as CSV.
@@ -91,28 +84,16 @@ func writeTable2CSV(dir string, blocks []experiments.Table2Block) error {
 	if dir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(dir, "table2.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	if err := w.Write([]string{"pair", "buffer", "sc_io_s", "cc_io_s"}); err != nil {
-		return err
-	}
+	var recs [][]string
 	for _, blk := range blocks {
 		for i, b := range blk.Buffers {
-			rec := []string{
+			recs = append(recs, []string{
 				blk.Pair,
 				strconv.Itoa(b),
 				fmt.Sprintf("%.6f", blk.SCIO[i]),
 				fmt.Sprintf("%.6f", blk.CCIO[i]),
-			}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	return nil
+	return writeCSV(filepath.Join(dir, "table2.csv"), []string{"pair", "buffer", "sc_io_s", "cc_io_s"}, recs)
 }

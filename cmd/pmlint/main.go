@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pmlint [-rules pinleak,floateq] [-json] [-github] [-stats] [packages]
+//	pmlint [-rules bufferbypass,maporder] [-list] [-json] [-github] [-stats] [packages]
 //
 // Package patterns are directory-based, relative to the working directory:
 // "./..." (default) analyzes the whole module, "./internal/..." a subtree,

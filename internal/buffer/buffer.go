@@ -137,6 +137,18 @@ func (p *Pool) Capacity() int { return p.capacity }
 // Len returns the number of resident pages.
 func (p *Pool) Len() int { return len(p.frames) }
 
+// PinnedFrames returns the number of resident frames with a pin held. It
+// reads only: no access is counted and nothing is evicted.
+func (p *Pool) PinnedFrames() int {
+	n := 0
+	for f := p.order.next; f != &p.order; f = f.next {
+		if f.pinned > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Contains reports whether the page is resident without touching recency.
 func (p *Pool) Contains(addr disk.PageAddr) bool {
 	_, ok := p.frames[addr]

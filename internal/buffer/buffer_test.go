@@ -141,6 +141,31 @@ func TestDoublePinNeedsDoubleUnpin(t *testing.T) {
 	}
 }
 
+// TestPinnedFrames counts frames, not pins, and is a pure read.
+func TestPinnedFrames(t *testing.T) {
+	d, f := newDiskWithFile(t, 5)
+	p, _ := NewPool(d, 3, LRU)
+	a0, a1 := disk.PageAddr{File: f, Page: 0}, disk.PageAddr{File: f, Page: 1}
+	for _, a := range []disk.PageAddr{a0, a0, a1} {
+		if _, err := p.GetPinned(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Get(disk.PageAddr{File: f, Page: 2})
+	before := p.Stats()
+	if n := p.PinnedFrames(); n != 2 {
+		t.Fatalf("PinnedFrames = %d, want 2", n)
+	}
+	if p.Stats() != before || p.Len() != 3 {
+		t.Fatal("PinnedFrames changed the pool")
+	}
+	p.Unpin(a0)
+	p.Unpin(a1)
+	if n := p.PinnedFrames(); n != 1 {
+		t.Fatalf("after one unpin each: PinnedFrames = %d, want 1", n)
+	}
+}
+
 func TestUnpinErrors(t *testing.T) {
 	d, f := newDiskWithFile(t, 3)
 	p, _ := NewPool(d, 2, LRU)

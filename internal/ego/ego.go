@@ -313,8 +313,6 @@ func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, a
 // order (sequential runs on disk). The pins are taken on behalf of the
 // caller: sweep joins against the pinned block and drops every pin with
 // UnpinAll once the block is exhausted.
-//
-//lint:ignore pinleak pins are owned by the caller, released via UnpinAll per block in sweep
 func pinBlock(x *join.Exec, f disk.FileID, touched map[int]struct{}) error {
 	pages := make([]int, 0, len(touched))
 	for p := range touched {

@@ -71,7 +71,10 @@ func (e *Engine) validate(r, s *Dataset) error {
 // session (the run's I/O account is a pure function of its own access
 // sequence), a buffer pool over it, and the report the body fills in. After
 // the body returns, the session's charges are converted to simulated
-// seconds and folded into the report.
+// seconds and folded into the report. A body that returns successfully
+// while holding a pin is an error: a leaked pin shrinks the buffer for the
+// rest of the run, so every miss count after it would be wrong. Error
+// returns are exempt, since a failed run discards its pool.
 func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	io := e.Disk.NewSessionOn(e.Backend)
 	pool, err := buffer.NewPool(io, e.BufferSize, e.Policy)
@@ -89,6 +92,9 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	e.Metrics.PhaseEnd()
 	if err != nil {
 		return nil, err
+	}
+	if n := pool.PinnedFrames(); n > 0 {
+		return nil, fmt.Errorf("join: %s returned with %d pinned frame(s)", method, n)
 	}
 	e.measured = e.measured.Add(io.Measured())
 	st := io.Stats()

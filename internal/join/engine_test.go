@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pmjoin/internal/cluster"
@@ -224,6 +225,29 @@ func TestEngineValidation(t *testing.T) {
 	noRoot := &Dataset{Name: "x", File: da.File, Pages: da.Pages}
 	if _, err := (&Engine{Disk: d, BufferSize: 8}).NLJ(noRoot, db, j); err == nil {
 		t.Fatal("missing root accepted")
+	}
+}
+
+// TestRunRejectsLeakedPin: a body that returns successfully while holding a
+// pin fails its run, naming the method; one that releases its pins does not.
+func TestRunRejectsLeakedPin(t *testing.T) {
+	d, da, _, _, _ := testSetup(t, 7, 100, 100)
+	e := &Engine{Disk: d, BufferSize: 8}
+	addr := disk.PageAddr{File: da.File, Page: 0}
+	_, err := e.Run("leaky", func(x *Exec) error {
+		_, err := x.Pool.GetPinned(addr)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "leaky returned with 1 pinned frame(s)") {
+		t.Fatalf("leaked pin: err = %v, want the pinned-frame error", err)
+	}
+	if _, err := e.Run("tidy", func(x *Exec) error {
+		if _, err := x.Pool.GetPinned(addr); err != nil {
+			return err
+		}
+		return x.Pool.Unpin(addr)
+	}); err != nil {
+		t.Fatalf("released pin: %v", err)
 	}
 }
 

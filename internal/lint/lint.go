@@ -16,6 +16,7 @@ const (
 	bufferPkgPath  = "pmjoin/internal/buffer"
 	diskPkgPath    = "pmjoin/internal/disk"
 	joinPkgPath    = "pmjoin/internal/join"
+	metricsPkgPath = "pmjoin/internal/metrics"
 	predmatPkgPath = "pmjoin/internal/predmat"
 	shardPkgPath   = "pmjoin/internal/shard"
 )
@@ -38,25 +39,20 @@ type Analyzer struct {
 	Run  func(p *Package) []Diagnostic
 }
 
-// Analyzers returns the full pmlint suite in reporting order. The CFG-based
-// determinism-contract rules (maporder, lockbalance, atomicmix, ctxdropped,
-// and the rebuilt pinleak) run alongside the original source-shape rules.
-// lintunused is a pseudo-analyzer: it has no Run of its own — Run() special-
-// cases it and reports //lint:ignore directives that suppressed nothing.
+// Analyzers returns the full pmlint suite in reporting order: the two rules
+// that keep every page read charged (bufferbypass, droppederr), the two that
+// police distance comparisons (floateq, slowdist) and the two that keep runs
+// deterministic (rawgo, maporder). lintunused is a
+// pseudo-analyzer: it has no Run of its own — Run() special-cases it and
+// reports //lint:ignore directives that suppressed nothing.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		pinleakAnalyzer(),
 		bufferBypassAnalyzer(),
-		unseededRandAnalyzer(),
 		floatEqAnalyzer(),
 		droppedErrAnalyzer(),
 		rawGoAnalyzer(),
-		walltimeAnalyzer(),
 		slowdistAnalyzer(),
 		maporderAnalyzer(),
-		lockbalanceAnalyzer(),
-		atomicmixAnalyzer(),
-		ctxdroppedAnalyzer(),
 		lintunusedAnalyzer(),
 	}
 }
@@ -81,35 +77,29 @@ func lintunusedAnalyzer() *Analyzer {
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
 // placed on the flagged line or on the line directly above it. The reason is
-// mandatory; a directive without one is itself reported under the rule id
-// "lintdirective".
+// mandatory, and every rule named must exist (or be "all"); a directive that
+// breaks either is itself reported under the rule id "lintdirective".
 const IgnorePrefix = "//lint:ignore"
 
-// directive is one parsed //lint:ignore comment. A directive in a function
-// or method's doc comment scopes to the whole declaration (endLine > 0);
-// otherwise it covers only its own line and the next.
+// directive is one parsed //lint:ignore comment. It covers its own line and
+// the next.
 type directive struct {
-	pos     token.Position
-	endLine int // last line covered by a decl-scoped directive, 0 if line-scoped
-	rules   []string
-	reason  string
+	pos   token.Position
+	rules []string
 }
 
 // directives extracts the suppression directives of a package, and emits a
-// diagnostic for every malformed one.
+// diagnostic for every malformed one and for every rule name it does not
+// know — a typo, or a rule since deleted, would otherwise silence nothing
+// and never be reported as unused.
 func directives(p *Package) ([]directive, []Diagnostic) {
+	known := map[string]bool{"all": true, "lintdirective": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	var dirs []directive
 	var diags []Diagnostic
 	for _, f := range p.Files {
-		// Doc comments of function declarations scope their directives to
-		// the whole function: rules like pinleak report at a return or pin
-		// site deep inside the body.
-		declEnd := make(map[*ast.CommentGroup]int)
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Doc != nil {
-				declEnd[fn.Doc] = p.Fset.Position(fn.End()).Line
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, IgnorePrefix)
@@ -126,12 +116,17 @@ func directives(p *Package) ([]directive, []Diagnostic) {
 					})
 					continue
 				}
-				dirs = append(dirs, directive{
-					pos:     pos,
-					endLine: declEnd[cg],
-					rules:   strings.Split(fields[0], ","),
-					reason:  strings.Join(fields[1:], " "),
-				})
+				rules := strings.Split(fields[0], ",")
+				for _, r := range rules {
+					if !known[r] {
+						diags = append(diags, Diagnostic{
+							Pos:     pos,
+							Rule:    "lintdirective",
+							Message: fmt.Sprintf("//lint:ignore names unknown rule %q; see pmlint -list", r),
+						})
+					}
+				}
+				dirs = append(dirs, directive{pos: pos, rules: rules})
 			}
 		}
 	}
@@ -139,8 +134,8 @@ func directives(p *Package) ([]directive, []Diagnostic) {
 }
 
 // suppressorIndex returns the index of the first directive that silences d —
-// a directive on d's own line, on the line above, or in the doc comment of
-// the enclosing declaration, naming d's rule or "all" — or -1 if none does.
+// a directive on d's own line or on the line above, naming d's rule or
+// "all" — or -1 if none does.
 func suppressorIndex(d Diagnostic, dirs []directive) int {
 	for i, dir := range dirs {
 		if !dir.covers(d.Pos) {
@@ -156,20 +151,9 @@ func suppressorIndex(d Diagnostic, dirs []directive) int {
 }
 
 // covers reports whether the directive's scope includes the position: its
-// own line, the line below, or — for decl-scoped directives — anywhere in
-// the declaration.
+// own line or the line below.
 func (dir directive) covers(pos token.Position) bool {
-	if dir.pos.Filename != pos.Filename {
-		return false
-	}
-	inLineScope := dir.pos.Line == pos.Line || dir.pos.Line == pos.Line-1
-	inDeclScope := dir.endLine > 0 && pos.Line > dir.pos.Line && pos.Line <= dir.endLine
-	return inLineScope || inDeclScope
-}
-
-// suppressed reports whether d is silenced by any directive.
-func suppressed(d Diagnostic, dirs []directive) bool {
-	return suppressorIndex(d, dirs) >= 0
+	return dir.pos.Filename == pos.Filename && (dir.pos.Line == pos.Line || dir.pos.Line == pos.Line-1)
 }
 
 // Run executes the analyzers over the packages, applies //lint:ignore
@@ -314,15 +298,6 @@ func isMethodOf(fn *types.Func, pkgPath, recv, name string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == recv
-}
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }
 
 // fromPackage reports whether fn (function or method) is declared in pkgPath.

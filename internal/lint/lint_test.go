@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/types"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,9 +33,7 @@ type Disk struct{}
 func (d *Disk) Read(a PageAddr) (*Page, error)            { return nil, nil }
 func (d *Disk) Write(a PageAddr, p Page) error            { return nil }
 func (d *Disk) Peek(a PageAddr) (*Page, error)            { return nil, nil }
-func (d *Disk) AppendPage(f FileID, p Page) (PageAddr, error) { return PageAddr{}, nil }
 func (d *Disk) NumPages(f FileID) int                     { return 0 }
-func (d *Disk) NewSession() *Session                      { return nil }
 
 type Session struct{}
 
@@ -53,8 +54,6 @@ type Source interface {
 type Pool struct{}
 
 func (p *Pool) Get(a disk.PageAddr) (*disk.Page, error)       { return nil, nil }
-func (p *Pool) GetPinned(a disk.PageAddr) (*disk.Page, error) { return nil, nil }
-func (p *Pool) PinSet(set []disk.PageAddr) error               { return nil }
 func (p *Pool) Unpin(a disk.PageAddr) error                   { return nil }
 func (p *Pool) UnpinAll()                                     {}
 func (p *Pool) Flush() error                                  { return nil }
@@ -147,16 +146,25 @@ func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	return check(path, filename, src)
 }
 
+// analyzersNamed returns the named analyzers of the suite, in its order.
+func analyzersNamed(t *testing.T, names ...string) []*Analyzer {
+	t.Helper()
+	var out []*Analyzer
+	for _, a := range Analyzers() {
+		if slices.Contains(names, a.Name) {
+			out = append(out, a)
+		}
+	}
+	if len(out) != len(names) {
+		t.Fatalf("analyzers %v: found only %d", names, len(out))
+	}
+	return out
+}
+
 // runOne runs a single analyzer (with suppression applied) over a fixture.
 func runOne(t *testing.T, name, path, src string) []Diagnostic {
 	t.Helper()
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return Run([]*Package{checkFixture(t, path, src)}, []*Analyzer{a})
-		}
-	}
-	t.Fatalf("no analyzer named %q", name)
-	return nil
+	return Run([]*Package{checkFixture(t, path, src)}, analyzersNamed(t, name))
 }
 
 // expectDiags asserts the diagnostics hit exactly the given lines (in order)
@@ -182,355 +190,6 @@ func formatDiags(diags []Diagnostic) string {
 		b.WriteString("  " + d.String() + "\n")
 	}
 	return b.String()
-}
-
-func TestPinleak(t *testing.T) {
-	const fixturePath = "pmjoin/internal/fixture"
-	cases := []struct {
-		name  string
-		src   string
-		lines []int // expected diagnostic lines; empty = clean
-	}{
-		{
-			name: "leak on fall-through return",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func leak(p *buffer.Pool, a disk.PageAddr) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	return nil
-}
-`,
-			lines: []int{12},
-		},
-		{
-			name: "leak with no return at all",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func leak(p *buffer.Pool, a disk.PageAddr) {
-	p.GetPinned(a)
-}
-`,
-			lines: []int{9},
-		},
-		{
-			name: "unpin on the success path is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	return p.Unpin(a)
-}
-`,
-		},
-		{
-			name: "deferred UnpinAll is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr) error {
-	defer p.UnpinAll()
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	return nil
-}
-`,
-		},
-		{
-			name: "deferred closure unpin is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr) error {
-	defer func() { p.UnpinAll() }()
-	_, err := p.GetPinned(a)
-	return err
-}
-`,
-		},
-		{
-			name: "pin loop with UnpinAll per block is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, f disk.FileID, n int) error {
-	for lo := 0; lo < n; lo += 4 {
-		for i := lo; i < lo+4 && i < n; i++ {
-			if _, err := p.GetPinned(disk.PageAddr{File: f, Page: i}); err != nil {
-				return err
-			}
-		}
-		p.UnpinAll()
-	}
-	return nil
-}
-`,
-		},
-		{
-			name: "PinSet pins like GetPinned",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func leak(p *buffer.Pool, sets [][]disk.PageAddr) error {
-	for _, set := range sets {
-		if err := p.PinSet(set); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func ok(p *buffer.Pool, sets [][]disk.PageAddr) error {
-	for _, set := range sets {
-		if err := p.PinSet(set); err != nil {
-			return err
-		}
-		p.UnpinAll()
-	}
-	return nil
-}
-`,
-			lines: []int{14},
-		},
-		{
-			name: "leaking function literal is flagged",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func run(body func() error) error { return body() }
-
-func caller(p *buffer.Pool, a disk.PageAddr) error {
-	return run(func() error {
-		if _, err := p.GetPinned(a); err != nil {
-			return err
-		}
-		return nil
-	})
-}
-`,
-			lines: []int{15},
-		},
-		{
-			// Flush no longer discards pinned frames (it skips and reports
-			// them), so it must not be mistaken for a pin release: a
-			// function that pins and then flushes still owes an Unpin.
-			name: "Flush does not satisfy the pin obligation",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func bad(p *buffer.Pool, a disk.PageAddr) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	return p.Flush()
-}
-`,
-			lines: []int{12},
-		},
-		{
-			name: "success-path return before unpin is flagged",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func mixed(p *buffer.Pool, a disk.PageAddr, early bool) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	if early {
-		return nil
-	}
-	return p.Unpin(a)
-}
-`,
-			lines: []int{13},
-		},
-		// The remaining cases are differential against the pre-CFG analysis,
-		// which scanned the body in source order with a boolean pinned flag
-		// and a function-wide "has deferred unpin" shortcut. Each comment
-		// records what that scan concluded; the CFG dataflow gets them right.
-		{
-			// Old scan: clean — it cleared its pinned flag at the Unpin in
-			// the branch, never noticing the flag only cleared on one path.
-			name: "unpin on only one branch is flagged",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func bad(p *buffer.Pool, a disk.PageAddr, done bool) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	if done {
-		p.Unpin(a)
-	}
-	return nil
-}
-`,
-			lines: []int{15},
-		},
-		{
-			// Old scan: clean — in source order the single Unpin follows the
-			// GetPinned, but the loop pins once per iteration and only one
-			// pin is ever released.
-			name: "pin inside a loop with a single unpin is flagged",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func bad(p *buffer.Pool, f disk.FileID, n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := p.GetPinned(disk.PageAddr{File: f, Page: i}); err != nil {
-			return err
-		}
-	}
-	p.Unpin(disk.PageAddr{File: f, Page: 0})
-	return nil
-}
-`,
-			lines: []int{15},
-		},
-		{
-			// Old scan: clean — any deferred unpin anywhere exonerated the
-			// whole function, even one registered on a single branch.
-			name: "defer registered on only one branch is flagged",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func bad(p *buffer.Pool, a disk.PageAddr, tidy bool) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	if tidy {
-		defer p.UnpinAll()
-	}
-	return nil
-}
-`,
-			lines: []int{15},
-		},
-		{
-			// The defer credit is per-path: a pin and its deferred release
-			// scoped to the same branch owe nothing on the other path.
-			name: "branch-scoped pin with branch-scoped defer is clean",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr, warm bool) error {
-	if warm {
-		if _, err := p.GetPinned(a); err != nil {
-			return err
-		}
-		defer p.UnpinAll()
-	}
-	return nil
-}
-`,
-		},
-		{
-			name: "deferred counted Unpin matches one pin",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	defer p.Unpin(a)
-	return nil
-}
-`,
-		},
-		{
-			// Paths that exit by panicking abandon the run and are exempt;
-			// the non-panicking path still owes its release and has one.
-			name: "panic exit with outstanding pin is exempt",
-			src: `package fixture
-
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
-
-func ok(p *buffer.Pool, a disk.PageAddr, n int) {
-	p.GetPinned(a)
-	if n < 0 {
-		panic("bad page count")
-	}
-	p.UnpinAll()
-}
-`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, runOne(t, "pinleak", fixturePath, tc.src), "pinleak", tc.lines)
-		})
-	}
 }
 
 func TestBufferBypass(t *testing.T) {
@@ -676,38 +335,22 @@ func spawn(task func()) {
 	t.Run("workerpool.go in internal/join is exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package join", 1)
 		pkg := checkFixtureFile(t, joinPkgPath, "workerpool.go", src)
-		for _, a := range Analyzers() {
-			if a.Name == "rawgo" {
-				expectDiags(t, Run([]*Package{pkg}, []*Analyzer{a}), "rawgo", nil)
-			}
-		}
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", nil)
 	})
 	t.Run("other files in internal/join are not exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package join", 1)
 		pkg := checkFixtureFile(t, joinPkgPath, "exec.go", src)
-		for _, a := range Analyzers() {
-			if a.Name == "rawgo" {
-				expectDiags(t, Run([]*Package{pkg}, []*Analyzer{a}), "rawgo", []int{4, 6})
-			}
-		}
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", []int{4, 6})
 	})
 	t.Run("coordinator.go in internal/shard is exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package shard", 1)
 		pkg := checkFixtureFile(t, shardPkgPath, "coordinator.go", src)
-		for _, a := range Analyzers() {
-			if a.Name == "rawgo" {
-				expectDiags(t, Run([]*Package{pkg}, []*Analyzer{a}), "rawgo", nil)
-			}
-		}
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", nil)
 	})
 	t.Run("other files in internal/shard are not exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package shard", 1)
 		pkg := checkFixtureFile(t, shardPkgPath, "runner.go", src)
-		for _, a := range Analyzers() {
-			if a.Name == "rawgo" {
-				expectDiags(t, Run([]*Package{pkg}, []*Analyzer{a}), "rawgo", []int{4, 6})
-			}
-		}
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", []int{4, 6})
 	})
 	t.Run("suppressed spawn is clean", func(t *testing.T) {
 		src := `package fixture
@@ -719,58 +362,6 @@ func spawn(done chan struct{}) {
 `
 		expectDiags(t, runOne(t, "rawgo", "pmjoin/internal/fixture", src), "rawgo", nil)
 	})
-}
-
-func TestUnseededRand(t *testing.T) {
-	const fixturePath = "pmjoin/internal/fixture"
-	cases := []struct {
-		name  string
-		src   string
-		lines []int
-	}{
-		{
-			name: "global rand functions are flagged",
-			src: `package fixture
-
-import "math/rand"
-
-func bad(n int) int {
-	rand.Shuffle(n, func(i, j int) {})
-	return rand.Intn(n)
-}
-`,
-			lines: []int{6, 7},
-		},
-		{
-			name: "rand.New with indirect source is flagged",
-			src: `package fixture
-
-import "math/rand"
-
-func bad(src rand.Source) *rand.Rand {
-	return rand.New(src)
-}
-`,
-			lines: []int{6},
-		},
-		{
-			name: "seeded source is clean",
-			src: `package fixture
-
-import "math/rand"
-
-func ok(seed int64, n int) int {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(n)
-}
-`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, runOne(t, "unseededrand", fixturePath, tc.src), "unseededrand", tc.lines)
-		})
-	}
 }
 
 func TestFloatEq(t *testing.T) {
@@ -966,25 +557,45 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 `
 		expectDiags(t, runOne(t, "bufferbypass", fixturePath, src), "bufferbypass", nil)
 	})
-	t.Run("doc-comment directive covers the whole function", func(t *testing.T) {
+	t.Run("doc-comment directive covers only the line below", func(t *testing.T) {
 		src := `package fixture
 
-import (
-	"pmjoin/internal/buffer"
-	"pmjoin/internal/disk"
-)
+import "pmjoin/internal/disk"
 
-// pin pins on behalf of the caller.
+// bad reads a page directly.
 //
-//lint:ignore pinleak pins are owned by the caller
-func pin(p *buffer.Pool, a disk.PageAddr) error {
-	if _, err := p.GetPinned(a); err != nil {
-		return err
-	}
-	return nil
+//lint:ignore bufferbypass a directive has no declaration scope
+func bad(d *disk.Disk, a disk.PageAddr) error {
+	_, err := d.Read(a)
+	return err
 }
 `
-		expectDiags(t, runOne(t, "pinleak", fixturePath, src), "pinleak", nil)
+		expectDiags(t, runOne(t, "bufferbypass", fixturePath, src), "bufferbypass", []int{9})
+	})
+	t.Run("unknown rule name is itself reported", func(t *testing.T) {
+		src := `package fixture
+
+import "pmjoin/internal/disk"
+
+func bad(d *disk.Disk, a disk.PageAddr) error {
+	//lint:ignore nosuchrule,floatq typo of a rule name
+	_, err := d.Read(a)
+	return err
+}
+`
+		diags := Run([]*Package{checkFixture(t, fixturePath, src)}, Analyzers())
+		if len(diags) != 3 {
+			t.Fatalf("got %d diagnostics, want 3 (two lintdirective + unsuppressed finding):\n%s",
+				len(diags), formatDiags(diags))
+		}
+		for i, want := range []string{"nosuchrule", "floatq"} {
+			if d := diags[i]; d.Rule != "lintdirective" || d.Pos.Line != 6 || !strings.Contains(d.Message, want) {
+				t.Errorf("diag %d = %s, want lintdirective on line 6 naming %s", i, d, want)
+			}
+		}
+		if diags[2].Rule != "bufferbypass" {
+			t.Errorf("third diag rule %q, want bufferbypass", diags[2].Rule)
+		}
 	})
 	t.Run("directive for another rule does not silence", func(t *testing.T) {
 		src := `package fixture
@@ -992,7 +603,7 @@ func pin(p *buffer.Pool, a disk.PageAddr) error {
 import "pmjoin/internal/disk"
 
 func bad(d *disk.Disk, a disk.PageAddr) error {
-	//lint:ignore floateq wrong rule
+	//lint:ignore rawgo wrong rule
 	_, err := d.Read(a)
 	return err
 }
@@ -1024,6 +635,28 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 	})
 }
 
+// TestLintingDocMatchesAnalyzers holds LINTING.md to the registry: one
+// "### `rule`" section per analyzer, none for a rule that is gone.
+func TestLintingDocMatchesAnalyzers(t *testing.T) {
+	doc, err := os.ReadFile("../../LINTING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^### `([a-z]+)`$").FindAllStringSubmatch(string(doc), -1) {
+		documented = append(documented, m[1])
+	}
+	var registered []string
+	for _, a := range Analyzers() {
+		registered = append(registered, a.Name)
+	}
+	slices.Sort(documented)
+	slices.Sort(registered)
+	if !slices.Equal(documented, registered) {
+		t.Errorf("LINTING.md documents rules %v, Analyzers() registers %v", documented, registered)
+	}
+}
+
 // TestModuleIsClean is the lint gate as a test: the whole module must load,
 // type-check, and produce zero diagnostics. This is the same check CI runs
 // via `go run ./cmd/pmlint ./...`.
@@ -1048,41 +681,259 @@ func TestModuleIsClean(t *testing.T) {
 	}
 }
 
-func TestWalltime(t *testing.T) {
-	const timeSrc = `package fixture
+func TestMaporder(t *testing.T) {
+	const fixturePath = "pmjoin/internal/fixture"
+	cases := []struct {
+		name  string
+		src   string
+		lines []int
+	}{
+		{
+			name: "append without a later sort",
+			src: `package fixture
 
-import "time"
+func bad(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+`,
+			lines: []int{5},
+		},
+		{
+			name: "sorted-keys idiom is clean",
+			src: `package fixture
 
-var now = time.Now
-`
-	t.Run("time import in a hot-path internal package is flagged", func(t *testing.T) {
-		expectDiags(t, runOne(t, "walltime", "pmjoin/internal/fixture", timeSrc), "walltime", []int{3})
-	})
-	t.Run("internal/join is a hot-path package", func(t *testing.T) {
-		src := strings.Replace(timeSrc, "package fixture", "package join", 1)
-		expectDiags(t, runOne(t, "walltime", joinPkgPath, src), "walltime", []int{3})
-	})
-	t.Run("internal/metrics is exempt", func(t *testing.T) {
-		src := strings.Replace(timeSrc, "package fixture", "package metrics", 1)
-		expectDiags(t, runOne(t, "walltime", metricsPkgPath, src), "walltime", nil)
-	})
-	t.Run("internal/store is exempt", func(t *testing.T) {
-		src := strings.Replace(timeSrc, "package fixture", "package store", 1)
-		expectDiags(t, runOne(t, "walltime", storePkgPath, src), "walltime", nil)
-	})
-	t.Run("packages outside internal are exempt", func(t *testing.T) {
-		src := strings.Replace(timeSrc, "package fixture", "package pmjoin", 1)
-		expectDiags(t, runOne(t, "walltime", "pmjoin", src), "walltime", nil)
-	})
-	t.Run("suppressed import is clean", func(t *testing.T) {
+import "sort"
+
+func ok(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+`,
+		},
+		{
+			name: "sort.Slice also normalizes",
+			src: `package fixture
+
+import "sort"
+
+func ok(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+`,
+		},
+		{
+			name: "slices.Sort also normalizes",
+			src: `package fixture
+
+import "slices"
+
+func ok(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+`,
+		},
+		{
+			name: "float accumulation is order-dependent",
+			src: `package fixture
+
+func bad(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		sum += v
+	}
+	return sum
+}
+`,
+			lines: []int{5},
+		},
+		{
+			name: "integer counters are exact and commutative",
+			src: `package fixture
+
+func ok(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+`,
+		},
+		{
+			name: "map-to-map copy is order-insensitive",
+			src: `package fixture
+
+func ok(src, dst map[int]int) {
+	for k, v := range src {
+		dst[k] = v
+	}
+}
+`,
+		},
+		{
+			name: "channel send leaks iteration order",
+			src: `package fixture
+
+func bad(m map[int]int, ch chan int) {
+	for k := range m {
+		ch <- k
+	}
+}
+`,
+			lines: []int{4},
+		},
+		{
+			name: "printing leaks iteration order",
+			src: `package fixture
+
+import "fmt"
+
+func bad(m map[string]int) {
+	for k, v := range m {
+		fmt.Println(k, v)
+	}
+}
+`,
+			lines: []int{6},
+		},
+		{
+			name: "prediction-matrix marks depend on insertion order",
+			src: `package fixture
+
+import "pmjoin/internal/predmat"
+
+func bad(pm *predmat.Matrix, pairs map[int]int) {
+	for i, j := range pairs {
+		pm.Mark(i, j)
+	}
+}
+`,
+			lines: []int{6},
+		},
+		{
+			name: "worker-pool submission order must not come from a map",
+			src: `package fixture
+
+import "pmjoin/internal/join"
+
+func bad(pool *join.WorkerPool, work map[int]func() any) {
+	for _, w := range work {
+		pool.Run([]func() any{w})
+	}
+}
+`,
+			lines: []int{6},
+		},
+		{
+			name: "trace events must not be emitted in map order",
+			src: `package fixture
+
+import "pmjoin/internal/metrics"
+
+func bad(c *metrics.Collector, names map[string]bool) {
+	for n := range names {
+		c.Event(n)
+	}
+}
+`,
+			lines: []int{6},
+		},
+		{
+			name: "range over a slice is always ordered",
+			src: `package fixture
+
+func ok(xs []string) []string {
+	var out []string
+	for _, x := range xs {
+		out = append(out, x)
+	}
+	return out
+}
+`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			expectDiags(t, runOne(t, "maporder", fixturePath, tc.src), "maporder", tc.lines)
+		})
+	}
+}
+
+func TestLintunused(t *testing.T) {
+	const fixturePath = "pmjoin/internal/fixture"
+
+	t.Run("stale directive is reported", func(t *testing.T) {
 		src := `package fixture
 
-//lint:ignore walltime timeout plumbing, not cost accounting
-import "time"
-
-var after = time.After
+func clean() int {
+	//lint:ignore rawgo was needed before the goroutine moved to the pool
+	return 1
+}
 `
-		expectDiags(t, runOne(t, "walltime", "pmjoin/internal/fixture", src), "walltime", nil)
+		diags := Run([]*Package{checkFixture(t, fixturePath, src)}, Analyzers())
+		expectDiags(t, diags, "lintunused", []int{4})
+	})
+
+	t.Run("useful directive is not reported", func(t *testing.T) {
+		src := `package fixture
+
+func spawn(done chan struct{}) {
+	//lint:ignore rawgo fixture exercises the suppression path
+	go func() { close(done) }()
+}
+`
+		diags := Run([]*Package{checkFixture(t, fixturePath, src)}, Analyzers())
+		expectDiags(t, diags, "lintunused", nil)
+	})
+
+	t.Run("stale all directive needs the full suite", func(t *testing.T) {
+		src := `package fixture
+
+func clean() int {
+	//lint:ignore all historical
+	return 1
+}
+`
+		pkg := checkFixture(t, fixturePath, src)
+		diags := Run([]*Package{pkg}, Analyzers())
+		expectDiags(t, diags, "lintunused", []int{4})
+
+		// Under a partial run the same directive is not checkable: the
+		// finding it suppresses might belong to an analyzer that did not run.
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo", "lintunused")), "lintunused", nil)
+	})
+
+	t.Run("directive naming a rule outside the run is not checkable", func(t *testing.T) {
+		src := `package fixture
+
+func clean() int {
+	//lint:ignore bufferbypass metadata read charged by the caller
+	return 1
+}
+`
+		pkg := checkFixture(t, fixturePath, src)
+		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo", "lintunused")), "lintunused", nil)
+		// With the full suite, bufferbypass ran, found nothing, and the
+		// directive is provably stale.
+		expectDiags(t, Run([]*Package{pkg}, Analyzers()), "lintunused", []int{4})
 	})
 }
 

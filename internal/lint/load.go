@@ -1,9 +1,9 @@
 // Package lint implements pmlint, the project-specific static-analysis
-// suite. It enforces invariants the compiler cannot see but the paper's
-// measurements depend on: pin/unpin pairing in the buffer pool, no I/O
-// accounting bypass around internal/buffer, explicit random seeding,
-// epsilon-free float equality on distance values, and no dropped errors
-// from the disk/buffer APIs.
+// suite. It enforces the two invariants the compiler cannot see but the
+// paper's measurements depend on: every page read is charged (no I/O
+// accounting bypass around internal/buffer, no dropped errors from the
+// disk/buffer APIs), and runs are deterministic (no map-order effects, no
+// goroutines outside the worker pool).
 //
 // The suite is stdlib-only: packages are loaded with go/parser and
 // type-checked with go/types, using the compiler's source importer for

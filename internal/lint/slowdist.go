@@ -64,10 +64,7 @@ func runSlowdist(p *Package) []Diagnostic {
 					continue
 				}
 				fn := p.calleeOf(call)
-				if fn == nil || !fromPackage(fn, geomPkgPath) || !slowdistMethods[fn.Name()] {
-					continue
-				}
-				if !isMethodOf(fn, geomPkgPath, "Norm", fn.Name()) {
+				if fn == nil || !slowdistMethods[fn.Name()] || !isMethodOf(fn, geomPkgPath, "Norm", fn.Name()) {
 					continue
 				}
 				diags = append(diags, p.diag(bin, "slowdist",

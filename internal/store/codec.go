@@ -10,9 +10,9 @@
 // `-data`): the same header frames raw-data records (RawVectors, RawSeries,
 // RawString), so one codec, one CRC, and one fuzz target cover both uses.
 //
-// store is one of the sanctioned wall-clock packages (see the walltime rule
-// in LINTING.md): measured timing is its job, and nothing it measures ever
-// feeds a Report — only disk.Measured / ExecStats.MeasuredIOWall.
+// store is one of the sanctioned wall-clock packages: measured timing is its
+// job, and nothing it measures ever feeds a Report — only disk.Measured /
+// ExecStats.MeasuredIOWall.
 package store
 
 import (

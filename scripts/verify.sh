@@ -7,7 +7,10 @@
 # race detector, and last the end-to-end benchmark's smoke test. Serving-mode
 # behaviour (concurrent joins bit-identical to solo runs, rejections and
 # cancellations accounted) is covered by the root package's TestServer* tests
-# inside the race run.
+# inside the race run. The pin ledger is checked at run time, not by lint:
+# every executor runs through join.Engine.Run, which fails a body that returns
+# successfully with a frame still pinned, and the contract step runs
+# TestRunRejectsLeakedPin so the check cannot be renamed or deleted unseen.
 #
 # Usage: scripts/verify.sh [-short]
 #   -short  passes -short to `go test` (skips the whole-module lint test,
@@ -60,7 +63,7 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity + pin ledger)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant. Every clustered
@@ -92,7 +95,7 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # and the landsat and road shapes must hash to their recorded trees.
 contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
 contract ./internal/buffer 'TestPinSet'
-contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel'
+contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
