@@ -56,7 +56,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "cut the clustered join into this many shards (0: unsharded)")
 		shardWork = flag.Int("shard-workers", 0, "parallel shard workers (0: min(shards, GOMAXPROCS))")
 		metrics   = flag.Bool("metrics", false, "print the phase-scoped metrics snapshot")
-		trace     = flag.Int("trace", 0, "record and print up to this many trace events (implies -metrics)")
+		trace     = flag.Int("trace", 0, "record the trace and print its newest N events (implies -metrics)")
 		loadPath  = flag.String("load", "", "load the first dataset from a container file written by -save (kind inferred; overrides -kind/-n)")
 		savePath  = flag.String("save", "", "save the first dataset's raw data to this container file (the join still runs)")
 		storeDir  = flag.String("storedir", "", "directory for the file-backed page store with -storage file (default: a temp dir, removed on exit)")
@@ -145,19 +145,17 @@ func main() {
 	}
 
 	opt := pmjoin.Options{
-		Method:        m,
-		Epsilon:       epsilon,
-		BufferPages:   *buffer,
-		Policy:        policy,
-		Parallelism:   *parallel,
-		Seed:          *seed,
-		CollectPairs:  *pairs > 0,
-		MaxPairs:      *pairs,
-		Metrics:       *metrics,
-		Trace:         *trace > 0,
-		TraceCapacity: *trace,
-		Storage:       storage,
-		Sharding:      pmjoin.ShardingOptions{Shards: *shards, Workers: *shardWork},
+		Method:       m,
+		Epsilon:      epsilon,
+		BufferPages:  *buffer,
+		Policy:       policy,
+		Parallelism:  *parallel,
+		Seed:         *seed,
+		CollectPairs: *pairs > 0,
+		MaxPairs:     *pairs,
+		Trace:        *trace > 0,
+		Storage:      storage,
+		Sharding:     pmjoin.ShardingOptions{Shards: *shards, Workers: *shardWork},
 	}
 	res, err := sys.Join(da, db, opt)
 	if err != nil {
@@ -188,8 +186,8 @@ func main() {
 	if res.Truncated {
 		fmt.Printf("  ... more pairs not shown\n")
 	}
-	if res.Metrics != nil {
-		printMetrics(res.Metrics)
+	if *metrics || *trace > 0 {
+		printMetrics(res.Metrics, *trace)
 		if m == pmjoin.SC {
 			// Explain's greedy schedule is the one an SC run executes, so its
 			// per-cluster prediction lines up with the measured turnover.

@@ -19,8 +19,9 @@ func timeUnit(d time.Duration) time.Duration {
 
 // printMetrics renders the phase-scoped snapshot as a human table: one row
 // per phase with its wall clock and I/O deltas, then totals, queue pressure
-// and the trace (if recorded).
-func printMetrics(m *metrics.Metrics) {
+// and the newest trace events, at most traceN of them (the rest count as
+// dropped).
+func printMetrics(m *metrics.Metrics, traceN int) {
 	fmt.Printf("\nmetrics (wall %v):\n", m.Wall)
 	fmt.Printf("  %-8s %12s %8s %8s %8s %8s %8s\n",
 		"phase", "wall", "reads", "seeks", "writes", "hits", "misses")
@@ -41,9 +42,14 @@ func printMetrics(m *metrics.Metrics) {
 	if m.QueueHighWater > 0 {
 		fmt.Printf("  worker queue high water: %d tasks\n", m.QueueHighWater)
 	}
-	if len(m.Events) > 0 {
-		fmt.Printf("  trace (%d events, %d dropped):\n", len(m.Events), m.EventsDropped)
-		for _, ev := range m.Events {
+	if events := m.Events; len(events) > 0 {
+		dropped := m.EventsDropped
+		if len(events) > traceN {
+			dropped += int64(len(events) - traceN)
+			events = events[len(events)-traceN:]
+		}
+		fmt.Printf("  trace (%d events, %d dropped):\n", len(events), dropped)
+		for _, ev := range events {
 			fmt.Printf("    %v\n", ev)
 		}
 	}

@@ -104,26 +104,6 @@ func ExampleSystem_JoinContext() {
 	// workers: 4
 }
 
-// ExampleSystem_RangeQueryOpts caps a range query's result set; Truncated
-// reports that more objects matched than were returned.
-func ExampleSystem_RangeQueryOpts() {
-	sys := pmjoin.NewSystem(pmjoin.DiskModel{PageBytes: 256})
-	ds, err := sys.AddVectors("pts", grid(8, 1.0), pmjoin.VectorOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := sys.RangeQueryOpts(ds, []float64{3.5, 3.5}, 1.0, pmjoin.QueryOptions{
-		BufferPages: 8,
-		MaxResults:  2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("returned:", len(res.IDs), "truncated:", res.Truncated)
-	// Output:
-	// returned: 2 truncated: true
-}
-
 // ExampleSystem_Explain inspects the join plan without executing it.
 func ExampleSystem_Explain() {
 	sys := pmjoin.NewSystem(pmjoin.DiskModel{PageBytes: 256})

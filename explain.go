@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
 )
 
@@ -89,12 +88,6 @@ type Plan struct {
 	// wall-clock concurrency. Zero when unsharded.
 	CutLostPages      int64
 	CutPenaltySeconds float64
-
-	// Metrics is the planning-time metrics snapshot (nil unless
-	// Options.Metrics or Options.Trace was set). Like Result.Metrics it is
-	// outside the determinism contract; every other Plan field is
-	// bit-for-bit independent of it.
-	Metrics *metrics.Metrics
 }
 
 // String renders the plan as a compact report.
@@ -148,19 +141,13 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 			return nil, err
 		}
 	}
-	var mc *metrics.Collector // nil when disabled: every hook no-ops
-	if opt.Metrics {
-		mc = metrics.New(metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity})
-	}
-	// The plan an SC join would run, priced by replaying its pins.
-	cp, err := s.planClusters(a, b, SC, opt, &Result{}, nil, mc)
+	// The plan an SC join would run, priced by replaying its pins. Planning
+	// records no metrics: the nil collector's hooks no-op.
+	cp, err := s.planClusters(a, b, SC, opt, &Result{}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	mc.PhaseStart(metrics.PhaseCluster)
-	err = cp.cut.Price(cp.pages, s.shardCost(opt))
-	mc.PhaseEnd()
-	if err != nil {
+	if err := cp.cut.Price(cp.pages, s.shardCost(opt)); err != nil {
 		return nil, err
 	}
 	m, clusters, cut := cp.m, cp.clusters, cp.cut
@@ -213,7 +200,6 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		p.CutLostPages = cut.CutLostPages
 		p.CutPenaltySeconds = cut.CutPenaltySeconds
 	}
-	p.Metrics = mc.Finish()
 	return p, nil
 }
 

@@ -91,7 +91,7 @@ func TestExplainValidation(t *testing.T) {
 func TestExplainOrderIsExecutedOrder(t *testing.T) {
 	sys, da, db := smallVecSystem(t)
 	for _, shards := range []int{0, 1} {
-		opt := Options{Method: SC, Epsilon: 0.1, BufferPages: 12, Metrics: true,
+		opt := Options{Method: SC, Epsilon: 0.1, BufferPages: 12,
 			Sharding: ShardingOptions{Shards: shards}}
 		plan, err := sys.Explain(da, db, opt)
 		if err != nil {

@@ -221,33 +221,6 @@ func TestMinDistKnown(t *testing.T) {
 	}
 }
 
-func TestMinDistPoint(t *testing.T) {
-	m := MBR{Min: Vector{0, 0}, Max: Vector{2, 2}}
-	if got := L2.MinDistPoint(Vector{1, 1}, m); got != 0 {
-		t.Fatalf("inside point = %g", got)
-	}
-	if got := L2.MinDistPoint(Vector{5, 2}, m); got != 3 {
-		t.Fatalf("outside point = %g", got)
-	}
-	if !math.IsInf(L2.MinDistPoint(Vector{0, 0}, EmptyMBR(2)), 1) {
-		t.Fatal("empty MBR should give +Inf")
-	}
-	// Lower-bound property against contained points.
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 200; iter++ {
-		q := randVec(rng, 3)
-		box := NewMBR(randVec(rng, 3))
-		box.ExtendPoint(randVec(rng, 3))
-		inside := make(Vector, 3)
-		for d := 0; d < 3; d++ {
-			inside[d] = box.Min[d] + rng.Float64()*(box.Max[d]-box.Min[d])
-		}
-		if L2.MinDistPoint(q, box) > L2.Dist(q, inside)+1e-9 {
-			t.Fatal("MinDistPoint not a lower bound")
-		}
-	}
-}
-
 func TestIntersectCommutesAndShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 200; iter++ {

@@ -176,23 +176,3 @@ func (n Norm) MinDist(a, b MBR) float64 {
 	zero := make(Vector, a.Dim())
 	return n.Dist(gap, zero)
 }
-
-// MinDistPoint returns the minimum Lp distance from point p to MBR m.
-func (n Norm) MinDistPoint(p Vector, m MBR) float64 {
-	if m.IsEmpty() {
-		return math.Inf(1)
-	}
-	gap := make(Vector, len(p))
-	for i := range p {
-		switch {
-		case p[i] < m.Min[i]:
-			gap[i] = m.Min[i] - p[i]
-		case p[i] > m.Max[i]:
-			gap[i] = p[i] - m.Max[i]
-		default:
-			gap[i] = 0
-		}
-	}
-	zero := make(Vector, len(p))
-	return n.Dist(gap, zero)
-}

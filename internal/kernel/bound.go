@@ -120,61 +120,6 @@ func (b *Bound) WithinNonEmpty(a, c geom.MBR) bool {
 	}
 }
 
-// WithinPoint is Within for a point against an MBR, mirroring
-// geom.Norm.MinDistPoint.
-func (b *Bound) WithinPoint(p []float64, m geom.MBR) bool {
-	if m.IsEmpty() {
-		return b.emptyWithin
-	}
-	if b.t.never {
-		return false
-	}
-	t := &b.t
-	switch t.p {
-	case 0:
-		lim := t.lim
-		for i, pv := range p {
-			if g := gapPointDim(pv, m, i); g > lim {
-				return false
-			}
-		}
-		return true
-	case 1:
-		var s float64
-		lim := t.lim
-		for i, pv := range p {
-			s += gapPointDim(pv, m, i)
-			if s > lim {
-				return false
-			}
-		}
-		return s <= lim
-	case 2:
-		var s float64
-		lim := t.lim
-		for i, pv := range p {
-			g := gapPointDim(pv, m, i)
-			s += g * g
-			if s > lim {
-				return false
-			}
-		}
-		return s <= lim
-	default:
-		var s float64
-		for i, pv := range p {
-			s += geom.PowInt(gapPointDim(pv, m, i), t.p)
-			if s > t.hi {
-				return false
-			}
-		}
-		if s <= t.lo {
-			return true
-		}
-		return t.scale*math.Pow(s, t.invP) <= t.eps
-	}
-}
-
 // gapDim is the per-dimension separation of two MBRs — the same three-way
 // branch MinDist uses, yielding 0 when the extents overlap. The result is
 // never negative (NaN extents take the overlap branch, as in the reference).
@@ -184,19 +129,6 @@ func gapDim(a, c geom.MBR, i int) float64 {
 		return c.Min[i] - a.Max[i]
 	case a.Min[i] > c.Max[i]:
 		return a.Min[i] - c.Max[i]
-	default:
-		return 0
-	}
-}
-
-// gapPointDim is the per-dimension separation of a point and an MBR,
-// mirroring MinDistPoint.
-func gapPointDim(p float64, m geom.MBR, i int) float64 {
-	switch {
-	case p < m.Min[i]:
-		return m.Min[i] - p
-	case p > m.Max[i]:
-		return p - m.Max[i]
 	default:
 		return 0
 	}

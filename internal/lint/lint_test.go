@@ -69,9 +69,8 @@ type MBR struct {
 
 type Norm struct{ P int }
 
-func (n Norm) Dist(a, b Vector) float64            { return 0 }
-func (n Norm) MinDist(a, b MBR) float64            { return 0 }
-func (n Norm) MinDistPoint(p Vector, m MBR) float64 { return 0 }
+func (n Norm) Dist(a, b Vector) float64 { return 0 }
+func (n Norm) MinDist(a, b MBR) float64 { return 0 }
 `
 
 const stubPredmat = `package predmat
@@ -955,11 +954,11 @@ func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
 
 import "pmjoin/internal/geom"
 
-func f(n geom.Norm, a, b geom.MBR, p geom.Vector, eps float64) {
+func f(n geom.Norm, a, b geom.MBR, eps float64) {
 	_ = n.MinDist(a, b) <= eps
 	_ = n.MinDist(a, b) < eps
-	_ = eps >= n.MinDistPoint(p, a)
-	_ = n.MinDistPoint(p, b) > eps
+	_ = eps >= n.MinDist(b, a)
+	_ = n.MinDist(b, a) > eps
 }
 `
 		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/predmat", src), "slowdist", []int{6, 7, 8, 9})

@@ -22,9 +22,8 @@ var slowdistPackages = map[string]bool{
 // slowdistMethods are the geom.Norm methods whose result, when only compared
 // against a threshold, should be a kernel test instead.
 var slowdistMethods = map[string]bool{
-	"Dist":         true,
-	"MinDist":      true,
-	"MinDistPoint": true,
+	"Dist":    true,
+	"MinDist": true,
 }
 
 // slowdistAnalyzer flags geom.Norm distance calls whose result is immediately

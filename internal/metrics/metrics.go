@@ -277,18 +277,17 @@ func (m *Metrics) Fold(s *Metrics) {
 
 // Config configures a Collector.
 type Config struct {
-	// Trace enables the typed event ring.
+	// Trace enables the typed event ring of DefaultTraceCapacity events.
 	Trace bool
-	// TraceCapacity bounds the ring; 0 means DefaultTraceCapacity.
-	TraceCapacity int
 }
 
-// DefaultTraceCapacity is the trace ring size when Config leaves it zero.
+// DefaultTraceCapacity is the trace ring size: the ring keeps the newest
+// events and counts the overwritten ones.
 const DefaultTraceCapacity = 4096
 
-// Collector accumulates one run's metrics. A nil *Collector is the disabled
-// state: every method no-ops, so instrumented code calls unconditionally and
-// pays only a nil check when metrics are off.
+// Collector accumulates one run's metrics. Every join collects; a nil
+// *Collector, as engines built without one carry, is the disabled state:
+// every method no-ops, so instrumented code calls unconditionally.
 type Collector struct {
 	start    time.Time
 	lastWall time.Time
@@ -319,24 +318,16 @@ type Collector struct {
 	seq      int64
 }
 
-// New creates an enabled collector. Callers that want metrics off keep a nil
-// *Collector instead.
+// New creates an enabled collector.
 func New(cfg Config) *Collector {
 	c := &Collector{start: time.Now(), cluster: -1}
 	c.lastWall = c.start
 	if cfg.Trace {
-		cap := cfg.TraceCapacity
-		if cap <= 0 {
-			cap = DefaultTraceCapacity
-		}
 		c.trace = true
-		c.ring = make([]Event, 0, cap)
+		c.ring = make([]Event, 0, DefaultTraceCapacity)
 	}
 	return c
 }
-
-// Enabled reports whether the collector is live (non-nil).
-func (c *Collector) Enabled() bool { return c != nil }
 
 // Tracing reports whether the event ring is active.
 func (c *Collector) Tracing() bool { return c != nil && c.trace }

@@ -27,8 +27,8 @@ func newRun(t *testing.T, pages, capacity int) (*disk.Disk, disk.FileID, *disk.S
 // A nil collector must be a complete no-op on every method.
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
-	if c.Enabled() || c.Tracing() {
-		t.Fatal("nil collector reports enabled")
+	if c.Tracing() {
+		t.Fatal("nil collector reports tracing")
 	}
 	c.Attach(nil, nil)
 	c.PhaseStart(PhaseMatrix)
@@ -142,16 +142,18 @@ func TestClusterTurnover(t *testing.T) {
 // with an unbroken Seq numbering.
 func TestTraceRingBounds(t *testing.T) {
 	_, f, io, pool := newRun(t, 8, 2)
-	c := New(Config{Trace: true, TraceCapacity: 4})
+	c := New(Config{Trace: true})
 	c.Attach(io, pool)
-	for i := 0; i < 8; i++ { // 8 misses: 8 seek-or-sequential accesses, 6 evictions
-		if _, err := pool.Get(disk.PageAddr{File: f, Page: i}); err != nil {
+	// Cycling 8 pages through 2 frames misses every time: each access
+	// evicts, so twice the ring's capacity in accesses overflows it.
+	for i := 0; i < 2*DefaultTraceCapacity; i++ {
+		if _, err := pool.Get(disk.PageAddr{File: f, Page: i % 8}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m := c.Finish()
-	if len(m.Events) != 4 {
-		t.Fatalf("events = %d, want ring capacity 4", len(m.Events))
+	if len(m.Events) != DefaultTraceCapacity {
+		t.Fatalf("events = %d, want ring capacity %d", len(m.Events), DefaultTraceCapacity)
 	}
 	if m.EventsDropped == 0 {
 		t.Fatal("expected dropped events")

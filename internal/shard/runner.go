@@ -33,7 +33,8 @@ type Result struct {
 	// collects pairs), in the shard executor's deterministic emission order,
 	// and whether the shard hit its local pair cap.
 	Pairs *join.Pairs
-	// Metrics is the shard's own phase-scoped snapshot (nil unless enabled).
+	// Metrics is the shard's own phase-scoped snapshot (nil unless the
+	// runner gives each shard its own collector).
 	Metrics *metrics.Metrics
 	// Measured is the shard's physical backend read account (zero under the
 	// simulator).
@@ -59,8 +60,8 @@ type LocalRunner struct {
 	// comparison pool: they only feed it tasks that never wait on a shard,
 	// so concurrent shards cannot deadlock. The template's Metrics
 	// collector is used as is, which suits a one-shard run reporting on its
-	// caller's snapshot; with Metrics set, every shard gets a collector of its
-	// own.
+	// caller's snapshot; with OwnMetrics set, every shard gets a collector of
+	// its own.
 	Engine join.Engine
 
 	// The join being sharded.
@@ -79,10 +80,10 @@ type LocalRunner struct {
 	CollectPairs bool
 	MaxPairs     int
 
-	// Metrics enables a per-shard collector whose snapshot lands on
-	// Result.Metrics (outside the determinism contract, like everywhere else).
-	Metrics       bool
-	MetricsConfig metrics.Config
+	// OwnMetrics gives every shard a collector of its own, tracing when the
+	// template's does, whose snapshot lands on Result.Metrics (outside the
+	// determinism contract, like everywhere else).
+	OwnMetrics bool
 }
 
 // RunShard executes one shard. The engine's Run scope gives the shard its
@@ -96,12 +97,12 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 	if r.CollectPairs {
 		eng.Pairs = join.NewPairs(r.MaxPairs)
 	}
-	if r.Metrics {
-		eng.Metrics = metrics.New(r.MetricsConfig)
+	if r.OwnMetrics {
+		eng.Metrics = metrics.New(metrics.Config{Trace: r.Engine.Metrics.Tracing()})
 	}
 	rep, err := eng.Clustered(r.R, r.S, r.Matrix, r.Clusters, r.Pages, t.Clusters, r.Joiner)
 	out.Measured = eng.MeasuredIO()
-	if r.Metrics {
+	if r.OwnMetrics {
 		out.Metrics = eng.Metrics.Finish()
 	}
 	if err != nil {

@@ -53,8 +53,8 @@ type ExecStats struct {
 	// OverlapIOSeconds is always 0: no I/O overlaps the comparisons.
 	OverlapIOSeconds float64
 	// Block-kernel profile of the clustered executor (all zero for joiners
-	// with no batch kernel — self joins, strings — for unclustered methods, or
-	// when Options.Metrics is off — the counters ride the metrics snapshot):
+	// with no batch kernel — self joins, strings — and for unclustered
+	// methods; the counters ride the metrics snapshot):
 	// the number of clusters evaluated as block runs, their marked cells, and
 	// the rows the kernel spans: the rows of each such cluster's pinned pages,
 	// both sides, summed over the clusters.
@@ -103,10 +103,10 @@ type Result struct {
 	// Exec is the wall-clock execution profile (not deterministic; see
 	// ExecStats).
 	Exec ExecStats
-	// Metrics is the phase-scoped metrics snapshot (nil unless
-	// Options.Metrics or Options.Trace was set). Like ExecStats it is
-	// outside the determinism contract: its wall-clock fields vary run to
-	// run, and collecting it never changes Report or Pairs.
+	// Metrics is the phase-scoped metrics snapshot of the run, with its
+	// event trace when Options.Trace is set. Like ExecStats it is outside
+	// the determinism contract: its wall-clock fields vary run to run, and
+	// collecting it never changes Report or Pairs.
 	Metrics *metrics.Metrics
 }
 
@@ -161,10 +161,7 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 		wp = join.NewWorkerPool(opt.Parallelism)
 		defer wp.Close()
 	}
-	var mc *metrics.Collector // nil when disabled: every hook no-ops
-	if opt.Metrics {
-		mc = metrics.New(metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity})
-	}
+	mc := metrics.New(metrics.Config{Trace: opt.Trace})
 
 	// Resolve the physical page source. StorageFile requires a store attached
 	// via UseFileStore and leases it for the whole run: the workers read its
@@ -229,7 +226,7 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 		var cp *clusterPlan
 		cp, err = s.planClusters(a, b, opt.Method, opt, res, wp, mc)
 		if err == nil {
-			rep, shardSnaps, err = s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng, mc)
+			rep, shardSnaps, err = s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng)
 		}
 	case EGO:
 		rep, err = timedJoin(func() (*join.Report, error) {
@@ -261,13 +258,11 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 	for _, sn := range shardSnaps {
 		res.Metrics.AddShard(sn)
 	}
-	if res.Metrics != nil {
-		for _, cs := range res.Metrics.Clusters {
-			if cs.BatchCells > 0 {
-				res.Exec.BatchClusters++
-				res.Exec.BatchCells += cs.BatchCells
-				res.Exec.BatchRows += cs.BatchRows
-			}
+	for _, cs := range res.Metrics.Clusters {
+		if cs.BatchCells > 0 {
+			res.Exec.BatchClusters++
+			res.Exec.BatchCells += cs.BatchCells
+			res.Exec.BatchRows += cs.BatchRows
 		}
 	}
 	return res, nil
@@ -335,13 +330,13 @@ func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Re
 // one-shard plan: its shard reports on the join's own collector, and
 // Exec.Shards stays 0. So Shards 1 differs from it only in keeping a
 // per-shard metrics snapshot. The returned snapshots are the per-shard
-// metrics (none when unsharded or metrics are off), appended to
-// Result.Metrics after Finish.
+// metrics (none when unsharded), appended to Result.Metrics after Finish.
 func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan, joiner join.ObjectJoiner,
-	opt Options, res *Result, eng join.Engine, mc *metrics.Collector,
+	opt Options, res *Result, eng join.Engine,
 ) (*join.Report, []*metrics.Metrics, error) {
 	start := time.Now()
 	defer func() { res.Exec.JoinWall = time.Since(start) }()
+	sharded := opt.Sharding.Shards > 0
 	runner := &shard.LocalRunner{
 		Engine:            eng,
 		R:                 &a.ds,
@@ -353,12 +348,7 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 		PreprocessSeconds: cp.pre,
 		CollectPairs:      opt.CollectPairs,
 		MaxPairs:          opt.MaxPairs,
-	}
-	sharded := opt.Sharding.Shards > 0
-	if sharded {
-		runner.Engine.Metrics = nil
-		runner.Metrics = opt.Metrics
-		runner.MetricsConfig = metrics.Config{Trace: opt.Trace, TraceCapacity: opt.TraceCapacity}
+		OwnMetrics:        sharded,
 	}
 	coord := &shard.Coordinator{Runner: runner, Workers: opt.Sharding.Workers}
 	results, err := coord.Run(ctx, cp.cut.Tasks())

@@ -9,14 +9,6 @@ import (
 	"pmjoin/internal/metrics"
 )
 
-// planFields strips the metrics snapshot from a plan, leaving exactly the
-// fields the determinism contract covers.
-func planFields(p *Plan) Plan {
-	c := *p
-	c.Metrics = nil
-	return c
-}
-
 // metricsWorkload is a vector SC workload big enough to produce several
 // clusters and nontrivial buffer traffic.
 func metricsWorkload(t *testing.T) (*System, *Dataset, *Dataset, Options) {
@@ -37,8 +29,8 @@ func metricsWorkload(t *testing.T) (*System, *Dataset, *Dataset, Options) {
 }
 
 // TestMetricsDeterminism is the acceptance contract of the metrics layer:
-// Report, Pairs and Plan are bit-for-bit identical with metrics and tracing
-// enabled vs. disabled, and at Parallelism 1 vs. >1.
+// Report, Pairs and Plan are bit-for-bit identical with tracing on vs. off,
+// and at Parallelism 1 vs. 4.
 func TestMetricsDeterminism(t *testing.T) {
 	sys, da, db, opt := metricsWorkload(t)
 
@@ -49,24 +41,17 @@ func TestMetricsDeterminism(t *testing.T) {
 	if base.Count() == 0 {
 		t.Fatal("workload has no results")
 	}
-	if base.Metrics != nil {
-		t.Fatal("Metrics collected without Options.Metrics")
-	}
 	basePlan, err := sys.Explain(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if basePlan.Metrics != nil {
-		t.Fatal("Plan.Metrics collected without Options.Metrics")
 	}
 
 	for _, tc := range []struct {
 		name string
 		mod  func(*Options)
 	}{
-		{"metrics", func(o *Options) { o.Metrics = true }},
 		{"trace", func(o *Options) { o.Trace = true }},
-		{"metrics-parallel", func(o *Options) { o.Metrics = true; o.Parallelism = 4 }},
+		{"parallel", func(o *Options) { o.Parallelism = 4 }},
 		{"trace-parallel", func(o *Options) { o.Trace = true; o.Parallelism = 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,9 +61,6 @@ func TestMetricsDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Metrics == nil {
-				t.Fatal("Options.Metrics set but Result.Metrics is nil")
-			}
 			if got, want := deterministicFields(res), deterministicFields(base); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s result differs from baseline:\n base: %+v\n got:  %+v", tc.name, want, got)
 			}
@@ -86,11 +68,8 @@ func TestMetricsDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.Metrics == nil {
-				t.Fatal("Options.Metrics set but Plan.Metrics is nil")
-			}
-			if got, want := planFields(plan), planFields(basePlan); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s plan differs from baseline:\n base: %+v\n got:  %+v", tc.name, want, got)
+			if !reflect.DeepEqual(plan, basePlan) {
+				t.Errorf("%s plan differs from baseline:\n base: %+v\n got:  %+v", tc.name, basePlan, plan)
 			}
 		})
 	}
@@ -101,7 +80,6 @@ func TestMetricsDeterminism(t *testing.T) {
 // total disk.Stats, and the totals agree with the Report's counters.
 func TestMetricsPhaseSumsMatchReport(t *testing.T) {
 	sys, da, db, opt := metricsWorkload(t)
-	opt.Metrics = true
 	res, err := sys.Join(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +154,6 @@ func TestMetricsPredictedVsMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.CloseStore()
-	opt.Metrics = true
 	opt4 := opt
 	opt4.Epsilon, opt4.BufferPages = 0.3, 20
 	opt8 := opt
@@ -283,7 +260,6 @@ func testPredictedVsMeasured(t *testing.T, sys *System, da, db *Dataset, opt Opt
 // lost pages are the shards' predictions minus the unsharded plan's.
 func TestShardPredictedVsMeasured(t *testing.T) {
 	sys, da, db, opt := metricsWorkload(t)
-	opt.Metrics = true
 	for _, shards := range []int{2, 3} {
 		for _, policy := range []ReplacementPolicy{LRU, FIFO} {
 			o := opt
@@ -317,8 +293,9 @@ func TestShardPredictedVsMeasured(t *testing.T) {
 }
 
 // TestMetricsTraceThroughAPI exercises the trace ring end to end: events
-// arrive typed and ordered, and a small TraceCapacity bounds the ring while
-// Seq still exposes the run's full event count.
+// arrive typed and ordered, the default ring holds the whole run, and the
+// event count is the same on a warm rerun. The ring's overflow is
+// internal/metrics' TestTraceRingBounds.
 func TestMetricsTraceThroughAPI(t *testing.T) {
 	sys, da, db, opt := metricsWorkload(t)
 	opt.Trace = true
@@ -355,31 +332,38 @@ func TestMetricsTraceThroughAPI(t *testing.T) {
 	if int64(seeks) != m.Disk.Seeks+m.Disk.WriteSeeks {
 		t.Errorf("trace has %d seek events, disk counted %d", seeks, m.Disk.Seeks+m.Disk.WriteSeeks)
 	}
-	// Re-run at full capacity for the steady-state event count: the first run
-	// built the prediction matrix (two phase events the cached runs lack).
+	// The first run built the prediction matrix: its two phase events are
+	// all a warm rerun lacks.
 	res, err = sys.Join(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := int64(len(res.Metrics.Events))
-	if res.Metrics.EventsDropped != 0 {
-		t.Fatalf("default capacity dropped %d events", res.Metrics.EventsDropped)
+	if warm := res.Metrics; warm.EventsDropped != 0 || len(warm.Events) != len(m.Events)-2 {
+		t.Errorf("warm rerun recorded %d events (%d dropped), want %d", len(warm.Events), warm.EventsDropped, len(m.Events)-2)
 	}
+}
 
-	// A tiny ring keeps only the newest events and reports the overwrites.
-	opt.TraceCapacity = 8
-	res, err = sys.Join(da, db, opt)
+// TestBatchCountersAlwaysOn: the block-kernel counters of ExecStats ride the
+// metrics snapshot, which every join collects, so a default-option cross
+// join on the batch kernel reports them, equal to a traced run's.
+func TestBatchCountersAlwaysOn(t *testing.T) {
+	sys, da, db, _ := metricsWorkload(t)
+	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 16}
+	res, err := sys.Join(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = res.Metrics
-	if len(m.Events) != 8 {
-		t.Fatalf("ring of 8 returned %d events", len(m.Events))
+	if res.Exec.BatchCells <= 0 || res.Exec.BatchRows <= 0 {
+		t.Fatalf("default options: BatchCells %d, BatchRows %d; want both > 0", res.Exec.BatchCells, res.Exec.BatchRows)
 	}
-	if m.EventsDropped != full-8 {
-		t.Errorf("ring dropped %d events, want %d", m.EventsDropped, full-8)
+	opt.Trace = true
+	traced, err := sys.Join(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last := m.Events[7]; last.Seq != full-1 {
-		t.Errorf("newest event Seq = %d, want %d", last.Seq, full-1)
+	got := [3]int{res.Exec.BatchClusters, res.Exec.BatchCells, res.Exec.BatchRows}
+	want := [3]int{traced.Exec.BatchClusters, traced.Exec.BatchCells, traced.Exec.BatchRows}
+	if got != want {
+		t.Errorf("batch clusters/cells/rows = %v, traced run %v", got, want)
 	}
 }

@@ -68,19 +68,11 @@ type Options struct {
 	ClusterRowFraction float64
 	// HistogramBins is CC's density-histogram resolution (default 100).
 	HistogramBins int
-	// Metrics enables the phase-scoped metrics snapshot on Result.Metrics
-	// (and Plan.Metrics for Explain). Like ExecStats, the snapshot is
-	// outside the determinism contract: enabling it never changes Report,
-	// Pairs or Plan. Off by default; a disabled run pays nothing.
-	Metrics bool
-	// Trace additionally records a bounded ring-buffer trace of typed
-	// events (phase/cluster boundaries, evictions, seeks) in the snapshot.
-	// Trace implies Metrics.
+	// Trace records a ring of the newest 4096 typed events (phase and
+	// cluster boundaries, evictions, seeks) in Result.Metrics, counting the
+	// overwritten ones. Like ExecStats, the snapshot is outside the
+	// determinism contract: tracing never changes Report, Pairs or Plan.
 	Trace bool
-	// TraceCapacity bounds the trace ring (default 4096 events; the ring
-	// keeps the newest events and counts the overwritten ones). Negative
-	// values are rejected by Validate.
-	TraceCapacity int
 	// Storage selects the physical page source (default: the in-memory
 	// simulator). StorageFile requires a store attached to the System via
 	// UseFileStore and serves page payloads from its real files, measuring
@@ -138,13 +130,6 @@ func (o *Options) Validate() error {
 	if o.HistogramBins == 0 {
 		o.HistogramBins = 100
 	}
-	if o.TraceCapacity < 0 {
-		return fmt.Errorf("pmjoin: negative trace capacity %d", o.TraceCapacity)
-	}
-	if o.Trace {
-		o.Metrics = true
-	}
-
 	if !storageSpec.valid(o.Storage) {
 		return fmt.Errorf("pmjoin: unknown storage mode %v", o.Storage)
 	}

@@ -250,10 +250,10 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchRan guards the oracle comparisons against vacuity: with
-// metrics on, a batchable clustered run must report that the block kernel
-// actually evaluated clusters, and a self or string join — whose runs take
-// the per-cell fallback — must report none.
+// TestBatchDispatchRan guards the oracle comparisons against vacuity: a
+// batchable clustered run must report that the block kernel actually
+// evaluated clusters, and a self or string join — whose runs take the
+// per-cell fallback — must report none.
 func TestBatchDispatchRan(t *testing.T) {
 	cases := []struct {
 		oracleLoad
@@ -267,7 +267,7 @@ func TestBatchDispatchRan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := NewSystem(DiskModel{PageBytes: tc.page})
 			a, b, _ := tc.build(t, sys, tc.eps)
-			res, err := sys.Join(a, b, Options{Method: SC, Epsilon: tc.eps, BufferPages: 16, Metrics: true})
+			res, err := sys.Join(a, b, Options{Method: SC, Epsilon: tc.eps, BufferPages: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,9 +80,9 @@ func DefaultDiskModel() DiskModel {
 // System owns the simulated disk and the datasets materialized on it.
 //
 // A System is safe for concurrent read-only use: any number of Join,
-// JoinContext, Explain, RangeQueryOpts and NearestNeighborsOpts calls may run
-// at once — each charges its simulated I/O to a private disk session, so every
-// call's Result is identical to what a solo run would produce. Mutating
+// JoinContext, Explain and ExplainContext calls may run at once — each
+// charges its simulated I/O to a private disk session, so every call's Result
+// is identical to what a solo run would produce. Mutating
 // calls (AddVectors, AddSeries, AddString, ResetIOStats) must not overlap
 // with any other call.
 type System struct {

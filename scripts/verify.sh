@@ -65,8 +65,10 @@ contract() {
 
 echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity + pin ledger)"
 # Run the dedicated contract tests on their own first: a bit-identical
-# Report / Pairs / Plan with collection enabled is the invariant that keeps
-# the metrics layer an observer rather than a participant. Every clustered
+# Report / Pairs / Plan with tracing enabled is the invariant that keeps
+# the metrics layer an observer rather than a participant, and the block
+# kernel's counters, which ride the always-on snapshot, read the same with
+# tracing off as on. Every clustered
 # join runs the shard planner's plan through the coordinator, so the same
 # triple must be identical across shard worker counts, and shards=0 and
 # shards=1 (one shard, the global schedule) must agree, with shards=0 still
@@ -93,7 +95,7 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # behind it.
 # The STR loader must pack the pages and hierarchy of its per-axis reference,
 # and the landsat and road shapes must hash to their recorded trees.
-contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
+contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
 contract ./internal/buffer 'TestPinSet'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'

@@ -212,9 +212,8 @@ func admissionCost(opt Options) int {
 // Join runs one admitted join. It validates opt, waits for admission budget
 // (up to QueueTimeout behind at most QueueDepth waiters), then executes
 // System.JoinContext. On overload it returns an error matching
-// ErrOverloaded without running. Metrics collection is forced on so the
-// run's snapshot can fold into the cumulative service metrics; like
-// everywhere else, collection never changes Report or Pairs.
+// ErrOverloaded without running. The run's metrics snapshot folds into the
+// cumulative service metrics.
 func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result, error) {
 	if err := sv.sys.checkJoinable(a, b); err != nil {
 		return nil, err
@@ -222,7 +221,6 @@ func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt.Metrics = true
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -253,7 +251,7 @@ func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result
 		s.State = StateDone
 		s.Results = res.Report.Results
 	})
-	if res != nil && res.Metrics != nil {
+	if err == nil {
 		sv.reqMu.Lock()
 		sv.folded.Fold(res.Metrics)
 		sv.reqMu.Unlock()
@@ -272,10 +270,6 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	// Cached plans never carry a metrics snapshot: the snapshot describes one
-	// planning run, not every future cache hit.
-	opt.Metrics = false
-	opt.Trace = false
 	key := planKey{
 		epochA: a.Epoch(), epochB: b.Epoch(),
 		fileA: a.ds.File, fileB: b.ds.File,

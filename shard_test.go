@@ -247,10 +247,11 @@ func TestShardedCC(t *testing.T) {
 	}
 }
 
-// TestShardMetricsMerge checks the observational side: a sharded run with
-// metrics on carries one snapshot per shard, per-shard cluster stats
-// concatenated in shard-index order, and totals that include the shards'
-// disk work — without perturbing Report or Pairs (the determinism contract).
+// TestShardMetricsMerge checks the observational side: a sharded run carries
+// one snapshot per shard, each with its own trace when tracing, per-shard
+// cluster stats concatenated in shard-index order, and totals that include
+// the shards' disk work — and tracing does not perturb Report or Pairs (the
+// determinism contract).
 func TestShardMetricsMerge(t *testing.T) {
 	sys := NewSystem(DiskModel{PageBytes: 256})
 	da, err := sys.AddVectors("a", randomVecs(300, 2, 36), VectorOptions{})
@@ -267,24 +268,24 @@ func TestShardMetricsMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Metrics = true
+	opt.Trace = true
 	res, err := sys.Join(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Report, plainRes.Report) || !reflect.DeepEqual(res.Pairs, plainRes.Pairs) {
-		t.Fatal("enabling metrics changed a sharded run's Report or Pairs")
+		t.Fatal("tracing changed a sharded run's Report or Pairs")
 	}
 	mm := res.Metrics
-	if mm == nil {
-		t.Fatal("no metrics snapshot")
-	}
 	if len(mm.Shards) != res.Exec.Shards {
 		t.Fatalf("%d shard snapshots, Exec.Shards=%d", len(mm.Shards), res.Exec.Shards)
 	}
 	var clusters int
 	var reads int64
-	for _, sn := range mm.Shards {
+	for i, sn := range mm.Shards {
+		if len(sn.Events) == 0 {
+			t.Errorf("shard %d recorded no trace events", i)
+		}
 		clusters += len(sn.Clusters)
 		reads += sn.Disk.Reads
 	}
