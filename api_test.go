@@ -383,21 +383,6 @@ func TestCalibrateEpsilonErrors(t *testing.T) {
 	}
 }
 
-func TestResetIOStats(t *testing.T) {
-	sys, da, db := smallVecSystem(t)
-	if _, err := sys.Join(da, db, Options{Method: NLJ, Epsilon: 0.05, BufferPages: 8}); err != nil {
-		t.Fatal(err)
-	}
-	sys.ResetIOStats()
-	res, err := sys.Join(da, db, Options{Method: NLJ, Epsilon: 0.05, BufferPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.IOSeconds <= 0 {
-		t.Fatal("reset broke accounting")
-	}
-}
-
 func TestLInfNorm(t *testing.T) {
 	sys := NewSystem(DiskModel{PageBytes: 256})
 	vecs := [][]float64{{0, 0}, {0.05, 0.09}, {0.5, 0.5}}

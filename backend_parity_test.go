@@ -287,3 +287,55 @@ func TestCloseStoreWaitsForFileJoins(t *testing.T) {
 		t.Fatal("StorageFile after CloseStore did not fail")
 	}
 }
+
+// TestMeasuredIOIsMetrics holds ExecStats' measured I/O to the metrics
+// snapshot, its one source: for every method, clustered ones unsharded and
+// sharded, under the simulator and the file store, Exec.MeasuredReads and
+// Exec.MeasuredIOWall equal Metrics.Measured, read 0 under the simulator, and
+// on a file-backed clustered run add up over Metrics.Clusters.
+func TestMeasuredIOIsMetrics(t *testing.T) {
+	sys, da, db := smallVecSystem(t)
+	if err := sys.UseFileStore(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseStore()
+	for _, m := range allMethods {
+		clustered := m == RandomSC || m == SC || m == CC
+		shardCounts := []int{0}
+		if clustered {
+			shardCounts = []int{0, 2}
+		}
+		for _, shards := range shardCounts {
+			for _, storage := range []StorageMode{StorageSim, StorageFile} {
+				opt := Options{Method: m, Epsilon: 0.05, BufferPages: 8, Storage: storage,
+					Sharding: ShardingOptions{Shards: shards}}
+				res, err := sys.Join(da, db, opt)
+				if err != nil {
+					t.Fatalf("%v shards=%d %v: %v", m, shards, storage, err)
+				}
+				got, want := res.Exec, res.Metrics.Measured
+				if got.MeasuredReads != want.Reads || got.MeasuredIOWall != want.Seconds {
+					t.Errorf("%v shards=%d %v: Exec measured %d reads, %g s; Metrics.Measured %+v",
+						m, shards, storage, got.MeasuredReads, got.MeasuredIOWall, want)
+				}
+				if storage == StorageSim && (got.MeasuredReads != 0 || got.MeasuredIOWall != 0) {
+					t.Errorf("%v shards=%d: simulator measured %d reads, %g s",
+						m, shards, got.MeasuredReads, got.MeasuredIOWall)
+				}
+				if storage == StorageFile && got.MeasuredReads == 0 {
+					t.Errorf("%v shards=%d: file store measured no reads", m, shards)
+				}
+				if storage == StorageFile && clustered {
+					var sum int64
+					for _, cs := range res.Metrics.Clusters {
+						sum += cs.Measured.Reads
+					}
+					if sum != got.MeasuredReads {
+						t.Errorf("%v shards=%d: clusters measured %d reads, the run %d",
+							m, shards, sum, got.MeasuredReads)
+					}
+				}
+			}
+		}
+	}
+}

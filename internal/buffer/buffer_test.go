@@ -8,7 +8,9 @@ import (
 	"pmjoin/internal/disk"
 )
 
-func newDiskWithFile(t *testing.T, pages int) (*disk.Disk, disk.FileID) {
+// newSessionWithFile returns a fresh session over a new disk holding one
+// file of the given number of pages.
+func newSessionWithFile(t *testing.T, pages int) (*disk.Session, disk.FileID) {
 	t.Helper()
 	d := disk.New(disk.DefaultModel())
 	f := d.CreateFile()
@@ -17,18 +19,18 @@ func newDiskWithFile(t *testing.T, pages int) (*disk.Disk, disk.FileID) {
 			t.Fatal(err)
 		}
 	}
-	return d, f
+	return d.NewSession(), f
 }
 
 func TestNewPoolRejectsZeroCapacity(t *testing.T) {
-	d := disk.New(disk.DefaultModel())
+	d := disk.New(disk.DefaultModel()).NewSession()
 	if _, err := NewPool(d, 0, LRU); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestGetMissThenHit(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 2, LRU)
 	addr := disk.PageAddr{File: f, Page: 0}
 	pg, err := p.Get(addr)
@@ -51,7 +53,7 @@ func TestGetMissThenHit(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 2, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	a1 := disk.PageAddr{File: f, Page: 1}
@@ -69,7 +71,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestFIFOEvictsOldest(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 2, FIFO)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	a1 := disk.PageAddr{File: f, Page: 1}
@@ -84,7 +86,7 @@ func TestFIFOEvictsOldest(t *testing.T) {
 }
 
 func TestPinnedPagesAreNotEvicted(t *testing.T) {
-	d, f := newDiskWithFile(t, 5)
+	d, f := newSessionWithFile(t, 5)
 	p, _ := NewPool(d, 2, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	if _, err := p.GetPinned(a0); err != nil {
@@ -98,7 +100,7 @@ func TestPinnedPagesAreNotEvicted(t *testing.T) {
 }
 
 func TestAllPinnedOverflow(t *testing.T) {
-	d, f := newDiskWithFile(t, 5)
+	d, f := newSessionWithFile(t, 5)
 	p, _ := NewPool(d, 2, LRU)
 	p.GetPinned(disk.PageAddr{File: f, Page: 0})
 	p.GetPinned(disk.PageAddr{File: f, Page: 1})
@@ -109,7 +111,7 @@ func TestAllPinnedOverflow(t *testing.T) {
 }
 
 func TestUnpinAllowsEviction(t *testing.T) {
-	d, f := newDiskWithFile(t, 5)
+	d, f := newSessionWithFile(t, 5)
 	p, _ := NewPool(d, 2, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	p.GetPinned(a0)
@@ -126,7 +128,7 @@ func TestUnpinAllowsEviction(t *testing.T) {
 }
 
 func TestDoublePinNeedsDoubleUnpin(t *testing.T) {
-	d, f := newDiskWithFile(t, 5)
+	d, f := newSessionWithFile(t, 5)
 	p, _ := NewPool(d, 2, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	p.GetPinned(a0)
@@ -143,7 +145,7 @@ func TestDoublePinNeedsDoubleUnpin(t *testing.T) {
 
 // TestPinnedFrames counts frames, not pins, and is a pure read.
 func TestPinnedFrames(t *testing.T) {
-	d, f := newDiskWithFile(t, 5)
+	d, f := newSessionWithFile(t, 5)
 	p, _ := NewPool(d, 3, LRU)
 	a0, a1 := disk.PageAddr{File: f, Page: 0}, disk.PageAddr{File: f, Page: 1}
 	for _, a := range []disk.PageAddr{a0, a0, a1} {
@@ -167,7 +169,7 @@ func TestPinnedFrames(t *testing.T) {
 }
 
 func TestUnpinErrors(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 2, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	if err := p.Unpin(a0); err == nil {
@@ -180,7 +182,7 @@ func TestUnpinErrors(t *testing.T) {
 }
 
 func TestUnpinAll(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 3, LRU)
 	p.GetPinned(disk.PageAddr{File: f, Page: 0})
 	p.GetPinned(disk.PageAddr{File: f, Page: 1})
@@ -192,7 +194,7 @@ func TestUnpinAll(t *testing.T) {
 }
 
 func TestEvictSpecificPage(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 3, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	p.Get(a0)
@@ -209,7 +211,7 @@ func TestEvictSpecificPage(t *testing.T) {
 }
 
 func TestFlushEmptiesPool(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 3, LRU)
 	for i := 0; i < 3; i++ {
 		p.Get(disk.PageAddr{File: f, Page: i})
@@ -237,7 +239,7 @@ func TestHitRatio(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	d, f := newDiskWithFile(t, 2)
+	d, f := newSessionWithFile(t, 2)
 	p, _ := NewPool(d, 2, LRU)
 	p.Get(disk.PageAddr{File: f, Page: 0})
 	p.ResetStats()
@@ -264,7 +266,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 	const pages = 32
 	const capacity = 8
 	const accesses = 5000
-	d, f := newDiskWithFile(t, pages)
+	d, f := newSessionWithFile(t, pages)
 	p, _ := NewPool(d, capacity, LRU)
 	rng := rand.New(rand.NewSource(7))
 
@@ -312,7 +314,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 // TestPoolNeverExceedsCapacity fuzzes mixed pin/unpin/get traffic.
 func TestPoolNeverExceedsCapacity(t *testing.T) {
 	const pages = 64
-	d, f := newDiskWithFile(t, pages)
+	d, f := newSessionWithFile(t, pages)
 	for _, capacity := range []int{1, 3, 8} {
 		p, _ := NewPool(d, capacity, LRU)
 		rng := rand.New(rand.NewSource(int64(capacity)))
@@ -369,7 +371,7 @@ func (s failingSource) Read(a disk.PageAddr) (*disk.Page, error) {
 // must leave the pool exactly as it was — no resident page dropped, no
 // eviction charged for I/O that never happened.
 func TestFailedReadDoesNotEvict(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	bad := disk.PageAddr{File: f, Page: 99} // does not exist on disk
 	p, err := NewPool(failingSource{d: d, fail: bad}, 2, LRU)
 	if err != nil {
@@ -400,7 +402,7 @@ func TestFailedReadDoesNotEvict(t *testing.T) {
 // A fully pinned pool must reject a miss with ErrBufferFull before touching
 // the disk: no read may be charged for a page that cannot be cached.
 func TestFullyPinnedMissChargesNoRead(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 2, LRU)
 	p.GetPinned(disk.PageAddr{File: f, Page: 0})
 	p.GetPinned(disk.PageAddr{File: f, Page: 1})
@@ -416,7 +418,7 @@ func TestFullyPinnedMissChargesNoRead(t *testing.T) {
 // Regression for the Flush pin bug: pinned frames must survive a Flush and
 // be reported, instead of being silently discarded.
 func TestFlushKeepsPinnedFrames(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 3, LRU)
 	pinned := disk.PageAddr{File: f, Page: 0}
 	p.GetPinned(pinned)
@@ -447,7 +449,7 @@ func TestFlushKeepsPinnedFrames(t *testing.T) {
 // FIFO must evict in arrival order regardless of hits: a hit must not
 // refresh the victim ordering the way LRU's MoveToBack does.
 func TestFIFOHitDoesNotRefresh(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 2, FIFO)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	a1 := disk.PageAddr{File: f, Page: 1}
@@ -476,7 +478,7 @@ func TestFIFOHitDoesNotRefresh(t *testing.T) {
 // Eviction must skip pinned frames (oldest first) and only fail with
 // ErrBufferFull once every frame is pinned.
 func TestEvictionSkipsPinnedFrames(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 3, LRU)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	a1 := disk.PageAddr{File: f, Page: 1}
@@ -505,7 +507,7 @@ func TestEvictionSkipsPinnedFrames(t *testing.T) {
 // The eviction observer must see every frame leaving the pool, in
 // deterministic eviction order.
 func TestOnEvictObserver(t *testing.T) {
-	d, f := newDiskWithFile(t, 3)
+	d, f := newSessionWithFile(t, 3)
 	p, _ := NewPool(d, 2, LRU)
 	var seen []disk.PageAddr
 	p.SetOnEvict(func(a disk.PageAddr) { seen = append(seen, a) })
@@ -532,7 +534,7 @@ func TestOnEvictObserver(t *testing.T) {
 // The wait-free miss path must not regress: a full pool with only the front
 // frame pinned still evicts in one pass.
 func TestVictimSkipsFrontPin(t *testing.T) {
-	d, f := newDiskWithFile(t, 4)
+	d, f := newSessionWithFile(t, 4)
 	p, _ := NewPool(d, 2, FIFO)
 	a0 := disk.PageAddr{File: f, Page: 0}
 	p.GetPinned(a0)

@@ -13,9 +13,9 @@ func addr(f disk.FileID, page int) disk.PageAddr {
 
 // fill loads the given pages in order into a fresh pool of the given
 // capacity, so the first page is the LRU front.
-func fill(t *testing.T, capacity int, policy Policy, pages ...int) (*Pool, *disk.Disk, disk.FileID) {
+func fill(t *testing.T, capacity int, policy Policy, pages ...int) (*Pool, *disk.Session, disk.FileID) {
 	t.Helper()
-	d, f := newDiskWithFile(t, 10)
+	d, f := newSessionWithFile(t, 10)
 	p, err := NewPool(d, capacity, policy)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 				return false
 			}
 		}
-		p, err := NewPool(d, capacity, LRU)
+		p, err := NewPool(d.NewSession(), capacity, LRU)
 		if err != nil {
 			return false
 		}
@@ -60,7 +60,7 @@ func TestQuickFIFOSameMissCountAsReference(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			d.AppendPage(file, disk.Page{IDs: []int{i}})
 		}
-		p, err := NewPool(d, capacity, FIFO)
+		p, err := NewPool(d.NewSession(), capacity, FIFO)
 		if err != nil {
 			return false
 		}

@@ -6,10 +6,10 @@ import (
 )
 
 // Backend is the physical page source behind a Disk: where pages actually
-// live and what it really costs to read them back. The Disk itself
-// remains the logical catalog — files, page addresses, head positions, and
-// every *modeled* charge — while a Backend serves the bytes. Two
-// implementations exist:
+// live and what it really costs to read them back. The Disk remains the
+// logical catalog of files and page addresses, each Session keeps its own
+// head positions and every *modeled* charge, and a Backend serves the
+// bytes. Two implementations exist:
 //
 //   - the Disk's own in-memory pages (backend == nil everywhere): reads are
 //     free in wall time and only the linear model is charged, the seed
@@ -23,8 +23,9 @@ import (
 // Report/Pairs/Plan field) is computed by the Session from the access
 // sequence alone and is bit-identical regardless of the backend; only the
 // Measured side (wall seconds per physical read) differs, and it is reported
-// exclusively through Measured / ExecStats.MeasuredIOWall, never through a
-// Report. TestBackendParity pins this.
+// exclusively through the session's Measured account (summed once, in the
+// run's metrics snapshot, and repeated by ExecStats.MeasuredIOWall), never
+// through a Report. TestBackendParity pins this.
 type Backend interface {
 	// Fetch returns the page stored for addr and the measured wall seconds
 	// the physical read took, checksum included. The page's slices may

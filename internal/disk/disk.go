@@ -1,5 +1,6 @@
-// Package disk implements a simulated linear-model disk with page files,
-// random-seek and sequential-transfer cost accounting.
+// Package disk implements a simulated linear-model disk: a catalog of page
+// files (Disk) and per-run accounts of random-seek and sequential-transfer
+// cost over it (Session).
 //
 // The paper ("Joining Massive High-Dimensional Datasets", ICDE 2003) assumes
 // a finite buffer and a linear disk model: reading a page that immediately
@@ -82,7 +83,7 @@ type Page struct {
 	Freqs   [][]int         // string pages
 }
 
-// Stats accumulates the I/O activity charged against a Disk. Reads
+// Stats accumulates the I/O activity charged against a Session. Reads
 // partition into Seeks + Sequential, and Writes partition into WriteSeeks +
 // WriteSequential, so read/write mixes stay explainable side by side.
 type Stats struct {
@@ -97,8 +98,15 @@ type Stats struct {
 
 // Add returns the field-wise sum s + o.
 func (s Stats) Add(o Stats) Stats {
-	s.add(o)
-	return s
+	return Stats{
+		Reads:           s.Reads + o.Reads,
+		Seeks:           s.Seeks + o.Seeks,
+		Sequential:      s.Sequential + o.Sequential,
+		GapPages:        s.GapPages + o.GapPages,
+		Writes:          s.Writes + o.Writes,
+		WriteSeeks:      s.WriteSeeks + o.WriteSeeks,
+		WriteSequential: s.WriteSequential + o.WriteSequential,
+	}
 }
 
 // Sub returns the field-wise difference s - o. It is how per-phase deltas
@@ -167,15 +175,15 @@ func (m Model) Cost(s Stats) float64 {
 	return float64(seeks)*m.SeekTime + float64(transfers)*m.TransferTime
 }
 
-// Disk is a simulated disk holding a set of page files. It is safe for
-// concurrent use.
+// Disk is a simulated disk's page catalog: a set of page files and the cost
+// model that prices access to them. It charges nothing itself: every page
+// read or write goes through a Session, the run's own I/O account. It is
+// safe for concurrent use.
 type Disk struct {
 	mu     sync.Mutex
 	model  Model
 	files  map[FileID][]*Page
 	nextID FileID
-	heads  map[FileID]int // per-file head position (last page touched)
-	stats  Stats
 	// mirror, when non-nil, receives every page entering the disk so a
 	// physical Backend stays in sync with the in-memory catalog (SetMirror).
 	mirror Backend
@@ -186,19 +194,13 @@ var ErrNoSuchPage = errors.New("disk: no such page")
 
 // New creates an empty disk with the given cost model.
 func New(model Model) *Disk {
-	return &Disk{model: model, files: make(map[FileID][]*Page), heads: make(map[FileID]int)}
-}
-
-// touch charges the positioning cost of accessing addr and moves the file
-// head. It reports whether the access was a seek.
-func (d *Disk) touch(addr PageAddr) bool {
-	return d.model.classify(d.heads, addr, &d.stats.GapPages)
+	return &Disk{model: model, files: make(map[FileID][]*Page)}
 }
 
 // classify decides whether accessing addr from the head positions in heads is
 // a random seek, moving the head and adding any streamed-over pages to
-// *gapPages. It is the one head-movement rule, shared by the Disk's global
-// accounting and per-run Sessions.
+// *gapPages. It is the one head-movement rule; each Session applies it to
+// its own heads.
 func (m Model) classify(heads map[FileID]int, addr PageAddr, gapPages *int64) bool {
 	head, ok := heads[addr.File]
 	heads[addr.File] = addr.Page
@@ -260,114 +262,37 @@ func (d *Disk) NumPages(f FileID) int {
 	return len(d.files[f])
 }
 
-// Read fetches one page, charging a seek if the page does not immediately
-// follow the previously accessed page of the same file.
-func (d *Disk) Read(addr PageAddr) (*Page, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// page returns the in-memory page at addr. Callers hold d.mu.
+func (d *Disk) page(addr PageAddr) (*Page, error) {
 	pages, ok := d.files[addr.File]
 	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
 	}
-	d.stats.Reads++
-	if d.touch(addr) {
-		d.stats.Seeks++
-	} else {
-		d.stats.Sequential++
-	}
 	return pages[addr.Page], nil
 }
 
-// Write stores pg's contents into the existing page at addr, charging like
-// a read.
-func (d *Disk) Write(addr PageAddr, pg Page) error {
+// peek returns the in-memory page at addr without charging any I/O; the
+// caller (a Session) carries any charge.
+func (d *Disk) peek(addr PageAddr) (*Page, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[addr.File]
-	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
-		return fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
-	}
-	d.stats.Writes++
-	if d.touch(addr) {
-		d.stats.WriteSeeks++
-	} else {
-		d.stats.WriteSequential++
-	}
-	return d.put(pages[addr.Page], pg)
+	return d.page(addr)
 }
 
-// put overwrites page dst's contents with pg's, keeping dst's address, and
-// mirrors the result. Callers hold d.mu.
-func (d *Disk) put(dst *Page, pg Page) error {
-	pg.Addr = dst.Addr
+// store overwrites an existing page's contents, keeping its address, and
+// mirrors the result. It charges no I/O; the caller (a Session) carries the
+// charge.
+func (d *Disk) store(addr PageAddr, pg Page) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dst, err := d.page(addr)
+	if err != nil {
+		return err
+	}
+	pg.Addr = addr
 	*dst = pg
 	if d.mirror != nil {
 		return d.mirror.Put(dst)
 	}
 	return nil
-}
-
-// Peek returns a page without charging any I/O. It models inspecting
-// a page already known to the caller (e.g. during data generation or in
-// tests) and must not be used on a join's data path.
-func (d *Disk) Peek(addr PageAddr) (*Page, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	pages, ok := d.files[addr.File]
-	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
-		return nil, fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
-	}
-	return pages[addr.Page], nil
-}
-
-// store overwrites an existing page's contents without charging any I/O;
-// the caller (a Session) carries the charge.
-func (d *Disk) store(addr PageAddr, pg Page) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	pages, ok := d.files[addr.File]
-	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
-		return fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
-	}
-	return d.put(pages[addr.Page], pg)
-}
-
-// addStats folds a Session's per-access charge into the global counters.
-func (d *Disk) addStats(delta Stats) {
-	d.mu.Lock()
-	d.stats.add(delta)
-	d.mu.Unlock()
-}
-
-// add accumulates o into s field by field.
-func (s *Stats) add(o Stats) {
-	s.Reads += o.Reads
-	s.Seeks += o.Seeks
-	s.Sequential += o.Sequential
-	s.GapPages += o.GapPages
-	s.Writes += o.Writes
-	s.WriteSeeks += o.WriteSeeks
-	s.WriteSequential += o.WriteSequential
-}
-
-// Stats returns a snapshot of the accumulated I/O statistics.
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// ResetStats zeroes the counters and the head positions. Datasets survive.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-	d.heads = make(map[FileID]int)
-}
-
-// Cost returns the simulated elapsed I/O time in seconds so far.
-func (d *Disk) Cost() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.model.Cost(d.stats)
 }

@@ -46,14 +46,15 @@ func TestAppendUnknownFile(t *testing.T) {
 
 func TestSequentialReadsChargeNoSeeks(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 100)
 	for i := 0; i < 100; i++ {
-		if _, err := d.Read(PageAddr{File: f, Page: i}); err != nil {
+		if _, err := io.Read(PageAddr{File: f, Page: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := d.Stats()
+	s := io.Stats()
 	if s.Reads != 100 {
 		t.Fatalf("reads = %d", s.Reads)
 	}
@@ -67,11 +68,12 @@ func TestSequentialReadsChargeNoSeeks(t *testing.T) {
 
 func TestBackwardReadChargesSeek(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 10)
-	d.Read(PageAddr{File: f, Page: 5})
-	d.Read(PageAddr{File: f, Page: 3})
-	s := d.Stats()
+	io.Read(PageAddr{File: f, Page: 5})
+	io.Read(PageAddr{File: f, Page: 3})
+	s := io.Stats()
 	if s.Seeks != 2 {
 		t.Fatalf("seeks = %d, want 2 (initial + backward)", s.Seeks)
 	}
@@ -79,22 +81,24 @@ func TestBackwardReadChargesSeek(t *testing.T) {
 
 func TestRereadSamePageChargesSeek(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 3)
-	d.Read(PageAddr{File: f, Page: 1})
-	d.Read(PageAddr{File: f, Page: 1})
-	if s := d.Stats(); s.Seeks != 2 {
+	io.Read(PageAddr{File: f, Page: 1})
+	io.Read(PageAddr{File: f, Page: 1})
+	if s := io.Stats(); s.Seeks != 2 {
 		t.Fatalf("seeks = %d, want 2", s.Seeks)
 	}
 }
 
 func TestSmallForwardGapStreams(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 20)
-	d.Read(PageAddr{File: f, Page: 0})
-	d.Read(PageAddr{File: f, Page: 4}) // gap of 3 pages
-	s := d.Stats()
+	io.Read(PageAddr{File: f, Page: 0})
+	io.Read(PageAddr{File: f, Page: 4}) // gap of 3 pages
+	s := io.Stats()
 	if s.Seeks != 1 {
 		t.Fatalf("seeks = %d, want 1 (gap streamed)", s.Seeks)
 	}
@@ -105,11 +109,12 @@ func TestSmallForwardGapStreams(t *testing.T) {
 
 func TestLargeForwardGapSeeks(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 200)
-	d.Read(PageAddr{File: f, Page: 0})
-	d.Read(PageAddr{File: f, Page: 150})
-	s := d.Stats()
+	io.Read(PageAddr{File: f, Page: 0})
+	io.Read(PageAddr{File: f, Page: 150})
+	s := io.Stats()
 	if s.Seeks != 2 {
 		t.Fatalf("seeks = %d, want 2", s.Seeks)
 	}
@@ -123,32 +128,34 @@ func TestGapBreakEvenNeverStreamsPastSeekCost(t *testing.T) {
 	// pages would cost more than seeking; the model must seek instead.
 	m := Model{SeekTime: 10e-3, TransferTime: 1e-3, PageSize: 4096, Readahead: 64}
 	d := New(m)
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 100)
-	d.Read(PageAddr{File: f, Page: 0})
-	d.Read(PageAddr{File: f, Page: 12}) // gap 11 > 10
-	s := d.Stats()
+	io.Read(PageAddr{File: f, Page: 0})
+	io.Read(PageAddr{File: f, Page: 12}) // gap 11 > 10
+	s := io.Stats()
 	if s.Seeks != 2 {
 		t.Fatalf("seeks = %d, want 2 (gap 11 must not stream)", s.Seeks)
 	}
-	d.Read(PageAddr{File: f, Page: 22}) // gap 9 <= 10
-	if s := d.Stats(); s.Seeks != 2 || s.GapPages != 9 {
+	io.Read(PageAddr{File: f, Page: 22}) // gap 9 <= 10
+	if s := io.Stats(); s.Seeks != 2 || s.GapPages != 9 {
 		t.Fatalf("stats = %+v, want gap streamed", s)
 	}
 }
 
 func TestPerFileHeadsAreIndependent(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f1 := d.CreateFile()
 	f2 := d.CreateFile()
 	mustAppend(t, d, f1, 10)
 	mustAppend(t, d, f2, 10)
 	// Alternate between the two files, each sequentially.
 	for i := 0; i < 10; i++ {
-		d.Read(PageAddr{File: f1, Page: i})
-		d.Read(PageAddr{File: f2, Page: i})
+		io.Read(PageAddr{File: f1, Page: i})
+		io.Read(PageAddr{File: f2, Page: i})
 	}
-	s := d.Stats()
+	s := io.Stats()
 	if s.Seeks != 2 { // one initial positioning per file
 		t.Fatalf("seeks = %d, want 2", s.Seeks)
 	}
@@ -156,6 +163,7 @@ func TestPerFileHeadsAreIndependent(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 2)
 	cases := []PageAddr{
@@ -164,7 +172,7 @@ func TestReadErrors(t *testing.T) {
 		{File: FileID(42), Page: 0},
 	}
 	for _, addr := range cases {
-		if _, err := d.Read(addr); !errors.Is(err, ErrNoSuchPage) {
+		if _, err := io.Read(addr); !errors.Is(err, ErrNoSuchPage) {
 			t.Errorf("Read(%v) err = %v, want ErrNoSuchPage", addr, err)
 		}
 	}
@@ -172,19 +180,20 @@ func TestReadErrors(t *testing.T) {
 
 func TestWriteStoresPayloadAndCharges(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	addrs := mustAppend(t, d, f, 3)
-	if err := d.Write(addrs[1], Page{IDs: []int{42}}); err != nil {
+	if err := io.Write(addrs[1], Page{IDs: []int{42}}); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := d.Peek(addrs[1])
+	pg, err := io.Peek(addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pg.IDs[0] != 42 || pg.Addr != addrs[1] {
 		t.Fatalf("page = %+v", pg)
 	}
-	s := d.Stats()
+	s := io.Stats()
 	if s.Writes != 1 || s.WriteSeeks != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -192,41 +201,26 @@ func TestWriteStoresPayloadAndCharges(t *testing.T) {
 
 func TestWriteErrors(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
-	if err := d.Write(PageAddr{File: f, Page: 0}, Page{}); !errors.Is(err, ErrNoSuchPage) {
+	if err := io.Write(PageAddr{File: f, Page: 0}, Page{}); !errors.Is(err, ErrNoSuchPage) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestPeekDoesNotCharge(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	addrs := mustAppend(t, d, f, 1)
-	if _, err := d.Peek(addrs[0]); err != nil {
+	if _, err := io.Peek(addrs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Stats(); s.Reads != 0 || s.Seeks != 0 {
+	if s := io.Stats(); s.Reads != 0 || s.Seeks != 0 {
 		t.Fatalf("peek charged: %+v", s)
 	}
-	if _, err := d.Peek(PageAddr{File: f, Page: 7}); !errors.Is(err, ErrNoSuchPage) {
+	if _, err := io.Peek(PageAddr{File: f, Page: 7}); !errors.Is(err, ErrNoSuchPage) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestResetStatsClearsCountersAndHeads(t *testing.T) {
-	d := newTestDisk()
-	f := d.CreateFile()
-	mustAppend(t, d, f, 5)
-	d.Read(PageAddr{File: f, Page: 0})
-	d.Read(PageAddr{File: f, Page: 1})
-	d.ResetStats()
-	if s := d.Stats(); s != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	// After reset the next read must pay the initial positioning again.
-	d.Read(PageAddr{File: f, Page: 2})
-	if s := d.Stats(); s.Seeks != 1 {
-		t.Fatalf("seeks = %d, want 1", s.Seeks)
 	}
 }
 
@@ -251,33 +245,36 @@ func TestDefaultModelFields(t *testing.T) {
 func TestReadaheadNegativeDisables(t *testing.T) {
 	m := Model{SeekTime: 10e-3, TransferTime: 1e-3, Readahead: -1}
 	d := New(m)
+	io := d.NewSession()
 	f := d.CreateFile()
 	for i := 0; i < 10; i++ {
 		d.AppendPage(f, Page{})
 	}
-	d.Read(PageAddr{File: f, Page: 0})
-	d.Read(PageAddr{File: f, Page: 2}) // gap 1: would stream with readahead
-	if s := d.Stats(); s.Seeks != 2 {
+	io.Read(PageAddr{File: f, Page: 0})
+	io.Read(PageAddr{File: f, Page: 2}) // gap 1: would stream with readahead
+	if s := io.Stats(); s.Seeks != 2 {
 		t.Fatalf("seeks = %d, want 2 with readahead disabled", s.Seeks)
 	}
 }
 
 func TestDiskCostAccumulates(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 10)
-	if d.Cost() != 0 {
+	if io.Cost() != 0 {
 		t.Fatal("cost before reads should be 0")
 	}
-	d.Read(PageAddr{File: f, Page: 0})
+	io.Read(PageAddr{File: f, Page: 0})
 	want := DefaultSeekTime + DefaultTransferTime
-	if got := d.Cost(); got != want {
+	if got := io.Cost(); got != want {
 		t.Fatalf("cost = %g, want %g", got, want)
 	}
 }
 
 func TestConcurrentReads(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 64)
 	var wg sync.WaitGroup
@@ -286,7 +283,7 @@ func TestConcurrentReads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
-				if _, err := d.Read(PageAddr{File: f, Page: i}); err != nil {
+				if _, err := io.Read(PageAddr{File: f, Page: i}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -294,7 +291,7 @@ func TestConcurrentReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s := d.Stats(); s.Reads != 8*64 {
+	if s := io.Stats(); s.Reads != 8*64 {
 		t.Fatalf("reads = %d, want %d", s.Reads, 8*64)
 	}
 }
@@ -304,14 +301,15 @@ func TestConcurrentReads(t *testing.T) {
 // WriteSeeks was unexplainable in the metrics tables.
 func TestWriteSequentialCategorized(t *testing.T) {
 	d := newTestDisk()
+	io := d.NewSession()
 	f := d.CreateFile()
 	addrs := mustAppend(t, d, f, 4)
 	for _, a := range addrs {
-		if err := d.Write(a, Page{}); err != nil {
+		if err := io.Write(a, Page{}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	s := d.Stats()
+	s := io.Stats()
 	if s.Writes != 4 || s.WriteSeeks != 1 || s.WriteSequential != 3 {
 		t.Fatalf("writes=%d seeks=%d sequential=%d, want 4/1/3", s.Writes, s.WriteSeeks, s.WriteSequential)
 	}

@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// Session is a per-run I/O accounting scope over a shared Disk. It sees the
-// same files and pages as the Disk, but charges reads and writes against its
-// own head positions and counters, starting from cold heads: a session's
-// I/O account is a pure function of its own access sequence, independent of
-// whatever other sessions (or direct Disk accesses) do concurrently. Every
-// charge is also folded into the Disk's global counters, so aggregate
-// statistics remain the sum of all activity.
+// Session is a per-run I/O account over a shared Disk, and the only way to
+// read, write or price a page. It sees the Disk's files and pages, and
+// charges reads and writes against its own head positions and counters,
+// starting from cold heads: a session's I/O account is a pure function of
+// its own access sequence, independent of whatever other sessions do
+// concurrently. No account outlives its session; a run's Stats and
+// Measured are its totals.
 //
 // Sessions are what make per-join reports deterministic under concurrent
 // joins on one System: interleaving two joins cannot perturb either join's
@@ -72,27 +72,29 @@ func (d *Disk) NewSessionOn(b Backend) *Session {
 	return s
 }
 
-// chargeRead performs the logical half of a read: existence check (an
-// unknown page is an error and charges nothing), seek classification against
-// the session's heads and counter folding. It returns the in-memory page.
-// Callers hold s.mu.
-func (s *Session) chargeRead(addr PageAddr) (*Page, error) {
-	pg, err := s.d.Peek(addr)
-	if err != nil {
-		return nil, err
+// charge classifies an access to an existing page at addr against the
+// session's heads and counts it as a read or a write, a seek or a
+// sequential access. Callers hold s.mu.
+func (s *Session) charge(addr PageAddr, write bool) {
+	st := &s.stats
+	seek := s.d.model.classify(s.heads, addr, &st.GapPages)
+	if seek && s.onSeek != nil {
+		s.onSeek(addr, write)
 	}
-	delta := Stats{Reads: 1}
-	if s.d.model.classify(s.heads, addr, &delta.GapPages) {
-		delta.Seeks = 1
-		if s.onSeek != nil {
-			s.onSeek(addr, false)
-		}
-	} else {
-		delta.Sequential = 1
+	switch {
+	case write && seek:
+		st.Writes++
+		st.WriteSeeks++
+	case write:
+		st.Writes++
+		st.WriteSequential++
+	case seek:
+		st.Reads++
+		st.Seeks++
+	default:
+		st.Reads++
+		st.Sequential++
 	}
-	s.stats.add(delta)
-	s.d.addStats(delta)
-	return pg, nil
 }
 
 // fetch performs the physical half of a read: with no backend the in-memory
@@ -118,12 +120,16 @@ func (s *Session) fetch(addr PageAddr, memory *Page) (*Page, error) {
 	return pg, nil
 }
 
-// Read fetches one page, charging the session (and the global counters) a
-// seek or a sequential transfer per the session's own head positions. With a
-// backend attached, the page comes from the backend's files.
+// Read fetches one page, charging the session a seek or a sequential
+// transfer per its own head positions; an unknown page is an error and
+// charges nothing. With a backend attached, the page comes from the
+// backend's files.
 func (s *Session) Read(addr PageAddr) (*Page, error) {
 	s.mu.Lock()
-	pg, err := s.chargeRead(addr)
+	pg, err := s.d.peek(addr)
+	if err == nil {
+		s.charge(addr, false)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -139,24 +145,14 @@ func (s *Session) Write(addr PageAddr, pg Page) error {
 	if err := s.d.store(addr, pg); err != nil {
 		return err
 	}
-	delta := Stats{Writes: 1}
-	if s.d.model.classify(s.heads, addr, &delta.GapPages) {
-		delta.WriteSeeks = 1
-		if s.onSeek != nil {
-			s.onSeek(addr, true)
-		}
-	} else {
-		delta.WriteSequential = 1
-	}
-	s.stats.add(delta)
-	s.d.addStats(delta)
+	s.charge(addr, true)
 	return nil
 }
 
-// Peek returns a page without charging any I/O (see Disk.Peek). It
-// always serves from memory, backend or not: peeks model coordinator-side
-// inspection of pages the caller already owns.
-func (s *Session) Peek(addr PageAddr) (*Page, error) { return s.d.Peek(addr) }
+// Peek returns a page without charging any I/O. It always serves from
+// memory, backend or not: peeks model coordinator-side inspection of pages
+// the caller already owns, and must not be used on a join's data path.
+func (s *Session) Peek(addr PageAddr) (*Page, error) { return s.d.peek(addr) }
 
 // CreateFile allocates a new empty file on the underlying disk.
 func (s *Session) CreateFile() FileID { return s.d.CreateFile() }
@@ -169,9 +165,6 @@ func (s *Session) AppendPage(f FileID, pg Page) (PageAddr, error) {
 
 // NumPages returns the number of pages in the file.
 func (s *Session) NumPages(f FileID) int { return s.d.NumPages(f) }
-
-// Model returns the underlying disk's cost model.
-func (s *Session) Model() Model { return s.d.Model() }
 
 // Stats returns a snapshot of the I/O charged through this session.
 func (s *Session) Stats() Stats {

@@ -11,16 +11,18 @@ func TestSessionColdHeads(t *testing.T) {
 	f := d.CreateFile()
 	mustAppend(t, d, f, 4)
 
-	// Warm the global head on the file.
-	if _, err := d.Read(PageAddr{File: f, Page: 0}); err != nil {
+	// Warm another session's head on the file.
+	warm := d.NewSession()
+	if _, err := warm.Read(PageAddr{File: f, Page: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Read(PageAddr{File: f, Page: 1}); err != nil {
+	if _, err := warm.Read(PageAddr{File: f, Page: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh session starts cold: its read of page 2 is a seek even
-	// though the global head sits at page 1 (a direct read would stream).
+	// though the other session's head sits at page 1 (its read would
+	// stream).
 	s := d.NewSession()
 	if _, err := s.Read(PageAddr{File: f, Page: 2}); err != nil {
 		t.Fatal(err)
@@ -32,14 +34,15 @@ func TestSessionColdHeads(t *testing.T) {
 }
 
 func TestSessionStatsMatchSoloDisk(t *testing.T) {
-	// The same access sequence must cost the same through a session as
-	// through a fresh disk: a session's account is a pure function of its
-	// own accesses.
+	// The same access sequence must cost the same through a session over a
+	// busy disk as through a solo session over a fresh one: a session's
+	// account is a pure function of its own accesses.
 	access := []int{0, 1, 2, 9, 10, 3, 0}
 
-	solo := newTestDisk()
-	fs := solo.CreateFile()
-	mustAppend(t, solo, fs, 12)
+	fresh := newTestDisk()
+	fs := fresh.CreateFile()
+	mustAppend(t, fresh, fs, 12)
+	solo := fresh.NewSession()
 	for _, p := range access {
 		if _, err := solo.Read(PageAddr{File: fs, Page: p}); err != nil {
 			t.Fatal(err)
@@ -49,9 +52,10 @@ func TestSessionStatsMatchSoloDisk(t *testing.T) {
 	shared := newTestDisk()
 	fd := shared.CreateFile()
 	mustAppend(t, shared, fd, 12)
-	// Pollute the global heads with unrelated traffic first.
+	// Run unrelated traffic through another session first.
+	other := shared.NewSession()
 	for _, p := range []int{5, 11, 7} {
-		if _, err := shared.Read(PageAddr{File: fd, Page: p}); err != nil {
+		if _, err := other.Read(PageAddr{File: fd, Page: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,60 +67,10 @@ func TestSessionStatsMatchSoloDisk(t *testing.T) {
 	}
 
 	if got, want := sess.Stats(), solo.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("session stats %+v, solo disk stats %+v", got, want)
+		t.Fatalf("session stats %+v, solo session stats %+v", got, want)
 	}
-	if got, want := sess.Cost(), solo.Model().Cost(solo.Stats()); got != want {
+	if got, want := sess.Cost(), fresh.Model().Cost(solo.Stats()); got != want {
 		t.Fatalf("session cost %g, solo cost %g", got, want)
-	}
-}
-
-func TestSessionChargesGlobalCounters(t *testing.T) {
-	d := newTestDisk()
-	f := d.CreateFile()
-	mustAppend(t, d, f, 4)
-
-	before := d.Stats()
-	s := d.NewSession()
-	if _, err := s.Read(PageAddr{File: f, Page: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(PageAddr{File: f, Page: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(PageAddr{File: f, Page: 2}, Page{}); err != nil {
-		t.Fatal(err)
-	}
-	after := d.Stats()
-	if after.Reads-before.Reads != 2 {
-		t.Fatalf("global reads delta = %d, want 2", after.Reads-before.Reads)
-	}
-	if after.Writes-before.Writes != 1 {
-		t.Fatalf("global writes delta = %d, want 1", after.Writes-before.Writes)
-	}
-}
-
-func TestSessionReadsDoNotMoveGlobalHeads(t *testing.T) {
-	d := newTestDisk()
-	f := d.CreateFile()
-	mustAppend(t, d, f, 8)
-
-	// Global head at page 0.
-	if _, err := d.Read(PageAddr{File: f, Page: 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Session jumps to page 7; the global head must stay at 0.
-	s := d.NewSession()
-	if _, err := s.Read(PageAddr{File: f, Page: 7}); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	if _, err := d.Read(PageAddr{File: f, Page: 1}); err != nil {
-		t.Fatal(err)
-	}
-	after := d.Stats()
-	if after.Sequential-before.Sequential != 1 {
-		t.Fatalf("direct read after session jump classified as %+v delta, want sequential",
-			Stats{Reads: after.Reads - before.Reads, Seeks: after.Seeks - before.Seeks})
 	}
 }
 
@@ -135,10 +89,12 @@ func TestConcurrentSessionsIndependentStats(t *testing.T) {
 	mustAppend(t, d, f, 32)
 
 	// Run several sessions over one disk concurrently; each must report
-	// exactly the solo cost of its own access pattern.
-	solo := newTestDisk()
-	sf := solo.CreateFile()
-	mustAppend(t, solo, sf, 32)
+	// exactly the cost of its own access pattern in a solo session over a
+	// fresh disk.
+	fresh := newTestDisk()
+	sf := fresh.CreateFile()
+	mustAppend(t, fresh, sf, 32)
+	solo := fresh.NewSession()
 	for p := 0; p < 32; p++ {
 		if _, err := solo.Read(PageAddr{File: sf, Page: p}); err != nil {
 			t.Fatal(err)
@@ -171,7 +127,7 @@ func TestConcurrentSessionsIndependentStats(t *testing.T) {
 	}
 }
 
-// Session writes must categorize sequential writes exactly like the Disk
+// Session writes must categorize sequential writes like sequential reads
 // (WriteSequential parity), and the seek observer must see every random
 // access with its direction.
 func TestSessionWriteSequentialAndSeekObserver(t *testing.T) {
@@ -204,10 +160,5 @@ func TestSessionWriteSequentialAndSeekObserver(t *testing.T) {
 	want := []seek{{PageAddr{File: f, Page: 0}, true}, {PageAddr{File: f, Page: 0}, false}}
 	if len(seen) != len(want) || seen[0] != want[0] || seen[1] != want[1] {
 		t.Fatalf("observed seeks %v, want %v", seen, want)
-	}
-	// Global counters absorbed the same categorization.
-	g := d.Stats()
-	if g.WriteSequential != 2 {
-		t.Fatalf("global WriteSequential = %d, want 2", g.WriteSequential)
 	}
 }

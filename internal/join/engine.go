@@ -38,18 +38,11 @@ type Engine struct {
 	// Backend, when non-nil, is the physical page source behind the disk
 	// (internal/store.Store): page payloads are read from real files with
 	// measured latencies instead of served from memory. The Report is
-	// bit-identical either way — only MeasuredIO differs (see disk.Backend;
-	// pinned by TestBackendParity).
+	// bit-identical either way; only the run session's Measured account
+	// differs, which the Metrics snapshot reports (see disk.Backend; pinned
+	// by TestBackendParity).
 	Backend disk.Backend
-
-	// measured accumulates the physical read activity of this engine's runs
-	// (zero without a Backend).
-	measured disk.Measured
 }
-
-// MeasuredIO returns the accumulated physical (wall-clock) backend read
-// account across this engine's completed runs. Zero without a Backend.
-func (e *Engine) MeasuredIO() disk.Measured { return e.measured }
 
 // validate makes a run's O(1) checks: the engine has a disk and a buffer of
 // at least three frames, and each dataset matches its file's page count. The
@@ -96,7 +89,6 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	if n := pool.PinnedFrames(); n > 0 {
 		return nil, fmt.Errorf("join: %s returned with %d pinned frame(s)", method, n)
 	}
-	e.measured = e.measured.Add(io.Measured())
 	st := io.Stats()
 	rep.IOSeconds += e.Disk.Model().Cost(st)
 	rep.PageReads = st.Reads

@@ -39,8 +39,8 @@ import (
 //     loop over the cells, at any parallelism, and the merge points do not
 //     depend on timing.
 type Exec struct {
-	// IO is the run's disk session: its charges are independent of any
-	// concurrent run and also folded into the global disk counters.
+	// IO is the run's disk session, its only I/O account: its charges are
+	// independent of any concurrent run.
 	IO *disk.Session
 	// Pool is the run's buffer pool, reading through IO.
 	Pool *buffer.Pool

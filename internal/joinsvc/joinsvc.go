@@ -37,7 +37,9 @@ import (
 type Service struct {
 	srv *pmjoin.Server
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// datasets maps each taken name to its dataset; a nil value is a name
+	// /open has reserved while it generates the dataset.
 	datasets map[string]*pmjoin.Dataset
 }
 
@@ -56,13 +58,34 @@ func (s *Service) AddDataset(name string, d *pmjoin.Dataset) error {
 	if d == nil {
 		return fmt.Errorf("joinsvc: nil dataset %q", name)
 	}
+	if err := s.reserve(name); err != nil {
+		return err
+	}
+	s.settle(name, d)
+	return nil
+}
+
+// reserve takes name for a dataset not yet built, or errors if it is taken.
+func (s *Service) reserve(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.datasets[name]; ok {
 		return fmt.Errorf("joinsvc: dataset %q already exists", name)
 	}
-	s.datasets[name] = d
+	s.datasets[name] = nil
 	return nil
+}
+
+// settle ends a reservation: it registers d under name, or releases the name
+// when d is nil.
+func (s *Service) settle(name string, d *pmjoin.Dataset) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d == nil {
+		delete(s.datasets, name)
+		return
+	}
+	s.datasets[name] = d
 }
 
 // Dataset returns the registered dataset, or nil.
@@ -77,8 +100,10 @@ func (s *Service) DatasetNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.datasets))
-	for n := range s.datasets {
-		names = append(names, n)
+	for n, d := range s.datasets {
+		if d != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -122,7 +147,6 @@ type OpenResponse struct {
 	Kind    pmjoin.Kind `json:"kind"`
 	Pages   int         `json:"pages"`
 	Objects int         `json:"objects"`
-	Epoch   int64       `json:"epoch"`
 }
 
 func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
@@ -134,9 +158,26 @@ func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: open needs a name and n > 0"))
 		return
 	}
+	// Take the name before generating: every dataset added to the System
+	// stays on its disk (and in an attached store's files), so a dataset
+	// generated for a name that is taken would be lost but never freed.
+	if err := s.reserve(req.Name); err != nil {
+		s.fail(w, http.StatusConflict, err)
+		return
+	}
+	d, err := s.generate(req)
+	if err != nil {
+		s.settle(req.Name, nil)
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	s.settle(req.Name, d)
+	s.reply(w, OpenResponse{Name: req.Name, Kind: d.Kind(), Pages: d.Pages(), Objects: d.Objects()})
+}
+
+// generate builds the synthetic dataset req describes on the System.
+func (s *Service) generate(req OpenRequest) (*pmjoin.Dataset, error) {
 	sys := s.srv.System()
-	var d *pmjoin.Dataset
-	var err error
 	switch req.Kind {
 	case pmjoin.KindVector:
 		dim := req.Dim
@@ -153,13 +194,13 @@ func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
 		for i, v := range vecs {
 			flat[i] = v
 		}
-		d, err = sys.AddVectors(req.Name, flat, pmjoin.VectorOptions{PageBytes: req.PageBytes})
+		return sys.AddVectors(req.Name, flat, pmjoin.VectorOptions{PageBytes: req.PageBytes})
 	case pmjoin.KindSeries:
 		window := req.Window
 		if window == 0 {
 			window = 32
 		}
-		d, err = sys.AddSeries(req.Name, dataset.RandomWalk(req.N, req.Seed), pmjoin.SeriesOptions{
+		return sys.AddSeries(req.Name, dataset.RandomWalk(req.N, req.Seed), pmjoin.SeriesOptions{
 			Window: window, Stride: req.Stride, PageBytes: req.PageBytes,
 		})
 	case pmjoin.KindString:
@@ -167,25 +208,12 @@ func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
 		if window == 0 {
 			window = 64
 		}
-		d, err = sys.AddString(req.Name, dataset.DNA(req.N, req.Seed), pmjoin.StringOptions{
+		return sys.AddString(req.Name, dataset.DNA(req.N, req.Seed), pmjoin.StringOptions{
 			Window: window, Stride: req.Stride, PageBytes: req.PageBytes,
 		})
 	default:
-		err = fmt.Errorf("joinsvc: unknown kind %v", req.Kind)
+		return nil, fmt.Errorf("joinsvc: unknown kind %v", req.Kind)
 	}
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.AddDataset(req.Name, d); err != nil {
-		// The dataset is already materialized on the simulated disk; a name
-		// collision only loses the handle.
-		s.fail(w, http.StatusConflict, err)
-		return
-	}
-	s.reply(w, OpenResponse{
-		Name: req.Name, Kind: d.Kind(), Pages: d.Pages(), Objects: d.Objects(), Epoch: d.Epoch(),
-	})
 }
 
 // JoinOptions is the wire form of pmjoin.Options (the service subset).

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestOpenJoinRoundTrip(t *testing.T) {
 			t.Fatalf("open %s: %d %s", open.Name, w.Code, w.Body.String())
 		}
 		resp := decode[OpenResponse](t, w)
-		if resp.Kind != pmjoin.KindVector || resp.Objects != open.N || resp.Pages <= 0 || resp.Epoch <= 0 {
+		if resp.Kind != pmjoin.KindVector || resp.Objects != open.N || resp.Pages <= 0 {
 			t.Fatalf("open response = %+v", resp)
 		}
 	}
@@ -202,6 +203,45 @@ func TestErrorStatuses(t *testing.T) {
 		if e := decode[map[string]string](t, w); e["error"] == "" || !strings.Contains(e["error"], tc.names) {
 			t.Errorf("%s: error message %q does not name %q", tc.name, w.Body.String(), tc.names)
 		}
+	}
+}
+
+// A repeated /open name is refused before anything is generated: the
+// System keeps every dataset it is given, so generating first would leave an
+// unreachable dataset on the disk and a new page file in an attached store.
+func TestDuplicateOpenAddsNoFile(t *testing.T) {
+	svc := newTestService(t)
+	dir := t.TempDir()
+	sys := svc.Server().System()
+	if err := sys.UseFileStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseStore()
+	h := svc.Handler()
+	open := OpenRequest{Name: "a", Kind: pmjoin.KindVector, N: 50, Seed: 1}
+	if w := post(t, h, "/open", open); w.Code != http.StatusOK {
+		t.Fatalf("first open: %d %s", w.Code, w.Body.String())
+	}
+	files := func() int {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before := files()
+	if w := post(t, h, "/open", open); w.Code != http.StatusConflict {
+		t.Fatalf("second open: %d %s, want %d", w.Code, w.Body.String(), http.StatusConflict)
+	}
+	if after := files(); after != before {
+		t.Fatalf("store holds %d files after the refused open, %d before", after, before)
+	}
+	// A name whose generation fails is released, not left reserved.
+	if w := post(t, h, "/open", OpenRequest{Name: "b", Kind: pmjoin.KindSeries, N: 10, Window: 32}); w.Code != http.StatusBadRequest {
+		t.Fatalf("open of a series shorter than its window: %d %s", w.Code, w.Body.String())
+	}
+	if names := svc.DatasetNames(); len(names) != 1 || names[0] != "a" {
+		t.Fatalf("names = %v, want [a]", names)
 	}
 }
 

@@ -30,9 +30,6 @@ type Page struct {
 
 type Disk struct{}
 
-func (d *Disk) Read(a PageAddr) (*Page, error)            { return nil, nil }
-func (d *Disk) Write(a PageAddr, p Page) error            { return nil }
-func (d *Disk) Peek(a PageAddr) (*Page, error)            { return nil, nil }
 func (d *Disk) NumPages(f FileID) int                     { return 0 }
 
 type Session struct{}
@@ -199,24 +196,6 @@ func TestBufferBypass(t *testing.T) {
 		lines []int
 	}{
 		{
-			name: "direct disk read, write, peek are flagged",
-			src: `package fixture
-
-import "pmjoin/internal/disk"
-
-func bad(d *disk.Disk, a disk.PageAddr) error {
-	if _, err := d.Read(a); err != nil {
-		return err
-	}
-	if _, err := d.Peek(a); err != nil {
-		return err
-	}
-	return d.Write(a, disk.Page{})
-}
-`,
-			lines: []int{6, 9, 12},
-		},
-		{
 			name: "pool-mediated access is clean",
 			src: `package fixture
 
@@ -273,7 +252,7 @@ func ok(s *disk.Session, f disk.FileID) int {
 		},
 		{
 			// A call through the pool's Source interface resolves to the
-			// interface method, not disk.Disk or disk.Session; the rule must
+			// interface method, not disk.Session; the rule must
 			// still see it, or engines could hold the pool's source and issue
 			// their own readahead around Get and PinSet.
 			name: "read through buffer.Source is flagged",
@@ -293,7 +272,7 @@ func bad(src buffer.Source, a disk.PageAddr) error {
 		},
 		{
 			// A fixture-local Read is not pool-source traffic: only the
-			// guarded interface (and the concrete disk types) carry the
+			// guarded interface (and the concrete session type) carry the
 			// simulator's I/O charges.
 			name: "read on an unrelated local type is clean",
 			src: `package fixture
@@ -447,8 +426,8 @@ func bad(p *buffer.Pool, a disk.PageAddr) {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) any {
-	pg, _ := d.Read(a)
+func bad(s *disk.Session, a disk.PageAddr) any {
+	pg, _ := s.Read(a)
 	return pg
 }
 `,
@@ -536,9 +515,9 @@ func TestSuppression(t *testing.T) {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) error {
+func bad(s *disk.Session, a disk.PageAddr) error {
 	//lint:ignore bufferbypass cost-model scan charged directly
-	_, err := d.Read(a)
+	_, err := s.Read(a)
 	return err
 }
 `
@@ -549,8 +528,8 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) error {
-	_, err := d.Read(a) //lint:ignore bufferbypass cost-model scan charged directly
+func bad(s *disk.Session, a disk.PageAddr) error {
+	_, err := s.Read(a) //lint:ignore bufferbypass cost-model scan charged directly
 	return err
 }
 `
@@ -564,8 +543,8 @@ import "pmjoin/internal/disk"
 // bad reads a page directly.
 //
 //lint:ignore bufferbypass a directive has no declaration scope
-func bad(d *disk.Disk, a disk.PageAddr) error {
-	_, err := d.Read(a)
+func bad(s *disk.Session, a disk.PageAddr) error {
+	_, err := s.Read(a)
 	return err
 }
 `
@@ -576,9 +555,9 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) error {
+func bad(s *disk.Session, a disk.PageAddr) error {
 	//lint:ignore nosuchrule,floatq typo of a rule name
-	_, err := d.Read(a)
+	_, err := s.Read(a)
 	return err
 }
 `
@@ -601,9 +580,9 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) error {
+func bad(s *disk.Session, a disk.PageAddr) error {
 	//lint:ignore rawgo wrong rule
-	_, err := d.Read(a)
+	_, err := s.Read(a)
 	return err
 }
 `
@@ -614,9 +593,9 @@ func bad(d *disk.Disk, a disk.PageAddr) error {
 
 import "pmjoin/internal/disk"
 
-func bad(d *disk.Disk, a disk.PageAddr) error {
+func bad(s *disk.Session, a disk.PageAddr) error {
 	//lint:ignore bufferbypass
-	_, err := d.Read(a)
+	_, err := s.Read(a)
 	return err
 }
 `

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"pmjoin/internal/cluster"
-	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/predmat"
@@ -25,7 +24,7 @@ type Task struct {
 // Result is one shard's outcome. Report and Pairs are deterministic
 // functions of the Task (each shard runs over a cold disk
 // session and a private buffer pool, so its numbers are what a solo run over
-// its clusters would produce); Metrics and Measured are observational.
+// its clusters would produce); Metrics is observational.
 type Result struct {
 	Shard  int
 	Report *join.Report
@@ -36,9 +35,6 @@ type Result struct {
 	// Metrics is the shard's own phase-scoped snapshot (nil unless the
 	// runner gives each shard its own collector).
 	Metrics *metrics.Metrics
-	// Measured is the shard's physical backend read account (zero under the
-	// simulator).
-	Measured disk.Measured
 }
 
 // Runner executes one shard of a plan. RunShard must be safe for concurrent
@@ -101,7 +97,6 @@ func (r *LocalRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
 		eng.Metrics = metrics.New(metrics.Config{Trace: r.Engine.Metrics.Tracing()})
 	}
 	rep, err := eng.Clustered(r.R, r.S, r.Matrix, r.Clusters, r.Pages, t.Clusters, r.Joiner)
-	out.Measured = eng.MeasuredIO()
 	if r.OwnMetrics {
 		out.Metrics = eng.Metrics.Finish()
 	}

@@ -74,9 +74,10 @@ type ExecStats struct {
 	// account under Options.Storage = StorageFile: the number of real file
 	// reads served and their summed wall latencies in seconds (read +
 	// checksum + page build; concurrent shards' latencies add up, so the sum
-	// can exceed JoinWall). Both are zero under the simulator.
-	// Host-dependent and excluded from the determinism contract, like every
-	// other ExecStats field.
+	// can exceed JoinWall). Both repeat Result.Metrics.Measured, and both are
+	// zero under the simulator and on a cancelled run. Host-dependent and
+	// excluded from the determinism contract, like every other ExecStats
+	// field.
 	MeasuredIOWall float64
 	MeasuredReads  int64
 	// Cancelled reports that the run stopped early because the context was
@@ -192,9 +193,8 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 	self := a == b || a.ds.File == b.ds.File
 	joiner := s.joiner(a, opt.Epsilon, self)
 
-	// timedJoin runs an unclustered executor on eng and takes its wall time,
-	// its pairs and its measured I/O; the clustered route takes its own from
-	// its shards.
+	// timedJoin runs an unclustered executor on eng and takes its wall time
+	// and its pairs; the clustered route takes its own from its shards.
 	timedJoin := func(f func() (*join.Report, error)) (*join.Report, error) {
 		if opt.CollectPairs {
 			eng.Pairs = join.NewPairs(opt.MaxPairs)
@@ -205,8 +205,6 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 			res.Pairs, res.Truncated = join.MergePairs([]*join.Pairs{eng.Pairs}, opt.MaxPairs)
 		}
 		res.Exec.JoinWall = time.Since(start)
-		m := eng.MeasuredIO()
-		res.Exec.MeasuredIOWall, res.Exec.MeasuredReads = m.Seconds, m.Reads
 		return rep, err
 	}
 
@@ -258,6 +256,7 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 	for _, sn := range shardSnaps {
 		res.Metrics.AddShard(sn)
 	}
+	res.Exec.MeasuredIOWall, res.Exec.MeasuredReads = res.Metrics.Measured.Seconds, res.Metrics.Measured.Reads
 	for _, cs := range res.Metrics.Clusters {
 		if cs.BatchCells > 0 {
 			res.Exec.BatchClusters++
@@ -370,7 +369,6 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 		res.Exec.Shards = len(cp.cut.Shards)
 		res.Exec.ShardWorkers = coordWorkers(opt.Sharding.Workers, len(cp.cut.Shards))
 	}
-	var meas disk.Measured
 	var snaps []*metrics.Metrics
 	for _, r := range results {
 		if r == nil {
@@ -379,13 +377,10 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 		t := r.Report.IOSeconds + r.Report.CPUJoinSeconds
 		res.Exec.ModeledSerialSeconds += t
 		res.Exec.ModeledWallSeconds = max(res.Exec.ModeledWallSeconds, t)
-		meas = meas.Add(r.Measured)
 		if r.Metrics != nil {
 			snaps = append(snaps, r.Metrics)
 		}
 	}
-	res.Exec.MeasuredIOWall = meas.Seconds
-	res.Exec.MeasuredReads = meas.Reads
 	return rep, snaps, nil
 }
 
@@ -486,13 +481,7 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 // matrix per key and no build runs twice. The build itself is deterministic,
 // parallel or not, so which caller built is unobservable in the Result.
 func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector) (*predmat.Matrix, error) {
-	depth := opt.FilterDepth
-	switch {
-	case depth == 0:
-		depth = predmat.DefaultFilterDepth
-	case depth < 0:
-		depth = 0
-	}
+	depth := max(opt.FilterDepth, 0)
 	key := matrixKey{fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon, depth: depth}
 	s.mu.RLock()
 	e, ok := s.matrixCache[key]

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"pmjoin/internal/predmat"
 )
 
 // ShardingOptions groups the sharded-execution knobs (see internal/shard):
@@ -59,9 +61,10 @@ type Options struct {
 	// negative values are rejected by Validate. Past the cap the join still
 	// counts every result but stops turning them into pairs.
 	MaxPairs int
-	// FilterDepth bounds the prediction-matrix filter rounds (default 5,
-	// the paper's k; -1 disables filtering). The filter runs at most k
-	// rounds and stops sooner when a round cannot pay for itself.
+	// FilterDepth bounds the prediction-matrix filter rounds k. 0 means the
+	// default (5, the paper's k); a negative value disables filtering. The
+	// filter runs at most k rounds and stops sooner when a round cannot pay
+	// for itself.
 	FilterDepth int
 	// ClusterRowFraction is the SC buffer fraction devoted to rows
 	// (default 0.5, the paper's square shape; ablation knob).
@@ -117,6 +120,9 @@ func (o *Options) Validate() error {
 	}
 	if o.MaxPairs == 0 {
 		o.MaxPairs = 100000
+	}
+	if o.FilterDepth == 0 {
+		o.FilterDepth = predmat.DefaultFilterDepth
 	}
 	if o.ClusterRowFraction == 0 {
 		o.ClusterRowFraction = 0.5

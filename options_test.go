@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"pmjoin/internal/predmat"
 )
 
 func TestOptionsValidateDefaults(t *testing.T) {
@@ -25,6 +27,13 @@ func TestOptionsValidateDefaults(t *testing.T) {
 	}
 	if o.HistogramBins != 100 {
 		t.Errorf("HistogramBins = %d, want 100", o.HistogramBins)
+	}
+	if o.FilterDepth != predmat.DefaultFilterDepth {
+		t.Errorf("FilterDepth = %d, want %d", o.FilterDepth, predmat.DefaultFilterDepth)
+	}
+	// A negative depth is kept: it means no filter, not the default.
+	if off := (Options{Method: SC, Epsilon: 0.1, BufferPages: 8, FilterDepth: -1}); off.Validate() != nil || off.FilterDepth != -1 {
+		t.Errorf("FilterDepth -1 validated to %d, want -1 kept", off.FilterDepth)
 	}
 	// Idempotent: a second Validate must not change anything.
 	before := o

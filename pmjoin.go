@@ -83,13 +83,13 @@ func DefaultDiskModel() DiskModel {
 // JoinContext, Explain and ExplainContext calls may run at once — each
 // charges its simulated I/O to a private disk session, so every call's Result
 // is identical to what a solo run would produce. Mutating
-// calls (AddVectors, AddSeries, AddString, ResetIOStats) must not overlap
-// with any other call.
+// calls (AddVectors, AddSeries, AddString) must not overlap with any other
+// call.
 type System struct {
 	d     *disk.Disk
 	model DiskModel
-	// mu guards matrixCache and epoch (the only mutable state a read-only
-	// call touches).
+	// mu guards matrixCache (the only mutable state a read-only call
+	// touches).
 	mu sync.RWMutex
 	// matrixCache memoizes prediction matrices: they depend only on the
 	// dataset pair, epsilon, and filter depth, so repeated joins (e.g.
@@ -98,12 +98,6 @@ type System struct {
 	// are deduplicated by matrixFlight: one builds, the rest wait and adopt.
 	matrixCache  map[matrixKey]*matrixEntry
 	matrixFlight sflight.Group[matrixKey, *matrixEntry]
-	// epoch is the dataset-mutation generation: each Add* bumps it and
-	// stamps the new dataset. Datasets are immutable once added, so a
-	// dataset's epoch is stable; caches keyed on (epoch, file, ...) — the
-	// serving layer's plan cache — stay valid for the dataset's lifetime and
-	// gain an invalidation seam for future mutable backends.
-	epoch int64
 	// storeMu guards store, the optional file-backed page store attached by
 	// UseFileStore (nil = simulator-only). Once attached it also serves as
 	// the disk's write mirror, so later Add* calls land in its files too.
@@ -151,9 +145,6 @@ func New() *System { return NewSystem(DefaultDiskModel()) }
 
 // Model returns the system's disk model.
 func (s *System) Model() DiskModel { return s.model }
-
-// ResetIOStats zeroes the simulated disk counters (datasets survive).
-func (s *System) ResetIOStats() { s.d.ResetStats() }
 
 // UseFileStore attaches a file-backed page store rooted at dir: every page
 // already materialized on the simulated disk is encoded into the store's
@@ -231,7 +222,6 @@ type Dataset struct {
 	alphabet *seqdist.Alphabet
 
 	objects int
-	epoch   int64
 }
 
 // Name returns the dataset name.
@@ -249,21 +239,6 @@ func (d *Dataset) Objects() int { return d.objects }
 // Window returns the subsequence length for sequence datasets (0 for
 // vector data).
 func (d *Dataset) Window() int { return d.window }
-
-// Epoch returns the dataset's creation generation on its System: a value
-// strictly increasing across Add* calls, stable for the dataset's lifetime.
-// It exists so external caches (the serving layer's plan cache) can key
-// cached derivations on (epoch, file, ...) and survive file-ID reuse if a
-// future backend ever recycles IDs.
-func (d *Dataset) Epoch() int64 { return d.epoch }
-
-// bumpEpoch advances the dataset generation; called once per Add*.
-func (s *System) bumpEpoch() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	return s.epoch
-}
 
 // VectorOptions configures AddVectors.
 type VectorOptions struct {
@@ -353,7 +328,6 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 		dim:     dim,
 		norm:    norm,
 		objects: len(vecs),
-		epoch:   s.bumpEpoch(),
 	})
 }
 
@@ -410,7 +384,6 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 		scale:    ix.Scale(),
 		features: ix.Config().Features,
 		objects:  ix.NumWindows(),
-		epoch:    s.bumpEpoch(),
 	})
 }
 
@@ -470,7 +443,6 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 		stride:   ix.Config().Stride,
 		alphabet: alpha,
 		objects:  ix.NumWindows(),
-		epoch:    s.bumpEpoch(),
 	})
 }
 

@@ -63,7 +63,7 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity + pin ledger)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity + pin ledger)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with tracing enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, and the block
@@ -95,8 +95,13 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # behind it.
 # The STR loader must pack the pages and hierarchy of its per-axis reference,
 # and the landsat and road shapes must hash to their recorded trees.
-contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
+# A run's measured reads are summed in one place, the metrics snapshot, and
+# ExecStats repeats it for every method. A disk session is a run's only I/O
+# account, so concurrent sessions over one disk must each report the solo
+# account of their own accesses.
+contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters'
 contract ./internal/buffer 'TestPinSet'
+contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'

@@ -150,19 +150,18 @@ type Server struct {
 	folded    metrics.Metrics
 }
 
-// planKey identifies a cached Plan: the dataset identities and epochs plus
-// every option Explain reads. Epochs make stale plans unreachable if a future
-// backend ever recycles file IDs.
+// planKey identifies a cached Plan: the datasets' files plus every option
+// Explain reads. File IDs are never reused and datasets are immutable, so a
+// file pair names one dataset pair for the System's lifetime.
 type planKey struct {
-	epochA, epochB int64
-	fileA, fileB   disk.FileID
-	eps            float64
-	method         Method
-	bufferPages    int
-	policy         ReplacementPolicy
-	filterDepth    int
-	rowFraction    float64
-	shards         int
+	fileA, fileB disk.FileID
+	eps          float64
+	method       Method
+	bufferPages  int
+	policy       ReplacementPolicy
+	filterDepth  int
+	rowFraction  float64
+	shards       int
 }
 
 // NewServer wraps sys for serving under opt (zero value = defaults). The
@@ -271,7 +270,6 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 		return nil, err
 	}
 	key := planKey{
-		epochA: a.Epoch(), epochB: b.Epoch(),
 		fileA: a.ds.File, fileB: b.ds.File,
 		eps: opt.Epsilon, method: opt.Method,
 		bufferPages: opt.BufferPages, policy: opt.Policy, filterDepth: opt.FilterDepth,

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pmjoin/internal/predmat"
 )
 
 func newTestServer(t *testing.T, so ServeOptions) (*Server, *Dataset, *Dataset) {
@@ -481,6 +483,13 @@ func TestServerExplainCached(t *testing.T) {
 	st := sv.Stats()
 	if st.PlanHits == 0 {
 		t.Fatalf("no plan hits recorded: %+v", st)
+	}
+	// FilterDepth 0 is the default depth, so naming the default explicitly
+	// is the same plan and the same cache entry.
+	deep := opt
+	deep.FilterDepth = predmat.DefaultFilterDepth
+	if p, err := sv.ExplainCached(context.Background(), da, db, deep); err != nil || p != plans[0] {
+		t.Fatalf("FilterDepth %d missed the FilterDepth 0 plan (err %v)", deep.FilterDepth, err)
 	}
 
 	// The plan matches an uncached Explain bit for bit.
