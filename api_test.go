@@ -63,6 +63,18 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 		s[i] = x
 		return s
 	}
+	// vecs returns 200 finite 2-d vectors with vector bad[i] replaced by
+	// rows[i].
+	vecs := func(bad []int, rows ...[]float64) [][]float64 {
+		v := make([][]float64, 200)
+		for i := range v {
+			v[i] = []float64{float64(i), 1}
+		}
+		for i, b := range bad {
+			v[b] = rows[i]
+		}
+		return v
+	}
 	for _, tc := range []struct {
 		name string
 		add  func(*System, string) error
@@ -80,6 +92,16 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 			_, err := s.AddVectors(n, [][]float64{{0, 1}, {-inf, 3}}, VectorOptions{})
 			return err
 		}, "vector 1"},
+		// Both offenders of each pair lie past the first 64 vectors, and the
+		// error must name the lower one whichever fault it has.
+		{"NaN before a short vector", func(s *System, n string) error {
+			_, err := s.AddVectors(n, vecs([]int{100, 150}, []float64{0, nan}, []float64{1}), VectorOptions{})
+			return err
+		}, "vector 100 "},
+		{"short vector before a NaN", func(s *System, n string) error {
+			_, err := s.AddVectors(n, vecs([]int{70, 90}, []float64{1}, []float64{nan, 0}), VectorOptions{})
+			return err
+		}, "vector 70 "},
 		{"NaN sample", func(s *System, n string) error {
 			_, err := s.AddSeries(n, series(17, nan), SeriesOptions{Window: 8})
 			return err

@@ -8,6 +8,7 @@ import (
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
+	"pmjoin/internal/index"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/rstar"
 	"pmjoin/internal/sched"
@@ -400,5 +401,47 @@ func TestLemma2NoIntraClusterMisses(t *testing.T) {
 	}
 	if rep.PageReads != rep.Misses {
 		t.Fatalf("page reads %d != misses %d", rep.PageReads, rep.Misses)
+	}
+}
+
+// TestDatasetValidatePageCoverage holds Validate's leaf checks: leaves may
+// share a page, but every page must be covered and no leaf may name a page
+// outside the file.
+func TestDatasetValidatePageCoverage(t *testing.T) {
+	d := disk.New(disk.DefaultModel())
+	f := d.CreateFile()
+	for i := 0; i < 3; i++ {
+		if _, err := d.AppendPage(f, *vecPage([]int{i}, geom.Vector{float64(i), 0})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := func(p int) *index.Node {
+		return &index.Node{MBR: geom.NewMBR(geom.Vector{float64(p), 0}), Page: p}
+	}
+	root := func(pages ...int) *index.Node {
+		n := &index.Node{MBR: geom.MBR{Min: geom.Vector{-1, -1}, Max: geom.Vector{3, 1}}, Page: -1}
+		for _, p := range pages {
+			n.Children = append(n.Children, leaf(p))
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		pages []int
+		want  string // "" for valid
+	}{
+		{[]int{0, 1, 2}, ""},
+		{[]int{2, 0, 1, 1}, ""},
+		{[]int{0, 1, 1}, "leaves cover 2 of 3 pages"},
+		{[]int{0, 1}, "has 2 leaves for 3 pages"},
+		{[]int{0, 1, 3}, "leaf page 3 out of range"},
+	} {
+		ds := &Dataset{Name: "v", File: f, Root: root(tc.pages...), Pages: 3}
+		err := ds.Validate(d)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("leaves %v: %v", tc.pages, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("leaves %v: error %v, want %q", tc.pages, err, tc.want)
+		}
 	}
 }

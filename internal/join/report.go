@@ -37,15 +37,18 @@ func (d *Dataset) Validate(dk *disk.Disk) error {
 	if len(leaves) < d.Pages {
 		return fmt.Errorf("join: dataset %q has %d leaves for %d pages", d.Name, len(leaves), d.Pages)
 	}
-	seen := make(map[int]bool, d.Pages)
+	seen, covered := make([]bool, d.Pages), 0
 	for _, l := range leaves {
 		if l.Page < 0 || l.Page >= d.Pages {
 			return fmt.Errorf("join: dataset %q leaf page %d out of range", d.Name, l.Page)
 		}
-		seen[l.Page] = true
+		if !seen[l.Page] {
+			seen[l.Page] = true
+			covered++
+		}
 	}
-	if len(seen) != d.Pages {
-		return fmt.Errorf("join: dataset %q leaves cover %d of %d pages", d.Name, len(seen), d.Pages)
+	if covered != d.Pages {
+		return fmt.Errorf("join: dataset %q leaves cover %d of %d pages", d.Name, covered, d.Pages)
 	}
 	return nil
 }

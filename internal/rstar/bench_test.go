@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// benchBulkLoad times the path AddVectors pays for one side: BulkLoadSTR,
-// then the pages and the hierarchy.
+// benchBulkLoad times BulkLoadSTR over PointItems, then the pages and the
+// hierarchy: the loader of the end-to-end benchmark's replica. AddVectors
+// runs the same packer through LoadPoints, timed by the root package's
+// BenchmarkAddVectorsLandsat and BenchmarkAddVectorsRoads.
 func benchBulkLoad(b *testing.B, n, dim, leafCap int) {
 	items := randItems(rand.New(rand.NewSource(1)), n, dim)
 	b.ReportAllocs()

@@ -1,15 +1,21 @@
 // Package rstar builds the vector index of the join: an STR-packed R-tree,
-// one leaf per page (§5.1). BulkLoadSTR tiles the items with
-// sort-tile-recursive packing (Leutenegger, Lopez and Edgington) into
-// leaves of one data page each and groups the leaves the same way up to one
-// root, so the contents of each leaf MBR are laid out contiguously on disk
-// and the MBR hierarchy is what prediction-matrix construction walks.
+// one leaf per page (§5.1). Both loaders tile their input with
+// sort-tile-recursive packing (Leutenegger, Lopez and Edgington) into leaves
+// of one data page each and group the leaves the same way up to one root,
+// so the contents of each leaf MBR are laid out contiguously on disk and the
+// MBR hierarchy is what prediction-matrix construction walks. LoadPoints
+// packs vectors straight into row blocks; BulkLoadSTR packs Items. Both run
+// the one packer, strPack, which splits each STR slab by selection over a
+// column-major array of centres, so the two give the same tree for the same
+// points.
 package rstar
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
@@ -39,6 +45,24 @@ func DefaultConfig(leafCap int) Config {
 	return Config{MaxLeafEntries: leafCap, MaxBranchEntries: 32}
 }
 
+// check rejects a tree dimension or capacity STR cannot pack with, and more
+// entries than the packer's 32-bit keys can name.
+func (cfg Config) check(dim, n int) error {
+	if dim < 1 {
+		return fmt.Errorf("rstar: dimension %d < 1", dim)
+	}
+	if cfg.MaxLeafEntries < 2 {
+		return fmt.Errorf("rstar: MaxLeafEntries %d < 2", cfg.MaxLeafEntries)
+	}
+	if cfg.MaxBranchEntries < 2 {
+		return fmt.Errorf("rstar: MaxBranchEntries %d < 2", cfg.MaxBranchEntries)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("rstar: %d items exceed the bulk loader's 32-bit sort keys", n)
+	}
+	return nil
+}
+
 // Tree is a packed STR tree: its MBR hierarchy and its data pages.
 type Tree struct {
 	root  *index.Node
@@ -53,214 +77,45 @@ type Tree struct {
 // Rounding each slab up to a multiple of the capacity would fill them.
 //
 // The pages hold the caller's Items, MBRs included; the hierarchy's MBRs
-// are the tree's own.
+// are the tree's own. For points it builds the tree LoadPoints builds.
 func BulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("rstar: dimension %d < 1", dim)
+	if err := cfg.check(dim, len(items)); err != nil {
+		return nil, err
 	}
-	if cfg.MaxLeafEntries < 2 {
-		return nil, fmt.Errorf("rstar: MaxLeafEntries %d < 2", cfg.MaxLeafEntries)
-	}
-	if cfg.MaxBranchEntries < 2 {
-		return nil, fmt.Errorf("rstar: MaxBranchEntries %d < 2", cfg.MaxBranchEntries)
-	}
-	if len(items) > math.MaxInt32 {
-		return nil, fmt.Errorf("rstar: %d items exceed the bulk loader's 32-bit sort keys", len(items))
-	}
-	boxes := make([]geom.MBR, len(items))
+	n := len(items)
+	cent := make([]float64, dim*n)
 	for i, it := range items {
 		if it.MBR.Dim() != dim {
 			return nil, fmt.Errorf("rstar: item dimension %d, tree dimension %d", it.MBR.Dim(), dim)
 		}
-		boxes[i] = it.MBR
+		for a := range dim {
+			cent[a*n+i] = (it.MBR.Min[a] + it.MBR.Max[a]) / 2
+		}
 	}
-	if len(items) == 0 {
+	if n == 0 {
 		return &Tree{root: &index.Node{Page: -1}, pages: [][]Item{}}, nil
 	}
 
-	// Leaves: leaf k holds packed[cuts[k]:cuts[k+1]] and, until the pages
-	// are numbered below, carries k as its page.
-	order, cuts := strPack(boxes, dim, cfg.MaxLeafEntries)
-	packed := make([]Item, len(items))
+	order, cuts := strPack(cent, n, dim, cfg.MaxLeafEntries)
+	packed := make([]Item, n)
 	for k, key := range order {
 		packed[k] = items[key.i]
 	}
-	leafCuts := cuts
-	nodes := newLevel(boxes, order, cuts, dim)
-	for k, n := range nodes {
-		n.Page = k
-	}
-
-	// Internal levels: each groups the level below by STR over its MBRs.
-	for len(nodes) > 1 {
-		boxes = boxes[:len(nodes)]
-		for i, n := range nodes {
-			boxes[i] = n.MBR
+	leaves := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+		its := packed[cuts[k]:cuts[k+1]]
+		copy(m.Min, its[0].MBR.Min)
+		copy(m.Max, its[0].MBR.Max)
+		for _, it := range its[1:] {
+			extend(m, it.MBR.Min, it.MBR.Max)
 		}
-		order, cuts = strPack(boxes, dim, cfg.MaxBranchEntries)
-		parents := newLevel(boxes, order, cuts, dim)
-		children := make([]*index.Node, len(nodes))
-		for k, key := range order {
-			children[k] = nodes[key.i]
-		}
-		for k, p := range parents {
-			lo, hi := cuts[k], cuts[k+1]
-			p.Page, p.Children = -1, children[lo:hi:hi]
-		}
-		nodes = parents
-	}
-
-	// Pages are numbered left to right, so leaf contents are contiguous on
-	// disk in the order a depth-first walk meets them (§5.1).
-	t := &Tree{root: nodes[0], pages: make([][]Item, 0, len(leafCuts)-1)}
-	var number func(n *index.Node)
-	number = func(n *index.Node) {
-		if n.IsLeaf() {
-			lo, hi := leafCuts[n.Page], leafCuts[n.Page+1]
-			n.Page = len(t.pages)
-			t.pages = append(t.pages, packed[lo:hi:hi])
-			return
-		}
-		for _, c := range n.Children {
-			number(c)
-		}
-	}
-	number(t.root)
-	return t, nil
-}
-
-// newLevel makes one node per cut of order, each with the MBR of its boxes
-// in packed order: the first box's corners, extended by the rest. The
-// corners of a level share one backing array.
-func newLevel(boxes []geom.MBR, order []strKey, cuts []int, dim int) []*index.Node {
-	nodes := make([]index.Node, len(cuts)-1)
-	corners := make(geom.Vector, 2*dim*len(nodes))
-	out := make([]*index.Node, len(nodes))
-	for k := range nodes {
+	})
+	root, leafOf := stack(leaves, dim, cfg.MaxBranchEntries, cent)
+	t := &Tree{root: root, pages: make([][]Item, len(leafOf))}
+	for p, k := range leafOf {
 		lo, hi := cuts[k], cuts[k+1]
-		m := geom.MBR{Min: corners[:dim:dim], Max: corners[dim : 2*dim : 2*dim]}
-		corners = corners[2*dim:]
-		copy(m.Min, boxes[order[lo].i].Min)
-		copy(m.Max, boxes[order[lo].i].Max)
-		for _, key := range order[lo+1 : hi] {
-			m.ExtendMBR(boxes[key.i])
-		}
-		nodes[k].MBR = m
-		out[k] = &nodes[k]
+		t.pages[p] = packed[lo:hi:hi]
 	}
-	return out
-}
-
-// strKey is one element of the permutation strPack sorts: the box's index,
-// its centre on the axis being sorted, and its position in the group before
-// that sort. Breaking centre ties by position makes the order total, so an
-// unstable sort yields exactly the stable sort's result.
-type strKey struct {
-	c    float64
-	i, p int32
-}
-
-// strGroup is a run order[lo:hi] of the permutation. A done group has
-// reached its final order and becomes exactly one node.
-type strGroup struct {
-	lo, hi int
-	done   bool
-}
-
-// strPack tiles boxes into nodes of capacity cap using STR: sort by the
-// first dimension, cut into slabs, sort each slab by the next dimension, and
-// so on, finally chunking into nodes. Every sort is a stable sort by MBR
-// centre. It returns the boxes in packed order, as keys whose i is the
-// box's index, and the node cuts: node k holds order[cuts[k]:cuts[k+1]].
-//
-// The passes sort a permutation of (centre, index) keys; the boxes never
-// move. A slab of at most capacity boxes is never cut again — it stays one
-// slab on every later axis — so the stable passes it still owes, axis a,
-// a+1, …, dim−1, are replaced by the one stable sort they add up to:
-// lexicographic by the centres on axis dim−1, then dim−2, …, down to a, ties
-// keeping the current order. In high dimensions that is almost every pass
-// (at 60-d every slab is final after ~13 axes).
-func strPack(boxes []geom.MBR, dim, capacity int) (order []strKey, cuts []int) {
-	centre := func(i int32, axis int) float64 {
-		m := &boxes[i]
-		return (m.Min[axis] + m.Max[axis]) / 2
-	}
-	byCentre := func(a, b strKey) int {
-		switch {
-		case a.c < b.c:
-			return -1
-		case b.c < a.c:
-			return 1
-		}
-		return int(a.p - b.p)
-	}
-	sortAxis := func(g []strKey, axis int) {
-		for k := range g {
-			g[k].c, g[k].p = centre(g[k].i, axis), int32(k)
-		}
-		slices.SortFunc(g, byCentre)
-	}
-	owed := 0 // first axis the slab byOwedAxes is sorting has not been sorted by
-	byOwedAxes := func(a, b strKey) int {
-		for axis := dim - 1; axis >= owed; axis-- {
-			ca, cb := centre(a.i, axis), centre(b.i, axis)
-			switch {
-			case ca < cb:
-				return -1
-			case cb < ca:
-				return 1
-			}
-		}
-		return 0
-	}
-
-	order = make([]strKey, len(boxes))
-	for i := range order {
-		order[i].i = int32(i)
-	}
-	numNodes := (len(boxes) + capacity - 1) / capacity
-	groups := []strGroup{{lo: 0, hi: len(boxes)}}
-	var next []strGroup
-	splitting := 1 // groups not yet done
-	for axis := 0; axis < dim-1 && numNodes > 1 && splitting > 0; axis++ {
-		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
-		next = next[:0]
-		splitting = 0
-		for _, g := range groups {
-			if g.done {
-				next = append(next, g)
-				continue
-			}
-			sortAxis(order[g.lo:g.hi], axis)
-			slabSize := (g.hi - g.lo + slabsPerGroup - 1) / slabsPerGroup
-			if slabSize < capacity {
-				slabSize = capacity
-			}
-			for lo := g.lo; lo < g.hi; lo += slabSize {
-				slab := strGroup{lo: lo, hi: min(lo+slabSize, g.hi)}
-				if slab.hi-slab.lo <= capacity {
-					owed = axis + 1
-					slices.SortStableFunc(order[slab.lo:slab.hi], byOwedAxes)
-					slab.done = true
-				} else {
-					splitting++
-				}
-				next = append(next, slab)
-			}
-		}
-		groups, next = next, groups
-	}
-
-	cuts = make([]int, 0, numNodes+1)
-	for _, g := range groups {
-		if !g.done {
-			sortAxis(order[g.lo:g.hi], dim-1)
-		}
-		for lo := g.lo; lo < g.hi; lo += capacity {
-			cuts = append(cuts, lo)
-		}
-	}
-	return order, append(cuts, len(boxes))
+	return t, nil
 }
 
 // Pack returns the data pages in page order: leaf k's items are page k, so
@@ -275,3 +130,371 @@ func (t *Tree) NumPages() int { return len(t.pages) }
 // leaf carries its page number. Every call returns the same hierarchy: it is
 // shared and read-only.
 func (t *Tree) Root() *index.Node { return t.root }
+
+// PointTree is a packed STR tree over points whose pages are row blocks.
+type PointTree struct {
+	root *index.Node
+	ids  [][]int
+	rows [][]float64
+}
+
+// LoadPoints packs vecs, which must all have dim finite coordinates, into
+// the tree BulkLoadSTR builds over their PointItems. Object IDs are the
+// indices into vecs. It refuses the lowest-index vector of the wrong length
+// or with a NaN or ±Inf coordinate: no index order, MBR or distance bound is
+// defined over such a value (a NaN compares false with everything, so
+// sorting by it has no answer and a MinDist through it never passes "≤ ε").
+//
+// Each vector is read twice: once into the centre array, and once, after
+// packing, into a row buffer in packed order, where its leaf's MBR is taken
+// while the rows are cache-hot. Once the hierarchy has numbered the pages,
+// each page's rows move as one block into the centre array, which is free
+// by then, so that the pages lie in page order, as on disk (§5.1), and
+// neighbouring pages of a cluster are neighbours in memory.
+func LoadPoints(dim int, cfg Config, vecs [][]float64) (*PointTree, error) {
+	if err := cfg.check(dim, len(vecs)); err != nil {
+		return nil, err
+	}
+	n := len(vecs)
+	cent := make([]float64, dim*n)
+	for i, v := range vecs {
+		if len(v) != dim {
+			return nil, fmt.Errorf("rstar: vector %d has dim %d, want %d", i, len(v), dim)
+		}
+		var bad float64 // x-x is 0, or NaN where x is NaN or ±Inf
+		for a, x := range v {
+			bad += x - x
+			cent[a*n+i] = (x + x) / 2 // a point's MBR centre, as BulkLoadSTR computes it
+		}
+		if bad != 0 {
+			a := slices.IndexFunc(v, func(x float64) bool { return x-x != 0 })
+			return nil, fmt.Errorf("rstar: vector %d has non-finite coordinate %d (%g)", i, a, v[a])
+		}
+	}
+	if n == 0 {
+		return &PointTree{root: &index.Node{Page: -1}}, nil
+	}
+
+	order, cuts := strPack(cent, n, dim, cfg.MaxLeafEntries)
+	packed := make([]float64, n*dim)
+	leaves := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+		lo, hi := cuts[k], cuts[k+1]
+		for j := lo; j < hi; j++ {
+			copy(packed[j*dim:(j+1)*dim], vecs[order[j].i])
+		}
+		copy(m.Min, packed[lo*dim:])
+		copy(m.Max, packed[lo*dim:])
+		for j := lo + 1; j < hi; j++ {
+			row := packed[j*dim : (j+1)*dim]
+			extend(m, row, row)
+		}
+	})
+	root, leafOf := stack(leaves, dim, cfg.MaxBranchEntries, cent)
+
+	data, ids := cent[:n*dim:n*dim], make([]int, n)
+	t := &PointTree{root: root, ids: make([][]int, len(leafOf)), rows: make([][]float64, len(leafOf))}
+	at := 0
+	for p, k := range leafOf {
+		lo, hi := cuts[k], cuts[k+1]
+		next := at + hi - lo
+		copy(data[at*dim:next*dim], packed[lo*dim:hi*dim])
+		for j := lo; j < hi; j++ {
+			ids[at+j-lo] = int(order[j].i)
+		}
+		t.ids[p] = ids[at:next:next]
+		t.rows[p] = data[at*dim : next*dim : next*dim]
+		at = next
+	}
+	return t, nil
+}
+
+// NumPages returns the number of data pages.
+func (t *PointTree) NumPages() int { return len(t.ids) }
+
+// Page returns page p: its points' IDs and their coordinates, row-major.
+// Both are shared with the tree and must not be modified.
+func (t *PointTree) Page(p int) (ids []int, rows []float64) { return t.ids[p], t.rows[p] }
+
+// Root returns the MBR hierarchy, as Tree.Root does.
+func (t *PointTree) Root() *index.Node { return t.root }
+
+// extend grows m to cover the box with corners lo and hi, as
+// geom.MBR.ExtendMBR does for a non-empty box. It selects each corner's bits
+// as an integer, which compiles to a conditional move: at a handful of rows
+// a leaf, a branch per coordinate is mispredicted too often.
+func extend(m geom.MBR, lo, hi []float64) {
+	mn, mx := m.Min[:len(lo)], m.Max[:len(lo)]
+	hi = hi[:len(lo)]
+	for a, x := range lo {
+		y := hi[a]
+		l, h, xb, yb := math.Float64bits(mn[a]), math.Float64bits(mx[a]), math.Float64bits(x), math.Float64bits(y)
+		if x < mn[a] {
+			l = xb
+		}
+		if y > mx[a] {
+			h = yb
+		}
+		mn[a], mx[a] = math.Float64frombits(l), math.Float64frombits(h)
+	}
+}
+
+// newLevel makes count nodes. Node k carries k as its page, and the MBR
+// that box(k, m) writes into m's corners; the corners of a level share one
+// backing array.
+func newLevel(count, dim int, box func(k int, m geom.MBR)) []*index.Node {
+	nodes := make([]index.Node, count)
+	corners := make(geom.Vector, 2*dim*count)
+	out := make([]*index.Node, count)
+	for k := range nodes {
+		c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
+		m := geom.MBR{Min: c[:dim:dim], Max: c[dim:]}
+		box(k, m)
+		nodes[k] = index.Node{MBR: m, Page: k}
+		out[k] = &nodes[k]
+	}
+	return out
+}
+
+// stack groups the leaves level by level, each by STR over the centres of
+// the level below's MBRs, up to one root, reusing cent for those centres.
+// It then numbers the pages left to right, so leaf contents are contiguous
+// on disk in the order a depth-first walk meets them (§5.1), and returns
+// the root and, for each page, the index of the leaf that holds it.
+func stack(nodes []*index.Node, dim, fanout int, cent []float64) (*index.Node, []int) {
+	leafOf := make([]int, 0, len(nodes))
+	for len(nodes) > 1 {
+		n := len(nodes)
+		cent = cent[:dim*n]
+		for i, nd := range nodes {
+			for a := range dim {
+				cent[a*n+i] = (nd.MBR.Min[a] + nd.MBR.Max[a]) / 2
+			}
+		}
+		order, cuts := strPack(cent, n, dim, fanout)
+		children := make([]*index.Node, n)
+		for k, key := range order {
+			children[k] = nodes[key.i]
+		}
+		parents := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+			kids := children[cuts[k]:cuts[k+1]]
+			copy(m.Min, kids[0].MBR.Min)
+			copy(m.Max, kids[0].MBR.Max)
+			for _, c := range kids[1:] {
+				extend(m, c.MBR.Min, c.MBR.Max)
+			}
+		})
+		for k, p := range parents {
+			lo, hi := cuts[k], cuts[k+1]
+			p.Page, p.Children = -1, children[lo:hi:hi]
+		}
+		nodes = parents
+	}
+
+	var number func(n *index.Node)
+	number = func(n *index.Node) {
+		if n.IsLeaf() {
+			leafOf = append(leafOf, n.Page)
+			n.Page = len(leafOf) - 1
+			return
+		}
+		for _, c := range n.Children {
+			number(c)
+		}
+	}
+	number(nodes[0])
+	return nodes[0], leafOf
+}
+
+// strKey is one element of the permutation strPack reorders: the entry's
+// index, and its centre on the axis being split or sorted.
+type strKey struct {
+	c float64
+	i int32
+}
+
+// strCmp orders keys lexicographically by their centres on axis, axis−1,
+// …, bottom, then by index: key.c is the centre on axis, and the lower
+// axes' centres are read from cent only on a tie. Ending on the index makes
+// the order total.
+func strCmp(cent []float64, n, axis, bottom int) func(a, b strKey) int {
+	return func(a, b strKey) int {
+		switch {
+		case a.c < b.c:
+			return -1
+		case b.c < a.c:
+			return 1
+		}
+		for ax := axis - 1; ax >= bottom; ax-- {
+			ca, cb := cent[ax*n+int(a.i)], cent[ax*n+int(b.i)]
+			switch {
+			case ca < cb:
+				return -1
+			case cb < ca:
+				return 1
+			}
+		}
+		return int(a.i - b.i)
+	}
+}
+
+// strGroup is a run order[lo:hi] of the permutation. A group of at most
+// one node's entries is done: it is never split again.
+type strGroup struct{ lo, hi int }
+
+// strPack tiles n entries into nodes of capacity entries using STR, given
+// their centres column-major: entry i's centre on axis a is cent[a*n+i].
+// STR sorts by the first axis, cuts into slabs, sorts each slab by the next
+// axis, and so on, finally chunking into nodes, every sort a stable sort by
+// centre. It returns the entries in packed order, as keys whose i is the
+// entry's index, and the node cuts: node k holds order[cuts[k]:cuts[k+1]].
+//
+// Starting from index order, the stable passes leave a group sorted
+// lexicographically by (c_axis, c_axis−1, …, c_0, i) after the pass on
+// axis. A slab's contents therefore depend on that total order only, not on
+// the group's order, so each pass is a multi-way selection at the slab
+// cuts, and a group gets its one sort at the end: by (c_dim−1, …, c_0, i),
+// or by (c_dim−1, i) when no pass ran. A slab of at most capacity entries
+// is one node on every later pass, so it is done; in high dimensions that
+// ends the passes early (at 60-d every slab is done after ~13 axes).
+func strPack(cent []float64, n, dim, capacity int) (order []strKey, cuts []int) {
+	order = make([]strKey, n)
+	for i := range order {
+		order[i].i = int32(i)
+	}
+	// load sets each key's c to its centre on axis.
+	load := func(keys []strKey, axis int) {
+		col := cent[axis*n : (axis+1)*n]
+		for k := range keys {
+			keys[k].c = col[keys[k].i]
+		}
+	}
+	numNodes := (n + capacity - 1) / capacity
+	groups := []strGroup{{lo: 0, hi: n}}
+	var next []strGroup
+	var slabCuts []int
+	splitting := 1 // groups not yet done
+	for axis := 0; axis < dim-1 && numNodes > 1 && splitting > 0; axis++ {
+		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
+		cmp := strCmp(cent, n, axis, 0)
+		next = next[:0]
+		splitting = 0
+		for _, g := range groups {
+			keys := order[g.lo:g.hi]
+			if len(keys) <= capacity {
+				next = append(next, g)
+				continue
+			}
+			slabSize := max((len(keys)+slabsPerGroup-1)/slabsPerGroup, capacity)
+			slabCuts = slabCuts[:0]
+			for c := slabSize; c < len(keys); c += slabSize {
+				slabCuts = append(slabCuts, c)
+			}
+			if len(slabCuts) > 0 {
+				load(keys, axis)
+				strSelect(keys, 0, slabCuts, cmp, strSelectBudget(len(keys)))
+			}
+			for lo := g.lo; lo < g.hi; lo += slabSize {
+				hi := min(lo+slabSize, g.hi)
+				if hi-lo > capacity {
+					splitting++
+				}
+				next = append(next, strGroup{lo, hi})
+			}
+		}
+		groups, next = next, groups
+	}
+
+	bottom := 0
+	if numNodes <= 1 {
+		bottom = dim - 1
+	}
+	cmp := strCmp(cent, n, dim-1, bottom)
+	cuts = make([]int, 0, numNodes+1)
+	for _, g := range groups {
+		keys := order[g.lo:g.hi]
+		load(keys, dim-1)
+		slices.SortFunc(keys, cmp)
+		for lo := g.lo; lo < g.hi; lo += capacity {
+			cuts = append(cuts, lo)
+		}
+	}
+	return order, append(cuts, n)
+}
+
+// strSelectBudget is the partition depth after which strSelect sorts a
+// range of n keys instead: twice the depth of balanced splits.
+func strSelectBudget(n int) int { return 2 * bits.Len(uint(n)) }
+
+// strSelect reorders g, whose keys are distinct under cmp, so that at every
+// cut c (ascending, with off < c < off+len(g)) the keys before g[c−off] are
+// the c−off smallest: a multi-way nth-element. Each partition step spends
+// one unit of budget; a range that runs out is sorted, which places every
+// cut too.
+func strSelect(g []strKey, off int, cuts []int, cmp func(a, b strKey) int, budget int) {
+	for len(cuts) > 0 {
+		if budget == 0 {
+			slices.SortFunc(g, cmp)
+			return
+		}
+		budget--
+		p := strPartition(g, cmp)
+		// Cuts at p and p+1 fall on the pivot's two sides; the rest lie
+		// strictly inside one side.
+		l := sort.SearchInts(cuts, off+p)
+		r := sort.SearchInts(cuts, off+p+2)
+		strSelect(g[:p], off, cuts[:l], cmp, budget)
+		g, off, cuts = g[p+1:], off+p+1, cuts[r:]
+	}
+}
+
+// strPartition moves a pivot of g to its sorted position p and returns p,
+// with the smaller keys before it and the larger after.
+func strPartition(g []strKey, cmp func(a, b strKey) int) int {
+	m := strPivot(g, cmp)
+	g[0], g[m] = g[m], g[0]
+	pv := g[0]
+	i, j := 1, len(g)-1
+	for {
+		for i <= j && cmp(g[i], pv) < 0 {
+			i++
+		}
+		for i <= j && cmp(g[j], pv) > 0 {
+			j--
+		}
+		if i > j {
+			break
+		}
+		g[i], g[j] = g[j], g[i]
+		i, j = i+1, j-1
+	}
+	g[0], g[j] = g[j], g[0]
+	return j
+}
+
+// strPivot picks g's pivot: the median of its first, middle and last keys,
+// or for long ranges Tukey's ninther, the median of three such medians.
+func strPivot(g []strKey, cmp func(a, b strKey) int) int {
+	n := len(g)
+	a, b, c := 0, n/2, n-1
+	if n >= 128 {
+		s := n / 8
+		a = median3(g, cmp, 0, s, 2*s)
+		b = median3(g, cmp, b-s, b, b+s)
+		c = median3(g, cmp, n-1-2*s, n-1-s, n-1)
+	}
+	return median3(g, cmp, a, b, c)
+}
+
+// median3 returns whichever of the indices a, b and c holds the median key.
+func median3(g []strKey, cmp func(a, b strKey) int, a, b, c int) int {
+	if cmp(g[b], g[a]) < 0 {
+		a, b = b, a
+	}
+	if cmp(g[c], g[b]) < 0 {
+		if cmp(g[c], g[a]) < 0 {
+			return a
+		}
+		return c
+	}
+	return b
+}

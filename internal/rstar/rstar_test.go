@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -177,6 +178,13 @@ func TestBulkLoadEmpty(t *testing.T) {
 	}
 	if pages := tr.Pack(); len(pages) != 0 || tr.NumPages() != 0 {
 		t.Fatalf("pages = %d", len(pages))
+	}
+	pt, err := LoadPoints(2, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root := pt.Root(); pt.NumPages() != 0 || !root.IsLeaf() || root.Page != -1 {
+		t.Fatalf("empty point tree: %d pages, root page %d", pt.NumPages(), root.Page)
 	}
 }
 
@@ -512,6 +520,131 @@ func TestBulkLoadSTRMatchesPerAxisSorts(t *testing.T) {
 					}
 					if err := sameHierarchy(got.Root(), want.Root(), "root"); err != nil {
 						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointLoadMatchesBulkLoadSTR holds the two entry points to one tree:
+// LoadPoints over vectors and BulkLoadSTR over their PointItems must give
+// the same pages, with the same IDs in the same order and rows equal to the
+// vectors, under the same hierarchy to the bit. The extreme shape puts
+// ±MaxFloat64 among ordinary values, where a centre (x+x)/2 overflows to
+// ±Inf and ties.
+func TestPointLoadMatchesBulkLoadSTR(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	extremes := []float64{-math.MaxFloat64, -1, 0, 0.5, math.MaxFloat64}
+	for dim := 1; dim <= 60; dim++ {
+		for _, capacity := range []int{2, 8} {
+			for _, n := range []int{1, capacity, capacity + 1, 5000} {
+				if n == 5000 && (testing.Short() || !slices.Contains([]int{1, 2, 3, 16, 60}, dim)) {
+					continue // the large case at the reference test's dimensions
+				}
+				for _, shape := range []string{"duplicates", "quantised", "collinear", "clustered", "extremes"} {
+					name := fmt.Sprintf("dim=%d/cap=%d/n=%d/%s", dim, capacity, n, shape)
+					var items []Item
+					if shape == "extremes" {
+						items = make([]Item, n)
+						for i := range items {
+							v := make(geom.Vector, dim)
+							for d := range v {
+								v[d] = extremes[rng.Intn(len(extremes))]
+							}
+							items[i] = PointItem(i, v)
+						}
+					} else {
+						items = strOracleItems(rng, shape, n, dim)
+					}
+					vecs := make([][]float64, n)
+					for i, it := range items {
+						vecs[i] = it.MBR.Min
+					}
+					cfg := DefaultConfig(capacity)
+					cfg.MaxBranchEntries = capacity
+					got, err := LoadPoints(dim, cfg, vecs)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := BulkLoadSTR(dim, cfg, items)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got.NumPages() != want.NumPages() {
+						t.Fatalf("%s: %d pages, want %d", name, got.NumPages(), want.NumPages())
+					}
+					for p, pg := range want.Pack() {
+						ids, rows := got.Page(p)
+						if len(ids) != len(pg) || len(rows) != len(pg)*dim {
+							t.Fatalf("%s: page %d holds %d IDs and %d coordinates, want %d items", name, p, len(ids), len(rows), len(pg))
+						}
+						for k, it := range pg {
+							if ids[k] != it.ID || !sameBits(rows[k*dim:(k+1)*dim], it.MBR.Min) {
+								t.Fatalf("%s: page %d slot %d holds item %d, want %d", name, p, k, ids[k], it.ID)
+							}
+						}
+					}
+					if err := sameHierarchy(got.Root(), want.Root(), "root"); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSTRSelectAdversarial runs the slab selection on inputs that defeat
+// a naive pivot — sorted, reverse-sorted, organ-pipe, and all equal on
+// axis 0 so that every comparison falls through to the lower axes and the
+// index — and holds every slab to the set a full sort puts there. Budgets
+// 0 and 3 force the sort fallback at the top and part way down.
+func TestSTRSelectAdversarial(t *testing.T) {
+	const n = 100000
+	for _, shape := range []string{"sorted", "reverse", "organ-pipe", "equal-axis-0"} {
+		cent := make([]float64, 2*n)
+		for i := 0; i < n; i++ {
+			var c float64
+			switch shape {
+			case "sorted":
+				c = float64(i)
+			case "reverse":
+				c = float64(n - i)
+			case "organ-pipe":
+				c = float64(min(i, n-1-i))
+			case "equal-axis-0":
+				c = float64(i % 3)
+			}
+			cent[i], cent[n+i] = c, c
+			if shape == "equal-axis-0" {
+				cent[i] = 1
+			}
+		}
+		for axis := 0; axis < 2; axis++ {
+			cmp := strCmp(cent, n, axis, 0)
+			keys := make([]strKey, n)
+			for i := range keys {
+				keys[i] = strKey{c: cent[axis*n+i], i: int32(i)}
+			}
+			want := slices.Clone(keys)
+			slices.SortFunc(want, cmp)
+			for _, slabs := range []int{2, 13} {
+				size := (n + slabs - 1) / slabs
+				var cuts []int
+				for c := size; c < n; c += size {
+					cuts = append(cuts, c)
+				}
+				for _, budget := range []int{strSelectBudget(n), 0, 3} {
+					got := slices.Clone(keys)
+					strSelect(got, 0, cuts, cmp, budget)
+					for lo := 0; lo < n; lo += size {
+						slices.SortFunc(got[lo:min(lo+size, n)], cmp)
+					}
+					for k := range want {
+						if got[k].i != want[k].i {
+							t.Fatalf("%s/axis=%d/slabs=%d/budget=%d: rank %d holds key %d, want %d",
+								shape, axis, slabs, budget, k, got[k].i, want[k].i)
+						}
 					}
 				}
 			}

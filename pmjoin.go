@@ -275,14 +275,6 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if dim == 0 {
 		return nil, fmt.Errorf("pmjoin: dataset %q has zero-dimensional vectors", name)
 	}
-	for i, v := range vecs {
-		if len(v) != dim {
-			return nil, fmt.Errorf("pmjoin: dataset %q vector %d has dim %d, want %d", name, i, len(v), dim)
-		}
-		if d := firstNonFinite(v); d >= 0 {
-			return nil, fmt.Errorf("pmjoin: dataset %q vector %d has non-finite coordinate %d (%g)", name, i, d, v[d])
-		}
-	}
 	pageBytes := opts.PageBytes
 	if pageBytes == 0 {
 		pageBytes = s.model.PageBytes
@@ -291,25 +283,16 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if perPage < 2 {
 		perPage = 2
 	}
-	items := make([]rstar.Item, len(vecs))
-	for i, v := range vecs {
-		items[i] = rstar.PointItem(i, geom.Vector(v))
-	}
-	tree, err := rstar.BulkLoadSTR(dim, rstar.DefaultConfig(perPage), items)
+	tree, err := rstar.LoadPoints(dim, rstar.DefaultConfig(perPage), vecs)
 	if err != nil {
 		return nil, fmt.Errorf("pmjoin: indexing %q: %w", name, err)
 	}
 
-	pages := tree.Pack()
 	file := s.d.CreateFile()
-	for _, pg := range pages {
-		ids := make([]int, len(pg))
-		f := kernel.NewFlatPage(dim, len(pg))
-		for i, it := range pg {
-			ids[i] = it.ID
-			f.AppendRow(it.MBR.Min) // points: Min == Max
-		}
-		if _, err := s.d.AppendPage(file, disk.Page{Kind: disk.Vectors, IDs: ids, Flat: *f}); err != nil {
+	for p := range tree.NumPages() {
+		ids, rows := tree.Page(p)
+		flat := kernel.FlatPage{Dim: dim, N: len(ids), Data: rows}
+		if _, err := s.d.AppendPage(file, disk.Page{Kind: disk.Vectors, IDs: ids, Flat: flat}); err != nil {
 			return nil, err
 		}
 	}
@@ -324,7 +307,7 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	return s.validated(&Dataset{
 		sys:     s,
 		kind:    KindVector,
-		ds:      join.Dataset{Name: name, File: file, Root: tree.Root(), Pages: len(pages)},
+		ds:      join.Dataset{Name: name, File: file, Root: tree.Root(), Pages: tree.NumPages()},
 		dim:     dim,
 		norm:    norm,
 		objects: len(vecs),

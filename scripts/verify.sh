@@ -94,7 +94,10 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # and a cancelled head of the admission queue must not strand the waiters
 # behind it.
 # The STR loader must pack the pages and hierarchy of its per-axis reference,
-# and the landsat and road shapes must hash to their recorded trees.
+# and the landsat and road shapes must hash to their recorded trees. The
+# point loader AddVectors uses must build BulkLoadSTR's tree, and the slab
+# selection must put the sorted order's sets in every slab on adversarial
+# inputs and when it falls back to sorting.
 # A run's measured reads are summed in one place, the metrics snapshot, and
 # ExecStats repeats it for every method. A disk session is a run's only I/O
 # account, so concurrent sessions over one disk must each report the solo
@@ -107,7 +110,7 @@ contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
 contract ./internal/predmat 'TestBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
-contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint'
+contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint|TestPointLoadMatchesBulkLoadSTR|TestSTRSelectAdversarial'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;
