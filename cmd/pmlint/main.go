@@ -6,11 +6,10 @@
 //
 //	pmlint [-rules bufferbypass,maporder] [-list] [-json] [-github] [-stats] [packages]
 //
-// Package patterns are directory-based, relative to the working directory:
-// "./..." (default) analyzes the whole module, "./internal/..." a subtree,
-// "./internal/join" a single package. The whole module is always loaded and
-// type-checked (analyzers need cross-package types); patterns select which
-// packages' findings are reported.
+// Package patterns go to `go list` unchanged, so they mean what they mean to
+// the go command: "./..." (default) analyzes the whole module,
+// "./internal/..." a subtree, "./internal/join" a single package. A pattern
+// that matches no package is a load error.
 //
 // -json replaces the line-oriented output with a single JSON document
 // (findings plus run stats) for machine consumers; CI uploads it as an
@@ -112,31 +111,20 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "pmlint: %v\n", err)
 		return 2
 	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintf(stderr, "pmlint: %v\n", err)
-		return 2
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 	loadStart := time.Now()
-	pkgs, err := lint.LoadModule(root)
+	pkgs, err := lint.LoadModule(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "pmlint: %v\n", err)
 		return 2
 	}
 	loadDur := time.Since(loadStart)
 
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	selected, err := filterPackages(pkgs, cwd, patterns)
-	if err != nil {
-		fmt.Fprintf(stderr, "pmlint: %v\n", err)
-		return 2
-	}
-
 	analyzeStart := time.Now()
-	diags := lint.Run(selected, analyzers)
+	diags := lint.Run(pkgs, analyzers)
 	analyzeDur := time.Since(analyzeStart)
 
 	// Findings with cwd-relative paths, shared by every output mode.
@@ -155,7 +143,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *jsonOut {
 		var report jsonReport
 		report.Findings = findings
-		report.Stats.Packages = len(selected)
+		report.Stats.Packages = len(pkgs)
 		report.Stats.Rules = len(analyzers)
 		report.Stats.Findings = len(findings)
 		report.Stats.PerRule = make(map[string]int, len(analyzers))
@@ -190,7 +178,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if *stats {
 		fmt.Fprintf(stderr, "pmlint: %d rules over %d packages, %d finding(s), load %.2fs + analyze %.2fs\n",
-			len(analyzers), len(selected), len(findings), loadDur.Seconds(), analyzeDur.Seconds())
+			len(analyzers), len(pkgs), len(findings), loadDur.Seconds(), analyzeDur.Seconds())
 	}
 	if len(diags) > 0 {
 		if !*stats {
@@ -199,45 +187,4 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// filterPackages keeps the packages whose directory matches one of the
-// go-style directory patterns, resolved relative to cwd.
-func filterPackages(pkgs []*lint.Package, cwd string, patterns []string) ([]*lint.Package, error) {
-	type match struct {
-		dir       string
-		recursive bool
-	}
-	var matches []match
-	for _, pat := range patterns {
-		rec := false
-		if pat == "all" {
-			pat = "./..."
-		}
-		if strings.HasSuffix(pat, "/...") || pat == "..." {
-			rec = true
-			pat = strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/")
-			if pat == "" {
-				pat = "."
-			}
-		}
-		abs := pat
-		if !filepath.IsAbs(pat) {
-			abs = filepath.Join(cwd, pat)
-		}
-		matches = append(matches, match{dir: filepath.Clean(abs), recursive: rec})
-	}
-	var out []*lint.Package
-	for _, p := range pkgs {
-		for _, m := range matches {
-			if p.Dir == m.dir || (m.recursive && strings.HasPrefix(p.Dir, m.dir+string(filepath.Separator))) {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no packages match %v", patterns)
-	}
-	return out, nil
 }

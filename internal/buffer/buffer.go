@@ -60,15 +60,6 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// HitRatio returns hits / (hits+misses), or 0 when no accesses happened.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type frame struct {
 	addr   disk.PageAddr
 	page   *disk.Page
@@ -131,9 +122,6 @@ func NewPool(src Source, capacity int, policy Policy) (*Pool, error) {
 	return p, nil
 }
 
-// Capacity returns the number of page frames.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Len returns the number of resident pages.
 func (p *Pool) Len() int { return len(p.frames) }
 
@@ -157,9 +145,6 @@ func (p *Pool) Contains(addr disk.PageAddr) bool {
 
 // Stats returns a snapshot of the pool statistics.
 func (p *Pool) Stats() Stats { return p.stats }
-
-// ResetStats zeroes the counters. Resident pages stay resident.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
 
 // Get returns the page at addr, reading it from disk on a miss and evicting
 // per the policy when the pool is full. The returned page is not pinned.

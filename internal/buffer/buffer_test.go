@@ -227,30 +227,6 @@ func TestFlushEmptiesPool(t *testing.T) {
 	}
 }
 
-func TestHitRatio(t *testing.T) {
-	var s Stats
-	if s.HitRatio() != 0 {
-		t.Fatal("empty ratio should be 0")
-	}
-	s = Stats{Hits: 3, Misses: 1}
-	if s.HitRatio() != 0.75 {
-		t.Fatalf("ratio = %g", s.HitRatio())
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	d, f := newSessionWithFile(t, 2)
-	p, _ := NewPool(d, 2, LRU)
-	p.Get(disk.PageAddr{File: f, Page: 0})
-	p.ResetStats()
-	if s := p.Stats(); s != (Stats{}) {
-		t.Fatalf("stats = %+v", s)
-	}
-	if !p.Contains(disk.PageAddr{File: f, Page: 0}) {
-		t.Fatal("reset must not drop resident pages")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if LRU.String() != "LRU" || FIFO.String() != "FIFO" {
 		t.Fatal("policy names")

@@ -43,27 +43,13 @@ type Service struct {
 	datasets map[string]*pmjoin.Dataset
 }
 
-// New wraps srv. Datasets added to the underlying System before or after can
-// be registered with AddDataset; /open creates synthetic ones.
+// New wraps srv. Its datasets are the synthetic ones /open creates.
 func New(srv *pmjoin.Server) *Service {
 	return &Service{srv: srv, datasets: make(map[string]*pmjoin.Dataset)}
 }
 
 // Server returns the wrapped pmjoin.Server.
 func (s *Service) Server() *pmjoin.Server { return s.srv }
-
-// AddDataset registers an existing dataset under name. It errors if the name
-// is taken or the dataset belongs to a different System.
-func (s *Service) AddDataset(name string, d *pmjoin.Dataset) error {
-	if d == nil {
-		return fmt.Errorf("joinsvc: nil dataset %q", name)
-	}
-	if err := s.reserve(name); err != nil {
-		return err
-	}
-	s.settle(name, d)
-	return nil
-}
 
 // reserve takes name for a dataset not yet built, or errors if it is taken.
 func (s *Service) reserve(name string) error {

@@ -40,18 +40,15 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full pmlint suite in reporting order: the two rules
-// that keep every page read charged (bufferbypass, droppederr), the two that
-// police distance comparisons (floateq, slowdist) and the two that keep runs
-// deterministic (rawgo, maporder). lintunused is a
+// that keep every page read charged (bufferbypass, droppederr) and the two
+// that keep runs deterministic (rawgo, maporder). lintunused is a
 // pseudo-analyzer: it has no Run of its own — Run() special-cases it and
 // reports //lint:ignore directives that suppressed nothing.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		bufferBypassAnalyzer(),
-		floatEqAnalyzer(),
 		droppedErrAnalyzer(),
 		rawGoAnalyzer(),
-		slowdistAnalyzer(),
 		maporderAnalyzer(),
 		lintunusedAnalyzer(),
 	}

@@ -3,11 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/parser"
+	"go/token"
 	"go/types"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,20 +60,6 @@ func (p *Pool) UnpinAll()                                     {}
 func (p *Pool) Flush() error                                  { return nil }
 `
 
-const stubGeom = `package geom
-
-type Vector []float64
-
-type MBR struct {
-	Min, Max Vector
-}
-
-type Norm struct{ P int }
-
-func (n Norm) Dist(a, b Vector) float64 { return 0 }
-func (n Norm) MinDist(a, b MBR) float64 { return 0 }
-`
-
 const stubPredmat = `package predmat
 
 type Matrix struct{}
@@ -91,6 +81,12 @@ type Collector struct{}
 func (c *Collector) Event(name string) {}
 `
 
+// fixtureStdlib lists the standard-library packages the fixtures import,
+// with their export data, once per test process.
+var fixtureStdlib = sync.OnceValues(func() ([]listedPackage, error) {
+	return goList(".", "fmt", "slices", "sort", "strconv")
+})
+
 // checkFixture type-checks the stub packages plus one fixture source under
 // the given import path and returns the fixture as a *Package ready for
 // analysis.
@@ -103,16 +99,18 @@ func checkFixture(t *testing.T, path, src string) *Package {
 // rules whose matching depends on the file (rawgo exempts workerpool.go).
 func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	t.Helper()
-	// Fixtures share the process-wide fset and stdlib importer (see load.go):
-	// the stdlib closure is type-checked once for the whole test run instead
-	// of once per fixture, which is what used to dominate this suite's time.
-	fset := stdlibFset
+	std, err := fixtureStdlib()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	stdImp := exportImporter(fset, std)
 	checked := map[string]*types.Package{}
 	imp := importerFunc(func(p string) (*types.Package, error) {
 		if pkg, ok := checked[p]; ok {
 			return pkg, nil
 		}
-		return importStdlib(p)
+		return stdImp.Import(p)
 	})
 	check := func(path, filename, src string) *Package {
 		f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
@@ -135,7 +133,6 @@ func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	}
 	check(diskPkgPath, "disk.go", stubDisk)
 	check(bufferPkgPath, "buffer.go", stubBuffer)
-	check(geomPkgPath, "geom.go", stubGeom)
 	check(predmatPkgPath, "predmat.go", stubPredmat)
 	check(joinPkgPath, "join.go", stubJoin)
 	check(metricsPkgPath, "metrics.go", stubMetrics)
@@ -340,62 +337,6 @@ func spawn(done chan struct{}) {
 `
 		expectDiags(t, runOne(t, "rawgo", "pmjoin/internal/fixture", src), "rawgo", nil)
 	})
-}
-
-func TestFloatEq(t *testing.T) {
-	cases := []struct {
-		name  string
-		path  string
-		src   string
-		lines []int
-	}{
-		{
-			name: "computed float equality in a distance package is flagged",
-			path: "pmjoin/internal/geom",
-			src: `package geom
-
-func bad(a, b, c float64) bool {
-	return a+b == c || a != c
-}
-`,
-			lines: []int{4, 4},
-		},
-		{
-			name: "constant sentinel comparison is clean",
-			path: "pmjoin/internal/cluster",
-			src: `package cluster
-
-func ok(x float64) bool {
-	return x == 0
-}
-`,
-		},
-		{
-			name: "inequalities are clean",
-			path: "pmjoin/internal/seqdist",
-			src: `package seqdist
-
-func ok(a, b float64) bool {
-	return a <= b
-}
-`,
-		},
-		{
-			name: "packages outside the distance set are not policed",
-			path: "pmjoin/internal/fixture",
-			src: `package fixture
-
-func elsewhere(a, b float64) bool {
-	return a == b
-}
-`,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, runOne(t, "floateq", tc.path, tc.src), "floateq", tc.lines)
-		})
-	}
 }
 
 func TestDroppedErr(t *testing.T) {
@@ -639,14 +580,7 @@ func TestLintingDocMatchesAnalyzers(t *testing.T) {
 // type-check, and produce zero diagnostics. This is the same check CI runs
 // via `go run ./cmd/pmlint ./...`.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	pkgs, err := LoadModule(root)
+	pkgs, err := LoadModule("../..", "./...")
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
@@ -656,6 +590,29 @@ func TestModuleIsClean(t *testing.T) {
 	diags := Run(pkgs, Analyzers())
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadHonoursBuildConstraints: the loader type-checks the files the go
+// command builds for this platform, so a per-architecture pair such as
+// sums_amd64.go / sums_noasm.go never double-declares its symbols.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the assembly kernels build on amd64 only")
+	}
+	pkgs, err := LoadModule(".", "pmjoin/internal/kernel")
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename))
+	}
+	if !slices.Contains(names, "sums_amd64.go") || slices.Contains(names, "sums_noasm.go") {
+		t.Errorf("internal/kernel files %v: want sums_amd64.go and not sums_noasm.go", names)
 	}
 }
 
@@ -912,83 +869,5 @@ func clean() int {
 		// With the full suite, bufferbypass ran, found nothing, and the
 		// directive is provably stale.
 		expectDiags(t, Run([]*Package{pkg}, Analyzers()), "lintunused", []int{4})
-	})
-}
-
-func TestSlowdist(t *testing.T) {
-	const egoPath = "pmjoin/internal/ego"
-	t.Run("threshold-compared Dist is flagged", func(t *testing.T) {
-		src := `package ego
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
-	return n.Dist(a, b) <= eps
-}
-`
-		expectDiags(t, runOne(t, "slowdist", egoPath, src), "slowdist", []int{6})
-	})
-	t.Run("every comparison direction and MinDist variant is flagged", func(t *testing.T) {
-		src := `package predmat
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.MBR, eps float64) {
-	_ = n.MinDist(a, b) <= eps
-	_ = n.MinDist(a, b) < eps
-	_ = eps >= n.MinDist(b, a)
-	_ = n.MinDist(b, a) > eps
-}
-`
-		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/predmat", src), "slowdist", []int{6, 7, 8, 9})
-	})
-	t.Run("distance used as a value is clean", func(t *testing.T) {
-		src := `package ego
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.Vector) float64 {
-	d := n.Dist(a, b)
-	return d * 2
-}
-`
-		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/ego", src), "slowdist", nil)
-	})
-	t.Run("comparing a stored distance variable is clean", func(t *testing.T) {
-		// The rule targets the immediate compute-then-compare shape; a stored
-		// distance may have other uses.
-		src := `package bfrj
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
-	d := n.Dist(a, b)
-	return d <= eps
-}
-`
-		expectDiags(t, runOne(t, "slowdist", "pmjoin/internal/bfrj", src), "slowdist", nil)
-	})
-	t.Run("packages outside the hot-path set are exempt", func(t *testing.T) {
-		src := `package join
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
-	return n.Dist(a, b) <= eps
-}
-`
-		expectDiags(t, runOne(t, "slowdist", joinPkgPath, src), "slowdist", nil)
-	})
-	t.Run("suppressed site is clean", func(t *testing.T) {
-		src := `package ego
-
-import "pmjoin/internal/geom"
-
-func f(n geom.Norm, a, b geom.Vector, eps float64) bool {
-	//lint:ignore slowdist one-off diagnostic dump, not on the join path
-	return n.Dist(a, b) <= eps
-}
-`
-		expectDiags(t, runOne(t, "slowdist", egoPath, src), "slowdist", nil)
 	})
 }

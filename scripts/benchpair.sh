@@ -17,6 +17,10 @@
 #               more than the spread
 #   same        every pair ties
 #   unresolved  anything else
+# Beside each verdict it prints the change's median difference from the
+# parent's median in percent and the metric's bound from BENCHMARK.json, so
+# a consistent but tiny loss can be told from one near its bound; neither
+# enters the verdict.
 # Run the default ten pairs before trusting a gain or a loss: with two pairs
 # the quartiles are two samples apart, and noise alone gives a loss on some
 # metric in many runs.
@@ -78,10 +82,11 @@ echo "traced pass" >&2
 run "$tmp/parent" parent.trace 1
 run "$PWD" change.trace 1
 
-# "name better" for every end-to-end metric, in BENCHMARK.json's order.
+# "name better bound" for every end-to-end metric, in BENCHMARK.json's order.
 awk '/"end_to_end"/ {on = 1} /"per_layer"/ {on = 0}
      on && /"name"/   {gsub(/[",]/, ""); name = $2}
-     on && /"better"/ {gsub(/[",]/, ""); print name, $2}' BENCHMARK.json >"$tmp/better"
+     on && /"better"/ {gsub(/[",]/, ""); better = $2}
+     on && /"bound"/  {gsub(/[",]/, ""); print name, better, $2}' BENCHMARK.json >"$tmp/better"
 # The exact counters, one a line.
 awk '/^var exactCounters/ {on = 1; next} on && /^}/ {exit} on' bench/report.go |
   grep -o '"[^"]*"' | tr -d '"' >"$tmp/counters"
@@ -115,7 +120,7 @@ awk -v pairs="$pairs" -v tmp="$tmp" '
 
     printf "%-18s %-6s %-30s %-30s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "change wins"
     while ((getline line < (tmp "/better")) > 0) {
-      split(line, f, " "); name = f[1]; better = f[2]; wins = losses = ties = 0
+      split(line, f, " "); name = f[1]; better = f[2]; bound[name] = f[3]; wins = losses = ties = 0
       for (i = 1; i <= pairs; i++) {
         p = val["parent", name, i] + 0; c = val["change", name, i] + 0
         if (c == p) ties++
@@ -131,12 +136,13 @@ awk -v pairs="$pairs" -v tmp="$tmp" '
       else verdict = "unresolved"
       printf "%-18s %-6s %-30s %-30s %d of %d, %d ties\n", name, better, ptext, ctext, wins, pairs, ties
       order[++metrics] = name; verdicts[name] = verdict
+      change[name] = pmed != 0 ? sprintf("%+.3g %%", (med - pmed) / pmed * 100) : (med == 0 ? "+0 %" : "n/a")
     }
     printf "failed operations: parent %d, change %d\n", failed["parent"], failed["change"]
 
-    print "\nverdict"
+    printf "\n%-18s %-10s %-14s %s\n", "verdict", "", "median change", "bound"
     for (m = 1; m <= metrics; m++) {
-      printf "%-18s %s\n", order[m], verdicts[order[m]]
+      printf "%-18s %-10s %-14s %g %%\n", order[m], verdicts[order[m]], change[order[m]], bound[order[m]] * 100
       if (verdicts[order[m]] == "loss") problems[++nproblems] = "loss: " order[m]
     }
     if (failed["change"] > failed["parent"])

@@ -13,8 +13,8 @@
 # TestRunRejectsLeakedPin so the check cannot be renamed or deleted unseen.
 #
 # Usage: scripts/verify.sh [-short]
-#   -short  passes -short to `go test` (skips the whole-module lint test,
-#           which pmlint already covers here) and trims race-mode timeouts.
+#   -short  passes -short to `go test`, which skips the randomized agreement
+#           sweeps and the experiment integration tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
