@@ -445,6 +445,52 @@ func TestL1Norm(t *testing.T) {
 	}
 }
 
+// TestMatrixCacheEvictsLeastRecentlyUsed: the matrix cache holds
+// matrixCacheEntries matrices; one key more evicts the least recently used,
+// and a key used every other call keeps its matrix through any number of
+// fresh keys.
+func TestMatrixCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	sys, da, db := smallVecSystem(t)
+	join := func(eps float64) {
+		t.Helper()
+		if _, err := sys.Join(da, db, Options{Method: PMNLJ, Epsilon: eps, BufferPages: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func(eps float64) *matrixEntry {
+		for k, e := range sys.matrixCache {
+			if k.eps == eps {
+				return e
+			}
+		}
+		return nil
+	}
+	epsK := func(k int) float64 { return 0.01 * float64(k+1) }
+	for k := 0; k <= matrixCacheEntries; k++ {
+		join(epsK(k))
+	}
+	if len(sys.matrixCache) != matrixCacheEntries || cached(epsK(0)) != nil {
+		t.Fatalf("%d keys cached, first key cached %v; want %d, false", len(sys.matrixCache), cached(epsK(0)) != nil, matrixCacheEntries)
+	}
+	for k := 1; k <= matrixCacheEntries; k++ {
+		if cached(epsK(k)) == nil {
+			t.Fatalf("key %d of %d evicted", k, matrixCacheEntries)
+		}
+	}
+	warm := epsK(1) // now the least recently used key
+	e := cached(warm)
+	for k := 0; k < 3*matrixCacheEntries; k++ {
+		join(warm)
+		join(1 + epsK(k))
+		if cached(warm) != e {
+			t.Fatalf("warm key evicted after %d fresh keys", k+1)
+		}
+	}
+	if len(sys.matrixCache) != matrixCacheEntries {
+		t.Fatalf("%d keys cached, want %d", len(sys.matrixCache), matrixCacheEntries)
+	}
+}
+
 func TestMatrixCacheReuse(t *testing.T) {
 	sys, da, db := smallVecSystem(t)
 	const eps = 0.07

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"pmjoin/internal/dataset"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
+	"pmjoin/internal/kernel"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 	"pmjoin/internal/seqdist"
@@ -48,6 +50,77 @@ func BenchmarkStringJoinPages(b *testing.B) {
 	}
 	b.ReportMetric(float64(pass)/float64(n*n), "filter_pass")
 	b.ReportMetric(float64(results), "results")
+}
+
+// BenchmarkVectorJoinPages joins 64 page pairs at the landsat_sim page shape
+// — 8 rows of 60-d a 4 KB page — under L2 at the workload's ε: the path NLJ,
+// pm-NLJ and BFRJ take for every page pair they compare. The rows come from
+// dataset.Landsat sorted by their first coordinate, so a pair's two pages
+// share a spectral cluster, and half of b's rows are near copies of a's, so
+// the kernel both abandons rows early and emits hits. The self case runs the
+// same pages through the self join's id skip. Each case's pairs are checked
+// against a per-pair Threshold.Within loop before timing.
+func BenchmarkVectorJoinPages(b *testing.B) {
+	const dim, perPage, pairs, eps = 60, 4096 / (8*60 + 8), 64, 0.0155736
+	vecs := dataset.Landsat(2*pairs*perPage, dim, 3)
+	slices.SortFunc(vecs, func(x, y geom.Vector) int { return cmp.Compare(x[0], y[0]) })
+	rng := rand.New(rand.NewSource(9))
+	pa, pb := make([]*disk.Page, pairs), make([]*disk.Page, pairs)
+	for p := range pairs {
+		lo := 2 * p * perPage
+		ids := func(first int) []int {
+			out := make([]int, perPage)
+			for k := range out {
+				out[k] = first + k
+			}
+			return out
+		}
+		rowsB := slices.Clone(vecs[lo+perPage : lo+2*perPage])
+		for k := 0; k < perPage; k += 2 {
+			near := slices.Clone(vecs[lo+k])
+			for d := range near {
+				near[d] += 0.0005 * rng.NormFloat64()
+			}
+			rowsB[k] = near
+		}
+		pa[p] = vecPage(ids(lo), vecs[lo:lo+perPage]...)
+		pb[p] = vecPage(ids(lo+perPage), rowsB...)
+	}
+	th := kernel.NewThresholdSq(eps)
+	for _, self := range []bool{false, true} {
+		name := "nonself"
+		if self {
+			name = "self"
+		}
+		b.Run(name, func(b *testing.B) {
+			j := VectorJoiner{Norm: geom.L2, Eps: eps, Self: self}
+			var got, want [][2]int
+			for p := range pairs {
+				a, s := pa[p], pb[p]
+				for i := range a.IDs {
+					for k := range s.IDs {
+						if (!self || !SelfSkip(a, i, s, k, 0)) && th.Within(a.Flat.Row(i), s.Flat.Row(k)) {
+							want = append(want, [2]int{a.IDs[i], s.IDs[k]})
+						}
+					}
+				}
+				j.JoinPages(a, s, func(x, y int) { got = append(got, [2]int{x, y}) })
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				b.Fatalf("JoinPages emits %d pairs, the per-pair loop %d, or they differ", len(got), len(want))
+			}
+			hits := 0
+			emit := func(int, int) { hits++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for p := range pairs {
+					j.JoinPages(pa[p], pb[p], emit)
+				}
+			}
+			b.ReportMetric(float64(len(want)), "hits")
+		})
+	}
 }
 
 var benchPairs [][2]int

@@ -65,15 +65,23 @@ func checkKinds(joiner string, k disk.Kind, a, b *disk.Page) {
 	}
 }
 
-// hitsPool recycles the scratch index buffers the batched kernel paths
-// append hits into, keeping the hot path allocation-free across page pairs.
-var hitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
+// pageCell is the one-cell cluster a non-self JoinPages hands the block
+// kernel: page a, page b, the cell (0, 0) and the hit buffer, pooled so the
+// path allocates nothing in steady state.
+type pageCell struct {
+	a, b  kernel.ClusterBlock
+	cells [1]kernel.Cell
+	hits  []kernel.BlockHit
+}
+
+var pageCellPool = sync.Pool{New: func() any { return new(pageCell) }}
 
 // joinRows is JoinPages over the rows of two vector or series pages. A self
 // join tests its pairs one at a time past SelfSkip, which needs both pages'
-// IDs; any other join probes each row of a against b's flat block, emitting
-// the hits in (row of a, row of b) order. The modeled cost charges the full
-// comparison whether or not the kernel abandoned early.
+// IDs; any other join evaluates the page pair as one cell of the block
+// kernel, the scan clustered joins use, which emits the hits in (row of a,
+// row of b) order. The modeled cost charges the full comparison whether or
+// not the kernel abandoned early.
 func joinRows(th kernel.Threshold, self bool, exclude int, a, b *disk.Page, emit func(int, int)) (int64, float64) {
 	var comps int64
 	if self {
@@ -91,14 +99,16 @@ func joinRows(th kernel.Threshold, self bool, exclude int, a, b *disk.Page, emit
 		}
 	} else {
 		comps = int64(len(a.IDs)) * int64(len(b.IDs))
-		hits := hitsPool.Get().(*[]int)
-		for i, idI := range a.IDs {
-			*hits = kernel.PagePairWithin(&th, a.Flat.Row(i), &b.Flat, (*hits)[:0])
-			for _, k := range *hits {
-				emit(idI, b.IDs[k])
-			}
+		pc := pageCellPool.Get().(*pageCell)
+		pc.a.AddPage(&a.Flat)
+		pc.b.AddPage(&b.Flat)
+		pc.hits = kernel.BlockPairsWithin(&th, &pc.a, &pc.b, pc.cells[:], pc.hits[:0])
+		pc.a.Reset()
+		pc.b.Reset()
+		for _, h := range pc.hits {
+			emit(a.IDs[h.I], b.IDs[h.J])
 		}
-		hitsPool.Put(hits)
+		pageCellPool.Put(pc)
 	}
 	perPair := compareBaseCost + comparePerDimCost*float64(a.Flat.Dim)
 	return comps, float64(comps) * perPair

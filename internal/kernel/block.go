@@ -10,7 +10,8 @@ import (
 // clustered executor fills one per side per cluster from the pinned pages'
 // own flat blocks (reusing the list across clusters) and evaluates every
 // marked page pair of the cluster against the two in one BlockPairsWithin
-// call. No row is copied: the pages must stay valid, and unmodified, until
+// call; a non-self JoinPages evaluates its page pair as a one-page block a
+// side. No row is copied: the pages must stay valid, and unmodified, until
 // the last call that reads the block returns.
 //
 // Empty pages occupy a page slot with zero rows; every non-empty page must
@@ -74,6 +75,10 @@ type BlockHit struct {
 	Cell, I, J int32
 }
 
+// sumsPool recycles the row-sum scratch buffer of the vector path across
+// calls, keeping it allocation-free in steady state.
+var sumsPool = sync.Pool{New: func() any { s := make([]float64, 0, 256); return &s }}
+
 // cellHitsPool recycles the per-probe index scratch of the reference block
 // path.
 var cellHitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
@@ -127,9 +132,9 @@ func BlockPairsWithin(t *Threshold, br, bs *ClusterBlock, cells []Cell, hits []B
 // per pass (l2Sums4Asm / l1Sums4Asm share each data load across four
 // accumulator sets) and the R page's last nR mod 4 rows one at a time. Probe
 // rows ascend through the cell, so hits fall out cell-major with no
-// reordering. Classification is the same banded scheme as pagePairSumSIMD:
-// certain-within and certain-outside decide immediately, the band sliver
-// re-runs the exact sequential test. The kernels take the certain-outside
+// reordering. Classification is the same banded scheme as the scalar
+// pagePairSumBlocked: certain-within and certain-outside decide immediately,
+// the band sliver re-runs the exact sequential test. The kernels take the certain-outside
 // bound hiB as their early-abandon limit, so a data row whose first 8
 // coordinates already put every probe above it costs one block, and a probe
 // group with no row left below it skips classification altogether.

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pmjoin/internal/geom"
 )
@@ -56,9 +55,9 @@ func (f *FlatPage) Row(i int) []float64 {
 	return f.Data[off : off+f.Dim : off+f.Dim]
 }
 
-// blockDim is the dimensionality at which the batch kernel switches from the
-// plain sequential loops to the blocked ones below. Under it the blocked
-// prologue costs more than it saves.
+// blockDim is the dimensionality from which PagePairWithin runs its blocked
+// L1/L2 loop and BlockPairsWithin its vector row-sum kernels. Under it the
+// blocked prologue costs more than it saves.
 const blockDim = 8
 
 // reassocBand returns the relative margin the blocked loops keep around a
@@ -78,13 +77,17 @@ func reassocBand(dim int) float64 {
 // Index k is appended exactly when t.Within(probe, page.Row(k)) holds, in
 // ascending k order. The probe must have page.Dim coordinates.
 //
-// For dim >= 8 the sum norms run a blocked loop: eight coordinates per
+// It is BlockPairsWithin's reference path, and its path for every input but
+// L1 and L2 at dim >= 8 on AVX2 hardware.
+//
+// For dim >= 8, L1 and L2 run a blocked loop: eight coordinates per
 // iteration feeding four independent accumulators (the sequential
 // add-after-add dependency chain, not the multiplies, bounds the plain loop),
 // with one early-abandon branch per block instead of per coordinate. The
 // re-associated sum is compared against a banded limit (reassocBand); only
 // the sliver between certain-within and certain-outside re-runs the exact
-// sequential test, so the result still matches t.Within bit for bit.
+// sequential test, so the result still matches t.Within bit for bit. Every
+// other norm and dimensionality runs a plain sequential loop.
 func PagePairWithin(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
 	if t.never || page.N == 0 {
 		return out
@@ -95,15 +98,8 @@ func PagePairWithin(t *Threshold, probe []float64, page *FlatPage, out []int) []
 	}
 	probe = probe[:dim:dim]
 	data := page.Data
-	if dim >= blockDim {
-		switch {
-		case t.p == 0:
-			return pagePairInfBlocked(t, probe, page, out)
-		case t.p <= 2:
-			return pagePairSumBlocked(t, probe, page, out)
-		case t.p == 3:
-			return pagePairCubeBlocked(t, probe, page, out)
-		}
+	if dim >= blockDim && (t.p == 1 || t.p == 2) {
+		return pagePairSumBlocked(t, probe, page, out)
 	}
 	switch t.p {
 	case 0:
@@ -171,46 +167,12 @@ func PagePairWithin(t *Threshold, probe []float64, page *FlatPage, out []int) []
 	return out
 }
 
-// pagePairInfBlocked is the blocked L∞ scan: eight coordinate tests per
-// branchy-but-predictable block, each compared against the limit directly.
-// No arithmetic is re-associated, so it is exact with no fallback.
-func pagePairInfBlocked(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
-	dim := page.Dim
-	lim := t.lim
-	data := page.Data
-scan:
-	for k := 0; k < page.N; k++ {
-		base := k * dim
-		row := data[base : base+dim : base+dim]
-		j := 0
-		for ; j+8 <= dim; j += 8 {
-			r8 := row[j : j+8 : j+8]
-			p8 := probe[j : j+8 : j+8]
-			if math.Abs(p8[0]-r8[0]) > lim || math.Abs(p8[1]-r8[1]) > lim ||
-				math.Abs(p8[2]-r8[2]) > lim || math.Abs(p8[3]-r8[3]) > lim ||
-				math.Abs(p8[4]-r8[4]) > lim || math.Abs(p8[5]-r8[5]) > lim ||
-				math.Abs(p8[6]-r8[6]) > lim || math.Abs(p8[7]-r8[7]) > lim {
-				continue scan
-			}
-		}
-		for ; j < dim; j++ {
-			if math.Abs(probe[j]-row[j]) > lim {
-				continue scan
-			}
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-// pagePairSumBlocked is the blocked L1/L2 scan: four independent accumulators
-// over blocks of eight, one abandon branch per sixteen coordinates (checking
-// per block costs more in mispredictions than the skipped arithmetic saves),
-// banded limits with the exact sequential t.Within deciding the sliver.
+// pagePairSumBlocked is the blocked L1/L2 scan, and the only one at dim >= 8
+// on builds without AVX2: four independent accumulators over blocks of
+// eight, one abandon branch per sixteen coordinates (checking per block
+// costs more in mispredictions than the skipped arithmetic saves), banded
+// limits with the exact sequential t.Within deciding the sliver.
 func pagePairSumBlocked(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
-	if useSIMD {
-		return pagePairSumSIMD(t, probe, page, out)
-	}
 	dim := page.Dim
 	data := page.Data
 	band := reassocBand(dim)
@@ -311,102 +273,6 @@ scan:
 		} else if !(s > hiB) && t.Within(probe, row) {
 			// Inside the band (or a NaN sum): the blocked sum cannot decide;
 			// the sequential reference does, exactly.
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// sumsPool recycles the row-sum scratch buffer of the vector path across
-// page-pair calls, keeping it allocation-free in steady state.
-var sumsPool = sync.Pool{New: func() any { s := make([]float64, 0, 256); return &s }}
-
-// pagePairSumSIMD computes every row's re-associated L1/L2 statistic with
-// the AVX2+FMA kernels of sums_amd64.s — four lanes per cycle, one fused
-// multiply-add per L2 term, and an early abandon after the first 8
-// coordinates of a row already above the certain-outside bound — then
-// classifies the sums against the banded limits exactly like the scalar
-// blocked loop: certain-within and certain-outside decide immediately, the
-// band sliver re-runs the exact sequential test. When no row is left below
-// the bound there is nothing to classify.
-func pagePairSumSIMD(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
-	dim := page.Dim
-	band := reassocBand(dim)
-	loB := t.lim * (1 - band)
-	hiB := t.lim * (1 + band)
-	sp := sumsPool.Get().(*[]float64)
-	sums := *sp
-	if cap(sums) < page.N {
-		sums = make([]float64, page.N)
-	}
-	sums = sums[:page.N]
-	data := page.Data[: page.N*dim : page.N*dim]
-	var live int
-	if t.p == 1 {
-		live = l1SumsAsm(probe, data, sums, dim, hiB)
-	} else {
-		live = l2SumsAsm(probe, data, sums, dim, hiB)
-	}
-	for k := 0; live > 0 && k < len(sums); k++ {
-		s := sums[k]
-		if s <= loB {
-			out = append(out, k)
-		} else if !(s > hiB) && t.Within(probe, page.Row(k)) {
-			out = append(out, k)
-		}
-	}
-	*sp = sums
-	sumsPool.Put(sp)
-	return out
-}
-
-// pagePairCubeBlocked is the blocked L3 scan: |d|³ terms inlined (the same
-// multiply order as geom.PowInt, so term values are bit-identical), banded
-// against the Pow band from setPowBand widened by the re-association margin,
-// with t.Within deciding the sliver.
-func pagePairCubeBlocked(t *Threshold, probe []float64, page *FlatPage, out []int) []int {
-	dim := page.Dim
-	data := page.Data
-	band := reassocBand(dim)
-	loB := t.lo * (1 - band)
-	hiB := t.hi * (1 + band)
-scan:
-	for k := 0; k < page.N; k++ {
-		base := k * dim
-		row := data[base : base+dim : base+dim]
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+8 <= dim; j += 8 {
-			r8 := row[j : j+8 : j+8]
-			p8 := probe[j : j+8 : j+8]
-			d0 := math.Abs(p8[0] - r8[0])
-			d1 := math.Abs(p8[1] - r8[1])
-			d2 := math.Abs(p8[2] - r8[2])
-			d3 := math.Abs(p8[3] - r8[3])
-			s0 += d0 * d0 * d0
-			s1 += d1 * d1 * d1
-			s2 += d2 * d2 * d2
-			s3 += d3 * d3 * d3
-			d0 = math.Abs(p8[4] - r8[4])
-			d1 = math.Abs(p8[5] - r8[5])
-			d2 = math.Abs(p8[6] - r8[6])
-			d3 = math.Abs(p8[7] - r8[7])
-			s0 += d0 * d0 * d0
-			s1 += d1 * d1 * d1
-			s2 += d2 * d2 * d2
-			s3 += d3 * d3 * d3
-			if (s0+s1)+(s2+s3) > hiB {
-				continue scan
-			}
-		}
-		for ; j < dim; j++ {
-			d := math.Abs(probe[j] - row[j])
-			s0 += d * d * d
-		}
-		s := (s0 + s1) + (s2 + s3)
-		if s <= loB {
-			out = append(out, k)
-		} else if !(s > hiB) && t.Within(probe, row) {
 			out = append(out, k)
 		}
 	}

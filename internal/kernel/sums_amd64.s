@@ -31,7 +31,7 @@
 // intermediate rounding of the multiply), so these sums are NOT bit-equal to
 // the sequential reference; the Go caller compares them against banded
 // limits and re-runs the exact sequential test on the sliver the band cannot
-// decide (see pagePairSumSIMD and blockPairsSumSIMD). Guarded by hasSIMD.
+// decide (see blockPairsSumSIMD). Guarded by hasSIMD.
 
 //go:build amd64
 

@@ -34,8 +34,6 @@ func TestConfigValidation(t *testing.T) {
 		{Window: 8, Stride: 0, PageSamples: 64},
 		{Window: 8, Stride: 1, PageSamples: 4}, // page smaller than window
 		{Window: 8, Stride: 1, PageSamples: 64, Features: 20},
-		{Window: 8, Stride: 1, PageSamples: 64, Fanout: 1},
-		{Window: 8, Stride: 1, PageSamples: 64, BoxWindows: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Build(s, cfg); err == nil {
@@ -75,8 +73,8 @@ func TestPageWindowsCoverAllWindowsInOrder(t *testing.T) {
 		if len(ids) == 0 {
 			t.Fatalf("page %d empty", p)
 		}
-		if len(ids) > cfg.WindowsPerPage() {
-			t.Fatalf("page %d has %d windows, capacity %d", p, len(ids), cfg.WindowsPerPage())
+		if len(ids) > 13 { // (13-1)*4 + 16 = 64 samples
+			t.Fatalf("page %d has %d windows, capacity 13", p, len(ids))
 		}
 		for k, id := range ids {
 			if id != next {
@@ -102,7 +100,7 @@ func TestPageWindowsCoverAllWindowsInOrder(t *testing.T) {
 
 func TestHierarchyValidAndCoversFeatures(t *testing.T) {
 	s := randSeries(rand.New(rand.NewSource(4)), 2000)
-	ix, err := Build(s, Config{Window: 32, Stride: 8, PageSamples: 128, Fanout: 4})
+	ix, err := Build(s, Config{Window: 32, Stride: 8, PageSamples: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +115,9 @@ func TestHierarchyValidAndCoversFeatures(t *testing.T) {
 		byPage[l.Page] = append(byPage[l.Page], l.MBR)
 	}
 	for p := 0; p < ix.NumPages(); p++ {
-		ids, _, _ := ix.PageWindows(p)
-		for _, id := range ids {
-			feat := ix.Feature(id)
+		ids, _, windows := ix.PageWindows(p)
+		for k, id := range ids {
+			feat := PAA(windows[k], ix.Config().Features)
 			covered := false
 			for _, m := range byPage[p] {
 				if m.Contains(feat) {
@@ -131,23 +129,6 @@ func TestHierarchyValidAndCoversFeatures(t *testing.T) {
 				t.Fatalf("window %d feature not covered by page %d leaves", id, p)
 			}
 		}
-	}
-}
-
-func TestBoxWindowsProducesFinerLeaves(t *testing.T) {
-	s := randSeries(rand.New(rand.NewSource(5)), 1000)
-	coarse, _ := Build(s, Config{Window: 16, Stride: 4, PageSamples: 128, BoxWindows: 1000})
-	fine, _ := Build(s, Config{Window: 16, Stride: 4, PageSamples: 128, BoxWindows: 1})
-	nc := len(coarse.Root().Leaves(nil))
-	nf := len(fine.Root().Leaves(nil))
-	if nf <= nc {
-		t.Fatalf("fine leaves %d <= coarse leaves %d", nf, nc)
-	}
-	if nf != fine.NumWindows() {
-		t.Fatalf("BoxWindows=1: %d leaves for %d windows", nf, fine.NumWindows())
-	}
-	if coarse.NumPages() != fine.NumPages() {
-		t.Fatal("box granularity must not change page count")
 	}
 }
 
@@ -165,7 +146,7 @@ func TestPAALowerBound(t *testing.T) {
 		i, k := rng.Intn(n), rng.Intn(n)
 		a := s[i*16 : i*16+64]
 		b := s[k*16 : k*16+64]
-		lb := ix.LowerBound(ix.Feature(i), ix.Feature(k))
+		lb := ix.Scale() * geom.L2.Dist(PAA(a, 8), PAA(b, 8))
 		if lb > l2(a, b)+1e-9 {
 			t.Fatalf("PAA bound %g > true distance %g", lb, l2(a, b))
 		}
@@ -197,9 +178,12 @@ func TestScaleIsSqrtSegment(t *testing.T) {
 }
 
 func TestWindowsPerPage(t *testing.T) {
-	cfg := Config{Window: 10, Stride: 5, PageSamples: 50}
-	// span = (n-1)*5 + 10 <= 50 -> n = 9 windows? (9-1)*5+10 = 50 ok.
-	if got := cfg.WindowsPerPage(); got != 9 {
-		t.Fatalf("windows per page = %d", got)
+	ix, err := Build(randSeries(rand.New(rand.NewSource(8)), 100), Config{Window: 10, Stride: 5, PageSamples: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// span = (n-1)*5 + 10 <= 50 -> n = 9 windows: (9-1)*5+10 = 50.
+	if ids, _, _ := ix.PageWindows(0); len(ids) != 9 {
+		t.Fatalf("windows per page = %d", len(ids))
 	}
 }

@@ -3,6 +3,7 @@ package mrsindex
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmjoin/internal/geom"
@@ -24,8 +25,6 @@ func TestConfigValidation(t *testing.T) {
 		{Window: 0, Stride: 1, PageBytes: 64},
 		{Window: 8, Stride: 0, PageBytes: 64},
 		{Window: 80, Stride: 1, PageBytes: 64},
-		{Window: 8, Stride: 1, PageBytes: 64, Fanout: 1},
-		{Window: 8, Stride: 1, PageBytes: 64, BoxWindows: -2},
 	}
 	for i, cfg := range cases {
 		if _, err := Build(s, seqdist.DNA, cfg); err == nil {
@@ -45,12 +44,12 @@ func TestFrequencyVectorsMatchRecount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < ix.NumWindows(); i++ {
-			st := i * stride
-			want := seqdist.DNA.FreqVector(s[st : st+24])
-			got := ix.Freq(i)
-			for d := range want {
-				if got[d] != want[d] {
+		for p := 0; p < ix.NumPages(); p++ {
+			ids, starts, _, freqs := ix.PageWindows(p)
+			for k, i := range ids {
+				st := starts[k]
+				want := seqdist.DNA.FreqVector(s[st : st+24])
+				if got := freqs[k]; !slices.Equal(got, want) {
 					t.Fatalf("stride %d window %d: freq %v != %v", stride, i, got, want)
 				}
 			}
@@ -90,7 +89,7 @@ func TestPageWindowsCoverAll(t *testing.T) {
 func TestHierarchyCoversFreqVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randDNA(rng, 3000)
-	ix, err := Build(s, seqdist.DNA, Config{Window: 50, Stride: 10, PageBytes: 512, Fanout: 4, BoxWindows: 4})
+	ix, err := Build(s, seqdist.DNA, Config{Window: 50, Stride: 10, PageBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestHierarchyCoversFreqVectors(t *testing.T) {
 func TestPredictorLowerBoundsEditDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randDNA(rng, 2000)
-	ix, err := Build(s, seqdist.DNA, Config{Window: 40, Stride: 8, PageBytes: 256, BoxWindows: 3})
+	ix, err := Build(s, seqdist.DNA, Config{Window: 40, Stride: 8, PageBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +146,16 @@ func TestPredictorLowerBoundsEditDistance(t *testing.T) {
 		lb := leaves[rng.Intn(len(leaves))]
 		bound := pred.LowerBound(la.MBR, lb.MBR)
 		// Pick one window from each leaf's page and check the chain.
-		idsA, _, winsA, _ := ix.PageWindows(la.Page)
-		idsB, _, winsB, _ := ix.PageWindows(lb.Page)
+		idsA, _, winsA, freqsA := ix.PageWindows(la.Page)
+		idsB, _, winsB, freqsB := ix.PageWindows(lb.Page)
 		// Only windows actually covered by the leaf box qualify.
 		for k := range idsA {
-			va := toVec(ix.Freq(idsA[k]))
+			va := toVec(freqsA[k])
 			if !la.MBR.Contains(va) {
 				continue
 			}
 			for m := range idsB {
-				vb := toVec(ix.Freq(idsB[m]))
+				vb := toVec(freqsB[m])
 				if !lb.MBR.Contains(vb) {
 					continue
 				}
@@ -237,15 +236,18 @@ func TestCustomAlphabet(t *testing.T) {
 	if ix.NumWindows() == 0 || ix.NumPages() == 0 {
 		t.Fatal("empty index")
 	}
-	if got := len(ix.Freq(0)); got != 2 {
-		t.Fatalf("freq dims = %d", got)
+	if _, _, _, freqs := ix.PageWindows(0); len(freqs[0]) != 2 {
+		t.Fatalf("freq dims = %d", len(freqs[0]))
 	}
 }
 
 func TestWindowsPerPage(t *testing.T) {
-	cfg := Config{Window: 100, Stride: 25, PageBytes: 500}
+	ix, err := Build(randDNA(rand.New(rand.NewSource(6)), 1000), seqdist.DNA, Config{Window: 100, Stride: 25, PageBytes: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// (n-1)*25 + 100 <= 500 -> n = 17.
-	if got := cfg.WindowsPerPage(); got != 17 {
-		t.Fatalf("windows per page = %d", got)
+	if ids, _, _, _ := ix.PageWindows(0); len(ids) != 17 {
+		t.Fatalf("windows per page = %d", len(ids))
 	}
 }

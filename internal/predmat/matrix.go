@@ -33,14 +33,14 @@ type Entry struct {
 //
 // A Matrix is not safe for concurrent use while marks are buffered. Finalize
 // marks the boundary: Build returns finalized matrices, and a finalized
-// matrix is read-only and safe to share until the next Mark.
+// matrix is read-only and safe to share. Marking it panics.
 type Matrix struct {
 	rows, cols int
 
-	// pending buffers marks (duplicates allowed) until the next Finalize;
-	// dirty is set by NewMatrix and Mark and cleared by Finalize.
+	// pending buffers marks (duplicates allowed) until Finalize, which sets
+	// final.
 	pending []Entry
-	dirty   bool
+	final   bool
 
 	marked     int
 	rowPtr     []int // len rows+1; row r's columns are colIdx[rowPtr[r]:rowPtr[r+1]]
@@ -62,9 +62,14 @@ type Matrix struct {
 // matrices whose refinement sweeps walk rows instead of probing cells.
 const maxBitsetCells = 1 << 26
 
-// NewMatrix creates an empty rows×cols prediction matrix.
+// NewMatrix creates an empty rows×cols prediction matrix. It panics on a
+// negative shape or one over 2³¹ pages a side, which the packed-key sort of
+// Finalize cannot order.
 func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{rows: rows, cols: cols, dirty: true}
+	if rows < 0 || cols < 0 || rows > pack32Limit || cols > pack32Limit {
+		panic(fmt.Sprintf("predmat: matrix shape %dx%d outside [0,%d] a side", rows, cols, pack32Limit))
+	}
+	return &Matrix{rows: rows, cols: cols}
 }
 
 // Rows returns the number of pages of the first dataset.
@@ -76,28 +81,30 @@ func (m *Matrix) Cols() int { return m.cols }
 // Marked returns the number of marked entries.
 func (m *Matrix) Marked() int { m.Finalize(); return m.marked }
 
-// Mark sets entry (r,c). Marking twice is a no-op. Out-of-range panics
-// (programming error). Marks are buffered: they cost O(1) here and are
-// folded in — sorted and deduplicated — by the next read accessor (or an
-// explicit Finalize).
+// Mark sets entry (r,c). Marking twice is a no-op. An out-of-range mark,
+// and a mark after the matrix was finalized, panic (programming errors).
+// Marks are buffered: they cost O(1) here and are folded in — sorted and
+// deduplicated — by the first read accessor (or an explicit Finalize).
 func (m *Matrix) Mark(r, c int) {
 	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
 		panic(fmt.Sprintf("predmat: mark (%d,%d) outside %dx%d", r, c, m.rows, m.cols))
 	}
+	if m.final {
+		panic(fmt.Sprintf("predmat: mark (%d,%d) on a finalized matrix", r, c))
+	}
 	m.pending = append(m.pending, Entry{R: r, C: c})
-	m.dirty = true
 }
 
-// Finalize folds buffered marks into the CSR/CSC representation. Every read
-// accessor calls it implicitly; calling it explicitly marks the boundary
-// between the construction phase (single goroutine, or externally
+// Finalize folds buffered marks into the CSR/CSC representation, once. Every
+// read accessor calls it implicitly; calling it explicitly marks the
+// boundary between the construction phase (single goroutine, or externally
 // synchronized as in Build) and concurrent read-only use. It returns m.
 //
 // Matrices small enough for the IsMarked bitset (maxBitsetCells) finalize
 // through a bitset scan with no comparison sort; larger shapes fall back to
 // the packed-key sort.
 func (m *Matrix) Finalize() *Matrix {
-	if !m.dirty {
+	if m.final {
 		return m
 	}
 	if cells := uint64(m.rows) * uint64(m.cols); cells > 0 && cells <= maxBitsetCells {
@@ -106,7 +113,7 @@ func (m *Matrix) Finalize() *Matrix {
 		m.finalizeSort()
 	}
 	m.pending = nil
-	m.dirty = false
+	m.final = true
 	return m
 }
 
@@ -119,19 +126,7 @@ func (m *Matrix) Finalize() *Matrix {
 // the entry-list churn of the sort path.
 func (m *Matrix) finalizeBits() {
 	cols := uint64(m.cols)
-	cells := uint64(m.rows) * cols
-	if m.bits == nil {
-		m.bits = make([]uint64, (cells+63)/64)
-		// Entries finalized before the bitset existed fold in here (this can
-		// only happen if the shape limit changes between finalizes; build
-		// always populates bits for shapes this small).
-		for r := 0; r+1 < len(m.rowPtr); r++ {
-			for _, c := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
-				idx := uint64(r)*cols + uint64(c)
-				m.bits[idx>>6] |= 1 << (idx & 63)
-			}
-		}
-	}
+	m.bits = make([]uint64, (uint64(m.rows)*cols+63)/64)
 	for _, e := range m.pending {
 		idx := uint64(e.R)*cols + uint64(e.C)
 		m.bits[idx>>6] |= 1 << (idx & 63)
@@ -190,17 +185,9 @@ func (m *Matrix) finalizeBits() {
 // finalizeSort is the comparison-sort finalize for shapes too large for the
 // bitset (and degenerate 0×N / N×0 shapes).
 func (m *Matrix) finalizeSort() {
-	ents := make([]Entry, 0, m.marked+len(m.pending))
-	// Re-marking after a finalize re-opens the matrix: merge the already
-	// finalized entries (sorted by construction) with the new batch.
-	for r := 0; r+1 < len(m.rowPtr); r++ {
-		for _, c := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
-			ents = append(ents, Entry{R: r, C: c})
-		}
-	}
-	ents = append(ents, m.pending...)
+	ents := m.pending
 	if !sortedRowMajor(ents) {
-		m.sortRowMajor(ents)
+		sortRowMajor(ents)
 	}
 	// Dedup in place (sorted, so duplicates are adjacent).
 	w := 0
@@ -215,24 +202,15 @@ func (m *Matrix) finalizeSort() {
 	m.build(ents)
 }
 
-// pack32Limit bounds the coordinate range for the packed-key sort. Rows and
-// columns count pages, so in practice they are always far below it.
+// pack32Limit bounds a matrix side (NewMatrix), so that an entry packs into
+// one uint64 key. Rows and columns count pages, so in practice they are
+// always far below it.
 const pack32Limit = 1 << 31
 
 // sortRowMajor sorts ents into (row, col) order. Both coordinates fit in 32
-// bits for any real matrix, so each entry packs into one uint64 and the sort
-// runs on native integer comparisons instead of an indirect comparator; the
-// comparator path remains as a fallback for hypothetical oversized shapes.
-func (m *Matrix) sortRowMajor(ents []Entry) {
-	if m.rows > pack32Limit || m.cols > pack32Limit {
-		sort.Slice(ents, func(i, k int) bool {
-			if ents[i].R != ents[k].R {
-				return ents[i].R < ents[k].R
-			}
-			return ents[i].C < ents[k].C
-		})
-		return
-	}
+// bits, so each entry packs into one uint64 and the sort runs on native
+// integer comparisons instead of an indirect comparator.
+func sortRowMajor(ents []Entry) {
 	keys := make([]uint64, len(ents))
 	for i, e := range ents {
 		keys[i] = uint64(e.R)<<32 | uint64(uint32(e.C))

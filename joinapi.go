@@ -483,18 +483,13 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector) (*predmat.Matrix, error) {
 	depth := max(opt.FilterDepth, 0)
 	key := matrixKey{fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon, depth: depth}
-	s.mu.RLock()
-	e, ok := s.matrixCache[key]
-	s.mu.RUnlock()
+	e, ok := s.cachedMatrix(key)
 	if !ok {
 		var err error
 		e, err, _ = s.matrixFlight.Do(key, func() (*matrixEntry, error) {
 			// Re-check inside the flight: a flight that completed between our
 			// miss and joining this one has already stored the entry.
-			s.mu.RLock()
-			w, hit := s.matrixCache[key]
-			s.mu.RUnlock()
-			if hit {
+			if w, hit := s.cachedMatrix(key); hit {
 				return w, nil
 			}
 			start := time.Now()
@@ -515,9 +510,7 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 				m:       m,
 				seconds: float64(stats.SweepEvents+stats.PairTests) * join.MatrixEntryCost,
 			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.matrixCache[key] = ne
+			s.cacheMatrix(key, ne)
 			return ne, nil
 		})
 		if err != nil {
@@ -528,6 +521,39 @@ func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.W
 	res.MatrixDensity = e.m.Density()
 	res.MatrixSeconds = e.seconds
 	return e.m, nil
+}
+
+// cachedMatrix returns the cached matrix entry of key, if any, as the most
+// recently used one.
+func (s *System) cachedMatrix(key matrixKey) (*matrixEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.matrixCache[key]
+	if ok {
+		s.matrixTick++
+		e.used = s.matrixTick
+	}
+	return e, ok
+}
+
+// cacheMatrix stores e under key as the most recently used entry, and
+// evicts the least recently used entry if that makes one too many.
+func (s *System) cacheMatrix(key matrixKey, e *matrixEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.matrixTick++
+	e.used = s.matrixTick
+	s.matrixCache[key] = e
+	if len(s.matrixCache) > matrixCacheEntries {
+		var oldest matrixKey
+		least := uint64(math.MaxUint64)
+		for k, c := range s.matrixCache {
+			if c.used < least {
+				oldest, least = k, c.used
+			}
+		}
+		delete(s.matrixCache, oldest)
+	}
 }
 
 // egoAdapter builds the EGO grid adapter for the data kind.

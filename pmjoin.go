@@ -88,15 +88,18 @@ func DefaultDiskModel() DiskModel {
 type System struct {
 	d     *disk.Disk
 	model DiskModel
-	// mu guards matrixCache (the only mutable state a read-only call
-	// touches).
-	mu sync.RWMutex
+	// mu guards matrixCache and matrixTick (the only mutable state a
+	// read-only call touches).
+	mu sync.Mutex
 	// matrixCache memoizes prediction matrices: they depend only on the
 	// dataset pair, epsilon, and filter depth, so repeated joins (e.g.
 	// buffer-size sweeps) reuse them. Construction is index-only and
-	// charges no simulated I/O either way. Concurrent cold-start builders
-	// are deduplicated by matrixFlight: one builds, the rest wait and adopt.
+	// charges no simulated I/O either way. It holds at most
+	// matrixCacheEntries matrices and evicts the least recently used one
+	// beyond that. Concurrent cold-start builders are deduplicated by
+	// matrixFlight: one builds, the rest wait and adopt.
 	matrixCache  map[matrixKey]*matrixEntry
+	matrixTick   uint64 // counts cache uses; an entry's used is the tick of its last
 	matrixFlight sflight.Group[matrixKey, *matrixEntry]
 	// storeMu guards store, the optional file-backed page store attached by
 	// UseFileStore (nil = simulator-only). Once attached it also serves as
@@ -116,7 +119,13 @@ type matrixKey struct {
 type matrixEntry struct {
 	m       *predmat.Matrix
 	seconds float64
+	used    uint64 // matrixTick at the entry's last use
 }
+
+// matrixCacheEntries bounds System.matrixCache. A landsat-sized matrix holds
+// ~7 MB of bitset and CSR arrays, so a long-lived System that joins at ever
+// new ε keeps at most ~56 MB of them.
+const matrixCacheEntries = 8
 
 // NewSystem creates a system with the given disk model. Zero-value fields
 // fall back to the defaults.

@@ -63,7 +63,7 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR tree identity + pin ledger)"
+echo "==> determinism contracts (metrics observer + one clustered route + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR and sequence tree identity + pin ledger)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with tracing enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, and the block
@@ -97,7 +97,9 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # and the landsat and road shapes must hash to their recorded trees. The
 # point loader AddVectors uses must build BulkLoadSTR's tree, and the slab
 # selection must put the sorted order's sets in every slab on adversarial
-# inputs and when it falls back to sorting.
+# inputs and when it falls back to sorting. The MR- and MRS-index trees and
+# page layouts, built through the one sliding-window layout, must hash to
+# the values recorded when each package held its own copy.
 # A run's measured reads are summed in one place, the metrics snapshot, and
 # ExecStats repeats it for every method. A disk session is a run's only I/O
 # account, so concurrent sessions over one disk must each report the solo
@@ -111,6 +113,7 @@ contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|Fuzz
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
 contract ./internal/predmat 'TestBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
 contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint|TestPointLoadMatchesBulkLoadSTR|TestSTRSelectAdversarial'
+contract ./internal/index 'TestSequenceTreeFingerprint'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;
