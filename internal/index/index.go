@@ -5,7 +5,8 @@
 // MBRs with leaf MBRs pinned to single disk pages (Table 1: "the capacity of
 // each MBR is set to one page size"). Each concrete index exports its node
 // hierarchy as a *Node tree, decoupling matrix construction from index
-// internals.
+// internals. The MR- and MRS-indexes also share their sliding-window page
+// layout and tree, Windows.
 package index
 
 import (
@@ -93,11 +94,11 @@ func (n *Node) Validate() error {
 	return nil
 }
 
-// BuildHierarchy groups consecutive nodes under parents of at most fanout
+// buildHierarchy groups consecutive nodes under parents of at most fanout
 // children until one root remains, and returns it (a childless node with
 // page -1 if nodes is empty). Grouping consecutive pages keeps sibling
 // leaves disk-contiguous.
-func BuildHierarchy(nodes []*Node, fanout int) *Node {
+func buildHierarchy(nodes []*Node, fanout int) *Node {
 	for len(nodes) > 1 {
 		var parents []*Node
 		for lo := 0; lo < len(nodes); lo += fanout {
