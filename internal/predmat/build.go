@@ -1,6 +1,7 @@
 package predmat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -82,8 +83,9 @@ type BuildOptions struct {
 	Stats *BuildStats
 	// Runner, when non-nil, runs recursive sub-sweeps concurrently. The
 	// resulting matrix and stats are independent of execution order: marks
-	// are idempotent set insertions and every counter is an
-	// order-independent integer sum.
+	// are idempotent set insertions, what a sweep tests depends on its own
+	// participants only, and every counter is an order-independent integer
+	// sum.
 	Runner Runner
 }
 
@@ -117,29 +119,8 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 		return nil, fmt.Errorf("predmat: negative epsilon %g", eps)
 	}
 	m := NewMatrix(rPages, sPages)
-	b := &builder{opts: opts, dim: max(maxDim(r), maxDim(s)), half: eps / 2}
-	// Leaf-pair predictor tests run through internal/kernel's exact MBR
-	// bound when the predictor offers one.
-	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	b.withinFull = b.within
-	if np, ok := pred.(NormPredictor); ok {
-		if kb := np.bound(eps); kb != nil {
-			b.within, b.withinFull = kb.Within, kb.WithinNonEmpty
-		}
-	}
-	rt := newTable(r, b.dim, b.half)
-	st := rt
-	if s != r {
-		st = newTable(s, b.dim, b.half)
-	}
-	b.sweep(rt, st)
-	b.wg.Wait()
-	if opts.Stats != nil {
-		opts.Stats.SweepEvents += b.sweepEvents.Load()
-		opts.Stats.PairTests += b.pairTests.Load()
-		opts.Stats.FilterDropped += b.filterDropped.Load()
-		opts.Stats.Recursions += b.recursions.Load()
-	}
+	b := newBuilder(eps, pred, opts)
+	b.run(r, s)
 	// Size the matrix's mark buffer once: grown mark by mark, a large
 	// slice grows by a quarter at a time and allocates about five times
 	// what it ends up holding.
@@ -158,6 +139,41 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 	return m.Finalize(), nil
 }
 
+// newBuilder returns the builder of one Build at threshold eps.
+func newBuilder(eps float64, pred Predictor, opts BuildOptions) *builder {
+	b := &builder{opts: opts, half: eps / 2}
+	// Leaf-pair predictor tests run through internal/kernel's exact MBR
+	// bound when the predictor offers one.
+	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
+	b.withinFull = b.within
+	if np, ok := pred.(NormPredictor); ok {
+		if kb := np.bound(eps); kb != nil {
+			b.within, b.withinFull = kb.Within, kb.WithinNonEmpty
+		}
+	}
+	return b
+}
+
+// run sweeps r against s, leaving every sweep's marks in b.marks and the
+// counters in opts.Stats.
+func (b *builder) run(r, s *index.Node) {
+	b.dim = max(maxDim(r), maxDim(s))
+	rt, rShared := newTable(r, b.dim, b.half)
+	st, sShared := rt, rShared
+	if s != r {
+		st, sShared = newTable(s, b.dim, b.half)
+	}
+	b.saturate = rShared || sShared
+	b.sweep(rt, st)
+	b.wg.Wait()
+	if b.opts.Stats != nil {
+		b.opts.Stats.SweepEvents += b.sweepEvents.Load()
+		b.opts.Stats.PairTests += b.pairTests.Load()
+		b.opts.Stats.FilterDropped += b.filterDropped.Load()
+		b.opts.Stats.Recursions += b.recursions.Load()
+	}
+}
+
 type builder struct {
 	opts BuildOptions
 	// dim is the dimensionality every sweep computes in: the largest of any
@@ -165,6 +181,12 @@ type builder struct {
 	dim int
 	// half is ε/2, by which the sweep extends every box in every direction.
 	half float64
+	// saturate: in either index two neighbouring children of a node lie
+	// within one page, so pages hold more than one leaf and a pair of nodes
+	// that each lie within one page asks about one cell, which a sweep
+	// answers once (handlePair). With one leaf a page — every STR tree — it
+	// is off and the sweeps run as they always have.
+	saturate bool
 	// within decides pred.LowerBound(a, b) <= eps — through the kernel
 	// bound when enabled, which is exact, so the matrix never depends on
 	// which path ran. withinFull is within for two non-empty MBRs, which the
@@ -279,7 +301,10 @@ type xnode struct {
 	// by its empty-box rule.
 	rawEmpty bool
 	// skip: an internal node with an empty MBR, which no sweep loads.
-	skip     bool
+	skip bool
+	// page is the one page every leaf under the node lies on, or -1 when
+	// they lie on more than one.
+	page     int32
 	children []xnode
 }
 
@@ -312,22 +337,25 @@ func maxDim(n *index.Node) int {
 // newTable builds the xnode tree that mirrors the index under root, in one
 // allocation, and returns the root's one-element window. It decides once
 // per node what every sweep used to decide on every load: whether the box
-// extended by half is empty, and which nodes are left out.
-func newTable(root *index.Node, dim int, half float64) []xnode {
+// extended by half is empty, which nodes are left out, and which page a
+// node lies within. shared reports whether two neighbouring children of a
+// node lie within one page, so that the page holds more than one leaf.
+func newTable(root *index.Node, dim int, half float64) (top []xnode, shared bool) {
 	canon := span{lo: make([]float64, dim), hi: make([]float64, dim)}
 	canon.setEmpty()
 	t := tableFill{nodes: make([]xnode, root.CountNodes()), canon: canon, dim: dim, half: half}
-	top := t.take(1)
+	top = t.take(1)
 	t.fill(top, []*index.Node{root})
-	return top
+	return top, t.shared
 }
 
 // tableFill hands out the table's nodes in order.
 type tableFill struct {
-	nodes []xnode
-	canon span // the canonical empty box, shared by every node that is one
-	dim   int
-	half  float64
+	nodes  []xnode
+	canon  span // the canonical empty box, shared by every node that is one
+	dim    int
+	half   float64
+	shared bool // neighbouring children share a page
 }
 
 // take returns the next n nodes of the table.
@@ -354,14 +382,28 @@ func (t *tableFill) fill(dst []xnode, src []*index.Node) {
 		}
 		if n.IsLeaf() {
 			x.rawEmpty = n.MBR.IsEmpty()
+			x.page = -1
+			if n.Page >= 0 && n.Page <= math.MaxInt32 {
+				x.page = int32(n.Page)
+			}
 		} else {
 			x.skip = n.MBR.IsEmpty()
 		}
 	}
 	for i, n := range src {
-		if !n.IsLeaf() {
-			dst[i].children = t.take(len(n.Children))
-			t.fill(dst[i].children, n.Children)
+		if n.IsLeaf() {
+			continue
+		}
+		x := &dst[i]
+		x.children = t.take(len(n.Children))
+		t.fill(x.children, n.Children)
+		x.page = x.children[0].page
+		for k := 1; k < len(x.children); k++ {
+			p := x.children[k].page
+			t.shared = t.shared || (p >= 0 && p == x.children[k-1].page)
+			if p != x.page {
+				x.page = -1
+			}
 		}
 	}
 }
@@ -507,9 +549,9 @@ func (b *builder) sweep(rNodes, sNodes []xnode) {
 				continue
 			}
 			if side == 0 {
-				b.handlePair(bx, other, &sc.marks)
+				b.handlePair(bx, other, sc, &st)
 			} else {
-				b.handlePair(other, bx, &sc.marks)
+				b.handlePair(other, bx, sc, &st)
 			}
 		}
 	}
@@ -540,16 +582,28 @@ func (sc *sweepScratch) deactivate(side int, i int32) {
 // the predictor are added to the sweep's marks, internal pairs descend (one
 // side at a time when heights differ). Descents go through spawn, so with a
 // Runner the recursive sub-sweeps fan out across the worker pool.
-func (b *builder) handlePair(rx, sx *xnode, marks *[]Entry) {
+//
+// Page-pair saturation: when saturate is on and each node lies within one
+// page, everything under the pair can mark one cell only. The sweep keeps
+// its marks sorted and distinct, skips a pair whose cell it holds, and
+// decides any other with reaches, which stops at the first leaf pair that
+// passes — no sub-sweep, no filter. The set is the sweep's own, never
+// shared with other sweeps, so what a sweep tests depends on its
+// participants only and the counters do not depend on the Runner.
+func (b *builder) handlePair(rx, sx *xnode, sc *sweepScratch, st *BuildStats) {
+	if b.saturate && rx.page >= 0 && sx.page >= 0 {
+		cell := Entry{R: int(rx.page), C: int(sx.page)}
+		i, held := slices.BinarySearchFunc(sc.marks, cell, compareEntries)
+		if !held && b.reaches(rx, sx, st) {
+			sc.marks = slices.Insert(sc.marks, i, cell)
+		}
+		return
+	}
 	rn, sn := rx.node, sx.node
 	switch {
 	case rn.IsLeaf() && sn.IsLeaf():
-		within := b.withinFull
-		if rx.rawEmpty || sx.rawEmpty {
-			within = b.within
-		}
-		if within(rn.MBR, sn.MBR) {
-			*marks = append(*marks, Entry{R: rn.Page, C: sn.Page})
+		if b.passes(rx, sx) {
+			sc.marks = append(sc.marks, Entry{R: rn.Page, C: sn.Page})
 		}
 	case rn.IsLeaf():
 		b.spawn([]xnode{*rx}, sx.children)
@@ -558,6 +612,64 @@ func (b *builder) handlePair(rx, sx *xnode, marks *[]Entry) {
 	default:
 		b.spawn(rx.children, sx.children)
 	}
+}
+
+// passes reports whether the leaf pair rx, sx passes the predictor.
+func (b *builder) passes(rx, sx *xnode) bool {
+	within := b.withinFull
+	if rx.rawEmpty || sx.rawEmpty {
+		within = b.within
+	}
+	return within(rx.node.MBR, sx.node.MBR)
+}
+
+// reaches reports whether a leaf pair under the intersecting extended pair
+// rx, sx passes the predictor, where the leaves are reached as the sweeps
+// reach them: through intersecting pairs of children (of one side only when
+// heights differ), leaving out the nodes a sweep does not load. It is a
+// depth-first walk that stops at the first leaf pair that passes, and it
+// counts each child pair it tests as a pair test.
+func (b *builder) reaches(rx, sx *xnode, st *BuildStats) bool {
+	switch rLeaf, sLeaf := rx.node.IsLeaf(), sx.node.IsLeaf(); {
+	case rLeaf && sLeaf:
+		return b.passes(rx, sx)
+	case rLeaf:
+		for j := range sx.children {
+			if b.childReaches(rx, &sx.children[j], st) {
+				return true
+			}
+		}
+	case sLeaf:
+		for i := range rx.children {
+			if b.childReaches(&rx.children[i], sx, st) {
+				return true
+			}
+		}
+	default:
+		for i := range rx.children {
+			for j := range sx.children {
+				if b.childReaches(&rx.children[i], &sx.children[j], st) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// childReaches is one step of reaches: the pair test of rx and sx, unless a
+// sweep would leave either out, and the walk below them if they intersect.
+func (b *builder) childReaches(rx, sx *xnode, st *BuildStats) bool {
+	if rx.skip || sx.skip {
+		return false
+	}
+	st.PairTests++
+	return rx.overlaps(sx, b.half) && b.reaches(rx, sx, st)
+}
+
+// compareEntries orders entries by row, then column.
+func compareEntries(a, c Entry) int {
+	return cmp.Or(cmp.Compare(a.R, c.R), cmp.Compare(a.C, c.C))
 }
 
 // roundPays reports whether a filter round over nR × nS live boxes in dim

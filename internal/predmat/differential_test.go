@@ -24,14 +24,15 @@ func (r semRunner) Run(task func()) {
 
 // randHierarchy builds a hierarchy over nLeaves random boxes strung along
 // the diagonal of [0, spread]^dim — so that boxes meet in every dimension or
-// in none, whatever dim is — grouped fanout at a time. About a quarter of the
+// in none, whatever dim is — grouped fanout at a time, perPage consecutive
+// leaves on a page as index.Windows lays them out. About a quarter of the
 // leaves are empty in one of the ways an index can produce or a caller can
 // hand in: the canonical empty MBR, a zero-dimensional one (only when
 // zeroDim is set, and never first in its group: the reference reads the
 // dimensionality off the first box), and a box inverted in one dimension by
 // less than the small ε, which extension turns non-empty. Points and boxes
 // snapped to a grid make left and right endpoints coincide.
-func randHierarchy(rng *rand.Rand, dim, nLeaves, fanout int, spread float64, zeroDim bool) *index.Node {
+func randHierarchy(rng *rand.Rand, dim, nLeaves, perPage, fanout int, spread float64, zeroDim bool) *index.Node {
 	level := make([]*index.Node, nLeaves)
 	for p := range level {
 		m := geom.MBR{Min: make(geom.Vector, dim), Max: make(geom.Vector, dim)}
@@ -60,7 +61,7 @@ func randHierarchy(rng *rand.Rand, dim, nLeaves, fanout int, spread float64, zer
 				m.Max[d] = math.Ceil(m.Max[d]*8/spread) * spread / 8
 			}
 		}
-		level[p] = &index.Node{MBR: m, Page: p}
+		level[p] = &index.Node{MBR: m, Page: p / perPage}
 	}
 	for len(level) > 1 {
 		var up []*index.Node
@@ -81,8 +82,16 @@ func randHierarchy(rng *rand.Rand, dim, nLeaves, fanout int, spread float64, zer
 // the entries or in the four counters.
 func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner Runner) {
 	t.Helper()
+	if got, want := sameEntriesAsReference(t, name, r, s, rPages, sPages, eps, depth, runner); got != want {
+		t.Fatalf("%s: stats %+v, want %+v", name, got, want)
+	}
+}
+
+// sameEntriesAsReference builds the matrix both ways, fails on any
+// difference in the entries, and returns the two builds' counters.
+func sameEntriesAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner Runner) (got, want BuildStats) {
+	t.Helper()
 	pred := NormPredictor{Norm: geom.L2}
-	var got, want BuildStats
 	gm, err := Build(r, s, rPages, sPages, eps, pred, BuildOptions{FilterDepth: depth, Stats: &got, Runner: runner})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -90,9 +99,6 @@ func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages
 	wm, err := refBuild(r, s, rPages, sPages, eps, pred, BuildOptions{FilterDepth: depth, Stats: &want, Runner: runner})
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
-	}
-	if got != want {
-		t.Fatalf("%s: stats %+v, want %+v", name, got, want)
 	}
 	ge, we := gm.Entries(), wm.Entries()
 	if len(ge) != len(we) {
@@ -103,6 +109,7 @@ func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages
 			t.Fatalf("%s: entry %d is %v, want %v", name, i, ge[i], we[i])
 		}
 	}
+	return got, want
 }
 
 // TestBuildMatchesReference is the differential test of the flat-scratch
@@ -118,8 +125,8 @@ func TestBuildMatchesReference(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			rPages, sPages := 1+rng.Intn(60), 1+rng.Intn(40)
 			for _, depth := range []int{0, 1, 5} {
-				r := randHierarchy(rng, dim, rPages, 2+rng.Intn(6), spread, depth > 0)
-				s := randHierarchy(rng, dim, sPages, 2+rng.Intn(9), spread, depth > 0)
+				r := randHierarchy(rng, dim, rPages, 1, 2+rng.Intn(6), spread, depth > 0)
+				s := randHierarchy(rng, dim, sPages, 1, 2+rng.Intn(9), spread, depth > 0)
 				for _, eps := range []float64{0, spread / 16, 2 * spread * math.Sqrt(float64(dim))} {
 					for _, runner := range []Runner{nil, pool} {
 						name := fmt.Sprintf("dim=%d/trial=%d/depth=%d/eps=%g/runner=%v", dim, trial, depth, eps, runner != nil)
@@ -133,13 +140,87 @@ func TestBuildMatchesReference(t *testing.T) {
 	// only on sweeps this wide.
 	for trial := 0; trial < 3; trial++ {
 		rPages, sPages := 130+rng.Intn(70), 130+rng.Intn(70)
-		r := randHierarchy(rng, 60, rPages, rPages, spread, true)
-		s := randHierarchy(rng, 60, sPages, sPages, spread, true)
+		r := randHierarchy(rng, 60, rPages, 1, rPages, spread, true)
+		s := randHierarchy(rng, 60, sPages, 1, sPages, spread, true)
 		for _, depth := range []int{1, 5} {
 			for _, runner := range []Runner{nil, pool} {
 				name := fmt.Sprintf("dim=60/wide trial=%d/depth=%d/runner=%v", trial, depth, runner != nil)
 				sameAsReference(t, name, r, s, rPages, sPages, spread/16, depth, runner)
 			}
+		}
+	}
+}
+
+// TestSharedPageBuildMatchesReference is the differential test of page-pair
+// saturation: on random hierarchies with several consecutive leaves a page,
+// grouped as index.Windows groups them, with empty leaves among them, Build
+// must mark the reference's entries inline and with sub-sweeps running four
+// at a time, and count the same in both. Its pair tests must fall below the
+// reference's on some draw, or the saturating path never ran.
+func TestSharedPageBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const spread = 4.0
+	pool := make(semRunner, 4)
+	saved := false
+	for _, dim := range []int{2, 4} {
+		for trial := 0; trial < 10; trial++ {
+			rLeaves, sLeaves := 1+rng.Intn(100), 1+rng.Intn(70)
+			rPer, sPer := 2+rng.Intn(7), 2+rng.Intn(7)
+			rPages, sPages := (rLeaves+rPer-1)/rPer, (sLeaves+sPer-1)/sPer
+			for _, depth := range []int{0, 1, 5} {
+				r := randHierarchy(rng, dim, rLeaves, rPer, 2+rng.Intn(16), spread, depth > 0)
+				s := randHierarchy(rng, dim, sLeaves, sPer, 2+rng.Intn(16), spread, depth > 0)
+				for _, eps := range []float64{0, spread / 16, 2 * spread * math.Sqrt(float64(dim))} {
+					name := fmt.Sprintf("dim=%d/trial=%d/depth=%d/eps=%g", dim, trial, depth, eps)
+					serial, ref := sameEntriesAsReference(t, name+"/runner=false", r, s, rPages, sPages, eps, depth, nil)
+					parallel, _ := sameEntriesAsReference(t, name+"/runner=true", r, s, rPages, sPages, eps, depth, pool)
+					if parallel != serial {
+						t.Fatalf("%s: stats %+v with four sub-sweeps at a time, %+v inline", name, parallel, serial)
+					}
+					saved = saved || serial.PairTests < ref.PairTests
+				}
+			}
+		}
+	}
+	if !saved {
+		t.Fatal("no draw tested fewer pairs than the reference: page-pair saturation never ran")
+	}
+}
+
+// TestDNAShapeSaturation holds page-pair saturation to its purpose on
+// dna_edit's shape (BenchmarkBuildDNAShape's input, about 113 windows a
+// page): the sweeps hand over at most three marks a cell — proving a cell
+// once for every window pair that passes would hand over 46 — and the
+// counters are the same inline and with two or four sub-sweeps at a time.
+func TestDNAShapeSaturation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the dna_edit-shaped MRS-indexes")
+	}
+	in := dnaInput(t)
+	m, err := Build(in.r, in.s, in.rPages, in.sPages, in.eps, in.pred, BuildOptions{FilterDepth: DefaultFilterDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := m.Marked()
+	var serial BuildStats
+	for _, runner := range []Runner{nil, make(semRunner, 2), make(semRunner, 4)} {
+		var st BuildStats
+		b := newBuilder(in.eps, in.pred, BuildOptions{FilterDepth: DefaultFilterDepth, Stats: &st, Runner: runner})
+		b.run(in.r, in.s)
+		if !b.saturate {
+			t.Fatal("the build does not saturate page pairs on a shape of many windows a page")
+		}
+		marks := 0
+		for _, ms := range b.marks {
+			marks += len(ms)
+		}
+		if marks > 3*cells {
+			t.Errorf("runner %v: %d marks handed over for %d cells, want at most %d", runner != nil, marks, cells, 3*cells)
+		}
+		if runner == nil {
+			serial = st
+		} else if st != serial {
+			t.Errorf("runner of %d: stats %+v, inline %+v", cap(runner.(semRunner)), st, serial)
 		}
 	}
 }
@@ -161,7 +242,8 @@ func boxSides(rng *rand.Rand, dim, perSide int, shift, half float64, depth int) 
 			parent.MBR.ExtendMBR(m)
 			parent.Children = append(parent.Children, &index.Node{MBR: m, Page: p})
 		}
-		out[s] = newTable(parent, dim, half)[0].children
+		top, _ := newTable(parent, dim, half)
+		out[s] = top[0].children
 	}
 	return &builder{opts: BuildOptions{FilterDepth: depth}, dim: dim, half: half}, out
 }

@@ -25,7 +25,9 @@ func deterministicFields(r *Result) Result {
 // TestParallelDeterminism is the public determinism contract: for every
 // prediction-matrix method and every data kind, a join at Parallelism N
 // produces a Result (Report, Pairs, matrix stats) and a Plan bit-for-bit
-// identical to the serial run.
+// identical to the serial run. The runs share one System, so every run
+// after the first reads the first one's cached matrix;
+// TestStringMatrixSecondsIndependentOfParallelism builds one a Parallelism.
 func TestParallelDeterminism(t *testing.T) {
 	type workload struct {
 		name string
@@ -117,6 +119,48 @@ func TestParallelDeterminism(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestStringMatrixSecondsIndependentOfParallelism closes the gap the matrix
+// cache leaves in TestParallelDeterminism, where every run after the first
+// reads the first run's matrix: here each Parallelism builds its own matrix
+// in a fresh System, over MRS-indexes of 57 windows a page, whose build
+// saturates page pairs. The cells a build marks, the work it counts and so
+// MatrixSeconds, and the Report must not depend on the worker count.
+func TestStringMatrixSecondsIndependentOfParallelism(t *testing.T) {
+	sa := dataset.DNA(12000, 13)
+	sb := dataset.DNA(9000, 14)
+	dataset.PlantHomologies(sb, sa, 12, 120, 0.02, 15)
+	var base *Result
+	for _, par := range []int{1, 2, 4} {
+		sys := NewSystem(DiskModel{PageBytes: 512})
+		da, err := sys.AddString("a", sa, StringOptions{Window: 64, Stride: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := sys.AddString("b", sb, StringOptions{Window: 64, Stride: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Join(da, db, Options{Method: SC, Epsilon: 4, BufferPages: 16, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			if res.MarkedEntries == 0 || res.Count() == 0 {
+				t.Fatalf("%d marked entries and %d results: the comparison is vacuous", res.MarkedEntries, res.Count())
+			}
+			base = res
+			continue
+		}
+		if res.MarkedEntries != base.MarkedEntries || res.MatrixSeconds != base.MatrixSeconds {
+			t.Errorf("Parallelism=%d: %d marked entries, MatrixSeconds %g; serial: %d, %g",
+				par, res.MarkedEntries, res.MatrixSeconds, base.MarkedEntries, base.MatrixSeconds)
+		}
+		if !reflect.DeepEqual(res.Report, base.Report) {
+			t.Errorf("Parallelism=%d report differs:\n serial:   %+v\n parallel: %+v", par, base.Report, res.Report)
+		}
 	}
 }
 
