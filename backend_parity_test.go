@@ -1,11 +1,15 @@
 package pmjoin
 
 import (
+	"context"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/disk"
 )
 
 // TestBackendParity is the storage half of the determinism contract: with a
@@ -337,5 +341,134 @@ func TestMeasuredIOIsMetrics(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunFilesStayInSession pins where run files live: EGO's grid-ordered
+// copy and BFRJ's node and spill files are the run's disk session's own, so
+// repeated joins — through System.Join and Server.Join, two at a time too —
+// leave the catalog's files and pages and the attached store's bytes as
+// ingest left them, and every repeat reports the same Report and Pairs.
+func TestRunFilesStayInSession(t *testing.T) {
+	type workload struct {
+		name  string
+		build func(t *testing.T, sys *System) (*Dataset, *Dataset)
+		eps   float64
+	}
+	must := func(t *testing.T, d *Dataset, err error) *Dataset {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	loads := []workload{
+		{"vector", func(t *testing.T, sys *System) (*Dataset, *Dataset) {
+			a, err := sys.AddVectors("a", randomVecs(400, 4, 61), VectorOptions{})
+			b, err2 := sys.AddVectors("b", randomVecs(300, 4, 62), VectorOptions{})
+			return must(t, a, err), must(t, b, err2)
+		}, 0.15},
+		{"series", func(t *testing.T, sys *System) (*Dataset, *Dataset) {
+			a, err := sys.AddSeries("a", dataset.RandomWalk(1200, 63), SeriesOptions{Window: 16, Stride: 2})
+			b, err2 := sys.AddSeries("b", dataset.RandomWalk(900, 64), SeriesOptions{Window: 16, Stride: 2})
+			return must(t, a, err), must(t, b, err2)
+		}, 6},
+		{"string", func(t *testing.T, sys *System) (*Dataset, *Dataset) {
+			a, err := sys.AddString("a", dataset.DNA(800, 65), StringOptions{Window: 16, Stride: 2})
+			b, err2 := sys.AddString("b", dataset.DNA(600, 65), StringOptions{Window: 16, Stride: 2})
+			return must(t, a, err), must(t, b, err2)
+		}, 2},
+	}
+	// footprint is what joins must not grow: the catalog's files and pages
+	// and the store directory's bytes.
+	type footprint struct{ files, pages, bytes int64 }
+	measure := func(t *testing.T, sys *System, dir string) footprint {
+		t.Helper()
+		var fp footprint
+		seen := make(map[int]bool)
+		if err := sys.d.EachPage(func(pg *disk.Page) error {
+			if !seen[int(pg.Addr.File)] {
+				seen[int(pg.Addr.File)] = true
+				fp.files++
+			}
+			fp.pages++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := filepath.WalkDir(dir, func(_ string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			info, err := e.Info()
+			fp.bytes += info.Size()
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	for _, wl := range loads {
+		t.Run(wl.name, func(t *testing.T) {
+			sys := NewSystem(DiskModel{PageBytes: 512})
+			a, b := wl.build(t, sys)
+			dir := t.TempDir()
+			if err := sys.UseFileStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer sys.CloseStore()
+			srv, err := NewServer(sys, ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := measure(t, sys, dir)
+			for _, m := range []Method{EGO, BFRJ} {
+				for _, storage := range []StorageMode{StorageSim, StorageFile} {
+					opt := Options{Method: m, Epsilon: wl.eps, BufferPages: 6, Storage: storage, CollectPairs: true}
+					join := func(served bool) *Result {
+						var res *Result
+						var err error
+						if served {
+							res, err = srv.Join(context.Background(), a, b, opt)
+						} else {
+							res, err = sys.Join(a, b, opt)
+						}
+						if err != nil {
+							t.Errorf("%v %v served=%v: %v", m, storage, served, err)
+						}
+						return res
+					}
+					first := join(false)
+					if first == nil {
+						continue
+					}
+					if first.Report.Results == 0 {
+						t.Fatalf("%v %v found no pairs; the repeats would compare nothing", m, storage)
+					}
+					repeats := []*Result{join(true), join(false), join(true)}
+					concurrent := make([]*Result, 2)
+					var wg sync.WaitGroup
+					for i := range concurrent {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							concurrent[i] = join(i == 1)
+						}()
+					}
+					wg.Wait()
+					for i, res := range append(repeats, concurrent...) {
+						if res == nil {
+							continue
+						}
+						if !reflect.DeepEqual(res.Report, first.Report) || !reflect.DeepEqual(res.Pairs, first.Pairs) {
+							t.Errorf("%v %v repeat %d differs from the first run:\n%+v\n%+v", m, storage, i, res.Report, first.Report)
+						}
+					}
+				}
+			}
+			if after := measure(t, sys, dir); after != before {
+				t.Errorf("joins grew the catalog or the store: before %+v, after %+v", before, after)
+			}
+		})
 	}
 }

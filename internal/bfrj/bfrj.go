@@ -19,9 +19,9 @@ import (
 	"pmjoin/internal/predmat"
 )
 
-// nodeFile materializes an index hierarchy on disk, one node per page, in
-// BFS order. The node pages are scratch pages: reading one only charges its
-// I/O, and the node itself is the in-memory pointer the pair list holds.
+// nodeFile materializes an index hierarchy in a file of the run's session,
+// one node per page, in BFS order. The node pages are scratch pages: reading
+// one only charges its I/O, and the node is the pair list's own pointer.
 type nodeFile struct {
 	file  disk.FileID
 	pages map[*index.Node]int

@@ -1,15 +1,13 @@
 package disk
 
-import (
-	"errors"
-	"sort"
-)
+import "sort"
 
 // Backend is the physical page source behind a Disk: where pages actually
 // live and what it really costs to read them back. The Disk remains the
 // logical catalog of files and page addresses, each Session keeps its own
 // head positions and every *modeled* charge, and a Backend serves the
-// bytes. Two implementations exist:
+// catalog's bytes (a session's own files never reach it). Two
+// implementations exist:
 //
 //   - the Disk's own in-memory pages (backend == nil everywhere): reads are
 //     free in wall time and only the linear model is charged, the seed
@@ -31,17 +29,12 @@ type Backend interface {
 	// the physical read took, checksum included. The page's slices may
 	// alias the backend's storage (the file store's mapping): callers only
 	// read them, and only while the backend is open. A page the backend
-	// never received (see ErrNotInBackend) is not an I/O error: the Session
-	// falls back to the Disk's in-memory page at zero measured cost.
+	// never received is an error.
 	Fetch(addr PageAddr) (pg *Page, seconds float64, err error)
-	// Put stores (or overwrites) pg at pg.Addr. Scratch pages hold no
-	// objects and are skipped, staying memory-only.
+	// Put appends pg to its file: pg.Addr.Page must be the file's page
+	// count. A stored page is never overwritten.
 	Put(pg *Page) error
 }
-
-// ErrNotInBackend reports that a backend holds no bytes for the requested
-// page. The Session treats it as "memory-only page", not as a read failure.
-var ErrNotInBackend = errors.New("disk: page not in backend")
 
 // Measured accumulates physical (wall-clock) read activity against a
 // Backend. Unlike Stats it is NOT part of the determinism contract: it is
@@ -65,8 +58,8 @@ func (m Measured) Sub(o Measured) Measured {
 	return Measured{Reads: m.Reads - o.Reads, Seconds: m.Seconds - o.Seconds}
 }
 
-// SetMirror installs a write mirror: every page that enters the Disk from
-// now on (AppendPage, Write) is also handed to b.Put, keeping the backend's
+// SetMirror installs a write mirror: every page appended to the Disk from
+// now on (AppendPage) is also handed to b.Put, keeping the backend's
 // files in sync with the catalog. Pages appended before the mirror was set
 // are the caller's responsibility (see EachPage). A nil b detaches.
 func (d *Disk) SetMirror(b Backend) {

@@ -33,7 +33,8 @@ const (
 	DefaultReadahead    = 16    // forward gap (pages) served without a seek
 )
 
-// FileID identifies a page file on the disk.
+// FileID identifies a page file: a catalog file of the Disk (0, 1, …) or a
+// file of one Session's own (−1, −2, …, see Session.CreateFile).
 type FileID int
 
 // PageAddr addresses one page: a file and a page index within it.
@@ -177,16 +178,41 @@ func (m Model) Cost(s Stats) float64 {
 
 // Disk is a simulated disk's page catalog: a set of page files and the cost
 // model that prices access to them. It charges nothing itself: every page
-// read or write goes through a Session, the run's own I/O account. It is
-// safe for concurrent use.
+// read goes through a Session, the run's own I/O account. Its files are
+// written once, at ingest (CreateFile, AppendPage); a session reads them and
+// writes only files of its own. It is safe for concurrent use.
 type Disk struct {
 	mu     sync.Mutex
 	model  Model
-	files  map[FileID][]*Page
+	files  files
 	nextID FileID
-	// mirror, when non-nil, receives every page entering the disk so a
+	// mirror, when non-nil, receives every page appended to the disk so a
 	// physical Backend stays in sync with the in-memory catalog (SetMirror).
 	mirror Backend
+}
+
+// files is a set of page files: the Disk's catalog or a Session's own.
+type files map[FileID][]*Page
+
+// page returns the page at addr.
+func (fs files) page(addr PageAddr) (*Page, error) {
+	pages, ok := fs[addr.File]
+	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
+		return nil, fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
+	}
+	return pages[addr.Page], nil
+}
+
+// append appends a copy of pg to file f at the next page index and returns
+// the stored page (pg.Addr is replaced by its address).
+func (fs files) append(f FileID, pg Page) (*Page, error) {
+	pages, ok := fs[f]
+	if !ok {
+		return nil, fmt.Errorf("disk: append to unknown file %d", f)
+	}
+	pg.Addr = PageAddr{File: f, Page: len(pages)}
+	fs[f] = append(pages, &pg)
+	return &pg, nil
 }
 
 // ErrNoSuchPage is returned when a read addresses a page that does not exist.
@@ -194,7 +220,7 @@ var ErrNoSuchPage = errors.New("disk: no such page")
 
 // New creates an empty disk with the given cost model.
 func New(model Model) *Disk {
-	return &Disk{model: model, files: make(map[FileID][]*Page)}
+	return &Disk{model: model, files: make(files)}
 }
 
 // classify decides whether accessing addr from the head positions in heads is
@@ -241,18 +267,16 @@ func (d *Disk) CreateFile() FileID {
 func (d *Disk) AppendPage(f FileID, pg Page) (PageAddr, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[f]
-	if !ok {
-		return PageAddr{}, fmt.Errorf("disk: append to unknown file %d", f)
+	stored, err := d.files.append(f, pg)
+	if err != nil {
+		return PageAddr{}, err
 	}
-	pg.Addr = PageAddr{File: f, Page: len(pages)}
-	d.files[f] = append(pages, &pg)
 	if d.mirror != nil {
-		if err := d.mirror.Put(&pg); err != nil {
+		if err := d.mirror.Put(stored); err != nil {
 			return PageAddr{}, err
 		}
 	}
-	return pg.Addr, nil
+	return stored.Addr, nil
 }
 
 // NumPages returns the number of pages in the file.
@@ -262,37 +286,10 @@ func (d *Disk) NumPages(f FileID) int {
 	return len(d.files[f])
 }
 
-// page returns the in-memory page at addr. Callers hold d.mu.
-func (d *Disk) page(addr PageAddr) (*Page, error) {
-	pages, ok := d.files[addr.File]
-	if !ok || addr.Page < 0 || addr.Page >= len(pages) {
-		return nil, fmt.Errorf("%w: %v", ErrNoSuchPage, addr)
-	}
-	return pages[addr.Page], nil
-}
-
 // peek returns the in-memory page at addr without charging any I/O; the
 // caller (a Session) carries any charge.
 func (d *Disk) peek(addr PageAddr) (*Page, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.page(addr)
-}
-
-// store overwrites an existing page's contents, keeping its address, and
-// mirrors the result. It charges no I/O; the caller (a Session) carries the
-// charge.
-func (d *Disk) store(addr PageAddr, pg Page) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dst, err := d.page(addr)
-	if err != nil {
-		return err
-	}
-	pg.Addr = addr
-	*dst = pg
-	if d.mirror != nil {
-		return d.mirror.Put(dst)
-	}
-	return nil
+	return d.files.page(addr)
 }

@@ -23,6 +23,20 @@ func mustAppend(t *testing.T, d *Disk, f FileID, n int) []PageAddr {
 	return addrs
 }
 
+// mustAppendOwn appends n pages to the session's own file f.
+func mustAppendOwn(t *testing.T, s *Session, f FileID, n int) []PageAddr {
+	t.Helper()
+	addrs := make([]PageAddr, n)
+	for i := 0; i < n; i++ {
+		a, err := s.AppendPage(f, Page{IDs: []int{i}})
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		addrs[i] = a
+	}
+	return addrs
+}
+
 func TestAppendAssignsSequentialAddresses(t *testing.T) {
 	d := newTestDisk()
 	f := d.CreateFile()
@@ -180,9 +194,14 @@ func TestReadErrors(t *testing.T) {
 
 func TestWriteStoresPayloadAndCharges(t *testing.T) {
 	d := newTestDisk()
+	cat := d.CreateFile()
+	mustAppend(t, d, cat, 3)
 	io := d.NewSession()
-	f := d.CreateFile()
-	addrs := mustAppend(t, d, f, 3)
+	f := io.CreateFile()
+	if f >= 0 || f == cat {
+		t.Fatalf("session file id %d, want a negative id no catalog file has", f)
+	}
+	addrs := mustAppendOwn(t, io, f, 3)
 	if err := io.Write(addrs[1], Page{IDs: []int{42}}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +216,34 @@ func TestWriteStoresPayloadAndCharges(t *testing.T) {
 	if s.Writes != 1 || s.WriteSeeks != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
+	// The session's file is its own: the catalog and other sessions do not
+	// see it.
+	if d.NumPages(f) != 0 || io.NumPages(f) != 3 {
+		t.Fatalf("catalog holds %d pages of the session's file, the session %d", d.NumPages(f), io.NumPages(f))
+	}
+	if _, err := d.NewSession().Peek(addrs[1]); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("another session peeked the page: err = %v", err)
+	}
 }
 
 func TestWriteErrors(t *testing.T) {
 	d := newTestDisk()
+	cat := d.CreateFile()
+	mustAppend(t, d, cat, 2)
 	io := d.NewSession()
-	f := d.CreateFile()
+	f := io.CreateFile()
 	if err := io.Write(PageAddr{File: f, Page: 0}, Page{}); !errors.Is(err, ErrNoSuchPage) {
 		t.Fatalf("err = %v", err)
+	}
+	// The catalog is read-only to a session.
+	if err := io.Write(PageAddr{File: cat, Page: 0}, Page{}); err == nil {
+		t.Fatal("a session wrote a catalog page")
+	}
+	if _, err := io.AppendPage(cat, Page{}); err == nil {
+		t.Fatal("a session appended to a catalog file")
+	}
+	if d.NumPages(cat) != 2 || io.Stats() != (Stats{}) {
+		t.Fatalf("failed writes changed the catalog (%d pages) or charged %+v", d.NumPages(cat), io.Stats())
 	}
 }
 
@@ -262,12 +301,12 @@ func TestDiskCostAccumulates(t *testing.T) {
 	io := d.NewSession()
 	f := d.CreateFile()
 	mustAppend(t, d, f, 10)
-	if io.Cost() != 0 {
+	if d.Model().Cost(io.Stats()) != 0 {
 		t.Fatal("cost before reads should be 0")
 	}
 	io.Read(PageAddr{File: f, Page: 0})
 	want := DefaultSeekTime + DefaultTransferTime
-	if got := io.Cost(); got != want {
+	if got := d.Model().Cost(io.Stats()); got != want {
 		t.Fatalf("cost = %g, want %g", got, want)
 	}
 }
@@ -302,8 +341,8 @@ func TestConcurrentReads(t *testing.T) {
 func TestWriteSequentialCategorized(t *testing.T) {
 	d := newTestDisk()
 	io := d.NewSession()
-	f := d.CreateFile()
-	addrs := mustAppend(t, d, f, 4)
+	f := io.CreateFile()
+	addrs := mustAppendOwn(t, io, f, 4)
 	for _, a := range addrs {
 		if err := io.Write(a, Page{}); err != nil {
 			t.Fatalf("write: %v", err)

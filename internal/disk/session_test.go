@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -69,17 +70,21 @@ func TestSessionStatsMatchSoloDisk(t *testing.T) {
 	if got, want := sess.Stats(), solo.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("session stats %+v, solo session stats %+v", got, want)
 	}
-	if got, want := sess.Cost(), fresh.Model().Cost(solo.Stats()); got != want {
+	if got, want := shared.Model().Cost(sess.Stats()), fresh.Model().Cost(solo.Stats()); got != want {
 		t.Fatalf("session cost %g, solo cost %g", got, want)
 	}
 }
 
 func TestSessionWriteToMissingPage(t *testing.T) {
 	d := newTestDisk()
-	f := d.CreateFile()
 	s := d.NewSession()
-	if err := s.Write(PageAddr{File: f, Page: 3}, Page{}); err == nil {
-		t.Fatal("write to missing page succeeded")
+	f := s.CreateFile()
+	mustAppendOwn(t, s, f, 3)
+	if err := s.Write(PageAddr{File: f, Page: 3}, Page{}); !errors.Is(err, ErrNoSuchPage) {
+		t.Fatalf("write to missing page: err = %v, want ErrNoSuchPage", err)
+	}
+	if st := s.Stats(); st != (Stats{}) {
+		t.Fatalf("failed write charged %+v", st)
 	}
 }
 
@@ -132,13 +137,9 @@ func TestConcurrentSessionsIndependentStats(t *testing.T) {
 // access with its direction.
 func TestSessionWriteSequentialAndSeekObserver(t *testing.T) {
 	d := New(DefaultModel())
-	f := d.CreateFile()
-	for i := 0; i < 4; i++ {
-		if _, err := d.AppendPage(f, Page{IDs: []int{i}}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
 	s := d.NewSession()
+	f := s.CreateFile()
+	mustAppendOwn(t, s, f, 4)
 	type seek struct {
 		addr  PageAddr
 		write bool

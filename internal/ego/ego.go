@@ -73,8 +73,8 @@ func Run(e *join.Engine, r, s *join.Dataset, ad Adapter, opts Options) (*join.Re
 
 // prepare scans the dataset once (sequential), builds grid-ordered object
 // references, and — when the data is reorderable, vector pages only —
-// materializes a reordered copy on disk, charging the I/O of an external
-// merge sort.
+// materializes a reordered copy in a file of the run's session, charging
+// the I/O of an external merge sort.
 func prepare(e *join.Engine, x *join.Exec, d *join.Dataset, ad Adapter) ([]ObjectRef, *join.Dataset, error) {
 	var refs []ObjectRef
 	perPage := 1

@@ -16,20 +16,17 @@ import (
 // from an mmap view (pread when mapping is unavailable) with measured wall
 // latencies.
 //
-// Write model: records are append-only, each padded to a multiple of 8 bytes
-// so every record starts 8-aligned in the file (and in its mapping).
-// Overwriting a page appends the new record and repoints the page's offset —
-// the old record's bytes leak inside the file, which is fine for the
-// short-lived scratch files runtime executors write and keeps Put a single
-// positioned write. Scratch pages hold no objects and are skipped (the page
-// stays memory-only and Fetch reports disk.ErrNotInBackend), so executors'
-// node and spill pages never reach a file.
+// Write model: a file is written once, front to back. Put appends the
+// file's next page as one record, padded to a multiple of 8 bytes so every
+// record starts 8-aligned in the file (and in its mapping); a page is never
+// overwritten. Only the catalog's pages reach a store: a run's own files
+// stay in its disk.Session.
 //
-// Concurrency: Put and Fetch are safe for concurrent use — concurrent runs
-// and shards fetch while a coordinator appends. Mappings are
-// remap-lagging: when a file has grown past the current view the file is
-// remapped at its new size and the old view is kept alive until Close, so a
-// concurrent reader's slice can never be unmapped under it.
+// Concurrency: Put and Fetch are safe for concurrent use. Each file is
+// mapped once, at its first Fetch, by then normally complete; a record past
+// the end of that mapping (one appended later) is read with pread, as on
+// hosts without mmap. The mapping lives until Close, so a reader's slice is
+// never unmapped under it.
 //
 // Lifetime: a fetched vector or series page is a view of the mapping (see
 // Fetch), so it is valid until Close and never outlives the Store.
@@ -44,9 +41,9 @@ type storeFile struct {
 	mu      sync.RWMutex
 	f       *os.File
 	size    int64
-	offsets []int64 // record offset per page index; -1 = absent
-	cur     mapping // newest mmap view (nil when unmapped / unsupported)
-	maps    []mapping
+	offsets []int64 // record offset per page index
+	mapOnce sync.Once
+	view    mapping // read-only mmap made at the first Fetch (nil when unavailable)
 }
 
 // Open creates (or reopens) a store rooted at dir. Page files are named
@@ -60,9 +57,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir, files: make(map[disk.FileID]*storeFile)}, nil
 }
-
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
 
 // file returns the storeFile for id, creating its backing file when create
 // is set.
@@ -87,37 +81,30 @@ func (st *Store) file(id disk.FileID, create bool) (*storeFile, error) {
 }
 
 // Put implements disk.Backend: it encodes the page and appends the record,
-// zero-padded to a multiple of 8 bytes, to the page's file, repointing the
-// page offset. Scratch pages are skipped (nil error), staying memory-only.
+// zero-padded to a multiple of 8 bytes, to the page's file. The page must be
+// the file's next one; a page kind the wire format cannot encode (a scratch
+// page) is ErrUnsupportedPayload.
 func (st *Store) Put(pg *disk.Page) error {
-	if pg.Kind == disk.Scratch {
-		return nil
-	}
-	addr := pg.Addr
 	rec, err := EncodePage(pg)
 	if err != nil {
 		return err
 	}
 	var zeros [8]byte
 	rec = append(rec, zeros[:-len(rec)&7]...)
-	if addr.Page < 0 {
-		return fmt.Errorf("store: negative page index %v", addr)
-	}
-	sf, err := st.file(addr.File, true)
+	sf, err := st.file(pg.Addr.File, true)
 	if err != nil {
 		return err
 	}
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	off := sf.size
-	if _, err := sf.f.WriteAt(rec, off); err != nil {
+	if pg.Addr.Page != len(sf.offsets) {
+		return fmt.Errorf("store: put %v to a file of %d pages: pages are appended once, in order", pg.Addr, len(sf.offsets))
+	}
+	if _, err := sf.f.WriteAt(rec, sf.size); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	sf.offsets = append(sf.offsets, sf.size)
 	sf.size += int64(len(rec))
-	for len(sf.offsets) <= addr.Page {
-		sf.offsets = append(sf.offsets, -1)
-	}
-	sf.offsets[addr.Page] = off
 	return nil
 }
 
@@ -125,7 +112,7 @@ func (st *Store) Put(pg *disk.Page) error {
 // through the mmap view (pread fallback), validates its header, length and
 // CRC, and returns the page together with the measured wall seconds the
 // whole physical read took (read + CRC + page build — the real cost of
-// serving the page). Pages never Put return disk.ErrNotInBackend.
+// serving the page). A page never Put is disk.ErrNoSuchPage.
 //
 // A vector or series page is built over the record's bytes, not decoded out
 // of them: its IDs, starts and flat block alias the read-only mapping, valid
@@ -137,18 +124,16 @@ func (st *Store) Fetch(addr disk.PageAddr) (*disk.Page, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if sf == nil {
-		return nil, 0, disk.ErrNotInBackend
+	off, size := int64(-1), int64(0)
+	if sf != nil {
+		sf.mu.RLock()
+		if addr.Page >= 0 && addr.Page < len(sf.offsets) {
+			off, size = sf.offsets[addr.Page], sf.size
+		}
+		sf.mu.RUnlock()
 	}
-	sf.mu.RLock()
-	off := int64(-1)
-	if addr.Page >= 0 && addr.Page < len(sf.offsets) {
-		off = sf.offsets[addr.Page]
-	}
-	size := sf.size
-	sf.mu.RUnlock()
 	if off < 0 {
-		return nil, 0, disk.ErrNotInBackend
+		return nil, 0, fmt.Errorf("store: %w: %v", disk.ErrNoSuchPage, addr)
 	}
 	hdr, err := sf.bytesAt(off, headerSize, size)
 	if err != nil {
@@ -170,28 +155,18 @@ func (st *Store) Fetch(addr disk.PageAddr) (*disk.Page, float64, error) {
 	return pg, time.Since(start).Seconds(), nil
 }
 
-// bytesAt returns n bytes at off: a zero-copy slice of the mmap view when it
-// covers the range (remapping first if the file grew past the view), else a
-// pread into a fresh buffer. size is the file length snapshot the caller read
+// bytesAt returns n bytes at off: a zero-copy slice of the file's mapping
+// when it covers the range (the first call maps the file), else a pread
+// into a fresh buffer. size is the file length snapshot the caller read
 // under the lock.
 func (sf *storeFile) bytesAt(off, n, size int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > size {
 		return nil, fmt.Errorf("%w: record extends past end of file", ErrCorruptRecord)
 	}
-	sf.mu.RLock()
-	b := sf.cur.slice(off, n)
-	sf.mu.RUnlock()
-	if b != nil {
+	sf.mapOnce.Do(sf.mapView)
+	if b := sf.view.slice(off, n); b != nil {
 		return b, nil
 	}
-	sf.remap()
-	sf.mu.RLock()
-	b = sf.cur.slice(off, n)
-	sf.mu.RUnlock()
-	if b != nil {
-		return b, nil
-	}
-	// pread fallback: mapping unavailable on this platform or it failed.
 	buf := make([]byte, n)
 	if _, err := sf.f.ReadAt(buf, off); err != nil {
 		return nil, err
@@ -199,22 +174,17 @@ func (sf *storeFile) bytesAt(off, n, size int64) ([]byte, error) {
 	return buf, nil
 }
 
-// remap maps the file at its current size, keeping the previous view alive
-// (see Store's concurrency note). A mapping failure is not an error: readers
-// fall back to pread.
-func (sf *storeFile) remap() {
+// mapView maps the file at its current size. A mapping failure is not an
+// error: readers fall back to pread.
+func (sf *storeFile) mapView() {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	if sf.size == 0 || int64(len(sf.cur)) >= sf.size {
-		return
-	}
 	m, err := mapFile(sf.f, sf.size)
 	if err != nil || m == nil {
 		return
 	}
 	adviseSequential(m)
-	sf.maps = append(sf.maps, m)
-	sf.cur = m
+	sf.view = m
 }
 
 // slice returns the view's [off, off+n) window, or nil when the view does
@@ -249,9 +219,7 @@ func (st *Store) DropCaches() error {
 		if err := sf.f.Sync(); err != nil && first == nil {
 			first = fmt.Errorf("store: %w", err)
 		}
-		for _, m := range sf.maps {
-			dropMapped(m)
-		}
+		dropMapped(sf.view)
 		dropFileCache(sf.f)
 		sf.mu.Unlock()
 	}
@@ -266,12 +234,10 @@ func (st *Store) Close() error {
 	var first error
 	for _, sf := range st.files {
 		sf.mu.Lock()
-		for _, m := range sf.maps {
-			if err := unmap(m); err != nil && first == nil {
-				first = err
-			}
+		if err := unmap(sf.view); err != nil && first == nil {
+			first = err
 		}
-		sf.maps, sf.cur = nil, nil
+		sf.view = nil
 		if err := sf.f.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -281,8 +247,8 @@ func (st *Store) Close() error {
 	return first
 }
 
-// Pages returns how many page slots file id has (absent slots included);
-// 0 for files never Put. Intended for tests.
+// Pages returns how many pages file id holds; 0 for files never Put.
+// Intended for tests.
 func (st *Store) Pages(id disk.FileID) int {
 	sf, err := st.file(id, false)
 	if err != nil || sf == nil {

@@ -30,14 +30,14 @@ func TestFetchIsView(t *testing.T) {
 			t.Fatal(err)
 		}
 		data[i] = dataAddr(pg.Flat.Data)
-		if !within(dataAddr(pg.IDs), st.files[0].cur) {
+		if !within(dataAddr(pg.IDs), st.files[0].view) {
 			t.Fatalf("fetch %d: IDs are not a view of the mapping", i)
 		}
 	}
 	if data[0] != data[1] {
 		t.Errorf("two fetches returned flat blocks at %#x and %#x, want one view", data[0], data[1])
 	}
-	if m := st.files[0].cur; !within(data[0], m) {
+	if m := st.files[0].view; !within(data[0], m) {
 		t.Errorf("flat block at %#x lies outside the mapping [%#x, +%d)", data[0], dataAddr(m), len(m))
 	}
 }

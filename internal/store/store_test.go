@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pmjoin/internal/disk"
@@ -31,7 +32,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	defer st.Close()
 
 	addrs := []disk.PageAddr{
-		{File: 0, Page: 0}, {File: 0, Page: 1}, {File: 3, Page: 5},
+		{File: 0, Page: 0}, {File: 0, Page: 1}, {File: 3, Page: 0}, {File: 3, Page: 1},
 	}
 	for i, addr := range addrs {
 		if err := st.Put(at(addr, vecPage(10*i))); err != nil {
@@ -50,8 +51,8 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Errorf("Fetch(%v) = %+v, want %+v", addr, pg, want)
 		}
 	}
-	if got := st.Pages(3); got != 6 {
-		t.Errorf("Pages(3) = %d, want 6 (absent slots included)", got)
+	if got := st.Pages(3); got != 2 {
+		t.Errorf("Pages(3) = %d, want 2", got)
 	}
 }
 
@@ -61,17 +62,21 @@ func TestStoreAbsentPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put(at(disk.PageAddr{File: 1, Page: 2}, vecPage(0))); err != nil {
+	if err := st.Put(at(disk.PageAddr{File: 1, Page: 0}, vecPage(0))); err != nil {
 		t.Fatal(err)
+	}
+	// A page past the end cannot be Put: there are no gap slots.
+	if err := st.Put(at(disk.PageAddr{File: 1, Page: 2}, vecPage(2))); err == nil {
+		t.Error("Put past the end of the file succeeded")
 	}
 	for _, addr := range []disk.PageAddr{
 		{File: 9, Page: 0},  // unknown file
 		{File: 1, Page: 7},  // past the end
-		{File: 1, Page: 0},  // gap slot never Put
+		{File: 1, Page: 2},  // refused above
 		{File: 1, Page: -1}, // nonsense index
 	} {
-		if _, _, err := st.Fetch(addr); !errors.Is(err, disk.ErrNotInBackend) {
-			t.Errorf("Fetch(%v) err = %v, want ErrNotInBackend", addr, err)
+		if _, _, err := st.Fetch(addr); !errors.Is(err, disk.ErrNoSuchPage) {
+			t.Errorf("Fetch(%v) err = %v, want ErrNoSuchPage", addr, err)
 		}
 	}
 }
@@ -86,22 +91,21 @@ func TestStoreOverwrite(t *testing.T) {
 	if err := st.Put(at(addr, vecPage(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(at(addr, vecPage(42))); err != nil {
-		t.Fatal(err)
+	if err := st.Put(at(addr, vecPage(42))); err == nil {
+		t.Fatal("a second Put of one page succeeded: stored pages are write-once")
 	}
 	got, _, err := st.Fetch(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.IDs[0] != 42 {
-		t.Errorf("after overwrite, IDs[0] = %d, want 42", got.IDs[0])
+	if got.IDs[0] != 1 {
+		t.Errorf("after the refused overwrite, IDs[0] = %d, want 1", got.IDs[0])
 	}
 }
 
-// TestStoreSkipsUnencodable pins the scratch-page contract: a Put of a
-// scratch page, which holds no objects, succeeds as a no-op, creates no
-// file, and the page reads back as not-in-backend (memory fallback at the
-// Session layer).
+// TestStoreSkipsUnencodable pins the scratch-page contract: a scratch page
+// holds no objects and has no wire encoding, so its Put fails with
+// ErrUnsupportedPayload, creates no file, and the page is not stored.
 func TestStoreSkipsUnencodable(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -109,14 +113,14 @@ func TestStoreSkipsUnencodable(t *testing.T) {
 	}
 	defer st.Close()
 	addr := disk.PageAddr{File: 0, Page: 0}
-	if err := st.Put(&disk.Page{Addr: addr}); err != nil {
-		t.Fatalf("Put(scratch page): %v", err)
+	if err := st.Put(&disk.Page{Addr: addr}); !errors.Is(err, ErrUnsupportedPayload) {
+		t.Fatalf("Put(scratch page) err = %v, want ErrUnsupportedPayload", err)
 	}
 	if n := st.Pages(addr.File); n != 0 {
 		t.Errorf("scratch page took %d page slots", n)
 	}
-	if _, _, err := st.Fetch(addr); !errors.Is(err, disk.ErrNotInBackend) {
-		t.Errorf("Fetch err = %v, want ErrNotInBackend", err)
+	if _, _, err := st.Fetch(addr); !errors.Is(err, disk.ErrNoSuchPage) {
+		t.Errorf("Fetch err = %v, want ErrNoSuchPage", err)
 	}
 }
 
@@ -145,8 +149,9 @@ func TestStoreDropCaches(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentPutFetch races appends against reads across files so the
-// remap-lagging mapping logic runs under -race.
+// TestStoreConcurrentPutFetch races appends against reads across files
+// under -race: file 1 is complete and mapped, file 0 grows while it is read,
+// so its later pages lie past its mapping and are read with pread.
 func TestStoreConcurrentPutFetch(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -154,9 +159,16 @@ func TestStoreConcurrentPutFetch(t *testing.T) {
 	}
 	defer st.Close()
 	const pages = 64
+	for p := 0; p < pages; p++ {
+		if err := st.Put(at(disk.PageAddr{File: 1, Page: p}, vecPage(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := st.Put(at(disk.PageAddr{File: 0, Page: 0}, vecPage(0))); err != nil {
 		t.Fatal(err)
 	}
+	var put atomic.Int64 // pages of file 0 stored so far
+	put.Store(1)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -166,16 +178,25 @@ func TestStoreConcurrentPutFetch(t *testing.T) {
 				t.Errorf("Put page %d: %v", p, err)
 				return
 			}
+			put.Add(1)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 4*pages; i++ {
-			addr := disk.PageAddr{File: 0, Page: i % pages}
-			_, _, err := st.Fetch(addr)
-			if err != nil && !errors.Is(err, disk.ErrNotInBackend) {
-				t.Errorf("Fetch(%v): %v", addr, err)
-				return
+			for _, addr := range []disk.PageAddr{
+				{File: 0, Page: i % int(put.Load())},
+				{File: 1, Page: i % pages},
+			} {
+				pg, _, err := st.Fetch(addr)
+				if err != nil {
+					t.Errorf("Fetch(%v): %v", addr, err)
+					return
+				}
+				if pg.IDs[0] != addr.Page {
+					t.Errorf("Fetch(%v) IDs[0] = %d", addr, pg.IDs[0])
+					return
+				}
 			}
 		}
 	}()
@@ -298,7 +319,8 @@ func flatVecPage(rows, dim int) *disk.Page {
 }
 
 // TestStoreRecordsAligned checks the invariant page views rest on: after any
-// mix of Puts and overwrites, every record starts on an 8-byte boundary.
+// mix of page kinds and lengths appended across files, every record starts
+// on an 8-byte boundary.
 func TestStoreRecordsAligned(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -311,9 +333,9 @@ func TestStoreRecordsAligned(t *testing.T) {
 		{Kind: disk.Strings, IDs: []int{1}, Starts: []int{0}, Windows: [][]byte{[]byte("abcde")}, Freqs: [][]int{{1}}},
 		flatVecPage(3, 5),
 	}
-	for round := 0; round < 3; round++ { // later rounds overwrite
+	for round := 0; round < 3; round++ {
 		for i, p := range pages {
-			addr := disk.PageAddr{File: disk.FileID(i % 2), Page: (i + round) % 5}
+			addr := disk.PageAddr{File: disk.FileID(i % 2), Page: st.Pages(disk.FileID(i % 2))}
 			if err := st.Put(at(addr, p)); err != nil {
 				t.Fatalf("Put(%v page): %v", p.Kind, err)
 			}
@@ -331,10 +353,7 @@ func TestStoreRecordsAligned(t *testing.T) {
 	}
 	// Every page reads back, the string records included.
 	for id, sf := range st.files {
-		for page, off := range sf.offsets {
-			if off < 0 {
-				continue
-			}
+		for page := range sf.offsets {
 			if _, _, err := st.Fetch(disk.PageAddr{File: id, Page: page}); err != nil {
 				t.Errorf("Fetch(%d, %d): %v", id, page, err)
 			}
@@ -350,13 +369,16 @@ func TestFetchAllocsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var allocs []float64
-	for i, rows := range []int{8, 64} {
-		addr := disk.PageAddr{File: 0, Page: i}
-		if err := st.Put(at(addr, flatVecPage(rows, 60))); err != nil {
+	rowCounts := []int{8, 64}
+	for i, rows := range rowCounts {
+		if err := st.Put(at(disk.PageAddr{File: 0, Page: i}, flatVecPage(rows, 60))); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := st.Fetch(addr); err != nil { // map the file first
+	}
+	var allocs []float64
+	for i := range rowCounts {
+		addr := disk.PageAddr{File: 0, Page: i}
+		if _, _, err := st.Fetch(addr); err != nil { // the first fetch maps the file
 			t.Fatal(err)
 		}
 		allocs = append(allocs, testing.AllocsPerRun(50, func() {

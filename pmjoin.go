@@ -225,10 +225,8 @@ type Dataset struct {
 
 	// sequence data
 	window   int
-	stride   int
 	scale    float64 // MR-index predictor scale
 	features int     // MR-index PAA features
-	alphabet *seqdist.Alphabet
 
 	objects int
 }
@@ -372,7 +370,6 @@ func (s *System) AddSeries(name string, series []float64, opts SeriesOptions) (*
 		kind:     KindSeries,
 		ds:       join.Dataset{Name: name, File: file, Root: ix.Root(), Pages: ix.NumPages()},
 		window:   ix.Config().Window,
-		stride:   ix.Config().Stride,
 		scale:    ix.Scale(),
 		features: ix.Config().Features,
 		objects:  ix.NumWindows(),
@@ -428,13 +425,11 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 		}
 	}
 	return s.validated(&Dataset{
-		sys:      s,
-		kind:     KindString,
-		ds:       join.Dataset{Name: name, File: file, Root: ix.Root(), Pages: ix.NumPages()},
-		window:   ix.Config().Window,
-		stride:   ix.Config().Stride,
-		alphabet: alpha,
-		objects:  ix.NumWindows(),
+		sys:     s,
+		kind:    KindString,
+		ds:      join.Dataset{Name: name, File: file, Root: ix.Root(), Pages: ix.NumPages()},
+		window:  ix.Config().Window,
+		objects: ix.NumWindows(),
 	})
 }
 

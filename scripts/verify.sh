@@ -107,8 +107,10 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # cells on hierarchies with several leaves a page, where it saturates page
 # pairs, with counters that do not depend on the sub-sweep schedule; a
 # string join's MatrixSeconds must not depend on Parallelism when each run
-# builds its own matrix.
-contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism'
+# builds its own matrix. A run's own files (EGO's sorted copy, BFRJ's node
+# and spill files) live in its session: repeated and concurrent EGO and BFRJ
+# joins must leave the catalog and the attached store as ingest left them.
+contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession'
 contract ./internal/buffer 'TestPinSet'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
