@@ -45,8 +45,8 @@ type Engine struct {
 }
 
 // validate makes a run's O(1) checks: the engine has a disk and a buffer of
-// at least three frames, and each dataset matches its file's page count. The
-// index walk (Dataset.Validate) is the ingester's, once per dataset.
+// at least three frames, and each dataset matches its file's page count
+// (Dataset.Check).
 func (e *Engine) validate(r, s *Dataset) error {
 	if e.Disk == nil {
 		return fmt.Errorf("join: engine has no disk")
@@ -54,10 +54,10 @@ func (e *Engine) validate(r, s *Dataset) error {
 	if e.BufferSize < 3 {
 		return fmt.Errorf("join: buffer size %d < 3", e.BufferSize)
 	}
-	if err := r.check(e.Disk); err != nil {
+	if err := r.Check(e.Disk); err != nil {
 		return err
 	}
-	return s.check(e.Disk)
+	return s.Check(e.Disk)
 }
 
 // Run wraps an executor body with a fresh execution scope: a cold disk

@@ -21,11 +21,13 @@ type Dataset struct {
 	Pages int
 }
 
-// Validate checks that the hierarchy matches the page file. It walks the
-// whole index, so it runs once per dataset, when the dataset is ingested;
-// every join repeats only its O(1) part, check.
+// Validate checks that the hierarchy matches the page file: every node's MBR
+// contains its children's, and the leaves cover every page. It walks the
+// whole index, so it is a test's check: the loaders build trees that pass
+// it by construction (the root package's TestIngestedDatasetsValidate holds
+// them to it), and ingest and every join make only its O(1) part, Check.
 func (d *Dataset) Validate(dk *disk.Disk) error {
-	if err := d.check(dk); err != nil {
+	if err := d.Check(dk); err != nil {
 		return err
 	}
 	if err := d.Root.Validate(); err != nil {
@@ -53,9 +55,9 @@ func (d *Dataset) Validate(dk *disk.Disk) error {
 	return nil
 }
 
-// check is Validate's O(1) part: the dataset has an index, and it declares
+// Check is Validate's O(1) part: the dataset has an index, and it declares
 // as many pages as its file holds.
-func (d *Dataset) check(dk *disk.Disk) error {
+func (d *Dataset) Check(dk *disk.Disk) error {
 	if d.Root == nil {
 		return fmt.Errorf("join: dataset %q has no index", d.Name)
 	}

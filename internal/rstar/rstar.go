@@ -7,7 +7,8 @@
 // packs vectors straight into row blocks; BulkLoadSTR packs Items. Both run
 // the one packer, strPack, which splits each STR slab by selection over a
 // column-major array of centres, so the two give the same tree for the same
-// points.
+// points. Given a Runner, both run the steps whose output is one disjoint
+// range of the tree on it; the tree does not depend on whether they do.
 package rstar
 
 import (
@@ -16,6 +17,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
@@ -32,13 +34,71 @@ func PointItem(id int, v geom.Vector) Item {
 	return Item{ID: id, MBR: geom.NewMBR(v)}
 }
 
-// Config controls node capacities.
+// Config controls node capacities and where the load runs.
 type Config struct {
 	// MaxLeafEntries is the number of objects per leaf (= per data page).
 	MaxLeafEntries int
 	// MaxBranchEntries is the fanout of internal nodes.
 	MaxBranchEntries int
+	// Runner, when non-nil, runs the loader's independent ranges as tasks:
+	// the centre transpose and input check, each STR pass's selections, the
+	// final slab sorts, the leaf MBRs and, for LoadPoints, the row gather and
+	// the page-order block move. Each task writes only its own range and
+	// reads only what the inline loader reads, so the tree is the same to
+	// the bit. The levels above the leaves and the page numbering stay
+	// inline.
+	Runner Runner
 }
+
+// Runner executes independent tasks, possibly concurrently. join.WorkerPool
+// satisfies it, as it does predmat.Runner, so the loader spawns no
+// goroutine of its own.
+type Runner interface {
+	Run(task func())
+}
+
+// work is one load's tasks: on the Runner when there is one, inline
+// otherwise. A task may start further tasks; none waits for another, so a
+// pool of any size cannot deadlock.
+type work struct {
+	run Runner
+	wg  sync.WaitGroup
+}
+
+// spawn runs task, on the runner when there is one.
+func (w *work) spawn(task func()) {
+	if w.run == nil {
+		task()
+		return
+	}
+	w.wg.Add(1)
+	w.run.Run(func() {
+		defer w.wg.Done()
+		task()
+	})
+}
+
+// split runs body over [0, n) in ranges of grain, or in one range inline,
+// and returns once every range is done.
+func (w *work) split(n, grain int, body func(lo, hi int)) {
+	if w.run == nil || n <= grain {
+		if n > 0 {
+			body(0, n)
+		}
+		return
+	}
+	for lo := 0; lo < n; lo += grain {
+		w.spawn(func() { body(lo, min(lo+grain, n)) })
+	}
+	w.wg.Wait()
+}
+
+// Task sizes, each large enough that a task's work dwarfs submitting it.
+const (
+	rowGrain  = 2048 // input rows a task of the centre transpose checks
+	nodeGrain = 256  // nodes a task of newLevel or of the page move fills
+	keyGrain  = 4096 // STR keys a selection or sort task holds, bar the last
+)
 
 // DefaultConfig returns the given leaf capacity with a fanout of 32.
 func DefaultConfig(leafCap int) Config {
@@ -96,12 +156,13 @@ func BulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
 		return &Tree{root: &index.Node{Page: -1}, pages: [][]Item{}}, nil
 	}
 
-	order, cuts := strPack(cent, n, dim, cfg.MaxLeafEntries)
+	w := &work{run: cfg.Runner}
+	order, cuts := strPack(w, cent, n, dim, cfg.MaxLeafEntries)
 	packed := make([]Item, n)
 	for k, key := range order {
 		packed[k] = items[key.i]
 	}
-	leaves := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+	leaves := newLevel(w, len(cuts)-1, dim, func(k int, m geom.MBR) {
 		its := packed[cuts[k]:cuts[k+1]]
 		copy(m.Min, its[0].MBR.Min)
 		copy(m.Max, its[0].MBR.Max)
@@ -157,27 +218,23 @@ func LoadPoints(dim int, cfg Config, vecs [][]float64) (*PointTree, error) {
 	}
 	n := len(vecs)
 	cent := make([]float64, dim*n)
-	for i, v := range vecs {
-		if len(v) != dim {
-			return nil, fmt.Errorf("rstar: vector %d has dim %d, want %d", i, len(v), dim)
-		}
-		var bad float64 // x-x is 0, or NaN where x is NaN or ±Inf
-		for a, x := range v {
-			bad += x - x
-			cent[a*n+i] = (x + x) / 2 // a point's MBR centre, as BulkLoadSTR computes it
-		}
-		if bad != 0 {
-			a := slices.IndexFunc(v, func(x float64) bool { return x-x != 0 })
-			return nil, fmt.Errorf("rstar: vector %d has non-finite coordinate %d (%g)", i, a, v[a])
+	w := &work{run: cfg.Runner}
+	// Each range stops at its own first offender, so the first range that
+	// has one holds the lowest.
+	errs := make([]error, (n+rowGrain-1)/rowGrain)
+	w.split(n, rowGrain, func(lo, hi int) { errs[lo/rowGrain] = centres(cent, n, dim, vecs, lo, hi) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	if n == 0 {
 		return &PointTree{root: &index.Node{Page: -1}}, nil
 	}
 
-	order, cuts := strPack(cent, n, dim, cfg.MaxLeafEntries)
+	order, cuts := strPack(w, cent, n, dim, cfg.MaxLeafEntries)
 	packed := make([]float64, n*dim)
-	leaves := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+	leaves := newLevel(w, len(cuts)-1, dim, func(k int, m geom.MBR) {
 		lo, hi := cuts[k], cuts[k+1]
 		for j := lo; j < hi; j++ {
 			copy(packed[j*dim:(j+1)*dim], vecs[order[j].i])
@@ -191,21 +248,47 @@ func LoadPoints(dim int, cfg Config, vecs [][]float64) (*PointTree, error) {
 	})
 	root, leafOf := stack(leaves, dim, cfg.MaxBranchEntries, cent)
 
+	// Page p's rows start at row at[p], the sum of the earlier pages' sizes.
+	at := make([]int, len(leafOf)+1)
+	for p, k := range leafOf {
+		at[p+1] = at[p] + cuts[k+1] - cuts[k]
+	}
 	data, ids := cent[:n*dim:n*dim], make([]int, n)
 	t := &PointTree{root: root, ids: make([][]int, len(leafOf)), rows: make([][]float64, len(leafOf))}
-	at := 0
-	for p, k := range leafOf {
-		lo, hi := cuts[k], cuts[k+1]
-		next := at + hi - lo
-		copy(data[at*dim:next*dim], packed[lo*dim:hi*dim])
-		for j := lo; j < hi; j++ {
-			ids[at+j-lo] = int(order[j].i)
+	w.split(len(leafOf), nodeGrain, func(first, last int) {
+		for p := first; p < last; p++ {
+			lo, hi, k := at[p], at[p+1], leafOf[p]
+			copy(data[lo*dim:hi*dim], packed[cuts[k]*dim:cuts[k+1]*dim])
+			for j, key := range order[cuts[k]:cuts[k+1]] {
+				ids[lo+j] = int(key.i)
+			}
+			t.ids[p] = ids[lo:hi:hi]
+			t.rows[p] = data[lo*dim : hi*dim : hi*dim]
 		}
-		t.ids[p] = ids[at:next:next]
-		t.rows[p] = data[at*dim : next*dim : next*dim]
-		at = next
-	}
+	})
 	return t, nil
+}
+
+// centres checks vecs[lo:hi] and writes their centres into cent, column
+// major, stopping at the first vector of the wrong length or with a
+// non-finite coordinate.
+func centres(cent []float64, n, dim int, vecs [][]float64, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		v := vecs[i]
+		if len(v) != dim {
+			return fmt.Errorf("rstar: vector %d has dim %d, want %d", i, len(v), dim)
+		}
+		var bad float64 // x-x is 0, or NaN where x is NaN or ±Inf
+		for a, x := range v {
+			bad += x - x
+			cent[a*n+i] = (x + x) / 2 // a point's MBR centre, as BulkLoadSTR computes it
+		}
+		if bad != 0 {
+			a := slices.IndexFunc(v, func(x float64) bool { return x-x != 0 })
+			return fmt.Errorf("rstar: vector %d has non-finite coordinate %d (%g)", i, a, v[a])
+		}
+	}
+	return nil
 }
 
 // NumPages returns the number of data pages.
@@ -240,18 +323,21 @@ func extend(m geom.MBR, lo, hi []float64) {
 
 // newLevel makes count nodes. Node k carries k as its page, and the MBR
 // that box(k, m) writes into m's corners; the corners of a level share one
-// backing array.
-func newLevel(count, dim int, box func(k int, m geom.MBR)) []*index.Node {
+// backing array. The boxes run as w's tasks, so box(k, …) may write only
+// what belongs to node k.
+func newLevel(w *work, count, dim int, box func(k int, m geom.MBR)) []*index.Node {
 	nodes := make([]index.Node, count)
 	corners := make(geom.Vector, 2*dim*count)
 	out := make([]*index.Node, count)
-	for k := range nodes {
-		c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
-		m := geom.MBR{Min: c[:dim:dim], Max: c[dim:]}
-		box(k, m)
-		nodes[k] = index.Node{MBR: m, Page: k}
-		out[k] = &nodes[k]
-	}
+	w.split(count, nodeGrain, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
+			m := geom.MBR{Min: c[:dim:dim], Max: c[dim:]}
+			box(k, m)
+			nodes[k] = index.Node{MBR: m, Page: k}
+			out[k] = &nodes[k]
+		}
+	})
 	return out
 }
 
@@ -259,8 +345,11 @@ func newLevel(count, dim int, box func(k int, m geom.MBR)) []*index.Node {
 // the level below's MBRs, up to one root, reusing cent for those centres.
 // It then numbers the pages left to right, so leaf contents are contiguous
 // on disk in the order a depth-first walk meets them (§5.1), and returns
-// the root and, for each page, the index of the leaf that holds it.
+// the root and, for each page, the index of the leaf that holds it. It runs
+// inline: the levels above the leaves are small (181 nodes over a landsat
+// side's 5 761 leaves).
 func stack(nodes []*index.Node, dim, fanout int, cent []float64) (*index.Node, []int) {
+	var inline work
 	leafOf := make([]int, 0, len(nodes))
 	for len(nodes) > 1 {
 		n := len(nodes)
@@ -270,12 +359,12 @@ func stack(nodes []*index.Node, dim, fanout int, cent []float64) (*index.Node, [
 				cent[a*n+i] = (nd.MBR.Min[a] + nd.MBR.Max[a]) / 2
 			}
 		}
-		order, cuts := strPack(cent, n, dim, fanout)
+		order, cuts := strPack(&inline, cent, n, dim, fanout)
 		children := make([]*index.Node, n)
 		for k, key := range order {
 			children[k] = nodes[key.i]
 		}
-		parents := newLevel(len(cuts)-1, dim, func(k int, m geom.MBR) {
+		parents := newLevel(&inline, len(cuts)-1, dim, func(k int, m geom.MBR) {
 			kids := children[cuts[k]:cuts[k+1]]
 			copy(m.Min, kids[0].MBR.Min)
 			copy(m.Max, kids[0].MBR.Max)
@@ -356,7 +445,10 @@ type strGroup struct{ lo, hi int }
 // or by (c_dim−1, i) when no pass ran. A slab of at most capacity entries
 // is one node on every later pass, so it is done; in high dimensions that
 // ends the passes early (at 60-d every slab is done after ~13 axes).
-func strPack(cent []float64, n, dim, capacity int) (order []strKey, cuts []int) {
+//
+// Groups touch disjoint runs of order, so each pass's selections and the
+// final sorts run as w's tasks, a batch of small groups to a task.
+func strPack(w *work, cent []float64, n, dim, capacity int) (order []strKey, cuts []int) {
 	order = make([]strKey, n)
 	for i := range order {
 		order[i].i = int32(i)
@@ -371,30 +463,39 @@ func strPack(cent []float64, n, dim, capacity int) (order []strKey, cuts []int) 
 	numNodes := (n + capacity - 1) / capacity
 	groups := []strGroup{{lo: 0, hi: n}}
 	var next []strGroup
-	var slabCuts []int
 	splitting := 1 // groups not yet done
 	for axis := 0; axis < dim-1 && numNodes > 1 && splitting > 0; axis++ {
 		slabsPerGroup := int(math.Ceil(math.Pow(float64(numNodes), 1/float64(dim-axis))))
+		slabSize := func(g strGroup) int { return max((g.hi-g.lo+slabsPerGroup-1)/slabsPerGroup, capacity) }
 		cmp := strCmp(cent, n, axis, 0)
+		eachBatch(w, groups, func(batch []strGroup) {
+			// Room for every cut of the batch, as a slab holds at least
+			// capacity keys: a forked selection may still hold an earlier
+			// group's cuts, so none is overwritten.
+			slabCuts := make([]int, 0, (batch[len(batch)-1].hi-batch[0].lo)/capacity)
+			for _, g := range batch {
+				keys, size := order[g.lo:g.hi], slabSize(g)
+				if len(keys) <= capacity || size >= len(keys) {
+					continue
+				}
+				from := len(slabCuts)
+				for c := size; c < len(keys); c += size {
+					slabCuts = append(slabCuts, c)
+				}
+				load(keys, axis)
+				strSelectOn(w, keys, 0, slabCuts[from:], cmp, strSelectBudget(len(keys)))
+			}
+		})
 		next = next[:0]
 		splitting = 0
 		for _, g := range groups {
-			keys := order[g.lo:g.hi]
-			if len(keys) <= capacity {
+			if g.hi-g.lo <= capacity {
 				next = append(next, g)
 				continue
 			}
-			slabSize := max((len(keys)+slabsPerGroup-1)/slabsPerGroup, capacity)
-			slabCuts = slabCuts[:0]
-			for c := slabSize; c < len(keys); c += slabSize {
-				slabCuts = append(slabCuts, c)
-			}
-			if len(slabCuts) > 0 {
-				load(keys, axis)
-				strSelect(keys, 0, slabCuts, cmp, strSelectBudget(len(keys)))
-			}
-			for lo := g.lo; lo < g.hi; lo += slabSize {
-				hi := min(lo+slabSize, g.hi)
+			size := slabSize(g)
+			for lo := g.lo; lo < g.hi; lo += size {
+				hi := min(lo+size, g.hi)
 				if hi-lo > capacity {
 					splitting++
 				}
@@ -409,16 +510,60 @@ func strPack(cent []float64, n, dim, capacity int) (order []strKey, cuts []int) 
 		bottom = dim - 1
 	}
 	cmp := strCmp(cent, n, dim-1, bottom)
+	eachBatch(w, groups, func(batch []strGroup) {
+		for _, g := range batch {
+			keys := order[g.lo:g.hi]
+			load(keys, dim-1)
+			slices.SortFunc(keys, cmp)
+		}
+	})
 	cuts = make([]int, 0, numNodes+1)
 	for _, g := range groups {
-		keys := order[g.lo:g.hi]
-		load(keys, dim-1)
-		slices.SortFunc(keys, cmp)
 		for lo := g.lo; lo < g.hi; lo += capacity {
 			cuts = append(cuts, lo)
 		}
 	}
 	return order, append(cuts, n)
+}
+
+// eachBatch runs body over runs of consecutive groups of at least keyGrain
+// keys each, as w's tasks, and returns once all are done.
+func eachBatch(w *work, groups []strGroup, body func([]strGroup)) {
+	if w.run == nil {
+		body(groups)
+		return
+	}
+	first, keys := 0, 0
+	for i, g := range groups {
+		if keys += g.hi - g.lo; keys >= keyGrain || i == len(groups)-1 {
+			batch := groups[first : i+1]
+			w.spawn(func() { body(batch) })
+			first, keys = i+1, 0
+		}
+	}
+	w.wg.Wait()
+}
+
+// strSelectOn is strSelect with the two sides of a partition of more than
+// keyGrain keys, when both hold cuts, selected as separate tasks of w. The
+// sides are disjoint and each gets the budget strSelect would give it, so
+// the keys end in the order strSelect leaves them in.
+func strSelectOn(w *work, g []strKey, off int, cuts []int, cmp func(a, b strKey) int, budget int) {
+	for len(g) > keyGrain && len(cuts) > 0 && budget > 0 {
+		budget--
+		p := strPartition(g, cmp)
+		l := sort.SearchInts(cuts, off+p)
+		r := sort.SearchInts(cuts, off+p+2)
+		left, leftOff, leftCuts, leftBudget := g[:p], off, cuts[:l], budget
+		g, off, cuts = g[p+1:], off+p+1, cuts[r:]
+		switch {
+		case len(cuts) == 0:
+			g, off, cuts = left, leftOff, leftCuts
+		case len(leftCuts) > 0:
+			w.spawn(func() { strSelectOn(w, left, leftOff, leftCuts, cmp, leftBudget) })
+		}
+	}
+	strSelect(g, off, cuts, cmp, budget)
 }
 
 // strSelectBudget is the partition depth after which strSelect sorts a

@@ -27,6 +27,7 @@ package pmjoin
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"pmjoin/internal/disk"
@@ -273,7 +274,8 @@ func firstNonFinite(v []float64) int {
 // AddVectors indexes dim-dimensional vectors with an STR-packed R-tree, one
 // leaf per page (§5.1), lays the vectors out page-contiguously on the
 // simulated disk, and returns the joinable dataset. Object IDs are
-// the indices into vecs. Every coordinate must be finite.
+// the indices into vecs. Every coordinate must be finite. The load runs on
+// GOMAXPROCS workers, and builds the same tree on any number.
 func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (*Dataset, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("pmjoin: dataset %q is empty", name)
@@ -290,7 +292,15 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if perPage < 2 {
 		perPage = 2
 	}
-	tree, err := rstar.LoadPoints(dim, rstar.DefaultConfig(perPage), vecs)
+	// The loader's independent ranges run on one worker a core, the default
+	// Options.Parallelism takes; the pool is gone before AddVectors returns.
+	cfg := rstar.DefaultConfig(perPage)
+	if workers := runtime.GOMAXPROCS(0); workers > 1 {
+		pool := join.NewWorkerPool(workers)
+		defer pool.Close()
+		cfg.Runner = pool
+	}
+	tree, err := rstar.LoadPoints(dim, cfg, vecs)
 	if err != nil {
 		return nil, fmt.Errorf("pmjoin: indexing %q: %w", name, err)
 	}
@@ -433,11 +443,13 @@ func (s *System) AddString(name string, seq []byte, opts StringOptions) (*Datase
 	})
 }
 
-// validated returns d once its index has been checked against its page
-// file. Datasets are immutable, so this walk is made once, at ingest; a join
-// repeats only the O(1) page-count check (join.Engine).
+// validated returns d once it declares as many pages as its file holds
+// (join.Dataset.Check). Its index is the loader's own, built to contain its
+// children's MBRs and cover every page, so ingest does not walk it again:
+// TestIngestedDatasetsValidate runs the full join.Dataset.Validate on the
+// datasets of all three Add* calls over hostile inputs.
 func (s *System) validated(d *Dataset) (*Dataset, error) {
-	if err := d.ds.Validate(s.d); err != nil {
+	if err := d.ds.Check(s.d); err != nil {
 		return nil, err
 	}
 	return d, nil

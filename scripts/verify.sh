@@ -97,7 +97,13 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # and the landsat and road shapes must hash to their recorded trees. The
 # point loader AddVectors uses must build BulkLoadSTR's tree, and the slab
 # selection must put the sorted order's sets in every slab on adversarial
-# inputs and when it falls back to sorting. The MR- and MRS-index trees and
+# inputs and when it falls back to sorting. The point loader must build the
+# same tree on a 2- and a 4-worker pool as inline, and the selection that
+# forks a partition's sides onto the pool must leave strSelect's order; AddVectors, which loads on
+# a pool, must name the lowest-index malformed vector whichever range finds
+# it, and leave no worker running once it returns. Ingest checks only a
+# dataset's page count, so the full index walk runs here, on datasets of all
+# three Add* calls over hostile inputs. The MR- and MRS-index trees and
 # page layouts, built through the one sliding-window layout, must hash to
 # the values recorded when each package held its own copy.
 # A run's measured reads are summed in one place, the metrics snapshot, and
@@ -110,7 +116,7 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # builds its own matrix. A run's own files (EGO's sorted copy, BFRJ's node
 # and spill files) live in its session: repeated and concurrent EGO and BFRJ
 # joins must leave the catalog and the attached store as ingest left them.
-contract . 'TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession'
+contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession'
 contract ./internal/buffer 'TestPinSet'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
@@ -118,7 +124,7 @@ contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
 contract ./internal/predmat 'TestBuildMatchesReference|TestSharedPageBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
-contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint|TestPointLoadMatchesBulkLoadSTR|TestSTRSelectAdversarial'
+contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint|TestPointLoadMatchesBulkLoadSTR|TestSTRSelectAdversarial|TestPointLoadParallelMatchesInline|TestSTRSelectOnMatchesStrSelect'
 contract ./internal/index 'TestSequenceTreeFingerprint'
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
