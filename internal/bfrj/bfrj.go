@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"pmjoin/internal/disk"
-	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/join"
 	"pmjoin/internal/predmat"
@@ -57,25 +56,13 @@ type Options struct {
 	PairsPerPage int
 }
 
-// kernelBounder is the optional Predictor refinement that
-// predmat.NormPredictor offers.
-type kernelBounder interface {
-	KernelBound(eps float64) func(a, b geom.MBR) bool
-}
-
 // Run executes BFRJ between the datasets indexed by r.Root and s.Root.
 func Run(e *join.Engine, r, s *join.Dataset, j join.ObjectJoiner, opts Options) (*join.Report, error) {
 	if opts.PairsPerPage == 0 {
 		opts.PairsPerPage = 256
 	}
-	// Node-pair predictor tests run through internal/kernel's exact MBR
-	// bound when Pred offers one.
-	within := func(a, b geom.MBR) bool { return opts.Pred.LowerBound(a, b) <= opts.Eps }
-	if kb, ok := opts.Pred.(kernelBounder); ok {
-		if f := kb.KernelBound(opts.Eps); f != nil {
-			within = f
-		}
-	}
+	// Node pairs are tested as the prediction matrix tests page pairs.
+	within, _ := predmat.MBRTest(opts.Pred, opts.Eps)
 	return e.Run("BFRJ", func(x *join.Exec) error {
 		rNodes, err := materialize(x.IO, r.Root)
 		if err != nil {

@@ -20,15 +20,12 @@ import (
 )
 
 // Adapter gives the EGO join what a page does not say about its objects:
-// their grid cells and the join predicate. Object counts and IDs, the
-// self-join skip and reordering are read off the pages.
+// their grid cells. Object counts and IDs, the self-join skip and
+// reordering are read off the pages, and the join's ObjectJoiner decides and
+// prices each candidate pair.
 type Adapter interface {
 	// GridKey returns the ε-grid cell coordinates of object i of pg.
 	GridKey(pg *disk.Page, i int) []int
-	// Compare exactly verifies the join predicate between object i of a
-	// and object k of b, returning whether they match and the modeled CPU
-	// seconds of the check.
-	Compare(a *disk.Page, i int, b *disk.Page, k int) (match bool, cpuSeconds float64)
 }
 
 // ObjectRef identifies one object by home page and slot.
@@ -45,10 +42,13 @@ type Options struct {
 	ExcludeOverlap int
 }
 
-// Run executes the EGO join of r and s. The executor itself is serial
-// (Engine.Workers is not consulted); it runs inside an Engine.Run scope so
-// its I/O is charged to a per-run session like every other method.
-func Run(e *join.Engine, r, s *join.Dataset, ad Adapter, opts Options) (*join.Report, error) {
+// Run executes the EGO join of r and s. Candidate pairs are verified by j's
+// PairTest, the test j.JoinPages applies, so EGO finds the pairs every other
+// method finds. The executor itself is serial (Engine.Workers is not
+// consulted); it runs inside an Engine.Run scope so its I/O is charged to a
+// per-run session like every other method.
+func Run(e *join.Engine, r, s *join.Dataset, j join.ObjectJoiner, ad Adapter, opts Options) (*join.Report, error) {
+	test := j.PairTest()
 	return e.Run("EGO", func(x *join.Exec) error {
 		rRefs, rData, err := prepare(e, x, r, ad)
 		if err != nil {
@@ -67,7 +67,7 @@ func Run(e *join.Engine, r, s *join.Dataset, ad Adapter, opts Options) (*join.Re
 		// Pin as large an R block as the buffer allows: the S range is
 		// walked in one ascending pass, so it needs only the remaining
 		// frames, and the total S pages touched shrink as blocks grow.
-		return sweep(x, rData, sData, rRefs, sRefs, ad, opts, e.BufferSize-2)
+		return sweep(x, rData, sData, rRefs, sRefs, test, opts, e.BufferSize-2)
 	})
 }
 
@@ -231,7 +231,7 @@ func chargeMergePasses(e *join.Engine, x *join.Exec, f disk.FileID) error {
 // reordered file, making the range walk sequential. For in-place sequence
 // data every touched object faults its home page, which is where the
 // paper's reported degradation on sequence data comes from.
-func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, ad Adapter, opts Options, blockPages int) error {
+func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, test join.PairTest, opts Options, blockPages int) error {
 	if len(rRefs) == 0 || len(sRefs) == 0 {
 		return nil
 	}
@@ -296,7 +296,7 @@ func sweep(x *join.Exec, rData, sData *join.Dataset, rRefs, sRefs []ObjectRef, a
 					continue
 				}
 				x.Rep.Comparisons++
-				match, cpu := ad.Compare(pa, slot, pb, sb.Slot)
+				match, cpu := test(pa, slot, pb, sb.Slot)
 				x.Rep.CPUJoinSeconds += cpu
 				if match {
 					x.Emit(pa.IDs[slot], pb.IDs[sb.Slot])

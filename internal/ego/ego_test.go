@@ -12,7 +12,8 @@ import (
 	"pmjoin/internal/kernel"
 )
 
-// testAdapter adapts 2-d point pages for EGO with L2 and width eps.
+// testAdapter adapts 2-d point pages for EGO with grid width eps; the
+// join's VectorJoiner or SeriesJoiner verifies the candidates under L2.
 type testAdapter struct{ eps float64 }
 
 func (a *testAdapter) GridKey(pg *disk.Page, i int) []int {
@@ -22,10 +23,6 @@ func (a *testAdapter) GridKey(pg *disk.Page, i int) []int {
 		key[d] = int(math.Floor(x / a.eps))
 	}
 	return key
-}
-
-func (a *testAdapter) Compare(pa *disk.Page, i int, pb *disk.Page, k int) (bool, float64) {
-	return geom.L2.Dist(pa.Flat.Row(i), pb.Flat.Row(k)) <= a.eps, 1e-9
 }
 
 // buildFlat materializes n random 2-d points into sequential pages of the
@@ -73,7 +70,7 @@ func brute(a, b []geom.Vector, eps float64, self bool) int64 {
 			if self && i >= k {
 				continue
 			}
-			if geom.L2.Dist(va, vb) <= eps {
+			if geom.DistSq(va, vb) <= eps*eps {
 				n++
 			}
 		}
@@ -88,7 +85,7 @@ func TestEGOMatchesBruteForce(t *testing.T) {
 	db, vb := buildFlat(t, d, rng, disk.Vectors, 300, 8)
 	const eps = 0.06
 	e := &join.Engine{Disk: d, BufferSize: 16}
-	rep, err := Run(e, da, db, &testAdapter{eps: eps}, Options{})
+	rep, err := Run(e, da, db, join.VectorJoiner{Norm: geom.L2, Eps: eps}, &testAdapter{eps: eps}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +104,7 @@ func TestEGOSelfJoin(t *testing.T) {
 	da, va := buildFlat(t, d, rng, disk.Vectors, 350, 8)
 	const eps = 0.05
 	e := &join.Engine{Disk: d, BufferSize: 16}
-	rep, err := Run(e, da, da, &testAdapter{eps: eps}, Options{SelfJoin: true})
+	rep, err := Run(e, da, da, join.VectorJoiner{Norm: geom.L2, Eps: eps}, &testAdapter{eps: eps}, Options{SelfJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +123,14 @@ func TestEGOSelfJoinExcludesOverlap(t *testing.T) {
 	d := disk.New(disk.DefaultModel())
 	da, va := buildFlat(t, d, rand.New(rand.NewSource(6)), disk.Series, 300, 8)
 	e := &join.Engine{Disk: d, BufferSize: 16}
-	rep, err := Run(e, da, da, &testAdapter{eps: eps}, Options{SelfJoin: true, ExcludeOverlap: exclude})
+	rep, err := Run(e, da, da, join.SeriesJoiner{Eps: eps}, &testAdapter{eps: eps}, Options{SelfJoin: true, ExcludeOverlap: exclude})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want int64
 	for i := range va {
 		for k := i + exclude; k < len(va); k++ {
-			if geom.L2.Dist(va[i], va[k]) <= eps {
+			if geom.DistSq(va[i], va[k]) <= eps*eps {
 				want++
 			}
 		}
@@ -157,11 +154,11 @@ func TestEGONonReorderableMatchesAndSeeksMore(t *testing.T) {
 	want := brute(va, vb, eps, false)
 
 	e := &join.Engine{Disk: d, BufferSize: 16}
-	re, err := Run(e, da, db, &testAdapter{eps: eps}, Options{})
+	re, err := Run(e, da, db, join.VectorJoiner{Norm: geom.L2, Eps: eps}, &testAdapter{eps: eps}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := Run(e, sa, sb, &testAdapter{eps: eps}, Options{})
+	ri, err := Run(e, sa, sb, join.SeriesJoiner{Eps: eps}, &testAdapter{eps: eps}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +179,7 @@ func TestEGOEmptyInputs(t *testing.T) {
 	e := &join.Engine{Disk: d, BufferSize: 8}
 	// Epsilon so small every point is isolated: still must terminate with 0
 	// or more results and no error.
-	if _, err := Run(e, da, da, &testAdapter{eps: 1e-9}, Options{SelfJoin: true}); err != nil {
+	if _, err := Run(e, da, da, join.VectorJoiner{Norm: geom.L2, Eps: 1e-9}, &testAdapter{eps: 1e-9}, Options{SelfJoin: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,7 +213,7 @@ func TestMergePassChargesGrowWithSmallBuffers(t *testing.T) {
 		da, _ := buildFlat(t, d, rng, disk.Vectors, 600, 4)
 		db, _ := buildFlat(t, d, rng, disk.Vectors, 600, 4)
 		e := &join.Engine{Disk: d, BufferSize: buffer}
-		rep, err := Run(e, da, db, &testAdapter{eps: 0.02}, Options{})
+		rep, err := Run(e, da, db, join.VectorJoiner{Norm: geom.L2, Eps: 0.02}, &testAdapter{eps: 0.02}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,7 +191,7 @@ func (t *task) merge(x *Exec) {
 		// The expressions JoinPages evaluates for the same page pair, so the
 		// fold is bit-identical to the per-cell fallback's. Empty pages
 		// contribute exactly +0.0 either way.
-		perPair := compareBaseCost + comparePerDimCost*float64(t.br.Dim())
+		perPair := pairCost(t.br.Dim())
 		for _, c := range t.cells {
 			comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
 			x.Rep.Comparisons += comps

@@ -16,9 +16,19 @@ import (
 // against those of page b (second dataset), calling emit for every result
 // pair. It returns the number of object-pair comparisons performed and the
 // modeled CPU seconds they cost.
+//
+// PairTest returns the test JoinPages applies to one object pair, compiled
+// once: a caller that verifies its own candidate pairs (EGO) builds it once
+// a join.
 type ObjectJoiner interface {
 	JoinPages(a, b *disk.Page, emit func(idA, idB int)) (comparisons int64, cpuSeconds float64)
+	PairTest() PairTest
 }
+
+// PairTest decides whether object i of page a joins object k of page b, and
+// returns the modeled CPU seconds of the decision. A self join's skip
+// (SelfSkip) is the caller's: a skipped pair is not a comparison.
+type PairTest func(a *disk.Page, i int, b *disk.Page, k int) (match bool, cpuSeconds float64)
 
 // BatchJoiner is an ObjectJoiner whose JoinPages can be hoisted to
 // whole-cluster block evaluation (Exec.JoinCluster) over the flat blocks of
@@ -42,6 +52,18 @@ const (
 	comparePerDimCost = 5e-9  // per-dimension cost, seconds
 	editPerCellCost   = 2e-9  // per banded-DP-cell cost, seconds
 )
+
+// pairCost is the modeled CPU seconds of one object-pair comparison over dim
+// coordinates (frequency components, for strings).
+func pairCost(dim int) float64 {
+	return compareBaseCost + comparePerDimCost*float64(dim)
+}
+
+// bandCells is the number of banded-DP cells one edit-distance verification
+// of windows of length w fills under the bound maxEdit.
+func bandCells(maxEdit, w int) float64 {
+	return float64(2*maxEdit+1) * float64(w)
+}
 
 // SelfSkip reports whether a self join skips object i of page a against
 // object k of page b: every pair is joined once, from its lower id, and
@@ -110,8 +132,15 @@ func joinRows(th kernel.Threshold, self bool, exclude int, a, b *disk.Page, emit
 		}
 		pageCellPool.Put(pc)
 	}
-	perPair := compareBaseCost + comparePerDimCost*float64(a.Flat.Dim)
-	return comps, float64(comps) * perPair
+	return comps, float64(comps) * pairCost(a.Flat.Dim)
+}
+
+// rowTest is the PairTest of vector and series rows under th, priced as
+// joinRows prices one pair.
+func rowTest(th kernel.Threshold) PairTest {
+	return func(a *disk.Page, i int, b *disk.Page, k int) (bool, float64) {
+		return th.Within(a.Flat.Row(i), b.Flat.Row(k)), pairCost(a.Flat.Dim)
+	}
 }
 
 // VectorJoiner joins vector pages under an Lp norm with threshold Eps,
@@ -139,6 +168,9 @@ func (j VectorJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, fl
 	return joinRows(j.threshold(), j.Self, 0, a, b, emit)
 }
 
+// PairTest implements ObjectJoiner.
+func (j VectorJoiner) PairTest() PairTest { return rowTest(j.threshold()) }
+
 // BatchKernel implements BatchJoiner: non-self joins are batchable under the
 // JoinPages threshold. Self joins keep the per-point loop (the id-based skip
 // needs both pages' IDs).
@@ -165,6 +197,9 @@ func (j SeriesJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, fl
 	checkKinds("SeriesJoiner", disk.Series, a, b)
 	return joinRows(kernel.NewThresholdSq(j.Eps), j.Self, j.ExcludeOverlap, a, b, emit)
 }
+
+// PairTest implements ObjectJoiner.
+func (j SeriesJoiner) PairTest() PairTest { return rowTest(kernel.NewThresholdSq(j.Eps)) }
 
 // BatchKernel implements BatchJoiner: non-self joins are batchable under the
 // squared-L2 threshold. Self joins (id and overlap skips) keep the per-point
@@ -247,10 +282,24 @@ func (j StringJoiner) JoinPages(pa, pb *disk.Page, emit func(int, int)) (int64, 
 			}
 		}
 	}
-	perPair := compareBaseCost + comparePerDimCost*float64(alpha)
-	bandCells := float64(2*j.MaxEdit+1) * float64(w)
-	cpu := float64(comps)*perPair + float64(verifs)*bandCells*editPerCellCost
+	cpu := float64(comps)*pairCost(alpha) + float64(verifs)*bandCells(j.MaxEdit, w)*editPerCellCost
 	return comps, cpu
+}
+
+// PairTest implements ObjectJoiner: the frequency distance, then the banded
+// edit distance on a pair that passes it, as JoinPages decides and prices
+// each pair.
+func (j StringJoiner) PairTest() PairTest {
+	maxEdit := j.MaxEdit
+	return func(a *disk.Page, i int, b *disk.Page, k int) (bool, float64) {
+		cpu := pairCost(len(a.Freqs[i]))
+		if seqdist.FreqDistance(a.Freqs[i], b.Freqs[k]) > maxEdit {
+			return false, cpu
+		}
+		cpu += bandCells(maxEdit, len(a.Windows[i])) * editPerCellCost
+		_, ok := seqdist.EditDistanceBounded(a.Windows[i], b.Windows[k], maxEdit)
+		return ok, cpu
+	}
 }
 
 // freqL1 adds to l1[k], zero on entry, the L1 distance between the

@@ -126,6 +126,28 @@ func refJoinPages(j ObjectJoiner, a, b *disk.Page, emit func(int, int)) (int64, 
 	}
 }
 
+// pairTestJoinPages is JoinPages built from j's PairTest one pair at a time,
+// past the self-join skip: the loop EGO runs over its candidate pairs.
+func pairTestJoinPages(j ObjectJoiner, self bool, exclude int, a, b *disk.Page, emit func(int, int)) (int64, float64) {
+	test := j.PairTest()
+	var comps int64
+	var cpu float64
+	for i := range a.IDs {
+		for k := range b.IDs {
+			if self && SelfSkip(a, i, b, k, exclude) {
+				continue
+			}
+			comps++
+			ok, c := test(a, i, b, k)
+			cpu += c
+			if ok {
+				emit(a.IDs[i], b.IDs[k])
+			}
+		}
+	}
+	return comps, cpu
+}
+
 // joinTrace is everything the determinism contract fixes about a sequence
 // of page-pair comparisons.
 type joinTrace struct {
@@ -150,6 +172,21 @@ func (tr joinTrace) check(t *testing.T, want joinTrace) {
 	}
 	if !reflect.DeepEqual(tr.pairs, want.pairs) {
 		t.Errorf("pair stream differs: %d pairs, oracle %d", len(tr.pairs), len(want.pairs))
+	}
+}
+
+// checkPairTest holds a trace of PairTest calls to JoinPages': the same pairs
+// in the same order and the same comparisons. The CPU seconds are summed a
+// pair at a time, in another order than JoinPages sums them, so they agree
+// to rounding.
+func (tr joinTrace) checkPairTest(t *testing.T, want joinTrace) {
+	t.Helper()
+	if tr.comps != want.comps || !reflect.DeepEqual(tr.pairs, want.pairs) {
+		t.Errorf("PairTest: %d pairs over %d comparisons, JoinPages %d over %d",
+			len(tr.pairs), tr.comps, len(want.pairs), want.comps)
+	}
+	if math.Abs(tr.cpu-want.cpu) > 1e-9*want.cpu {
+		t.Errorf("PairTest: CPU seconds = %g, JoinPages %g", tr.cpu, want.cpu)
 	}
 }
 
@@ -237,7 +274,8 @@ func epsLadder(dists []float64) []float64 {
 // TestJoinPagesMatchesReference is the page-pair half of the oracle: for
 // every norm, self and non-self, across the ε ladder, JoinPages must emit
 // the reference loop's pairs in the reference order with equal comparison
-// counts and bit-equal modeled CPU seconds. Page b carries exact duplicates
+// counts and bit-equal modeled CPU seconds, and the joiner's PairTest, run
+// pair by pair, must decide every pair as JoinPages does. Page b carries exact duplicates
 // of page a's points so ε = 0 has matches to get right.
 func TestJoinPagesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -263,6 +301,9 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 						got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
 						want.add(func(emit func(int, int)) (int64, float64) { return refVectorJoinPages(j, pa, pb, emit) })
 						got.check(t, want)
+						var pt joinTrace
+						pt.add(func(emit func(int, int)) (int64, float64) { return pairTestJoinPages(j, self, 0, pa, pb, emit) })
+						pt.checkPairTest(t, got)
 						if eps == 0 && len(want.pairs) == 0 {
 							t.Error("ε = 0 matched nothing; the duplicate rows are not being compared")
 						}
@@ -295,6 +336,11 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 				got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(sa, sb, emit) })
 				want.add(func(emit func(int, int)) (int64, float64) { return refSeriesJoinPages(j, sa, sb, emit) })
 				got.check(t, want)
+				var pt joinTrace
+				pt.add(func(emit func(int, int)) (int64, float64) {
+					return pairTestJoinPages(j, self, j.ExcludeOverlap, sa, sb, emit)
+				})
+				pt.checkPairTest(t, got)
 				if eps == 0 && len(want.pairs) == 0 {
 					t.Error("ε = 0 matched nothing; the duplicate windows are not being compared")
 				}
@@ -318,6 +364,11 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 			got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
 			want.add(func(emit func(int, int)) (int64, float64) { return refStringJoinPages(j, pa, pb, emit) })
 			got.check(t, want)
+			var pt joinTrace
+			pt.add(func(emit func(int, int)) (int64, float64) {
+				return pairTestJoinPages(j, j.Self, j.ExcludeOverlap, pa, pb, emit)
+			})
+			pt.checkPairTest(t, got)
 			if len(pa.IDs) > 0 && len(pb.IDs) > 0 && len(want.pairs) == 0 {
 				t.Error("the reference matched nothing; the verification step is not exercised")
 			}

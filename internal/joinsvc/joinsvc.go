@@ -176,11 +176,7 @@ func (s *Service) generate(req OpenRequest) (*pmjoin.Dataset, error) {
 		} else {
 			vecs = dataset.Landsat(req.N, dim, req.Seed)
 		}
-		flat := make([][]float64, len(vecs))
-		for i, v := range vecs {
-			flat[i] = v
-		}
-		return sys.AddVectors(req.Name, flat, pmjoin.VectorOptions{PageBytes: req.PageBytes})
+		return sys.AddVectors(req.Name, dataset.ToFloats(vecs), pmjoin.VectorOptions{PageBytes: req.PageBytes})
 	case pmjoin.KindSeries:
 		window := req.Window
 		if window == 0 {

@@ -32,32 +32,32 @@ type NormPredictor struct {
 
 // LowerBound implements Predictor.
 func (p NormPredictor) LowerBound(a, b geom.MBR) float64 {
-	s := p.Scale
-	if s == 0 {
-		s = 1
-	}
-	return s * p.Norm.MinDist(a, b)
+	return p.scale() * p.Norm.MinDist(a, b)
 }
 
-// KernelBound returns an allocation-free, early-abandoning test equivalent
-// to LowerBound(a, b) <= eps — bit-identical for every input, which is what
-// keeps matrices (and therefore Plan) independent of which test Build ran.
-// It returns nil when no exact kernel exists (non-positive or NaN Scale);
-// callers then keep the LowerBound comparison.
-func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
-	if b := p.bound(eps); b != nil {
-		return b.Within
+// scale is Scale, 0 meaning 1.
+func (p NormPredictor) scale() float64 {
+	if p.Scale == 0 {
+		return 1
 	}
-	return nil
+	return p.Scale
 }
 
-// bound is the kernel test behind KernelBound, or nil.
-func (p NormPredictor) bound(eps float64) *kernel.Bound {
-	s := p.Scale
-	if s == 0 {
-		s = 1
+// MBRTest returns the one MBR test of a join at threshold eps,
+// pred.LowerBound(a, b) <= eps, which Build and the BFRJ baseline both
+// apply. For a NormPredictor of positive scale it is internal/kernel's
+// bound: allocation-free, early-abandoning and bit-identical to the
+// comparison, so no matrix depends on which form ran. withinNonEmpty is
+// within for two boxes the caller knows to be non-empty, which the kernel
+// decides without re-testing their emptiness.
+func MBRTest(pred Predictor, eps float64) (within, withinNonEmpty func(a, b geom.MBR) bool) {
+	if np, ok := pred.(NormPredictor); ok {
+		if kb := kernel.NewBound(np.Norm, np.scale(), eps); kb != nil {
+			return kb.Within, kb.WithinNonEmpty
+		}
 	}
-	return kernel.NewBound(p.Norm, s, eps)
+	within = func(a, b geom.MBR) bool { return pred.LowerBound(a, b) <= eps }
+	return within, within
 }
 
 // DefaultFilterDepth is the paper's default bound k on the number of filter
@@ -142,15 +142,7 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 // newBuilder returns the builder of one Build at threshold eps.
 func newBuilder(eps float64, pred Predictor, opts BuildOptions) *builder {
 	b := &builder{opts: opts, half: eps / 2}
-	// Leaf-pair predictor tests run through internal/kernel's exact MBR
-	// bound when the predictor offers one.
-	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	b.withinFull = b.within
-	if np, ok := pred.(NormPredictor); ok {
-		if kb := np.bound(eps); kb != nil {
-			b.within, b.withinFull = kb.Within, kb.WithinNonEmpty
-		}
-	}
+	b.within, b.withinFull = MBRTest(pred, eps)
 	return b
 }
 
@@ -187,10 +179,8 @@ type builder struct {
 	// answers once (handlePair). With one leaf a page — every STR tree — it
 	// is off and the sweeps run as they always have.
 	saturate bool
-	// within decides pred.LowerBound(a, b) <= eps — through the kernel
-	// bound when enabled, which is exact, so the matrix never depends on
-	// which path ran. withinFull is within for two non-empty MBRs, which the
-	// kernel decides without re-testing their emptiness.
+	// within decides pred.LowerBound(a, b) <= eps (MBRTest); withinFull is
+	// within for two non-empty MBRs.
 	within, withinFull func(a, b geom.MBR) bool
 
 	// markMu guards marks, one batch for each sweep that found any. Build

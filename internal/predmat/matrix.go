@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Entry is one marked cell of the prediction matrix: row r (page of the
@@ -27,9 +26,9 @@ type Entry struct {
 //
 // Internally it is compressed sparse row (CSR) plus the transposed CSC, with
 // buffered construction: Mark appends raw entries to a pending buffer in
-// O(1), and the first read accessor folds them in — one sort plus dedup —
-// via Finalize. That replaces the per-Mark sorted insertion (O(k) memmove
-// per entry, quadratic per row) the construction hot path used to pay.
+// O(1), and the first read accessor folds them in — one dedup pass — via
+// Finalize. That replaces the per-Mark sorted insertion (O(k) memmove per
+// entry, quadratic per row) the construction hot path used to pay.
 //
 // A Matrix is not safe for concurrent use while marks are buffered. Finalize
 // marks the boundary: Build returns finalized matrices, and a finalized
@@ -42,24 +41,16 @@ type Matrix struct {
 	pending []Entry
 	final   bool
 
-	marked     int
 	rowPtr     []int // len rows+1; row r's columns are colIdx[rowPtr[r]:rowPtr[r+1]]
 	colIdx     []int // ascending within each row
 	colPtr     []int // len cols+1; column c's rows are rowIdx[colPtr[c]:colPtr[c+1]]
 	rowIdx     []int // ascending within each column
 	markedRows []int // ascending rows with at least one mark
 	markedCols []int // ascending columns with at least one mark
-
-	// bits is the row-major rows×cols bitset behind O(1) IsMarked — row r's
-	// bits span [r*cols, (r+1)*cols). It is built only when the matrix is
-	// small enough (maxBitsetCells); IsMarked falls back to binary search in
-	// the row's CSR slice otherwise.
-	bits []uint64
 }
 
-// maxBitsetCells caps the IsMarked bitset at 1<<26 cells (8 MiB of words):
-// ample for every in-buffer clustering workload, skipped for genome-scale
-// matrices whose refinement sweeps walk rows instead of probing cells.
+// maxBitsetCells caps the shapes Finalize dedups through a transient
+// rows×cols bitset at 1<<26 cells (8 MiB of words); larger shapes sort.
 const maxBitsetCells = 1 << 26
 
 // NewMatrix creates an empty rows×cols prediction matrix. It panics on a
@@ -79,7 +70,7 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Cols() int { return m.cols }
 
 // Marked returns the number of marked entries.
-func (m *Matrix) Marked() int { m.Finalize(); return m.marked }
+func (m *Matrix) Marked() int { m.Finalize(); return len(m.colIdx) }
 
 // Mark sets entry (r,c). Marking twice is a no-op. An out-of-range mark,
 // and a mark after the matrix was finalized, panic (programming errors).
@@ -100,66 +91,86 @@ func (m *Matrix) Mark(r, c int) {
 // boundary between the construction phase (single goroutine, or externally
 // synchronized as in Build) and concurrent read-only use. It returns m.
 //
-// Matrices small enough for the IsMarked bitset (maxBitsetCells) finalize
-// through a bitset scan with no comparison sort; larger shapes fall back to
-// the packed-key sort.
+// Shapes of at most maxBitsetCells cells dedup through a bitset with no
+// comparison sort; larger shapes fall back to the packed-key sort.
 func (m *Matrix) Finalize() *Matrix {
 	if m.final {
 		return m
 	}
+	m.rowPtr = make([]int, m.rows+1)
 	if cells := uint64(m.rows) * uint64(m.cols); cells > 0 && cells <= maxBitsetCells {
-		m.finalizeBits()
+		m.rowsFromBits()
 	} else {
-		m.finalizeSort()
+		m.rowsFromSort()
 	}
+	m.index()
 	m.pending = nil
 	m.final = true
 	return m
 }
 
-// finalizeBits folds buffered marks through the row-major bitset: each
-// pending mark is one O(1) bit-set (duplicates collapse for free), and one
-// linear scan of the bitset rebuilds the CSR arrays — ascending bit index is
-// ascending (row, col), so colIdx comes out sorted and deduplicated with no
-// comparisons. The CSC transpose then follows in one counting pass. Total
-// cost O(pending + cells/64 + marked), versus O((marked+pending) log) plus
-// the entry-list churn of the sort path.
-func (m *Matrix) finalizeBits() {
+// rowsFromBits fills the row counts rowPtr[1:] and the row-major colIdx
+// through a rows×cols bitset, dropped on return: each pending mark is one
+// O(1) bit-set (duplicates collapse for free), and one linear scan of the
+// bitset lists the marks — ascending bit index is ascending (row, col), so
+// colIdx comes out sorted and deduplicated with no comparisons. Cost
+// O(pending + cells/64 + marked).
+func (m *Matrix) rowsFromBits() {
 	cols := uint64(m.cols)
-	m.bits = make([]uint64, (uint64(m.rows)*cols+63)/64)
+	set := make([]uint64, (uint64(m.rows)*cols+63)/64)
 	for _, e := range m.pending {
 		idx := uint64(e.R)*cols + uint64(e.C)
-		m.bits[idx>>6] |= 1 << (idx & 63)
+		set[idx>>6] |= 1 << (idx & 63)
 	}
 	nnz := 0
-	for _, w := range m.bits {
+	for _, w := range set {
 		nnz += bits.OnesCount64(w)
 	}
-	m.marked = nnz
-	m.rowPtr = make([]int, m.rows+1)
-	m.colIdx = make([]int, nnz)
-	m.colPtr = make([]int, m.cols+1)
-	m.rowIdx = make([]int, nnz)
-	pos := 0
-	for wi, w := range m.bits {
+	m.colIdx = make([]int, 0, nnz)
+	for wi, w := range set {
 		base := uint64(wi) << 6
 		for w != 0 {
 			idx := base + uint64(bits.TrailingZeros64(w))
 			w &= w - 1
 			r := idx / cols
-			c := int(idx - r*cols)
 			m.rowPtr[r+1]++
-			m.colPtr[c+1]++
-			m.colIdx[pos] = c
-			pos++
+			m.colIdx = append(m.colIdx, int(idx-r*cols))
 		}
 	}
+}
+
+// rowsFromSort is rowsFromBits by comparison sort, for shapes too large for
+// the bitset (and degenerate 0×N / N×0 shapes).
+func (m *Matrix) rowsFromSort() {
+	ents := m.pending
+	if !sortedRowMajor(ents) {
+		sortRowMajor(ents)
+	}
+	m.colIdx = make([]int, 0, len(ents))
+	for i, e := range ents {
+		if i > 0 && e == ents[i-1] {
+			continue // sorted, so duplicates are adjacent
+		}
+		m.rowPtr[e.R+1]++
+		m.colIdx = append(m.colIdx, e.C)
+	}
+}
+
+// index completes the representation from the row counts in rowPtr[1:] and
+// the row-major colIdx: the row prefix sums, the CSC transpose and the
+// marked row and column lists.
+func (m *Matrix) index() {
 	for r := 0; r < m.rows; r++ {
 		m.rowPtr[r+1] += m.rowPtr[r]
+	}
+	m.colPtr = make([]int, m.cols+1)
+	for _, c := range m.colIdx {
+		m.colPtr[c+1]++
 	}
 	for c := 0; c < m.cols; c++ {
 		m.colPtr[c+1] += m.colPtr[c]
 	}
+	m.rowIdx = make([]int, len(m.colIdx))
 	fill := make([]int, m.cols)
 	copy(fill, m.colPtr[:m.cols])
 	for r := 0; r < m.rows; r++ {
@@ -168,38 +179,16 @@ func (m *Matrix) finalizeBits() {
 			fill[c]++
 		}
 	}
-	m.markedRows = m.markedRows[:0]
 	for r := 0; r < m.rows; r++ {
 		if m.rowPtr[r+1] > m.rowPtr[r] {
 			m.markedRows = append(m.markedRows, r)
 		}
 	}
-	m.markedCols = m.markedCols[:0]
 	for c := 0; c < m.cols; c++ {
 		if m.colPtr[c+1] > m.colPtr[c] {
 			m.markedCols = append(m.markedCols, c)
 		}
 	}
-}
-
-// finalizeSort is the comparison-sort finalize for shapes too large for the
-// bitset (and degenerate 0×N / N×0 shapes).
-func (m *Matrix) finalizeSort() {
-	ents := m.pending
-	if !sortedRowMajor(ents) {
-		sortRowMajor(ents)
-	}
-	// Dedup in place (sorted, so duplicates are adjacent).
-	w := 0
-	for i, e := range ents {
-		if i > 0 && e == ents[w-1] {
-			continue
-		}
-		ents[w] = e
-		w++
-	}
-	ents = ents[:w]
-	m.build(ents)
 }
 
 // pack32Limit bounds a matrix side (NewMatrix), so that an entry packs into
@@ -222,8 +211,7 @@ func sortRowMajor(ents []Entry) {
 }
 
 // sortedRowMajor reports whether ents is already in (row, col) order
-// (duplicates allowed), letting in-order construction — Full, in particular
-// — skip the sort and finalize in one linear pass.
+// (duplicates allowed), letting in-order construction skip the sort.
 func sortedRowMajor(ents []Entry) bool {
 	for i := 1; i < len(ents); i++ {
 		a, b := ents[i-1], ents[i]
@@ -234,67 +222,15 @@ func sortedRowMajor(ents []Entry) bool {
 	return true
 }
 
-// build populates the CSR/CSC arrays and the bitset from the sorted,
-// deduplicated entry list.
-func (m *Matrix) build(ents []Entry) {
-	m.marked = len(ents)
-	m.rowPtr = make([]int, m.rows+1)
-	m.colIdx = make([]int, len(ents))
-	m.colPtr = make([]int, m.cols+1)
-	m.rowIdx = make([]int, len(ents))
-	for _, e := range ents {
-		m.rowPtr[e.R+1]++
-		m.colPtr[e.C+1]++
-	}
-	for r := 0; r < m.rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
-	}
-	for c := 0; c < m.cols; c++ {
-		m.colPtr[c+1] += m.colPtr[c]
-	}
-	fill := make([]int, m.cols)
-	copy(fill, m.colPtr[:m.cols])
-	for i, e := range ents {
-		m.colIdx[i] = e.C // ents are row-major: colIdx is exactly their C sequence
-		m.rowIdx[fill[e.C]] = e.R
-		fill[e.C]++
-	}
-	m.markedRows = m.markedRows[:0]
-	for r := 0; r < m.rows; r++ {
-		if m.rowPtr[r+1] > m.rowPtr[r] {
-			m.markedRows = append(m.markedRows, r)
-		}
-	}
-	m.markedCols = m.markedCols[:0]
-	for c := 0; c < m.cols; c++ {
-		if m.colPtr[c+1] > m.colPtr[c] {
-			m.markedCols = append(m.markedCols, c)
-		}
-	}
-	m.bits = nil
-	if cells := uint64(m.rows) * uint64(m.cols); cells > 0 && cells <= maxBitsetCells {
-		m.bits = make([]uint64, (cells+63)/64)
-		for _, e := range ents {
-			idx := uint64(e.R)*uint64(m.cols) + uint64(e.C)
-			m.bits[idx>>6] |= 1 << (idx & 63)
-		}
-	}
-}
-
-// IsMarked reports whether entry (r,c) is marked: one bitset probe for
-// matrices up to maxBitsetCells, a binary search in the row otherwise.
+// IsMarked reports whether entry (r,c) is marked, by binary search in the
+// row.
 func (m *Matrix) IsMarked(r, c int) bool {
 	m.Finalize()
 	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
 		return false
 	}
-	if m.bits != nil {
-		idx := uint64(r)*uint64(m.cols) + uint64(c)
-		return m.bits[idx>>6]&(1<<(idx&63)) != 0
-	}
-	cols := m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]
-	pos := sort.SearchInts(cols, c)
-	return pos < len(cols) && cols[pos] == c
+	_, found := slices.BinarySearch(m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]], c)
+	return found
 }
 
 // RowCols returns the ascending marked columns of row r (shared slice; do
@@ -328,7 +264,7 @@ func (m *Matrix) MarkedCols() []int {
 // Entries returns all marked entries in (row, col) order (fresh slice).
 func (m *Matrix) Entries() []Entry {
 	m.Finalize()
-	out := make([]Entry, 0, m.marked)
+	out := make([]Entry, 0, len(m.colIdx))
 	for _, r := range m.markedRows {
 		for _, c := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
 			out = append(out, Entry{R: r, C: c})
@@ -345,13 +281,12 @@ func (m *Matrix) Density() float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(m.marked) / total
+	return float64(len(m.colIdx)) / total
 }
 
 // Full returns a fully marked rows×cols matrix. NLJ is pm-NLJ over a full
 // matrix (§6), which tests exploit. It goes through the same Mark/Finalize
-// path as every other construction, so all NewMatrix invariants hold; the
-// in-order marks make Finalize a single linear pass.
+// path as every other construction, so all NewMatrix invariants hold.
 func Full(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	m.pending = make([]Entry, 0, rows*cols)

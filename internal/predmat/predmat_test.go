@@ -349,8 +349,8 @@ func TestSelfJoinMatrixSymmetric(t *testing.T) {
 	}
 }
 
-// boundOnly hides a predictor's KernelBound, forcing Build onto the plain
-// LowerBound(a, b) <= eps comparison.
+// boundOnly hides that a predictor is a NormPredictor, so MBRTest gives
+// Build the plain LowerBound(a, b) <= eps comparison.
 type boundOnly struct{ Predictor }
 
 // TestKernelBoundPreservesMatrix: the kernel's MBR test is a pure

@@ -19,11 +19,6 @@ import (
 // written apart from Build's roundPays and roundDropped, in other terms, so
 // that a slip in either shows as a stats difference.
 
-// kernelBounder is the optional Predictor refinement refBuild probes for.
-type kernelBounder interface {
-	KernelBound(eps float64) func(a, b geom.MBR) bool
-}
-
 // refBuild is Build over the reference sweep and filter.
 func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, opts BuildOptions) (*Matrix, error) {
 	if r == nil || s == nil {
@@ -34,12 +29,7 @@ func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor,
 	}
 	m := NewMatrix(rPages, sPages)
 	b := &refBuilder{eps: eps, pred: pred, opts: opts, m: m}
-	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	if kb, ok := pred.(kernelBounder); ok {
-		if f := kb.KernelBound(eps); f != nil {
-			b.within = f
-		}
-	}
+	b.within, _ = MBRTest(pred, eps)
 	b.sweep([]*index.Node{r}, []*index.Node{s})
 	b.wg.Wait()
 	if opts.Stats != nil {
@@ -56,9 +46,7 @@ type refBuilder struct {
 	pred Predictor
 	opts BuildOptions
 	m    *Matrix
-	// within decides pred.LowerBound(a, b) <= eps — through the kernel
-	// bound when enabled, which is exact, so the matrix never depends on
-	// which path ran.
+	// within decides pred.LowerBound(a, b) <= eps (MBRTest).
 	within func(a, b geom.MBR) bool
 
 	// markMu guards m: concurrent sub-sweeps may mark the same entry, and

@@ -13,7 +13,6 @@ import (
 	"pmjoin/internal/ego"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/join"
-	"pmjoin/internal/kernel"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/mrsindex"
 	"pmjoin/internal/predmat"
@@ -228,7 +227,7 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 		}
 	case EGO:
 		rep, err = timedJoin(func() (*join.Report, error) {
-			return ego.Run(eng, &a.ds, &b.ds, s.egoAdapter(a, opt.Epsilon), ego.Options{SelfJoin: self, ExcludeOverlap: a.window})
+			return ego.Run(eng, &a.ds, &b.ds, joiner, s.egoAdapter(a, opt.Epsilon), ego.Options{SelfJoin: self, ExcludeOverlap: a.window})
 		})
 	case BFRJ:
 		rep, err = timedJoin(func() (*join.Report, error) {
@@ -556,7 +555,8 @@ func (s *System) cacheMatrix(key matrixKey, e *matrixEntry) {
 	}
 }
 
-// egoAdapter builds the EGO grid adapter for the data kind.
+// egoAdapter builds the EGO grid adapter for the data kind; the join's
+// object joiner verifies the candidates.
 func (s *System) egoAdapter(a *Dataset, eps float64) ego.Adapter {
 	switch a.kind {
 	case KindVector:
@@ -564,15 +564,14 @@ func (s *System) egoAdapter(a *Dataset, eps float64) ego.Adapter {
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &vectorEGO{cell: cell, th: kernel.NewThreshold(a.norm, eps)}
+		return &vectorEGO{cell: cell}
 	case KindSeries:
 		cell := eps / a.scale
 		if cell <= 0 {
 			cell = math.SmallestNonzeroFloat64
 		}
-		return &seriesEGO{cell: cell, features: a.features, th: kernel.NewThresholdSq(eps)}
+		return &seriesEGO{cell: cell, features: a.features}
 	default:
-		maxEdit := stringMaxEdit(eps, a.window)
-		return &stringEGO{maxEdit: maxEdit, cell: max(maxEdit, 1)}
+		return &stringEGO{cell: max(stringMaxEdit(eps, a.window), 1)}
 	}
 }

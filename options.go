@@ -36,7 +36,12 @@ type ShardingOptions struct {
 type Options struct {
 	Method Method
 	// Epsilon is the distance threshold: an Lp distance for vector and
-	// series data, a maximum edit distance for string data.
+	// series data, a maximum edit distance for string data. Every method
+	// applies the same test to an object pair a, b:
+	//   - vector L2 and series: Σ(a−b)² ≤ fl(ε²), ε² rounded to float64;
+	//   - the other vector norms: Dist(a, b) ≤ ε;
+	//   - strings: edit distance ≤ ⌊ε⌋ (every pair once ε reaches the
+	//     window length).
 	Epsilon float64
 	// BufferPages is B, the buffer size in pages (minimum 4).
 	BufferPages int

@@ -314,3 +314,94 @@ func TestStringEpsilonBeyondWindow(t *testing.T) {
 		t.Error("a NaN epsilon was accepted")
 	}
 }
+
+// l2Boundary returns points a and b whose pairs (a[i], b[i]) lie within a
+// few ulps of L2 distance eps: ε along one axis and one ulp either side of
+// it; ε along it plus a sliver across it that lifts Σ(a−b)² to about one
+// ulp above fl(ε²) while its root still rounds to ε; and points of the
+// circle of radius ε nudged by up to two ulps. The pairs lie far apart, so
+// a[i] joins no b[j] of another pair.
+func l2Boundary(eps float64) (a, b [][]float64) {
+	spacing := 4 * (eps + 1)
+	add := func(across, along float64) {
+		x := spacing * float64(len(a))
+		a = append(a, []float64{x, 0})
+		b = append(b, []float64{x + across, along})
+	}
+	for _, along := range []float64{eps, math.Nextafter(eps, 0), math.Nextafter(eps, math.Inf(1))} {
+		add(0, along)
+	}
+	ulp := math.Nextafter(eps*eps, math.Inf(1)) - eps*eps
+	for _, f := range []float64{0.25, 0.5, 0.75, 1, 1.5, 2} {
+		add(math.Sqrt(f*ulp), eps)
+	}
+	for k := 1; k < 24; k++ {
+		sin, cos := math.Sincos(float64(k) * math.Pi / 48)
+		along := eps * cos
+		for n := -2; n <= 2; n++ {
+			v := along
+			for ; n < 0; n++ {
+				v = math.Nextafter(v, 0)
+			}
+			for i := 0; i < n; i++ {
+				v = math.Nextafter(v, math.Inf(1))
+			}
+			add(eps*sin, v)
+		}
+	}
+	return a, b
+}
+
+// TestL2BoundaryAllMethods: on vector L2 every method decides a pair as
+// Σ(a−b)² ≤ fl(ε²), the oracle's test, also where that and √Σ(a−b)² ≤ ε
+// disagree — (0, 0) and (1, 2⁻²⁶) at ε = 1 join under the root and not
+// under the square. Cross and self joins, at Parallelism 1 and GOMAXPROCS,
+// find exactly the oracle's pairs. At ε = 0.05 the two tests agree on every
+// float (no float above fl(ε²) has a root ≤ ε); at the other four they do
+// not.
+func TestL2BoundaryAllMethods(t *testing.T) {
+	for _, eps := range []float64{1, 0.7, 0.55, 2.5, 0.05} {
+		va, vb := l2Boundary(eps)
+		var inside, rootOnly int
+		for i := range va {
+			d := geom.DistSq(va[i], vb[i])
+			switch {
+			case d <= eps*eps:
+				inside++
+			case math.Sqrt(d) <= eps:
+				rootOnly++
+			}
+		}
+		split := math.Sqrt(math.Nextafter(eps*eps, math.Inf(1))) <= eps
+		if inside == 0 || inside+rootOnly == len(va) || split != (rootOnly > 0) {
+			t.Fatalf("eps %g: %d pairs inside, %d outside only by the square, of %d; the boundary is not exercised",
+				eps, inside, rootOnly, len(va))
+		}
+		within := func(x, y []float64) bool { return geom.DistSq(x, y) <= eps*eps }
+		all := append(append([][]float64(nil), va...), vb...)
+		sys := NewSystem(DiskModel{PageBytes: 256})
+		da, err := sys.AddVectors("a", va, VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := sys.AddVectors("b", vb, VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dall, err := sys.AddVectors("all", all, VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cross := brutePairs(len(va), len(vb), false, func(i, j int) bool { return within(va[i], vb[j]) })
+		self := brutePairs(len(all), len(all), true, func(i, j int) bool { return within(all[i], all[j]) })
+		for _, m := range allMethods {
+			for _, par := range []int{1, 0} {
+				t.Run(fmt.Sprintf("eps=%g/%v/par=%d", eps, m, par), func(t *testing.T) {
+					opt := Options{Method: m, Epsilon: eps, BufferPages: 16, Parallelism: par}
+					checkOracle(t, sys, da, db, opt, cross)
+					checkOracle(t, sys, dall, dall, opt, self)
+				})
+			}
+		}
+	}
+}

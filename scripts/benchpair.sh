@@ -11,8 +11,9 @@
 # side goes first each pair, and prints for every end-to-end metric both
 # sides' median and quartiles and how many pairs the change won. Below the
 # table it prints one verdict per metric (spread = the parent's q3 - q1):
-#   gain        the change wins >= 90 % of pairs and its median is better by
-#               more than the spread (bench/README.md's rule for a claim)
+#   gain        at least 10 pairs ran, the change wins >= 90 % of them and
+#               its median is better by more than the spread
+#               (bench/README.md's rule for a claim)
 #   loss        the change loses >= 80 % of pairs and its median is worse by
 #               more than the spread
 #   same        every pair ties
@@ -23,7 +24,8 @@
 # enters the verdict.
 # Run the default ten pairs before trusting a gain or a loss: with two pairs
 # the quartiles are two samples apart, and noise alone gives a loss on some
-# metric in many runs.
+# metric in many runs. Below ten pairs no metric reads "gain" (3 wins of 3
+# pairs is no evidence); "loss" keeps its rule at any count.
 # Then it runs one traced pass (--trace 1) per side and compares the exact
 # counters — the names in exactCounters in bench/report.go — value by value.
 #
@@ -131,7 +133,7 @@ awk -v pairs="$pairs" -v tmp="$tmp" '
       ctext = summary("change", name)
       gainBy = better == "lower" ? pmed - med : med - pmed  # > 0: the change is better
       if (ties == pairs) verdict = "same"
-      else if (wins * 10 >= pairs * 9 && gainBy > spread) verdict = "gain"
+      else if (pairs >= 10 && wins * 10 >= pairs * 9 && gainBy > spread) verdict = "gain"
       else if (losses * 10 >= pairs * 8 && -gainBy > spread) verdict = "loss"
       else verdict = "unresolved"
       printf "%-18s %-6s %-30s %-30s %d of %d, %d ties\n", name, better, ptext, ctext, wins, pairs, ties

@@ -152,11 +152,11 @@ type Server struct {
 
 // planKey identifies a cached Plan: the datasets' files plus every option
 // Explain reads. File IDs are never reused and datasets are immutable, so a
-// file pair names one dataset pair for the System's lifetime.
+// file pair names one dataset pair for the System's lifetime. Method is no
+// part of it: Explain plans the SC join whatever the Method.
 type planKey struct {
 	fileA, fileB disk.FileID
 	eps          float64
-	method       Method
 	bufferPages  int
 	policy       ReplacementPolicy
 	filterDepth  int
@@ -270,8 +270,7 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 		return nil, err
 	}
 	key := planKey{
-		fileA: a.ds.File, fileB: b.ds.File,
-		eps: opt.Epsilon, method: opt.Method,
+		fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon,
 		bufferPages: opt.BufferPages, policy: opt.Policy, filterDepth: opt.FilterDepth,
 		rowFraction: opt.ClusterRowFraction, shards: opt.Sharding.Shards,
 	}

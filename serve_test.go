@@ -501,6 +501,26 @@ func TestServerExplainCached(t *testing.T) {
 		t.Fatalf("cached plan differs from direct Explain:\n cached: %+v\n direct: %+v", p2, direct)
 	}
 
+	// Explain plans SC whatever the Method, so two explains that differ
+	// only in Method are one miss and one hit on the same plan.
+	before := sv.Stats()
+	cc := opt
+	cc.Epsilon, cc.Method = 0.09, CC
+	pCC, err := sv.ExplainCached(context.Background(), da, db, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ego := cc
+	ego.Method = EGO
+	pEGO, err := sv.ExplainCached(context.Background(), da, db, ego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := sv.Stats()
+	if misses, hits := after.PlanMisses-before.PlanMisses, after.PlanHits-before.PlanHits; misses != 1 || hits != 1 || pEGO != pCC {
+		t.Fatalf("explains differing only in Method: %d misses, %d hits, same plan %v; want 1, 1, true", misses, hits, pEGO == pCC)
+	}
+
 	// Eviction keeps the cache bounded; distinct options are distinct keys.
 	for _, eps := range []float64{0.06, 0.07, 0.08} {
 		o := opt
