@@ -25,6 +25,7 @@ import (
 
 	"pmjoin"
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/disk"
 	"pmjoin/internal/store"
 )
 
@@ -65,19 +66,19 @@ func main() {
 
 	// Raw data of the first dataset: loaded from a container file or
 	// generated, optionally saved back out, then indexed.
-	var rawA any
+	var rawA store.Data
 	var err error
 	if *loadPath != "" {
 		rawA, err = store.LoadData(*loadPath)
 		if err != nil {
 			fatal(err)
 		}
-		switch rawA.(type) {
-		case store.RawVectors:
+		switch rawA.Kind {
+		case disk.Vectors:
 			kind = pmjoin.KindVector
-		case store.RawSeries:
+		case disk.Series:
 			kind = pmjoin.KindSeries
-		case store.RawString:
+		case disk.Strings:
 			kind = pmjoin.KindString
 		}
 	}
@@ -86,23 +87,11 @@ func main() {
 	var da, db *pmjoin.Dataset
 	switch kind {
 	case pmjoin.KindVector:
-		var raw store.RawVectors
-		if rawA != nil {
-			raw = rawA.(store.RawVectors)
-		}
-		da, db, rawA, err = buildVectors(sys, *data, raw, *n, *n2, *dim, *seed)
+		da, db, rawA, err = buildVectors(sys, *data, rawA.Vectors, *n, *n2, *dim, *seed)
 	case pmjoin.KindSeries:
-		var raw store.RawSeries
-		if rawA != nil {
-			raw = rawA.(store.RawSeries)
-		}
-		da, db, rawA, err = buildSeries(sys, raw, *n, *n2, *window, *stride, *seed)
+		da, db, rawA, err = buildSeries(sys, rawA.Series, *n, *n2, *window, *stride, *seed)
 	case pmjoin.KindString:
-		var raw store.RawString
-		if rawA != nil {
-			raw = rawA.(store.RawString)
-		}
-		da, db, rawA, err = buildStrings(sys, raw, *n, *n2, *window, *stride, *seed)
+		da, db, rawA, err = buildStrings(sys, rawA.String, *n, *n2, *window, *stride, *seed)
 	}
 	if err != nil {
 		fatal(err)
@@ -204,7 +193,7 @@ func main() {
 // container file (nil = generate it) and return the raw actually indexed, so
 // -save can write exactly what joined.
 
-func buildVectors(sys *pmjoin.System, data string, raw store.RawVectors, n, n2, dim int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, any, error) {
+func buildVectors(sys *pmjoin.System, data string, raw [][]float64, n, n2, dim int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, store.Data, error) {
 	gen := func(n int, seed int64) [][]float64 {
 		if data == "roads" || (data == "" && dim == 2) {
 			return dataset.ToFloats(dataset.RoadIntersections(n, seed))
@@ -218,38 +207,37 @@ func buildVectors(sys *pmjoin.System, data string, raw store.RawVectors, n, n2, 
 	}
 	da, err := sys.AddVectors("A", raw, pmjoin.VectorOptions{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
 	if n2 == 0 {
-		return da, da, raw, nil
+		return da, da, store.Data{Kind: disk.Vectors, Vectors: raw}, nil
 	}
 	db, err := sys.AddVectors("B", gen(n2, seed+1), pmjoin.VectorOptions{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
-	return da, db, raw, nil
+	return da, db, store.Data{Kind: disk.Vectors, Vectors: raw}, nil
 }
 
-func buildSeries(sys *pmjoin.System, raw store.RawSeries, n, n2, window, stride int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, any, error) {
+func buildSeries(sys *pmjoin.System, raw []float64, n, n2, window, stride int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, store.Data, error) {
 	if raw == nil {
 		raw = dataset.RandomWalk(n, seed)
 	}
 	da, err := sys.AddSeries("A", raw, pmjoin.SeriesOptions{Window: window, Stride: stride})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
 	if n2 == 0 {
-		return da, da, raw, nil
+		return da, da, store.Data{Kind: disk.Series, Series: raw}, nil
 	}
 	db, err := sys.AddSeries("B", dataset.RandomWalk(n2, seed+1), pmjoin.SeriesOptions{Window: window, Stride: stride})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
-	return da, db, raw, nil
+	return da, db, store.Data{Kind: disk.Series, Series: raw}, nil
 }
 
-func buildStrings(sys *pmjoin.System, raw store.RawString, n, n2, window, stride int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, any, error) {
-	a := []byte(raw)
+func buildStrings(sys *pmjoin.System, a []byte, n, n2, window, stride int, seed int64) (*pmjoin.Dataset, *pmjoin.Dataset, store.Data, error) {
 	if a == nil {
 		a = dataset.DNA(n, seed)
 		if n2 == 0 {
@@ -261,21 +249,21 @@ func buildStrings(sys *pmjoin.System, raw store.RawString, n, n2, window, stride
 	if n2 == 0 {
 		da, err := sys.AddString("A", a, pmjoin.StringOptions{Window: window, Stride: stride})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, store.Data{}, err
 		}
-		return da, da, store.RawString(a), nil
+		return da, da, store.Data{Kind: disk.Strings, String: a}, nil
 	}
 	b := dataset.DNA(n2, seed+1)
 	dataset.PlantHomologiesAligned(b, a, n/20000+4, 4*window, 0.004, stride, seed+2)
 	da, err := sys.AddString("A", a, pmjoin.StringOptions{Window: window, Stride: stride})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
 	db, err := sys.AddString("B", b, pmjoin.StringOptions{Window: window, Stride: stride})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, store.Data{}, err
 	}
-	return da, db, store.RawString(a), nil
+	return da, db, store.Data{Kind: disk.Strings, String: a}, nil
 }
 
 func fatal(err error) {

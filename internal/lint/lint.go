@@ -18,7 +18,6 @@ const (
 	joinPkgPath    = "pmjoin/internal/join"
 	metricsPkgPath = "pmjoin/internal/metrics"
 	predmatPkgPath = "pmjoin/internal/predmat"
-	shardPkgPath   = "pmjoin/internal/shard"
 )
 
 // Diagnostic is one finding of one analyzer.

@@ -317,14 +317,9 @@ func spawn(task func()) {
 		pkg := checkFixtureFile(t, joinPkgPath, "exec.go", src)
 		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", []int{4, 6})
 	})
-	t.Run("coordinator.go in internal/shard is exempt", func(t *testing.T) {
-		src := strings.Replace(goSrc, "package fixture", "package shard", 1)
-		pkg := checkFixtureFile(t, shardPkgPath, "coordinator.go", src)
-		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", nil)
-	})
 	t.Run("other files in internal/shard are not exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package shard", 1)
-		pkg := checkFixtureFile(t, shardPkgPath, "runner.go", src)
+		pkg := checkFixtureFile(t, "pmjoin/internal/shard", "run.go", src)
 		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", []int{4, 6})
 	})
 	t.Run("suppressed spawn is clean", func(t *testing.T) {

@@ -12,14 +12,9 @@ import (
 // before a run returns, and Exec merges task results in submission order. A
 // raw goroutine spawned elsewhere has none of those guarantees — it can
 // outlive the run it belongs to, race on the simulated disk's accounting, or
-// reorder result emission. There are exactly two sanctioned spawn sites: the
-// pool itself (workerpool.go in pmjoin/internal/join) and the shard
-// coordinator (coordinator.go in pmjoin/internal/shard), whose shard workers
-// cannot run on the comparison pool — a shard task blocks in Flush waiting
-// for its comparison tasks, so sharing the pool could fill every slot with
-// blocked shards and deadlock — and which carries the pool's guarantees by
-// hand (bounded fan-out, joined before return, index-slotted results).
-// Anything else must either use the pool or carry a
+// reorder result emission. The one sanctioned spawn site is the pool itself
+// (workerpool.go in pmjoin/internal/join); shards run on a pool of their
+// own. Anything else must either use the pool or carry a
 // `//lint:ignore rawgo <reason>`.
 func rawGoAnalyzer() *Analyzer {
 	return &Analyzer{
@@ -34,9 +29,6 @@ func runRawGo(p *Package) []Diagnostic {
 	for _, f := range p.Files {
 		base := filepath.Base(p.Fset.Position(f.Pos()).Filename)
 		if p.Path == joinPkgPath && base == "workerpool.go" {
-			continue
-		}
-		if p.Path == shardPkgPath && base == "coordinator.go" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

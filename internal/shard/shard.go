@@ -1,5 +1,5 @@
-// Package shard plans every clustered join and executes it as shards on
-// parallel workers, merging the per-shard results deterministically.
+// Package shard plans every clustered join and runs it as shards,
+// merging the per-shard results deterministically.
 //
 // The cluster schedule is already a partition of independent work units with
 // an explicit sharing graph (Lemma 4): the only coupling between clusters is
@@ -13,9 +13,8 @@
 // modeled seconds) so callers can weigh shards against I/O before running
 // anything.
 //
-// The shard boundary is the small Runner interface (plan in, shard result
-// out): the in-process LocalRunner is the only implementation today, and a
-// network transport is a drop-in replacement later.
+// Run runs a plan's shards in process, inline or on a worker pool of their
+// own, and MergeReports folds their reports in shard-index order.
 package shard
 
 import (
@@ -108,15 +107,6 @@ type Plan struct {
 	CutPenaltySeconds float64
 }
 
-// Tasks returns one Task per shard, in shard-index order.
-func (p *Plan) Tasks() []Task {
-	ts := make([]Task, len(p.Shards))
-	for i, s := range p.Shards {
-		ts[i] = Task{Shard: i, Clusters: s.Clusters, ScheduleEdges: s.ScheduleEdges}
-	}
-	return ts
-}
-
 // Cut plans a clustered join: it builds the sharing graph and the global
 // greedy schedule, cuts the schedule into min(shards, len(pages)) contiguous
 // segments, choosing each cut position among the cost-balanced candidates by
@@ -137,7 +127,7 @@ func Cut(pages []sched.PageSet, entries []int, shards int, cm CostModel) (*Plan,
 		k = n
 	}
 	if k < 1 {
-		k = 1 // n == 0: one empty shard keeps the coordinator path uniform
+		k = 1 // n == 0: one empty shard keeps the run path uniform
 	}
 
 	edges := sched.SharingGraph(pages)

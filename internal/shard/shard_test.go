@@ -232,66 +232,58 @@ func TestCutEmpty(t *testing.T) {
 	if len(plan.Shards) != 1 || len(plan.Shards[0].Clusters) != 0 {
 		t.Fatalf("empty input plan: %+v", plan)
 	}
-	if got := plan.Tasks(); len(got) != 1 {
-		t.Fatalf("tasks: %+v", got)
-	}
 }
 
-// indexRunner records which goroutine-visible order tasks complete in and
-// returns a marker result per shard; used to pin the coordinator's
-// index-ordered results independent of completion order.
-type indexRunner struct{}
-
-func (indexRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
-	return &Result{Shard: t.Shard, Report: &join.Report{Results: int64(len(t.Clusters))}}, nil
-}
-
-type failingRunner struct{ fail int }
-
-func (f failingRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
-	if t.Shard >= f.fail {
-		return nil, fmt.Errorf("boom %d", t.Shard)
+// plainPlan is a plan of n shards, shard i owning i+1 clusters.
+func plainPlan(n int) *Plan {
+	p := &Plan{Shards: make([]Shard, n)}
+	for i := range p.Shards {
+		p.Shards[i].Clusters = make([]int, i+1)
 	}
-	return &Result{Shard: t.Shard}, nil
+	return p
 }
 
 func TestCoordinatorOrder(t *testing.T) {
-	tasks := make([]Task, 9)
-	for i := range tasks {
-		tasks[i] = Task{Shard: i, Clusters: make([]int, i+1)}
-	}
+	plan := plainPlan(9)
 	for _, workers := range []int{0, 1, 3, 100} {
-		c := &Coordinator{Runner: indexRunner{}, Workers: workers}
-		results, err := c.Run(context.Background(), tasks)
+		got := make([]int, len(plan.Shards))
+		err := Run(context.Background(), plan, workers, func(i int, sh Shard) error {
+			got[i] = len(sh.Clusters)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range results {
-			if r.Shard != i || r.Report.Results != int64(i+1) {
-				t.Fatalf("workers=%d: slot %d holds %+v", workers, i, r)
+		for i, n := range got {
+			if n != i+1 {
+				t.Fatalf("workers=%d: slot %d holds shard of %d clusters, want %d", workers, i, n, i+1)
 			}
 		}
 	}
 }
 
 func TestCoordinatorFirstError(t *testing.T) {
-	tasks := make([]Task, 6)
-	for i := range tasks {
-		tasks[i] = Task{Shard: i}
-	}
+	plan := plainPlan(6)
 	for _, workers := range []int{1, 4} {
-		c := &Coordinator{Runner: failingRunner{fail: 3}, Workers: workers}
-		_, err := c.Run(context.Background(), tasks)
+		err := Run(context.Background(), plan, workers, func(i int, _ Shard) error {
+			if i >= 3 {
+				return fmt.Errorf("boom %d", i)
+			}
+			return nil
+		})
 		if err == nil || err.Error() != "shard 3: boom 3" {
 			t.Fatalf("workers=%d: err = %v, want first failure by index", workers, err)
 		}
 	}
 }
 
+// TestMergePairsCapsAndFlags pins the merge of the shards' pair collectors
+// (join.MergePairs, in shard-index order): the global cap, truncation from
+// the cap or from a shard's local cap, and the collectors emptied.
 func TestMergePairsCapsAndFlags(t *testing.T) {
-	// results builds three shard results (the middle one missing) whose
-	// collectors keep at most localCap pairs each; merging empties them.
-	results := func(localCap int) []*Result {
+	// shards builds three shard collectors that keep at most localCap pairs
+	// each; merging empties them.
+	shards := func(localCap int) []*join.Pairs {
 		collect := func(pairs ...[2]int) *join.Pairs {
 			p := join.NewPairs(localCap)
 			for _, pr := range pairs {
@@ -299,109 +291,93 @@ func TestMergePairsCapsAndFlags(t *testing.T) {
 			}
 			return p
 		}
-		return []*Result{{Pairs: collect([2]int{1, 1}, [2]int{1, 2})}, nil, {Pairs: collect([2]int{2, 1})}}
+		return []*join.Pairs{collect([2]int{1, 1}, [2]int{1, 2}), collect(), collect([2]int{2, 1})}
 	}
-	pairs, trunc := MergePairs(results(10), 10)
+	pairs, trunc := join.MergePairs(shards(10), 10)
 	if trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {1, 2}, {2, 1}}) {
 		t.Fatalf("pairs %v trunc %v", pairs, trunc)
 	}
-	pairs, trunc = MergePairs(results(10), 2)
+	pairs, trunc = join.MergePairs(shards(10), 2)
 	if !trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {1, 2}}) {
 		t.Fatalf("capped merge: pairs %v trunc %v", pairs, trunc)
 	}
-	pairs, trunc = MergePairs(results(1), 10)
+	pairs, trunc = join.MergePairs(shards(1), 10)
 	if !trunc || !reflect.DeepEqual(pairs, [][2]int{{1, 1}, {2, 1}}) {
 		t.Fatalf("local truncation not propagated: pairs %v trunc %v", pairs, trunc)
 	}
-	if pairs, trunc = MergePairs([]*Result{{}, nil}, 10); pairs != nil || trunc {
-		t.Fatalf("nothing collected: pairs %v trunc %v, want nil, false", pairs, trunc)
+	cols := shards(10)
+	join.MergePairs(cols, 10)
+	if pairs, trunc = join.MergePairs(cols, 10); pairs != nil || trunc {
+		t.Fatalf("merged collectors not emptied: pairs %v trunc %v, want nil, false", pairs, trunc)
 	}
 }
 
-// gateRunner blocks every RunShard until released, reporting which shards
-// started; used to pin the coordinator's mid-run cancellation behavior.
-type gateRunner struct {
+// gate blocks every shard it runs until released, reporting which shards
+// started; used to pin Run's mid-run cancellation behavior.
+type gate struct {
 	started chan int
 	release chan struct{}
 	runs    int64
 }
 
-func (g *gateRunner) RunShard(ctx context.Context, t Task) (*Result, error) {
-	atomic.AddInt64(&g.runs, 1)
-	g.started <- t.Shard
-	<-g.release
-	return &Result{Shard: t.Shard}, nil
+func newGate(n int) *gate {
+	return &gate{started: make(chan int, n), release: make(chan struct{})}
 }
 
-// TestCoordinatorCancelMidRun is the regression test for the claim-loop
-// cancellation check: cancelling while early shards are in flight must stop
-// every not-yet-started shard (workers drain the remaining tasks into error
-// slots instead of executing them) and Run must return the cancellation as
-// the first error in shard-index order.
+func (g *gate) shard(i int, _ Shard) error {
+	atomic.AddInt64(&g.runs, 1)
+	g.started <- i
+	<-g.release
+	return nil
+}
+
+// TestCoordinatorCancelMidRun is the regression test for the cancellation
+// check before each shard: cancelling while early shards are in flight must
+// stop every not-yet-started shard (each records the cancellation in its
+// slot instead of running) and Run must return the cancellation as the first
+// error in shard-index order.
 func TestCoordinatorCancelMidRun(t *testing.T) {
-	const nTasks, workers = 8, 2
-	tasks := make([]Task, nTasks)
-	for i := range tasks {
-		tasks[i] = Task{Shard: i}
-	}
-	g := &gateRunner{started: make(chan int, nTasks), release: make(chan struct{})}
-	c := &Coordinator{Runner: g, Workers: workers}
+	const nShards, workers = 8, 2
+	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		results []*Result
-		err     error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan error, 1)
 	go func() {
-		r, err := c.Run(ctx, tasks)
-		done <- outcome{r, err}
+		done <- Run(ctx, plainPlan(nShards), workers, g.shard)
 	}()
-	// Wait until both workers hold a task, cancel, then release them.
-	<-g.started
-	<-g.started
+	// Wait until both workers hold a shard, cancel, then release them.
+	first := []int{<-g.started, <-g.started}
 	cancel()
 	close(g.release)
-	out := <-done
-	if !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", out.err)
+	err := <-done
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The two in-flight shards ran; nothing else may have started.
 	if n := atomic.LoadInt64(&g.runs); n != workers {
-		t.Fatalf("RunShard executed %d times, want %d (cancel must stop unstarted shards)", n, workers)
+		t.Fatalf("%d shards ran, want %d (cancel must stop unstarted shards)", n, workers)
 	}
-	// First error by index: shards 0 and 1 were claimed first (tasks are
-	// claimed in order), so the first cancelled slot is shard 2 and Run's
-	// error names it.
-	if got := out.err.Error(); got != "shard 2: context canceled" {
+	// First error by index: the pool takes shards in order, so shards 0 and
+	// 1 were the ones in flight, the first cancelled slot is shard 2, and
+	// Run's error names it.
+	if slices.Sort(first); !slices.Equal(first, []int{0, 1}) {
+		t.Fatalf("shards %v in flight, want [0 1]", first)
+	}
+	if got := err.Error(); got != "shard 2: context canceled" {
 		t.Fatalf("err = %q, want the first cancelled slot by index", got)
-	}
-	if out.results[0] == nil || out.results[1] == nil {
-		t.Fatalf("in-flight shards lost: %+v", out.results[:2])
-	}
-	for i := workers; i < nTasks; i++ {
-		if out.results[i] != nil {
-			t.Fatalf("shard %d has a result after cancel", i)
-		}
 	}
 }
 
-// TestCoordinatorCancelPromptDrain pins that a cancelled coordinator does not
-// execute the tail of a long task list: with one worker and a cancel after
-// the first task, Run returns after exactly one execution no matter how many
-// tasks remain.
+// TestCoordinatorCancelPromptDrain pins that a cancelled run does not execute
+// the tail of a long plan: with one worker (the inline path) and a cancel
+// during the first shard, Run returns after exactly one shard no matter how
+// many remain.
 func TestCoordinatorCancelPromptDrain(t *testing.T) {
-	const nTasks = 100
-	tasks := make([]Task, nTasks)
-	for i := range tasks {
-		tasks[i] = Task{Shard: i}
-	}
-	g := &gateRunner{started: make(chan int, nTasks), release: make(chan struct{})}
-	c := &Coordinator{Runner: g, Workers: 1}
+	const nShards = 100
+	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctx, tasks)
-		errCh <- err
+		errCh <- Run(ctx, plainPlan(nShards), 1, g.shard)
 	}()
 	<-g.started
 	cancel()
@@ -410,41 +386,29 @@ func TestCoordinatorCancelPromptDrain(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := atomic.LoadInt64(&g.runs); n != 1 {
-		t.Fatalf("RunShard executed %d times after cancel, want 1", n)
+		t.Fatalf("%d shards ran after cancel, want 1", n)
 	}
 }
 
 // TestMergeReportsRequiresShardZero pins MergeReports' explicit base: the
-// preprocess cost is charged to shard 0 only, so a merge whose shard 0 is
-// missing has no well-defined base and must return nil rather than silently
-// seeding from a later shard (which would drop the one-time preprocess
-// charge).
+// merge starts from shard 0's report, which alone carries the clustering
+// preprocess charge, so clustering is counted once; every later shard's
+// costs and counters add to it, and no input report is mutated.
 func TestMergeReportsRequiresShardZero(t *testing.T) {
-	mk := func(pre, io float64) *Result {
-		return &Result{Report: &join.Report{PreprocessSeconds: pre, IOSeconds: io}}
+	mk := func(pre, io float64, marked int) *join.Report {
+		return &join.Report{Method: "clustered", MarkedEntries: marked, PreprocessSeconds: pre, IOSeconds: io, Clusters: 2}
 	}
-	full := []*Result{mk(5, 1), mk(0.5, 2), mk(0.5, 3)}
-	rep := MergeReports(full)
-	if rep == nil {
-		t.Fatal("full merge returned nil")
-	}
-	if rep.PreprocessSeconds != 6 || rep.IOSeconds != 6 {
-		t.Fatalf("merge sums wrong: %+v", rep)
+	reps := []*join.Report{mk(5, 1, 40), mk(0.5, 2, 40), mk(0.5, 3, 40)}
+	rep := MergeReports(reps)
+	want := join.Report{Method: "clustered", MarkedEntries: 40, PreprocessSeconds: 6, IOSeconds: 6, Clusters: 6}
+	if *rep != want {
+		t.Fatalf("merge = %+v, want %+v", *rep, want)
 	}
 	// Source reports must not be mutated by the merge.
-	if full[0].Report.IOSeconds != 1 {
-		t.Fatalf("merge mutated shard 0's report: %+v", full[0].Report)
+	if *reps[0] != *mk(5, 1, 40) {
+		t.Fatalf("merge mutated shard 0's report: %+v", reps[0])
 	}
-	for _, results := range [][]*Result{
-		nil,
-		{},
-		{nil, mk(0.5, 2)},                  // shard 0 slot empty
-		{{Shard: 0}, mk(0.5, 2)},           // shard 0 present but no report
-		{mk(5, 1), nil, mk(0.5, 3)},        // later slot empty
-		{mk(5, 1), {Shard: 1}, mk(0.5, 3)}, // later report missing
-	} {
-		if got := MergeReports(results); got != nil {
-			t.Fatalf("MergeReports(%v) = %+v, want nil", results, got)
-		}
+	if one := MergeReports(reps[:1]); one == reps[0] || *one != *reps[0] {
+		t.Fatalf("one-shard merge = %p %+v, want a copy of %p %+v", one, *one, reps[0], *reps[0])
 	}
 }

@@ -7,8 +7,8 @@
 // one reports what the hardware actually did.
 //
 // The wire format is also the dataset save/load container (`pmjoin -save` /
-// `-data`): the same header frames raw-data records (RawVectors, RawSeries,
-// RawString), so one codec, one CRC, and one fuzz target cover both uses.
+// `-load`): the same header frames raw-data records (Data), so one codec,
+// one CRC, and one fuzz target cover both uses.
 //
 // store is one of the sanctioned wall-clock packages: measured timing is its
 // job, and nothing it measures ever feeds a Report — only disk.Measured /
@@ -70,20 +70,21 @@ const (
 	kindSeriesPage
 )
 
-// Raw dataset payloads: the save/load container types. They are distinct
-// named types so LoadData's result is self-describing.
-type (
-	// RawVectors is an unindexed vector dataset (rows of coordinates).
-	RawVectors [][]float64
-	// RawSeries is an unindexed time series (samples).
-	RawSeries []float64
-	// RawString is an unindexed symbol sequence.
-	RawString []byte
-)
+// Data is an unindexed dataset, the save/load container's payload. Kind
+// names the field that holds it: Vectors (rows of coordinates) for
+// disk.Vectors, Series (samples) for disk.Series, String (symbols) for
+// disk.Strings. The other two fields are ignored when saving and empty when
+// loaded.
+type Data struct {
+	Kind    disk.Kind
+	Vectors [][]float64
+	Series  []float64
+	String  []byte
+}
 
 // ErrUnsupportedPayload reports a payload the wire format has no encoding
 // for: a scratch page, which holds no objects (Store.Put keeps such pages
-// memory-only), or a SaveData payload outside the raw dataset types.
+// memory-only), or Data of no dataset kind.
 var ErrUnsupportedPayload = errors.New("store: unsupported payload type")
 
 // ErrCorruptRecord reports a record that failed structural validation:
@@ -99,10 +100,10 @@ func EncodePage(pg *disk.Page) ([]byte, error) {
 	return seal(encodePage(pg))
 }
 
-// encodeData encodes one raw dataset payload into a complete wire record,
-// or returns ErrUnsupportedPayload for any other type.
-func encodeData(payload any) ([]byte, error) {
-	return seal(encodeRaw(payload))
+// encodeData encodes one raw dataset into a complete wire record, or
+// returns ErrUnsupportedPayload for Data of no dataset kind.
+func encodeData(data Data) ([]byte, error) {
+	return seal(encodeRaw(data))
 }
 
 // seal writes the header of rec, whose payload follows headerSize bytes
@@ -315,26 +316,26 @@ func encodePage(pg *disk.Page) (pageKind, []byte, error) {
 	return 0, nil, fmt.Errorf("%w: %v page", ErrUnsupportedPayload, pg.Kind)
 }
 
-// encodeRaw serializes one raw dataset payload after headerSize bytes left
-// for the header, returning its kind tag and the record.
-func encodeRaw(payload any) (pageKind, []byte, error) {
+// encodeRaw serializes one raw dataset after headerSize bytes left for the
+// header, returning its kind tag and the record.
+func encodeRaw(data Data) (pageKind, []byte, error) {
 	e := encoder{b: make([]byte, headerSize)}
-	switch p := payload.(type) {
-	case RawVectors:
-		e.u32(uint32(len(p)))
-		for _, row := range p {
+	switch data.Kind {
+	case disk.Vectors:
+		e.u32(uint32(len(data.Vectors)))
+		for _, row := range data.Vectors {
 			e.floats(row)
 		}
 		return kindRawVectors, e.b, nil
-	case RawSeries:
-		e.floats(p)
+	case disk.Series:
+		e.floats(data.Series)
 		return kindRawSeries, e.b, nil
-	case RawString:
-		e.u32(uint32(len(p)))
-		e.b = append(e.b, p...)
+	case disk.Strings:
+		e.u32(uint32(len(data.String)))
+		e.b = append(e.b, data.String...)
 		return kindRawString, e.b, nil
 	}
-	return 0, nil, fmt.Errorf("%w: %T", ErrUnsupportedPayload, payload)
+	return 0, nil, fmt.Errorf("%w: %v data", ErrUnsupportedPayload, data.Kind)
 }
 
 // encodeFlat lays out a vector page (starts nil) or a series page in the
@@ -365,30 +366,29 @@ func encodeFlat(ids, starts []int, f *kernel.FlatPage) ([]byte, error) {
 
 // decodeData decodes one complete raw dataset record (as produced by
 // encodeData). Corrupt input, and a page record, return ErrCorruptRecord.
-func decodeData(rec []byte) (any, error) {
+func decodeData(rec []byte) (Data, error) {
 	kind, body, err := record(rec)
 	if err != nil {
-		return nil, err
+		return Data{}, err
 	}
 	d := &decoder{b: body}
-	var out any
+	var out Data
 	switch kind {
 	case kindRawVectors:
 		n := d.count(4) // a length word per row, minimum
-		rows := make(RawVectors, 0, n)
+		out = Data{Kind: disk.Vectors, Vectors: make([][]float64, 0, n)}
 		for i := 0; i < n && !d.bad; i++ {
-			rows = append(rows, d.floats())
+			out.Vectors = append(out.Vectors, d.floats())
 		}
-		out = rows
 	case kindRawSeries:
-		out = RawSeries(d.floats())
+		out = Data{Kind: disk.Series, Series: d.floats()}
 	case kindRawString:
-		out = RawString(d.bytes())
+		out = Data{Kind: disk.Strings, String: d.bytes()}
 	default:
-		return nil, fmt.Errorf("%w: kind %d is not a dataset record", ErrCorruptRecord, kind)
+		return Data{}, fmt.Errorf("%w: kind %d is not a dataset record", ErrCorruptRecord, kind)
 	}
 	if !d.done() {
-		return nil, fmt.Errorf("%w: payload does not parse (kind %d)", ErrCorruptRecord, kind)
+		return Data{}, fmt.Errorf("%w: payload does not parse (kind %d)", ErrCorruptRecord, kind)
 	}
 	return out, nil
 }

@@ -103,18 +103,32 @@ func roundTrip(t *testing.T, pg *disk.Page) *disk.Page {
 	return got
 }
 
-// roundTripData is roundTrip for a raw dataset payload.
-func roundTripData(t *testing.T, payload any) any {
+// roundTripData is roundTrip for a raw dataset.
+func roundTripData(t *testing.T, data Data) Data {
 	t.Helper()
-	rec, err := encodeData(payload)
+	rec, err := encodeData(data)
 	if err != nil {
-		t.Fatalf("encodeData(%T): %v", payload, err)
+		t.Fatalf("encodeData(%v): %v", data.Kind, err)
 	}
 	got, err := decodeData(rec)
 	if err != nil {
-		t.Fatalf("decodeData(%T record): %v", payload, err)
+		t.Fatalf("decodeData(%v record): %v", data.Kind, err)
 	}
 	return got
+}
+
+// eqData compares two datasets bit for bit (NaN equal to NaN, -0 not equal
+// to 0).
+func eqData(a, b Data) bool {
+	if a.Kind != b.Kind || len(a.Vectors) != len(b.Vectors) || !eqFloats(a.Series, b.Series) || string(a.String) != string(b.String) {
+		return false
+	}
+	for i := range a.Vectors {
+		if !eqFloats(a.Vectors[i], b.Vectors[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCodecRoundTripVectorPage(t *testing.T) {
@@ -175,14 +189,18 @@ func TestDecodeParentPageRecords(t *testing.T) {
 }
 
 func TestCodecRoundTripRawPayloads(t *testing.T) {
-	if got := roundTripData(t, RawVectors{{1, 2}, {}, {-3.5}}).(RawVectors); len(got) != 3 || !eqFloats(got[0], []float64{1, 2}) || !eqFloats(got[2], []float64{-3.5}) {
-		t.Errorf("RawVectors round-trip = %v", got)
+	for _, want := range []Data{
+		{Kind: disk.Vectors, Vectors: [][]float64{{1, 2}, {}, {-3.5}}},
+		{Kind: disk.Series, Series: []float64{0.25, math.NaN(), -1}},
+		{Kind: disk.Strings, String: []byte("hello\x00world")},
+	} {
+		if got := roundTripData(t, want); !eqData(got, want) {
+			t.Errorf("%v round-trip = %+v, want %+v", want.Kind, got, want)
+		}
 	}
-	if got := roundTripData(t, RawSeries{0.25, math.NaN(), -1}).(RawSeries); !eqFloats(got, []float64{0.25, math.NaN(), -1}) {
-		t.Errorf("RawSeries round-trip = %v", got)
-	}
-	if got := roundTripData(t, RawString("hello\x00world")).(RawString); string(got) != "hello\x00world" {
-		t.Errorf("RawString round-trip = %q", got)
+	// Saving writes the kind's field only.
+	if got := roundTripData(t, Data{Kind: disk.Series, Series: []float64{1}, Vectors: [][]float64{{2}}, String: []byte("x")}); !eqData(got, Data{Kind: disk.Series, Series: []float64{1}}) {
+		t.Errorf("series round-trip kept another kind's field: %+v", got)
 	}
 }
 
@@ -196,8 +214,8 @@ func TestCodecRoundTripEmptyPages(t *testing.T) {
 			t.Errorf("empty %v page round trip = %+v", pg.Kind, got)
 		}
 	}
-	for _, payload := range []any{RawVectors{}, RawSeries{}, RawString{}} {
-		roundTripData(t, payload)
+	for _, kind := range []disk.Kind{disk.Vectors, disk.Series, disk.Strings} {
+		roundTripData(t, Data{Kind: kind})
 	}
 }
 
@@ -207,9 +225,9 @@ func TestEncodeUnsupportedPayload(t *testing.T) {
 			t.Errorf("EncodePage(%v page) err = %v, want ErrUnsupportedPayload", pg.Kind, err)
 		}
 	}
-	for _, payload := range []any{nil, 42, "scratch", []int{1}, disk.Page{}, sampleVectorPage()} {
-		if _, err := encodeData(payload); !errors.Is(err, ErrUnsupportedPayload) {
-			t.Errorf("encodeData(%T) err = %v, want ErrUnsupportedPayload", payload, err)
+	for _, data := range []Data{{}, {Kind: disk.Scratch, Series: []float64{1}}, {Kind: 9, String: []byte("x")}} {
+		if _, err := encodeData(data); !errors.Is(err, ErrUnsupportedPayload) {
+			t.Errorf("encodeData(%v) err = %v, want ErrUnsupportedPayload", data.Kind, err)
 		}
 	}
 }
@@ -375,8 +393,12 @@ func FuzzPageCodecRoundTrip(f *testing.F) {
 	} {
 		recs = append(recs, seed(EncodePage(pg)))
 	}
-	for _, payload := range []any{RawVectors{{1, 2, 3}}, RawSeries{4, 5}, RawString("seed")} {
-		recs = append(recs, seed(encodeData(payload)))
+	for _, data := range []Data{
+		{Kind: disk.Vectors, Vectors: [][]float64{{1, 2, 3}}},
+		{Kind: disk.Series, Series: []float64{4, 5}},
+		{Kind: disk.Strings, String: []byte("seed")},
+	} {
+		recs = append(recs, seed(encodeData(data)))
 	}
 	for _, rec := range recs {
 		f.Add(rec)

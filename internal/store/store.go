@@ -259,27 +259,25 @@ func (st *Store) Pages(id disk.FileID) int {
 	return len(sf.offsets)
 }
 
-// SaveData writes one raw-dataset payload (RawVectors, RawSeries or
-// RawString) as a single wire record at path — the `pmjoin -save` container.
-// Any other payload is ErrUnsupportedPayload.
-func SaveData(path string, payload any) error {
-	rec, err := encodeData(payload)
+// SaveData writes one raw dataset as a single wire record at path — the
+// `pmjoin -save` container. Data of no dataset kind is ErrUnsupportedPayload.
+func SaveData(path string, data Data) error {
+	rec, err := encodeData(data)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, rec, 0o644)
 }
 
-// LoadData reads a SaveData container back. The result is RawVectors,
-// RawSeries or RawString; page-kind records are rejected.
-func LoadData(path string) (any, error) {
+// LoadData reads a SaveData container back; page-kind records are rejected.
+func LoadData(path string) (Data, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Data{}, err
 	}
-	payload, err := decodeData(b)
+	data, err := decodeData(b)
 	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
+		return Data{}, fmt.Errorf("store: %s: %w", path, err)
 	}
-	return payload, nil
+	return data, nil
 }

@@ -268,26 +268,26 @@ func TestSessionThroughStore(t *testing.T) {
 
 func TestSaveLoadData(t *testing.T) {
 	dir := t.TempDir()
-	cases := []any{
-		RawVectors{{1, 2}, {3, 4}},
-		RawSeries{0.5, 1.5},
-		RawString("acgt"),
+	cases := []Data{
+		{Kind: disk.Vectors, Vectors: [][]float64{{1, 2}, {3, 4}}},
+		{Kind: disk.Series, Series: []float64{0.5, 1.5}},
+		{Kind: disk.Strings, String: []byte("acgt")},
 	}
-	for i, payload := range cases {
+	for i, data := range cases {
 		path := fmt.Sprintf("%s/data%d.pmj", dir, i)
-		if err := SaveData(path, payload); err != nil {
-			t.Fatalf("SaveData(%T): %v", payload, err)
+		if err := SaveData(path, data); err != nil {
+			t.Fatalf("SaveData(%v): %v", data.Kind, err)
 		}
 		got, err := LoadData(path)
 		if err != nil {
-			t.Fatalf("LoadData(%T): %v", payload, err)
+			t.Fatalf("LoadData(%v): %v", data.Kind, err)
 		}
-		if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", payload) {
-			t.Errorf("LoadData = %v, want %v", got, payload)
+		if !eqData(got, data) {
+			t.Errorf("LoadData = %+v, want %+v", got, data)
 		}
 	}
-	if err := SaveData(dir+"/bad.pmj", vecPage(0)); !errors.Is(err, ErrUnsupportedPayload) {
-		t.Errorf("SaveData(page payload) err = %v, want ErrUnsupportedPayload", err)
+	if err := SaveData(dir+"/bad.pmj", Data{Kind: disk.Scratch, Vectors: [][]float64{{1}}}); !errors.Is(err, ErrUnsupportedPayload) {
+		t.Errorf("SaveData(scratch data) err = %v, want ErrUnsupportedPayload", err)
 	}
 	// A page record on disk is not a dataset.
 	rec, err := EncodePage(vecPage(0))
@@ -419,19 +419,19 @@ func BenchmarkStoreFetch60D(b *testing.B) {
 func TestLoadDataParentContainers(t *testing.T) {
 	cases := []struct {
 		hex  string
-		want any
+		want Data
 	}{
 		{
 			"504d4a50010004003c0000000fc3197e0200000003000000000000000000f83f00000000000002c000000000000000000300000000000000000000800100000000000000ffffffffffffef7f",
-			RawVectors{{1.5, -2.25, 0}, {math.Copysign(0, -1), 5e-324, math.MaxFloat64}},
+			Data{Kind: disk.Vectors, Vectors: [][]float64{{1.5, -2.25, 0}, {math.Copysign(0, -1), 5e-324, math.MaxFloat64}}},
 		},
 		{
 			"504d4a500100050024000000c1b709a304000000000000000000d03f000000000000f0bf000000000000f07f0000000000000c40",
-			RawSeries{0.25, -1, math.Inf(1), 3.5},
+			Data{Kind: disk.Series, Series: []float64{0.25, -1, math.Inf(1), 3.5}},
 		},
 		{
 			"504d4a50010006000c000000a920f6d9080000004143475454474341",
-			RawString("ACGTTGCA"),
+			Data{Kind: disk.Strings, String: []byte("ACGTTGCA")},
 		},
 	}
 	dir := t.TempDir()
@@ -446,29 +446,14 @@ func TestLoadDataParentContainers(t *testing.T) {
 		}
 		got, err := LoadData(path)
 		if err != nil {
-			t.Fatalf("LoadData(%T container): %v", tc.want, err)
+			t.Fatalf("LoadData(%v container): %v", tc.want.Kind, err)
 		}
-		ok := false
-		switch want := tc.want.(type) {
-		case RawVectors:
-			g, isVec := got.(RawVectors)
-			ok = isVec && len(g) == len(want)
-			for r := 0; ok && r < len(want); r++ {
-				ok = eqFloats(g[r], want[r])
-			}
-		case RawSeries:
-			g, isSeries := got.(RawSeries)
-			ok = isSeries && eqFloats(g, want)
-		case RawString:
-			g, isString := got.(RawString)
-			ok = isString && string(g) == string(want)
-		}
-		if !ok {
-			t.Errorf("LoadData = %v, want bit-equal %v", got, tc.want)
+		if !eqData(got, tc.want) {
+			t.Errorf("LoadData = %+v, want bit-equal %+v", got, tc.want)
 		}
 		// The container is canonical: today's encoder writes the same bytes.
 		if again, err := encodeData(tc.want); err != nil || string(again) != string(rec) {
-			t.Errorf("encodeData(%T) = %x (err %v), want the saved bytes %x", tc.want, again, err, rec)
+			t.Errorf("encodeData(%v) = %x (err %v), want the saved bytes %x", tc.want.Kind, again, err, rec)
 		}
 	}
 }

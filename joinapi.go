@@ -319,77 +319,73 @@ func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Re
 	return cp, err
 }
 
-// joinSharded runs a clustered join's plan through the shard coordinator; it
-// is the one clustered route. Each shard runs its planned order on a copy of
-// eng, with a cold disk session and private buffer pool. Results merge in
-// shard-index order (reports and modeled clocks sum / max deterministically;
-// pairs concatenate under the global cap), so the Report and Pairs are
-// bit-identical for any Sharding.Workers. An unsharded join (Shards 0) is the
-// one-shard plan: its shard reports on the join's own collector, and
-// Exec.Shards stays 0. So Shards 1 differs from it only in keeping a
-// per-shard metrics snapshot. The returned snapshots are the per-shard
-// metrics (none when unsharded), appended to Result.Metrics after Finish.
+// joinSharded runs a clustered join's plan through shard.Run; it is the one
+// clustered route. Shard i runs its planned order on its own copy of eng,
+// with a cold disk session and private buffer pool (Engine.Run), a pair
+// collector of its own and, when sharded, a metrics collector of its own.
+// Results merge in shard-index order (reports and modeled clocks sum / max
+// deterministically; pairs concatenate under the global cap), so the Report
+// and Pairs are bit-identical for any Sharding.Workers. An unsharded join
+// (Shards 0) is the one-shard plan: it runs inline and reports on the join's
+// own collector, and Exec.Shards stays 0. So Shards 1 differs from it only in
+// keeping a per-shard metrics snapshot. The returned snapshots are the
+// per-shard metrics (none when unsharded), appended to Result.Metrics after
+// Finish.
 func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan, joiner join.ObjectJoiner,
 	opt Options, res *Result, eng join.Engine,
 ) (*join.Report, []*metrics.Metrics, error) {
 	start := time.Now()
 	defer func() { res.Exec.JoinWall = time.Since(start) }()
 	sharded := opt.Sharding.Shards > 0
-	runner := &shard.LocalRunner{
-		Engine:            eng,
-		R:                 &a.ds,
-		S:                 &b.ds,
-		Matrix:            cp.m,
-		Clusters:          cp.clusters,
-		Pages:             cp.pages,
-		Joiner:            joiner,
-		PreprocessSeconds: cp.pre,
-		CollectPairs:      opt.CollectPairs,
-		MaxPairs:          opt.MaxPairs,
-		OwnMetrics:        sharded,
+	n := len(cp.cut.Shards)
+	reps, cols := make([]*join.Report, n), make([]*join.Pairs, n)
+	var snaps []*metrics.Metrics
+	if sharded {
+		snaps = make([]*metrics.Metrics, n)
 	}
-	coord := &shard.Coordinator{Runner: runner, Workers: opt.Sharding.Workers}
-	results, err := coord.Run(ctx, cp.cut.Tasks())
+	err := shard.Run(ctx, cp.cut, opt.Sharding.Workers, func(i int, sh shard.Shard) error {
+		e := eng
+		e.Ctx = ctx
+		if opt.CollectPairs {
+			e.Pairs = join.NewPairs(opt.MaxPairs)
+			cols[i] = e.Pairs
+		}
+		if sharded {
+			e.Metrics = metrics.New(metrics.Config{Trace: eng.Metrics.Tracing()})
+		}
+		rep, err := e.Clustered(&a.ds, &b.ds, cp.m, cp.clusters, cp.pages, sh.Clusters, joiner)
+		if sharded {
+			snaps[i] = e.Metrics.Finish()
+		}
+		if err != nil {
+			return err
+		}
+		pre := 0.0
+		if i == 0 {
+			pre = cp.pre
+		}
+		rep.PreprocessSeconds = pre + join.ModelSchedulePreprocess(sh.ScheduleEdges)
+		reps[i] = rep
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := shard.MergeReports(results)
-	if rep == nil {
-		// Unreachable after a successful coordinator run (every slot filled,
-		// shard 0 present); guarded anyway so a future transport bug surfaces
-		// as an error instead of a nil-Report dereference below.
-		return nil, nil, fmt.Errorf("pmjoin: sharded merge yielded no report")
-	}
+	rep := shard.MergeReports(reps)
 	rep.Method = opt.Method.String()
 	if opt.CollectPairs {
-		res.Pairs, res.Truncated = shard.MergePairs(results, opt.MaxPairs)
+		res.Pairs, res.Truncated = join.MergePairs(cols, opt.MaxPairs)
 	}
 	if sharded {
-		res.Exec.Shards = len(cp.cut.Shards)
-		res.Exec.ShardWorkers = coordWorkers(opt.Sharding.Workers, len(cp.cut.Shards))
+		res.Exec.Shards = n
+		res.Exec.ShardWorkers = shard.Workers(opt.Sharding.Workers, n)
 	}
-	var snaps []*metrics.Metrics
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		t := r.Report.IOSeconds + r.Report.CPUJoinSeconds
+	for _, r := range reps {
+		t := r.IOSeconds + r.CPUJoinSeconds
 		res.Exec.ModeledSerialSeconds += t
 		res.Exec.ModeledWallSeconds = max(res.Exec.ModeledWallSeconds, t)
-		if r.Metrics != nil {
-			snaps = append(snaps, r.Metrics)
-		}
 	}
 	return rep, snaps, nil
-}
-
-// coordWorkers mirrors the coordinator's clamp so ExecStats reports the
-// worker count that actually ran.
-func coordWorkers(workers, tasks int) int {
-	if workers <= 0 || workers > tasks {
-		return tasks
-	}
-	return workers
 }
 
 // shardCost is the planner's balance model: the system's linear disk terms

@@ -250,36 +250,104 @@ func TestJoinContextPreCancelled(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestJoinContextMidJoinCancel cancels joins while they run: an NLJ join,
+// and a sharded SC join whose shards run on a pool of their own beside the
+// comparison pool. Each returns promptly with the cancellation and leaks no
+// goroutine, and the System stays usable: a join after the cancelled one
+// equals a solo run on a fresh System.
 func TestJoinContextMidJoinCancel(t *testing.T) {
-	// A workload big enough that cancellation lands mid-run on any host; the
-	// block boundaries of NLJ are the cancellation points.
-	sys := NewSystem(DiskModel{PageBytes: 256})
-	da, err := sys.AddVectors("a", randomVecs(3000, 2, 5), VectorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
+	t.Run("NLJ", func(t *testing.T) {
+		// A workload big enough that cancellation lands mid-run on any host;
+		// the block boundaries of NLJ are the cancellation points.
+		sys := NewSystem(DiskModel{PageBytes: 256})
+		da, err := sys.AddVectors("a", randomVecs(3000, 2, 5), VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res, err := sys.JoinContext(ctx, da, da, Options{Method: NLJ, Epsilon: 0.05, BufferPages: 4, Parallelism: 2})
-	if err == nil {
-		t.Skip("join finished before the cancel landed")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || !res.Exec.Cancelled {
-		t.Fatalf("result = %+v, want Exec.Cancelled", res)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled join took %v to return", d)
-	}
-	waitGoroutines(t, before)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			cancel()
+		}()
+		start := time.Now()
+		res, err := sys.JoinContext(ctx, da, da, Options{Method: NLJ, Epsilon: 0.05, BufferPages: 4, Parallelism: 2})
+		if err == nil {
+			t.Skip("join finished before the cancel landed")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if res == nil || !res.Exec.Cancelled {
+			t.Fatalf("result = %+v, want Exec.Cancelled", res)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("cancelled join took %v to return", d)
+		}
+		waitGoroutines(t, before)
+	})
+	t.Run("SC-sharded", func(t *testing.T) {
+		vecs := randomVecs(20000, 2, 5)
+		load := func() (*System, *Dataset) {
+			sys := NewSystem(DiskModel{PageBytes: 256})
+			da, err := sys.AddVectors("a", vecs, VectorOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys, da
+		}
+		opt := Options{Method: SC, Epsilon: 0.01, BufferPages: 8, Parallelism: 2, CollectPairs: true,
+			Sharding: ShardingOptions{Shards: 4, Workers: 2}}
+		solo, ds := load()
+		want, err := solo.Join(ds, ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		sys, da := load()
+		before := runtime.NumGoroutine()
+		// Cancel halfway through the solo run's shards; a join that finishes
+		// first is run again with half the delay.
+		var res *Result
+		var took time.Duration
+		delay := want.Exec.PreprocessWall + want.Exec.JoinWall/2
+		for attempt := 0; attempt < 5 && err == nil; attempt++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(delay, cancel)
+			start := time.Now()
+			res, err = sys.JoinContext(ctx, da, da, opt)
+			took = time.Since(start)
+			timer.Stop()
+			cancel()
+			delay /= 2
+		}
+		if err == nil {
+			t.Skip("every join finished before its cancel landed")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if res == nil || !res.Exec.Cancelled {
+			t.Fatalf("result = %+v, want Exec.Cancelled", res)
+		}
+		if took > 5*time.Second {
+			t.Fatalf("cancelled join took %v to return", took)
+		}
+		t.Logf("cancelled after %v: %v", took, err)
+		waitGoroutines(t, before)
+
+		got, err := sys.Join(da, da, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Report, want.Report) {
+			t.Errorf("Report after the cancelled join = %+v, want the fresh run's %+v", got.Report, want.Report)
+		}
+		if !reflect.DeepEqual(got.Pairs, want.Pairs) || got.Truncated != want.Truncated {
+			t.Errorf("Pairs after the cancelled join differ from the fresh run's")
+		}
+	})
 }
 
 func TestExplainContextPreCancelled(t *testing.T) {

@@ -63,13 +63,13 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR and sequence tree identity + pin ledger)"
+echo "==> determinism contracts (metrics observer + one clustered route + shard runs + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR and sequence tree identity + pin ledger)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with tracing enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, and the block
 # kernel's counters, which ride the always-on snapshot, read the same with
 # tracing off as on. Every clustered
-# join runs the shard planner's plan through the coordinator, so the same
+# join runs the shard planner's plan through shard.Run, so the same
 # triple must be identical across shard worker counts, and shards=0 and
 # shards=1 (one shard, the global schedule) must agree, with shards=0 still
 # reporting no shards. Explain renders that plan, so its cluster order is the
@@ -118,6 +118,10 @@ echo "==> determinism contracts (metrics observer + one clustered route + storag
 # joins must leave the catalog and the attached store as ingest left them.
 contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods'
 contract ./internal/buffer 'TestPinSet'
+# shard.Run must slot every shard's outcome by index on any pool size, return
+# the first error by shard index, start no shard once cancelled and, on one
+# worker, drain a long plan promptly after a cancel.
+contract ./internal/shard 'TestCoordinatorOrder|TestCoordinatorFirstError|TestCoordinatorCancelMidRun|TestCoordinatorCancelPromptDrain'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'

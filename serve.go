@@ -11,6 +11,7 @@ import (
 	"pmjoin/internal/disk"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/sflight"
+	"pmjoin/internal/shard"
 )
 
 // ErrOverloaded reports that the server refused a join at admission: either
@@ -194,18 +195,10 @@ func (sv *Server) System() *System { return sv.sys }
 // pool frames, times the concurrent shard pools when sharded. opt must be
 // validated (BufferPages and Sharding.Workers normalized).
 func admissionCost(opt Options) int {
-	cost := opt.BufferPages
 	if opt.Sharding.Shards > 0 {
-		workers := opt.Sharding.Workers
-		if workers > opt.Sharding.Shards {
-			workers = opt.Sharding.Shards
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		cost *= workers
+		return opt.BufferPages * shard.Workers(opt.Sharding.Workers, opt.Sharding.Shards)
 	}
-	return cost
+	return opt.BufferPages
 }
 
 // Join runs one admitted join. It validates opt, waits for admission budget

@@ -17,8 +17,8 @@ import (
 // run are bit-identical across shard worker counts {1, GOMAXPROCS} for a
 // fixed shard count, and a 1-shard run is bit-identical to the unsharded one
 // (both run the planner's single shard, the global schedule, over a cold
-// session and private pool). Run under -race, this also
-// exercises the coordinator's concurrent shard execution against the shared
+// session and private pool). Run under -race, this also exercises
+// shard.Run's concurrent shards, on a pool of their own, against the shared
 // comparison pool.
 func TestShardDeterminism(t *testing.T) {
 	type workload struct {
