@@ -448,46 +448,56 @@ func TestL1Norm(t *testing.T) {
 // TestMatrixCacheEvictsLeastRecentlyUsed: the matrix cache holds
 // matrixCacheEntries matrices; one key more evicts the least recently used,
 // and a key used every other call keeps its matrix through any number of
-// fresh keys.
+// fresh keys. A join built its matrix when its Exec.MatrixWall is non-zero.
 func TestMatrixCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	sys, da, db := smallVecSystem(t)
-	join := func(eps float64) {
+	built := func(eps float64) bool {
 		t.Helper()
-		if _, err := sys.Join(da, db, Options{Method: PMNLJ, Epsilon: eps, BufferPages: 8}); err != nil {
+		res, err := sys.Join(da, db, Options{Method: PMNLJ, Epsilon: eps, BufferPages: 8})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	cached := func(eps float64) *matrixEntry {
-		for k, e := range sys.matrixCache {
-			if k.eps == eps {
-				return e
-			}
-		}
-		return nil
+		return res.Exec.MatrixWall > 0
 	}
 	epsK := func(k int) float64 { return 0.01 * float64(k+1) }
 	for k := 0; k <= matrixCacheEntries; k++ {
-		join(epsK(k))
+		if !built(epsK(k)) {
+			t.Fatalf("fresh key %d was not built", k)
+		}
 	}
-	if len(sys.matrixCache) != matrixCacheEntries || cached(epsK(0)) != nil {
-		t.Fatalf("%d keys cached, first key cached %v; want %d, false", len(sys.matrixCache), cached(epsK(0)) != nil, matrixCacheEntries)
-	}
+	// Hits refresh keys 1…8 in their order, so key 1 stays the least
+	// recently used, and evict nothing.
 	for k := 1; k <= matrixCacheEntries; k++ {
-		if cached(epsK(k)) == nil {
+		if built(epsK(k)) {
 			t.Fatalf("key %d of %d evicted", k, matrixCacheEntries)
 		}
 	}
-	warm := epsK(1) // now the least recently used key
-	e := cached(warm)
-	for k := 0; k < 3*matrixCacheEntries; k++ {
-		join(warm)
-		join(1 + epsK(k))
-		if cached(warm) != e {
-			t.Fatalf("warm key evicted after %d fresh keys", k+1)
+	if !built(epsK(0)) {
+		t.Fatal("the least recently used key 0 was kept past the bound")
+	}
+	warm := epsK(2) // key 1 went for key 0, so key 2 is now the least recently used
+	fresh := func(k int) float64 { return 1 + epsK(k) }
+	const rounds = 3 * matrixCacheEntries
+	for k := 0; k < rounds; k++ {
+		if built(warm) {
+			t.Fatalf("warm key evicted after %d fresh keys", k)
+		}
+		if !built(fresh(k)) {
+			t.Fatalf("fresh key %d was not built", k)
 		}
 	}
-	if len(sys.matrixCache) != matrixCacheEntries {
-		t.Fatalf("%d keys cached, want %d", len(sys.matrixCache), matrixCacheEntries)
+	// The warm key and the newest fresh ones fill the cache: they are hits,
+	// and the fresh key before them was evicted.
+	if built(warm) {
+		t.Fatal("warm key evicted")
+	}
+	for k := rounds - 1; k > rounds-matrixCacheEntries; k-- {
+		if built(fresh(k)) {
+			t.Fatalf("fresh key %d evicted", k)
+		}
+	}
+	if !built(fresh(rounds - matrixCacheEntries)) {
+		t.Fatalf("fresh key %d kept past the bound", rounds-matrixCacheEntries)
 	}
 }
 

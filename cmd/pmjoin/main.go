@@ -34,7 +34,7 @@ func main() {
 		kind    = pmjoin.KindVector
 		m       = pmjoin.SC
 		policy  = pmjoin.LRU
-		storage = pmjoin.StorageDefault
+		storage = pmjoin.StorageSim
 	)
 	flag.TextVar(&kind, "kind", kind, "data kind: vector, series, string")
 	flag.TextVar(&m, "method", m, "join method: NLJ, pm-NLJ, random-SC, SC, CC, EGO, BFRJ")

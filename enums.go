@@ -6,8 +6,8 @@ import (
 )
 
 // enumSpec is the single table behind every exported enum's String /
-// MarshalText / UnmarshalText / Parse quartet. Each enum used to hand-roll
-// the four methods (~60 lines of switches apiece); the table keeps the
+// MarshalText / UnmarshalText trio. Each enum used to hand-roll the methods
+// (~60 lines of switches apiece); the table keeps the
 // canonical spellings in one slice per enum and derives everything — the
 // round-trip forms, the normalized parse index, and the "(want ...)" hint in
 // parse errors — from it, so a new value is one string in one list.
@@ -16,19 +16,15 @@ type enumSpec[T ~int] struct {
 	kind     string // error noun: "method", "kind", "replacement policy", ...
 	names    []string
 	hint     string // "NLJ, pm-NLJ, ... or BFRJ"
-	// allowEmpty parses "" to the zero value — the mode enums treat an unset
-	// flag as their Default value.
-	allowEmpty bool
-	byNorm     map[string]T
+	byNorm   map[string]T
 }
 
-func newEnum[T ~int](typeName, kind string, names []string, allowEmpty bool) *enumSpec[T] {
+func newEnum[T ~int](typeName, kind string, names []string) *enumSpec[T] {
 	s := &enumSpec[T]{
-		typeName:   typeName,
-		kind:       kind,
-		names:      names,
-		allowEmpty: allowEmpty,
-		byNorm:     make(map[string]T, len(names)),
+		typeName: typeName,
+		kind:     kind,
+		names:    names,
+		byNorm:   make(map[string]T, len(names)),
 	}
 	for i, n := range names {
 		s.byNorm[normalizeEnum(n)] = T(i)
@@ -58,23 +54,12 @@ func (s *enumSpec[T]) marshal(v T) ([]byte, error) {
 	return []byte(s.names[v]), nil
 }
 
-func (s *enumSpec[T]) parse(str string) (T, error) {
-	n := normalizeEnum(str)
-	if n == "" && s.allowEmpty {
-		var zero T
-		return zero, nil
-	}
-	if v, ok := s.byNorm[n]; ok {
-		return v, nil
-	}
-	var zero T
-	return zero, fmt.Errorf("pmjoin: unknown %s %q (want %s)", s.kind, str, s.hint)
-}
-
+// unmarshal parses text into dst. Matching is case-insensitive and ignores
+// hyphens and underscores, so "pm-NLJ", "pmnlj" and "PM_nlj" all name PMNLJ.
 func (s *enumSpec[T]) unmarshal(dst *T, text []byte) error {
-	v, err := s.parse(string(text))
-	if err != nil {
-		return err
+	v, ok := s.byNorm[normalizeEnum(string(text))]
+	if !ok {
+		return fmt.Errorf("pmjoin: unknown %s %q (want %s)", s.kind, text, s.hint)
 	}
 	*dst = v
 	return nil
@@ -113,7 +98,7 @@ const (
 )
 
 var methodSpec = newEnum[Method]("Method", "method",
-	[]string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"}, false)
+	[]string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"})
 
 func (m Method) String() string { return methodSpec.string(m) }
 
@@ -121,15 +106,13 @@ func (m Method) String() string { return methodSpec.string(m) }
 // canonical name ("SC", "pm-NLJ", ...).
 func (m Method) MarshalText() ([]byte, error) { return methodSpec.marshal(m) }
 
-// UnmarshalText implements encoding.TextUnmarshaler; see ParseMethod.
+// UnmarshalText implements encoding.TextUnmarshaler. Matching is
+// case-insensitive and ignores hyphens, so "pm-NLJ", "pmnlj" and "PM-nlj"
+// all parse to PMNLJ.
 func (m *Method) UnmarshalText(text []byte) error { return methodSpec.unmarshal(m, text) }
 
-// ParseMethod parses a method name. Matching is case-insensitive and
-// ignores hyphens, so "pm-NLJ", "pmnlj" and "PM-nlj" all parse to PMNLJ.
-func ParseMethod(s string) (Method, error) { return methodSpec.parse(s) }
-
 var kindSpec = newEnum[Kind]("Kind", "kind",
-	[]string{"vector", "series", "string"}, false)
+	[]string{"vector", "series", "string"})
 
 func (k Kind) String() string { return kindSpec.string(k) }
 
@@ -137,11 +120,8 @@ func (k Kind) String() string { return kindSpec.string(k) }
 // canonical name ("vector", "series", "string").
 func (k Kind) MarshalText() ([]byte, error) { return kindSpec.marshal(k) }
 
-// UnmarshalText implements encoding.TextUnmarshaler; see ParseKind.
+// UnmarshalText implements encoding.TextUnmarshaler (case-insensitive).
 func (k *Kind) UnmarshalText(text []byte) error { return kindSpec.unmarshal(k, text) }
-
-// ParseKind parses a data-kind name (case-insensitive).
-func ParseKind(s string) (Kind, error) { return kindSpec.parse(s) }
 
 // ReplacementPolicy selects the buffer replacement policy.
 type ReplacementPolicy int
@@ -154,19 +134,15 @@ const (
 )
 
 var policySpec = newEnum[ReplacementPolicy]("ReplacementPolicy", "replacement policy",
-	[]string{"LRU", "FIFO"}, false)
+	[]string{"LRU", "FIFO"})
 
 func (p ReplacementPolicy) String() string { return policySpec.string(p) }
 
 // MarshalText implements encoding.TextMarshaler.
 func (p ReplacementPolicy) MarshalText() ([]byte, error) { return policySpec.marshal(p) }
 
-// UnmarshalText implements encoding.TextUnmarshaler; see
-// ParseReplacementPolicy.
+// UnmarshalText implements encoding.TextUnmarshaler (case-insensitive).
 func (p *ReplacementPolicy) UnmarshalText(text []byte) error { return policySpec.unmarshal(p, text) }
-
-// ParseReplacementPolicy parses a policy name (case-insensitive).
-func ParseReplacementPolicy(s string) (ReplacementPolicy, error) { return policySpec.parse(s) }
 
 // StorageMode selects the physical page source behind a join run: the
 // in-memory simulator (reads cost nothing in wall time; only the linear disk
@@ -178,26 +154,20 @@ func ParseReplacementPolicy(s string) (ReplacementPolicy, error) { return policy
 type StorageMode int
 
 const (
-	// StorageDefault resolves to StorageSim in Validate.
-	StorageDefault StorageMode = iota
-	// StorageSim serves page payloads from memory (the seed behavior).
-	StorageSim
+	// StorageSim, the zero value, serves page payloads from memory.
+	StorageSim StorageMode = iota
 	// StorageFile serves page payloads through the System's file-backed
 	// store; Join fails if none is attached.
 	StorageFile
 )
 
 var storageSpec = newEnum[StorageMode]("StorageMode", "storage mode",
-	[]string{"default", "sim", "file"}, true)
+	[]string{"sim", "file"})
 
 func (s StorageMode) String() string { return storageSpec.string(s) }
 
 // MarshalText implements encoding.TextMarshaler.
 func (s StorageMode) MarshalText() ([]byte, error) { return storageSpec.marshal(s) }
 
-// UnmarshalText implements encoding.TextUnmarshaler; see ParseStorageMode.
+// UnmarshalText implements encoding.TextUnmarshaler (case-insensitive).
 func (s *StorageMode) UnmarshalText(text []byte) error { return storageSpec.unmarshal(s, text) }
-
-// ParseStorageMode parses a storage mode name (case-insensitive; "" parses
-// to StorageDefault).
-func ParseStorageMode(s string) (StorageMode, error) { return storageSpec.parse(s) }

@@ -128,7 +128,8 @@ func (s *System) Explain(a, b *Dataset, opt Options) (*Plan, error) {
 }
 
 // ExplainContext is Explain with cancellation: an already-cancelled ctx
-// returns ctx's error before any work is done.
+// returns ctx's error before any work is done, and planning checks ctx again
+// after the matrix build and after clustering.
 func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options) (*Plan, error) {
 	if err := s.checkJoinable(a, b); err != nil {
 		return nil, err
@@ -136,14 +137,15 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	// The plan an SC join would run, priced by replaying its pins. Planning
 	// records no metrics: the nil collector's hooks no-op.
-	cp, err := s.planClusters(a, b, SC, opt, &Result{}, nil, nil)
+	cp, err := s.planClusters(ctx, a, b, SC, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +203,20 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		p.CutPenaltySeconds = cut.CutPenaltySeconds
 	}
 	return p, nil
+}
+
+// planKey identifies the Plan Explain builds from validated options: its
+// matrix's key and every other option planClusters and the pricing read.
+// Method is none of them: Explain plans SC whatever the Method.
+type planKey struct {
+	matrixKey
+	bufferPages, shards int
+	policy              ReplacementPolicy
+	rowFraction         float64
+}
+
+func newPlanKey(a, b *Dataset, opt Options) planKey {
+	return planKey{newMatrixKey(a, b, opt), opt.BufferPages, opt.Sharding.Shards, opt.Policy, opt.ClusterRowFraction}
 }
 
 // nljReads is block NLJ's page-read count: the smaller dataset streams

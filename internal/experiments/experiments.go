@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§9). Each experiment builds its workload on a fresh simulated
 // disk, runs the competing join methods, and returns the same rows/series
-// the paper reports. The benchrunner command and the repository's
-// bench_test.go both drive this package.
+// the paper reports. The benchrunner command drives this package
+// (go run ./cmd/benchrunner -exp all|fig10|…|ablations).
 //
 // Scaling: Config.Scale scales dataset cardinalities AND buffer sizes
 // together, so page/buffer ratios — which determine every crossover in the

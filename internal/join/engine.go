@@ -31,9 +31,11 @@ type Engine struct {
 	// means never cancelled.
 	Ctx context.Context
 	// Metrics, when non-nil, collects the run's phase-scoped metrics and
-	// trace (see internal/metrics). A nil collector costs nothing: every
-	// hook is a nil-receiver no-op. Metrics never influence the Report —
-	// they are outside the determinism contract.
+	// trace (see internal/metrics): Run attaches it to the run's session and
+	// pool, and its caller opens the phase the run is charged to (the join
+	// phase, which also covers the caller's merge of the pairs). A nil
+	// collector costs nothing: every hook is a nil-receiver no-op. Metrics
+	// never influence the Report — they are outside the determinism contract.
 	Metrics *metrics.Collector
 	// Backend, when non-nil, is the physical page source behind the disk
 	// (internal/store.Store): page payloads are read from real files with
@@ -80,10 +82,7 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	// tasks so no worker is left computing over the run's state.
 	defer x.wait()
 	e.Metrics.Attach(io, pool)
-	e.Metrics.PhaseStart(metrics.PhaseJoin)
-	err = body(x)
-	e.Metrics.PhaseEnd()
-	if err != nil {
+	if err := body(x); err != nil {
 		return nil, err
 	}
 	if n := pool.PinnedFrames(); n > 0 {

@@ -24,19 +24,22 @@ import (
 // every other Result field, these are real wall-clock measurements: they vary
 // run to run and are excluded from the determinism contract (Report, Pairs
 // and Plan are bit-for-bit independent of Parallelism; ExecStats is not).
+// The walls, the block-kernel profile and the measured reads are views of
+// Result.Metrics, filled from it on every run, cancelled or not.
 type ExecStats struct {
 	// Workers is the number of pool workers the join ran with (1 = inline).
 	Workers int
-	// MatrixWall is the wall time of prediction-matrix construction
-	// (zero when the matrix was cached or the method builds none).
+	// MatrixWall is the wall time of prediction-matrix construction, the
+	// snapshot's matrix phase (zero when the matrix was cached or the method
+	// builds none).
 	MatrixWall time.Duration
-	// PreprocessWall is the wall time of planning a clustered join: the
-	// clustering (SC or CC) and the schedule with its shard cut, which the
-	// metrics ledger attributes to the cluster phase too (zero for
-	// unclustered methods).
+	// PreprocessWall is the wall time of planning a clustered join, the
+	// snapshot's cluster phase: the clustering (SC or CC) and the schedule
+	// with its shard cut (zero for unclustered methods).
 	PreprocessWall time.Duration
-	// JoinWall is the wall time of the join executor itself; for a clustered
-	// join, running the plan's shards and merging their results.
+	// JoinWall is the wall time of the join executor and the merge of its
+	// pairs, the snapshot's join phase; for a clustered join, running the
+	// plan's shards and merging their results.
 	JoinWall time.Duration
 	// PrefetchedPages is always 0: every page is read when its cluster pins
 	// it, so no read is issued ahead of demand.
@@ -74,9 +77,8 @@ type ExecStats struct {
 	// reads served and their summed wall latencies in seconds (read +
 	// checksum + page build; concurrent shards' latencies add up, so the sum
 	// can exceed JoinWall). Both repeat Result.Metrics.Measured, and both are
-	// zero under the simulator and on a cancelled run. Host-dependent and
-	// excluded from the determinism contract, like every other ExecStats
-	// field.
+	// zero under the simulator. Host-dependent and excluded from the
+	// determinism contract, like every other ExecStats field.
 	MeasuredIOWall float64
 	MeasuredReads  int64
 	// Cancelled reports that the run stopped early because the context was
@@ -104,9 +106,10 @@ type Result struct {
 	// ExecStats).
 	Exec ExecStats
 	// Metrics is the phase-scoped metrics snapshot of the run, with its
-	// event trace when Options.Trace is set. Like ExecStats it is outside
-	// the determinism contract: its wall-clock fields vary run to run, and
-	// collecting it never changes Report or Pairs.
+	// event trace when Options.Trace is set; a cancelled run returns the
+	// phases it ran. Like ExecStats it is outside the determinism contract:
+	// its wall-clock fields vary run to run, and collecting it never changes
+	// Report or Pairs.
 	Metrics *metrics.Metrics
 }
 
@@ -127,10 +130,12 @@ func (s *System) Join(a, b *Dataset, opt Options) (*Result, error) {
 }
 
 // JoinContext is Join with cancellation: ctx is checked between clusters
-// (blocks, partitions — each method's unit of work), so a cancelled join
+// (blocks, partitions — each method's unit of work) and, on the clustered
+// route, after the matrix build and after clustering, so a cancelled join
 // returns promptly with ctx's error and a partial Result whose Exec.Cancelled
-// is set. Worker goroutines are always joined before JoinContext returns,
-// cancelled or not.
+// is set and whose Metrics snapshot holds the phases that ran. The matrix
+// build itself does not read ctx. Worker goroutines are always joined before
+// JoinContext returns, cancelled or not.
 //
 // Concurrent JoinContext calls on one System are safe: each run charges its
 // simulated I/O to a private disk session, so its Report is identical to what
@@ -145,23 +150,6 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	res := &Result{}
-	res.Exec.Workers = 1
-	if opt.Parallelism > 1 {
-		res.Exec.Workers = opt.Parallelism
-	}
-	if err := ctx.Err(); err != nil {
-		res.Exec.Cancelled = true
-		return res, err
-	}
-
-	var wp *join.WorkerPool
-	if opt.Parallelism > 1 {
-		wp = join.NewWorkerPool(opt.Parallelism)
-		defer wp.Close()
-	}
-	mc := metrics.New(metrics.Config{Trace: opt.Trace})
 
 	// Resolve the physical page source. StorageFile requires a store attached
 	// via UseFileStore and leases it for the whole run: the workers read its
@@ -179,98 +167,130 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 		backend = s.store
 	}
 
-	eng := &join.Engine{
-		Disk:       s.d,
-		BufferSize: opt.BufferPages,
-		Policy:     buffer.Policy(opt.Policy),
-		Workers:    wp,
-		Ctx:        ctx,
-		Metrics:    mc,
-		Backend:    backend,
+	res := &Result{Exec: ExecStats{Workers: opt.Parallelism}}
+	mc := metrics.New(metrics.Config{Trace: opt.Trace})
+	var rep *join.Report
+	var shardSnaps []*metrics.Metrics // per-shard snapshots, folded in at Finish
+	err := ctx.Err()
+	if err == nil {
+		var wp *join.WorkerPool
+		if opt.Parallelism > 1 {
+			wp = join.NewWorkerPool(opt.Parallelism)
+			defer wp.Close()
+		}
+		rep, shardSnaps, err = s.execute(ctx, a, b, opt, res, &join.Engine{
+			Disk:       s.d,
+			BufferSize: opt.BufferPages,
+			Policy:     buffer.Policy(opt.Policy),
+			Workers:    wp,
+			Ctx:        ctx,
+			Metrics:    mc,
+			Backend:    backend,
+		})
+		if wp != nil {
+			mc.RecordQueueHighWater(wp.QueueHighWater())
+		}
 	}
+	if err != nil && ctx.Err() == nil {
+		return nil, err
+	}
+	res.Metrics = mc.Finish()
+	for _, sn := range shardSnaps {
+		res.Metrics.AddShard(sn)
+	}
+	res.Exec.observe(res.Metrics)
+	if err != nil {
+		res.Exec.Cancelled = true
+		return res, err
+	}
+	res.Report = *rep
+	return res, nil
+}
 
+// observe fills the views of the run's metrics snapshot m: the three walls
+// from its phases, the block-kernel profile from its clusters and the
+// measured reads from its backend account.
+func (x *ExecStats) observe(m *metrics.Metrics) {
+	x.MatrixWall = m.Phases[metrics.PhaseMatrix].Wall
+	x.PreprocessWall = m.Phases[metrics.PhaseCluster].Wall
+	x.JoinWall = m.Phases[metrics.PhaseJoin].Wall
+	x.MeasuredIOWall, x.MeasuredReads = m.Measured.Seconds, m.Measured.Reads
+	for _, cs := range m.Clusters {
+		if cs.BatchCells > 0 {
+			x.BatchClusters++
+			x.BatchCells += cs.BatchCells
+			x.BatchRows += cs.BatchRows
+		}
+	}
+}
+
+// execute runs opt.Method on eng and returns its report and, when sharded,
+// the shards' metrics snapshots. Each method's executor and the merge of its
+// pairs run inside the join phase of eng.Metrics.
+func (s *System) execute(ctx context.Context, a, b *Dataset, opt Options, res *Result, eng *join.Engine) (*join.Report, []*metrics.Metrics, error) {
 	self := a == b || a.ds.File == b.ds.File
 	joiner := s.joiner(a, opt.Epsilon, self)
 
-	// timedJoin runs an unclustered executor on eng and takes its wall time
-	// and its pairs; the clustered route takes its own from its shards.
-	timedJoin := func(f func() (*join.Report, error)) (*join.Report, error) {
+	// joined runs an unclustered executor and takes its pairs; the clustered
+	// route opens the join phase around its shards.
+	joined := func(f func() (*join.Report, error)) (*join.Report, []*metrics.Metrics, error) {
 		if opt.CollectPairs {
 			eng.Pairs = join.NewPairs(opt.MaxPairs)
 		}
-		start := time.Now()
+		eng.Metrics.PhaseStart(metrics.PhaseJoin)
+		defer eng.Metrics.PhaseEnd()
 		rep, err := f()
 		if eng.Pairs != nil {
 			res.Pairs, res.Truncated = join.MergePairs([]*join.Pairs{eng.Pairs}, opt.MaxPairs)
 		}
-		res.Exec.JoinWall = time.Since(start)
-		return rep, err
+		return rep, nil, err
 	}
 
-	var rep *join.Report
-	var err error
-	var shardSnaps []*metrics.Metrics // per-shard snapshots, folded in at Finish
 	switch opt.Method {
 	case NLJ:
-		rep, err = timedJoin(func() (*join.Report, error) { return eng.NLJ(&a.ds, &b.ds, joiner) })
+		return joined(func() (*join.Report, error) { return eng.NLJ(&a.ds, &b.ds, joiner) })
 	case PMNLJ:
-		var m *predmat.Matrix
-		m, err = s.buildMatrix(a, b, opt, res, wp, mc)
-		if err == nil {
-			rep, err = timedJoin(func() (*join.Report, error) { return eng.PMNLJ(&a.ds, &b.ds, m, joiner) })
+		mx, err := s.buildMatrix(a, b, opt, eng.Workers, eng.Metrics)
+		if err != nil {
+			return nil, nil, err
 		}
+		res.setMatrix(mx)
+		return joined(func() (*join.Report, error) { return eng.PMNLJ(&a.ds, &b.ds, mx.m, joiner) })
 	case RandomSC, SC, CC:
-		var cp *clusterPlan
-		cp, err = s.planClusters(a, b, opt.Method, opt, res, wp, mc)
-		if err == nil {
-			rep, shardSnaps, err = s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng)
+		cp, err := s.planClusters(ctx, a, b, opt.Method, opt, eng.Workers, eng.Metrics)
+		if err != nil {
+			return nil, nil, err
 		}
+		res.setMatrix(cp.matrixEntry)
+		return s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng)
 	case EGO:
-		rep, err = timedJoin(func() (*join.Report, error) {
+		return joined(func() (*join.Report, error) {
 			return ego.Run(eng, &a.ds, &b.ds, joiner, s.egoAdapter(a, opt.Epsilon), ego.Options{SelfJoin: self, ExcludeOverlap: a.window})
 		})
 	case BFRJ:
-		rep, err = timedJoin(func() (*join.Report, error) {
+		return joined(func() (*join.Report, error) {
 			return bfrj.Run(eng, &a.ds, &b.ds, joiner, bfrj.Options{
 				Eps:      opt.Epsilon,
 				Pred:     s.predictor(a),
 				SelfJoin: self,
 			})
 		})
-	default:
-		err = fmt.Errorf("pmjoin: unknown method %v", opt.Method)
 	}
-	if err != nil {
-		if ctx.Err() != nil {
-			res.Exec.Cancelled = true
-			return res, err
-		}
-		return nil, err
-	}
-	res.Report = *rep
-	if wp != nil {
-		mc.RecordQueueHighWater(wp.QueueHighWater())
-	}
-	res.Metrics = mc.Finish()
-	for _, sn := range shardSnaps {
-		res.Metrics.AddShard(sn)
-	}
-	res.Exec.MeasuredIOWall, res.Exec.MeasuredReads = res.Metrics.Measured.Seconds, res.Metrics.Measured.Reads
-	for _, cs := range res.Metrics.Clusters {
-		if cs.BatchCells > 0 {
-			res.Exec.BatchClusters++
-			res.Exec.BatchCells += cs.BatchCells
-			res.Exec.BatchRows += cs.BatchRows
-		}
-	}
-	return res, nil
+	return nil, nil, fmt.Errorf("pmjoin: unknown method %v", opt.Method)
+}
+
+// setMatrix reports the join's prediction matrix.
+func (r *Result) setMatrix(mx matrixEntry) {
+	r.MarkedEntries = mx.m.Marked()
+	r.MatrixDensity = mx.m.Density()
+	r.MatrixSeconds = mx.seconds
 }
 
 // clusterPlan is a clustered join's plan: the prediction matrix, the
 // clusters, their pinned page sets, the modeled clustering seconds, and the
 // shard planner's schedule.
 type clusterPlan struct {
-	m        *predmat.Matrix
+	matrixEntry
 	clusters []*cluster.Cluster
 	pages    []sched.PageSet
 	pre      float64
@@ -281,20 +301,22 @@ type clusterPlan struct {
 // clusters (SC or CC) and order (greedy or random-SC): the matrix, the
 // clusters, their page sets, and shard.Cut's schedule cut into
 // max(opt.Sharding.Shards, 1) shards. Join runs this plan and Explain renders
-// it, so the two cannot disagree. Clustering and scheduling are timed into
-// res.Exec.PreprocessWall and charged to the metrics' cluster phase.
-func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
-	m, err := s.buildMatrix(a, b, opt, res, wp, mc)
+// it, so the two cannot disagree. Clustering and scheduling are charged to
+// the metrics' cluster phase, which opens only if ctx is not done once the
+// matrix is built; ctx is checked again after clustering.
+func (s *System) planClusters(ctx context.Context, a, b *Dataset, method Method, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
+	mx, err := s.buildMatrix(a, b, opt, wp, mc)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	mc.PhaseStart(metrics.PhaseCluster)
 	defer mc.PhaseEnd()
-	start := time.Now()
-	defer func() { res.Exec.PreprocessWall = time.Since(start) }()
-	cp := &clusterPlan{m: m}
+	cp := &clusterPlan{matrixEntry: mx}
 	if method == CC {
-		cp.clusters, err = cluster.Cost(m, opt.BufferPages, cluster.CostOptions{
+		cp.clusters, err = cluster.Cost(mx.m, opt.BufferPages, cluster.CostOptions{
 			HistogramBins: opt.HistogramBins,
 			Seed:          opt.Seed,
 			IO: cluster.IOModel{
@@ -302,14 +324,17 @@ func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Re
 				TransferTime: s.model.TransferSeconds,
 			},
 		})
-		cp.pre = join.ModelCCPreprocess(m.Marked())
+		cp.pre = join.ModelCCPreprocess(mx.m.Marked())
 	} else {
-		cp.clusters, err = cluster.SquareOpts(m, opt.BufferPages, cluster.SquareOptions{
+		cp.clusters, err = cluster.SquareOpts(mx.m, opt.BufferPages, cluster.SquareOptions{
 			RowFraction: opt.ClusterRowFraction,
 		})
-		cp.pre = join.ModelSCPreprocess(m.Marked())
+		cp.pre = join.ModelSCPreprocess(mx.m.Marked())
 	}
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cp.pages = shard.PageSets(cp.clusters, a.ds.File, b.ds.File)
@@ -329,13 +354,15 @@ func (s *System) planClusters(a, b *Dataset, method Method, opt Options, res *Re
 // (Shards 0) is the one-shard plan: it runs inline and reports on the join's
 // own collector, and Exec.Shards stays 0. So Shards 1 differs from it only in
 // keeping a per-shard metrics snapshot. The returned snapshots are the
-// per-shard metrics (none when unsharded), appended to Result.Metrics after
-// Finish.
+// per-shard metrics (none when unsharded; on a cancelled run, those of the
+// shards that ran), appended to Result.Metrics after Finish. The join phase
+// of eng.Metrics covers the shards and the merge; each shard's own
+// collector's covers its executor.
 func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan, joiner join.ObjectJoiner,
 	opt Options, res *Result, eng join.Engine,
 ) (*join.Report, []*metrics.Metrics, error) {
-	start := time.Now()
-	defer func() { res.Exec.JoinWall = time.Since(start) }()
+	eng.Metrics.PhaseStart(metrics.PhaseJoin)
+	defer eng.Metrics.PhaseEnd()
 	sharded := opt.Sharding.Shards > 0
 	n := len(cp.cut.Shards)
 	reps, cols := make([]*join.Report, n), make([]*join.Pairs, n)
@@ -345,16 +372,17 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 	}
 	err := shard.Run(ctx, cp.cut, opt.Sharding.Workers, func(i int, sh shard.Shard) error {
 		e := eng
-		e.Ctx = ctx
 		if opt.CollectPairs {
 			e.Pairs = join.NewPairs(opt.MaxPairs)
 			cols[i] = e.Pairs
 		}
 		if sharded {
 			e.Metrics = metrics.New(metrics.Config{Trace: eng.Metrics.Tracing()})
+			e.Metrics.PhaseStart(metrics.PhaseJoin)
 		}
 		rep, err := e.Clustered(&a.ds, &b.ds, cp.m, cp.clusters, cp.pages, sh.Clusters, joiner)
 		if sharded {
+			e.Metrics.PhaseEnd()
 			snaps[i] = e.Metrics.Finish()
 		}
 		if err != nil {
@@ -369,7 +397,7 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, snaps, err
 	}
 	rep := shard.MergeReports(reps)
 	rep.Method = opt.Method.String()
@@ -469,86 +497,26 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 	}
 }
 
-// buildMatrix returns the prediction matrix for (a, b, opt), from the cache
-// when available. Concurrent cold-start callers are collapsed by single
-// flight: exactly one builds (charging its own wall clock and metrics phase),
-// the rest block and adopt its entry, so every caller observes one canonical
-// matrix per key and no build runs twice. The build itself is deterministic,
-// parallel or not, so which caller built is unobservable in the Result.
-func (s *System) buildMatrix(a, b *Dataset, opt Options, res *Result, wp *join.WorkerPool, mc *metrics.Collector) (*predmat.Matrix, error) {
-	depth := max(opt.FilterDepth, 0)
-	key := matrixKey{fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon, depth: depth}
-	e, ok := s.cachedMatrix(key)
-	if !ok {
-		var err error
-		e, err, _ = s.matrixFlight.Do(key, func() (*matrixEntry, error) {
-			// Re-check inside the flight: a flight that completed between our
-			// miss and joining this one has already stored the entry.
-			if w, hit := s.cachedMatrix(key); hit {
-				return w, nil
-			}
-			start := time.Now()
-			var stats predmat.BuildStats
-			bopts := predmat.BuildOptions{FilterDepth: depth, Stats: &stats}
-			if wp != nil {
-				bopts.Runner = wp
-			}
-			mc.PhaseStart(metrics.PhaseMatrix)
-			m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
-				opt.Epsilon, s.predictor(a), bopts)
-			mc.PhaseEnd()
-			if err != nil {
-				return nil, err
-			}
-			res.Exec.MatrixWall = time.Since(start)
-			ne := &matrixEntry{
-				m:       m,
-				seconds: float64(stats.SweepEvents+stats.PairTests) * join.MatrixEntryCost,
-			}
-			s.cacheMatrix(key, ne)
-			return ne, nil
-		})
-		if err != nil {
-			return nil, err
+// buildMatrix returns the prediction matrix for (a, b, opt) from the
+// System's memo, which builds each key's matrix once: concurrent cold-start
+// callers wait for one build, which charges its wall time to the builder's
+// metrics phase only. The build is deterministic, parallel or not, so which
+// caller built is unobservable in the Result.
+func (s *System) buildMatrix(a, b *Dataset, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (matrixEntry, error) {
+	key := newMatrixKey(a, b, opt)
+	mx, _, err := s.matrices.Get(key, func() (matrixEntry, error) {
+		var stats predmat.BuildStats
+		bopts := predmat.BuildOptions{FilterDepth: key.depth, Stats: &stats}
+		if wp != nil {
+			bopts.Runner = wp
 		}
-	}
-	res.MarkedEntries = e.m.Marked()
-	res.MatrixDensity = e.m.Density()
-	res.MatrixSeconds = e.seconds
-	return e.m, nil
-}
-
-// cachedMatrix returns the cached matrix entry of key, if any, as the most
-// recently used one.
-func (s *System) cachedMatrix(key matrixKey) (*matrixEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.matrixCache[key]
-	if ok {
-		s.matrixTick++
-		e.used = s.matrixTick
-	}
-	return e, ok
-}
-
-// cacheMatrix stores e under key as the most recently used entry, and
-// evicts the least recently used entry if that makes one too many.
-func (s *System) cacheMatrix(key matrixKey, e *matrixEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.matrixTick++
-	e.used = s.matrixTick
-	s.matrixCache[key] = e
-	if len(s.matrixCache) > matrixCacheEntries {
-		var oldest matrixKey
-		least := uint64(math.MaxUint64)
-		for k, c := range s.matrixCache {
-			if c.used < least {
-				oldest, least = k, c.used
-			}
-		}
-		delete(s.matrixCache, oldest)
-	}
+		mc.PhaseStart(metrics.PhaseMatrix)
+		defer mc.PhaseEnd()
+		m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
+			opt.Epsilon, s.predictor(a), bopts)
+		return matrixEntry{m: m, seconds: float64(stats.SweepEvents+stats.PairTests) * join.MatrixEntryCost}, err
+	})
+	return mx, err
 }
 
 // egoAdapter builds the EGO grid adapter for the data kind; the join's

@@ -1,8 +1,13 @@
 package pmjoin
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pmjoin/internal/buffer"
 	"pmjoin/internal/disk"
@@ -365,5 +370,127 @@ func TestBatchCountersAlwaysOn(t *testing.T) {
 	want := [3]int{traced.Exec.BatchClusters, traced.Exec.BatchCells, traced.Exec.BatchRows}
 	if got != want {
 		t.Errorf("batch clusters/cells/rows = %v, traced run %v", got, want)
+	}
+}
+
+// cancelAfter is a context whose Err is nil for its first n calls and
+// context.Canceled from then on: a cancel that lands at a chosen ctx check,
+// whatever the host's speed.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), n: n}
+}
+
+// checkWallsArePhases fails unless ExecStats' three walls equal the
+// snapshot's matrix, cluster and join phase walls.
+func checkWallsArePhases(t *testing.T, res *Result) {
+	t.Helper()
+	if res == nil || res.Metrics == nil {
+		t.Fatal("no metrics snapshot")
+	}
+	ph := &res.Metrics.Phases
+	for _, w := range []struct {
+		name string
+		got  time.Duration
+		p    metrics.Phase
+	}{
+		{"MatrixWall", res.Exec.MatrixWall, metrics.PhaseMatrix},
+		{"PreprocessWall", res.Exec.PreprocessWall, metrics.PhaseCluster},
+		{"JoinWall", res.Exec.JoinWall, metrics.PhaseJoin},
+	} {
+		if w.got != ph[w.p].Wall {
+			t.Errorf("Exec.%s = %v, the %v phase's wall is %v", w.name, w.got, w.p, ph[w.p].Wall)
+		}
+	}
+}
+
+// TestExecWallsAreMetricsPhases: ExecStats' walls are views of the metrics
+// snapshot, so on an unsharded and a sharded join and on a cancelled sharded
+// one they equal its matrix, cluster and join phases exactly. A sharded join
+// charges its shards and their merge to the top-level join phase.
+func TestExecWallsAreMetricsPhases(t *testing.T) {
+	sys, da, db, opt := metricsWorkload(t)
+	for i, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			o := opt
+			o.Epsilon += 0.001 * float64(i+1) // a fresh matrix key: this join builds it
+			o.Sharding.Shards = shards
+			res, err := sys.Join(da, db, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWallsArePhases(t, res)
+			if res.Exec.MatrixWall <= 0 || res.Exec.PreprocessWall <= 0 || res.Exec.JoinWall <= 0 {
+				t.Errorf("walls matrix %v, preprocess %v, join %v; want all > 0",
+					res.Exec.MatrixWall, res.Exec.PreprocessWall, res.Exec.JoinWall)
+			}
+			if got := len(res.Metrics.Shards); got != shards {
+				t.Errorf("%d shard snapshots, want %d", got, shards)
+			}
+			for s, sn := range res.Metrics.Shards {
+				if sn.Phases[metrics.PhaseJoin].Wall <= 0 {
+					t.Errorf("shard %d's join phase is empty", s)
+				}
+			}
+		})
+	}
+	t.Run("cancelled", func(t *testing.T) {
+		// JoinContext's own check, and planning's two, pass; the shards see
+		// the cancel.
+		o := opt
+		o.Epsilon += 0.01
+		o.Sharding.Shards = 2
+		res, err := sys.JoinContext(newCancelAfter(3), da, db, o)
+		if !errors.Is(err, context.Canceled) || res == nil || !res.Exec.Cancelled {
+			t.Fatalf("JoinContext = %+v, %v; want a cancelled result", res, err)
+		}
+		checkWallsArePhases(t, res)
+		if res.Exec.MatrixWall <= 0 || res.Exec.PreprocessWall <= 0 || res.Exec.JoinWall <= 0 {
+			t.Errorf("walls matrix %v, preprocess %v, join %v; want all > 0",
+				res.Exec.MatrixWall, res.Exec.PreprocessWall, res.Exec.JoinWall)
+		}
+	})
+}
+
+// TestPlanningHonoursCancel: a join cancelled while its matrix is built
+// returns after the build, with the snapshot of what ran: the matrix phase,
+// and no cluster phase. Explain stops at the same check.
+func TestPlanningHonoursCancel(t *testing.T) {
+	sys, da, db, opt := metricsWorkload(t)
+	opt.Trace = true
+	opt.Epsilon += 0.02 // a fresh matrix key: this join builds it
+	res, err := sys.JoinContext(newCancelAfter(1), da, db, opt)
+	if !errors.Is(err, context.Canceled) || res == nil || !res.Exec.Cancelled {
+		t.Fatalf("JoinContext = %+v, %v; want a cancelled result", res, err)
+	}
+	checkWallsArePhases(t, res)
+	m := res.Metrics
+	if m.Phases[metrics.PhaseMatrix].Wall <= 0 {
+		t.Error("the matrix was not built")
+	}
+	if m.Phases[metrics.PhaseCluster].Wall != 0 || m.Phases[metrics.PhaseJoin].Wall != 0 {
+		t.Errorf("cluster phase %v, join phase %v after a cancel during the build; want 0",
+			m.Phases[metrics.PhaseCluster].Wall, m.Phases[metrics.PhaseJoin].Wall)
+	}
+	for _, ev := range m.Events {
+		if ev.Kind == metrics.EvPhaseStart && ev.Phase != metrics.PhaseMatrix {
+			t.Errorf("the %v phase opened after the cancel", ev.Phase)
+		}
+	}
+	opt.Epsilon += 0.01
+	if _, err := sys.ExplainContext(newCancelAfter(1), da, db, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainContext = %v, want context.Canceled", err)
 	}
 }

@@ -93,11 +93,11 @@ type Options struct {
 
 // Validate checks the options and normalizes defaulted fields in place:
 // MaxPairs 0 becomes 100000, Parallelism 0 becomes GOMAXPROCS,
-// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100, Storage
-// StorageDefault becomes StorageSim, and Sharding.Workers 0 becomes
-// min(Shards, GOMAXPROCS) when sharding. Validate is idempotent; Join,
-// JoinContext, Explain and ExplainContext call it on their own copy, so
-// mutation is only observable when calling it directly.
+// ClusterRowFraction 0 becomes 0.5, HistogramBins 0 becomes 100, and
+// Sharding.Workers 0 becomes min(Shards, GOMAXPROCS) when sharding.
+// Validate is idempotent; Join, JoinContext, Explain and ExplainContext call
+// it on their own copy, so mutation is only observable when calling it
+// directly.
 func (o *Options) Validate() error {
 	if !methodSpec.valid(o.Method) {
 		return fmt.Errorf("pmjoin: unknown method %v", o.Method)
@@ -143,9 +143,6 @@ func (o *Options) Validate() error {
 	}
 	if !storageSpec.valid(o.Storage) {
 		return fmt.Errorf("pmjoin: unknown storage mode %v", o.Storage)
-	}
-	if o.Storage == StorageDefault {
-		o.Storage = StorageSim
 	}
 
 	if o.Sharding.Shards < 0 {

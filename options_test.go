@@ -144,28 +144,31 @@ func TestParseEnumSpellings(t *testing.T) {
 		{"random-SC", RandomSC}, {"randomsc", RandomSC}, {"Random_SC", RandomSC},
 		{" sc ", SC}, {"CC", CC}, {"ego", EGO}, {"bfrj", BFRJ},
 	} {
-		got, err := ParseMethod(tc.in)
-		if err != nil {
-			t.Errorf("ParseMethod(%q): %v", tc.in, err)
+		var got Method
+		if err := got.UnmarshalText([]byte(tc.in)); err != nil {
+			t.Errorf("Method.UnmarshalText(%q): %v", tc.in, err)
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("ParseMethod(%q) = %v, want %v", tc.in, got, tc.want)
+			t.Errorf("Method.UnmarshalText(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	if _, err := ParseMethod("nope"); err == nil {
+	var m Method
+	if err := m.UnmarshalText([]byte("nope")); err == nil {
 		t.Error("unknown method parsed")
 	}
-	if k, err := ParseKind("Series"); err != nil || k != KindSeries {
-		t.Errorf("ParseKind(Series) = %v, %v", k, err)
+	var k Kind
+	if err := k.UnmarshalText([]byte("Series")); err != nil || k != KindSeries {
+		t.Errorf("Kind.UnmarshalText(Series) = %v, %v", k, err)
 	}
-	if _, err := ParseKind("nope"); err == nil {
+	if err := k.UnmarshalText([]byte("nope")); err == nil {
 		t.Error("unknown kind parsed")
 	}
-	if p, err := ParseReplacementPolicy("fifo"); err != nil || p != FIFO {
-		t.Errorf("ParseReplacementPolicy(fifo) = %v, %v", p, err)
+	var p ReplacementPolicy
+	if err := p.UnmarshalText([]byte("fifo")); err != nil || p != FIFO {
+		t.Errorf("ReplacementPolicy.UnmarshalText(fifo) = %v, %v", p, err)
 	}
-	if _, err := ParseReplacementPolicy("nope"); err == nil {
+	if err := p.UnmarshalText([]byte("nope")); err == nil {
 		t.Error("unknown policy parsed")
 	}
 }
@@ -177,14 +180,16 @@ func TestFlagTextVar(t *testing.T) {
 	m := SC
 	k := KindVector
 	p := LRU
+	st := StorageSim
 	fs.TextVar(&m, "method", m, "")
 	fs.TextVar(&k, "kind", k, "")
 	fs.TextVar(&p, "policy", p, "")
-	if err := fs.Parse([]string{"-method", "pm-nlj", "-kind", "STRING", "-policy", "Fifo"}); err != nil {
+	fs.TextVar(&st, "storage", st, "")
+	if err := fs.Parse([]string{"-method", "pm-nlj", "-kind", "STRING", "-policy", "Fifo", "-storage", "File"}); err != nil {
 		t.Fatal(err)
 	}
-	if m != PMNLJ || k != KindString || p != FIFO {
-		t.Fatalf("parsed %v/%v/%v", m, k, p)
+	if m != PMNLJ || k != KindString || p != FIFO || st != StorageFile {
+		t.Fatalf("parsed %v/%v/%v/%v", m, k, p, st)
 	}
 	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
 	fs2.SetOutput(discard{})
@@ -200,37 +205,39 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestEnumSpecTable pins every enum against its full canonical name table:
-// String/MarshalText produce the canonical spelling for each value, Parse
-// accepts case- and separator-insensitive variants, out-of-range values
-// refuse to marshal (and String falls back to Type(n)), junk refuses to
-// parse, and the empty string parses to the zero value exactly for the mode
-// enums that treat "" as Default.
+// String/MarshalText produce the canonical spelling for each value,
+// UnmarshalText accepts case- and separator-insensitive variants,
+// out-of-range values refuse to marshal (and String falls back to Type(n)),
+// and junk and the empty string refuse to parse.
 func TestEnumSpecTable(t *testing.T) {
 	type enum struct {
-		typeName   string
-		names      []string
-		allowEmpty bool
-		str        func(int) string
-		marshal    func(int) (string, error)
-		parse      func(string) (int, error)
+		typeName string
+		names    []string
+		str      func(int) string
+		marshal  func(int) (string, error)
+		parse    func(string) (int, error)
 	}
 	enums := []enum{
-		{"Method", []string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"}, false,
+		{"Method", []string{"NLJ", "pm-NLJ", "random-SC", "SC", "CC", "EGO", "BFRJ"},
 			func(i int) string { return Method(i).String() },
 			func(i int) (string, error) { b, err := Method(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParseMethod(s); return int(v), err }},
-		{"Kind", []string{"vector", "series", "string"}, false,
+			func(s string) (int, error) { var v Method; err := v.UnmarshalText([]byte(s)); return int(v), err }},
+		{"Kind", []string{"vector", "series", "string"},
 			func(i int) string { return Kind(i).String() },
 			func(i int) (string, error) { b, err := Kind(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParseKind(s); return int(v), err }},
-		{"ReplacementPolicy", []string{"LRU", "FIFO"}, false,
+			func(s string) (int, error) { var v Kind; err := v.UnmarshalText([]byte(s)); return int(v), err }},
+		{"ReplacementPolicy", []string{"LRU", "FIFO"},
 			func(i int) string { return ReplacementPolicy(i).String() },
 			func(i int) (string, error) { b, err := ReplacementPolicy(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParseReplacementPolicy(s); return int(v), err }},
-		{"StorageMode", []string{"default", "sim", "file"}, true,
+			func(s string) (int, error) {
+				var v ReplacementPolicy
+				err := v.UnmarshalText([]byte(s))
+				return int(v), err
+			}},
+		{"StorageMode", []string{"sim", "file"},
 			func(i int) string { return StorageMode(i).String() },
 			func(i int) (string, error) { b, err := StorageMode(i).MarshalText(); return string(b), err },
-			func(s string) (int, error) { v, err := ParseStorageMode(s); return int(v), err }},
+			func(s string) (int, error) { var v StorageMode; err := v.UnmarshalText([]byte(s)); return int(v), err }},
 	}
 	for _, e := range enums {
 		t.Run(e.typeName, func(t *testing.T) {
@@ -266,13 +273,8 @@ func TestEnumSpecTable(t *testing.T) {
 			if _, err := e.parse("bogus"); err == nil {
 				t.Error("junk parsed")
 			}
-			v, err := e.parse("")
-			if e.allowEmpty {
-				if err != nil || v != 0 {
-					t.Errorf("parse(\"\") = %d, %v, want zero value", v, err)
-				}
-			} else if err == nil {
-				t.Error("empty string parsed for an enum without an empty form")
+			if _, err := e.parse(""); err == nil {
+				t.Error("empty string parsed")
 			}
 		})
 	}

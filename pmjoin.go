@@ -89,19 +89,13 @@ func DefaultDiskModel() DiskModel {
 type System struct {
 	d     *disk.Disk
 	model DiskModel
-	// mu guards matrixCache and matrixTick (the only mutable state a
-	// read-only call touches).
-	mu sync.Mutex
-	// matrixCache memoizes prediction matrices: they depend only on the
+	// matrices memoizes prediction matrices: they depend only on the
 	// dataset pair, epsilon, and filter depth, so repeated joins (e.g.
 	// buffer-size sweeps) reuse them. Construction is index-only and
-	// charges no simulated I/O either way. It holds at most
-	// matrixCacheEntries matrices and evicts the least recently used one
-	// beyond that. Concurrent cold-start builders are deduplicated by
-	// matrixFlight: one builds, the rest wait and adopt.
-	matrixCache  map[matrixKey]*matrixEntry
-	matrixTick   uint64 // counts cache uses; an entry's used is the tick of its last
-	matrixFlight sflight.Group[matrixKey, *matrixEntry]
+	// charges no simulated I/O either way. It keeps at most
+	// matrixCacheEntries matrices, evicting the least recently used, and
+	// builds each key once however many joins ask for it at the same time.
+	matrices sflight.Cache[matrixKey, matrixEntry]
 	// storeMu guards store, the optional file-backed page store attached by
 	// UseFileStore (nil = simulator-only). Once attached it also serves as
 	// the disk's write mirror, so later Add* calls land in its files too.
@@ -111,19 +105,26 @@ type System struct {
 	store   *store.Store
 }
 
+// matrixKey identifies a prediction matrix. File IDs are never reused and
+// datasets are immutable, so a file pair names one dataset pair for the
+// System's lifetime. A negative FilterDepth and 0 both build unfiltered.
 type matrixKey struct {
 	fileA, fileB disk.FileID
 	eps          float64
 	depth        int
 }
 
+func newMatrixKey(a, b *Dataset, opt Options) matrixKey {
+	return matrixKey{fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon, depth: max(opt.FilterDepth, 0)}
+}
+
+// matrixEntry is a built matrix and its modeled build seconds.
 type matrixEntry struct {
 	m       *predmat.Matrix
 	seconds float64
-	used    uint64 // matrixTick at the entry's last use
 }
 
-// matrixCacheEntries bounds System.matrixCache. The landsat_sim matrix
+// matrixCacheEntries bounds System.matrices. The landsat_sim matrix
 // (5 761 × 5 761 pages, 167 639 marks) holds 2.86 MB of CSR and CSC arrays,
 // so a long-lived System that joins at ever new ε keeps at most ~23 MB of
 // them.
@@ -148,7 +149,7 @@ func NewSystem(model DiskModel) *System {
 		PageSize:     model.PageBytes,
 		Readahead:    model.ReadaheadPages,
 	})
-	return &System{d: d, model: model, matrixCache: make(map[matrixKey]*matrixEntry)}
+	return &System{d: d, model: model, matrices: sflight.Cache[matrixKey, matrixEntry]{Max: matrixCacheEntries}}
 }
 
 // New creates a system with the default disk model.

@@ -63,7 +63,7 @@ contract() {
   go test -race -run "$pattern" "$pkg"
 }
 
-echo "==> determinism contracts (metrics observer + one clustered route + shard runs + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR and sequence tree identity + pin ledger)"
+echo "==> determinism contracts (metrics observer + one clustered route + shard runs + storage backends + measured I/O + session accounts + Lemma 4 + comparison oracle + block kernel + pair collection + serving + STR and sequence tree identity + pin ledger + one memo + one clock)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with tracing enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, and the block
@@ -116,7 +116,17 @@ echo "==> determinism contracts (metrics observer + one clustered route + shard 
 # builds its own matrix. A run's own files (EGO's sorted copy, BFRJ's node
 # and spill files) live in its session: repeated and concurrent EGO and BFRJ
 # joins must leave the catalog and the attached store as ingest left them.
-contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods'
+# The matrix and plan caches are one memo, internal/sflight's Cache: a
+# second Get is a hit, a failed fill is not kept, concurrent callers share
+# one fill and a fill may fill another key; the System keeps its
+# matrixCacheEntries least recently used matrices and the Server its
+# PlanCacheEntries plans, one plan for every negative FilterDepth.
+# ExecStats' walls are the metrics snapshot's matrix, cluster and join
+# phases, unsharded, sharded (whose top-level join phase covers the shards
+# and their merge) and cancelled, and a join cancelled during its matrix
+# build returns after it with no cluster phase opened.
+contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods|TestMatrixCacheEvictsLeastRecentlyUsed|TestServerExplainCached|TestExecWallsAreMetricsPhases|TestPlanningHonoursCancel'
+contract ./internal/sflight 'TestDoSequential|TestDoError|TestDoConcurrent|TestDoDistinctKeysDoNotBlock'
 contract ./internal/buffer 'TestPinSet'
 # shard.Run must slot every shard's outcome by index on any pool size, return
 # the first error by shard index, start no shard once cancelled and, on one

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"pmjoin/internal/disk"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/sflight"
 	"pmjoin/internal/shard"
@@ -36,7 +35,7 @@ type ServeOptions struct {
 	// with ErrOverloaded (default 5s).
 	QueueTimeout time.Duration
 	// PlanCacheEntries bounds the Explain-plan cache (default 128 entries,
-	// evicted oldest-first).
+	// evicting the least recently used).
 	PlanCacheEntries int
 	// RecentJoins bounds the completed-request ring kept for introspection
 	// (default 64).
@@ -135,12 +134,10 @@ type Server struct {
 
 	admit *admitter
 
-	planMu     sync.Mutex
-	plans      map[planKey]*Plan
-	planOrder  []planKey // FIFO eviction order
-	planHits   int64
-	planMisses int64
-	planFlight sflight.Group[planKey, *Plan]
+	// plans memoizes Explain plans, at most PlanCacheEntries of them, the
+	// same memo as the System's matrices; its hits and misses are
+	// ServeStats.PlanHits and PlanMisses.
+	plans sflight.Cache[planKey, *Plan]
 
 	reqMu     sync.Mutex
 	nextID    int64
@@ -149,20 +146,6 @@ type Server struct {
 	completed int64
 	failed    int64
 	folded    metrics.Metrics
-}
-
-// planKey identifies a cached Plan: the datasets' files plus every option
-// Explain reads. File IDs are never reused and datasets are immutable, so a
-// file pair names one dataset pair for the System's lifetime. Method is no
-// part of it: Explain plans the SC join whatever the Method.
-type planKey struct {
-	fileA, fileB disk.FileID
-	eps          float64
-	bufferPages  int
-	policy       ReplacementPolicy
-	filterDepth  int
-	rowFraction  float64
-	shards       int
 }
 
 // NewServer wraps sys for serving under opt (zero value = defaults). The
@@ -175,7 +158,7 @@ func NewServer(sys *System, opt ServeOptions) (*Server, error) {
 	return &Server{
 		sys:    sys,
 		opt:    opt,
-		plans:  make(map[planKey]*Plan),
+		plans:  sflight.Cache[planKey, *Plan]{Max: opt.PlanCacheEntries},
 		active: make(map[int64]*JoinStatus),
 		admit: &admitter{
 			budget:   opt.AdmitFrames,
@@ -253,8 +236,9 @@ func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result
 
 // ExplainCached is System.Explain through the server's plan cache: repeated
 // plans for the same (datasets, options) are served from memory, and
-// concurrent cold-start requests for one key collapse to a single build.
-// The returned Plan is shared — callers must not mutate it.
+// concurrent cold-start requests for one key collapse to a single build,
+// whose error, ctx's included, every waiter on it gets. The returned Plan is
+// shared — callers must not mutate it.
 func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options) (*Plan, error) {
 	if err := sv.sys.checkJoinable(a, b); err != nil {
 		return nil, err
@@ -262,43 +246,8 @@ func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	key := planKey{
-		fileA: a.ds.File, fileB: b.ds.File, eps: opt.Epsilon,
-		bufferPages: opt.BufferPages, policy: opt.Policy, filterDepth: opt.FilterDepth,
-		rowFraction: opt.ClusterRowFraction, shards: opt.Sharding.Shards,
-	}
-	sv.planMu.Lock()
-	p, ok := sv.plans[key]
-	if ok {
-		sv.planHits++
-	} else {
-		sv.planMisses++
-	}
-	sv.planMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err, _ := sv.planFlight.Do(key, func() (*Plan, error) {
-		sv.planMu.Lock()
-		w, hit := sv.plans[key]
-		sv.planMu.Unlock()
-		if hit {
-			return w, nil
-		}
-		built, err := sv.sys.ExplainContext(ctx, a, b, opt)
-		if err != nil {
-			return nil, err
-		}
-		sv.planMu.Lock()
-		defer sv.planMu.Unlock()
-		if len(sv.plans) >= sv.opt.PlanCacheEntries {
-			old := sv.planOrder[0]
-			sv.planOrder = sv.planOrder[1:]
-			delete(sv.plans, old)
-		}
-		sv.plans[key] = built
-		sv.planOrder = append(sv.planOrder, key)
-		return built, nil
+	p, _, err := sv.plans.Get(newPlanKey(a, b, opt), func() (*Plan, error) {
+		return sv.sys.ExplainContext(ctx, a, b, opt)
 	})
 	return p, err
 }
@@ -308,9 +257,7 @@ func (sv *Server) Stats() ServeStats {
 	var out ServeStats
 	out.Admitted, out.Rejected, out.DeadlineExpired,
 		out.InUseFrames, out.FramesHighWater, out.Queued, out.QueueHighWater = sv.admit.snapshot()
-	sv.planMu.Lock()
-	out.PlanHits, out.PlanMisses = sv.planHits, sv.planMisses
-	sv.planMu.Unlock()
+	out.PlanHits, out.PlanMisses = sv.plans.Stats()
 	sv.reqMu.Lock()
 	out.Completed, out.Failed = sv.completed, sv.failed
 	out.FoldedRuns = sv.folded.FoldedRuns

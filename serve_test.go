@@ -521,19 +521,42 @@ func TestServerExplainCached(t *testing.T) {
 		t.Fatalf("explains differing only in Method: %d misses, %d hits, same plan %v; want 1, 1, true", misses, hits, pEGO == pCC)
 	}
 
-	// Eviction keeps the cache bounded; distinct options are distinct keys.
-	for _, eps := range []float64{0.06, 0.07, 0.08} {
-		o := opt
-		o.Epsilon = eps
+	// Every negative FilterDepth builds the unfiltered matrix, so -1 and -3
+	// are one plan.
+	explain := func(o Options) (hit bool) {
+		t.Helper()
+		before := sv.Stats().PlanHits
 		if _, err := sv.ExplainCached(context.Background(), da, db, o); err != nil {
 			t.Fatal(err)
 		}
+		return sv.Stats().PlanHits > before
 	}
-	sv.planMu.Lock()
-	n, ord := len(sv.plans), len(sv.planOrder)
-	sv.planMu.Unlock()
-	if n > 2 || ord != n {
-		t.Fatalf("plan cache grew past bound: %d entries, %d order", n, ord)
+	off := opt
+	off.FilterDepth = -1
+	if explain(off) {
+		t.Fatal("FilterDepth -1 hit a filtered plan")
+	}
+	off.FilterDepth = -3
+	if !explain(off) {
+		t.Fatal("FilterDepth -3 missed the FilterDepth -1 plan")
+	}
+
+	// The cache keeps PlanCacheEntries (2) plans and evicts the least
+	// recently used: after explains at ε 0.06, 0.07, 0.06 and 0.08, the
+	// 0.07 plan is gone and the other two are kept.
+	at := func(eps float64) Options {
+		o := opt
+		o.Epsilon = eps
+		return o
+	}
+	for _, eps := range []float64{0.06, 0.07, 0.06, 0.08} {
+		explain(at(eps))
+	}
+	if !explain(at(0.06)) || !explain(at(0.08)) {
+		t.Fatal("a recently used plan was evicted")
+	}
+	if explain(at(0.07)) {
+		t.Fatal("the least recently used plan was kept past PlanCacheEntries")
 	}
 }
 
