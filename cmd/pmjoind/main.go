@@ -1,19 +1,19 @@
 // Command pmjoind serves pmjoin as a long-lived HTTP/JSON join service: one
-// shared System and simulated disk, an admission controller bounding
-// concurrent joins by buffer-frame budget, and a plan cache for repeated
-// Explain requests. Each join reads through its own private buffer pool.
+// shared System and simulated disk (whose plan memo joins and explains
+// share), and an admission controller bounding concurrent joins by
+// buffer-frame budget. Each join reads through its own private buffer pool.
 //
 // Usage:
 //
 //	pmjoind [-addr :7744] [-admit-frames 16384] [-queue-depth 64]
-//	        [-queue-timeout 5s] [-plan-cache 128] [-recent 64]
+//	        [-queue-timeout 5s] [-recent 64]
 //	        [-page-bytes 4096]
 //
 // Endpoints (see internal/joinsvc):
 //
 //	POST /open        create a synthetic dataset
 //	POST /join        run a join (429 + Retry-After under overload)
-//	POST /explain     plan a join through the plan cache
+//	POST /explain     plan a join from the System's plan memo
 //	GET  /metrics     service counters + folded per-request metrics
 //	GET  /debug/joins in-flight and recent requests
 //	GET  /healthz     liveness
@@ -49,17 +49,15 @@ func main() {
 	admitFrames := flag.Int("admit-frames", 0, "admission budget: total buffer frames joinable at once (0 = default 16384)")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue length before 429 (0 = default 64)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "longest a join waits for admission (0 = default 5s)")
-	planCache := flag.Int("plan-cache", 0, "cached Explain plans (0 = default 128)")
 	recent := flag.Int("recent", 0, "terminal requests kept for /debug/joins (0 = default 64)")
 	flag.Parse()
 
 	sys := pmjoin.NewSystem(pmjoin.DiskModel{PageBytes: *pageBytes})
 	srv, err := pmjoin.NewServer(sys, pmjoin.ServeOptions{
-		AdmitFrames:      *admitFrames,
-		QueueDepth:       *queueDepth,
-		QueueTimeout:     *queueTimeout,
-		PlanCacheEntries: *planCache,
-		RecentJoins:      *recent,
+		AdmitFrames:  *admitFrames,
+		QueueDepth:   *queueDepth,
+		QueueTimeout: *queueTimeout,
+		RecentJoins:  *recent,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmjoind: %v\n", err)

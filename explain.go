@@ -115,26 +115,23 @@ func (p *Plan) String() string {
 	return out
 }
 
-// Explain builds the plan an SC join of a and b under opt runs — the same
-// matrix, clustering, schedule and shard cut, from the same planner — and
-// renders it with the paper's analytic page-read bounds (Lemmas 1-4) and the
-// per-cluster reads a run will make, without reading any data pages. Only
-// Epsilon, BufferPages, Policy, FilterDepth,
-// ClusterRowFraction and Sharding.Shards of opt are used; the reads depend
-// on BufferPages and Policy, which the plan replays. Explain shares Join's
-// option validation: an Options value Join accepts, Explain accepts too.
+// Explain renders the plan an SC join of a and b under opt runs (the two
+// read one plan, matrix to shard cut, from the System's memo) with the
+// paper's analytic page-read bounds (Lemmas 1-4) and the per-cluster reads a
+// run will make, without reading any data pages. Only Epsilon, BufferPages,
+// Policy, FilterDepth, ClusterRowFraction and Sharding.Shards of opt are
+// used; the reads depend on BufferPages and Policy, which the plan replays
+// once, on its first Explain. Explain shares Join's option validation: an
+// Options value Join accepts, Explain accepts too.
 func (s *System) Explain(a, b *Dataset, opt Options) (*Plan, error) {
 	return s.ExplainContext(context.Background(), a, b, opt)
 }
 
 // ExplainContext is Explain with cancellation: an already-cancelled ctx
-// returns ctx's error before any work is done, and planning checks ctx again
-// after the matrix build and after clustering.
+// returns ctx's error before any work is done, and planning, on a plan memo
+// miss, checks ctx again after the matrix build and after clustering.
 func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options) (*Plan, error) {
-	if err := s.checkJoinable(a, b); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
+	if err := s.checkJoinable(a, b, &opt); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -145,14 +142,15 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	}
 	// The plan an SC join would run, priced by replaying its pins. Planning
 	// records no metrics: the nil collector's hooks no-op.
-	cp, err := s.planClusters(ctx, a, b, SC, opt, nil, nil)
+	cp, err := s.plan(ctx, a, b, SC, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.cut.Price(cp.pages, s.shardCost(opt)); err != nil {
-		return nil, err
+	cp.price.Do(func() { cp.priced, cp.priceErr = cp.cut.Price(cp.pages, s.shardCost(opt)) })
+	if cp.priceErr != nil {
+		return nil, cp.priceErr
 	}
-	m, clusters, cut := cp.m, cp.clusters, cp.cut
+	m, clusters, cut := cp.m, cp.clusters, cp.priced
 
 	p := &Plan{
 		RowPages:      a.ds.Pages,
@@ -203,20 +201,6 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 		p.CutPenaltySeconds = cut.CutPenaltySeconds
 	}
 	return p, nil
-}
-
-// planKey identifies the Plan Explain builds from validated options: its
-// matrix's key and every other option planClusters and the pricing read.
-// Method is none of them: Explain plans SC whatever the Method.
-type planKey struct {
-	matrixKey
-	bufferPages, shards int
-	policy              ReplacementPolicy
-	rowFraction         float64
-}
-
-func newPlanKey(a, b *Dataset, opt Options) planKey {
-	return planKey{newMatrixKey(a, b, opt), opt.BufferPages, opt.Sharding.Shards, opt.Policy, opt.ClusterRowFraction}
 }
 
 // nljReads is block NLJ's page-read count: the smaller dataset streams

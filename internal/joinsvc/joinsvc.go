@@ -7,7 +7,7 @@
 //
 //	POST /open        create a synthetic dataset (internal/dataset generators)
 //	POST /join        run a join; 429 + Retry-After under admission overload
-//	POST /explain     plan a join through the server's plan cache
+//	POST /explain     plan a join (System.ExplainContext, from the System's plan memo)
 //	GET  /metrics     text exposition of service counters + folded metrics
 //	GET  /debug/joins JSON dump of in-flight and recent requests
 //	GET  /healthz     liveness
@@ -315,7 +315,7 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	plan, err := s.srv.ExplainCached(r.Context(), a, b, req.Options.options())
+	plan, err := s.srv.System().ExplainContext(r.Context(), a, b, req.Options.options())
 	if err != nil {
 		s.failJoin(w, err)
 		return

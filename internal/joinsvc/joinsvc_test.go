@@ -257,6 +257,9 @@ func TestOverloadMapsTo429(t *testing.T) {
 	}
 }
 
+// TestExplainCachedOverHTTP: /explain reads the System's plan memo, so a
+// repeat is a hit with the same plan, and a /join of the same options runs
+// that plan: a hit too.
 func TestExplainCachedOverHTTP(t *testing.T) {
 	svc := newTestService(t)
 	h := svc.Handler()
@@ -276,6 +279,12 @@ func TestExplainCachedOverHTTP(t *testing.T) {
 	st := svc.Server().Stats()
 	if st.PlanMisses != 1 || st.PlanHits != 1 {
 		t.Fatalf("plan cache stats = hits %d misses %d", st.PlanHits, st.PlanMisses)
+	}
+	if w := post(t, h, "/join", JoinRequest{Left: "a", Right: "b", Options: req.Options}); w.Code != http.StatusOK {
+		t.Fatalf("join: %d %s", w.Code, w.Body.String())
+	}
+	if st := svc.Server().Stats(); st.PlanMisses != 1 || st.PlanHits != 2 {
+		t.Fatalf("after a join on the explained options: hits %d misses %d, want 2, 1", st.PlanHits, st.PlanMisses)
 	}
 }
 

@@ -210,20 +210,22 @@ func pick[T any](xs []T, at []int) []T {
 	return out
 }
 
-// Price predicts the plan's page reads by replaying the executor's pins
-// (join.PredictReads) over pages, the page sets the plan was cut from, with
-// cm's buffer: the uncut schedule's reads per position, each shard's reads,
-// and what the cut costs. Replays price a cut but never choose it, so a join
-// runs its plan unpriced. A shard whose order is the global schedule reuses
-// the uncut replay.
-func (p *Plan) Price(pages []sched.PageSet, cm CostModel) error {
+// Price returns a copy of the plan with its page reads predicted by
+// replaying the executor's pins (join.PredictReads) over pages, the page sets
+// the plan was cut from, with cm's buffer: the uncut schedule's reads per
+// position, each shard's reads, and what the cut costs. The plan itself is
+// not written, so one shared by concurrent joins may be priced. Replays
+// price a cut but never choose it, so a join runs its plan unpriced. A shard
+// whose order is the global schedule reuses the uncut replay.
+func (p Plan) Price(pages []sched.PageSet, cm CostModel) (*Plan, error) {
+	p.Shards = slices.Clone(p.Shards)
 	cm.BufferPages = max(cm.BufferPages, 1)
 	for _, ps := range pages {
 		cm.BufferPages = max(cm.BufferPages, len(ps))
 	}
 	var err error
 	if p.Reads, err = join.PredictReads(pages, p.Order, cm.BufferPages, cm.Policy); err != nil {
-		return err
+		return nil, err
 	}
 	p.UnshardedReads, p.ShardedReads = sum(p.Reads), 0
 	for i := range p.Shards {
@@ -231,7 +233,7 @@ func (p *Plan) Price(pages []sched.PageSet, cm CostModel) error {
 		reads := p.Reads
 		if !slices.Equal(sh.Clusters, p.Order) {
 			if reads, err = join.PredictReads(pages, sh.Clusters, cm.BufferPages, cm.Policy); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		sh.PredictedReads = sum(reads)
@@ -240,7 +242,7 @@ func (p *Plan) Price(pages []sched.PageSet, cm CostModel) error {
 	p.CutLostPages = p.ShardedReads - p.UnshardedReads
 	p.CutPenaltySeconds = float64(p.CutLostPages)*cm.TransferSeconds +
 		float64(len(p.Shards)-1)*cm.SeekSeconds
-	return nil
+	return &p, nil
 }
 
 func sum(reads []int) int64 {

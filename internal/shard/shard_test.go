@@ -58,7 +58,7 @@ func priced(t *testing.T, pages []sched.PageSet, entries []int, shards int) *Pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Price(pages, testCost); err != nil {
+	if plan, err = plan.Price(pages, testCost); err != nil {
 		t.Fatal(err)
 	}
 	return plan
@@ -243,7 +243,7 @@ func plainPlan(n int) *Plan {
 	return p
 }
 
-func TestCoordinatorOrder(t *testing.T) {
+func TestRunOrder(t *testing.T) {
 	plan := plainPlan(9)
 	for _, workers := range []int{0, 1, 3, 100} {
 		got := make([]int, len(plan.Shards))
@@ -262,7 +262,7 @@ func TestCoordinatorOrder(t *testing.T) {
 	}
 }
 
-func TestCoordinatorFirstError(t *testing.T) {
+func TestRunFirstError(t *testing.T) {
 	plan := plainPlan(6)
 	for _, workers := range []int{1, 4} {
 		err := Run(context.Background(), plan, workers, func(i int, _ Shard) error {
@@ -331,12 +331,12 @@ func (g *gate) shard(i int, _ Shard) error {
 	return nil
 }
 
-// TestCoordinatorCancelMidRun is the regression test for the cancellation
+// TestRunCancelMidRun is the regression test for the cancellation
 // check before each shard: cancelling while early shards are in flight must
 // stop every not-yet-started shard (each records the cancellation in its
 // slot instead of running) and Run must return the cancellation as the first
 // error in shard-index order.
-func TestCoordinatorCancelMidRun(t *testing.T) {
+func TestRunCancelMidRun(t *testing.T) {
 	const nShards, workers = 8, 2
 	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -367,11 +367,11 @@ func TestCoordinatorCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCancelPromptDrain pins that a cancelled run does not execute
+// TestRunCancelPromptDrain pins that a cancelled run does not execute
 // the tail of a long plan: with one worker (the inline path) and a cancel
 // during the first shard, Run returns after exactly one shard no matter how
 // many remain.
-func TestCoordinatorCancelPromptDrain(t *testing.T) {
+func TestRunCancelPromptDrain(t *testing.T) {
 	const nShards = 100
 	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())

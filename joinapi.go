@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"pmjoin/internal/bfrj"
@@ -35,7 +36,8 @@ type ExecStats struct {
 	MatrixWall time.Duration
 	// PreprocessWall is the wall time of planning a clustered join, the
 	// snapshot's cluster phase: the clustering (SC or CC) and the schedule
-	// with its shard cut (zero for unclustered methods).
+	// with its shard cut (zero on a plan memo hit, as MatrixWall on a
+	// matrix hit, and for unclustered methods).
 	PreprocessWall time.Duration
 	// JoinWall is the wall time of the join executor and the merge of its
 	// pairs, the snapshot's join phase; for a clustered join, running the
@@ -130,21 +132,18 @@ func (s *System) Join(a, b *Dataset, opt Options) (*Result, error) {
 }
 
 // JoinContext is Join with cancellation: ctx is checked between clusters
-// (blocks, partitions — each method's unit of work) and, on the clustered
-// route, after the matrix build and after clustering, so a cancelled join
-// returns promptly with ctx's error and a partial Result whose Exec.Cancelled
-// is set and whose Metrics snapshot holds the phases that ran. The matrix
-// build itself does not read ctx. Worker goroutines are always joined before
+// (blocks, partitions — each method's unit of work) and, when the clustered
+// route plans, after the matrix build and after clustering, so a cancelled
+// join returns promptly with ctx's error and a partial Result whose
+// Exec.Cancelled is set and whose Metrics snapshot holds the phases that ran.
+// The matrix build itself does not read ctx. Worker goroutines are always joined before
 // JoinContext returns, cancelled or not.
 //
 // Concurrent JoinContext calls on one System are safe: each run charges its
 // simulated I/O to a private disk session, so its Report is identical to what
 // a solo run would produce.
 func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*Result, error) {
-	if err := s.checkJoinable(a, b); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
+	if err := s.checkJoinable(a, b, &opt); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -250,14 +249,14 @@ func (s *System) execute(ctx context.Context, a, b *Dataset, opt Options, res *R
 	case NLJ:
 		return joined(func() (*join.Report, error) { return eng.NLJ(&a.ds, &b.ds, joiner) })
 	case PMNLJ:
-		mx, err := s.buildMatrix(a, b, opt, eng.Workers, eng.Metrics)
+		mx, err := s.buildMatrix(ctx, a, b, opt, eng.Workers, eng.Metrics)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.setMatrix(mx)
 		return joined(func() (*join.Report, error) { return eng.PMNLJ(&a.ds, &b.ds, mx.m, joiner) })
 	case RandomSC, SC, CC:
-		cp, err := s.planClusters(ctx, a, b, opt.Method, opt, eng.Workers, eng.Metrics)
+		cp, err := s.plan(ctx, a, b, opt.Method, opt, eng.Workers, eng.Metrics)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,59 +287,91 @@ func (r *Result) setMatrix(mx matrixEntry) {
 
 // clusterPlan is a clustered join's plan: the prediction matrix, the
 // clusters, their pinned page sets, the modeled clustering seconds, and the
-// shard planner's schedule.
+// shard planner's schedule. It is shared through the memo and read-only
+// after its fill.
 type clusterPlan struct {
 	matrixEntry
 	clusters []*cluster.Cluster
 	pages    []sched.PageSet
 	pre      float64
 	cut      *shard.Plan
+
+	// price runs Explain's read replay of cut once, into priced: a join
+	// never pays for it.
+	price    sync.Once
+	priced   *shard.Plan
+	priceErr error
 }
 
-// planClusters builds the plan of joining a and b under opt with method's
-// clusters (SC or CC) and order (greedy or random-SC): the matrix, the
-// clusters, their page sets, and shard.Cut's schedule cut into
-// max(opt.Sharding.Shards, 1) shards. Join runs this plan and Explain renders
-// it, so the two cannot disagree. Clustering and scheduling are charged to
-// the metrics' cluster phase, which opens only if ctx is not done once the
-// matrix is built; ctx is checked again after clustering.
-func (s *System) planClusters(ctx context.Context, a, b *Dataset, method Method, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
-	mx, err := s.buildMatrix(a, b, opt, wp, mc)
+// planKey identifies a plan: its matrix's key, its method and the validated
+// options its planning and pricing read, all others zero, so an SC join and
+// Explain share one plan, and so do Shards 0 and 1.
+type planKey struct {
+	matrixKey
+	opt Options
+}
+
+func newPlanKey(a, b *Dataset, method Method, opt Options) planKey {
+	k := Options{Method: method, BufferPages: opt.BufferPages, Policy: opt.Policy,
+		Sharding: ShardingOptions{Shards: max(opt.Sharding.Shards, 1)}}
+	switch method {
+	case CC:
+		k.HistogramBins, k.Seed = opt.HistogramBins, opt.Seed
+	case RandomSC:
+		k.ClusterRowFraction, k.Seed = opt.ClusterRowFraction, opt.Seed
+	default:
+		k.ClusterRowFraction = opt.ClusterRowFraction
+	}
+	return planKey{newMatrixKey(a, b, opt), k}
+}
+
+// plan returns the plan of joining a and b under opt with method's
+// clusters (SC or CC) and order (greedy or random-SC) from the System's
+// memo: Join runs it and Explain renders it. The lookup goes through the
+// matrix memo, so a plan's matrix stays as recently used as the plan. A hit
+// opens neither the matrix nor the cluster phase. A miss charges clustering
+// and scheduling to the cluster phase, which opens only if ctx is not done
+// once the matrix is built; ctx is checked again after clustering.
+func (s *System) plan(ctx context.Context, a, b *Dataset, method Method, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
+	mx, err := s.buildMatrix(ctx, a, b, opt, wp, mc)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mc.PhaseStart(metrics.PhaseCluster)
-	defer mc.PhaseEnd()
-	cp := &clusterPlan{matrixEntry: mx}
-	if method == CC {
-		cp.clusters, err = cluster.Cost(mx.m, opt.BufferPages, cluster.CostOptions{
-			HistogramBins: opt.HistogramBins,
-			Seed:          opt.Seed,
-			IO: cluster.IOModel{
-				SeekTime:     s.model.SeekSeconds,
-				TransferTime: s.model.TransferSeconds,
-			},
-		})
-		cp.pre = join.ModelCCPreprocess(mx.m.Marked())
-	} else {
-		cp.clusters, err = cluster.SquareOpts(mx.m, opt.BufferPages, cluster.SquareOptions{
-			RowFraction: opt.ClusterRowFraction,
-		})
-		cp.pre = join.ModelSCPreprocess(mx.m.Marked())
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cp.pages = shard.PageSets(cp.clusters, a.ds.File, b.ds.File)
-	cm := s.shardCost(opt)
-	cm.Random, cm.Seed = method == RandomSC, opt.Seed
-	cp.cut, err = shard.Cut(cp.pages, shard.Entries(cp.clusters), max(opt.Sharding.Shards, 1), cm)
+	cp, _, err := s.plans.Get(ctx, newPlanKey(a, b, method, opt), func() (cp *clusterPlan, err error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		mc.PhaseStart(metrics.PhaseCluster)
+		defer mc.PhaseEnd()
+		cp = &clusterPlan{matrixEntry: mx}
+		if method == CC {
+			cp.clusters, err = cluster.Cost(mx.m, opt.BufferPages, cluster.CostOptions{
+				HistogramBins: opt.HistogramBins,
+				Seed:          opt.Seed,
+				IO: cluster.IOModel{
+					SeekTime:     s.model.SeekSeconds,
+					TransferTime: s.model.TransferSeconds,
+				},
+			})
+			cp.pre = join.ModelCCPreprocess(mx.m.Marked())
+		} else {
+			cp.clusters, err = cluster.SquareOpts(mx.m, opt.BufferPages, cluster.SquareOptions{
+				RowFraction: opt.ClusterRowFraction,
+			})
+			cp.pre = join.ModelSCPreprocess(mx.m.Marked())
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cp.pages = shard.PageSets(cp.clusters, a.ds.File, b.ds.File)
+		cm := s.shardCost(opt)
+		cm.Random, cm.Seed = method == RandomSC, opt.Seed
+		cp.cut, err = shard.Cut(cp.pages, shard.Entries(cp.clusters), max(opt.Sharding.Shards, 1), cm)
+		return cp, err
+	})
 	return cp, err
 }
 
@@ -431,18 +462,15 @@ func (s *System) shardCost(opt Options) shard.CostModel {
 }
 
 // checkJoinable verifies that a and b belong to this system and can be
-// joined with each other. It is the shared precondition of Join and Explain.
-func (s *System) checkJoinable(a, b *Dataset) error {
+// joined with each other, and validates opt in place. It is the shared
+// precondition of Join and Explain.
+func (s *System) checkJoinable(a, b *Dataset, opt *Options) error {
 	if a.sys != s || b.sys != s {
 		return fmt.Errorf("pmjoin: datasets belong to a different system")
 	}
 	if a.kind != b.kind {
 		return fmt.Errorf("pmjoin: cannot join %v with %v data", a.kind, b.kind)
 	}
-	return s.checkCompatible(a, b)
-}
-
-func (s *System) checkCompatible(a, b *Dataset) error {
 	switch a.kind {
 	case KindVector:
 		if a.dim != b.dim {
@@ -456,7 +484,7 @@ func (s *System) checkCompatible(a, b *Dataset) error {
 			return fmt.Errorf("pmjoin: window mismatch %d vs %d", a.window, b.window)
 		}
 	}
-	return nil
+	return opt.Validate()
 }
 
 // joiner builds the object joiner for the data kind.
@@ -502,9 +530,9 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 // callers wait for one build, which charges its wall time to the builder's
 // metrics phase only. The build is deterministic, parallel or not, so which
 // caller built is unobservable in the Result.
-func (s *System) buildMatrix(a, b *Dataset, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (matrixEntry, error) {
+func (s *System) buildMatrix(ctx context.Context, a, b *Dataset, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (matrixEntry, error) {
 	key := newMatrixKey(a, b, opt)
-	mx, _, err := s.matrices.Get(key, func() (matrixEntry, error) {
+	mx, _, err := s.matrices.Get(ctx, key, func() (matrixEntry, error) {
 		var stats predmat.BuildStats
 		bopts := predmat.BuildOptions{FilterDepth: key.depth, Stats: &stats}
 		if wp != nil {

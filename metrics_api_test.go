@@ -337,14 +337,14 @@ func TestMetricsTraceThroughAPI(t *testing.T) {
 	if int64(seeks) != m.Disk.Seeks+m.Disk.WriteSeeks {
 		t.Errorf("trace has %d seek events, disk counted %d", seeks, m.Disk.Seeks+m.Disk.WriteSeeks)
 	}
-	// The first run built the prediction matrix: its two phase events are
-	// all a warm rerun lacks.
+	// The first run built the prediction matrix and the plan: the start and
+	// end events of their two phases are all a warm rerun lacks.
 	res, err = sys.Join(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm := res.Metrics; warm.EventsDropped != 0 || len(warm.Events) != len(m.Events)-2 {
-		t.Errorf("warm rerun recorded %d events (%d dropped), want %d", len(warm.Events), warm.EventsDropped, len(m.Events)-2)
+	if warm := res.Metrics; warm.EventsDropped != 0 || len(warm.Events) != len(m.Events)-4 {
+		t.Errorf("warm rerun recorded %d events (%d dropped), want %d", len(warm.Events), warm.EventsDropped, len(m.Events)-4)
 	}
 }
 
@@ -375,18 +375,24 @@ func TestBatchCountersAlwaysOn(t *testing.T) {
 
 // cancelAfter is a context whose Err is nil for its first n calls and
 // context.Canceled from then on: a cancel that lands at a chosen ctx check,
-// whatever the host's speed.
+// whatever the host's speed. wait, if set, runs in the first cancelled call
+// before it returns.
 type cancelAfter struct {
 	context.Context
 	n     int64
 	calls atomic.Int64
+	wait  func()
 }
 
 func (c *cancelAfter) Err() error {
-	if c.calls.Add(1) > c.n {
-		return context.Canceled
+	n := c.calls.Add(1)
+	if n <= c.n {
+		return nil
 	}
-	return nil
+	if n == c.n+1 && c.wait != nil {
+		c.wait()
+	}
+	return context.Canceled
 }
 
 func newCancelAfter(n int64) *cancelAfter {

@@ -89,13 +89,11 @@ func DefaultDiskModel() DiskModel {
 type System struct {
 	d     *disk.Disk
 	model DiskModel
-	// matrices memoizes prediction matrices: they depend only on the
-	// dataset pair, epsilon, and filter depth, so repeated joins (e.g.
-	// buffer-size sweeps) reuse them. Construction is index-only and
-	// charges no simulated I/O either way. It keeps at most
-	// matrixCacheEntries matrices, evicting the least recently used, and
-	// builds each key once however many joins ask for it at the same time.
+	// matrices and plans memoize prediction matrices and the clustered plans
+	// built on them, which Join and Explain share: each is built once however
+	// many calls ask for it at the same time, charging no simulated I/O.
 	matrices sflight.Cache[matrixKey, matrixEntry]
+	plans    sflight.Cache[planKey, *clusterPlan]
 	// storeMu guards store, the optional file-backed page store attached by
 	// UseFileStore (nil = simulator-only). Once attached it also serves as
 	// the disk's write mirror, so later Add* calls land in its files too.
@@ -124,11 +122,16 @@ type matrixEntry struct {
 	seconds float64
 }
 
-// matrixCacheEntries bounds System.matrices. The landsat_sim matrix
-// (5 761 × 5 761 pages, 167 639 marks) holds 2.86 MB of CSR and CSC arrays,
-// so a long-lived System that joins at ever new ε keeps at most ~23 MB of
-// them.
-const matrixCacheEntries = 8
+// System.matrices keeps its matrixCacheEntries least recently used
+// matrices, so a key outlives four fresh ones, and System.plans its least
+// recently used plans within planCacheMarks marked cells, a plan weighing at
+// least a planCacheEntries-th of them. That is five 2.86 MB matrices and one
+// 3.71 MB plan at the landsat_sim shape; serve_mix's five plans all fit.
+const (
+	matrixCacheEntries = 5
+	planCacheEntries   = 5
+	planCacheMarks     = 1 << 18
+)
 
 // NewSystem creates a system with the given disk model. Zero-value fields
 // fall back to the defaults.
@@ -149,7 +152,10 @@ func NewSystem(model DiskModel) *System {
 		PageSize:     model.PageBytes,
 		Readahead:    model.ReadaheadPages,
 	})
-	return &System{d: d, model: model, matrices: sflight.Cache[matrixKey, matrixEntry]{Max: matrixCacheEntries}}
+	s := &System{d: d, model: model}
+	s.matrices.Max, s.plans.Max = matrixCacheEntries, planCacheMarks
+	s.plans.Weight = func(cp *clusterPlan) int { return max(cp.m.Marked(), planCacheMarks/planCacheEntries) }
+	return s
 }
 
 // New creates a system with the default disk model.

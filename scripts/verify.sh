@@ -90,8 +90,9 @@ echo "==> determinism contracts (metrics observer + one clustered route + shard 
 # A fetched page costs one allocation, and page records written before pages
 # had one type decode to equal pages; the EGO join reads object counts, IDs
 # and the self-join skip off the pages and must still equal brute force.
-# Served joins must equal solo ones with the admission ledger balanced after,
-# and a cancelled head of the admission queue must not strand the waiters
+# Served joins and explains, which share the memo's plans, must equal solo
+# ones on a fresh System with the admission ledger balanced after (under
+# -race, nothing writes into a shared plan), and a cancelled head of the admission queue must not strand the waiters
 # behind it.
 # The STR loader must pack the pages and hierarchy of its per-axis reference,
 # and the landsat and road shapes must hash to their recorded trees. The
@@ -116,22 +117,25 @@ echo "==> determinism contracts (metrics observer + one clustered route + shard 
 # builds its own matrix. A run's own files (EGO's sorted copy, BFRJ's node
 # and spill files) live in its session: repeated and concurrent EGO and BFRJ
 # joins must leave the catalog and the attached store as ingest left them.
-# The matrix and plan caches are one memo, internal/sflight's Cache: a
+# The System memoizes matrices and plans in internal/sflight's Cache: a
 # second Get is a hit, a failed fill is not kept, concurrent callers share
-# one fill and a fill may fill another key; the System keeps its
-# matrixCacheEntries least recently used matrices and the Server its
-# PlanCacheEntries plans, one plan for every negative FilterDepth.
+# one fill, a waiter never inherits the filler's cancellation and a fill may
+# fill another key. The System keeps its matrixCacheEntries least recently
+# used matrices and its least recently used plans within their weight, one
+# plan for every negative FilterDepth; a plan's key names every option its
+# method's plan reads and no other, so an SC join and Explain share one
+# plan, and a join waiting on a cancelled caller's plan plans again.
 # ExecStats' walls are the metrics snapshot's matrix, cluster and join
 # phases, unsharded, sharded (whose top-level join phase covers the shards
 # and their merge) and cancelled, and a join cancelled during its matrix
 # build returns after it with no cluster phase opened.
-contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods|TestMatrixCacheEvictsLeastRecentlyUsed|TestServerExplainCached|TestExecWallsAreMetricsPhases|TestPlanningHonoursCancel'
-contract ./internal/sflight 'TestDoSequential|TestDoError|TestDoConcurrent|TestDoDistinctKeysDoNotBlock'
+contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods|TestMatrixCacheEvictsLeastRecentlyUsed|TestServerExplainCached|TestPlanKeyNamesEveryPlanInput|TestPlanWaiterKeepsItsOwnContext|TestExecWallsAreMetricsPhases|TestPlanningHonoursCancel'
+contract ./internal/sflight 'TestGetSequential|TestGetError|TestGetConcurrent|TestGetWaiterKeepsItsOwnContext|TestGetDistinctKeysDoNotBlock'
 contract ./internal/buffer 'TestPinSet'
 # shard.Run must slot every shard's outcome by index on any pool size, return
 # the first error by shard index, start no shard once cancelled and, on one
 # worker, drain a long plan promptly after a cancel.
-contract ./internal/shard 'TestCoordinatorOrder|TestCoordinatorFirstError|TestCoordinatorCancelMidRun|TestCoordinatorCancelPromptDrain'
+contract ./internal/shard 'TestRunOrder|TestRunFirstError|TestRunCancelMidRun|TestRunCancelPromptDrain'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pmjoin/internal/metrics"
-	"pmjoin/internal/sflight"
 	"pmjoin/internal/shard"
 )
 
@@ -34,9 +33,6 @@ type ServeOptions struct {
 	// QueueTimeout bounds how long a queued request waits before giving up
 	// with ErrOverloaded (default 5s).
 	QueueTimeout time.Duration
-	// PlanCacheEntries bounds the Explain-plan cache (default 128 entries,
-	// evicting the least recently used).
-	PlanCacheEntries int
 	// RecentJoins bounds the completed-request ring kept for introspection
 	// (default 64).
 	RecentJoins int
@@ -51,9 +47,6 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	}
 	if o.QueueTimeout <= 0 {
 		o.QueueTimeout = 5 * time.Second
-	}
-	if o.PlanCacheEntries <= 0 {
-		o.PlanCacheEntries = 128
 	}
 	if o.RecentJoins <= 0 {
 		o.RecentJoins = 64
@@ -107,7 +100,7 @@ type ServeStats struct {
 	FramesHighWater int
 	Queued          int // requests currently waiting
 	QueueHighWater  int
-	// Plan cache.
+	// The System's plan memo: every clustered join's and explain's lookups.
 	PlanHits   int64
 	PlanMisses int64
 	// Shared always reads 0: the server keeps no frame cache across runs,
@@ -121,8 +114,8 @@ type ServeStats struct {
 
 // Server wraps a System for long-lived concurrent serving: it owns an
 // admission controller that bounds the total private buffer frames in
-// flight, an Explain-plan cache with single-flight population, and a request
-// registry for introspection. cmd/pmjoind exposes it over HTTP via
+// flight and a request registry for introspection; its joins and explains
+// read the System's plan memo. cmd/pmjoind exposes it over HTTP via
 // internal/joinsvc; it is equally usable in-process.
 //
 // The serving layer never touches the determinism contract: every admitted
@@ -133,11 +126,6 @@ type Server struct {
 	opt ServeOptions
 
 	admit *admitter
-
-	// plans memoizes Explain plans, at most PlanCacheEntries of them, the
-	// same memo as the System's matrices; its hits and misses are
-	// ServeStats.PlanHits and PlanMisses.
-	plans sflight.Cache[planKey, *Plan]
 
 	reqMu     sync.Mutex
 	nextID    int64
@@ -158,7 +146,6 @@ func NewServer(sys *System, opt ServeOptions) (*Server, error) {
 	return &Server{
 		sys:    sys,
 		opt:    opt,
-		plans:  sflight.Cache[planKey, *Plan]{Max: opt.PlanCacheEntries},
 		active: make(map[int64]*JoinStatus),
 		admit: &admitter{
 			budget:   opt.AdmitFrames,
@@ -190,10 +177,7 @@ func admissionCost(opt Options) int {
 // ErrOverloaded without running. The run's metrics snapshot folds into the
 // cumulative service metrics.
 func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result, error) {
-	if err := sv.sys.checkJoinable(a, b); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
+	if err := sv.sys.checkJoinable(a, b, &opt); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -234,30 +218,12 @@ func (sv *Server) Join(ctx context.Context, a, b *Dataset, opt Options) (*Result
 	return res, err
 }
 
-// ExplainCached is System.Explain through the server's plan cache: repeated
-// plans for the same (datasets, options) are served from memory, and
-// concurrent cold-start requests for one key collapse to a single build,
-// whose error, ctx's included, every waiter on it gets. The returned Plan is
-// shared — callers must not mutate it.
-func (sv *Server) ExplainCached(ctx context.Context, a, b *Dataset, opt Options) (*Plan, error) {
-	if err := sv.sys.checkJoinable(a, b); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	p, _, err := sv.plans.Get(newPlanKey(a, b, opt), func() (*Plan, error) {
-		return sv.sys.ExplainContext(ctx, a, b, opt)
-	})
-	return p, err
-}
-
 // Stats returns a point-in-time snapshot of the server's counters.
 func (sv *Server) Stats() ServeStats {
 	var out ServeStats
 	out.Admitted, out.Rejected, out.DeadlineExpired,
 		out.InUseFrames, out.FramesHighWater, out.Queued, out.QueueHighWater = sv.admit.snapshot()
-	out.PlanHits, out.PlanMisses = sv.plans.Stats()
+	out.PlanHits, out.PlanMisses = sv.sys.plans.Stats()
 	sv.reqMu.Lock()
 	out.Completed, out.Failed = sv.completed, sv.failed
 	out.FoldedRuns = sv.folded.FoldedRuns

@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, so ServeOptions) (*Server, *Dataset, *Dataset) 
 func TestServeOptionsDefaults(t *testing.T) {
 	o := ServeOptions{}.withDefaults()
 	if o.AdmitFrames != 16384 || o.QueueDepth != 64 ||
-		o.QueueTimeout != 5*time.Second || o.PlanCacheEntries != 128 || o.RecentJoins != 64 {
+		o.QueueTimeout != 5*time.Second || o.RecentJoins != 64 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	if o = (ServeOptions{AdmitFrames: 100}).withDefaults(); o.AdmitFrames != 100 {
@@ -58,11 +58,27 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 		{Method: NLJ, Epsilon: 0.05, BufferPages: 8},
 		{Method: SC, Epsilon: 0.05, BufferPages: 24},
 		{Method: CC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true, Seed: 7},
+		{Method: RandomSC, Epsilon: 0.05, BufferPages: 16, Seed: 3},
+		{Method: RandomSC, Epsilon: 0.07, BufferPages: 12, Sharding: ShardingOptions{Shards: 3, Workers: 2}, Seed: 3},
 	}
+	// Explains on the joins' plan keys: the SC ones share their joins' plans.
+	explains := []Options{jobs[0], jobs[4], jobs[6]}
+
+	// The baselines come from a fresh System with the same datasets, so the
+	// concurrent rounds fill and share this System's memo rather than read
+	// what the baselines left in it.
+	solo, sa, sb := newTestServer(t, ServeOptions{})
 	baselines := make([]*Result, len(jobs))
 	for i, opt := range jobs {
 		var err error
-		if baselines[i], err = sys.Join(da, db, opt); err != nil {
+		if baselines[i], err = solo.System().Join(sa, sb, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plans := make([]*Plan, len(explains))
+	for i, opt := range explains {
+		var err error
+		if plans[i], err = solo.System().Explain(sa, sb, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,6 +95,15 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 				results[i], errs[i] = sv.Join(context.Background(), da, db, opt)
 			}()
 		}
+		explained := make([]*Plan, len(explains))
+		explainErrs := make([]error, len(explains))
+		for i, opt := range explains {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				explained[i], explainErrs[i] = sys.ExplainContext(context.Background(), da, db, opt)
+			}()
+		}
 		wg.Wait()
 		for i := range jobs {
 			if errs[i] != nil {
@@ -88,6 +113,14 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("round %d job %d (%v) served result differs from solo:\n solo:   %+v\n served: %+v",
 					round, i, jobs[i].Method, want, got)
+			}
+		}
+		for i := range explains {
+			if explainErrs[i] != nil {
+				t.Fatalf("round %d explain %d: %v", round, i, explainErrs[i])
+			}
+			if !reflect.DeepEqual(explained[i], plans[i]) {
+				t.Errorf("round %d explain %d differs from solo:\n solo:   %+v\n served: %+v", round, i, plans[i], explained[i])
 			}
 		}
 	}
@@ -445,22 +478,41 @@ func TestServerJoinsRegistry(t *testing.T) {
 	}
 }
 
+// TestServerExplainCached: a served explain (joinsvc's /explain calls
+// System.ExplainContext) reads the System's plan memo, and ServeStats counts
+// its lookups. Concurrent cold starts share one fill. A repeat, the default
+// FilterDepth named explicitly, another Method and any other negative
+// FilterDepth are hits, and the memoized plan renders what a fresh System's
+// Explain does. The memo evicts the least recently used plan past its
+// weight.
 func TestServerExplainCached(t *testing.T) {
-	sv, da, db := newTestServer(t, ServeOptions{PlanCacheEntries: 2})
+	sv, da, db := newTestServer(t, ServeOptions{})
+	sys := sv.System()
 	opt := Options{Method: SC, Epsilon: 0.05, BufferPages: 16}
+	explain := func(o Options) (hit bool) {
+		t.Helper()
+		before := sv.Stats()
+		if _, err := sys.ExplainContext(context.Background(), da, db, o); err != nil {
+			t.Fatal(err)
+		}
+		after := sv.Stats()
+		if n := after.PlanHits + after.PlanMisses - before.PlanHits - before.PlanMisses; n != 1 {
+			t.Fatalf("one explain made %d plan lookups", n)
+		}
+		return after.PlanHits > before.PlanHits
+	}
 
-	// Concurrent cold start: one build, everyone adopts the same plan.
+	// Concurrent cold start: one fill, every caller gets its plan.
 	const callers = 8
 	var wg sync.WaitGroup
-	plans := make([]*Plan, callers)
+	plans := make([]*clusterPlan, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := sv.ExplainCached(context.Background(), da, db, opt)
+			p, err := memoPlan(sys, da, db, SC, opt)
 			if err != nil {
 				t.Error(err)
-				return
 			}
 			plans[i] = p
 		}()
@@ -471,66 +523,46 @@ func TestServerExplainCached(t *testing.T) {
 			t.Fatal("concurrent callers got different plan instances")
 		}
 	}
+	if st := sv.Stats(); st.PlanHits+st.PlanMisses != callers {
+		t.Fatalf("%d callers made %d hits and %d misses", callers, st.PlanHits, st.PlanMisses)
+	}
 
-	// A warm repeat is a hit on the same instance.
-	p2, err := sv.ExplainCached(context.Background(), da, db, opt)
+	// A warm explain is a hit, and its plan is a fresh System's.
+	if !explain(opt) {
+		t.Fatal("a warm explain missed")
+	}
+	p2, err := sys.Explain(da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 != plans[0] {
-		t.Fatal("warm lookup returned a different plan")
-	}
-	st := sv.Stats()
-	if st.PlanHits == 0 {
-		t.Fatalf("no plan hits recorded: %+v", st)
-	}
-	// FilterDepth 0 is the default depth, so naming the default explicitly
-	// is the same plan and the same cache entry.
-	deep := opt
-	deep.FilterDepth = predmat.DefaultFilterDepth
-	if p, err := sv.ExplainCached(context.Background(), da, db, deep); err != nil || p != plans[0] {
-		t.Fatalf("FilterDepth %d missed the FilterDepth 0 plan (err %v)", deep.FilterDepth, err)
-	}
-
-	// The plan matches an uncached Explain bit for bit.
-	direct, err := sv.System().Explain(da, db, opt)
+	fresh, fa, fb := newTestServer(t, ServeOptions{})
+	direct, err := fresh.System().Explain(fa, fb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p2, direct) {
-		t.Fatalf("cached plan differs from direct Explain:\n cached: %+v\n direct: %+v", p2, direct)
+		t.Fatalf("memoized plan differs from a fresh System's Explain:\n memo:  %+v\n fresh: %+v", p2, direct)
+	}
+	// FilterDepth 0 is the default depth, so naming the default explicitly
+	// is the same plan.
+	deep := opt
+	deep.FilterDepth = predmat.DefaultFilterDepth
+	if !explain(deep) {
+		t.Fatalf("FilterDepth %d missed the FilterDepth 0 plan", deep.FilterDepth)
 	}
 
 	// Explain plans SC whatever the Method, so two explains that differ
 	// only in Method are one miss and one hit on the same plan.
-	before := sv.Stats()
 	cc := opt
 	cc.Epsilon, cc.Method = 0.09, CC
-	pCC, err := sv.ExplainCached(context.Background(), da, db, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ego := cc
 	ego.Method = EGO
-	pEGO, err := sv.ExplainCached(context.Background(), da, db, ego)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := sv.Stats()
-	if misses, hits := after.PlanMisses-before.PlanMisses, after.PlanHits-before.PlanHits; misses != 1 || hits != 1 || pEGO != pCC {
-		t.Fatalf("explains differing only in Method: %d misses, %d hits, same plan %v; want 1, 1, true", misses, hits, pEGO == pCC)
+	if explain(cc) || !explain(ego) {
+		t.Fatal("explains differing only in Method did not share a plan")
 	}
 
 	// Every negative FilterDepth builds the unfiltered matrix, so -1 and -3
 	// are one plan.
-	explain := func(o Options) (hit bool) {
-		t.Helper()
-		before := sv.Stats().PlanHits
-		if _, err := sv.ExplainCached(context.Background(), da, db, o); err != nil {
-			t.Fatal(err)
-		}
-		return sv.Stats().PlanHits > before
-	}
 	off := opt
 	off.FilterDepth = -1
 	if explain(off) {
@@ -541,22 +573,25 @@ func TestServerExplainCached(t *testing.T) {
 		t.Fatal("FilterDepth -3 missed the FilterDepth -1 plan")
 	}
 
-	// The cache keeps PlanCacheEntries (2) plans and evicts the least
-	// recently used: after explains at ε 0.06, 0.07, 0.06 and 0.08, the
-	// 0.07 plan is gone and the other two are kept.
-	at := func(eps float64) Options {
+	// The memo keeps its least recently used plans within its weight: at
+	// two small plans' worth, after explains at 16, 17 and 16 buffer pages,
+	// one at 18 evicts 17 and keeps the others.
+	sv, da, db = newTestServer(t, ServeOptions{})
+	sys = sv.System()
+	sys.plans.Max = 2 * planCacheMarks / planCacheEntries
+	at := func(pages int) Options {
 		o := opt
-		o.Epsilon = eps
+		o.Epsilon, o.BufferPages = 0.06, pages
 		return o
 	}
-	for _, eps := range []float64{0.06, 0.07, 0.06, 0.08} {
-		explain(at(eps))
+	for _, pages := range []int{16, 17, 16, 18} {
+		explain(at(pages))
 	}
-	if !explain(at(0.06)) || !explain(at(0.08)) {
+	if !explain(at(16)) || !explain(at(18)) {
 		t.Fatal("a recently used plan was evicted")
 	}
-	if explain(at(0.07)) {
-		t.Fatal("the least recently used plan was kept past PlanCacheEntries")
+	if explain(at(17)) {
+		t.Fatal("the least recently used plan was kept past the memo's weight")
 	}
 }
 
@@ -564,26 +599,28 @@ func TestServerExplainCached(t *testing.T) {
 // an LRU plan must not answer a FIFO explain of the same join.
 func TestServerExplainCachedPolicy(t *testing.T) {
 	sv, da, db := newTestServer(t, ServeOptions{})
+	sys := sv.System()
 	opt := Options{Method: SC, Epsilon: 0.1, BufferPages: 12}
-	lru, err := sv.ExplainCached(context.Background(), da, db, opt)
+	lru, err := sys.ExplainContext(context.Background(), da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Policy = FIFO
 	misses := sv.Stats().PlanMisses
-	fifo, err := sv.ExplainCached(context.Background(), da, db, opt)
+	fifo, err := sys.ExplainContext(context.Background(), da, db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.Stats().PlanMisses != misses+1 || fifo == lru {
+	if sv.Stats().PlanMisses != misses+1 {
 		t.Fatal("the FIFO explain was answered from the LRU plan")
 	}
-	direct, err := sv.System().Explain(da, db, opt)
+	fresh, fa, fb := newTestServer(t, ServeOptions{})
+	direct, err := fresh.System().Explain(fa, fb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fifo, direct) {
-		t.Fatalf("cached FIFO plan differs from direct Explain:\n cached: %+v\n direct: %+v", fifo, direct)
+		t.Fatalf("memoized FIFO plan differs from a fresh System's Explain:\n memo:  %+v\n fresh: %+v", fifo, direct)
 	}
 	if reflect.DeepEqual(fifo.ClusterIO, lru.ClusterIO) {
 		t.Fatal("LRU and FIFO predict the same reads; the workload cannot tell the plans apart")
