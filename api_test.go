@@ -390,6 +390,34 @@ func TestCalibrateEpsilon(t *testing.T) {
 	}
 }
 
+// TestCalibrateEpsilonIndependentOfWorkers: CalibrateEpsilon builds its
+// matrices on the System's pool, and no matrix depends on the pool, so the
+// epsilon it returns on one worker and on four is the same to the bit.
+func TestCalibrateEpsilonIndependentOfWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	vecs := randomVecs(4000, 6, 13)
+	var eps [2]float64
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		sys := NewSystem(DiskModel{PageBytes: 512})
+		da, err := sys.AddVectors("a", vecs[:2500], VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := sys.AddVectors("b", vecs[2500:], VectorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eps[i], err = sys.CalibrateEpsilon(da, db, 0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if math.Float64bits(eps[0]) != math.Float64bits(eps[1]) {
+		t.Fatalf("epsilon %v on one worker, %v on four", eps[0], eps[1])
+	}
+}
+
 func TestCalibrateEpsilonErrors(t *testing.T) {
 	sys, da, db := smallVecSystem(t)
 	if _, err := sys.CalibrateEpsilon(da, db, 0); err == nil {
@@ -498,6 +526,33 @@ func TestMatrixCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if !built(fresh(rounds - matrixCacheEntries)) {
 		t.Fatalf("fresh key %d kept past the bound", rounds-matrixCacheEntries)
+	}
+}
+
+// TestMatrixCacheKeepsKeyPastFourFreshOnes pins the memo depth the
+// end-to-end benchmark's traced pass needs, whatever matrixCacheEntries
+// says: it joins one key, then four fresh keys, then the first key again,
+// and reads that last join as warm. TestMatrixCacheEvictsLeastRecentlyUsed
+// is written in terms of the constant, so it would pass a memo too shallow
+// for that pass.
+func TestMatrixCacheKeepsKeyPastFourFreshOnes(t *testing.T) {
+	sys, da, db := smallVecSystem(t)
+	join := func(eps float64) *Result {
+		t.Helper()
+		res, err := sys.Join(da, db, Options{Method: SC, Epsilon: eps, BufferPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	join(0.05)
+	for k := 1; k <= 4; k++ {
+		if join(0.05+0.01*float64(k)).Exec.MatrixWall == 0 {
+			t.Fatalf("fresh key %d was not built", k)
+		}
+	}
+	if w := join(0.05).Exec.MatrixWall; w != 0 {
+		t.Fatalf("the first key was built again (%v) after four fresh keys", w)
 	}
 }
 

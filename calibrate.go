@@ -22,9 +22,14 @@ func (s *System) CalibrateEpsilon(a, b *Dataset, target float64) (float64, error
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("pmjoin: target density %g outside (0,1)", target)
 	}
+	// The builds run on all the System's workers; no matrix depends on how
+	// many there are.
+	p, release := s.workers()
+	defer release()
+	g := p.Group(p.Workers())
 	density := func(eps float64) (float64, error) {
 		m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
-			eps, s.predictor(a), predmat.BuildOptions{FilterDepth: predmat.DefaultFilterDepth})
+			eps, s.predictor(a), predmat.BuildOptions{FilterDepth: predmat.DefaultFilterDepth, Runner: g})
 		if err != nil {
 			return 0, err
 		}

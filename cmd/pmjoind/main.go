@@ -39,8 +39,8 @@ import (
 	"time"
 
 	"pmjoin"
-	"pmjoin/internal/join"
 	"pmjoin/internal/joinsvc"
+	"pmjoin/internal/pool"
 )
 
 func main() {
@@ -70,13 +70,13 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// The shutdown watcher runs on a WorkerPool (the repo's one sanctioned
+	// The shutdown watcher runs on a worker pool (the repo's one sanctioned
 	// concurrency primitive — see the rawgo rule in LINTING.md): it waits
 	// for SIGINT/SIGTERM, then drains the listener. stop() below also
 	// cancels ctx, so the watcher always terminates and Close never hangs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	pool := join.NewWorkerPool(1)
-	pool.Run(func() {
+	watcher := pool.New(1)
+	watcher.Run(func() {
 		<-ctx.Done()
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -89,7 +89,7 @@ func main() {
 		*addr, srv.Options().AdmitFrames)
 	err = hs.ListenAndServe()
 	stop()
-	pool.Close()
+	watcher.Close()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "pmjoind: %v\n", err)
 		os.Exit(1)

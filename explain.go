@@ -142,7 +142,9 @@ func (s *System) ExplainContext(ctx context.Context, a, b *Dataset, opt Options)
 	}
 	// The plan an SC join would run, priced by replaying its pins. Planning
 	// records no metrics: the nil collector's hooks no-op.
-	cp, err := s.plan(ctx, a, b, SC, opt, nil, nil)
+	workers, release := s.workers()
+	defer release()
+	cp, err := s.plan(ctx, a, b, SC, opt, workers.Group(opt.Parallelism), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 	"pmjoin/internal/dataset"
 	"pmjoin/internal/disk"
-	"pmjoin/internal/join"
+	"pmjoin/internal/pool"
 )
 
 // atLeastTwoProcs raises GOMAXPROCS to 2 for the rest of the test, so that
@@ -164,7 +164,7 @@ func TestAddVectorsWhileJoining(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// The joins run as one task of their own pool, so that Close waits for
 	// them.
-	joins := join.NewWorkerPool(1)
+	joins := pool.New(1)
 	var stop atomic.Bool
 	var joinErr error
 	stopJoins := sync.OnceFunc(func() {

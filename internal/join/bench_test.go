@@ -13,6 +13,7 @@ import (
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
 	"pmjoin/internal/kernel"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 	"pmjoin/internal/seqdist"
@@ -241,7 +242,7 @@ func BenchmarkClusteredWindow(b *testing.B) {
 	sets := pageSetsOf(dr, ds, clusters)
 	order := sched.GreedyOrder(len(sets), sched.SharingGraph(sets))
 	j := VectorJoiner{Norm: geom.L2, Eps: eps}
-	run := func(workers *WorkerPool) (*Report, [][2]int) {
+	run := func(workers *pool.Group) (*Report, [][2]int) {
 		e := &Engine{Disk: d, BufferSize: buffer, Pairs: NewPairs(1 << 30), Workers: workers}
 		rep, err := e.Clustered(dr, ds, m, clusters, sets, order, j)
 		if err != nil {
@@ -251,8 +252,7 @@ func BenchmarkClusteredWindow(b *testing.B) {
 		return rep, pairs
 	}
 
-	workers := NewWorkerPool(2)
-	defer workers.Close()
+	workers := workerGroup(b, 2)
 	wantRep, wantPairs := run(nil)
 	if rep, pairs := run(workers); !reflect.DeepEqual(rep, wantRep) || !reflect.DeepEqual(pairs, wantPairs) || len(pairs) == 0 {
 		b.Fatalf("two workers: %d pairs, report %+v; inline: %d pairs, report %+v", len(pairs), rep, len(wantPairs), wantRep)

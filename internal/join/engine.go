@@ -9,6 +9,7 @@ import (
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/metrics"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 )
@@ -23,10 +24,10 @@ type Engine struct {
 	// Pairs, when non-nil, collects the result pairs of the engine's runs in
 	// deterministic order, up to its cap (see Pairs and MergePairs).
 	Pairs *Pairs
-	// Workers, when non-nil, receives the CPU-side page-pair comparisons of
-	// NLJ / pm-NLJ / clustered runs; nil executes everything inline. Either
-	// way the report is bit-for-bit identical (see Exec).
-	Workers *WorkerPool
+	// Workers, when non-nil, is the join's group: every run queues its
+	// page-pair comparisons on siblings of it, sharing its cap; nil executes
+	// them inline. Either way the report is bit-for-bit identical (see Exec).
+	Workers *pool.Group
 	// Ctx carries cancellation, checked between clusters / blocks; nil
 	// means never cancelled.
 	Ctx context.Context
@@ -78,9 +79,12 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	}
 	rep := &Report{Method: method}
 	x := &Exec{IO: io, Pool: pool, Rep: rep, eng: e}
-	// Even on an error path (cancellation included), wait for in-flight
-	// tasks so no worker is left computing over the run's state.
-	defer x.wait()
+	// Even on an error path (cancellation included), wait for both slots'
+	// runs so no worker is left computing over the run's state.
+	for i := range x.slots {
+		x.slots[i].g = e.Workers.Sibling()
+		defer x.slots[i].g.Wait()
+	}
 	e.Metrics.Attach(io, pool)
 	if err := body(x); err != nil {
 		return nil, err

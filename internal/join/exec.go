@@ -8,6 +8,7 @@ import (
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/kernel"
+	"pmjoin/internal/pool"
 )
 
 // Exec is the execution scope of one join run: the run's private I/O
@@ -60,13 +61,14 @@ type Exec struct {
 	pos []int32
 }
 
-// slot is one cluster of the window: its runs in submission order, the count
-// of those still executing, and the cluster scratch its block runs read —
-// each side's pinned pages as the kernel reads them, their object IDs, and
-// the marked cells. A slot is refilled only after its runs are retired.
+// slot is one cluster of the window: its runs in submission order, the
+// group they run in (a sibling of the engine's Workers, so both slots share
+// its cap), and the cluster scratch its block runs read — each side's pinned
+// pages as the kernel reads them, their object IDs, and the marked cells. A
+// slot is refilled only after its runs are retired.
 type slot struct {
 	tasks []*task
-	wg    sync.WaitGroup
+	g     *pool.Group
 
 	pagesR, pagesS kernel.ClusterBlock
 	idsR, idsS     [][]int
@@ -98,10 +100,9 @@ type pagePair struct {
 // buffers, and the pair chunks it writes pass to the collector at merge.
 // Kernel hits are scratch of the run alone.
 type task struct {
-	capture bool  // translate hits into pairs: the collector is set and not full
-	slot    *slot // the window slot whose wait group counts the run in flight
-	// do runs the task on a worker and marks it done in its slot; built once
-	// per task, so shipping a recycled run allocates nothing.
+	capture bool // translate hits into pairs: the collector is set and not full
+	// do is run, bound once per task, so shipping a recycled run allocates
+	// nothing.
 	do func()
 
 	pages []pagePair
@@ -239,53 +240,37 @@ func (x *Exec) newRun() *task {
 		x.free = x.free[:n-1]
 	} else {
 		t = &task{}
-		t.do = func() {
-			defer t.slot.wg.Done()
-			t.run()
-		}
+		t.do = t.run
 	}
 	// Whether the collector is full is decided here, on the coordinator, from
 	// the runs already merged, so which runs skip translation cannot depend
 	// on timing.
 	t.capture = x.eng.Pairs != nil && !x.eng.Pairs.full()
-	t.slot = &x.slots[x.cur]
-	t.slot.tasks = append(t.slot.tasks, t)
+	x.slots[x.cur].tasks = append(x.slots[x.cur].tasks, t)
 	x.open = t
 	return t
 }
 
-// ship closes the open run and hands it to the worker pool (or evaluates it
-// inline without one). Its outputs reach Rep only when its slot is retired.
+// ship closes the open run and hands it to the current slot's group, which
+// evaluates it inline when the engine has no workers. Its outputs reach Rep
+// only when its slot is retired.
 func (x *Exec) ship() {
-	t := x.open
-	if t == nil {
-		return
+	if t := x.open; t != nil {
+		x.open = nil
+		x.slots[x.cur].g.Go(t.do)
 	}
-	x.open = nil
-	if x.eng.Workers == nil {
-		t.run()
-		return
-	}
-	t.slot.wg.Add(1)
-	x.eng.Workers.Run(t.do)
 }
 
-// retire waits for the slot's runs, merges them in submission order and
-// recycles them, which frees the slot for the next cluster.
+// retire waits for the slot's runs, running those no worker has started,
+// merges them in submission order and recycles them, which frees the slot
+// for the next cluster.
 func (x *Exec) retire(s *slot) {
-	s.wg.Wait()
+	s.g.Wait()
 	for _, t := range s.tasks {
 		t.merge(x)
 	}
 	x.free = append(x.free, s.tasks...)
 	s.tasks = s.tasks[:0]
-}
-
-// wait blocks until no run of either slot is executing, merging nothing:
-// the run's exit path, error or not, so no worker outlives it.
-func (x *Exec) wait() {
-	x.slots[0].wg.Wait()
-	x.slots[1].wg.Wait()
 }
 
 // JoinPayloads schedules the comparison of two already-fetched pages (a

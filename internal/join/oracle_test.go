@@ -503,14 +503,8 @@ func TestClusteredMatchesOracle(t *testing.T) {
 
 			for _, workers := range []int{0, 4} {
 				var got joinTrace
-				e := &Engine{Disk: d, BufferSize: buffer, Pairs: NewPairs(1 << 30)}
-				if workers > 0 {
-					e.Workers = NewWorkerPool(workers)
-				}
+				e := &Engine{Disk: d, BufferSize: buffer, Pairs: NewPairs(1 << 30), Workers: workerGroup(t, workers)}
 				rep, err := e.Clustered(dr, ds, m, clusters, pageSetsOf(dr, ds, clusters), order, tc.joiner)
-				if e.Workers != nil {
-					e.Workers.Close()
-				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,18 +6,24 @@ import (
 
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/geom"
+	"pmjoin/internal/pool"
 )
 
-// runEngine executes one method with the given worker pool (nil = serial)
+// workerGroup returns a group of up to n tasks in flight on a pool of n
+// workers, closed when t ends; nil, inline, when n < 2.
+func workerGroup(t testing.TB, n int) *pool.Group {
+	p := pool.New(n)
+	t.Cleanup(p.Close)
+	return p.Group(n)
+}
+
+// runEngine executes one method with the given worker count (1 = serial)
 // and returns the report plus the emitted pair sequence.
 func runEngine(t *testing.T, method string, workers int, seed int64) (*Report, [][2]int) {
 	t.Helper()
 	d, da, db, _, eps := testSetup(t, seed, 400, 300)
 	e := &Engine{Disk: d, BufferSize: 16, Pairs: NewPairs(1 << 30)}
-	if workers > 1 {
-		e.Workers = NewWorkerPool(workers)
-		defer e.Workers.Close()
-	}
+	e.Workers = workerGroup(t, workers)
 	j := VectorJoiner{Norm: geom.L2, Eps: eps}
 	var rep *Report
 	var err error

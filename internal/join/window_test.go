@@ -74,10 +74,7 @@ func newWindowCase(t testing.TB, rPages, sPages []*disk.Page, j ObjectJoiner, se
 func (wc *windowCase) run(t testing.TB, workers, maxPairs int) (*Report, [][2]int, bool) {
 	t.Helper()
 	e := &Engine{Disk: wc.d, BufferSize: windowBuffer, Pairs: NewPairs(maxPairs)}
-	if workers > 0 {
-		e.Workers = NewWorkerPool(workers)
-		defer e.Workers.Close()
-	}
+	e.Workers = workerGroup(t, workers)
 	rep, err := e.Clustered(wc.r, wc.s, wc.m, wc.clusters, wc.sets, wc.order, wc.j)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +189,7 @@ func TestClusterWindowCancel(t *testing.T) {
 	for _, viaRun := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		j := &cancellingJoiner{StringJoiner: StringJoiner{MaxEdit: 9}, k: 60, cancel: cancel}
-		e := &Engine{Disk: wc.d, BufferSize: windowBuffer, Ctx: ctx, Workers: NewWorkerPool(4)}
+		e := &Engine{Disk: wc.d, BufferSize: windowBuffer, Ctx: ctx, Workers: workerGroup(t, 4)}
 		var err error
 		var pool *buffer.Pool
 		if viaRun {
@@ -205,7 +202,6 @@ func TestClusterWindowCancel(t *testing.T) {
 			_, err = e.Clustered(wc.r, wc.s, wc.m, wc.clusters, wc.sets, wc.order, j)
 		}
 		inFlight := j.inFlight.Load()
-		e.Workers.Close()
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)

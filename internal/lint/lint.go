@@ -15,8 +15,8 @@ import (
 const (
 	bufferPkgPath  = "pmjoin/internal/buffer"
 	diskPkgPath    = "pmjoin/internal/disk"
-	joinPkgPath    = "pmjoin/internal/join"
 	metricsPkgPath = "pmjoin/internal/metrics"
+	poolPkgPath    = "pmjoin/internal/pool"
 	predmatPkgPath = "pmjoin/internal/predmat"
 )
 

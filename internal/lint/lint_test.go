@@ -67,11 +67,15 @@ type Matrix struct{}
 func (m *Matrix) Mark(i, j int) {}
 `
 
-const stubJoin = `package join
+const stubPool = `package pool
 
-type WorkerPool struct{}
+type Pool struct{}
 
-func (p *WorkerPool) Run(tasks []func() any) []any { return nil }
+func (p *Pool) Run(task func()) {}
+
+type Group struct{}
+
+func (g *Group) Go(task func()) {}
 `
 
 const stubMetrics = `package metrics
@@ -134,7 +138,7 @@ func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	check(diskPkgPath, "disk.go", stubDisk)
 	check(bufferPkgPath, "buffer.go", stubBuffer)
 	check(predmatPkgPath, "predmat.go", stubPredmat)
-	check(joinPkgPath, "join.go", stubJoin)
+	check(poolPkgPath, "pool.go", stubPool)
 	check(metricsPkgPath, "metrics.go", stubMetrics)
 	return check(path, filename, src)
 }
@@ -307,14 +311,14 @@ func spawn(task func()) {
 	t.Run("bare go statements are flagged", func(t *testing.T) {
 		expectDiags(t, runOne(t, "rawgo", "pmjoin/internal/fixture", goSrc), "rawgo", []int{4, 6})
 	})
-	t.Run("workerpool.go in internal/join is exempt", func(t *testing.T) {
-		src := strings.Replace(goSrc, "package fixture", "package join", 1)
-		pkg := checkFixtureFile(t, joinPkgPath, "workerpool.go", src)
+	t.Run("pool.go in internal/pool is exempt", func(t *testing.T) {
+		src := strings.Replace(goSrc, "package fixture", "package pool", 1)
+		pkg := checkFixtureFile(t, poolPkgPath, "pool.go", src)
 		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", nil)
 	})
 	t.Run("other files in internal/join are not exempt", func(t *testing.T) {
 		src := strings.Replace(goSrc, "package fixture", "package join", 1)
-		pkg := checkFixtureFile(t, joinPkgPath, "exec.go", src)
+		pkg := checkFixtureFile(t, "pmjoin/internal/join", "workerpool.go", src)
 		expectDiags(t, Run([]*Package{pkg}, analyzersNamed(t, "rawgo")), "rawgo", []int{4, 6})
 	})
 	t.Run("other files in internal/shard are not exempt", func(t *testing.T) {
@@ -762,15 +766,18 @@ func bad(pm *predmat.Matrix, pairs map[int]int) {
 			name: "worker-pool submission order must not come from a map",
 			src: `package fixture
 
-import "pmjoin/internal/join"
+import "pmjoin/internal/pool"
 
-func bad(pool *join.WorkerPool, work map[int]func() any) {
+func bad(p *pool.Pool, g *pool.Group, work map[int]func()) {
 	for _, w := range work {
-		pool.Run([]func() any{w})
+		p.Run(w)
+	}
+	for _, w := range work {
+		g.Go(w)
 	}
 }
 `,
-			lines: []int{6},
+			lines: []int{6, 9},
 		},
 		{
 			name: "trace events must not be emitted in map order",

@@ -110,7 +110,7 @@ func (p *Package) orderSensitiveEffect(rng *ast.RangeStmt, stack []ast.Node) str
 			switch {
 			case isMethodOf(fn, predmatPkgPath, "Matrix", "Mark"):
 				set("marks the prediction matrix (CSR insertion order)")
-			case isMethodOf(fn, joinPkgPath, "WorkerPool", "Run"):
+			case isMethodOf(fn, poolPkgPath, "Pool", "Run"), isMethodOf(fn, poolPkgPath, "Group", "Go"):
 				set("submits worker-pool tasks (submission-order merge)")
 			case fromPackage(fn, metricsPkgPath):
 				set("emits metrics/trace events (event order)")

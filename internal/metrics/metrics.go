@@ -202,8 +202,9 @@ type Metrics struct {
 	// Clusters holds per-cluster stats in schedule order (clustered
 	// methods only).
 	Clusters []ClusterStats
-	// QueueHighWater is the worker pool's queue-depth high-water mark
-	// (0 when the run was serial).
+	// QueueHighWater is the deepest the queue of the join's tasks on the
+	// worker pool has been: its matrix build's and its runs' comparisons (0
+	// when the run was serial).
 	QueueHighWater int
 	// Events is the trace, oldest first (nil unless tracing was enabled).
 	Events []Event
@@ -477,7 +478,8 @@ func (c *Collector) ClusterEnd() {
 	c.cluster = -1
 }
 
-// RecordQueueHighWater stores the worker pool's queue-depth high-water mark.
+// RecordQueueHighWater stores the queue-depth high-water mark of the join's
+// tasks on the worker pool.
 func (c *Collector) RecordQueueHighWater(n int) {
 	if c == nil {
 		return

@@ -10,6 +10,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/mrsindex"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/rstar"
 	"pmjoin/internal/seqdist"
 )
@@ -99,7 +100,7 @@ var benchMatrix *Matrix
 
 // benchBuild times Build over in and reports the last build's pair tests
 // and sweep events per operation.
-func benchBuild(b *testing.B, in *buildInput, depth int, runner Runner) {
+func benchBuild(b *testing.B, in *buildInput, depth int, runner *pool.Group) {
 	var st BuildStats
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,7 +121,7 @@ func benchBuild(b *testing.B, in *buildInput, depth int, runner Runner) {
 // two workers, which is how the root package builds it on a 2-core host.
 func benchShape(b *testing.B, in *buildInput) {
 	b.Run("serial", func(b *testing.B) { benchBuild(b, in, DefaultFilterDepth, nil) })
-	b.Run("workers=2", func(b *testing.B) { benchBuild(b, in, DefaultFilterDepth, make(semRunner, 2)) })
+	b.Run("workers=2", func(b *testing.B) { benchBuild(b, in, DefaultFilterDepth, workerGroup(b, 2)) })
 }
 
 // BenchmarkBuildLandsatShape is the cold landsat join's matrix build.

@@ -2,6 +2,7 @@ package predmat
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/kernel"
+	"pmjoin/internal/pool"
 )
 
 // Predictor lower-bounds the distance between any object stored under MBR a
@@ -65,13 +67,6 @@ func MBRTest(pred Predictor, eps float64) (within, withinNonEmpty func(a, b geom
 // when a round cannot pay for itself (roundPays, roundDropped).
 const DefaultFilterDepth = 5
 
-// Runner executes independent construction tasks, possibly concurrently.
-// join.WorkerPool satisfies it; injecting the interface keeps goroutine
-// spawning inside the join layer's bounded pool.
-type Runner interface {
-	Run(task func())
-}
-
 // BuildOptions tunes prediction-matrix construction.
 type BuildOptions struct {
 	// FilterDepth bounds the refinement rounds of the Figure 2 filter: a
@@ -81,12 +76,15 @@ type BuildOptions struct {
 	FilterDepth int
 	// Stats, when non-nil, receives construction counters.
 	Stats *BuildStats
-	// Runner, when non-nil, runs recursive sub-sweeps concurrently. The
-	// resulting matrix and stats are independent of execution order: marks
-	// are idempotent set insertions, what a sweep tests depends on its own
-	// participants only, and every counter is an order-independent integer
-	// sum.
-	Runner Runner
+	// Runner, when non-nil, runs recursive sub-sweeps concurrently, and
+	// Build waits on it. The resulting matrix and stats are independent of
+	// execution order: marks are idempotent set insertions, what a sweep
+	// tests depends on its own participants only, and every counter is an
+	// order-independent integer sum.
+	Runner *pool.Group
+	// Ctx, when non-nil, cancels the build: once it is done no further
+	// sweep starts, and Build returns its error.
+	Ctx context.Context
 }
 
 // BuildStats counts work done during construction.
@@ -121,6 +119,9 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 	m := NewMatrix(rPages, sPages)
 	b := newBuilder(eps, pred, opts)
 	b.run(r, s)
+	if b.stopped() {
+		return nil, opts.Ctx.Err()
+	}
 	// Size the matrix's mark buffer once: grown mark by mark, a large
 	// slice grows by a quarter at a time and allocates about five times
 	// what it ends up holding.
@@ -142,6 +143,9 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 // newBuilder returns the builder of one Build at threshold eps.
 func newBuilder(eps float64, pred Predictor, opts BuildOptions) *builder {
 	b := &builder{opts: opts, half: eps / 2}
+	if opts.Ctx != nil {
+		b.done = opts.Ctx.Done()
+	}
 	b.within, b.withinFull = MBRTest(pred, eps)
 	return b
 }
@@ -157,7 +161,7 @@ func (b *builder) run(r, s *index.Node) {
 	}
 	b.saturate = rShared || sShared
 	b.sweep(rt, st)
-	b.wg.Wait()
+	b.opts.Runner.Wait()
 	if b.opts.Stats != nil {
 		b.opts.Stats.SweepEvents += b.sweepEvents.Load()
 		b.opts.Stats.PairTests += b.pairTests.Load()
@@ -182,6 +186,9 @@ type builder struct {
 	// within decides pred.LowerBound(a, b) <= eps (MBRTest); withinFull is
 	// within for two non-empty MBRs.
 	within, withinFull func(a, b geom.MBR) bool
+	// done is the build context's Done channel: nil, never closed, without
+	// one.
+	done <-chan struct{}
 
 	// markMu guards marks, one batch for each sweep that found any. Build
 	// folds them into the matrix once every sweep has returned; a mark is an
@@ -189,8 +196,6 @@ type builder struct {
 	// the batches arrived in.
 	markMu sync.Mutex
 	marks  [][]Entry
-	// wg tracks sub-sweeps handed to the runner.
-	wg sync.WaitGroup
 	// Counters accumulate per-sweep totals; each sweep batches its local
 	// counts into one atomic add, so the hot event loop stays cheap.
 	sweepEvents   atomic.Int64
@@ -210,17 +215,14 @@ func (b *builder) flush(st *BuildStats) {
 	b.recursions.Add(st.Recursions)
 }
 
-// spawn runs a recursive sub-sweep, through the runner when one is set.
-func (b *builder) spawn(rNodes, sNodes []xnode) {
-	if b.opts.Runner == nil {
-		b.sweep(rNodes, sNodes)
-		return
+// stopped reports whether the build's context is done.
+func (b *builder) stopped() bool {
+	select {
+	case <-b.done:
+		return true
+	default:
+		return false
 	}
-	b.wg.Add(1)
-	b.opts.Runner.Run(func() {
-		defer b.wg.Done()
-		b.sweep(rNodes, sNodes)
-	})
 }
 
 // span is a box as two rows of corner coordinates, one value a dimension.
@@ -464,8 +466,12 @@ func (sc *sweepScratch) load(rNodes, sNodes []xnode) (nR int) {
 // sets (Figure 1 steps 1-5). It only reads the (immutable) node table and
 // hands its marks over under the mark mutex — once, with every mark it found
 // — so concurrent sweeps need no coordination beyond that and their local
-// stats, flushed once on return.
+// stats, flushed once on return. Once the build's context is done, a sweep
+// returns before it starts, so a cancelled build stops within a sweep.
 func (b *builder) sweep(rNodes, sNodes []xnode) {
+	if b.stopped() {
+		return
+	}
 	var st BuildStats
 	defer b.flush(&st)
 	st.Recursions++
@@ -570,8 +576,8 @@ func (sc *sweepScratch) deactivate(side int, i int32) {
 
 // handlePair processes one intersecting extended pair: leaf pairs that pass
 // the predictor are added to the sweep's marks, internal pairs descend (one
-// side at a time when heights differ). Descents go through spawn, so with a
-// Runner the recursive sub-sweeps fan out across the worker pool.
+// side at a time when heights differ). Descents are tasks of the Runner, so
+// with one the recursive sub-sweeps fan out across the worker pool.
 //
 // Page-pair saturation: when saturate is on and each node lies within one
 // page, everything under the pair can mark one cell only. The sweep keeps
@@ -589,19 +595,19 @@ func (b *builder) handlePair(rx, sx *xnode, sc *sweepScratch, st *BuildStats) {
 		}
 		return
 	}
-	rn, sn := rx.node, sx.node
-	switch {
+	rNodes, sNodes := rx.children, sx.children
+	switch rn, sn := rx.node, sx.node; {
 	case rn.IsLeaf() && sn.IsLeaf():
 		if b.passes(rx, sx) {
 			sc.marks = append(sc.marks, Entry{R: rn.Page, C: sn.Page})
 		}
+		return
 	case rn.IsLeaf():
-		b.spawn([]xnode{*rx}, sx.children)
+		rNodes = []xnode{*rx}
 	case sn.IsLeaf():
-		b.spawn(rx.children, []xnode{*sx})
-	default:
-		b.spawn(rx.children, sx.children)
+		sNodes = []xnode{*sx}
 	}
+	b.opts.Runner.Go(func() { b.sweep(rNodes, sNodes) })
 }
 
 // passes reports whether the leaf pair rx, sx passes the predictor.

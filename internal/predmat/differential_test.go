@@ -8,18 +8,15 @@ import (
 
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
+	"pmjoin/internal/pool"
 )
 
-// semRunner is a Runner that lets cap(r) sub-sweeps run concurrently. Build
-// waits for every task it submitted, so nothing outlives the call.
-type semRunner chan struct{}
-
-func (r semRunner) Run(task func()) {
-	go func() {
-		r <- struct{}{}
-		defer func() { <-r }()
-		task()
-	}()
+// workerGroup returns a group that runs up to n sub-sweeps at once on a
+// pool of n workers, closed when tb ends; nil, inline, when n < 2.
+func workerGroup(tb testing.TB, n int) *pool.Group {
+	p := pool.New(n)
+	tb.Cleanup(p.Close)
+	return p.Group(n)
 }
 
 // randHierarchy builds a hierarchy over nLeaves random boxes strung along
@@ -80,7 +77,7 @@ func randHierarchy(rng *rand.Rand, dim, nLeaves, perPage, fanout int, spread flo
 
 // sameAsReference builds the matrix both ways and fails on any difference in
 // the entries or in the four counters.
-func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner Runner) {
+func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner *pool.Group) {
 	t.Helper()
 	if got, want := sameEntriesAsReference(t, name, r, s, rPages, sPages, eps, depth, runner); got != want {
 		t.Fatalf("%s: stats %+v, want %+v", name, got, want)
@@ -89,7 +86,7 @@ func sameAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages
 
 // sameEntriesAsReference builds the matrix both ways, fails on any
 // difference in the entries, and returns the two builds' counters.
-func sameEntriesAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner Runner) (got, want BuildStats) {
+func sameEntriesAsReference(t *testing.T, name string, r, s *index.Node, rPages, sPages int, eps float64, depth int, runner *pool.Group) (got, want BuildStats) {
 	t.Helper()
 	pred := NormPredictor{Norm: geom.L2}
 	gm, err := Build(r, s, rPages, sPages, eps, pred, BuildOptions{FilterDepth: depth, Stats: &got, Runner: runner})
@@ -120,7 +117,7 @@ func sameEntriesAsReference(t *testing.T, name string, r, s *index.Node, rPages,
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const spread = 4.0
-	pool := make(semRunner, 4)
+	workers := workerGroup(t, 4)
 	for _, dim := range []int{2, 60} {
 		for trial := 0; trial < 12; trial++ {
 			rPages, sPages := 1+rng.Intn(60), 1+rng.Intn(40)
@@ -128,7 +125,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				r := randHierarchy(rng, dim, rPages, 1, 2+rng.Intn(6), spread, depth > 0)
 				s := randHierarchy(rng, dim, sPages, 1, 2+rng.Intn(9), spread, depth > 0)
 				for _, eps := range []float64{0, spread / 16, 2 * spread * math.Sqrt(float64(dim))} {
-					for _, runner := range []Runner{nil, pool} {
+					for _, runner := range []*pool.Group{nil, workers} {
 						name := fmt.Sprintf("dim=%d/trial=%d/depth=%d/eps=%g/runner=%v", dim, trial, depth, eps, runner != nil)
 						sameAsReference(t, name, r, s, rPages, sPages, eps, depth, runner)
 					}
@@ -143,7 +140,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		r := randHierarchy(rng, 60, rPages, 1, rPages, spread, true)
 		s := randHierarchy(rng, 60, sPages, 1, sPages, spread, true)
 		for _, depth := range []int{1, 5} {
-			for _, runner := range []Runner{nil, pool} {
+			for _, runner := range []*pool.Group{nil, workers} {
 				name := fmt.Sprintf("dim=60/wide trial=%d/depth=%d/runner=%v", trial, depth, runner != nil)
 				sameAsReference(t, name, r, s, rPages, sPages, spread/16, depth, runner)
 			}
@@ -160,7 +157,7 @@ func TestBuildMatchesReference(t *testing.T) {
 func TestSharedPageBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const spread = 4.0
-	pool := make(semRunner, 4)
+	workers := workerGroup(t, 4)
 	saved := false
 	for _, dim := range []int{2, 4} {
 		for trial := 0; trial < 10; trial++ {
@@ -173,7 +170,7 @@ func TestSharedPageBuildMatchesReference(t *testing.T) {
 				for _, eps := range []float64{0, spread / 16, 2 * spread * math.Sqrt(float64(dim))} {
 					name := fmt.Sprintf("dim=%d/trial=%d/depth=%d/eps=%g", dim, trial, depth, eps)
 					serial, ref := sameEntriesAsReference(t, name+"/runner=false", r, s, rPages, sPages, eps, depth, nil)
-					parallel, _ := sameEntriesAsReference(t, name+"/runner=true", r, s, rPages, sPages, eps, depth, pool)
+					parallel, _ := sameEntriesAsReference(t, name+"/runner=true", r, s, rPages, sPages, eps, depth, workers)
 					if parallel != serial {
 						t.Fatalf("%s: stats %+v with four sub-sweeps at a time, %+v inline", name, parallel, serial)
 					}
@@ -203,7 +200,8 @@ func TestDNAShapeSaturation(t *testing.T) {
 	}
 	cells := m.Marked()
 	var serial BuildStats
-	for _, runner := range []Runner{nil, make(semRunner, 2), make(semRunner, 4)} {
+	for _, n := range []int{1, 2, 4} {
+		runner := workerGroup(t, n)
 		var st BuildStats
 		b := newBuilder(in.eps, in.pred, BuildOptions{FilterDepth: DefaultFilterDepth, Stats: &st, Runner: runner})
 		b.run(in.r, in.s)
@@ -220,7 +218,7 @@ func TestDNAShapeSaturation(t *testing.T) {
 		if runner == nil {
 			serial = st
 		} else if st != serial {
-			t.Errorf("runner of %d: stats %+v, inline %+v", cap(runner.(semRunner)), st, serial)
+			t.Errorf("runner of %d: stats %+v, inline %+v", n, st, serial)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/mrsindex"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/rstar"
 	"pmjoin/internal/seqdist"
 )
@@ -173,7 +174,7 @@ func TestFilterPreservesMatrix(t *testing.T) {
 			eps: 20, pred: mrsindex.Predictor{}}},
 	} {
 		in := shape.in
-		build := func(depth int, runner Runner) []Entry {
+		build := func(depth int, runner *pool.Group) []Entry {
 			m, err := Build(in.r, in.s, in.rPages, in.sPages, in.eps, in.pred, BuildOptions{FilterDepth: depth, Runner: runner})
 			if err != nil {
 				t.Fatal(err)
@@ -185,7 +186,7 @@ func TestFilterPreservesMatrix(t *testing.T) {
 			t.Fatalf("%s: %d of %d × %d cells marked; the comparison is vacuous", shape.name, len(want), in.rPages, in.sPages)
 		}
 		for _, depth := range []int{0, 1, 2, 5, 64} {
-			for _, runner := range []Runner{nil, make(semRunner, 4)} {
+			for _, runner := range []*pool.Group{nil, workerGroup(t, 4)} {
 				if got := build(depth, runner); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: depth %d, runner %v: %d entries, want the unfiltered build's %d",
 						shape.name, depth, runner != nil, len(got), len(want))

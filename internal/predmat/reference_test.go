@@ -31,7 +31,7 @@ func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor,
 	b := &refBuilder{eps: eps, pred: pred, opts: opts, m: m}
 	b.within, _ = MBRTest(pred, eps)
 	b.sweep([]*index.Node{r}, []*index.Node{s})
-	b.wg.Wait()
+	opts.Runner.Wait()
 	if opts.Stats != nil {
 		opts.Stats.SweepEvents += b.sweepEvents.Load()
 		opts.Stats.PairTests += b.pairTests.Load()
@@ -53,8 +53,6 @@ type refBuilder struct {
 	// Mark is an idempotent sorted insertion, so the resulting matrix is
 	// identical regardless of interleaving.
 	markMu sync.Mutex
-	// wg tracks sub-sweeps handed to the runner.
-	wg sync.WaitGroup
 	// Counters accumulate per-sweep totals; each sweep batches its local
 	// counts into one atomic add, so the hot event loop stays cheap.
 	sweepEvents   atomic.Int64
@@ -74,17 +72,9 @@ func (b *refBuilder) flush(st *BuildStats) {
 	b.recursions.Add(st.Recursions)
 }
 
-// spawn runs a recursive sub-sweep, through the runner when one is set.
+// spawn runs a recursive sub-sweep as a task of the runner.
 func (b *refBuilder) spawn(rNodes, sNodes []*index.Node) {
-	if b.opts.Runner == nil {
-		b.sweep(rNodes, sNodes)
-		return
-	}
-	b.wg.Add(1)
-	b.opts.Runner.Run(func() {
-		defer b.wg.Done()
-		b.sweep(rNodes, sNodes)
-	})
+	b.opts.Runner.Go(func() { b.sweep(rNodes, sNodes) })
 }
 
 // refBox is a sweep participant: an index node with its extended MBR.

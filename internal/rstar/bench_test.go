@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"pmjoin/internal/dataset"
-	"pmjoin/internal/join"
+	"pmjoin/internal/pool"
 )
 
 // benchBulkLoad times BulkLoadSTR over PointItems, then the pages and the
@@ -36,7 +36,7 @@ func BenchmarkBulkLoadSTR60D(b *testing.B) { benchBulkLoad(b, 34433, 60, 8) }
 
 // benchLoadPoints times LoadPoints over vecs at leafCap a page, with cfg's
 // runner set to run.
-func benchLoadPoints(b *testing.B, vecs [][]float64, leafCap int, run Runner) {
+func benchLoadPoints(b *testing.B, vecs [][]float64, leafCap int, run *pool.Group) {
 	cfg := DefaultConfig(leafCap)
 	cfg.Runner = run
 	b.ReportAllocs()
@@ -55,8 +55,6 @@ func BenchmarkLoadPoints60D(b *testing.B) {
 	vecs := dataset.ToFloats(dataset.SplitEqual(dataset.Landsat(68866, 60, 3), 2, 64)[0])
 	b.Run("serial", func(b *testing.B) { benchLoadPoints(b, vecs, 8, nil) })
 	b.Run("workers=2", func(b *testing.B) {
-		pool := join.NewWorkerPool(2)
-		defer pool.Close()
-		benchLoadPoints(b, vecs, 8, pool)
+		benchLoadPoints(b, vecs, 8, workerGroup(b, 2))
 	})
 }

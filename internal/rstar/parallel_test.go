@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"pmjoin/internal/dataset"
-	"pmjoin/internal/join"
+	"pmjoin/internal/pool"
 )
 
 // samePointTree reports the first difference between two point trees: page
@@ -59,12 +59,6 @@ func TestPointLoadParallelMatchesInline(t *testing.T) {
 			}
 		}
 	}
-	pools := []*join.WorkerPool{join.NewWorkerPool(2), join.NewWorkerPool(4)}
-	defer func() {
-		for _, p := range pools {
-			p.Close()
-		}
-	}()
 	for _, in := range inputs {
 		dim := len(in.vecs[0])
 		cfg := DefaultConfig(in.capacity)
@@ -80,21 +74,21 @@ func TestPointLoadParallelMatchesInline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
-		for _, pool := range pools {
-			cfg.Runner = pool
+		for _, workers := range []int{2, 4} {
+			cfg.Runner = workerGroup(t, workers)
 			got, err := LoadPoints(dim, cfg, in.vecs)
 			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", in.name, pool.Workers(), err)
+				t.Fatalf("%s/workers=%d: %v", in.name, workers, err)
 			}
 			if err := samePointTree(got, want); err != nil {
-				t.Fatalf("%s/workers=%d: LoadPoints: %v", in.name, pool.Workers(), err)
+				t.Fatalf("%s/workers=%d: LoadPoints: %v", in.name, workers, err)
 			}
 			gotItems, err := BulkLoadSTR(dim, cfg, items)
 			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", in.name, pool.Workers(), err)
+				t.Fatalf("%s/workers=%d: %v", in.name, workers, err)
 			}
 			if g, w := treeFingerprint(gotItems), treeFingerprint(wantItems); g != w {
-				t.Fatalf("%s/workers=%d: BulkLoadSTR fingerprint %#x, want %#x", in.name, pool.Workers(), g, w)
+				t.Fatalf("%s/workers=%d: BulkLoadSTR fingerprint %#x, want %#x", in.name, workers, g, w)
 			}
 		}
 	}
@@ -107,8 +101,7 @@ func TestPointLoadParallelMatchesInline(t *testing.T) {
 // the sides it forks, and with the sort fallback forced.
 func TestSTRSelectOnMatchesStrSelect(t *testing.T) {
 	const n = 30000
-	pool := join.NewWorkerPool(2)
-	defer pool.Close()
+	workers := workerGroup(t, 2)
 	rng := rand.New(rand.NewSource(37))
 	for _, shape := range []string{"random", "sorted", "reverse", "organ-pipe", "equal-axis-0"} {
 		cent := make([]float64, 2*n)
@@ -141,11 +134,10 @@ func TestSTRSelectOnMatchesStrSelect(t *testing.T) {
 			for _, budget := range []int{strSelectBudget(n), 0, 3} {
 				want := slices.Clone(keys)
 				strSelect(want, 0, cuts, cmp, budget)
-				for _, run := range []Runner{nil, pool} {
+				for _, run := range []*pool.Group{nil, workers} {
 					got := slices.Clone(keys)
-					w := &work{run: run}
-					strSelectOn(w, got, 0, cuts, cmp, budget)
-					w.wg.Wait()
+					strSelectOn(run, got, 0, cuts, cmp, budget)
+					run.Wait()
 					for k := range want {
 						if got[k].i != want[k].i {
 							t.Fatalf("%s/slabs=%d/budget=%d/pool=%v: rank %d holds key %d, want %d",
@@ -156,4 +148,12 @@ func TestSTRSelectOnMatchesStrSelect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// workerGroup returns a group of up to n tasks in flight on a pool of n
+// workers, closed when tb ends.
+func workerGroup(tb testing.TB, n int) *pool.Group {
+	p := pool.New(n)
+	tb.Cleanup(p.Close)
+	return p.Group(n)
 }

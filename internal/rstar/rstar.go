@@ -8,7 +8,8 @@
 // the one packer, strPack, which splits each STR slab by selection over a
 // column-major array of centres, so the two give the same tree for the same
 // points. Given a Runner, both run the steps whose output is one disjoint
-// range of the tree on it; the tree does not depend on whether they do.
+// range of the tree as its tasks; the tree does not depend on whether they
+// do.
 package rstar
 
 import (
@@ -17,10 +18,10 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
+	"pmjoin/internal/pool"
 )
 
 // Item is one indexed object: a point or a spatial object with an MBR.
@@ -46,51 +47,24 @@ type Config struct {
 	// the page-order block move. Each task writes only its own range and
 	// reads only what the inline loader reads, so the tree is the same to
 	// the bit. The levels above the leaves and the page numbering stay
-	// inline.
-	Runner Runner
-}
-
-// Runner executes independent tasks, possibly concurrently. join.WorkerPool
-// satisfies it, as it does predmat.Runner, so the loader spawns no
-// goroutine of its own.
-type Runner interface {
-	Run(task func())
-}
-
-// work is one load's tasks: on the Runner when there is one, inline
-// otherwise. A task may start further tasks; none waits for another, so a
-// pool of any size cannot deadlock.
-type work struct {
-	run Runner
-	wg  sync.WaitGroup
-}
-
-// spawn runs task, on the runner when there is one.
-func (w *work) spawn(task func()) {
-	if w.run == nil {
-		task()
-		return
-	}
-	w.wg.Add(1)
-	w.run.Run(func() {
-		defer w.wg.Done()
-		task()
-	})
+	// inline. A task may queue further tasks; only the loader, between its
+	// steps, waits on the group.
+	Runner *pool.Group
 }
 
 // split runs body over [0, n) in ranges of grain, or in one range inline,
 // and returns once every range is done.
-func (w *work) split(n, grain int, body func(lo, hi int)) {
-	if w.run == nil || n <= grain {
+func split(w *pool.Group, n, grain int, body func(lo, hi int)) {
+	if w == nil || n <= grain {
 		if n > 0 {
 			body(0, n)
 		}
 		return
 	}
 	for lo := 0; lo < n; lo += grain {
-		w.spawn(func() { body(lo, min(lo+grain, n)) })
+		w.Go(func() { body(lo, min(lo+grain, n)) })
 	}
-	w.wg.Wait()
+	w.Wait()
 }
 
 // Task sizes, each large enough that a task's work dwarfs submitting it.
@@ -156,7 +130,7 @@ func BulkLoadSTR(dim int, cfg Config, items []Item) (*Tree, error) {
 		return &Tree{root: &index.Node{Page: -1}, pages: [][]Item{}}, nil
 	}
 
-	w := &work{run: cfg.Runner}
+	w := cfg.Runner
 	order, cuts := strPack(w, cent, n, dim, cfg.MaxLeafEntries)
 	packed := make([]Item, n)
 	for k, key := range order {
@@ -218,11 +192,11 @@ func LoadPoints(dim int, cfg Config, vecs [][]float64) (*PointTree, error) {
 	}
 	n := len(vecs)
 	cent := make([]float64, dim*n)
-	w := &work{run: cfg.Runner}
+	w := cfg.Runner
 	// Each range stops at its own first offender, so the first range that
 	// has one holds the lowest.
 	errs := make([]error, (n+rowGrain-1)/rowGrain)
-	w.split(n, rowGrain, func(lo, hi int) { errs[lo/rowGrain] = centres(cent, n, dim, vecs, lo, hi) })
+	split(w, n, rowGrain, func(lo, hi int) { errs[lo/rowGrain] = centres(cent, n, dim, vecs, lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -255,7 +229,7 @@ func LoadPoints(dim int, cfg Config, vecs [][]float64) (*PointTree, error) {
 	}
 	data, ids := cent[:n*dim:n*dim], make([]int, n)
 	t := &PointTree{root: root, ids: make([][]int, len(leafOf)), rows: make([][]float64, len(leafOf))}
-	w.split(len(leafOf), nodeGrain, func(first, last int) {
+	split(w, len(leafOf), nodeGrain, func(first, last int) {
 		for p := first; p < last; p++ {
 			lo, hi, k := at[p], at[p+1], leafOf[p]
 			copy(data[lo*dim:hi*dim], packed[cuts[k]*dim:cuts[k+1]*dim])
@@ -325,11 +299,11 @@ func extend(m geom.MBR, lo, hi []float64) {
 // that box(k, m) writes into m's corners; the corners of a level share one
 // backing array. The boxes run as w's tasks, so box(k, …) may write only
 // what belongs to node k.
-func newLevel(w *work, count, dim int, box func(k int, m geom.MBR)) []*index.Node {
+func newLevel(w *pool.Group, count, dim int, box func(k int, m geom.MBR)) []*index.Node {
 	nodes := make([]index.Node, count)
 	corners := make(geom.Vector, 2*dim*count)
 	out := make([]*index.Node, count)
-	w.split(count, nodeGrain, func(lo, hi int) {
+	split(w, count, nodeGrain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
 			m := geom.MBR{Min: c[:dim:dim], Max: c[dim:]}
@@ -349,7 +323,6 @@ func newLevel(w *work, count, dim int, box func(k int, m geom.MBR)) []*index.Nod
 // inline: the levels above the leaves are small (181 nodes over a landsat
 // side's 5 761 leaves).
 func stack(nodes []*index.Node, dim, fanout int, cent []float64) (*index.Node, []int) {
-	var inline work
 	leafOf := make([]int, 0, len(nodes))
 	for len(nodes) > 1 {
 		n := len(nodes)
@@ -359,12 +332,12 @@ func stack(nodes []*index.Node, dim, fanout int, cent []float64) (*index.Node, [
 				cent[a*n+i] = (nd.MBR.Min[a] + nd.MBR.Max[a]) / 2
 			}
 		}
-		order, cuts := strPack(&inline, cent, n, dim, fanout)
+		order, cuts := strPack(nil, cent, n, dim, fanout)
 		children := make([]*index.Node, n)
 		for k, key := range order {
 			children[k] = nodes[key.i]
 		}
-		parents := newLevel(&inline, len(cuts)-1, dim, func(k int, m geom.MBR) {
+		parents := newLevel(nil, len(cuts)-1, dim, func(k int, m geom.MBR) {
 			kids := children[cuts[k]:cuts[k+1]]
 			copy(m.Min, kids[0].MBR.Min)
 			copy(m.Max, kids[0].MBR.Max)
@@ -448,7 +421,7 @@ type strGroup struct{ lo, hi int }
 //
 // Groups touch disjoint runs of order, so each pass's selections and the
 // final sorts run as w's tasks, a batch of small groups to a task.
-func strPack(w *work, cent []float64, n, dim, capacity int) (order []strKey, cuts []int) {
+func strPack(w *pool.Group, cent []float64, n, dim, capacity int) (order []strKey, cuts []int) {
 	order = make([]strKey, n)
 	for i := range order {
 		order[i].i = int32(i)
@@ -528,8 +501,8 @@ func strPack(w *work, cent []float64, n, dim, capacity int) (order []strKey, cut
 
 // eachBatch runs body over runs of consecutive groups of at least keyGrain
 // keys each, as w's tasks, and returns once all are done.
-func eachBatch(w *work, groups []strGroup, body func([]strGroup)) {
-	if w.run == nil {
+func eachBatch(w *pool.Group, groups []strGroup, body func([]strGroup)) {
+	if w == nil {
 		body(groups)
 		return
 	}
@@ -537,18 +510,18 @@ func eachBatch(w *work, groups []strGroup, body func([]strGroup)) {
 	for i, g := range groups {
 		if keys += g.hi - g.lo; keys >= keyGrain || i == len(groups)-1 {
 			batch := groups[first : i+1]
-			w.spawn(func() { body(batch) })
+			w.Go(func() { body(batch) })
 			first, keys = i+1, 0
 		}
 	}
-	w.wg.Wait()
+	w.Wait()
 }
 
 // strSelectOn is strSelect with the two sides of a partition of more than
 // keyGrain keys, when both hold cuts, selected as separate tasks of w. The
 // sides are disjoint and each gets the budget strSelect would give it, so
 // the keys end in the order strSelect leaves them in.
-func strSelectOn(w *work, g []strKey, off int, cuts []int, cmp func(a, b strKey) int, budget int) {
+func strSelectOn(w *pool.Group, g []strKey, off int, cuts []int, cmp func(a, b strKey) int, budget int) {
 	for len(g) > keyGrain && len(cuts) > 0 && budget > 0 {
 		budget--
 		p := strPartition(g, cmp)
@@ -560,7 +533,7 @@ func strSelectOn(w *work, g []strKey, off int, cuts []int, cmp func(a, b strKey)
 		case len(cuts) == 0:
 			g, off, cuts = left, leftOff, leftCuts
 		case len(leftCuts) > 0:
-			w.spawn(func() { strSelectOn(w, left, leftOff, leftCuts, cmp, leftBudget) })
+			w.Go(func() { strSelectOn(w, left, leftOff, leftCuts, cmp, leftBudget) })
 		}
 	}
 	strSelect(g, off, cuts, cmp, budget)

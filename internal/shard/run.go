@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pmjoin/internal/join"
+	"pmjoin/internal/pool"
 )
 
 // Workers is the number of an n-shard plan's shards that run at once when at
@@ -18,38 +19,28 @@ func Workers(workers, n int) int {
 }
 
 // Run calls fn(i, plan.Shards[i]) for every shard, at most Workers(workers,
-// len(plan.Shards)) at a time, and returns the first error in shard-index
-// order, so the outcome does not depend on which shard finished first. fn
-// writes what a shard returns into slot i of the caller's slices.
-//
-// With one shard or one worker the shards run inline on the caller's
-// goroutine. Otherwise they run on a worker pool of their own, closed before
-// Run returns. A shard blocks until its comparison runs retire, and those
-// run on the join's comparison pool, so shards on that pool could fill every
-// slot with blocked shards and deadlock; on a pool of their own they cannot,
-// at any size.
+// len(plan.Shards)) at a time, as one group's tasks on p, and returns the
+// first error in shard-index order, so the outcome does not depend on which
+// shard finished first. fn writes what a shard returns into slot i of the
+// caller's slices. With one shard, one worker or a nil p the shards run
+// inline on the caller's goroutine. A shard that waits on its comparison
+// runs runs them itself when no worker is free, so shards share p with the
+// joins' other groups at any pool size.
 //
 // A shard checks ctx before it starts: once ctx is done, no further shard
 // runs, and each unstarted one records ctx's error in its slot.
-func Run(ctx context.Context, plan *Plan, workers int, fn func(i int, sh Shard) error) error {
+func Run(ctx context.Context, plan *Plan, p *pool.Pool, workers int, fn func(i int, sh Shard) error) error {
 	n := len(plan.Shards)
 	errs := make([]error, n)
-	run := func(i int) {
-		if errs[i] = ctx.Err(); errs[i] == nil {
-			errs[i] = fn(i, plan.Shards[i])
-		}
+	g := p.Group(Workers(workers, n))
+	for i := range n {
+		g.Go(func() {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				errs[i] = fn(i, plan.Shards[i])
+			}
+		})
 	}
-	if w := Workers(workers, n); w <= 1 {
-		for i := range n {
-			run(i)
-		}
-	} else {
-		pool := join.NewWorkerPool(w)
-		for i := range n {
-			pool.Run(func() { run(i) })
-		}
-		pool.Close()
-	}
+	g.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)

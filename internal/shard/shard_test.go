@@ -13,6 +13,7 @@ import (
 
 	"pmjoin/internal/disk"
 	"pmjoin/internal/join"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/sched"
 )
 
@@ -234,6 +235,13 @@ func TestCutEmpty(t *testing.T) {
 	}
 }
 
+// testPool returns a pool of two workers, closed when t ends.
+func testPool(t *testing.T) *pool.Pool {
+	p := pool.New(2)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // plainPlan is a plan of n shards, shard i owning i+1 clusters.
 func plainPlan(n int) *Plan {
 	p := &Plan{Shards: make([]Shard, n)}
@@ -247,7 +255,7 @@ func TestRunOrder(t *testing.T) {
 	plan := plainPlan(9)
 	for _, workers := range []int{0, 1, 3, 100} {
 		got := make([]int, len(plan.Shards))
-		err := Run(context.Background(), plan, workers, func(i int, sh Shard) error {
+		err := Run(context.Background(), plan, testPool(t), workers, func(i int, sh Shard) error {
 			got[i] = len(sh.Clusters)
 			return nil
 		})
@@ -265,7 +273,7 @@ func TestRunOrder(t *testing.T) {
 func TestRunFirstError(t *testing.T) {
 	plan := plainPlan(6)
 	for _, workers := range []int{1, 4} {
-		err := Run(context.Background(), plan, workers, func(i int, _ Shard) error {
+		err := Run(context.Background(), plan, testPool(t), workers, func(i int, _ Shard) error {
 			if i >= 3 {
 				return fmt.Errorf("boom %d", i)
 			}
@@ -341,8 +349,9 @@ func TestRunCancelMidRun(t *testing.T) {
 	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	p := testPool(t)
 	go func() {
-		done <- Run(ctx, plainPlan(nShards), workers, g.shard)
+		done <- Run(ctx, plainPlan(nShards), p, workers, g.shard)
 	}()
 	// Wait until both workers hold a shard, cancel, then release them.
 	first := []int{<-g.started, <-g.started}
@@ -376,8 +385,9 @@ func TestRunCancelPromptDrain(t *testing.T) {
 	g := newGate(nShards)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
+	p := testPool(t)
 	go func() {
-		errCh <- Run(ctx, plainPlan(nShards), 1, g.shard)
+		errCh <- Run(ctx, plainPlan(nShards), p, 1, g.shard)
 	}()
 	<-g.started
 	cancel()

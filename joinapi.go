@@ -16,6 +16,7 @@ import (
 	"pmjoin/internal/join"
 	"pmjoin/internal/metrics"
 	"pmjoin/internal/mrsindex"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 	"pmjoin/internal/shard"
@@ -28,7 +29,8 @@ import (
 // The walls, the block-kernel profile and the measured reads are views of
 // Result.Metrics, filled from it on every run, cancelled or not.
 type ExecStats struct {
-	// Workers is the number of pool workers the join ran with (1 = inline).
+	// Workers is the join's Parallelism, its cap on tasks in flight on the
+	// System's GOMAXPROCS workers (1 = inline).
 	Workers int
 	// MatrixWall is the wall time of prediction-matrix construction, the
 	// snapshot's matrix phase (zero when the matrix was cached or the method
@@ -136,8 +138,9 @@ func (s *System) Join(a, b *Dataset, opt Options) (*Result, error) {
 // route plans, after the matrix build and after clustering, so a cancelled
 // join returns promptly with ctx's error and a partial Result whose
 // Exec.Cancelled is set and whose Metrics snapshot holds the phases that ran.
-// The matrix build itself does not read ctx. Worker goroutines are always joined before
-// JoinContext returns, cancelled or not.
+// The matrix build stops within a sweep of a cancel. Every task the join
+// handed the System's worker pool has finished before JoinContext returns,
+// cancelled or not.
 //
 // Concurrent JoinContext calls on one System are safe: each run charges its
 // simulated I/O to a private disk session, so its Report is identical to what
@@ -172,23 +175,21 @@ func (s *System) JoinContext(ctx context.Context, a, b *Dataset, opt Options) (*
 	var shardSnaps []*metrics.Metrics // per-shard snapshots, folded in at Finish
 	err := ctx.Err()
 	if err == nil {
-		var wp *join.WorkerPool
-		if opt.Parallelism > 1 {
-			wp = join.NewWorkerPool(opt.Parallelism)
-			defer wp.Close()
-		}
-		rep, shardSnaps, err = s.execute(ctx, a, b, opt, res, &join.Engine{
+		p, release := s.workers()
+		defer release()
+		// The matrix build and, on siblings, the runs' comparisons share
+		// the join's group's cap and high water.
+		g := p.Group(opt.Parallelism)
+		rep, shardSnaps, err = s.execute(ctx, a, b, opt, res, p, &join.Engine{
 			Disk:       s.d,
 			BufferSize: opt.BufferPages,
 			Policy:     buffer.Policy(opt.Policy),
-			Workers:    wp,
+			Workers:    g,
 			Ctx:        ctx,
 			Metrics:    mc,
 			Backend:    backend,
 		})
-		if wp != nil {
-			mc.RecordQueueHighWater(wp.QueueHighWater())
-		}
+		mc.RecordQueueHighWater(g.HighWater())
 	}
 	if err != nil && ctx.Err() == nil {
 		return nil, err
@@ -223,10 +224,11 @@ func (x *ExecStats) observe(m *metrics.Metrics) {
 	}
 }
 
-// execute runs opt.Method on eng and returns its report and, when sharded,
-// the shards' metrics snapshots. Each method's executor and the merge of its
-// pairs run inside the join phase of eng.Metrics.
-func (s *System) execute(ctx context.Context, a, b *Dataset, opt Options, res *Result, eng *join.Engine) (*join.Report, []*metrics.Metrics, error) {
+// execute runs opt.Method on eng, and a clustered join's shards on p, and
+// returns its report and, when sharded, the shards' metrics snapshots. Each
+// method's executor and the merge of its pairs run inside the join phase of
+// eng.Metrics.
+func (s *System) execute(ctx context.Context, a, b *Dataset, opt Options, res *Result, p *pool.Pool, eng *join.Engine) (*join.Report, []*metrics.Metrics, error) {
 	self := a == b || a.ds.File == b.ds.File
 	joiner := s.joiner(a, opt.Epsilon, self)
 
@@ -261,7 +263,7 @@ func (s *System) execute(ctx context.Context, a, b *Dataset, opt Options, res *R
 			return nil, nil, err
 		}
 		res.setMatrix(cp.matrixEntry)
-		return s.joinSharded(ctx, a, b, cp, joiner, opt, res, *eng)
+		return s.joinSharded(ctx, a, b, cp, joiner, opt, res, p, *eng)
 	case EGO:
 		return joined(func() (*join.Report, error) {
 			return ego.Run(eng, &a.ds, &b.ds, joiner, s.egoAdapter(a, opt.Epsilon), ego.Options{SelfJoin: self, ExcludeOverlap: a.window})
@@ -332,8 +334,8 @@ func newPlanKey(a, b *Dataset, method Method, opt Options) planKey {
 // opens neither the matrix nor the cluster phase. A miss charges clustering
 // and scheduling to the cluster phase, which opens only if ctx is not done
 // once the matrix is built; ctx is checked again after clustering.
-func (s *System) plan(ctx context.Context, a, b *Dataset, method Method, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (*clusterPlan, error) {
-	mx, err := s.buildMatrix(ctx, a, b, opt, wp, mc)
+func (s *System) plan(ctx context.Context, a, b *Dataset, method Method, opt Options, g *pool.Group, mc *metrics.Collector) (*clusterPlan, error) {
+	mx, err := s.buildMatrix(ctx, a, b, opt, g, mc)
 	if err != nil {
 		return nil, err
 	}
@@ -375,8 +377,8 @@ func (s *System) plan(ctx context.Context, a, b *Dataset, method Method, opt Opt
 	return cp, err
 }
 
-// joinSharded runs a clustered join's plan through shard.Run; it is the one
-// clustered route. Shard i runs its planned order on its own copy of eng,
+// joinSharded runs a clustered join's plan through shard.Run on p; it is the
+// one clustered route. Shard i runs its planned order on its own copy of eng,
 // with a cold disk session and private buffer pool (Engine.Run), a pair
 // collector of its own and, when sharded, a metrics collector of its own.
 // Results merge in shard-index order (reports and modeled clocks sum / max
@@ -390,7 +392,7 @@ func (s *System) plan(ctx context.Context, a, b *Dataset, method Method, opt Opt
 // of eng.Metrics covers the shards and the merge; each shard's own
 // collector's covers its executor.
 func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan, joiner join.ObjectJoiner,
-	opt Options, res *Result, eng join.Engine,
+	opt Options, res *Result, p *pool.Pool, eng join.Engine,
 ) (*join.Report, []*metrics.Metrics, error) {
 	eng.Metrics.PhaseStart(metrics.PhaseJoin)
 	defer eng.Metrics.PhaseEnd()
@@ -401,7 +403,7 @@ func (s *System) joinSharded(ctx context.Context, a, b *Dataset, cp *clusterPlan
 	if sharded {
 		snaps = make([]*metrics.Metrics, n)
 	}
-	err := shard.Run(ctx, cp.cut, opt.Sharding.Workers, func(i int, sh shard.Shard) error {
+	err := shard.Run(ctx, cp.cut, p, opt.Sharding.Workers, func(i int, sh shard.Shard) error {
 		e := eng
 		if opt.CollectPairs {
 			e.Pairs = join.NewPairs(opt.MaxPairs)
@@ -528,20 +530,17 @@ func (s *System) predictor(a *Dataset) predmat.Predictor {
 // buildMatrix returns the prediction matrix for (a, b, opt) from the
 // System's memo, which builds each key's matrix once: concurrent cold-start
 // callers wait for one build, which charges its wall time to the builder's
-// metrics phase only. The build is deterministic, parallel or not, so which
-// caller built is unobservable in the Result.
-func (s *System) buildMatrix(ctx context.Context, a, b *Dataset, opt Options, wp *join.WorkerPool, mc *metrics.Collector) (matrixEntry, error) {
+// metrics phase only. The build runs its sub-sweeps on g and stops when
+// ctx is done; a cancelled build is not kept. It is deterministic, parallel
+// or not, so which caller built is unobservable in the Result.
+func (s *System) buildMatrix(ctx context.Context, a, b *Dataset, opt Options, g *pool.Group, mc *metrics.Collector) (matrixEntry, error) {
 	key := newMatrixKey(a, b, opt)
 	mx, _, err := s.matrices.Get(ctx, key, func() (matrixEntry, error) {
 		var stats predmat.BuildStats
-		bopts := predmat.BuildOptions{FilterDepth: key.depth, Stats: &stats}
-		if wp != nil {
-			bopts.Runner = wp
-		}
 		mc.PhaseStart(metrics.PhaseMatrix)
 		defer mc.PhaseEnd()
-		m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages,
-			opt.Epsilon, s.predictor(a), bopts)
+		m, err := predmat.Build(a.ds.Root, b.ds.Root, a.ds.Pages, b.ds.Pages, opt.Epsilon, s.predictor(a),
+			predmat.BuildOptions{FilterDepth: key.depth, Stats: &stats, Runner: g, Ctx: ctx})
 		return matrixEntry{m: m, seconds: float64(stats.SweepEvents+stats.PairTests) * join.MatrixEntryCost}, err
 	})
 	return mx, err

@@ -21,7 +21,8 @@ type ShardingOptions struct {
 	// Report, Pairs and Plan are bit-identical to the unsharded run — the
 	// seam TestShardDeterminism pins.
 	Shards int
-	// Workers bounds how many shards execute concurrently; 0 means
+	// Workers bounds how many shards execute concurrently on the System's
+	// workers, their comparisons sharing the join's Parallelism; 0 means
 	// min(Shards, GOMAXPROCS). Like Parallelism, Report, Pairs and Plan are
 	// bit-for-bit independent of this knob: shard results merge in
 	// shard-index order regardless of completion order. Each in-flight shard
@@ -47,9 +48,9 @@ type Options struct {
 	BufferPages int
 	// Policy is the buffer replacement policy (default LRU).
 	Policy ReplacementPolicy
-	// Parallelism is the number of workers the executor may use for the
-	// CPU side of the join (page-pair comparisons, plane-sweep pair tests
-	// of the matrix build). 0 means GOMAXPROCS; 1 runs fully inline.
+	// Parallelism caps the CPU-side tasks (page-pair comparisons, matrix
+	// sub-sweeps) the join runs at once on the System's GOMAXPROCS workers,
+	// which every call shares. 0 means GOMAXPROCS; 1 runs fully inline.
 	// Results and every Report field are bit-for-bit independent of this
 	// knob: I/O stays serialized in schedule order and worker results
 	// merge in submission order (see DESIGN.md).

@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/metrics"
 )
 
 // deterministicFields strips the wall-clock execution profile and the metrics
@@ -251,9 +253,9 @@ func TestJoinContextPreCancelled(t *testing.T) {
 }
 
 // TestJoinContextMidJoinCancel cancels joins while they run: an NLJ join,
-// and a sharded SC join whose shards run on a pool of their own beside the
-// comparison pool. Each returns promptly with the cancellation and leaks no
-// goroutine, and the System stays usable: a join after the cancelled one
+// and a sharded SC join whose shards and their comparison runs share the
+// System's one pool. Each returns promptly with the cancellation and leaks
+// no goroutine, and the System stays usable: a join after the cancelled one
 // equals a solo run on a fresh System.
 func TestJoinContextMidJoinCancel(t *testing.T) {
 	t.Run("NLJ", func(t *testing.T) {
@@ -348,6 +350,141 @@ func TestJoinContextMidJoinCancel(t *testing.T) {
 			t.Errorf("Pairs after the cancelled join differ from the fresh run's")
 		}
 	})
+}
+
+// TestJoinContextCancelDuringBuild: a cancel reaches the matrix build. An
+// SC join of the landsat workload's shape (the two halves of 68 866
+// Landsat-like 60-d vectors, 8 a 4 KB page, ε = 0.0155736), cancelled 2 ms
+// into its build, returns within 10 ms of the cancel (under the race
+// detector, 200 ms) with the cancellation,
+// a snapshot holding the matrix phase and nothing after it, and no goroutine
+// left running. The cancelled build is not kept: the next plan builds the
+// matrix.
+func TestJoinContextCancelDuringBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the landsat-shaped datasets")
+	}
+	sys := New()
+	halves := dataset.SplitEqual(dataset.Landsat(68866, 60, 3), 2, 1)
+	da, err := sys.AddVectors("a", dataset.ToFloats(halves[0]), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sys.AddVectors("b", dataset.ToFloats(halves[1]), VectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Method: SC, Epsilon: 0.0155736, BufferPages: 64}
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelledAt := make(chan time.Time, 1)
+	timer := time.AfterFunc(2*time.Millisecond, func() {
+		cancelledAt <- time.Now()
+		cancel()
+	})
+	res, err := sys.JoinContext(ctx, da, db, opt)
+	returned := time.Now()
+	timer.Stop()
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	bound := 10 * time.Millisecond
+	if raceDetectorEnabled {
+		bound *= 20
+	}
+	if took := returned.Sub(<-cancelledAt); took > bound {
+		t.Errorf("returned %v after the cancel, want within %v", took, bound)
+	}
+	if res == nil || !res.Exec.Cancelled || res.Metrics == nil {
+		t.Fatalf("result = %+v, want Exec.Cancelled and a metrics snapshot", res)
+	}
+	if ph := res.Metrics.Phases; ph[metrics.PhaseMatrix].Wall <= 0 || ph[metrics.PhaseCluster].Wall != 0 || ph[metrics.PhaseJoin].Wall != 0 {
+		t.Errorf("phase walls matrix %v, cluster %v, join %v; want the matrix phase alone",
+			ph[metrics.PhaseMatrix].Wall, ph[metrics.PhaseCluster].Wall, ph[metrics.PhaseJoin].Wall)
+	}
+	waitGoroutines(t, before)
+
+	hits, _ := sys.matrices.Stats()
+	if _, err := sys.Explain(da, db, opt); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := sys.matrices.Stats(); after != hits {
+		t.Error("the cancelled build's matrix was kept")
+	}
+}
+
+// TestServerJoinsShareOnePool: eight concurrent Server.Joins at the default
+// Parallelism (SC, CC and sharded SC, as the serve_mix workload sends) run
+// on the System's one pool, so the goroutines above the baseline never
+// exceed the clients', the sampler's and one GOMAXPROCS-worker pool's; one
+// pool per join would bring two workers each. Each Result equals a fresh
+// System's.
+func TestServerJoinsShareOnePool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(prev, 2))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	jobs := []Options{
+		{Method: SC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true},
+		{Method: CC, Epsilon: 0.05, BufferPages: 16},
+		{Method: SC, Epsilon: 0.07, BufferPages: 12, Sharding: ShardingOptions{Shards: 3}},
+		{Method: SC, Epsilon: 0.06, BufferPages: 16},
+		{Method: CC, Epsilon: 0.07, BufferPages: 12, CollectPairs: true},
+		{Method: SC, Epsilon: 0.05, BufferPages: 12, Sharding: ShardingOptions{Shards: 2}},
+		{Method: SC, Epsilon: 0.05, BufferPages: 16, CollectPairs: true},
+		{Method: CC, Epsilon: 0.06, BufferPages: 16, Seed: 5},
+	}
+	solo, sa, sb := newTestServer(t, ServeOptions{})
+	want := make([]*Result, len(jobs))
+	for i, opt := range jobs {
+		var err error
+		if want[i], err = solo.System().Join(sa, sb, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sv, da, db := newTestServer(t, ServeOptions{})
+	before := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak.Store(max(peak.Load(), int64(runtime.NumGoroutine())))
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Microsecond):
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	got := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	for i, opt := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = sv.Join(context.Background(), da, db, opt)
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	if limit := int64(before + len(jobs) + 1 + runtime.GOMAXPROCS(0)); peak.Load() > limit {
+		t.Errorf("%d goroutines at the peak, want at most %d: %d before, %d clients, the sampler and %d pool workers",
+			peak.Load(), limit, before, len(jobs), runtime.GOMAXPROCS(0))
+	}
+	for i := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(deterministicFields(got[i]), deterministicFields(want[i])) {
+			t.Errorf("job %d (%v): the served result differs from a fresh System's", i, jobs[i].Method)
+		}
+	}
+	waitGoroutines(t, before)
 }
 
 func TestExplainContextPreCancelled(t *testing.T) {

@@ -37,6 +37,7 @@ import (
 	"pmjoin/internal/kernel"
 	"pmjoin/internal/mrindex"
 	"pmjoin/internal/mrsindex"
+	"pmjoin/internal/pool"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/rstar"
 	"pmjoin/internal/seqdist"
@@ -101,6 +102,28 @@ type System struct {
 	// the store's mappings).
 	storeMu sync.RWMutex
 	store   *store.Store
+	// poolMu guards pool, the System's GOMAXPROCS workers, and calls, the
+	// calls holding it: the first starts it and the last closes it, so a
+	// System with no call in flight runs no goroutine.
+	poolMu sync.Mutex
+	pool   *pool.Pool
+	calls  int
+}
+
+// workers returns the System's worker pool and the func that gives it back.
+func (s *System) workers() (*pool.Pool, func()) {
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	if s.calls++; s.calls == 1 {
+		s.pool = pool.New(runtime.GOMAXPROCS(0))
+	}
+	return s.pool, func() {
+		s.poolMu.Lock()
+		defer s.poolMu.Unlock()
+		if s.calls--; s.calls == 0 {
+			s.pool.Close()
+		}
+	}
 }
 
 // matrixKey identifies a prediction matrix. File IDs are never reused and
@@ -283,7 +306,7 @@ func firstNonFinite(v []float64) int {
 // leaf per page (§5.1), lays the vectors out page-contiguously on the
 // simulated disk, and returns the joinable dataset. Object IDs are
 // the indices into vecs. Every coordinate must be finite. The load runs on
-// GOMAXPROCS workers, and builds the same tree on any number.
+// the System's GOMAXPROCS workers, and builds the same tree on any number.
 func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (*Dataset, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("pmjoin: dataset %q is empty", name)
@@ -300,14 +323,11 @@ func (s *System) AddVectors(name string, vecs [][]float64, opts VectorOptions) (
 	if perPage < 2 {
 		perPage = 2
 	}
-	// The loader's independent ranges run on one worker a core, the default
-	// Options.Parallelism takes; the pool is gone before AddVectors returns.
+	// The loader's independent ranges run on every worker of the pool.
+	p, release := s.workers()
+	defer release()
 	cfg := rstar.DefaultConfig(perPage)
-	if workers := runtime.GOMAXPROCS(0); workers > 1 {
-		pool := join.NewWorkerPool(workers)
-		defer pool.Close()
-		cfg.Runner = pool
-	}
+	cfg.Runner = p.Group(p.Workers())
 	tree, err := rstar.LoadPoints(dim, cfg, vecs)
 	if err != nil {
 		return nil, fmt.Errorf("pmjoin: indexing %q: %w", name, err)

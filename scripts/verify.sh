@@ -128,13 +128,24 @@ echo "==> determinism contracts (metrics observer + one clustered route + shard 
 # ExecStats' walls are the metrics snapshot's matrix, cluster and join
 # phases, unsharded, sharded (whose top-level join phase covers the shards
 # and their merge) and cancelled, and a join cancelled during its matrix
-# build returns after it with no cluster phase opened.
-contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods|TestMatrixCacheEvictsLeastRecentlyUsed|TestServerExplainCached|TestPlanKeyNamesEveryPlanInput|TestPlanWaiterKeepsItsOwnContext|TestExecWallsAreMetricsPhases|TestPlanningHonoursCancel'
+# build returns after it with no cluster phase opened. A cancel 2 ms into a
+# landsat-shaped build returns within 10 ms (20 times that under the race
+# detector this step runs with), keeping no matrix, and the
+# matrix memo keeps a key past the four fresh ones the benchmark's traced
+# pass joins after it. Eight concurrent served joins (SC, CC, sharded SC)
+# run on the System's one pool, never more goroutines than its GOMAXPROCS
+# workers above their own, and equal a fresh System's.
+contract . 'TestIngestedDatasetsValidate|TestAddVectorsParallelLowestOffender|TestAddVectorsWhileJoining|TestMetricsDeterminism|TestShardDeterminism|TestUnshardedResultShape|TestExplainOrderIsExecutedOrder|TestBackendParity|TestMeasuredIOIsMetrics|TestMetricsPredictedVsMeasured|TestShardPredictedVsMeasured|TestCollectPairsAndTruncation|TestPairsCapBoundaryShardedVsUnsharded|TestCollectPairsAllocatesOnce|TestBatchKernelsDeterminism|TestBatchCountersAlwaysOn|TestServerConcurrentBitIdentical|TestAdmitterCancelledHeadGrantsWaiters|TestStringMatrixSecondsIndependentOfParallelism|TestRunFilesStayInSession|TestL2BoundaryAllMethods|TestMatrixCacheEvictsLeastRecentlyUsed|TestServerExplainCached|TestPlanKeyNamesEveryPlanInput|TestPlanWaiterKeepsItsOwnContext|TestExecWallsAreMetricsPhases|TestPlanningHonoursCancel|TestJoinContextCancelDuringBuild|TestMatrixCacheKeepsKeyPastFourFreshOnes|TestServerJoinsShareOnePool'
 contract ./internal/sflight 'TestGetSequential|TestGetError|TestGetConcurrent|TestGetWaiterKeepsItsOwnContext|TestGetDistinctKeysDoNotBlock'
 contract ./internal/buffer 'TestPinSet'
-# shard.Run must slot every shard's outcome by index on any pool size, return
-# the first error by shard index, start no shard once cancelled and, on one
-# worker, drain a long plan promptly after a cancel.
+# The worker pool runs every task it is handed and joins its workers on
+# Close; a group never has more than its cap in flight, its waiter's task
+# included, and on a one-worker pool a group whose tasks each wait on a
+# group of their own (a shard on its comparison runs) finishes.
+contract ./internal/pool 'TestWorkerPoolRunsAllTasks|TestWorkerPoolRecursiveSubmit|TestWorkerPoolCloseJoinsWorkers|TestWorkerPoolRunAfterClosePanics|TestGroupNestedWaitOneWorker|TestGroupCapsTasksInFlight|TestGroupInline'
+# shard.Run must slot every shard's outcome by index at any worker count on
+# a shared pool, return the first error by shard index, start no shard once
+# cancelled and, on one worker, drain a long plan promptly after a cancel.
 contract ./internal/shard 'TestRunOrder|TestRunFirstError|TestRunCancelMidRun|TestRunCancelPromptDrain'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
 contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
