@@ -14,16 +14,16 @@ import (
 func benchMatrix(b *testing.B, n, band int) *predmat.Matrix {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	m := predmat.NewMatrix(n, n)
+	var marks []predmat.Entry
 	for r := 0; r < n; r++ {
 		for dc := -band; dc <= band; dc++ {
 			c := r + dc
 			if c >= 0 && c < n && rng.Float64() < 0.5 {
-				m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	return m
+	return predmat.FromEntries(n, n, marks)
 }
 
 func BenchmarkSquareCluster(b *testing.B) {
@@ -83,16 +83,16 @@ func spatialShape(b *testing.B) *predmat.Matrix {
 	b.Helper()
 	const rows, cols, perRow, band = 2556, 1886, 5, 12
 	rng := rand.New(rand.NewSource(1))
-	m := predmat.NewMatrix(rows, cols)
+	var marks []predmat.Entry
 	for r := 0; r < rows; r++ {
 		mid := r * cols / rows
 		for k := 0; k < perRow; k++ {
 			if c := mid + rng.Intn(2*band+1) - band; c >= 0 && c < cols {
-				m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	return m.Finalize()
+	return predmat.FromEntries(rows, cols, marks)
 }
 
 func BenchmarkSquareLandsatShape(b *testing.B) {

@@ -9,30 +9,30 @@ import (
 
 // randomMatrix marks roughly density*rows*cols entries.
 func randomMatrix(rng *rand.Rand, rows, cols int, density float64) *predmat.Matrix {
-	m := predmat.NewMatrix(rows, cols)
+	var marks []predmat.Entry
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if rng.Float64() < density {
-				m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	return m
+	return predmat.FromEntries(rows, cols, marks)
 }
 
 // bandedMatrix marks entries near the diagonal (the structure spatial joins
 // produce).
 func bandedMatrix(rng *rand.Rand, n, band int, density float64) *predmat.Matrix {
-	m := predmat.NewMatrix(n, n)
+	var marks []predmat.Entry
 	for r := 0; r < n; r++ {
 		for dc := -band; dc <= band; dc++ {
 			c := r + dc
 			if c >= 0 && c < n && rng.Float64() < density {
-				m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	return m
+	return predmat.FromEntries(n, n, marks)
 }
 
 func TestSquareRejectsTinyBuffer(t *testing.T) {
@@ -110,7 +110,7 @@ func TestSquareRowFractionShapes(t *testing.T) {
 }
 
 func TestSquareEmptyMatrix(t *testing.T) {
-	m := predmat.NewMatrix(10, 10)
+	m := predmat.FromEntries(10, 10)
 	clusters, err := SquareOpts(m, 8, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,7 @@ func TestSquareEmptyMatrix(t *testing.T) {
 }
 
 func TestSquareSingleEntry(t *testing.T) {
-	m := predmat.NewMatrix(10, 10)
-	m.Mark(7, 3)
+	m := predmat.FromEntries(10, 10, []predmat.Entry{{R: 7, C: 3}})
 	clusters, err := SquareOpts(m, 4, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +137,11 @@ func TestSquareSingleEntry(t *testing.T) {
 func TestSquareDenseColumn(t *testing.T) {
 	// One column with more marks than a cluster can hold rows: entries must
 	// spill into later clusters, never be lost.
-	m := predmat.NewMatrix(40, 3)
+	var marks []predmat.Entry
 	for r := 0; r < 40; r++ {
-		m.Mark(r, 1)
+		marks = append(marks, predmat.Entry{R: r, C: 1})
 	}
+	m := predmat.FromEntries(40, 3, marks)
 	clusters, err := SquareOpts(m, 8, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +157,7 @@ func TestSquareDenseColumn(t *testing.T) {
 func TestSquareMinimalWidthPreference(t *testing.T) {
 	// Marks in columns 0,1 and a distant column 50: the first cluster must
 	// take the near columns, not jump to 50.
-	m := predmat.NewMatrix(10, 60)
-	m.Mark(0, 0)
-	m.Mark(1, 1)
-	m.Mark(2, 50)
+	m := predmat.FromEntries(10, 60, []predmat.Entry{{R: 0, C: 0}, {R: 1, C: 1}, {R: 2, C: 50}})
 	clusters, err := SquareOpts(m, 6, SquareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +174,7 @@ func TestSquareMinimalWidthPreference(t *testing.T) {
 }
 
 func TestValidateCatchesBadClusters(t *testing.T) {
-	m := predmat.NewMatrix(5, 5)
-	m.Mark(0, 0)
-	m.Mark(1, 1)
+	m := predmat.FromEntries(5, 5, []predmat.Entry{{R: 0, C: 0}, {R: 1, C: 1}})
 	// Missing coverage.
 	c1 := &Cluster{Entries: []predmat.Entry{{R: 0, C: 0}}}
 	c1Fix := *c1
@@ -273,8 +268,7 @@ func TestCostHistogramBins(t *testing.T) {
 }
 
 func TestCostSingleEntry(t *testing.T) {
-	m := predmat.NewMatrix(6, 6)
-	m.Mark(2, 4)
+	m := predmat.FromEntries(6, 6, []predmat.Entry{{R: 2, C: 4}})
 	clusters, err := Cost(m, 4, CostOptions{})
 	if err != nil {
 		t.Fatal(err)

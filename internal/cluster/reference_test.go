@@ -555,7 +555,7 @@ func diffMatrices(rng *rand.Rand) map[string]*predmat.Matrix {
 		"single_row": randomMatrix(rng, 1, 40, 0.3),
 		"single_col": randomMatrix(rng, 40, 1, 0.3),
 		"one_entry":  randomMatrix(rng, 1, 1, 1),
-		"empty":      predmat.NewMatrix(5, 7),
+		"empty":      predmat.FromEntries(5, 7),
 		"diagonal":   bandedMatrix(rng, 70, 3, 0.7),
 		"wide_band":  bandedMatrix(rng, 50, 12, 0.2),
 	}
@@ -564,15 +564,15 @@ func diffMatrices(rng *rand.Rand) map[string]*predmat.Matrix {
 		ms[fmt.Sprintf("random_%d", i)] = randomMatrix(rng, rows, cols, 0.2*float64(i)/7)
 	}
 	// Whole rows and columns left empty: marks only on a random subset.
-	holes := predmat.NewMatrix(60, 60)
+	var holes []predmat.Entry
 	for r := 0; r < 60; r += 1 + rng.Intn(4) {
 		for c := 0; c < 60; c += 1 + rng.Intn(5) {
 			if rng.Float64() < 0.3 {
-				holes.Mark(r, c)
+				holes = append(holes, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
-	ms["holes"] = holes
+	ms["holes"] = predmat.FromEntries(60, 60, holes)
 	return ms
 }
 

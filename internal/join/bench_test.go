@@ -145,12 +145,7 @@ func BenchmarkCollectPairs2D(b *testing.B) {
 	}
 	d := disk.New(disk.DefaultModel())
 	dr, ds := oracleDataset(b, d, "r", pr), oracleDataset(b, d, "s", ps)
-	m := predmat.NewMatrix(pages, pages)
-	for r := 0; r < pages; r++ {
-		for c := 0; c < pages; c++ {
-			m.Mark(r, c)
-		}
-	}
+	m := predmat.Full(pages, pages)
 	clusters, err := cluster.SquareOpts(m, 2*pages, cluster.SquareOptions{})
 	if err != nil || len(clusters) != 1 {
 		b.Fatalf("want one cluster, got %d (%v)", len(clusters), err)
@@ -227,14 +222,15 @@ func BenchmarkClusteredWindow(b *testing.B) {
 	ps, _ := side(8*pages, rowsR)
 	d := disk.New(disk.DefaultModel())
 	dr, ds := oracleDataset(b, d, "r", pr), oracleDataset(b, d, "s", ps)
-	m := predmat.NewMatrix(pages, pages)
+	var marks []predmat.Entry
 	for r := 0; r < pages; r++ {
 		for c := max(r-band, 0); c < min(r+band+1, pages); c++ {
 			if c == r || rng.Intn(2) == 0 {
-				m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
+	m := predmat.FromEntries(pages, pages, marks)
 	clusters, err := cluster.SquareOpts(m, buffer, cluster.SquareOptions{})
 	if err != nil {
 		b.Fatal(err)

@@ -156,7 +156,7 @@ func TestPMNLJWithFullMatrixEqualsNLJ(t *testing.T) {
 func TestPMNLJMatrixShapeMismatch(t *testing.T) {
 	d, da, db, _, eps := testSetup(t, 4, 100, 100)
 	e := &Engine{Disk: d, BufferSize: 8}
-	bad := predmat.NewMatrix(da.Pages+1, db.Pages)
+	bad := predmat.FromEntries(da.Pages+1, db.Pages)
 	if _, err := e.PMNLJ(da, db, bad, VectorJoiner{Norm: geom.L2, Eps: eps}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}

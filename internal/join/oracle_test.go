@@ -466,15 +466,16 @@ func TestClusteredMatchesOracle(t *testing.T) {
 			if tc.s != nil {
 				ds, sPages = oracleDataset(t, d, "s", tc.s), tc.s
 			}
-			m := predmat.NewMatrix(nPages, nPages)
+			var marks []predmat.Entry
 			mrng := rand.New(rand.NewSource(seed + 1))
 			for r := 0; r < nPages; r++ {
 				for c := 0; c < nPages; c++ {
 					if mrng.Intn(4) != 0 {
-						m.Mark(r, c)
+						marks = append(marks, predmat.Entry{R: r, C: c})
 					}
 				}
 			}
+			m := predmat.FromEntries(nPages, nPages, marks)
 			clusters, err := cluster.SquareOpts(m, buffer, cluster.SquareOptions{})
 			if err != nil {
 				t.Fatal(err)

@@ -42,15 +42,16 @@ func newWindowCase(t testing.TB, rPages, sPages []*disk.Page, j ObjectJoiner, se
 	t.Helper()
 	d := disk.New(disk.DefaultModel())
 	wc := &windowCase{d: d, r: oracleDataset(t, d, "r", rPages), s: oracleDataset(t, d, "s", sPages), j: j}
-	wc.m = predmat.NewMatrix(len(rPages), len(sPages))
+	var marks []predmat.Entry
 	rng := rand.New(rand.NewSource(seed))
 	for r := range rPages {
 		for c := range sPages {
 			if rng.Intn(3) == 0 {
-				wc.m.Mark(r, c)
+				marks = append(marks, predmat.Entry{R: r, C: c})
 			}
 		}
 	}
+	wc.m = predmat.FromEntries(len(rPages), len(sPages), marks)
 	var err error
 	if wc.clusters, err = cluster.SquareOpts(wc.m, windowBuffer, cluster.SquareOptions{}); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ const (
 	diskPkgPath    = "pmjoin/internal/disk"
 	metricsPkgPath = "pmjoin/internal/metrics"
 	poolPkgPath    = "pmjoin/internal/pool"
-	predmatPkgPath = "pmjoin/internal/predmat"
 )
 
 // Diagnostic is one finding of one analyzer.

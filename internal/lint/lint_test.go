@@ -62,9 +62,11 @@ func (p *Pool) Flush() error                                  { return nil }
 
 const stubPredmat = `package predmat
 
+type Entry struct{ R, C int }
+
 type Matrix struct{}
 
-func (m *Matrix) Mark(i, j int) {}
+func FromEntries(rows, cols int, marks ...[]Entry) *Matrix { return nil }
 `
 
 const stubPool = `package pool
@@ -137,7 +139,7 @@ func checkFixtureFile(t *testing.T, path, filename, src string) *Package {
 	}
 	check(diskPkgPath, "disk.go", stubDisk)
 	check(bufferPkgPath, "buffer.go", stubBuffer)
-	check(predmatPkgPath, "predmat.go", stubPredmat)
+	check("pmjoin/internal/predmat", "predmat.go", stubPredmat)
 	check(poolPkgPath, "pool.go", stubPool)
 	check(metricsPkgPath, "metrics.go", stubMetrics)
 	return check(path, filename, src)
@@ -749,18 +751,20 @@ func bad(m map[string]int) {
 			lines: []int{6},
 		},
 		{
-			name: "prediction-matrix marks depend on insertion order",
+			name: "a mark batch built in map order is an unsorted append",
 			src: `package fixture
 
 import "pmjoin/internal/predmat"
 
-func bad(pm *predmat.Matrix, pairs map[int]int) {
+func bad(pairs map[int]int) *predmat.Matrix {
+	var marks []predmat.Entry
 	for i, j := range pairs {
-		pm.Mark(i, j)
+		marks = append(marks, predmat.Entry{R: i, C: j})
 	}
+	return predmat.FromEntries(8, 8, marks)
 }
 `,
-			lines: []int{6},
+			lines: []int{7},
 		},
 		{
 			name: "worker-pool submission order must not come from a map",

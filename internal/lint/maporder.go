@@ -9,13 +9,12 @@ import (
 // maporderAnalyzer flags `range` over a map whose loop body has an
 // order-sensitive effect without a sorted-keys normalization. Go randomizes
 // map iteration order per run, so any effect that depends on visit order —
-// appending to a slice that is not subsequently sorted, marking the
-// prediction matrix, submitting to the worker pool, emitting trace events,
-// accumulating floating-point sums, sending on a channel, printing — makes
-// the result differ run to run. That is exactly the class of bug the
-// determinism contract (bit-identical Report/Pairs/Plan at any Parallelism)
-// cannot tolerate: one unsorted map walk in a merge path turns into a
-// silently wrong published figure.
+// appending to a slice that is not subsequently sorted, submitting to the
+// worker pool, emitting trace events, accumulating floating-point sums,
+// sending on a channel, printing — makes the result differ run to run.
+// That is exactly the class of bug the determinism contract (bit-identical
+// Report/Pairs/Plan at any Parallelism) cannot tolerate: one unsorted map
+// walk in a merge path turns into a silently wrong published figure.
 //
 // Effects that are genuinely order-insensitive stay clean: integer
 // counters (addition is commutative and exact), map/set writes, and the
@@ -29,7 +28,7 @@ import (
 func maporderAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
-		Doc:  "range over a map with an order-sensitive effect (append/Mark/submit/trace/float-accumulate) and no sorted-keys normalization",
+		Doc:  "range over a map with an order-sensitive effect (append/submit/trace/float-accumulate) and no sorted-keys normalization",
 		Run:  runMaporder,
 	}
 }
@@ -108,8 +107,6 @@ func (p *Package) orderSensitiveEffect(rng *ast.RangeStmt, stack []ast.Node) str
 		case *ast.CallExpr:
 			fn := p.calleeOf(n)
 			switch {
-			case isMethodOf(fn, predmatPkgPath, "Matrix", "Mark"):
-				set("marks the prediction matrix (CSR insertion order)")
 			case isMethodOf(fn, poolPkgPath, "Pool", "Run"), isMethodOf(fn, poolPkgPath, "Group", "Go"):
 				set("submits worker-pool tasks (submission-order merge)")
 			case fromPackage(fn, metricsPkgPath):

@@ -148,11 +148,36 @@ func BenchmarkBuildDepth(b *testing.B) {
 	}
 }
 
-func BenchmarkMatrixMark(b *testing.B) {
-	m := NewMatrix(1000, 1000)
+// denseInput is a shape whose every cell is marked: 1 024 × 1 024
+// landsat-shaped pages, 8 60-d vectors a page, at ε = 10⁹.
+func denseInput(tb testing.TB) *buildInput {
+	halves := dataset.SplitEqual(dataset.Landsat(2*8192, 60, 3), 2, 1)
+	in := strInput(tb, halves[0], halves[1], 8, 1e9)
+	if in.rPages != 1024 || in.sPages != 1024 {
+		tb.Fatalf("dense shape %dx%d pages, want 1024x1024", in.rPages, in.sPages)
+	}
+	return in
+}
+
+// BenchmarkBuildDense is the matrix build of a request that marks every
+// cell, on two workers: its bytes an op over its 2²⁰ cells are what a
+// dense request costs a marked cell.
+func BenchmarkBuildDense(b *testing.B) {
+	benchBuild(b, denseInput(b), DefaultFilterDepth, workerGroup(b, 2))
+}
+
+// BenchmarkFromEntries times the matrix constructor over 166 911 random
+// marks of a 1 000 × 1 000 matrix, the landsat build's mark count, in eight
+// batches.
+func BenchmarkFromEntries(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
+	marks := make([][]Entry, 8)
+	for i := 0; i < 166911; i++ {
+		marks[i%8] = append(marks[i%8], Entry{R: rng.Intn(1000), C: rng.Intn(1000)})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Mark(rng.Intn(1000), rng.Intn(1000))
+		benchMatrix = FromEntries(1000, 1000, marks...)
 	}
 }

@@ -116,28 +116,12 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 	if eps < 0 {
 		return nil, fmt.Errorf("predmat: negative epsilon %g", eps)
 	}
-	m := NewMatrix(rPages, sPages)
 	b := newBuilder(eps, pred, opts)
 	b.run(r, s)
 	if b.stopped() {
 		return nil, opts.Ctx.Err()
 	}
-	// Size the matrix's mark buffer once: grown mark by mark, a large
-	// slice grows by a quarter at a time and allocates about five times
-	// what it ends up holding.
-	n := 0
-	for _, ms := range b.marks {
-		n += len(ms)
-	}
-	m.pending = slices.Grow(m.pending, n)
-	for _, ms := range b.marks {
-		for _, e := range ms {
-			m.Mark(e.R, e.C)
-		}
-	}
-	// Fold the buffered marks in before the matrix escapes: from here on it
-	// is read-only and safe to share across goroutines (joinapi caches it).
-	return m.Finalize(), nil
+	return FromEntries(rPages, sPages, b.marks...), nil
 }
 
 // newBuilder returns the builder of one Build at threshold eps.
@@ -151,12 +135,19 @@ func newBuilder(eps float64, pred Predictor, opts BuildOptions) *builder {
 }
 
 // run sweeps r against s, leaving every sweep's marks in b.marks and the
-// counters in opts.Stats.
+// counters in opts.Stats. A node table takes a pass over its whole index, so
+// run checks the context before each and builds nothing once it is done.
 func (b *builder) run(r, s *index.Node) {
+	if b.stopped() {
+		return
+	}
 	b.dim = max(maxDim(r), maxDim(s))
 	rt, rShared := newTable(r, b.dim, b.half)
 	st, sShared := rt, rShared
 	if s != r {
+		if b.stopped() {
+			return
+		}
 		st, sShared = newTable(s, b.dim, b.half)
 	}
 	b.saturate = rShared || sShared
@@ -191,9 +182,9 @@ type builder struct {
 	done <-chan struct{}
 
 	// markMu guards marks, one batch for each sweep that found any. Build
-	// folds them into the matrix once every sweep has returned; a mark is an
-	// idempotent set insertion, so the matrix does not depend on the order
-	// the batches arrived in.
+	// hands them to FromEntries once every sweep has returned; the matrix is
+	// the set of cells they hold, so it does not depend on the order the
+	// batches arrived in or on a cell marked twice.
 	markMu sync.Mutex
 	marks  [][]Entry
 	// Counters accumulate per-sweep totals; each sweep batches its local

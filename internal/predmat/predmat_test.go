@@ -1,8 +1,11 @@
 package predmat
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pmjoin/internal/dataset"
@@ -14,17 +17,19 @@ import (
 	"pmjoin/internal/seqdist"
 )
 
+// TestMatrixMarkAndQuery builds a matrix from unsorted batches, with a cell
+// repeated within a batch and across batches and with rows and columns left
+// empty, and reads every accessor.
 func TestMatrixMarkAndQuery(t *testing.T) {
-	m := NewMatrix(4, 5)
-	// Marked finalizes the matrix it reads, so the empty count is read off a
-	// matrix of its own.
-	if m.Rows() != 4 || m.Cols() != 5 || NewMatrix(4, 5).Marked() != 0 {
+	marks := [][]Entry{
+		{{R: 2, C: 3}, {R: 1, C: 3}, {R: 1, C: 3}},
+		nil,
+		{{R: 1, C: 0}, {R: 2, C: 3}},
+	}
+	m := FromEntries(4, 5, marks...)
+	if m.Rows() != 4 || m.Cols() != 5 || FromEntries(4, 5).Marked() != 0 {
 		t.Fatal("dimensions")
 	}
-	m.Mark(1, 3)
-	m.Mark(1, 0)
-	m.Mark(2, 3)
-	m.Mark(1, 3) // duplicate: no-op
 	if m.Marked() != 3 {
 		t.Fatalf("marked = %d", m.Marked())
 	}
@@ -50,15 +55,41 @@ func TestMatrixMarkAndQuery(t *testing.T) {
 	if d := m.Density(); d != 3.0/20 {
 		t.Fatalf("density = %g", d)
 	}
+	checkMatrix(t, m, 4, 5, marks...)
+	// One shape of every kind, each against the reference: random unsorted
+	// batches with duplicates, and the degenerate 0×N and N×0.
+	rng := rand.New(rand.NewSource(17))
+	for _, shape := range [][2]int{{1, 1}, {7, 3}, {3, 40}, {64, 64}, {0, 6}, {6, 0}} {
+		rows, cols := shape[0], shape[1]
+		var marks [][]Entry
+		if rows > 0 && cols > 0 {
+			marks = randomBatches(rng, rows, cols, rows*cols/2+1, 0.25)
+		}
+		checkMatrix(t, FromEntries(rows, cols, marks...), rows, cols, marks...)
+	}
 }
 
+// TestMatrixMarkOutOfRangePanics: a mark outside the shape, in any batch,
+// and a negative shape are programming errors and panic.
 func TestMatrixMarkOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMatrix(2, 2).Mark(2, 0)
+	for name, build := range map[string]func(){
+		"row":       func() { FromEntries(2, 2, []Entry{{0, 0}}, []Entry{{2, 0}}) },
+		"col":       func() { FromEntries(2, 2, []Entry{{1, 2}}) },
+		"negative":  func() { FromEntries(2, 2, []Entry{{0, -1}}) },
+		"0xN":       func() { FromEntries(0, 3, []Entry{{0, 0}}) },
+		"Nx0":       func() { FromEntries(3, 0, []Entry{{0, 0}}) },
+		"shape":     func() { FromEntries(-1, 2) },
+		"fullShape": func() { Full(2, -3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestFullMatrix(t *testing.T) {
@@ -79,7 +110,7 @@ func TestFullMatrix(t *testing.T) {
 }
 
 func TestEmptyMatrixDensity(t *testing.T) {
-	if NewMatrix(0, 0).Density() != 0 {
+	if FromEntries(0, 0).Density() != 0 {
 		t.Fatal("0x0 density")
 	}
 }
@@ -233,6 +264,31 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(ta.Root(), tb.Root(), ta.NumPages(), tb.NumPages(), -1, pred, BuildOptions{}); err == nil {
 		t.Fatal("negative eps accepted")
+	}
+}
+
+// TestBuildCancelledBuildsNoTable: a Build whose context is already done
+// returns its error having allocated less than one node table on the
+// landsat shape, so a cancel that lands before the sweeps does not wait for
+// the tables to be built.
+func TestBuildCancelledBuildsNoTable(t *testing.T) {
+	in := landsatInput(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	table := uint64(in.r.CountNodes()) * uint64(reflect.TypeOf(xnode{}).Size())
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m, err := Build(in.r, in.s, in.rPages, in.sPages, in.eps, in.pred,
+			BuildOptions{FilterDepth: DefaultFilterDepth, Ctx: ctx})
+		if m != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Build = %v, %v; want nil, context.Canceled", m, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= table {
+		t.Fatalf("cancelled Build allocated %d B, one node table is %d B", per, table)
 	}
 }
 

@@ -2,41 +2,55 @@ package predmat
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pmjoin/internal/geom"
 )
 
-// TestQuickMatrixMarkIdempotent: marking any in-range cell any number of
-// times leaves exactly one entry, queryable from both axes.
+// TestQuickMatrixMarkIdempotent: a cell marked any number of times, within
+// one batch and across batches, is one entry, queryable from both axes.
 func TestQuickMatrixMarkIdempotent(t *testing.T) {
-	f := func(r, c uint8, repeats uint8) bool {
-		m := NewMatrix(256, 256)
-		n := int(repeats%5) + 1
-		for i := 0; i < n; i++ {
-			m.Mark(int(r), int(c))
+	f := func(r, c uint8, repeats, batches uint8) bool {
+		e := Entry{R: int(r), C: int(c)}
+		marks := make([][]Entry, int(batches%4)+1)
+		for i := 0; i < int(repeats%5)+1; i++ {
+			k := i % len(marks)
+			marks[k] = append(marks[k], e)
 		}
+		m := FromEntries(256, 256, marks...)
 		if m.Marked() != 1 || !m.IsMarked(int(r), int(c)) {
 			return false
 		}
 		rows := m.ColRows(int(c))
 		cols := m.RowCols(int(r))
-		return len(rows) == 1 && rows[0] == int(r) && len(cols) == 1 && cols[0] == int(c)
+		return len(rows) == 1 && rows[0] == int(r) && len(cols) == 1 && cols[0] == int(c) &&
+			slices.Equal(m.Entries(), []Entry{e})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickRowColConsistency: after arbitrary marks, the row-wise and
-// column-wise views describe the same entry set.
+// TestQuickRowColConsistency: after arbitrary marks, in unsorted batches
+// that repeat cells, the row-wise and column-wise views describe the same
+// entry set, and every accessor equals the map-based reference.
 func TestQuickRowColConsistency(t *testing.T) {
-	f := func(cells []uint16) bool {
-		m := NewMatrix(128, 128)
-		for _, cell := range cells {
-			m.Mark(int(cell>>8)%128, int(cell&0xff)%128)
+	f := func(cells []uint16, cuts []uint8) bool {
+		var marks [][]Entry
+		var cur []Entry
+		for i, cell := range cells {
+			cur = append(cur, Entry{R: int(cell>>8) % 128, C: int(cell&0xff) % 128})
+			if len(cuts) > 0 && cuts[i%len(cuts)]%4 == 0 {
+				marks, cur = append(marks, cur), nil
+				if i > 0 { // repeat the cell before in the next batch
+					cur = append(cur, Entry{R: int(cells[i-1]>>8) % 128, C: int(cells[i-1]&0xff) % 128})
+				}
+			}
 		}
+		marks = append(marks, cur)
+		m := FromEntries(128, 128, marks...)
 		count := 0
 		for _, r := range m.MarkedRows() {
 			for _, c := range m.RowCols(r) {
@@ -56,6 +70,7 @@ func TestQuickRowColConsistency(t *testing.T) {
 				count++
 			}
 		}
+		checkMatrix(t, m, 128, 128, marks...)
 		return count == m.Marked() && len(m.Entries()) == m.Marked()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -27,8 +27,7 @@ func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor,
 	if eps < 0 {
 		return nil, fmt.Errorf("predmat: negative epsilon %g", eps)
 	}
-	m := NewMatrix(rPages, sPages)
-	b := &refBuilder{eps: eps, pred: pred, opts: opts, m: m}
+	b := &refBuilder{eps: eps, pred: pred, opts: opts}
 	b.within, _ = MBRTest(pred, eps)
 	b.sweep([]*index.Node{r}, []*index.Node{s})
 	opts.Runner.Wait()
@@ -38,21 +37,21 @@ func refBuild(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor,
 		opts.Stats.FilterDropped += b.filterDropped.Load()
 		opts.Stats.Recursions += b.recursions.Load()
 	}
-	return m.Finalize(), nil
+	return FromEntries(rPages, sPages, b.marks), nil
 }
 
 type refBuilder struct {
 	eps  float64
 	pred Predictor
 	opts BuildOptions
-	m    *Matrix
 	// within decides pred.LowerBound(a, b) <= eps (MBRTest).
 	within func(a, b geom.MBR) bool
 
-	// markMu guards m: concurrent sub-sweeps may mark the same entry, and
-	// Mark is an idempotent sorted insertion, so the resulting matrix is
-	// identical regardless of interleaving.
+	// markMu guards marks: concurrent sub-sweeps may mark the same entry, and
+	// the matrix is the set of marked cells, so it is identical regardless of
+	// interleaving.
 	markMu sync.Mutex
+	marks  []Entry
 	// Counters accumulate per-sweep totals; each sweep batches its local
 	// counts into one atomic add, so the hot event loop stays cheap.
 	sweepEvents   atomic.Int64
@@ -187,7 +186,7 @@ func (b *refBuilder) handlePair(rn, sn *index.Node) {
 	case rn.IsLeaf() && sn.IsLeaf():
 		if b.within(rn.MBR, sn.MBR) {
 			b.markMu.Lock()
-			b.m.Mark(rn.Page, sn.Page)
+			b.marks = append(b.marks, Entry{R: rn.Page, C: sn.Page})
 			b.markMu.Unlock()
 		}
 	case rn.IsLeaf():

@@ -230,14 +230,15 @@ func TestScheduleMatchesReferenceClusterSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 12; iter++ {
 		n := 10 + rng.Intn(60)
-		m := predmat.NewMatrix(n, n)
+		var marks []predmat.Entry
 		for r := 0; r < n; r++ {
 			for c := 0; c < n; c++ {
 				if rng.Float64() < 0.2*float64(iter%4)/3 || (r-c < 3 && c-r < 3 && rng.Intn(2) == 0) {
-					m.Mark(r, c)
+					marks = append(marks, predmat.Entry{R: r, C: c})
 				}
 			}
 		}
+		m := predmat.FromEntries(n, n, marks)
 		b := []int{3, 10, 16, 100}[iter%4]
 		var clusters []*cluster.Cluster
 		var err error

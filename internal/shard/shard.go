@@ -13,8 +13,9 @@
 // modeled seconds) so callers can weigh shards against I/O before running
 // anything.
 //
-// Run runs a plan's shards in process, inline or on a worker pool of their
-// own, and MergeReports folds their reports in shard-index order.
+// Run runs a plan's shards in process, inline or as one group's tasks on
+// the caller's worker pool, and MergeReports folds their reports in
+// shard-index order.
 package shard
 
 import (

@@ -152,7 +152,10 @@ contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOrac
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
-contract ./internal/predmat 'TestBuildMatchesReference|TestSharedPageBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule'
+# FromEntries builds every matrix: any batches, unsorted and repeating
+# cells, of any shape, give the map-based reference's accessors; a Build
+# whose context is already done builds no node table.
+contract ./internal/predmat 'TestBuildMatchesReference|TestSharedPageBuildMatchesReference|TestFilterPreservesMatrix|TestCompleteness|TestFilterRoundRule|TestMatrixMarkAndQuery|TestQuickRowColConsistency|TestIsMarkedBeyondBitset|TestMatrixMarkOutOfRangePanics|TestFullSharesMarkPath|TestBuildCancelledBuildsNoTable'
 contract ./internal/rstar 'TestBulkLoadSTRMatchesPerAxisSorts|TestSTRTreeFingerprint|TestPointLoadMatchesBulkLoadSTR|TestSTRSelectAdversarial|TestPointLoadParallelMatchesInline|TestSTRSelectOnMatchesStrSelect'
 contract ./internal/index 'TestSequenceTreeFingerprint'
 
