@@ -137,12 +137,6 @@ func (p *Pool) PinnedFrames() int {
 	return n
 }
 
-// Contains reports whether the page is resident without touching recency.
-func (p *Pool) Contains(addr disk.PageAddr) bool {
-	_, ok := p.frames[addr]
-	return ok
-}
-
 // Stats returns a snapshot of the pool statistics.
 func (p *Pool) Stats() Stats { return p.stats }
 
@@ -306,17 +300,6 @@ func (p *Pool) UnpinAll() {
 	}
 }
 
-// Evict removes the page at addr from the pool if resident and unpinned. It
-// reports whether the page was removed.
-func (p *Pool) Evict(addr disk.PageAddr) bool {
-	f, ok := p.frames[addr]
-	if !ok || f.pinned > 0 {
-		return false
-	}
-	p.removeFrame(f)
-	return true
-}
-
 // Flush evicts every unpinned frame, charging evictions. Pinned frames stay
 // resident — dropping them would break the pin invariant GetPinned/Unpin
 // enforce — and their presence is reported as an error so the caller learns
@@ -361,14 +344,4 @@ func (p *Pool) removeFrame(f *frame) {
 	if p.onEvict != nil {
 		p.onEvict(addr)
 	}
-}
-
-// Resident returns the addresses of all resident pages in eviction order
-// (front first). Intended for tests.
-func (p *Pool) Resident() []disk.PageAddr {
-	out := make([]disk.PageAddr, 0, len(p.frames))
-	for f := p.order.next; f != &p.order; f = f.next {
-		out = append(out, f.addr)
-	}
-	return out
 }

@@ -43,7 +43,7 @@ type Options struct {
 }
 
 // Run executes the EGO join of r and s. Candidate pairs are verified by j's
-// PairTest, the test j.JoinPages applies, so EGO finds the pairs every other
+// PairTest, the test j.JoinCells applies, so EGO finds the pairs every other
 // method finds. The executor itself is serial (Engine.Workers is not
 // consulted); it runs inside an Engine.Run scope so its I/O is charged to a
 // per-run session like every other method.

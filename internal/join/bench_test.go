@@ -21,9 +21,10 @@ import (
 
 // BenchmarkStringJoinPages joins two pages at the dna_edit page shape —
 // 113 windows of 500 at stride 32, a 4 KB page, each — under edit distance
-// 5. The pages come from one isochore of the synthetic chromosome with a
-// planted homology, so about 0.3 % of the pairs pass the frequency filter,
-// as in the dna_edit workload, and a few of those are results.
+// 5, as the one cell of a JoinCells call. The pages come from one isochore
+// of the synthetic chromosome with a planted homology, so about 0.3 % of the
+// pairs pass the frequency filter, as in the dna_edit workload, and a few of
+// those are results.
 func BenchmarkStringJoinPages(b *testing.B) {
 	const w, stride, n, k = 500, 32, 113, 5
 	span := (n-1)*stride + w
@@ -34,7 +35,7 @@ func BenchmarkStringJoinPages(b *testing.B) {
 	pa := stringPage(sa, seqdist.DNA, 0, n, w, stride)
 	pb := stringPage(sb, seqdist.DNA, 0, n, w, stride)
 
-	pass, results := 0, 0
+	pass := 0
 	for i := range pa.IDs {
 		for j := range pb.IDs {
 			if seqdist.FreqDistance(pa.Freqs[i], pb.Freqs[j]) <= k {
@@ -43,19 +44,27 @@ func BenchmarkStringJoinPages(b *testing.B) {
 		}
 	}
 	j := StringJoiner{MaxEdit: k}
-	j.JoinPages(pa, pb, func(int, int) { results++ })
+	var r, s Side
+	r.add(pa)
+	s.add(pb)
+	cells := []kernel.Cell{{}}
+	var out CellOut
+	j.JoinCells(&r, &s, cells, &out)
+	results := len(out.Hits)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.JoinPages(pa, pb, func(int, int) {})
+		out = CellOut{Hits: out.Hits[:0], CPU: out.CPU[:0]}
+		j.JoinCells(&r, &s, cells, &out)
 	}
 	b.ReportMetric(float64(pass)/float64(n*n), "filter_pass")
 	b.ReportMetric(float64(results), "results")
 }
 
 // BenchmarkVectorJoinPages joins 64 page pairs at the landsat_sim page shape
-// — 8 rows of 60-d a 4 KB page — under L2 at the workload's ε: the path NLJ,
-// pm-NLJ and BFRJ take for every page pair they compare. The rows come from
+// — 8 rows of 60-d a 4 KB page — under L2 at the workload's ε, as the cells
+// of one JoinCells call: a full run of NLJ, pm-NLJ or BFRJ, whose 64 cells
+// of 64 row pairs each make one call. The rows come from
 // dataset.Landsat sorted by their first coordinate, so a pair's two pages
 // share a spectral cluster, and half of b's rows are near copies of a's, so
 // the kernel both abandons rows early and emits hits. The self case runs the
@@ -87,6 +96,13 @@ func BenchmarkVectorJoinPages(b *testing.B) {
 		pa[p] = vecPage(ids(lo), vecs[lo:lo+perPage]...)
 		pb[p] = vecPage(ids(lo+perPage), rowsB...)
 	}
+	var sideA, sideB Side
+	cells := make([]kernel.Cell, pairs)
+	for p := range pairs {
+		sideA.add(pa[p])
+		sideB.add(pb[p])
+		cells[p] = kernel.Cell{R: p, S: p}
+	}
 	th := kernel.NewThresholdSq(eps)
 	for _, self := range []bool{false, true} {
 		name := "nonself"
@@ -105,19 +121,20 @@ func BenchmarkVectorJoinPages(b *testing.B) {
 						}
 					}
 				}
-				j.JoinPages(a, s, func(x, y int) { got = append(got, [2]int{x, y}) })
+			}
+			var out CellOut
+			j.JoinCells(&sideA, &sideB, cells, &out)
+			for _, h := range out.Hits {
+				got = append(got, [2]int{pa[h.Cell].IDs[h.I], pb[h.Cell].IDs[h.J]})
 			}
 			if len(want) == 0 || !slices.Equal(got, want) {
-				b.Fatalf("JoinPages emits %d pairs, the per-pair loop %d, or they differ", len(got), len(want))
+				b.Fatalf("JoinCells emits %d pairs, the per-pair loop %d, or they differ", len(got), len(want))
 			}
-			hits := 0
-			emit := func(int, int) { hits++ }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for p := range pairs {
-					j.JoinPages(pa[p], pb[p], emit)
-				}
+				out = CellOut{Hits: out.Hits[:0], CPU: out.CPU[:0]}
+				j.JoinCells(&sideA, &sideB, cells, &out)
 			}
 			b.ReportMetric(float64(len(want)), "hits")
 		})

@@ -27,8 +27,9 @@ import (
 //     open for the whole run.
 //   - Comparison work is appended in schedule order, one page-pair cell at a
 //     time (JoinPayloads / JoinPair) or one pinned cluster at a time
-//     (JoinCluster), to runs of up to taskCells cells. A run ships to the
-//     workers as soon as it is full, its cluster ends, or Flush is called.
+//     (JoinCluster), to runs of up to taskCells cells, which the joiner's
+//     JoinCells evaluates. A run ships to the workers as soon as it is
+//     full, its cluster ends, or Flush is called.
 //   - Runs are retired — waited for, then merged into Rep in submission
 //     order, cell by cell, with their pair chunks linked into the engine's
 //     collector in the same order — at fixed points of the coordinator's
@@ -55,7 +56,6 @@ type Exec struct {
 	slots [2]slot
 	cur   int
 	open  *task
-	free  []*task // recycled across retirements
 	// pos maps a page of one side to its position among the cluster's pages
 	// of that side: JoinCluster's scratch for the cells, one side at a time.
 	pos []int32
@@ -63,16 +63,19 @@ type Exec struct {
 
 // slot is one cluster of the window: its runs in submission order, the
 // group they run in (a sibling of the engine's Workers, so both slots share
-// its cap), and the cluster scratch its block runs read — each side's pinned
-// pages as the kernel reads them, their object IDs, and the marked cells. A
-// slot is refilled only after its runs are retired.
+// its cap), and the cluster's pinned pages and marked cells, which its runs
+// share. A slot is refilled only after its runs are retired.
 type slot struct {
 	tasks []*task
 	g     *pool.Group
+	cellSet
+}
 
-	pagesR, pagesS kernel.ClusterBlock
-	idsR, idsS     [][]int
-	cells          []kernel.Cell
+// cellSet is a run's input: the pages of its two sides and the cells over
+// them.
+type cellSet struct {
+	r, s  Side
+	cells []kernel.Cell
 }
 
 // taskCells is the run granularity: one page pair is ~1-10us of comparison
@@ -81,93 +84,76 @@ type slot struct {
 // (clusters hold hundreds of cells) without a task per page pair.
 const taskCells = 64
 
-// pagePair is one cell of a fallback run: two fetched pages and the joiner
-// that compares them.
-type pagePair struct {
-	j    ObjectJoiner
-	a, b *disk.Page
-}
-
-// task is one unit of comparison work: a contiguous run of up to taskCells
-// page-pair cells. A run cut from a batchable cluster (cells set) is
-// evaluated by kernel.BlockPairsWithin over the cluster's pinned pages, a
-// few cells a call; any other run (pages set: unclustered executors, self
-// joins, strings) falls back to a JoinPages call per cell, which records each
-// cell's comparison count and modeled CPU cost. merge folds those into the
-// report in cell order; a block run's are functions of its cells' page
-// sizes, which merge evaluates itself. Workers only read the shared page
-// lists, the pages themselves and the id slices; each task owns its output
-// buffers, and the pair chunks it writes pass to the collector at merge.
-// Kernel hits are scratch of the run alone.
+// task is one unit of comparison work, a run: one joiner and a contiguous
+// run of up to taskCells page-pair cells over two sides. A clustered run's
+// cells and sides are its slot's; a run that JoinPayloads fills has its own,
+// one page a side per cell. Every run is evaluated the same way: JoinCells
+// calls of a few cells each, whose hits are translated into pairs through
+// the sides' IDs, and whose per-cell counters merge folds into the report in
+// cell order. Workers only read the sides, the pages themselves and the
+// cells; each task owns its output buffers, and the pair chunks it writes
+// pass to the collector at merge. Hits are scratch of the run alone.
 type task struct {
 	capture bool // translate hits into pairs: the collector is set and not full
 	// do is run, bound once per task, so shipping a recycled run allocates
 	// nothing.
 	do func()
 
-	pages []pagePair
+	j     ObjectJoiner
+	in    *cellSet // the sides the cells index: the slot's, or own
+	cells []kernel.Cell
+	own   cellSet
 
-	th         kernel.Threshold
-	br, bs     *kernel.ClusterBlock
-	cells      []kernel.Cell
-	idsR, idsS [][]int // per page of br and bs, the page's object IDs
-
-	comps   []int64
-	cpu     []float64
+	out     CellOut
 	results int64
 	pairs   pairChunks
 }
 
-// blockHitsPool recycles the block kernel's hit buffers between runs and
-// joins: a run holds one only while it executes, so the pool holds about one
-// per worker.
-var blockHitsPool = sync.Pool{New: func() any { return new([]kernel.BlockHit) }}
+// taskPool recycles runs, with their buffers, between retirements and joins.
+var taskPool = sync.Pool{New: func() any {
+	t := &task{out: CellOut{CPU: make([]float64, 0, taskCells)}}
+	t.do = t.run
+	return t
+}}
 
-// callPairs bounds one kernel call of a block run: the call's cells hold at
-// most this many row pairs, unless its one cell holds more. So a hit buffer
-// grows to what one call can match (48 KiB of hits, past a larger cell), not
-// to what a whole run matches.
+// hitsPool recycles the runs' hit buffers between runs and joins: a run
+// holds one only while it executes, so the pool holds about one per worker.
+var hitsPool = sync.Pool{New: func() any { return new([]kernel.BlockHit) }}
+
+// callPairs bounds one JoinCells call of a run: the call's cells hold at
+// most this many object pairs, unless its one cell holds more. So a hit
+// buffer grows to what one call can match (48 KiB of hits, past a larger
+// cell), not to what a whole run matches.
 const callPairs = 1 << 12
 
 func (t *task) run() {
-	if t.cells != nil {
-		scratch := blockHitsPool.Get().(*[]kernel.BlockHit)
-		hits := *scratch
-		for lo, hi, pairs := 0, 0, 0; lo < len(t.cells); lo, pairs = hi, 0 {
-			for ; hi < len(t.cells); hi++ {
-				c := t.cells[hi]
-				n := t.br.PageRows(c.R) * t.bs.PageRows(c.S)
-				if hi > lo && pairs+n > callPairs {
-					break
-				}
-				pairs += n
+	scratch := hitsPool.Get().(*[]kernel.BlockHit)
+	t.out.Hits = *scratch
+	r, s := &t.in.r, &t.in.s
+	for lo, hi, pairs := 0, 0, 0; lo < len(t.cells); lo, pairs = hi, 0 {
+		for ; hi < len(t.cells); hi++ {
+			c := t.cells[hi]
+			n := len(r.Pages[c.R].IDs) * len(s.Pages[c.S].IDs)
+			if hi > lo && pairs+n > callPairs {
+				break
 			}
-			hits = kernel.BlockPairsWithin(&t.th, t.br, t.bs, t.cells[lo:hi], hits[:0])
-			t.results += int64(len(hits))
-			if t.capture {
-				t.translate(t.cells[lo:hi], hits)
-			}
+			pairs += n
 		}
-		*scratch = hits[:0]
-		blockHitsPool.Put(scratch)
-		return
-	}
-	emit := func(i, j int) {
-		t.results++
+		t.out.Hits = t.out.Hits[:0]
+		t.j.JoinCells(r, s, t.cells[lo:hi], &t.out)
+		t.results += int64(len(t.out.Hits))
 		if t.capture {
-			t.pairs.add(i, j)
+			t.translate(t.cells[lo:hi], t.out.Hits)
 		}
 	}
-	for _, p := range t.pages {
-		comps, cpu := p.j.JoinPages(p.a, p.b, emit)
-		t.comps = append(t.comps, comps)
-		t.cpu = append(t.cpu, cpu)
-	}
+	*scratch = t.out.Hits[:0]
+	t.out.Hits = nil
+	hitsPool.Put(scratch)
 }
 
-// translate writes the pairs of one kernel call's hits over cells. Hits come
-// grouped by cell, so each cell's id slices are looked up once, and pairs are
-// written a chunk's worth at a time.
+// translate writes the pairs of one JoinCells call's hits over cells. Hits
+// come grouped by cell, so each cell's ID slices are looked up once, and
+// pairs are written a chunk's worth at a time.
 func (t *task) translate(cells []kernel.Cell, hits []kernel.BlockHit) {
 	cell, idsR, idsS := int32(-1), []int(nil), []int(nil)
 	for len(hits) > 0 {
@@ -176,7 +162,7 @@ func (t *task) translate(cells []kernel.Cell, hits []kernel.BlockHit) {
 			if h.Cell != cell {
 				cell = h.Cell
 				c := cells[cell]
-				idsR, idsS = t.idsR[c.R], t.idsS[c.S]
+				idsR, idsS = t.in.r.Pages[c.R].IDs, t.in.s.Pages[c.S].IDs
 			}
 			dst[i] = [2]int{idsR[h.I], idsS[h.J]}
 		}
@@ -184,32 +170,25 @@ func (t *task) translate(cells []kernel.Cell, hits []kernel.BlockHit) {
 	}
 }
 
-// merge folds the run into the report, cell by cell in submission order,
-// links its pair chunks into the collector, and resets the task for reuse
-// (dropping page and chunk refs while pooled).
+// merge folds the run into the report, its cells' CPU seconds in cell
+// order, links its pair chunks into the collector, and resets the task for
+// reuse (dropping page and chunk refs while pooled).
 func (t *task) merge(x *Exec) {
-	if t.cells != nil {
-		// The expressions JoinPages evaluates for the same page pair, so the
-		// fold is bit-identical to the per-cell fallback's. Empty pages
-		// contribute exactly +0.0 either way.
-		perPair := pairCost(t.br.Dim())
-		for _, c := range t.cells {
-			comps := int64(t.br.PageRows(c.R)) * int64(t.bs.PageRows(c.S))
-			x.Rep.Comparisons += comps
-			x.Rep.CPUJoinSeconds += float64(comps) * perPair
-		}
+	x.Rep.Comparisons += t.out.Comps
+	sum := x.Rep.CPUJoinSeconds
+	for _, cpu := range t.out.CPU {
+		sum += cpu
 	}
-	for i, comps := range t.comps {
-		x.Rep.Comparisons += comps
-		x.Rep.CPUJoinSeconds += t.cpu[i]
-	}
+	x.Rep.CPUJoinSeconds = sum
 	x.Rep.Results += t.results
 	if p := x.eng.Pairs; p != nil {
 		p.link(t.pairs, t.results)
 	}
-	clear(t.pages)
 	clear(t.pairs)
-	*t = task{do: t.do, pages: t.pages[:0], comps: t.comps[:0], cpu: t.cpu[:0], pairs: t.pairs[:0]}
+	t.own.r.reset()
+	t.own.s.reset()
+	t.own.cells = t.own.cells[:0]
+	*t = task{do: t.do, own: t.own, out: CellOut{CPU: t.out.CPU[:0]}, pairs: t.pairs[:0]}
 }
 
 // Err returns the engine context's error, if any. Executors call it at
@@ -231,17 +210,11 @@ func (x *Exec) Emit(a, b int) {
 	}
 }
 
-// newRun ships the open run, if any, and opens a fresh one.
-func (x *Exec) newRun() *task {
+// newRun ships the open run, if any, and opens a fresh one for joiner j.
+func (x *Exec) newRun(j ObjectJoiner) *task {
 	x.ship()
-	var t *task
-	if n := len(x.free); n > 0 {
-		t = x.free[n-1]
-		x.free = x.free[:n-1]
-	} else {
-		t = &task{}
-		t.do = t.run
-	}
+	t := taskPool.Get().(*task)
+	t.j = j
 	// Whether the collector is full is decided here, on the coordinator, from
 	// the runs already merged, so which runs skip translation cannot depend
 	// on timing.
@@ -268,29 +241,28 @@ func (x *Exec) retire(s *slot) {
 	s.g.Wait()
 	for _, t := range s.tasks {
 		t.merge(x)
+		taskPool.Put(t)
 	}
-	x.free = append(x.free, s.tasks...)
+	clear(s.tasks)
 	s.tasks = s.tasks[:0]
 }
 
 // JoinPayloads schedules the comparison of two already-fetched pages (a
-// from the first dataset, b from the second) as the next cell of the open
-// run. Its counters merge into Rep only when the run is retired, in
-// submission order.
+// from the first dataset, b from the second) under j as the next cell of the
+// open run, whose own sides take the two pages. Its counters merge into Rep
+// only when the run is retired, in submission order.
 func (x *Exec) JoinPayloads(j ObjectJoiner, a, b *disk.Page) {
 	t := x.open
-	if t == nil {
-		t = x.newRun()
-		if t.pages == nil {
-			// A fresh run, at full size: growing it by append would allocate
-			// twice as much.
-			t.pages = make([]pagePair, 0, taskCells)
-			t.comps = make([]int64, 0, taskCells)
-			t.cpu = make([]float64, 0, taskCells)
-		}
+	if t == nil || t.j != j {
+		t = x.newRun(j)
+		t.in = &t.own
 	}
-	t.pages = append(t.pages, pagePair{j: j, a: a, b: b})
-	if len(t.pages) == taskCells {
+	o := &t.own
+	o.r.add(a)
+	o.s.add(b)
+	o.cells = append(o.cells, kernel.Cell{R: len(o.cells), S: len(o.cells)})
+	t.cells = o.cells
+	if len(t.cells) == taskCells {
 		x.ship()
 	}
 }
@@ -314,10 +286,9 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 // JoinCluster schedules every marked entry of one cluster whose pages the
 // caller has pinned — the clustered executor's only comparison dispatch. It
 // reads the pages with Pool.Pinned, so the cluster's buffer traffic is its
-// pin and nothing else. When the joiner reports a batch kernel, each side's
-// pinned pages hand their own flat blocks and IDs to the kernel, no row
-// copied, and the cells are cut into block runs; otherwise each entry becomes
-// a fallback cell.
+// pin and nothing else. Each side's pinned pages become the slot's side, no
+// row copied, and the entries, mapped to cells over the two sides, are cut
+// into runs.
 //
 // The cluster's runs fill the window's current slot and all ship before
 // JoinCluster returns. It then retires the previous call's runs, waiting for
@@ -326,34 +297,12 @@ func (x *Exec) JoinPair(r, s *Dataset, pr, ps int, j ObjectJoiner) error {
 // pages may still be read after the caller has unpinned them (see Exec).
 // The last cluster's runs are retired by Flush.
 func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) error {
-	var th kernel.Threshold
-	bj, batch := j.(BatchJoiner)
-	if batch {
-		th, batch = bj.BatchKernel()
-	}
-	if !batch {
-		for _, en := range c.Entries {
-			pa, err := x.Pool.Pinned(disk.PageAddr{File: r.File, Page: en.R})
-			if err != nil {
-				return err
-			}
-			pb, err := x.Pool.Pinned(disk.PageAddr{File: s.File, Page: en.C})
-			if err != nil {
-				return err
-			}
-			x.JoinPayloads(j, pa, pb)
-		}
-		x.nextCluster()
-		return nil
-	}
-
 	sl := &x.slots[x.cur]
 	rows, cols := c.Rows(), c.Cols()
-	var err error
-	if sl.idsR, err = x.pinnedPages(&sl.pagesR, sl.idsR[:0], r.File, rows); err != nil {
+	if err := x.pinnedPages(&sl.r, r.File, rows); err != nil {
 		return err
 	}
-	if sl.idsS, err = x.pinnedPages(&sl.pagesS, sl.idsS[:0], s.File, cols); err != nil {
+	if err := x.pinnedPages(&sl.s, s.File, cols); err != nil {
 		return err
 	}
 	sl.cells = slices.Grow(sl.cells[:0], len(c.Entries))[:len(c.Entries)]
@@ -365,13 +314,13 @@ func (x *Exec) JoinCluster(r, s *Dataset, c *cluster.Cluster, j ObjectJoiner) er
 	for i, en := range c.Entries {
 		sl.cells[i].S = int(x.pos[en.C])
 	}
-	x.eng.Metrics.ClusterBatch(len(sl.cells), sl.pagesR.Rows()+sl.pagesS.Rows())
+	if blockKernel(j) {
+		x.eng.Metrics.ClusterBatch(len(sl.cells), sl.r.Block.Rows()+sl.s.Block.Rows())
+	}
 	for lo := 0; lo < len(sl.cells); lo += taskCells {
 		hi := min(lo+taskCells, len(sl.cells))
-		t := x.newRun()
-		t.th, t.br, t.bs = th, &sl.pagesR, &sl.pagesS
-		t.cells = sl.cells[lo:hi:hi]
-		t.idsR, t.idsS = sl.idsR, sl.idsS
+		t := x.newRun(j)
+		t.in, t.cells = &sl.cellSet, sl.cells[lo:hi:hi]
 	}
 	x.nextCluster()
 	return nil
@@ -397,19 +346,17 @@ func positions(pos []int32, filePages int, pages []int) []int32 {
 	return pos
 }
 
-// pinnedPages refills b with the flat blocks of the given pinned pages of
-// file, in order, and appends their object IDs to ids.
-func (x *Exec) pinnedPages(b *kernel.ClusterBlock, ids [][]int, file disk.FileID, pages []int) ([][]int, error) {
-	b.Reset()
+// pinnedPages refills side with the given pinned pages of file, in order.
+func (x *Exec) pinnedPages(side *Side, file disk.FileID, pages []int) error {
+	side.reset()
 	for _, p := range pages {
 		pg, err := x.Pool.Pinned(disk.PageAddr{File: file, Page: p})
 		if err != nil {
-			return ids, err
+			return err
 		}
-		b.AddPage(&pg.Flat)
-		ids = append(ids, pg.IDs)
+		side.add(pg)
 	}
-	return ids, nil
+	return nil
 }
 
 // Flush ships the open run, then retires both slots, the previous cluster's

@@ -2,7 +2,6 @@ package join
 
 import (
 	"fmt"
-	"sync"
 
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
@@ -10,39 +9,59 @@ import (
 	"pmjoin/internal/seqdist"
 )
 
-// ObjectJoiner joins the objects of two pages.
+// ObjectJoiner joins the objects of page pairs.
 //
-// JoinPages compares the objects of page a (a page of the first dataset)
-// against those of page b (second dataset), calling emit for every result
-// pair. It returns the number of object-pair comparisons performed and the
-// modeled CPU seconds they cost.
+// JoinCells compares, for each cell in order (there is at least one), the
+// objects of page r.Pages[cell.R] (a page of the first dataset) against
+// those of s.Pages[cell.S] (second dataset). It appends to out one hit for
+// every result pair — the cell's index in cells and the two objects' rows
+// in their pages — grouped by cell in cell order and ascending (row of R,
+// row of S) within a cell, adds the object-pair comparisons it performed
+// to out.Comps, and appends each cell's modeled CPU seconds to out.CPU.
 //
-// PairTest returns the test JoinPages applies to one object pair, compiled
+// PairTest returns the test JoinCells applies to one object pair, compiled
 // once: a caller that verifies its own candidate pairs (EGO) builds it once
 // a join.
 type ObjectJoiner interface {
-	JoinPages(a, b *disk.Page, emit func(idA, idB int)) (comparisons int64, cpuSeconds float64)
+	JoinCells(r, s *Side, cells []kernel.Cell, out *CellOut)
 	PairTest() PairTest
+}
+
+// Side is one side of a comparison run: its pages, in the order the run's
+// cells index them, and their flat blocks as the block kernel reads them,
+// in place.
+type Side struct {
+	Pages []*disk.Page
+	Block kernel.ClusterBlock
+}
+
+// add appends page p to the side.
+func (s *Side) add(p *disk.Page) {
+	s.Pages = append(s.Pages, p)
+	s.Block.AddPage(&p.Flat)
+}
+
+// reset empties the side, keeping its lists' storage and dropping its page
+// references.
+func (s *Side) reset() {
+	clear(s.Pages)
+	s.Pages = s.Pages[:0]
+	s.Block.Reset()
+}
+
+// CellOut is what JoinCells appends to. Comparisons are a total, since
+// integer sums do not depend on their order; the modeled CPU seconds are
+// kept a cell apiece, so the report folds them in a serial loop's order.
+type CellOut struct {
+	Hits  []kernel.BlockHit
+	Comps int64
+	CPU   []float64
 }
 
 // PairTest decides whether object i of page a joins object k of page b, and
 // returns the modeled CPU seconds of the decision. A self join's skip
 // (SelfSkip) is the caller's: a skipped pair is not a comparison.
 type PairTest func(a *disk.Page, i int, b *disk.Page, k int) (match bool, cpuSeconds float64)
-
-// BatchJoiner is an ObjectJoiner whose JoinPages can be hoisted to
-// whole-cluster block evaluation (Exec.JoinCluster) over the flat blocks of
-// its pages (disk.Page.Flat). The contract: batch evaluation of a cluster's
-// marked page pairs yields results, comparison counts and modeled CPU cost
-// bit-identical to a JoinPages loop over the same pairs in the same order.
-type BatchJoiner interface {
-	ObjectJoiner
-	// BatchKernel reports whether this joiner configuration is batchable
-	// and, if so, the threshold the block kernel evaluates. Joiners whose
-	// per-pair path carries id-dependent logic (self joins) or no float
-	// kernel at all return false.
-	BatchKernel() (kernel.Threshold, bool)
-}
 
 // Base modeled CPU costs. Calibrated against the paper's platform (a 400 MHz
 // Pentium II): a 2-d Euclidean comparison near 20 ns reproduces Figure 10's
@@ -87,52 +106,58 @@ func checkKinds(joiner string, k disk.Kind, a, b *disk.Page) {
 	}
 }
 
-// pageCell is the one-cell cluster a non-self JoinPages hands the block
-// kernel: page a, page b, the cell (0, 0) and the hit buffer, pooled so the
-// path allocates nothing in steady state.
-type pageCell struct {
-	a, b  kernel.ClusterBlock
-	cells [1]kernel.Cell
-	hits  []kernel.BlockHit
-}
-
-var pageCellPool = sync.Pool{New: func() any { return new(pageCell) }}
-
-// joinRows is JoinPages over the rows of two vector or series pages. A self
-// join tests its pairs one at a time past SelfSkip, which needs both pages'
-// IDs; any other join evaluates the page pair as one cell of the block
-// kernel, the scan clustered joins use, which emits the hits in (row of a,
-// row of b) order. The modeled cost charges the full comparison whether or
-// not the kernel abandoned early.
-func joinRows(th kernel.Threshold, self bool, exclude int, a, b *disk.Page, emit func(int, int)) (int64, float64) {
-	var comps int64
-	if self {
-		for i, idI := range a.IDs {
-			row := a.Flat.Row(i)
-			for k, idK := range b.IDs {
-				if SelfSkip(a, i, b, k, exclude) {
-					continue
-				}
-				comps++
-				if th.Within(row, b.Flat.Row(k)) {
-					emit(idI, idK)
+// joinRows is JoinCells over vector or series pages of the given kind under
+// th. A non-self join evaluates its cells with one block kernel call, which
+// appends the hits cell by cell in (row of R, row of S) order, and charges
+// every row pair of a cell; a self join tests its pairs one at a time past
+// SelfSkip, which needs both pages' IDs. The modeled cost charges the full
+// comparison whether or not the kernel abandoned early. Every non-empty page
+// of a side has the side's dimensionality, and an empty one costs no
+// comparison, so one per-pair price serves all cells. A call's cells read
+// two datasets, one kind of page each, so its first cell's kinds are every
+// cell's.
+func joinRows(name string, kind disk.Kind, th kernel.Threshold, self bool, exclude int, r, s *Side, cells []kernel.Cell, out *CellOut) {
+	checkKinds(name, kind, r.Pages[cells[0].R], s.Pages[cells[0].S])
+	perPair := pairCost(r.Block.Dim())
+	comps, cpu := out.Comps, out.CPU
+	for ci, c := range cells {
+		a, b := r.Pages[c.R], s.Pages[c.S]
+		n := int64(len(a.IDs)) * int64(len(b.IDs))
+		if self {
+			n = 0
+			for i := range a.IDs {
+				row := a.Flat.Row(i)
+				for k := range b.IDs {
+					if SelfSkip(a, i, b, k, exclude) {
+						continue
+					}
+					n++
+					if th.Within(row, b.Flat.Row(k)) {
+						out.Hits = append(out.Hits, kernel.BlockHit{Cell: int32(ci), I: int32(i), J: int32(k)})
+					}
 				}
 			}
 		}
-	} else {
-		comps = int64(len(a.IDs)) * int64(len(b.IDs))
-		pc := pageCellPool.Get().(*pageCell)
-		pc.a.AddPage(&a.Flat)
-		pc.b.AddPage(&b.Flat)
-		pc.hits = kernel.BlockPairsWithin(&th, &pc.a, &pc.b, pc.cells[:], pc.hits[:0])
-		pc.a.Reset()
-		pc.b.Reset()
-		for _, h := range pc.hits {
-			emit(a.IDs[h.I], b.IDs[h.J])
-		}
-		pageCellPool.Put(pc)
+		comps += n
+		cpu = append(cpu, float64(n)*perPair)
 	}
-	return comps, float64(comps) * pairCost(a.Flat.Dim)
+	out.Comps, out.CPU = comps, cpu
+	if !self {
+		out.Hits = kernel.BlockPairsWithin(&th, &r.Block, &s.Block, cells, out.Hits)
+	}
+}
+
+// blockKernel reports whether j evaluates its cells with the block kernel:
+// a non-self vector or series join. ExecStats' batch counters count these
+// joins' clusters alone.
+func blockKernel(j ObjectJoiner) bool {
+	switch j := j.(type) {
+	case VectorJoiner:
+		return !j.Self
+	case SeriesJoiner:
+		return !j.Self
+	}
+	return false
 }
 
 // rowTest is the PairTest of vector and series rows under th, priced as
@@ -162,24 +187,13 @@ func (j VectorJoiner) threshold() kernel.Threshold {
 	return kernel.NewThreshold(j.Norm, j.Eps)
 }
 
-// JoinPages implements ObjectJoiner.
-func (j VectorJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
-	checkKinds("VectorJoiner", disk.Vectors, a, b)
-	return joinRows(j.threshold(), j.Self, 0, a, b, emit)
+// JoinCells implements ObjectJoiner.
+func (j VectorJoiner) JoinCells(r, s *Side, cells []kernel.Cell, out *CellOut) {
+	joinRows("VectorJoiner", disk.Vectors, j.threshold(), j.Self, 0, r, s, cells, out)
 }
 
 // PairTest implements ObjectJoiner.
 func (j VectorJoiner) PairTest() PairTest { return rowTest(j.threshold()) }
-
-// BatchKernel implements BatchJoiner: non-self joins are batchable under the
-// JoinPages threshold. Self joins keep the per-point loop (the id-based skip
-// needs both pages' IDs).
-func (j VectorJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if j.Self {
-		return kernel.Threshold{}, false
-	}
-	return j.threshold(), true
-}
 
 // SeriesJoiner joins time-series windows under L2 with threshold Eps, through
 // internal/kernel's exact squared-L2 test.
@@ -192,24 +206,13 @@ type SeriesJoiner struct {
 	ExcludeOverlap int
 }
 
-// JoinPages implements ObjectJoiner.
-func (j SeriesJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
-	checkKinds("SeriesJoiner", disk.Series, a, b)
-	return joinRows(kernel.NewThresholdSq(j.Eps), j.Self, j.ExcludeOverlap, a, b, emit)
+// JoinCells implements ObjectJoiner.
+func (j SeriesJoiner) JoinCells(r, s *Side, cells []kernel.Cell, out *CellOut) {
+	joinRows("SeriesJoiner", disk.Series, kernel.NewThresholdSq(j.Eps), j.Self, j.ExcludeOverlap, r, s, cells, out)
 }
 
 // PairTest implements ObjectJoiner.
 func (j SeriesJoiner) PairTest() PairTest { return rowTest(kernel.NewThresholdSq(j.Eps)) }
-
-// BatchKernel implements BatchJoiner: non-self joins are batchable under the
-// squared-L2 threshold. Self joins (id and overlap skips) keep the per-point
-// loop.
-func (j SeriesJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if j.Self {
-		return kernel.Threshold{}, false
-	}
-	return kernel.NewThresholdSq(j.Eps), true
-}
 
 // StringJoiner joins string windows under edit distance with threshold
 // MaxEdit, using the frequency distance as a cheap first filter and the
@@ -223,71 +226,74 @@ type StringJoiner struct {
 	ExcludeOverlap int
 }
 
-// packedStackCells is the stack capacity of JoinPages' packed frequency
+// packedStackCells is the stack capacity of JoinCells' packed frequency
 // scratch, which takes alpha+2 cells per window of page b: 256 windows of a
 // 4-symbol alphabet, over twice a 4 KB page of 500-symbol windows at
 // stride 32.
 const packedStackCells = 256 * (4 + 2)
 
-// JoinPages implements ObjectJoiner.
+// JoinCells implements ObjectJoiner, one cell at a time.
 //
 // The frequency filter runs on page b's vectors packed component-major:
 // for each window of a, one pass per symbol over all of b's windows sums
 // the L1 distances, and the frequency distance max(Σ positive, Σ negative
 // differences) is then (L1 + |Σ d|)/2, with Σ d the difference of the two
 // windows' totals. No step branches on a sign.
-func (j StringJoiner) JoinPages(pa, pb *disk.Page, emit func(int, int)) (int64, float64) {
-	checkKinds("StringJoiner", disk.Strings, pa, pb)
-	if len(pa.Windows) == 0 {
-		return 0, 0
-	}
-	var comps, verifs int64
-	w := len(pa.Windows[0])
-	alpha := len(pa.Freqs[0])
-	nb := len(pb.Windows)
-	// Components count one symbol of one window, so int32 holds them.
-	var stack [packedStackCells]int32
-	scratch := stack[:]
-	if need := nb * (alpha + 2); need > len(stack) {
-		scratch = make([]int32, need)
-	}
-	cols, totals, l1 := scratch[:alpha*nb], scratch[alpha*nb:(alpha+1)*nb], scratch[(alpha+1)*nb:(alpha+2)*nb]
-	for k := range nb {
-		f := pb.Freqs[k]
-		if len(f) != alpha {
-			panic(fmt.Sprintf("join: frequency dimension mismatch %d vs %d", alpha, len(f)))
+func (j StringJoiner) JoinCells(r, s *Side, cells []kernel.Cell, out *CellOut) {
+	checkKinds("StringJoiner", disk.Strings, r.Pages[cells[0].R], s.Pages[cells[0].S])
+	for ci, c := range cells {
+		pa, pb := r.Pages[c.R], s.Pages[c.S]
+		if len(pa.Windows) == 0 {
+			out.CPU = append(out.CPU, 0)
+			continue
 		}
-		for c, v := range f {
-			cols[c*nb+k] = int32(v)
-			totals[k] += int32(v)
+		var comps, verifs int64
+		w := len(pa.Windows[0])
+		alpha := len(pa.Freqs[0])
+		nb := len(pb.Windows)
+		// Components count one symbol of one window, so int32 holds them.
+		var stack [packedStackCells]int32
+		scratch := stack[:]
+		if need := nb * (alpha + 2); need > len(stack) {
+			scratch = make([]int32, need)
 		}
-	}
-	for i := range pa.Windows {
-		clear(l1)
-		ti := freqL1(pa.Freqs[i], cols, l1)
-		idI := pa.IDs[i]
-		for k, l1k := range l1 {
-			if j.Self && SelfSkip(pa, i, pb, k, j.ExcludeOverlap) {
-				continue
+		cols, totals, l1 := scratch[:alpha*nb], scratch[alpha*nb:(alpha+1)*nb], scratch[(alpha+1)*nb:(alpha+2)*nb]
+		for k := range nb {
+			f := pb.Freqs[k]
+			if len(f) != alpha {
+				panic(fmt.Sprintf("join: frequency dimension mismatch %d vs %d", alpha, len(f)))
 			}
-			comps++
-			sd := ti - totals[k]
-			s := sd >> 31
-			if int((l1k+(sd^s)-s)>>1) > j.MaxEdit {
-				continue
-			}
-			verifs++
-			if _, ok := seqdist.EditDistanceBounded(pa.Windows[i], pb.Windows[k], j.MaxEdit); ok {
-				emit(idI, pb.IDs[k])
+			for c, v := range f {
+				cols[c*nb+k] = int32(v)
+				totals[k] += int32(v)
 			}
 		}
+		for i := range pa.Windows {
+			clear(l1)
+			ti := freqL1(pa.Freqs[i], cols, l1)
+			for k, l1k := range l1 {
+				if j.Self && SelfSkip(pa, i, pb, k, j.ExcludeOverlap) {
+					continue
+				}
+				comps++
+				sd := ti - totals[k]
+				sign := sd >> 31
+				if int((l1k+(sd^sign)-sign)>>1) > j.MaxEdit {
+					continue
+				}
+				verifs++
+				if _, ok := seqdist.EditDistanceBounded(pa.Windows[i], pb.Windows[k], j.MaxEdit); ok {
+					out.Hits = append(out.Hits, kernel.BlockHit{Cell: int32(ci), I: int32(i), J: int32(k)})
+				}
+			}
+		}
+		out.Comps += comps
+		out.CPU = append(out.CPU, float64(comps)*pairCost(alpha)+float64(verifs)*bandCells(j.MaxEdit, w)*editPerCellCost)
 	}
-	cpu := float64(comps)*pairCost(alpha) + float64(verifs)*bandCells(j.MaxEdit, w)*editPerCellCost
-	return comps, cpu
 }
 
 // PairTest implements ObjectJoiner: the frequency distance, then the banded
-// edit distance on a pair that passes it, as JoinPages decides and prices
+// edit distance on a pair that passes it, as JoinCells decides and prices
 // each pair.
 func (j StringJoiner) PairTest() PairTest {
 	maxEdit := j.MaxEdit
@@ -307,7 +313,7 @@ func (j StringJoiner) PairTest() PairTest {
 // (component c of window k at cols[c*len(l1)+k]), and returns fi's total.
 // Looping over windows inside components keeps the sums in registers; a
 // window-at-a-time loop over so few components spills them and runs about
-// 1.5× slower, and so does this loop inlined into JoinPages.
+// 1.5× slower, and so does this loop inlined into JoinCells.
 //
 //go:noinline
 func freqL1(fi []int, cols, l1 []int32) (total int32) {

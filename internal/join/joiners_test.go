@@ -28,6 +28,20 @@ func rows(pg *disk.Page) [][]float64 {
 	return out
 }
 
+// oneCell runs j over the one cell (a, b), emitting its pairs as object
+// IDs, and returns the cell's comparisons and modeled CPU seconds.
+func oneCell(j ObjectJoiner, a, b *disk.Page, emit func(idA, idB int)) (int64, float64) {
+	var r, s Side
+	r.add(a)
+	s.add(b)
+	var out CellOut
+	j.JoinCells(&r, &s, []kernel.Cell{{}}, &out)
+	for _, h := range out.Hits {
+		emit(a.IDs[h.I], b.IDs[h.J])
+	}
+	return out.Comps, out.CPU[0]
+}
+
 func collectPairs() (func(int, int), *[][2]int) {
 	var out [][2]int
 	return func(a, b int) { out = append(out, [2]int{a, b}) }, &out
@@ -38,7 +52,7 @@ func TestVectorJoinerBasic(t *testing.T) {
 	b := vecPage([]int{100, 101}, geom.Vector{0.5, 0}, geom.Vector{10, 10.2})
 	j := VectorJoiner{Norm: geom.L2, Eps: 1}
 	emit, pairs := collectPairs()
-	comps, cpu := j.JoinPages(a, b, emit)
+	comps, cpu := oneCell(j, a, b, emit)
 	if comps != 4 {
 		t.Fatalf("comps = %d", comps)
 	}
@@ -54,7 +68,7 @@ func TestVectorJoinerSelfSkips(t *testing.T) {
 	p := vecPage([]int{5, 6}, geom.Vector{0, 0}, geom.Vector{0, 0.1})
 	j := VectorJoiner{Norm: geom.L2, Eps: 1, Self: true}
 	emit, pairs := collectPairs()
-	comps, _ := j.JoinPages(p, p, emit)
+	comps, _ := oneCell(j, p, p, emit)
 	if comps != 1 { // only (5,6); (5,5), (6,6), (6,5) skipped
 		t.Fatalf("comps = %d", comps)
 	}
@@ -70,7 +84,7 @@ func TestVectorJoinerWrongPayloadPanics(t *testing.T) {
 		}
 	}()
 	p := seriesPage([]int{1}, []int{0}, [][]float64{{0, 0}})
-	VectorJoiner{Norm: geom.L2, Eps: 1}.JoinPages(p, p, func(int, int) {})
+	oneCell(VectorJoiner{Norm: geom.L2, Eps: 1}, p, p, func(int, int) {})
 }
 
 func TestSeriesJoinerBasic(t *testing.T) {
@@ -78,7 +92,7 @@ func TestSeriesJoinerBasic(t *testing.T) {
 	b := seriesPage([]int{10}, []int{80}, [][]float64{{1, 2, 3.4}})
 	j := SeriesJoiner{Eps: 0.5}
 	emit, pairs := collectPairs()
-	comps, cpu := j.JoinPages(a, b, emit)
+	comps, cpu := oneCell(j, a, b, emit)
 	if comps != 2 || cpu <= 0 {
 		t.Fatalf("comps = %d cpu = %g", comps, cpu)
 	}
@@ -93,13 +107,13 @@ func TestSeriesJoinerSelfOverlapExclusion(t *testing.T) {
 	p := seriesPage([]int{0, 1}, []int{0, 4}, [][]float64{{1, 1, 1}, {1, 1, 1}})
 	j := SeriesJoiner{Eps: 1, Self: true, ExcludeOverlap: 8}
 	emit, pairs := collectPairs()
-	j.JoinPages(p, p, emit)
+	oneCell(j, p, p, emit)
 	if len(*pairs) != 0 {
 		t.Fatalf("overlapping windows joined: %v", *pairs)
 	}
 	j.ExcludeOverlap = 2
 	emit2, pairs2 := collectPairs()
-	j.JoinPages(p, p, emit2)
+	oneCell(j, p, p, emit2)
 	if len(*pairs2) != 1 {
 		t.Fatalf("non-overlapping pair missing: %v", *pairs2)
 	}
@@ -112,7 +126,7 @@ func TestSeriesJoinerWrongPayloadPanics(t *testing.T) {
 		}
 	}()
 	p := vecPage([]int{1}, geom.Vector{0, 0})
-	SeriesJoiner{Eps: 1}.JoinPages(p, p, func(int, int) {})
+	oneCell(SeriesJoiner{Eps: 1}, p, p, func(int, int) {})
 }
 
 func TestStringJoinerFreqFilterThenEdit(t *testing.T) {
@@ -140,7 +154,7 @@ func TestStringJoinerFreqFilterThenEdit(t *testing.T) {
 	b := &disk.Page{Kind: disk.Strings, IDs: []int{10, 11}, Starts: []int{100, 200}, Windows: [][]byte{wb, wc}, Freqs: [][]int{fb, fc}}
 	j := StringJoiner{MaxEdit: 2}
 	emit, pairs := collectPairs()
-	comps, cpu := j.JoinPages(a, b, emit)
+	comps, cpu := oneCell(j, a, b, emit)
 	if comps != 2 || cpu <= 0 {
 		t.Fatalf("comps = %d", comps)
 	}
@@ -161,7 +175,7 @@ func TestStringJoinerSelfExclusion(t *testing.T) {
 	}
 	j := StringJoiner{MaxEdit: 2, Self: true, ExcludeOverlap: 8}
 	emit, pairs := collectPairs()
-	j.JoinPages(p, p, emit)
+	oneCell(j, p, p, emit)
 	if len(*pairs) != 0 {
 		t.Fatalf("overlap not excluded: %v", *pairs)
 	}
@@ -174,5 +188,5 @@ func TestStringJoinerWrongPayloadPanics(t *testing.T) {
 		}
 	}()
 	p := vecPage([]int{1}, geom.Vector{0, 0})
-	StringJoiner{MaxEdit: 1}.JoinPages(p, p, func(int, int) {})
+	oneCell(StringJoiner{MaxEdit: 1}, p, p, func(int, int) {})
 }

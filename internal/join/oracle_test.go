@@ -126,7 +126,7 @@ func refJoinPages(j ObjectJoiner, a, b *disk.Page, emit func(int, int)) (int64, 
 	}
 }
 
-// pairTestJoinPages is JoinPages built from j's PairTest one pair at a time,
+// pairTestJoinPages is a one-cell JoinCells built from j's PairTest one pair at a time,
 // past the self-join skip: the loop EGO runs over its candidate pairs.
 func pairTestJoinPages(j ObjectJoiner, self bool, exclude int, a, b *disk.Page, emit func(int, int)) (int64, float64) {
 	test := j.PairTest()
@@ -175,18 +175,18 @@ func (tr joinTrace) check(t *testing.T, want joinTrace) {
 	}
 }
 
-// checkPairTest holds a trace of PairTest calls to JoinPages': the same pairs
+// checkPairTest holds a trace of PairTest calls to JoinCells': the same pairs
 // in the same order and the same comparisons. The CPU seconds are summed a
-// pair at a time, in another order than JoinPages sums them, so they agree
+// pair at a time, in another order than JoinCells sums them, so they agree
 // to rounding.
 func (tr joinTrace) checkPairTest(t *testing.T, want joinTrace) {
 	t.Helper()
 	if tr.comps != want.comps || !reflect.DeepEqual(tr.pairs, want.pairs) {
-		t.Errorf("PairTest: %d pairs over %d comparisons, JoinPages %d over %d",
+		t.Errorf("PairTest: %d pairs over %d comparisons, JoinCells %d over %d",
 			len(tr.pairs), tr.comps, len(want.pairs), want.comps)
 	}
 	if math.Abs(tr.cpu-want.cpu) > 1e-9*want.cpu {
-		t.Errorf("PairTest: CPU seconds = %g, JoinPages %g", tr.cpu, want.cpu)
+		t.Errorf("PairTest: CPU seconds = %g, JoinCells %g", tr.cpu, want.cpu)
 	}
 }
 
@@ -272,11 +272,12 @@ func epsLadder(dists []float64) []float64 {
 }
 
 // TestJoinPagesMatchesReference is the page-pair half of the oracle: for
-// every norm, self and non-self, across the ε ladder, JoinPages must emit
-// the reference loop's pairs in the reference order with equal comparison
-// counts and bit-equal modeled CPU seconds, and the joiner's PairTest, run
-// pair by pair, must decide every pair as JoinPages does. Page b carries exact duplicates
-// of page a's points so ε = 0 has matches to get right.
+// every norm, self and non-self, across the ε ladder, a one-cell JoinCells
+// call must emit the reference loop's pairs in the reference order with
+// equal comparison counts and bit-equal modeled CPU seconds, and the
+// joiner's PairTest, run pair by pair, must decide every pair as JoinCells
+// does. Page b carries exact duplicates of page a's points so ε = 0 has
+// matches to get right.
 func TestJoinPagesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	norms := []geom.Norm{geom.L1, geom.L2, geom.LInf, {P: 3}}
@@ -298,7 +299,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 					j := VectorJoiner{Norm: norm, Eps: eps, Self: self}
 					t.Run(fmt.Sprintf("vector/%v/dim%d/self=%v/eps=%g", norm, dim, self, eps), func(t *testing.T) {
 						var got, want joinTrace
-						got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
+						got.add(func(emit func(int, int)) (int64, float64) { return oneCell(j, pa, pb, emit) })
 						want.add(func(emit func(int, int)) (int64, float64) { return refVectorJoinPages(j, pa, pb, emit) })
 						got.check(t, want)
 						var pt joinTrace
@@ -333,7 +334,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("series/self=%v/eps=%g", self, eps), func(t *testing.T) {
 				var got, want joinTrace
-				got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(sa, sb, emit) })
+				got.add(func(emit func(int, int)) (int64, float64) { return oneCell(j, sa, sb, emit) })
 				want.add(func(emit func(int, int)) (int64, float64) { return refSeriesJoinPages(j, sa, sb, emit) })
 				got.check(t, want)
 				var pt joinTrace
@@ -361,7 +362,7 @@ func TestJoinPagesMatchesReference(t *testing.T) {
 	stringCase := func(name string, j StringJoiner, pa, pb *disk.Page) {
 		t.Run("string/"+name, func(t *testing.T) {
 			var got, want joinTrace
-			got.add(func(emit func(int, int)) (int64, float64) { return j.JoinPages(pa, pb, emit) })
+			got.add(func(emit func(int, int)) (int64, float64) { return oneCell(j, pa, pb, emit) })
 			want.add(func(emit func(int, int)) (int64, float64) { return refStringJoinPages(j, pa, pb, emit) })
 			got.check(t, want)
 			var pt joinTrace
@@ -426,9 +427,9 @@ func oracleDataset(t testing.TB, d *disk.Disk, name string, pages []*disk.Page) 
 // run — inline and on four workers — must report exactly what a serial fold
 // of the reference loops over every cluster's entries, in schedule order,
 // produces: equal Comparisons and Results, bit-equal CPUJoinSeconds, and the
-// identical collected pair stream. The four workloads cover both evaluations inside
-// a run: the block kernel (non-self vectors at dim 8, where the SIMD row sums
-// engage, and non-self series) and the per-cell fallback (self joins,
+// identical collected pair stream. The four workloads cover every JoinCells
+// evaluation: the block kernel (non-self vectors at dim 8, where the SIMD
+// row sums engage, and non-self series) and the per-cell loops (self joins,
 // strings).
 func TestClusteredMatchesOracle(t *testing.T) {
 	const nPages, buffer, seed = 24, 20, 11

@@ -15,6 +15,7 @@ import (
 	"pmjoin/internal/cluster"
 	"pmjoin/internal/disk"
 	"pmjoin/internal/geom"
+	"pmjoin/internal/kernel"
 	"pmjoin/internal/predmat"
 	"pmjoin/internal/sched"
 )
@@ -99,10 +100,11 @@ func (wc *windowCase) cutCluster(maxPairs int) int {
 
 // TestClusterWindowMatchesSerial runs the clustered executor's two-cluster
 // window on four workers and inline, over many small clusters, on both
-// evaluations of a run: the block kernel (8-d vectors) and the per-cell
-// fallback (strings). With no cap and with caps one below, at and one above a
-// pair chunk — each cutting the pair stream inside a cluster whose successor
-// is dispatched before it is merged — the two must agree on every Report
+// kinds of JoinCells evaluation: the block kernel (8-d vectors) and the
+// per-cell string loop (the "fallback" case). With no cap and with caps one
+// below, at and one above a pair chunk — each cutting the pair stream inside
+// a cluster whose successor is dispatched before it is merged — the two
+// must agree on every Report
 // field, float bits included, on the pairs and on Truncated, and both must
 // equal the serial reference loops.
 func TestClusterWindowMatchesSerial(t *testing.T) {
@@ -158,26 +160,27 @@ func TestClusterWindowMatchesSerial(t *testing.T) {
 	}
 }
 
-// cancellingJoiner is a fallback joiner that cancels the run's context on its
-// k-th page pair and counts the calls still executing.
+// cancellingJoiner is a string joiner that cancels the run's context once
+// it has been handed its k-th page-pair cell, and counts the JoinCells calls
+// still executing.
 type cancellingJoiner struct {
 	StringJoiner
 	k        int64
 	cancel   context.CancelFunc
-	calls    atomic.Int64
+	cells    atomic.Int64
 	inFlight atomic.Int64
 }
 
-func (j *cancellingJoiner) JoinPages(a, b *disk.Page, emit func(int, int)) (int64, float64) {
+func (j *cancellingJoiner) JoinCells(r, s *Side, cells []kernel.Cell, out *CellOut) {
 	j.inFlight.Add(1)
 	defer j.inFlight.Add(-1)
-	if j.calls.Add(1) == j.k {
+	if n := j.cells.Add(int64(len(cells))); n >= j.k && n-int64(len(cells)) < j.k {
 		j.cancel()
 	}
-	// Long enough that runs are still executing when the coordinator sees
-	// the cancellation.
-	time.Sleep(50 * time.Microsecond)
-	return j.StringJoiner.JoinPages(a, b, emit)
+	// Long enough, 50us a cell, that runs are still executing when the
+	// coordinator sees the cancellation.
+	time.Sleep(time.Duration(len(cells)) * 50 * time.Microsecond)
+	j.StringJoiner.JoinCells(r, s, cells, out)
 }
 
 // TestClusterWindowCancel cancels a run from inside the window, on a worker,
@@ -210,8 +213,8 @@ func TestClusterWindowCancel(t *testing.T) {
 		if inFlight != 0 {
 			t.Errorf("%d comparisons still executing after the run returned", inFlight)
 		}
-		if calls := j.calls.Load(); calls >= int64(wc.m.Marked()) {
-			t.Errorf("%d page pairs compared; the cancellation did not stop the run early", calls)
+		if cells := j.cells.Load(); cells >= int64(wc.m.Marked()) {
+			t.Errorf("%d page pairs compared; the cancellation did not stop the run early", cells)
 		}
 		if pool != nil {
 			if err := pool.Flush(); err != nil {

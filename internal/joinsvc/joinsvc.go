@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 
 	"pmjoin"
@@ -79,20 +78,6 @@ func (s *Service) Dataset(name string) *pmjoin.Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.datasets[name]
-}
-
-// DatasetNames returns the registered names in sorted order.
-func (s *Service) DatasetNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.datasets))
-	for n, d := range s.datasets {
-		if d != nil {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler returns the service's HTTP routes on a fresh mux.

@@ -5,14 +5,14 @@ import (
 	"sync"
 )
 
-// ClusterBlock is one cluster side as the block kernel sees it: the list of
-// the side's FlatPages, in the order they were added, read in place. The
-// clustered executor fills one per side per cluster from the pinned pages'
-// own flat blocks (reusing the list across clusters) and evaluates every
-// marked page pair of the cluster against the two in one BlockPairsWithin
-// call; a non-self JoinPages evaluates its page pair as a one-page block a
-// side. No row is copied: the pages must stay valid, and unmodified, until
-// the last call that reads the block returns.
+// ClusterBlock is one side of a comparison run as the block kernel sees it:
+// the list of the side's FlatPages, in the order they were added, read in
+// place. The join executor keeps one per run side: a clustered run's is its
+// cluster's pinned pages (the list reused across clusters), and a run of
+// the unclustered executors holds one page per cell. A BlockPairsWithin
+// call evaluates a few of the run's cells against the two. No row is
+// copied: the pages must stay valid, and unmodified, until the last call
+// that reads the block returns.
 //
 // Empty pages occupy a page slot with zero rows; every non-empty page must
 // share one dimensionality, fixed by the first non-empty AddPage.
@@ -91,7 +91,7 @@ var cellHitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return 
 // Hits are emitted grouped by cell in cells order, and within one cell by
 // (I ascending, J ascending) — exactly the order a per-pair loop over
 // PagePairWithin produces, which is what keeps the executor's Report and
-// pair stream bit-identical to the per-cell fallback. The hit decisions
+// pair stream bit-identical to a serial per-pair loop. The hit decisions
 // themselves are identical to PagePairWithin's for every input: the vector
 // path re-associates sums differently (four probes per pass), but any sum
 // inside the reassocBand sliver is re-decided by the same exact t.Within

@@ -178,8 +178,8 @@ type ClusterStats struct {
 	// kernel time.
 	Wall time.Duration
 	// BatchCells and BatchRows describe the cluster's batched kernel
-	// dispatch (zero when the per-pair path ran): marked cells evaluated in
-	// block tasks, and the rows of the pinned pages the kernel reads, both
+	// dispatch (zero when the joiner's per-pair loops ran): marked cells the
+	// block kernel evaluated, and the rows of the pinned pages it reads, both
 	// sides together.
 	BatchCells int
 	BatchRows  int

@@ -58,12 +58,12 @@ type ExecStats struct {
 	ModeledSerialSeconds float64
 	// OverlapIOSeconds is always 0: no I/O overlaps the comparisons.
 	OverlapIOSeconds float64
-	// Block-kernel profile of the clustered executor (all zero for joiners
-	// with no batch kernel — self joins, strings — and for unclustered
-	// methods; the counters ride the metrics snapshot):
-	// the number of clusters evaluated as block runs, their marked cells, and
-	// the rows the kernel spans: the rows of each such cluster's pinned pages,
-	// both sides, summed over the clusters.
+	// Block-kernel profile of the clustered executor (all zero for joins
+	// whose JoinCells does not call the block kernel — self joins, strings —
+	// and for unclustered methods; the counters ride the metrics snapshot):
+	// the number of clusters the block kernel evaluated, their marked cells,
+	// and the rows the kernel spans: the rows of each such cluster's pinned
+	// pages, both sides, summed over the clusters.
 	BatchClusters int
 	BatchCells    int
 	BatchRows     int

@@ -210,9 +210,9 @@ func TestKernelsDeterminism(t *testing.T) {
 }
 
 // TestBatchKernelsDeterminism: the clustered methods find exactly the
-// oracle's pairs whichever evaluation their runs take — the whole-cluster
+// oracle's pairs whichever evaluation their runs' JoinCells calls take — the
 // block kernel (non-self vectors and series; dim 8 so the SIMD row sums
-// engage) or the per-cell fallback (self joins, strings) — and, for the dim-8
+// engage) or the per-cell loops (self joins, strings) — and, for the dim-8
 // workload, across the parallelism × sharding cross.
 func TestBatchKernelsDeterminism(t *testing.T) {
 	type config struct{ par, shards int }
@@ -253,7 +253,7 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 // TestBatchDispatchRan guards the oracle comparisons against vacuity: a
 // batchable clustered run must report that the block kernel actually
 // evaluated clusters, and a self or string join — whose runs take the
-// per-cell fallback — must report none.
+// per-cell loops — must report none.
 func TestBatchDispatchRan(t *testing.T) {
 	cases := []struct {
 		oracleLoad
@@ -278,7 +278,7 @@ func TestBatchDispatchRan(t *testing.T) {
 			case tc.block && x.BatchClusters > res.Report.Clusters:
 				t.Errorf("block kernel ran %d of %d clusters", x.BatchClusters, res.Report.Clusters)
 			case !tc.block && (x.BatchClusters != 0 || x.BatchCells != 0):
-				t.Errorf("fallback run reported block-kernel dispatch: %+v", x)
+				t.Errorf("per-cell run reported block-kernel dispatch: %+v", x)
 			}
 		})
 	}

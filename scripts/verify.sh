@@ -76,8 +76,9 @@ echo "==> determinism contracts (metrics observer + one clustered route + shard 
 # run's. The file-backed store (real encoded files) must reproduce the
 # simulator's triple bit for bit, Explain's per-cluster and per-shard reads
 # must equal the run's measured reads (Lemma 4; clusters that fill the buffer
-# included), and the one comparison path — block kernel and per-cell
-# fallback, inline and on workers — must reproduce the reference distance
+# included), and the one comparison run — JoinCells over a run's cells, by
+# the block kernel or the per-cell self and string loops, inline and on
+# workers, from every executor — must reproduce the reference distance
 # loops' pair stream, comparison counts and CPU-second bits. The clustered
 # executor's two-cluster window must match its inline run with pair caps cut
 # inside a cluster whose successor is in flight, and a cancellation inside the
@@ -148,7 +149,7 @@ contract ./internal/pool 'TestWorkerPoolRunsAllTasks|TestWorkerPoolRecursiveSubm
 # cancelled and, on one worker, drain a long plan promptly after a cancel.
 contract ./internal/shard 'TestRunOrder|TestRunFirstError|TestRunCancelMidRun|TestRunCancelPromptDrain'
 contract ./internal/disk 'TestConcurrentSessionsIndependentStats'
-contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
+contract ./internal/join 'TestJoinPagesMatchesReference|TestClusteredMatchesOracle|TestParallelReportsIdentical|FuzzRunVsReference|TestPairsCapsMatchReference|TestClusterWindowMatchesSerial|TestClusterWindowCancel|TestRunRejectsLeakedPin'
 contract ./internal/kernel 'TestBlockPairsWithinMatchesPagePair'
 contract ./internal/store 'TestFetchAllocsFlat|TestCodecRoundTripStringPage|FuzzPageCodecRoundTrip|TestDecodeParentPageRecords'
 contract ./internal/ego 'TestEGOMatchesBruteForce|TestEGOSelfJoin'
